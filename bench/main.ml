@@ -172,18 +172,15 @@ let ablation_cluster_size () =
   Format.printf "@."
 
 let ablation_replication () =
-  (* Cost of fault tolerance: the same replicated key-value workload under
-     no replication, primary-backup shipping, and Raft consensus. *)
+  (* Cost of fault tolerance: the same replicated key-value workload
+     without replication and under Raft consensus. *)
   Format.printf "##### Ablation: replication mode cost (fault-tolerance extension) #####@.";
   Format.printf "%-18s %-16s %-14s %-12s@." "mode" "inter-hive KB" "KB/s" "overhead";
   let module P = Beehive_core.Platform in
   let module A = Beehive_core.App in
   let run mode =
     let engine = Engine.create () in
-    let cfg =
-      { (P.default_config ~n_hives:6) with P.replication = mode = `Primary_backup }
-    in
-    let platform = P.create engine cfg in
+    let platform = P.create engine (P.default_config ~n_hives:6) in
     (* A key-sharded writer app with realistic value sizes. *)
     let writer =
       A.create ~name:"bench.writer" ~dicts:[ "store" ] ~replicated:true
@@ -204,7 +201,7 @@ let ablation_replication () =
     P.register_app platform writer;
     (match mode with
     | `Raft -> ignore (Beehive_core.Raft_replication.install platform ())
-    | `Primary_backup | `None -> ());
+    | `None -> ());
     P.start platform;
     (* 12 keys spread over the hives, one 512-byte write per key per 100 ms,
        for 20 simulated seconds. *)
@@ -229,7 +226,7 @@ let ablation_replication () =
       let kb = run mode in
       Format.printf "%-18s %-16.1f %-14.2f %-12s@." label kb (kb /. 20.0)
         (Printf.sprintf "%.1fx" (kb /. Float.max 0.001 base)))
-    [ ("none", `None); ("primary-backup", `Primary_backup); ("raft (3-node)", `Raft) ];
+    [ ("none", `None); ("raft (3-node)", `Raft) ];
   Format.printf "@."
 
 let ablation_durability () =

@@ -4,14 +4,12 @@
    its building block ("we are enforcing the foundations of our framework
    specially for fault-tolerance"); the production Beehive replicates
    state with Raft. This example runs a replicated key-value application
-   under both schemes and kills a hive:
+   whose every commit is proposed to a 3-hive Raft consensus group (every
+   member holding a replica), then kills the hive hosting the account.
 
-   - primary-backup: each commit ships its write set to one backup hive;
-   - Raft: each commit is proposed to a 3-hive consensus group, every
-     member holding a replica.
-
-   Either way, the platform fails the bee over with its state intact and
-   the application never notices.
+   The platform fails the bee over with its state intact and the
+   application never notices. The example exits non-zero if the balance
+   read after the failover, or after the next deposit, is wrong.
 
    Run with: dune exec examples/fault_tolerance.exe *)
 
@@ -55,15 +53,20 @@ let balance platform bee =
       else None)
     (Platform.bee_state_entries platform bee)
 
-let run ~label ~use_raft =
-  Format.printf "--- %s ---@." label;
+let failures = ref 0
+
+let expect what ~expected got =
+  if got <> Some expected then begin
+    incr failures;
+    Format.printf "FAIL: %s: expected %d, got %s@." what expected
+      (match got with Some n -> string_of_int n | None -> "none")
+  end
+
+let () =
   let engine = Engine.create () in
-  let cfg =
-    { (Platform.default_config ~n_hives:5) with Platform.replication = not use_raft }
-  in
-  let platform = Platform.create engine cfg in
+  let platform = Platform.create engine (Platform.default_config ~n_hives:5) in
   Platform.register_app platform bank_app;
-  let rep = if use_raft then Some (Raft_replication.install platform ()) else None in
+  let rep = Raft_replication.install platform () in
   Platform.start platform;
   Engine.run_until engine (Simtime.of_sec 2.0);
 
@@ -81,16 +84,13 @@ let run ~label ~use_raft =
   Format.printf "balance(alice) = %d on hive %d@."
     (Option.value ~default:0 (balance platform bee))
     home;
-  (match rep with
-  | Some r ->
-    Format.printf "raft group of hive %d: members %s, leader %s; %d write sets committed@."
-      home
-      (String.concat "," (List.map string_of_int (Raft_replication.group_members r ~hive:home)))
-      (match Raft_replication.group_leader r ~hive:home with
-      | Some l -> string_of_int l
-      | None -> "?")
-      (Raft_replication.replicated_commands r)
-  | None -> ());
+  Format.printf "raft group of hive %d: members %s, leader %s; %d write sets committed@."
+    home
+    (String.concat "," (List.map string_of_int (Raft_replication.group_members rep ~hive:home)))
+    (match Raft_replication.group_leader rep ~hive:home with
+    | Some l -> string_of_int l
+    | None -> "?")
+    (Raft_replication.replicated_commands rep);
 
   Format.printf "killing hive %d...@." home;
   Platform.fail_hive platform home;
@@ -98,15 +98,14 @@ let run ~label ~use_raft =
   Format.printf "bee %d failed over to hive %d, balance(alice) = %d@." bee
     view.Platform.view_hive
     (Option.value ~default:(-1) (balance platform bee));
+  expect "balance after failover" ~expected:100 (balance platform bee);
 
   (* Deposits keep working. *)
   Engine.run_until engine (Simtime.add (Engine.now engine) (Simtime.of_sec 1.0));
   Platform.inject platform ~from:(Channels.Hive 0) ~kind:k_deposit
     (Deposit { account = "alice"; amount = 900 });
   Engine.run_until engine (Simtime.add (Engine.now engine) (Simtime.of_sec 2.0));
-  Format.printf "after one more deposit: balance(alice) = %d@.@."
-    (Option.value ~default:(-1) (balance platform bee))
-
-let () =
-  run ~label:"primary-backup replication" ~use_raft:false;
-  run ~label:"raft consensus replication" ~use_raft:true
+  Format.printf "after one more deposit: balance(alice) = %d@."
+    (Option.value ~default:(-1) (balance platform bee));
+  expect "balance after the next deposit" ~expected:1000 (balance platform bee);
+  if !failures > 0 then exit 1

@@ -29,8 +29,9 @@ type t = {
   handlers : handler list;
   timers : timer list;
   replicated : bool;
-      (** when true (and the platform enables replication), this app's
-          bees replicate committed state to a backup hive *)
+      (** when true, this app's commits reach the platform's
+          {!Platform.on_commit} hooks and its bees fail over through a
+          recovery provider (e.g. {!Raft_replication}) *)
   pinned : bool;
       (** when true, this app's bees never migrate (e.g. the OpenFlow
           driver must stay on its switches' master hive) *)

@@ -23,9 +23,7 @@ type config = {
   lock_master : int;
   lock_rpc_size : int;
   hive_capacity : int;
-  replication : bool;
   durability : Store.config option;
-  reliable_transport : bool;
   transport : Transport.config;
   outbox : bool;
       (* transactional exactly-once messaging: emits buffer in the open
@@ -54,9 +52,7 @@ let default_config ~n_hives =
     lock_master = 0;
     lock_rpc_size = 48;
     hive_capacity = max_int;
-    replication = false;
     durability = None;
-    reliable_transport = true;
     transport = Transport.default_config;
     outbox = true;
     scrub_budget_bytes = 64 * 1024;
@@ -80,24 +76,20 @@ type drop_reason =
   | Dead_target
   | Dead_origin
   | Missing_endpoint
-  | Link_loss
   | Retransmit_exhausted
 
-let all_drop_reasons =
-  [ Dead_target; Dead_origin; Missing_endpoint; Link_loss; Retransmit_exhausted ]
+let all_drop_reasons = [ Dead_target; Dead_origin; Missing_endpoint; Retransmit_exhausted ]
 
 let drop_reason_index = function
   | Dead_target -> 0
   | Dead_origin -> 1
   | Missing_endpoint -> 2
-  | Link_loss -> 3
-  | Retransmit_exhausted -> 4
+  | Retransmit_exhausted -> 3
 
 let drop_reason_label = function
   | Dead_target -> "dead_target"
   | Dead_origin -> "dead_origin"
   | Missing_endpoint -> "missing_endpoint"
-  | Link_loss -> "link_loss"
   | Retransmit_exhausted -> "retransmit_exhausted"
 
 type allowed_spec =
@@ -236,7 +228,6 @@ type t = {
          completion requires zero *)
   pinned_bees : (int, unit) Hashtbl.t;
   endpoints : (Channels.endpoint, Message.t -> unit) Hashtbl.t;
-  backups : (int, State.t) Hashtbl.t;
   mutable store : Value.t Store.t option;
       (* durability engine shadowing every non-local bee's dictionaries *)
   mutable migration_log : migration list;  (* newest first *)
@@ -291,152 +282,6 @@ type t = {
       (* quarantined-corrupt bees, newest first: (bee, verdict detail) —
          the record left in place of state we refused to serve *)
 }
-
-(* Forward references into the processing loop (defined below [create],
-   which must hand closures over them to the store): outbox dispatch on
-   fsync and the receiver-side ack drain. *)
-let outbox_durable_impl : (t -> (int * int) list -> unit) ref = ref (fun _ _ -> ())
-let outbox_drain_acks_impl : (t -> int -> unit) ref = ref (fun _ _ -> ())
-
-(* Background integrity scrub slice (defined below with the repair
-   machinery it needs). *)
-let scrub_tick_impl : (t -> unit) ref = ref (fun _ -> ())
-
-(* What a reader gets back from physically damaged bytes it failed to
-   verify: a deterministic, size-preserving scramble, so silent corruption
-   is semantically visible (a revived counter that exceeds every put) but
-   byte accounting stays unchanged. *)
-let rec garble_value (v : Value.t) : Value.t =
-  match v with
-  | Value.V_int n -> Value.V_int (n lxor 0x2AAAAAAA)
-  | Value.V_bool b -> Value.V_bool (not b)
-  | Value.V_float f -> Value.V_float (-.f -. 1.0)
-  | Value.V_string s -> Value.V_string (String.map (fun c -> Char.chr (Char.code c lxor 0x20)) s)
-  | Value.V_pair (a, b) -> Value.V_pair (garble_value a, garble_value b)
-  | Value.V_list l -> Value.V_list (List.map garble_value l)
-  | v -> v
-
-let create engine cfg =
-  if cfg.n_hives <= 0 then invalid_arg "Platform.create: need at least one hive";
-  if cfg.lock_master < 0 || cfg.lock_master >= cfg.n_hives then
-    invalid_arg "Platform.create: lock_master out of range";
-  if cfg.sharded_dispatch && not cfg.outbox then
-    invalid_arg "Platform.create: sharded_dispatch requires outbox";
-  let locks = Lock_service.create engine () in
-  let lock_session = Lock_service.create_session locks ~owner:"platform" in
-  (* Keep the platform's lock session alive for the whole run. *)
-  ignore
-    (Engine.every engine (Simtime.of_sec 4.0) (fun () ->
-         if Lock_service.session_alive lock_session then
-           Lock_service.keep_alive lock_session));
-  let hive_down_hard = ref (Array.make cfg.n_hives false) in
-  let chans =
-    Channels.create ~rng:(Rng.split (Engine.rng engine)) ~n_hives:cfg.n_hives
-      cfg.channel
-  in
-  let transport =
-    Transport.create ~config:cfg.transport ~engine
-      ~rng:(Rng.split (Engine.rng engine))
-      ~alive:(fun h -> h >= Array.length !hive_down_hard || not !hive_down_hard.(h))
-      chans
-  in
-  let t =
-  {
-    engine;
-    cfg;
-    chans;
-    transport;
-    reg = Registry.create ();
-    locks;
-    lock_session;
-    apps = [];
-    subscribers = Hashtbl.create 32;
-    bees = Hashtbl.create 256;
-    local_bees = Hashtbl.create 64;
-    next_bee = 0;
-    version = 0;
-    lookup_cache = Hashtbl.create 1024;
-    n = cfg.n_hives;
-    hive_up = Array.make cfg.n_hives true;
-    hive_down_hard;
-    draining = Array.make cfg.n_hives false;
-    decommissioned = Array.make cfg.n_hives false;
-    inbound = Array.make cfg.n_hives 0;
-    pinned_bees = Hashtbl.create 64;
-    endpoints = Hashtbl.create 64;
-    backups = Hashtbl.create 64;
-    store = None;
-    migration_log = [];
-    mig_hooks = [];
-    restart_hooks = [];
-    commit_hooks = [];
-    recovery_providers = [];
-    failure_hooks = [];
-    fsync_hooks = [];
-    added_hooks = [];
-    decom_hooks = [];
-    emit_hooks = [];
-    started = false;
-    n_processed = 0;
-    n_lock_rpcs = 0;
-    n_merges = 0;
-    dropped = Array.make (List.length all_drop_reasons) 0;
-    pstats = Stats.create ();
-    outbox_entries = Hashtbl.create 64;
-    outbox_acks = Hashtbl.create 8;
-    quarantine = Hashtbl.create 8;
-    n_quarantined = 0;
-    n_outbox_dups = 0;
-    n_handler_faults = 0;
-    virtual_out_seq = 0;
-    outbox_ack_hooks = [];
-    outbox_recovery_providers = [];
-    n_peer_repairs = 0;
-    n_local_rewrites = 0;
-    n_quarantined_bees = 0;
-    dead_letters = [];
-  }
-  in
-  (match cfg.durability with
-  | None -> ()
-  | Some store_cfg ->
-    (* Write sizes mirror the replication accounting: dict + key + value
-       (a tombstone carries a 4-byte marker). Each group-commit fsync is
-       charged to the owning hive's row of the traffic matrix. *)
-    let size_of (dict, key, w) =
-      String.length dict + String.length key
-      + match w with Some v -> Value.size v | None -> 4
-    in
-    let on_fsync ~hive ~bytes ~records:_ =
-      ignore
-        (Channels.transfer t.chans ~src:(Channels.Hive hive) ~dst:(Channels.Hive hive)
-           ~bytes ~now:(Engine.now engine));
-      if cfg.outbox then !outbox_drain_acks_impl t hive;
-      List.iter (fun f -> f hive) t.fsync_hooks
-    in
-    let on_outbox_durable ~hive:_ entries =
-      if cfg.outbox then !outbox_durable_impl t entries
-    in
-    let on_compaction ~bee ~dropped_records:_ ~dropped_bytes:_ ~snapshot_bytes:_ =
-      match Hashtbl.find_opt t.bees bee with
-      | None -> ()
-      | Some b ->
-        (match t.store with
-        | Some s ->
-          Stats.set_gauge b.stats "wal_bytes" (Store.wal_bytes s ~bee);
-          Stats.set_gauge b.stats "snapshots" (Store.snapshot_count s ~bee)
-        | None -> ())
-    in
-    t.store <-
-      Some
-        (Store.create engine ~config:store_cfg ~size_of ~garble:garble_value
-           ~on_fsync ~on_outbox_durable ~on_compaction ());
-    (* Background scrub: one budgeted verification slice every 5 ms.
-       Detected-corrupt live bees are repaired in place; bees on crashed
-       hives keep their suspect verdict for restart_hive to consult. *)
-    if cfg.scrub_budget_bytes > 0 then
-      ignore (Engine.every engine (Simtime.of_ms 5) (fun () -> !scrub_tick_impl t)));
-  t
 
 let engine t = t.engine
 let channels t = t.chans
@@ -591,20 +436,52 @@ let new_bee t ~(app : App.t) ~hive ~is_local =
   if is_local || app.App.pinned then Hashtbl.replace t.pinned_bees id ();
   b
 
+(* Starts tracking an emit until every receiver has durably applied it. *)
+let add_outbox_entry t ~sender ~seq ~durable m =
+  Hashtbl.replace t.outbox_entries (sender, seq)
+    {
+      oe_sender = sender;
+      oe_seq = seq;
+      oe_msg = m;
+      oe_required = -1;
+      oe_ackers = Hashtbl.create 4;
+      oe_attempts = 0;
+      oe_last_attempt = Simtime.zero;
+      oe_durable = durable;
+    }
+
+let drop_outbox_rows t sender =
+  let stale =
+    Hashtbl.fold
+      (fun ((s, _) as key) _ acc -> if s = sender then key :: acc else acc)
+      t.outbox_entries []
+  in
+  List.iter (Hashtbl.remove t.outbox_entries) (List.sort compare stale)
+
+(* A failover or peer re-seed of [b]: whatever the platform remembers
+   about its outbox belonged to the old incarnation, and the replicated
+   survivor an outbox recovery provider returns (if any) replaces it.
+   Returns that survivor's un-acked entries and inbox marks. *)
+let reseed_outbox_rows t (b : bee) ~durable =
+  if not t.cfg.outbox then ([], [])
+  else begin
+    let aux = List.find_map (fun p -> p ~bee:b.id) t.outbox_recovery_providers in
+    drop_outbox_rows t b.id;
+    match aux with
+    | Some (emits, inbox) ->
+      List.iter (fun (seq, m) -> add_outbox_entry t ~sender:b.id ~seq ~durable m) emits;
+      (emits, inbox)
+    | None -> ([], [])
+  end
+
 let kill_bee t b =
   b.status <- `Dead;
   Queue.clear b.mailbox;
   release_cell_locks t ~app:b.app.App.name (Registry.bee t.reg b.id).Registry.bee_cells;
   Registry.unassign_bee t.reg ~bee:b.id;
   Hashtbl.remove t.pinned_bees b.id;
-  Hashtbl.remove t.backups b.id;
   (* The bee is gone for good: its un-acked emits die with it. *)
-  let doomed =
-    Hashtbl.fold
-      (fun ((sender, _) as key) _ acc -> if sender = b.id then key :: acc else acc)
-      t.outbox_entries []
-  in
-  List.iter (Hashtbl.remove t.outbox_entries) (List.sort compare doomed);
+  drop_outbox_rows t b.id;
   match t.store with Some s -> Store.forget s ~bee:b.id | None -> ()
 
 let local_bee_of t ~(app : App.t) ~hive =
@@ -617,46 +494,6 @@ let local_bee_of t ~(app : App.t) ~hive =
       Hashtbl.replace t.local_bees (app.App.name, hive) b.id;
       Some b
     end
-
-(* ------------------------------------------------------------------ *)
-(* Replication                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let backup_hive t h =
-  let n = t.n in
-  let rec pick k =
-    if k = n then h
-    else if placeable t ((h + k) mod n) then (h + k) mod n
-    else pick (k + 1)
-  in
-  pick 1
-
-let replicate_commit t (b : bee) pending =
-  if t.cfg.replication && b.app.App.replicated && not b.is_local then begin
-    let replica =
-      match Hashtbl.find_opt t.backups b.id with
-      | Some s -> s
-      | None ->
-        let s = State.create () in
-        Hashtbl.add t.backups b.id s;
-        s
-    in
-    let bytes = ref 32 in
-    List.iter
-      (fun (dict, key, w) ->
-        bytes := !bytes + String.length dict + String.length key;
-        match w with
-        | Some v ->
-          bytes := !bytes + Value.size v;
-          State.insert replica [ (dict, key, v) ]
-        | None -> ignore (State.extract replica (Cell.Set.singleton (Cell.cell dict key))))
-      pending;
-    let bh = backup_hive t b.hive in
-    if bh <> b.hive then
-      ignore
-        (Channels.transfer t.chans ~src:(Channels.Hive b.hive) ~dst:(Channels.Hive bh)
-           ~bytes:!bytes ~now:(now t))
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Processing loop                                                     *)
@@ -683,47 +520,31 @@ let rec maybe_process t (b : bee) =
         App.default_cost
     in
     let inc = b.incarnation in
+    (* Sharded completion: the compute half (the handler body, all
+       bee-local under the [shardable] contract) may run on any pool
+       domain, concurrently with completions of bees on other hives due
+       at the same instant; the apply half runs on the main domain in
+       global scheduling order. Serial completion runs both back to
+       back. *)
     if t.cfg.sharded_dispatch && (not b.is_local) && b.app.App.shardable then
-      (* Sharded completion: the handler body (the compute half, all
-         bee-local under the [shardable] contract) may run on any pool
-         domain, concurrently with completions of bees on other hives
-         due at the same instant; the effects (the returned apply
-         thunk) run on the main domain in global scheduling order. *)
       ignore
-        (Engine.schedule_sharded_after t.engine cost ~shard:b.hive (fun () ->
-             (* A crash between dispatch and completion voids the
-                handler: its effects died with the hive. Crashes are
-                plain thunk events, so the guard's answer is fixed
-                before any batch containing this compute starts. *)
-             if b.incarnation = inc && (b.status = `Active || b.status = `Paused)
-             then begin
-               let apply = process_compute t b d cost in
-               fun () ->
-                 apply ();
-                 b.busy <- false;
-                 run_idle_hooks t b;
-                 (match (b.pending_migration, b.status) with
-                 | Some (dst, reason), `Active -> start_transfer t b dst reason
-                 | _ -> ());
-                 maybe_process t b
-             end
-             else fun () -> ()))
+        (Engine.schedule_sharded_after t.engine cost ~shard:b.hive
+           (complete t b d cost inc))
     else
-    ignore
-      (Engine.schedule_after t.engine cost (fun () ->
-           (* A crash between dispatch and completion voids the handler:
-              its effects died with the hive. *)
-           if b.incarnation = inc && (b.status = `Active || b.status = `Paused) then begin
-             process t b d cost;
-             b.busy <- false;
-             run_idle_hooks t b;
-             (match (b.pending_migration, b.status) with
-             | Some (dst, reason), `Active -> start_transfer t b dst reason
-             | _ -> ());
-             maybe_process t b
-           end))
+      ignore
+        (Engine.schedule_after t.engine cost (fun () -> complete t b d cost inc () ()))
     end
   end
+
+(* The compute half of a handler completion scheduled at dispatch
+   (incarnation [inc]); returns the apply half. A crash between dispatch
+   and completion voids the handler: its effects died with the hive.
+   Crashes are plain thunk events, so under sharded dispatch the guard's
+   answer is fixed before any batch containing this compute starts. *)
+and complete t (b : bee) d cost inc () =
+  if b.incarnation = inc && (b.status = `Active || b.status = `Paused) then
+    process_compute t b d cost
+  else ignore
 
 and duplicate_delivery t (b : bee) d =
   match (d.d_outbox, t.store) with
@@ -930,8 +751,8 @@ and allowed_cells t (b : bee) = function
    bee's transaction, stats, rng, shadow) plus read-only shared state
    (registry, clock), so it may run on any pool domain. The returned
    thunk is the apply half — commit, routing, WAL append, hooks,
-   retry/quarantine — and must run on the main domain. Running both
-   back to back is exactly the legacy serial [process]. *)
+   retry/quarantine, then freeing the bee for its next message — and
+   must run on the main domain. *)
 and process_compute t (b : bee) d cost =
   let msg = d.d_msg in
   if d.d_attempts = 0 then begin
@@ -1021,7 +842,6 @@ and process_compute t (b : bee) d cost =
   | None ->
     let pending = State.tx_pending tx in
     State.commit tx;
-    replicate_commit t b pending;
     let emits_l = List.rev !emits in
     let eps_l = List.rev !ep_sends in
     List.iter fire_hooks emits_l;
@@ -1039,17 +859,7 @@ and process_compute t (b : bee) d cost =
           List.map
             (fun (m : Message.t) ->
               let seq = Store.alloc_out_seq s ~bee:b.id in
-              Hashtbl.replace t.outbox_entries (b.id, seq)
-                {
-                  oe_sender = b.id;
-                  oe_seq = seq;
-                  oe_msg = m;
-                  oe_required = -1;
-                  oe_ackers = Hashtbl.create 4;
-                  oe_attempts = 0;
-                  oe_last_attempt = Simtime.zero;
-                  oe_durable = false;
-                };
+              add_outbox_entry t ~sender:b.id ~seq ~durable:false m;
               committed_emits := (seq, m) :: !committed_emits;
               (seq, m.Message.size))
             emits_l
@@ -1132,9 +942,13 @@ and process_compute t (b : bee) d cost =
       end
       else quarantine_delivery t b d exn
     end);
-  Stats.record_done b.stats ~busy:cost
-
-and process t (b : bee) d cost = (process_compute t b d cost) ()
+  Stats.record_done b.stats ~busy:cost;
+  b.busy <- false;
+  run_idle_hooks t b;
+  (match (b.pending_migration, b.status) with
+  | Some (dst, reason), `Active -> start_transfer t b dst reason
+  | _ -> ());
+  maybe_process t b
 
 (* Retry budget exhausted: park the message in the bee's quarantine so
    the engine keeps running, and consume it for good — its inbox mark is
@@ -1326,13 +1140,7 @@ and merge_bees t ~(winner : bee) ~(losers : bee list) ~k =
       if !corrupt_loser then begin
         (* Un-acked entries of a corrupt log are not replayable — their
            bytes can't be trusted. Drop the rows and the log. *)
-        let stale =
-          Hashtbl.fold
-            (fun ((sender, _) as key) _ acc ->
-              if sender = l.id then key :: acc else acc)
-            t.outbox_entries []
-        in
-        List.iter (Hashtbl.remove t.outbox_entries) (List.sort compare stale);
+        drop_outbox_rows t l.id;
         Store.forget s ~bee:l.id
       end
       else if not (t.cfg.outbox && Store.outbox_unacked s ~bee:l.id <> []) then
@@ -1355,7 +1163,6 @@ and merge_bees t ~(winner : bee) ~(losers : bee list) ~k =
        entries dispatches from (and fate-shares with) the winner's hive. *)
     if t.cfg.outbox then l.hive <- winner.hive;
     Hashtbl.remove t.pinned_bees l.id;
-    Hashtbl.remove t.backups l.id;
     Log.debug (fun m ->
         m "merged bee %d into bee %d (%s)" l.id winner.id winner.app.App.name);
     finish_one ()
@@ -1399,8 +1206,8 @@ and enqueue t (b : bee) d =
 (* Moves [bytes] from [src_ep] to hive [dst_hive] and runs [k] on arrival
    (plus [extra], e.g. lock-service latency already charged). Same-hive
    traffic is a plain scheduled delivery; cross-hive traffic rides the
-   at-least-once {!Transport} (or, with [reliable_transport] off, the raw
-   failable wire). [on_drop] runs if the message can never arrive. *)
+   at-least-once {!Transport}. [on_drop] runs if the message can never
+   arrive. *)
 and transmit t ~src_ep ~dst_hive ~bytes ?(extra = Simtime.zero)
     ?(on_drop = fun () -> ()) k =
   let src_hive = origin_hive_of t src_ep in
@@ -1409,7 +1216,7 @@ and transmit t ~src_ep ~dst_hive ~bytes ?(extra = Simtime.zero)
     let lat = Channels.transfer t.chans ~src:src_ep ~dst:dst_ep ~bytes ~now:(now t) in
     ignore (Engine.schedule_after t.engine (Simtime.add lat extra) k)
   end
-  else if t.cfg.reliable_transport then
+  else
     Transport.send t.transport ~src:src_ep ~dst:dst_ep ~bytes
       ~on_drop:(fun () ->
         drop t Retransmit_exhausted;
@@ -1418,13 +1225,6 @@ and transmit t ~src_ep ~dst_hive ~bytes ?(extra = Simtime.zero)
         if Simtime.to_us extra = 0 then k ()
         else ignore (Engine.schedule_after t.engine extra k))
       ()
-  else begin
-    match Channels.transfer_result t.chans ~src:src_ep ~dst:dst_ep ~bytes ~now:(now t) with
-    | `Lost ->
-      drop t Link_loss;
-      on_drop ()
-    | `Delivered lat -> ignore (Engine.schedule_after t.engine (Simtime.add lat extra) k)
-  end
 
 (* Where a new cell group lands. Normally the origin hive (the locality
    heuristic of the paper); a draining or decommissioned origin redirects
@@ -1656,12 +1456,6 @@ and route t ~src_ep msg =
         subs
   else drop t Dead_origin
 
-(* Tie the store's durability callbacks (armed in [create], defined above
-   it) to the processing loop. *)
-let () =
-  outbox_durable_impl := outbox_now_durable;
-  outbox_drain_acks_impl := drain_outbox_acks
-
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -1845,9 +1639,6 @@ let quarantined_messages t ~bee =
   | Some q -> List.rev !q
   | None -> []
 
-let recover_entries t ~bee =
-  List.find_map (fun provider -> provider ~bee) t.recovery_providers
-
 (* ------------------------------------------------------------------ *)
 (* Failures                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -1856,76 +1647,52 @@ let bees_on t h ~pred =
   Hashtbl.fold (fun _ (b : bee) acc -> if b.hive = h && pred b then b :: acc else acc) t.bees []
   |> List.sort (fun (a : bee) b -> Int.compare a.id b.id)
 
-(* What the primary-backup scheme (or an installed recovery provider,
-   e.g. Raft) can reconstruct for this bee, if anything. *)
+(* What an installed recovery provider (e.g. Raft) can reconstruct for
+   this bee, if anything. Later providers win. *)
 let recoverable_entries t (b : bee) =
   if b.app.App.replicated then
-    match recover_entries t ~bee:b.id with
-    | Some entries -> Some entries
-    | None -> (
-      match Hashtbl.find_opt t.backups b.id with
-      | Some replica when t.cfg.replication -> Some (State.snapshot replica)
-      | Some _ | None -> None)
+    List.find_map (fun provider -> provider ~bee:b.id) t.recovery_providers
   else None
 
-let failover_bee t (b : bee) ~from_hive entries =
-  (* Fail over onto the backup hive from the recovered state. The
+(* Where a bee leaving [from_hive] can fail over to: the next placeable
+   hive in id order, with the state a recovery provider reconstructs.
+   None when either is missing — the bee then takes the unrecoverable
+   path instead of being revived on a hive that cannot host it. *)
+let failover_target t (b : bee) ~from_hive =
+  let n = t.n in
+  let rec pick k =
+    if k = n then None
+    else if placeable t ((from_hive + k) mod n) then Some ((from_hive + k) mod n)
+    else pick (k + 1)
+  in
+  match recoverable_entries t b with
+  | None -> None
+  | Some entries -> Option.map (fun bh -> (bh, entries)) (pick 1)
+
+let failover_bee t (b : bee) ~from_hive ~to_hive entries =
+  (* Fail over onto the target hive from the recovered state. The
      incarnation was already bumped when the bee left its old life, so
      anything the old instance still claims is void. *)
-  let bh = backup_hive t from_hive in
-  b.hive <- bh;
+  b.hive <- to_hive;
   b.state <- State.restore entries;
   Queue.clear b.mailbox;
   b.busy <- false;
   b.fenced <- false;
   b.pending_migration <- None;
   b.status <- `Active;
-  Registry.set_hive t.reg ~bee:b.id ~hive:bh;
+  Registry.set_hive t.reg ~bee:b.id ~hive:to_hive;
   (match t.store with
   | Some s ->
     (* Re-seed the durable log under the new owner so a later crash of
-       the backup hive also recovers. *)
+       the target hive also recovers. *)
     Store.forget s ~bee:b.id;
-    let aux =
-      if t.cfg.outbox then
-        List.find_map (fun p -> p ~bee:b.id) t.outbox_recovery_providers
-      else None
-    in
-    (* Whatever the platform still remembers about this bee's outbox
-       belonged to the old incarnation; the replicated aux (if any) is
-       the authoritative survivor. *)
-    (if t.cfg.outbox then
-       let stale =
-         Hashtbl.fold
-           (fun ((sender, _) as key) _ acc -> if sender = b.id then key :: acc else acc)
-           t.outbox_entries []
-       in
-       List.iter (Hashtbl.remove t.outbox_entries) (List.sort compare stale));
-    (match aux with
-    | Some (emits, inbox) ->
-      List.iter
-        (fun (seq, (m : Message.t)) ->
-          Hashtbl.replace t.outbox_entries (b.id, seq)
-            {
-              oe_sender = b.id;
-              oe_seq = seq;
-              oe_msg = m;
-              oe_required = -1;
-              oe_ackers = Hashtbl.create 4;
-              oe_attempts = 0;
-              oe_last_attempt = Simtime.zero;
-              oe_durable = false;
-            })
-        emits;
-      Store.append s ~bee:b.id ~hive:bh
-        ~outbox:(List.map (fun (seq, (m : Message.t)) -> (seq, m.Message.size)) emits)
-        ~inbox
-        (List.map (fun (d, k, v) -> (d, k, Some v)) entries)
-    | None ->
-      Store.append s ~bee:b.id ~hive:bh
-        (List.map (fun (d, k, v) -> (d, k, Some v)) entries))
+    let emits, inbox = reseed_outbox_rows t b ~durable:false in
+    Store.append s ~bee:b.id ~hive:to_hive
+      ~outbox:(List.map (fun (seq, (m : Message.t)) -> (seq, m.Message.size)) emits)
+      ~inbox
+      (List.map (fun (d, k, v) -> (d, k, Some v)) entries)
   | None -> ());
-  Log.info (fun m -> m "bee %d failed over from hive %d to %d" b.id from_hive bh);
+  Log.info (fun m -> m "bee %d failed over from hive %d to %d" b.id from_hive to_hive);
   maybe_process t b
 
 (* Process death: the hive stops cold. Local bees die; every other bee
@@ -1984,14 +1751,15 @@ let crash_hive t h =
       (bees_on t h ~pred:(fun b -> b.status <> `Dead))
   end
 
-(* Recovery of a dead hive's crashed bees: replicated bees fail over to
-   their backup hive; durable bees stay crashed in place (restart_hive
-   revives them); everything else dies with its cells. Idempotent. *)
+(* Recovery of a dead hive's crashed bees: recoverable replicated bees
+   fail over to the next placeable hive; durable bees stay crashed in
+   place (restart_hive revives them); everything else dies with its
+   cells. Idempotent. *)
 let failover_hive t h =
   List.iter
     (fun (b : bee) ->
-      match recoverable_entries t b with
-      | Some entries -> failover_bee t b ~from_hive:h entries
+      match failover_target t b ~from_hive:h with
+      | Some (to_hive, entries) -> failover_bee t b ~from_hive:h ~to_hive entries
       | None -> (
         match t.store with
         | Some _ when not b.is_local ->
@@ -2019,11 +1787,11 @@ let evict_hive t h =
     t.version <- t.version + 1;
     List.iter
       (fun (b : bee) ->
-        match (b.is_local, recoverable_entries t b) with
-        | false, Some entries ->
+        match if b.is_local then None else failover_target t b ~from_hive:h with
+        | Some (to_hive, entries) ->
           b.incarnation <- b.incarnation + 1;
-          failover_bee t b ~from_hive:h entries
-        | _, _ ->
+          failover_bee t b ~from_hive:h ~to_hive entries
+        | None ->
           b.fenced <- true;
           if b.status = `Active then b.status <- `Paused)
       (bees_on t h ~pred:(fun b ->
@@ -2053,14 +1821,6 @@ let rejoin_hive t h =
 (* Storage integrity: scrub, repair, quarantine                        *)
 (* ------------------------------------------------------------------ *)
 
-let drop_outbox_rows t sender =
-  let stale =
-    Hashtbl.fold
-      (fun ((s, _) as key) _ acc -> if s = sender then key :: acc else acc)
-      t.outbox_entries []
-  in
-  List.iter (Hashtbl.remove t.outbox_entries) (List.sort compare stale)
-
 (* A live bee whose cold bytes failed verification: the process memory is
    intact and strictly newer than anything a peer holds, so repair is a
    local rewrite — flush, then replace snapshot+WAL with a freshly
@@ -2086,33 +1846,8 @@ let rewrite_bee_storage t (b : bee) detail =
    ships. The replicated outbox/inbox aux re-seeds exactly-once state. *)
 let reseed_bee_from_peer t (b : bee) (s : Value.t Store.t) entries detail =
   let next_out_seq = Store.next_out_seq s ~bee:b.id in
-  let aux =
-    if t.cfg.outbox then
-      List.find_map (fun p -> p ~bee:b.id) t.outbox_recovery_providers
-    else None
-  in
-  if t.cfg.outbox then drop_outbox_rows t b.id;
-  let outbox =
-    match aux with
-    | Some (emits, _) ->
-      List.iter
-        (fun (seq, (m : Message.t)) ->
-          Hashtbl.replace t.outbox_entries (b.id, seq)
-            {
-              oe_sender = b.id;
-              oe_seq = seq;
-              oe_msg = m;
-              oe_required = -1;
-              oe_ackers = Hashtbl.create 4;
-              oe_attempts = 0;
-              oe_last_attempt = Simtime.zero;
-              oe_durable = true;
-            })
-        emits;
-      List.map (fun (seq, (m : Message.t)) -> (seq, m.Message.size)) emits
-    | None -> []
-  in
-  let inbox = match aux with Some (_, inbox) -> inbox | None -> [] in
+  let emits, inbox = reseed_outbox_rows t b ~durable:true in
+  let outbox = List.map (fun (seq, (m : Message.t)) -> (seq, m.Message.size)) emits in
   Store.reseed s ~bee:b.id ~entries ~outbox ~inbox ~next_out_seq;
   b.state <- State.restore entries;
   t.n_peer_repairs <- t.n_peer_repairs + 1;
@@ -2155,7 +1890,6 @@ let scrub_slice t ~budget_bytes =
       damaged
 
 let scrub_tick t = scrub_slice t ~budget_bytes:t.cfg.scrub_budget_bytes
-let () = scrub_tick_impl := scrub_tick
 
 let scrub_now t = scrub_slice t ~budget_bytes:max_int
 
@@ -2246,13 +1980,7 @@ let restart_hive t h =
                    outbox file, so acked-durable emits are never
                    re-sent. The exactly-once monitor must catch this. *)
                 Store.drop_outbox s ~bee:b.id;
-                let stale =
-                  Hashtbl.fold
-                    (fun ((sender, _) as key) _ acc ->
-                      if sender = b.id then key :: acc else acc)
-                    t.outbox_entries []
-                in
-                List.iter (Hashtbl.remove t.outbox_entries) (List.sort compare stale)
+                drop_outbox_rows t b.id
               end
               else begin
                 if !debug_forget_inbox then
@@ -2427,3 +2155,142 @@ let message_latency_percentile t p =
     (fun _ (b : bee) -> if b.status <> `Dead then Stats.merge_latency ~into:merged b.stats)
     t.bees;
   Stats.latency_percentile merged p
+
+(* ------------------------------------------------------------------ *)
+(* Construction                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* What a reader gets back from physically damaged bytes it failed to
+   verify: a deterministic, size-preserving scramble, so silent corruption
+   is semantically visible (a revived counter that exceeds every put) but
+   byte accounting stays unchanged. *)
+let rec garble_value (v : Value.t) : Value.t =
+  match v with
+  | Value.V_int n -> Value.V_int (n lxor 0x2AAAAAAA)
+  | Value.V_bool b -> Value.V_bool (not b)
+  | Value.V_float f -> Value.V_float (-.f -. 1.0)
+  | Value.V_string s -> Value.V_string (String.map (fun c -> Char.chr (Char.code c lxor 0x20)) s)
+  | Value.V_pair (a, b) -> Value.V_pair (garble_value a, garble_value b)
+  | Value.V_list l -> Value.V_list (List.map garble_value l)
+  | v -> v
+
+let create engine cfg =
+  if cfg.n_hives <= 0 then invalid_arg "Platform.create: need at least one hive";
+  if cfg.lock_master < 0 || cfg.lock_master >= cfg.n_hives then
+    invalid_arg "Platform.create: lock_master out of range";
+  if cfg.sharded_dispatch && not cfg.outbox then
+    invalid_arg "Platform.create: sharded_dispatch requires outbox";
+  let locks = Lock_service.create engine () in
+  let lock_session = Lock_service.create_session locks ~owner:"platform" in
+  (* Keep the platform's lock session alive for the whole run. *)
+  ignore
+    (Engine.every engine (Simtime.of_sec 4.0) (fun () ->
+         if Lock_service.session_alive lock_session then
+           Lock_service.keep_alive lock_session));
+  let hive_down_hard = ref (Array.make cfg.n_hives false) in
+  let chans =
+    Channels.create ~rng:(Rng.split (Engine.rng engine)) ~n_hives:cfg.n_hives
+      cfg.channel
+  in
+  let transport =
+    Transport.create ~config:cfg.transport ~engine
+      ~rng:(Rng.split (Engine.rng engine))
+      ~alive:(fun h -> h >= Array.length !hive_down_hard || not !hive_down_hard.(h))
+      chans
+  in
+  let t =
+  {
+    engine;
+    cfg;
+    chans;
+    transport;
+    reg = Registry.create ();
+    locks;
+    lock_session;
+    apps = [];
+    subscribers = Hashtbl.create 32;
+    bees = Hashtbl.create 256;
+    local_bees = Hashtbl.create 64;
+    next_bee = 0;
+    version = 0;
+    lookup_cache = Hashtbl.create 1024;
+    n = cfg.n_hives;
+    hive_up = Array.make cfg.n_hives true;
+    hive_down_hard;
+    draining = Array.make cfg.n_hives false;
+    decommissioned = Array.make cfg.n_hives false;
+    inbound = Array.make cfg.n_hives 0;
+    pinned_bees = Hashtbl.create 64;
+    endpoints = Hashtbl.create 64;
+    store = None;
+    migration_log = [];
+    mig_hooks = [];
+    restart_hooks = [];
+    commit_hooks = [];
+    recovery_providers = [];
+    failure_hooks = [];
+    fsync_hooks = [];
+    added_hooks = [];
+    decom_hooks = [];
+    emit_hooks = [];
+    started = false;
+    n_processed = 0;
+    n_lock_rpcs = 0;
+    n_merges = 0;
+    dropped = Array.make (List.length all_drop_reasons) 0;
+    pstats = Stats.create ();
+    outbox_entries = Hashtbl.create 64;
+    outbox_acks = Hashtbl.create 8;
+    quarantine = Hashtbl.create 8;
+    n_quarantined = 0;
+    n_outbox_dups = 0;
+    n_handler_faults = 0;
+    virtual_out_seq = 0;
+    outbox_ack_hooks = [];
+    outbox_recovery_providers = [];
+    n_peer_repairs = 0;
+    n_local_rewrites = 0;
+    n_quarantined_bees = 0;
+    dead_letters = [];
+  }
+  in
+  (match cfg.durability with
+  | None -> ()
+  | Some store_cfg ->
+    (* Write sizes mirror the replication accounting: dict + key + value
+       (a tombstone carries a 4-byte marker). Each group-commit fsync is
+       charged to the owning hive's row of the traffic matrix. *)
+    let size_of (dict, key, w) =
+      String.length dict + String.length key
+      + match w with Some v -> Value.size v | None -> 4
+    in
+    let on_fsync ~hive ~bytes ~records:_ =
+      ignore
+        (Channels.transfer t.chans ~src:(Channels.Hive hive) ~dst:(Channels.Hive hive)
+           ~bytes ~now:(Engine.now engine));
+      if cfg.outbox then drain_outbox_acks t hive;
+      List.iter (fun f -> f hive) t.fsync_hooks
+    in
+    let on_outbox_durable ~hive:_ entries =
+      if cfg.outbox then outbox_now_durable t entries
+    in
+    let on_compaction ~bee ~dropped_records:_ ~dropped_bytes:_ ~snapshot_bytes:_ =
+      match Hashtbl.find_opt t.bees bee with
+      | None -> ()
+      | Some b ->
+        (match t.store with
+        | Some s ->
+          Stats.set_gauge b.stats "wal_bytes" (Store.wal_bytes s ~bee);
+          Stats.set_gauge b.stats "snapshots" (Store.snapshot_count s ~bee)
+        | None -> ())
+    in
+    t.store <-
+      Some
+        (Store.create engine ~config:store_cfg ~size_of ~garble:garble_value
+           ~on_fsync ~on_outbox_durable ~on_compaction ());
+    (* Background scrub: one budgeted verification slice every 5 ms.
+       Detected-corrupt live bees are repaired in place; bees on crashed
+       hives keep their suspect verdict for restart_hive to consult. *)
+    if cfg.scrub_budget_bytes > 0 then
+      ignore (Engine.every engine (Simtime.of_ms 5) (fun () -> scrub_tick t)));
+  t

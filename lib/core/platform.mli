@@ -5,8 +5,9 @@
     functions, ownership resolution against the registry (charging
     lock-service round trips on the control channel), bee creation, bee
     merging when previously-disjoint cell groups are joined, live
-    migration, hive-local applications, periodic timers, and optional
-    primary-backup replication with hive failover.
+    migration, hive-local applications, periodic timers, and hive
+    failover of replicated apps through an installed recovery provider
+    (e.g. {!Raft_replication}).
 
     All activity runs on the discrete-event {!Beehive_sim.Engine}; nothing
     here touches wall-clock time. *)
@@ -20,19 +21,15 @@ type config = {
       (** hive hosting the lock-service master (ownership RPCs go there) *)
   lock_rpc_size : int;  (** bytes per lock-service request/response *)
   hive_capacity : int;  (** max cells hosted per hive *)
-  replication : bool;  (** enable primary-backup replication *)
   durability : Beehive_store.Store.config option;
       (** when set, every non-local bee's dictionaries are shadowed by the
           {!Beehive_store.Store} engine: commits are write-ahead-logged
           with group commit, WALs compact into snapshots, crashed hives
           can {!restart_hive} with byte-identical state, and migration
           ships snapshot+WAL-tail packages *)
-  reliable_transport : bool;
-      (** route cross-hive traffic through the at-least-once
-          {!Beehive_net.Transport} (default). When off, messages ride the
-          raw failable wire and link loss surfaces as [Link_loss] drops —
-          the ablation baseline. *)
   transport : Beehive_net.Transport.config;
+      (** the at-least-once {!Beehive_net.Transport} that carries every
+          cross-hive message *)
   outbox : bool;
       (** transactional exactly-once messaging (default [true]). Emits
           buffer in the open transaction and are written to the bee's WAL
@@ -271,9 +268,9 @@ val on_migration : t -> (migration -> unit) -> unit
 
 (** {2 Replication hooks}
 
-    The built-in replication is primary-backup; these hooks let an
-    external replication scheme (e.g. the Raft-backed
-    {!Raft_replication}) observe commits and provide recovered state. *)
+    The platform has no built-in replication: a replication scheme
+    (e.g. the Raft-backed {!Raft_replication}) observes commits through
+    these hooks and provides the state a failover recovers. *)
 
 type commit_info = {
   ci_bee : int;
@@ -291,13 +288,15 @@ type commit_info = {
 
 val on_commit : t -> (commit_info -> unit) -> unit
 (** Called after every successful transaction commit of a non-local bee
-    of a [replicated] app (regardless of the built-in replication
-    flag). *)
+    of a [replicated] app that wrote state, emitted, or consumed an inbox
+    mark. *)
 
 val set_recovery_provider :
   t -> (bee:int -> (string * string * Value.t) list option) -> unit
-(** Consulted by {!fail_hive} before the built-in backup: when it returns
-    entries, the bee fails over with that state. Later providers win. *)
+(** Consulted by {!fail_hive}, {!evict_hive} and {!restart_hive}'s
+    corrupt-storage repair for bees of [replicated] apps: when it returns
+    entries, the bee fails over (or is re-seeded) with that state. Later
+    providers win. Without a provider, no bee fails over. *)
 
 val set_outbox_recovery_provider :
   t -> (bee:int -> ((int * Message.t) list * (int * int) list) option) -> unit
@@ -305,9 +304,7 @@ val set_outbox_recovery_provider :
     replication scheme that tracked [ci_emits]/[ci_inbox] returns the
     bee's un-acked outbox entries and inbox marks here, and a failover
     re-seeds the new primary's WAL with them (the entries are then
-    replayed; receivers that already applied them dedup and ack). Without
-    a provider, a failover loses the outbox — the documented gap of plain
-    primary-backup replication. *)
+    replayed; receivers that already applied them dedup and ack). *)
 
 val on_hive_failure : t -> (int -> unit) -> unit
 (** Called at the start of {!fail_hive} (e.g. to crash co-located
@@ -379,10 +376,11 @@ val quarantined_messages : t -> bee:int -> (Message.t * string) list
 
 val fail_hive : t -> int -> unit
 (** Kills a hive and immediately runs recovery ({!crash_hive} followed by
-    {!failover_hive}). Bees of replicated apps fail over to their backup
-    hive using the recovery provider's state if available, else the
-    built-in replica; durable bees stay crashed in place awaiting
-    {!restart_hive}; other bees (and their cells) are lost. *)
+    {!failover_hive}). Bees of replicated apps fail over to the next
+    placeable hive with the state a recovery provider
+    ({!set_recovery_provider}) returns; durable bees stay crashed in
+    place awaiting {!restart_hive}; other bees (and their cells) are
+    lost. *)
 
 val crash_hive : t -> int -> unit
 (** Process death only — no recovery. Pair with {!failover_hive} (what a
@@ -423,7 +421,7 @@ val add_hive : t -> int
 val set_draining : t -> int -> bool -> unit
 (** Marks (or unmarks) a hive as draining: it accepts no new cells —
     placement redirects to the least-loaded placeable hive — no inbound
-    migrations, and is skipped as a backup target. Existing bees keep
+    migrations, and is skipped as a failover target. Existing bees keep
     processing until evacuated. *)
 
 val hive_draining : t -> int -> bool
@@ -473,7 +471,6 @@ type drop_reason =
   | Dead_target  (** addressed to a dead or crashed bee/hive *)
   | Dead_origin  (** emitted from a crashed hive *)
   | Missing_endpoint  (** sent to an unregistered IO endpoint *)
-  | Link_loss  (** lost on a lossy link with [reliable_transport] off *)
   | Retransmit_exhausted
       (** the transport gave up after [max_attempts] copies *)
 

@@ -1,9 +1,9 @@
 (** Raft-backed state replication.
 
-    The consensus-grade alternative to the platform's built-in
-    primary-backup replication — the "enforcing the foundations of our
-    framework specially for fault-tolerance" direction the paper closes
-    with (the production Beehive replicates hive state with Raft).
+    The platform's replication scheme (it has none built in) — the
+    "enforcing the foundations of our framework specially for
+    fault-tolerance" direction the paper closes with (the production
+    Beehive replicates hive state with Raft).
 
     One Raft group per hive, [group_size] members wide (the hive and its
     successors). Every committed transaction of a [replicated] app is

@@ -45,7 +45,7 @@ val tx_writes : tx -> int
 
 val tx_pending : tx -> (string * string * Value.t option) list
 (** The pending writes ([None] means deletion), in deterministic order;
-    what a primary ships to its backup on commit. *)
+    what a replication scheme ships to its replicas on commit. *)
 
 val commit : tx -> unit
 (** Applies pending writes. A committed or aborted transaction cannot be

@@ -31,7 +31,6 @@ type config = {
   te : te_variant;
   optimize : bool;
   adversarial_pin : bool;
-  replication : bool;
   durability : bool;
 }
 
@@ -52,7 +51,6 @@ let default_config =
     te = Te_naive;
     optimize = false;
     adversarial_pin = false;
-    replication = false;
     durability = false;
   }
 
@@ -90,8 +88,7 @@ let build cfg =
   let pcfg =
     {
       (Platform.default_config ~n_hives:cfg.n_hives) with
-      Platform.replication = cfg.replication;
-      durability =
+      Platform.durability =
         (if cfg.durability then Some Beehive_store.Store.default_config else None);
     }
   in

@@ -36,7 +36,6 @@ type config = {
   adversarial_pin : bool;
       (** after warm-up, migrate every TE bee to hive 0 — the Section 5
           "Optimization" experiment's initial condition *)
-  replication : bool;  (** enable the platform's primary-backup replication *)
   durability : bool;
       (** shadow every bee dictionary with the {!Beehive_store.Store}
           WAL/snapshot engine (default knobs); fsync traffic appears on

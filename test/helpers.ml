@@ -51,11 +51,9 @@ let kv_app ?(name = "test.kv") ?(with_whole_dict_reader = false) () =
   App.create ~name ~dicts:[ "store" ]
     (if with_whole_dict_reader then [ on_put; on_get_all ] else [ on_put ])
 
-let make_platform ?(n_hives = 4) ?(replication = false) ?durability ?(apps = []) () =
+let make_platform ?(n_hives = 4) ?durability ?(apps = []) () =
   let engine = Engine.create () in
-  let cfg =
-    { (Platform.default_config ~n_hives) with Platform.replication; durability }
-  in
+  let cfg = { (Platform.default_config ~n_hives) with Platform.durability } in
   let platform = Platform.create engine cfg in
   List.iter (Platform.register_app platform) apps;
   Platform.start platform;
@@ -66,7 +64,8 @@ let drain engine = Engine.run_until engine (Simtime.add (Engine.now engine) (Sim
 let run_for engine secs =
   Engine.run_until engine (Simtime.add (Engine.now engine) (Simtime.of_sec secs))
 
-(* The kv app with primary-backup (or Raft) replication enabled. *)
+(* The kv app marked [replicated]: an installed replication scheme (e.g.
+   Raft) ships its commits and provides its failover state. *)
 let replicated_kv_app ?name ?with_whole_dict_reader () =
   { (kv_app ?name ?with_whole_dict_reader ()) with App.replicated = true }
 

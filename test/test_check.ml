@@ -13,6 +13,7 @@ module Shrink = Beehive_check.Shrink
 module Check = Beehive_check.Check
 module Failure_detector = Beehive_core.Failure_detector
 module Transport = Beehive_net.Transport
+module Raft_replication = Beehive_core.Raft_replication
 
 (* --- Regression seed corpus ------------------------------------------ *)
 
@@ -235,14 +236,14 @@ let test_poison_script_quarantines () =
    over without anyone calling fail_hive: the bees of replicated apps
    reappear on live hives with their state. *)
 let test_detector_fails_over_crashed_hive () =
-  let engine, platform =
-    make_platform ~replication:true ~apps:[ replicated_kv_app () ] ()
-  in
+  let engine, platform = make_platform ~apps:[ replicated_kv_app () ] () in
+  ignore (Raft_replication.install platform ());
   let det = Failure_detector.install platform () in
+  run_for engine 2.0;  (* let the group leaders elect *)
   for i = 0 to 5 do
     put platform ~from:(i mod 4) ~key:(Printf.sprintf "k%d" i) ~value:1
   done;
-  drain engine;
+  run_for engine 3.0;
   let owner = owner_exn platform ~app:"test.kv" "k0" in
   let hive = (Option.get (Platform.bee_view platform owner)).Platform.view_hive in
   Platform.crash_hive platform hive;

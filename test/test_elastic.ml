@@ -186,7 +186,7 @@ let test_decommission_requires_complete_drain () =
    hive's group memberships onto live hives before the bees leave. *)
 let test_drain_hands_off_raft_groups () =
   let engine, platform =
-    make_platform ~n_hives:5 ~replication:true ~apps:[ replicated_kv_app () ] ()
+    make_platform ~n_hives:5 ~apps:[ replicated_kv_app () ] ()
   in
   let rep = Raft_replication.install platform ~group_size:3 () in
   let membership = Membership.create ~raft:rep platform in

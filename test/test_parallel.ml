@@ -193,6 +193,35 @@ let test_sharded_dispatch_requires_outbox () =
 let profiles =
   [ Script.Durability; Script.Partition; Script.Elastic; Script.Disk ]
 
+(* The width-1 digests are also pinned in [seeds.digests], so a change
+   that alters simulated behaviour fails here even when it alters both
+   widths alike. On a mismatch the full file as it would read now is
+   printed: an intended behaviour change is re-pinned by copying it. *)
+let digests_file = "seeds.digests"
+
+let digests_header =
+  "# Runner.digest at one domain of the corpus cases in test_parallel.ml\n\
+   # (<profile> <seed> <digest>). Checked by \"corpus: digests equal at\n\
+   # widths 1 and 4\"; on a mismatch that test prints this file as it\n\
+   # would read now.\n"
+
+let read_pinned_digests () =
+  let ic = open_in digests_file in
+  let rec go acc =
+    match input_line ic with
+    | exception End_of_file -> List.rev acc
+    | line ->
+      let line = String.trim line in
+      if line = "" || line.[0] = '#' then go acc
+      else
+        match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+        | [ profile; seed; digest ] -> go (((profile, int_of_string seed), digest) :: acc)
+        | _ -> Alcotest.fail (Printf.sprintf "%s: malformed line %S" digests_file line)
+  in
+  let pinned = go [] in
+  close_in ic;
+  pinned
+
 let test_corpus_digest_1_vs_4 () =
   let cases =
     List.concat_map
@@ -200,17 +229,31 @@ let test_corpus_digest_1_vs_4 () =
       profiles
   in
   Alcotest.(check bool) "at least 10 corpus cases" true (List.length cases >= 10);
-  List.iter
-    (fun (profile, seed) ->
-      let d1 = Runner.digest (Runner.make_cfg ~domains:1 ~seed profile) in
-      let d4 = Runner.digest (Runner.make_cfg ~domains:4 ~seed profile) in
-      Alcotest.(check string)
-        (Printf.sprintf "digest %s/%d: 1 domain = 4 domains"
-           (Script.profile_to_string profile)
-           seed)
-        d1 d4)
-    cases;
-  reset_pool ()
+  let actual =
+    List.map
+      (fun (profile, seed) ->
+        let d1 = Runner.digest (Runner.make_cfg ~domains:1 ~seed profile) in
+        let d4 = Runner.digest (Runner.make_cfg ~domains:4 ~seed profile) in
+        Alcotest.(check string)
+          (Printf.sprintf "digest %s/%d: 1 domain = 4 domains"
+             (Script.profile_to_string profile)
+             seed)
+          d1 d4;
+        ((Script.profile_to_string profile, seed), d1))
+      cases
+  in
+  reset_pool ();
+  let pinned = read_pinned_digests () in
+  if pinned <> actual then begin
+    print_string digests_header;
+    List.iter
+      (fun ((profile, seed), d) -> Printf.printf "%s %d %s\n" profile seed d)
+      actual;
+    Alcotest.fail
+      (Printf.sprintf
+         "width-1 digests differ from %s (its current contents printed above)"
+         digests_file)
+  end
 
 (* Explicit gauge equality (the digest covers gauges too, but a direct
    comparison localizes a regression to the stats layer). *)

@@ -4,6 +4,7 @@
 open Helpers
 module Registry = Beehive_core.Registry
 module Stats = Beehive_core.Stats
+module Raft_replication = Beehive_core.Raft_replication
 
 let test_put_creates_bee_and_state () =
   let engine, platform = make_platform ~apps:[ kv_app () ] () in
@@ -253,14 +254,12 @@ let test_capacity_limit () =
     (Platform.migrate_bee platform ~bee:bee_c ~to_hive:0 ~reason:"x")
 
 let test_replication_failover () =
-  let app =
-    let base = kv_app () in
-    { base with App.replicated = true }
-  in
-  let engine, platform = make_platform ~n_hives:3 ~replication:true ~apps:[ app ] () in
+  let engine, platform = make_platform ~n_hives:3 ~apps:[ replicated_kv_app () ] () in
+  ignore (Raft_replication.install platform ());
+  run_for engine 2.0;  (* let the group leaders elect *)
   put platform ~from:1 ~key:"k" ~value:21;
   put platform ~from:1 ~key:"k" ~value:21;
-  drain engine;
+  run_for engine 3.0;
   let bee = owner_exn platform ~app:"test.kv" "k" in
   Platform.fail_hive platform 1;
   Alcotest.(check bool) "hive dead" false (Platform.hive_alive platform 1);
@@ -273,6 +272,22 @@ let test_replication_failover () =
   put platform ~from:0 ~key:"k" ~value:8;
   drain engine;
   Alcotest.(check (option int)) "still serving" (Some 50) (store_value platform ~bee ~key:"k")
+
+(* A recoverable bee with no placeable hive left to fail over to must
+   not be revived on the hive that just died: it takes the unrecoverable
+   path (killed, without durability). *)
+let test_failover_needs_a_live_target () =
+  let engine, platform = make_platform ~n_hives:1 ~apps:[ replicated_kv_app () ] () in
+  Platform.set_recovery_provider platform (fun ~bee ->
+      Some (Platform.bee_state_entries platform bee));
+  put platform ~from:0 ~key:"k" ~value:5;
+  drain engine;
+  let bee = owner_exn platform ~app:"test.kv" "k" in
+  Platform.fail_hive platform 0;
+  let view = Option.get (Platform.bee_view platform bee) in
+  Alcotest.(check bool) "not alive on the dead hive" false
+    (view.Platform.view_alive && view.Platform.view_hive = 0);
+  Alcotest.(check bool) "killed" false view.Platform.view_alive
 
 let test_no_replication_loses_bee () =
   let engine, platform = make_platform ~n_hives:3 ~apps:[ kv_app () ] () in
@@ -373,6 +388,8 @@ let suite =
         Alcotest.test_case "migration rejections" `Quick test_migration_rejections;
         Alcotest.test_case "capacity limit" `Quick test_capacity_limit;
         Alcotest.test_case "replication failover" `Quick test_replication_failover;
+        Alcotest.test_case "failover needs a live target" `Quick
+          test_failover_needs_a_live_target;
         Alcotest.test_case "hive failure without replication" `Quick test_no_replication_loses_bee;
         QCheck_alcotest.to_alcotest prop_intersecting_messages_same_bee;
         Alcotest.test_case "counters and quiescence" `Quick test_counters_and_quiescence;
