@@ -446,28 +446,27 @@ let ablation_loss () =
   Format.printf "@."
 
 let ablation_outbox () =
-  (* Cost of exactly-once messaging on the healthy path: the same
+  (* Cost of exactly-once messaging on the healthy path: a
      journal-then-apply pipeline (a forwarder journals each put and emits
-     it onward to a key-value owner in the same transaction) with the
-     transactional outbox on and off. Work is identical — the outbox adds
-     WAL records for emits and inbox marks, batched acks, and replay
-     bookkeeping. The gated claim is that the *system's* fault-free
-     overhead — durable log volume and fabric traffic, both deterministic
-     in the simulation — stays within 10%. Host wall-clock measures the
-     simulator, not the system, and is reported for context only; the
-     extra group-commit barrier in the delivery path shows up as the
-     latency delta. *)
+     it onward to a key-value owner in the same transaction) through the
+     transactional outbox, which adds WAL records for emits and inbox
+     marks, batched acks, and replay bookkeeping. The gated claims are
+     deterministic in the simulation: every offered put is journaled and
+     applied, and nothing is left un-acked at quiesce. The WAL, fabric,
+     fsync and latency figures quantify the price of the guarantee; host
+     wall-clock measures the simulator, not the system, and is reported
+     for context only. *)
   Format.printf "##### Ablation: transactional outbox cost on the healthy path #####@.";
   let module P = Beehive_core.Platform in
   let module A = Beehive_core.App in
   let n_keys = 96 and period_ms = 10 and secs = 10.0 in
-  let run outbox =
+  let offered = ref 0 in
+  let run () =
     let engine = Engine.create () in
     let cfg =
       {
         (P.default_config ~n_hives:6) with
         P.durability = Some Beehive_store.Store.default_config;
-        outbox;
       }
     in
     let platform = P.create engine cfg in
@@ -514,6 +513,7 @@ let ablation_outbox () =
     let h =
       Engine.every engine (Simtime.of_ms period_ms) (fun () ->
           for k = 0 to n_keys - 1 do
+            incr offered;
             P.inject platform
               ~from:(Beehive_net.Channels.Hive (k mod 6))
               ~kind:"bench.fwd"
@@ -544,39 +544,29 @@ let ablation_outbox () =
       pct 0.99,
       P.outbox_unacked_total platform )
   in
-  let w_off, p_off, f_off, wal_off, net_off, lat_off, _ = run false in
-  let w_on, p_on, f_on, wal_on, net_on, lat_on, unacked_on = run true in
-  Format.printf "%-10s %-11s %-9s %-11s %-12s %-9s %-8s@." "outbox" "processed"
-    "fsyncs" "WAL KB" "net KB" "p99 us" "wall s";
-  let row label p f wal net lat w =
-    Format.printf "%-10s %-11d %-9d %-11.1f %-12.1f %-9d %-8.3f@." label p f
-      (float_of_int wal /. 1024.0)
-      (net /. 1024.0) lat w
-  in
-  row "off" p_off f_off wal_off net_off lat_off w_off;
-  row "on" p_on f_on wal_on net_on lat_on w_on;
-  let pc a b = 100.0 *. (b -. a) /. Float.max 1e-9 a in
-  let wal_over = pc (float_of_int wal_off) (float_of_int wal_on) in
-  let net_over = pc net_off net_on in
-  (* Throughput cost: both modes must fully digest the same offered load —
-     every put journaled and applied, nothing stuck un-acked. The fsync
-     doubling, WAL growth and the group-commit barrier in the delivery
-     path are the quantified price of the guarantee; they must not show
-     up as lost goodput. *)
-  let tput_cost =
-    Float.max 0.0 (Float.neg (pc (float_of_int p_off) (float_of_int p_on)))
-  in
-  let ok = tput_cost <= 10.0 && unacked_on = 0 in
+  let wall, processed, fsyncs, wal, net, p99, unacked = run () in
+  Format.printf "%-11s %-9s %-11s %-12s %-9s %-8s@." "processed" "fsyncs" "WAL KB"
+    "net KB" "p99 us" "wall s";
+  Format.printf "%-11d %-9d %-11.1f %-12.1f %-9d %-8.3f@." processed fsyncs
+    (float_of_int wal /. 1024.0)
+    (net /. 1024.0) p99 wall;
+  (* Every offered put is handled twice: journaled by the forwarder, then
+     applied by the key-value owner. *)
+  let ok = processed = 2 * !offered && unacked = 0 in
+  let per_put x = x /. float_of_int !offered in
   Format.printf
-    "throughput cost: %.1f%% (budget 10%%); quantified overheads: WAL %+.1f%%, \
-     fabric %+.1f%%, fsyncs %+d, delivery p99 %+d us; un-acked at quiesce: %d — %s@.@."
-    tput_cost wal_over net_over (f_on - f_off) (lat_on - lat_off) unacked_on
+    "processed %d messages for %d offered puts (2 stages each); quantified \
+     overheads: WAL %.1f B/put, fabric %.1f B/put, fsyncs %d, delivery p99 %d \
+     us; un-acked at quiesce: %d — %s@.@."
+    processed !offered
+    (per_put (float_of_int wal))
+    (per_put net) fsyncs p99 unacked
     (if ok then "ok" else "FAIL");
-  write_bench_json ~name:"outbox" ~metric:"throughput_cost_pct"
-    ~value:(Printf.sprintf "%.3f" tput_cost)
-    ~unit_:"%"
+  write_bench_json ~name:"outbox" ~metric:"wal_bytes_per_put"
+    ~value:(Printf.sprintf "%.3f" (per_put (float_of_int wal)))
+    ~unit_:"B"
     ~domains:(Beehive_sim.Domain_pool.size (Beehive_sim.Domain_pool.global ()))
-    [ ("wal_overhead_pct", Printf.sprintf "%.3f" wal_over) ];
+    [ ("unacked_at_quiesce", string_of_int unacked) ];
   if not ok then exit 1
 
 let ablation_integrity () =
@@ -669,7 +659,6 @@ let ablation_integrity () =
     /. Float.max 1e-9 (float_of_int wal_on)
   in
   let scrub_ticks = int_of_float (secs /. 0.005) in
-  let cfg = P.default_config ~n_hives:6 in
   let ok = framing_pct <= 5.0 && p_on = p_off && wal_on = wal_off in
   Format.printf
     "framing overhead: %.2f%% of WAL bytes (budget 5%%); identical work with \
@@ -679,7 +668,7 @@ let ablation_integrity () =
     framing_pct
     (if p_on = p_off && wal_on = wal_off then "yes" else "NO")
     scrub_ticks
-    (cfg.P.scrub_budget_bytes / 1024)
+    (P.scrub_budget_bytes / 1024)
     secs passes_on verified_on
     (float_of_int verified_on /. Float.max 1.0 (float_of_int scrub_ticks))
     (100.0 *. (w_on -. w_off) /. Float.max 1e-9 w_off)
@@ -734,7 +723,6 @@ let ablation_parallel () =
       {
         (P.default_config ~n_hives) with
         P.durability = Some Beehive_store.Store.default_config;
-        sharded_dispatch = true;
       }
     in
     let platform = P.create engine cfg in

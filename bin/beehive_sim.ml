@@ -159,19 +159,21 @@ let check_cmd =
   let domains =
     Arg.(value & opt (some int) None
          & info [ "domains" ] ~docs
-             ~doc:"Resize the domain pool to $(docv) and run every seed with \
-                   sharded multicore dispatch. Results are required to be \
-                   identical at every width, so re-running a sweep with a \
-                   different $(b,--domains) doubles as an end-to-end \
-                   determinism check.")
+             ~doc:"Resize the domain pool to $(docv). Handler completions of \
+                   the shardable check apps run sharded at every width; this \
+                   only sizes the pool they fan out over. Results are \
+                   required to be identical at every width, so re-running a \
+                   sweep with a different $(b,--domains) doubles as an \
+                   end-to-end determinism check.")
   in
   let inject_bug =
     Arg.(value & opt (some string) None
          & info [ "inject-bug" ] ~docs
              ~doc:"Deliberately re-introduce a historical bug before checking \
                    ($(b,forwarding) disables in-flight message forwarding after \
-                   bee merges; $(b,dedup-off) disables the transport's \
-                   receiver-side duplicate suppression; $(b,stale-read) makes \
+                   bee merges; $(b,dedup-off) disables receiver-side \
+                   duplicate suppression in both the transport and the \
+                   durable inbox; $(b,stale-read) makes \
                    freshly-migrated bees serve reads from their pre-transfer \
                    snapshot — only visible to $(b,--lin); $(b,lost-outbox) \
                    skips outbox replay on restart and $(b,replay-dup) wipes the \
@@ -186,7 +188,9 @@ let check_cmd =
     (match inject_bug with
     | None -> ()
     | Some "forwarding" -> Beehive_core.Platform.debug_disable_forwarding := true
-    | Some "dedup-off" -> Beehive_net.Transport.debug_disable_dedup := true
+    | Some "dedup-off" ->
+      Beehive_net.Transport.debug_disable_dedup := true;
+      Beehive_core.Platform.debug_disable_inbox_dedup := true
     | Some "stale-read" -> Beehive_core.Platform.debug_stale_reads := true
     | Some "lost-outbox" -> Beehive_core.Platform.debug_skip_outbox_replay := true
     | Some "replay-dup" -> Beehive_core.Platform.debug_forget_inbox := true

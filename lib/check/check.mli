@@ -42,7 +42,6 @@ val run :
   ?lin:bool ->
   ?outbox:bool ->
   ?domains:int ->
-  ?sharded:bool ->
   ?first_seed:int ->
   seeds:int ->
   Script.profile ->
@@ -52,13 +51,12 @@ val run :
     under each candidate script, so a minimized script is one that still
     produces a non-linearizable history). [~outbox:true] routes puts
     through the forwarding pipeline and arms the exactly-once and
-    quarantine-accounting monitors the same way. [~domains:n] resizes
-    the global domain pool and (by default) arms sharded dispatch —
-    results must be identical at every [n], so the sweep doubles as an
-    end-to-end determinism check. *)
+    quarantine-accounting monitors the same way. [~domains:n] only
+    resizes the global domain pool — results must be identical at every
+    [n], so the sweep doubles as an end-to-end determinism check. *)
 
 val replay : ?n_hives:int -> ?ticks:int -> ?storm_budget:int -> ?lin:bool ->
-  ?outbox:bool -> ?domains:int -> ?sharded:bool -> seed:int -> Script.profile ->
+  ?outbox:bool -> ?domains:int -> seed:int -> Script.profile ->
   Script.op list * Runner.outcome
 (** Regenerates and re-executes one seed — the reproduction command
     behind "replay: ... --seed N". *)

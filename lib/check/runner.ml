@@ -59,7 +59,7 @@ let kv_app ~replicated =
         Context.iter_dict ctx ~dict (fun _ _ -> incr n);
         Context.set ctx ~dict ~key:"__total" (Value.V_int !n))
   in
-  (* Both handlers touch only context state, so the app may opt into
+  (* Both handlers touch only context state, so the app opts into
      sharded dispatch: hive-local execution across the domain pool. *)
   App.create ~name:app_name ~dicts:[ dict ] ~replicated ~shardable:true
     [ on_put; on_read_all ]
@@ -119,14 +119,10 @@ type cfg = {
   r_domains : int option;
       (* resize the global domain pool before the run (None: leave the
          BEEHIVE_DOMAINS-governed pool alone) *)
-  r_sharded : bool;
-      (* arm the platform's sharded dispatch for the shardable check
-         apps; off by default so legacy single-domain semantics (and
-         the pinned corpus expectations) are untouched *)
 }
 
 let make_cfg ?(n_hives = 4) ?(ticks = 30) ?(storm_budget = 5000) ?(lin = false)
-    ?(outbox = false) ?domains ?(sharded = domains <> None) ~seed profile =
+    ?(outbox = false) ?domains ~seed profile =
   if n_hives <= 0 then invalid_arg "Runner.make_cfg: need at least one hive";
   (* The lin and outbox workloads acknowledge at fsync, a promise disk
      damage deliberately breaks (a torn tail voids fsynced bytes). The
@@ -143,7 +139,6 @@ let make_cfg ?(n_hives = 4) ?(ticks = 30) ?(storm_budget = 5000) ?(lin = false)
     r_lin = lin && not disk;
     r_outbox = outbox && not disk;
     r_domains = domains;
-    r_sharded = sharded;
   }
 
 type stats = {
@@ -403,18 +398,7 @@ let execute ?observe cfg ops =
       Some { Store.default_config with Store.snapshot_threshold_bytes = 2048 }
     else None
   in
-  let pcfg =
-    {
-      (Platform.default_config ~n_hives:cfg.r_n_hives) with
-      Platform.durability;
-      (* The dedup-off self-test pins the historical transport bug; the
-         platform's durable inbox would mask it, so that check runs on
-         the pre-outbox platform it was written against. *)
-      outbox = not !Transport.debug_disable_dedup;
-      (* Sharded dispatch requires the outbox's emit buffering. *)
-      sharded_dispatch = cfg.r_sharded && not !Transport.debug_disable_dedup;
-    }
-  in
+  let pcfg = { (Platform.default_config ~n_hives:cfg.r_n_hives) with Platform.durability } in
   let platform = Platform.create engine pcfg in
   (* Under Raft a failover legitimately recovers the quorum-committed
      prefix rather than the local WAL, which breaks the outbox workload's

@@ -35,13 +35,9 @@ type cfg = {
   r_domains : int option;
       (** resize the global {!Beehive_sim.Domain_pool} to this width
           before the run; [None] leaves the [BEEHIVE_DOMAINS]-governed
-          pool untouched *)
-  r_sharded : bool;
-      (** arm {!Beehive_core.Platform}'s sharded dispatch: handler
-          completions of the (shardable) check apps batch per tick and
-          fan out across the pool keyed by owning hive. Off by default,
-          keeping the legacy serial schedule — and the pinned corpus
-          expectations — byte-identical to previous releases. *)
+          pool untouched. The check apps are shardable, so their handler
+          completions always batch per tick and fan out across the pool
+          keyed by owning hive, at every width. *)
 }
 
 val make_cfg :
@@ -51,13 +47,11 @@ val make_cfg :
   ?lin:bool ->
   ?outbox:bool ->
   ?domains:int ->
-  ?sharded:bool ->
   seed:int ->
   Script.profile ->
   cfg
 (** Defaults: 4 hives, 30 ticks, 5000-event storm budget, [lin] and
-    [outbox] off, [domains] unset; [sharded] defaults to whether
-    [domains] was given. *)
+    [outbox] off, [domains] unset. *)
 
 type stats = {
   s_events : int;

@@ -39,8 +39,9 @@ type t = {
       (** when true, the app promises its handler bodies only touch
           state reachable through the {!Context} (cells, emits,
           endpoint sends) — no shared mutable state on the side — so
-          under {!Platform}'s sharded dispatch they may run
-          concurrently with handlers of bees on *other* hives. Apps
+          {!Platform} runs them as sharded completions, concurrently
+          with handlers of bees on *other* hives. This flag alone
+          decides. Apps
           that reach around the context (e.g. a recorder shared across
           hives) must leave this false. *)
 }

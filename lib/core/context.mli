@@ -62,8 +62,8 @@ val emit : t -> ?size:int -> kind:string -> Message.payload -> unit
 (** Emits an asynchronous message into the platform; it is dispatched to
     every application with a handler for [kind].
 
-    With the platform's transactional outbox (the default), an emit made
-    while the handler is running buffers in the open transaction and only
+    With the platform's transactional outbox, an emit made while the
+    handler is running buffers in the open transaction and only
     takes effect at commit: if the handler raises, the state delta and
     every buffered emit are discarded together, and on a durable platform
     the emits are fsynced in the same group-commit record as the write

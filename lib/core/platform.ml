@@ -20,44 +20,29 @@ let stale_read_window = Simtime.of_ms 3
 type config = {
   n_hives : int;
   channel : Channels.config;
-  lock_master : int;
-  lock_rpc_size : int;
   hive_capacity : int;
   durability : Store.config option;
   transport : Transport.config;
-  outbox : bool;
-      (* transactional exactly-once messaging: emits buffer in the open
-         transaction, become durable with the state delta, and replay
-         against receiver-side durable dedup; handler failures abort the
-         transaction and retry up to [outbox_retry_budget] before the
-         message is quarantined *)
-  scrub_budget_bytes : int;
-      (* background integrity scrub: cold snapshot+WAL bytes verified per
-         5 ms slice (0 disables the scrubber); detected-corrupt live bees
-         are repaired in place, crashed ones at restart *)
-  sharded_dispatch : bool;
-      (* execute handler completions of shardable apps as sharded engine
-         events: due completions are batched per tick, their compute
-         halves fan out over the domain pool keyed by owning hive (bees
-         are exclusive to one hive, so hive-local execution is
-         data-race-free), and their effects are applied serially in
-         global scheduling order. Requires [outbox]: buffered emits are
-         what keeps a handler's compute half free of shared mutation. *)
 }
 
 let default_config ~n_hives =
   {
     n_hives;
     channel = Channels.default_config;
-    lock_master = 0;
-    lock_rpc_size = 48;
     hive_capacity = max_int;
     durability = None;
     transport = Transport.default_config;
-    outbox = true;
-    scrub_budget_bytes = 64 * 1024;
-    sharded_dispatch = false;
   }
+
+(* The lock-service master's hive, and the bytes of one lock-service
+   request or response. *)
+let lock_master = 0
+let lock_rpc_size = 48
+
+(* Background integrity scrub: cold snapshot+WAL bytes verified per 5 ms
+   slice; detected-corrupt live bees are repaired in place, crashed ones
+   at restart. *)
+let scrub_budget_bytes = 64 * 1024
 
 (* Handler-failure containment: attempts per message before quarantine,
    and the sim-time backoff between them (200 us doubling). *)
@@ -71,6 +56,7 @@ let outbox_replay_backoff_cap_us = 16_000
 
 let debug_skip_outbox_replay = ref false
 let debug_forget_inbox = ref false
+let debug_disable_inbox_dedup = ref false
 
 type drop_reason =
   | Dead_target
@@ -371,13 +357,13 @@ let lock_path app (c : Cell.t) =
    charged on the control channel. Returns the added latency. *)
 let charge_lock_rpc t ~hive =
   t.n_lock_rpcs <- t.n_lock_rpcs + 1;
-  let bytes = t.cfg.lock_rpc_size in
+  let bytes = lock_rpc_size in
   let l1 =
     Channels.transfer t.chans ~src:(Channels.Hive hive)
-      ~dst:(Channels.Hive t.cfg.lock_master) ~bytes ~now:(now t)
+      ~dst:(Channels.Hive lock_master) ~bytes ~now:(now t)
   in
   let l2 =
-    Channels.transfer t.chans ~src:(Channels.Hive t.cfg.lock_master)
+    Channels.transfer t.chans ~src:(Channels.Hive lock_master)
       ~dst:(Channels.Hive hive) ~bytes ~now:(now t)
   in
   Simtime.add l1 l2
@@ -463,16 +449,13 @@ let drop_outbox_rows t sender =
    survivor an outbox recovery provider returns (if any) replaces it.
    Returns that survivor's un-acked entries and inbox marks. *)
 let reseed_outbox_rows t (b : bee) ~durable =
-  if not t.cfg.outbox then ([], [])
-  else begin
-    let aux = List.find_map (fun p -> p ~bee:b.id) t.outbox_recovery_providers in
-    drop_outbox_rows t b.id;
-    match aux with
-    | Some (emits, inbox) ->
-      List.iter (fun (seq, m) -> add_outbox_entry t ~sender:b.id ~seq ~durable m) emits;
-      (emits, inbox)
-    | None -> ([], [])
-  end
+  let aux = List.find_map (fun p -> p ~bee:b.id) t.outbox_recovery_providers in
+  drop_outbox_rows t b.id;
+  match aux with
+  | Some (emits, inbox) ->
+    List.iter (fun (seq, m) -> add_outbox_entry t ~sender:b.id ~seq ~durable m) emits;
+    (emits, inbox)
+  | None -> ([], [])
 
 let kill_bee t b =
   b.status <- `Dead;
@@ -526,7 +509,7 @@ let rec maybe_process t (b : bee) =
        at the same instant; the apply half runs on the main domain in
        global scheduling order. Serial completion runs both back to
        back. *)
-    if t.cfg.sharded_dispatch && (not b.is_local) && b.app.App.shardable then
+    if (not b.is_local) && b.app.App.shardable then
       ignore
         (Engine.schedule_sharded_after t.engine cost ~shard:b.hive
            (complete t b d cost inc))
@@ -548,7 +531,7 @@ and complete t (b : bee) d cost inc () =
 
 and duplicate_delivery t (b : bee) d =
   match (d.d_outbox, t.store) with
-  | Some (sender, seq), Some s when t.cfg.outbox && not b.is_local ->
+  | Some (sender, seq), Some s when (not b.is_local) && not !debug_disable_inbox_dedup ->
     Store.inbox_seen s ~bee:b.id ~sender ~seq
   | _ -> false
 
@@ -762,10 +745,9 @@ and process_compute t (b : bee) d cost =
   end;
   let tx = State.begin_tx b.state in
   let allowed = allowed_cells t b d.d_allowed in
-  (* With the transactional outbox, emits and endpoint sends buffer in
-     the open transaction (newest first) and only take effect at commit;
-     an abort discards them together with the state delta. Without it,
-     they dispatch synchronously as before. Emits from asynchronous
+  (* Transactional outbox: emits and endpoint sends buffer in the open
+     transaction (newest first) and only take effect at commit; an abort
+     discards them together with the state delta. Emits from asynchronous
      continuations that outlive the handler (e.g. external-store RPC
      callbacks) arrive after the transaction has closed: they cannot ride
      the commit, so they dispatch immediately — and get none of the
@@ -800,7 +782,7 @@ and process_compute t (b : bee) d cost =
   let emit ?size ~kind payload =
     let src = Message.From_bee { bee = b.id; hive = b.hive; app = b.app.App.name } in
     let m = Message.make ?size ~kind ~src ~sent_at:(now t) payload in
-    if t.cfg.outbox && !in_handler then emits := m :: !emits
+    if !in_handler then emits := m :: !emits
     else begin
       fire_hooks m;
       route t ~src_ep:(Channels.Hive b.hive) m
@@ -809,7 +791,7 @@ and process_compute t (b : bee) d cost =
   let to_endpoint ep ?size ~kind payload =
     let src = Message.From_bee { bee = b.id; hive = b.hive; app = b.app.App.name } in
     let m = Message.make ?size ~kind ~src ~sent_at:(now t) payload in
-    if t.cfg.outbox && !in_handler then ep_sends := (ep, m) :: !ep_sends
+    if !in_handler then ep_sends := (ep, m) :: !ep_sends
     else begin
       fire_hooks m;
       deliver_endpoint ep m
@@ -849,47 +831,37 @@ and process_compute t (b : bee) d cost =
     (* Tracked: the emits and this delivery's inbox mark are written to
        the WAL in the same group-commit record as the state delta; the
        store's fsync callback hands the emits to transport once durable. *)
-    let tracked = t.cfg.outbox && not b.is_local && t.store <> None in
     let committed_emits = ref [] in
     let committed_inbox = ref [] in
     (match t.store with
     | Some s when not b.is_local ->
-      if t.cfg.outbox then begin
-        let outbox =
-          List.map
-            (fun (m : Message.t) ->
-              let seq = Store.alloc_out_seq s ~bee:b.id in
-              add_outbox_entry t ~sender:b.id ~seq ~durable:false m;
-              committed_emits := (seq, m) :: !committed_emits;
-              (seq, m.Message.size))
-            emits_l
-        in
-        let inbox =
-          match d.d_outbox with Some (sender, seq) -> [ (sender, seq) ] | None -> []
-        in
-        committed_emits := List.rev !committed_emits;
-        committed_inbox := inbox;
-        if pending <> [] || outbox <> [] || inbox <> [] then begin
-          Store.append s ~bee:b.id ~hive:b.hive ~outbox ~inbox pending;
-          Stats.set_gauge b.stats "wal_bytes" (Store.wal_bytes s ~bee:b.id);
-          Stats.set_gauge b.stats "snapshots" (Store.snapshot_count s ~bee:b.id)
-        end;
-        (match d.d_outbox with
-        | Some (sender, seq) when sender >= 0 ->
-          queue_outbox_ack t ~hive:b.hive (sender, seq, b.id)
-        | _ -> ())
-      end
-      else if pending <> [] then begin
-        (* WAL the write set; it becomes durable at the next group commit. *)
-        Store.append s ~bee:b.id ~hive:b.hive pending;
+      let outbox =
+        List.map
+          (fun (m : Message.t) ->
+            let seq = Store.alloc_out_seq s ~bee:b.id in
+            add_outbox_entry t ~sender:b.id ~seq ~durable:false m;
+            committed_emits := (seq, m) :: !committed_emits;
+            (seq, m.Message.size))
+          emits_l
+      in
+      let inbox =
+        match d.d_outbox with Some (sender, seq) -> [ (sender, seq) ] | None -> []
+      in
+      committed_emits := List.rev !committed_emits;
+      committed_inbox := inbox;
+      if pending <> [] || outbox <> [] || inbox <> [] then begin
+        Store.append s ~bee:b.id ~hive:b.hive ~outbox ~inbox pending;
         Stats.set_gauge b.stats "wal_bytes" (Store.wal_bytes s ~bee:b.id);
         Stats.set_gauge b.stats "snapshots" (Store.snapshot_count s ~bee:b.id)
-      end
-    | Some _ | None -> ());
-    (* Untracked emits (no store, local bee, or outbox off under
-       buffering) dispatch at commit time. *)
-    if not tracked then
-      List.iter (fun m -> route t ~src_ep:(Channels.Hive b.hive) m) emits_l;
+      end;
+      (match d.d_outbox with
+      | Some (sender, seq) when sender >= 0 ->
+        queue_outbox_ack t ~hive:b.hive (sender, seq, b.id)
+      | _ -> ())
+    | Some _ | None ->
+      (* Untracked emits (no store, or a local bee) dispatch at commit
+         time. *)
+      List.iter (fun m -> route t ~src_ep:(Channels.Hive b.hive) m) emits_l);
     List.iter (fun (ep, m) -> deliver_endpoint ep m) eps_l;
     if
       b.app.App.replicated && (not b.is_local)
@@ -925,23 +897,21 @@ and process_compute t (b : bee) d cost =
     Log.warn (fun m ->
         m "bee %d (%s) handler for %s raised %s (attempt %d)" b.id b.app.App.name
           msg.Message.kind (Printexc.to_string exn) (d.d_attempts + 1));
-    if t.cfg.outbox then begin
-      d.d_attempts <- d.d_attempts + 1;
-      if d.d_attempts < outbox_retry_budget then begin
-        let delay =
-          Simtime.of_us (outbox_retry_backoff_us * (1 lsl (d.d_attempts - 1)))
-        in
-        let inc = b.incarnation in
-        ignore
-          (Engine.schedule_after t.engine delay (fun () ->
-               match b.status with
-               | (`Active | `Paused) when b.incarnation = inc ->
-                 Queue.push d b.mailbox;
-                 maybe_process t b
-               | _ -> ()))
-      end
-      else quarantine_delivery t b d exn
-    end);
+    d.d_attempts <- d.d_attempts + 1;
+    if d.d_attempts < outbox_retry_budget then begin
+      let delay =
+        Simtime.of_us (outbox_retry_backoff_us * (1 lsl (d.d_attempts - 1)))
+      in
+      let inc = b.incarnation in
+      ignore
+        (Engine.schedule_after t.engine delay (fun () ->
+             match b.status with
+             | (`Active | `Paused) when b.incarnation = inc ->
+               Queue.push d b.mailbox;
+               maybe_process t b
+             | _ -> ()))
+    end
+    else quarantine_delivery t b d exn);
   Stats.record_done b.stats ~busy:cost;
   b.busy <- false;
   run_idle_hooks t b;
@@ -1119,7 +1089,7 @@ and merge_bees t ~(winner : bee) ~(losers : bee list) ~k =
          would turn a crash of the winner's hive inside the group-commit
          window into silent loss of acknowledged writes. *)
       let moved_inbox =
-        if t.cfg.outbox && not !corrupt_loser then begin
+        if not !corrupt_loser then begin
           (* Staged-but-unfsynced loser emits become durable (and get
              dispatched) under the loser's log before it is retired. *)
           Store.flush_bee s ~bee:l.id;
@@ -1143,7 +1113,7 @@ and merge_bees t ~(winner : bee) ~(losers : bee list) ~k =
         drop_outbox_rows t l.id;
         Store.forget s ~bee:l.id
       end
-      else if not (t.cfg.outbox && Store.outbox_unacked s ~bee:l.id <> []) then
+      else if Store.outbox_unacked s ~bee:l.id = [] then
         Store.forget s ~bee:l.id
     | Some _ | None -> ());
     let bytes =
@@ -1161,7 +1131,7 @@ and merge_bees t ~(winner : bee) ~(losers : bee list) ~k =
     l.forwarded_to <- Some winner;
     (* Re-home the merged-away bee so outbox replay of its surviving
        entries dispatches from (and fate-shares with) the winner's hive. *)
-    if t.cfg.outbox then l.hive <- winner.hive;
+    l.hive <- winner.hive;
     Hashtbl.remove t.pinned_bees l.id;
     Log.debug (fun m ->
         m "merged bee %d into bee %d (%s)" l.id winner.id winner.app.App.name);
@@ -1351,7 +1321,7 @@ and route_cells t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin ?(outb
              exactly-once id (sender -1): never replayed or acked, but
              the receiver's durable inbox mark closes the double-delivery
              window a transport-level dedup reset (receiver crash) opens. *)
-          if t.cfg.outbox && (not b.is_local) && t.store <> None then begin
+          if (not b.is_local) && t.store <> None then begin
             t.virtual_out_seq <- t.virtual_out_seq + 1;
             Some (-1, t.virtual_out_seq)
           end
@@ -1710,29 +1680,27 @@ let crash_hive t h =
     List.iter (fun f -> f h) t.failure_hooks;
     (* Batches not yet group-committed die with the hive. *)
     (match t.store with Some s -> Store.drop_pending s ~hive:h | None -> ());
-    if t.cfg.outbox then begin
-      (* The process's in-memory transport state dies with it: senders on
-         h lose their in-flight windows, and h's receiver-side dedup
-         cutoffs reset — retransmissions racing the restart re-deliver,
-         and only the durable inbox keeps them exactly-once. *)
-      Transport.crash_hive t.transport h;
-      (* Acks queued behind h's next fsync are in-memory; senders replay
-         and the receiver re-acks from its durable inbox. *)
-      (match Hashtbl.find_opt t.outbox_acks h with Some q -> q := [] | None -> ());
-      (* Outbox entries still riding a dropped batch never became
-         durable: they are gone with the transaction, atomically. *)
-      let doomed =
-        Hashtbl.fold
-          (fun key (e : outbox_entry) acc ->
-            if not e.oe_durable then
-              match get_bee t e.oe_sender with
-              | Some sb when sb.hive = h -> key :: acc
-              | _ -> acc
-            else acc)
-          t.outbox_entries []
-      in
-      List.iter (Hashtbl.remove t.outbox_entries) (List.sort compare doomed)
-    end;
+    (* The process's in-memory transport state dies with it: senders on h
+       lose their in-flight windows, and h's receiver-side dedup cutoffs
+       reset — retransmissions racing the restart re-deliver, and only the
+       durable inbox keeps them exactly-once. *)
+    Transport.crash_hive t.transport h;
+    (* Acks queued behind h's next fsync are in-memory; senders replay and
+       the receiver re-acks from its durable inbox. *)
+    (match Hashtbl.find_opt t.outbox_acks h with Some q -> q := [] | None -> ());
+    (* Outbox entries still riding a dropped batch never became durable:
+       they are gone with the transaction, atomically. *)
+    let doomed =
+      Hashtbl.fold
+        (fun key (e : outbox_entry) acc ->
+          if not e.oe_durable then
+            match get_bee t e.oe_sender with
+            | Some sb when sb.hive = h -> key :: acc
+            | _ -> acc
+          else acc)
+        t.outbox_entries []
+    in
+    List.iter (Hashtbl.remove t.outbox_entries) (List.sort compare doomed);
     List.iter
       (fun (b : bee) ->
         if b.is_local then begin
@@ -1860,7 +1828,7 @@ let reseed_bee_from_peer t (b : bee) (s : Value.t Store.t) entries detail =
    dead-target drops, not silent wrong answers). *)
 let quarantine_corrupt_bee t (b : bee) (s : Value.t Store.t) detail =
   Store.forget s ~bee:b.id;
-  if t.cfg.outbox then drop_outbox_rows t b.id;
+  drop_outbox_rows t b.id;
   b.state <- State.create ();
   Queue.clear b.mailbox;
   b.busy <- false;
@@ -1889,7 +1857,7 @@ let scrub_slice t ~budget_bytes =
         | Some _ | None -> ())
       damaged
 
-let scrub_tick t = scrub_slice t ~budget_bytes:t.cfg.scrub_budget_bytes
+let scrub_tick t = scrub_slice t ~budget_bytes:scrub_budget_bytes
 
 let scrub_now t = scrub_slice t ~budget_bytes:max_int
 
@@ -1972,32 +1940,31 @@ let restart_hive t h =
                   false))
             crashed
         in
-        if t.cfg.outbox then
-          List.iter
-            (fun (b : bee) ->
-              if !debug_skip_outbox_replay then begin
-                (* Injected bug [lost-outbox]: recovery "loses" the
-                   outbox file, so acked-durable emits are never
-                   re-sent. The exactly-once monitor must catch this. *)
-                Store.drop_outbox s ~bee:b.id;
-                drop_outbox_rows t b.id
-              end
-              else begin
-                if !debug_forget_inbox then
-                  (* Injected bug [replay-dup]: recovery "loses" the
-                     durable dedup cutoff, so replayed entries (and
-                     transport retransmissions) double-apply. *)
-                  Store.wipe_inbox s ~bee:b.id;
-                (* Replay: every durable un-acked outbox entry is re-sent;
-                   receivers that already applied it dedup and re-ack. *)
-                List.iter
-                  (fun (seq, _) ->
-                    match Hashtbl.find_opt t.outbox_entries (b.id, seq) with
-                    | Some e -> dispatch_outbox_entry t e ~first:false
-                    | None -> ())
-                  (Store.outbox_unacked s ~bee:b.id)
-              end)
-            revived
+        List.iter
+          (fun (b : bee) ->
+            if !debug_skip_outbox_replay then begin
+              (* Injected bug [lost-outbox]: recovery "loses" the
+                 outbox file, so acked-durable emits are never
+                 re-sent. The exactly-once monitor must catch this. *)
+              Store.drop_outbox s ~bee:b.id;
+              drop_outbox_rows t b.id
+            end
+            else begin
+              if !debug_forget_inbox then
+                (* Injected bug [replay-dup]: recovery "loses" the
+                   durable dedup cutoff, so replayed entries (and
+                   transport retransmissions) double-apply. *)
+                Store.wipe_inbox s ~bee:b.id;
+              (* Replay: every durable un-acked outbox entry is re-sent;
+                 receivers that already applied it dedup and re-ack. *)
+              List.iter
+                (fun (seq, _) ->
+                  match Hashtbl.find_opt t.outbox_entries (b.id, seq) with
+                  | Some e -> dispatch_outbox_entry t e ~first:false
+                  | None -> ())
+                (Store.outbox_unacked s ~bee:b.id)
+            end)
+          revived
   end
 
 (* ------------------------------------------------------------------ *)
@@ -2176,10 +2143,6 @@ let rec garble_value (v : Value.t) : Value.t =
 
 let create engine cfg =
   if cfg.n_hives <= 0 then invalid_arg "Platform.create: need at least one hive";
-  if cfg.lock_master < 0 || cfg.lock_master >= cfg.n_hives then
-    invalid_arg "Platform.create: lock_master out of range";
-  if cfg.sharded_dispatch && not cfg.outbox then
-    invalid_arg "Platform.create: sharded_dispatch requires outbox";
   let locks = Lock_service.create engine () in
   let lock_session = Lock_service.create_session locks ~owner:"platform" in
   (* Keep the platform's lock session alive for the whole run. *)
@@ -2268,12 +2231,10 @@ let create engine cfg =
       ignore
         (Channels.transfer t.chans ~src:(Channels.Hive hive) ~dst:(Channels.Hive hive)
            ~bytes ~now:(Engine.now engine));
-      if cfg.outbox then drain_outbox_acks t hive;
+      drain_outbox_acks t hive;
       List.iter (fun f -> f hive) t.fsync_hooks
     in
-    let on_outbox_durable ~hive:_ entries =
-      if cfg.outbox then outbox_now_durable t entries
-    in
+    let on_outbox_durable ~hive:_ entries = outbox_now_durable t entries in
     let on_compaction ~bee ~dropped_records:_ ~dropped_bytes:_ ~snapshot_bytes:_ =
       match Hashtbl.find_opt t.bees bee with
       | None -> ()
@@ -2291,6 +2252,5 @@ let create engine cfg =
     (* Background scrub: one budgeted verification slice every 5 ms.
        Detected-corrupt live bees are repaired in place; bees on crashed
        hives keep their suspect verdict for restart_hive to consult. *)
-    if cfg.scrub_budget_bytes > 0 then
-      ignore (Engine.every engine (Simtime.of_ms 5) (fun () -> scrub_tick t)));
+    ignore (Engine.every engine (Simtime.of_ms 5) (fun () -> scrub_tick t)));
   t

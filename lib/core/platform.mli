@@ -17,57 +17,42 @@ type t
 type config = {
   n_hives : int;
   channel : Beehive_net.Channels.config;
-  lock_master : int;
-      (** hive hosting the lock-service master (ownership RPCs go there) *)
-  lock_rpc_size : int;  (** bytes per lock-service request/response *)
   hive_capacity : int;  (** max cells hosted per hive *)
   durability : Beehive_store.Store.config option;
       (** when set, every non-local bee's dictionaries are shadowed by the
           {!Beehive_store.Store} engine: commits are write-ahead-logged
           with group commit, WALs compact into snapshots, crashed hives
           can {!restart_hive} with byte-identical state, and migration
-          ships snapshot+WAL-tail packages *)
+          ships snapshot+WAL-tail packages. It also makes messaging
+          exactly-once through the transactional outbox: a handler's
+          emits buffer in its open transaction and are written to the
+          bee's WAL in the same group-commit record as the state delta;
+          only after the fsync are they handed to transport, tagged with
+          durable per-sender sequence numbers. Receivers keep their dedup
+          cutoff in their own WAL, so replay after {!restart_hive} (which
+          re-sends every un-acked entry) is exactly-once end-to-end
+          across crash, partition, migration and failover. Without
+          durability, buffered emits are dispatched at commit and dedup is
+          transport-level only. A background scrubber re-verifies
+          {!scrub_budget_bytes} of cold WAL/snapshot bytes every 5 ms. *)
   transport : Beehive_net.Transport.config;
       (** the at-least-once {!Beehive_net.Transport} that carries every
           cross-hive message *)
-  outbox : bool;
-      (** transactional exactly-once messaging (default [true]). Emits
-          buffer in the open transaction and are written to the bee's WAL
-          in the same group-commit record as the state delta; only after
-          the fsync are they handed to transport, tagged with durable
-          per-sender sequence numbers. Receivers keep their dedup cutoff
-          in their own WAL, so replay after {!restart_hive} (which
-          re-sends every un-acked entry) is exactly-once end-to-end
-          across crash, partition, migration and failover. Also enables
-          handler-failure containment: an exception aborts the
-          transaction (state delta and buffered emits discarded
-          atomically) and the delivery is retried with backoff before the
-          message is quarantined. Without durability the containment
-          still applies, but emits are dispatched at commit and dedup is
-          transport-level only. *)
-  scrub_budget_bytes : int;
-      (** byte budget of each background integrity-scrub slice (every
-          5 ms of simulated time the scrubber re-verifies up to this many
-          cold WAL/snapshot bytes, resuming round-robin where the last
-          slice stopped). Damage found on a live bee is repaired on the
-          spot by rewriting its storage from the in-memory committed
-          state; damage on a crashed bee is recorded for
-          {!restart_hive}'s fsck gate. 0 disables scrubbing. Only
-          meaningful with [durability]. *)
-  sharded_dispatch : bool;
-      (** execute handler completions of {!App.t.shardable} apps as
-          sharded engine events (default [false]). Completions due at
-          the same instant are batched: their handler bodies (bee-local
-          by the shardable contract — bees are exclusive to one hive)
-          run concurrently across the {!Beehive_sim.Domain_pool} keyed
-          by owning hive, then their effects — routed emits, WAL
-          appends, stats, hooks — are applied serially in global
-          scheduling order. The merged schedule is a pure function of
-          (hive id, scheduling seq), so runs are bit-identical at every
-          [BEEHIVE_DOMAINS] width. Requires [outbox] (emit buffering is
-          what keeps handler bodies free of shared mutation);
-          {!create} raises [Invalid_argument] otherwise. *)
 }
+(** Handler-failure containment holds with or without durability: an
+    exception aborts the transaction (state delta and buffered emits
+    discarded atomically) and the delivery is retried with backoff
+    before the message is quarantined.
+
+    Handler completions of non-local bees of {!App.t.shardable} apps
+    always run as sharded engine events — [shardable] alone decides: completions due at the same instant are batched, their
+    handler bodies (bee-local by the shardable contract — bees are
+    exclusive to one hive) run concurrently across the
+    {!Beehive_sim.Domain_pool} keyed by owning hive, then their effects —
+    routed emits, WAL appends, stats, hooks — are applied serially in
+    global scheduling order. The merged schedule is a pure function of
+    (hive id, scheduling seq), so runs are bit-identical at every
+    [BEEHIVE_DOMAINS] width. Lock-service round trips go to hive 0. *)
 
 val default_config : n_hives:int -> config
 
@@ -319,8 +304,8 @@ val on_emit :
   unit
 (** Observes every message creation: bee emissions carry the message
     being processed as [parent] and the emitting [(bee, app, hive)];
-    injected messages have neither. Drives {!Trace}. With the outbox on,
-    the hook fires at commit time — an aborted handler's buffered emits
+    injected messages have neither. Drives {!Trace}. For emits made
+    inside a handler the hook fires at commit time — an aborted handler's buffered emits
     are never observed, because they never happened. *)
 
 val on_outbox_ack : t -> (bee:int -> seq:int -> unit) -> unit
@@ -334,6 +319,14 @@ val outbox_retry_budget : int
 (** Delivery attempts a failing handler gets (first try included) before
     its message is quarantined; retries back off exponentially from
     200 us of simulated time. *)
+
+val scrub_budget_bytes : int
+(** Byte budget of each background integrity-scrub slice (every 5 ms of
+    simulated time the scrubber re-verifies up to this many cold
+    WAL/snapshot bytes, resuming round-robin where the last slice
+    stopped). Damage found on a live bee is repaired on the spot by
+    rewriting its storage from the in-memory committed state; damage on a
+    crashed bee is recorded for {!restart_hive}'s fsck gate. *)
 
 val outbox_unacked_total : t -> int
 (** Outbox entries awaiting full acknowledgement, cluster-wide (both
@@ -522,6 +515,13 @@ val debug_forget_inbox : bool ref
     before replay — the replay-dup bug: senders replaying un-acked
     entries find a receiver with amnesia and their messages apply twice,
     breaking exactly-once on the duplication side. Default [false]. *)
+
+val debug_disable_inbox_dedup : bool ref
+(** When set, receivers never consult their durable inbox marks before
+    running a handler, so a message delivered twice applies twice. With
+    {!Beehive_net.Transport.debug_disable_dedup} this is the dedup-off
+    bug: receiver-side duplicate suppression off at both layers.
+    Default [false]. *)
 
 val message_latency_percentile : t -> float -> int option
 (** Cluster-wide percentile (in microseconds) of the emission-to-handler

@@ -92,12 +92,20 @@ let test_catches_forwarding_bug () =
 (* A disabled receiver dedup (the transport's other half) must equally be
    caught by the partition profile's lossy windows: a lost ack forces a
    retransmission whose copy is now applied twice, tripping
-   no-duplication. *)
-let test_catches_dedup_bug () =
+   no-duplication. Receiver dedup has two layers — the transport's cutoff
+   and the durable inbox — so the bug switches off both (the inbox alone
+   masks the transport's, see the next test). *)
+let with_dedup_off ~inbox f =
   Transport.debug_disable_dedup := true;
+  Platform.debug_disable_inbox_dedup := inbox;
   Fun.protect
-    ~finally:(fun () -> Transport.debug_disable_dedup := false)
-    (fun () ->
+    ~finally:(fun () ->
+      Transport.debug_disable_dedup := false;
+      Platform.debug_disable_inbox_dedup := false)
+    f
+
+let test_catches_dedup_bug () =
+  with_dedup_off ~inbox:true (fun () ->
       let rec sweep first_seed =
         if first_seed >= 200 then Alcotest.fail "bug not caught within 200 seeds"
         else
@@ -116,6 +124,25 @@ let test_catches_dedup_bug () =
         "violated a delivery monitor" true
         (List.mem f.Check.f_violation.Monitor.v_monitor
            [ "no-duplication"; "no-loss" ]))
+
+(* With only the transport's dedup off, the durable inbox still
+   suppresses the retransmitted copies: partition seed 0 passes, and the
+   suppressions are visible in the platform's counter. *)
+let test_inbox_masks_transport_dedup_off () =
+  with_dedup_off ~inbox:false (fun () ->
+      let cfg = Runner.make_cfg ~seed:0 Script.Partition in
+      let script =
+        Nemesis.generate ~rng:(Beehive_sim.Rng.create 0) ~profile:Script.Partition
+          ~n_hives:cfg.Runner.r_n_hives ~ticks:cfg.Runner.r_ticks
+      in
+      let captured = ref None in
+      (match Runner.execute ~observe:(fun _ p -> captured := Some p) cfg script with
+      | Runner.Pass _ -> ()
+      | Runner.Fail v -> Alcotest.fail (Format.asprintf "%a" Monitor.pp_violation v));
+      let suppressed = Platform.outbox_dups_suppressed (Option.get !captured) in
+      Alcotest.(check bool)
+        (Printf.sprintf "inbox suppressed duplicates (%d)" suppressed)
+        true (suppressed > 0))
 
 (* Skipping outbox replay on restart (recovery "loses" the outbox file)
    silently drops committed emits whose ack never arrived. The
@@ -507,6 +534,8 @@ let suite =
           test_catches_forwarding_bug;
         Alcotest.test_case "catches disabled transport dedup" `Quick
           test_catches_dedup_bug;
+        Alcotest.test_case "durable inbox masks transport dedup-off" `Quick
+          test_inbox_masks_transport_dedup_off;
         Alcotest.test_case "catches lost outbox replay" `Quick
           test_catches_lost_outbox_bug;
         Alcotest.test_case "catches forgotten durable inbox" `Quick

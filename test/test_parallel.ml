@@ -173,21 +173,6 @@ let test_store_flush_width_independent () =
   reset_pool ();
   Alcotest.(check string) "WAL images byte-identical" serial parallel
 
-(* --- Platform gating -------------------------------------------------- *)
-
-let test_sharded_dispatch_requires_outbox () =
-  let engine = Engine.create ~seed:1 () in
-  let cfg =
-    {
-      (Platform.default_config ~n_hives:2) with
-      Platform.outbox = false;
-      sharded_dispatch = true;
-    }
-  in
-  Alcotest.check_raises "sharded dispatch without outbox rejected"
-    (Invalid_argument "Platform.create: sharded_dispatch requires outbox")
-    (fun () -> ignore (Platform.create engine cfg))
-
 (* --- End-to-end 1-vs-4 determinism over the corpus -------------------- *)
 
 let profiles =
@@ -283,27 +268,55 @@ let test_gauges_1_vs_4 () =
   Alcotest.(check (list (pair string int))) "platform gauges identical" g1 g4
 
 (* The sharded path actually engages under the check workload — without
-   batched events the 1-vs-4 comparison would be vacuous. *)
+   batched events the 1-vs-4 comparison would be vacuous. The check apps
+   are shardable, so that holds whether or not the pool was resized. *)
 let test_sharded_path_engages () =
-  let cfg = Runner.make_cfg ~domains:4 ~seed:0 Script.Durability in
-  let captured = ref None in
-  (match
-     Runner.execute ~observe:(fun e _ -> captured := Some e) cfg
-       (Nemesis.generate ~rng:(Rng.create 0) ~profile:Script.Durability
-          ~n_hives:4 ~ticks:30)
-   with
-  | Runner.Pass _ -> ()
-  | Runner.Fail _ -> Alcotest.fail "seed unexpectedly failed");
-  (match !captured with
-  | Some engine ->
-    Alcotest.(check bool)
-      (Printf.sprintf "sharded events executed (%d in %d batches)"
-         (Engine.sharded_events engine)
-         (Engine.sharded_batches engine))
-      true
-      (Engine.sharded_events engine > 0 && Engine.sharded_batches engine > 0)
-  | None -> Alcotest.fail "observe hook never ran");
-  reset_pool ()
+  let engages label cfg =
+    let captured = ref None in
+    (match
+       Runner.execute ~observe:(fun e _ -> captured := Some e) cfg
+         (Nemesis.generate ~rng:(Rng.create 0) ~profile:Script.Durability
+            ~n_hives:4 ~ticks:30)
+     with
+    | Runner.Pass _ -> ()
+    | Runner.Fail _ -> Alcotest.fail (label ^ ": seed unexpectedly failed"));
+    match !captured with
+    | Some engine ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: sharded events executed (%d in %d batches)" label
+           (Engine.sharded_events engine)
+           (Engine.sharded_batches engine))
+        true
+        (Engine.sharded_events engine > 0 && Engine.sharded_batches engine > 0)
+    | None -> Alcotest.fail "observe hook never ran"
+  in
+  engages "4 domains" (Runner.make_cfg ~domains:4 ~seed:0 Script.Durability);
+  reset_pool ();
+  engages "pool untouched" (Runner.make_cfg ~seed:0 Script.Durability)
+
+(* [App.shardable] alone decides: the Figure 4 ensemble (driver,
+   decoupled TE, routing, discovery, instrumentation) opts out, so its
+   completions never take the sharded path. *)
+let test_non_shardable_stays_serial () =
+  let module Scenario = Beehive_harness.Scenario in
+  let sc =
+    Scenario.build
+      {
+        Scenario.quick_config with
+        Scenario.n_hives = 4;
+        n_switches = 16;
+        flows_per_switch = 5;
+        flow_start_spread = 1.0;
+        warmup = Simtime.of_sec 1.0;
+        duration = Simtime.of_sec 1.0;
+        te = Scenario.Te_decoupled;
+      }
+  in
+  Scenario.run sc;
+  let engine = Scenario.engine sc in
+  Alcotest.(check bool) "messages processed" true
+    (Platform.total_processed (Scenario.platform sc) > 0);
+  Alcotest.(check int) "no sharded events" 0 (Engine.sharded_events engine)
 
 let suite =
   [
@@ -321,13 +334,13 @@ let suite =
           test_event_queue_compaction;
         Alcotest.test_case "store: flush byte-identical at widths 1 and 4"
           `Quick test_store_flush_width_independent;
-        Alcotest.test_case "platform: sharded dispatch requires outbox" `Quick
-          test_sharded_dispatch_requires_outbox;
         Alcotest.test_case "corpus: digests equal at widths 1 and 4" `Slow
           test_corpus_digest_1_vs_4;
         Alcotest.test_case "corpus: gauges equal at widths 1 and 4" `Quick
           test_gauges_1_vs_4;
         Alcotest.test_case "corpus: sharded path engages" `Quick
           test_sharded_path_engages;
+        Alcotest.test_case "platform: non-shardable apps stay serial" `Quick
+          test_non_shardable_stays_serial;
       ] );
   ]
