@@ -180,6 +180,76 @@ let test_decommission_requires_complete_drain () =
        ~key:"after-shrink");
   Beehive_core.Registry.check_invariant (Platform.registry platform)
 
+(* --- hive lifecycle --------------------------------------------------- *)
+
+(* Every hive-state query at each step of the lifecycle paths: alive ->
+   draining -> fenced -> rejoin (draining survives the fence and a
+   crash), crash -> restart, crash -> decommission (the retired hive
+   still reads as crashed), and the join of a new hive. *)
+let test_hive_lifecycle_queries () =
+  let _engine, platform = make_platform ~n_hives:4 () in
+  let row h =
+    let flag b name = if b then [ name ] else [] in
+    String.concat " "
+      ((Platform.hive_state_label (Platform.hive_state platform h)
+       :: flag (Platform.hive_alive platform h) "up")
+      @ flag (Platform.hive_crashed platform h) "crashed"
+      @ flag (Platform.hive_fenced platform h) "fenced"
+      @ flag (Platform.placeable platform h) "placeable")
+  in
+  let step label ~rows ~members ~gauges =
+    Alcotest.(check (list string)) (label ^ ": hives") rows
+      (List.init (Platform.n_hives platform) row);
+    Alcotest.(check (list int)) (label ^ ": members") members
+      (Platform.members platform);
+    Alcotest.(check (list (pair string int))) (label ^ ": membership gauges")
+      (List.combine
+         [ "membership.alive"; "membership.crashed"; "membership.decommissioned";
+           "membership.draining"; "membership.fenced"; "membership.hives" ]
+         gauges)
+      (List.filter
+         (fun (k, _) -> String.starts_with ~prefix:"membership." k)
+         (Beehive_core.Stats.gauges (Platform.stats platform)))
+  in
+  let up = "alive up placeable" in
+  step "initial" ~rows:[ up; up; up; up ] ~members:[ 0; 1; 2; 3 ]
+    ~gauges:[ 4; 0; 0; 0; 0; 4 ];
+  Platform.set_draining platform 1 true;
+  step "draining" ~rows:[ up; "draining up"; up; up ] ~members:[ 0; 1; 2; 3 ]
+    ~gauges:[ 3; 0; 0; 1; 0; 4 ];
+  Platform.evict_hive platform 1;
+  step "draining, fenced" ~rows:[ up; "fenced fenced"; up; up ]
+    ~members:[ 0; 1; 2; 3 ] ~gauges:[ 3; 0; 0; 0; 1; 4 ];
+  Alcotest.(check bool) "still draining while fenced" true
+    (Platform.hive_draining platform 1);
+  Platform.rejoin_hive platform 1;
+  step "rejoined" ~rows:[ up; "draining up"; up; up ] ~members:[ 0; 1; 2; 3 ]
+    ~gauges:[ 3; 0; 0; 1; 0; 4 ];
+  Platform.crash_hive platform 1;
+  step "draining, crashed" ~rows:[ up; "crashed crashed"; up; up ]
+    ~members:[ 0; 1; 2; 3 ] ~gauges:[ 3; 1; 0; 0; 0; 4 ];
+  Platform.restart_hive platform 1;
+  step "draining, restarted" ~rows:[ up; "draining up"; up; up ]
+    ~members:[ 0; 1; 2; 3 ] ~gauges:[ 3; 0; 0; 1; 0; 4 ];
+  Platform.set_draining platform 1 false;
+  Platform.crash_hive platform 2;
+  step "crashed" ~rows:[ up; up; "crashed crashed"; up ] ~members:[ 0; 1; 2; 3 ]
+    ~gauges:[ 3; 1; 0; 0; 0; 4 ];
+  Platform.restart_hive platform 2;
+  step "restarted" ~rows:[ up; up; up; up ] ~members:[ 0; 1; 2; 3 ]
+    ~gauges:[ 4; 0; 0; 0; 0; 4 ];
+  Platform.crash_hive platform 3;
+  Alcotest.(check bool) "crashed empty hive decommissions" true
+    (Platform.decommission_hive platform 3);
+  step "crashed, decommissioned" ~rows:[ up; up; up; "decommissioned crashed" ]
+    ~members:[ 0; 1; 2 ] ~gauges:[ 3; 0; 1; 0; 0; 3 ];
+  Platform.restart_hive platform 3;
+  step "restart of a retired hive" ~rows:[ up; up; up; "decommissioned crashed" ]
+    ~members:[ 0; 1; 2 ] ~gauges:[ 3; 0; 1; 0; 0; 3 ];
+  Alcotest.(check int) "joined hive takes the next id" 4 (Platform.add_hive platform);
+  step "joined" ~rows:[ up; up; up; "decommissioned crashed"; up ]
+    ~members:[ 0; 1; 2; 4 ] ~gauges:[ 4; 0; 1; 0; 0; 4 ]
+
 (* --- raft handoff ---------------------------------------------------- *)
 
 (* Draining with raft replication installed re-anchors the drained
@@ -284,6 +354,8 @@ let suite =
           test_cancel_drain_restores_placeability;
         Alcotest.test_case "decommission requires a complete drain" `Quick
           test_decommission_requires_complete_drain;
+        Alcotest.test_case "hive lifecycle queries at every step" `Quick
+          test_hive_lifecycle_queries;
         Alcotest.test_case "drain hands off raft groups" `Quick
           test_drain_hands_off_raft_groups;
         Alcotest.test_case "quorum follows membership across a 5->3 shrink"
