@@ -3,6 +3,7 @@ module Simtime = Beehive_sim.Simtime
 module Channels = Beehive_net.Channels
 module Traffic_matrix = Beehive_net.Traffic_matrix
 module Platform = Beehive_core.Platform
+module Store = Beehive_store.Store
 module Registry = Beehive_core.Registry
 module Cell = Beehive_core.Cell
 module Value = Beehive_core.Value
@@ -476,15 +477,15 @@ let repair_convergence =
       (fun ctx ->
         let p = ctx.cx_platform in
         Platform.scrub_now p;
-        match Platform.storage_suspects p with
-        | (bee, detail) :: _ ->
+        match (Platform.store p, Platform.storage_suspects p) with
+        | Some s, (bee, detail) :: _ ->
           Some
             (Printf.sprintf
                "bee %d still suspect after quiesce + full scrub (%s); repairs: %d \
                 local, %d from peers, %d quarantined"
-               bee detail (Platform.local_rewrites p) (Platform.peer_repairs p)
-               (Platform.quarantined_storage p))
-        | [] -> None);
+               bee detail (Store.local_rewrites s) (Store.peer_repairs s)
+               (List.length (Store.dead_letters s)))
+        | _ -> None);
   }
 
 let storm ~budget =

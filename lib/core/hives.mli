@@ -1,0 +1,68 @@
+(** The per-hive lifecycle table: which hives are up, fenced, crashed or
+    decommissioned, which are draining, and how many migrations are in
+    flight toward each. {!Platform} owns one and runs the side effects of
+    every transition; this module only decides which transitions are
+    legal. Hive ids are never reused. *)
+
+type t
+
+val create : int -> t
+(** [create n] starts hives [0 .. n-1] up, not draining. *)
+
+val count : t -> int
+(** Size of the hive id space; grows on {!add}, never shrinks. *)
+
+val valid : t -> int -> bool
+
+val alive : t -> int -> bool
+(** Up: neither fenced, crashed nor decommissioned. *)
+
+val crashed : t -> int -> bool
+(** Process dead and not restarted — including a hive decommissioned
+    while crashed. False for ids outside the table. *)
+
+val fenced : t -> int -> bool
+val draining : t -> int -> bool
+val decommissioned : t -> int -> bool
+
+val placeable : t -> int -> bool
+(** Alive and not draining. *)
+
+val state : t -> int -> [ `Alive | `Draining | `Fenced | `Crashed | `Decommissioned ]
+val label : [ `Alive | `Draining | `Fenced | `Crashed | `Decommissioned ] -> string
+val members : t -> int list
+
+val lowest_running : t -> int option
+(** The lowest-numbered member hive whose process runs (up or fenced). *)
+
+val add : t -> int
+(** Appends a fresh up hive; returns its id. *)
+
+(** {2 Transitions}
+
+    Each returns whether the transition happened, so the caller runs its
+    side effects exactly once. *)
+
+val crash : t -> int -> bool
+(** Up or fenced -> crashed. *)
+
+val evict : t -> int -> bool
+(** Up -> fenced. *)
+
+val rejoin : t -> int -> bool
+(** Fenced -> up. *)
+
+val restart : t -> int -> bool option
+(** Fenced or crashed -> up; [Some was_crashed] when it happened. *)
+
+val set_draining : t -> int -> bool -> bool
+(** Sets the draining flag; true if it changed. *)
+
+val decommission : t -> int -> unit
+(** Retires the hive for good and clears its draining flag. *)
+
+(** {2 In-flight migrations} *)
+
+val inbound : t -> int -> int
+val inbound_started : t -> int -> unit
+val inbound_settled : t -> int -> unit

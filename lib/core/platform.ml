@@ -3,7 +3,6 @@ module Simtime = Beehive_sim.Simtime
 module Rng = Beehive_sim.Rng
 module Channels = Beehive_net.Channels
 module Transport = Beehive_net.Transport
-module Lock_service = Beehive_locksvc.Lock_service
 module Store = Beehive_store.Store
 
 let src = Logs.Src.create "beehive.platform" ~doc:"Beehive control platform"
@@ -34,25 +33,12 @@ let default_config ~n_hives =
     transport = Transport.default_config;
   }
 
-(* The lock-service master's hive, and the bytes of one lock-service
-   request or response. *)
-let lock_master = 0
-let lock_rpc_size = 48
-
 (* Background integrity scrub: cold snapshot+WAL bytes verified per 5 ms
    slice; detected-corrupt live bees are repaired in place, crashed ones
    at restart. *)
 let scrub_budget_bytes = 64 * 1024
 
-(* Handler-failure containment: attempts per message before quarantine,
-   and the sim-time backoff between them (200 us doubling). *)
-let outbox_retry_budget = 3
-let outbox_retry_backoff_us = 200
-
-(* Replay pacing for durable un-acked outbox entries: 2 ms doubling to a
-   16 ms cap between re-dispatches of the same entry. *)
-let outbox_replay_backoff_us = 2_000
-let outbox_replay_backoff_cap_us = 16_000
+let outbox_retry_budget = Outbox.retry_budget
 
 let debug_skip_outbox_replay = ref false
 let debug_forget_inbox = ref false
@@ -64,19 +50,14 @@ type drop_reason =
   | Missing_endpoint
   | Retransmit_exhausted
 
-let all_drop_reasons = [ Dead_target; Dead_origin; Missing_endpoint; Retransmit_exhausted ]
-
-let drop_reason_index = function
-  | Dead_target -> 0
-  | Dead_origin -> 1
-  | Missing_endpoint -> 2
-  | Retransmit_exhausted -> 3
-
-let drop_reason_label = function
-  | Dead_target -> "dead_target"
-  | Dead_origin -> "dead_origin"
-  | Missing_endpoint -> "missing_endpoint"
-  | Retransmit_exhausted -> "retransmit_exhausted"
+(* Drop counts live in the platform gauges, one per reason. *)
+let drop_gauges =
+  [
+    (Dead_target, "dropped.dead_target");
+    (Dead_origin, "dropped.dead_origin");
+    (Missing_endpoint, "dropped.missing_endpoint");
+    (Retransmit_exhausted, "dropped.retransmit_exhausted");
+  ]
 
 type allowed_spec =
   | A_cells of Cell.Set.t
@@ -96,6 +77,17 @@ type delivery = {
          id given to injected/system messages — deduped but never acked. *)
   mutable d_attempts : int;  (* handler attempts already failed *)
 }
+
+let delivery msg handler allowed (src_hive, src_bee) outbox =
+  {
+    d_msg = msg;
+    d_handler = handler;
+    d_allowed = allowed;
+    d_src_hive = src_hive;
+    d_src_bee = src_bee;
+    d_outbox = outbox;
+    d_attempts = 0;
+  }
 
 type bee = {
   id : int;
@@ -154,22 +146,6 @@ type commit_info = {
   ci_inbox : (int * int) list;  (* inbox dedup marks consumed, (sender, seq) *)
 }
 
-(* One emitted-but-not-yet-fully-acknowledged message. The durable half
-   (seq and payload bytes) lives in the store's per-bee WAL; the platform
-   keeps the message itself plus delivery bookkeeping, the sim's stand-in
-   for deserializing the payload back out of the log on replay. *)
-type outbox_entry = {
-  oe_sender : int;
-  oe_seq : int;
-  oe_msg : Message.t;
-  mutable oe_required : int;
-      (* receiver legs counted at the latest dispatch; -1 before the first *)
-  oe_ackers : (int, unit) Hashtbl.t;  (* receiver bees durably applied *)
-  mutable oe_attempts : int;
-  mutable oe_last_attempt : Simtime.t;
-  mutable oe_durable : bool;
-}
-
 type bee_view = {
   view_id : int;
   view_app : string;
@@ -186,8 +162,7 @@ type t = {
   chans : Channels.t;
   transport : Transport.t;
   reg : Registry.t;
-  locks : Lock_service.t;
-  lock_session : Lock_service.session;
+  locks : Cell_locks.t;
   mutable apps : App.t list;  (* sorted by name *)
   subscribers : (string, (App.t * App.handler) list) Hashtbl.t;
   bees : (int, bee) Hashtbl.t;
@@ -195,23 +170,7 @@ type t = {
   mutable next_bee : int;
   mutable version : int;
   lookup_cache : (int * string * Cell.t, int * int) Hashtbl.t;
-  mutable n : int;
-      (* size of the hive id space; grows on add_hive, never shrinks.
-         Decommissioned hives keep their id forever (it is never reused),
-         so nothing that indexes by hive id needs remapping. *)
-  mutable hive_up : bool array;
-  hive_down_hard : bool array ref;
-      (* process actually dead (crash), as opposed to merely evicted from
-         membership by the failure detector (fenced). A ref cell because
-         the transport's [alive] closure is built before the platform
-         record exists and must see growth. *)
-  mutable draining : bool array;
-      (* accepts no new cells and no inbound migrations; bees are being
-         evacuated *)
-  mutable decommissioned : bool array;
-  mutable inbound : int array;
-      (* in-flight migrations whose destination is this hive; drain
-         completion requires zero *)
+  hives : Hives.t;
   pinned_bees : (int, unit) Hashtbl.t;
   endpoints : (Channels.endpoint, Message.t -> unit) Hashtbl.t;
   mutable store : Value.t Store.t option;
@@ -234,39 +193,17 @@ type t = {
          and system messages *)
   mutable started : bool;
   mutable n_processed : int;
-  mutable n_lock_rpcs : int;
   mutable n_merges : int;
-  dropped : int array;  (* indexed by drop_reason_index *)
   pstats : Stats.t;
-  outbox_entries : (int * int, outbox_entry) Hashtbl.t;  (* keyed (sender, seq) *)
-  outbox_acks : (int, (int * int * int) list ref) Hashtbl.t;
-      (* per receiver hive, newest first: (sender, seq, receiver bee) acks
-         waiting for the receiver's inbox mark to be fsynced *)
-  quarantine : (int, (Message.t * string) list ref) Hashtbl.t;
-      (* per bee, newest first: messages whose retry budget is exhausted,
-         with the exception that killed the last attempt *)
-  mutable n_quarantined : int;
-  mutable n_outbox_dups : int;  (* deliveries suppressed by the durable inbox *)
+  outbox : Outbox.t;
   mutable n_handler_faults : int;
       (* exceptions contained at the dispatch boundary: map/cost/timer/
          endpoint callbacks that raised *)
-  mutable virtual_out_seq : int;
-      (* seq allocator for virtual (sender -1) exactly-once ids given to
-         injected and system messages *)
   mutable outbox_ack_hooks : (bee:int -> seq:int -> unit) list;
   mutable outbox_recovery_providers :
     (bee:int -> ((int * Message.t) list * (int * int) list) option) list;
       (* newest first; first Some wins: the replicated outbox + inbox a
          failover re-seeds the new primary's log with *)
-  (* ---- storage integrity ---- *)
-  mutable n_peer_repairs : int;
-      (* corrupt bees re-seeded from a replication peer's state *)
-  mutable n_local_rewrites : int;
-      (* corrupt disks of live bees rewritten from process memory *)
-  mutable n_quarantined_bees : int;
-  mutable dead_letters : (int * string) list;
-      (* quarantined-corrupt bees, newest first: (bee, verdict detail) —
-         the record left in place of state we refused to serve *)
 }
 
 let engine t = t.engine
@@ -274,53 +211,36 @@ let channels t = t.chans
 let transport t = t.transport
 let registry t = t.reg
 let config t = t.cfg
-let n_hives t = t.n
+let n_hives t = Hives.count t.hives
 let now t = Engine.now t.engine
-let hive_alive t h = h >= 0 && h < t.n && t.hive_up.(h)
-let hive_crashed t h = h >= 0 && h < t.n && !(t.hive_down_hard).(h)
-let hive_draining t h = h >= 0 && h < t.n && t.draining.(h)
-let hive_decommissioned t h = h >= 0 && h < t.n && t.decommissioned.(h)
+let hive_alive t h = Hives.alive t.hives h
+let hive_crashed t h = Hives.crashed t.hives h
+let hive_draining t h = Hives.draining t.hives h
+let hive_decommissioned t h = Hives.decommissioned t.hives h
 
 (* Evicted from membership by the failure detector, but the process is
    (possibly) still running: its bees pause, its endpoints and transport
    links keep working, and a rejoin resumes it with state intact. *)
-let hive_fenced t h =
-  h >= 0 && h < t.n
-  && (not t.hive_up.(h))
-  && (not !(t.hive_down_hard).(h))
-  && not t.decommissioned.(h)
+let hive_fenced t h = Hives.fenced t.hives h
+
+let check_hive t h fn =
+  if not (Hives.valid t.hives h) then invalid_arg ("Platform." ^ fn ^ ": bad hive")
 
 let hive_state t h =
-  if h < 0 || h >= t.n then invalid_arg "Platform.hive_state: bad hive";
-  if t.decommissioned.(h) then `Decommissioned
-  else if !(t.hive_down_hard).(h) then `Crashed
-  else if not t.hive_up.(h) then `Fenced
-  else if t.draining.(h) then `Draining
-  else `Alive
+  check_hive t h "hive_state";
+  Hives.state t.hives h
 
-let hive_state_label = function
-  | `Alive -> "alive"
-  | `Draining -> "draining"
-  | `Fenced -> "fenced"
-  | `Crashed -> "crashed"
-  | `Decommissioned -> "decommissioned"
+let hive_state_label = Hives.label
 
-(* Hives still part of the cluster (any state but decommissioned). *)
-let members t =
-  let acc = ref [] in
-  for h = t.n - 1 downto 0 do
-    if not t.decommissioned.(h) then acc := h :: !acc
-  done;
-  !acc
-
+let members t = Hives.members t.hives
 let member_count t = List.length (members t)
+let placeable t h = Hives.placeable t.hives h
 
-(* Hives that can host new cells and accept migrations. *)
-let placeable t h = hive_alive t h && not t.draining.(h)
+let dropped t gauge = Option.get (Stats.gauge t.pstats gauge)
 
 let drop t reason =
-  let i = drop_reason_index reason in
-  t.dropped.(i) <- t.dropped.(i) + 1
+  let gauge = List.assq reason drop_gauges in
+  Stats.set_gauge t.pstats gauge (dropped t gauge + 1)
 
 let register_app t app =
   if t.started then invalid_arg "Platform.register_app: platform already started";
@@ -341,51 +261,7 @@ let register_app t app =
            subs))
     t.subscribers
 
-let find_app t name = List.find_opt (fun a -> String.equal a.App.name name) t.apps
-
 let register_endpoint t ep cb = Hashtbl.replace t.endpoints ep cb
-
-(* ------------------------------------------------------------------ *)
-(* Lock service accounting                                             *)
-(* ------------------------------------------------------------------ *)
-
-let lock_path app (c : Cell.t) =
-  let key = match c.Cell.key with Cell.All -> "*" | Cell.Key k -> k in
-  Printf.sprintf "/beehive/cells/%s/%s/%s" app c.Cell.dict key
-
-(* One request/response round trip between [hive] and the lock master,
-   charged on the control channel. Returns the added latency. *)
-let charge_lock_rpc t ~hive =
-  t.n_lock_rpcs <- t.n_lock_rpcs + 1;
-  let bytes = lock_rpc_size in
-  let l1 =
-    Channels.transfer t.chans ~src:(Channels.Hive hive)
-      ~dst:(Channels.Hive lock_master) ~bytes ~now:(now t)
-  in
-  let l2 =
-    Channels.transfer t.chans ~src:(Channels.Hive lock_master)
-      ~dst:(Channels.Hive hive) ~bytes ~now:(now t)
-  in
-  Simtime.add l1 l2
-
-let acquire_cell_locks t ~app cells =
-  Cell.Set.iter
-    (fun c ->
-      match Lock_service.try_acquire t.locks t.lock_session ~path:(lock_path app c) () with
-      | `Acquired _ -> ()
-      | `Held_by other ->
-        (* Single platform instance: this would mean a foreign owner. *)
-        failwith (Printf.sprintf "cell lock %s held by %s" (lock_path app c) other))
-    cells
-
-let release_cell_locks t ~app cells =
-  Cell.Set.iter
-    (fun c ->
-      let path = lock_path app c in
-      match Lock_service.holder t.locks ~path with
-      | Some _ -> Lock_service.release t.locks t.lock_session ~path
-      | None -> ())
-    cells
 
 (* ------------------------------------------------------------------ *)
 (* Bee lifecycle                                                       *)
@@ -422,50 +298,23 @@ let new_bee t ~(app : App.t) ~hive ~is_local =
   if is_local || app.App.pinned then Hashtbl.replace t.pinned_bees id ();
   b
 
-(* Starts tracking an emit until every receiver has durably applied it. *)
-let add_outbox_entry t ~sender ~seq ~durable m =
-  Hashtbl.replace t.outbox_entries (sender, seq)
-    {
-      oe_sender = sender;
-      oe_seq = seq;
-      oe_msg = m;
-      oe_required = -1;
-      oe_ackers = Hashtbl.create 4;
-      oe_attempts = 0;
-      oe_last_attempt = Simtime.zero;
-      oe_durable = durable;
-    }
-
-let drop_outbox_rows t sender =
-  let stale =
-    Hashtbl.fold
-      (fun ((s, _) as key) _ acc -> if s = sender then key :: acc else acc)
-      t.outbox_entries []
-  in
-  List.iter (Hashtbl.remove t.outbox_entries) (List.sort compare stale)
-
-(* A failover or peer re-seed of [b]: whatever the platform remembers
-   about its outbox belonged to the old incarnation, and the replicated
-   survivor an outbox recovery provider returns (if any) replaces it.
-   Returns that survivor's un-acked entries and inbox marks. *)
-let reseed_outbox_rows t (b : bee) ~durable =
-  let aux = List.find_map (fun p -> p ~bee:b.id) t.outbox_recovery_providers in
-  drop_outbox_rows t b.id;
-  match aux with
-  | Some (emits, inbox) ->
-    List.iter (fun (seq, m) -> add_outbox_entry t ~sender:b.id ~seq ~durable m) emits;
-    (emits, inbox)
-  | None -> ([], [])
-
 let kill_bee t b =
   b.status <- `Dead;
   Queue.clear b.mailbox;
-  release_cell_locks t ~app:b.app.App.name (Registry.bee t.reg b.id).Registry.bee_cells;
+  Cell_locks.release t.locks ~app:b.app.App.name
+    (Registry.bee t.reg b.id).Registry.bee_cells;
   Registry.unassign_bee t.reg ~bee:b.id;
   Hashtbl.remove t.pinned_bees b.id;
   (* The bee is gone for good: its un-acked emits die with it. *)
-  drop_outbox_rows t b.id;
+  Outbox.drop_sender t.outbox b.id;
   match t.store with Some s -> Store.forget s ~bee:b.id | None -> ()
+
+(* A local bee dies with its hive (crash or decommission): it holds no
+   durable state, and a new one forms when the hive serves the app again. *)
+let kill_local_bee t b =
+  b.status <- `Dead;
+  Hashtbl.remove t.local_bees (b.app.App.name, b.hive);
+  Registry.unassign_bee t.reg ~bee:b.id
 
 let local_bee_of t ~(app : App.t) ~hive =
   match Hashtbl.find_opt t.local_bees (app.App.name, hive) with
@@ -488,7 +337,7 @@ let rec maybe_process t (b : bee) =
     if duplicate_delivery t b d then begin
       (* Already consumed (durable inbox): suppress the handler entirely
          and re-ack the sender, whose previous ack evidently got lost. *)
-      t.n_outbox_dups <- t.n_outbox_dups + 1;
+      Outbox.note_duplicate t.outbox;
       ack_duplicate t b d;
       maybe_process t b
     end
@@ -544,39 +393,26 @@ and ack_duplicate t (b : bee) d =
       send_outbox_ack t ~from_hive:b.hive ~sender ~seq ~receiver:b.id
   | _ -> ()
 
-and queue_outbox_ack t ~hive ack =
-  let q =
-    match Hashtbl.find_opt t.outbox_acks hive with
-    | Some q -> q
-    | None ->
-      let q = ref [] in
-      Hashtbl.add t.outbox_acks hive q;
-      q
-  in
-  q := ack :: !q
-
 (* Receiver-side half of the ack path, run at each hive fsync: every ack
    whose inbox mark just became durable is sent to the sender's current
    hive; marks still riding a pending batch go back in the queue. Acks
    bound for the same hive ride one transport message — per-message acks
    would double the fabric's message count on the healthy path. *)
 and drain_outbox_acks t hive =
-  match (Hashtbl.find_opt t.outbox_acks hive, t.store) with
-  | Some q, Some s ->
-    let ready = List.rev !q in
-    q := [];
+  match t.store with
+  | Some s ->
+    let ready =
+      Outbox.take_acks t.outbox ~hive ~ready:(fun (sender, seq, receiver) ->
+          Store.inbox_durable s ~bee:receiver ~sender ~seq)
+    in
     let by_dst = Hashtbl.create 4 in
     List.iter
-      (fun ((sender, seq, receiver) as ack) ->
-        if Store.inbox_durable s ~bee:receiver ~sender ~seq then (
-          match get_bee t sender with
-          | None -> ()
-          | Some sb ->
-            let l =
-              Option.value ~default:[] (Hashtbl.find_opt by_dst sb.hive)
-            in
-            Hashtbl.replace by_dst sb.hive (ack :: l))
-        else q := ack :: !q)
+      (fun ((sender, _, _) as ack) ->
+        match get_bee t sender with
+        | None -> ()
+        | Some sb ->
+          let l = Option.value ~default:[] (Hashtbl.find_opt by_dst sb.hive) in
+          Hashtbl.replace by_dst sb.hive (ack :: l))
       ready;
     Hashtbl.iter
       (fun dst acks ->
@@ -588,7 +424,7 @@ and drain_outbox_acks t hive =
                 handle_outbox_ack t ~sender ~seq ~receiver)
               (List.rev acks)))
       by_dst
-  | _ -> ()
+  | None -> ()
 
 and send_outbox_ack t ~from_hive ~sender ~seq ~receiver =
   match get_bee t sender with
@@ -598,7 +434,7 @@ and send_outbox_ack t ~from_hive ~sender ~seq ~receiver =
       (fun () -> handle_outbox_ack t ~sender ~seq ~receiver)
 
 and handle_outbox_ack t ~sender ~seq ~receiver =
-  match Hashtbl.find_opt t.outbox_entries (sender, seq) with
+  match Outbox.find t.outbox ~sender ~seq with
   | None -> ()  (* already retired; late duplicate ack *)
   | Some e -> (
     match get_bee t sender with
@@ -607,27 +443,20 @@ and handle_outbox_ack t ~sender ~seq ~receiver =
          ack is dropped. Replay after restart re-delivers, the receiver
          dedups and re-acks. *)
       ()
-    | _ ->
-      Hashtbl.replace e.oe_ackers receiver ();
-      check_outbox_done t e)
+    | _ -> if Outbox.ack e ~receiver then retire_outbox_entry t e)
 
-and check_outbox_done t (e : outbox_entry) =
-  if e.oe_required >= 0 && Hashtbl.length e.oe_ackers >= e.oe_required then
-    retire_outbox_entry t e
-
-and retire_outbox_entry t (e : outbox_entry) =
-  (match t.store with
-  | Some s -> Store.ack_outbox s ~bee:e.oe_sender ~seq:e.oe_seq
-  | None -> ());
-  Hashtbl.remove t.outbox_entries (e.oe_sender, e.oe_seq);
-  List.iter (fun f -> f ~bee:e.oe_sender ~seq:e.oe_seq) t.outbox_ack_hooks
+and retire_outbox_entry t e =
+  let bee = Outbox.sender e and seq = Outbox.seq e in
+  (match t.store with Some s -> Store.ack_outbox s ~bee ~seq | None -> ());
+  Outbox.remove t.outbox e;
+  List.iter (fun f -> f ~bee ~seq) t.outbox_ack_hooks
 
 (* Hands one durable outbox entry to routing. Only Cells legs are
    tracked end-to-end; Local and Foreach legs are fired on the first
    dispatch only (replaying them would double-deliver, as they have no
    per-receiver durable dedup — a documented limitation). *)
-and dispatch_outbox_entry t (e : outbox_entry) ~first =
-  match get_bee t e.oe_sender with
+and dispatch_outbox_entry t e ~first =
+  match get_bee t (Outbox.sender e) with
   | Some b
     when (not (hive_crashed t b.hive))
          && (match b.status with
@@ -635,69 +464,40 @@ and dispatch_outbox_entry t (e : outbox_entry) ~first =
             | `Dead -> b.forwarded_to <> None  (* merged away, entries live on *)
             | `Crashed -> false)
     ->
-    e.oe_attempts <- e.oe_attempts + 1;
-    e.oe_last_attempt <- now t;
+    Outbox.start_attempt e ~now:(now t);
     arm_outbox_recheck t e;
-    let src_ep = Channels.Hive b.hive in
-    let origin = b.hive in
-    let legs = ref 0 in
-    if not (hive_crashed t origin) then begin
-      (match Hashtbl.find_opt t.subscribers e.oe_msg.Message.kind with
-      | None -> ()
-      | Some subs ->
-        List.iter
-          (fun ((app : App.t), handler) ->
-            match safe_map t handler e.oe_msg with
-            | Mapping.Drop -> ()
-            | Mapping.Cells cs when Cell.Set.is_empty cs -> ()
-            | Mapping.Cells cs ->
-              incr legs;
-              route_cells t ~app ~handler ~src_ep ~origin
-                ~outbox:(Some (e.oe_sender, e.oe_seq)) cs e.oe_msg
-            | Mapping.Local ->
-              if first then route_local t ~app ~handler ~src_ep ~origin e.oe_msg
-            | Mapping.Foreach dict ->
-              if first then route_foreach t ~app ~handler ~src_ep ~origin dict e.oe_msg)
-          subs)
-    end;
-    e.oe_required <- !legs;
-    if !legs = 0 then retire_outbox_entry t e else check_outbox_done t e
+    let legs =
+      route_subscribers t ~src_ep:(Channels.Hive b.hive) ~origin:b.hive
+        ~outbox:(Some (Outbox.sender e, Outbox.seq e)) ~first (Outbox.msg e)
+    in
+    if Outbox.set_required e legs then retire_outbox_entry t e
   | _ ->
     (* Sender down. A crashed hive's entries are replayed by restart_hive;
        a merely-fenced sender needs the recheck chain kept alive so the
        replay resumes by itself once the fence lifts. *)
-    if e.oe_attempts > 0 then arm_outbox_recheck t e
+    if Outbox.attempted e then arm_outbox_recheck t e
 
 (* One engine timer per dispatched entry, armed at that attempt's backoff
    horizon, instead of a per-tick scan of every un-acked entry (the scan
    made the healthy path pay for the fault path). The timer re-dispatches
    only if the same entry is still live, durable, and no newer attempt
    superseded the one that armed it. *)
-and arm_outbox_recheck t (e : outbox_entry) =
-  let at = e.oe_last_attempt in
-  let n = min 10 (max 0 (e.oe_attempts - 1)) in
-  let backoff =
-    min outbox_replay_backoff_cap_us (outbox_replay_backoff_us * (1 lsl n))
-  in
+and arm_outbox_recheck t e =
+  let since = Outbox.last_attempt e in
   ignore
-    (Engine.schedule_after t.engine (Simtime.of_us backoff) (fun () ->
-         match Hashtbl.find_opt t.outbox_entries (e.oe_sender, e.oe_seq) with
-         | Some e'
-           when e' == e && e.oe_durable && Simtime.equal e.oe_last_attempt at ->
-           dispatch_outbox_entry t e ~first:false
-         | _ -> ()))
+    (Engine.schedule_after t.engine (Outbox.backoff e) (fun () ->
+         if Outbox.still_due t.outbox e ~since then
+           dispatch_outbox_entry t e ~first:false))
 
 (* Store fsync callback: these (sender, seq) entries just became durable
    together with their transaction's state delta — the earliest instant
    the platform may hand them to transport. *)
 and outbox_now_durable t entries =
   List.iter
-    (fun (bee, seq) ->
-      match Hashtbl.find_opt t.outbox_entries (bee, seq) with
-      | None -> ()
-      | Some e ->
-        e.oe_durable <- true;
-        if e.oe_attempts = 0 then dispatch_outbox_entry t e ~first:true)
+    (fun (sender, seq) ->
+      match Outbox.mark_durable t.outbox ~sender ~seq with
+      | Some e -> dispatch_outbox_entry t e ~first:true
+      | None -> ())
     entries
 
 and safe_map t (handler : App.handler) msg =
@@ -831,41 +631,36 @@ and process_compute t (b : bee) d cost =
     (* Tracked: the emits and this delivery's inbox mark are written to
        the WAL in the same group-commit record as the state delta; the
        store's fsync callback hands the emits to transport once durable. *)
-    let committed_emits = ref [] in
-    let committed_inbox = ref [] in
-    (match t.store with
-    | Some s when not b.is_local ->
-      let outbox =
-        List.map
-          (fun (m : Message.t) ->
-            let seq = Store.alloc_out_seq s ~bee:b.id in
-            add_outbox_entry t ~sender:b.id ~seq ~durable:false m;
-            committed_emits := (seq, m) :: !committed_emits;
-            (seq, m.Message.size))
-          emits_l
-      in
-      let inbox =
-        match d.d_outbox with Some (sender, seq) -> [ (sender, seq) ] | None -> []
-      in
-      committed_emits := List.rev !committed_emits;
-      committed_inbox := inbox;
-      if pending <> [] || outbox <> [] || inbox <> [] then begin
-        Store.append s ~bee:b.id ~hive:b.hive ~outbox ~inbox pending;
-        Stats.set_gauge b.stats "wal_bytes" (Store.wal_bytes s ~bee:b.id);
-        Stats.set_gauge b.stats "snapshots" (Store.snapshot_count s ~bee:b.id)
-      end;
-      (match d.d_outbox with
-      | Some (sender, seq) when sender >= 0 ->
-        queue_outbox_ack t ~hive:b.hive (sender, seq, b.id)
-      | _ -> ())
-    | Some _ | None ->
-      (* Untracked emits (no store, or a local bee) dispatch at commit
-         time. *)
-      List.iter (fun m -> route t ~src_ep:(Channels.Hive b.hive) m) emits_l);
+    let committed_emits, committed_inbox =
+      match t.store with
+      | Some s when not b.is_local ->
+        let emits =
+          List.map
+            (fun (m : Message.t) ->
+              let seq = Store.alloc_out_seq s ~bee:b.id in
+              Outbox.add t.outbox ~sender:b.id ~seq ~durable:false m;
+              (seq, m))
+            emits_l
+        in
+        let inbox = Option.to_list d.d_outbox in
+        if pending <> [] || emits <> [] || inbox <> [] then
+          Store.append s ~bee:b.id ~hive:b.hive ~inbox pending
+            ~outbox:(List.map (fun (seq, (m : Message.t)) -> (seq, m.Message.size)) emits);
+        (match d.d_outbox with
+        | Some (sender, seq) when sender >= 0 ->
+          Outbox.queue_ack t.outbox ~hive:b.hive (sender, seq, b.id)
+        | _ -> ());
+        (emits, inbox)
+      | Some _ | None ->
+        (* Untracked emits (no store, or a local bee) dispatch at commit
+           time. *)
+        List.iter (fun m -> route t ~src_ep:(Channels.Hive b.hive) m) emits_l;
+        ([], [])
+    in
     List.iter (fun (ep, m) -> deliver_endpoint ep m) eps_l;
     if
       b.app.App.replicated && (not b.is_local)
-      && (pending <> [] || !committed_emits <> [] || !committed_inbox <> [])
+      && (pending <> [] || committed_emits <> [] || committed_inbox <> [])
       && t.commit_hooks <> []
     then begin
       let bytes =
@@ -878,12 +673,12 @@ and process_compute t (b : bee) d cost =
       let bytes =
         List.fold_left
           (fun acc (_, (m : Message.t)) -> acc + 16 + m.Message.size)
-          bytes !committed_emits
-        + (16 * List.length !committed_inbox)
+          bytes committed_emits
+        + (16 * List.length committed_inbox)
       in
       let info =
         { ci_bee = b.id; ci_app = b.app.App.name; ci_hive = b.hive; ci_writes = pending;
-          ci_bytes = bytes; ci_emits = !committed_emits; ci_inbox = !committed_inbox }
+          ci_bytes = bytes; ci_emits = committed_emits; ci_inbox = committed_inbox }
       in
       List.iter (fun f -> f info) t.commit_hooks
     end
@@ -898,10 +693,8 @@ and process_compute t (b : bee) d cost =
         m "bee %d (%s) handler for %s raised %s (attempt %d)" b.id b.app.App.name
           msg.Message.kind (Printexc.to_string exn) (d.d_attempts + 1));
     d.d_attempts <- d.d_attempts + 1;
-    if d.d_attempts < outbox_retry_budget then begin
-      let delay =
-        Simtime.of_us (outbox_retry_backoff_us * (1 lsl (d.d_attempts - 1)))
-      in
+    match Outbox.retry_delay ~attempts:d.d_attempts with
+    | Some delay ->
       let inc = b.incarnation in
       ignore
         (Engine.schedule_after t.engine delay (fun () ->
@@ -910,8 +703,7 @@ and process_compute t (b : bee) d cost =
                Queue.push d b.mailbox;
                maybe_process t b
              | _ -> ()))
-    end
-    else quarantine_delivery t b d exn);
+    | None -> quarantine_delivery t b d exn);
   Stats.record_done b.stats ~busy:cost;
   b.busy <- false;
   run_idle_hooks t b;
@@ -925,24 +717,14 @@ and process_compute t (b : bee) d cost =
    written (without any state delta) and acked so the sender stops
    replaying a message that can never be applied. *)
 and quarantine_delivery t (b : bee) d exn =
-  let q =
-    match Hashtbl.find_opt t.quarantine b.id with
-    | Some q -> q
-    | None ->
-      let q = ref [] in
-      Hashtbl.add t.quarantine b.id q;
-      q
-  in
-  q := (d.d_msg, Printexc.to_string exn) :: !q;
-  t.n_quarantined <- t.n_quarantined + 1;
-  Stats.set_gauge b.stats "quarantine.messages" (List.length !q);
+  Outbox.quarantine t.outbox ~bee:b.id d.d_msg (Printexc.to_string exn);
   Log.warn (fun m ->
       m "bee %d (%s) quarantined a %s message after %d failed attempts" b.id
         b.app.App.name d.d_msg.Message.kind d.d_attempts);
   match (d.d_outbox, t.store) with
   | Some (sender, seq), Some s when not b.is_local ->
     Store.append s ~bee:b.id ~hive:b.hive ~inbox:[ (sender, seq) ] [];
-    if sender >= 0 then queue_outbox_ack t ~hive:b.hive (sender, seq, b.id)
+    if sender >= 0 then Outbox.queue_ack t.outbox ~hive:b.hive (sender, seq, b.id)
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -966,16 +748,16 @@ and start_transfer t (b : bee) dst reason =
          plus the WAL tail (forcing a group commit first) rather than an
          eager copy of the cell set. *)
       match t.store with
-      | Some s when not b.is_local -> (Store.package s ~bee:b.id).Store.pkg_bytes
+      | Some s when not b.is_local -> Store.package_bytes s ~bee:b.id
       | Some _ | None -> 64 + State.size_bytes b.state
     in
     (* Registry update: one lock-service round trip from each side. *)
-    let l_rpc = charge_lock_rpc t ~hive:src_hive in
+    let l_rpc = Cell_locks.charge_rpc t.locks ~hive:src_hive in
     let inc = b.incarnation in
     (* Count the in-flight transfer against the destination so a drain of
        either endpoint can wait for it to settle. *)
-    t.inbound.(dst) <- t.inbound.(dst) + 1;
-    let inbound_done () = t.inbound.(dst) <- max 0 (t.inbound.(dst) - 1) in
+    Hives.inbound_started t.hives dst;
+    let inbound_done () = Hives.inbound_settled t.hives dst in
     let resume_in_place () =
       (* The source still owns the bee; resume in place (the registry
          never changed, so there is exactly one owner throughout). A
@@ -1055,7 +837,7 @@ and merge_bees t ~(winner : bee) ~(losers : bee list) ~k =
     (* Move committed state, ownership and queued messages to the winner. *)
     let info = Registry.bee t.reg l.id in
     let cells = info.Registry.bee_cells in
-    let corrupt_loser = ref false in
+    let corrupt_loser = ref None in
     let all_entries =
       match t.store with
       | Some s when (not l.is_local) && hive_crashed t l.hive -> (
@@ -1073,9 +855,7 @@ and merge_bees t ~(winner : bee) ~(losers : bee list) ~k =
           (* The durable cut fails verification: folding it would launder
              corrupt bytes into a healthy bee. Fold nothing, record the
              loss, and retire the log outright below. *)
-          corrupt_loser := true;
-          t.dead_letters <- (l.id, detail) :: t.dead_letters;
-          t.n_quarantined_bees <- t.n_quarantined_bees + 1;
+          corrupt_loser := Some detail;
           [])
       | Some _ | None -> State.snapshot l.state
     in
@@ -1089,7 +869,7 @@ and merge_bees t ~(winner : bee) ~(losers : bee list) ~k =
          would turn a crash of the winner's hive inside the group-commit
          window into silent loss of acknowledged writes. *)
       let moved_inbox =
-        if not !corrupt_loser then begin
+        if !corrupt_loser = None then begin
           (* Staged-but-unfsynced loser emits become durable (and get
              dispatched) under the loser's log before it is retired. *)
           Store.flush_bee s ~bee:l.id;
@@ -1107,14 +887,13 @@ and merge_bees t ~(winner : bee) ~(losers : bee list) ~k =
          identity — receivers dedup by it — so its log survives the merge
          until the last entry is acked; replay dispatches from the
          winner's hive via the forwarding pointer set below. *)
-      if !corrupt_loser then begin
+      (match !corrupt_loser with
+      | Some detail ->
         (* Un-acked entries of a corrupt log are not replayable — their
            bytes can't be trusted. Drop the rows and the log. *)
-        drop_outbox_rows t l.id;
-        Store.forget s ~bee:l.id
-      end
-      else if Store.outbox_unacked s ~bee:l.id = [] then
-        Store.forget s ~bee:l.id
+        Outbox.drop_sender t.outbox l.id;
+        Store.quarantine s ~bee:l.id ~detail
+      | None -> if Store.outbox_unacked s ~bee:l.id = [] then Store.forget s ~bee:l.id)
     | Some _ | None -> ());
     let bytes =
       64 + List.fold_left (fun acc (_, _, v) -> acc + Value.size v) 0 all_entries
@@ -1123,9 +902,9 @@ and merge_bees t ~(winner : bee) ~(losers : bee list) ~k =
       ignore
         (Channels.transfer t.chans ~src:(Channels.Hive l.hive)
            ~dst:(Channels.Hive winner.hive) ~bytes ~now:(now t));
-    release_cell_locks t ~app:l.app.App.name cells;
+    Cell_locks.release t.locks ~app:l.app.App.name cells;
     Registry.reassign_all t.reg ~from_bee:l.id ~to_bee:winner.id;
-    acquire_cell_locks t ~app:winner.app.App.name cells;
+    Cell_locks.acquire t.locks ~app:winner.app.App.name cells;
     Queue.transfer l.mailbox winner.mailbox;
     l.status <- `Dead;
     l.forwarded_to <- Some winner;
@@ -1204,7 +983,7 @@ and placement_hive t ~origin =
   if placeable t origin then origin
   else begin
     let best = ref (-1) and best_cells = ref max_int in
-    for h = 0 to t.n - 1 do
+    for h = 0 to n_hives t - 1 do
       if placeable t h then begin
         let c = Registry.cells_on_hive t.reg ~hive:h in
         if c < !best_cells then begin
@@ -1216,9 +995,8 @@ and placement_hive t ~origin =
     if !best >= 0 then !best else origin
   end
 
-and route_cells t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin ?(outbox = None)
-    cs msg =
-  let src_hive, src_bee = resolve_src t msg in
+and route_cells t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin ~outbox cs msg =
+  let src = resolve_src t msg in
   let extra = ref Simtime.zero in
   let target =
     match Registry.owners t.reg ~app:app.App.name cs with
@@ -1232,10 +1010,10 @@ and route_cells t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin ?(outb
         b.fenced <- true;
         b.status <- `Paused
       end;
-      acquire_cell_locks t ~app:app.App.name cs;
+      Cell_locks.acquire t.locks ~app:app.App.name cs;
       Registry.assign t.reg ~bee:b.id cs;
       t.version <- t.version + 1;
-      extra := Simtime.add !extra (charge_lock_rpc t ~hive:origin);
+      extra := Simtime.add !extra (Cell_locks.charge_rpc t.locks ~hive:origin);
       Some b
     | [ owner ] -> (
       match get_bee t owner with
@@ -1249,10 +1027,10 @@ and route_cells t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin ?(outb
           Cell.Set.filter (fun c -> not (Cell.Set.mem c info.Registry.bee_cells)) cs
         in
         if not (Cell.Set.is_empty unowned) then begin
-          acquire_cell_locks t ~app:app.App.name unowned;
+          Cell_locks.acquire t.locks ~app:app.App.name unowned;
           Registry.assign t.reg ~bee:owner unowned;
           t.version <- t.version + 1;
-          extra := Simtime.add !extra (charge_lock_rpc t ~hive:origin)
+          extra := Simtime.add !extra (Cell_locks.charge_rpc t.locks ~hive:origin)
         end
         else if b.hive <> origin then begin
           (* Remote owner: consult the (cached) lock service. *)
@@ -1260,7 +1038,7 @@ and route_cells t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin ?(outb
           match Hashtbl.find_opt t.lookup_cache key with
           | Some (bid, v) when bid = owner && v = t.version -> ()
           | _ ->
-            extra := Simtime.add !extra (charge_lock_rpc t ~hive:origin);
+            extra := Simtime.add !extra (Cell_locks.charge_rpc t.locks ~hive:origin);
             Hashtbl.replace t.lookup_cache key (owner, t.version)
         end;
         Some b)
@@ -1301,10 +1079,10 @@ and route_cells t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin ?(outb
                 cs
             in
             if not (Cell.Set.is_empty unowned) then begin
-              acquire_cell_locks t ~app:app.App.name unowned;
+              Cell_locks.acquire t.locks ~app:app.App.name unowned;
               Registry.assign t.reg ~bee:winner.id unowned
             end);
-        extra := Simtime.add !extra (charge_lock_rpc t ~hive:origin);
+        extra := Simtime.add !extra (Cell_locks.charge_rpc t.locks ~hive:origin);
         t.version <- t.version + 1;
         Some winner)
   in
@@ -1321,23 +1099,11 @@ and route_cells t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin ?(outb
              exactly-once id (sender -1): never replayed or acked, but
              the receiver's durable inbox mark closes the double-delivery
              window a transport-level dedup reset (receiver crash) opens. *)
-          if (not b.is_local) && t.store <> None then begin
-            t.virtual_out_seq <- t.virtual_out_seq + 1;
-            Some (-1, t.virtual_out_seq)
-          end
+          if (not b.is_local) && t.store <> None then
+            Some (-1, Outbox.next_virtual_seq t.outbox)
           else None
       in
-      let d =
-        {
-          d_msg = msg;
-          d_handler = handler;
-          d_allowed = A_cells cs;
-          d_src_hive = src_hive;
-          d_src_bee = src_bee;
-          d_outbox;
-          d_attempts = 0;
-        }
-      in
+      let d = delivery msg handler (A_cells cs) src d_outbox in
       (* Fenced targets still receive: the transport buffers through the
          partition and the bee's paused mailbox holds the message until
          the hive rejoins, so nothing is lost to a false suspicion. *)
@@ -1345,8 +1111,8 @@ and route_cells t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin ?(outb
         (fun () -> enqueue t b d)
     end
 
-and route_foreach t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin:_ dict msg =
-  let src_hive, src_bee = resolve_src t msg in
+and route_foreach t ~(app : App.t) ~(handler : App.handler) ~src_ep dict msg =
+  let src = resolve_src t msg in
   let owners = Registry.owners_of_dict t.reg ~app:app.App.name ~dict in
   let bees = List.filter_map (get_bee t) owners in
   (* Fan out: one control-channel copy per hive hosting owners, then local
@@ -1364,66 +1130,57 @@ and route_foreach t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin:_ di
         let targets = List.rev (Hashtbl.find by_hive h) in
         transmit t ~src_ep ~dst_hive:h ~bytes:msg.Message.size (fun () ->
             List.iter
-              (fun (b : bee) ->
-                enqueue t b
-                  {
-                    d_msg = msg;
-                    d_handler = handler;
-                    d_allowed = A_dict dict;
-                    d_src_hive = src_hive;
-                    d_src_bee = src_bee;
-                    d_outbox = None;
-                    d_attempts = 0;
-                  })
+              (fun (b : bee) -> enqueue t b (delivery msg handler (A_dict dict) src None))
               targets))
     hives
 
 and route_local t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin msg =
-  let src_hive, src_bee = resolve_src t msg in
+  let src = resolve_src t msg in
   let deliver_on h =
     if hive_alive t h then
       match local_bee_of t ~app ~hive:h with
       | None -> ()
       | Some b ->
         transmit t ~src_ep ~dst_hive:h ~bytes:msg.Message.size (fun () ->
-            enqueue t b
-              {
-                d_msg = msg;
-                d_handler = handler;
-                d_allowed = A_all;
-                d_src_hive = src_hive;
-                d_src_bee = src_bee;
-                d_outbox = None;
-                d_attempts = 0;
-              })
+            enqueue t b (delivery msg handler A_all src None))
   in
   (* System messages (timer ticks) trigger local handlers on every hive;
      ordinary messages only on their origin hive. *)
   match msg.Message.src with
   | Message.From_system ->
-    for h = 0 to t.n - 1 do
+    for h = 0 to n_hives t - 1 do
       deliver_on h
     done
   | Message.From_bee _ | Message.From_endpoint _ -> deliver_on origin
+
+(* Maps [msg] for every subscriber and routes each leg; returns the
+   number of Cells legs. An outbox replay ([first = false]) re-sends only
+   the Cells legs, the ones the receivers' durable inboxes dedup. *)
+and route_subscribers t ~src_ep ~origin ~outbox ~first msg =
+  let legs = ref 0 in
+  (match Hashtbl.find_opt t.subscribers msg.Message.kind with
+  | None -> ()
+  | Some subs ->
+    List.iter
+      (fun ((app : App.t), handler) ->
+        match safe_map t handler msg with
+        | Mapping.Drop -> ()
+        | Mapping.Cells cs when Cell.Set.is_empty cs -> ()
+        | Mapping.Cells cs ->
+          incr legs;
+          route_cells t ~app ~handler ~src_ep ~origin ~outbox cs msg
+        | Mapping.Local -> if first then route_local t ~app ~handler ~src_ep ~origin msg
+        | Mapping.Foreach dict ->
+          if first then route_foreach t ~app ~handler ~src_ep dict msg)
+      subs);
+  !legs
 
 and route t ~src_ep msg =
   let origin = origin_hive_of t src_ep in
   (* A fenced origin keeps routing (the process is still up and serves
      its partition side); only a genuinely crashed origin drops. *)
   if not (hive_crashed t origin) then
-    match Hashtbl.find_opt t.subscribers msg.Message.kind with
-    | None -> ()
-    | Some subs ->
-      List.iter
-        (fun ((app : App.t), handler) ->
-          match safe_map t handler msg with
-          | Mapping.Drop -> ()
-          | Mapping.Local -> route_local t ~app ~handler ~src_ep ~origin msg
-          | Mapping.Foreach dict -> route_foreach t ~app ~handler ~src_ep ~origin dict msg
-          | Mapping.Cells cs ->
-            if Cell.Set.is_empty cs then ()
-            else route_cells t ~app ~handler ~src_ep ~origin cs msg)
-        subs
+    ignore (route_subscribers t ~src_ep ~origin ~outbox:None ~first:true msg)
   else drop t Dead_origin
 
 (* ------------------------------------------------------------------ *)
@@ -1442,6 +1199,9 @@ let emit_system t ?hive ?size ~kind payload =
   let msg = Message.make ?size ~kind ~src:Message.From_system ~sent_at:(now t) payload in
   route t ~src_ep:(Channels.Hive h) msg
 
+(* Ticks originate on the lowest-numbered member hive that has not
+   crashed (a crashed origin would drop them); with every member crashed
+   there is no process left to run the timer. *)
 let start t =
   if t.started then invalid_arg "Platform.start: already started";
   t.started <- true;
@@ -1451,16 +1211,20 @@ let start t =
         (fun (tm : App.timer) ->
           ignore
             (Engine.every t.engine tm.App.period (fun () ->
-                 (* A tick generator that raises skips this tick instead
-                    of unwinding the engine. *)
-                 match tm.App.tick_payload ~now:(now t) with
-                 | payload ->
-                   emit_system t ~size:tm.App.tick_size ~kind:tm.App.timer_kind payload
-                 | exception exn ->
-                   t.n_handler_faults <- t.n_handler_faults + 1;
-                   Log.warn (fun m ->
-                       m "timer %s tick generator raised %s" tm.App.timer_kind
-                         (Printexc.to_string exn)))))
+                 match Hives.lowest_running t.hives with
+                 | None -> ()
+                 | Some hive -> (
+                   (* A tick generator that raises skips this tick instead
+                      of unwinding the engine. *)
+                   match tm.App.tick_payload ~now:(now t) with
+                   | payload ->
+                     emit_system t ~hive ~size:tm.App.tick_size ~kind:tm.App.timer_kind
+                       payload
+                   | exception exn ->
+                     t.n_handler_faults <- t.n_handler_faults + 1;
+                     Log.warn (fun m ->
+                         m "timer %s tick generator raised %s" tm.App.timer_kind
+                           (Printexc.to_string exn))))))
         app.App.timers)
     t.apps
 
@@ -1511,9 +1275,6 @@ let bee_state_entries t id =
   | _, None -> []
 
 let store t = t.store
-
-let bee_wal_bytes t id =
-  match t.store with Some s -> Store.wal_bytes s ~bee:id | None -> 0
 
 let bee_snapshot_count t id =
   match t.store with Some s -> Store.snapshot_count s ~bee:id | None -> 0
@@ -1594,20 +1355,12 @@ let set_outbox_recovery_provider t f =
 (* Outbox / quarantine introspection                                   *)
 (* ------------------------------------------------------------------ *)
 
-let outbox_unacked_total t = Hashtbl.length t.outbox_entries
-let outbox_dups_suppressed t = t.n_outbox_dups
+let outbox_unacked_total t = Outbox.unacked t.outbox
+let outbox_dups_suppressed t = Outbox.duplicates t.outbox
 let handler_faults t = t.n_handler_faults
-let total_quarantined t = t.n_quarantined
-
-let quarantined t ~bee =
-  match Hashtbl.find_opt t.quarantine bee with
-  | Some q -> List.length !q
-  | None -> 0
-
-let quarantined_messages t ~bee =
-  match Hashtbl.find_opt t.quarantine bee with
-  | Some q -> List.rev !q
-  | None -> []
+let total_quarantined t = Outbox.total_quarantined t.outbox
+let quarantined t ~bee = Outbox.quarantined t.outbox ~bee
+let quarantined_messages t ~bee = Outbox.quarantined_messages t.outbox ~bee
 
 (* ------------------------------------------------------------------ *)
 (* Failures                                                            *)
@@ -1616,6 +1369,11 @@ let quarantined_messages t ~bee =
 let bees_on t h ~pred =
   Hashtbl.fold (fun _ (b : bee) acc -> if b.hive = h && pred b then b :: acc else acc) t.bees []
   |> List.sort (fun (a : bee) b -> Int.compare a.id b.id)
+
+(* The replicated outbox + inbox a failover or peer re-seed of [b]
+   re-seeds its ledger and log with. Later providers win. *)
+let outbox_survivor t (b : bee) =
+  List.find_map (fun p -> p ~bee:b.id) t.outbox_recovery_providers
 
 (* What an installed recovery provider (e.g. Raft) can reconstruct for
    this bee, if anything. Later providers win. *)
@@ -1629,7 +1387,7 @@ let recoverable_entries t (b : bee) =
    None when either is missing — the bee then takes the unrecoverable
    path instead of being revived on a hive that cannot host it. *)
 let failover_target t (b : bee) ~from_hive =
-  let n = t.n in
+  let n = n_hives t in
   let rec pick k =
     if k = n then None
     else if placeable t ((from_hive + k) mod n) then Some ((from_hive + k) mod n)
@@ -1656,7 +1414,9 @@ let failover_bee t (b : bee) ~from_hive ~to_hive entries =
     (* Re-seed the durable log under the new owner so a later crash of
        the target hive also recovers. *)
     Store.forget s ~bee:b.id;
-    let emits, inbox = reseed_outbox_rows t b ~durable:false in
+    let emits, inbox =
+      Outbox.reseed t.outbox ~sender:b.id ~durable:false (outbox_survivor t b)
+    in
     Store.append s ~bee:b.id ~hive:to_hive
       ~outbox:(List.map (fun (seq, (m : Message.t)) -> (seq, m.Message.size)) emits)
       ~inbox
@@ -1671,11 +1431,8 @@ let failover_bee t (b : bee) ~from_hive ~to_hive entries =
    classic {!fail_hive}) or when the failure detector confirms the
    death. *)
 let crash_hive t h =
-  if h < 0 || h >= t.n then invalid_arg "Platform.crash_hive: bad hive";
-  if t.decommissioned.(h) then ()
-  else if not !(t.hive_down_hard).(h) then begin
-    t.hive_up.(h) <- false;
-    !(t.hive_down_hard).(h) <- true;
+  check_hive t h "crash_hive";
+  if Hives.crash t.hives h then begin
     t.version <- t.version + 1;
     List.iter (fun f -> f h) t.failure_hooks;
     (* Batches not yet group-committed die with the hive. *)
@@ -1687,27 +1444,14 @@ let crash_hive t h =
     Transport.crash_hive t.transport h;
     (* Acks queued behind h's next fsync are in-memory; senders replay and
        the receiver re-acks from its durable inbox. *)
-    (match Hashtbl.find_opt t.outbox_acks h with Some q -> q := [] | None -> ());
+    Outbox.clear_acks t.outbox ~hive:h;
     (* Outbox entries still riding a dropped batch never became durable:
        they are gone with the transaction, atomically. *)
-    let doomed =
-      Hashtbl.fold
-        (fun key (e : outbox_entry) acc ->
-          if not e.oe_durable then
-            match get_bee t e.oe_sender with
-            | Some sb when sb.hive = h -> key :: acc
-            | _ -> acc
-          else acc)
-        t.outbox_entries []
-    in
-    List.iter (Hashtbl.remove t.outbox_entries) (List.sort compare doomed);
+    Outbox.drop_undurable t.outbox ~sent_from:(fun sender ->
+        match get_bee t sender with Some sb -> sb.hive = h | None -> false);
     List.iter
       (fun (b : bee) ->
-        if b.is_local then begin
-          b.status <- `Dead;
-          Hashtbl.remove t.local_bees (b.app.App.name, h);
-          Registry.unassign_bee t.reg ~bee:b.id
-        end
+        if b.is_local then kill_local_bee t b
         else begin
           b.status <- `Crashed;
           b.incarnation <- b.incarnation + 1;
@@ -1750,8 +1494,7 @@ let fail_hive t h =
    fence against the possibly-alive old instance. Everything else is
    fenced in place, state and mailbox intact, and resumes on rejoin. *)
 let evict_hive t h =
-  if hive_alive t h then begin
-    t.hive_up.(h) <- false;
+  if Hives.evict t.hives h then begin
     t.version <- t.version + 1;
     List.iter
       (fun (b : bee) ->
@@ -1778,8 +1521,7 @@ let unfence_hive t h =
    membership and resume its bees, which drain everything the transport
    buffered toward them during the eviction. *)
 let rejoin_hive t h =
-  if hive_fenced t h then begin
-    t.hive_up.(h) <- true;
+  if Hives.rejoin t.hives h then begin
     t.version <- t.version + 1;
     unfence_hive t h;
     Log.info (fun m -> m "hive %d rejoined after eviction" h)
@@ -1789,36 +1531,17 @@ let rejoin_hive t h =
 (* Storage integrity: scrub, repair, quarantine                        *)
 (* ------------------------------------------------------------------ *)
 
-(* A live bee whose cold bytes failed verification: the process memory is
-   intact and strictly newer than anything a peer holds, so repair is a
-   local rewrite — flush, then replace snapshot+WAL with a freshly
-   checksummed image of the committed view. Exactly-once bookkeeping
-   (outbox/inbox/seq allocator) is carried over unchanged. *)
-let rewrite_bee_storage t (b : bee) detail =
-  match t.store with
-  | None -> ()
-  | Some s ->
-    Store.flush_bee s ~bee:b.id;
-    Store.reseed s ~bee:b.id
-      ~entries:(Store.entries s ~bee:b.id)
-      ~outbox:(Store.outbox_unacked s ~bee:b.id)
-      ~inbox:(Store.inbox_marks s ~bee:b.id)
-      ~next_out_seq:(Store.next_out_seq s ~bee:b.id);
-    t.n_local_rewrites <- t.n_local_rewrites + 1;
-    Log.info (fun m ->
-        m "bee %d: corrupt storage rewritten from live state (%s)" b.id detail)
-
 (* A crashed bee whose committed prefix failed fsck, with a replication
    peer available: re-seed both disk and state from the peer — the same
    most-caught-up-member snapshot the Install_snapshot catch-up path
    ships. The replicated outbox/inbox aux re-seeds exactly-once state. *)
 let reseed_bee_from_peer t (b : bee) (s : Value.t Store.t) entries detail =
-  let next_out_seq = Store.next_out_seq s ~bee:b.id in
-  let emits, inbox = reseed_outbox_rows t b ~durable:true in
+  let emits, inbox =
+    Outbox.reseed t.outbox ~sender:b.id ~durable:true (outbox_survivor t b)
+  in
   let outbox = List.map (fun (seq, (m : Message.t)) -> (seq, m.Message.size)) emits in
-  Store.reseed s ~bee:b.id ~entries ~outbox ~inbox ~next_out_seq;
+  Store.reseed s ~bee:b.id ~entries ~outbox ~inbox;
   b.state <- State.restore entries;
-  t.n_peer_repairs <- t.n_peer_repairs + 1;
   Log.info (fun m -> m "bee %d: corrupt storage re-seeded from peer (%s)" b.id detail)
 
 (* A crashed bee whose committed prefix failed fsck and nobody holds a
@@ -1827,19 +1550,18 @@ let reseed_bee_from_peer t (b : bee) (s : Value.t Store.t) entries detail =
    its cells so ownership stays unique (routing to it surfaces as
    dead-target drops, not silent wrong answers). *)
 let quarantine_corrupt_bee t (b : bee) (s : Value.t Store.t) detail =
-  Store.forget s ~bee:b.id;
-  drop_outbox_rows t b.id;
+  Store.quarantine s ~bee:b.id ~detail;
+  Outbox.drop_sender t.outbox b.id;
   b.state <- State.create ();
   Queue.clear b.mailbox;
   b.busy <- false;
   b.status <- `Dead;
-  t.dead_letters <- (b.id, detail) :: t.dead_letters;
-  t.n_quarantined_bees <- t.n_quarantined_bees + 1;
   Log.info (fun m -> m "bee %d: corrupt storage quarantined (%s)" b.id detail)
 
 (* One background scrub slice. Damage on a live bee is repaired on the
-   spot; damage on a crashed or fenced bee keeps its suspect verdict for
-   restart_hive to consult before replay. *)
+   spot by rewriting its storage from process memory; damage on a crashed
+   or fenced bee keeps its suspect verdict for restart_hive to consult
+   before replay. *)
 let scrub_slice t ~budget_bytes =
   match t.store with
   | None -> ()
@@ -1853,18 +1575,13 @@ let scrub_slice t ~budget_bytes =
                && (match b.status with `Active | `Paused -> true | _ -> false)
                && hive_alive t b.hive
                && not b.fenced ->
-          rewrite_bee_storage t b detail
+          Store.rewrite s ~bee;
+          Log.info (fun m ->
+              m "bee %d: corrupt storage rewritten from live state (%s)" bee detail)
         | Some _ | None -> ())
       damaged
 
-let scrub_tick t = scrub_slice t ~budget_bytes:scrub_budget_bytes
-
 let scrub_now t = scrub_slice t ~budget_bytes:max_int
-
-let peer_repairs t = t.n_peer_repairs
-let local_rewrites t = t.n_local_rewrites
-let quarantined_storage t = t.n_quarantined_bees
-let dead_letters t = List.rev t.dead_letters
 
 let storage_suspects t =
   match t.store with None -> [] | Some s -> Store.suspects s
@@ -1899,11 +1616,10 @@ let fsck_crashed_bees t h =
       (bees_on t h ~pred:(fun b -> b.status = `Crashed))
 
 let restart_hive t h =
-  if h < 0 || h >= t.n then invalid_arg "Platform.restart_hive: bad hive";
-  if (not t.hive_up.(h)) && not t.decommissioned.(h) then begin
-    let was_crashed = !(t.hive_down_hard).(h) in
-    t.hive_up.(h) <- true;
-    !(t.hive_down_hard).(h) <- false;
+  check_hive t h "restart_hive";
+  match Hives.restart t.hives h with
+  | None -> ()
+  | Some was_crashed ->
     t.version <- t.version + 1;
     List.iter (fun f -> f h) t.restart_hooks;
     (* Restarting a merely-fenced hive is just a rejoin. *)
@@ -1947,7 +1663,7 @@ let restart_hive t h =
                  outbox file, so acked-durable emits are never
                  re-sent. The exactly-once monitor must catch this. *)
               Store.drop_outbox s ~bee:b.id;
-              drop_outbox_rows t b.id
+              Outbox.drop_sender t.outbox b.id
             end
             else begin
               if !debug_forget_inbox then
@@ -1959,22 +1675,16 @@ let restart_hive t h =
                  receivers that already applied it dedup and re-ack. *)
               List.iter
                 (fun (seq, _) ->
-                  match Hashtbl.find_opt t.outbox_entries (b.id, seq) with
+                  match Outbox.find t.outbox ~sender:b.id ~seq with
                   | Some e -> dispatch_outbox_entry t e ~first:false
                   | None -> ())
                 (Store.outbox_unacked s ~bee:b.id)
             end)
           revived
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Elastic membership: join, drain, decommission                       *)
 (* ------------------------------------------------------------------ *)
-
-let grow_array a n v =
-  let b = Array.make n v in
-  Array.blit a 0 b 0 (Array.length a);
-  b
 
 let on_hive_added t f = t.added_hooks <- f :: t.added_hooks
 let on_hive_decommissioned t f = t.decom_hooks <- f :: t.decom_hooks
@@ -1986,37 +1696,31 @@ let on_hive_decommissioned t f = t.decom_hooks <- f :: t.decom_hooks
    rebalancing fill it. *)
 let add_hive t =
   let id = Channels.add_hive t.chans in
-  let n' = id + 1 in
-  t.hive_up <- grow_array t.hive_up n' true;
-  t.hive_down_hard := grow_array !(t.hive_down_hard) n' false;
-  t.draining <- grow_array t.draining n' false;
-  t.decommissioned <- grow_array t.decommissioned n' false;
-  t.inbound <- grow_array t.inbound n' 0;
-  t.n <- n';
+  let id' = Hives.add t.hives in
+  assert (id = id');
   t.version <- t.version + 1;
   List.iter (fun f -> f id) t.added_hooks;
-  Log.info (fun m -> m "hive %d joined (cluster size %d)" id n');
+  Log.info (fun m -> m "hive %d joined (cluster size %d)" id (id + 1));
   id
 
 let set_draining t h flag =
-  if h < 0 || h >= t.n then invalid_arg "Platform.set_draining: bad hive";
-  if t.decommissioned.(h) then invalid_arg "Platform.set_draining: hive decommissioned";
-  if t.draining.(h) <> flag then begin
-    t.draining.(h) <- flag;
+  check_hive t h "set_draining";
+  if hive_decommissioned t h then invalid_arg "Platform.set_draining: hive decommissioned";
+  if Hives.set_draining t.hives h flag then begin
     t.version <- t.version + 1;
     Log.info (fun m -> m "hive %d %s" h (if flag then "draining" else "drain cancelled"))
   end
 
-let inbound_transfers t h = if h >= 0 && h < t.n then t.inbound.(h) else 0
+let inbound_transfers t h = Hives.inbound t.hives h
 
 (* A drain is complete when the hive owns no cells, hosts no live
    non-local bee, and no migration is still in flight toward it. Crashed
    durable bees count as residents: their cells must be recovered (via
    restart) before the hive can leave. *)
 let drain_complete t h =
-  h >= 0 && h < t.n
+  Hives.valid t.hives h
   && Registry.cells_on_hive t.reg ~hive:h = 0
-  && t.inbound.(h) = 0
+  && Hives.inbound t.hives h = 0
   && bees_on t h ~pred:(fun b ->
          (not b.is_local) && (match b.status with `Dead -> false | _ -> true))
      = []
@@ -2027,21 +1731,13 @@ let drain_complete t h =
    {!on_hive_decommissioned} hook. Returns false (and does nothing) if
    the hive still hosts cells or transfers. *)
 let decommission_hive t h =
-  if h < 0 || h >= t.n then invalid_arg "Platform.decommission_hive: bad hive";
-  if t.decommissioned.(h) then true
+  check_hive t h "decommission_hive";
+  if hive_decommissioned t h then true
   else if not (drain_complete t h) then false
   else begin
-    List.iter
-      (fun (b : bee) ->
-        if b.is_local then begin
-          b.status <- `Dead;
-          Hashtbl.remove t.local_bees (b.app.App.name, h);
-          Registry.unassign_bee t.reg ~bee:b.id
-        end)
-      (bees_on t h ~pred:(fun b -> b.status <> `Dead));
-    t.decommissioned.(h) <- true;
-    t.draining.(h) <- false;
-    t.hive_up.(h) <- false;
+    List.iter (kill_local_bee t)
+      (bees_on t h ~pred:(fun b -> b.is_local && b.status <> `Dead));
+    Hives.decommission t.hives h;
     t.version <- t.version + 1;
     Transport.close_hive t.transport h;
     Hashtbl.remove t.endpoints (Channels.Hive h);
@@ -2055,23 +1751,16 @@ let decommission_hive t h =
 (* ------------------------------------------------------------------ *)
 
 let total_processed t = t.n_processed
-let total_lock_rpcs t = t.n_lock_rpcs
+let total_lock_rpcs t = Cell_locks.rpcs t.locks
 let total_bee_merges t = t.n_merges
-let total_dropped t = Array.fold_left ( + ) 0 t.dropped
-let dropped_by_reason t reason = t.dropped.(drop_reason_index reason)
+let total_dropped t = List.fold_left (fun acc (_, g) -> acc + dropped t g) 0 drop_gauges
 
 let paused_bees t =
   Hashtbl.fold (fun _ (b : bee) acc -> if b.status = `Paused then acc + 1 else acc) t.bees 0
 
-(* Platform-wide gauges, refreshed on read: the per-reason drop
-   breakdown plus the transport's reliability counters. *)
+(* Platform-wide gauges, refreshed on read (the per-reason drop counts
+   are kept current as drops happen). *)
 let stats t =
-  List.iter
-    (fun r ->
-      Stats.set_gauge t.pstats
-        ("dropped." ^ drop_reason_label r)
-        t.dropped.(drop_reason_index r))
-    all_drop_reasons;
   Stats.set_gauge t.pstats "transport.sent" (Transport.sent t.transport);
   Stats.set_gauge t.pstats "transport.delivered" (Transport.delivered t.transport);
   Stats.set_gauge t.pstats "transport.retransmits" (Transport.retransmits t.transport);
@@ -2080,40 +1769,30 @@ let stats t =
   Stats.set_gauge t.pstats "transport.duplicates" (Transport.duplicates t.transport);
   Stats.set_gauge t.pstats "transport.exhausted" (Transport.exhausted t.transport);
   Stats.set_gauge t.pstats "transport.pending" (Transport.pending t.transport);
-  Stats.set_gauge t.pstats "outbox.unacked" (Hashtbl.length t.outbox_entries);
-  Stats.set_gauge t.pstats "outbox.dups_suppressed" t.n_outbox_dups;
+  Stats.set_gauge t.pstats "outbox.unacked" (Outbox.unacked t.outbox);
+  Stats.set_gauge t.pstats "outbox.dups_suppressed" (Outbox.duplicates t.outbox);
   Stats.set_gauge t.pstats "outbox.handler_faults" t.n_handler_faults;
-  Stats.set_gauge t.pstats "quarantine.total" t.n_quarantined;
-  Stats.set_gauge t.pstats "quarantine.bees" (Hashtbl.length t.quarantine);
-  (match t.store with
-  | Some s ->
-    Stats.set_gauge t.pstats "integrity.records_verified" (Store.records_verified s);
-    Stats.set_gauge t.pstats "integrity.crc_failures" (Store.crc_failures s);
-    Stats.set_gauge t.pstats "integrity.torn_truncations" (Store.torn_truncations s);
-    Stats.set_gauge t.pstats "integrity.scrubs_completed" (Store.scrubs_completed s)
-  | None -> ());
-  Stats.set_gauge t.pstats "integrity.peer_repairs" t.n_peer_repairs;
-  Stats.set_gauge t.pstats "integrity.local_rewrites" t.n_local_rewrites;
-  Stats.set_gauge t.pstats "integrity.quarantined_bees" t.n_quarantined_bees;
+  Stats.set_gauge t.pstats "quarantine.total" (Outbox.total_quarantined t.outbox);
+  Stats.set_gauge t.pstats "quarantine.bees" (Outbox.quarantined_bees t.outbox);
+  (* Without a store the repair counters read 0 and the detection
+     counters are absent. *)
+  List.iter
+    (fun (k, v) -> Stats.set_gauge t.pstats ("integrity." ^ k) v)
+    (match t.store with
+    | Some s -> Store.integrity_counters s
+    | None -> [ ("peer_repairs", 0); ("local_rewrites", 0); ("quarantined_bees", 0) ]);
   (* Batch counters, not the pool width: both are identical at every
      [BEEHIVE_DOMAINS] setting, so gauge digests stay comparable
      across widths. *)
   Stats.set_gauge t.pstats "engine.sharded_batches" (Engine.sharded_batches t.engine);
   Stats.set_gauge t.pstats "engine.sharded_events" (Engine.sharded_events t.engine);
-  let count state = ref 0, state in
-  let alive = count `Alive and draining = count `Draining and fenced = count `Fenced in
-  let crashed = count `Crashed and decom = count `Decommissioned in
-  for h = 0 to t.n - 1 do
-    let s = hive_state t h in
-    List.iter
-      (fun (r, st) -> if s = st then incr r)
-      [ alive; draining; fenced; crashed; decom ]
-  done;
-  Stats.set_gauge t.pstats "membership.hives" (t.n - !(fst decom));
+  let states = List.init (n_hives t) (hive_state t) in
   List.iter
-    (fun (r, st) ->
-      Stats.set_gauge t.pstats ("membership." ^ hive_state_label st) !r)
-    [ alive; draining; fenced; crashed; decom ];
+    (fun st ->
+      Stats.set_gauge t.pstats ("membership." ^ hive_state_label st)
+        (List.length (List.filter (( = ) st) states)))
+    [ `Alive; `Draining; `Fenced; `Crashed; `Decommissioned ];
+  Stats.set_gauge t.pstats "membership.hives" (member_count t);
   t.pstats
 
 let message_latency_percentile t p =
@@ -2127,30 +1806,9 @@ let message_latency_percentile t p =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* What a reader gets back from physically damaged bytes it failed to
-   verify: a deterministic, size-preserving scramble, so silent corruption
-   is semantically visible (a revived counter that exceeds every put) but
-   byte accounting stays unchanged. *)
-let rec garble_value (v : Value.t) : Value.t =
-  match v with
-  | Value.V_int n -> Value.V_int (n lxor 0x2AAAAAAA)
-  | Value.V_bool b -> Value.V_bool (not b)
-  | Value.V_float f -> Value.V_float (-.f -. 1.0)
-  | Value.V_string s -> Value.V_string (String.map (fun c -> Char.chr (Char.code c lxor 0x20)) s)
-  | Value.V_pair (a, b) -> Value.V_pair (garble_value a, garble_value b)
-  | Value.V_list l -> Value.V_list (List.map garble_value l)
-  | v -> v
-
 let create engine cfg =
   if cfg.n_hives <= 0 then invalid_arg "Platform.create: need at least one hive";
-  let locks = Lock_service.create engine () in
-  let lock_session = Lock_service.create_session locks ~owner:"platform" in
-  (* Keep the platform's lock session alive for the whole run. *)
-  ignore
-    (Engine.every engine (Simtime.of_sec 4.0) (fun () ->
-         if Lock_service.session_alive lock_session then
-           Lock_service.keep_alive lock_session));
-  let hive_down_hard = ref (Array.make cfg.n_hives false) in
+  let hives = Hives.create cfg.n_hives in
   let chans =
     Channels.create ~rng:(Rng.split (Engine.rng engine)) ~n_hives:cfg.n_hives
       cfg.channel
@@ -2158,9 +1816,10 @@ let create engine cfg =
   let transport =
     Transport.create ~config:cfg.transport ~engine
       ~rng:(Rng.split (Engine.rng engine))
-      ~alive:(fun h -> h >= Array.length !hive_down_hard || not !hive_down_hard.(h))
+      ~alive:(fun h -> not (Hives.crashed hives h))
       chans
   in
+  let locks = Cell_locks.create engine chans in
   let t =
   {
     engine;
@@ -2169,7 +1828,6 @@ let create engine cfg =
     transport;
     reg = Registry.create ();
     locks;
-    lock_session;
     apps = [];
     subscribers = Hashtbl.create 32;
     bees = Hashtbl.create 256;
@@ -2177,12 +1835,7 @@ let create engine cfg =
     next_bee = 0;
     version = 0;
     lookup_cache = Hashtbl.create 1024;
-    n = cfg.n_hives;
-    hive_up = Array.make cfg.n_hives true;
-    hive_down_hard;
-    draining = Array.make cfg.n_hives false;
-    decommissioned = Array.make cfg.n_hives false;
-    inbound = Array.make cfg.n_hives 0;
+    hives;
     pinned_bees = Hashtbl.create 64;
     endpoints = Hashtbl.create 64;
     store = None;
@@ -2198,25 +1851,15 @@ let create engine cfg =
     emit_hooks = [];
     started = false;
     n_processed = 0;
-    n_lock_rpcs = 0;
     n_merges = 0;
-    dropped = Array.make (List.length all_drop_reasons) 0;
     pstats = Stats.create ();
-    outbox_entries = Hashtbl.create 64;
-    outbox_acks = Hashtbl.create 8;
-    quarantine = Hashtbl.create 8;
-    n_quarantined = 0;
-    n_outbox_dups = 0;
+    outbox = Outbox.create ();
     n_handler_faults = 0;
-    virtual_out_seq = 0;
     outbox_ack_hooks = [];
     outbox_recovery_providers = [];
-    n_peer_repairs = 0;
-    n_local_rewrites = 0;
-    n_quarantined_bees = 0;
-    dead_letters = [];
   }
   in
+  List.iter (fun (_, g) -> Stats.set_gauge t.pstats g 0) drop_gauges;
   (match cfg.durability with
   | None -> ()
   | Some store_cfg ->
@@ -2235,22 +1878,14 @@ let create engine cfg =
       List.iter (fun f -> f hive) t.fsync_hooks
     in
     let on_outbox_durable ~hive:_ entries = outbox_now_durable t entries in
-    let on_compaction ~bee ~dropped_records:_ ~dropped_bytes:_ ~snapshot_bytes:_ =
-      match Hashtbl.find_opt t.bees bee with
-      | None -> ()
-      | Some b ->
-        (match t.store with
-        | Some s ->
-          Stats.set_gauge b.stats "wal_bytes" (Store.wal_bytes s ~bee);
-          Stats.set_gauge b.stats "snapshots" (Store.snapshot_count s ~bee)
-        | None -> ())
-    in
     t.store <-
       Some
-        (Store.create engine ~config:store_cfg ~size_of ~garble:garble_value
-           ~on_fsync ~on_outbox_durable ~on_compaction ());
+        (Store.create engine ~config:store_cfg ~size_of ~garble:Value.garble
+           ~on_fsync ~on_outbox_durable ());
     (* Background scrub: one budgeted verification slice every 5 ms.
        Detected-corrupt live bees are repaired in place; bees on crashed
        hives keep their suspect verdict for restart_hive to consult. *)
-    ignore (Engine.every engine (Simtime.of_ms 5) (fun () -> scrub_tick t)));
+    ignore
+      (Engine.every engine (Simtime.of_ms 5) (fun () ->
+           scrub_slice t ~budget_bytes:scrub_budget_bytes)));
   t

@@ -9,6 +9,13 @@
     failover of replicated apps through an installed recovery provider
     (e.g. {!Raft_replication}).
 
+    Three decisions live behind their own modules, which the platform
+    drives and which never call back into it: the per-hive lifecycle
+    ({!Hives}), the exactly-once ledger of un-acked emits, pending acks,
+    replay backoff and quarantine ({!Outbox}), and storage repair with
+    its counters and dead letters ({!Beehive_store.Store}). Cell locks
+    and their control-channel cost are {!Cell_locks}.
+
     All activity runs on the discrete-event {!Beehive_sim.Engine}; nothing
     here touches wall-clock time. *)
 
@@ -73,10 +80,10 @@ val n_hives : t -> int
 val register_app : t -> App.t -> unit
 (** Must be called before {!start}. App names must be unique. *)
 
-val find_app : t -> string -> App.t option
-
 val start : t -> unit
-(** Arms every application timer. Call once after registering apps. *)
+(** Arms every application timer. Call once after registering apps. Each
+    tick originates on the lowest-numbered member hive that has not
+    crashed; while every member is crashed, ticks are skipped. *)
 
 val register_endpoint :
   t -> Beehive_net.Channels.endpoint -> (Message.t -> unit) -> unit
@@ -129,9 +136,6 @@ val bee_state_entries : t -> int -> (string * string * Value.t) list
 val store : t -> Value.t Beehive_store.Store.t option
 (** The storage engine instance. *)
 
-val bee_wal_bytes : t -> int -> int
-(** Durable WAL-tail bytes of a bee (0 without durability). *)
-
 val bee_snapshot_count : t -> int -> int
 (** Compactions taken for a bee's log. *)
 
@@ -154,7 +158,12 @@ val total_fsyncs : t -> int
 
     Every WAL record and snapshot carries a length+CRC32 frame
     ({!Beehive_store.Store}); these are the platform-level detection and
-    repair paths built on it. All are no-ops without durability. *)
+    repair paths built on it. All are no-ops without durability. The
+    repair counters and the dead-letter record live in the store
+    ({!Beehive_store.Store.local_rewrites},
+    {!Beehive_store.Store.peer_repairs},
+    {!Beehive_store.Store.dead_letters}); the platform decides which
+    repair a damaged bee gets. *)
 
 val scrub_now : t -> unit
 (** Runs one full scrub pass immediately (unbounded budget): re-verifies
@@ -171,23 +180,6 @@ val fsck_crashed_bees : t -> int -> (int * Beehive_store.Store.verdict) list
     durable cut (a torn tail is not recoverable data; a [Corrupt] bee
     will not be revived from local bytes at all). Idempotent —
     {!restart_hive} re-runs fsck itself. *)
-
-val peer_repairs : t -> int
-(** Crashed bees whose corrupt storage was re-seeded from a replication
-    peer at restart. *)
-
-val local_rewrites : t -> int
-(** Live bees whose damaged cold bytes the scrubber rewrote from
-    in-memory committed state. *)
-
-val quarantined_storage : t -> int
-(** Bees fail-stopped because their committed prefix failed verification
-    and no replica existed to re-seed from (includes corrupt crashed
-    merge losers whose durable cut was discarded rather than folded). *)
-
-val dead_letters : t -> (int * string) list
-(** One record per {!quarantined_storage} event, oldest first: the bee id
-    and the verification failure that killed it. *)
 
 val storage_suspects : t -> (int * string) list
 (** Bees currently carrying an unrepaired verification failure (detected
@@ -207,7 +199,8 @@ val restart_hive : t -> int -> unit
     (byte-identical to its last group-committed state, torn tails
     truncated to the crash-consistent prefix); a bee whose committed
     prefix fails verification is re-seeded from a replication peer when
-    one exists and quarantined ({!quarantined_storage}) otherwise.
+    one exists and quarantined ({!Beehive_store.Store.quarantine})
+    otherwise.
     Without durability only new local bees can form there again. *)
 
 val on_hive_restart : t -> (int -> unit) -> unit
@@ -467,14 +460,9 @@ type drop_reason =
   | Retransmit_exhausted
       (** the transport gave up after [max_attempts] copies *)
 
-val all_drop_reasons : drop_reason list
-val drop_reason_label : drop_reason -> string
-
-val dropped_by_reason : t -> drop_reason -> int
-
 val total_dropped : t -> int
-(** Sum over {!dropped_by_reason} — delivery-conservation monitors read
-    this. *)
+(** Messages discarded for any {!drop_reason} (the per-reason breakdown
+    is in {!stats}) — delivery-conservation monitors read this. *)
 
 val paused_bees : t -> int
 (** Bees currently paused (migrating, merging, or fenced). A converged

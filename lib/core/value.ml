@@ -46,3 +46,13 @@ let rec pp fmt v =
       | h :: rest -> if not (h fmt v) then try_hooks rest
     in
     try_hooks !pp_hooks
+
+let rec garble v =
+  match v with
+  | V_int n -> V_int (n lxor 0x2AAAAAAA)
+  | V_bool b -> V_bool (not b)
+  | V_float f -> V_float (-.f -. 1.0)
+  | V_string s -> V_string (String.map (fun c -> Char.chr (Char.code c lxor 0x20)) s)
+  | V_pair (a, b) -> V_pair (garble a, garble b)
+  | V_list l -> V_list (List.map garble l)
+  | v -> v

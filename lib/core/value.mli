@@ -29,3 +29,10 @@ val pp : Format.formatter -> t -> unit
     Extensible via {!register_pp}. *)
 
 val register_pp : (Format.formatter -> t -> bool) -> unit
+
+val garble : t -> t
+(** What a reader gets back from physically damaged bytes it failed to
+    verify: a deterministic, size-preserving scramble, so silent
+    corruption is semantically visible (a revived counter that exceeds
+    every put) but byte accounting stays unchanged. Unknown constructors
+    come back as they were. *)

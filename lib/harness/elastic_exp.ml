@@ -208,7 +208,9 @@ let run ?(config = default_config) () =
       List.filter
         (fun (k, _) -> String.starts_with ~prefix:"integrity." k)
         (Stats.gauges (Platform.stats platform));
-    r_dead_letters = List.length (Platform.dead_letters platform);
+    r_dead_letters = (match Platform.store platform with
+      | Some s -> List.length (Beehive_store.Store.dead_letters s)
+      | None -> 0);
     r_quarantined = Platform.total_quarantined platform;
   }
 

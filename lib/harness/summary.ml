@@ -42,7 +42,9 @@ let measure matrix series platform =
     s_live_bees = List.length (Platform.live_bees platform);
     s_p50_us = Option.value ~default:0 (Platform.message_latency_percentile platform 0.5);
     s_p99_us = Option.value ~default:0 (Platform.message_latency_percentile platform 0.99);
-    s_dead_letters = List.length (Platform.dead_letters platform);
+    s_dead_letters = (match Platform.store platform with
+      | Some s -> List.length (Beehive_store.Store.dead_letters s)
+      | None -> 0);
     s_quarantined = Platform.total_quarantined platform;
     s_membership =
       (* Platform gauges worth a summary line: cluster membership, the

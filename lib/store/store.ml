@@ -65,18 +65,6 @@ type 'v record = {
   r_frame : frame;
 }
 
-type 'v package = {
-  pkg_bee : int;
-  pkg_snapshot : (string * string * 'v) list;
-  pkg_snapshot_lsn : int;
-  pkg_snapshot_frame : frame;
-  pkg_tail : 'v record list;
-  pkg_outbox : (int * int) list;
-  pkg_inbox : (int * int) list;
-  pkg_next_out_seq : int;
-  pkg_bytes : int;
-}
-
 (* Serialized framing overheads (bytes). *)
 let record_overhead = 24
 let snapshot_overhead = 32
@@ -138,9 +126,6 @@ type 'v t = {
          corruption so damage is semantically visible downstream *)
   on_fsync : (hive:int -> bytes:int -> records:int -> unit) option;
   on_outbox_durable : (hive:int -> (int * int) list -> unit) option;
-  on_compaction :
-    (bee:int -> dropped_records:int -> dropped_bytes:int -> snapshot_bytes:int -> unit)
-    option;
   logs : (int, 'v bee_log) Hashtbl.t;
   mutable dirty_logs : 'v bee_log list;
       (* logs with batches awaiting group commit — the flush working set,
@@ -158,6 +143,11 @@ type 'v t = {
   mutable crc_failures : int;
   mutable torn_truncations : int;
   mutable scrubs_completed : int;
+  mutable local_rewrites : int;
+  mutable peer_repairs : int;
+  mutable dead_letters : (int * string) list;
+      (* quarantined-corrupt bees, newest first: (bee, verdict detail) —
+         the record left in place of state we refused to serve *)
 }
 
 let config t = t.cfg
@@ -367,8 +357,6 @@ let compact_log t bl =
      verification off that laundering is exactly what happens. *)
   if (not !debug_disable_checksums) && log_suspect_now bl then ()
   else begin
-  let dropped_records = bl.bl_wal_records in
-  let dropped_bytes = bl.bl_wal_bytes in
   let snap = durable_entries t bl in
   let snap_bytes =
     snapshot_overhead + frame_overhead
@@ -383,10 +371,7 @@ let compact_log t bl =
   bl.bl_wal_bytes <- 0;
   bl.bl_wal_records <- 0;
   bl.bl_compactions <- bl.bl_compactions + 1;
-  t.n_compactions <- t.n_compactions + 1;
-  match t.on_compaction with
-  | Some f -> f ~bee:bl.bl_bee ~dropped_records ~dropped_bytes ~snapshot_bytes:snap_bytes
-  | None -> ()
+  t.n_compactions <- t.n_compactions + 1
   end
 
 (* Frames for [bl]'s pending batches, oldest-first, carrying the lsns
@@ -517,7 +502,7 @@ let flush_bee t ~bee =
     end
 
 let create engine ?(config = default_config) ~size_of ?(garble = fun v -> v)
-    ?on_fsync ?on_outbox_durable ?on_compaction () =
+    ?on_fsync ?on_outbox_durable () =
   if config.wal_group_commit_ticks < 1 then
     invalid_arg "Store.create: wal_group_commit_ticks must be >= 1";
   let t =
@@ -528,7 +513,6 @@ let create engine ?(config = default_config) ~size_of ?(garble = fun v -> v)
       garble;
       on_fsync;
       on_outbox_durable;
-      on_compaction;
       logs = Hashtbl.create 64;
       dirty_logs = [];
       n_fsyncs = 0;
@@ -541,6 +525,9 @@ let create engine ?(config = default_config) ~size_of ?(garble = fun v -> v)
       crc_failures = 0;
       torn_truncations = 0;
       scrubs_completed = 0;
+      local_rewrites = 0;
+      peer_repairs = 0;
+      dead_letters = [];
     }
   in
   (* Group commit: batches accumulated during a tick become durable one
@@ -551,10 +538,6 @@ let create engine ?(config = default_config) ~size_of ?(garble = fun v -> v)
          if t.dirty_logs <> [] then
            ignore (Engine.schedule_after engine config.fsync_latency (fun () -> flush t))));
   t
-
-let compact t ~bee =
-  flush t;
-  compact_log t (log_of t bee)
 
 let drop_pending t ~hive =
   List.iter
@@ -610,11 +593,6 @@ let outbox_unacked t ~bee =
     Hashtbl.fold (fun seq bytes acc -> (seq, bytes) :: acc) bl.bl_outbox []
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-let outbox_size t ~bee =
-  match Hashtbl.find_opt t.logs bee with
-  | None -> 0
-  | Some bl -> Hashtbl.length bl.bl_outbox
-
 let inbox_durable t ~bee ~sender ~seq =
   match Hashtbl.find_opt t.logs bee with
   | None -> false
@@ -640,16 +618,6 @@ let inbox_marks t ~bee =
     in
     List.sort_uniq compare (durable @ pending)
 
-let inbox_size t ~bee =
-  match Hashtbl.find_opt t.logs bee with
-  | None -> 0
-  | Some bl -> Hashtbl.length bl.bl_inbox
-
-let next_out_seq t ~bee =
-  match Hashtbl.find_opt t.logs bee with
-  | None -> 1
-  | Some bl -> bl.bl_next_out_seq
-
 let wipe_inbox t ~bee =
   match Hashtbl.find_opt t.logs bee with
   | None -> ()
@@ -668,61 +636,15 @@ let drop_outbox t ~bee =
 
 (* ---- migration ----------------------------------------------------- *)
 
-let package t ~bee =
+let package_bytes t ~bee =
   flush t;
   let bl = log_of t bee in
   if bl.bl_wal_bytes > t.cfg.snapshot_threshold_bytes then compact_log t bl;
-  let tail = List.rev bl.bl_wal in
-  let outbox = outbox_unacked t ~bee in
-  let inbox =
-    Hashtbl.fold (fun m () acc -> m :: acc) bl.bl_inbox []
-    |> List.sort compare
-  in
   let outbox_bytes =
-    List.fold_left
-      (fun acc (_, bytes) -> acc + outbox_entry_overhead + bytes)
-      0 outbox
+    Hashtbl.fold (fun _ bytes acc -> acc + outbox_entry_overhead + bytes) bl.bl_outbox 0
   in
-  {
-    pkg_bee = bee;
-    pkg_snapshot = bl.bl_snapshot;
-    pkg_snapshot_lsn = bl.bl_snapshot_lsn;
-    pkg_snapshot_frame = bl.bl_snapshot_frame;
-    pkg_tail = tail;
-    pkg_outbox = outbox;
-    pkg_inbox = inbox;
-    pkg_next_out_seq = bl.bl_next_out_seq;
-    pkg_bytes =
-      package_overhead + bl.bl_snapshot_bytes + bl.bl_wal_bytes + outbox_bytes
-      + (inbox_mark_overhead * List.length inbox);
-  }
-
-let install t pkg =
-  Hashtbl.remove t.logs pkg.pkg_bee;
-  let bl = log_of t pkg.pkg_bee in
-  bl.bl_snapshot <- pkg.pkg_snapshot;
-  bl.bl_snapshot_lsn <- pkg.pkg_snapshot_lsn;
-  (* The transfer is a byte copy: frames — and any damage in them —
-     travel with the package. *)
-  bl.bl_snapshot_frame <- pkg.pkg_snapshot_frame;
-  bl.bl_snapshot_bytes <-
-    snapshot_overhead + frame_overhead
-    + List.fold_left
-        (fun acc (d, k, v) -> acc + t.size_of (d, k, Some v))
-        0 pkg.pkg_snapshot;
-  List.iter
-    (fun r ->
-      bl.bl_wal <- r :: bl.bl_wal;
-      bl.bl_wal_bytes <- bl.bl_wal_bytes + r.r_bytes;
-      bl.bl_wal_records <- bl.bl_wal_records + 1)
-    pkg.pkg_tail;
-  bl.bl_next_lsn <-
-    1
-    + List.fold_left (fun acc r -> max acc r.r_lsn) pkg.pkg_snapshot_lsn pkg.pkg_tail;
-  List.iter (fun (seq, bytes) -> Hashtbl.replace bl.bl_outbox seq bytes) pkg.pkg_outbox;
-  List.iter (fun m -> Hashtbl.replace bl.bl_inbox m ()) pkg.pkg_inbox;
-  bl.bl_next_out_seq <- max pkg.pkg_next_out_seq 1;
-  rebuild_live t bl
+  package_overhead + bl.bl_snapshot_bytes + bl.bl_wal_bytes + outbox_bytes
+  + (inbox_mark_overhead * Hashtbl.length bl.bl_inbox)
 
 let entries t ~bee =
   match Hashtbl.find_opt t.logs bee with
@@ -731,36 +653,19 @@ let entries t ~bee =
     Hashtbl.fold (fun (d, k) (v, _) acc -> (d, k, v) :: acc) bl.bl_live []
     |> List.sort entry_order
 
-let entry_count t ~bee =
-  match Hashtbl.find_opt t.logs bee with
-  | None -> 0
-  | Some bl -> Hashtbl.length bl.bl_live
-
 let size_bytes t ~bee =
   match Hashtbl.find_opt t.logs bee with None -> 0 | Some bl -> bl.bl_live_bytes
 
 let wal_bytes t ~bee =
   match Hashtbl.find_opt t.logs bee with None -> 0 | Some bl -> bl.bl_wal_bytes
 
-let wal_records t ~bee =
-  match Hashtbl.find_opt t.logs bee with None -> 0 | Some bl -> bl.bl_wal_records
-
 let pending_writes t ~bee =
   match Hashtbl.find_opt t.logs bee with
   | None -> 0
   | Some bl -> List.length bl.bl_pending
 
-let durable_lsn t ~bee =
-  match Hashtbl.find_opt t.logs bee with None -> 0 | Some bl -> bl.bl_next_lsn - 1
-
-let snapshot_lsn t ~bee =
-  match Hashtbl.find_opt t.logs bee with None -> 0 | Some bl -> bl.bl_snapshot_lsn
-
 let snapshot_count t ~bee =
   match Hashtbl.find_opt t.logs bee with None -> 0 | Some bl -> bl.bl_compactions
-
-let tracked_bees t =
-  Hashtbl.fold (fun bee _ acc -> bee :: acc) t.logs [] |> List.sort Int.compare
 
 let total_fsyncs t = t.n_fsyncs
 let total_wal_bytes_written t = t.wal_bytes_written
@@ -918,22 +823,23 @@ let suspects t =
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let suspect t ~bee = Hashtbl.find_opt t.suspects bee
-let clear_suspect t ~bee = Hashtbl.remove t.suspects bee
 
-(* Re-seeds a bee's storage from known-good entries (a Raft peer's
-   snapshot or the live process's own committed view): fresh snapshot,
-   fresh frames, empty WAL. Pending batches are discarded — callers flush
-   first when the bee is alive. Outbox/inbox durable state is rewritten
-   from the supplied lists. *)
-let reseed t ~bee ~entries:es ~outbox ~inbox ~next_out_seq:nos =
+(* Replaces a bee's storage with known-good entries: fresh snapshot,
+   fresh frames, empty WAL. Pending batches are discarded. Outbox/inbox
+   durable state is rewritten from the supplied lists; the lsn, the
+   compaction count and the outbox seq allocator carry over. *)
+let reseed_log t ~bee ~entries:es ~outbox ~inbox =
   let old = Hashtbl.find_opt t.logs bee in
   Hashtbl.remove t.logs bee;
   let bl = log_of t bee in
-  (match old with
-  | Some o ->
-    bl.bl_next_lsn <- o.bl_next_lsn;
-    bl.bl_compactions <- o.bl_compactions
-  | None -> ());
+  let nos =
+    match old with
+    | Some o ->
+      bl.bl_next_lsn <- o.bl_next_lsn;
+      bl.bl_compactions <- o.bl_compactions;
+      o.bl_next_out_seq
+    | None -> 1
+  in
   let es = List.sort entry_order es in
   bl.bl_snapshot <- es;
   bl.bl_snapshot_lsn <- bl.bl_next_lsn - 1;
@@ -949,6 +855,24 @@ let reseed t ~bee ~entries:es ~outbox ~inbox ~next_out_seq:nos =
   bl.bl_next_out_seq <- max bl.bl_next_out_seq (max nos 1);
   Hashtbl.remove t.suspects bee;
   rebuild_live t bl
+
+let reseed t ~bee ~entries ~outbox ~inbox =
+  reseed_log t ~bee ~entries ~outbox ~inbox;
+  t.peer_repairs <- t.peer_repairs + 1
+
+(* A live bee's process memory is intact and strictly newer than anything
+   a peer holds, so its repair is a local rewrite: flush, then replace
+   snapshot+WAL with a freshly checksummed image of the committed view,
+   exactly-once bookkeeping carried over unchanged. *)
+let rewrite t ~bee =
+  flush_bee t ~bee;
+  reseed_log t ~bee ~entries:(entries t ~bee) ~outbox:(outbox_unacked t ~bee)
+    ~inbox:(inbox_marks t ~bee);
+  t.local_rewrites <- t.local_rewrites + 1
+
+let quarantine t ~bee ~detail =
+  forget t ~bee;
+  t.dead_letters <- (bee, detail) :: t.dead_letters
 
 (* ---- fault injection (the lying disk) ---- *)
 
@@ -998,6 +922,20 @@ let records_verified t = t.records_verified
 let crc_failures t = t.crc_failures
 let torn_truncations t = t.torn_truncations
 let scrubs_completed t = t.scrubs_completed
+let local_rewrites t = t.local_rewrites
+let peer_repairs t = t.peer_repairs
+let dead_letters t = List.rev t.dead_letters
+
+let integrity_counters t =
+  [
+    ("records_verified", t.records_verified);
+    ("crc_failures", t.crc_failures);
+    ("torn_truncations", t.torn_truncations);
+    ("scrubs_completed", t.scrubs_completed);
+    ("peer_repairs", t.peer_repairs);
+    ("local_rewrites", t.local_rewrites);
+    ("quarantined_bees", List.length t.dead_letters);
+  ]
 
 (* Canonical byte-level image of the whole store: every tracked log in
    bee-id order — snapshot frame, WAL frames oldest-first with their

@@ -13,8 +13,10 @@
     The engine is value-polymorphic so it can live below [beehive_core]
     (the platform instantiates it at [Value.t]); byte accounting is
     delegated to a [size_of] estimator, and durability costs surface
-    through the [on_fsync] / [on_compaction] callbacks so the owning hive
-    can be charged in Figure-4-style series. Everything is deterministic:
+    through the [on_fsync] callback so the owning hive can be charged in
+    Figure-4-style series. The store also owns storage repair: the
+    integrity counters, the local rewrite and peer re-seed of damaged
+    logs, and the dead-letter record of quarantined ones. Everything is deterministic:
     logs are iterated in ascending bee order and all latency flows through
     the discrete-event engine. *)
 
@@ -62,22 +64,6 @@ type 'v record = {
   r_frame : frame;
 }
 
-type 'v package = {
-  pkg_bee : int;
-  pkg_snapshot : (string * string * 'v) list;  (** compacted cell set *)
-  pkg_snapshot_lsn : int;
-  pkg_snapshot_frame : frame;
-      (** the snapshot's envelope — a migration is a byte copy, so damage
-          travels with the package *)
-  pkg_tail : 'v record list;  (** WAL records after the snapshot, oldest first *)
-  pkg_outbox : (int * int) list;
-      (** durable un-acked outbox entries, [(seq, payload bytes)] ascending *)
-  pkg_inbox : (int * int) list;
-      (** durable dedup marks, [(sender bee, sender seq)] *)
-  pkg_next_out_seq : int;
-  pkg_bytes : int;  (** transfer size: snapshot + tail + outbox + inbox + framing *)
-}
-
 type 'v t
 
 val create :
@@ -87,7 +73,6 @@ val create :
   ?garble:('v -> 'v) ->
   ?on_fsync:(hive:int -> bytes:int -> records:int -> unit) ->
   ?on_outbox_durable:(hive:int -> (int * int) list -> unit) ->
-  ?on_compaction:(bee:int -> dropped_records:int -> dropped_bytes:int -> snapshot_bytes:int -> unit) ->
   unit ->
   'v t
 (** Creates the store and arms its group-commit timer on the engine.
@@ -98,8 +83,7 @@ val create :
     [on_fsync] fires once per hive per flush that made data durable;
     [on_outbox_durable] fires right after it with the [(bee, seq)] outbox
     entries of that hive that just became durable — the platform's cue to
-    hand them to transport; [on_compaction] fires whenever a bee's WAL is
-    folded into a snapshot. *)
+    hand them to transport. *)
 
 val config : 'v t -> config
 
@@ -137,9 +121,6 @@ val flush_bee : 'v t -> bee:int -> unit
     forcing a cluster-wide flush — e.g. a merge making the absorbed
     loser entries durable under the winner before the loser's log is
     forgotten. *)
-
-val compact : 'v t -> bee:int -> unit
-(** Forces snapshot + log truncation for one bee (flushes it first). *)
 
 val drop_pending : 'v t -> hive:int -> unit
 (** Crash semantics: discards every batch appended from [hive] that has
@@ -204,7 +185,18 @@ val suspects : 'v t -> (int * string) list
     {!fsck}) and have not yet been repaired, re-seeded or forgotten. *)
 
 val suspect : 'v t -> bee:int -> string option
-val clear_suspect : 'v t -> bee:int -> unit
+
+(** {3 Repair}
+
+    Which repair applies is the caller's call: a live bee is rewritten
+    from its own committed view, a crashed one is re-seeded from a
+    replication peer, and one with neither is quarantined. *)
+
+val rewrite : 'v t -> bee:int -> unit
+(** Repairs a live bee in place: flushes it, then replaces snapshot+WAL
+    with a freshly checksummed image of its committed view, carrying the
+    outbox, inbox and seq allocator over unchanged. Clears any suspect
+    verdict and counts one {!local_rewrites}. *)
 
 val reseed :
   'v t ->
@@ -212,13 +204,30 @@ val reseed :
   entries:(string * string * 'v) list ->
   outbox:(int * int) list ->
   inbox:(int * int) list ->
-  next_out_seq:int ->
   unit
-(** Repair: replaces the bee's storage with a fresh, fully-checksummed
-    snapshot built from known-good entries (a Raft peer's snapshot or the
-    live process's own committed view), rewriting the durable outbox /
-    inbox state from the supplied lists. Pending batches are discarded —
-    flush first when the bee is alive. Clears any suspect verdict. *)
+(** Repairs a crashed bee from a replication peer: replaces its storage
+    with a fresh, fully-checksummed snapshot of [entries] (the peer's
+    state) and rewrites the durable outbox / inbox from the supplied
+    lists; the outbox seq allocator carries over. Pending batches are
+    discarded. Clears any suspect verdict and counts one
+    {!peer_repairs}. *)
+
+val quarantine : 'v t -> bee:int -> detail:string -> unit
+(** Fail-stop for a bee whose committed prefix failed verification with
+    no replica to re-seed from: drops its storage (as {!forget}) and
+    records a dead letter. *)
+
+val local_rewrites : 'v t -> int
+val peer_repairs : 'v t -> int
+
+val dead_letters : 'v t -> (int * string) list
+(** One record per {!quarantine}, oldest first: the bee and the
+    verification failure that retired it. *)
+
+val integrity_counters : 'v t -> (string * int) list
+(** Every detection and repair counter by name (the platform publishes
+    them as [integrity.*] gauges); [quarantined_bees] counts the dead
+    letters. *)
 
 (** {3 Fault injection (the lying disk)} *)
 
@@ -258,8 +267,6 @@ val outbox_unacked : 'v t -> bee:int -> (int * int) list
     (un-fsynced) entries are excluded: they were never handed to
     transport. *)
 
-val outbox_size : 'v t -> bee:int -> int
-
 val inbox_seen : 'v t -> bee:int -> sender:int -> seq:int -> bool
 (** Whether the bee has already consumed [(sender, seq)] — durable marks
     plus marks riding a not-yet-flushed batch (the receiver's committed
@@ -272,9 +279,6 @@ val inbox_marks : 'v t -> bee:int -> (int * int) list
 (** All [(sender, seq)] marks, durable and pending, sorted — what a merge
     must carry over to the winning bee. *)
 
-val inbox_size : 'v t -> bee:int -> int
-val next_out_seq : 'v t -> bee:int -> int
-
 val wipe_inbox : 'v t -> bee:int -> unit
 (** Debug hook for [--inject-bug replay-dup]: forgets every inbox dedup
     mark, durable and pending, so replayed entries double-apply. *)
@@ -285,13 +289,12 @@ val drop_outbox : 'v t -> bee:int -> unit
 
 (** {2 Migration} *)
 
-val package : 'v t -> bee:int -> 'v package
-(** Flushes and compacts the bee, then returns the snapshot+tail package a
-    live migration ships (stop -> buffer -> transfer -> drain). *)
-
-val install : 'v t -> 'v package -> unit
-(** Installs a package under [pkg_bee], replacing any existing log —
-    the receiving side of a migration or a cross-store transfer. *)
+val package_bytes : 'v t -> bee:int -> int
+(** Flushes and compacts the bee, then returns the size of the package a
+    live migration ships (stop -> buffer -> transfer -> drain): snapshot,
+    WAL tail, durable un-acked outbox and inbox marks, plus framing. The
+    log itself stays keyed by the bee, so nothing is installed on the
+    destination. *)
 
 (** {2 Introspection (per bee)} *)
 
@@ -299,21 +302,14 @@ val entries : 'v t -> bee:int -> (string * string * 'v) list
 (** Materialized view including not-yet-durable pending writes (matches
     the owning bee's committed in-memory state). *)
 
-val entry_count : 'v t -> bee:int -> int
 val size_bytes : 'v t -> bee:int -> int
 
 val wal_bytes : 'v t -> bee:int -> int
 (** Durable WAL tail size (bytes after the last snapshot). *)
 
-val wal_records : 'v t -> bee:int -> int
 val pending_writes : 'v t -> bee:int -> int
-val durable_lsn : 'v t -> bee:int -> int
-val snapshot_lsn : 'v t -> bee:int -> int
 val snapshot_count : 'v t -> bee:int -> int
 (** Compactions taken so far for this bee. *)
-
-val tracked_bees : 'v t -> int list
-(** Bees with any storage, ascending. *)
 
 (** {2 Totals} *)
 

@@ -177,8 +177,7 @@ let test_scrub_repairs_live_bee () =
   Alcotest.(check bool) "damage is real" true (Store.verify_chain s ~bee <> None);
   (* The scrubber runs every 5 ms; give it a moment. *)
   run_for engine 0.1;
-  Alcotest.(check int) "repaired by local rewrite" 1
-    (Platform.local_rewrites platform);
+  Alcotest.(check int) "repaired by local rewrite" 1 (Store.local_rewrites s);
   Alcotest.(check (option string)) "chain is sound again" None
     (Store.verify_chain s ~bee);
   Alcotest.(check (list (pair int string))) "no suspect left" []
@@ -212,8 +211,9 @@ let test_unreplicated_corruption_quarantines () =
   drain engine;
   Alcotest.(check bool) "bee is dead, not revived" false
     (Option.get (Platform.bee_view platform bee)).Platform.view_alive;
-  Alcotest.(check int) "counted" 1 (Platform.quarantined_storage platform);
-  (match Platform.dead_letters platform with
+  Alcotest.(check (option int)) "counted" (Some 1)
+    (Stats.gauge (Platform.stats platform) "integrity.quarantined_bees");
+  (match Store.dead_letters s with
   | [ (b, _) ] -> Alcotest.(check int) "dead-lettered" bee b
   | dl -> Alcotest.failf "expected one dead letter, got %d" (List.length dl));
   Alcotest.(check int) "cells stay claimed (single owner)" bee
@@ -252,7 +252,7 @@ let test_replicated_corruption_reseeds_from_peer () =
   run_for engine 2.0;
   Alcotest.(check bool) "bee revived" true
     (Option.get (Platform.bee_view platform bee)).Platform.view_alive;
-  Alcotest.(check int) "repaired from a peer" 1 (Platform.peer_repairs platform);
+  Alcotest.(check int) "repaired from a peer" 1 (Store.peer_repairs s);
   Alcotest.(check (option int)) "state is the replicated image" (Some 10)
     (store_value platform ~bee ~key:"r");
   Alcotest.(check (option string)) "fresh storage verifies" None

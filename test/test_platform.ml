@@ -185,6 +185,42 @@ let test_local_app_per_hive () =
   Alcotest.(check bool) "not migratable" false
     (Platform.migrate_bee platform ~bee:b0 ~to_hive:1 ~reason:"test")
 
+(* Timer ticks originate on the lowest-numbered member hive that has not
+   crashed: a crash of hive 0 must not silence the app's timers on the
+   survivors, and with every member crashed the tick is skipped rather
+   than dropped as a dead-origin message. *)
+let test_timers_survive_hive_zero_crash () =
+  let seen = Array.make 3 0 in
+  let app =
+    App.create ~name:"test.ticker"
+      ~timers:[ App.timer ~kind:k_noop ~period:(Simtime.of_ms 10) (fun ~now:_ -> Noop 0) ]
+      [
+        App.handler ~kind:k_noop
+          ~map:(fun _ -> Mapping.Local)
+          (fun ctx _ -> seen.(Context.hive_id ctx) <- seen.(Context.hive_id ctx) + 1);
+      ]
+  in
+  let engine, platform = make_platform ~n_hives:3 ~apps:[ app ] () in
+  run_for engine 0.1;
+  Alcotest.(check bool) "every hive ticks" true (Array.for_all (fun n -> n >= 9) seen);
+  (* Let the deliveries in flight at the crash settle (a period is 10 ms). *)
+  let settle () = run_for engine 0.005 in
+  Platform.fail_hive platform 0;
+  settle ();
+  let dropped = Platform.total_dropped platform in
+  Array.fill seen 0 3 0;
+  run_for engine 0.1;
+  Alcotest.(check int) "the crashed hive is silent" 0 seen.(0);
+  Alcotest.(check bool) "survivors keep ticking" true (seen.(1) >= 9 && seen.(2) >= 9);
+  Alcotest.(check int) "no tick dropped" dropped (Platform.total_dropped platform);
+  Platform.fail_hive platform 1;
+  Platform.fail_hive platform 2;
+  settle ();
+  let dropped = Platform.total_dropped platform in
+  run_for engine 0.1;
+  Alcotest.(check int) "all members crashed: ticks skipped, not dropped" dropped
+    (Platform.total_dropped platform)
+
 let test_migration_preserves_state_and_order () =
   let engine, platform = make_platform ~apps:[ kv_app () ] () in
   put platform ~from:1 ~key:"k" ~value:1;
@@ -382,6 +418,8 @@ let suite =
         Alcotest.test_case "access violation aborts tx" `Quick test_access_violation_aborts;
         Alcotest.test_case "foreach fan-out" `Quick test_foreach_fanout;
         Alcotest.test_case "local apps per hive" `Quick test_local_app_per_hive;
+        Alcotest.test_case "timers survive a crash of hive 0" `Quick
+          test_timers_survive_hive_zero_crash;
         Alcotest.test_case "migration preserves state+order" `Quick
           test_migration_preserves_state_and_order;
         Alcotest.test_case "migration traffic accounted" `Quick test_migration_traffic_accounted;
