@@ -23,7 +23,11 @@ let () =
   Platform.register_app platform (Netvirt.app ());
   let _instr =
     Instrumentation.install platform
-      { Instrumentation.default_config with optimize = true; min_messages = 3 }
+      {
+        Instrumentation.default_config with
+        optimize = true;
+        policy = Instrumentation.greedy_source_policy ~min_messages:3 ();
+      }
   in
   Platform.start platform;
   let inj hive kind payload = Platform.inject platform ~from:(Channels.Hive hive) ~kind payload in

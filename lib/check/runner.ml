@@ -14,7 +14,6 @@ module Failure_detector = Beehive_core.Failure_detector
 module Transport = Beehive_net.Transport
 module Store = Beehive_store.Store
 module Membership = Beehive_elastic.Membership
-module Stats = Beehive_core.Stats
 
 type Message.payload +=
   | Ck_put of string
@@ -369,19 +368,15 @@ let lin_monitor recorder last_report =
     Monitor.m_name = "linearizability";
     m_phase = Monitor.Final;
     m_check =
-      (fun ctx ->
+      (fun _ ->
         let ops = History.ops recorder in
         let r = Lin.check_report ops in
         last_report := Some r;
-        let ps = Platform.stats ctx.Monitor.cx_platform in
-        Stats.set_gauge ps "lin.ops_recorded" (History.n_invoked recorder);
-        Stats.set_gauge ps "lin.histories_checked" r.Lin.r_components;
         match r.Lin.r_verdict with
         | Lin.Linearizable -> None
         | Lin.Unknown _ ->
           (* Degraded, not failed: an exhausted budget is a coverage gap
-             (surfaced via the gauge), never a verdict. *)
-          Stats.set_gauge ps "lin.unknown" 1;
+             (surfaced via the [lin.unknown] gauge), never a verdict. *)
           None
         | Lin.Non_linearizable witness ->
           Some
@@ -390,7 +385,21 @@ let lin_monitor recorder last_report =
                (List.length ops) (List.length witness) History.pp_ops witness))
   }
 
-let execute ?observe cfg ops =
+(* The lin workload's coverage counters as [lin.*] gauges, present once
+   its final check has run. *)
+let lin_gauges recorder = function
+  | None -> []
+  | Some r ->
+    [
+      ("lin.histories_checked", r.Lin.r_components);
+      ("lin.ops_recorded", History.n_invoked recorder);
+    ]
+    @ (match r.Lin.r_verdict with Lin.Unknown _ -> [ ("lin.unknown", 1) ] | _ -> [])
+
+(* Runs [ops] and returns the outcome with a reader of the run's gauges:
+   the platform's, the membership manager's and the lin checker's,
+   merged and sorted by name. *)
+let execute_with_gauges ?observe cfg ops =
   let engine = Engine.create ~seed:cfg.r_seed ?domains:cfg.r_domains () in
   let durability =
     if with_durability cfg.r_profile then
@@ -612,50 +621,61 @@ let execute ?observe cfg ops =
       ignore
         (Engine.schedule_at engine (Simtime.of_us (Script.at_us op)) (fun () -> apply op)))
     ops;
-  match
-    Engine.run_until engine (Simtime.of_us (cfg.r_ticks * 1000));
-    (* Heal: the nemesis never leaves the fabric broken or a hive down
-       forever. Mend every link, revive crashed processes, and let the
-       system quiesce before judging the end state. Fenced (evicted but
-       running) hives are deliberately NOT restarted here: once the
-       fabric heals, their heartbeats must walk them back into
-       membership — that rejoin path is part of what the final monitors
-       judge. *)
-    Channels.heal_all (Platform.channels platform);
-    Channels.set_loss (Platform.channels platform) 0.0;
-    for h = 0 to Platform.n_hives platform - 1 do
-      if Platform.hive_crashed platform h then do_restart h
-    done;
-    Engine.run_until engine (Simtime.add (Engine.now engine) (Simtime.of_sec 2.0));
-    List.iter (fun m -> Monitor.check m ctx) monitors
-  with
-  | () ->
-    Pass
-      {
-        s_events = Engine.events_executed engine;
-        s_processed = Platform.total_processed platform;
-        s_migrations = List.length (Platform.migrations platform);
-        s_merges = Platform.total_bee_merges platform;
-        s_dropped = Platform.total_dropped platform;
-        s_retransmits = Transport.retransmits (Platform.transport platform);
-        s_puts = !n_puts;
-        s_lin_ops =
-          (match lin_rec with Some r -> History.n_invoked r | None -> 0);
-        s_lin_checked =
-          (match !lin_report with
-          | Some r -> r.Lin.r_components
-          | None -> 0);
-      }
-  | exception Monitor.Violation v -> Fail v
-  | exception exn ->
-    (* A crash is a finding too: report it as a violation so it shrinks
-       and replays like any invariant failure. *)
-    Fail
-      {
-        Monitor.v_monitor = "exception";
-        v_detail = Printexc.to_string exn;
-        v_at = Engine.now engine;
-      }
+  let outcome =
+    match
+      Engine.run_until engine (Simtime.of_us (cfg.r_ticks * 1000));
+      (* Heal: the nemesis never leaves the fabric broken or a hive down
+         forever. Mend every link, revive crashed processes, and let the
+         system quiesce before judging the end state. Fenced (evicted but
+         running) hives are deliberately NOT restarted here: once the
+         fabric heals, their heartbeats must walk them back into
+         membership — that rejoin path is part of what the final monitors
+         judge. *)
+      Channels.heal_all (Platform.channels platform);
+      Channels.set_loss (Platform.channels platform) 0.0;
+      for h = 0 to Platform.n_hives platform - 1 do
+        if Platform.hive_crashed platform h then do_restart h
+      done;
+      Engine.run_until engine (Simtime.add (Engine.now engine) (Simtime.of_sec 2.0));
+      List.iter (fun m -> Monitor.check m ctx) monitors
+    with
+    | () ->
+      Pass
+        {
+          s_events = Engine.events_executed engine;
+          s_processed = Platform.total_processed platform;
+          s_migrations = List.length (Platform.migrations platform);
+          s_merges = Platform.total_bee_merges platform;
+          s_dropped = Platform.total_dropped platform;
+          s_retransmits = Transport.retransmits (Platform.transport platform);
+          s_puts = !n_puts;
+          s_lin_ops =
+            (match lin_rec with Some r -> History.n_invoked r | None -> 0);
+          s_lin_checked =
+            (match !lin_report with
+            | Some r -> r.Lin.r_components
+            | None -> 0);
+        }
+    | exception Monitor.Violation v -> Fail v
+    | exception exn ->
+      (* A crash is a finding too: report it as a violation so it shrinks
+         and replays like any invariant failure. *)
+      Fail
+        {
+          Monitor.v_monitor = "exception";
+          v_detail = Printexc.to_string exn;
+          v_at = Engine.now engine;
+        }
+  in
+  let gauges () =
+    Platform.gauges platform
+    @ (match membership with Some m -> Membership.gauges m | None -> [])
+    @ (match lin_rec with Some r -> lin_gauges r !lin_report | None -> [])
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  in
+  (outcome, gauges)
+
+let execute ?observe cfg ops = fst (execute_with_gauges ?observe cfg ops)
 
 let run_seed cfg =
   let script =
@@ -692,7 +712,7 @@ let digest cfg =
     Nemesis.generate ~rng:(Rng.create cfg.r_seed) ~profile:cfg.r_profile
       ~n_hives:cfg.r_n_hives ~ticks:cfg.r_ticks
   in
-  let outcome = execute ~observe cfg script in
+  let outcome, gauges = execute_with_gauges ~observe cfg script in
   let engine, platform = Option.get !captured in
   (match outcome with
   | Pass s ->
@@ -720,7 +740,7 @@ let digest cfg =
     (Platform.live_bees platform);
   List.iter
     (fun (k, v) -> Buffer.add_string trace (Printf.sprintf "g %s=%d\n" k v))
-    (Stats.gauges (Platform.stats platform));
+    (gauges ());
   Buffer.add_string trace
     (Printf.sprintf "events=%d batches=%d batched_events=%d\n"
        (Engine.events_executed engine)

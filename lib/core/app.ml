@@ -37,8 +37,3 @@ let create ~name ?(dicts = []) ?(timers = []) ?(replicated = false) ?(pinned = f
     ?(shardable = false) handlers =
   if name = "" then invalid_arg "App.create: empty name";
   { name; dicts; handlers; timers; replicated; pinned; shardable }
-
-let handlers_for t kind = List.filter (fun h -> String.equal h.on_kind kind) t.handlers
-
-let subscribed_kinds t =
-  List.sort_uniq String.compare (List.map (fun h -> h.on_kind) t.handlers)

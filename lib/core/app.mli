@@ -74,7 +74,3 @@ val create :
   t
 (** [shardable] defaults to [false] — opting in is a per-app contract,
     see {!t.shardable}. *)
-
-val handlers_for : t -> string -> handler list
-val subscribed_kinds : t -> string list
-(** Deduplicated, sorted list of kinds this app reacts to. *)

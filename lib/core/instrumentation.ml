@@ -156,24 +156,20 @@ let combined_policy policies : policy =
 type config = {
   window : Simtime.t;
   optimize_every : Simtime.t;
-  majority : float;
-  min_messages : int;
   decay : float;
   optimize : bool;
   max_migrations_per_round : int;
-  policy : policy option;
+  policy : policy;
 }
 
 let default_config =
   {
     window = Simtime.of_sec 1.0;
     optimize_every = Simtime.of_sec 5.0;
-    majority = 0.5;
-    min_messages = 5;
     decay = 0.5;
     optimize = true;
     max_migrations_per_round = 64;
-    policy = None;
+    policy = greedy_source_policy ();
   }
 
 (* ------------------------------------------------------------------ *)
@@ -289,11 +285,6 @@ let current_hive platform ~bee ~reported:_ =
 
 let optimizer_handler handle =
   let { platform; cfg; suggested; performed } = handle in
-  let policy =
-    match cfg.policy with
-    | Some p -> p
-    | None -> greedy_source_policy ~majority:cfg.majority ~min_messages:cfg.min_messages ()
-  in
   App.handler ~kind:kind_optimize
     ~map:(fun _ -> Mapping.whole_dict dict_loads)
     (fun ctx _msg ->
@@ -332,7 +323,7 @@ let optimizer_handler handle =
                    ~reason:d.d_reason
                then incr performed
              end)
-           (policy platform loads)
+           (cfg.policy platform loads)
        end);
       (* Decay history; forget entries that faded out. *)
       let decisions = ref [] in

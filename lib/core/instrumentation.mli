@@ -32,7 +32,11 @@ type policy = Platform.t -> bee_load list -> decision list
 
 val greedy_source_policy : ?majority:float -> ?min_messages:int -> unit -> policy
 (** The paper's heuristic ("On Optimal Placement"): move a bee to the
-    hive sourcing a strict majority of its messages. *)
+    hive whose share of its inbound messages strictly exceeds [majority]
+    (default 0.5, a strict majority). Bees with fewer than
+    [min_messages] inbound messages in the history are left alone
+    (default 5 — about one collection window of steady traffic after
+    decay). *)
 
 val load_balance_policy : ?imbalance:float -> unit -> policy
 (** Alternative strategy: when the busiest hive processes more than
@@ -54,22 +58,13 @@ type config = {
   window : Beehive_sim.Simtime.t;  (** collection period (default 1 s) *)
   optimize_every : Beehive_sim.Simtime.t;
       (** how often the placement heuristic runs (default 5 s) *)
-  majority : float;
-      (** share of a bee's inbound messages a foreign hive must strictly
-          exceed to trigger migration (default 0.5, i.e. a strict
-          majority) *)
-  min_messages : int;
-      (** ignore bees with fewer inbound messages in the history
-          (default 5 — about one collection window of steady traffic
-          after decay) *)
   decay : float;
       (** multiplicative decay of history at each optimization round
           (default 0.5); keeps the view biased to recent traffic *)
   optimize : bool;  (** when false, instrument but never migrate *)
   max_migrations_per_round : int;  (** default 64 *)
-  policy : policy option;
-      (** placement strategy; [None] uses {!greedy_source_policy} with
-          the [majority]/[min_messages] knobs above *)
+  policy : policy;
+      (** placement strategy (default [greedy_source_policy ()]) *)
 }
 
 val default_config : config

@@ -462,16 +462,24 @@ type drop_reason =
 
 val total_dropped : t -> int
 (** Messages discarded for any {!drop_reason} (the per-reason breakdown
-    is in {!stats}) — delivery-conservation monitors read this. *)
+    is the [dropped.*] entries of {!gauges}) — delivery-conservation
+    monitors read this. *)
 
 val paused_bees : t -> int
 (** Bees currently paused (migrating, merging, or fenced). A converged
     healed cluster has none. *)
 
-val stats : t -> Stats.t
-(** Platform-wide gauges, refreshed on each call: the per-reason
-    [dropped.*] breakdown, the [transport.*] reliability counters, and
-    the [membership.*] gauges (hive count plus per-state breakdown). *)
+val gauges : t -> (string * int) list
+(** Platform-wide gauges, sorted by name and computed on each call from
+    the module that owns each counter: the per-reason [dropped.*]
+    breakdown (this module), the [transport.*] reliability counters
+    ({!Beehive_net.Transport}), [outbox.*] and [quarantine.*]
+    ({!Outbox}, plus this module's handler-fault count), [integrity.*]
+    ({!Beehive_store.Store.integrity_counters}), [engine.sharded_*]
+    ({!Beehive_sim.Engine}) and the [membership.*] hive count and
+    per-state breakdown ({!Hives}). Other owners keep their own lists:
+    [Membership.gauges] in the elastic library, and the checker's
+    [lin.*] values in [Runner]. *)
 
 (** {2 Debug fault injection}
 

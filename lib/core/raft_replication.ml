@@ -544,28 +544,7 @@ let member_commit_index t ~hive ~member =
   | Some node -> Raft.commit_index node
   | None -> 0
 
-let member_snapshot_term t ~hive ~member =
-  match member_node t ~hive ~member with
-  | Some node -> Raft.snapshot_term node
-  | None -> 0
 let pending_commands t = Array.fold_left (fun a g -> a + List.length g.g_queue) 0 t.groups
-
-let replica_outbox t ~member ~bee =
-  let found = ref [] in
-  Array.iter
-    (fun g ->
-      if !found = [] then
-        match Hashtbl.find_opt g.g_aux member with
-        | Some tbl -> (
-          match Hashtbl.find_opt tbl bee with
-          | Some a ->
-            found :=
-              Hashtbl.fold (fun seq m acc -> (seq, m) :: acc) a.a_emits []
-              |> List.sort (fun (x, _) (y, _) -> compare x y)
-          | None -> ())
-        | None -> ())
-    t.groups;
-  !found
 
 let replica_entries t ~member ~bee =
   let found = ref None in

@@ -9,8 +9,11 @@
     successors). Every committed transaction of a [replicated] app is
     proposed to the group anchored at the bee's hive at first commit;
     each group member applies the write set to its own replica of the
-    bee's state. On hive failure the platform recovers a bee from the
-    most caught-up live member. All Raft traffic (elections, heartbeats,
+    bee's state. The bee's un-acked outbox entries ride the same commits,
+    are trimmed when the platform reports full acknowledgement, and are
+    kept in compaction snapshots. On hive failure the platform recovers a
+    bee (state and outbox) from the most caught-up live member. All Raft
+    traffic (elections, heartbeats,
     entries) is charged on the inter-hive control channels, so the cost
     of consensus is visible in the Figure-4 style measurements.
 
@@ -55,14 +58,6 @@ val pending_commands : t -> int
 val replica_entries : t -> member:int -> bee:int -> (string * string * Value.t) list
 (** A member hive's replica of a bee's state (tests/inspection). *)
 
-val replica_outbox : t -> member:int -> bee:int -> (int * Message.t) list
-(** A member hive's replica of a bee's un-acked outbox entries, ascending
-    by sequence number (tests/inspection). Entries arrive through
-    replicated commits ([ci_emits]), are trimmed when the platform
-    reports full acknowledgement, and ride compaction snapshots; on
-    failover {!Platform.failover_bee} re-seeds the recovered bee's WAL
-    from the most caught-up member's copy. *)
-
 val snapshot_installs : t -> int
 (** Times any member reset its replicas from a snapshot image (leader
     catch-up or post-restart recovery). *)
@@ -93,4 +88,3 @@ val member_log_entries : t -> hive:int -> member:int -> Beehive_raft.Raft.entry 
     node in that group). *)
 
 val member_commit_index : t -> hive:int -> member:int -> int
-val member_snapshot_term : t -> hive:int -> member:int -> int

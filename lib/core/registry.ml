@@ -131,7 +131,6 @@ let bees t =
   Hashtbl.fold (fun _ b acc -> b :: acc) t.infos []
   |> List.sort (fun a b -> Int.compare a.bee_id b.bee_id)
 
-let bees_of_app t ~app = List.filter (fun b -> String.equal b.bee_app app) (bees t)
 let bees_on_hive t ~hive = List.filter (fun b -> b.bee_hive = hive) (bees t)
 let n_bees t = Hashtbl.length t.infos
 

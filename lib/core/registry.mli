@@ -55,7 +55,6 @@ val set_hive : t -> bee:int -> hive:int -> unit
 val bees : t -> bee_info list
 (** All bees, ascending id. *)
 
-val bees_of_app : t -> app:string -> bee_info list
 val bees_on_hive : t -> hive:int -> bee_info list
 val n_bees : t -> int
 val cells_on_hive : t -> hive:int -> int

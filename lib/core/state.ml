@@ -99,8 +99,6 @@ let tx_iter tx ~dict f =
     (fun k -> match Hashtbl.find view k with Some v -> f k v | None -> ())
     (List.sort String.compare ks)
 
-let tx_writes tx = Hashtbl.length tx.pending
-
 let tx_pending tx =
   Hashtbl.fold
     (fun (dict, key) w acc ->
@@ -159,15 +157,6 @@ let extract t cell_set =
 
 let insert t entries =
   List.iter (fun (dname, k, v) -> Hashtbl.replace (get_dict t dname) k v) entries
-
-let apply_writes t writes =
-  List.iter
-    (fun (dname, k, w) ->
-      match w with
-      | Some v -> Hashtbl.replace (get_dict t dname) k v
-      | None -> (
-        match find_dict t dname with Some d -> Hashtbl.remove d k | None -> ()))
-    writes
 
 let snapshot t =
   let acc = ref [] in

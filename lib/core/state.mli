@@ -40,9 +40,6 @@ val tx_iter : tx -> dict:string -> (string -> Value.t -> unit) -> unit
 (** Iterates the transactional view: base entries overlaid with the
     transaction's pending writes and deletions. *)
 
-val tx_writes : tx -> int
-(** Number of pending writes/deletes (used for replication accounting). *)
-
 val tx_pending : tx -> (string * string * Value.t option) list
 (** The pending writes ([None] means deletion), in deterministic order;
     what a replication scheme ships to its replicas on commit. *)
@@ -66,9 +63,6 @@ val extract : t -> Cell.Set.t -> (string * string * Value.t) list
     (wildcards select whole dictionaries). *)
 
 val insert : t -> (string * string * Value.t) list -> unit
-
-val apply_writes : t -> (string * string * Value.t option) list -> unit
-(** Replays a committed write set ([None] deletes) — WAL recovery. *)
 
 val snapshot : t -> (string * string * Value.t) list
 val restore : (string * string * Value.t) list -> t

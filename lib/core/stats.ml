@@ -1,72 +1,46 @@
 type t = {
   mutable processed : int;
   mutable errors : int;
-  mutable emitted : int;
   mutable busy_us : int;
-  in_by_kind : (string, int) Hashtbl.t;
   out_by_kind : (string, int) Hashtbl.t;
   provenance : (string * string, int) Hashtbl.t;
   (* current window *)
   mutable cur_processed : int;
-  mutable cur_errors : int;
-  mutable cur_busy_us : int;
-  mutable cur_emitted : int;
   cur_in_by_hive : (int, int) Hashtbl.t;
-  cur_in_by_bee : (int, int) Hashtbl.t;
   (* log2 latency histogram: index i counts samples in [2^i, 2^(i+1)) us,
      index 0 also holding sub-microsecond samples *)
   latency_buckets : int array;
   mutable latency_samples : int;
-  gauges : (string, int) Hashtbl.t;
 }
 
 type window = {
   w_processed : int;
-  w_errors : int;
-  w_busy_us : int;
   w_in_by_hive : (int * int) list;
-  w_in_by_bee : (int * int) list;
-  w_emitted : int;
 }
 
 let create () =
   {
     processed = 0;
     errors = 0;
-    emitted = 0;
     busy_us = 0;
-    in_by_kind = Hashtbl.create 8;
     out_by_kind = Hashtbl.create 8;
     provenance = Hashtbl.create 8;
     cur_processed = 0;
-    cur_errors = 0;
-    cur_busy_us = 0;
-    cur_emitted = 0;
     cur_in_by_hive = Hashtbl.create 8;
-    cur_in_by_bee = Hashtbl.create 8;
     latency_buckets = Array.make 40 0;
     latency_samples = 0;
-    gauges = Hashtbl.create 4;
   }
 
 let bump tbl k n =
   Hashtbl.replace tbl k (n + Option.value ~default:0 (Hashtbl.find_opt tbl k))
 
-let record_in t ~src_hive ~src_bee ~kind =
+let record_in t ~src_hive =
   t.processed <- t.processed + 1;
   t.cur_processed <- t.cur_processed + 1;
-  bump t.in_by_kind kind 1;
-  (match src_hive with Some h -> bump t.cur_in_by_hive h 1 | None -> ());
-  match src_bee with Some b -> bump t.cur_in_by_bee b 1 | None -> ()
+  match src_hive with Some h -> bump t.cur_in_by_hive h 1 | None -> ()
 
-let record_done t ~busy =
-  let us = Beehive_sim.Simtime.to_us busy in
-  t.busy_us <- t.busy_us + us;
-  t.cur_busy_us <- t.cur_busy_us + us
-
-let record_error t =
-  t.errors <- t.errors + 1;
-  t.cur_errors <- t.cur_errors + 1
+let record_done t ~busy = t.busy_us <- t.busy_us + Beehive_sim.Simtime.to_us busy
+let record_error t = t.errors <- t.errors + 1
 
 let bucket_of_us us =
   if us <= 1 then 0
@@ -80,13 +54,6 @@ let record_latency t lat =
   let b = bucket_of_us us in
   t.latency_buckets.(b) <- t.latency_buckets.(b) + 1;
   t.latency_samples <- t.latency_samples + 1
-
-let latency_histogram t =
-  let acc = ref [] in
-  for i = 39 downto 0 do
-    if t.latency_buckets.(i) > 0 then acc := (1 lsl i, t.latency_buckets.(i)) :: !acc
-  done;
-  !acc
 
 let latency_percentile t p =
   if t.latency_samples = 0 then None
@@ -110,30 +77,17 @@ let merge_latency ~into src =
   into.latency_samples <- into.latency_samples + src.latency_samples
 
 let record_out t ~in_kind ~out_kind =
-  t.emitted <- t.emitted + 1;
-  t.cur_emitted <- t.cur_emitted + 1;
   bump t.out_by_kind out_kind 1;
-  match in_kind with
-  | Some ik -> bump t.provenance (ik, out_kind) 1
-  | None -> ()
-
-let set_gauge t name v = Hashtbl.replace t.gauges name v
-let gauge t name = Hashtbl.find_opt t.gauges name
-
-let gauges t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.gauges []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  bump t.provenance (in_kind, out_kind) 1
 
 let processed t = t.processed
 let errors t = t.errors
-let emitted t = t.emitted
 let busy_us t = t.busy_us
 
 let sorted_assoc tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let in_by_kind t = sorted_assoc t.in_by_kind
 let out_by_kind t = sorted_assoc t.out_by_kind
 
 let provenance t =
@@ -141,22 +95,9 @@ let provenance t =
   |> List.sort compare
 
 let take_window t =
-  let w : window =
-    {
-      w_processed = t.cur_processed;
-      w_errors = t.cur_errors;
-      w_busy_us = t.cur_busy_us;
-      w_in_by_hive = sorted_assoc t.cur_in_by_hive;
-      w_in_by_bee = sorted_assoc t.cur_in_by_bee;
-      w_emitted = t.cur_emitted;
-    }
-  in
+  let w = { w_processed = t.cur_processed; w_in_by_hive = sorted_assoc t.cur_in_by_hive } in
   t.cur_processed <- 0;
-  t.cur_errors <- 0;
-  t.cur_busy_us <- 0;
-  t.cur_emitted <- 0;
   Hashtbl.reset t.cur_in_by_hive;
-  Hashtbl.reset t.cur_in_by_bee;
   w
 
 let window_total_in w = List.fold_left (fun acc (_, n) -> acc + n) 0 w.w_in_by_hive

@@ -4,61 +4,47 @@
     of each bee along with the number of messages it exchanges with other
     bees ... We also store provenance and causation data for messages"
     (Section 3). Each bee owns one [Stats.t]; collectors snapshot a window
-    periodically and aggregate on one hive. *)
+    periodically and aggregate on one hive. The message exchange is kept
+    as per-hive inbound counts (what placement acts on), not as a
+    bee-to-bee matrix. Platform-wide gauges are not here: see
+    {!Platform.gauges}. *)
 
 type t
 
 type window = {
   w_processed : int;
-  w_errors : int;
-  w_busy_us : int;
   w_in_by_hive : (int * int) list;
       (** (source hive, messages received from bees/endpoints there) *)
-  w_in_by_bee : (int * int) list;  (** (source bee, messages) *)
-  w_emitted : int;
 }
 
 val create : unit -> t
 
 (** {2 Recording (called by the platform)} *)
 
-val record_in : t -> src_hive:int option -> src_bee:int option -> kind:string -> unit
+val record_in : t -> src_hive:int option -> unit
+(** Counts one handled message; [src_hive] is the hive it came from, if
+    any, feeding the window's per-hive inbound counts. *)
+
 val record_done : t -> busy:Beehive_sim.Simtime.t -> unit
 val record_error : t -> unit
-val record_out : t -> in_kind:string option -> out_kind:string -> unit
+val record_out : t -> in_kind:string -> out_kind:string -> unit
 
 val record_latency : t -> Beehive_sim.Simtime.t -> unit
 (** End-to-end delay between a message's emission and the start of its
     processing (queueing + channel + lock RPCs). Kept as a logarithmic
     histogram. *)
 
-(** {2 Gauges}
-
-    Named point-in-time values (e.g. per-bee WAL bytes and snapshot count
-    maintained by the durability engine), overwritten on each update. *)
-
-val set_gauge : t -> string -> int -> unit
-val gauge : t -> string -> int option
-val gauges : t -> (string * int) list
-(** All gauges, sorted by name. *)
-
 (** {2 Cumulative views} *)
 
 val processed : t -> int
 val errors : t -> int
-val emitted : t -> int
 val busy_us : t -> int
-val in_by_kind : t -> (string * int) list
 val out_by_kind : t -> (string * int) list
 
 val provenance : t -> (string * string * int) list
 (** [(in_kind, out_kind, count)]: how many [out_kind] messages were
     emitted while processing an [in_kind] message ("packet_out messages
     are emitted by the learning switch upon receiving packet_in's"). *)
-
-val latency_histogram : t -> (int * int) list
-(** [(bucket_floor_us, count)]: power-of-two latency buckets, ascending.
-    A sample in bucket [b] had latency in [b, 2b) microseconds. *)
 
 val latency_percentile : t -> float -> int option
 (** [latency_percentile t 0.99] estimates the given percentile in

@@ -10,9 +10,7 @@ type t +=
 
 let default_size = 64
 let size_hooks : (t -> int option) list ref = ref []
-let pp_hooks : (Format.formatter -> t -> bool) list ref = ref []
 let register_size f = size_hooks := f :: !size_hooks
-let register_pp f = pp_hooks := f :: !pp_hooks
 
 let rec size v =
   match v with
@@ -40,12 +38,7 @@ let rec pp fmt v =
     Format.fprintf fmt "[%a]"
       (Format.pp_print_list ~pp_sep:(fun f () -> Format.pp_print_string f "; ") pp)
       l
-  | _ ->
-    let rec try_hooks = function
-      | [] -> Format.pp_print_string fmt "<abstract>"
-      | h :: rest -> if not (h fmt v) then try_hooks rest
-    in
-    try_hooks !pp_hooks
+  | _ -> Format.pp_print_string fmt "<abstract>"
 
 let rec garble v =
   match v with

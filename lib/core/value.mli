@@ -25,10 +25,7 @@ val register_size : (t -> int option) -> unit
 (** Adds an estimator consulted (most recent first) before the default. *)
 
 val pp : Format.formatter -> t -> unit
-(** Prints scalars; unknown constructors print as ["<abstract>"].
-    Extensible via {!register_pp}. *)
-
-val register_pp : (Format.formatter -> t -> bool) -> unit
+(** Prints scalars; unknown constructors print as ["<abstract>"]. *)
 
 val garble : t -> t
 (** What a reader gets back from physically damaged bytes it failed to

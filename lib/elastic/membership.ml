@@ -1,7 +1,6 @@
 module Engine = Beehive_sim.Engine
 module Simtime = Beehive_sim.Simtime
 module Platform = Beehive_core.Platform
-module Stats = Beehive_core.Stats
 module Raft_replication = Beehive_core.Raft_replication
 
 let src = Logs.Src.create "beehive.elastic" ~doc:"Beehive elastic membership"
@@ -29,18 +28,6 @@ type t = {
   mutable last_drain_us : int;
 }
 
-(* Publishes the elastic counters as [membership.*] gauges on the
-   platform's stats record, next to the per-state breakdown the platform
-   computes itself, so Summary and dashboards read one source. *)
-let publish t =
-  let st = Platform.stats t.platform in
-  Stats.set_gauge st "membership.joins" t.n_joins;
-  Stats.set_gauge st "membership.drains_started" t.n_drains_started;
-  Stats.set_gauge st "membership.drains_completed" t.n_drains_completed;
-  Stats.set_gauge st "membership.decommissions" t.n_decommissions;
-  Stats.set_gauge st "membership.rebalance_migrations" t.n_rebalance_migrations;
-  Stats.set_gauge st "membership.last_drain_us" t.last_drain_us
-
 let has_prefix ~prefix s =
   String.length s >= String.length prefix
   && String.equal (String.sub s 0 (String.length prefix)) prefix
@@ -55,7 +42,6 @@ let decommission t hive =
   if Platform.hive_decommissioned t.platform hive then true
   else if Platform.decommission_hive t.platform hive then begin
     t.n_decommissions <- t.n_decommissions + 1;
-    publish t;
     true
   end
   else false
@@ -80,8 +66,7 @@ let pump_drain t (d : Drain.t) =
       Log.info (fun m ->
           m "hive %d drained in %d us" hive
             (Option.value ~default:0 (Drain.duration_us d)));
-      if Drain.auto_decommission d then ignore (decommission t hive);
-      publish t
+      if Drain.auto_decommission d then ignore (decommission t hive)
     end
   end
 
@@ -112,12 +97,8 @@ let create ?(config = default_config) ?raft platform =
       if
         has_prefix ~prefix:"drain:" mig.Platform.mig_reason
         || has_prefix ~prefix:"scale-out:" mig.Platform.mig_reason
-      then begin
-        t.n_rebalance_migrations <- t.n_rebalance_migrations + 1;
-        publish t
-      end);
+      then t.n_rebalance_migrations <- t.n_rebalance_migrations + 1);
   ignore (Engine.every engine config.pump_period (fun () -> pump t));
-  publish t;
   t
 
 (* ------------------------------------------------------------------ *)
@@ -130,7 +111,6 @@ let add_hive t =
      raft replication anchors a group at the new hive. *)
   let id = Platform.add_hive t.platform in
   t.n_joins <- t.n_joins + 1;
-  publish t;
   id
 
 (* ------------------------------------------------------------------ *)
@@ -167,7 +147,6 @@ let drain t ?(auto_decommission = false) ?on_complete hive =
         Log.info (fun m -> m "hive %d: handed off %d raft group memberships" hive moved)
     | None -> ());
     ignore (Rebalancer.evacuate_step t.platform ~hive ~reason:(drain_reason hive));
-    publish t;
     true
   end
 
@@ -176,7 +155,6 @@ let cancel_drain t hive =
   | Some d when Drain.state d = Drain.Draining ->
     Hashtbl.remove t.drains hive;
     Platform.set_draining t.platform hive false;
-    publish t;
     true
   | Some _ | None -> false
 
@@ -200,3 +178,13 @@ let drains_completed t = t.n_drains_completed
 let decommissions t = t.n_decommissions
 let rebalance_migrations t = t.n_rebalance_migrations
 let last_drain_us t = t.last_drain_us
+
+let gauges t =
+  [
+    ("membership.decommissions", t.n_decommissions);
+    ("membership.drains_completed", t.n_drains_completed);
+    ("membership.drains_started", t.n_drains_started);
+    ("membership.joins", t.n_joins);
+    ("membership.last_drain_us", t.last_drain_us);
+    ("membership.rebalance_migrations", t.n_rebalance_migrations);
+  ]

@@ -37,8 +37,7 @@ val create :
   ?config:config -> ?raft:Beehive_core.Raft_replication.t -> Beehive_core.Platform.t -> t
 (** Installs the evacuation pump on the platform's engine and a
     migration hook that counts rebalance moves. Pass [raft] so drains
-    hand off group memberships before evacuating bees. Publishes
-    [membership.*] gauges into {!Beehive_core.Platform.stats}. *)
+    hand off group memberships before evacuating bees. *)
 
 val add_hive : t -> int
 (** Joins one new hive and returns its id (= previous hive count). *)
@@ -71,7 +70,7 @@ val draining : t -> int list
 val incomplete_drains : t -> int list
 (** Alias of {!draining}, for monitor code that reads better with it. *)
 
-(** {1 Counters} (also published as [membership.*] gauges) *)
+(** {1 Counters} (also read as [membership.*] gauges through {!gauges}) *)
 
 val joins : t -> int
 val drains_started : t -> int
@@ -85,3 +84,8 @@ val rebalance_migrations : t -> int
 val last_drain_us : t -> int
 (** Duration of the most recently completed drain, in simulated
     microseconds; [0] before any drain completes. *)
+
+val gauges : t -> (string * int) list
+(** The counters above as [membership.*] gauges, sorted by name. They sit
+    next to the per-state hive breakdown of
+    {!Beehive_core.Platform.gauges}; readers merge the two lists. *)

@@ -146,12 +146,11 @@ let run ?(config = default_config) () =
         optimize_every = Simtime.of_ms 500;
         optimize = true;
         policy =
-          Some
-            (Instrumentation.combined_policy
-               [
-                 Instrumentation.scale_out_policy ();
-                 Instrumentation.load_balance_policy ();
-               ]);
+          Instrumentation.combined_policy
+            [
+              Instrumentation.scale_out_policy ();
+              Instrumentation.load_balance_policy ();
+            ];
       }
   in
   let membership = Membership.create platform in
@@ -207,7 +206,7 @@ let run ?(config = default_config) () =
     r_integrity =
       List.filter
         (fun (k, _) -> String.starts_with ~prefix:"integrity." k)
-        (Stats.gauges (Platform.stats platform));
+        (Platform.gauges platform);
     r_dead_letters = (match Platform.store platform with
       | Some s -> List.length (Beehive_store.Store.dead_letters s)
       | None -> 0);

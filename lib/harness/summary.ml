@@ -47,16 +47,13 @@ let measure matrix series platform =
       | None -> 0);
     s_quarantined = Platform.total_quarantined platform;
     s_membership =
-      (* Platform gauges worth a summary line: cluster membership, the
-         storage-integrity counters, plus the linearizability checker's
-         coverage counters when a lin workload ran against this
-         platform. *)
+      (* Platform gauges worth a summary line: cluster membership and
+         the storage-integrity counters. *)
       List.filter
         (fun (k, _) ->
           String.starts_with ~prefix:"membership." k
-          || String.starts_with ~prefix:"integrity." k
-          || String.starts_with ~prefix:"lin." k)
-        (Beehive_core.Stats.gauges (Platform.stats platform));
+          || String.starts_with ~prefix:"integrity." k)
+        (Platform.gauges platform);
   }
 
 let of_scenario sc =

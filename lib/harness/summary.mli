@@ -26,11 +26,9 @@ type t = {
           quarantined after an unrepairable integrity fault *)
   s_quarantined : int;  (** poison messages quarantined by delivery retry *)
   s_membership : (string * int) list;
-      (** the platform's [membership.*], [integrity.*] and [lin.*]
-          gauges — hive count and per-state breakdown, the
-          storage-integrity counters, plus (when an elastic
-          {!Beehive_elastic.Membership} manager is running)
-          join/drain/rebalance counters *)
+      (** the [membership.*] and [integrity.*] entries of
+          {!Beehive_core.Platform.gauges} — hive count and per-state
+          breakdown, and the storage-integrity counters *)
 }
 
 val measure :

@@ -209,7 +209,7 @@ let test_hive_lifecycle_queries () =
          gauges)
       (List.filter
          (fun (k, _) -> String.starts_with ~prefix:"membership." k)
-         (Beehive_core.Stats.gauges (Platform.stats platform)))
+         (Platform.gauges platform))
   in
   let up = "alive up placeable" in
   step "initial" ~rows:[ up; up; up; up ] ~members:[ 0; 1; 2; 3 ]

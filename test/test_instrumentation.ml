@@ -11,7 +11,11 @@ let setup ~optimize () =
   Platform.register_app platform (kv_app ());
   let handle =
     Instrumentation.install platform
-      { Instrumentation.default_config with optimize; min_messages = 3 }
+      {
+        Instrumentation.default_config with
+        optimize;
+        policy = Instrumentation.greedy_source_policy ~min_messages:3 ();
+      }
   in
   Platform.start platform;
   (engine, platform, handle)
@@ -92,7 +96,7 @@ let test_max_migrations_per_round () =
       {
         Instrumentation.default_config with
         optimize = true;
-        min_messages = 3;
+        policy = Instrumentation.greedy_source_policy ~min_messages:3 ();
         max_migrations_per_round = 2;
       }
   in

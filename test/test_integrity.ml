@@ -212,7 +212,7 @@ let test_unreplicated_corruption_quarantines () =
   Alcotest.(check bool) "bee is dead, not revived" false
     (Option.get (Platform.bee_view platform bee)).Platform.view_alive;
   Alcotest.(check (option int)) "counted" (Some 1)
-    (Stats.gauge (Platform.stats platform) "integrity.quarantined_bees");
+    (List.assoc_opt "integrity.quarantined_bees" (Platform.gauges platform));
   (match Store.dead_letters s with
   | [ (b, _) ] -> Alcotest.(check int) "dead-lettered" bee b
   | dl -> Alcotest.failf "expected one dead letter, got %d" (List.length dl));
@@ -285,14 +285,14 @@ let test_restart_truncates_torn_tail () =
   Alcotest.(check (option int)) "revived at the crash-consistent prefix" (Some 7)
     (store_value platform ~bee ~key:"t");
   Alcotest.(check bool) "truncation counted" true (Store.torn_truncations s >= 1);
-  (* Integrity gauges surface through the platform stats. *)
-  let ps = Platform.stats platform in
+  (* Integrity gauges surface through the platform gauges. *)
+  let gauges = Platform.gauges platform in
   Alcotest.(check bool) "records_verified gauge" true
-    (match Stats.gauge ps "integrity.records_verified" with
+    (match List.assoc_opt "integrity.records_verified" gauges with
     | Some n -> n > 0
     | None -> false);
   Alcotest.(check bool) "torn_truncations gauge" true
-    (Stats.gauge ps "integrity.torn_truncations" = Some (Store.torn_truncations s))
+    (List.assoc_opt "integrity.torn_truncations" gauges = Some (Store.torn_truncations s))
 
 let suite =
   [

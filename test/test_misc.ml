@@ -78,10 +78,10 @@ let test_series_sparkline () =
 
 let test_stats_windows () =
   let s = Stats.create () in
-  Stats.record_in s ~src_hive:(Some 1) ~src_bee:(Some 7) ~kind:"k";
-  Stats.record_in s ~src_hive:(Some 1) ~src_bee:(Some 7) ~kind:"k";
-  Stats.record_in s ~src_hive:(Some 2) ~src_bee:None ~kind:"j";
-  Stats.record_out s ~in_kind:(Some "k") ~out_kind:"o";
+  Stats.record_in s ~src_hive:(Some 1);
+  Stats.record_in s ~src_hive:(Some 1);
+  Stats.record_in s ~src_hive:(Some 2);
+  Stats.record_out s ~in_kind:"k" ~out_kind:"o";
   let w = Stats.take_window s in
   Alcotest.(check int) "window processed" 3 w.Stats.w_processed;
   Alcotest.(check (list (pair int int))) "by hive" [ (1, 2); (2, 1) ] w.Stats.w_in_by_hive;

@@ -259,7 +259,7 @@ let test_gauges_1_vs_4 () =
         (Format.asprintf "seed unexpectedly failed: %a"
            Beehive_check.Monitor.pp_violation v));
     match !captured with
-    | Some p -> Stats.gauges (Platform.stats p)
+    | Some p -> Platform.gauges p
     | None -> Alcotest.fail "observe hook never ran"
   in
   let g1 = final_gauges 1 in

@@ -100,7 +100,7 @@ let test_load_balance_end_to_end () =
       {
         Instrumentation.default_config with
         optimize = true;
-        policy = Some (Instrumentation.load_balance_policy ~imbalance:1.5 ());
+        policy = Instrumentation.load_balance_policy ~imbalance:1.5 ();
       }
   in
   Platform.start platform;
