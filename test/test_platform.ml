@@ -86,6 +86,34 @@ let test_whole_dict_merges_bees () =
   Alcotest.(check int) "late key joins mega bee" mega (owner_exn platform ~app:"test.kv" "k-late");
   Registry.check_invariant (Platform.registry platform)
 
+(* A merge leaves the losing bees dead, but the messages they handled
+   still count towards the cluster-wide latency percentiles. *)
+let test_latency_percentile_counts_merged_bees () =
+  let engine, platform =
+    make_platform ~apps:[ kv_app ~with_whole_dict_reader:true () ] ()
+  in
+  for i = 0 to 7 do
+    put platform ~from:(i mod 4) ~key:(Printf.sprintf "k%d" i) ~value:1
+  done;
+  drain engine;
+  let bees =
+    List.init 8 (fun i -> owner_exn platform ~app:"test.kv" (Printf.sprintf "k%d" i))
+  in
+  Platform.inject platform ~from:(Channels.Hive 0) ~kind:k_get_all Get_all;
+  drain engine;
+  Alcotest.(check int) "merges" 7 (Platform.total_bee_merges platform);
+  let all = Stats.create () in
+  List.iter
+    (fun b -> Stats.merge_latency ~into:all (Option.get (Platform.bee_stats platform b)))
+    bees;
+  List.iter
+    (fun p ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "p%g over every handled message" (100.0 *. p))
+        (Stats.latency_percentile all p)
+        (Platform.message_latency_percentile platform p))
+    [ 0.5; 0.99 ]
+
 let test_access_violation_aborts () =
   let app =
     App.create ~name:"test.bad" ~dicts:[ "store" ]
@@ -415,6 +443,8 @@ let suite =
         Alcotest.test_case "same key -> same bee" `Quick test_same_key_same_bee_any_origin;
         Alcotest.test_case "different keys shard" `Quick test_different_keys_shard;
         Alcotest.test_case "whole-dict access merges bees" `Quick test_whole_dict_merges_bees;
+        Alcotest.test_case "latency percentiles count merged bees" `Quick
+          test_latency_percentile_counts_merged_bees;
         Alcotest.test_case "access violation aborts tx" `Quick test_access_violation_aborts;
         Alcotest.test_case "foreach fan-out" `Quick test_foreach_fanout;
         Alcotest.test_case "local apps per hive" `Quick test_local_app_per_hive;
