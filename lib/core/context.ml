@@ -85,15 +85,17 @@ let visible t ~dict key =
   let c = Cell.cell dict key in
   Cell.Set.exists (fun a -> Cell.intersects a c) t.allowed
 
+(* Holding the wildcard of [dict] makes every key visible, so only bees
+   that hold some keys of [dict] pay the per-key check. *)
 let iter_dict t ~dict f =
   check_dict t ~dict;
+  let f =
+    if Cell.Set.mem (Cell.whole dict) t.allowed then f
+    else fun k v -> if visible t ~dict k then f k v
+  in
   match t.read_shadow with
-  | Some entries ->
-    List.iter
-      (fun (d, k, v) ->
-        if String.equal d dict && visible t ~dict k then f k v)
-      entries
-  | None -> State.tx_iter t.tx ~dict (fun k v -> if visible t ~dict k then f k v)
+  | Some entries -> List.iter (fun (d, k, v) -> if String.equal d dict then f k v) entries
+  | None -> State.tx_iter t.tx ~dict f
 
 let dict_keys t ~dict =
   let acc = ref [] in

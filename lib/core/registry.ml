@@ -44,8 +44,12 @@ let dict_keys idx dict =
     Hashtbl.add idx.by_key dict keys;
     keys
 
-let owners t ~app cells =
-  let idx = app_index t app in
+let key_owner idx dict k =
+  match Hashtbl.find_opt idx.by_key dict with
+  | Some keys -> Hashtbl.find_opt keys k
+  | None -> None
+
+let scan_owners idx cells =
   let found = Hashtbl.create 4 in
   let add b = Hashtbl.replace found b () in
   Cell.Set.iter
@@ -54,10 +58,7 @@ let owners t ~app cells =
       (* Any cell of [dict] intersects the wildcard owner of [dict]. *)
       (match Hashtbl.find_opt idx.by_wildcard dict with Some b -> add b | None -> ());
       match c.Cell.key with
-      | Cell.Key k -> (
-        match Hashtbl.find_opt idx.by_key dict with
-        | Some keys -> ( match Hashtbl.find_opt keys k with Some b -> add b | None -> ())
-        | None -> ())
+      | Cell.Key k -> ( match key_owner idx dict k with Some b -> add b | None -> ())
       | Cell.All -> (
         (* A wildcard intersects every owned key of the dictionary. *)
         match Hashtbl.find_opt idx.by_key dict with
@@ -65,6 +66,20 @@ let owners t ~app cells =
         | None -> ()))
     cells;
   List.sort Int.compare (Hashtbl.fold (fun b () acc -> b :: acc) found [])
+
+let owners t ~app cells =
+  let idx = app_index t app in
+  if Cell.Set.cardinal cells <> 1 then scan_owners idx cells
+  else
+    match Cell.Set.choose cells with
+    | { Cell.dict; key = Cell.Key k } -> (
+      (* One keyed cell, the usual routed mapping: its owners are at most
+         the wildcard owner and the key owner, found without a table. *)
+      match (Hashtbl.find_opt idx.by_wildcard dict, key_owner idx dict k) with
+      | None, None -> []
+      | Some b, None | None, Some b -> [ b ]
+      | Some a, Some b -> if a = b then [ a ] else [ min a b; max a b ])
+    | { Cell.key = Cell.All; _ } -> scan_owners idx cells
 
 let owners_of_dict t ~app ~dict =
   owners t ~app (Cell.Set.singleton (Cell.whole dict))

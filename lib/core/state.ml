@@ -1,4 +1,17 @@
-type t = { dicts : (string, (string, Value.t) Hashtbl.t) Hashtbl.t }
+module SMap = Map.Make (String)
+
+(* Pending writes keyed by [(dict, key)], ordered by [String.compare] on
+   each part: the order the WAL record and replication ship them in. *)
+module PMap = Map.Make (struct
+  type t = string * string
+
+  let compare (d1, k1) (d2, k2) =
+    match String.compare d1 d2 with 0 -> String.compare k1 k2 | c -> c
+end)
+
+(* Each dictionary is a persistent map, so reading it in key order needs
+   no sort and a transactional view needs no copy. *)
+type t = { dicts : (string, Value.t SMap.t) Hashtbl.t }
 
 type write =
   | Set of Value.t
@@ -6,66 +19,46 @@ type write =
 
 type tx = {
   base : t;
-  pending : (string * string, write) Hashtbl.t;
+  mutable pending : write PMap.t;
   mutable finished : bool;
 }
 
 let create () = { dicts = Hashtbl.create 8 }
 
-let find_dict t dict = Hashtbl.find_opt t.dicts dict
+let dict_map t dict =
+  match Hashtbl.find_opt t.dicts dict with Some d -> d | None -> SMap.empty
 
-let get_dict t dict =
-  match find_dict t dict with
-  | Some d -> d
-  | None ->
-    let d = Hashtbl.create 16 in
-    Hashtbl.add t.dicts dict d;
-    d
+let get t ~dict ~key = SMap.find_opt key (dict_map t dict)
 
-let get t ~dict ~key =
-  match find_dict t dict with None -> None | Some d -> Hashtbl.find_opt d key
+let keys t ~dict = List.map fst (SMap.bindings (dict_map t dict))
 
-let mem t ~dict ~key = get t ~dict ~key <> None
-
-let iter t ~dict f =
-  match find_dict t dict with
-  | None -> ()
-  | Some d ->
-    (* Sort keys so iteration order is deterministic. *)
-    let ks = Hashtbl.fold (fun k _ acc -> k :: acc) d [] in
-    List.iter (fun k -> f k (Hashtbl.find d k)) (List.sort String.compare ks)
-
-let keys t ~dict =
-  match find_dict t dict with
-  | None -> []
-  | Some d -> List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) d [])
-
-let dicts t =
+let sorted_dicts t =
   List.sort String.compare (Hashtbl.fold (fun name _ acc -> name :: acc) t.dicts [])
 
-let entry_count t = Hashtbl.fold (fun _ d acc -> acc + Hashtbl.length d) t.dicts 0
+let entry_count t = Hashtbl.fold (fun _ d acc -> acc + SMap.cardinal d) t.dicts 0
 
 let size_bytes t =
   Hashtbl.fold
     (fun dname d acc ->
-      Hashtbl.fold
+      SMap.fold
         (fun k v acc -> acc + String.length dname + String.length k + Value.size v)
         d acc)
     t.dicts 0
 
 let cells t =
   Hashtbl.fold
-    (fun dname d acc ->
-      Hashtbl.fold (fun k _ acc -> Cell.Set.add (Cell.cell dname k) acc) d acc)
+    (fun dname d acc -> SMap.fold (fun k _ acc -> Cell.Set.add (Cell.cell dname k) acc) d acc)
     t.dicts Cell.Set.empty
 
-let begin_tx base = { base; pending = Hashtbl.create 8; finished = false }
+let begin_tx base = { base; pending = PMap.empty; finished = false }
 
 let check_open tx = if tx.finished then invalid_arg "State: transaction already finished"
 
 let tx_get tx ~dict ~key =
   check_open tx;
-  match Hashtbl.find_opt tx.pending (dict, key) with
+  match
+    if PMap.is_empty tx.pending then None else PMap.find_opt (dict, key) tx.pending
+  with
   | Some (Set v) -> Some v
   | Some Del -> None
   | None -> get tx.base ~dict ~key
@@ -74,99 +67,84 @@ let tx_mem tx ~dict ~key = tx_get tx ~dict ~key <> None
 
 let tx_set tx ~dict ~key v =
   check_open tx;
-  Hashtbl.replace tx.pending (dict, key) (Set v)
+  tx.pending <- PMap.add (dict, key) (Set v) tx.pending
 
 let tx_del tx ~dict ~key =
   check_open tx;
-  Hashtbl.replace tx.pending (dict, key) Del
+  tx.pending <- PMap.add (dict, key) Del tx.pending
+
+let apply d key = function Set v -> SMap.add key v d | Del -> SMap.remove key d
 
 let tx_iter tx ~dict f =
   check_open tx;
-  (* Collect the transactional view, then iterate in key order. *)
-  let view = Hashtbl.create 16 in
-  (match find_dict tx.base dict with
-  | None -> ()
-  | Some d -> Hashtbl.iter (fun k v -> Hashtbl.replace view k (Some v)) d);
-  Hashtbl.iter
-    (fun (dn, k) w ->
-      if String.equal dn dict then
-        match w with
-        | Set v -> Hashtbl.replace view k (Some v)
-        | Del -> Hashtbl.replace view k None)
-    tx.pending;
-  let ks = Hashtbl.fold (fun k _ acc -> k :: acc) view [] in
-  List.iter
-    (fun k -> match Hashtbl.find view k with Some v -> f k v | None -> ())
-    (List.sort String.compare ks)
+  (* The view is immutable: writes [f] makes stay invisible to it. *)
+  let view =
+    PMap.fold
+      (fun (dn, k) w d -> if String.equal dn dict then apply d k w else d)
+      tx.pending (dict_map tx.base dict)
+  in
+  SMap.iter f view
 
 let tx_pending tx =
-  Hashtbl.fold
-    (fun (dict, key) w acc ->
-      (dict, key, match w with Set v -> Some v | Del -> None) :: acc)
+  PMap.fold
+    (fun (dict, key) w acc -> (dict, key, match w with Set v -> Some v | Del -> None) :: acc)
     tx.pending []
-  |> List.sort (fun (d1, k1, _) (d2, k2, _) ->
-         match String.compare d1 d2 with 0 -> String.compare k1 k2 | c -> c)
+  |> List.rev
 
 let commit tx =
   check_open tx;
   tx.finished <- true;
-  Hashtbl.iter
+  PMap.iter
     (fun (dict, key) w ->
-      let d = get_dict tx.base dict in
-      match w with
-      | Set v -> Hashtbl.replace d key v
-      | Del -> Hashtbl.remove d key)
+      Hashtbl.replace tx.base.dicts dict (apply (dict_map tx.base dict) key w))
     tx.pending
 
 let abort tx =
   check_open tx;
   tx.finished <- true;
-  Hashtbl.reset tx.pending
+  tx.pending <- PMap.empty
 
 let rollback tx =
   check_open tx;
-  let discarded = Hashtbl.length tx.pending in
-  tx.finished <- true;
-  Hashtbl.reset tx.pending;
+  let discarded = PMap.cardinal tx.pending in
+  abort tx;
   discarded
 
+(* [Cell.Set] runs in dictionary order, a dictionary's wildcard before
+   its keys and keys in [String.compare] order, so the entries come out
+   sorted by [(dict, key)]. *)
 let extract t cell_set =
-  let selected = ref [] in
-  Hashtbl.iter
-    (fun dname d ->
-      Hashtbl.iter
-        (fun k v ->
-          let c = Cell.cell dname k in
-          if Cell.Set.exists (fun sc -> Cell.intersects sc c) cell_set then
-            selected := (dname, k, v) :: !selected)
-        d)
-    t.dicts;
-  let entries =
-    List.sort
-      (fun (d1, k1, _) (d2, k2, _) ->
-        match String.compare d1 d2 with 0 -> String.compare k1 k2 | c -> c)
-      !selected
-  in
-  List.iter
-    (fun (dname, k, _) ->
-      match find_dict t dname with
-      | Some d -> Hashtbl.remove d k
-      | None -> ())
-    entries;
-  entries
+  Cell.Set.fold
+    (fun c acc ->
+      let dname = c.Cell.dict in
+      let d = dict_map t dname in
+      match c.Cell.key with
+      | Cell.All ->
+        if SMap.is_empty d then acc
+        else begin
+          Hashtbl.replace t.dicts dname SMap.empty;
+          SMap.fold (fun k v acc -> (dname, k, v) :: acc) d acc
+        end
+      | Cell.Key k -> (
+        match SMap.find_opt k d with
+        | None -> acc
+        | Some v ->
+          Hashtbl.replace t.dicts dname (SMap.remove k d);
+          (dname, k, v) :: acc))
+    cell_set []
+  |> List.rev
 
 let insert t entries =
-  List.iter (fun (dname, k, v) -> Hashtbl.replace (get_dict t dname) k v) entries
+  List.iter
+    (fun (dname, k, v) -> Hashtbl.replace t.dicts dname (SMap.add k v (dict_map t dname)))
+    entries
 
 let snapshot t =
-  let acc = ref [] in
-  Hashtbl.iter
-    (fun dname d -> Hashtbl.iter (fun k v -> acc := (dname, k, v) :: !acc) d)
-    t.dicts;
-  List.sort
-    (fun (d1, k1, _) (d2, k2, _) ->
-      match String.compare d1 d2 with 0 -> String.compare k1 k2 | c -> c)
-    !acc
+  List.concat_map
+    (fun dname ->
+      SMap.fold (fun k v acc -> (dname, k, v) :: acc) (Hashtbl.find t.dicts dname) []
+      |> List.rev)
+    (sorted_dicts t)
 
 let restore entries =
   let t = create () in

@@ -5,7 +5,12 @@
     for transactions" (Section 2). Each bee owns one [State.t] holding the
     entries of the cells it owns. Every handler invocation runs inside a
     transaction: writes are buffered and applied atomically on success,
-    discarded if the handler raises. *)
+    discarded if the handler raises.
+
+    Each dictionary is a persistent map ordered by [String.compare], and a
+    transaction's pending writes are a persistent map ordered by
+    [(dict, key)]: ordered reads cost no sort, and a transactional view
+    costs no copy unless the transaction wrote to that dictionary. *)
 
 type t
 type tx
@@ -15,10 +20,9 @@ val create : unit -> t
 (** {2 Direct (committed) view} *)
 
 val get : t -> dict:string -> key:string -> Value.t option
-val mem : t -> dict:string -> key:string -> bool
-val iter : t -> dict:string -> (string -> Value.t -> unit) -> unit
 val keys : t -> dict:string -> string list
-val dicts : t -> string list
+(** In [String.compare] order. *)
+
 val entry_count : t -> int
 
 val size_bytes : t -> int
@@ -38,11 +42,16 @@ val tx_del : tx -> dict:string -> key:string -> unit
 
 val tx_iter : tx -> dict:string -> (string -> Value.t -> unit) -> unit
 (** Iterates the transactional view: base entries overlaid with the
-    transaction's pending writes and deletions. *)
+    transaction's pending writes and deletions, in [String.compare] key
+    order — apps rely on this order. The view is immutable and taken
+    when the call starts, so writes the callback makes are not seen by
+    this iteration. *)
 
 val tx_pending : tx -> (string * string * Value.t option) list
-(** The pending writes ([None] means deletion), in deterministic order;
-    what a replication scheme ships to its replicas on commit. *)
+(** The pending writes ([None] means deletion), in [(dict, key)] order
+    under [String.compare]; what a replication scheme ships to its
+    replicas on commit and what the WAL record lists, so the order is
+    part of the durable byte image. *)
 
 val commit : tx -> unit
 (** Applies pending writes. A committed or aborted transaction cannot be
@@ -60,9 +69,11 @@ val rollback : tx -> int
 
 val extract : t -> Cell.Set.t -> (string * string * Value.t) list
 (** Removes and returns all entries whose cell intersects the given set
-    (wildcards select whole dictionaries). *)
+    (wildcards select whole dictionaries), in [(dict, key)] order. *)
 
 val insert : t -> (string * string * Value.t) list -> unit
 
 val snapshot : t -> (string * string * Value.t) list
+(** Every entry, in [(dict, key)] order. *)
+
 val restore : (string * string * Value.t) list -> t

@@ -184,14 +184,15 @@ let payload_of_batch t ~lsn b =
       | Some _ -> Buffer.add_string buf (string_of_int (t.size_of wr))
       | None -> Buffer.add_char buf 'x')
     b.b_writes;
-  List.iter
-    (fun (seq, bytes) ->
-      Buffer.add_string buf (Printf.sprintf "|o%d:%d" seq bytes))
-    b.b_outbox;
-  List.iter
-    (fun (sender, seq) ->
-      Buffer.add_string buf (Printf.sprintf "|i%d:%d" sender seq))
-    b.b_inbox;
+  let add_pair tag x y =
+    Buffer.add_char buf '|';
+    Buffer.add_char buf tag;
+    Buffer.add_string buf (string_of_int x);
+    Buffer.add_char buf ':';
+    Buffer.add_string buf (string_of_int y)
+  in
+  List.iter (fun (seq, bytes) -> add_pair 'o' seq bytes) b.b_outbox;
+  List.iter (fun (sender, seq) -> add_pair 'i' sender seq) b.b_inbox;
   Buffer.contents buf
 
 let payload_of_snapshot t ~lsn entries =

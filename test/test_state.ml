@@ -3,6 +3,7 @@
 module State = Beehive_core.State
 module Value = Beehive_core.Value
 module Cell = Beehive_core.Cell
+module Context = Beehive_core.Context
 
 let vi n = Value.V_int n
 
@@ -115,29 +116,111 @@ let test_tx_pending () =
   | _ -> Alcotest.fail "deterministic order and deletion marker");
   State.abort tx
 
+(* One random write: [(second dictionary?, key, Some value | None for a
+   delete)]. Keys run past 9 so that "10" < "2" exercises String order. *)
+let op_gen = QCheck.(triple bool (int_bound 11) (option (int_bound 100)))
+
+let dict_of second = if second then "e" else "d"
+
+let apply_ops ~write model ops =
+  List.fold_left
+    (fun model (second, k, v) ->
+      let dict = dict_of second and key = string_of_int k in
+      write ~dict ~key v;
+      let model = List.remove_assoc (dict, key) model in
+      match v with Some n -> ((dict, key), Some n) :: model | None -> model)
+    model ops
+
 let prop_commit_equals_model =
-  (* Random sequences of set/del in a transaction match an assoc-list
-     model after commit. *)
-  QCheck.Test.make ~name:"transaction semantics match a sequential model" ~count:200
-    QCheck.(list (pair (int_bound 7) (option (int_bound 100))))
-    (fun ops ->
+  (* A committed base over two dictionaries, then a pending overlay of
+     sets and deletes, checked against an association-list model: the
+     transactional view, the pending order, and either a rollback (which
+     leaves the base as it was) or a commit (which applies the overlay). *)
+  QCheck.Test.make ~name:"transaction semantics match a sequential model" ~count:300
+    QCheck.(triple (list op_gen) (list op_gen) bool)
+    (fun (base_ops, pending_ops, roll_back) ->
       let st = State.create () in
+      let tx0 = State.begin_tx st in
+      let write tx ~dict ~key = function
+        | Some n -> State.tx_set tx ~dict ~key (vi n)
+        | None -> State.tx_del tx ~dict ~key
+      in
+      let base = apply_ops ~write:(write tx0) [] base_ops in
+      State.commit tx0;
+      let entries model =
+        List.filter_map (fun ((d, k), v) -> Option.map (fun n -> (d, k, n)) v) model
+        |> List.sort compare
+      in
+      let snapshot () =
+        List.map
+          (fun (d, k, v) -> (d, k, match v with Value.V_int n -> n | _ -> -1))
+          (State.snapshot st)
+      in
       let tx = State.begin_tx st in
-      let model = Hashtbl.create 8 in
-      List.iter
-        (fun (k, v) ->
-          let key = string_of_int k in
-          match v with
-          | Some n ->
-            State.tx_set tx ~dict:"d" ~key (vi n);
-            Hashtbl.replace model key n
-          | None ->
-            State.tx_del tx ~dict:"d" ~key;
-            Hashtbl.remove model key)
-        ops;
-      State.commit tx;
-      Hashtbl.fold (fun k n acc -> acc && get_int st ~dict:"d" ~key:k = Some n) model true
-      && State.entry_count st = Hashtbl.length model)
+      (* The pending model records deletes too, as [None]. *)
+      let pending =
+        List.fold_left
+          (fun p (second, k, v) ->
+            let dk = (dict_of second, string_of_int k) in
+            write tx ~dict:(fst dk) ~key:(snd dk) v;
+            (dk, v) :: List.remove_assoc dk p)
+          [] pending_ops
+      in
+      let overlay =
+        List.fold_left
+          (fun m (dk, v) ->
+            let m = List.remove_assoc dk m in
+            match v with Some _ -> (dk, v) :: m | None -> m)
+          base pending
+      in
+      let view dict =
+        let seen = ref [] in
+        State.tx_iter tx ~dict (fun k v ->
+            seen := (dict, k, match v with Value.V_int n -> n | _ -> -1) :: !seen);
+        List.rev !seen
+      in
+      let in_dict dict = List.filter (fun (d, _, _) -> String.equal d dict) in
+      let views_ok =
+        List.for_all (fun dict -> view dict = in_dict dict (entries overlay)) [ "d"; "e" ]
+      in
+      let pending_ok =
+        List.map
+          (fun (d, k, v) -> ((d, k), Option.map (function Value.V_int n -> n | _ -> -1) v))
+          (State.tx_pending tx)
+        = List.sort compare pending
+      in
+      let base_untouched = snapshot () = entries base in
+      let ends_ok =
+        if roll_back then
+          State.rollback tx = List.length pending && snapshot () = entries base
+        else begin
+          State.commit tx;
+          snapshot () = entries overlay && State.entry_count st = List.length (entries overlay)
+        end
+      in
+      views_ok && pending_ok && base_untouched && ends_ok)
+
+let test_tx_iter_ignores_own_writes () =
+  let st = State.create () in
+  let tx0 = State.begin_tx st in
+  List.iter (fun k -> State.tx_set tx0 ~dict:"d" ~key:k (vi 0)) [ "a"; "c" ];
+  State.commit tx0;
+  let tx = State.begin_tx st in
+  let seen = ref [] in
+  State.tx_iter tx ~dict:"d" (fun k _ ->
+      seen := k :: !seen;
+      (* A key sorting after [k], and a delete of the next one. *)
+      State.tx_set tx ~dict:"d" ~key:(k ^ "x") (vi 1);
+      State.tx_del tx ~dict:"d" ~key:"c");
+  Alcotest.(check (list string)) "the view taken at the call" [ "a"; "c" ] (List.rev !seen);
+  Alcotest.(check (list (triple string string (option int))))
+    "the writes are pending"
+    [ ("d", "ax", Some 1); ("d", "c", None); ("d", "cx", Some 1) ]
+    (List.map
+       (fun (d, k, v) ->
+         (d, k, Option.map (function Value.V_int n -> n | _ -> -1) v))
+       (State.tx_pending tx));
+  State.abort tx
 
 let test_cells_of_state () =
   let st = State.create () in
@@ -148,6 +231,37 @@ let test_cells_of_state () =
   let cells = State.cells st in
   Alcotest.(check bool) "has (d,a)" true (Cell.Set.mem (Cell.cell "d" "a") cells);
   Alcotest.(check int) "two cells" 2 (Cell.Set.cardinal cells)
+
+(* A context over a 160-key "topology" dictionary, the size the TE apps
+   read on every traffic update, holding [allowed]. *)
+let topology_context allowed =
+  let st = State.create () in
+  let tx0 = State.begin_tx st in
+  for i = 0 to 159 do
+    State.tx_set tx0 ~dict:"topology" ~key:(Printf.sprintf "%03d" i) (vi i)
+  done;
+  State.commit tx0;
+  Context.make ~app:"te" ~bee:1 ~hive:0
+    ~now:(fun () -> Beehive_sim.Simtime.zero)
+    ~rng:(Beehive_sim.Rng.create 1) ~allowed ~tx:(State.begin_tx st)
+    ~emit:(fun ?size:_ ~kind:_ _ -> ())
+    ~to_endpoint:(fun _ ?size:_ ~kind:_ _ -> ())
+    ()
+
+let test_iter_dict_held_whole_is_copy_free () =
+  let ctx = topology_context (Cell.Set.singleton (Cell.whole "topology")) in
+  let n = ref 0 in
+  let count _ _ = incr n in
+  let before = Gc.minor_words () in
+  Context.iter_dict ctx ~dict:"topology" count;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every key visited" 160 !n;
+  if words >= 500. then Alcotest.failf "iter_dict allocated %.0f words" words
+
+let test_iter_dict_keys_held () =
+  let ctx = topology_context (Cell.Set.of_keys "topology" [ "007"; "042"; "nope" ]) in
+  Alcotest.(check (list string)) "only the held keys, in order" [ "007"; "042" ]
+    (Context.dict_keys ctx ~dict:"topology")
 
 let suite =
   [
@@ -163,6 +277,11 @@ let suite =
         Alcotest.test_case "snapshot/restore" `Quick test_snapshot_restore;
         Alcotest.test_case "tx_pending" `Quick test_tx_pending;
         QCheck_alcotest.to_alcotest prop_commit_equals_model;
+        Alcotest.test_case "tx_iter ignores its own writes" `Quick
+          test_tx_iter_ignores_own_writes;
         Alcotest.test_case "cells of state" `Quick test_cells_of_state;
+        Alcotest.test_case "iter_dict held whole is copy-free" `Quick
+          test_iter_dict_held_whole_is_copy_free;
+        Alcotest.test_case "iter_dict of held keys" `Quick test_iter_dict_keys_held;
       ] );
   ]

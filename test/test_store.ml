@@ -46,6 +46,28 @@ let test_group_commit_batches_per_tick () =
     (sorted_entries store ~bee:1);
   Alcotest.(check int) "one fsync covered the whole tick" 1 !fsyncs
 
+(* The WAL record's payload is what its CRC covers, so its bytes are
+   pinned: sets and deletes, then outbox entries, then inbox marks. *)
+let test_batch_payload_bytes () =
+  let engine = Engine.create () in
+  let store = int_store engine in
+  Store.append store ~bee:3 ~hive:1
+    ~outbox:[ (7, 120); (8, 64) ]
+    ~inbox:[ (2, 41); (5, 9) ]
+    [ ("d", "a", Some 1); ("d", "b", None); ("route", "10.0.0.1", Some 2) ];
+  Store.flush store;
+  let wal_lines =
+    String.split_on_char '\n' (Store.wal_image store)
+    |> List.filter (fun l -> String.length l > 2 && String.sub l 0 2 = "W ")
+  in
+  Alcotest.(check (list string))
+    "record frame"
+    [
+      "W lsn=1 at=0 len=57 crc=1877554456 \
+       R1|d/a=10|d/b=x|route/10.0.0.1=21|o7:120|o8:64|i2:41|i5:9";
+    ]
+    wal_lines
+
 let test_crash_loses_unsynced_tail () =
   let engine = Engine.create () in
   let store = int_store engine in
@@ -353,6 +375,7 @@ let suite =
       [
         Alcotest.test_case "group commit batches one tick" `Quick
           test_group_commit_batches_per_tick;
+        Alcotest.test_case "batch payload bytes are pinned" `Quick test_batch_payload_bytes;
         Alcotest.test_case "crash loses unsynced tail" `Quick test_crash_loses_unsynced_tail;
         Alcotest.test_case "replay is deterministic" `Quick test_replay_determinism;
         Alcotest.test_case "snapshot + tail == pure replay" `Quick
