@@ -25,6 +25,25 @@ let full_scale = Sys.getenv_opt "BEEHIVE_BENCH_FULL" = Some "1"
 let scenario_cfg =
   if full_scale then Scenario.default_config else Scenario.quick_config
 
+(* A key-sharded app with one handler that stores each [Bench_put] as a
+   [bp_size]-byte string under its key. *)
+let put_app ?replicated ~name ~dict ~kind () =
+  let module A = Beehive_core.App in
+  A.create ~name ~dicts:[ dict ] ?replicated
+    [
+      A.handler ~kind
+        ~map:(fun msg ->
+          match msg.Beehive_core.Message.payload with
+          | Bench_put { bp_key; _ } -> Beehive_core.Mapping.with_key dict bp_key
+          | _ -> Beehive_core.Mapping.Drop)
+        (fun ctx msg ->
+          match msg.Beehive_core.Message.payload with
+          | Bench_put { bp_key; bp_size } ->
+            Beehive_core.Context.set ctx ~dict ~key:bp_key
+              (Beehive_core.Value.V_string (String.make bp_size 'v'))
+          | _ -> ());
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Machine-readable baselines: BENCH_<name>.json                       *)
 (* ------------------------------------------------------------------ *)
@@ -177,28 +196,12 @@ let ablation_replication () =
   Format.printf "##### Ablation: replication mode cost (fault-tolerance extension) #####@.";
   Format.printf "%-18s %-16s %-14s %-12s@." "mode" "inter-hive KB" "KB/s" "overhead";
   let module P = Beehive_core.Platform in
-  let module A = Beehive_core.App in
   let run mode =
     let engine = Engine.create () in
     let platform = P.create engine (P.default_config ~n_hives:6) in
     (* A key-sharded writer app with realistic value sizes. *)
-    let writer =
-      A.create ~name:"bench.writer" ~dicts:[ "store" ] ~replicated:true
-        [
-          A.handler ~kind:"bench.put"
-            ~map:(fun msg ->
-              match msg.Beehive_core.Message.payload with
-              | Bench_put { bp_key; _ } -> Beehive_core.Mapping.with_key "store" bp_key
-              | _ -> Beehive_core.Mapping.Drop)
-            (fun ctx msg ->
-              match msg.Beehive_core.Message.payload with
-              | Bench_put { bp_key; bp_size } ->
-                Beehive_core.Context.set ctx ~dict:"store" ~key:bp_key
-                  (Beehive_core.Value.V_string (String.make bp_size 'v'))
-              | _ -> ());
-        ]
-    in
-    P.register_app platform writer;
+    P.register_app platform
+      (put_app ~replicated:true ~name:"bench.writer" ~dict:"store" ~kind:"bench.put" ());
     (match mode with
     | `Raft -> ignore (Beehive_core.Raft_replication.install platform ())
     | `None -> ());
@@ -248,7 +251,7 @@ let ablation_durability () =
     let engine = Engine.create () in
     let store =
       Store.create engine
-        ~config:{ Store.default_config with Store.snapshot_threshold_bytes = threshold }
+        ~config:{ Store.snapshot_threshold_bytes = threshold }
         ~size_of ()
     in
     for round = 0 to rounds - 1 do
@@ -272,9 +275,9 @@ let ablation_durability () =
     let recovered = Store.recover store ~bee:0 in
     let records, bytes = Store.recovery_cost store ~bee:0 in
     let reps = 20 in
-    let t0 = Sys.time () in
+    let t0 = Unix.gettimeofday () in
     for _ = 1 to reps do ignore (Store.recover store ~bee:0) done;
-    let ms = (Sys.time () -. t0) *. 1000.0 /. float_of_int reps in
+    let ms = (Unix.gettimeofday () -. t0) *. 1000.0 /. float_of_int reps in
     Format.printf "%-18s %-9d %-16d %-12d %-12.3f %-10d@." label (List.length recovered)
       records bytes ms
       (Store.snapshot_count store ~bee:0);
@@ -288,29 +291,12 @@ let ablation_durability () =
      forced group commit, restart it, and check every bee's dictionary
      came back byte-identical from snapshot + WAL replay. *)
   let module P = Beehive_core.Platform in
-  let module A = Beehive_core.App in
   let engine = Engine.create () in
   let cfg =
     { (P.default_config ~n_hives:6) with P.durability = Some Store.default_config }
   in
   let platform = P.create engine cfg in
-  let writer =
-    A.create ~name:"bench.writer" ~dicts:[ "store" ]
-      [
-        A.handler ~kind:"bench.put"
-          ~map:(fun msg ->
-            match msg.Beehive_core.Message.payload with
-            | Bench_put { bp_key; _ } -> Beehive_core.Mapping.with_key "store" bp_key
-            | _ -> Beehive_core.Mapping.Drop)
-          (fun ctx msg ->
-            match msg.Beehive_core.Message.payload with
-            | Bench_put { bp_key; bp_size } ->
-              Beehive_core.Context.set ctx ~dict:"store" ~key:bp_key
-                (Beehive_core.Value.V_string (String.make bp_size 'v'))
-            | _ -> ());
-      ]
-  in
-  P.register_app platform writer;
+  P.register_app platform (put_app ~name:"bench.writer" ~dict:"store" ~kind:"bench.put" ());
   P.start platform;
   let h =
     Engine.every engine (Simtime.of_ms 100) (fun () ->
@@ -388,28 +374,11 @@ let ablation_loss () =
   Format.printf "%-8s %-11s %-10s %-10s %-10s %-13s %-10s %-9s@." "loss" "delivered"
     "p50 us" "p99 us" "p99.9 us" "retransmits" "overhead" "dropped";
   let module P = Beehive_core.Platform in
-  let module A = Beehive_core.App in
   let module T = Beehive_net.Transport in
   let run loss =
     let engine = Engine.create () in
     let platform = P.create engine (P.default_config ~n_hives:6) in
-    let writer =
-      A.create ~name:"bench.writer" ~dicts:[ "store" ]
-        [
-          A.handler ~kind:"bench.put"
-            ~map:(fun msg ->
-              match msg.Beehive_core.Message.payload with
-              | Bench_put { bp_key; _ } -> Beehive_core.Mapping.with_key "store" bp_key
-              | _ -> Beehive_core.Mapping.Drop)
-            (fun ctx msg ->
-              match msg.Beehive_core.Message.payload with
-              | Bench_put { bp_key; bp_size } ->
-                Beehive_core.Context.set ctx ~dict:"store" ~key:bp_key
-                  (Beehive_core.Value.V_string (String.make bp_size 'v'))
-              | _ -> ());
-        ]
-    in
-    P.register_app platform writer;
+    P.register_app platform (put_app ~name:"bench.writer" ~dict:"store" ~kind:"bench.put" ());
     P.start platform;
     Beehive_net.Channels.set_loss (P.channels platform) loss;
     (* Rotate the injection hive so nearly every put crosses hives. *)
@@ -491,24 +460,8 @@ let ablation_outbox () =
               | _ -> ());
         ]
     in
-    let kv =
-      A.create ~name:"bench.kv" ~dicts:[ "kv" ]
-        [
-          A.handler ~kind:"bench.apply"
-            ~map:(fun msg ->
-              match msg.Beehive_core.Message.payload with
-              | Bench_put { bp_key; _ } -> Beehive_core.Mapping.with_key "kv" bp_key
-              | _ -> Beehive_core.Mapping.Drop)
-            (fun ctx msg ->
-              match msg.Beehive_core.Message.payload with
-              | Bench_put { bp_key; bp_size } ->
-                Beehive_core.Context.set ctx ~dict:"kv" ~key:bp_key
-                  (Beehive_core.Value.V_string (String.make bp_size 'v'))
-              | _ -> ());
-        ]
-    in
     P.register_app platform fwd;
-    P.register_app platform kv;
+    P.register_app platform (put_app ~name:"bench.kv" ~dict:"kv" ~kind:"bench.apply" ());
     P.start platform;
     let h =
       Engine.every engine (Simtime.of_ms period_ms) (fun () ->
@@ -520,12 +473,12 @@ let ablation_outbox () =
               (Bench_put { bp_key = Printf.sprintf "k%d" k; bp_size = 256 })
           done)
     in
-    let t0 = Sys.time () in
+    let t0 = Unix.gettimeofday () in
     Engine.run_until engine (Simtime.of_sec secs);
     ignore (Engine.cancel engine h);
     P.flush_durability platform;
     Engine.run_until engine (Simtime.add (Engine.now engine) (Simtime.of_ms 50));
-    let wall = Sys.time () -. t0 in
+    let wall = Unix.gettimeofday () -. t0 in
     let wal_bytes =
       match P.store platform with
       | Some s -> Beehive_store.Store.total_wal_bytes_written s
@@ -582,7 +535,6 @@ let ablation_integrity () =
      quantify what the 5 ms tick budget actually buys. *)
   Format.printf "##### Ablation: storage-integrity cost on the healthy path #####@.";
   let module P = Beehive_core.Platform in
-  let module A = Beehive_core.App in
   let module Store = Beehive_store.Store in
   let n_keys = 96 and period_ms = 10 and secs = 10.0 in
   let run verify =
@@ -598,24 +550,7 @@ let ablation_integrity () =
           }
         in
         let platform = P.create engine cfg in
-        let kv =
-          A.create ~name:"bench.kv" ~dicts:[ "kv" ]
-            [
-              A.handler ~kind:"bench.put"
-                ~map:(fun msg ->
-                  match msg.Beehive_core.Message.payload with
-                  | Bench_put { bp_key; _ } ->
-                    Beehive_core.Mapping.with_key "kv" bp_key
-                  | _ -> Beehive_core.Mapping.Drop)
-                (fun ctx msg ->
-                  match msg.Beehive_core.Message.payload with
-                  | Bench_put { bp_key; bp_size } ->
-                    Beehive_core.Context.set ctx ~dict:"kv" ~key:bp_key
-                      (Beehive_core.Value.V_string (String.make bp_size 'v'))
-                  | _ -> ());
-            ]
-        in
-        P.register_app platform kv;
+        P.register_app platform (put_app ~name:"bench.kv" ~dict:"kv" ~kind:"bench.put" ());
         P.start platform;
         let h =
           Engine.every engine (Simtime.of_ms period_ms) (fun () ->
@@ -626,12 +561,12 @@ let ablation_integrity () =
                   (Bench_put { bp_key = Printf.sprintf "k%d" k; bp_size = 256 })
               done)
         in
-        let t0 = Sys.time () in
+        let t0 = Unix.gettimeofday () in
         Engine.run_until engine (Simtime.of_sec secs);
         ignore (Engine.cancel engine h);
         P.flush_durability platform;
         Engine.run_until engine (Simtime.add (Engine.now engine) (Simtime.of_ms 50));
-        let wall = Sys.time () -. t0 in
+        let wall = Unix.gettimeofday () -. t0 in
         let s = Option.get (P.store platform) in
         ( wall,
           P.total_processed platform,

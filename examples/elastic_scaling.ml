@@ -87,7 +87,6 @@ let () =
   ignore
     (Instrumentation.install platform
        {
-         Instrumentation.default_config with
          Instrumentation.window = Simtime.of_ms 200;
          optimize_every = Simtime.of_ms 500;
          optimize = true;

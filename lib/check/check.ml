@@ -30,17 +30,14 @@ let shrink_failure cfg script (v : Monitor.violation) =
   let replays = still_fails shrunk in
   (shrunk, replays)
 
-let run ?(n_hives = 4) ?(ticks = 30) ?(storm_budget = 5000) ?(lin = false)
-    ?(outbox = false) ?domains ?(first_seed = 0) ~seeds profile =
+let run ?(n_hives = 4) ?(ticks = 30) ?(lin = false) ?(outbox = false) ?domains
+    ?(first_seed = 0) ~seeds profile =
   let passed = ref 0 in
   let failures = ref [] in
   let lin_ops = ref 0 in
   let lin_checked = ref 0 in
   for seed = first_seed to first_seed + seeds - 1 do
-    let cfg =
-      Runner.make_cfg ~n_hives ~ticks ~storm_budget ~lin ~outbox ?domains ~seed
-        profile
-    in
+    let cfg = Runner.make_cfg ~n_hives ~ticks ~lin ~outbox ?domains ~seed profile in
     match Runner.run_seed cfg with
     | _, Runner.Pass s ->
       incr passed;
@@ -72,10 +69,9 @@ let run ?(n_hives = 4) ?(ticks = 30) ?(storm_budget = 5000) ?(lin = false)
     rp_lin_checked = !lin_checked;
   }
 
-let replay ?n_hives ?ticks ?storm_budget ?lin ?outbox ?domains ~seed profile =
+let replay ?n_hives ?ticks ?lin ?outbox ?domains ~seed profile =
   Runner.run_seed
-    (Runner.make_cfg ?n_hives ?ticks ?storm_budget ?lin ?outbox ?domains ~seed
-       profile)
+    (Runner.make_cfg ?n_hives ?ticks ?lin ?outbox ?domains ~seed profile)
 
 let pp_failure ppf f =
   Format.fprintf ppf "FAIL profile=%s seed=%d ticks=%d@."

@@ -38,7 +38,6 @@ type report = {
 val run :
   ?n_hives:int ->
   ?ticks:int ->
-  ?storm_budget:int ->
   ?lin:bool ->
   ?outbox:bool ->
   ?domains:int ->
@@ -55,9 +54,8 @@ val run :
     resizes the global domain pool — results must be identical at every
     [n], so the sweep doubles as an end-to-end determinism check. *)
 
-val replay : ?n_hives:int -> ?ticks:int -> ?storm_budget:int -> ?lin:bool ->
-  ?outbox:bool -> ?domains:int -> seed:int -> Script.profile ->
-  Script.op list * Runner.outcome
+val replay : ?n_hives:int -> ?ticks:int -> ?lin:bool -> ?outbox:bool ->
+  ?domains:int -> seed:int -> Script.profile -> Script.op list * Runner.outcome
 (** Regenerates and re-executes one seed — the reproduction command
     behind "replay: ... --seed N". *)
 

@@ -488,7 +488,9 @@ let repair_convergence =
         | _ -> None);
   }
 
-let storm ~budget =
+let storm_budget = 5000
+
+let storm () =
   let last = ref 0 in
   {
     m_name = "event-storm";
@@ -498,21 +500,21 @@ let storm ~budget =
         let total = Engine.events_executed ctx.cx_engine in
         let delta = total - !last in
         last := total;
-        if delta > budget then
+        if delta > storm_budget then
           Some
             (Printf.sprintf "%d events in one monitor tick (budget %d): amplification \
                              runaway"
-               delta budget)
+               delta storm_budget)
         else None);
   }
 
-let defaults ~storm_budget =
+let defaults () =
   [
     single_owner;
     conservation;
     no_duplication;
     raft_prefix;
-    storm ~budget:storm_budget;
+    storm ();
     no_loss;
     durable_ownership;
     membership_convergence;

@@ -135,11 +135,14 @@ val repair_convergence : t
     suspect was rewritten from live state, re-seeded from a replication
     peer, or quarantined with a dead-letter record. *)
 
-val storm : budget:int -> t
-(** Event-storm detector: fails if more than [budget] engine events
+val storm_budget : int
+(** 5000 engine events per monitor tick. *)
+
+val storm : unit -> t
+(** Event-storm detector: fails if more than {!storm_budget} engine events
     execute between two consecutive monitor ticks — the signature of
     runaway message amplification (the historical broadcast-storm bug).
     Stateful; create one per run. *)
 
-val defaults : storm_budget:int -> t list
+val defaults : unit -> t list
 (** All built-ins, continuous monitors first. *)

@@ -112,7 +112,6 @@ type cfg = {
   r_n_hives : int;
   r_ticks : int;
   r_seed : int;
-  r_storm_budget : int;
   r_lin : bool;
   r_outbox : bool;
   r_domains : int option;
@@ -120,8 +119,8 @@ type cfg = {
          BEEHIVE_DOMAINS-governed pool alone) *)
 }
 
-let make_cfg ?(n_hives = 4) ?(ticks = 30) ?(storm_budget = 5000) ?(lin = false)
-    ?(outbox = false) ?domains ~seed profile =
+let make_cfg ?(n_hives = 4) ?(ticks = 30) ?(lin = false) ?(outbox = false) ?domains
+    ~seed profile =
   if n_hives <= 0 then invalid_arg "Runner.make_cfg: need at least one hive";
   (* The lin and outbox workloads acknowledge at fsync, a promise disk
      damage deliberately breaks (a torn tail voids fsynced bytes). The
@@ -134,7 +133,6 @@ let make_cfg ?(n_hives = 4) ?(ticks = 30) ?(storm_budget = 5000) ?(lin = false)
     r_n_hives = n_hives;
     r_ticks = ticks;
     r_seed = seed;
-    r_storm_budget = storm_budget;
     r_lin = lin && not disk;
     r_outbox = outbox && not disk;
     r_domains = domains;
@@ -404,7 +402,7 @@ let execute_with_gauges ?observe cfg ops =
   let durability =
     if with_durability cfg.r_profile then
       (* A small threshold so compaction actually runs inside short checks. *)
-      Some { Store.default_config with Store.snapshot_threshold_bytes = 2048 }
+      Some { Store.snapshot_threshold_bytes = 2048 }
     else None
   in
   let pcfg = { (Platform.default_config ~n_hives:cfg.r_n_hives) with Platform.durability } in
@@ -420,12 +418,12 @@ let execute_with_gauges ?observe cfg ops =
   let lin_report = ref None in
   let raft =
     if replicated then
-      Some (Raft_replication.install platform ~group_size:3 ~compact_every:8 ())
+      Some (Raft_replication.install platform ~compact_every:8 ())
     else None
   in
   let detector =
     if with_detector cfg.r_profile then
-      Some (Failure_detector.install platform ())
+      Some (Failure_detector.install platform)
     else None
   in
   let membership =
@@ -453,7 +451,7 @@ let execute_with_gauges ?observe cfg ops =
     }
   in
   let monitors =
-    Monitor.defaults ~storm_budget:cfg.r_storm_budget
+    Monitor.defaults ()
     @
     match lin_rec with
     | Some recorder ->

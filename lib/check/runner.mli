@@ -16,7 +16,6 @@ type cfg = {
   r_n_hives : int;
   r_ticks : int;  (** fault-injection horizon, simulated ms *)
   r_seed : int;  (** engine seed (bee RNGs, Raft timeouts, ...) *)
-  r_storm_budget : int;  (** max engine events per 1 ms monitor tick *)
   r_lin : bool;
       (** also run the client-history linearizability workload: logical
           clients issue get/put/del and two-key transactions against a
@@ -43,15 +42,14 @@ type cfg = {
 val make_cfg :
   ?n_hives:int ->
   ?ticks:int ->
-  ?storm_budget:int ->
   ?lin:bool ->
   ?outbox:bool ->
   ?domains:int ->
   seed:int ->
   Script.profile ->
   cfg
-(** Defaults: 4 hives, 30 ticks, 5000-event storm budget, [lin] and
-    [outbox] off, [domains] unset. *)
+(** Defaults: 4 hives, 30 ticks, [lin] and [outbox] off, [domains]
+    unset. *)
 
 type stats = {
   s_events : int;

@@ -6,27 +6,15 @@ let src = Logs.Src.create "beehive.detector" ~doc:"Beehive failure detector"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type config = {
-  hb_period : Simtime.t;
-  hb_bytes : int;
-  suspect_timeout : Simtime.t;
-  check_period : Simtime.t;
-  confirm_ticks : int;
-}
-
-let default_config =
-  {
-    hb_period = Simtime.of_us 500;
-    hb_bytes = 16;
-    suspect_timeout = Simtime.of_us 3_000;
-    check_period = Simtime.of_us 1_000;
-    confirm_ticks = 2;
-  }
+let hb_period = Simtime.of_us 500
+let hb_bytes = 16
+let suspect_timeout = Simtime.of_us 3_000
+let check_period = Simtime.of_us 1_000
+let confirm_ticks = 2
 
 type t = {
   platform : Platform.t;
   engine : Engine.t;
-  cfg : config;
   mutable n : int;  (* hive id space; grows with the platform *)
   mutable member : bool array;
       (* current cluster membership: decommissioned hives leave the
@@ -128,7 +116,7 @@ let broadcast t =
         if d <> s && t.member.(d) then
           match
             Channels.transfer_result chans ~src:(Channels.Hive s)
-              ~dst:(Channels.Hive d) ~bytes:t.cfg.hb_bytes ~now
+              ~dst:(Channels.Hive d) ~bytes:hb_bytes ~now
           with
           | `Lost -> ()
           | `Delivered lat ->
@@ -161,7 +149,7 @@ let confirm t s =
 
 let check t =
   let now = Engine.now t.engine in
-  let timeout = Simtime.to_us t.cfg.suspect_timeout in
+  let timeout = Simtime.to_us suspect_timeout in
   let silent_on o s =
     Simtime.to_us now - Simtime.to_us t.last_heard.(o).(s) > timeout
   in
@@ -182,13 +170,13 @@ let check t =
       done;
       if !votes >= quorum t then begin
         t.streak.(s) <- t.streak.(s) + 1;
-        if t.streak.(s) >= t.cfg.confirm_ticks then confirm t s
+        if t.streak.(s) >= confirm_ticks then confirm t s
       end
       else t.streak.(s) <- 0
     end
   done
 
-let install platform ?(config = default_config) () =
+let install platform =
   let engine = Platform.engine platform in
   let n = Platform.n_hives platform in
   let now = Engine.now engine in
@@ -196,7 +184,6 @@ let install platform ?(config = default_config) () =
     {
       platform;
       engine;
-      cfg = config;
       n;
       member = Array.make n true;
       last_heard = Array.init n (fun _ -> Array.make n now);
@@ -216,8 +203,8 @@ let install platform ?(config = default_config) () =
      decommissioned hives leave it. *)
   Platform.on_hive_added platform (fun h -> add_subject t h);
   Platform.on_hive_decommissioned platform (fun h -> remove_subject t h);
-  ignore (Engine.every engine config.hb_period (fun () -> broadcast t));
-  ignore (Engine.every engine config.check_period (fun () -> check t));
+  ignore (Engine.every engine hb_period (fun () -> broadcast t));
+  ignore (Engine.every engine check_period (fun () -> check t));
   t
 
 let suspected t =

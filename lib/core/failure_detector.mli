@@ -1,12 +1,12 @@
 (** Heartbeat-based hive failure detector.
 
-    Every hive gossips a small heartbeat to every other hive each
-    [hb_period] over the raw failable wire (deliberately {e not} the
-    reliable transport: silence must mean something). A periodic check
-    accrues suspicion per subject hive: when a majority of the full
-    cluster has heard nothing from it for [suspect_timeout], for
-    [confirm_ticks] consecutive checks, the suspicion is confirmed and
-    the detector acts:
+    Every hive gossips a 16-byte heartbeat to every other hive each
+    500 us over the raw failable wire (deliberately {e not} the reliable
+    transport: silence must mean something). A check every 1 ms accrues
+    suspicion per subject hive: when a majority of the full cluster has
+    heard nothing from it for 3 ms, for 2 consecutive checks, the
+    suspicion is confirmed — detection in roughly 5 ms of simulated
+    time — and the detector acts:
 
     - if the hive's process is genuinely dead ({!Platform.hive_crashed}),
       it triggers {!Platform.failover_hive} — the recovery that tests
@@ -29,21 +29,7 @@
 
 type t
 
-type config = {
-  hb_period : Beehive_sim.Simtime.t;  (** heartbeat gossip interval *)
-  hb_bytes : int;  (** bytes per heartbeat on the control channel *)
-  suspect_timeout : Beehive_sim.Simtime.t;
-      (** silence before an observer votes to suspect *)
-  check_period : Beehive_sim.Simtime.t;  (** suspicion evaluation interval *)
-  confirm_ticks : int;
-      (** consecutive confirming checks before eviction *)
-}
-
-val default_config : config
-(** 500 us heartbeats, 3 ms suspect timeout, 1 ms checks, 2 confirming
-    ticks: detection in roughly 5 ms of simulated time. *)
-
-val install : Platform.t -> ?config:config -> unit -> t
+val install : Platform.t -> t
 (** Starts the gossip and check loops on the platform's engine and hooks
     {!Platform.on_hive_restart} (restarted hives re-enter membership
     cleanly), {!Platform.on_hive_added} and

@@ -153,12 +153,13 @@ let combined_policy policies : policy =
 (* Configuration                                                        *)
 (* ------------------------------------------------------------------ *)
 
+let decay = 0.5
+let max_migrations_per_round = 64
+
 type config = {
   window : Simtime.t;
   optimize_every : Simtime.t;
-  decay : float;
   optimize : bool;
-  max_migrations_per_round : int;
   policy : policy;
 }
 
@@ -166,9 +167,7 @@ let default_config =
   {
     window = Simtime.of_sec 1.0;
     optimize_every = Simtime.of_sec 5.0;
-    decay = 0.5;
     optimize = true;
-    max_migrations_per_round = 64;
     policy = greedy_source_policy ();
   }
 
@@ -312,7 +311,7 @@ let optimizer_handler handle =
           | _ -> ());
       let loads = List.rev !view in
       (if cfg.optimize then begin
-         let budget = ref cfg.max_migrations_per_round in
+         let budget = ref max_migrations_per_round in
          List.iter
            (fun d ->
              if !budget > 0 then begin
@@ -333,11 +332,11 @@ let optimizer_handler handle =
             let decayed =
               {
                 l with
-                l_processed = l.l_processed *. cfg.decay;
+                l_processed = l.l_processed *. decay;
                 l_in_by_hive =
                   List.filter_map
                     (fun (h, c) ->
-                      let c = c *. cfg.decay in
+                      let c = c *. decay in
                       if c < 0.25 then None else Some (h, c))
                     l.l_in_by_hive;
               }

@@ -28,7 +28,10 @@ type decision = {
 type policy = Platform.t -> bee_load list -> decision list
 (** A placement strategy: given the aggregated view, propose migrations.
     The optimizer applies them through {!Platform.migrate_bee} subject to
-    the per-round budget; rejected decisions are dropped. *)
+    {!max_migrations_per_round}; rejected decisions are dropped. *)
+
+val max_migrations_per_round : int
+(** 64: decisions past this many in one optimization round are dropped. *)
 
 val greedy_source_policy : ?majority:float -> ?min_messages:int -> unit -> policy
 (** The paper's heuristic ("On Optimal Placement"): move a bee to the
@@ -57,12 +60,10 @@ val combined_policy : policy list -> policy
 type config = {
   window : Beehive_sim.Simtime.t;  (** collection period (default 1 s) *)
   optimize_every : Beehive_sim.Simtime.t;
-      (** how often the placement heuristic runs (default 5 s) *)
-  decay : float;
-      (** multiplicative decay of history at each optimization round
-          (default 0.5); keeps the view biased to recent traffic *)
+      (** how often the placement heuristic runs (default 5 s); each
+          round then halves the history, keeping the view biased to
+          recent traffic *)
   optimize : bool;  (** when false, instrument but never migrate *)
-  max_migrations_per_round : int;  (** default 64 *)
   policy : policy;
       (** placement strategy (default [greedy_source_policy ()]) *)
 }

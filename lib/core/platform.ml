@@ -18,20 +18,11 @@ let stale_read_window = Simtime.of_ms 3
 
 type config = {
   n_hives : int;
-  channel : Channels.config;
   hive_capacity : int;
   durability : Store.config option;
-  transport : Transport.config;
 }
 
-let default_config ~n_hives =
-  {
-    n_hives;
-    channel = Channels.default_config;
-    hive_capacity = max_int;
-    durability = None;
-    transport = Transport.default_config;
-  }
+let default_config ~n_hives = { n_hives; hive_capacity = max_int; durability = None }
 
 (* Background integrity scrub: cold snapshot+WAL bytes verified per 5 ms
    slice; detected-corrupt live bees are repaired in place, crashed ones
@@ -183,8 +174,7 @@ type t = {
   mutable mig_hooks : (migration -> unit) list;
   mutable restart_hooks : (int -> unit) list;
   mutable commit_hooks : (commit_info -> unit) list;
-  mutable recovery_providers : (bee:int -> (string * string * Value.t) list option) list;
-      (* newest first; first Some wins *)
+  mutable recovery_provider : (bee:int -> (string * string * Value.t) list option) option;
   mutable failure_hooks : (int -> unit) list;
   mutable fsync_hooks : (int -> unit) list;
       (* run after each per-hive group commit becomes durable *)
@@ -204,10 +194,10 @@ type t = {
       (* exceptions contained at the dispatch boundary: map/cost/timer/
          endpoint callbacks that raised *)
   mutable outbox_ack_hooks : (bee:int -> seq:int -> unit) list;
-  mutable outbox_recovery_providers :
-    (bee:int -> ((int * Message.t) list * (int * int) list) option) list;
-      (* newest first; first Some wins: the replicated outbox + inbox a
-         failover re-seeds the new primary's log with *)
+  mutable outbox_recovery_provider :
+    (bee:int -> ((int * Message.t) list * (int * int) list) option) option;
+      (* the replicated outbox + inbox a failover re-seeds the new
+         primary's log with *)
 }
 
 let engine t = t.engine
@@ -1343,14 +1333,20 @@ let migrations t = List.rev t.migration_log
 let on_migration t f = t.mig_hooks <- f :: t.mig_hooks
 let on_hive_restart t f = t.restart_hooks <- f :: t.restart_hooks
 let on_commit t f = t.commit_hooks <- f :: t.commit_hooks
-let set_recovery_provider t f = t.recovery_providers <- f :: t.recovery_providers
 let on_hive_failure t f = t.failure_hooks <- f :: t.failure_hooks
 let on_fsync t f = t.fsync_hooks <- f :: t.fsync_hooks
 let on_emit t f = t.emit_hooks <- f :: t.emit_hooks
 let on_outbox_ack t f = t.outbox_ack_hooks <- f :: t.outbox_ack_hooks
 
+let set_recovery_provider t f =
+  if Option.is_some t.recovery_provider then
+    invalid_arg "Platform.set_recovery_provider: already set";
+  t.recovery_provider <- Some f
+
 let set_outbox_recovery_provider t f =
-  t.outbox_recovery_providers <- f :: t.outbox_recovery_providers
+  if Option.is_some t.outbox_recovery_provider then
+    invalid_arg "Platform.set_outbox_recovery_provider: already set";
+  t.outbox_recovery_provider <- Some f
 
 (* ------------------------------------------------------------------ *)
 (* Outbox / quarantine introspection                                   *)
@@ -1372,15 +1368,14 @@ let bees_on t h ~pred =
   |> List.sort (fun (a : bee) b -> Int.compare a.id b.id)
 
 (* The replicated outbox + inbox a failover or peer re-seed of [b]
-   re-seeds its ledger and log with. Later providers win. *)
+   re-seeds its ledger and log with. *)
 let outbox_survivor t (b : bee) =
-  List.find_map (fun p -> p ~bee:b.id) t.outbox_recovery_providers
+  Option.bind t.outbox_recovery_provider (fun p -> p ~bee:b.id)
 
-(* What an installed recovery provider (e.g. Raft) can reconstruct for
-   this bee, if anything. Later providers win. *)
+(* What the installed recovery provider (e.g. Raft) can reconstruct for
+   this bee, if anything. *)
 let recoverable_entries t (b : bee) =
-  if b.app.App.replicated then
-    List.find_map (fun provider -> provider ~bee:b.id) t.recovery_providers
+  if b.app.App.replicated then Option.bind t.recovery_provider (fun p -> p ~bee:b.id)
   else None
 
 (* Where a bee leaving [from_hive] can fail over to: the next placeable
@@ -1816,11 +1811,10 @@ let create engine cfg =
   if cfg.n_hives <= 0 then invalid_arg "Platform.create: need at least one hive";
   let hives = Hives.create cfg.n_hives in
   let chans =
-    Channels.create ~rng:(Rng.split (Engine.rng engine)) ~n_hives:cfg.n_hives
-      cfg.channel
+    Channels.create ~rng:(Rng.split (Engine.rng engine)) ~n_hives:cfg.n_hives ()
   in
   let transport =
-    Transport.create ~config:cfg.transport ~engine
+    Transport.create ~engine
       ~rng:(Rng.split (Engine.rng engine))
       ~alive:(fun h -> not (Hives.crashed hives h))
       chans
@@ -1849,7 +1843,7 @@ let create engine cfg =
     mig_hooks = [];
     restart_hooks = [];
     commit_hooks = [];
-    recovery_providers = [];
+    recovery_provider = None;
     failure_hooks = [];
     fsync_hooks = [];
     added_hooks = [];
@@ -1862,7 +1856,7 @@ let create engine cfg =
     outbox = Outbox.create ();
     n_handler_faults = 0;
     outbox_ack_hooks = [];
-    outbox_recovery_providers = [];
+    outbox_recovery_provider = None;
   }
   in
   (match cfg.durability with

@@ -23,7 +23,6 @@ type t
 
 type config = {
   n_hives : int;
-  channel : Beehive_net.Channels.config;
   hive_capacity : int;  (** max cells hosted per hive *)
   durability : Beehive_store.Store.config option;
       (** when set, every non-local bee's dictionaries are shadowed by the
@@ -42,9 +41,6 @@ type config = {
           durability, buffered emits are dispatched at commit and dedup is
           transport-level only. A background scrubber re-verifies
           {!scrub_budget_bytes} of cold WAL/snapshot bytes every 5 ms. *)
-  transport : Beehive_net.Transport.config;
-      (** the at-least-once {!Beehive_net.Transport} that carries every
-          cross-hive message *)
 }
 (** Handler-failure containment holds with or without durability: an
     exception aborts the transaction (state delta and buffered emits
@@ -273,8 +269,9 @@ val set_recovery_provider :
   t -> (bee:int -> (string * string * Value.t) list option) -> unit
 (** Consulted by {!fail_hive}, {!evict_hive} and {!restart_hive}'s
     corrupt-storage repair for bees of [replicated] apps: when it returns
-    entries, the bee fails over (or is re-seeded) with that state. Later
-    providers win. Without a provider, no bee fails over. *)
+    entries, the bee fails over (or is re-seeded) with that state.
+    Without a provider, no bee fails over. One per platform: a second
+    call raises [Invalid_argument]. *)
 
 val set_outbox_recovery_provider :
   t -> (bee:int -> ((int * Message.t) list * (int * int) list) option) -> unit
@@ -282,7 +279,8 @@ val set_outbox_recovery_provider :
     replication scheme that tracked [ci_emits]/[ci_inbox] returns the
     bee's un-acked outbox entries and inbox marks here, and a failover
     re-seeds the new primary's WAL with them (the entries are then
-    replayed; receivers that already applied them dedup and ack). *)
+    replayed; receivers that already applied them dedup and ack). One
+    per platform, like {!set_recovery_provider}. *)
 
 val on_hive_failure : t -> (int -> unit) -> unit
 (** Called at the start of {!fail_hive} (e.g. to crash co-located
@@ -458,7 +456,8 @@ type drop_reason =
   | Dead_origin  (** emitted from a crashed hive *)
   | Missing_endpoint  (** sent to an unregistered IO endpoint *)
   | Retransmit_exhausted
-      (** the transport gave up after [max_attempts] copies *)
+      (** the transport gave up after
+          {!Beehive_net.Transport.max_attempts} copies *)
 
 val total_dropped : t -> int
 (** Messages discarded for any {!drop_reason} (the per-reason breakdown

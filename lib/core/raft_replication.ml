@@ -23,6 +23,9 @@ type group = {
   mutable g_queue : string list;  (* commands awaiting a leader, oldest last *)
 }
 
+(* Members per group: the anchor hive and its successors. *)
+let replication_factor = 3
+
 type t = {
   platform : Platform.t;
   engine : Engine.t;
@@ -312,7 +315,7 @@ let handoff_hive t ~hive =
         | Some r -> g.g_members <- g.g_members @ [ r ]
         | None ->
           (* Nowhere to hand off: the group just narrows (a shrunken
-             cluster may be smaller than the configured group size). *)
+             cluster may be smaller than [replication_factor]). *)
           ());
         Hashtbl.iter (fun _ node -> Raft.set_peers node g.g_members) g.g_nodes;
         (match candidate with
@@ -464,10 +467,10 @@ let on_hive_restart t h =
       | None -> ())
     t.groups
 
-let install platform ?(group_size = 3) ?(compact_every = 64) () =
+let install platform ?(compact_every = 64) () =
   let engine = Platform.engine platform in
   let n = Platform.n_hives platform in
-  let size = max 1 (min group_size n) in
+  let size = min replication_factor n in
   let t =
     {
       platform;

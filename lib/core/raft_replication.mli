@@ -5,9 +5,10 @@
     fault-tolerance" direction the paper closes with (the production
     Beehive replicates hive state with Raft).
 
-    One Raft group per hive, [group_size] members wide (the hive and its
-    successors). Every committed transaction of a [replicated] app is
-    proposed to the group anchored at the bee's hive at first commit;
+    One Raft group per hive, three members wide (the hive and its
+    successors; fewer when the cluster is smaller). Every committed
+    transaction of a [replicated] app is proposed to the group anchored
+    at the bee's hive at first commit;
     each group member applies the write set to its own replica of the
     bee's state. The bee's un-acked outbox entries ride the same commits,
     are trimmed when the platform reports full acknowledgement, and are
@@ -26,14 +27,14 @@
 
 type t
 
-val install : Platform.t -> ?group_size:int -> ?compact_every:int -> unit -> t
+val install : Platform.t -> ?compact_every:int -> unit -> t
 (** Creates the groups, subscribes to the platform's commit / failure /
-    recovery / restart hooks, and starts all Raft nodes. [group_size]
-    defaults to 3 and is clamped to the hive count; [compact_every]
+    recovery / restart hooks, and starts all Raft nodes. [compact_every]
     (default 64) is the applied-entry interval between log
     compactions. *)
 
 val group_size : t -> int
+(** Three, or the hive count on a smaller cluster. *)
 
 val group_members : t -> hive:int -> int list
 (** Member hives of the group anchored at [hive]. *)

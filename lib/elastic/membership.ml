@@ -7,17 +7,12 @@ let src = Logs.Src.create "beehive.elastic" ~doc:"Beehive elastic membership"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type config = {
-  pump_period : Simtime.t;
-  min_placeable : int;
-}
-
-let default_config = { pump_period = Simtime.of_ms 5; min_placeable = 2 }
+let pump_period = Simtime.of_ms 5
+let min_placeable = 2
 
 type t = {
   platform : Platform.t;
   engine : Engine.t;
-  cfg : config;
   raft : Raft_replication.t option;
   drains : (int, Drain.t) Hashtbl.t;  (* hive -> newest drain record *)
   mutable n_joins : int;
@@ -76,13 +71,12 @@ let pump t = Hashtbl.iter (fun _ d -> pump_drain t d) t.drains
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let create ?(config = default_config) ?raft platform =
+let create ?raft platform =
   let engine = Platform.engine platform in
   let t =
     {
       platform;
       engine;
-      cfg = config;
       raft;
       drains = Hashtbl.create 8;
       n_joins = 0;
@@ -98,7 +92,7 @@ let create ?(config = default_config) ?raft platform =
         has_prefix ~prefix:"drain:" mig.Platform.mig_reason
         || has_prefix ~prefix:"scale-out:" mig.Platform.mig_reason
       then t.n_rebalance_migrations <- t.n_rebalance_migrations + 1);
-  ignore (Engine.every engine config.pump_period (fun () -> pump t));
+  ignore (Engine.every engine pump_period (fun () -> pump t));
   t
 
 (* ------------------------------------------------------------------ *)
@@ -128,7 +122,7 @@ let drain t ?(auto_decommission = false) ?on_complete hive =
     (not (Platform.hive_alive t.platform hive))
     || Platform.hive_draining t.platform hive
     || Platform.hive_decommissioned t.platform hive
-    || placeable_without t hive < t.cfg.min_placeable
+    || placeable_without t hive < min_placeable
   then false
   else begin
     Platform.set_draining t.platform hive true;

@@ -19,22 +19,17 @@
       complete: the hive leaves the failure-detector membership, its
       links close, and its id is retired (never reused). *)
 
-type config = {
-  pump_period : Beehive_sim.Simtime.t;
-      (** How often the evacuation pump retries stuck migrations and
-          checks drain completion. *)
-  min_placeable : int;
-      (** A drain is refused unless at least this many placeable hives
-          would remain to absorb the evacuees. *)
-}
+val pump_period : Beehive_sim.Simtime.t
+(** 5 ms: how often the evacuation pump retries stuck migrations and
+    checks drain completion. *)
 
-val default_config : config
-(** 5 ms pump, [min_placeable = 2]. *)
+val min_placeable : int
+(** 2: a drain is refused unless at least this many placeable hives
+    would remain to absorb the evacuees. *)
 
 type t
 
-val create :
-  ?config:config -> ?raft:Beehive_core.Raft_replication.t -> Beehive_core.Platform.t -> t
+val create : ?raft:Beehive_core.Raft_replication.t -> Beehive_core.Platform.t -> t
 (** Installs the evacuation pump on the platform's engine and a
     migration hook that counts rebalance moves. Pass [raft] so drains
     hand off group memberships before evacuating bees. *)
@@ -46,7 +41,7 @@ val drain :
   t -> ?auto_decommission:bool -> ?on_complete:(unit -> unit) -> int -> bool
 (** [drain t h] begins draining hive [h]. Returns [false] (and does
     nothing) if [h] is not alive, is already draining or decommissioned,
-    or too few placeable hives would remain. With
+    or fewer than {!min_placeable} placeable hives would remain. With
     [~auto_decommission:true] the hive is decommissioned the moment the
     drain completes. *)
 

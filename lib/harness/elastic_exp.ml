@@ -141,7 +141,6 @@ let run ?(config = default_config) () =
   let _instr =
     Instrumentation.install platform
       {
-        Instrumentation.default_config with
         Instrumentation.window = Simtime.of_ms 200;
         optimize_every = Simtime.of_ms 500;
         optimize = true;

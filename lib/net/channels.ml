@@ -5,26 +5,14 @@ type endpoint =
   | Hive of int
   | Switch of int
 
-type config = {
-  local_latency : Simtime.t;
-  hive_latency : Simtime.t;
-  switch_latency : Simtime.t;
-  bytes_per_us : float;
-  bucket : Simtime.t;
-}
-
-let default_config =
-  {
-    local_latency = Simtime.of_us 5;
-    hive_latency = Simtime.of_us 200;
-    switch_latency = Simtime.of_us 100;
-    bytes_per_us = 100.0;
-    bucket = Simtime.of_sec 1.0;
-  }
+let local_latency = Simtime.of_us 5
+let hive_latency = Simtime.of_us 200
+let switch_latency = Simtime.of_us 100
+let bytes_per_us = 100.0
+let bucket = Simtime.of_sec 1.0
 
 type t = {
   mutable n : int;
-  cfg : config;
   rng : Rng.t;
   masters : (int, int) Hashtbl.t;
   matrix : Traffic_matrix.t;
@@ -40,15 +28,14 @@ type t = {
   mutable n_parted : int;
 }
 
-let create ?rng ~n_hives cfg =
+let create ?rng ~n_hives () =
   if n_hives <= 0 then invalid_arg "Channels.create: need at least one hive";
   {
     n = n_hives;
-    cfg;
     rng = (match rng with Some r -> r | None -> Rng.create 0);
     masters = Hashtbl.create 64;
     matrix = Traffic_matrix.create n_hives;
-    series = Series.create ~bucket:cfg.bucket;
+    series = Series.create ~bucket;
     sw_bytes = 0.0;
     lat_factor = Array.make (n_hives * n_hives) 1.0;
     loss = Array.make (n_hives * n_hives) 0.0;
@@ -147,8 +134,8 @@ let assign_switch t ~switch ~hive =
   if hive < 0 || hive >= t.n then invalid_arg "Channels.assign_switch: bad hive";
   Hashtbl.replace t.masters switch hive
 
-let ser_delay t bytes =
-  Simtime.of_us (int_of_float (float_of_int bytes /. t.cfg.bytes_per_us))
+let ser_delay bytes =
+  Simtime.of_us (int_of_float (float_of_int bytes /. bytes_per_us))
 
 let hive_of t = function
   | Hive h -> h
@@ -170,22 +157,22 @@ let account t ~src ~dst ~bytes ~now =
   if crosses_switch_link then t.sw_bytes <- t.sw_bytes +. float_of_int bytes;
   if sh = dh then
     if crosses_switch_link then
-      scale t ~src:sh ~dst:dh (Simtime.add t.cfg.switch_latency (ser_delay t bytes))
+      scale t ~src:sh ~dst:dh (Simtime.add switch_latency (ser_delay bytes))
     else begin
       (* Intra-hive bee-to-bee message: diagonal of the traffic matrix,
          but not inter-hive channel bandwidth. *)
       Traffic_matrix.add t.matrix ~src:sh ~dst:dh ~bytes;
-      scale t ~src:sh ~dst:dh t.cfg.local_latency
+      scale t ~src:sh ~dst:dh local_latency
     end
   else begin
     (* Remote: the message traverses an inter-hive channel. *)
     Traffic_matrix.add t.matrix ~src:sh ~dst:dh ~bytes;
     Series.add t.series ~at:now (float_of_int bytes);
     let base =
-      if crosses_switch_link then Simtime.add t.cfg.switch_latency t.cfg.hive_latency
-      else t.cfg.hive_latency
+      if crosses_switch_link then Simtime.add switch_latency hive_latency
+      else hive_latency
     in
-    scale t ~src:sh ~dst:dh (Simtime.add base (ser_delay t bytes))
+    scale t ~src:sh ~dst:dh (Simtime.add base (ser_delay bytes))
   end
 
 let transfer t ~src ~dst ~bytes ~now = account t ~src ~dst ~bytes ~now
@@ -216,5 +203,5 @@ let switch_bytes t = t.sw_bytes
 
 let reset_accounting t =
   Traffic_matrix.reset t.matrix;
-  t.series <- Series.create ~bucket:t.cfg.bucket;
+  t.series <- Series.create ~bucket;
   t.sw_bytes <- 0.0

@@ -17,25 +17,15 @@ type endpoint =
   | Hive of int
   | Switch of int
 
-type config = {
-  local_latency : Beehive_sim.Simtime.t;
-      (** delivery latency between bees on the same hive *)
-  hive_latency : Beehive_sim.Simtime.t;
-      (** one-way latency between two hives *)
-  switch_latency : Beehive_sim.Simtime.t;
-      (** one-way latency between a switch and its master hive *)
-  bytes_per_us : float;
-      (** serialization bandwidth: extra delay = bytes / bytes_per_us *)
-  bucket : Beehive_sim.Simtime.t;  (** bandwidth series bucket width *)
-}
-
-val default_config : config
-(** 5 us local, 200 us hive-to-hive, 100 us switch links, 100 MB/s
-    serialization, 1 s buckets. *)
+val local_latency : Beehive_sim.Simtime.t
+(** Delivery latency between bees on the same hive: 5 us. A hive-to-hive
+    hop takes 200 us and a switch-to-master link 100 us, each plus a
+    serialization delay of one us per 100 bytes; bandwidth is bucketed
+    per second. *)
 
 type t
 
-val create : ?rng:Beehive_sim.Rng.t -> n_hives:int -> config -> t
+val create : ?rng:Beehive_sim.Rng.t -> n_hives:int -> unit -> t
 (** [rng] drives the per-message loss draws of {!transfer_result}; pass a
     stream split from the engine RNG so runs stay deterministic. Defaults
     to a fixed seed (fine for fault-free fabrics, which never draw). *)

@@ -4,24 +4,12 @@ module Rng = Beehive_sim.Rng
 
 let debug_disable_dedup = ref false
 
-type config = {
-  rto_initial : Simtime.t;
-  rto_max : Simtime.t;
-  jitter_frac : float;
-  max_attempts : int;
-  header_bytes : int;
-  ack_bytes : int;
-}
-
-let default_config =
-  {
-    rto_initial = Simtime.of_us 600;
-    rto_max = Simtime.of_us 12_000;
-    jitter_frac = 0.25;
-    max_attempts = 80;
-    header_bytes = 0;
-    ack_bytes = 0;
-  }
+let rto_initial = Simtime.of_us 600
+let rto_max = Simtime.of_us 12_000
+let jitter_frac = 0.25
+let max_attempts = 80
+let header_bytes = 0
+let ack_bytes = 0
 
 type msg = {
   m_seq : int;
@@ -51,7 +39,6 @@ type t = {
   channels : Channels.t;
   rng : Rng.t;
   alive : int -> bool;
-  cfg : config;
   links : (int * int, link) Hashtbl.t;  (* keyed (sh, dh): stable across membership growth *)
   mutable sent : int;
   mutable retransmits : int;
@@ -61,13 +48,12 @@ type t = {
   mutable exhausted : int;
 }
 
-let create ?(config = default_config) ~engine ~rng ~alive channels =
+let create ~engine ~rng ~alive channels =
   {
     engine;
     channels;
     rng;
     alive;
-    cfg = config;
     links = Hashtbl.create 32;
     sent = 0;
     retransmits = 0;
@@ -97,11 +83,11 @@ let hive_of t ep =
    synchronized retries de-correlate. [attempts] is the number already
    made (>= 1). *)
 let rto t attempts =
-  let base = Simtime.to_us t.cfg.rto_initial in
-  let cap = Simtime.to_us t.cfg.rto_max in
+  let base = Simtime.to_us rto_initial in
+  let cap = Simtime.to_us rto_max in
   let n = min (attempts - 1) 20 in
   let d = min cap (base * (1 lsl n)) in
-  let jitter_bound = int_of_float (float_of_int d *. t.cfg.jitter_frac) in
+  let jitter_bound = int_of_float (float_of_int d *. jitter_frac) in
   let jitter = if jitter_bound > 0 then Rng.int t.rng jitter_bound else 0 in
   Simtime.of_us (d + jitter)
 
@@ -127,7 +113,7 @@ let send_ack t l m =
      turns a retransmission into a duplicate at the receiver. *)
   match
     Channels.transfer_result t.channels ~src:m.m_dst ~dst:m.m_src
-      ~bytes:t.cfg.ack_bytes ~now:(Engine.now t.engine)
+      ~bytes:ack_bytes ~now:(Engine.now t.engine)
   with
   | `Lost -> ()
   | `Delivered lat ->
@@ -164,7 +150,7 @@ let receive t l m ~dh =
    hive comes back. *)
 
 let rec attempt t l m ~dh =
-  let wire_bytes = m.m_bytes + t.cfg.header_bytes in
+  let wire_bytes = m.m_bytes + header_bytes in
   (match
      Channels.transfer_result t.channels ~src:m.m_src ~dst:m.m_dst ~bytes:wire_bytes
        ~now:(Engine.now t.engine)
@@ -180,7 +166,7 @@ and arm_timer t l m ~dh =
     Some
       (Engine.schedule_after t.engine d (fun () ->
            if not m.m_done then
-             if m.m_attempts >= t.cfg.max_attempts then begin
+             if m.m_attempts >= max_attempts then begin
                m.m_done <- true;
                m.m_timer <- None;
                Hashtbl.remove l.inflight m.m_seq;
@@ -190,7 +176,7 @@ and arm_timer t l m ~dh =
              else begin
                m.m_attempts <- m.m_attempts + 1;
                t.retransmits <- t.retransmits + 1;
-               t.retransmit_bytes <- t.retransmit_bytes + m.m_bytes + t.cfg.header_bytes;
+               t.retransmit_bytes <- t.retransmit_bytes + m.m_bytes + header_bytes;
                attempt t l m ~dh
              end))
 

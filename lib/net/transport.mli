@@ -15,27 +15,15 @@
 
 type t
 
-type config = {
-  rto_initial : Beehive_sim.Simtime.t;
-      (** first retransmission timeout; should exceed one round trip *)
-  rto_max : Beehive_sim.Simtime.t;  (** backoff cap *)
-  jitter_frac : float;
-      (** uniform jitter added per timeout, as a fraction of it *)
-  max_attempts : int;
-      (** total attempts (first send included) before giving up *)
-  header_bytes : int;
-      (** per-copy framing overhead charged to the fabric *)
-  ack_bytes : int;  (** bytes charged for each ack on the reverse link *)
-}
-
-val default_config : config
-(** 600 us initial RTO doubling to a 12 ms cap with 25% jitter, 80
-    attempts (several hundred ms of persistence, enough to span nemesis
-    partition windows), zero header/ack bytes so default accounting
-    matches the pre-transport platform byte-for-byte. *)
+val max_attempts : int
+(** Total attempts (first send included) before a message is given up:
+    80. Retransmission timeouts start at 600 us, double to a 12 ms cap
+    and carry up to 25% uniform jitter, so the 80 attempts span about a
+    second — enough to outlast nemesis partition windows. Copies and
+    acks carry no framing bytes, so accounting on a healthy fabric
+    matches {!Channels} byte for byte. *)
 
 val create :
-  ?config:config ->
   engine:Beehive_sim.Engine.t ->
   rng:Beehive_sim.Rng.t ->
   alive:(int -> bool) ->

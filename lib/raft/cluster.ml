@@ -19,7 +19,7 @@ let connected t a b =
   | None -> true
   | Some groups -> List.exists (fun g -> List.mem a g && List.mem b g) groups
 
-let create engine ~n ?config ?(latency = Simtime.of_ms 5) () =
+let create engine ~n ?(latency = Simtime.of_ms 5) () =
   if n <= 0 then invalid_arg "Cluster.create: need at least one node";
   let applied = Array.init n (fun _ -> ref []) in
   let cluster_ref = ref None in
@@ -40,7 +40,7 @@ let create engine ~n ?config ?(latency = Simtime.of_ms 5) () =
     let apply (e : Raft.entry) =
       applied.(i) := (e.Raft.e_index, e.Raft.e_command) :: !(applied.(i))
     in
-    Raft.create engine ~id:i ~peers ?config ~send ~apply ()
+    Raft.create engine ~id:i ~peers ~send ~apply ()
   in
   let nodes = Array.init n make in
   let t =

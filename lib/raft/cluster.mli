@@ -11,7 +11,6 @@ type t
 val create :
   Beehive_sim.Engine.t ->
   n:int ->
-  ?config:Raft.config ->
   ?latency:Beehive_sim.Simtime.t ->
   unit ->
   t

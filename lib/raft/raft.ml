@@ -55,18 +55,9 @@ let rpc_size = function
   | Append_reply _ -> 28
   | Install_snapshot { is_data_size; _ } -> 48 + is_data_size
 
-type config = {
-  election_timeout_min : Simtime.t;
-  election_timeout_max : Simtime.t;
-  heartbeat_every : Simtime.t;
-}
-
-let default_config =
-  {
-    election_timeout_min = Simtime.of_ms 150;
-    election_timeout_max = Simtime.of_ms 300;
-    heartbeat_every = Simtime.of_ms 50;
-  }
+let election_timeout_min = Simtime.of_ms 150
+let election_timeout_max = Simtime.of_ms 300
+let heartbeat_every = Simtime.of_ms 50
 
 type role =
   | Follower
@@ -77,7 +68,6 @@ type t = {
   engine : Engine.t;
   node_id : int;
   mutable peers : int list;
-  cfg : config;
   send : dst:int -> rpc -> unit;
   apply_fn : entry -> unit;
   rng : Rng.t;
@@ -109,12 +99,11 @@ type t = {
   mutable heartbeat_timer : Engine.handle option;
 }
 
-let create engine ~id ~peers ?(config = default_config) ?install ~send ~apply () =
+let create engine ~id ~peers ?install ~send ~apply () =
   {
     engine;
     node_id = id;
     peers;
-    cfg = config;
     send;
     apply_fn = apply;
     rng = Rng.split (Engine.rng engine);
@@ -217,8 +206,8 @@ let apply_up_to t target =
 
 let rec reset_election_timer t =
   cancel_timer t t.election_timer;
-  let lo = Simtime.to_us t.cfg.election_timeout_min in
-  let hi = Simtime.to_us t.cfg.election_timeout_max in
+  let lo = Simtime.to_us election_timeout_min in
+  let hi = Simtime.to_us election_timeout_max in
   let timeout = Simtime.of_us (lo + Rng.int t.rng (max 1 (hi - lo))) in
   t.election_timer <-
     Some (Engine.schedule_after t.engine timeout (fun () -> if t.up then start_election t))
@@ -274,7 +263,7 @@ and become_leader t =
   cancel_timer t t.heartbeat_timer;
   t.heartbeat_timer <-
     Some
-      (Engine.every t.engine t.cfg.heartbeat_every (fun () ->
+      (Engine.every t.engine heartbeat_every (fun () ->
            if t.up && t.node_role = Leader then send_heartbeats t))
 
 and send_heartbeats t = List.iter (fun peer -> send_append t peer) t.peers

@@ -69,14 +69,6 @@ type rpc =
 val rpc_size : rpc -> int
 (** Wire-size estimate in bytes (for control-channel accounting). *)
 
-type config = {
-  election_timeout_min : Beehive_sim.Simtime.t;  (** default 150 ms *)
-  election_timeout_max : Beehive_sim.Simtime.t;  (** default 300 ms *)
-  heartbeat_every : Beehive_sim.Simtime.t;  (** default 50 ms *)
-}
-
-val default_config : config
-
 type role =
   | Follower
   | Candidate
@@ -88,7 +80,6 @@ val create :
   Beehive_sim.Engine.t ->
   id:int ->
   peers:int list ->
-  ?config:config ->
   ?install:(last_index:int -> last_term:int -> data:string -> unit) ->
   send:(dst:int -> rpc -> unit) ->
   apply:(entry -> unit) ->
@@ -98,7 +89,8 @@ val create :
     entry, in index order, while the node is up. [install] resets the
     state machine to a snapshot image: it fires when a leader ships one
     (the node lagged past the leader's compaction point) and again on
-    {!restart} if the node holds a snapshot. *)
+    {!restart} if the node holds a snapshot. Election timeouts are drawn
+    uniformly from 150–300 ms; a leader heartbeats every 50 ms. *)
 
 val start : t -> unit
 (** Arms the election timer (all nodes start as followers). *)

@@ -8,18 +8,12 @@ module Crc32 = Beehive_sim.Crc32
    framing still catches torn tails — that detection needs no checksum. *)
 let debug_disable_checksums = ref false
 
-type config = {
-  wal_group_commit_ticks : int;
-  fsync_latency : Simtime.t;
-  snapshot_threshold_bytes : int;
-}
+let group_commit_period = Simtime.of_ms 1
+let fsync_latency = Simtime.of_us 100
 
-let default_config =
-  {
-    wal_group_commit_ticks = 1;
-    fsync_latency = Simtime.of_us 100;
-    snapshot_threshold_bytes = 64 * 1024;
-  }
+type config = { snapshot_threshold_bytes : int }
+
+let default_config = { snapshot_threshold_bytes = 64 * 1024 }
 
 type 'v write = string * string * 'v option
 
@@ -504,8 +498,6 @@ let flush_bee t ~bee =
 
 let create engine ?(config = default_config) ~size_of ?(garble = fun v -> v)
     ?on_fsync ?on_outbox_durable () =
-  if config.wal_group_commit_ticks < 1 then
-    invalid_arg "Store.create: wal_group_commit_ticks must be >= 1";
   let t =
     {
       engine;
@@ -535,9 +527,9 @@ let create engine ?(config = default_config) ~size_of ?(garble = fun v -> v)
      fsync latency after the tick boundary. A crash inside that window
      loses them, exactly like an un-fsynced log. *)
   ignore
-    (Engine.every engine (Simtime.of_ms config.wal_group_commit_ticks) (fun () ->
+    (Engine.every engine group_commit_period (fun () ->
          if t.dirty_logs <> [] then
-           ignore (Engine.schedule_after engine config.fsync_latency (fun () -> flush t))));
+           ignore (Engine.schedule_after engine fsync_latency (fun () -> flush t))));
   t
 
 let drop_pending t ~hive =

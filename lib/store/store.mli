@@ -20,21 +20,23 @@
     logs are iterated in ascending bee order and all latency flows through
     the discrete-event engine. *)
 
+val group_commit_period : Beehive_sim.Simtime.t
+(** 1 ms: every write-set appended within one period is fsynced — and
+    therefore acknowledged durable — together, {!fsync_latency} after the
+    period boundary. *)
+
+val fsync_latency : Beehive_sim.Simtime.t
+(** 100 us: the simulated cost of one group-commit fsync, charged once
+    per hive with dirty batches per flush. *)
+
 type config = {
-  wal_group_commit_ticks : int;
-      (** group-commit interval in simulated milliseconds (ticks); every
-          write-set appended within one tick is fsynced — and therefore
-          acknowledged durable — together *)
-  fsync_latency : Beehive_sim.Simtime.t;
-      (** simulated cost of one group-commit fsync, charged once per hive
-          with dirty batches per flush *)
   snapshot_threshold_bytes : int;
       (** compact a bee's WAL into a snapshot once its durable log exceeds
           this many bytes *)
 }
 
 val default_config : config
-(** 1 ms group-commit ticks, 100 us fsync, 64 KiB snapshot threshold. *)
+(** A 64 KiB snapshot threshold. *)
 
 type 'v write = string * string * 'v option
 (** [(dict, key, Some v)] sets, [(dict, key, None)] deletes. *)
@@ -112,7 +114,7 @@ val alloc_out_seq : 'v t -> bee:int -> int
 
 val flush : 'v t -> unit
 (** Forces a group commit of every pending batch now (the periodic timer
-    does this every [wal_group_commit_ticks] ms). Runs compaction on any
+    does this every {!group_commit_period}). Runs compaction on any
     bee whose durable WAL exceeds the snapshot threshold. *)
 
 val flush_bee : 'v t -> bee:int -> unit

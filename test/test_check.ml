@@ -265,7 +265,7 @@ let test_poison_script_quarantines () =
 let test_detector_fails_over_crashed_hive () =
   let engine, platform = make_platform ~apps:[ replicated_kv_app () ] () in
   ignore (Raft_replication.install platform ());
-  let det = Failure_detector.install platform () in
+  let det = Failure_detector.install platform in
   run_for engine 2.0;  (* let the group leaders elect *)
   for i = 0 to 5 do
     put platform ~from:(i mod 4) ~key:(Printf.sprintf "k%d" i) ~value:1
@@ -293,7 +293,7 @@ let test_detector_fails_over_crashed_hive () =
    rejected — with no state lost and no bee left paused. *)
 let test_detector_evicts_and_rejoins_isolated_hive () =
   let engine, platform = durable_platform ~apps:[ kv_app () ] () in
-  let det = Failure_detector.install platform () in
+  let det = Failure_detector.install platform in
   for i = 0 to 7 do
     put platform ~from:(i mod 4) ~key:(Printf.sprintf "k%d" i) ~value:1
   done;
@@ -337,7 +337,7 @@ let test_detector_evicts_and_rejoins_isolated_hive () =
    the full cluster: nobody may be evicted, and the split just heals. *)
 let test_quorum_blocks_minority_eviction () =
   let engine, platform = make_platform ~apps:[ kv_app () ] () in
-  let det = Failure_detector.install platform () in
+  let det = Failure_detector.install platform in
   put platform ~from:0 ~key:"a" ~value:1;
   drain engine;
   let chans = Platform.channels platform in

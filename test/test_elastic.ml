@@ -40,7 +40,7 @@ let await_drain engine membership hive =
    an owner elsewhere), and the failure detector's quorum denominator. *)
 let test_add_hive_grows_cluster () =
   let engine, platform = make_platform ~n_hives:3 ~apps:[ kv_app () ] () in
-  let det = Failure_detector.install platform () in
+  let det = Failure_detector.install platform in
   let membership = Membership.create platform in
   Alcotest.(check int) "initial quorum of 3" 2 (Failure_detector.quorum det);
   let joined = Membership.add_hive membership in
@@ -258,7 +258,7 @@ let test_drain_hands_off_raft_groups () =
   let engine, platform =
     make_platform ~n_hives:5 ~apps:[ replicated_kv_app () ] ()
   in
-  let rep = Raft_replication.install platform ~group_size:3 () in
+  let rep = Raft_replication.install platform () in
   let membership = Membership.create ~raft:rep platform in
   List.iteri (fun i k -> put platform ~from:(i mod 5) ~key:k ~value:1) (keys 8);
   drain engine;
@@ -292,7 +292,7 @@ let test_drain_hands_off_raft_groups () =
    would sit undetected forever. *)
 let test_quorum_follows_membership_on_shrink () =
   let engine, platform = durable_platform ~n_hives:5 ~apps:[ kv_app () ] () in
-  let det = Failure_detector.install platform () in
+  let det = Failure_detector.install platform in
   let membership = Membership.create platform in
   Alcotest.(check int) "quorum of 5" 3 (Failure_detector.quorum det);
   List.iteri (fun i k -> put platform ~from:(i mod 5) ~key:k ~value:1) (keys 10);

@@ -97,27 +97,25 @@ let test_max_migrations_per_round () =
         Instrumentation.default_config with
         optimize = true;
         policy = Instrumentation.greedy_source_policy ~min_messages:3 ();
-        max_migrations_per_round = 2;
       }
   in
   Platform.start platform;
-  (* Six bees on hive 0, all fed from hive 1. *)
-  for i = 0 to 5 do
-    put platform ~from:0 ~key:(Printf.sprintf "k%d" i) ~value:1
-  done;
+  (* More candidates than the per-round budget: 70 bees on hive 0, all
+     fed from hive 1. *)
+  let keys = List.init 70 (Printf.sprintf "k%d") in
+  List.iter (fun key -> put platform ~from:0 ~key ~value:1) keys;
   drain engine;
   let h =
     Engine.every engine (Simtime.of_ms 200) (fun () ->
-        for i = 0 to 5 do
-          put platform ~from:1 ~key:(Printf.sprintf "k%d" i) ~value:1
-        done)
+        List.iter (fun key -> put platform ~from:1 ~key ~value:1) keys)
   in
   (* One optimization round fires at t=5s. *)
   Engine.run_until engine (Simtime.of_sec 6.0);
   ignore (Engine.cancel engine h);
+  Alcotest.(check int) "budget is 64" 64 Instrumentation.max_migrations_per_round;
+  Alcotest.(check int) "budget exhausted" 64 (Instrumentation.suggested_migrations handle);
   Alcotest.(check bool) "per-round budget respected" true
-    (Instrumentation.performed_migrations handle <= 2);
-  ignore handle
+    (Instrumentation.performed_migrations handle <= 64)
 
 let suite =
   [

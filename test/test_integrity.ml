@@ -78,7 +78,7 @@ let test_bit_flip_fail_stops () =
 let test_snapshot_rot_fail_stops () =
   let store =
     int_store
-      ~config:{ Store.default_config with Store.snapshot_threshold_bytes = 64 }
+      ~config:{ Store.snapshot_threshold_bytes = 64 }
       (Engine.create ())
   in
   for i = 0 to 19 do

@@ -135,13 +135,13 @@ let test_series () =
   Alcotest.(check (float 0.01)) "total" 2560.0 (Series.total s)
 
 let test_channels_accounting () =
-  let c = Channels.create ~n_hives:3 Channels.default_config in
+  let c = Channels.create ~n_hives:3 () in
   Channels.assign_switch c ~switch:7 ~hive:1;
   Alcotest.(check int) "master" 1 (Channels.master_of c 7);
   (* remote hive-to-hive: matrix + series *)
   let lat = Channels.transfer c ~src:(Channels.Hive 0) ~dst:(Channels.Hive 2) ~bytes:1000 ~now:Simtime.zero in
   Alcotest.(check bool) "remote latency > local" true
-    Simtime.(lat > Channels.default_config.Channels.local_latency);
+    Simtime.(lat > Channels.local_latency);
   Alcotest.(check (float 0.01)) "matrix" 1000.0
     (Traffic_matrix.bytes (Channels.matrix c) ~src:0 ~dst:2);
   (* same hive: diagonal only, no series *)

@@ -344,6 +344,9 @@ let test_failover_needs_a_live_target () =
   let engine, platform = make_platform ~n_hives:1 ~apps:[ replicated_kv_app () ] () in
   Platform.set_recovery_provider platform (fun ~bee ->
       Some (Platform.bee_state_entries platform bee));
+  Alcotest.check_raises "one recovery provider per platform"
+    (Invalid_argument "Platform.set_recovery_provider: already set") (fun () ->
+      Platform.set_recovery_provider platform (fun ~bee:_ -> None));
   put platform ~from:0 ~key:"k" ~value:5;
   drain engine;
   let bee = owner_exn platform ~app:"test.kv" "k" in

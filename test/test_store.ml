@@ -113,12 +113,12 @@ let test_replay_determinism () =
 let test_snapshot_tail_equals_pure_replay () =
   let compacting =
     int_store
-      ~config:{ Store.default_config with Store.snapshot_threshold_bytes = 256 }
+      ~config:{ Store.snapshot_threshold_bytes = 256 }
       (Engine.create ())
   in
   let pure =
     int_store
-      ~config:{ Store.default_config with Store.snapshot_threshold_bytes = max_int }
+      ~config:{ Store.snapshot_threshold_bytes = max_int }
       (Engine.create ())
   in
   workload compacting;
@@ -138,7 +138,7 @@ let test_snapshot_tail_equals_pure_replay () =
 let test_compaction_under_concurrent_commits () =
   let store =
     int_store
-      ~config:{ Store.default_config with Store.snapshot_threshold_bytes = 128 }
+      ~config:{ Store.snapshot_threshold_bytes = 128 }
       (Engine.create ())
   in
   (* Three bees commit interleaved across many flush cycles; compactions
@@ -260,7 +260,7 @@ let test_crash_mid_migration_single_owner () =
 let test_migration_ships_package_and_wal_metrics () =
   let engine, platform =
     durable_platform
-      ~config:{ Store.default_config with Store.snapshot_threshold_bytes = 128 }
+      ~config:{ Store.snapshot_threshold_bytes = 128 }
       ()
   in
   for i = 0 to 29 do

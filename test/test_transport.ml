@@ -9,14 +9,11 @@ module Rng = Beehive_sim.Rng
 module Channels = Beehive_net.Channels
 module Transport = Beehive_net.Transport
 
-let make ?(seed = 42) ?config ?(n_hives = 4) () =
+let make ?(seed = 42) ?(n_hives = 4) () =
   let engine = Engine.create ~seed () in
-  let chans =
-    Channels.create ~rng:(Rng.split (Engine.rng engine)) ~n_hives
-      Channels.default_config
-  in
+  let chans = Channels.create ~rng:(Rng.split (Engine.rng engine)) ~n_hives () in
   let tr =
-    Transport.create ?config ~engine ~rng:(Rng.split (Engine.rng engine))
+    Transport.create ~engine ~rng:(Rng.split (Engine.rng engine))
       ~alive:(fun _ -> true) chans
   in
   (engine, chans, tr)
@@ -93,11 +90,10 @@ let test_delivery_across_partition_window () =
   Alcotest.(check bool) "took retransmissions" true (Transport.retransmits tr > 0);
   Alcotest.(check int) "nothing exhausted" 0 (Transport.exhausted tr)
 
-(* A permanent partition exhausts the attempt budget and reports the
-   drop instead of retrying forever. *)
+(* A permanent partition exhausts the 80-attempt budget (about a second
+   of backoff) and reports the drop instead of retrying forever. *)
 let test_exhaustion_reports_drop () =
-  let config = { Transport.default_config with Transport.max_attempts = 5 } in
-  let engine, chans, tr = make ~config () in
+  let engine, chans, tr = make () in
   Channels.partition chans ~a:2 ~b:3;
   let dropped = ref 0 in
   Transport.send tr ~src:(Channels.Hive 2) ~dst:(Channels.Hive 3) ~bytes:64
@@ -107,6 +103,8 @@ let test_exhaustion_reports_drop () =
   drain engine;
   Alcotest.(check int) "on_drop fired once" 1 !dropped;
   Alcotest.(check int) "counted as exhausted" 1 (Transport.exhausted tr);
+  Alcotest.(check int) "every attempt after the first retransmitted" 79
+    (Transport.retransmits tr);
   Alcotest.(check int) "nothing pending" 0 (Transport.pending tr)
 
 (* The dedup-off fault-injection hook really re-introduces the bug the
