@@ -744,4 +744,4 @@ let digest cfg =
        (Engine.events_executed engine)
        (Engine.sharded_batches engine)
        (Engine.sharded_events engine));
-  Digest.to_hex (Digest.string (Buffer.contents trace))
+  (outcome, Digest.to_hex (Digest.string (Buffer.contents trace)))

@@ -105,3 +105,54 @@ let store_value platform ~bee ~key =
         match v with Value.V_int n -> Some n | _ -> None
       else None)
     (Platform.bee_state_entries platform bee)
+
+(* Behaviour pins. [behaviour.digests] holds "<section> <key> <digest>"
+   lines; [check_pinned ~section actual] compares the section's
+   (key, digest) pairs with [actual]. On a mismatch it prints the file as
+   it would read now: an intended behaviour change is re-pinned by
+   copying it. *)
+let behaviour_file = "behaviour.digests"
+
+let check_pinned ~section actual =
+  let lines =
+    In_channel.with_open_text behaviour_file In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+  in
+  let section_of line =
+    if line.[0] = '#' then None
+    else
+      match String.split_on_char ' ' line with
+      | s :: rest when rest <> [] -> Some (s, rest)
+      | _ -> Alcotest.failf "%s: malformed line %S" behaviour_file line
+  in
+  let pinned =
+    List.filter_map
+      (fun line ->
+        match section_of line with
+        | Some (s, fields) when String.equal s section ->
+          let rev = List.rev fields in
+          Some (String.concat " " (List.rev (List.tl rev)), List.hd rev)
+        | _ -> None)
+      lines
+  in
+  if pinned <> actual then begin
+    let fresh = List.map (fun (k, d) -> Printf.sprintf "%s %s %s" section k d) actual in
+    let printed = ref false in
+    let out =
+      List.concat_map
+        (fun line ->
+          match section_of line with
+          | Some (s, _) when String.equal s section ->
+            if !printed then []
+            else begin
+              printed := true;
+              fresh
+            end
+          | _ -> [ line ])
+        lines
+    in
+    List.iter print_endline (if !printed then out else out @ fresh);
+    Alcotest.failf "%s digests differ from %s (its current contents printed above)" section
+      behaviour_file
+  end

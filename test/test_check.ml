@@ -44,19 +44,27 @@ let parse_corpus path =
   close_in ic;
   entries
 
+(* Every corpus line must pass, and its width-1 [Runner.digest] is pinned
+   in [behaviour.digests] so a change that alters simulated behaviour
+   fails here even when every monitor still passes. *)
 let test_corpus_replays_clean () =
   let entries = parse_corpus "seeds.corpus" in
   Alcotest.(check bool) "corpus is not empty" true (List.length entries >= 10);
-  List.iter
-    (fun (profile, seed, ticks, lin, outbox) ->
-      match Check.replay ~ticks ~lin ~outbox ~seed profile with
-      | _, Runner.Pass _ -> ()
-      | _, Runner.Fail v ->
-        Alcotest.fail
-          (Format.asprintf "corpus seed %s/%d regressed: %a"
-             (Script.profile_to_string profile)
-             seed Monitor.pp_violation v))
-    entries
+  let digests =
+    List.map
+      (fun (profile, seed, ticks, lin, outbox) ->
+        let name = Script.profile_to_string profile in
+        match Runner.digest (Runner.make_cfg ~ticks ~lin ~outbox ~seed profile) with
+        | Runner.Pass _, digest ->
+          let workload = if lin then " lin" else if outbox then " outbox" else "" in
+          (Printf.sprintf "%s %d %d%s" name seed ticks workload, digest)
+        | Runner.Fail v, _ ->
+          Alcotest.fail
+            (Format.asprintf "corpus seed %s/%d regressed: %a" name seed
+               Monitor.pp_violation v))
+      entries
+  in
+  check_pinned ~section:"corpus" digests
 
 (* --- Self-test: the harness catches a re-introduced historical bug --- *)
 

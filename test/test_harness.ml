@@ -60,7 +60,15 @@ let test_shape_checks_pass () =
     (fun c ->
       if not c.Fig4.c_passed then Alcotest.failf "%s: %s" c.Fig4.c_name c.Fig4.c_detail)
     checks;
-  Alcotest.(check int) "all eight claims checked" 8 (List.length checks)
+  Alcotest.(check int) "all eight claims checked" 8 (List.length checks);
+  (* The rendered panels and checks are pinned in [behaviour.digests]. *)
+  let buf = Buffer.create 4096 in
+  let ppf = Format.formatter_of_buffer buf in
+  List.iter (Fig4.render ppf) [ naive; decoupled; optimized ];
+  Fig4.render_checks ppf checks;
+  Format.pp_print_flush ppf ();
+  Helpers.check_pinned ~section:"fig4"
+    [ ("panels", Digest.to_hex (Digest.string (Buffer.contents buf))) ]
 
 let test_panels_have_data () =
   let p = Fig4.run_decoupled ~cfg () in

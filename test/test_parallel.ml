@@ -217,8 +217,8 @@ let test_corpus_digest_1_vs_4 () =
   let actual =
     List.map
       (fun (profile, seed) ->
-        let d1 = Runner.digest (Runner.make_cfg ~domains:1 ~seed profile) in
-        let d4 = Runner.digest (Runner.make_cfg ~domains:4 ~seed profile) in
+        let _, d1 = Runner.digest (Runner.make_cfg ~domains:1 ~seed profile) in
+        let _, d4 = Runner.digest (Runner.make_cfg ~domains:4 ~seed profile) in
         Alcotest.(check string)
           (Printf.sprintf "digest %s/%d: 1 domain = 4 domains"
              (Script.profile_to_string profile)
