@@ -1,0 +1,104 @@
+(* The routing decision on its own: registry, hive table and lookup cache
+   in, plan out — no engine, no platform. *)
+
+module Cell = Beehive_core.Cell
+module Registry = Beehive_core.Registry
+module Hives = Beehive_core.Hives
+module Route_plan = Beehive_core.Route_plan
+
+let c = Cell.cell
+let cells keys = Cell.Set.of_keys "d" keys
+
+(* A registry of app "a" where bee [i] lives on [hive] and owns [keys]. *)
+let setup ?(n_hives = 3) bees =
+  let reg = Registry.create () in
+  List.iteri
+    (fun i (hive, keys) ->
+      ignore (Registry.register_bee reg ~bee_id:i ~app:"a" ~hive);
+      Registry.assign reg ~bee:i (cells keys))
+    bees;
+  (reg, Hives.create n_hives, Hashtbl.create 4)
+
+let decide ?(version = 0) (reg, hives, cache) ~origin cs =
+  Route_plan.decide reg hives cache ~version ~app:"a" ~origin cs
+
+let plan =
+  Alcotest.testable
+    (fun ppf -> function
+      | Route_plan.Create h -> Format.fprintf ppf "Create %d" h
+      | Route_plan.Use { bee; claim; lookup } ->
+        Format.fprintf ppf "Use %d claim=%d lookup=%b" bee (Cell.Set.cardinal claim) lookup
+      | Route_plan.Merge { winner; losers } ->
+        Format.fprintf ppf "Merge %d <- [%s]" winner
+          (String.concat ";" (List.map string_of_int losers))
+      | Route_plan.Drop -> Format.fprintf ppf "Drop")
+    (fun a b ->
+      match (a, b) with
+      | Route_plan.Use a, Route_plan.Use b ->
+        a.bee = b.bee && a.lookup = b.lookup && Cell.Set.equal a.claim b.claim
+      | _ -> a = b)
+
+let test_no_owner_creates_on_origin () =
+  let env = setup [] in
+  Alcotest.check plan "new bee on the origin" (Route_plan.Create 1)
+    (decide env ~origin:1 (cells [ "x" ]))
+
+let test_draining_origin_places_least_loaded () =
+  let ((_, hives, _) as env) = setup [ (1, [ "p"; "q" ]); (2, [ "r" ]) ] in
+  ignore (Hives.set_draining hives 0 true);
+  Alcotest.check plan "fewest cells among placeable hives" (Route_plan.Create 2)
+    (decide env ~origin:0 (cells [ "x" ]))
+
+let test_single_owner_claims_wildcard () =
+  let env = setup [ (0, [ "x" ]) ] in
+  let whole = Cell.Set.singleton (Cell.whole "d") in
+  Alcotest.check plan "owner claims the wildcard"
+    (Route_plan.Use { bee = 0; claim = whole; lookup = false })
+    (decide env ~origin:0 whole);
+  Alcotest.check plan "owned cell: nothing to claim"
+    (Route_plan.Use { bee = 0; claim = Cell.Set.empty; lookup = false })
+    (decide env ~origin:0 (Cell.Set.singleton (c "d" "x")))
+
+let test_merge_winner_most_cells_lowest_id () =
+  let env = setup [ (0, [ "a" ]); (1, [ "b"; "c" ]); (2, [ "d"; "e" ]) ] in
+  Alcotest.check plan "two-cell bees tie, lower id wins"
+    (Route_plan.Merge { winner = 1; losers = [ 2; 0 ] })
+    (decide env ~origin:0 (cells [ "a"; "b"; "d" ]))
+
+let test_crashed_owner_never_wins () =
+  let ((_, hives, _) as env) = setup [ (0, [ "a" ]); (1, [ "b"; "c"; "d" ]) ] in
+  ignore (Hives.crash hives 1);
+  Alcotest.check plan "the larger bee is on a crashed hive"
+    (Route_plan.Merge { winner = 0; losers = [ 1 ] })
+    (decide env ~origin:0 (cells [ "a"; "b" ]));
+  ignore (Hives.crash hives 0);
+  Alcotest.check plan "every owner crashed" Route_plan.Drop
+    (decide env ~origin:2 (cells [ "a"; "b" ]))
+
+let test_remote_owner_lookup_per_version () =
+  let ((_, _, cache) as env) = setup [ (1, [ "x" ]) ] in
+  let cs = cells [ "x" ] in
+  let use lookup = Route_plan.Use { bee = 0; claim = Cell.Set.empty; lookup } in
+  Alcotest.check plan "local owner: no lookup" (use false) (decide env ~origin:1 cs);
+  Alcotest.check plan "remote owner, cold cache" (use true) (decide env ~origin:0 cs);
+  Hashtbl.replace cache (Route_plan.cache_key ~origin:0 ~app:"a" cs) (0, 0);
+  Alcotest.check plan "cache hit at the same version" (use false) (decide env ~origin:0 cs);
+  Alcotest.check plan "stale after a registry change" (use true)
+    (decide ~version:1 env ~origin:0 cs)
+
+let suite =
+  [
+    ( "route plan",
+      [
+        Alcotest.test_case "no owner: create on origin" `Quick test_no_owner_creates_on_origin;
+        Alcotest.test_case "draining origin: least-loaded hive" `Quick
+          test_draining_origin_places_least_loaded;
+        Alcotest.test_case "single owner claims wildcard" `Quick
+          test_single_owner_claims_wildcard;
+        Alcotest.test_case "merge: most cells, lowest id" `Quick
+          test_merge_winner_most_cells_lowest_id;
+        Alcotest.test_case "crashed owner never wins" `Quick test_crashed_owner_never_wins;
+        Alcotest.test_case "remote owner: one lookup per version" `Quick
+          test_remote_owner_lookup_per_version;
+      ] );
+  ]
