@@ -13,9 +13,6 @@
 
 (** {2 Message vocabulary} *)
 
-val k_round_start : string
-val k_proposal : string
-val k_evaluation : string
 val k_adopted : string
 
 type Beehive_core.Message.payload +=
@@ -32,9 +29,6 @@ type Beehive_core.Message.payload +=
 
 (** {2 Applications} *)
 
-val coordinator_name : string
-(** ["corybantic.coordinator"] *)
-
 val coordinator_app : ?round_period:Beehive_sim.Simtime.t -> unit -> Beehive_core.App.t
 (** Opens a round every [round_period] (default 2 s): collects proposals
     and evaluations, adopts the proposal with the highest summed value
@@ -46,7 +40,7 @@ val module_app :
   propose:(round:int -> (string * int) option) ->
   evaluate:(kind:string -> arg:int -> float) ->
   Beehive_core.App.t
-(** A control module: proposes on every {!k_round_start} (when [propose]
+(** A control module: proposes on every round start (when [propose]
     returns a change) and evaluates every proposal — its own included —
     with [evaluate]. *)
 

@@ -8,15 +8,6 @@
     [Port_event] reports the port carrying a confirmed link dead —
     routing-style applications subscribe to both. *)
 
-val app_name : string
-(** ["topo.discovery"] *)
-
-val dict_adjacency : string
-(** ["adjacency"] — key: switch id, value: neighbour list. *)
-
-val k_link_up : string
-(** ["topo.link_up"], emitted once per confirmed (bidirectional) link. *)
-
 val k_link_down : string
 (** ["topo.link_down"], emitted by each endpoint's cell when a port
     carrying a known link goes down. *)

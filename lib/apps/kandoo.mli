@@ -12,14 +12,7 @@
 
 val local_app_name : string  (** ["kandoo.local"] *)
 
-val root_app_name : string  (** ["kandoo.root"] *)
-
 val dict_local : string  (** ["local_stats"] *)
-
-val dict_elephants : string  (** ["elephants"] *)
-
-val k_elephant : string
-(** ["kandoo.elephant"] — the rare event relayed from local to root. *)
 
 type Beehive_core.Message.payload +=
   | Elephant of { el_flow : int; el_switch : int; el_rate : float }
@@ -27,7 +20,7 @@ type Beehive_core.Message.payload +=
 val local_app : ?threshold:float -> unit -> Beehive_core.App.t
 (** Watches [Stat_reply] messages per switch; when a flow's observed rate
     first exceeds [threshold] (bytes/s, default 100_000), emits
-    {!k_elephant}. *)
+    an elephant message. *)
 
 val root_app : unit -> Beehive_core.App.t
 (** Records every reported elephant in its centralized dictionary. *)

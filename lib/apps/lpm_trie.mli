@@ -34,7 +34,4 @@ val find_exact : 'a t -> prefix -> 'a option
 val lookup : 'a t -> int32 -> (prefix * 'a) option
 (** Longest matching prefix for an address. *)
 
-val fold : (prefix -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
-(** Prefixes in lexicographic (bit-string) order. *)
-
 val to_list : 'a t -> (prefix * 'a) list

@@ -14,11 +14,7 @@
 
 val fabric_app_name : string  (** ["portland.fabric"] *)
 
-val arp_app_name : string  (** ["portland.arp"] *)
-
 val dict_pods : string  (** ["pods"] — key: pod id *)
-
-val dict_arp : string  (** ["arp_table"] — key: actual MAC (hex) *)
 
 (** {2 PMAC encoding} *)
 
@@ -31,7 +27,6 @@ val pmac_vmid : int64 -> int
 (** {2 Messages} *)
 
 val k_host_seen : string
-val k_pmac_assigned : string
 val k_arp_request : string
 val k_arp_reply : string
 

@@ -16,10 +16,6 @@ val app_name : string
 
 val dict_rib : string  (** ["rib"] *)
 
-val shard_key : Lpm_trie.prefix -> string
-(** The shard a prefix lives in: its top octet, or ["default"] for
-    prefixes shorter than /8. *)
-
 (** {2 Messages} *)
 
 val k_announce : string

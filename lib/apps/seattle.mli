@@ -13,12 +13,6 @@
 val app_name : string
 (** ["seattle"] *)
 
-val dict_directory : string
-(** ["directory"] — key: bucket id, value: the bucket's MAC bindings. *)
-
-val n_buckets : int
-(** 64 hash buckets. *)
-
 val bucket_of_mac : int64 -> string
 (** The directory shard responsible for a MAC. *)
 

@@ -14,8 +14,6 @@ val app_name : string
 
 val dict_stats : string  (** ["flow_stats"] *)
 
-val dict_topo : string  (** ["topology"] *)
-
 val dict_route : string  (** ["routing"] — Route's private dictionary *)
 
 type Beehive_core.Value.t +=

@@ -13,10 +13,6 @@
 val app_name : string
 (** ["te.external"] *)
 
-val k_query_tick : string
-(** ["te.ext_query_tick"] — private timer kind so the variant can be
-    benchmarked side by side with the cell-based designs. *)
-
 val app :
   store:Beehive_core.Ext_store.t ->
   ?delta:float ->

@@ -16,8 +16,6 @@ val app_name : string
 
 val dict_stats : string  (** ["flow_stats"] — the paper's S *)
 
-val dict_topo : string  (** ["topology"] — the paper's T *)
-
 val app :
   ?delta:float ->
   ?query_period:Beehive_sim.Simtime.t ->

@@ -69,10 +69,6 @@ let run ?(n_hives = 4) ?(ticks = 30) ?(lin = false) ?(outbox = false) ?domains
     rp_lin_checked = !lin_checked;
   }
 
-let replay ?n_hives ?ticks ?lin ?outbox ?domains ~seed profile =
-  Runner.run_seed
-    (Runner.make_cfg ?n_hives ?ticks ?lin ?outbox ?domains ~seed profile)
-
 let pp_failure ppf f =
   Format.fprintf ppf "FAIL profile=%s seed=%d ticks=%d@."
     (Script.profile_to_string f.f_profile)

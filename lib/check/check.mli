@@ -54,12 +54,6 @@ val run :
     resizes the global domain pool — results must be identical at every
     [n], so the sweep doubles as an end-to-end determinism check. *)
 
-val replay : ?n_hives:int -> ?ticks:int -> ?lin:bool -> ?outbox:bool ->
-  ?domains:int -> seed:int -> Script.profile -> Script.op list * Runner.outcome
-(** Regenerates and re-executes one seed — the reproduction command
-    behind "replay: ... --seed N". *)
-
-val pp_failure : Format.formatter -> failure -> unit
 val pp_report : Format.formatter -> report -> unit
 
 val failure_to_string : failure -> string

@@ -83,7 +83,6 @@ let finish t ~id ~now status =
       List.iter (fun f -> f ()) (List.rev fs))
 
 let complete_ok t ~id ~now outcome = finish t ~id ~now (Ok outcome)
-let complete_fail t ~id ~now = finish t ~id ~now Fail
 
 let on_complete t ~id f =
   if Hashtbl.mem t.opened id then

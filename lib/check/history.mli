@@ -52,10 +52,6 @@ val invoke : t -> client:int -> now:Beehive_sim.Simtime.t -> call -> int
     driver can double as a unique-value generator). *)
 
 val complete_ok : t -> id:int -> now:Beehive_sim.Simtime.t -> outcome -> unit
-val complete_fail : t -> id:int -> now:Beehive_sim.Simtime.t -> unit
-(** Close an open operation. Completing an already-closed or unknown id
-    is a no-op (the first completion wins), so at-least-once plumbing
-    cannot corrupt the history. *)
 
 val on_complete : t -> id:int -> (unit -> unit) -> unit
 (** Runs [f] when the operation closes (immediately if it already has) —
@@ -68,6 +64,5 @@ val ops : t -> op list
 val n_invoked : t -> int
 val n_open : t -> int
 
-val pp_call : Format.formatter -> call -> unit
 val pp_op : Format.formatter -> op -> unit
 val pp_ops : Format.formatter -> op list -> unit

@@ -38,11 +38,6 @@ type report = {
   r_steps : int;  (** search configurations consumed *)
 }
 
-val default_max_steps : int
-(** 2M configurations — comfortably under the 5 s CI budget for the
-    histories a 30-tick nemesis run records, including ones with
-    hundreds of ops per key. *)
-
 val check : ?max_steps:int -> History.op list -> verdict
 
 val check_report : ?max_steps:int -> History.op list -> report

@@ -112,6 +112,8 @@ let conservation =
         else None);
   }
 
+(* A key's counter above its injected puts means a message was applied
+   twice. Valid under any fault mix. *)
 let no_duplication =
   {
     m_name = "no-duplication";
@@ -129,6 +131,8 @@ let no_duplication =
           (model_keys ctx));
   }
 
+(* Exact delivery conservation. A [Fail] legitimately drops in-flight and
+   un-fsynced work, so it holds only on crash-free runs. *)
 let no_loss =
   {
     m_name = "no-loss";
@@ -149,6 +153,8 @@ let no_loss =
             (model_keys ctx));
   }
 
+(* With durability on, a crash never loses cell ownership: every key that
+   ever had a put keeps a registered owner. *)
 let durable_ownership =
   {
     m_name = "durable-ownership";
@@ -488,6 +494,9 @@ let repair_convergence =
         | _ -> None);
   }
 
+(* Runaway message amplification (the historical broadcast-storm bug)
+   shows as more than [storm_budget] engine events between two monitor
+   ticks. Stateful: one per run. *)
 let storm_budget = 5000
 
 let storm () =

@@ -20,7 +20,3 @@ val generate :
     [Fail] usually schedules a matching [Restart] a few milliseconds
     later, so crashed hives exercise recovery in-run (the runner heals
     any still-failed hive after the horizon regardless). *)
-
-val n_keys : int
-(** Size of the key universe ([k0] .. [k<n_keys-1>]); small enough that
-    keys collide across hives and whole-dict reads force merges. *)

@@ -1,7 +1,5 @@
 let n_trials = ref 0
 
-let trials () = !n_trials
-
 let minimize ~still_fails ops =
   let still_fails ops =
     incr n_trials;

@@ -12,6 +12,3 @@ val minimize : still_fails:('a list -> bool) -> 'a list -> 'a list
 (** [minimize ~still_fails xs] assumes [still_fails xs = true] and
     returns a subsequence that still satisfies the predicate. The result
     preserves the relative order of the surviving elements. *)
-
-val trials : unit -> int
-(** Predicate evaluations since the library was loaded (diagnostics). *)

@@ -17,10 +17,6 @@ val create : Platform.t -> ?n_store_nodes:int -> unit -> t
 (** [n_store_nodes] (default 3) store nodes are placed on hives
     [0 .. n-1]. *)
 
-val store_hive_of_key : t -> string -> int
-(** The hive hosting a key's shard (hash placement — the application has
-    no say, which is the point). *)
-
 val get : t -> from_hive:int -> key:string -> (Value.t option -> unit) -> unit
 (** Asynchronous read: charges a request to the shard's hive and a
     response carrying the value; the continuation fires after the round

@@ -216,11 +216,6 @@ let suspected t =
 
 let is_member t h = h >= 0 && h < t.n && t.member.(h)
 
-let incarnation t h =
-  if h < 0 || h >= t.n then invalid_arg "Failure_detector.incarnation: bad hive";
-  t.incarnation.(h)
-
 let evictions t = t.n_evictions
-let rejoins t = t.n_rejoins
 let stale_claims t = t.n_stale_claims
 let converged t = suspected t = []

@@ -51,14 +51,8 @@ val suspected : t -> int list
 val converged : t -> bool
 (** No hive currently suspected. *)
 
-val incarnation : t -> int -> int
-(** Authoritative incarnation of a hive; bumped on every eviction. *)
-
 val evictions : t -> int
 (** Confirmed suspicions so far (including correct detections). *)
-
-val rejoins : t -> int
-(** Evicted hives walked back into membership after reappearing. *)
 
 val stale_claims : t -> int
 (** Heartbeats carrying a pre-eviction incarnation that were rejected —

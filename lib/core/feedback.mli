@@ -28,19 +28,9 @@ val check_centralization : Platform.t -> item list
 (** Per app: share of messages handled by the busiest bee; wildcard cells
     pinning a whole dictionary to one bee. *)
 
-val check_locality : Platform.t -> item list
-(** Inter-hive traffic share of the control channel. *)
-
-val check_hive_balance : Platform.t -> item list
-(** Busy-time imbalance between hives. *)
-
-val check_queues : Platform.t -> item list
-(** Bees with deep mailboxes (processing bottlenecks). *)
-
 val provenance_summary : Platform.t -> (string * string * string * int) list
 (** [(app, in_kind, out_kind, count)] message-causation edges, heaviest
     first ("packet_out messages are emitted by the learning switch upon
     receiving packet_in's"). *)
 
-val pp_item : Format.formatter -> item -> unit
 val pp : Format.formatter -> item list -> unit

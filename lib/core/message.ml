@@ -26,14 +26,3 @@ let src_hive m =
   | From_bee { hive; _ } -> Some hive
   | From_endpoint (Beehive_net.Channels.Hive h) -> Some h
   | From_endpoint (Beehive_net.Channels.Switch _) | From_system -> None
-
-let pp fmt m =
-  let src =
-    match m.src with
-    | From_bee { bee; hive; app } -> Printf.sprintf "bee%d@hive%d(%s)" bee hive app
-    | From_endpoint (Beehive_net.Channels.Hive h) -> Printf.sprintf "hive%d" h
-    | From_endpoint (Beehive_net.Channels.Switch s) -> Printf.sprintf "switch%d" s
-    | From_system -> "system"
-  in
-  Format.fprintf fmt "#%d %s from %s (%dB at %a)" m.msg_id m.kind src m.size
-    Beehive_sim.Simtime.pp m.sent_at

@@ -37,5 +37,3 @@ val src_hive : t -> int option
 (** The hive the message physically originates from, when known. For
     [From_endpoint (Switch _)] sources this is resolved by the platform
     (master hive), so it returns [None] here. *)
-
-val pp : Format.formatter -> t -> unit

@@ -175,3 +175,5 @@ let quarantined_messages t ~bee =
 
 let total_quarantined t = t.n_quarantined
 let quarantined_bees t = Hashtbl.length t.quarantine
+
+let rows emits = List.map (fun (seq, (m : Message.t)) -> (seq, m.Message.size)) emits

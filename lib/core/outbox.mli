@@ -110,3 +110,6 @@ val total_quarantined : t -> int
 
 val quarantined_bees : t -> int
 (** Bees holding at least one quarantined message. *)
+
+val rows : (int * Message.t) list -> (int * int) list
+(** The [(seq, bytes)] rows the store logs for these entries. *)

@@ -457,7 +457,7 @@ type drop_reason =
   | Missing_endpoint  (** sent to an unregistered IO endpoint *)
   | Retransmit_exhausted
       (** the transport gave up after
-          {!Beehive_net.Transport.max_attempts} copies *)
+          80 copies *)
 
 val total_dropped : t -> int
 (** Messages discarded for any {!drop_reason} (the per-reason breakdown

@@ -519,8 +519,6 @@ let group_leader t ~hive =
 
 let replicated_commands t = t.committed
 let snapshot_installs t = t.installs
-let entries_verified t = t.entries_verified
-let entry_crc_failures t = t.entry_crc_failures
 
 let verify_member_logs t =
   Array.for_all

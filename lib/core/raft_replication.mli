@@ -63,14 +63,6 @@ val snapshot_installs : t -> int
 (** Times any member reset its replicas from a snapshot image (leader
     catch-up or post-restart recovery). *)
 
-val entries_verified : t -> int
-(** Committed Raft entries whose propose-time CRC32 verified at apply. *)
-
-val entry_crc_failures : t -> int
-(** Committed entries whose CRC32 did {e not} verify — each was
-    fail-stopped (never applied to a replica). Always 0 unless replicated
-    state is corrupted in flight or at rest. *)
-
 val verify_member_logs : t -> bool
 (** Oracle: re-verifies every live entry of every member node's log
     across all groups (monitors/tests). *)

@@ -52,9 +52,6 @@ val reassign_all : t -> from_bee:int -> to_bee:int -> unit
 
 val set_hive : t -> bee:int -> hive:int -> unit
 
-val bees : t -> bee_info list
-(** All bees, ascending id. *)
-
 val bees_on_hive : t -> hive:int -> bee_info list
 val n_bees : t -> int
 val cells_on_hive : t -> hive:int -> int

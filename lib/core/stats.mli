@@ -61,7 +61,6 @@ val take_window : t -> window
 (** Returns counters accumulated since the previous [take_window] and
     starts a fresh window. *)
 
-val window_total_in : window -> int
 val window_majority_hive : window -> (int * float) option
 (** The hive contributing the most inbound messages in the window and its
     share of the total, if any messages arrived. *)

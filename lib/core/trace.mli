@@ -28,8 +28,6 @@ val attach : Platform.t -> ?capacity:int -> unit -> t
 val recorded : t -> int
 (** Events currently held (bounded by capacity). *)
 
-val find : t -> int -> event option
-
 val events : t -> event list
 (** All recorded events, oldest first. *)
 

@@ -17,9 +17,7 @@ type t +=
 
 val size : t -> int
 (** Serialized size estimate in bytes. Unknown constructors fall back to
-    {!default_size} unless an estimator claims them. *)
-
-val default_size : int
+    64 bytes unless an estimator claims them. *)
 
 val register_size : (t -> int option) -> unit
 (** Adds an estimator consulted (most recent first) before the default. *)

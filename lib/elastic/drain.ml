@@ -25,13 +25,7 @@ let start ~hive ~now ~auto_decommission ?on_complete () =
 
 let hive t = t.d_hive
 let state t = t.d_state
-let started_at t = t.d_started
 let auto_decommission t = t.d_auto_decommission
-
-let on_complete t f =
-  match t.d_state with
-  | Completed -> f ()
-  | Draining -> t.d_on_complete <- f :: t.d_on_complete
 
 let complete t ~now =
   if t.d_state = Draining then begin

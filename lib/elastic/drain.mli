@@ -23,14 +23,10 @@ val start :
 
 val hive : t -> int
 val state : t -> state
-val started_at : t -> Beehive_sim.Simtime.t
 
 val auto_decommission : t -> bool
 (** Whether {!Membership} should decommission the hive as soon as the
     drain completes. *)
-
-val on_complete : t -> (unit -> unit) -> unit
-(** Runs [f] when the drain completes; immediately if it already has. *)
 
 val complete : t -> now:Beehive_sim.Simtime.t -> unit
 (** Transitions to [Completed] and fires callbacks in registration

@@ -19,14 +19,6 @@
       complete: the hive leaves the failure-detector membership, its
       links close, and its id is retired (never reused). *)
 
-val pump_period : Beehive_sim.Simtime.t
-(** 5 ms: how often the evacuation pump retries stuck migrations and
-    checks drain completion. *)
-
-val min_placeable : int
-(** 2: a drain is refused unless at least this many placeable hives
-    would remain to absorb the evacuees. *)
-
 type t
 
 val create : ?raft:Beehive_core.Raft_replication.t -> Beehive_core.Platform.t -> t
@@ -41,7 +33,7 @@ val drain :
   t -> ?auto_decommission:bool -> ?on_complete:(unit -> unit) -> int -> bool
 (** [drain t h] begins draining hive [h]. Returns [false] (and does
     nothing) if [h] is not alive, is already draining or decommissioned,
-    or fewer than {!min_placeable} placeable hives would remain. With
+    or fewer than 2 placeable hives would remain. With
     [~auto_decommission:true] the hive is decommissioned the moment the
     drain completes. *)
 
@@ -70,7 +62,6 @@ val incomplete_drains : t -> int list
 val joins : t -> int
 val drains_started : t -> int
 val drains_completed : t -> int
-val decommissions : t -> int
 
 val rebalance_migrations : t -> int
 (** Migrations attributed to elasticity: reasons prefixed ["drain:"] or

@@ -32,12 +32,3 @@ let evacuate_step platform ~hive ~reason =
           then incr moved)
     (Platform.live_bees platform);
   !moved
-
-let stranded platform ~hive =
-  List.filter
-    (fun (v : Platform.bee_view) ->
-      v.Platform.view_hive = hive
-      && (not v.Platform.view_is_local)
-      && Platform.bee_pinned platform ~bee:v.Platform.view_id)
-    (Platform.live_bees platform)
-  |> List.map (fun v -> v.Platform.view_id)

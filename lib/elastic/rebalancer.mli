@@ -7,20 +7,10 @@
     hive — is traffic-driven and lives in
     {!Beehive_core.Instrumentation.scale_out_policy}. *)
 
-val pick_destination :
-  Beehive_core.Platform.t -> ?exclude:int list -> ?cells:int -> unit -> int option
-(** Least-loaded (fewest registry cells) placeable hive able to absorb
-    [cells] more without exceeding [hive_capacity], excluding [exclude].
-    [None] when no hive qualifies. *)
-
 val evacuate_step :
   Beehive_core.Platform.t -> hive:int -> reason:string -> int
 (** Attempts to live-migrate every movable non-local bee off [hive] to
-    its {!pick_destination}; returns the number of migrations started.
+    the least-loaded placeable hive with room for its cells; returns the number of migrations started.
     Busy or mid-migration bees are skipped this step and retried on the
     next — call repeatedly (the {!Membership} pump does) until
     {!Beehive_core.Platform.drain_complete}. *)
-
-val stranded : Beehive_core.Platform.t -> hive:int -> int list
-(** Live non-local bees on [hive] that can never be evacuated (pinned):
-    a drain of this hive will not complete until they are unpinned. *)

@@ -176,10 +176,7 @@ let run t =
 let config t = t.cfg
 let engine t = t.engine
 let platform t = t.platform
-let topology t = t.topo
 let flows t = t.flows
-let cluster t = t.cluster
-let instrumentation t = t.instr
 let matrix t = Channels.matrix (Platform.channels t.platform)
 let bandwidth t = Channels.bandwidth (Platform.channels t.platform)
 let master_of_switch t sw = Channels.master_of (Platform.channels t.platform) sw

@@ -64,10 +64,7 @@ val run : t -> unit
 val config : t -> config
 val engine : t -> Beehive_sim.Engine.t
 val platform : t -> Beehive_core.Platform.t
-val topology : t -> Beehive_net.Topology.t
 val flows : t -> Beehive_net.Flow.t array
-val cluster : t -> Beehive_openflow.Switch_agent.cluster
-val instrumentation : t -> Beehive_core.Instrumentation.handle
 val matrix : t -> Beehive_net.Traffic_matrix.t
 val bandwidth : t -> Beehive_net.Series.t
 val master_of_switch : t -> int -> int

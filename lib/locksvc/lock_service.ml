@@ -30,7 +30,6 @@ and t = {
 let create engine ?(lease = Simtime.of_sec 10.0) () =
   { engine; lease; locks = Hashtbl.create 64; watchers = Hashtbl.create 16; live_sessions = 0 }
 
-let owner s = s.owner
 let session_alive s = s.alive
 
 let notify t path ev =

@@ -27,7 +27,6 @@ val create_session : t -> owner:string -> session
 (** Opens a session. The session expires [lease] after its last
     keep-alive unless renewed. *)
 
-val owner : session -> string
 val session_alive : session -> bool
 
 val keep_alive : session -> unit

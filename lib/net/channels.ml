@@ -90,11 +90,6 @@ let link_latency_factor t ~src ~dst = t.lat_factor.(idx t ~src ~dst)
 
 let latency_factor t = Array.fold_left Float.max 1.0 t.lat_factor
 
-let set_link_loss t ~src ~dst p =
-  if p < 0.0 || p >= 1.0 then invalid_arg "Channels.set_link_loss: need 0 <= p < 1";
-  t.loss.(idx t ~src ~dst) <- p;
-  recount_faults t
-
 let set_loss t p =
   if p < 0.0 || p >= 1.0 then invalid_arg "Channels.set_loss: need 0 <= p < 1";
   Array.fill t.loss 0 (Array.length t.loss) p;
@@ -108,13 +103,6 @@ let partition t ~a ~b =
   t.parted.(idx t ~src:b ~dst:a) <- true;
   recount_faults t
 
-let heal t ~a ~b =
-  if a <> b then begin
-    t.parted.(idx t ~src:a ~dst:b) <- false;
-    t.parted.(idx t ~src:b ~dst:a) <- false;
-    recount_faults t
-  end
-
 let heal_all t =
   Array.fill t.parted 0 (Array.length t.parted) false;
   recount_faults t
@@ -122,10 +110,7 @@ let heal_all t =
 let partitioned t ~src ~dst = t.parted.(idx t ~src ~dst)
 
 let faulty t = t.n_faults > 0
-let losses t = t.n_lost
 let partition_drops t = t.n_parted
-
-let n_hives t = t.n
 
 let master_of t sw =
   match Hashtbl.find_opt t.masters sw with Some h -> h | None -> 0

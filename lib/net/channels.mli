@@ -30,8 +30,6 @@ val create : ?rng:Beehive_sim.Rng.t -> n_hives:int -> unit -> t
     stream split from the engine RNG so runs stay deterministic. Defaults
     to a fixed seed (fine for fault-free fabrics, which never draw). *)
 
-val n_hives : t -> int
-
 val add_hive : t -> int
 (** Grows the fabric by one hive and returns its id ([n_hives] before the
     call). Existing directed-link faults are preserved; every link touching
@@ -96,14 +94,10 @@ val set_loss : t -> float -> unit
 (** Broadcasts a drop probability [0 <= p < 1] to every directed
     hive-to-hive link. 0 heals them. *)
 
-val set_link_loss : t -> src:int -> dst:int -> float -> unit
-
 val link_loss : t -> src:int -> dst:int -> float
 
 val partition : t -> a:int -> b:int -> unit
 (** Severs both directed links between hives [a] and [b]. *)
-
-val heal : t -> a:int -> b:int -> unit
 
 val heal_all : t -> unit
 (** Clears every partition (loss probabilities are left alone). *)
@@ -113,9 +107,6 @@ val partitioned : t -> src:int -> dst:int -> bool
 val faulty : t -> bool
 (** True iff any link is lossy or partitioned. Reliability layers use
     this to skip sequence/ack bookkeeping on a healthy fabric. *)
-
-val losses : t -> int
-(** Messages dropped in flight by link loss so far. *)
 
 val partition_drops : t -> int
 (** Messages refused at the source by a partition so far. *)

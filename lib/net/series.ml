@@ -52,8 +52,6 @@ let total t =
   done;
   !s
 
-let mean t = if t.last < 0 then 0.0 else total t /. float_of_int (t.last + 1)
-
 let levels = " .:-=+*#%@"
 
 let render_sparkline ?(width = 72) fmt t =

@@ -19,7 +19,6 @@ val rate_kbps : t -> (float * float) array
     accumulated values are bytes. *)
 
 val peak : t -> float
-val mean : t -> float
 val total : t -> float
 
 val render_sparkline : ?width:int -> Format.formatter -> t -> unit

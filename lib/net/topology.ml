@@ -141,14 +141,3 @@ let attach_hosts t ~per_switch =
         attached_to = sw;
         port = host_port_base + k;
       })
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>topology: %d switches@," t.n;
-  for s = 0 to min (t.n - 1) 19 do
-    Format.fprintf fmt "  %d -> parent %d, children [%a]@," s t.parents.(s)
-      (Format.pp_print_list
-         ~pp_sep:(fun f () -> Format.pp_print_string f "; ")
-         Format.pp_print_int)
-      t.kids.(s)
-  done;
-  Format.fprintf fmt "@]"

@@ -22,11 +22,6 @@ val tree : arity:int -> n_switches:int -> t
 val linear : n_switches:int -> t
 (** A chain topology, convenient for tests. *)
 
-val add_extra_link : t -> int -> int -> unit
-(** Adds a bidirectional non-tree link (e.g. a cross link that creates
-    path diversity). Idempotent. Path queries switch to BFS once any
-    extra link exists. *)
-
 val ring : n_switches:int -> t
 (** A cycle: a chain plus a closing extra link — the smallest topology
     with two disjoint paths between any pair. *)
@@ -58,5 +53,3 @@ val port_towards : t -> src:int -> dst:int -> int
 val attach_hosts : t -> per_switch:int -> host array
 (** Attaches [per_switch] hosts to every switch. Host ids and MACs are
     deterministic functions of (switch, index); host ports start at 100. *)
-
-val pp : Format.formatter -> t -> unit

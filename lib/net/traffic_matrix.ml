@@ -52,7 +52,6 @@ let fold f init t =
   done;
   !acc
 
-let total_messages t = fold (fun a i j -> a + t.msgs.(i).(j)) 0 t
 let total_bytes t = fold (fun a i j -> a +. t.byts.(i).(j)) 0.0 t
 
 let off_diagonal_bytes t =

@@ -18,7 +18,6 @@ val add : t -> src:int -> dst:int -> bytes:int -> unit
 val messages : t -> src:int -> dst:int -> int
 val bytes : t -> src:int -> dst:int -> float
 
-val total_messages : t -> int
 val total_bytes : t -> float
 
 val off_diagonal_bytes : t -> float

@@ -307,3 +307,14 @@ let exhausted t = t.exhausted
 
 let pending t =
   Hashtbl.fold (fun _ l acc -> acc + Hashtbl.length l.inflight) t.links 0
+
+let gauges t =
+  [
+    ("transport.sent", t.sent);
+    ("transport.delivered", t.delivered);
+    ("transport.retransmits", t.retransmits);
+    ("transport.retransmit_bytes", t.retransmit_bytes);
+    ("transport.duplicates", t.duplicates);
+    ("transport.exhausted", t.exhausted);
+    ("transport.pending", pending t);
+  ]

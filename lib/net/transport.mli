@@ -15,14 +15,6 @@
 
 type t
 
-val max_attempts : int
-(** Total attempts (first send included) before a message is given up:
-    80. Retransmission timeouts start at 600 us, double to a 12 ms cap
-    and carry up to 25% uniform jitter, so the 80 attempts span about a
-    second — enough to outlast nemesis partition windows. Copies and
-    acks carry no framing bytes, so accounting on a healthy fabric
-    matches {!Channels} byte for byte. *)
-
 val create :
   engine:Beehive_sim.Engine.t ->
   rng:Beehive_sim.Rng.t ->
@@ -83,6 +75,9 @@ val duplicates : t -> int  (** copies suppressed by receiver dedup *)
 val exhausted : t -> int  (** messages dropped after [max_attempts] *)
 
 val pending : t -> int  (** unacked messages currently in flight *)
+
+val gauges : t -> (string * int) list
+(** Every counter above as a [transport.*] gauge. *)
 
 val debug_disable_dedup : bool ref
 (** Fault-injection hook for the check harness ([--inject-bug dedup-off]):

@@ -21,5 +21,3 @@ val app : unit -> Beehive_core.App.t
     their switch's master hive). *)
 
 val switch_key : int -> string
-val switch_of_payload : Beehive_core.Message.payload -> int option
-(** The switch a wire/app message concerns — the key of its mapped cell. *)

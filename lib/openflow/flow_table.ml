@@ -51,7 +51,6 @@ type t = { mutable table : entry list (* sorted: highest priority first *) }
 
 let create () = { table = [] }
 let length t = List.length t.table
-let entries t = t.table
 
 let insert t e =
   (* Stable insert before the first strictly-lower priority. *)

@@ -12,12 +12,6 @@ val match_any : fmatch
 val match_flow : int -> fmatch
 val match_dst_mac : int64 -> fmatch
 
-val matches : fmatch -> flow_id:int option -> src_mac:int64 option ->
-  dst_mac:int64 option -> in_port:int option -> bool
-(** Wildcard semantics: a [None] field in the match entry matches
-    anything; a [Some] field must equal the packet's value (a packet
-    field of [None] fails a [Some] match). *)
-
 type action =
   | Output of int  (** forward on a port *)
   | Set_path of int list  (** re-steer along a switch path (TE re-routing) *)
@@ -49,8 +43,6 @@ type t
 
 val create : unit -> t
 val length : t -> int
-val entries : t -> entry list
-(** Highest priority first; insertion order breaks ties. *)
 
 val apply : t -> mod_msg -> unit
 (** [Add] inserts (replacing an identical-match same-priority entry),

@@ -53,9 +53,7 @@ let add cluster ~sw ?(flows = [||]) ?n_ports () =
 let link_key a b = (min a b, max a b)
 let link_alive cluster a b = not (Hashtbl.mem cluster.dead_links (link_key a b))
 let get cluster sw = Hashtbl.find_opt cluster.agents sw
-let switch_id t = t.sw
 let flow_table t = t.table
-let connected t = t.connected
 
 let engine t = Platform.engine t.cluster.platform
 let now t = Engine.now (engine t)

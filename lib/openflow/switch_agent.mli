@@ -17,12 +17,7 @@ val add :
     topology degree plus one host port. Does not connect yet. *)
 
 val get : cluster -> int -> t option
-val switch_id : t -> int
 val flow_table : t -> Flow_table.t
-val connected : t -> bool
-
-val connect : t -> unit
-(** Opens the control connection: sends [Hello] to the master hive. *)
 
 val connect_all : cluster -> ?stagger:Beehive_sim.Simtime.t -> unit -> unit
 (** Connects every agent, [stagger] apart (default 1 ms) to avoid a
@@ -32,12 +27,6 @@ val fail_link : cluster -> int -> int -> unit
 (** Takes the link between two adjacent switches down: the dataplane
     stops forwarding across it and both endpoints report a
     [Port_status] (down) to their master hives. *)
-
-val link_alive : cluster -> int -> int -> bool
-
-val send_lldp : t -> unit
-(** Emits an LLDP probe on every inter-switch port; each neighbour
-    packet-ins it to its own master, yielding [Link_discovered] events. *)
 
 val send_all_lldp : cluster -> unit
 

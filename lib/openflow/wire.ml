@@ -65,7 +65,6 @@ let k_stat_request = "of.flow_stat_request"
 let k_stat_reply = "of.flow_stat_reply"
 let k_port_status = "of.port_status"
 let k_switch_joined = "driver.switch_joined"
-let k_switch_left = "driver.switch_left"
 let k_app_stat_reply = "driver.stat_reply"
 let k_app_stat_query = "driver.stat_query"
 let k_app_flow_mod = "driver.flow_mod"

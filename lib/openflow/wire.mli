@@ -80,7 +80,6 @@ val k_stat_request : string
 val k_stat_reply : string
 val k_port_status : string
 val k_switch_joined : string
-val k_switch_left : string
 val k_app_stat_reply : string
 val k_app_stat_query : string
 val k_app_flow_mod : string

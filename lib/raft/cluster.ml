@@ -83,7 +83,6 @@ let propose_anywhere t cmd =
   try_nodes (Array.to_list t.nodes)
 
 let applied t i = List.rev !(t.applied.(i))
-let messages_sent t = t.sent
 let messages_dropped t = t.dropped
 
 let crash t i = Raft.crash t.nodes.(i)

@@ -35,7 +35,6 @@ val applied : t -> int -> (int * string) list
     apply order (restarts re-apply from 1; only the latest pass is
     kept). *)
 
-val messages_sent : t -> int
 val messages_dropped : t -> int
 
 (** {2 Fault injection} *)

@@ -139,7 +139,6 @@ let last_log_index t = t.snap_index + t.log_len
 let leader_hint t = t.leader
 let is_up t = t.up
 let snapshot_index t = t.snap_index
-let snapshot_term t = t.snap_term
 
 let log_entries t = Array.to_list (Array.sub t.log 0 t.log_len)
 
@@ -525,8 +524,6 @@ let crash t =
     t.commit <- t.snap_index;
     t.applied <- t.snap_index
   end
-
-let peers t = t.peers
 
 let set_peers t peers =
   let peers = List.filter (fun p -> p <> t.node_id) peers in

@@ -26,9 +26,6 @@ type entry = {
           excepted — the durable log's integrity frame *)
 }
 
-val entry_crc : term:int -> index:int -> command -> int
-(** The checksum {!propose} stamps into an entry. *)
-
 val verify_entry : entry -> bool
 (** Whether the entry's bytes still match the checksum stamped at propose
     time. *)
@@ -109,7 +106,6 @@ val role : t -> role
 val current_term : t -> int
 val commit_index : t -> int
 val last_applied : t -> int
-val last_log_index : t -> int
 val leader_hint : t -> int option
 val is_up : t -> bool
 val log_entries : t -> entry list
@@ -121,8 +117,6 @@ val verify_log : t -> bool
     flight or at rest. *)
 
 (** {2 Membership} *)
-
-val peers : t -> int list
 
 val set_peers : t -> int list -> unit
 (** Replaces the peer set (the node's own id is filtered out). On a
@@ -143,8 +137,6 @@ val compact : t -> upto:int -> ?data_size:int -> data:string -> unit -> unit
 
 val snapshot_index : t -> int
 (** Last log index covered by the snapshot (0 = no snapshot). *)
-
-val snapshot_term : t -> int
 
 (** {2 Failures} *)
 

@@ -153,7 +153,6 @@ let run_until t horizon =
   t.clock <- Simtime.max t.clock horizon
 
 let run t = while step t do () done
-let pending t = Event_queue.length t.queue
 let events_executed t = t.n_events
 let sharded_batches t = t.sharded_batches
 let sharded_events t = t.sharded_events

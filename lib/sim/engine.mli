@@ -63,11 +63,6 @@ val run_until : t -> Simtime.t -> unit
 val run : t -> unit
 (** Executes all events until the queue is empty. *)
 
-val step : t -> bool
-(** Executes the single earliest event. Returns [false] if none is left. *)
-
-val pending : t -> int
-
 val events_executed : t -> int
 (** Total events run since {!create}. Monotone; the rate of growth per
     unit of simulated time is the signal an event-storm monitor (e.g.

@@ -27,21 +27,3 @@ let int t bound =
 let float t bound =
   let r = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   bound *. (r /. 9007199254740992.0 (* 2^53 *))
-
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
-let pick t a =
-  if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
-  a.(int t (Array.length a))
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-let exponential t mean =
-  let u = Stdlib.max 1e-12 (float t 1.0) in
-  -.mean *. log u

@@ -17,14 +17,3 @@ val int : t -> int -> int
 
 val float : t -> float -> float
 (** [float t bound] draws uniformly from [0, bound). *)
-
-val bool : t -> bool
-
-val pick : t -> 'a array -> 'a
-(** Uniform choice from a non-empty array. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
-val exponential : t -> float -> float
-(** [exponential t mean] draws from an exponential distribution. *)

@@ -9,7 +9,6 @@ let of_us n =
 let of_ms n = of_us (n * 1_000)
 let of_sec s = of_us (int_of_float (s *. 1e6 +. 0.5))
 let to_us t = t
-let to_ms t = float_of_int t /. 1e3
 let to_sec t = float_of_int t /. 1e6
 let add a b = a + b
 

@@ -17,7 +17,6 @@ val of_ms : int -> t
 val of_sec : float -> t
 
 val to_us : t -> int
-val to_ms : t -> float
 val to_sec : t -> float
 
 val add : t -> t -> t

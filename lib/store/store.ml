@@ -649,9 +649,6 @@ let entries t ~bee =
 let size_bytes t ~bee =
   match Hashtbl.find_opt t.logs bee with None -> 0 | Some bl -> bl.bl_live_bytes
 
-let wal_bytes t ~bee =
-  match Hashtbl.find_opt t.logs bee with None -> 0 | Some bl -> bl.bl_wal_bytes
-
 let pending_writes t ~bee =
   match Hashtbl.find_opt t.logs bee with
   | None -> 0

@@ -20,15 +20,6 @@
     logs are iterated in ascending bee order and all latency flows through
     the discrete-event engine. *)
 
-val group_commit_period : Beehive_sim.Simtime.t
-(** 1 ms: every write-set appended within one period is fsynced — and
-    therefore acknowledged durable — together, {!fsync_latency} after the
-    period boundary. *)
-
-val fsync_latency : Beehive_sim.Simtime.t
-(** 100 us: the simulated cost of one group-commit fsync, charged once
-    per hive with dirty batches per flush. *)
-
 type config = {
   snapshot_threshold_bytes : int;
       (** compact a bee's WAL into a snapshot once its durable log exceeds
@@ -114,7 +105,7 @@ val alloc_out_seq : 'v t -> bee:int -> int
 
 val flush : 'v t -> unit
 (** Forces a group commit of every pending batch now (the periodic timer
-    does this every {!group_commit_period}). Runs compaction on any
+    does this every millisecond). Runs compaction on any
     bee whose durable WAL exceeds the snapshot threshold. *)
 
 val flush_bee : 'v t -> bee:int -> unit
@@ -305,9 +296,6 @@ val entries : 'v t -> bee:int -> (string * string * 'v) list
     the owning bee's committed in-memory state). *)
 
 val size_bytes : 'v t -> bee:int -> int
-
-val wal_bytes : 'v t -> bee:int -> int
-(** Durable WAL tail size (bytes after the last snapshot). *)
 
 val pending_writes : 'v t -> bee:int -> int
 val snapshot_count : 'v t -> bee:int -> int
