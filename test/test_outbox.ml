@@ -407,6 +407,56 @@ let test_outbox_survives_sender_migration () =
   Alcotest.(check int) "entry acked after replay" 0
     (Platform.outbox_unacked_total platform)
 
+(* A replicated sender's un-acked entries ride its Raft commits: when
+   the sender's hive dies while an entry awaits its ack, the failover
+   re-seeds the new primary's outbox from the surviving replica and the
+   replay still lands exactly once. *)
+let test_replicated_sender_fails_over_with_unacked_entry () =
+  let engine = Engine.create () in
+  let cfg =
+    {
+      (Platform.default_config ~n_hives:4) with
+      Platform.durability = Some Beehive_store.Store.default_config;
+    }
+  in
+  let platform = Platform.create engine cfg in
+  let _, kv = kv_app () in
+  Platform.register_app platform kv;
+  Platform.register_app platform { (fwd_app ()) with App.replicated = true };
+  ignore (Beehive_core.Raft_replication.install platform ());
+  Platform.start platform;
+  drain engine;
+  drain engine;  (* let the group leaders elect *)
+  inject platform ~from:0 "a";
+  drain engine;
+  let fwd = Option.get (Platform.find_owner platform ~app:"t.fwd" (Cell.cell "journal" "a")) in
+  let kv = Option.get (Platform.find_owner platform ~app:"t.kv" (Cell.cell "store" "a")) in
+  let fwd_home = bee_hive platform fwd in
+  let kv_home = (fwd_home + 2) mod 4 in
+  Alcotest.(check bool) "kv bee migrated away" true
+    (Platform.migrate_bee platform ~bee:kv ~to_hive:kv_home ~reason:"test");
+  drain engine;
+  (* With the receiver down, the second put's entry cannot be acked; the
+     sender's commit (journal write and entry) replicates meanwhile. *)
+  Platform.crash_hive platform kv_home;
+  inject platform ~from:fwd_home "a";
+  drain engine;
+  Alcotest.(check (option int)) "second put journaled" (Some 2) (journal_count platform "a");
+  Alcotest.(check bool) "entry un-acked at the failure" true
+    (Platform.outbox_unacked_total platform > 0);
+  Platform.fail_hive platform fwd_home;
+  Alcotest.(check bool) "sender failed over" true
+    (Platform.hive_alive platform (bee_hive platform fwd)
+    && (Option.get (Platform.bee_view platform fwd)).Platform.view_alive);
+  Platform.restart_hive platform kv_home;
+  drain engine;
+  drain engine;
+  Alcotest.(check (option int)) "journal recovered from the replica" (Some 2)
+    (journal_count platform "a");
+  Alcotest.(check (option int)) "replayed entry applied exactly once" (Some 2)
+    (kv_count platform "a");
+  Alcotest.(check int) "outbox drained" 0 (Platform.outbox_unacked_total platform)
+
 let suite =
   [
     ( "outbox",
@@ -428,5 +478,7 @@ let suite =
           test_merge_with_crashed_owners_keeps_exactly_once;
         Alcotest.test_case "outbox survives sender migration" `Quick
           test_outbox_survives_sender_migration;
+        Alcotest.test_case "replicated sender fails over with un-acked entry" `Quick
+          test_replicated_sender_fails_over_with_unacked_entry;
       ] );
   ]
