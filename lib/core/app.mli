@@ -30,8 +30,8 @@ type t = {
   timers : timer list;
   replicated : bool;
       (** when true, this app's commits reach the platform's
-          {!Platform.on_commit} hooks and its bees fail over through a
-          recovery provider (e.g. {!Raft_replication}) *)
+          {!Platform.replicator} (e.g. {!Raft_replication}), and its bees
+          fail over from the replica it holds *)
   pinned : bool;
       (** when true, this app's bees never migrate (e.g. the OpenFlow
           driver must stay on its switches' master hive) *)

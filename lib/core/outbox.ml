@@ -78,13 +78,9 @@ let drop_sender t sender =
   in
   List.iter (Hashtbl.remove t.entries) (List.sort compare stale)
 
-let reseed t ~sender ~durable survivor =
+let reseed t ~sender ~durable emits =
   drop_sender t sender;
-  match survivor with
-  | Some (emits, inbox) ->
-    List.iter (fun (seq, m) -> add t ~sender ~seq ~durable m) emits;
-    (emits, inbox)
-  | None -> ([], [])
+  List.iter (fun (seq, m) -> add t ~sender ~seq ~durable m) emits
 
 let drop_undurable t ~sent_from =
   let doomed =

@@ -32,16 +32,10 @@ val unacked : t -> int
 val drop_sender : t -> int -> unit
 (** Forgets every entry of one sender (dead, merged-corrupt or re-seeded). *)
 
-val reseed :
-  t ->
-  sender:int ->
-  durable:bool ->
-  ((int * Message.t) list * (int * int) list) option ->
-  (int * Message.t) list * (int * int) list
+val reseed : t -> sender:int -> durable:bool -> (int * Message.t) list -> unit
 (** A failover or peer re-seed of [sender]: whatever the ledger holds for
-    it belonged to the old incarnation and is dropped; the replicated
-    survivor's un-acked [(seq, message)] entries (if any) are tracked in
-    its place. Returns the survivor's entries and inbox marks. *)
+    it belonged to the old incarnation and is dropped; the replica's
+    un-acked [(seq, message)] entries are tracked in its place. *)
 
 val drop_undurable : t -> sent_from:(int -> bool) -> unit
 (** Crash-time scan: forgets every entry that is not yet durable and

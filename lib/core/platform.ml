@@ -89,6 +89,12 @@ type commit_info = {
   ci_inbox : (int * int) list;  (* inbox dedup marks consumed, (sender, seq) *)
 }
 
+type replicator = {
+  commit : commit_info -> unit;
+  acked : bee:int -> seq:int -> unit;
+  recover : bee:int -> Recovery.replica option;
+}
+
 type bee_view = {
   view_id : int;
   view_app : string;
@@ -121,8 +127,7 @@ type t = {
   mutable migration_log : migration list;  (* newest first *)
   mutable mig_hooks : (migration -> unit) list;
   mutable restart_hooks : (int -> unit) list;
-  mutable commit_hooks : (commit_info -> unit) list;
-  mutable recovery_provider : (bee:int -> (string * string * Value.t) list option) option;
+  mutable replicator : replicator option;
   mutable failure_hooks : (int -> unit) list;
   mutable fsync_hooks : (int -> unit) list;
       (* run after each per-hive group commit becomes durable *)
@@ -141,11 +146,6 @@ type t = {
   mutable n_handler_faults : int;
       (* exceptions contained at the dispatch boundary: map/cost/timer/
          endpoint callbacks that raised *)
-  mutable outbox_ack_hooks : (bee:int -> seq:int -> unit) list;
-  mutable outbox_recovery_provider :
-    (bee:int -> ((int * Message.t) list * (int * int) list) option) option;
-      (* the replicated outbox + inbox a failover re-seeds the new
-         primary's log with *)
 }
 
 let engine t = t.engine
@@ -314,7 +314,7 @@ let retire_outbox_entry t e =
   let bee = Outbox.sender e and seq = Outbox.seq e in
   (match t.store with Some s -> Store.ack_outbox s ~bee ~seq | None -> ());
   Outbox.remove t.outbox e;
-  List.iter (fun f -> f ~bee ~seq) t.outbox_ack_hooks
+  Option.iter (fun r -> r.acked ~bee ~seq) t.replicator
 
 let handle_outbox_ack t ~sender ~seq ~receiver =
   match Outbox.find t.outbox ~sender ~seq with
@@ -631,11 +631,10 @@ and process_compute t (b : bee) (d : Bee.delivery) cost =
         ([], [])
     in
     List.iter (fun (ep, m) -> deliver_endpoint ep m) eps_l;
-    if
-      b.app.App.replicated && (not b.is_local)
-      && (pending <> [] || committed_emits <> [] || committed_inbox <> [])
-      && t.commit_hooks <> []
-    then begin
+    (match t.replicator with
+    | Some r
+      when b.app.App.replicated && (not b.is_local)
+           && (pending <> [] || committed_emits <> [] || committed_inbox <> []) ->
       let bytes =
         List.fold_left
           (fun acc (dict, key, w) ->
@@ -649,12 +648,10 @@ and process_compute t (b : bee) (d : Bee.delivery) cost =
           bytes committed_emits
         + (16 * List.length committed_inbox)
       in
-      let info =
+      r.commit
         { ci_bee = b.id; ci_app = b.app.App.name; ci_hive = b.hive; ci_writes = pending;
           ci_bytes = bytes; ci_emits = committed_emits; ci_inbox = committed_inbox }
-      in
-      List.iter (fun f -> f info) t.commit_hooks
-    end
+    | Some _ | None -> ())
   | Some exn ->
     (* Handler failure containment: the state delta and every buffered
        emit are discarded atomically, then the delivery is retried with
@@ -1059,21 +1056,13 @@ let migrate_bee t ~bee ~to_hive ~reason =
 let migrations t = List.rev t.migration_log
 let on_migration t f = t.mig_hooks <- f :: t.mig_hooks
 let on_hive_restart t f = t.restart_hooks <- f :: t.restart_hooks
-let on_commit t f = t.commit_hooks <- f :: t.commit_hooks
 let on_hive_failure t f = t.failure_hooks <- f :: t.failure_hooks
 let on_fsync t f = t.fsync_hooks <- f :: t.fsync_hooks
 let on_emit t f = t.emit_hooks <- f :: t.emit_hooks
-let on_outbox_ack t f = t.outbox_ack_hooks <- f :: t.outbox_ack_hooks
 
-let set_recovery_provider t f =
-  if Option.is_some t.recovery_provider then
-    invalid_arg "Platform.set_recovery_provider: already set";
-  t.recovery_provider <- Some f
-
-let set_outbox_recovery_provider t f =
-  if Option.is_some t.outbox_recovery_provider then
-    invalid_arg "Platform.set_outbox_recovery_provider: already set";
-  t.outbox_recovery_provider <- Some f
+let set_replicator t r =
+  if Option.is_some t.replicator then invalid_arg "Platform.set_replicator: already set";
+  t.replicator <- Some r
 
 (* ------------------------------------------------------------------ *)
 (* Outbox / quarantine introspection                                   *)
@@ -1092,19 +1081,15 @@ let quarantined_messages t ~bee = Outbox.quarantined_messages t.outbox ~bee
 
 let bees_on t h ~pred = sorted_bees t (fun b -> b.hive = h && pred b)
 
-(* The replicated outbox + inbox a failover or peer re-seed of [b]
-   re-seeds its ledger and log with. *)
-let outbox_survivor t (b : bee) =
-  Option.bind t.outbox_recovery_provider (fun p -> p ~bee:b.id)
-
-(* What the installed recovery provider (e.g. Raft) can reconstruct for
-   this bee, if anything. *)
-let recoverable_entries t (b : bee) =
-  if b.app.App.replicated then Option.bind t.recovery_provider (fun p -> p ~bee:b.id)
-  else None
+(* What the installed replicator (e.g. Raft) holds of this bee, if
+   anything: the state and outbox a failover or peer re-seed restores. *)
+let replica t (b : bee) =
+  match t.replicator with
+  | Some r when b.app.App.replicated -> r.recover ~bee:b.id
+  | Some _ | None -> None
 
 (* Where a bee leaving [from_hive] can fail over to: the next placeable
-   hive in id order, with the state a recovery provider reconstructs.
+   hive in id order, with the replica the replicator holds.
    None when either is missing — the bee then takes the unrecoverable
    path instead of being revived on a hive that cannot host it. *)
 let failover_target t (b : bee) ~from_hive =
@@ -1114,13 +1099,12 @@ let failover_target t (b : bee) ~from_hive =
     else if placeable t ((from_hive + k) mod n) then Some ((from_hive + k) mod n)
     else pick (k + 1)
   in
-  match recoverable_entries t b with
+  match replica t b with
   | None -> None
-  | Some entries -> Option.map (fun bh -> (bh, entries)) (pick 1)
+  | Some r -> Option.map (fun bh -> (bh, r)) (pick 1)
 
-let failover_bee t (b : bee) ~from_hive ~to_hive entries =
-  Recovery.failover ~reg:t.reg ~store:t.store ~outbox:t.outbox
-    ~survivor:(fun () -> outbox_survivor t b) b ~from_hive ~to_hive entries;
+let failover_bee t (b : bee) ~from_hive ~to_hive r =
+  Recovery.failover ~reg:t.reg ~store:t.store ~outbox:t.outbox b ~from_hive ~to_hive r;
   maybe_process t b
 
 (* Process death: the hive stops cold. Local bees die; every other bee
@@ -1169,7 +1153,7 @@ let failover_hive t h =
   List.iter
     (fun (b : bee) ->
       match failover_target t b ~from_hive:h with
-      | Some (to_hive, entries) -> failover_bee t b ~from_hive:h ~to_hive entries
+      | Some (to_hive, r) -> failover_bee t b ~from_hive:h ~to_hive r
       | None -> (
         match t.store with
         | Some _ when not b.is_local ->
@@ -1197,9 +1181,9 @@ let evict_hive t h =
     List.iter
       (fun (b : bee) ->
         match if b.is_local then None else failover_target t b ~from_hive:h with
-        | Some (to_hive, entries) ->
+        | Some (to_hive, r) ->
           b.incarnation <- b.incarnation + 1;
-          failover_bee t b ~from_hive:h ~to_hive entries
+          failover_bee t b ~from_hive:h ~to_hive r
         | None ->
           b.fenced <- true;
           if b.status = `Active then b.status <- `Paused)
@@ -1304,9 +1288,7 @@ let restart_hive t h =
           List.filter
             (fun (b : bee) ->
               let up =
-                Recovery.revive s ~outbox:t.outbox ~hive:h b
-                  ~recoverable:(fun () -> recoverable_entries t b)
-                  ~survivor:(fun () -> outbox_survivor t b)
+                Recovery.revive s ~outbox:t.outbox ~hive:h b (replica t b)
               in
               if up then maybe_process t b;
               up)
@@ -1496,8 +1478,7 @@ let create engine cfg =
     migration_log = [];
     mig_hooks = [];
     restart_hooks = [];
-    commit_hooks = [];
-    recovery_provider = None;
+    replicator = None;
     failure_hooks = [];
     fsync_hooks = [];
     added_hooks = [];
@@ -1509,8 +1490,6 @@ let create engine cfg =
     drops = Array.make (Array.length drop_gauges) 0;
     outbox = Outbox.create ();
     n_handler_faults = 0;
-    outbox_ack_hooks = [];
-    outbox_recovery_provider = None;
   }
   in
   (match cfg.durability with

@@ -6,8 +6,8 @@
     lock-service round trips on the control channel), bee creation, bee
     merging when previously-disjoint cell groups are joined, live
     migration, hive-local applications, periodic timers, and hive
-    failover of replicated apps through an installed recovery provider
-    (e.g. {!Raft_replication}).
+    failover of replicated apps through an installed {!replicator} (e.g.
+    {!Raft_replication}).
 
     Three decisions live behind their own modules, which the platform
     drives and which never call back into it: the per-hive lifecycle
@@ -240,11 +240,12 @@ val migrations : t -> migration list
 
 val on_migration : t -> (migration -> unit) -> unit
 
-(** {2 Replication hooks}
+(** {2 Replication}
 
     The platform has no built-in replication: a replication scheme
-    (e.g. the Raft-backed {!Raft_replication}) observes commits through
-    these hooks and provides the state a failover recovers. *)
+    (e.g. the Raft-backed {!Raft_replication}) installs one
+    {!replicator}, which sees the commits of [replicated] apps and hands
+    back the replica a failover recovers. *)
 
 type commit_info = {
   ci_bee : int;
@@ -260,27 +261,27 @@ type commit_info = {
       (** inbox dedup marks the transaction consumed, [(sender, seq)] *)
 }
 
-val on_commit : t -> (commit_info -> unit) -> unit
-(** Called after every successful transaction commit of a non-local bee
-    of a [replicated] app that wrote state, emitted, or consumed an inbox
-    mark. *)
+type replicator = {
+  commit : commit_info -> unit;
+      (** called after every successful transaction commit of a non-local
+          bee of a [replicated] app that wrote state, emitted, or consumed
+          an inbox mark *)
+  acked : bee:int -> seq:int -> unit;
+      (** the bee's outbox entry [seq] was retired (every addressed
+          receiver durably applied it): its replicated copy can be
+          trimmed *)
+  recover : bee:int -> Recovery.replica option;
+      (** the replica a bee of a [replicated] app is restored from, by
+          {!fail_hive}, {!evict_hive} and {!restart_hive}'s
+          corrupt-storage repair: the bee fails over (or is re-seeded)
+          with its state, and its WAL is re-seeded with its un-acked
+          outbox entries and inbox marks (the entries are then replayed;
+          receivers that already applied them dedup and ack) *)
+}
 
-val set_recovery_provider :
-  t -> (bee:int -> (string * string * Value.t) list option) -> unit
-(** Consulted by {!fail_hive}, {!evict_hive} and {!restart_hive}'s
-    corrupt-storage repair for bees of [replicated] apps: when it returns
-    entries, the bee fails over (or is re-seeded) with that state.
-    Without a provider, no bee fails over. One per platform: a second
-    call raises [Invalid_argument]. *)
-
-val set_outbox_recovery_provider :
-  t -> (bee:int -> ((int * Message.t) list * (int * int) list) option) -> unit
-(** Companion to {!set_recovery_provider} for the transactional outbox: a
-    replication scheme that tracked [ci_emits]/[ci_inbox] returns the
-    bee's un-acked outbox entries and inbox marks here, and a failover
-    re-seeds the new primary's WAL with them (the entries are then
-    replayed; receivers that already applied them dedup and ack). One
-    per platform, like {!set_recovery_provider}. *)
+val set_replicator : t -> replicator -> unit
+(** Installs the replication scheme. Without one, no bee fails over. One
+    per platform: a second call raises [Invalid_argument]. *)
 
 val on_hive_failure : t -> (int -> unit) -> unit
 (** Called at the start of {!fail_hive} (e.g. to crash co-located
@@ -298,11 +299,6 @@ val on_emit :
     injected messages have neither. Drives {!Trace}. For emits made
     inside a handler the hook fires at commit time — an aborted handler's buffered emits
     are never observed, because they never happened. *)
-
-val on_outbox_ack : t -> (bee:int -> seq:int -> unit) -> unit
-(** Called when an outbox entry is retired: every addressed receiver has
-    durably applied it. A replication scheme uses this to trim its
-    replicated copy of the entry. *)
 
 (** {2 Transactional outbox / quarantine introspection} *)
 
@@ -361,8 +357,7 @@ val quarantined_messages : t -> bee:int -> (Message.t * string) list
 val fail_hive : t -> int -> unit
 (** Kills a hive and immediately runs recovery ({!crash_hive} followed by
     {!failover_hive}). Bees of replicated apps fail over to the next
-    placeable hive with the state a recovery provider
-    ({!set_recovery_provider}) returns; durable bees stay crashed in
+    placeable hive with the replica the {!replicator} returns; durable bees stay crashed in
     place awaiting {!restart_hive}; other bees (and their cells) are
     lost. *)
 

@@ -3,23 +3,31 @@ module Simtime = Beehive_sim.Simtime
 module Channels = Beehive_net.Channels
 module Raft = Beehive_raft.Raft
 
-(* A member's replica of a bee's exactly-once bookkeeping: the un-acked
-   outbox entries (by sequence number) and the durable inbox marks that
-   rode replicated commits. Failover re-seeds a recovered bee's WAL from
-   these so replay and dedup survive the loss of the bee's own log. *)
-type aux = {
-  a_emits : (int, Message.t) Hashtbl.t;
-  a_inbox : (int * int, unit) Hashtbl.t;
+module Int_map = Map.Make (Int)
+
+module Marks = Set.Make (struct
+  type t = int * int
+
+  let compare = compare
+end)
+
+(* A member's replica of one bee: its state plus the exactly-once
+   bookkeeping that rode the same replicated commits — the un-acked
+   outbox entries by sequence number and the inbox marks. Failover
+   re-seeds a recovered bee's WAL from it, so replay and dedup survive
+   the loss of the bee's own log. *)
+type replica = {
+  state : State.t;
+  mutable emits : Message.t Int_map.t;
+  mutable inbox : Marks.t;
 }
 
 type group = {
   g_anchor : int;
   mutable g_members : int list;
   g_nodes : (int, Raft.t) Hashtbl.t;  (* member hive -> node *)
-  g_replicas : (int, (int, State.t) Hashtbl.t) Hashtbl.t;
+  g_replicas : (int, (int, replica) Hashtbl.t) Hashtbl.t;
       (* member hive -> (bee -> replica) *)
-  g_aux : (int, (int, aux) Hashtbl.t) Hashtbl.t;
-      (* member hive -> (bee -> outbox/inbox replica) *)
   mutable g_queue : string list;  (* commands awaiting a leader, oldest last *)
 }
 
@@ -35,23 +43,13 @@ type t = {
   pending : (string, Platform.commit_info) Hashtbl.t;  (* command id -> write set *)
   anchors : (int, int) Hashtbl.t;  (* bee -> anchor hive of its group *)
   counted : (string, unit) Hashtbl.t;  (* command ids seen applied at least once *)
-  snapshots :
-    ( string,
-      (int
-      * (string * string * Value.t) list
-      * (int * Message.t) list
-      * (int * int) list)
-      list )
-    Hashtbl.t;
-      (* snapshot handle -> per-bee (state image, outbox entries, inbox
-         marks); Raft ships the handle, the real size is charged via
-         [is_data_size] *)
+  snapshots : (string, (int * Recovery.replica) list) Hashtbl.t;
+      (* snapshot handle -> per-bee replica image; Raft ships the handle,
+         the real size is charged via [is_data_size] *)
   mutable seq : int;
   mutable snap_seq : int;
   mutable committed : int;
   mutable installs : int;
-  mutable entries_verified : int;
-  mutable entry_crc_failures : int;
 }
 
 let command_id t =
@@ -77,45 +75,38 @@ let replica_table g ~member =
     Hashtbl.add g.g_replicas member tbl;
     tbl
 
-let replica_state g ~member ~bee =
-  let tbl = replica_table g ~member in
-  match Hashtbl.find_opt tbl bee with
-  | Some st -> st
-  | None ->
-    let st = State.create () in
-    Hashtbl.add tbl bee st;
-    st
+let image r =
+  {
+    Recovery.entries = State.snapshot r.state;
+    emits = Int_map.bindings r.emits;
+    inbox = Marks.elements r.inbox;
+  }
 
-let aux_table g ~member =
-  match Hashtbl.find_opt g.g_aux member with
-  | Some tbl -> tbl
-  | None ->
-    let tbl = Hashtbl.create 16 in
-    Hashtbl.add g.g_aux member tbl;
-    tbl
-
-let aux_state g ~member ~bee =
-  let tbl = aux_table g ~member in
-  match Hashtbl.find_opt tbl bee with
-  | Some a -> a
-  | None ->
-    let a = { a_emits = Hashtbl.create 8; a_inbox = Hashtbl.create 8 } in
-    Hashtbl.add tbl bee a;
-    a
+let of_image (i : Recovery.replica) =
+  {
+    state = State.restore i.Recovery.entries;
+    emits = Int_map.of_list i.emits;
+    inbox = Marks.of_list i.inbox;
+  }
 
 let apply_write_set g ~member (ci : Platform.commit_info) =
-  let st = replica_state g ~member ~bee:ci.Platform.ci_bee in
+  let tbl = replica_table g ~member in
+  let r =
+    match Hashtbl.find_opt tbl ci.Platform.ci_bee with
+    | Some r -> r
+    | None ->
+      let r = { state = State.create (); emits = Int_map.empty; inbox = Marks.empty } in
+      Hashtbl.add tbl ci.Platform.ci_bee r;
+      r
+  in
   List.iter
     (fun (dict, key, w) ->
       match w with
-      | Some v -> State.insert st [ (dict, key, v) ]
-      | None -> ignore (State.extract st (Cell.Set.singleton (Cell.cell dict key))))
+      | Some v -> State.insert r.state [ (dict, key, v) ]
+      | None -> ignore (State.extract r.state (Cell.Set.singleton (Cell.cell dict key))))
     ci.Platform.ci_writes;
-  if ci.Platform.ci_emits <> [] || ci.Platform.ci_inbox <> [] then begin
-    let aux = aux_state g ~member ~bee:ci.Platform.ci_bee in
-    List.iter (fun (seq, m) -> Hashtbl.replace aux.a_emits seq m) ci.Platform.ci_emits;
-    List.iter (fun mark -> Hashtbl.replace aux.a_inbox mark ()) ci.Platform.ci_inbox
-  end
+  List.iter (fun (seq, m) -> r.emits <- Int_map.add seq m r.emits) ci.Platform.ci_emits;
+  List.iter (fun mark -> r.inbox <- Marks.add mark r.inbox) ci.Platform.ci_inbox
 
 let live_leader t g =
   List.find_opt
@@ -149,121 +140,90 @@ let spawn_member t g ~member =
   let engine = t.engine in
   let peers = List.filter (fun m -> m <> member) g.g_members in
   let send ~dst rpc =
-        (* Raft RPCs ride the raw failable wire: the protocol already
-           tolerates loss (retries, elections), so a lost AppendEntries
-           just surfaces as Raft-level retransmission. *)
-        if Platform.hive_alive t.platform member && Platform.hive_alive t.platform dst
-        then begin
-          match
-            Channels.transfer_result (Platform.channels t.platform)
-              ~src:(Channels.Hive member) ~dst:(Channels.Hive dst)
-              ~bytes:(Raft.rpc_size rpc) ~now:(Engine.now engine)
-          with
-          | `Lost -> ()
-          | `Delivered lat ->
-            ignore
-              (Engine.schedule_after engine lat (fun () ->
-                   match Hashtbl.find_opt g.g_nodes dst with
-                   | Some node when Raft.is_up node -> Raft.receive node rpc
-                   | Some _ | None -> ()))
-        end
+    (* Raft RPCs ride the raw failable wire: the protocol already
+       tolerates loss (retries, elections), so a lost AppendEntries
+       just surfaces as Raft-level retransmission. *)
+    if Platform.hive_alive t.platform member && Platform.hive_alive t.platform dst
+    then begin
+      match
+        Channels.transfer_result (Platform.channels t.platform)
+          ~src:(Channels.Hive member) ~dst:(Channels.Hive dst)
+          ~bytes:(Raft.rpc_size rpc) ~now:(Engine.now engine)
+      with
+      | `Lost -> ()
+      | `Delivered lat ->
+        ignore
+          (Engine.schedule_after engine lat (fun () ->
+               match Hashtbl.find_opt g.g_nodes dst with
+               | Some node when Raft.is_up node -> Raft.receive node rpc
+               | Some _ | None -> ()))
+    end
+  in
+  let node_ref = ref None in
+  (* Snapshot the member's full replica table and compact its Raft
+     log once it has applied [compact_every] entries past the last
+     snapshot. Handles are never GC'd: an in-flight Install_snapshot
+     may still reference an old one, and simulation runs are finite. *)
+  let maybe_compact () =
+    match !node_ref with
+    | Some node
+      when Raft.last_applied node - Raft.snapshot_index node >= t.compact_every ->
+      let per_bee =
+        Hashtbl.fold (fun bee r acc -> (bee, image r) :: acc) (replica_table g ~member) []
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
       in
-      let node_ref = ref None in
-      (* Snapshot the member's full replica table and compact its Raft
-         log once it has applied [compact_every] entries past the last
-         snapshot. Handles are never GC'd: an in-flight Install_snapshot
-         may still reference an old one, and simulation runs are finite. *)
-      let maybe_compact () =
-        match !node_ref with
-        | Some node
-          when Raft.last_applied node - Raft.snapshot_index node >= t.compact_every ->
-          let tbl = replica_table g ~member in
-          let atbl = aux_table g ~member in
-          let aux_of bee =
-            match Hashtbl.find_opt atbl bee with
-            | None -> ([], [])
-            | Some a ->
-              ( Hashtbl.fold (fun seq m acc -> (seq, m) :: acc) a.a_emits []
-                |> List.sort (fun (a, _) (b, _) -> compare a b),
-                Hashtbl.fold (fun mark () acc -> mark :: acc) a.a_inbox []
-                |> List.sort compare )
-          in
-          let per_bee =
-            Hashtbl.fold
-              (fun bee st acc ->
-                let emits, inbox = aux_of bee in
-                (bee, State.snapshot st, emits, inbox) :: acc)
-              tbl []
-            |> List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b)
-          in
-          t.snap_seq <- t.snap_seq + 1;
-          let data = Printf.sprintf "s%d" t.snap_seq in
-          Hashtbl.replace t.snapshots data per_bee;
-          let size =
+      t.snap_seq <- t.snap_seq + 1;
+      let data = Printf.sprintf "s%d" t.snap_seq in
+      Hashtbl.replace t.snapshots data per_bee;
+      let size =
+        List.fold_left
+          (fun a (_, (i : Recovery.replica)) ->
+            let a =
+              List.fold_left
+                (fun a (d, k, v) ->
+                  a + String.length d + String.length k + Value.size v)
+                a i.entries
+            in
             List.fold_left
-              (fun a (_, entries, emits, inbox) ->
-                let a =
-                  List.fold_left
-                    (fun a (d, k, v) ->
-                      a + String.length d + String.length k + Value.size v)
-                    a entries
-                in
-                List.fold_left
-                  (fun a (_, (m : Message.t)) -> a + 16 + m.Message.size)
-                  a emits
-                + (16 * List.length inbox))
-              64 per_bee
-          in
-          Raft.compact node ~upto:(Raft.last_applied node) ~data_size:size ~data ()
-        | _ -> ()
+              (fun a (_, (m : Message.t)) -> a + 16 + m.Message.size)
+              a i.emits
+            + (16 * List.length i.inbox))
+          64 per_bee
       in
-      let install ~last_index:_ ~last_term:_ ~data =
-        match Hashtbl.find_opt t.snapshots data with
-        | Some per_bee ->
-          t.installs <- t.installs + 1;
-          let tbl = replica_table g ~member in
-          let atbl = aux_table g ~member in
-          Hashtbl.reset tbl;
-          Hashtbl.reset atbl;
-          List.iter
-            (fun (bee, entries, emits, inbox) ->
-              Hashtbl.replace tbl bee (State.restore entries);
-              if emits <> [] || inbox <> [] then begin
-                let a =
-                  { a_emits = Hashtbl.create 8; a_inbox = Hashtbl.create 8 }
-                in
-                List.iter (fun (seq, m) -> Hashtbl.replace a.a_emits seq m) emits;
-                List.iter (fun mark -> Hashtbl.replace a.a_inbox mark ()) inbox;
-                Hashtbl.replace atbl bee a
-              end)
-            per_bee
-        | None -> ()
-      in
-      let apply (e : Raft.entry) =
-        (* Verify the entry's propose-time CRC before letting it touch a
-           replica: a corrupt replicated entry is fail-stopped, never
-           applied. *)
-        if not (Raft.verify_entry e) then
-          t.entry_crc_failures <- t.entry_crc_failures + 1
-        else begin
-        t.entries_verified <- t.entries_verified + 1;
-        let id = decode_command e.Raft.e_command in
-        (match Hashtbl.find_opt t.pending id with
-        | Some ci ->
-          apply_write_set g ~member ci;
-          (* Count each write set once, on its first apply anywhere. *)
-          if not (Hashtbl.mem t.counted id) then begin
-            Hashtbl.add t.counted id ();
-            t.committed <- t.committed + 1
-          end
-        | None -> ());
-        maybe_compact ()
+      Raft.compact node ~upto:(Raft.last_applied node) ~data_size:size ~data ()
+    | _ -> ()
+  in
+  let install ~last_index:_ ~last_term:_ ~data =
+    match Hashtbl.find_opt t.snapshots data with
+    | Some per_bee ->
+      t.installs <- t.installs + 1;
+      let tbl = replica_table g ~member in
+      Hashtbl.reset tbl;
+      List.iter (fun (bee, i) -> Hashtbl.replace tbl bee (of_image i)) per_bee
+    | None -> ()
+  in
+  let apply (e : Raft.entry) =
+    (* Verify the entry's propose-time CRC before letting it touch a
+       replica: a corrupt replicated entry is fail-stopped, never
+       applied. *)
+    if Raft.verify_entry e then begin
+      let id = decode_command e.Raft.e_command in
+      (match Hashtbl.find_opt t.pending id with
+      | Some ci ->
+        apply_write_set g ~member ci;
+        (* Count each write set once, on its first apply anywhere. *)
+        if not (Hashtbl.mem t.counted id) then begin
+          Hashtbl.add t.counted id ();
+          t.committed <- t.committed + 1
         end
-      in
-      let node = Raft.create engine ~id:member ~peers ~install ~send ~apply () in
-      node_ref := Some node;
-      Hashtbl.add g.g_nodes member node;
-      Raft.start node
+      | None -> ());
+      maybe_compact ()
+    end
+  in
+  let node = Raft.create engine ~id:member ~peers ~install ~send ~apply () in
+  node_ref := Some node;
+  Hashtbl.add g.g_nodes member node;
+  Raft.start node
 
 let make_group t ~anchor ~members =
   let g =
@@ -272,7 +232,6 @@ let make_group t ~anchor ~members =
       g_members = members;
       g_nodes = Hashtbl.create 4;
       g_replicas = Hashtbl.create 4;
-      g_aux = Hashtbl.create 4;
       g_queue = [];
     }
   in
@@ -345,7 +304,7 @@ let on_hive_added t h =
   let g = make_group t ~anchor:h ~members in
   t.groups <- Array.append t.groups [| g |]
 
-let on_commit t (ci : Platform.commit_info) =
+let commit t (ci : Platform.commit_info) =
   (* A bee's replication group is anchored at its first commit's hive;
      the group, not the bee's current placement, defines where replicas
      live. *)
@@ -365,91 +324,44 @@ let on_commit t (ci : Platform.commit_info) =
 
 let anchor_of t ~bee = Hashtbl.find_opt t.anchors bee
 
-let recovery_provider t ~bee =
-  match anchor_of t ~bee with
-  | None -> None
-  | Some anchor ->
-    let g = t.groups.(anchor) in
-    (* Most caught-up live member wins. *)
-    let best =
-      List.fold_left
-        (fun acc m ->
-          if not (Platform.hive_alive t.platform m) then acc
-          else
-            match Hashtbl.find_opt g.g_nodes m with
-            | Some node when Raft.is_up node -> (
-              let score = Raft.last_applied node in
-              match acc with
-              | Some (_, s) when s >= score -> acc
-              | _ -> Some (m, score))
-            | Some _ | None -> acc)
-        None g.g_members
-    in
-    (match best with
-    | Some (member, _) -> (
-      match Hashtbl.find_opt g.g_replicas member with
-      | Some tbl -> (
-        match Hashtbl.find_opt tbl bee with
-        | Some st -> Some (State.snapshot st)
-        | None -> None)
-      | None -> None)
-    | None -> None)
+(* The most caught-up live member of [g], if any is up. *)
+let best_member t g =
+  List.fold_left
+    (fun acc m ->
+      if not (Platform.hive_alive t.platform m) then acc
+      else
+        match Hashtbl.find_opt g.g_nodes m with
+        | Some node when Raft.is_up node -> (
+          let score = Raft.last_applied node in
+          match acc with
+          | Some (_, s) when s >= score -> acc
+          | _ -> Some (m, score))
+        | Some _ | None -> acc)
+    None g.g_members
+  |> Option.map fst
 
-(* Most caught-up live member's replica of the bee's un-acked outbox and
-   inbox marks, for {!Platform.set_outbox_recovery_provider}: the
-   recovered bee resumes replaying committed-but-unacked emits and keeps
-   deduplicating redeliveries it already applied before the failover. *)
-let outbox_recovery t ~bee =
-  match anchor_of t ~bee with
-  | None -> None
-  | Some anchor ->
-    let g = t.groups.(anchor) in
-    let best =
-      List.fold_left
-        (fun acc m ->
-          if not (Platform.hive_alive t.platform m) then acc
-          else
-            match Hashtbl.find_opt g.g_nodes m with
-            | Some node when Raft.is_up node -> (
-              let score = Raft.last_applied node in
-              match acc with
-              | Some (_, s) when s >= score -> acc
-              | _ -> Some (m, score))
-            | Some _ | None -> acc)
-        None g.g_members
-    in
-    (match best with
-    | Some (member, _) -> (
-      match Hashtbl.find_opt g.g_aux member with
-      | Some tbl -> (
-        match Hashtbl.find_opt tbl bee with
-        | Some a ->
-          let emits =
-            Hashtbl.fold (fun seq m acc -> (seq, m) :: acc) a.a_emits []
-            |> List.sort (fun (x, _) (y, _) -> compare x y)
-          in
-          let inbox =
-            Hashtbl.fold (fun mark () acc -> mark :: acc) a.a_inbox []
-            |> List.sort compare
-          in
-          Some (emits, inbox)
-        | None -> None)
-      | None -> None)
-    | None -> None)
+(* The bee's replica on the most caught-up live member of its group: the
+   recovered bee resumes from its state, replays its committed-but-unacked
+   emits and keeps deduplicating redeliveries it applied before. *)
+let recover t ~bee =
+  Option.bind (anchor_of t ~bee) (fun anchor ->
+      let g = t.groups.(anchor) in
+      Option.bind (best_member t g) (fun member ->
+          Option.bind (Hashtbl.find_opt g.g_replicas member) (fun tbl ->
+              Option.map image (Hashtbl.find_opt tbl bee))))
 
 (* An outbox entry was fully acknowledged: every member's replica of it
    can be trimmed (inbox marks are kept — they are the dedup floor). *)
-let on_outbox_ack t ~bee ~seq =
+let acked t ~bee ~seq =
   match anchor_of t ~bee with
   | None -> ()
   | Some anchor ->
-    let g = t.groups.(anchor) in
     Hashtbl.iter
       (fun _ tbl ->
         match Hashtbl.find_opt tbl bee with
-        | Some a -> Hashtbl.remove a.a_emits seq
+        | Some r -> r.emits <- Int_map.remove seq r.emits
         | None -> ())
-      g.g_aux
+      t.groups.(anchor).g_replicas
 
 let on_hive_failure t h =
   Array.iter
@@ -486,18 +398,14 @@ let install platform ?(compact_every = 64) () =
       snap_seq = 0;
       committed = 0;
       installs = 0;
-      entries_verified = 0;
-      entry_crc_failures = 0;
     }
   in
   t.groups <-
     Array.init n (fun anchor ->
         let members = List.init size (fun k -> (anchor + k) mod n) in
         make_group t ~anchor ~members);
-  Platform.on_commit platform (fun ci -> on_commit t ci);
-  Platform.set_recovery_provider platform (fun ~bee -> recovery_provider t ~bee);
-  Platform.set_outbox_recovery_provider platform (fun ~bee -> outbox_recovery t ~bee);
-  Platform.on_outbox_ack platform (fun ~bee ~seq -> on_outbox_ack t ~bee ~seq);
+  Platform.set_replicator platform
+    { Platform.commit = commit t; acked = acked t; recover = recover t };
   Platform.on_hive_failure platform (fun h -> on_hive_failure t h);
   Platform.on_hive_restart platform (fun h -> on_hive_restart t h);
   Platform.on_hive_added platform (fun h -> on_hive_added t h);
@@ -555,7 +463,7 @@ let replica_entries t ~member ~bee =
         match Hashtbl.find_opt g.g_replicas member with
         | Some tbl -> (
           match Hashtbl.find_opt tbl bee with
-          | Some st -> found := Some (State.snapshot st)
+          | Some r -> found := Some (State.snapshot r.state)
           | None -> ())
         | None -> ())
     t.groups;

@@ -9,11 +9,11 @@
     successors; fewer when the cluster is smaller). Every committed
     transaction of a [replicated] app is proposed to the group anchored
     at the bee's hive at first commit;
-    each group member applies the write set to its own replica of the
-    bee's state. The bee's un-acked outbox entries ride the same commits,
-    are trimmed when the platform reports full acknowledgement, and are
-    kept in compaction snapshots. On hive failure the platform recovers a
-    bee (state and outbox) from the most caught-up live member. All Raft
+    each group member applies it to its own replica of the bee: one
+    {!Recovery.replica} of state, un-acked outbox entries (trimmed when
+    the platform reports full acknowledgement) and inbox marks, kept
+    whole in compaction snapshots. On hive failure the platform recovers
+    a bee from the most caught-up live member's replica. All Raft
     traffic (elections, heartbeats,
     entries) is charged on the inter-hive control channels, so the cost
     of consensus is visible in the Figure-4 style measurements.
@@ -28,10 +28,11 @@
 type t
 
 val install : Platform.t -> ?compact_every:int -> unit -> t
-(** Creates the groups, subscribes to the platform's commit / failure /
-    recovery / restart hooks, and starts all Raft nodes. [compact_every]
-    (default 64) is the applied-entry interval between log
-    compactions. *)
+(** Creates the groups, installs them as the platform's one
+    {!Platform.replicator} (commits in, acks trim, replicas out), subscribes
+    to its failure / restart / membership hooks, and starts all Raft
+    nodes. [compact_every] (default 64) is the applied-entry interval
+    between log compactions. *)
 
 val group_size : t -> int
 (** Three, or the hive count on a smaller cluster. *)

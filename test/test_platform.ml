@@ -342,11 +342,24 @@ let test_replication_failover () =
    path (killed, without durability). *)
 let test_failover_needs_a_live_target () =
   let engine, platform = make_platform ~n_hives:1 ~apps:[ replicated_kv_app () ] () in
-  Platform.set_recovery_provider platform (fun ~bee ->
-      Some (Platform.bee_state_entries platform bee));
-  Alcotest.check_raises "one recovery provider per platform"
-    (Invalid_argument "Platform.set_recovery_provider: already set") (fun () ->
-      Platform.set_recovery_provider platform (fun ~bee:_ -> None));
+  let replicator =
+    {
+      Platform.commit = ignore;
+      acked = (fun ~bee:_ ~seq:_ -> ());
+      recover =
+        (fun ~bee ->
+          Some
+            {
+              Beehive_core.Recovery.entries = Platform.bee_state_entries platform bee;
+              emits = [];
+              inbox = [];
+            });
+    }
+  in
+  Platform.set_replicator platform replicator;
+  Alcotest.check_raises "one replicator per platform"
+    (Invalid_argument "Platform.set_replicator: already set") (fun () ->
+      Platform.set_replicator platform replicator);
   put platform ~from:0 ~key:"k" ~value:5;
   drain engine;
   let bee = owner_exn platform ~app:"test.kv" "k" in
