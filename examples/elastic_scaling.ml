@@ -90,7 +90,7 @@ let () =
          Instrumentation.window = Simtime.of_ms 200;
          optimize_every = Simtime.of_ms 500;
          optimize = true;
-         policy = Instrumentation.scale_out_policy ();
+         policy = Instrumentation.scale_out_policy;
        });
   let membership = Membership.create platform in
   Platform.start platform;

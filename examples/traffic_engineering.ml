@@ -60,13 +60,13 @@ let () =
       tail.Fig4.m_summary.Summary.s_mean_kbps
   | None -> ());
   Format.printf "@.matrices (naive | decoupled | optimized tail):@.";
-  Format.printf "%a@." (Beehive_net.Traffic_matrix.render ~cell_width:1 ?max_rows:None)
+  Format.printf "%a@." (Beehive_net.Traffic_matrix.render ~cell_width:1)
     naive.Fig4.p_window.Fig4.m_matrix;
-  Format.printf "@.%a@." (Beehive_net.Traffic_matrix.render ~cell_width:1 ?max_rows:None)
+  Format.printf "@.%a@." (Beehive_net.Traffic_matrix.render ~cell_width:1)
     decoupled.Fig4.p_window.Fig4.m_matrix;
   (match optimized.Fig4.p_tail with
   | Some tail ->
     Format.printf "@.%a@."
-      (Beehive_net.Traffic_matrix.render ~cell_width:1 ?max_rows:None)
+      (Beehive_net.Traffic_matrix.render ~cell_width:1)
       tail.Fig4.m_matrix
   | None -> ())

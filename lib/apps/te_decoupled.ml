@@ -182,11 +182,11 @@ let on_link_down_repair =
           !repairs
       | _ -> ())
 
-let app ?(delta = 100_000.0) ?(query_period = Simtime.of_sec 1.0) () =
+let app ?(delta = 100_000.0) () =
   App.create ~name:app_name
     ~dicts:[ dict_stats; dict_topo; dict_route ]
     ~timers:
-      [ App.timer ~kind:k_query_tick ~period:query_period ~size:16 (fun ~now:_ -> Query_tick) ]
+      [ App.timer ~kind:k_query_tick ~period:(Simtime.of_sec 1.0) ~size:16 (fun ~now:_ -> Query_tick) ]
     [
       on_switch_joined_init;
       on_switch_joined_topo;

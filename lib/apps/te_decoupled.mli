@@ -21,11 +21,9 @@ type Beehive_core.Value.t +=
       (** one record per re-steered flow, keyed by flow id in
           [dict_route]; repaired in place when a link on [r_path] dies *)
 
-val app :
-  ?delta:float ->
-  ?query_period:Beehive_sim.Simtime.t ->
-  unit ->
-  Beehive_core.App.t
+val app : ?delta:float -> unit -> Beehive_core.App.t
+(** [delta] is the re-routing rate threshold in bytes/s (default
+    100_000). Stats are queried once a second. *)
 
 val rerouted_count : Beehive_core.Platform.t -> int
 (** How many flows the Route function has re-steered (reads Route's

@@ -133,10 +133,10 @@ let on_traffic_update ~store =
                   | None -> ()))
       | _ -> ())
 
-let app ~store ?(delta = 100_000.0) ?(query_period = Simtime.of_sec 1.0) () =
+let app ~store ?(delta = 100_000.0) () =
   App.create ~name:app_name ~dicts:[ dict_cache ]
     ~timers:
-      [ App.timer ~kind:k_query_tick ~period:query_period ~size:16 (fun ~now:_ -> Query_tick) ]
+      [ App.timer ~kind:k_query_tick ~period:(Simtime.of_sec 1.0) ~size:16 (fun ~now:_ -> Query_tick) ]
     [
       on_switch_joined ~store;
       on_link_discovered ~store;

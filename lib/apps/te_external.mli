@@ -13,12 +13,7 @@
 val app_name : string
 (** ["te.external"] *)
 
-val app :
-  store:Beehive_core.Ext_store.t ->
-  ?delta:float ->
-  ?query_period:Beehive_sim.Simtime.t ->
-  unit ->
-  Beehive_core.App.t
+val app : store:Beehive_core.Ext_store.t -> ?delta:float -> unit -> Beehive_core.App.t
 
 val rerouted_count : Beehive_core.Ext_store.t -> int
 (** Re-route records currently in the store. *)

@@ -118,14 +118,14 @@ let on_route_tick ~delta =
           Context.set ctx ~dict:dict_stats ~key (V_obs (mark_handled obs handled)))
         !rerouted)
 
-let app ?(delta = 100_000.0) ?(query_period = Simtime.of_sec 1.0)
-    ?(route_period = Simtime.of_sec 1.0) () =
+let app ?(delta = 100_000.0) () =
+  let period = Simtime.of_sec 1.0 in
   App.create ~name:app_name
     ~dicts:[ dict_stats; dict_topo ]
     ~timers:
       [
-        App.timer ~kind:k_query_tick ~period:query_period ~size:16 (fun ~now:_ -> Query_tick);
-        App.timer ~kind:k_route_tick ~period:route_period ~size:16 (fun ~now:_ -> Route_tick);
+        App.timer ~kind:k_query_tick ~period ~size:16 (fun ~now:_ -> Query_tick);
+        App.timer ~kind:k_route_tick ~period ~size:16 (fun ~now:_ -> Route_tick);
       ]
     [
       on_switch_joined_init;

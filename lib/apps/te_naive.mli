@@ -16,11 +16,6 @@ val app_name : string
 
 val dict_stats : string  (** ["flow_stats"] — the paper's S *)
 
-val app :
-  ?delta:float ->
-  ?query_period:Beehive_sim.Simtime.t ->
-  ?route_period:Beehive_sim.Simtime.t ->
-  unit ->
-  Beehive_core.App.t
+val app : ?delta:float -> unit -> Beehive_core.App.t
 (** [delta] is the re-routing rate threshold in bytes/s (default
-    100_000). *)
+    100_000). Stats are queried and routes recomputed once a second. *)

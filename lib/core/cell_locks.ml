@@ -49,7 +49,7 @@ let charge_rpc t ~hive =
 let acquire t ~app cells =
   Cell.Set.iter
     (fun c ->
-      match Lock_service.try_acquire t.locks t.session ~path:(path app c) () with
+      match Lock_service.try_acquire t.locks t.session ~path:(path app c) with
       | `Acquired _ -> ()
       | `Held_by other ->
         (* Single platform instance: this would mean a foreign owner. *)

@@ -97,7 +97,7 @@ let load_balance_policy ?(imbalance = 2.0) () : policy =
    empty hives — the join half of elastic membership. A freshly joined
    hive has no bees, so neither the greedy-source nor the load-balance
    policy would ever send anything there on its own. *)
-let scale_out_policy ?(max_moves_per_target = 4) () : policy =
+let scale_out_policy : policy =
  fun platform loads ->
   let n = Platform.n_hives platform in
   if n < 2 || loads = [] then []
@@ -120,7 +120,7 @@ let scale_out_policy ?(max_moves_per_target = 4) () : policy =
         |> List.sort (fun a b -> Int.compare b.bl_processed a.bl_processed)
       in
       let targets = Array.of_list empty in
-      let budget = max_moves_per_target * Array.length targets in
+      let budget = 4 * Array.length targets in  (* four moves per empty hive *)
       let k = ref 0 in
       List.filteri (fun i _ -> i < budget) movable
       |> List.map (fun l ->

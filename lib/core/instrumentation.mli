@@ -46,11 +46,10 @@ val load_balance_policy : ?imbalance:float -> unit -> policy
     [imbalance] (default 2.0) times the average load, move its
     least-loaded migratable bee to the least-busy hive. *)
 
-val scale_out_policy : ?max_moves_per_target:int -> unit -> policy
+val scale_out_policy : policy
 (** Seeds empty hives (the join half of elastic membership): when a
     placeable hive reports zero load while others are busy, moves up to
-    [max_moves_per_target] (default 4) of the busiest bees onto each such
-    hive, round-robin. Without this, a freshly joined hive — which hosts
+    four of the busiest bees onto each such hive, round-robin. Without this, a freshly joined hive — which hosts
     no bees and so never appears in any traffic report — would never
     receive work from the traffic-driven policies. *)
 

@@ -147,7 +147,7 @@ let run ?(config = default_config) () =
         policy =
           Instrumentation.combined_policy
             [
-              Instrumentation.scale_out_policy ();
+              Instrumentation.scale_out_policy;
               Instrumentation.load_balance_policy ();
             ];
       }

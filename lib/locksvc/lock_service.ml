@@ -8,7 +8,6 @@ type event =
 type lock = {
   mutable lock_holder : session option;
   mutable seq : int;
-  mutable ephemeral : bool;
 }
 
 and session = {
@@ -54,16 +53,7 @@ let expire_session t s =
     s.expiry <- None;
     let held = List.rev s.held in
     s.held <- [];
-    List.iter
-      (fun path ->
-        match Hashtbl.find_opt t.locks path with
-        | Some l when held_by l s && l.ephemeral -> free_lock t s ~expired:true path
-        | Some l when held_by l s ->
-          (* Non-ephemeral locks survive their session in Chubby only via
-             lock-delay; we release them too but tag the event. *)
-          free_lock t s ~expired:true path
-        | Some _ | None -> ())
-      held
+    List.iter (free_lock t s ~expired:true) held
   end
 
 let arm_expiry t s =
@@ -95,11 +85,11 @@ let get_lock t path =
   match Hashtbl.find_opt t.locks path with
   | Some l -> l
   | None ->
-    let l = { lock_holder = None; seq = 0; ephemeral = true } in
+    let l = { lock_holder = None; seq = 0 } in
     Hashtbl.add t.locks path l;
     l
 
-let try_acquire t session ~path ?(ephemeral = true) () =
+let try_acquire t session ~path =
   if not session.alive then invalid_arg "Lock_service.try_acquire: dead session";
   let l = get_lock t path in
   match l.lock_holder with
@@ -108,7 +98,6 @@ let try_acquire t session ~path ?(ephemeral = true) () =
   | None ->
     l.lock_holder <- Some session;
     l.seq <- l.seq + 1;
-    l.ephemeral <- ephemeral;
     session.held <- path :: session.held;
     `Acquired l.seq
 

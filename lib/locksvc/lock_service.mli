@@ -37,13 +37,11 @@ val close_session : t -> session -> unit
 (** Graceful close: releases all locks held by the session (as
     {!Released}). Idempotent. *)
 
-val try_acquire :
-  t -> session -> path:string -> ?ephemeral:bool -> unit ->
-  [ `Acquired of int | `Held_by of string ]
-(** Non-blocking acquisition. [`Acquired seq] carries the lock's
-    sequencer, a token that increases every time the lock changes hands
-    (Chubby's fencing number). [ephemeral] defaults to [true]. Acquiring a
-    lock already held by the same session returns its current sequencer. *)
+val try_acquire : t -> session -> path:string -> [ `Acquired of int | `Held_by of string ]
+(** Non-blocking acquisition of an ephemeral lock. [`Acquired seq]
+    carries the lock's sequencer, a token that increases every time the
+    lock changes hands (Chubby's fencing number). Acquiring a lock already
+    held by the same session returns its current sequencer. *)
 
 val release : t -> session -> path:string -> unit
 (** Raises [Invalid_argument] if the session does not hold the lock. *)

@@ -118,8 +118,7 @@ let reset t =
 (* A cell is rendered by the decade of its byte count relative to the
    matrix maximum: '.' for zero, '1'..'9' for increasing log-share, '#'
    for the hottest decade. *)
-let render ?(cell_width = 1) ?max_rows fmt t =
-  let rows = match max_rows with Some m -> min m t.n | None -> t.n in
+let render ?(cell_width = 1) fmt t =
   let mx = fold (fun a i j -> Stdlib.max a t.byts.(i).(j)) 0.0 t in
   let glyph v =
     if v <= 0.0 then '.'
@@ -136,8 +135,8 @@ let render ?(cell_width = 1) ?max_rows fmt t =
     end
   in
   Format.fprintf fmt "@[<v>";
-  for i = 0 to rows - 1 do
-    for j = 0 to rows - 1 do
+  for i = 0 to t.n - 1 do
+    for j = 0 to t.n - 1 do
       let c = glyph t.byts.(i).(j) in
       for _ = 1 to cell_width do
         Format.pp_print_char fmt c

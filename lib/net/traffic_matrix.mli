@@ -43,7 +43,6 @@ val merge_into : dst:t -> t -> unit
 
 val reset : t -> unit
 
-val render :
-  ?cell_width:int -> ?max_rows:int -> Format.formatter -> t -> unit
+val render : ?cell_width:int -> Format.formatter -> t -> unit
 (** ASCII heat map ('.', digits and '#' by decade of bytes), mimicking the
     figure panels. *)

@@ -42,10 +42,8 @@ let create_cluster platform topo =
     delivery_hooks = [];
   }
 
-let add cluster ~sw ?(flows = [||]) ?n_ports () =
-  let n_ports =
-    match n_ports with Some n -> n | None -> Topology.degree cluster.topo sw + 1
-  in
+let add cluster ~sw ?(flows = [||]) () =
+  let n_ports = Topology.degree cluster.topo sw + 1 in
   let t = { sw; cluster; table = Flow_table.create (); flows; n_ports; connected = false } in
   Hashtbl.replace cluster.agents sw t;
   t

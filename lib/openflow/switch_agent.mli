@@ -11,10 +11,9 @@ type cluster
 
 val create_cluster : Beehive_core.Platform.t -> Beehive_net.Topology.t -> cluster
 
-val add :
-  cluster -> sw:int -> ?flows:Beehive_net.Flow.t array -> ?n_ports:int -> unit -> t
-(** Registers the agent and its IO endpoint. [n_ports] defaults to the
-    topology degree plus one host port. Does not connect yet. *)
+val add : cluster -> sw:int -> ?flows:Beehive_net.Flow.t array -> unit -> t
+(** Registers the agent and its IO endpoint, with a port per topology
+    neighbour plus one host port. Does not connect yet. *)
 
 val get : cluster -> int -> t option
 val flow_table : t -> Flow_table.t

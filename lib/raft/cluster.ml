@@ -9,7 +9,6 @@ type t = {
   mutable groups : int list list option;  (* None = fully connected *)
   mutable drop_rate : float;
   rng : Rng.t;
-  latency : Simtime.t;
   mutable sent : int;
   mutable dropped : int;
 }
@@ -19,7 +18,10 @@ let connected t a b =
   | None -> true
   | Some groups -> List.exists (fun g -> List.mem a g && List.mem b g) groups
 
-let create engine ~n ?(latency = Simtime.of_ms 5) () =
+(* One-way message delay. *)
+let latency = Simtime.of_ms 5
+
+let create engine ~n =
   if n <= 0 then invalid_arg "Cluster.create: need at least one node";
   let applied = Array.init n (fun _ -> ref []) in
   let cluster_ref = ref None in
@@ -34,7 +36,7 @@ let create engine ~n ?(latency = Simtime.of_ms 5) () =
         then t.dropped <- t.dropped + 1
         else
           ignore
-            (Engine.schedule_after engine t.latency (fun () ->
+            (Engine.schedule_after engine latency (fun () ->
                  Raft.receive t.nodes.(dst) rpc))
     in
     let apply (e : Raft.entry) =
@@ -51,7 +53,6 @@ let create engine ~n ?(latency = Simtime.of_ms 5) () =
       groups = None;
       drop_rate = 0.0;
       rng = Rng.split (Engine.rng engine);
-      latency;
       sent = 0;
       dropped = 0;
     }

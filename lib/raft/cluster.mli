@@ -8,14 +8,8 @@
 
 type t
 
-val create :
-  Beehive_sim.Engine.t ->
-  n:int ->
-  ?latency:Beehive_sim.Simtime.t ->
-  unit ->
-  t
-(** [latency] is the one-way message delay (default 5 ms). All nodes are
-    started. *)
+val create : Beehive_sim.Engine.t -> n:int -> t
+(** Messages take 5 ms one way. All nodes are started. *)
 
 val node : t -> int -> Raft.t
 val n : t -> int

@@ -65,9 +65,9 @@ let cancel t = function
       true
     end
 
-let every t ?start period f =
+let every t period f =
   if Simtime.(period <= Simtime.zero) then invalid_arg "Engine.every: period must be positive";
-  let start = match start with Some s -> s | None -> Simtime.add t.clock period in
+  let start = Simtime.add t.clock period in
   let p = { current = None; stopped = false } in
   let rec fire at () =
     p.current <- None;

@@ -51,10 +51,9 @@ val schedule_sharded_after : t -> Simtime.t -> shard:int -> (unit -> unit -> uni
 
 val cancel : t -> handle -> bool
 
-val every : t -> ?start:Simtime.t -> Simtime.t -> (unit -> unit) -> handle
-(** [every t ~start period f] runs [f] at [start], [start+period], ... until
-    cancelled. [start] defaults to [now t + period]. The returned handle
-    cancels the whole series. *)
+val every : t -> Simtime.t -> (unit -> unit) -> handle
+(** [every t period f] runs [f] at [now t + period], [now t + 2 period],
+    ... until cancelled. The returned handle cancels the whole series. *)
 
 val run_until : t -> Simtime.t -> unit
 (** Executes events in order until the queue is exhausted or the next event

@@ -13,14 +13,14 @@ let test_acquire_release () =
   let _, svc = setup () in
   let s1 = L.create_session svc ~owner:"a" in
   let s2 = L.create_session svc ~owner:"b" in
-  (match L.try_acquire svc s1 ~path:"/x" () with
+  (match L.try_acquire svc s1 ~path:"/x" with
   | `Acquired seq -> Alcotest.(check int) "first sequencer" 1 seq
   | `Held_by o -> Alcotest.failf "unexpected holder %s" o);
-  (match L.try_acquire svc s2 ~path:"/x" () with
+  (match L.try_acquire svc s2 ~path:"/x" with
   | `Held_by o -> Alcotest.(check string) "blocked by a" "a" o
   | `Acquired _ -> Alcotest.fail "mutual exclusion violated");
   L.release svc s1 ~path:"/x";
-  (match L.try_acquire svc s2 ~path:"/x" () with
+  (match L.try_acquire svc s2 ~path:"/x" with
   | `Acquired seq -> Alcotest.(check int) "sequencer advances" 2 seq
   | `Held_by _ -> Alcotest.fail "release did not free the lock");
   Alcotest.(check (option string)) "holder" (Some "b") (L.holder svc ~path:"/x")
@@ -28,14 +28,14 @@ let test_acquire_release () =
 let test_reacquire_same_session () =
   let _, svc = setup () in
   let s = L.create_session svc ~owner:"a" in
-  let seq1 = match L.try_acquire svc s ~path:"/x" () with `Acquired n -> n | _ -> -1 in
-  let seq2 = match L.try_acquire svc s ~path:"/x" () with `Acquired n -> n | _ -> -1 in
+  let seq1 = match L.try_acquire svc s ~path:"/x" with `Acquired n -> n | _ -> -1 in
+  let seq2 = match L.try_acquire svc s ~path:"/x" with `Acquired n -> n | _ -> -1 in
   Alcotest.(check int) "idempotent for owner" seq1 seq2
 
 let test_lease_expiry () =
   let e, svc = setup ~lease:(Simtime.of_sec 2.0) () in
   let s1 = L.create_session svc ~owner:"a" in
-  ignore (L.try_acquire svc s1 ~path:"/x" ());
+  ignore (L.try_acquire svc s1 ~path:"/x");
   let events = ref [] in
   L.watch svc ~path:"/x" (fun ev -> events := ev :: !events);
   Engine.run_until e (Simtime.of_sec 1.0);
@@ -51,7 +51,7 @@ let test_lease_expiry () =
 let test_keep_alive_extends () =
   let e, svc = setup ~lease:(Simtime.of_sec 2.0) () in
   let s = L.create_session svc ~owner:"a" in
-  ignore (L.try_acquire svc s ~path:"/x" ());
+  ignore (L.try_acquire svc s ~path:"/x");
   (* Renew every second: the session must survive well past the lease. *)
   let h = Engine.every e (Simtime.of_sec 1.0) (fun () -> if L.session_alive s then L.keep_alive s) in
   Engine.run_until e (Simtime.of_sec 10.0);
@@ -64,8 +64,8 @@ let test_keep_alive_extends () =
 let test_close_session_releases () =
   let _, svc = setup () in
   let s = L.create_session svc ~owner:"a" in
-  ignore (L.try_acquire svc s ~path:"/x" ());
-  ignore (L.try_acquire svc s ~path:"/y" ());
+  ignore (L.try_acquire svc s ~path:"/x");
+  ignore (L.try_acquire svc s ~path:"/y");
   Alcotest.(check (list string)) "held" [ "/x"; "/y" ] (L.locks_held svc s);
   let events = ref [] in
   L.watch svc ~path:"/y" (fun ev -> events := ev :: !events);
@@ -81,7 +81,7 @@ let test_release_unheld_raises () =
   let _, svc = setup () in
   let s1 = L.create_session svc ~owner:"a" in
   let s2 = L.create_session svc ~owner:"b" in
-  ignore (L.try_acquire svc s1 ~path:"/x" ());
+  ignore (L.try_acquire svc s1 ~path:"/x");
   Alcotest.check_raises "foreign release"
     (Invalid_argument "Lock_service.release: lock not held by session") (fun () ->
       L.release svc s2 ~path:"/x")
@@ -97,7 +97,7 @@ let prop_mutual_exclusion =
         (fun (path_i, sess_i) ->
           let path = "/p" ^ string_of_int path_i in
           let s = sessions.(sess_i) in
-          match L.try_acquire svc s ~path () with
+          match L.try_acquire svc s ~path with
           | `Acquired _ ->
             (* Either it was free, or we already held it. *)
             let prev = Hashtbl.find_opt holders path in
@@ -114,7 +114,7 @@ let test_sequencer_monotonic () =
   let s = L.create_session svc ~owner:"a" in
   let seqs = ref [] in
   for _ = 1 to 5 do
-    (match L.try_acquire svc s ~path:"/x" () with
+    (match L.try_acquire svc s ~path:"/x" with
     | `Acquired n -> seqs := n :: !seqs
     | `Held_by _ -> ());
     L.release svc s ~path:"/x"

@@ -11,7 +11,7 @@ let await_leader = Helpers.await_leader
 
 let setup ?(n = 3) () =
   let engine = Engine.create () in
-  let cluster = Cluster.create engine ~n () in
+  let cluster = Cluster.create engine ~n in
   (engine, cluster)
 
 let test_elects_single_leader () =
@@ -158,7 +158,7 @@ let prop_state_machine_safety =
     QCheck.(list_of_size Gen.(5 -- 25) (int_bound 9))
     (fun events ->
       let engine = Engine.create ~seed:(Hashtbl.hash events) () in
-      let cluster = Cluster.create engine ~n:3 () in
+      let cluster = Cluster.create engine ~n:3 in
       let down = Array.make 3 false in
       List.iteri
         (fun step ev ->

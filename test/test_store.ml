@@ -298,7 +298,7 @@ let test_migration_ships_package_and_wal_metrics () =
 
 let test_raft_install_snapshot_catches_up_lagging_node () =
   let engine = Engine.create () in
-  let cluster = Cluster.create engine ~n:3 () in
+  let cluster = Cluster.create engine ~n:3 in
   let l = await_leader engine cluster in
   let f = if l = 0 then 1 else 0 in
   Cluster.crash cluster f;
