@@ -98,14 +98,7 @@ let write_bench_json ~name ~metric ~value ~unit_ ~domains fields =
 let run_figures () =
   Format.printf "##### Figure 4 regeneration (%s scale) #####@.@."
     (if full_scale then "paper" else "quick");
-  let naive, decoupled, optimized = Fig4.run_all ~cfg:scenario_cfg () in
-  Format.printf "%a@." Fig4.render naive;
-  Format.printf "%a@." Fig4.render decoupled;
-  Format.printf "%a@." Fig4.render optimized;
-  let checks = Fig4.shape_checks ~naive ~decoupled ~optimized in
-  Format.printf "=== shape checks (the paper's qualitative claims)@.%a@."
-    Fig4.render_checks checks;
-  List.for_all (fun c -> c.Fig4.c_passed) checks
+  Fig4.report ~cfg:scenario_cfg Format.std_formatter
 
 (* ------------------------------------------------------------------ *)
 (* Part 2: ablations                                                   *)

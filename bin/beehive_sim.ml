@@ -79,18 +79,7 @@ let run_one name runner =
 
 let fig4_all =
   let doc = "Run all three Figure 4 experiments and the shape checks." in
-  let run cfg =
-    let naive, decoupled, optimized = Fig4.run_all ~cfg () in
-    render_panel ~csv:false naive;
-    render_panel ~csv:false decoupled;
-    render_panel ~csv:false optimized;
-    Format.printf "=== shape checks (paper's qualitative claims)@.%a@." Fig4.render_checks
-      (Fig4.shape_checks ~naive ~decoupled ~optimized);
-    let failed =
-      List.filter (fun c -> not c.Fig4.c_passed) (Fig4.shape_checks ~naive ~decoupled ~optimized)
-    in
-    if failed <> [] then exit 1
-  in
+  let run cfg = if not (Fig4.report ~cfg Format.std_formatter) then exit 1 in
   Cmd.v
     (Cmd.info "fig4" ~doc)
     Term.(const run $ cfg_term)

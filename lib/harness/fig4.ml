@@ -167,7 +167,7 @@ let render fmt p =
     cfg.Scenario.flows_per_switch
     (100.0 *. cfg.Scenario.hot_fraction);
   Format.fprintf fmt "inter-hive traffic matrix (rows = src hive, cols = dst hive):@,%a@,@,"
-    (Traffic_matrix.render ~cell_width:1 ?max_rows:None)
+    (Traffic_matrix.render ~cell_width:1)
     p.p_window.m_matrix;
   Format.fprintf fmt "control-channel bandwidth over the window: [%a]@,"
     (Series.render_sparkline ~width:60)
@@ -177,7 +177,7 @@ let render fmt p =
   | Some t ->
     Format.fprintf fmt "post-convergence tail:@,%a@,matrix:@,%a@,@," Summary.pp
       t.m_summary
-      (Traffic_matrix.render ~cell_width:1 ?max_rows:None)
+      (Traffic_matrix.render ~cell_width:1)
       t.m_matrix
   | None -> ());
   Format.fprintf fmt "flows re-routed by TE: %d@,@," p.p_rerouted;
@@ -204,3 +204,11 @@ let render_checks fmt checks =
         c.c_detail)
     checks;
   Format.fprintf fmt "@]"
+
+let report ~cfg fmt =
+  let naive, decoupled, optimized = run_all ~cfg () in
+  List.iter (Format.fprintf fmt "%a@." render) [ naive; decoupled; optimized ];
+  let checks = shape_checks ~naive ~decoupled ~optimized in
+  Format.fprintf fmt "=== shape checks (the paper's qualitative claims)@.%a@." render_checks
+    checks;
+  List.for_all (fun c -> c.c_passed) checks

@@ -57,3 +57,7 @@ val render_csv : Format.formatter -> panel -> unit
     redraw the actual Figure 4 panels. *)
 
 val render_checks : Format.formatter -> check list -> unit
+
+val report : cfg:Scenario.config -> Format.formatter -> bool
+(** Runs all three experiments, prints their panels and the shape checks,
+    and returns whether every check passed. *)
