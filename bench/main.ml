@@ -1,24 +1,32 @@
-(* Benchmark and figure-regeneration harness.
+(* Benchmark and figure-regeneration harness: one table of sections
+   behind one driver.
 
-   Part 1 regenerates every panel of the paper's evaluation (Figure 4 a-f)
-   and verifies the qualitative shape claims. It runs at a laptop-fast
-   scale by default; set BEEHIVE_BENCH_FULL=1 for the paper's full
-   40-hive / 400-switch / 60-second setup.
+   - figures regenerates every panel of the paper's evaluation (Figure 4
+     a-f) and verifies the qualitative shape claims.
+   - optimizer, external-store and cluster-size are scenario-level
+     ablations of the same TE cluster.
+   - replication, durability, loss, outbox, integrity, elastic and
+     parallel measure the extensions: the cost of Raft replication,
+     snapshot recovery and crash/restart, link loss, the transactional
+     outbox, storage integrity, elastic scale-out/in and multicore
+     dispatch.
 
-   Part 2 runs scenario-level ablations (optimizer on/off, cluster size).
-
-   Part 3 measures core-operation costs with Bechamel. *)
+   Each section prints its table and returns whether its gated claims
+   hold. The driver runs every section in table order, or only the one
+   BEEHIVE_BENCH_ONLY names, then exits 1 naming each section that
+   failed. It runs at a laptop-fast scale by default; set
+   BEEHIVE_BENCH_FULL=1 for the paper's full 40-hive / 400-switch /
+   60-second setup. *)
 
 module Scenario = Beehive_harness.Scenario
 module Fig4 = Beehive_harness.Fig4
 module Summary = Beehive_harness.Summary
 module Simtime = Beehive_sim.Simtime
 module Engine = Beehive_sim.Engine
-module Rng = Beehive_sim.Rng
+module P = Beehive_core.Platform
+module Store = Beehive_store.Store
 
-type Beehive_core.Message.payload +=
-  | Bench_incr
-  | Bench_put of { bp_key : string; bp_size : int }
+type Beehive_core.Message.payload += Bench_put of { bp_key : string; bp_size : int }
 
 let full_scale = Sys.getenv_opt "BEEHIVE_BENCH_FULL" = Some "1"
 
@@ -44,17 +52,65 @@ let put_app ?replicated ~name ~dict ~kind () =
           | _ -> ());
     ]
 
+(* The put load the platform ablations drive: every [period_ms], one
+   [kind] put of [size tick] bytes per key k < [keys] (tick counts from 1),
+   injected from hive (k + tick) mod [hives] when [rotate], else from
+   k mod [hives], until [horizon_s] simulated seconds. *)
+type load = {
+  hives : int;
+  durable : bool;
+  keys : int;
+  period_ms : int;
+  kind : string;
+  size : int -> int;
+  rotate : bool;
+  horizon_s : float;
+}
+
+let puts =
+  {
+    hives = 6;
+    durable = false;
+    keys = 12;
+    period_ms = 100;
+    kind = "bench.put";
+    size = (fun _ -> 512);
+    rotate = false;
+    horizon_s = 10.0;
+  }
+
+(* Creates a platform on [engine] running [apps], applies [prepare] to it
+   before starting it, then drives [l] to its horizon. Returns the
+   platform and the number of puts offered. *)
+let run_load ?(engine = Engine.create ()) ?(prepare = ignore) l apps =
+  let durability = if l.durable then Some Store.default_config else None in
+  let platform = P.create engine { (P.default_config ~n_hives:l.hives) with P.durability } in
+  List.iter (P.register_app platform) apps;
+  prepare platform;
+  P.start platform;
+  let tick = ref 0 in
+  let h =
+    Engine.every engine (Simtime.of_ms l.period_ms) (fun () ->
+        incr tick;
+        for k = 0 to l.keys - 1 do
+          P.inject platform
+            ~from:(Beehive_net.Channels.Hive ((if l.rotate then k + !tick else k) mod l.hives))
+            ~kind:l.kind
+            (Bench_put { bp_key = Printf.sprintf "k%d" k; bp_size = l.size !tick })
+        done)
+  in
+  Engine.run_until engine (Simtime.of_sec l.horizon_s);
+  ignore (Engine.cancel engine h);
+  (platform, !tick * l.keys)
+
 (* ------------------------------------------------------------------ *)
 (* Machine-readable baselines: BENCH_<name>.json                       *)
 (* ------------------------------------------------------------------ *)
 
-(* [--json] (or BEEHIVE_BENCH_JSON=1) makes the headline sections also
-   write one BENCH_<name>.json apiece — metric, value, unit, pool width
-   and git revision — so CI can archive baselines and diff runs without
-   scraping the tables. *)
-let json_enabled =
-  Array.exists (String.equal "--json") Sys.argv
-  || Sys.getenv_opt "BEEHIVE_BENCH_JSON" = Some "1"
+(* [--json] makes the headline sections also write one BENCH_<name>.json
+   apiece — metric, value, unit, pool width and git revision — so CI can
+   archive baselines and diff runs without scraping the tables. *)
+let json_enabled = Array.exists (String.equal "--json") Sys.argv
 
 let git_rev =
   lazy
@@ -92,16 +148,16 @@ let write_bench_json ~name ~metric ~value ~unit_ ~domains fields =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Part 1: Figure 4                                                    *)
+(* Figure 4                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let run_figures () =
+let figures () =
   Format.printf "##### Figure 4 regeneration (%s scale) #####@.@."
     (if full_scale then "paper" else "quick");
   Fig4.report ~cfg:scenario_cfg Format.std_formatter
 
 (* ------------------------------------------------------------------ *)
-(* Part 2: ablations                                                   *)
+(* Scenario ablations                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let run_scenario cfg =
@@ -130,7 +186,8 @@ let ablation_optimizer () =
         (Printf.sprintf "%.0f%%" (100.0 *. s.Summary.s_locality))
         s.Summary.s_mean_kbps s.Summary.s_peak_kbps s.Summary.s_migrations)
     [ false; true ];
-  Format.printf "@."
+  Format.printf "@.";
+  true
 
 let ablation_external_store () =
   (* Section 6 of the paper, measured: Beehive cells vs. an ONOS-style
@@ -156,7 +213,8 @@ let ablation_external_store () =
       Format.printf "%-22s %-12.1f %-12.1f %-18d %-18d@." label s.Summary.s_mean_kbps
         s.Summary.s_peak_kbps p50 p99)
     [ ("beehive cells", Scenario.Te_decoupled); ("external store", Scenario.Te_external) ];
-  Format.printf "@."
+  Format.printf "@.";
+  true
 
 let ablation_cluster_size () =
   Format.printf "##### Ablation: decoupled TE vs cluster size #####@.";
@@ -181,49 +239,39 @@ let ablation_cluster_size () =
         (Printf.sprintf "%.0f%%" (100.0 *. s.Summary.s_locality))
         s.Summary.s_mean_kbps s.Summary.s_live_bees)
     sizes;
-  Format.printf "@."
+  Format.printf "@.";
+  true
+
+(* ------------------------------------------------------------------ *)
+(* Extension ablations                                                 *)
+(* ------------------------------------------------------------------ *)
 
 let ablation_replication () =
   (* Cost of fault tolerance: the same replicated key-value workload
-     without replication and under Raft consensus. *)
+     without replication and under Raft consensus — 12 keys spread over
+     the hives, one 512-byte write per key per 100 ms, for 20 simulated
+     seconds. *)
   Format.printf "##### Ablation: replication mode cost (fault-tolerance extension) #####@.";
   Format.printf "%-18s %-16s %-14s %-12s@." "mode" "inter-hive KB" "KB/s" "overhead";
-  let module P = Beehive_core.Platform in
-  let run mode =
-    let engine = Engine.create () in
-    let platform = P.create engine (P.default_config ~n_hives:6) in
-    (* A key-sharded writer app with realistic value sizes. *)
-    P.register_app platform
-      (put_app ~replicated:true ~name:"bench.writer" ~dict:"store" ~kind:"bench.put" ());
-    (match mode with
-    | `Raft -> ignore (Beehive_core.Raft_replication.install platform ())
-    | `None -> ());
-    P.start platform;
-    (* 12 keys spread over the hives, one 512-byte write per key per 100 ms,
-       for 20 simulated seconds. *)
-    let h =
-      Engine.every engine (Simtime.of_ms 100) (fun () ->
-          for k = 0 to 11 do
-            P.inject platform
-              ~from:(Beehive_net.Channels.Hive (k mod 6))
-              ~kind:"bench.put"
-              (Bench_put { bp_key = Printf.sprintf "k%d" k; bp_size = 512 })
-          done)
+  let run raft =
+    let prepare p = if raft then ignore (Beehive_core.Raft_replication.install p ()) in
+    let platform, _ =
+      run_load ~prepare { puts with horizon_s = 20.0 }
+        [ put_app ~replicated:true ~name:"bench.writer" ~dict:"store" ~kind:"bench.put" () ]
     in
-    Engine.run_until engine (Simtime.of_sec 20.0);
-    ignore (Engine.cancel engine h);
     Beehive_net.Traffic_matrix.off_diagonal_bytes
       (Beehive_net.Channels.matrix (P.channels platform))
     /. 1024.0
   in
-  let base = run `None in
+  let base = run false in
   List.iter
-    (fun (label, mode) ->
-      let kb = run mode in
+    (fun (label, raft) ->
+      let kb = run raft in
       Format.printf "%-18s %-16.1f %-14.2f %-12s@." label kb (kb /. 20.0)
         (Printf.sprintf "%.1fx" (kb /. Float.max 0.001 base)))
-    [ ("none", `None); ("raft (3-node)", `Raft) ];
-  Format.printf "@."
+    [ ("none", false); ("raft (3-node)", true) ];
+  Format.printf "@.";
+  true
 
 let ablation_durability () =
   (* The storage engine's recovery claim, measured: a bee whose dictionary
@@ -231,9 +279,9 @@ let ablation_durability () =
      short WAL tail instead of replaying the whole log. Both stores hold
      the same 10k-entry dictionary written 3 times over; one never
      compacts (pure replay), the other compacts at the default 64 KiB
-     threshold. *)
+     threshold. Gated: both recover the same state, and a crashed hive's
+     bees come back byte-identical. *)
   Format.printf "##### Ablation: durability — snapshot recovery vs full WAL replay #####@.";
-  let module Store = Beehive_store.Store in
   let n_entries = 10_000 in
   let rounds = 3 in
   let size_of (d, k, w) =
@@ -278,30 +326,16 @@ let ablation_durability () =
   in
   let via_replay = report "full WAL replay" full in
   let via_snapshot = report "snapshot + tail" snap in
-  Format.printf "recovered states identical: %b@.@."
-    (via_replay = via_snapshot);
+  let same_recovery = via_replay = via_snapshot in
+  Format.printf "recovered states identical: %b@.@." same_recovery;
   (* Crash/restart round trip through the platform: fail a hive after a
      forced group commit, restart it, and check every bee's dictionary
      came back byte-identical from snapshot + WAL replay. *)
-  let module P = Beehive_core.Platform in
-  let engine = Engine.create () in
-  let cfg =
-    { (P.default_config ~n_hives:6) with P.durability = Some Store.default_config }
+  let platform, _ =
+    run_load { puts with durable = true }
+      [ put_app ~name:"bench.writer" ~dict:"store" ~kind:"bench.put" () ]
   in
-  let platform = P.create engine cfg in
-  P.register_app platform (put_app ~name:"bench.writer" ~dict:"store" ~kind:"bench.put" ());
-  P.start platform;
-  let h =
-    Engine.every engine (Simtime.of_ms 100) (fun () ->
-        for k = 0 to 11 do
-          P.inject platform
-            ~from:(Beehive_net.Channels.Hive (k mod 6))
-            ~kind:"bench.put"
-            (Bench_put { bp_key = Printf.sprintf "k%d" k; bp_size = 512 })
-        done)
-  in
-  Engine.run_until engine (Simtime.of_sec 10.0);
-  ignore (Engine.cancel engine h);
+  let engine = P.engine platform in
   P.flush_durability platform;
   let victims =
     List.filter
@@ -324,38 +358,8 @@ let ablation_durability () =
     "crash/restart hive 2: %d bees, %d entries, byte-identical after restart: %b (fsyncs=%d)@.@."
     (List.length before)
     (List.fold_left (fun a (_, e) -> a + List.length e) 0 before)
-    identical (P.total_fsyncs platform)
-
-let ablation_elastic () =
-  (* Elasticity, measured: how much of the cluster's work the busiest
-     hive carries before and after joining fresh hives, and how long a
-     full drain of the busiest hive takes at increasing cluster sizes. *)
-  let module E = Beehive_harness.Elastic_exp in
-  Format.printf "##### Ablation: elastic scale-out / scale-in #####@.";
-  Format.printf "%-8s %-8s %-14s %-14s %-12s %-14s %-10s@." "hives" "joins"
-    "busy before" "busy after" "rebalances" "drain ms" "checks";
-  let sizes = if full_scale then [ (4, 2); (8, 4); (16, 8) ] else [ (4, 2); (8, 4) ] in
-  let all_ok = ref true in
-  List.iter
-    (fun (hives, joins) ->
-      let report =
-        E.run
-          ~config:
-            { E.default_config with E.e_hives = hives; e_joins = joins; e_keys = 6 * hives }
-          ()
-      in
-      let checks = E.checks report in
-      let ok = List.for_all snd checks in
-      if not ok then all_ok := false;
-      Format.printf "%-8d %-8d %-14s %-14s %-12d %-14.1f %-10s@." hives joins
-        (Printf.sprintf "%.1f%%" (100.0 *. report.E.r_before.E.p_busiest_share))
-        (Printf.sprintf "%.1f%%" (100.0 *. report.E.r_scaled.E.p_busiest_share))
-        report.E.r_rebalance_migrations
-        (float_of_int report.E.r_last_drain_us /. 1000.0)
-        (if ok then "ok" else "FAIL"))
-    sizes;
-  Format.printf "@.";
-  if not !all_ok then exit 1
+    identical (P.total_fsyncs platform);
+  same_recovery && identical
 
 let ablation_loss () =
   (* Cost of reliability under a degrading fabric: the same cross-hive
@@ -366,28 +370,16 @@ let ablation_loss () =
   Format.printf "##### Ablation: link loss vs. delivery latency and retransmit overhead #####@.";
   Format.printf "%-8s %-11s %-10s %-10s %-10s %-13s %-10s %-9s@." "loss" "delivered"
     "p50 us" "p99 us" "p99.9 us" "retransmits" "overhead" "dropped";
-  let module P = Beehive_core.Platform in
   let module T = Beehive_net.Transport in
   let run loss =
-    let engine = Engine.create () in
-    let platform = P.create engine (P.default_config ~n_hives:6) in
-    P.register_app platform (put_app ~name:"bench.writer" ~dict:"store" ~kind:"bench.put" ());
-    P.start platform;
-    Beehive_net.Channels.set_loss (P.channels platform) loss;
     (* Rotate the injection hive so nearly every put crosses hives. *)
-    let tick = ref 0 in
-    let h =
-      Engine.every engine (Simtime.of_ms 100) (fun () ->
-          incr tick;
-          for k = 0 to 11 do
-            P.inject platform
-              ~from:(Beehive_net.Channels.Hive ((k + !tick) mod 6))
-              ~kind:"bench.put"
-              (Bench_put { bp_key = Printf.sprintf "k%d" k; bp_size = 512 })
-          done)
+    let platform, _ =
+      run_load
+        ~prepare:(fun p -> Beehive_net.Channels.set_loss (P.channels p) loss)
+        { puts with rotate = true }
+        [ put_app ~name:"bench.writer" ~dict:"store" ~kind:"bench.put" () ]
     in
-    Engine.run_until engine (Simtime.of_sec 10.0);
-    ignore (Engine.cancel engine h);
+    let engine = P.engine platform in
     (* Heal and let in-flight retries land before reading the counters. *)
     Beehive_net.Channels.set_loss (P.channels platform) 0.0;
     Engine.run_until engine (Simtime.add (Engine.now engine) (Simtime.of_sec 2.0));
@@ -405,7 +397,18 @@ let ablation_loss () =
       (P.total_dropped platform)
   in
   List.iter run [ 0.0; 0.001; 0.01; 0.05 ];
-  Format.printf "@."
+  Format.printf "@.";
+  true
+
+(* The durable 96-key, 10 ms, 256-byte put load of the outbox and
+   integrity ablations, drained after its horizon: a forced group commit,
+   then 50 ms for the acks. *)
+let durable_puts = { puts with durable = true; keys = 96; period_ms = 10; size = (fun _ -> 256) }
+
+let drain_durable platform =
+  let engine = P.engine platform in
+  P.flush_durability platform;
+  Engine.run_until engine (Simtime.add (Engine.now engine) (Simtime.of_ms 50))
 
 let ablation_outbox () =
   (* Cost of exactly-once messaging on the healthy path: a
@@ -419,78 +422,43 @@ let ablation_outbox () =
      wall-clock measures the simulator, not the system, and is reported
      for context only. *)
   Format.printf "##### Ablation: transactional outbox cost on the healthy path #####@.";
-  let module P = Beehive_core.Platform in
   let module A = Beehive_core.App in
-  let n_keys = 96 and period_ms = 10 and secs = 10.0 in
-  let offered = ref 0 in
-  let run () =
-    let engine = Engine.create () in
-    let cfg =
-      {
-        (P.default_config ~n_hives:6) with
-        P.durability = Some Beehive_store.Store.default_config;
-      }
-    in
-    let platform = P.create engine cfg in
-    let fwd =
-      A.create ~name:"bench.fwd" ~dicts:[ "journal" ]
-        [
-          A.handler ~kind:"bench.fwd"
-            ~map:(fun msg ->
-              match msg.Beehive_core.Message.payload with
-              | Bench_put { bp_key; _ } ->
-                Beehive_core.Mapping.with_key "journal" bp_key
-              | _ -> Beehive_core.Mapping.Drop)
-            (fun ctx msg ->
-              match msg.Beehive_core.Message.payload with
-              | Bench_put { bp_key; _ } as p ->
-                Beehive_core.Context.update ctx ~dict:"journal" ~key:bp_key
-                  (function
-                    | Some (Beehive_core.Value.V_int n) ->
-                      Some (Beehive_core.Value.V_int (n + 1))
-                    | _ -> Some (Beehive_core.Value.V_int 1));
-                Beehive_core.Context.emit ctx ~kind:"bench.apply" p
-              | _ -> ());
-        ]
-    in
-    P.register_app platform fwd;
-    P.register_app platform (put_app ~name:"bench.kv" ~dict:"kv" ~kind:"bench.apply" ());
-    P.start platform;
-    let h =
-      Engine.every engine (Simtime.of_ms period_ms) (fun () ->
-          for k = 0 to n_keys - 1 do
-            incr offered;
-            P.inject platform
-              ~from:(Beehive_net.Channels.Hive (k mod 6))
-              ~kind:"bench.fwd"
-              (Bench_put { bp_key = Printf.sprintf "k%d" k; bp_size = 256 })
-          done)
-    in
-    let t0 = Unix.gettimeofday () in
-    Engine.run_until engine (Simtime.of_sec secs);
-    ignore (Engine.cancel engine h);
-    P.flush_durability platform;
-    Engine.run_until engine (Simtime.add (Engine.now engine) (Simtime.of_ms 50));
-    let wall = Unix.gettimeofday () -. t0 in
-    let wal_bytes =
-      match P.store platform with
-      | Some s -> Beehive_store.Store.total_wal_bytes_written s
-      | None -> 0
-    in
-    let net_bytes =
-      Beehive_net.Traffic_matrix.off_diagonal_bytes
-        (Beehive_net.Channels.matrix (P.channels platform))
-    in
-    let pct p = Option.value ~default:0 (P.message_latency_percentile platform p) in
-    ( wall,
-      P.total_processed platform,
-      P.total_fsyncs platform,
-      wal_bytes,
-      net_bytes,
-      pct 0.99,
-      P.outbox_unacked_total platform )
+  let fwd =
+    A.create ~name:"bench.fwd" ~dicts:[ "journal" ]
+      [
+        A.handler ~kind:"bench.fwd"
+          ~map:(fun msg ->
+            match msg.Beehive_core.Message.payload with
+            | Bench_put { bp_key; _ } ->
+              Beehive_core.Mapping.with_key "journal" bp_key
+            | _ -> Beehive_core.Mapping.Drop)
+          (fun ctx msg ->
+            match msg.Beehive_core.Message.payload with
+            | Bench_put { bp_key; _ } as p ->
+              Beehive_core.Context.update ctx ~dict:"journal" ~key:bp_key
+                (function
+                  | Some (Beehive_core.Value.V_int n) ->
+                    Some (Beehive_core.Value.V_int (n + 1))
+                  | _ -> Some (Beehive_core.Value.V_int 1));
+              Beehive_core.Context.emit ctx ~kind:"bench.apply" p
+            | _ -> ());
+      ]
   in
-  let wall, processed, fsyncs, wal, net, p99, unacked = run () in
+  let t0 = Unix.gettimeofday () in
+  let platform, offered =
+    run_load { durable_puts with kind = "bench.fwd" }
+      [ fwd; put_app ~name:"bench.kv" ~dict:"kv" ~kind:"bench.apply" () ]
+  in
+  drain_durable platform;
+  let wall = Unix.gettimeofday () -. t0 in
+  let processed = P.total_processed platform and fsyncs = P.total_fsyncs platform in
+  let wal = Store.total_wal_bytes_written (Option.get (P.store platform)) in
+  let net =
+    Beehive_net.Traffic_matrix.off_diagonal_bytes
+      (Beehive_net.Channels.matrix (P.channels platform))
+  in
+  let p99 = Option.value ~default:0 (P.message_latency_percentile platform 0.99) in
+  let unacked = P.outbox_unacked_total platform in
   Format.printf "%-11s %-9s %-11s %-12s %-9s %-8s@." "processed" "fsyncs" "WAL KB"
     "net KB" "p99 us" "wall s";
   Format.printf "%-11d %-9d %-11.1f %-12.1f %-9d %-8.3f@." processed fsyncs
@@ -498,13 +466,13 @@ let ablation_outbox () =
     (net /. 1024.0) p99 wall;
   (* Every offered put is handled twice: journaled by the forwarder, then
      applied by the key-value owner. *)
-  let ok = processed = 2 * !offered && unacked = 0 in
-  let per_put x = x /. float_of_int !offered in
+  let ok = processed = 2 * offered && unacked = 0 in
+  let per_put x = x /. float_of_int offered in
   Format.printf
     "processed %d messages for %d offered puts (2 stages each); quantified \
      overheads: WAL %.1f B/put, fabric %.1f B/put, fsyncs %d, delivery p99 %d \
      us; un-acked at quiesce: %d — %s@.@."
-    processed !offered
+    processed offered
     (per_put (float_of_int wal))
     (per_put net) fsyncs p99 unacked
     (if ok then "ok" else "FAIL");
@@ -513,7 +481,7 @@ let ablation_outbox () =
     ~unit_:"B"
     ~domains:(Beehive_sim.Domain_pool.size (Beehive_sim.Domain_pool.global ()))
     [ ("unacked_at_quiesce", string_of_int unacked) ];
-  if not ok then exit 1
+  ok
 
 let ablation_integrity () =
   (* Cost of end-to-end storage integrity on the healthy path. The frame
@@ -527,38 +495,17 @@ let ablation_integrity () =
      simulator and is reported for context only; the scrub columns
      quantify what the 5 ms tick budget actually buys. *)
   Format.printf "##### Ablation: storage-integrity cost on the healthy path #####@.";
-  let module P = Beehive_core.Platform in
-  let module Store = Beehive_store.Store in
-  let n_keys = 96 and period_ms = 10 and secs = 10.0 in
+  let secs = durable_puts.horizon_s in
   let run verify =
     Store.debug_disable_checksums := not verify;
     Fun.protect
       ~finally:(fun () -> Store.debug_disable_checksums := false)
       (fun () ->
-        let engine = Engine.create () in
-        let cfg =
-          {
-            (P.default_config ~n_hives:6) with
-            P.durability = Some Beehive_store.Store.default_config;
-          }
-        in
-        let platform = P.create engine cfg in
-        P.register_app platform (put_app ~name:"bench.kv" ~dict:"kv" ~kind:"bench.put" ());
-        P.start platform;
-        let h =
-          Engine.every engine (Simtime.of_ms period_ms) (fun () ->
-              for k = 0 to n_keys - 1 do
-                P.inject platform
-                  ~from:(Beehive_net.Channels.Hive (k mod 6))
-                  ~kind:"bench.put"
-                  (Bench_put { bp_key = Printf.sprintf "k%d" k; bp_size = 256 })
-              done)
-        in
         let t0 = Unix.gettimeofday () in
-        Engine.run_until engine (Simtime.of_sec secs);
-        ignore (Engine.cancel engine h);
-        P.flush_durability platform;
-        Engine.run_until engine (Simtime.add (Engine.now engine) (Simtime.of_ms 50));
+        let platform, _ =
+          run_load durable_puts [ put_app ~name:"bench.kv" ~dict:"kv" ~kind:"bench.put" () ]
+        in
+        drain_durable platform;
         let wall = Unix.gettimeofday () -. t0 in
         let s = Option.get (P.store platform) in
         ( wall,
@@ -605,7 +552,37 @@ let ablation_integrity () =
     ~value:(Printf.sprintf "%.3f" framing_pct)
     ~unit_:"%" ~domains:(Beehive_sim.Domain_pool.size (Beehive_sim.Domain_pool.global ()))
     [ ("records_verified", string_of_int verified_on) ];
-  if not ok then exit 1
+  ok
+
+let ablation_elastic () =
+  (* Elasticity, measured: how much of the cluster's work the busiest
+     hive carries before and after joining fresh hives, and how long a
+     full drain of the busiest hive takes at increasing cluster sizes. *)
+  let module E = Beehive_harness.Elastic_exp in
+  Format.printf "##### Ablation: elastic scale-out / scale-in #####@.";
+  Format.printf "%-8s %-8s %-14s %-14s %-12s %-14s %-10s@." "hives" "joins"
+    "busy before" "busy after" "rebalances" "drain ms" "checks";
+  let sizes = if full_scale then [ (4, 2); (8, 4); (16, 8) ] else [ (4, 2); (8, 4) ] in
+  let all_ok = ref true in
+  List.iter
+    (fun (hives, joins) ->
+      let report =
+        E.run
+          ~config:
+            { E.default_config with E.e_hives = hives; e_joins = joins; e_keys = 6 * hives }
+          ()
+      in
+      let ok = List.for_all snd (E.checks report) in
+      if not ok then all_ok := false;
+      Format.printf "%-8d %-8d %-14s %-14s %-12d %-14.1f %-10s@." hives joins
+        (Printf.sprintf "%.1f%%" (100.0 *. report.E.r_before.E.p_busiest_share))
+        (Printf.sprintf "%.1f%%" (100.0 *. report.E.r_scaled.E.p_busiest_share))
+        report.E.r_rebalance_migrations
+        (float_of_int report.E.r_last_drain_us /. 1000.0)
+        (if ok then "ok" else "FAIL"))
+    sizes;
+  Format.printf "@.";
+  !all_ok
 
 let ablation_parallel () =
   (* Deterministic multicore tick execution, measured: the same CPU-heavy
@@ -619,12 +596,25 @@ let ablation_parallel () =
      cores as lanes. *)
   Format.printf
     "##### Ablation: deterministic multicore dispatch (domain-sharded ticks) #####@.";
-  let module P = Beehive_core.Platform in
   let module A = Beehive_core.App in
   let module Pool = Beehive_sim.Domain_pool in
-  let n_hives = 8 and n_keys = 32 in
+  let n_hives = 8 in
   let spin = if full_scale then 50_000 else 20_000 in
-  let secs = if full_scale then 2.0 else 1.0 in
+  (* Key k always enters from hive (k mod n_hives), so its bee lives
+     there and every tick's injections land as one same-timestamp batch
+     spanning all the hives — the shape the sharded dispatcher fans
+     out. *)
+  let load =
+    {
+      puts with
+      hives = n_hives;
+      durable = true;
+      keys = 32;
+      period_ms = 1;
+      size = Fun.id;
+      horizon_s = (if full_scale then 2.0 else 1.0);
+    }
+  in
   let digest_of platform =
     let buf = Buffer.create 4096 in
     List.iter
@@ -639,69 +629,44 @@ let ablation_parallel () =
         Buffer.add_char buf '\n')
       (P.live_bees platform);
     (match P.store platform with
-    | Some s -> Buffer.add_string buf (Beehive_store.Store.wal_image s)
+    | Some s -> Buffer.add_string buf (Store.wal_image s)
     | None -> ());
     Buffer.add_string buf
       (Printf.sprintf "processed=%d\n" (P.total_processed platform));
     Digest.to_hex (Digest.string (Buffer.contents buf))
   in
+  let cpu () =
+    A.create ~name:"bench.cpu" ~dicts:[ "acc" ] ~shardable:true
+      [
+        A.handler ~kind:"bench.put"
+          ~map:(fun msg ->
+            match msg.Beehive_core.Message.payload with
+            | Bench_put { bp_key; _ } ->
+              Beehive_core.Mapping.with_key "acc" bp_key
+            | _ -> Beehive_core.Mapping.Drop)
+          (fun ctx msg ->
+            match msg.Beehive_core.Message.payload with
+            | Bench_put { bp_key; bp_size } ->
+              (* Deterministic CPU burn touching only context state —
+                 the shardable contract. *)
+              let h = ref (bp_size + String.length bp_key) in
+              for _ = 1 to spin do
+                h := ((!h * 1103515245) + 12345) land 0x3FFFFFFF
+              done;
+              let acc = !h in
+              Beehive_core.Context.update ctx ~dict:"acc" ~key:bp_key
+                (function
+                  | Some (Beehive_core.Value.V_int n) ->
+                    Some (Beehive_core.Value.V_int ((n + acc) land 0x3FFFFFFF))
+                  | _ -> Some (Beehive_core.Value.V_int acc))
+            | _ -> ());
+      ]
+  in
   let run domains =
     let engine = Engine.create ~seed:7 ~domains () in
-    let cfg =
-      {
-        (P.default_config ~n_hives) with
-        P.durability = Some Beehive_store.Store.default_config;
-      }
-    in
-    let platform = P.create engine cfg in
-    let cpu =
-      A.create ~name:"bench.cpu" ~dicts:[ "acc" ] ~shardable:true
-        [
-          A.handler ~kind:"bench.put"
-            ~map:(fun msg ->
-              match msg.Beehive_core.Message.payload with
-              | Bench_put { bp_key; _ } ->
-                Beehive_core.Mapping.with_key "acc" bp_key
-              | _ -> Beehive_core.Mapping.Drop)
-            (fun ctx msg ->
-              match msg.Beehive_core.Message.payload with
-              | Bench_put { bp_key; bp_size } ->
-                (* Deterministic CPU burn touching only context state —
-                   the shardable contract. *)
-                let h = ref (bp_size + String.length bp_key) in
-                for _ = 1 to spin do
-                  h := ((!h * 1103515245) + 12345) land 0x3FFFFFFF
-                done;
-                let acc = !h in
-                Beehive_core.Context.update ctx ~dict:"acc" ~key:bp_key
-                  (function
-                    | Some (Beehive_core.Value.V_int n) ->
-                      Some (Beehive_core.Value.V_int ((n + acc) land 0x3FFFFFFF))
-                    | _ -> Some (Beehive_core.Value.V_int acc))
-              | _ -> ());
-        ]
-    in
-    P.register_app platform cpu;
-    P.start platform;
-    (* Key k always enters from hive (k mod n_hives), so its bee lives
-       there and every tick's injections land as one same-timestamp batch
-       spanning all the hives — the shape the sharded dispatcher fans
-       out. *)
-    let tick = ref 0 in
-    let h =
-      Engine.every engine (Simtime.of_ms 1) (fun () ->
-          incr tick;
-          for k = 0 to n_keys - 1 do
-            P.inject platform
-              ~from:(Beehive_net.Channels.Hive (k mod n_hives))
-              ~kind:"bench.put"
-              (Bench_put { bp_key = Printf.sprintf "k%d" k; bp_size = !tick })
-          done)
-    in
     let t0 = Unix.gettimeofday () in
-    Engine.run_until engine (Simtime.of_sec secs);
+    let platform, _ = run_load ~engine load [ cpu () ] in
     let wall = Unix.gettimeofday () -. t0 in
-    ignore (Engine.cancel engine h);
     P.flush_durability platform;
     Engine.run_until engine (Simtime.add (Engine.now engine) (Simtime.of_ms 10));
     let tasks = Pool.tasks_per_domain (Pool.global ()) in
@@ -776,168 +741,15 @@ let ablation_parallel () =
                results)
         ^ "\n  ]" );
     ];
-  if not (!identical && batched) then exit 1
+  !identical && batched
 
 (* ------------------------------------------------------------------ *)
-(* Part 3: Bechamel micro-benchmarks                                   *)
+(* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
-
-open Bechamel
-open Toolkit
-
-let bench_event_queue =
-  Test.make ~name:"event_queue/push_pop_128"
-    (Staged.stage (fun () ->
-         let q = Beehive_sim.Event_queue.create () in
-         for i = 0 to 127 do
-           ignore (Beehive_sim.Event_queue.push q (Simtime.of_us i) i)
-         done;
-         while Beehive_sim.Event_queue.pop q <> None do
-           ()
-         done))
-
-let bench_rng =
-  let rng = Rng.create 7 in
-  Test.make ~name:"rng/int" (Staged.stage (fun () -> ignore (Rng.int rng 1000)))
-
-let bench_state_tx =
-  let st = Beehive_core.State.create () in
-  Test.make ~name:"state/tx_set_commit"
-    (Staged.stage (fun () ->
-         let tx = Beehive_core.State.begin_tx st in
-         Beehive_core.State.tx_set tx ~dict:"d" ~key:"k" (Beehive_core.Value.V_int 1);
-         Beehive_core.State.commit tx))
-
-let bench_registry =
-  let reg = Beehive_core.Registry.create () in
-  let () =
-    for i = 0 to 255 do
-      ignore
-        (Beehive_core.Registry.register_bee reg ~bee_id:i ~app:"a" ~hive:(i mod 8));
-      Beehive_core.Registry.assign reg ~bee:i
-        (Beehive_core.Cell.Set.singleton
-           (Beehive_core.Cell.cell "d" (string_of_int i)))
-    done
-  in
-  let probe =
-    Beehive_core.Cell.Set.singleton (Beehive_core.Cell.cell "d" "128")
-  in
-  Test.make ~name:"registry/owners_lookup"
-    (Staged.stage (fun () -> ignore (Beehive_core.Registry.owners reg ~app:"a" probe)))
-
-let bench_trie_insert =
-  Test.make ~name:"lpm_trie/insert_24bit"
-    (Staged.stage
-       (let p = Beehive_apps.Lpm_trie.prefix_of_string "10.1.2.0/24" in
-        fun () -> ignore (Beehive_apps.Lpm_trie.insert Beehive_apps.Lpm_trie.empty p 0)))
-
-let bench_trie_lookup =
-  let trie =
-    let t = ref Beehive_apps.Lpm_trie.empty in
-    for i = 0 to 255 do
-      let p =
-        Beehive_apps.Lpm_trie.normalize (Int32.of_int (i lsl 16)) 24
-      in
-      t := Beehive_apps.Lpm_trie.insert !t p i
-    done;
-    !t
-  in
-  let addr = Beehive_apps.Lpm_trie.addr_of_string "0.128.1.1" in
-  Test.make ~name:"lpm_trie/lookup_256"
-    (Staged.stage (fun () -> ignore (Beehive_apps.Lpm_trie.lookup trie addr)))
-
-let bench_flow_table =
-  let table = Beehive_openflow.Flow_table.create () in
-  let () =
-    for i = 0 to 63 do
-      Beehive_openflow.Flow_table.apply table
-        {
-          Beehive_openflow.Flow_table.fm_switch = 0;
-          fm_command = Beehive_openflow.Flow_table.Add;
-          fm_priority = i;
-          fm_match = Beehive_openflow.Flow_table.match_dst_mac (Int64.of_int i);
-          fm_actions = [ Beehive_openflow.Flow_table.Output 1 ];
-        }
-    done
-  in
-  Test.make ~name:"flow_table/lookup_64"
-    (Staged.stage (fun () ->
-         ignore (Beehive_openflow.Flow_table.lookup table ~dst_mac:3L ())))
-
-let bench_topology_path =
-  let topo = Beehive_net.Topology.tree ~arity:4 ~n_switches:400 in
-  Test.make ~name:"topology/path_400"
-    (Staged.stage (fun () -> ignore (Beehive_net.Topology.path topo 399 255)))
-
-
-let bench_dispatch =
-  (* End-to-end: inject one message and drain the engine — measures the
-     whole life-of-a-message path (map, ownership lookup, delivery,
-     transaction, commit). *)
-  let module P = Beehive_core.Platform in
-  let module A = Beehive_core.App in
-  let engine = Engine.create () in
-  let platform = P.create engine (P.default_config ~n_hives:4) in
-  let counter_app =
-    A.create ~name:"bench.counter" ~dicts:[ "c" ]
-      [
-        A.handler ~kind:"bench.incr"
-          ~map:(fun _ -> Beehive_core.Mapping.with_key "c" "k")
-          (fun ctx _ ->
-            Beehive_core.Context.update ctx ~dict:"c" ~key:"k" (function
-              | Some (Beehive_core.Value.V_int n) -> Some (Beehive_core.Value.V_int (n + 1))
-              | _ -> Some (Beehive_core.Value.V_int 1)));
-      ]
-  in
-  let () =
-    P.register_app platform counter_app;
-    P.start platform
-  in
-  Test.make ~name:"platform/dispatch_one_message"
-    (Staged.stage (fun () ->
-         P.inject platform
-           ~from:(Beehive_net.Channels.Hive 1)
-           ~kind:"bench.incr" Bench_incr;
-         Engine.run_until engine (Simtime.add (Engine.now engine) (Simtime.of_ms 1))))
-
-let run_microbenches () =
-  Format.printf "##### Core-operation micro-benchmarks (Bechamel) #####@.";
-  let tests =
-    Test.make_grouped ~name:"beehive"
-      [
-        bench_event_queue;
-        bench_rng;
-        bench_state_tx;
-        bench_registry;
-        bench_trie_insert;
-        bench_trie_lookup;
-        bench_flow_table;
-        bench_topology_path;
-        bench_dispatch;
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:None () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name v acc ->
-        match Analyze.OLS.estimates v with
-        | Some [ ns ] -> (name, ns) :: acc
-        | _ -> acc)
-      results []
-    |> List.sort compare
-  in
-  Format.printf "%-40s %14s@." "operation" "ns/op";
-  List.iter (fun (name, ns) -> Format.printf "%-40s %14.1f@." name ns) rows;
-  Format.printf "@."
 
 let sections =
   [
-    ("figures", fun () -> if not (run_figures ()) then exit 1);
+    ("figures", figures);
     ("optimizer", ablation_optimizer);
     ("external-store", ablation_external_store);
     ("cluster-size", ablation_cluster_size);
@@ -948,34 +760,23 @@ let sections =
     ("integrity", ablation_integrity);
     ("elastic", ablation_elastic);
     ("parallel", ablation_parallel);
-    ("micro", run_microbenches);
   ]
 
 let () =
-  match Sys.getenv_opt "BEEHIVE_BENCH_ONLY" with
-  | Some name -> (
-    (* Run a single section, e.g. BEEHIVE_BENCH_ONLY=loss for the
-       link-loss ablation alone (what the CI bench job uses). *)
-    match List.assoc_opt name sections with
-    | Some f -> f ()
-    | None ->
-      Format.eprintf "unknown BEEHIVE_BENCH_ONLY section %S (known: %s)@." name
-        (String.concat ", " (List.map fst sections));
-      exit 2)
-  | None ->
-    let ok = run_figures () in
-    ablation_optimizer ();
-    ablation_external_store ();
-    ablation_cluster_size ();
-    ablation_replication ();
-    ablation_durability ();
-    ablation_loss ();
-    ablation_outbox ();
-    ablation_integrity ();
-    ablation_elastic ();
-    ablation_parallel ();
-    run_microbenches ();
-    if not ok then begin
-      Format.printf "SHAPE CHECKS FAILED@.";
-      exit 1
-    end
+  let chosen =
+    match Sys.getenv_opt "BEEHIVE_BENCH_ONLY" with
+    | None -> sections
+    | Some name -> (
+      match List.assoc_opt name sections with
+      | Some run -> [ (name, run) ]
+      | None ->
+        Format.eprintf "unknown BEEHIVE_BENCH_ONLY section %S (known: %s)@." name
+          (String.concat ", " (List.map fst sections));
+        exit 2)
+  in
+  (* Every chosen section runs, in table order, even after one fails. *)
+  let failed = List.filter (fun (_, run) -> not (run ())) chosen in
+  if failed <> [] then begin
+    Format.printf "FAILED sections: %s@." (String.concat ", " (List.map fst failed));
+    exit 1
+  end

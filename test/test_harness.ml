@@ -70,6 +70,56 @@ let test_shape_checks_pass () =
   Helpers.check_pinned ~section:"fig4"
     [ ("panels", Digest.to_hex (Digest.string (Buffer.contents buf))) ]
 
+(* The Figure 4 apps' state values, printed exactly (floats in hex).
+   Values whose constructor is not exported (the optimizer's per-bee
+   loads) contribute their size estimate. *)
+let show_value = function
+  | Beehive_openflow.Driver.V_switch { v_master; v_n_ports; v_joined_at } ->
+    Printf.sprintf "switch master=%d ports=%d joined=%h" v_master v_n_ports v_joined_at
+  | Beehive_apps.Te_decoupled.V_rerouted { r_path; r_rate } ->
+    Printf.sprintf "rerouted [%s] %h" (String.concat " " (List.map string_of_int r_path)) r_rate
+  | Beehive_apps.Te_common.V_obs obs ->
+    String.concat ";"
+      (List.map
+         (fun (o : Beehive_apps.Te_common.flow_obs) ->
+           Printf.sprintf "%d:%d->%d %h %h %h %b" o.fo_flow o.fo_src o.fo_dst o.fo_rate
+             o.fo_last_bytes o.fo_last_t o.fo_handled)
+         obs)
+  | Beehive_apps.Te_common.V_links l -> String.concat " " (List.map string_of_int l)
+  | v -> Format.asprintf "%a/%d" Beehive_core.Value.pp v (Beehive_core.Value.size v)
+
+(* The Figure 4c scenario itself, beyond what the panels render: the
+   optimizer's migration log, and every live bee's state (the driver's
+   switch tables and the TE routes behind each FlowMod). *)
+let test_fig4c_scenario_pinned () =
+  let module P = Beehive_core.Platform in
+  let sc =
+    Scenario.build
+      { cfg with Scenario.te = Scenario.Te_decoupled; optimize = true; adversarial_pin = true }
+  in
+  Scenario.run sc;
+  let platform = Scenario.platform sc in
+  let md5 lines = Digest.to_hex (Digest.string (String.concat "\n" lines)) in
+  let migrations =
+    List.map
+      (fun (m : P.migration) ->
+        Printf.sprintf "%d %s %d->%d %dB %s @%dus" m.P.mig_bee m.P.mig_app m.P.mig_src
+          m.P.mig_dst m.P.mig_bytes m.P.mig_reason (Simtime.to_us m.P.mig_at))
+      (P.migrations platform)
+  in
+  let bee_state =
+    List.concat_map
+      (fun (v : P.bee_view) ->
+        Printf.sprintf "bee %d %s" v.P.view_id v.P.view_app
+        :: List.map
+             (fun (d, k, value) -> Printf.sprintf "  %s/%s=%s" d k (show_value value))
+             (P.bee_state_entries platform v.P.view_id))
+      (P.live_bees platform)
+  in
+  Alcotest.(check bool) "the optimizer migrated bees" true (migrations <> []);
+  Helpers.check_pinned ~section:"fig4c"
+    [ ("migrations", md5 migrations); ("bee-state", md5 bee_state) ]
+
 let test_panels_have_data () =
   let p = Fig4.run_decoupled ~cfg () in
   Alcotest.(check bool) "matrix non-empty" true
@@ -90,6 +140,8 @@ let suite =
         Alcotest.test_case "seed sensitivity" `Slow test_seed_changes_workload;
         Alcotest.test_case "all switches join" `Slow test_all_switches_join;
         Alcotest.test_case "fig4 shape checks pass" `Slow test_shape_checks_pass;
+        Alcotest.test_case "fig4c migrations and bee state pinned" `Slow
+          test_fig4c_scenario_pinned;
         Alcotest.test_case "panels have data" `Slow test_panels_have_data;
       ] );
   ]
