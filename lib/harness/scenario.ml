@@ -181,3 +181,4 @@ let matrix t = Channels.matrix (Platform.channels t.platform)
 let bandwidth t = Channels.bandwidth (Platform.channels t.platform)
 let master_of_switch t sw = Channels.master_of (Platform.channels t.platform) sw
 let ext_store t = t.store
+let instrumentation t = t.instr

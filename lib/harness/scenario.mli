@@ -71,3 +71,6 @@ val master_of_switch : t -> int -> int
 
 val ext_store : t -> Beehive_core.Ext_store.t option
 (** The external store, when the scenario runs [Te_external]. *)
+
+val instrumentation : t -> Beehive_core.Instrumentation.handle
+(** The instrumentation app installed on the platform. *)

@@ -89,8 +89,9 @@ let show_value = function
   | v -> Format.asprintf "%a/%d" Beehive_core.Value.pp v (Beehive_core.Value.size v)
 
 (* The Figure 4c scenario itself, beyond what the panels render: the
-   optimizer's migration log, and every live bee's state (the driver's
-   switch tables and the TE routes behind each FlowMod). *)
+   optimizer's migration log, every live bee's state (the driver's
+   switch tables and the TE routes behind each FlowMod) and the
+   aggregator's per-bee loads, floats in hex. *)
 let test_fig4c_scenario_pinned () =
   let module P = Beehive_core.Platform in
   let sc =
@@ -116,9 +117,18 @@ let test_fig4c_scenario_pinned () =
              (P.bee_state_entries platform v.P.view_id))
       (P.live_bees platform)
   in
+  (* The aggregator's decayed per-bee loads, the optimizer's input. *)
+  let loads =
+    List.map
+      (fun (l : Beehive_core.Instrumentation.bee_load) ->
+        Printf.sprintf "%d %s %d %d [%s]" l.bl_bee l.bl_app l.bl_hive l.bl_processed
+          (String.concat " " (List.map (fun (h, c) -> Printf.sprintf "%d:%h" h c) l.bl_in_by_hive)))
+      (Beehive_core.Instrumentation.loads (Scenario.instrumentation sc))
+  in
   Alcotest.(check bool) "the optimizer migrated bees" true (migrations <> []);
+  Alcotest.(check bool) "the aggregator holds loads" true (loads <> []);
   Helpers.check_pinned ~section:"fig4c"
-    [ ("migrations", md5 migrations); ("bee-state", md5 bee_state) ]
+    [ ("migrations", md5 migrations); ("bee-state", md5 bee_state); ("loads", md5 loads) ]
 
 let test_panels_have_data () =
   let p = Fig4.run_decoupled ~cfg () in
