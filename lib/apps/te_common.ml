@@ -33,40 +33,59 @@ type Message.payload +=
   | Route_tick
   | Traffic_update of { tu_flow : int; tu_src : int; tu_dst : int; tu_rate : float }
 
+(* A flow's next sample: the rate is the byte delta over the time since
+   its last sample, or the old rate when no time has passed. *)
+let observe ~now o (s : Wire.flow_stat) =
+  let dt = now -. o.fo_last_t in
+  let rate = if dt > 0.0 then (s.Wire.fs_bytes -. o.fo_last_bytes) /. dt else o.fo_rate in
+  { o with fo_rate = rate; fo_last_bytes = s.Wire.fs_bytes; fo_last_t = now }
+
+let first_seen ~now (s : Wire.flow_stat) =
+  {
+    fo_flow = s.Wire.fs_flow;
+    fo_src = s.Wire.fs_src_sw;
+    fo_dst = s.Wire.fs_dst_sw;
+    fo_rate = 0.0;
+    fo_last_bytes = s.Wire.fs_bytes;
+    fo_last_t = now;
+    fo_handled = false;
+  }
+
+(* Merges [stats] into [prev], both in flow order: flows without a
+   sample are shared, and each run of samples of one flow updates that
+   flow's observation in turn. *)
+let[@tail_mod_cons] rec merge_obs ~now prev (stats : Wire.flow_stat list) =
+  match (prev, stats) with
+  | _, [] -> prev
+  | [], s :: rest -> absorb ~now (first_seen ~now s) [] rest
+  | o :: prev', s :: rest ->
+    if o.fo_flow < s.Wire.fs_flow then o :: merge_obs ~now prev' stats
+    else if o.fo_flow = s.Wire.fs_flow then absorb ~now (observe ~now o s) prev' rest
+    else absorb ~now (first_seen ~now s) prev rest
+
+and[@tail_mod_cons] absorb ~now o prev = function
+  | s :: rest when s.Wire.fs_flow = o.fo_flow -> absorb ~now (observe ~now o s) prev rest
+  | stats -> o :: merge_obs ~now prev stats
+
+let rec ascending key = function
+  | a :: (b :: _ as rest) -> (key a : int) <= key b && ascending key rest
+  | [ _ ] | [] -> true
+
 let collect_stats ~now ~prev stats =
-  let by_flow = Hashtbl.create 16 in
-  List.iter (fun (o : flow_obs) -> Hashtbl.replace by_flow o.fo_flow o) prev;
-  List.iter
-    (fun (s : Wire.flow_stat) ->
-      let obs =
-        match Hashtbl.find_opt by_flow s.Wire.fs_flow with
-        | Some o ->
-          let dt = now -. o.fo_last_t in
-          let rate =
-            if dt > 0.0 then (s.Wire.fs_bytes -. o.fo_last_bytes) /. dt else o.fo_rate
-          in
-          { o with fo_rate = rate; fo_last_bytes = s.Wire.fs_bytes; fo_last_t = now }
-        | None ->
-          {
-            fo_flow = s.Wire.fs_flow;
-            fo_src = s.Wire.fs_src_sw;
-            fo_dst = s.Wire.fs_dst_sw;
-            fo_rate = 0.0;
-            fo_last_bytes = s.Wire.fs_bytes;
-            fo_last_t = now;
-            fo_handled = false;
-          }
-      in
-      Hashtbl.replace by_flow s.Wire.fs_flow obs)
-    stats;
-  Hashtbl.fold (fun _ o acc -> o :: acc) by_flow []
-  |> List.sort (fun a b -> Int.compare a.fo_flow b.fo_flow)
+  let by_flow key l =
+    if ascending key l then l else List.stable_sort (fun a b -> Int.compare (key a) (key b)) l
+  in
+  merge_obs ~now
+    (by_flow (fun o -> o.fo_flow) prev)
+    (by_flow (fun (s : Wire.flow_stat) -> s.Wire.fs_flow) stats)
 
 let hot_flows ~delta obs =
   List.filter (fun o -> (not o.fo_handled) && o.fo_rate > delta) obs
 
-let mark_handled obs flows =
-  List.map (fun o -> if List.mem o.fo_flow flows then { o with fo_handled = true } else o) obs
+let mark_handled obs = function
+  | [] -> obs
+  | flows ->
+    List.map (fun o -> if List.mem o.fo_flow flows then { o with fo_handled = true } else o) obs
 
 let record_link ctx ~dict ~src ~dst =
   let key = string_of_int src in

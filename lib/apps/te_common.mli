@@ -37,12 +37,18 @@ type Beehive_core.Message.payload +=
 val collect_stats :
   now:float -> prev:flow_obs list -> Beehive_openflow.Wire.flow_stat list -> flow_obs list
 (** Folds a stat reply into the per-switch observation list, updating
-    rates from byte-counter deltas. Preserves [fo_handled] marks. *)
+    rates from byte-counter deltas. Preserves [fo_handled] marks. [prev]
+    holds one observation per flow, as this function returns them. The
+    result is in flow order; a flow sampled twice in one reply takes both
+    samples in turn. One merge pass when [prev] and the reply (switches
+    report in flow order) are already sorted. *)
 
 val hot_flows : delta:float -> flow_obs list -> flow_obs list
 (** Unhandled flows whose observed rate exceeds [delta]. *)
 
 val mark_handled : flow_obs list -> int list -> flow_obs list
+(** Sets [fo_handled] on the given flows. [mark_handled obs []] is [obs]
+    itself. *)
 
 (** {2 Topology view and re-routing} *)
 

@@ -209,17 +209,17 @@ type handle = {
   performed : int ref;
 }
 
-(* Merge a window's per-hive counts into the decayed history. *)
-let merge_counts history window =
-  let tbl = Hashtbl.create 8 in
-  List.iter (fun (h, c) -> Hashtbl.replace tbl h c) history;
-  List.iter
-    (fun (h, c) ->
-      let prev = Option.value ~default:0.0 (Hashtbl.find_opt tbl h) in
-      Hashtbl.replace tbl h (prev +. float_of_int c))
-    window;
-  Hashtbl.fold (fun h c acc -> (h, c) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+(* Merge a window's per-hive counts into the decayed history. Both are
+   sorted by hive, one entry per hive: the history is this function's
+   own output (decay keeps its order), the window is [Stats.take_window]'s. *)
+let[@tail_mod_cons] rec merge_counts history window =
+  match (history, window) with
+  | _, [] -> history
+  | [], (h, c) :: rest -> (h, float_of_int c) :: merge_counts [] rest
+  | ((hh, hc) as old) :: history', (h, c) :: rest ->
+    if hh < h then old :: merge_counts history' window
+    else if hh = h then (h, hc +. float_of_int c) :: merge_counts history' rest
+    else (h, float_of_int c) :: merge_counts history rest
 
 let collector_handler platform =
   App.handler ~kind:kind_collect

@@ -15,9 +15,24 @@ type app_index = {
 type t = {
   infos : (int, bee_info) Hashtbl.t;
   apps : (string, app_index) Hashtbl.t;
+  (* hive -> cells owned by the bees on it, kept as bee_hive and
+     bee_cells change *)
+  hive_cells : (int, int) Hashtbl.t;
 }
 
-let create () = { infos = Hashtbl.create 64; apps = Hashtbl.create 8 }
+let create () =
+  { infos = Hashtbl.create 64; apps = Hashtbl.create 8; hive_cells = Hashtbl.create 8 }
+
+let cells_on_hive t ~hive = Option.value ~default:0 (Hashtbl.find_opt t.hive_cells hive)
+
+let add_cells t ~hive n =
+  if n <> 0 then Hashtbl.replace t.hive_cells hive (cells_on_hive t ~hive + n)
+
+(* Every write of [bee_cells] goes through here, so the count follows.
+   A removed bee's record keeps its cells; only its count is dropped. *)
+let set_cells t info cells =
+  add_cells t ~hive:info.bee_hive (Cell.Set.cardinal cells - Cell.Set.cardinal info.bee_cells);
+  info.bee_cells <- cells
 
 let app_index t app =
   match Hashtbl.find_opt t.apps app with
@@ -101,7 +116,7 @@ let assign t ~bee cells =
       | Cell.Key k -> Hashtbl.replace (dict_keys idx c.Cell.dict) k bee
       | Cell.All -> Hashtbl.replace idx.by_wildcard c.Cell.dict bee)
     cells;
-  info.bee_cells <- Cell.Set.union info.bee_cells cells
+  set_cells t info (Cell.Set.union info.bee_cells cells)
 
 let release_cells idx bee cells =
   Cell.Set.iter
@@ -121,6 +136,7 @@ let unassign_bee t ~bee =
   | None -> ()
   | Some info ->
     release_cells (app_index t info.bee_app) bee info.bee_cells;
+    add_cells t ~hive:info.bee_hive (- Cell.Set.cardinal info.bee_cells);
     Hashtbl.remove t.infos bee
 
 let reassign_all t ~from_bee ~to_bee =
@@ -131,6 +147,7 @@ let reassign_all t ~from_bee ~to_bee =
   let idx = app_index t src.bee_app in
   let moved = src.bee_cells in
   release_cells idx from_bee moved;
+  add_cells t ~hive:src.bee_hive (- Cell.Set.cardinal moved);
   Hashtbl.remove t.infos from_bee;
   Cell.Set.iter
     (fun c ->
@@ -138,22 +155,20 @@ let reassign_all t ~from_bee ~to_bee =
       | Cell.Key k -> Hashtbl.replace (dict_keys idx c.Cell.dict) k to_bee
       | Cell.All -> Hashtbl.replace idx.by_wildcard c.Cell.dict to_bee)
     moved;
-  dst.bee_cells <- Cell.Set.union dst.bee_cells moved
+  set_cells t dst (Cell.Set.union dst.bee_cells moved)
 
-let set_hive t ~bee ~hive = (Hashtbl.find t.infos bee).bee_hive <- hive
+let set_hive t ~bee ~hive =
+  let info = Hashtbl.find t.infos bee in
+  let n = Cell.Set.cardinal info.bee_cells in
+  add_cells t ~hive:info.bee_hive (-n);
+  add_cells t ~hive n;
+  info.bee_hive <- hive
 
 let bees t =
   Hashtbl.fold (fun _ b acc -> b :: acc) t.infos []
   |> List.sort (fun a b -> Int.compare a.bee_id b.bee_id)
 
-let bees_on_hive t ~hive = List.filter (fun b -> b.bee_hive = hive) (bees t)
 let n_bees t = Hashtbl.length t.infos
-
-let cells_on_hive t ~hive =
-  List.fold_left
-    (fun acc b -> acc + Cell.Set.cardinal b.bee_cells)
-    0
-    (bees_on_hive t ~hive)
 
 let check_invariant t =
   let all = bees t in

@@ -12,7 +12,7 @@
 
 type t
 
-type bee_info = {
+type bee_info = private {
   bee_id : int;
   bee_app : string;
   mutable bee_hive : int;
@@ -52,10 +52,11 @@ val reassign_all : t -> from_bee:int -> to_bee:int -> unit
 
 val set_hive : t -> bee:int -> hive:int -> unit
 
-val bees_on_hive : t -> hive:int -> bee_info list
 val n_bees : t -> int
 val cells_on_hive : t -> hive:int -> int
-(** Number of concrete cells hosted on a hive (capacity accounting). *)
+(** Number of cells, wildcard cells included, owned by the bees on a hive
+    (capacity accounting). The count is kept as bees gain, lose and move
+    cells, so this is one lookup. *)
 
 val check_invariant : t -> unit
 (** Asserts no two bees own intersecting cells; raises [Failure]

@@ -14,7 +14,8 @@ type t
 type window = {
   w_processed : int;
   w_in_by_hive : (int * int) list;
-      (** (source hive, messages received from bees/endpoints there) *)
+      (** (source hive, messages received from bees/endpoints there),
+          one entry per hive, in hive order *)
 }
 
 val create : unit -> t

@@ -63,18 +63,20 @@ let inject t ?size ~kind payload =
 
 let stat_snapshot t =
   let at = now t in
-  Array.to_list
-    (Array.map
-       (fun (f : Flow.t) ->
-         {
-           Wire.fs_flow = f.Flow.flow_id;
-           fs_src_sw = f.Flow.src_switch;
-           fs_dst_sw = f.Flow.dst_switch;
-           fs_bytes = Flow.stat_bytes f ~at;
-           fs_packets = int_of_float (Flow.stat_bytes f ~at /. 1000.0);
-           fs_duration_sec = Simtime.to_sec at;
-         })
-       t.flows)
+  let duration = Simtime.to_sec at in
+  Array.fold_right
+    (fun (f : Flow.t) acc ->
+      let bytes = Flow.stat_bytes f ~at in
+      {
+        Wire.fs_flow = f.Flow.flow_id;
+        fs_src_sw = f.Flow.src_switch;
+        fs_dst_sw = f.Flow.dst_switch;
+        fs_bytes = bytes;
+        fs_packets = int_of_float (bytes /. 1000.0);
+        fs_duration_sec = duration;
+      }
+      :: acc)
+    t.flows []
 
 let rec forward t ~ttl ~in_port ~src_mac ~dst_mac ~bytes =
   if ttl <= 0 then t.cluster.dropped <- t.cluster.dropped + 1

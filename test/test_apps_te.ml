@@ -143,6 +143,85 @@ let test_collect_stats_rates () =
   Alcotest.(check int) "handled flows not hot again" 0
     (List.length (hot_flows ~delta:1000.0 marked))
 
+(* The table-based [collect_stats] the single merge replaced, kept as
+   the oracle: every sample looks its flow up in a table seeded from
+   [prev], and the table is sorted by flow at the end. *)
+let oracle_collect_stats ~now ~(prev : Beehive_apps.Te_common.flow_obs list) stats =
+  let open Beehive_apps.Te_common in
+  let module Wire = Beehive_openflow.Wire in
+  let by_flow = Hashtbl.create 16 in
+  List.iter (fun (o : flow_obs) -> Hashtbl.replace by_flow o.fo_flow o) prev;
+  List.iter
+    (fun (s : Wire.flow_stat) ->
+      let obs =
+        match Hashtbl.find_opt by_flow s.Wire.fs_flow with
+        | Some o ->
+          let dt = now -. o.fo_last_t in
+          let rate =
+            if dt > 0.0 then (s.Wire.fs_bytes -. o.fo_last_bytes) /. dt else o.fo_rate
+          in
+          { o with fo_rate = rate; fo_last_bytes = s.Wire.fs_bytes; fo_last_t = now }
+        | None ->
+          {
+            fo_flow = s.Wire.fs_flow;
+            fo_src = s.Wire.fs_src_sw;
+            fo_dst = s.Wire.fs_dst_sw;
+            fo_rate = 0.0;
+            fo_last_bytes = s.Wire.fs_bytes;
+            fo_last_t = now;
+            fo_handled = false;
+          }
+      in
+      Hashtbl.replace by_flow s.Wire.fs_flow obs)
+    stats;
+  Hashtbl.fold (fun _ o acc -> o :: acc) by_flow []
+  |> List.sort (fun a b -> Int.compare a.fo_flow b.fo_flow)
+
+(* Random replies: flows 0..11 in any order, a flow possibly repeated,
+   switch ids varying between samples of one flow. *)
+let gen_reply =
+  let open QCheck.Gen in
+  list_size (0 -- 16)
+    (map3
+       (fun flow (src, dst) bytes ->
+         {
+           Beehive_openflow.Wire.fs_flow = flow;
+           fs_src_sw = src;
+           fs_dst_sw = dst;
+           fs_bytes = float_of_int bytes;
+           fs_packets = 0;
+           fs_duration_sec = 0.0;
+         })
+       (int_bound 11) (pair (int_bound 3) (int_bound 3)) (int_bound 100_000))
+
+(* [prev] comes from two oracle rounds (at [t0], then [t1] >= [t0]) with
+   some flows marked handled, and is sometimes handed over reversed; the
+   checked round runs at [t1] itself or later, so both the zero-interval
+   and the rate branch are taken. *)
+let prop_collect_stats_matches_oracle =
+  let open Beehive_apps.Te_common in
+  let gen =
+    QCheck.Gen.(
+      tup4
+        (triple gen_reply gen_reply bool)
+        (list_size (0 -- 4) (int_bound 11))
+        (pair (oneofl [ 0.0; 0.5; 2.0 ]) (oneofl [ 0.0; 0.25; 1.0 ]))
+        (pair (oneofl [ 0.0; 1.0; 2.5 ]) gen_reply))
+  in
+  QCheck.Test.make ~name:"collect_stats matches the table oracle" ~count:2000
+    (QCheck.make gen)
+    (fun ((s0, s1, reversed), handled, (t0, step), (later, stats)) ->
+      let t1 = t0 +. step in
+      let prev =
+        mark_handled
+          (oracle_collect_stats ~now:t1 ~prev:(oracle_collect_stats ~now:t0 ~prev:[] s0) s1)
+          handled
+      in
+      let prev = if reversed then List.rev prev else prev in
+      let now = t1 +. later in
+      let got = collect_stats ~now ~prev stats in
+      got = oracle_collect_stats ~now ~prev stats && mark_handled got [] == got)
+
 let suite =
   [
     ( "apps.te",
@@ -154,5 +233,6 @@ let suite =
           test_decoupled_locality_beats_naive;
         Alcotest.test_case "bfs path" `Quick test_bfs_path;
         Alcotest.test_case "collect_stats rates" `Quick test_collect_stats_rates;
+        QCheck_alcotest.to_alcotest prop_collect_stats_matches_oracle;
       ] );
   ]

@@ -101,7 +101,8 @@ let test_hive_accounting () =
   Alcotest.(check int) "cells on hive 0" 3 (Registry.cells_on_hive r ~hive:0);
   Registry.set_hive r ~bee:1 ~hive:2;
   Alcotest.(check int) "after move" 2 (Registry.cells_on_hive r ~hive:0);
-  Alcotest.(check int) "bees on hive 2" 1 (List.length (Registry.bees_on_hive r ~hive:2))
+  Alcotest.(check int) "bee 1 on hive 2" 2 (Registry.bee r 1).Registry.bee_hive;
+  Alcotest.(check int) "cells on hive 2" 1 (Registry.cells_on_hive r ~hive:2)
 
 (* Random assignment workloads never produce two owners for one cell. *)
 let prop_single_ownership =
@@ -128,6 +129,78 @@ let prop_single_ownership =
           <= 1)
         ops)
 
+type reg_op =
+  | Register of int * int  (** bee, hive *)
+  | Assign of int * Cell.Set.t
+  | Unassign of int
+  | Reassign of int * int  (** from, to *)
+  | Set_hive of int * int
+
+let show_reg_op = function
+  | Register (b, h) -> Printf.sprintf "register %d@%d" b h
+  | Assign (b, s) -> Format.asprintf "assign %d %a" b Cell.Set.pp s
+  | Unassign b -> Printf.sprintf "unassign %d" b
+  | Reassign (a, b) -> Printf.sprintf "reassign %d->%d" a b
+  | Set_hive (b, h) -> Printf.sprintf "set_hive %d@%d" b h
+
+let gen_reg_op =
+  let open QCheck.Gen in
+  let bee = int_bound 5 and hive = int_bound 3 in
+  let cell =
+    oneof
+      [
+        map (fun k -> c "d" (string_of_int k)) (int_bound 7);
+        map (fun k -> c "e" (string_of_int k)) (int_bound 3);
+        oneofl [ w "d"; w "e" ];
+      ]
+  in
+  frequency
+    [
+      (2, map2 (fun b h -> Register (b, h)) bee hive);
+      (4, map2 (fun b l -> Assign (b, Cell.Set.of_list l)) bee (list_size (1 -- 4) cell));
+      (1, map (fun b -> Unassign b) bee);
+      (1, map2 (fun a b -> Reassign (a, b)) bee bee);
+      (2, map2 (fun b h -> Set_hive (b, h)) bee hive);
+    ]
+
+(* The per-hive cell count follows every registry operation: after each
+   one, [cells_on_hive] equals a recount over the registered bees. Bees
+   of apps "a" (even ids) and "b" (odd ids) share the cell namespace but
+   not ownership. *)
+let prop_hive_cell_count =
+  QCheck.Test.make ~name:"per-hive cell count matches a recount" ~count:500
+    QCheck.(make ~print:Print.(list show_reg_op) Gen.(list_size (0 -- 40) gen_reg_op))
+    (fun ops ->
+      let r = Registry.create () in
+      let app b = if b mod 2 = 0 then "a" else "b" in
+      let register b h = ignore (Registry.register_bee r ~bee_id:b ~app:(app b) ~hive:h) in
+      for b = 0 to 5 do
+        register b (b mod 3)
+      done;
+      let exists b = Registry.find_bee r b <> None in
+      let recount h =
+        List.fold_left
+          (fun acc b ->
+            match Registry.find_bee r b with
+            | Some i when i.Registry.bee_hive = h -> acc + Cell.Set.cardinal i.Registry.bee_cells
+            | Some _ | None -> acc)
+          0 [ 0; 1; 2; 3; 4; 5 ]
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+           | Register (b, h) -> if not (exists b) then register b h
+           | Assign (b, cells) -> (
+             if exists b then try Registry.assign r ~bee:b cells with Invalid_argument _ -> ())
+           | Unassign b -> Registry.unassign_bee r ~bee:b
+           | Reassign (a, b) ->
+             if a <> b && exists a && exists b && String.equal (app a) (app b) then
+               Registry.reassign_all r ~from_bee:a ~to_bee:b
+           | Set_hive (b, h) -> if exists b then Registry.set_hive r ~bee:b ~hive:h);
+          Registry.check_invariant r;
+          List.for_all (fun h -> Registry.cells_on_hive r ~hive:h = recount h) [ 0; 1; 2; 3 ])
+        ops)
+
 let suite =
   [
     ( "cell+registry",
@@ -142,5 +215,6 @@ let suite =
         Alcotest.test_case "unassign releases cells" `Quick test_unassign;
         Alcotest.test_case "hive accounting" `Quick test_hive_accounting;
         QCheck_alcotest.to_alcotest prop_single_ownership;
+        QCheck_alcotest.to_alcotest prop_hive_cell_count;
       ] );
   ]
