@@ -351,31 +351,33 @@ let ack_duplicate t (b : bee) (d : Bee.delivery) =
    would double the fabric's message count on the healthy path. *)
 let drain_outbox_acks t hive =
   match t.store with
-  | Some s ->
-    let ready =
+  | None -> ()
+  | Some s -> (
+    match
       Outbox.take_acks t.outbox ~hive ~ready:(fun (sender, seq, receiver) ->
           Store.inbox_durable s ~bee:receiver ~sender ~seq)
-    in
-    let by_dst = Hashtbl.create 4 in
-    List.iter
-      (fun ((sender, _, _) as ack) ->
-        match get_bee t sender with
-        | None -> ()
-        | Some sb ->
-          let l = Option.value ~default:[] (Hashtbl.find_opt by_dst sb.hive) in
-          Hashtbl.replace by_dst sb.hive (ack :: l))
-      ready;
-    Hashtbl.iter
-      (fun dst acks ->
-        transmit t ~src_ep:(Channels.Hive hive) ~dst_hive:dst
-          ~bytes:(16 * List.length acks)
-          (fun () ->
-            List.iter
-              (fun (sender, seq, receiver) ->
-                handle_outbox_ack t ~sender ~seq ~receiver)
-              (List.rev acks)))
-      by_dst
-  | None -> ()
+    with
+    | [] -> ()
+    | ready ->
+      let by_dst = Hashtbl.create 4 in
+      List.iter
+        (fun ((sender, _, _) as ack) ->
+          match get_bee t sender with
+          | None -> ()
+          | Some sb ->
+            let l = Option.value ~default:[] (Hashtbl.find_opt by_dst sb.hive) in
+            Hashtbl.replace by_dst sb.hive (ack :: l))
+        ready;
+      Hashtbl.iter
+        (fun dst acks ->
+          transmit t ~src_ep:(Channels.Hive hive) ~dst_hive:dst
+            ~bytes:(16 * List.length acks)
+            (fun () ->
+              List.iter
+                (fun (sender, seq, receiver) ->
+                  handle_outbox_ack t ~sender ~seq ~receiver)
+                (List.rev acks)))
+        by_dst)
 
 (* ------------------------------------------------------------------ *)
 (* Handler execution helpers                                           *)

@@ -110,6 +110,15 @@ type 'v bee_log = {
       (* durable dedup marks: (sender bee, sender seq) already applied *)
 }
 
+(* One hive's share of the group commit in progress: the fsync it will
+   be charged and the outbox entries that fsync makes durable, as
+   (bee, seq), newest first. *)
+type hive_commit = {
+  mutable hc_bytes : int;
+  mutable hc_records : int;
+  mutable hc_outbox : (int * int) list;
+}
+
 type 'v t = {
   engine : Engine.t;
   cfg : config;
@@ -121,9 +130,16 @@ type 'v t = {
   on_fsync : (hive:int -> bytes:int -> records:int -> unit) option;
   on_outbox_durable : (hive:int -> (int * int) list -> unit) option;
   logs : (int, 'v bee_log) Hashtbl.t;
+  mutable ring : 'v bee_log array;
+      (* every log in [logs], in bee-id order: the scrub's walk. Only
+         [log_of], [forget] and [reseed_log] add or remove logs; they set
+         [ring_stale], and the next reader rebuilds the array once. *)
+  mutable ring_stale : bool;
   mutable dirty_logs : 'v bee_log list;
       (* logs with batches awaiting group commit — the flush working set,
          so a commit tick touches only writers, not every tracked bee *)
+  mutable commits : hive_commit array;
+      (* indexed by hive id; empty between commits *)
   mutable n_fsyncs : int;
   mutable wal_bytes_written : int;
   mutable wal_records_written : int;
@@ -159,48 +175,61 @@ let scratch () =
   Buffer.clear buf;
   buf
 
+(* [Buffer.add_string buf (string_of_int n)] without the temporary. *)
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+
+let add_int buf n =
+  if n >= 0 then add_digits buf n else Buffer.add_string buf (string_of_int n)
+
+let add_entry buf d k =
+  Buffer.add_char buf '|';
+  Buffer.add_string buf d;
+  Buffer.add_char buf '/';
+  Buffer.add_string buf k;
+  Buffer.add_char buf '='
+
+let rec add_writes t buf = function
+  | [] -> ()
+  | ((d, k, w) as wr) :: rest ->
+    add_entry buf d k;
+    (match w with
+    | Some _ -> add_int buf (t.size_of wr)
+    | None -> Buffer.add_char buf 'x');
+    add_writes t buf rest
+
+let rec add_pairs buf tag = function
+  | [] -> ()
+  | (x, y) :: rest ->
+    Buffer.add_char buf '|';
+    Buffer.add_char buf tag;
+    add_int buf x;
+    Buffer.add_char buf ':';
+    add_int buf y;
+    add_pairs buf tag rest
+
 (* Canonical serialized images. The store holds typed values, so the
    "bytes on disk" are modeled: a deterministic string derived from the
    artifact's identity and shape. Checksums are computed and verified over
    these images, and fault injection mutates them in place. *)
 let payload_of_batch t ~lsn b =
   let buf = scratch () in
-  Buffer.add_string buf "R";
-  Buffer.add_string buf (string_of_int lsn);
-  List.iter
-    (fun ((d, k, w) as wr) ->
-      Buffer.add_char buf '|';
-      Buffer.add_string buf d;
-      Buffer.add_char buf '/';
-      Buffer.add_string buf k;
-      Buffer.add_char buf '=';
-      match w with
-      | Some _ -> Buffer.add_string buf (string_of_int (t.size_of wr))
-      | None -> Buffer.add_char buf 'x')
-    b.b_writes;
-  let add_pair tag x y =
-    Buffer.add_char buf '|';
-    Buffer.add_char buf tag;
-    Buffer.add_string buf (string_of_int x);
-    Buffer.add_char buf ':';
-    Buffer.add_string buf (string_of_int y)
-  in
-  List.iter (fun (seq, bytes) -> add_pair 'o' seq bytes) b.b_outbox;
-  List.iter (fun (sender, seq) -> add_pair 'i' sender seq) b.b_inbox;
+  Buffer.add_char buf 'R';
+  add_int buf lsn;
+  add_writes t buf b.b_writes;
+  add_pairs buf 'o' b.b_outbox;
+  add_pairs buf 'i' b.b_inbox;
   Buffer.contents buf
 
 let payload_of_snapshot t ~lsn entries =
   let buf = scratch () in
-  Buffer.add_string buf "S";
-  Buffer.add_string buf (string_of_int lsn);
+  Buffer.add_char buf 'S';
+  add_int buf lsn;
   List.iter
     (fun (d, k, v) ->
-      Buffer.add_char buf '|';
-      Buffer.add_string buf d;
-      Buffer.add_char buf '/';
-      Buffer.add_string buf k;
-      Buffer.add_char buf '=';
-      Buffer.add_string buf (string_of_int (t.size_of (d, k, Some v))))
+      add_entry buf d k;
+      add_int buf (t.size_of (d, k, Some v)))
     entries;
   Buffer.contents buf
 
@@ -230,11 +259,17 @@ let log_of t bee =
       }
     in
     Hashtbl.add t.logs bee bl;
+    t.ring_stale <- true;
     bl
 
-let sorted_logs t =
-  Hashtbl.fold (fun _ bl acc -> bl :: acc) t.logs []
-  |> List.sort (fun a b -> Int.compare a.bl_bee b.bl_bee)
+let ring t =
+  if t.ring_stale then begin
+    let a = Array.of_seq (Hashtbl.to_seq_values t.logs) in
+    Array.sort (fun a b -> Int.compare a.bl_bee b.bl_bee) a;
+    t.ring <- a;
+    t.ring_stale <- false
+  end;
+  t.ring
 
 let mark_dirty t bl =
   if not bl.bl_dirty then begin
@@ -245,16 +280,21 @@ let mark_dirty t bl =
 (* Drains the dirty list in deterministic (bee id) order, dropping logs
    that were forgotten or replaced since they were queued. *)
 let take_dirty t =
-  let ds = t.dirty_logs in
+  let ds = Array.of_list t.dirty_logs in
   t.dirty_logs <- [];
-  List.iter (fun bl -> bl.bl_dirty <- false) ds;
-  List.filter
-    (fun bl ->
-      match Hashtbl.find_opt t.logs bl.bl_bee with
-      | Some cur -> cur == bl
-      | None -> false)
-    ds
-  |> List.sort (fun a b -> Int.compare a.bl_bee b.bl_bee)
+  let n = ref 0 in
+  for i = 0 to Array.length ds - 1 do
+    let bl = ds.(i) in
+    bl.bl_dirty <- false;
+    match Hashtbl.find t.logs bl.bl_bee with
+    | cur when cur == bl ->
+      ds.(!n) <- bl;
+      incr n
+    | _ | (exception Not_found) -> ()
+  done;
+  let ds = if !n = Array.length ds then ds else Array.sub ds 0 !n in
+  Array.sort (fun a b -> Int.compare a.bl_bee b.bl_bee) ds;
+  ds
 
 let entry_order (d1, k1, _) (d2, k2, _) =
   match String.compare d1 d2 with 0 -> String.compare k1 k2 | c -> c
@@ -379,105 +419,117 @@ let encode_log_frames t bl =
     (fun i b -> frame_of (payload_of_batch t ~lsn:(bl.bl_next_lsn + i) b))
     batches
 
-(* Moves a log's pending batches into its durable WAL, accumulating the
-   per-hive fsync charges into [by_hive] and the per-hive newly durable
-   outbox entries into [out_by_hive]. True if anything moved. [frames],
-   when given, are the precomputed [encode_log_frames] of this log. *)
-let commit_pending t ?frames bl by_hive out_by_hive =
+let hive_commit t hive =
+  let n = Array.length t.commits in
+  if hive >= n then
+    t.commits <-
+      Array.init (max (hive + 1) (2 * n)) (fun i ->
+          if i < n then t.commits.(i)
+          else { hc_bytes = 0; hc_records = 0; hc_outbox = [] });
+  t.commits.(hive)
+
+let rec publish_outbox bl hc = function
+  | [] -> ()
+  | (seq, bytes) :: rest ->
+    Hashtbl.replace bl.bl_outbox seq bytes;
+    hc.hc_outbox <- (bl.bl_bee, seq) :: hc.hc_outbox;
+    publish_outbox bl hc rest
+
+let rec mark_inbox bl = function
+  | [] -> ()
+  | mark :: rest ->
+    Hashtbl.replace bl.bl_inbox mark ();
+    mark_inbox bl rest
+
+(* Moves one pending batch into the durable WAL under the next lsn and
+   charges it to its hive's share of the commit. *)
+let commit_batch t ?frames ~first_lsn bl b =
+  let lsn = bl.bl_next_lsn in
+  let fr =
+    match frames with
+    | Some fa -> fa.(lsn - first_lsn)
+    | None -> frame_of (payload_of_batch t ~lsn b)
+  in
+  bl.bl_next_lsn <- lsn + 1;
+  bl.bl_wal <-
+    {
+      r_lsn = lsn;
+      r_at = Engine.now t.engine;
+      r_writes = b.b_writes;
+      r_bytes = b.b_bytes;
+      r_outbox = b.b_outbox;
+      r_inbox = b.b_inbox;
+      r_frame = fr;
+    }
+    :: bl.bl_wal;
+  bl.bl_wal_bytes <- bl.bl_wal_bytes + b.b_bytes;
+  bl.bl_wal_records <- bl.bl_wal_records + 1;
+  t.wal_bytes_written <- t.wal_bytes_written + b.b_bytes;
+  t.wal_records_written <- t.wal_records_written + 1;
+  let hc = hive_commit t b.b_hive in
+  hc.hc_bytes <- hc.hc_bytes + b.b_bytes;
+  hc.hc_records <- hc.hc_records + 1;
+  publish_outbox bl hc b.b_outbox;
+  mark_inbox bl b.b_inbox
+
+(* Moves a log's pending batches, oldest first, into its durable WAL,
+   accumulating the per-hive fsync charges and newly durable outbox
+   entries into [t.commits]. True if anything moved. [frames], when
+   given, are the precomputed [encode_log_frames] of this log. *)
+let commit_pending t ?frames bl =
   match bl.bl_pending with
   | [] -> false
   | pending ->
-    let idx = ref 0 in
-    List.iter
-      (fun b ->
-        let lsn = bl.bl_next_lsn in
-        let fr =
-          match frames with
-          | Some fa -> fa.(!idx)
-          | None -> frame_of (payload_of_batch t ~lsn b)
-        in
-        incr idx;
-        let r =
-          {
-            r_lsn = lsn;
-            r_at = Engine.now t.engine;
-            r_writes = b.b_writes;
-            r_bytes = b.b_bytes;
-            r_outbox = b.b_outbox;
-            r_inbox = b.b_inbox;
-            r_frame = fr;
-          }
-        in
-        bl.bl_next_lsn <- bl.bl_next_lsn + 1;
-        bl.bl_wal <- r :: bl.bl_wal;
-        bl.bl_wal_bytes <- bl.bl_wal_bytes + b.b_bytes;
-        bl.bl_wal_records <- bl.bl_wal_records + 1;
-        t.wal_bytes_written <- t.wal_bytes_written + b.b_bytes;
-        t.wal_records_written <- t.wal_records_written + 1;
-        List.iter
-          (fun (seq, bytes) ->
-            Hashtbl.replace bl.bl_outbox seq bytes;
-            let l =
-              match Hashtbl.find_opt out_by_hive b.b_hive with
-              | Some l -> l
-              | None ->
-                let l = ref [] in
-                Hashtbl.add out_by_hive b.b_hive l;
-                l
-            in
-            l := (bl.bl_bee, seq) :: !l)
-          b.b_outbox;
-        List.iter (fun mark -> Hashtbl.replace bl.bl_inbox mark ()) b.b_inbox;
-        let bb, n = Option.value ~default:(0, 0) (Hashtbl.find_opt by_hive b.b_hive) in
-        Hashtbl.replace by_hive b.b_hive (bb + b.b_bytes, n + 1))
-      (List.rev pending);
+    let first_lsn = bl.bl_next_lsn in
+    List.iter (fun b -> commit_batch t ?frames ~first_lsn bl b) (List.rev pending);
     bl.bl_pending <- [];
     true
 
-let fire_fsyncs t by_hive out_by_hive =
-  let hives =
-    Hashtbl.fold (fun h v acc -> (h, v) :: acc) by_hive []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  in
+(* One fsync per charged hive, in hive order. Every share is read out and
+   reset before the first callback runs, so a callback that starts
+   another commit finds [t.commits] empty. *)
+let fire_fsyncs t =
+  let fired = ref [] in
+  for hive = Array.length t.commits - 1 downto 0 do
+    let hc = t.commits.(hive) in
+    if hc.hc_records > 0 then begin
+      fired := (hive, hc.hc_bytes, hc.hc_records, hc.hc_outbox) :: !fired;
+      hc.hc_bytes <- 0;
+      hc.hc_records <- 0;
+      hc.hc_outbox <- []
+    end
+  done;
   List.iter
-    (fun (hive, (bytes, records)) ->
+    (fun (hive, bytes, records, outbox) ->
       t.n_fsyncs <- t.n_fsyncs + 1;
       (match t.on_fsync with Some f -> f ~hive ~bytes ~records | None -> ());
-      match (t.on_outbox_durable, Hashtbl.find_opt out_by_hive hive) with
-      | Some f, Some l -> f ~hive (List.rev !l)
+      match (t.on_outbox_durable, outbox) with
+      | Some f, _ :: _ -> f ~hive (List.rev outbox)
       | _ -> ())
-    hives
+    !fired
 
 let flush t =
-  let by_hive = Hashtbl.create 8 in
-  let out_by_hive = Hashtbl.create 8 in
   let ds = take_dirty t in
+  let n = Array.length ds in
   (* Per-bee WAL appends are independent, so the frame encode (the CPU
      cost of a group commit: serialization + CRC32) fans out over the
-     domain pool. The fold below stays serial and in bee-id order —
+     domain pool. The loop below stays serial and in bee-id order —
      lsns, WAL order, fsync charges and outbox publication are applied
      exactly as a one-domain run would. *)
-  let frames =
-    let n = List.length ds in
-    if n >= 4 && Engine.domains t.engine > 1 then begin
-      let arr = Array.of_list ds in
-      let encoded =
-        Engine.parallel_map t.engine ~shards:n (fun i ->
-            encode_log_frames t arr.(i))
-      in
-      List.mapi (fun i _ -> Some encoded.(i)) ds
-    end
-    else List.map (fun _ -> None) ds
+  let encoded =
+    if n >= 4 && Engine.domains t.engine > 1 then
+      Some (Engine.parallel_map t.engine ~shards:n (fun i -> encode_log_frames t ds.(i)))
+    else None
   in
-  let dirty =
-    List.fold_left2
-      (fun acc bl fr -> commit_pending t ?frames:fr bl by_hive out_by_hive || acc)
-      false ds frames
-  in
-  if dirty then begin
-    fire_fsyncs t by_hive out_by_hive;
+  let dirty = ref false in
+  for i = 0 to n - 1 do
+    let frames = match encoded with Some e -> Some e.(i) | None -> None in
+    if commit_pending t ?frames ds.(i) then dirty := true
+  done;
+  if !dirty then begin
+    fire_fsyncs t;
     (* Compact any bee whose durable log outgrew the threshold. *)
-    List.iter
+    Array.iter
       (fun bl ->
         if bl.bl_wal_bytes > t.cfg.snapshot_threshold_bytes then compact_log t bl)
       ds
@@ -487,12 +539,10 @@ let flush_bee t ~bee =
   match Hashtbl.find_opt t.logs bee with
   | None -> ()
   | Some bl ->
-    let by_hive = Hashtbl.create 4 in
-    let out_by_hive = Hashtbl.create 4 in
-    if commit_pending t bl by_hive out_by_hive then begin
+    if commit_pending t bl then begin
       bl.bl_dirty <- false;
       t.dirty_logs <- List.filter (fun b -> b != bl) t.dirty_logs;
-      fire_fsyncs t by_hive out_by_hive;
+      fire_fsyncs t;
       if bl.bl_wal_bytes > t.cfg.snapshot_threshold_bytes then compact_log t bl
     end
 
@@ -507,7 +557,10 @@ let create engine ?(config = default_config) ~size_of ?(garble = fun v -> v)
       on_fsync;
       on_outbox_durable;
       logs = Hashtbl.create 64;
+      ring = [||];
+      ring_stale = false;
       dirty_logs = [];
+      commits = [||];
       n_fsyncs = 0;
       wal_bytes_written = 0;
       wal_records_written = 0;
@@ -533,17 +586,18 @@ let create engine ?(config = default_config) ~size_of ?(garble = fun v -> v)
   t
 
 let drop_pending t ~hive =
-  List.iter
+  Array.iter
     (fun bl ->
       let keep = List.filter (fun b -> b.b_hive <> hive) bl.bl_pending in
       if List.length keep <> List.length bl.bl_pending then begin
         bl.bl_pending <- keep;
         rebuild_live t bl
       end)
-    (sorted_logs t)
+    (ring t)
 
 let forget t ~bee =
   Hashtbl.remove t.logs bee;
+  t.ring_stale <- true;
   Hashtbl.remove t.suspects bee
 
 let recover t ~bee =
@@ -591,14 +645,20 @@ let inbox_durable t ~bee ~sender ~seq =
   | None -> false
   | Some bl -> Hashtbl.mem bl.bl_inbox (sender, seq)
 
+(* Compares the ints in place: no [(sender, seq)] tuple per mark. *)
+let rec marked ~sender ~seq = function
+  | [] -> false
+  | (s, q) :: rest -> (s = sender && q = seq) || marked ~sender ~seq rest
+
+let rec pending_marked ~sender ~seq = function
+  | [] -> false
+  | b :: rest -> marked ~sender ~seq b.b_inbox || pending_marked ~sender ~seq rest
+
 let inbox_seen t ~bee ~sender ~seq =
   match Hashtbl.find_opt t.logs bee with
   | None -> false
   | Some bl ->
-    Hashtbl.mem bl.bl_inbox (sender, seq)
-    || List.exists
-         (fun b -> List.exists (fun m -> m = (sender, seq)) b.b_inbox)
-         bl.bl_pending
+    Hashtbl.mem bl.bl_inbox (sender, seq) || pending_marked ~sender ~seq bl.bl_pending
 
 let inbox_marks t ~bee =
   match Hashtbl.find_opt t.logs bee with
@@ -723,66 +783,63 @@ let fsck t ~bee =
 let scrub t ~budget_bytes =
   if budget_bytes <= 0 then (0, [])
   else begin
-    let logs = sorted_logs t in
-    if logs = [] then (0, [])
+    let ring = ring t in
+    let n = Array.length ring in
+    if n = 0 then (0, [])
     else begin
-      let after, before =
-        List.partition (fun bl -> bl.bl_bee > t.scrub_cursor) logs
-      in
+      (* The walk starts at the first log after the cursor and wraps
+         around the ring; binary search finds it without touching the
+         logs this slice will not visit. *)
+      let lo = ref 0 and hi = ref n in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if ring.(mid).bl_bee > t.scrub_cursor then hi := mid else lo := mid + 1
+      done;
+      let start = if !lo = n then 0 else !lo in
+      let at i = ring.((start + i) mod n) in
       (* Serial walk: choose the logs this slice covers, charge the
-         byte budget and advance the cursor — bookkeeping identical to
-         a serial scrub. *)
+         byte budget and advance the cursor. *)
       let scanned = ref 0 in
-      let visited = ref [] in
-      (try
-         List.iter
-           (fun bl ->
-             if !scanned >= budget_bytes then raise Exit;
-             visited := bl :: !visited;
-             t.scrub_cursor <- bl.bl_bee;
-             scanned := !scanned + bl.bl_snapshot_bytes + bl.bl_wal_bytes;
-             t.records_verified <- t.records_verified + bl.bl_wal_records + 1)
-           (after @ before)
-       with Exit -> ());
-      let visited = Array.of_list (List.rev !visited) in
+      let visited = ref 0 in
+      while !visited < n && !scanned < budget_bytes do
+        let bl = at !visited in
+        t.scrub_cursor <- bl.bl_bee;
+        scanned := !scanned + bl.bl_snapshot_bytes + bl.bl_wal_bytes;
+        t.records_verified <- t.records_verified + bl.bl_wal_records + 1;
+        incr visited
+      done;
       (* Frame verification is a pure read (CRC32 over each log's
          bytes), so it fans out over the domain pool; the verdict fold
          below runs serially in walk order, keeping suspect marking
          and counters order-stable at any pool width. *)
+      let rec first_bad = function
+        | [] -> None
+        | r :: rest ->
+          if frame_state r.r_frame <> F_ok then
+            Some (Printf.sprintf "wal record lsn %d failed verification" r.r_lsn)
+          else first_bad rest
+      in
       let verify bl =
         if frame_state bl.bl_snapshot_frame <> F_ok then
           Some "snapshot failed checksum verification"
-        else begin
-          let bad = ref None in
-          List.iter
-            (fun r ->
-              if !bad = None && frame_state r.r_frame <> F_ok then
-                bad :=
-                  Some
-                    (Printf.sprintf "wal record lsn %d failed verification"
-                       r.r_lsn))
-            bl.bl_wal;
-          !bad
-        end
+        else first_bad bl.bl_wal
       in
       let verdicts =
-        Engine.parallel_map t.engine ~shards:(Array.length visited) (fun i ->
-            verify visited.(i))
+        Engine.parallel_map t.engine ~shards:!visited (fun i -> verify (at i))
       in
       let found = ref [] in
       Array.iteri
         (fun i verdict ->
           match verdict with
           | Some detail ->
-            mark_suspect t visited.(i).bl_bee detail;
-            found := (visited.(i).bl_bee, detail) :: !found
+            let bee = (at i).bl_bee in
+            mark_suspect t bee detail;
+            found := (bee, detail) :: !found
           | None -> ())
         verdicts;
       (* A pass completes when one call covered every log, or when the
          round-robin cursor reaches the end of the ring across calls. *)
-      let max_bee = List.fold_left (fun acc bl -> max acc bl.bl_bee) min_int logs in
-      if Array.length visited >= List.length logs || t.scrub_cursor = max_bee
-      then begin
+      if !visited >= n || t.scrub_cursor = ring.(n - 1).bl_bee then begin
         t.scrubs_completed <- t.scrubs_completed + 1;
         t.scrub_cursor <- -1
       end;
@@ -821,6 +878,7 @@ let suspect t ~bee = Hashtbl.find_opt t.suspects bee
 let reseed_log t ~bee ~entries:es ~outbox ~inbox =
   let old = Hashtbl.find_opt t.logs bee in
   Hashtbl.remove t.logs bee;
+  t.ring_stale <- true;
   let bl = log_of t bee in
   let nos =
     match old with
@@ -940,7 +998,7 @@ let wal_image t =
     Buffer.add_string buf f.f_payload;
     Buffer.add_char buf '\n'
   in
-  List.iter
+  Array.iter
     (fun bl ->
       Buffer.add_string buf
         (Printf.sprintf "bee=%d next_lsn=%d snap_lsn=%d next_out_seq=%d\n"
@@ -960,5 +1018,5 @@ let wal_image t =
       |> List.sort compare
       |> List.iter (fun (s, q) ->
              Buffer.add_string buf (Printf.sprintf "I %d:%d\n" s q)))
-    (sorted_logs t);
+    (ring t);
   Buffer.contents buf

@@ -8,6 +8,7 @@ module Store = Beehive_store.Store
 module Crc32 = Beehive_sim.Crc32
 module Raft_replication = Beehive_core.Raft_replication
 module Stats = Beehive_core.Stats
+module Pool = Beehive_sim.Domain_pool
 
 let size_of (d, k, w) =
   String.length d + String.length k + (match w with Some _ -> 8 | None -> 4)
@@ -33,6 +34,44 @@ let test_crc32_known_answer () =
     (Crc32.update (Crc32.string "hello ") "world");
   Alcotest.(check bool) "distinct inputs, distinct sums" true
     (Crc32.string "R1|d/a=8" <> Crc32.string "R1|d/b=8")
+
+(* Table-free reference: shift each bit through the reflected
+   polynomial directly. *)
+let crc32_bitwise s =
+  let crc = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      crc := !crc lxor Char.code ch;
+      for _ = 0 to 7 do
+        crc := if !crc land 1 = 1 then (!crc lsr 1) lxor 0xEDB88320 else !crc lsr 1
+      done)
+    s;
+  !crc lxor 0xFFFFFFFF
+
+let prop_crc32_matches_bitwise =
+  QCheck.Test.make ~name:"crc32 matches the bitwise reference and chains" ~count:500
+    QCheck.(pair string string)
+    (fun (a, b) ->
+      Crc32.string a = crc32_bitwise a
+      && Crc32.update (Crc32.string a) b = Crc32.string (a ^ b))
+
+(* Words allocated by [f ()], net of the measurement's own overhead. *)
+let minor_words_of f =
+  let span f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  span f -. span ignore
+
+(* Every frame written or scrubbed is checksummed: that must not
+   allocate. *)
+let test_crc32_allocation_free () =
+  let s = String.init 4096 (fun i -> Char.chr (i land 0xff)) in
+  let sum = ref 0 in
+  Alcotest.(check (float 0.)) "minor words for a 4 KB string" 0.
+    (minor_words_of (fun () -> sum := Crc32.string s));
+  Alcotest.(check int) "and it is the right sum" (crc32_bitwise s) !sum
 
 (* A torn tail record is dropped at fsck, leaving exactly the state of
    the crash-consistent prefix — byte-identical to a store that never
@@ -162,6 +201,145 @@ let test_scrub_budget_and_detection () =
     (Store.scrubs_completed store >= 2);
   Alcotest.(check bool) "several slices were needed" true (!slices > 1);
   Alcotest.(check bool) "damage re-found incrementally" true !found
+
+(* Model-based check of [Store.scrub] against the original list walk:
+   sort every tracked log by bee id, split it at the cursor, visit
+   [after @ before] until the budget is spent. The model tracks which
+   bees have logs, the cursor and the two counters; byte and record
+   counts are read from the store. *)
+type scrub_model = {
+  mutable bees : int list;
+  mutable cursor : int;
+  mutable completed : int;
+  mutable verified : int;
+}
+
+let oracle_scrub m store ~budget_bytes =
+  if budget_bytes <= 0 then (0, [])
+  else begin
+    let logs = List.sort compare m.bees in
+    if logs = [] then (0, [])
+    else begin
+      let after, before = List.partition (fun bee -> bee > m.cursor) logs in
+      let scanned = ref 0 in
+      let visited = ref [] in
+      (try
+         List.iter
+           (fun bee ->
+             if !scanned >= budget_bytes then raise Exit;
+             visited := bee :: !visited;
+             m.cursor <- bee;
+             let records, bytes = Store.recovery_cost store ~bee in
+             scanned := !scanned + bytes;
+             m.verified <- m.verified + records + 1)
+           (after @ before)
+       with Exit -> ());
+      let visited = List.rev !visited in
+      let max_bee = List.fold_left max min_int logs in
+      if List.length visited >= List.length logs || m.cursor = max_bee then begin
+        m.completed <- m.completed + 1;
+        m.cursor <- -1
+      end;
+      (!scanned, List.filter (fun bee -> Store.verify_chain store ~bee <> None) visited)
+    end
+  end
+
+type scrub_op =
+  | Append of int * int
+  | Flush
+  | Forget of int
+  | Reseed of int
+  | Corrupt of int
+  | Scrub of int
+
+let show_scrub_op = function
+  | Append (bee, v) -> Printf.sprintf "append %d %d" bee v
+  | Flush -> "flush"
+  | Forget bee -> Printf.sprintf "forget %d" bee
+  | Reseed bee -> Printf.sprintf "reseed %d" bee
+  | Corrupt bee -> Printf.sprintf "corrupt %d" bee
+  | Scrub budget -> Printf.sprintf "scrub %d" budget
+
+let gen_scrub_op =
+  let open QCheck.Gen in
+  let bee = int_bound 23 in
+  frequency
+    [
+      (5, map2 (fun b v -> Append (b, v)) bee (int_bound 99));
+      (2, return Flush);
+      (1, map (fun b -> Forget b) bee);
+      (1, map (fun b -> Reseed b) bee);
+      (1, map (fun b -> Corrupt b) bee);
+      (4, map (fun b -> Scrub b) (oneofl [ 0; 64; max_int ]));
+    ]
+
+let prop_scrub_matches_list_walk =
+  QCheck.Test.make ~name:"scrub matches the list-walk oracle" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_scrub_op ops))
+       QCheck.Gen.(list_size (0 -- 80) gen_scrub_op))
+    (fun ops ->
+      let store =
+        int_store ~config:{ Store.snapshot_threshold_bytes = 96 } (Engine.create ())
+      in
+      let m = { bees = []; cursor = -1; completed = 0; verified = 0 } in
+      let track bee = if not (List.mem bee m.bees) then m.bees <- bee :: m.bees in
+      List.for_all
+        (fun op ->
+          let slice_ok =
+            match op with
+            | Append (bee, v) ->
+              Store.append store ~bee ~hive:(bee mod 3)
+                [ ("d", Printf.sprintf "k%d" (v mod 5), Some v) ];
+              track bee;
+              true
+            | Flush ->
+              Store.flush store;
+              true
+            | Forget bee ->
+              Store.forget store ~bee;
+              m.bees <- List.filter (( <> ) bee) m.bees;
+              true
+            | Reseed bee ->
+              Store.reseed store ~bee ~entries:[ ("d", "r", bee) ] ~outbox:[] ~inbox:[];
+              track bee;
+              true
+            | Corrupt bee ->
+              ignore (Store.corrupt_record store ~bee ~victim:bee);
+              true
+            | Scrub budget_bytes ->
+              let scanned, found = oracle_scrub m store ~budget_bytes in
+              let got_scanned, got_found = Store.scrub store ~budget_bytes in
+              got_scanned = scanned && List.map fst got_found = found
+          in
+          slice_ok
+          && Store.scrubs_completed store = m.completed
+          && Store.records_verified store = m.verified)
+        ops)
+
+(* One scrub slice costs what it visits, not what the store holds:
+   over 2,000 logs it allocates no more than over 100 under the same
+   budget. *)
+let test_scrub_slice_allocation_flat () =
+  let slice_words n =
+    let store = int_store (Engine.create ()) in
+    for bee = 0 to n - 1 do
+      Store.append store ~bee ~hive:0 [ ("d", "k", Some bee) ]
+    done;
+    Store.flush store;
+    let budget_bytes = 400 in
+    (* The first slice also builds the bee-order ring. *)
+    ignore (Store.scrub store ~budget_bytes);
+    minor_words_of (fun () -> ignore (Store.scrub store ~budget_bytes))
+  in
+  Pool.set_global_domains 1;
+  Fun.protect
+    ~finally:(fun () -> Pool.set_global_domains (Pool.env_domains ()))
+    (fun () ->
+      let small = slice_words 100 and large = slice_words 2_000 in
+      if large > small then
+        Alcotest.failf "a slice over 2000 logs allocated %.0f words, over 100 %.0f"
+          large small)
 
 (* Platform: the background scrubber repairs a damaged live bee in place
    from its in-memory committed state — no restart, no peer, no state
@@ -299,6 +477,8 @@ let suite =
     ( "integrity",
       [
         Alcotest.test_case "crc32 known answer" `Quick test_crc32_known_answer;
+        QCheck_alcotest.to_alcotest prop_crc32_matches_bitwise;
+        Alcotest.test_case "crc32 allocates nothing" `Quick test_crc32_allocation_free;
         Alcotest.test_case "torn tail truncates to the crash-consistent prefix"
           `Quick test_torn_tail_truncates_to_prefix;
         Alcotest.test_case "bit flip fail-stops the committed prefix" `Quick
@@ -311,6 +491,9 @@ let suite =
           test_checksums_off_still_catches_torn;
         Alcotest.test_case "scrub budget accounting and detection" `Quick
           test_scrub_budget_and_detection;
+        QCheck_alcotest.to_alcotest prop_scrub_matches_list_walk;
+        Alcotest.test_case "scrub slice allocation is flat in the log count" `Quick
+          test_scrub_slice_allocation_flat;
         Alcotest.test_case "scrub repairs a live bee in place" `Quick
           test_scrub_repairs_live_bee;
         Alcotest.test_case "unreplicated corruption quarantines" `Quick
