@@ -3,6 +3,7 @@
 
 open Helpers
 module Registry = Beehive_core.Registry
+module Traffic_matrix = Beehive_net.Traffic_matrix
 module Stats = Beehive_core.Stats
 module Raft_replication = Beehive_core.Raft_replication
 
@@ -449,7 +450,15 @@ let test_counters_and_quiescence () =
   drain engine;
   Alcotest.(check bool) "quiescent after drain" true (Platform.quiescent platform);
   Alcotest.(check int) "processed" 2 (Platform.total_processed platform);
-  Alcotest.(check bool) "lock rpcs charged" true (Platform.total_lock_rpcs platform >= 2)
+  (* Each put creates its key's bee on its origin hive: one lock-service
+     round trip, 48 B each way between that hive and the lock master on
+     hive 0. Hive 0's diagonal holds its own round trip and its 64 B put
+     (160 B); its row and its column each add one 48 B leg of hive 1's
+     round trip. *)
+  Alcotest.(check int) "lock rpcs charged" 2 (Platform.total_lock_rpcs platform);
+  let m = Channels.matrix (Platform.channels platform) in
+  Alcotest.(check (float 0.)) "hive 0 row bytes" 208. (Traffic_matrix.row_bytes m 0);
+  Alcotest.(check (float 0.)) "hive 0 column bytes" 208. (Traffic_matrix.col_bytes m 0)
 
 let suite =
   [
