@@ -663,7 +663,8 @@ let ablation_parallel () =
       ]
   in
   let run domains =
-    let engine = Engine.create ~seed:7 ~domains () in
+    Pool.set_global_domains domains;
+    let engine = Engine.create ~seed:7 () in
     let t0 = Unix.gettimeofday () in
     let platform, _ = run_load ~engine load [ cpu () ] in
     let wall = Unix.gettimeofday () -. t0 in

@@ -89,7 +89,9 @@ let check_cmd =
   let module Script = Beehive_check.Script in
   let doc =
     "Deterministic fault exploration: run the nemesis over a range of seeds, \
-     checking invariants continuously; shrink and print any failing trace."
+     checking invariants continuously; shrink and print any failing trace. \
+     Handler completions fan out over a pool of $(b,BEEHIVE_DOMAINS) domains \
+     (default 1); results are required to be identical at every width."
   in
   let docs = "CHECK PARAMETERS" in
   let seeds =
@@ -145,16 +147,6 @@ let check_cmd =
                    $(b,quarantine-accounting) monitors on top of the usual \
                    invariants.")
   in
-  let domains =
-    Arg.(value & opt (some int) None
-         & info [ "domains" ] ~docs
-             ~doc:"Resize the domain pool to $(docv). Handler completions of \
-                   the shardable check apps run sharded at every width; this \
-                   only sizes the pool they fan out over. Results are \
-                   required to be identical at every width, so re-running a \
-                   sweep with a different $(b,--domains) doubles as an \
-                   end-to-end determinism check.")
-  in
   let inject_bug =
     Arg.(value & opt (some string) None
          & info [ "inject-bug" ] ~docs
@@ -172,8 +164,7 @@ let check_cmd =
                    only visible to $(b,--profile disk)). The sweep should then \
                    fail — a self-test of the checker.")
   in
-  let run seeds first_seed ticks hives profiles trace_dir lin outbox domains
-      inject_bug =
+  let run seeds first_seed ticks hives profiles trace_dir lin outbox inject_bug =
     (match inject_bug with
     | None -> ()
     | Some "forwarding" -> Beehive_core.Platform.debug_disable_forwarding := true
@@ -194,7 +185,7 @@ let check_cmd =
     List.iter
       (fun profile ->
         let report =
-          Check.run ~n_hives:hives ~ticks ~lin ~outbox ?domains ~first_seed
+          Check.run ~n_hives:hives ~ticks ~lin ~outbox ~first_seed
             ~seeds profile
         in
         Format.printf "%a" Check.pp_report report;
@@ -221,7 +212,7 @@ let check_cmd =
   in
   Cmd.v (Cmd.info "check" ~doc)
     Term.(const run $ seeds $ first_seed $ ticks $ hives $ profile $ trace_dir
-          $ lin $ outbox $ domains $ inject_bug)
+          $ lin $ outbox $ inject_bug)
 
 let scale_cmd =
   let module E = Beehive_harness.Elastic_exp in

@@ -30,14 +30,14 @@ let shrink_failure cfg script (v : Monitor.violation) =
   let replays = still_fails shrunk in
   (shrunk, replays)
 
-let run ?(n_hives = 4) ?(ticks = 30) ?(lin = false) ?(outbox = false) ?domains
-    ?(first_seed = 0) ~seeds profile =
+let run ?(n_hives = 4) ?(ticks = 30) ?(lin = false) ?(outbox = false) ?(first_seed = 0)
+    ~seeds profile =
   let passed = ref 0 in
   let failures = ref [] in
   let lin_ops = ref 0 in
   let lin_checked = ref 0 in
   for seed = first_seed to first_seed + seeds - 1 do
-    let cfg = Runner.make_cfg ~n_hives ~ticks ~lin ~outbox ?domains ~seed profile in
+    let cfg = Runner.make_cfg ~n_hives ~ticks ~lin ~outbox ~seed profile in
     match Runner.run_seed cfg with
     | _, Runner.Pass s ->
       incr passed;

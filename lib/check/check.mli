@@ -40,7 +40,6 @@ val run :
   ?ticks:int ->
   ?lin:bool ->
   ?outbox:bool ->
-  ?domains:int ->
   ?first_seed:int ->
   seeds:int ->
   Script.profile ->
@@ -50,9 +49,9 @@ val run :
     under each candidate script, so a minimized script is one that still
     produces a non-linearizable history). [~outbox:true] routes puts
     through the forwarding pipeline and arms the exactly-once and
-    quarantine-accounting monitors the same way. [~domains:n] only
-    resizes the global domain pool — results must be identical at every
-    [n], so the sweep doubles as an end-to-end determinism check. *)
+    quarantine-accounting monitors the same way. Results must be
+    identical at every [BEEHIVE_DOMAINS] pool width, so re-running a
+    sweep at another width doubles as an end-to-end determinism check. *)
 
 val pp_report : Format.formatter -> report -> unit
 

@@ -114,13 +114,10 @@ type cfg = {
   r_seed : int;
   r_lin : bool;
   r_outbox : bool;
-  r_domains : int option;
-      (* resize the global domain pool before the run (None: leave the
-         BEEHIVE_DOMAINS-governed pool alone) *)
 }
 
-let make_cfg ?(n_hives = 4) ?(ticks = 30) ?(lin = false) ?(outbox = false) ?domains
-    ~seed profile =
+let make_cfg ?(n_hives = 4) ?(ticks = 30) ?(lin = false) ?(outbox = false) ~seed
+    profile =
   if n_hives <= 0 then invalid_arg "Runner.make_cfg: need at least one hive";
   (* The lin and outbox workloads acknowledge at fsync, a promise disk
      damage deliberately breaks (a torn tail voids fsynced bytes). The
@@ -135,7 +132,6 @@ let make_cfg ?(n_hives = 4) ?(ticks = 30) ?(lin = false) ?(outbox = false) ?doma
     r_seed = seed;
     r_lin = lin && not disk;
     r_outbox = outbox && not disk;
-    r_domains = domains;
   }
 
 type stats = {
@@ -398,7 +394,7 @@ let lin_gauges recorder = function
    the platform's, the membership manager's and the lin checker's,
    merged and sorted by name. *)
 let execute_with_gauges ?observe cfg ops =
-  let engine = Engine.create ~seed:cfg.r_seed ?domains:cfg.r_domains () in
+  let engine = Engine.create ~seed:cfg.r_seed () in
   let durability =
     if with_durability cfg.r_profile then
       (* A small threshold so compaction actually runs inside short checks. *)

@@ -31,12 +31,6 @@ type cfg = {
           always-raising messages that must end in quarantine. The kv and
           forwarding apps run unreplicated (a Raft failover legitimately
           recovers the quorum prefix, not the local journal). *)
-  r_domains : int option;
-      (** resize the global {!Beehive_sim.Domain_pool} to this width
-          before the run; [None] leaves the [BEEHIVE_DOMAINS]-governed
-          pool untouched. The check apps are shardable, so their handler
-          completions always batch per tick and fan out across the pool
-          keyed by owning hive, at every width. *)
 }
 
 val make_cfg :
@@ -44,12 +38,13 @@ val make_cfg :
   ?ticks:int ->
   ?lin:bool ->
   ?outbox:bool ->
-  ?domains:int ->
   seed:int ->
   Script.profile ->
   cfg
-(** Defaults: 4 hives, 30 ticks, [lin] and [outbox] off, [domains]
-    unset. *)
+(** Defaults: 4 hives, 30 ticks, [lin] and [outbox] off. The check apps
+    are shardable, so their handler completions batch per tick and fan
+    out over the global {!Beehive_sim.Domain_pool} keyed by owning hive,
+    at every pool width. *)
 
 type stats = {
   s_events : int;

@@ -76,7 +76,7 @@ let transfer engine ~reg ~locks ~hives ~store ~transmit ~resume ~landed (b : Bee
     resume b
   end
 
-let merge engine ~chans ~reg ~locks ~hives ~outbox ~store ~pinned ~resume
+let merge engine ~chans ~reg ~hives ~outbox ~store ~pinned ~resume
     ~(winner : Bee.t) ~(losers : Bee.t list) ~k =
   winner.status <- `Paused;
   let remaining = ref (List.length losers) in
@@ -95,8 +95,6 @@ let merge engine ~chans ~reg ~locks ~hives ~outbox ~store ~pinned ~resume
     if l.status = `Dead then finish_one ()
     else begin
     (* Move committed state, ownership and queued messages to the winner. *)
-    let info = Registry.bee reg l.id in
-    let cells = info.Registry.bee_cells in
     let corrupt_loser = ref None in
     let all_entries =
       match store with
@@ -162,9 +160,7 @@ let merge engine ~chans ~reg ~locks ~hives ~outbox ~store ~pinned ~resume
       ignore
         (Channels.transfer chans ~src:(Channels.Hive l.hive)
            ~dst:(Channels.Hive winner.hive) ~bytes ~now:(Engine.now engine));
-    Cell_locks.release locks ~app:l.app.App.name cells;
     Registry.reassign_all reg ~from_bee:l.id ~to_bee:winner.id;
-    Cell_locks.acquire locks ~app:winner.app.App.name cells;
     Queue.transfer l.mailbox winner.mailbox;
     l.status <- `Dead;
     l.forwarded_to <- Some winner;

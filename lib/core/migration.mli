@@ -39,7 +39,6 @@ val merge :
   Beehive_sim.Engine.t ->
   chans:Beehive_net.Channels.t ->
   reg:Registry.t ->
-  locks:Cell_locks.t ->
   hives:Hives.t ->
   outbox:Outbox.t ->
   store:Value.t Beehive_store.Store.t option ->
@@ -50,7 +49,7 @@ val merge :
   k:(unit -> unit) ->
   unit
 (** Folds every loser into the winner: state (a crashed loser's durable
-    cut), cells, locks, inbox marks and queued messages move over, and
+    cut), cells, inbox marks and queued messages move over, and
     the loser is left dead with a forwarding pointer to the winner. A
     busy loser folds in when its handler completes; meanwhile the winner
     stays paused. Once the last loser is folded, [k] runs (the caller

@@ -241,8 +241,6 @@ let new_bee t ~(app : App.t) ~hive ~is_local =
 let kill_bee t b =
   b.status <- `Dead;
   Queue.clear b.mailbox;
-  Cell_locks.release t.locks ~app:b.app.App.name
-    (Registry.bee t.reg b.id).Registry.bee_cells;
   Registry.unassign_bee t.reg ~bee:b.id;
   Hashtbl.remove t.pinned_bees b.id;
   (* The bee is gone for good: its un-acked emits die with it. *)
@@ -455,10 +453,6 @@ let start_transfer t (b : bee) dst reason ~resume =
       List.iter (fun f -> f mig) t.mig_hooks;
       Log.debug (fun m ->
           m "migrated bee %d (%s) hive %d -> %d (%s)" b.id b.app.App.name src dst reason))
-
-let claim t ~app ~bee cells =
-  Cell_locks.acquire t.locks ~app cells;
-  Registry.assign t.reg ~bee cells
 
 (* ------------------------------------------------------------------ *)
 (* The life of a message: dispatch, handler completion, route, enqueue *)
@@ -716,13 +710,13 @@ and route_cells t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin ~outbo
         b.fenced <- true;
         b.status <- `Paused
       end;
-      claim t ~app:name ~bee:b.id cs;
+      Registry.assign t.reg ~bee:b.id cs;
       t.version <- t.version + 1;
       (Some b, Cell_locks.charge_rpc t.locks ~hive:origin)
     | Route_plan.Use { bee; claim = cells; lookup } ->
       let b = get_bee t bee in
       if not (Cell.Set.is_empty cells) then begin
-        claim t ~app:name ~bee cells;
+        Registry.assign t.reg ~bee cells;
         t.version <- t.version + 1;
         (b, Cell_locks.charge_rpc t.locks ~hive:origin)
       end
@@ -743,10 +737,10 @@ and route_cells t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin ~outbo
       let winner = Hashtbl.find t.bees winner in
       t.n_merges <- t.n_merges + List.length losers;
       t.version <- t.version + 1;
-      Migration.merge t.engine ~chans:t.chans ~reg:t.reg ~locks:t.locks ~hives:t.hives
+      Migration.merge t.engine ~chans:t.chans ~reg:t.reg ~hives:t.hives
         ~outbox:t.outbox ~store:t.store ~pinned:t.pinned_bees ~resume:(maybe_process t)
         ~winner ~losers:(List.map (Hashtbl.find t.bees) losers) ~k:(fun () ->
-          claim t ~app:name ~bee:winner.id (Route_plan.unowned t.reg ~bee:winner.id cs));
+          Registry.assign t.reg ~bee:winner.id (Route_plan.unowned t.reg ~bee:winner.id cs));
       let extra = Cell_locks.charge_rpc t.locks ~hive:origin in
       t.version <- t.version + 1;
       (Some winner, extra)

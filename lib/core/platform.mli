@@ -13,8 +13,9 @@
     drives and which never call back into it: the per-hive lifecycle
     ({!Hives}), the exactly-once ledger of un-acked emits, pending acks,
     replay backoff and quarantine ({!Outbox}), and storage repair with
-    its counters and dead letters ({!Beehive_store.Store}). Cell locks
-    and their control-channel cost are {!Cell_locks}.
+    its counters and dead letters ({!Beehive_store.Store}). The
+    registry is the only record of cell ownership; what each lookup or
+    claim costs on the control channel is {!Cell_locks}.
 
     All activity runs on the discrete-event {!Beehive_sim.Engine}; nothing
     here touches wall-clock time. *)

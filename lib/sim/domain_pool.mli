@@ -42,5 +42,5 @@ val global : unit -> t
 
 val set_global_domains : int -> unit
 (** Replaces the global pool with one of [n] lanes (no-op if it
-    already has [n]). Used by the [--domains] CLI flag, tests, and the
-    bench harness to re-measure at several widths in one process. *)
+    already has [n]). Used by tests and the bench harness to
+    re-measure at several widths in one process. *)

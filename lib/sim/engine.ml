@@ -25,8 +25,7 @@ type t = {
   mutable sharded_events : int;
 }
 
-let create ?(seed = 42) ?domains () =
-  (match domains with Some n -> Domain_pool.set_global_domains n | None -> ());
+let create ?(seed = 42) () =
   {
     queue = Event_queue.create ();
     clock = Simtime.zero;

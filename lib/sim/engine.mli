@@ -10,12 +10,12 @@ type t
 type handle
 (** A scheduled event, for cancellation. *)
 
-val create : ?seed:int -> ?domains:int -> unit -> t
+val create : ?seed:int -> unit -> t
 (** Fresh engine with clock at {!Simtime.zero}. [seed] (default 42) seeds
     the root RNG from which components {!Rng.split} their own streams.
-    [domains], when given, resizes the process-wide
-    {!Domain_pool.global} pool (otherwise [BEEHIVE_DOMAINS] governs its
-    first-use width). *)
+    Sharded batches fan out over the process-wide {!Domain_pool.global}
+    pool, whose width is [BEEHIVE_DOMAINS] unless
+    {!Domain_pool.set_global_domains} resized it. *)
 
 val now : t -> Simtime.t
 val rng : t -> Rng.t

@@ -113,30 +113,32 @@ let store_value platform ~bee ~key =
    copying it. *)
 let behaviour_file = "behaviour.digests"
 
+let behaviour_lines () =
+  In_channel.with_open_text behaviour_file In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (( <> ) "")
+
+let section_of line =
+  if line.[0] = '#' then None
+  else
+    match String.split_on_char ' ' line with
+    | s :: rest when rest <> [] -> Some (s, rest)
+    | _ -> Alcotest.failf "%s: malformed line %S" behaviour_file line
+
+(* The section's pinned (key, digest) pairs, in file order. *)
+let pinned ~section =
+  List.filter_map
+    (fun line ->
+      match section_of line with
+      | Some (s, fields) when String.equal s section ->
+        let rev = List.rev fields in
+        Some (String.concat " " (List.rev (List.tl rev)), List.hd rev)
+      | _ -> None)
+    (behaviour_lines ())
+
 let check_pinned ~section actual =
-  let lines =
-    In_channel.with_open_text behaviour_file In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.filter (( <> ) "")
-  in
-  let section_of line =
-    if line.[0] = '#' then None
-    else
-      match String.split_on_char ' ' line with
-      | s :: rest when rest <> [] -> Some (s, rest)
-      | _ -> Alcotest.failf "%s: malformed line %S" behaviour_file line
-  in
-  let pinned =
-    List.filter_map
-      (fun line ->
-        match section_of line with
-        | Some (s, fields) when String.equal s section ->
-          let rev = List.rev fields in
-          Some (String.concat " " (List.rev (List.tl rev)), List.hd rev)
-        | _ -> None)
-      lines
-  in
-  if pinned <> actual then begin
+  let lines = behaviour_lines () in
+  if pinned ~section <> actual then begin
     let fresh = List.map (fun (k, d) -> Printf.sprintf "%s %s %s" section k d) actual in
     let printed = ref false in
     let out =

@@ -2,7 +2,7 @@
 
 let () =
   Alcotest.run "beehive"
-    (Test_sim.suite @ Test_net.suite @ Test_locksvc.suite @ Test_state.suite
+    (Test_sim.suite @ Test_net.suite @ Test_state.suite
    @ Test_cell_registry.suite @ Test_route_plan.suite @ Test_platform.suite @ Test_openflow.suite
    @ Test_instrumentation.suite @ Test_feedback.suite @ Test_apps_te.suite
    @ Test_apps.suite @ Test_routing.suite @ Test_policies.suite @ Test_raft.suite

@@ -18,6 +18,11 @@ module Store = Beehive_store.Store
 
 let reset_pool () = Pool.set_global_domains (Pool.env_domains ())
 
+(* [at_width n f] runs [f] on a global pool of [n] lanes. *)
+let at_width n f =
+  Pool.set_global_domains n;
+  f ()
+
 (* --- The pool -------------------------------------------------------- *)
 
 let test_pool_map () =
@@ -77,7 +82,7 @@ let test_pool_shutdown () =
    semantics is width-independent by construction. *)
 let test_engine_batch_width_independent () =
   let run domains =
-    let engine = Engine.create ~seed:5 ~domains () in
+    let engine = at_width domains (Engine.create ~seed:5) in
     let log = ref [] in
     for i = 0 to 15 do
       ignore
@@ -146,7 +151,7 @@ let test_event_queue_compaction () =
    deterministic order either way. *)
 let test_store_flush_width_independent () =
   let build domains =
-    let engine = Engine.create ~seed:3 ~domains () in
+    let engine = at_width domains (Engine.create ~seed:3) in
     let size_of (d, k, w) =
       String.length d + String.length k
       + match w with Some v -> String.length v | None -> 4
@@ -178,35 +183,10 @@ let test_store_flush_width_independent () =
 let profiles =
   [ Script.Durability; Script.Partition; Script.Elastic; Script.Disk ]
 
-(* The width-1 digests are also pinned in [seeds.digests], so a change
-   that alters simulated behaviour fails here even when it alters both
-   widths alike. On a mismatch the full file as it would read now is
-   printed: an intended behaviour change is re-pinned by copying it. *)
-let digests_file = "seeds.digests"
-
-let digests_header =
-  "# Runner.digest at one domain of the corpus cases in test_parallel.ml\n\
-   # (<profile> <seed> <digest>). Checked by \"corpus: digests equal at\n\
-   # widths 1 and 4\"; on a mismatch that test prints this file as it\n\
-   # would read now.\n"
-
-let read_pinned_digests () =
-  let ic = open_in digests_file in
-  let rec go acc =
-    match input_line ic with
-    | exception End_of_file -> List.rev acc
-    | line ->
-      let line = String.trim line in
-      if line = "" || line.[0] = '#' then go acc
-      else
-        match String.split_on_char ' ' line |> List.filter (( <> ) "") with
-        | [ profile; seed; digest ] -> go (((profile, int_of_string seed), digest) :: acc)
-        | _ -> Alcotest.fail (Printf.sprintf "%s: malformed line %S" digests_file line)
-  in
-  let pinned = go [] in
-  close_in ic;
-  pinned
-
+(* Every case is also a [seeds.corpus] line, so its width-1 digest is
+   pinned in [behaviour.digests]: a change that alters simulated
+   behaviour fails here even when it alters both widths alike. Re-pin
+   from the file "seed corpus replays clean" prints. *)
 let test_corpus_digest_1_vs_4 () =
   let cases =
     List.concat_map
@@ -217,34 +197,33 @@ let test_corpus_digest_1_vs_4 () =
   let actual =
     List.map
       (fun (profile, seed) ->
-        let _, d1 = Runner.digest (Runner.make_cfg ~domains:1 ~seed profile) in
-        let _, d4 = Runner.digest (Runner.make_cfg ~domains:4 ~seed profile) in
-        Alcotest.(check string)
-          (Printf.sprintf "digest %s/%d: 1 domain = 4 domains"
-             (Script.profile_to_string profile)
-             seed)
-          d1 d4;
-        ((Script.profile_to_string profile, seed), d1))
+        let digest n =
+          snd (at_width n (fun () -> Runner.digest (Runner.make_cfg ~seed profile)))
+        in
+        let d1 = digest 1 in
+        let d4 = digest 4 in
+        let key =
+          Printf.sprintf "%s %d 30" (Script.profile_to_string profile) seed
+        in
+        Alcotest.(check string) ("digest " ^ key ^ ": 1 domain = 4 domains") d1 d4;
+        (key, d1))
       cases
   in
   reset_pool ();
-  let pinned = read_pinned_digests () in
-  if pinned <> actual then begin
-    print_string digests_header;
-    List.iter
-      (fun ((profile, seed), d) -> Printf.printf "%s %d %s\n" profile seed d)
-      actual;
-    Alcotest.fail
-      (Printf.sprintf
-         "width-1 digests differ from %s (its current contents printed above)"
-         digests_file)
-  end
+  let pinned = Helpers.pinned ~section:"corpus" in
+  List.iter
+    (fun (key, d1) ->
+      Alcotest.(check (option string))
+        ("width-1 digest pinned for corpus " ^ key)
+        (List.assoc_opt key pinned) (Some d1))
+    actual
 
 (* Explicit gauge equality (the digest covers gauges too, but a direct
    comparison localizes a regression to the stats layer). *)
 let test_gauges_1_vs_4 () =
   let final_gauges domains =
-    let cfg = Runner.make_cfg ~domains ~seed:7 Script.Durability in
+    at_width domains @@ fun () ->
+    let cfg = Runner.make_cfg ~seed:7 Script.Durability in
     let script =
       Nemesis.generate ~rng:(Rng.create 7) ~profile:Script.Durability
         ~n_hives:4 ~ticks:30
@@ -271,10 +250,12 @@ let test_gauges_1_vs_4 () =
    batched events the 1-vs-4 comparison would be vacuous. The check apps
    are shardable, so that holds whether or not the pool was resized. *)
 let test_sharded_path_engages () =
-  let engages label cfg =
+  let engages label =
     let captured = ref None in
     (match
-       Runner.execute ~observe:(fun e _ -> captured := Some e) cfg
+       Runner.execute
+         ~observe:(fun e _ -> captured := Some e)
+         (Runner.make_cfg ~seed:0 Script.Durability)
          (Nemesis.generate ~rng:(Rng.create 0) ~profile:Script.Durability
             ~n_hives:4 ~ticks:30)
      with
@@ -290,9 +271,9 @@ let test_sharded_path_engages () =
         (Engine.sharded_events engine > 0 && Engine.sharded_batches engine > 0)
     | None -> Alcotest.fail "observe hook never ran"
   in
-  engages "4 domains" (Runner.make_cfg ~domains:4 ~seed:0 Script.Durability);
+  at_width 4 (fun () -> engages "4 domains");
   reset_pool ();
-  engages "pool untouched" (Runner.make_cfg ~seed:0 Script.Durability)
+  engages "pool untouched"
 
 (* [App.shardable] alone decides: the Figure 4 ensemble (driver,
    decoupled TE, routing, discovery, instrumentation) opts out, so its
