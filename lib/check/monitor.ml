@@ -494,6 +494,45 @@ let repair_convergence =
         | _ -> None);
   }
 
+(* Every committed write must reach the WAL. The checker and handlers
+   read the bee's [State]; the log is read back only on recovery, so a
+   write set the store never journaled stays invisible until a crash
+   loses it. After quiesce, every live durable bee with nothing pending
+   and a sound chain must hold in its WAL exactly the state it serves.
+   Read-only: damaged chains are no-silent-corruption's finding. *)
+let wal_matches_state =
+  {
+    m_name = "wal-matches-state";
+    m_phase = Final;
+    m_check =
+      (fun ctx ->
+        let p = ctx.cx_platform in
+        match Platform.store p with
+        | None -> None
+        | Some s ->
+          List.find_map
+            (fun v ->
+              let bee = v.Platform.view_id in
+              if
+                v.Platform.view_is_local || (not v.Platform.view_alive)
+                || Store.pending_writes s ~bee > 0
+                || Store.verify_chain s ~bee <> None
+              then None
+              else
+                let wal = Platform.durable_bee_entries p bee in
+                let state = Platform.bee_state_entries p bee in
+                let missing a b = List.find_opt (fun e -> not (List.mem e b)) a in
+                match (missing state wal, missing wal state) with
+                | Some (d, k, _), _ | None, Some (d, k, _) ->
+                  Some
+                    (Printf.sprintf
+                       "bee %d: its state and its WAL disagree on %s/%s (%d entries \
+                        served, %d recoverable)"
+                       bee d k (List.length state) (List.length wal))
+                | None, None -> None)
+            (Platform.live_bees p));
+  }
+
 (* Runaway message amplification (the historical broadcast-storm bug)
    shows as more than [storm_budget] engine events between two monitor
    ticks. Stateful: one per run. *)
@@ -532,4 +571,5 @@ let defaults () =
     quarantine_accounting;
     no_silent_corruption;
     repair_convergence;
+    wal_matches_state;
   ]

@@ -974,20 +974,8 @@ let live_bees t = List.map (view_of t) (sorted_bees t (fun b -> b.status <> `Dea
 
 let bee_stats t id = Option.map (fun b -> b.stats) (get_bee t id)
 
-(* Size and entry metrics read through the storage engine when durability
-   is on, so replicated-size and WAL-size reporting share one source of
-   truth (the store's materialized view tracks every committed write). *)
-let bee_state_size t id =
-  match (t.store, get_bee t id) with
-  | Some s, Some b when not b.is_local -> Store.size_bytes s ~bee:id
-  | _, Some b -> State.size_bytes b.state
-  | _, None -> 0
-
 let bee_state_entries t id =
-  match (t.store, get_bee t id) with
-  | Some s, Some b when not b.is_local -> Store.entries s ~bee:id
-  | _, Some b -> State.snapshot b.state
-  | _, None -> []
+  match get_bee t id with Some b -> State.snapshot b.state | None -> []
 
 let store t = t.store
 
@@ -1226,7 +1214,7 @@ let scrub_slice t ~budget_bytes =
                && (match b.status with `Active | `Paused -> true | _ -> false)
                && hive_alive t b.hive
                && not b.fenced ->
-          Store.rewrite s ~bee;
+          Store.rewrite s ~bee ~entries:(State.snapshot b.state);
           Log.info (fun m ->
               m "bee %d: corrupt storage rewritten from live state (%s)" bee detail)
         | Some _ | None -> ())

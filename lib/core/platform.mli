@@ -118,13 +118,12 @@ val bee_view : t -> int -> bee_view option
 val live_bees : t -> bee_view list
 val bee_stats : t -> int -> Stats.t option
 
-val bee_state_size : t -> int -> int
-
 val bee_state_entries : t -> int -> (string * string * Value.t) list
-(** Read-only snapshot of a bee's committed state (analytics/debug). Both
-    this and {!bee_state_size} read through the storage engine when
-    durability is on, so state-size metrics and WAL metrics cannot
-    disagree. *)
+(** Read-only snapshot of the bee's committed state, in (dict, key) order:
+    the same [State] its handlers read, with or without durability. A
+    crashed bee shows its last in-memory state until {!restart_hive}
+    revives it from the WAL; compare {!durable_bee_entries}, which is what
+    that revival will read. *)
 
 (** {2 Durability}
 

@@ -65,7 +65,7 @@ let revive s ~outbox ~hive (b : Bee.t) replica =
   | Store.Intact | Store.Truncated _ ->
     (* Snapshot + WAL-tail replay, byte-identical to the last
        group-committed (and verified) state. *)
-    b.state <- State.restore (Store.reload s ~bee:b.id);
+    b.state <- State.restore (Store.recover s ~bee:b.id);
     b.status <- `Active;
     Log.info (fun m -> m "bee %d recovered on restarted hive %d" b.id hive);
     true

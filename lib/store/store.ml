@@ -98,9 +98,6 @@ type 'v bee_log = {
   mutable bl_snapshot_bytes : int;
   mutable bl_compactions : int;
   mutable bl_next_lsn : int;  (* next lsn to assign *)
-  bl_live : (string * string, 'v * int) Hashtbl.t;
-      (* materialized view incl. pending, entry -> (value, size) *)
-  mutable bl_live_bytes : int;
   mutable bl_next_out_seq : int;
       (* next outbox sequence number; monotonic, never reused even after
          acks, so a receiver's cutoff stays valid across sender restarts *)
@@ -251,8 +248,6 @@ let log_of t bee =
         bl_snapshot_bytes = 0;
         bl_compactions = 0;
         bl_next_lsn = 1;
-        bl_live = Hashtbl.create 16;
-        bl_live_bytes = 0;
         bl_next_out_seq = 1;
         bl_outbox = Hashtbl.create 8;
         bl_inbox = Hashtbl.create 16;
@@ -299,29 +294,6 @@ let take_dirty t =
 let entry_order (d1, k1, _) (d2, k2, _) =
   match String.compare d1 d2 with 0 -> String.compare k1 k2 | c -> c
 
-let apply_write t bl ((dict, key, w) as write) =
-  match w with
-  | Some v ->
-    let sz = t.size_of write in
-    (match Hashtbl.find_opt bl.bl_live (dict, key) with
-    | Some (_, old) -> bl.bl_live_bytes <- bl.bl_live_bytes - old
-    | None -> ());
-    Hashtbl.replace bl.bl_live (dict, key) (v, sz);
-    bl.bl_live_bytes <- bl.bl_live_bytes + sz
-  | None -> (
-    match Hashtbl.find_opt bl.bl_live (dict, key) with
-    | Some (_, old) ->
-      Hashtbl.remove bl.bl_live (dict, key);
-      bl.bl_live_bytes <- bl.bl_live_bytes - old
-    | None -> ())
-
-let rebuild_live t bl =
-  Hashtbl.reset bl.bl_live;
-  bl.bl_live_bytes <- 0;
-  List.iter (fun (d, k, v) -> apply_write t bl (d, k, Some v)) bl.bl_snapshot;
-  List.iter (fun r -> List.iter (apply_write t bl) r.r_writes) (List.rev bl.bl_wal);
-  List.iter (fun b -> List.iter (apply_write t bl) b.b_writes) (List.rev bl.bl_pending)
-
 let batch_bytes t writes ~outbox ~inbox =
   record_overhead + frame_overhead
   + List.fold_left (fun acc w -> acc + t.size_of w) 0 writes
@@ -342,8 +314,7 @@ let append t ~bee ~hive ?(outbox = []) ?(inbox = []) writes =
     List.iter
       (fun (seq, _) ->
         if seq >= bl.bl_next_out_seq then bl.bl_next_out_seq <- seq + 1)
-      outbox;
-    List.iter (apply_write t bl) writes
+      outbox
   end
 
 let alloc_out_seq t ~bee =
@@ -587,12 +558,7 @@ let create engine ?(config = default_config) ~size_of ?(garble = fun v -> v)
 
 let drop_pending t ~hive =
   Array.iter
-    (fun bl ->
-      let keep = List.filter (fun b -> b.b_hive <> hive) bl.bl_pending in
-      if List.length keep <> List.length bl.bl_pending then begin
-        bl.bl_pending <- keep;
-        rebuild_live t bl
-      end)
+    (fun bl -> bl.bl_pending <- List.filter (fun b -> b.b_hive <> hive) bl.bl_pending)
     (ring t)
 
 let forget t ~bee =
@@ -604,22 +570,6 @@ let recover t ~bee =
   match Hashtbl.find_opt t.logs bee with
   | None -> []
   | Some bl -> durable_entries t bl
-
-(* Recovery proper: re-reads the durable bytes and resets the materialized
-   view from them — after a crash the in-memory cache is gone, so what the
-   bee serves from here on is whatever the disk gave back. *)
-let reload t ~bee =
-  match Hashtbl.find_opt t.logs bee with
-  | None -> []
-  | Some bl ->
-    let es = durable_entries t bl in
-    Hashtbl.reset bl.bl_live;
-    bl.bl_live_bytes <- 0;
-    List.iter (fun (d, k, v) -> apply_write t bl (d, k, Some v)) es;
-    List.iter
-      (fun b -> List.iter (apply_write t bl) b.b_writes)
-      (List.rev bl.bl_pending);
-    es
 
 let recovery_cost t ~bee =
   match Hashtbl.find_opt t.logs bee with
@@ -699,16 +649,6 @@ let package_bytes t ~bee =
   package_overhead + bl.bl_snapshot_bytes + bl.bl_wal_bytes + outbox_bytes
   + (inbox_mark_overhead * Hashtbl.length bl.bl_inbox)
 
-let entries t ~bee =
-  match Hashtbl.find_opt t.logs bee with
-  | None -> []
-  | Some bl ->
-    Hashtbl.fold (fun (d, k) (v, _) acc -> (d, k, v) :: acc) bl.bl_live []
-    |> List.sort entry_order
-
-let size_bytes t ~bee =
-  match Hashtbl.find_opt t.logs bee with None -> 0 | Some bl -> bl.bl_live_bytes
-
 let pending_writes t ~bee =
   match Hashtbl.find_opt t.logs bee with
   | None -> 0
@@ -776,7 +716,6 @@ let fsck t ~bee =
         bl.bl_wal <- prefix;
         let n = List.length torn in
         t.torn_truncations <- t.torn_truncations + n;
-        rebuild_live t bl;
         Truncated n
     end
 
@@ -901,8 +840,7 @@ let reseed_log t ~bee ~entries:es ~outbox ~inbox =
     (fun (seq, _) -> if seq >= bl.bl_next_out_seq then bl.bl_next_out_seq <- seq + 1)
     outbox;
   bl.bl_next_out_seq <- max bl.bl_next_out_seq (max nos 1);
-  Hashtbl.remove t.suspects bee;
-  rebuild_live t bl
+  Hashtbl.remove t.suspects bee
 
 let reseed t ~bee ~entries ~outbox ~inbox =
   reseed_log t ~bee ~entries ~outbox ~inbox;
@@ -910,12 +848,11 @@ let reseed t ~bee ~entries ~outbox ~inbox =
 
 (* A live bee's process memory is intact and strictly newer than anything
    a peer holds, so its repair is a local rewrite: flush, then replace
-   snapshot+WAL with a freshly checksummed image of the committed view,
-   exactly-once bookkeeping carried over unchanged. *)
-let rewrite t ~bee =
+   snapshot+WAL with a freshly checksummed image of [entries] (the bee's
+   own state), exactly-once bookkeeping carried over unchanged. *)
+let rewrite t ~bee ~entries =
   flush_bee t ~bee;
-  reseed_log t ~bee ~entries:(entries t ~bee) ~outbox:(outbox_unacked t ~bee)
-    ~inbox:(inbox_marks t ~bee);
+  reseed_log t ~bee ~entries ~outbox:(outbox_unacked t ~bee) ~inbox:(inbox_marks t ~bee);
   t.local_rewrites <- t.local_rewrites + 1
 
 let quarantine t ~bee ~detail =

@@ -1,10 +1,13 @@
 (** Durable dictionary storage engine.
 
-    Every non-local bee's dictionaries are shadowed by a per-bee
-    append-only write-ahead log with group commit: transaction write-sets
-    are batched per simulated-time tick and become durable together at the
-    next group-commit flush, paying one configurable fsync latency per
-    hive per flush. When a bee's WAL grows past a threshold its live cell
+    Every non-local bee's committed transactions are journaled in a
+    per-bee append-only write-ahead log with group commit: transaction
+    write-sets are batched per simulated-time tick and become durable
+    together at the next group-commit flush, paying one configurable
+    fsync latency per hive per flush. The store holds only that log, never
+    a second in-memory copy of the state: the bee's own [State] is what
+    handlers read, and the store is read back only on recovery, repair
+    and migration. When a bee's WAL grows past a threshold its live cell
     set is serialized into a snapshot record and the log is truncated
     (compaction); recovery loads the snapshot and replays only the WAL
     tail. The same snapshot+tail package is what live migration ships
@@ -95,9 +98,10 @@ val append :
     the [(sender, seq)] inbox dedup marks it consumed — all three become
     durable together at the next group-commit flush (or are lost together
     by {!drop_pending}: a crash can never keep a state delta without its
-    emits, or vice versa). The writes are immediately visible in the
-    materialized view ({!entries}, {!size_bytes}). Explicit outbox
-    sequence numbers advance the bee's allocator past them. *)
+    emits, or vice versa). The caller has already applied the writes to
+    the bee's state; the store only journals them, so nothing reads them
+    back before they are durable. Explicit outbox sequence numbers advance
+    the bee's allocator past them. *)
 
 val alloc_out_seq : 'v t -> bee:int -> int
 (** Allocates the bee's next outbox sequence number (monotonic, never
@@ -127,19 +131,15 @@ val forget : 'v t -> bee:int -> unit
 val recover : 'v t -> bee:int -> (string * string * 'v) list
 (** The bee's durable cell set: snapshot overlaid with the WAL tail, in
     deterministic (dict, key) order. Pending (un-fsynced) batches are not
-    part of recovery — exactly what a crash loses. *)
+    part of recovery — exactly what a crash loses. Values read through a
+    damaged frame come back garbled: with checksums on, run {!fsck} first
+    (it truncates torn tails and fail-stops corrupt prefixes); with them
+    off, this is the silent corruption a lying disk serves. *)
 
 val recovery_cost : 'v t -> bee:int -> int * int
 (** [(records_replayed, bytes_read)] of a {!recover} call right now:
     snapshot bytes plus every tail record. The figure of merit that
     snapshot-based recovery improves over full log replay. *)
-
-val reload : 'v t -> bee:int -> (string * string * 'v) list
-(** Recovery proper: re-reads the durable bytes and {e resets the
-    materialized view from them} — after a crash the in-memory cache is
-    gone, so what the bee serves from here on is whatever the disk gave
-    back (garbled values included, if verification was off). Run {!fsck}
-    first: it truncates torn tails and fail-stops corrupt prefixes. *)
 
 (** {2 Integrity: verification, scrub, repair} *)
 
@@ -182,13 +182,14 @@ val suspect : 'v t -> bee:int -> string option
 (** {3 Repair}
 
     Which repair applies is the caller's call: a live bee is rewritten
-    from its own committed view, a crashed one is re-seeded from a
+    from its own in-memory state, a crashed one is re-seeded from a
     replication peer, and one with neither is quarantined. *)
 
-val rewrite : 'v t -> bee:int -> unit
+val rewrite : 'v t -> bee:int -> entries:(string * string * 'v) list -> unit
 (** Repairs a live bee in place: flushes it, then replaces snapshot+WAL
-    with a freshly checksummed image of its committed view, carrying the
-    outbox, inbox and seq allocator over unchanged. Clears any suspect
+    with a freshly checksummed image of [entries] — the bee's committed
+    in-memory state, which the caller reads from the bee itself — carrying
+    the outbox, inbox and seq allocator over unchanged. Clears any suspect
     verdict and counts one {!local_rewrites}. *)
 
 val reseed :
@@ -290,12 +291,6 @@ val package_bytes : 'v t -> bee:int -> int
     destination. *)
 
 (** {2 Introspection (per bee)} *)
-
-val entries : 'v t -> bee:int -> (string * string * 'v) list
-(** Materialized view including not-yet-durable pending writes (matches
-    the owning bee's committed in-memory state). *)
-
-val size_bytes : 'v t -> bee:int -> int
 
 val pending_writes : 'v t -> bee:int -> int
 val snapshot_count : 'v t -> bee:int -> int

@@ -246,6 +246,45 @@ let test_catches_checksums_off_bug () =
                [ "no-silent-corruption"; "no-duplication"; "repair-convergence" ]))
         failures)
 
+(* The WAL must journal exactly what the bee committed. One stray append
+   to a live durable bee's log, made behind the platform's back, leaves
+   the WAL holding a write the bee never made. Nothing reads the log on a
+   crash-free run, so only wal-matches-state can see it. *)
+let test_catches_stray_wal_write () =
+  let script =
+    [
+      Script.Put { at_us = 1_000; key = 0; from_hive = 0 };
+      Script.Put { at_us = 2_000; key = 1; from_hive = 1 };
+      Script.Put { at_us = 12_000; key = 0; from_hive = 2 };
+    ]
+  in
+  let wrote = ref false in
+  let stray engine platform =
+    ignore
+      (Engine.schedule_after engine (Simtime.of_ms 15) (fun () ->
+           match
+             ( Platform.store platform,
+               List.find_opt
+                 (fun v -> v.Platform.view_alive && not v.Platform.view_is_local)
+                 (Platform.live_bees platform) )
+           with
+           | Some s, Some v ->
+             Beehive_store.Store.append s ~bee:v.Platform.view_id
+               ~hive:v.Platform.view_hive
+               [ ("stray", "k", Some (Value.V_int 1)) ];
+             wrote := true
+           | _ -> ()))
+  in
+  let outcome =
+    Runner.execute ~observe:stray (Runner.make_cfg ~seed:0 Script.Durability) script
+  in
+  Alcotest.(check bool) "the stray write landed on a live durable bee" true !wrote;
+  match outcome with
+  | Runner.Fail v ->
+    Alcotest.(check string) "caught by wal-matches-state" "wal-matches-state"
+      v.Monitor.v_monitor
+  | Runner.Pass _ -> Alcotest.fail "a WAL write the bee never made went unnoticed"
+
 (* A scripted poison scenario: the always-raising message must end in
    quarantine (quarantine-accounting equality on a crash-free run) while
    the healthy puts around it stay exactly-once. *)
@@ -550,6 +589,8 @@ let suite =
           test_catches_replay_dup_bug;
         Alcotest.test_case "catches disabled frame checksums" `Quick
           test_catches_checksums_off_bug;
+        Alcotest.test_case "catches a stray WAL write" `Quick
+          test_catches_stray_wal_write;
         Alcotest.test_case "poison script ends in quarantine" `Quick
           test_poison_script_quarantines;
         Alcotest.test_case "detector fails over a crashed hive" `Quick

@@ -90,7 +90,7 @@ let test_torn_tail_truncates_to_prefix () =
     (Store.fsck store ~bee:0);
   Alcotest.(check (list (triple string string int)))
     "recovers the crash-consistent prefix" prefix
-    (List.sort compare (Store.reload store ~bee:0));
+    (List.sort compare (Store.recover store ~bee:0));
   Alcotest.(check int) "truncation counted" 1 (Store.torn_truncations store);
   (* The cut is clean: a second fsck finds nothing left to repair. *)
   Alcotest.check verdict "clean after the cut" Store.Intact (Store.fsck store ~bee:0);
@@ -144,9 +144,9 @@ let test_damaged_frames_reload_garbled () =
   Store.flush store;
   ignore (Store.corrupt_record store ~bee:0 ~victim:0);
   Alcotest.(check (list (triple string string int)))
-    "reload serves the garbled value"
+    "recovery serves the garbled value"
     [ ("d", "a", 41 lxor 0xFF) ]
-    (List.sort compare (Store.reload store ~bee:0))
+    (List.sort compare (Store.recover store ~bee:0))
 
 (* With verification disabled (the checksums-off injected bug), torn
    tails are still caught — length framing needs no checksum — but
