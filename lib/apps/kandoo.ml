@@ -40,18 +40,19 @@ let on_stat_reply ~threshold =
         let key = key_of_switch sr_switch in
         let prev =
           match Context.get ctx ~dict:dict_local ~key with
-          | Some (V_obs l) -> l
-          | Some _ | None -> []
+          | Some (V_obs o) -> o
+          | Some _ | None -> no_obs
         in
         let now = Simtime.to_sec (Context.now ctx) in
         let obs = collect_stats ~now ~prev sr_stats in
         let hot = hot_flows ~delta:threshold obs in
         List.iter
-          (fun o ->
+          (fun i ->
             Context.emit ctx ~size:24 ~kind:k_elephant
-              (Elephant { el_flow = o.fo_flow; el_switch = sr_switch; el_rate = o.fo_rate }))
+              (Elephant
+                 { el_flow = obs.ob_flows.(i); el_switch = sr_switch; el_rate = obs.ob_rates.(i) }))
           hot;
-        let obs = mark_handled obs (List.map (fun o -> o.fo_flow) hot) in
+        let obs = mark_handled obs hot in
         Context.set ctx ~dict:dict_local ~key (V_obs obs)
       | _ -> ())
 

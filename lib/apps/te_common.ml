@@ -4,25 +4,38 @@ module Message = Beehive_core.Message
 module Wire = Beehive_openflow.Wire
 module Flow_table = Beehive_openflow.Flow_table
 
-type flow_obs = {
-  fo_flow : int;
-  fo_src : int;
-  fo_dst : int;
-  fo_rate : float;
-  fo_last_bytes : float;
-  fo_last_t : float;
-  fo_handled : bool;
+type obs = {
+  ob_flows : int array;
+  ob_srcs : int array;
+  ob_dsts : int array;
+  ob_rates : float array;
+  ob_last_bytes : float array;
+  ob_last_t : float array;
+  ob_handled : bool array;
 }
 
 type Value.t +=
-  | V_obs of flow_obs list
+  | V_obs of obs
   | V_links of int list
+
+let n_obs o = Array.length o.ob_flows
 
 let () =
   Value.register_size (function
-    | V_obs l -> Some (8 + (48 * List.length l))
+    | V_obs o -> Some (8 + (48 * n_obs o))
     | V_links l -> Some (8 + (8 * List.length l))
     | _ -> None)
+
+let no_obs =
+  {
+    ob_flows = [||];
+    ob_srcs = [||];
+    ob_dsts = [||];
+    ob_rates = [||];
+    ob_last_bytes = [||];
+    ob_last_t = [||];
+    ob_handled = [||];
+  }
 
 let k_query_tick = "te.query_tick"
 let k_route_tick = "te.route_tick"
@@ -33,59 +46,120 @@ type Message.payload +=
   | Route_tick
   | Traffic_update of { tu_flow : int; tu_src : int; tu_dst : int; tu_rate : float }
 
-(* A flow's next sample: the rate is the byte delta over the time since
-   its last sample, or the old rate when no time has passed. *)
-let observe ~now o (s : Wire.flow_stat) =
-  let dt = now -. o.fo_last_t in
-  let rate = if dt > 0.0 then (s.Wire.fs_bytes -. o.fo_last_bytes) /. dt else o.fo_rate in
-  { o with fo_rate = rate; fo_last_bytes = s.Wire.fs_bytes; fo_last_t = now }
+let rec strictly_ascending (a : int array) i =
+  i + 1 >= Array.length a || (a.(i) < a.(i + 1) && strictly_ascending a (i + 1))
 
-let first_seen ~now (s : Wire.flow_stat) =
+let rec equal_from (a : int array) b i =
+  i >= Array.length a || (a.(i) = b.(i) && equal_from a b (i + 1))
+
+let same_flows a b = a == b || (Array.length a = Array.length b && equal_from a b 0)
+
+(* Positions of [flows] in flow order; samples of one flow keep their
+   order. *)
+let order flows =
+  let p = Array.init (Array.length flows) Fun.id in
+  Array.stable_sort (fun i j -> Int.compare flows.(i) flows.(j)) p;
+  p
+
+(* The common case: the reply samples exactly [prev]'s flows, once each
+   and in the same order. Only the rates and sample times are new; the
+   byte counters are the reply's own array. A flow's rate is its byte
+   delta over the time since its last sample, or the old rate when no
+   time has passed. *)
+let observe_all ~now prev (stats : Wire.flow_stats) =
+  let n = n_obs prev in
+  let rates = Array.make n 0.0 and last_t = Array.make n now in
+  for i = 0 to n - 1 do
+    let dt = now -. prev.ob_last_t.(i) in
+    rates.(i) <-
+      (if dt > 0.0 then (stats.Wire.fs_bytes.(i) -. prev.ob_last_bytes.(i)) /. dt
+       else prev.ob_rates.(i))
+  done;
+  { prev with ob_rates = rates; ob_last_bytes = stats.Wire.fs_bytes; ob_last_t = last_t }
+
+(* Any other reply: one merge of [prev] and the reply, each walked in
+   flow order. A flow without a sample is copied; a new flow takes its
+   first sample's ids, no rate, and is unhandled; every further sample
+   of a flow updates it in turn. *)
+let merge_obs ~now prev (stats : Wire.flow_stats) =
+  let np = n_obs prev and ns = Wire.n_stats stats in
+  let pp = order prev.ob_flows and sp = order stats.Wire.fs_flows in
+  let cap = np + ns in
+  let flows = Array.make cap 0 and srcs = Array.make cap 0 and dsts = Array.make cap 0 in
+  let rates = Array.make cap 0.0 and last_bytes = Array.make cap 0.0 in
+  let last_t = Array.make cap 0.0 and handled = Array.make cap false in
+  let i = ref 0 and j = ref 0 and k = ref 0 in
+  while !i < np || !j < ns do
+    let o = !k in
+    if !j < ns && (!i >= np || stats.Wire.fs_flows.(sp.(!j)) < prev.ob_flows.(pp.(!i)))
+    then begin
+      let s = sp.(!j) in
+      flows.(o) <- stats.Wire.fs_flows.(s);
+      srcs.(o) <- stats.Wire.fs_srcs.(s);
+      dsts.(o) <- stats.Wire.fs_dsts.(s);
+      last_bytes.(o) <- stats.Wire.fs_bytes.(s);
+      last_t.(o) <- now;
+      incr j
+    end
+    else begin
+      let p = pp.(!i) in
+      flows.(o) <- prev.ob_flows.(p);
+      srcs.(o) <- prev.ob_srcs.(p);
+      dsts.(o) <- prev.ob_dsts.(p);
+      rates.(o) <- prev.ob_rates.(p);
+      last_bytes.(o) <- prev.ob_last_bytes.(p);
+      last_t.(o) <- prev.ob_last_t.(p);
+      handled.(o) <- prev.ob_handled.(p);
+      incr i
+    end;
+    while !j < ns && stats.Wire.fs_flows.(sp.(!j)) = flows.(o) do
+      let s = sp.(!j) in
+      let dt = now -. last_t.(o) in
+      if dt > 0.0 then rates.(o) <- (stats.Wire.fs_bytes.(s) -. last_bytes.(o)) /. dt;
+      last_bytes.(o) <- stats.Wire.fs_bytes.(s);
+      last_t.(o) <- now;
+      incr j
+    done;
+    incr k
+  done;
+  let fit a = if !k = cap then a else Array.sub a 0 !k in
   {
-    fo_flow = s.Wire.fs_flow;
-    fo_src = s.Wire.fs_src_sw;
-    fo_dst = s.Wire.fs_dst_sw;
-    fo_rate = 0.0;
-    fo_last_bytes = s.Wire.fs_bytes;
-    fo_last_t = now;
-    fo_handled = false;
+    ob_flows = fit flows;
+    ob_srcs = fit srcs;
+    ob_dsts = fit dsts;
+    ob_rates = fit rates;
+    ob_last_bytes = fit last_bytes;
+    ob_last_t = fit last_t;
+    ob_handled = fit handled;
   }
 
-(* Merges [stats] into [prev], both in flow order: flows without a
-   sample are shared, and each run of samples of one flow updates that
-   flow's observation in turn. *)
-let[@tail_mod_cons] rec merge_obs ~now prev (stats : Wire.flow_stat list) =
-  match (prev, stats) with
-  | _, [] -> prev
-  | [], s :: rest -> absorb ~now (first_seen ~now s) [] rest
-  | o :: prev', s :: rest ->
-    if o.fo_flow < s.Wire.fs_flow then o :: merge_obs ~now prev' stats
-    else if o.fo_flow = s.Wire.fs_flow then absorb ~now (observe ~now o s) prev' rest
-    else absorb ~now (first_seen ~now s) prev rest
-
-and[@tail_mod_cons] absorb ~now o prev = function
-  | s :: rest when s.Wire.fs_flow = o.fo_flow -> absorb ~now (observe ~now o s) prev rest
-  | stats -> o :: merge_obs ~now prev stats
-
-let rec ascending key = function
-  | a :: (b :: _ as rest) -> (key a : int) <= key b && ascending key rest
-  | [ _ ] | [] -> true
-
-let collect_stats ~now ~prev stats =
-  let by_flow key l =
-    if ascending key l then l else List.stable_sort (fun a b -> Int.compare (key a) (key b)) l
-  in
-  merge_obs ~now
-    (by_flow (fun o -> o.fo_flow) prev)
-    (by_flow (fun (s : Wire.flow_stat) -> s.Wire.fs_flow) stats)
+let collect_stats ~now ~prev (stats : Wire.flow_stats) =
+  if same_flows prev.ob_flows stats.Wire.fs_flows && strictly_ascending prev.ob_flows 0 then
+    observe_all ~now prev stats
+  else merge_obs ~now prev stats
 
 let hot_flows ~delta obs =
-  List.filter (fun o -> (not o.fo_handled) && o.fo_rate > delta) obs
+  let hot = ref [] in
+  for i = n_obs obs - 1 downto 0 do
+    if (not obs.ob_handled.(i)) && obs.ob_rates.(i) > delta then hot := i :: !hot
+  done;
+  !hot
+
+let traffic_update obs i =
+  Traffic_update
+    {
+      tu_flow = obs.ob_flows.(i);
+      tu_src = obs.ob_srcs.(i);
+      tu_dst = obs.ob_dsts.(i);
+      tu_rate = obs.ob_rates.(i);
+    }
 
 let mark_handled obs = function
   | [] -> obs
-  | flows ->
-    List.map (fun o -> if List.mem o.fo_flow flows then { o with fo_handled = true } else o) obs
+  | positions ->
+    let handled = Array.copy obs.ob_handled in
+    List.iter (fun i -> handled.(i) <- true) positions;
+    { obs with ob_handled = handled }
 
 let record_link ctx ~dict ~src ~dst =
   let key = string_of_int src in
@@ -108,37 +182,50 @@ let path_uses_link path ~a ~b =
   go path
 
 let adjacency_of_dict ctx ~dict =
-  let adj = Hashtbl.create 64 in
+  let n = ref 0 in
+  Context.iter_dict ctx ~dict (fun key _ -> n := Int.max !n (int_of_string key + 1));
+  let adj = Array.make !n [] in
   Context.iter_dict ctx ~dict (fun key v ->
-      match v with
-      | V_links links -> Hashtbl.replace adj (int_of_string key) links
-      | _ -> ());
+      match v with V_links links -> adj.(int_of_string key) <- links | _ -> ());
   adj
 
+let adjacency_of_edges edges =
+  let adj = Array.make (List.fold_left (fun n (a, _) -> Int.max n (a + 1)) 0 edges) [] in
+  List.iter (fun (a, b) -> adj.(a) <- b :: adj.(a)) edges;
+  adj
+
+(* Breadth-first, neighbours in list order. A neighbour outside the
+   array has no edges of its own: it can only end the search. *)
 let bfs_path adj ~src ~dst =
+  let n = Array.length adj in
   if src = dst then Some [ src ]
+  else if src < 0 || src >= n then None
   else begin
-    let parent = Hashtbl.create 64 in
-    let queue = Queue.create () in
-    Hashtbl.replace parent src src;
-    Queue.push src queue;
-    let found = ref false in
-    while (not !found) && not (Queue.is_empty queue) do
-      let u = Queue.pop queue in
-      List.iter
-        (fun v ->
-          if not (Hashtbl.mem parent v) then begin
-            Hashtbl.replace parent v u;
-            if v = dst then found := true else Queue.push v queue
-          end)
-        (Option.value ~default:[] (Hashtbl.find_opt adj u))
-    done;
-    if not !found then None
-    else begin
-      let rec walk v acc =
-        if v = src then src :: acc else walk (Hashtbl.find parent v) (v :: acc)
+    let parent = Array.make n (-1) and queue = Array.make n src in
+    parent.(src) <- src;
+    let head = ref 0 and tail = ref 1 and via = ref (-1) in
+    while !via < 0 && !head < !tail do
+      let u = queue.(!head) in
+      incr head;
+      let rec visit = function
+        | [] -> ()
+        | v :: rest ->
+          if v = dst then via := u
+          else begin
+            if v >= 0 && v < n && parent.(v) < 0 then begin
+              parent.(v) <- u;
+              queue.(!tail) <- v;
+              incr tail
+            end;
+            visit rest
+          end
       in
-      Some (walk dst [])
+      visit adj.(u)
+    done;
+    if !via < 0 then None
+    else begin
+      let rec walk v acc = if v = src then src :: acc else walk parent.(v) (v :: acc) in
+      Some (walk !via [ dst ])
     end
   end
 

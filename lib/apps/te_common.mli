@@ -5,21 +5,29 @@
     rate exceeds the user-defined threshold [delta], and re-steer them with
     FlowMods; they differ only in where the re-routing state lives. *)
 
-type flow_obs = {
-  fo_flow : int;
-  fo_src : int;
-  fo_dst : int;
-  fo_rate : float;  (** bytes/s estimated from the last two samples *)
-  fo_last_bytes : float;
-  fo_last_t : float;
-  fo_handled : bool;
+type obs = {
+  ob_flows : int array;  (** flow ids, strictly ascending *)
+  ob_srcs : int array;
+  ob_dsts : int array;
+  ob_rates : float array;  (** bytes/s estimated from the last two samples *)
+  ob_last_bytes : float array;
+  ob_last_t : float array;
+  ob_handled : bool array;
       (** already re-routed (naive) or already reported to Route
           (decoupled) *)
 }
+(** One switch's flow observations, packed: position [i] of every array
+    describes one flow. A value is never mutated once built; the
+    functions below share its arrays between old and new values. *)
 
 type Beehive_core.Value.t +=
-  | V_obs of flow_obs list  (** per-switch observations, dict [flow_stats] *)
+  | V_obs of obs  (** per-switch observations, dict [flow_stats] *)
   | V_links of int list  (** per-switch neighbour list, dict [topology] *)
+
+val no_obs : obs
+(** No flows observed yet. *)
+
+val n_obs : obs -> int
 
 (** {2 Message kinds and payloads} *)
 
@@ -34,21 +42,26 @@ type Beehive_core.Message.payload +=
 
 (** {2 Statistics pipeline} *)
 
-val collect_stats :
-  now:float -> prev:flow_obs list -> Beehive_openflow.Wire.flow_stat list -> flow_obs list
-(** Folds a stat reply into the per-switch observation list, updating
-    rates from byte-counter deltas. Preserves [fo_handled] marks. [prev]
-    holds one observation per flow, as this function returns them. The
-    result is in flow order; a flow sampled twice in one reply takes both
-    samples in turn. One merge pass when [prev] and the reply (switches
-    report in flow order) are already sorted. *)
+val collect_stats : now:float -> prev:obs -> Beehive_openflow.Wire.flow_stats -> obs
+(** Folds a stat reply into the per-switch observations, updating rates
+    from byte-counter deltas. Preserves handled marks. [prev] holds one
+    observation per flow, as this function returns them. The result is
+    in flow order; a flow sampled twice in one reply takes both samples
+    in turn. When the reply samples exactly [prev]'s flows in flow order
+    (a switch's every reply after its first), the result shares [prev]'s
+    id and handled arrays and the reply's byte array; otherwise it is one
+    merge of the two in flow order. *)
 
-val hot_flows : delta:float -> flow_obs list -> flow_obs list
-(** Unhandled flows whose observed rate exceeds [delta]. *)
+val hot_flows : delta:float -> obs -> int list
+(** Positions of the unhandled flows whose observed rate exceeds
+    [delta], ascending. *)
 
-val mark_handled : flow_obs list -> int list -> flow_obs list
-(** Sets [fo_handled] on the given flows. [mark_handled obs []] is [obs]
-    itself. *)
+val traffic_update : obs -> int -> Beehive_core.Message.payload
+(** The [Traffic_update] reporting the flow at a position. *)
+
+val mark_handled : obs -> int list -> obs
+(** Sets the handled mark at the given positions. [mark_handled obs []]
+    is [obs] itself. *)
 
 (** {2 Topology view and re-routing} *)
 
@@ -61,10 +74,20 @@ val remove_link : Beehive_core.Context.t -> dict:string -> src:int -> dst:int ->
 val path_uses_link : int list -> a:int -> b:int -> bool
 (** Does a switch path traverse the (undirected) link [a]-[b]? *)
 
-val adjacency_of_dict : Beehive_core.Context.t -> dict:string -> (int, int list) Hashtbl.t
+val adjacency_of_dict : Beehive_core.Context.t -> dict:string -> int list array
+(** The recorded topology, indexed by switch id: entry [sw] is the
+    [V_links] list stored under key [sw] itself, [[]] for an id without
+    one. *)
 
-val bfs_path : (int, int list) Hashtbl.t -> src:int -> dst:int -> int list option
-(** Shortest path in the recorded adjacency, inclusive of endpoints. *)
+val adjacency_of_edges : (int * int) list -> int list array
+(** The same view built from directed edges [(a, b)]: entry [a] lists
+    every [b], in the reverse of the edges' order. *)
+
+val bfs_path : int list array -> src:int -> dst:int -> int list option
+(** Shortest path in the recorded adjacency, inclusive of endpoints,
+    neighbours visited in list order. [Some [src]] when [src = dst];
+    [None] when there is no path, including for ids outside the array
+    that no list mentions. *)
 
 val reroute_mod :
   flow:int -> src:int -> path:int list -> Beehive_openflow.Flow_table.mod_msg

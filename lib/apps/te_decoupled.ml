@@ -34,7 +34,7 @@ let on_switch_joined_init =
       | Wire.Switch_joined { sj_switch; _ } ->
         let key = key_of_switch sj_switch in
         if not (Context.mem ctx ~dict:dict_stats ~key) then
-          Context.set ctx ~dict:dict_stats ~key (V_obs [])
+          Context.set ctx ~dict:dict_stats ~key (V_obs no_obs)
       | _ -> ())
 
 let on_switch_joined_topo =
@@ -90,19 +90,16 @@ let on_stat_reply ~delta =
         let key = key_of_switch sr_switch in
         let prev =
           match Context.get ctx ~dict:dict_stats ~key with
-          | Some (V_obs l) -> l
-          | Some _ | None -> []
+          | Some (V_obs o) -> o
+          | Some _ | None -> no_obs
         in
         let now = Simtime.to_sec (Context.now ctx) in
         let obs = collect_stats ~now ~prev sr_stats in
         let hot = hot_flows ~delta obs in
         List.iter
-          (fun o ->
-            Context.emit ctx ~size:32 ~kind:k_traffic_update
-              (Traffic_update
-                 { tu_flow = o.fo_flow; tu_src = o.fo_src; tu_dst = o.fo_dst; tu_rate = o.fo_rate }))
+          (fun i -> Context.emit ctx ~size:32 ~kind:k_traffic_update (traffic_update obs i))
           hot;
-        let obs = mark_handled obs (List.map (fun o -> o.fo_flow) hot) in
+        let obs = mark_handled obs hot in
         Context.set ctx ~dict:dict_stats ~key (V_obs obs)
       | _ -> ())
 

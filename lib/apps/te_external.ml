@@ -43,7 +43,7 @@ let on_switch_joined ~store =
           | Some (V_switch_list l) -> Some (V_switch_list (sj_switch :: l))
           | _ -> Some (V_switch_list [ sj_switch ]));
         Ext_store.put store ~from_hive:(Context.hive_id ctx) ~key:(obs_key sj_switch)
-          (V_obs []) (fun () -> ())
+          (V_obs no_obs) (fun () -> ())
       | _ -> ())
 
 let on_link_discovered ~store =
@@ -87,21 +87,19 @@ let on_stat_reply ~store ~delta =
       | Wire.Stat_reply { sr_switch; sr_stats } ->
         let hive = Context.hive_id ctx in
         let now = Simtime.to_sec (Context.now ctx) in
-        let hot_found = ref [] in
+        let hot_found = ref (no_obs, []) in
         Ext_store.update store ~from_hive:hive ~key:(obs_key sr_switch)
           (fun prev ->
-            let prev_obs = match prev with Some (V_obs l) -> l | _ -> [] in
+            let prev_obs = match prev with Some (V_obs o) -> o | _ -> no_obs in
             let obs = collect_stats ~now ~prev:prev_obs sr_stats in
             let hot = hot_flows ~delta obs in
-            hot_found := hot;
-            V_obs (mark_handled obs (List.map (fun o -> o.fo_flow) hot)))
+            hot_found := (obs, hot);
+            V_obs (mark_handled obs hot))
           (fun _ ->
+            let obs, hot = !hot_found in
             List.iter
-              (fun o ->
-                Context.emit ctx ~size:32 ~kind:k_traffic_update
-                  (Traffic_update
-                     { tu_flow = o.fo_flow; tu_src = o.fo_src; tu_dst = o.fo_dst; tu_rate = o.fo_rate }))
-              !hot_found)
+              (fun i -> Context.emit ctx ~size:32 ~kind:k_traffic_update (traffic_update obs i))
+              hot)
       | _ -> ())
 
 (* Route: also stateless; topology and route records come from the store. *)
@@ -118,13 +116,7 @@ let on_traffic_update ~store =
             if existing = None then
               Ext_store.get store ~from_hive:hive ~key:topo_key (fun topo ->
                   let edges = match topo with Some (V_edges e) -> e | _ -> [] in
-                  let adj = Hashtbl.create 64 in
-                  List.iter
-                    (fun (a, b) ->
-                      let prev = Option.value ~default:[] (Hashtbl.find_opt adj a) in
-                      Hashtbl.replace adj a (b :: prev))
-                    edges;
-                  match bfs_path adj ~src:tu_src ~dst:tu_dst with
+                  match bfs_path (adjacency_of_edges edges) ~src:tu_src ~dst:tu_dst with
                   | Some path ->
                     Context.emit ctx ~size:Wire.size_flow_mod ~kind:Wire.k_app_flow_mod
                       (Wire.App_flow_mod (reroute_mod ~flow:tu_flow ~src:tu_src ~path));

@@ -25,7 +25,7 @@ let on_switch_joined_init =
       | Wire.Switch_joined { sj_switch; _ } ->
         let key = key_of_switch sj_switch in
         if not (Context.mem ctx ~dict:dict_stats ~key) then
-          Context.set ctx ~dict:dict_stats ~key (V_obs [])
+          Context.set ctx ~dict:dict_stats ~key (V_obs no_obs)
       | _ -> ())
 
 (* The topology view: a switch joining adds a node, links add edges. *)
@@ -82,8 +82,8 @@ let on_stat_reply =
         let key = key_of_switch sr_switch in
         let prev =
           match Context.get ctx ~dict:dict_stats ~key with
-          | Some (V_obs l) -> l
-          | Some _ | None -> []
+          | Some (V_obs o) -> o
+          | Some _ | None -> no_obs
         in
         let now = Simtime.to_sec (Context.now ctx) in
         Context.set ctx ~dict:dict_stats ~key (V_obs (collect_stats ~now ~prev sr_stats))
@@ -103,12 +103,13 @@ let on_route_tick ~delta =
           | V_obs obs ->
             let handled = ref [] in
             List.iter
-              (fun o ->
-                match bfs_path adj ~src:o.fo_src ~dst:o.fo_dst with
+              (fun i ->
+                let src = obs.ob_srcs.(i) in
+                match bfs_path adj ~src ~dst:obs.ob_dsts.(i) with
                 | Some path ->
                   Context.emit ctx ~size:Wire.size_flow_mod ~kind:Wire.k_app_flow_mod
-                    (Wire.App_flow_mod (reroute_mod ~flow:o.fo_flow ~src:o.fo_src ~path));
-                  handled := o.fo_flow :: !handled
+                    (Wire.App_flow_mod (reroute_mod ~flow:obs.ob_flows.(i) ~src ~path));
+                  handled := i :: !handled
                 | None -> ())
               (hot_flows ~delta obs);
             if !handled <> [] then rerouted := (key, obs, !handled) :: !rerouted

@@ -69,7 +69,7 @@ let on_wire_stat_reply =
       match msg.Message.payload with
       | Wire.Flow_stat_reply { fsr_switch; fsr_stats } ->
         Context.emit ctx
-          ~size:(Wire.size_stat_reply (List.length fsr_stats))
+          ~size:(Wire.size_stat_reply (Wire.n_stats fsr_stats))
           ~kind:Wire.k_app_stat_reply
           (Wire.Stat_reply { sr_switch = fsr_switch; sr_stats = fsr_stats })
       | _ -> ())

@@ -25,7 +25,10 @@ and t = {
   sw : int;
   cluster : cluster;
   table : Flow_table.t;
-  mutable flows : Flow.t array;
+  flows : Flow.t array;
+  stat_ids : Wire.flow_stats;
+      (** the id arrays of every stat reply, built once for [flows];
+          its [fs_bytes] is empty *)
   n_ports : int;
   mutable connected : bool;
 }
@@ -44,7 +47,18 @@ let create_cluster platform topo =
 
 let add cluster ~sw ?(flows = [||]) () =
   let n_ports = Topology.degree cluster.topo sw + 1 in
-  let t = { sw; cluster; table = Flow_table.create (); flows; n_ports; connected = false } in
+  let ids field = Array.map field flows in
+  let stat_ids =
+    {
+      Wire.fs_flows = ids (fun (f : Flow.t) -> f.Flow.flow_id);
+      fs_srcs = ids (fun (f : Flow.t) -> f.Flow.src_switch);
+      fs_dsts = ids (fun (f : Flow.t) -> f.Flow.dst_switch);
+      fs_bytes = [||];
+    }
+  in
+  let t =
+    { sw; cluster; table = Flow_table.create (); flows; stat_ids; n_ports; connected = false }
+  in
   Hashtbl.replace cluster.agents sw t;
   t
 
@@ -63,20 +77,9 @@ let inject t ?size ~kind payload =
 
 let stat_snapshot t =
   let at = now t in
-  let duration = Simtime.to_sec at in
-  Array.fold_right
-    (fun (f : Flow.t) acc ->
-      let bytes = Flow.stat_bytes f ~at in
-      {
-        Wire.fs_flow = f.Flow.flow_id;
-        fs_src_sw = f.Flow.src_switch;
-        fs_dst_sw = f.Flow.dst_switch;
-        fs_bytes = bytes;
-        fs_packets = int_of_float (bytes /. 1000.0);
-        fs_duration_sec = duration;
-      }
-      :: acc)
-    t.flows []
+  let bytes = Array.make (Array.length t.flows) 0.0 in
+  Array.iteri (fun i f -> bytes.(i) <- Flow.stat_bytes f ~at) t.flows;
+  { t.stat_ids with Wire.fs_bytes = bytes }
 
 let rec forward t ~ttl ~in_port ~src_mac ~dst_mac ~bytes =
   if ttl <= 0 then t.cluster.dropped <- t.cluster.dropped + 1
@@ -150,7 +153,7 @@ let handle_wire t (msg : Message.t) =
     ignore
       (Engine.schedule_after (engine t) reply_delay (fun () ->
            inject t
-             ~size:(Wire.size_stat_reply (List.length stats))
+             ~size:(Wire.size_stat_reply (Wire.n_stats stats))
              ~kind:Wire.k_stat_reply
              (Wire.Flow_stat_reply { fsr_switch = t.sw; fsr_stats = stats })))
   | Wire.Flow_mod m ->

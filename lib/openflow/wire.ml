@@ -1,11 +1,11 @@
-type flow_stat = {
-  fs_flow : int;
-  fs_src_sw : int;
-  fs_dst_sw : int;
-  fs_bytes : float;
-  fs_packets : int;
-  fs_duration_sec : float;
+type flow_stats = {
+  fs_flows : int array;
+  fs_srcs : int array;
+  fs_dsts : int array;
+  fs_bytes : float array;
 }
+
+let n_stats s = Array.length s.fs_flows
 
 type Beehive_core.Message.payload +=
   | Hello of { h_switch : int; h_n_ports : int }
@@ -26,13 +26,13 @@ type Beehive_core.Message.payload +=
     }
   | Flow_mod of Flow_table.mod_msg
   | Flow_stat_request of { fsq_switch : int }
-  | Flow_stat_reply of { fsr_switch : int; fsr_stats : flow_stat list }
+  | Flow_stat_reply of { fsr_switch : int; fsr_stats : flow_stats }
   | Port_status of { ps_switch : int; ps_port : int; ps_up : bool }
 
 type Beehive_core.Message.payload +=
   | Switch_joined of { sj_switch : int; sj_master : int }
   | Switch_left of { sl_switch : int }
-  | Stat_reply of { sr_switch : int; sr_stats : flow_stat list }
+  | Stat_reply of { sr_switch : int; sr_stats : flow_stats }
   | Stat_query of { sq_switch : int }
   | App_flow_mod of Flow_table.mod_msg
   | App_packet_in of {

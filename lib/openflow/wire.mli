@@ -6,14 +6,19 @@
     depend on an OpenFlow driver that emits SwitchJoineds and StatReplys
     and can process Querys and FlowMods" (Section 2). *)
 
-type flow_stat = {
-  fs_flow : int;  (** flow id *)
-  fs_src_sw : int;  (** originating switch *)
-  fs_dst_sw : int;  (** destination switch *)
-  fs_bytes : float;
-  fs_packets : int;
-  fs_duration_sec : float;
+type flow_stats = {
+  fs_flows : int array;  (** flow ids *)
+  fs_srcs : int array;  (** originating switch of each flow *)
+  fs_dsts : int array;  (** destination switch of each flow *)
+  fs_bytes : float array;  (** cumulative byte counter of each flow *)
 }
+(** A flow-stats reply, packed: entry [i] of every array describes one
+    flow. A switch builds the three id arrays once for its flow set and
+    shares them across its replies, filling only [fs_bytes] per reply.
+    Nothing mutates the arrays once the reply is sent. *)
+
+val n_stats : flow_stats -> int
+(** The number of flows a reply describes. *)
 
 (** {2 Wire messages (switch <-> driver)} *)
 
@@ -36,7 +41,7 @@ type Beehive_core.Message.payload +=
     }
   | Flow_mod of Flow_table.mod_msg
   | Flow_stat_request of { fsq_switch : int }
-  | Flow_stat_reply of { fsr_switch : int; fsr_stats : flow_stat list }
+  | Flow_stat_reply of { fsr_switch : int; fsr_stats : flow_stats }
   | Port_status of { ps_switch : int; ps_port : int; ps_up : bool }
 
 (** {2 App-level messages (driver <-> control apps)} *)
@@ -44,7 +49,7 @@ type Beehive_core.Message.payload +=
 type Beehive_core.Message.payload +=
   | Switch_joined of { sj_switch : int; sj_master : int }
   | Switch_left of { sl_switch : int }
-  | Stat_reply of { sr_switch : int; sr_stats : flow_stat list }
+  | Stat_reply of { sr_switch : int; sr_stats : flow_stats }
   | Stat_query of { sq_switch : int }
   | App_flow_mod of Flow_table.mod_msg
   | App_packet_in of {

@@ -229,10 +229,12 @@ let stat_reply platform ~switch ~flow ~bytes =
        {
          sr_switch = switch;
          sr_stats =
-           [
-             { Wire.fs_flow = flow; fs_src_sw = switch; fs_dst_sw = switch + 1;
-               fs_bytes = bytes; fs_packets = 1; fs_duration_sec = 0.0 };
-           ];
+           {
+             Wire.fs_flows = [| flow |];
+             fs_srcs = [| switch |];
+             fs_dsts = [| switch + 1 |];
+             fs_bytes = [| bytes |];
+           };
        })
 
 let test_kandoo_elephant_detection () =

@@ -64,11 +64,11 @@ let test_naive_reroutes_hot_flows () =
       if String.equal dict Te_naive.dict_stats then
         match v with
         | Beehive_apps.Te_common.V_obs obs ->
-          List.iter
-            (fun (o : Beehive_apps.Te_common.flow_obs) ->
+          Array.iter
+            (fun h ->
               incr total;
-              if o.Beehive_apps.Te_common.fo_handled then incr handled)
-            obs
+              if h then incr handled)
+            obs.Beehive_apps.Te_common.ob_handled
         | _ -> ())
     (Platform.bee_state_entries platform bee);
   Alcotest.(check int) "all flows observed" 120 !total;
@@ -112,70 +112,230 @@ let test_decoupled_locality_beats_naive () =
     (dec.Summary.s_mean_kbps < naive.Summary.s_mean_kbps)
 
 let test_bfs_path () =
-  let adj = Hashtbl.create 8 in
-  Hashtbl.replace adj 0 [ 1; 2 ];
-  Hashtbl.replace adj 1 [ 0; 3 ];
-  Hashtbl.replace adj 2 [ 0 ];
-  Hashtbl.replace adj 3 [ 1 ];
+  let adj = [| [ 1; 2 ]; [ 0; 3 ]; [ 0 ]; [ 1 ] |] in
   (match Beehive_apps.Te_common.bfs_path adj ~src:2 ~dst:3 with
   | Some p -> Alcotest.(check (list int)) "shortest path" [ 2; 0; 1; 3 ] p
   | None -> Alcotest.fail "path exists");
   Alcotest.(check bool) "unknown node" true
     (Beehive_apps.Te_common.bfs_path adj ~src:2 ~dst:9 = None);
-  match Beehive_apps.Te_common.bfs_path adj ~src:1 ~dst:1 with
+  (match Beehive_apps.Te_common.bfs_path adj ~src:1 ~dst:1 with
   | Some [ 1 ] -> ()
-  | _ -> Alcotest.fail "self path"
+  | _ -> Alcotest.fail "self path");
+  (* Te_external's store keeps edges; each lists its neighbours newest
+     first. *)
+  Alcotest.(check (array (list int)))
+    "adjacency of edges" [| [ 2; 1 ]; [ 3; 0 ]; [ 0 ]; [ 1 ] |]
+    (Beehive_apps.Te_common.adjacency_of_edges
+       [ (0, 1); (1, 0); (0, 2); (2, 0); (1, 3); (3, 1) ])
+
+(* The [Hashtbl] breadth-first search the array one replaced, kept as
+   the reference: same neighbour order, so the same paths. *)
+let reference_bfs_path adj ~src ~dst =
+  if src = dst then Some [ src ]
+  else begin
+    let parent = Hashtbl.create 64 in
+    let queue = Queue.create () in
+    Hashtbl.replace parent src src;
+    Queue.push src queue;
+    let found = ref false in
+    while (not !found) && not (Queue.is_empty queue) do
+      let u = Queue.pop queue in
+      List.iter
+        (fun v ->
+          if not (Hashtbl.mem parent v) then begin
+            Hashtbl.replace parent v u;
+            if v = dst then found := true else Queue.push v queue
+          end)
+        (Option.value ~default:[] (Hashtbl.find_opt adj u))
+    done;
+    if not !found then None
+    else begin
+      let rec walk v acc =
+        if v = src then src :: acc else walk (Hashtbl.find parent v) (v :: acc)
+      in
+      Some (walk dst [])
+    end
+  end
+
+(* Random graphs on [n] switches whose lists may repeat a neighbour,
+   loop to the switch itself, name switch [n] (outside the array), or be
+   empty; the endpoints range over [-2, n + 3], so negative ids, absent
+   switches and [src = dst] all come up. *)
+let prop_bfs_path_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      int_bound 10 >>= fun n ->
+      triple
+        (array_size (return n) (list_size (0 -- 4) (int_bound n)))
+        (int_range (-2) (n + 3))
+        (int_range (-2) (n + 3)))
+  in
+  QCheck.Test.make ~name:"bfs_path matches the Hashtbl reference" ~count:2000
+    (QCheck.make gen)
+    (fun (adj, src, dst) ->
+      let n = Array.length adj in
+      let table = Hashtbl.create 16 in
+      Array.iteri (Hashtbl.replace table) adj;
+      let got = Beehive_apps.Te_common.bfs_path adj ~src ~dst in
+      got = reference_bfs_path table ~src ~dst
+      && (src = dst || (src >= 0 && src < n && dst >= 0 && dst <= n) || got = None))
 
 let test_collect_stats_rates () =
   let open Beehive_apps.Te_common in
   let stat ~flow ~bytes =
-    { Beehive_openflow.Wire.fs_flow = flow; fs_src_sw = 0; fs_dst_sw = 1; fs_bytes = bytes;
-      fs_packets = 0; fs_duration_sec = 0.0 }
+    {
+      Beehive_openflow.Wire.fs_flows = [| flow |];
+      fs_srcs = [| 0 |];
+      fs_dsts = [| 1 |];
+      fs_bytes = [| bytes |];
+    }
   in
-  let obs1 = collect_stats ~now:1.0 ~prev:[] [ stat ~flow:7 ~bytes:1000.0 ] in
-  Alcotest.(check int) "one obs" 1 (List.length obs1);
-  Alcotest.(check (float 0.01)) "no rate on first sample" 0.0 (List.hd obs1).fo_rate;
-  let obs2 = collect_stats ~now:3.0 ~prev:obs1 [ stat ~flow:7 ~bytes:5000.0 ] in
-  Alcotest.(check (float 0.01)) "rate = delta/dt" 2000.0 (List.hd obs2).fo_rate;
+  let obs1 = collect_stats ~now:1.0 ~prev:no_obs (stat ~flow:7 ~bytes:1000.0) in
+  Alcotest.(check int) "one obs" 1 (n_obs obs1);
+  Alcotest.(check (float 0.01)) "no rate on first sample" 0.0 obs1.ob_rates.(0);
+  let obs2 = collect_stats ~now:3.0 ~prev:obs1 (stat ~flow:7 ~bytes:5000.0) in
+  Alcotest.(check (float 0.01)) "rate = delta/dt" 2000.0 obs2.ob_rates.(0);
   let hot = hot_flows ~delta:1000.0 obs2 in
   Alcotest.(check int) "hot" 1 (List.length hot);
-  let marked = mark_handled obs2 [ 7 ] in
+  let marked = mark_handled obs2 hot in
   Alcotest.(check int) "handled flows not hot again" 0
     (List.length (hot_flows ~delta:1000.0 marked))
+
+(* The oracle's view of a reply and of the observations: one record per
+   sample and per flow, as both were before they were packed. *)
+type flow_stat = { fs_flow : int; fs_src_sw : int; fs_dst_sw : int; fs_bytes : float }
+
+type flow_obs = {
+  fo_flow : int;
+  fo_src : int;
+  fo_dst : int;
+  fo_rate : float;
+  fo_last_bytes : float;
+  fo_last_t : float;
+  fo_handled : bool;
+}
+
+let pack_reply stats =
+  let field f = Array.of_list (List.map f stats) in
+  {
+    Beehive_openflow.Wire.fs_flows = field (fun s -> s.fs_flow);
+    fs_srcs = field (fun s -> s.fs_src_sw);
+    fs_dsts = field (fun s -> s.fs_dst_sw);
+    fs_bytes = field (fun s -> s.fs_bytes);
+  }
+
+let pack_obs obs =
+  let field f = Array.of_list (List.map f obs) in
+  {
+    Beehive_apps.Te_common.ob_flows = field (fun o -> o.fo_flow);
+    ob_srcs = field (fun o -> o.fo_src);
+    ob_dsts = field (fun o -> o.fo_dst);
+    ob_rates = field (fun o -> o.fo_rate);
+    ob_last_bytes = field (fun o -> o.fo_last_bytes);
+    ob_last_t = field (fun o -> o.fo_last_t);
+    ob_handled = field (fun o -> o.fo_handled);
+  }
+
+let unpack_obs (o : Beehive_apps.Te_common.obs) =
+  List.init (Beehive_apps.Te_common.n_obs o) (fun i ->
+      {
+        fo_flow = o.ob_flows.(i);
+        fo_src = o.ob_srcs.(i);
+        fo_dst = o.ob_dsts.(i);
+        fo_rate = o.ob_rates.(i);
+        fo_last_bytes = o.ob_last_bytes.(i);
+        fo_last_t = o.ob_last_t.(i);
+        fo_handled = o.ob_handled.(i);
+      })
 
 (* The table-based [collect_stats] the single merge replaced, kept as
    the oracle: every sample looks its flow up in a table seeded from
    [prev], and the table is sorted by flow at the end. *)
-let oracle_collect_stats ~now ~(prev : Beehive_apps.Te_common.flow_obs list) stats =
-  let open Beehive_apps.Te_common in
-  let module Wire = Beehive_openflow.Wire in
+let oracle_collect_stats ~now ~(prev : flow_obs list) stats =
   let by_flow = Hashtbl.create 16 in
   List.iter (fun (o : flow_obs) -> Hashtbl.replace by_flow o.fo_flow o) prev;
   List.iter
-    (fun (s : Wire.flow_stat) ->
+    (fun (s : flow_stat) ->
       let obs =
-        match Hashtbl.find_opt by_flow s.Wire.fs_flow with
+        match Hashtbl.find_opt by_flow s.fs_flow with
         | Some o ->
           let dt = now -. o.fo_last_t in
           let rate =
-            if dt > 0.0 then (s.Wire.fs_bytes -. o.fo_last_bytes) /. dt else o.fo_rate
+            if dt > 0.0 then (s.fs_bytes -. o.fo_last_bytes) /. dt else o.fo_rate
           in
-          { o with fo_rate = rate; fo_last_bytes = s.Wire.fs_bytes; fo_last_t = now }
+          { o with fo_rate = rate; fo_last_bytes = s.fs_bytes; fo_last_t = now }
         | None ->
           {
-            fo_flow = s.Wire.fs_flow;
-            fo_src = s.Wire.fs_src_sw;
-            fo_dst = s.Wire.fs_dst_sw;
+            fo_flow = s.fs_flow;
+            fo_src = s.fs_src_sw;
+            fo_dst = s.fs_dst_sw;
             fo_rate = 0.0;
-            fo_last_bytes = s.Wire.fs_bytes;
+            fo_last_bytes = s.fs_bytes;
             fo_last_t = now;
             fo_handled = false;
           }
       in
-      Hashtbl.replace by_flow s.Wire.fs_flow obs)
+      Hashtbl.replace by_flow s.fs_flow obs)
     stats;
   Hashtbl.fold (fun _ o acc -> o :: acc) by_flow []
   |> List.sort (fun a b -> Int.compare a.fo_flow b.fo_flow)
+
+let oracle_mark_handled obs flows =
+  List.map (fun o -> if List.mem o.fo_flow flows then { o with fo_handled = true } else o) obs
+
+(* [collect_stats] on the packed forms, read back as records. *)
+let packed_collect_stats ~now ~prev stats =
+  unpack_obs
+    (Beehive_apps.Te_common.collect_stats ~now ~prev:(pack_obs prev) (pack_reply stats))
+
+let sample flow bytes = { fs_flow = flow; fs_src_sw = flow mod 3; fs_dst_sw = 9; fs_bytes = bytes }
+
+let test_collect_stats_cases () =
+  let module Te = Beehive_apps.Te_common in
+  let prev =
+    oracle_mark_handled
+      (oracle_collect_stats ~now:1.0 ~prev:[] [ sample 1 100.0; sample 2 200.0; sample 3 300.0 ])
+      [ 2 ]
+  in
+  let check name ~now stats =
+    let got = packed_collect_stats ~now ~prev stats in
+    Alcotest.(check bool) name true (got = oracle_collect_stats ~now ~prev stats);
+    got
+  in
+  let rates obs = List.map (fun o -> (o.fo_flow, o.fo_rate)) obs in
+  let same = check "same flows" ~now:2.0 [ sample 1 150.0; sample 2 400.0; sample 3 300.0 ] in
+  Alcotest.(check (list (pair int (float 0.0))))
+    "rates" [ (1, 50.0); (2, 200.0); (3, 0.0) ] (rates same);
+  let unsorted =
+    check "unsorted reply" ~now:2.0 [ sample 3 300.0; sample 1 150.0; sample 2 400.0 ]
+  in
+  Alcotest.(check bool) "unsorted reply is sorted" true (unsorted = same);
+  let twice = check "two samples of one flow" ~now:3.0 [ sample 1 300.0; sample 1 900.0 ] in
+  (match twice with
+  | { fo_rate; fo_last_bytes; fo_last_t; _ } :: _ ->
+    Alcotest.(check (float 0.0)) "first sample sets the rate" 100.0 fo_rate;
+    Alcotest.(check (float 0.0)) "last sample sets the counter" 900.0 fo_last_bytes;
+    Alcotest.(check (float 0.0)) "sampled now" 3.0 fo_last_t
+  | [] -> Alcotest.fail "no observations");
+  let fresh = check "new flow" ~now:2.0 [ sample 1 150.0; sample 4 70.0; sample 4 90.0 ] in
+  (match List.find_opt (fun o -> o.fo_flow = 4) fresh with
+  | Some o ->
+    Alcotest.(check bool) "new flow: no rate, unhandled, ids from its sample" true
+      (o.fo_rate = 0.0 && (not o.fo_handled) && o.fo_src = 1 && o.fo_dst = 9
+     && o.fo_last_bytes = 90.0)
+  | None -> Alcotest.fail "new flow missing");
+  let vanished = check "vanished flow" ~now:2.0 [ sample 1 150.0; sample 3 600.0 ] in
+  Alcotest.(check bool) "vanished flow kept as it was" true
+    (List.find (fun o -> o.fo_flow = 2) vanished = List.find (fun o -> o.fo_flow = 2) prev);
+  (* An unchanged flow set reuses the id and handled arrays. *)
+  let packed = pack_obs prev in
+  let next =
+    Te.collect_stats ~now:2.0 ~prev:packed
+      { (pack_reply [ sample 1 1.0; sample 2 2.0; sample 3 3.0 ]) with fs_flows = packed.ob_flows }
+  in
+  Alcotest.(check bool) "id arrays shared" true
+    (next.ob_flows == packed.ob_flows && next.ob_srcs == packed.ob_srcs
+   && next.ob_dsts == packed.ob_dsts && next.ob_handled == packed.ob_handled)
 
 (* Random replies: flows 0..11 in any order, a flow possibly repeated,
    switch ids varying between samples of one flow. *)
@@ -184,20 +344,14 @@ let gen_reply =
   list_size (0 -- 16)
     (map3
        (fun flow (src, dst) bytes ->
-         {
-           Beehive_openflow.Wire.fs_flow = flow;
-           fs_src_sw = src;
-           fs_dst_sw = dst;
-           fs_bytes = float_of_int bytes;
-           fs_packets = 0;
-           fs_duration_sec = 0.0;
-         })
+         { fs_flow = flow; fs_src_sw = src; fs_dst_sw = dst; fs_bytes = float_of_int bytes })
        (int_bound 11) (pair (int_bound 3) (int_bound 3)) (int_bound 100_000))
 
 (* [prev] comes from two oracle rounds (at [t0], then [t1] >= [t0]) with
    some flows marked handled, and is sometimes handed over reversed; the
    checked round runs at [t1] itself or later, so both the zero-interval
-   and the rate branch are taken. *)
+   and the rate branch are taken. Half the checked replies sample
+   exactly [prev]'s flows, in [prev]'s order. *)
 let prop_collect_stats_matches_oracle =
   let open Beehive_apps.Te_common in
   let gen =
@@ -206,21 +360,26 @@ let prop_collect_stats_matches_oracle =
         (triple gen_reply gen_reply bool)
         (list_size (0 -- 4) (int_bound 11))
         (pair (oneofl [ 0.0; 0.5; 2.0 ]) (oneofl [ 0.0; 0.25; 1.0 ]))
-        (pair (oneofl [ 0.0; 1.0; 2.5 ]) gen_reply))
+        (triple (oneofl [ 0.0; 1.0; 2.5 ]) gen_reply bool))
   in
   QCheck.Test.make ~name:"collect_stats matches the table oracle" ~count:2000
     (QCheck.make gen)
-    (fun ((s0, s1, reversed), handled, (t0, step), (later, stats)) ->
+    (fun ((s0, s1, reversed), handled, (t0, step), (later, stats, resample)) ->
       let t1 = t0 +. step in
       let prev =
-        mark_handled
+        oracle_mark_handled
           (oracle_collect_stats ~now:t1 ~prev:(oracle_collect_stats ~now:t0 ~prev:[] s0) s1)
           handled
       in
       let prev = if reversed then List.rev prev else prev in
+      let stats =
+        if resample then
+          List.mapi (fun i o -> sample o.fo_flow (o.fo_last_bytes +. float_of_int (i * 1000))) prev
+        else stats
+      in
       let now = t1 +. later in
-      let got = collect_stats ~now ~prev stats in
-      got = oracle_collect_stats ~now ~prev stats && mark_handled got [] == got)
+      let got = collect_stats ~now ~prev:(pack_obs prev) (pack_reply stats) in
+      unpack_obs got = oracle_collect_stats ~now ~prev stats && mark_handled got [] == got)
 
 let suite =
   [
@@ -232,7 +391,9 @@ let suite =
         Alcotest.test_case "decoupled beats naive on locality" `Slow
           test_decoupled_locality_beats_naive;
         Alcotest.test_case "bfs path" `Quick test_bfs_path;
+        QCheck_alcotest.to_alcotest prop_bfs_path_matches_reference;
         Alcotest.test_case "collect_stats rates" `Quick test_collect_stats_rates;
+        Alcotest.test_case "collect_stats merge cases" `Quick test_collect_stats_cases;
         QCheck_alcotest.to_alcotest prop_collect_stats_matches_oracle;
       ] );
   ]

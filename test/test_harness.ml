@@ -78,13 +78,11 @@ let show_value = function
     Printf.sprintf "switch master=%d ports=%d joined=%h" v_master v_n_ports v_joined_at
   | Beehive_apps.Te_decoupled.V_rerouted { r_path; r_rate } ->
     Printf.sprintf "rerouted [%s] %h" (String.concat " " (List.map string_of_int r_path)) r_rate
-  | Beehive_apps.Te_common.V_obs obs ->
+  | Beehive_apps.Te_common.V_obs o ->
     String.concat ";"
-      (List.map
-         (fun (o : Beehive_apps.Te_common.flow_obs) ->
-           Printf.sprintf "%d:%d->%d %h %h %h %b" o.fo_flow o.fo_src o.fo_dst o.fo_rate
-             o.fo_last_bytes o.fo_last_t o.fo_handled)
-         obs)
+      (List.init (Beehive_apps.Te_common.n_obs o) (fun i ->
+           Printf.sprintf "%d:%d->%d %h %h %h %b" o.ob_flows.(i) o.ob_srcs.(i) o.ob_dsts.(i)
+             o.ob_rates.(i) o.ob_last_bytes.(i) o.ob_last_t.(i) o.ob_handled.(i)))
   | Beehive_apps.Te_common.V_links l -> String.concat " " (List.map string_of_int l)
   | v -> Format.asprintf "%a/%d" Beehive_core.Value.pp v (Beehive_core.Value.size v)
 
