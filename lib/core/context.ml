@@ -11,12 +11,17 @@ type t = {
   read_shadow : (string * string * Value.t) list option;
       (* when set, pure reads are served from this snapshot instead of
          the transaction — the platform's stale-read fault injection *)
-  emit_fn : ?size:int -> kind:string -> Message.payload -> unit;
-  to_endpoint_fn :
-    Beehive_net.Channels.endpoint -> ?size:int -> kind:string -> Message.payload -> unit;
+  message : Message.t;
+  mutable emits : Message.t list;  (* newest first *)
+  mutable sends : (Beehive_net.Channels.endpoint * Message.t) list;  (* newest first *)
+  mutable closed : bool;
+  late : late;
 }
 
-let make ?read_shadow ~app ~bee ~hive ~now ~rng ~allowed ~tx ~emit ~to_endpoint () =
+and late =
+  t -> Beehive_net.Channels.endpoint option -> ?size:int -> kind:string -> Message.payload -> unit
+
+let make ?read_shadow ~app ~bee ~hive ~now ~rng ~allowed ~tx ~message ~late () =
   {
     app;
     bee;
@@ -26,8 +31,11 @@ let make ?read_shadow ~app ~bee ~hive ~now ~rng ~allowed ~tx ~emit ~to_endpoint 
     allowed;
     tx;
     read_shadow;
-    emit_fn = emit;
-    to_endpoint_fn = to_endpoint;
+    message;
+    emits = [];
+    sends = [];
+    closed = false;
+    late;
   }
 
 let app t = t.app
@@ -36,6 +44,11 @@ let hive_id t = t.hive
 let now t = t.now ()
 let rng t = t.rng
 let allowed t = t.allowed
+let message t = t.message
+let tx t = t.tx
+let close t = t.closed <- true
+let emits t = List.rev t.emits
+let sends t = List.rev t.sends
 
 let check t ~dict ~key =
   let c = Cell.cell dict key in
@@ -102,5 +115,14 @@ let dict_keys t ~dict =
   iter_dict t ~dict (fun k _ -> acc := k :: !acc);
   List.rev !acc
 
-let emit t ?size ~kind payload = t.emit_fn ?size ~kind payload
-let send_to t ep ?size ~kind payload = t.to_endpoint_fn ep ?size ~kind payload
+let bee_message t ?size ~kind payload =
+  let src = Message.From_bee { bee = t.bee; hive = t.hive; app = t.app } in
+  Message.make ?size ~kind ~src ~sent_at:(t.now ()) payload
+
+let emit t ?size ~kind payload =
+  if t.closed then t.late t None ?size ~kind payload
+  else t.emits <- bee_message t ?size ~kind payload :: t.emits
+
+let send_to t ep ?size ~kind payload =
+  if t.closed then t.late t (Some ep) ?size ~kind payload
+  else t.sends <- (ep, bee_message t ?size ~kind payload) :: t.sends

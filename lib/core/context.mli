@@ -10,6 +10,11 @@ exception Access_violation of { app : string; dict : string; key : string }
 
 type t
 
+type late =
+  t -> Beehive_net.Channels.endpoint option -> ?size:int -> kind:string -> Message.payload -> unit
+(** Where an emit ([None]) or endpoint send ([Some ep]) made after
+    {!close} goes: it cannot ride the closed transaction. *)
+
 val make :
   ?read_shadow:(string * string * Value.t) list ->
   app:string ->
@@ -19,16 +24,16 @@ val make :
   rng:Beehive_sim.Rng.t ->
   allowed:Cell.Set.t ->
   tx:State.tx ->
-  emit:(?size:int -> kind:string -> Message.payload -> unit) ->
-  to_endpoint:
-    (Beehive_net.Channels.endpoint -> ?size:int -> kind:string -> Message.payload -> unit) ->
+  message:Message.t ->
+  late:late ->
   unit ->
   t
 (** Used by the platform (and by tests that drive handlers directly).
-    [read_shadow], when given, serves all {e pure} reads ({!get}, {!mem},
-    {!iter_dict}, {!dict_keys}) from the snapshot instead of the
-    transaction — the hook behind {!Platform.debug_stale_reads}. Writes
-    and {!update}'s read-modify-write are never shadowed. *)
+    [message] is the message being handled. [read_shadow], when given,
+    serves all {e pure} reads ({!get}, {!mem}, {!iter_dict},
+    {!dict_keys}) from the snapshot instead of the transaction — the
+    hook behind {!Platform.debug_stale_reads}. Writes and {!update}'s
+    read-modify-write are never shadowed. *)
 
 val app : t -> string
 val bee_id : t -> int
@@ -36,6 +41,27 @@ val hive_id : t -> int
 val now : t -> Beehive_sim.Simtime.t
 val rng : t -> Beehive_sim.Rng.t
 val allowed : t -> Cell.Set.t
+
+val message : t -> Message.t
+(** The message being handled. *)
+
+(** {2 The platform's side}
+
+    The context owns what the handler buffers; the platform reads it
+    back when the invocation completes. *)
+
+val tx : t -> State.tx
+(** The invocation's transaction, which the platform commits or rolls
+    back. *)
+
+val close : t -> unit
+(** Marks the handler as returned: later emits and sends go to [late]. *)
+
+val emits : t -> Message.t list
+(** Messages emitted before {!close}, oldest first. *)
+
+val sends : t -> (Beehive_net.Channels.endpoint * Message.t) list
+(** Endpoint sends made before {!close}, oldest first. *)
 
 (** {2 State access (within mapped cells)} *)
 

@@ -146,6 +146,10 @@ type t = {
   mutable n_handler_faults : int;
       (* exceptions contained at the dispatch boundary: map/cost/timer/
          endpoint callbacks that raised *)
+  clock : unit -> Simtime.t;  (* every handler context's [now] *)
+  on_exhausted : unit -> unit;  (* [transmit]'s [on_drop] when the caller gave none *)
+  mutable late : Context.late;
+      (* emits and sends made after a handler returned; set by [create] *)
 }
 
 let engine t = t.engine
@@ -178,9 +182,11 @@ let members t = Hives.members t.hives
 let member_count t = List.length (members t)
 let placeable t h = Hives.placeable t.hives h
 
-let drop t reason =
+let count_drop drops reason =
   let i = drop_slot reason in
-  t.drops.(i) <- t.drops.(i) + 1
+  drops.(i) <- drops.(i) + 1
+
+let drop t reason = count_drop t.drops reason
 
 let register_app t app =
   if t.started then invalid_arg "Platform.register_app: platform already started";
@@ -280,27 +286,32 @@ let resolve_src t (msg : Message.t) =
   | Message.From_system -> None
 
 (* Moves [bytes] from [src_ep] to hive [dst_hive] and runs [k] on arrival
-   (plus [extra], e.g. lock-service latency already charged). Same-hive
+   plus [extra] (e.g. lock-service latency already charged). Same-hive
    traffic is a plain scheduled delivery; cross-hive traffic rides the
    at-least-once {!Transport}. [on_drop] runs if the message can never
    arrive. *)
-let transmit t ~src_ep ~dst_hive ~bytes ?(extra = Simtime.zero)
-    ?(on_drop = fun () -> ()) k =
+let transmit t ~src_ep ~dst_hive ~bytes ~extra ?on_drop k =
   let src_hive = origin_hive_of t src_ep in
   let dst_ep = Channels.Hive dst_hive in
   if src_hive = dst_hive then begin
     let lat = Channels.transfer t.chans ~src:src_ep ~dst:dst_ep ~bytes ~now:(now t) in
     ignore (Engine.schedule_after t.engine (Simtime.add lat extra) k)
   end
-  else
-    Transport.send t.transport ~src:src_ep ~dst:dst_ep ~bytes
-      ~on_drop:(fun () ->
-        drop t Retransmit_exhausted;
-        on_drop ())
-      ~deliver:(fun () ->
-        if Simtime.to_us extra = 0 then k ()
-        else ignore (Engine.schedule_after t.engine extra k))
-      ()
+  else begin
+    let on_drop =
+      match on_drop with
+      | None -> t.on_exhausted
+      | Some f ->
+        fun () ->
+          drop t Retransmit_exhausted;
+          f ()
+    in
+    let deliver =
+      if Simtime.to_us extra = 0 then k
+      else fun () -> ignore (Engine.schedule_after t.engine extra k)
+    in
+    Transport.send t.transport ~src:src_ep ~dst:dst_ep ~bytes ~on_drop ~deliver ()
+  end
 
 let duplicate_delivery t (b : bee) (d : Bee.delivery) =
   match (d.d_outbox, t.store) with
@@ -331,7 +342,7 @@ let send_outbox_ack t ~from_hive ~sender ~seq ~receiver =
   | None -> ()
   | Some sb ->
     transmit t ~src_ep:(Channels.Hive from_hive) ~dst_hive:sb.hive ~bytes:16
-      (fun () -> handle_outbox_ack t ~sender ~seq ~receiver)
+      ~extra:Simtime.zero (fun () -> handle_outbox_ack t ~sender ~seq ~receiver)
 
 let ack_duplicate t (b : bee) (d : Bee.delivery) =
   match (d.d_outbox, t.store) with
@@ -369,7 +380,7 @@ let drain_outbox_acks t hive =
       Hashtbl.iter
         (fun dst acks ->
           transmit t ~src_ep:(Channels.Hive hive) ~dst_hive:dst
-            ~bytes:(16 * List.length acks)
+            ~bytes:(16 * List.length acks) ~extra:Simtime.zero
             (fun () ->
               List.iter
                 (fun (sender, seq, receiver) ->
@@ -412,6 +423,43 @@ let allowed_cells t (b : bee) = function
 let bee_message t (b : bee) ?size ~kind payload =
   let src = Message.From_bee { bee = b.id; hive = b.hive; app = b.app.App.name } in
   Message.make ?size ~kind ~src ~sent_at:(now t) payload
+
+let emitter_of (b : bee) = Some (b.id, b.app.App.name, b.hive)
+
+let rec call_emit_hooks ~parent ~child ~emitter = function
+  | [] -> ()
+  | f :: rest ->
+    f ~parent ~child ~emitter;
+    call_emit_hooks ~parent ~child ~emitter rest
+
+(* Counts an emitted message in the bee's stats and shows it to the emit
+   hooks. *)
+let report_emit t (b : bee) ~in_kind ~parent ~emitter (m : Message.t) =
+  Stats.record_out b.stats ~in_kind ~out_kind:m.Message.kind;
+  call_emit_hooks ~parent ~child:m ~emitter t.emit_hooks
+
+(* A crash between dispatch and completion voids the handler: its
+   effects died with the hive. Crashes are plain thunk events, so under
+   sharded dispatch the answer is fixed before any batch containing the
+   compute starts. *)
+let still_current (b : bee) inc =
+  b.incarnation = inc && (b.status = `Active || b.status = `Paused)
+
+let deliver_endpoint t (b : bee) ep (m : Message.t) =
+  let lat =
+    Channels.transfer t.chans ~src:(Channels.Hive b.hive) ~dst:ep ~bytes:m.Message.size
+      ~now:(now t)
+  in
+  match Hashtbl.find_opt t.endpoints ep with
+  | None -> drop t Missing_endpoint
+  | Some cb ->
+    ignore
+      (Engine.schedule_after t.engine lat (fun () ->
+           try cb m
+           with exn ->
+             t.n_handler_faults <- t.n_handler_faults + 1;
+             Log.warn (fun f ->
+                 f "endpoint callback for %s raised %s" m.Message.kind (Printexc.to_string exn))))
 
 (* Retry budget exhausted: park the message in the bee's quarantine so
    the engine keeps running, and consume it for good — its inbox mark is
@@ -458,6 +506,46 @@ let start_transfer t (b : bee) dst reason ~resume =
 (* The life of a message: dispatch, handler completion, route, enqueue *)
 (* ------------------------------------------------------------------ *)
 
+(* One handler execution is split for sharded dispatch. Everything up to
+   and including the handler body ([open_context], [run_handler]) is the
+   compute half: under the {!App.t.shardable} contract it touches only
+   bee-local state (the bee's transaction, stats, rng, shadow) plus
+   read-only shared state (registry, clock), so it may run on any pool
+   domain. [complete] is the apply half — commit, routing, WAL append,
+   hooks, retry/quarantine, then freeing the bee for its next message —
+   and must run on the main domain. *)
+let open_context t (b : bee) (d : Bee.delivery) =
+  let msg = d.d_msg in
+  if d.d_attempts = 0 then begin
+    Stats.record_in b.stats ~src_hive:d.d_src_hive;
+    Stats.record_latency b.stats (Simtime.diff (now t) msg.Message.sent_at)
+  end;
+  let read_shadow =
+    match b.stale_shadow with
+    | Some _ when (not !debug_stale_reads) || Simtime.(now t >= b.stale_until) ->
+      b.stale_shadow <- None;
+      None
+    | shadow -> shadow
+  in
+  (* Transactional outbox: emits and endpoint sends buffer in the
+     context while the handler runs and only take effect at commit; an
+     abort discards them together with the state delta. Emits from
+     asynchronous continuations that outlive the handler (e.g.
+     external-store RPC callbacks) arrive after the context closed: they
+     cannot ride the commit, so [t.late] dispatches them immediately —
+     and they get none of the exactly-once guarantees, which is
+     precisely the external-store liability the paper argues against. *)
+  Context.make ?read_shadow ~app:b.app.App.name ~bee:b.id ~hive:b.hive ~now:t.clock
+    ~rng:b.rng ~allowed:(allowed_cells t b d.d_allowed) ~tx:(State.begin_tx b.state)
+    ~message:msg ~late:t.late ()
+
+let run_handler (d : Bee.delivery) ctx =
+  let failure =
+    match d.d_handler.App.rcv ctx d.d_msg with () -> None | exception exn -> Some exn
+  in
+  Context.close ctx;
+  failure
+
 let rec maybe_process t (b : bee) =
   if b.status = `Active && (not b.busy) && not (Queue.is_empty b.mailbox) then begin
     let d = Queue.pop b.mailbox in
@@ -479,16 +567,6 @@ let rec maybe_process t (b : bee) =
         App.default_cost
     in
     let inc = b.incarnation in
-    (* The compute half of the completion; returns the apply half. A
-       crash between dispatch and completion voids the handler: its
-       effects died with the hive. Crashes are plain thunk events, so
-       under sharded dispatch the guard's answer is fixed before any
-       batch containing this compute starts. *)
-    let complete () =
-      if b.incarnation = inc && (b.status = `Active || b.status = `Paused) then
-        process_compute t b d cost
-      else ignore
-    in
     (* Sharded completion: the compute half (the handler body, all
        bee-local under the [shardable] contract) may run on any pool
        domain, concurrently with completions of bees on other hives due
@@ -496,108 +574,39 @@ let rec maybe_process t (b : bee) =
        global scheduling order. Serial completion runs both back to
        back. *)
     if (not b.is_local) && b.app.App.shardable then
-      ignore (Engine.schedule_sharded_after t.engine cost ~shard:b.hive complete)
-    else ignore (Engine.schedule_after t.engine cost (fun () -> complete () ()))
+      ignore
+        (Engine.schedule_sharded_after t.engine cost ~shard:b.hive (fun () ->
+             if still_current b inc then begin
+               let ctx = open_context t b d in
+               let failure = run_handler d ctx in
+               fun () -> complete t b d cost ctx failure
+             end
+             else ignore))
+    else
+      ignore
+        (Engine.schedule_after t.engine cost (fun () ->
+             if still_current b inc then begin
+               let ctx = open_context t b d in
+               complete t b d cost ctx (run_handler d ctx)
+             end))
     end
   end
 
-(* One handler execution, split for sharded dispatch. Everything up to
-   and including the handler body is the compute half: under the
-   {!App.t.shardable} contract it touches only bee-local state (the
-   bee's transaction, stats, rng, shadow) plus read-only shared state
-   (registry, clock), so it may run on any pool domain. The returned
-   thunk is the apply half — commit, routing, WAL append, hooks,
-   retry/quarantine, then freeing the bee for its next message — and
-   must run on the main domain. *)
-and process_compute t (b : bee) (d : Bee.delivery) cost =
+and complete t (b : bee) (d : Bee.delivery) cost ctx failure =
   let msg = d.d_msg in
-  if d.d_attempts = 0 then begin
-    Stats.record_in b.stats ~src_hive:d.d_src_hive;
-    Stats.record_latency b.stats (Simtime.diff (now t) msg.Message.sent_at)
-  end;
-  let tx = State.begin_tx b.state in
-  let allowed = allowed_cells t b d.d_allowed in
-  (* Transactional outbox: emits and endpoint sends buffer in the open
-     transaction (newest first) and only take effect at commit; an abort
-     discards them together with the state delta. Emits from asynchronous
-     continuations that outlive the handler (e.g. external-store RPC
-     callbacks) arrive after the transaction has closed: they cannot ride
-     the commit, so they dispatch immediately — and get none of the
-     exactly-once guarantees, which is precisely the external-store
-     liability the paper argues against. *)
-  let in_handler = ref true in
-  let emits = ref [] in
-  let ep_sends = ref [] in
-  let fire_hooks m =
-    Stats.record_out b.stats ~in_kind:msg.Message.kind ~out_kind:m.Message.kind;
-    List.iter
-      (fun f -> f ~parent:(Some msg) ~child:m ~emitter:(Some (b.id, b.app.App.name, b.hive)))
-      t.emit_hooks
-  in
-  let deliver_endpoint ep (m : Message.t) =
-    let lat =
-      Channels.transfer t.chans ~src:(Channels.Hive b.hive) ~dst:ep
-        ~bytes:m.Message.size ~now:(now t)
-    in
-    match Hashtbl.find_opt t.endpoints ep with
-    | None -> drop t Missing_endpoint
-    | Some cb ->
-      ignore
-        (Engine.schedule_after t.engine lat (fun () ->
-             try cb m
-             with exn ->
-               t.n_handler_faults <- t.n_handler_faults + 1;
-               Log.warn (fun f ->
-                   f "endpoint callback for %s raised %s" m.Message.kind
-                     (Printexc.to_string exn))))
-  in
-  let emit ?size ~kind payload =
-    let m = bee_message t b ?size ~kind payload in
-    if !in_handler then emits := m :: !emits
-    else begin
-      fire_hooks m;
-      route t ~src_ep:(Channels.Hive b.hive) m
-    end
-  in
-  let to_endpoint ep ?size ~kind payload =
-    let m = bee_message t b ?size ~kind payload in
-    if !in_handler then ep_sends := (ep, m) :: !ep_sends
-    else begin
-      fire_hooks m;
-      deliver_endpoint ep m
-    end
-  in
-  let read_shadow =
-    match b.stale_shadow with
-    | Some _ when (not !debug_stale_reads) || Simtime.(now t >= b.stale_until) ->
-      b.stale_shadow <- None;
-      None
-    | shadow -> shadow
-  in
-  let ctx =
-    Context.make ?read_shadow ~app:b.app.App.name ~bee:b.id ~hive:b.hive
-      ~now:(fun () -> now t)
-      ~rng:b.rng ~allowed ~tx ~emit ~to_endpoint ()
-  in
-  let failure =
-    match d.d_handler.App.rcv ctx msg with
-    | () ->
-      in_handler := false;
-      None
-    | exception exn ->
-      in_handler := false;
-      Some exn
-  in
-  fun () ->
+  let tx = Context.tx ctx in
   t.n_processed <- t.n_processed + 1;
   (match failure with
   | None ->
     let pending = State.tx_pending tx in
     State.commit tx;
-    let emits_l = List.rev !emits in
-    let eps_l = List.rev !ep_sends in
-    List.iter fire_hooks emits_l;
-    List.iter (fun (_, m) -> fire_hooks m) eps_l;
+    let emits_l = Context.emits ctx in
+    let eps_l = Context.sends ctx in
+    if emits_l <> [] || eps_l <> [] then begin
+      let in_kind = msg.Message.kind and parent = Some msg and emitter = emitter_of b in
+      List.iter (fun m -> report_emit t b ~in_kind ~parent ~emitter m) emits_l;
+      List.iter (fun (_, m) -> report_emit t b ~in_kind ~parent ~emitter m) eps_l
+    end;
     (* Tracked: the emits and this delivery's inbox mark are written to
        the WAL in the same group-commit record as the state delta; the
        store's fsync callback hands the emits to transport once durable. *)
@@ -626,7 +635,7 @@ and process_compute t (b : bee) (d : Bee.delivery) cost =
         List.iter (fun m -> route t ~src_ep:(Channels.Hive b.hive) m) emits_l;
         ([], [])
     in
-    List.iter (fun (ep, m) -> deliver_endpoint ep m) eps_l;
+    List.iter (fun (ep, m) -> deliver_endpoint t b ep m) eps_l;
     (match t.replicator with
     | Some r
       when b.app.App.replicated && (not b.is_local)
@@ -788,7 +797,8 @@ and route_foreach t ~(app : App.t) ~(handler : App.handler) ~src_ep dict msg =
     (fun h ->
       if not (hive_crashed t h) then
         let targets = List.rev (Hashtbl.find by_hive h) in
-        transmit t ~src_ep ~dst_hive:h ~bytes:msg.Message.size (fun () ->
+        transmit t ~src_ep ~dst_hive:h ~bytes:msg.Message.size ~extra:Simtime.zero
+          (fun () ->
             List.iter
               (fun (b : bee) -> enqueue t b (delivery msg handler (Bee.A_dict dict) src None))
               targets))
@@ -801,8 +811,8 @@ and route_local t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin msg =
       match local_bee_of t ~app ~hive:h with
       | None -> ()
       | Some b ->
-        transmit t ~src_ep ~dst_hive:h ~bytes:msg.Message.size (fun () ->
-            enqueue t b (delivery msg handler Bee.A_all src None))
+        transmit t ~src_ep ~dst_hive:h ~bytes:msg.Message.size ~extra:Simtime.zero
+          (fun () -> enqueue t b (delivery msg handler Bee.A_all src None))
   in
   (* System messages (timer ticks) trigger local handlers on every hive;
      ordinary messages only on their origin hive. *)
@@ -817,23 +827,28 @@ and route_local t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin msg =
    number of Cells legs. An outbox replay ([first = false]) re-sends only
    the Cells legs, the ones the receivers' durable inboxes dedup. *)
 and route_subscribers t ~src_ep ~origin ~outbox ~first msg =
-  let legs = ref 0 in
-  (match Hashtbl.find_opt t.subscribers msg.Message.kind with
-  | None -> ()
-  | Some subs ->
-    List.iter
-      (fun ((app : App.t), handler) ->
-        match safe_map t handler msg with
-        | Mapping.Drop -> ()
-        | Mapping.Cells cs when Cell.Set.is_empty cs -> ()
-        | Mapping.Cells cs ->
-          incr legs;
-          route_cells t ~app ~handler ~src_ep ~origin ~outbox cs msg
-        | Mapping.Local -> if first then route_local t ~app ~handler ~src_ep ~origin msg
-        | Mapping.Foreach dict ->
-          if first then route_foreach t ~app ~handler ~src_ep dict msg)
-      subs);
-  !legs
+  match Hashtbl.find t.subscribers msg.Message.kind with
+  | subs -> route_legs t ~src_ep ~origin ~outbox ~first msg 0 subs
+  | exception Not_found -> 0
+
+and route_legs t ~src_ep ~origin ~outbox ~first msg legs = function
+  | [] -> legs
+  | ((app : App.t), handler) :: rest ->
+    let legs =
+      match safe_map t handler msg with
+      | Mapping.Drop -> legs
+      | Mapping.Cells cs when Cell.Set.is_empty cs -> legs
+      | Mapping.Cells cs ->
+        route_cells t ~app ~handler ~src_ep ~origin ~outbox cs msg;
+        legs + 1
+      | Mapping.Local ->
+        if first then route_local t ~app ~handler ~src_ep ~origin msg;
+        legs
+      | Mapping.Foreach dict ->
+        if first then route_foreach t ~app ~handler ~src_ep dict msg;
+        legs
+    in
+    route_legs t ~src_ep ~origin ~outbox ~first msg legs rest
 
 and route t ~src_ep msg =
   let origin = origin_hive_of t src_ep in
@@ -842,6 +857,18 @@ and route t ~src_ep msg =
   if not (hive_crashed t origin) then
     ignore (route_subscribers t ~src_ep ~origin ~outbox:None ~first:true msg)
   else drop t Dead_origin
+
+(* The platform's [Context.late] sink: an emit or send made after its
+   handler returned is built at the bee's current hive, reported to the
+   emit hooks and dispatched at once. *)
+let late_emit t ctx ep ?size ~kind payload =
+  let b = Hashtbl.find t.bees (Context.bee_id ctx) in
+  let m = bee_message t b ?size ~kind payload in
+  let parent = Context.message ctx in
+  report_emit t b ~in_kind:parent.Message.kind ~parent:(Some parent) ~emitter:(emitter_of b) m;
+  match ep with
+  | None -> route t ~src_ep:(Channels.Hive b.hive) m
+  | Some ep -> deliver_endpoint t b ep m
 
 (* ------------------------------------------------------------------ *)
 (* Outbox dispatch and replay                                          *)
@@ -1440,6 +1467,7 @@ let create engine cfg =
       chans
   in
   let locks = Cell_locks.create engine chans in
+  let drops = Array.make (Array.length drop_gauges) 0 in
   let t =
   {
     engine;
@@ -1471,11 +1499,15 @@ let create engine cfg =
     started = false;
     n_processed = 0;
     n_merges = 0;
-    drops = Array.make (Array.length drop_gauges) 0;
+    drops;
     outbox = Outbox.create ();
     n_handler_faults = 0;
+    clock = (fun () -> Engine.now engine);
+    on_exhausted = (fun () -> count_drop drops Retransmit_exhausted);
+    late = (fun _ _ ?size:_ ~kind:_ _ -> ());
   }
   in
+  t.late <- late_emit t;
   (match cfg.durability with
   | None -> ()
   | Some store_cfg ->

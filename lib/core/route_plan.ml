@@ -30,7 +30,8 @@ let placement_hive reg hives ~origin =
    keep collocating with the owner. *)
 let unowned reg ~bee cs =
   let owned = (Registry.bee reg bee).Registry.bee_cells in
-  Cell.Set.filter (fun c -> not (Cell.Set.mem c owned)) cs
+  if Cell.Set.subset cs owned then Cell.Set.empty
+  else Cell.Set.filter (fun c -> not (Cell.Set.mem c owned)) cs
 
 let cache_key ~origin ~app cs = (origin, app, Cell.Set.min_elt cs)
 

@@ -32,7 +32,7 @@ let create () =
   }
 
 let bump tbl k n =
-  Hashtbl.replace tbl k (n + Option.value ~default:0 (Hashtbl.find_opt tbl k))
+  Hashtbl.replace tbl k (n + match Hashtbl.find tbl k with c -> c | exception Not_found -> 0)
 
 let record_in t ~src_hive =
   t.processed <- t.processed + 1;

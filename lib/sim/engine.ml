@@ -1,12 +1,3 @@
-type handle =
-  | Once of Event_queue.handle
-  | Periodic of periodic
-
-and periodic = {
-  mutable current : Event_queue.handle option;
-  mutable stopped : bool;
-}
-
 (* A sharded event is split into a pure compute (safe to run on any
    domain, may only touch state owned by its shard) that returns an
    apply thunk (run serially, in global seq order, may touch anything).
@@ -14,7 +5,19 @@ and periodic = {
    one-domain run and a batched N-domain run execute identical code in
    an identical order. *)
 type sharded = { sh_shard : int; sh_compute : unit -> unit -> unit }
-type ev = Thunk of (unit -> unit) | Sharded of sharded
+
+(* Every occurrence of a periodic series is queued with the same [Tick]
+   value; the series' handle is its first occurrence. *)
+type periodic = {
+  period : Simtime.t;
+  tick : unit -> unit;
+  mutable current : ev Event_queue.handle option;
+  mutable stopped : bool;
+}
+
+and ev = Thunk of (unit -> unit) | Sharded of sharded | Tick of periodic
+
+type handle = ev Event_queue.handle
 
 type t = {
   queue : ev Event_queue.t;
@@ -42,7 +45,7 @@ let parallel_map _t ~shards f = Domain_pool.map (Domain_pool.global ()) ~shards 
 
 let schedule_at t at f =
   if Simtime.(at < t.clock) then invalid_arg "Engine.schedule_at: in the past";
-  Once (Event_queue.push t.queue at (Thunk f))
+  Event_queue.push t.queue at (Thunk f)
 
 let schedule_after t d f = schedule_at t (Simtime.add t.clock d) f
 
@@ -50,11 +53,11 @@ let schedule_sharded_after t d ~shard compute =
   let at = Simtime.add t.clock d in
   if Simtime.(at < t.clock) then
     invalid_arg "Engine.schedule_sharded_after: in the past";
-  Once (Event_queue.push t.queue at (Sharded { sh_shard = shard; sh_compute = compute }))
+  Event_queue.push t.queue at (Sharded { sh_shard = shard; sh_compute = compute })
 
-let cancel t = function
-  | Once h -> Event_queue.cancel t.queue h
-  | Periodic p ->
+let cancel t h =
+  match Event_queue.value h with
+  | Tick p ->
     if p.stopped then false
     else begin
       p.stopped <- true;
@@ -63,22 +66,36 @@ let cancel t = function
        | None -> ());
       true
     end
+  | Thunk _ | Sharded _ -> Event_queue.cancel t.queue h
 
 let every t period f =
   if Simtime.(period <= Simtime.zero) then invalid_arg "Engine.every: period must be positive";
-  let start = Simtime.add t.clock period in
-  let p = { current = None; stopped = false } in
-  let rec fire at () =
-    p.current <- None;
-    if not p.stopped then begin
-      f ();
-      if not p.stopped then
-        let next = Simtime.add at period in
-        p.current <- Some (Event_queue.push t.queue next (Thunk (fire next)))
-    end
-  in
-  p.current <- Some (Event_queue.push t.queue start (Thunk (fire start)));
-  Periodic p
+  let p = { period; tick = f; current = None; stopped = false } in
+  let h = Event_queue.push t.queue (Simtime.add t.clock period) (Tick p) in
+  p.current <- Some h;
+  h
+
+(* One occurrence of a periodic series, fired at the current clock: the
+   next one is queued only if the callback left the series running. *)
+let fire_tick t ev p =
+  p.current <- None;
+  if not p.stopped then begin
+    p.tick ();
+    if not p.stopped then
+      p.current <- Some (Event_queue.push t.queue (Simtime.add t.clock p.period) ev)
+  end
+
+(* The sharded events queued right behind the current one at the same
+   instant, prepended to [acc] (so newest first). *)
+let rec gather_sharded t acc =
+  if Event_queue.is_empty t.queue then acc
+  else if not (Simtime.equal (Event_queue.next_time t.queue) t.clock) then acc
+  else
+    match Event_queue.next t.queue with
+    | Sharded s ->
+      ignore (Event_queue.take t.queue);
+      gather_sharded t (s :: acc)
+    | Thunk _ | Tick _ -> acc
 
 (* [first] plus every other sharded event due at the same instant form
    one batch: computes fan out over the domain pool keyed by shard
@@ -87,24 +104,14 @@ let every t period f =
    pure function of (shard id, seq) and independent of the pool
    width. *)
 let exec_batch t first =
-  let batch = ref [ first ] in
-  let n = ref 1 in
-  let continue = ref true in
-  while !continue do
-    match Event_queue.peek t.queue with
-    | Some (at', Sharded s') when Simtime.compare at' t.clock = 0 ->
-      ignore (Event_queue.pop t.queue);
-      batch := s' :: !batch;
-      incr n
-    | _ -> continue := false
-  done;
-  t.n_events <- t.n_events + !n;
+  let batch = gather_sharded t [ first ] in
+  let k = List.length batch in
+  t.n_events <- t.n_events + k;
   t.sharded_batches <- t.sharded_batches + 1;
-  t.sharded_events <- t.sharded_events + !n;
-  let evs = Array.of_list (List.rev !batch) in
-  let k = Array.length evs in
-  if k = 1 then (evs.(0).sh_compute ()) ()
+  t.sharded_events <- t.sharded_events + k;
+  if k = 1 then (first.sh_compute ()) ()
   else begin
+    let evs = Array.of_list (List.rev batch) in
     (* Group event indices by shard, shards in first-appearance order
        (deterministic: a function of the event sequence alone). *)
     let tbl = Hashtbl.create 16 in
@@ -129,29 +136,30 @@ let exec_batch t first =
     Array.iter (fun a -> a ()) applies
   end
 
-let step t =
-  match Event_queue.pop t.queue with
-  | None -> false
-  | Some (at, Thunk f) ->
-    t.clock <- at;
-    t.n_events <- t.n_events + 1;
-    f ();
-    true
-  | Some (at, Sharded s) ->
-    t.clock <- at;
-    exec_batch t s;
-    true
+(* Runs every event due at or before [horizon], reading the queue's head
+   in place: the loop itself allocates nothing. *)
+let rec drain t horizon =
+  if not (Event_queue.is_empty t.queue) then begin
+    let at = Event_queue.next_time t.queue in
+    if Simtime.(at <= horizon) then begin
+      t.clock <- at;
+      (match Event_queue.take t.queue with
+      | Thunk f ->
+        t.n_events <- t.n_events + 1;
+        f ()
+      | Sharded s -> exec_batch t s
+      | Tick p as ev ->
+        t.n_events <- t.n_events + 1;
+        fire_tick t ev p);
+      drain t horizon
+    end
+  end
 
 let run_until t horizon =
-  let continue = ref true in
-  while !continue do
-    match Event_queue.peek_time t.queue with
-    | Some at when Simtime.(at <= horizon) -> ignore (step t)
-    | Some _ | None -> continue := false
-  done;
+  drain t horizon;
   t.clock <- Simtime.max t.clock horizon
 
-let run t = while step t do () done
+let run t = drain t (Simtime.of_us max_int)
 let events_executed t = t.n_events
 let sharded_batches t = t.sharded_batches
 let sharded_events t = t.sharded_events

@@ -50,6 +50,10 @@ val schedule_sharded_after : t -> Simtime.t -> shard:int -> (unit -> unit -> uni
     bit-identical. *)
 
 val cancel : t -> handle -> bool
+(** [cancel t h] drops the event, returning [false] if it already fired
+    or was already cancelled. On an {!every} handle it stops the series
+    (also from inside its own callback) and returns [true] the first
+    time. *)
 
 val every : t -> Simtime.t -> (unit -> unit) -> handle
 (** [every t period f] runs [f] at [now t + period], [now t + 2 period],
@@ -57,7 +61,9 @@ val every : t -> Simtime.t -> (unit -> unit) -> handle
 
 val run_until : t -> Simtime.t -> unit
 (** Executes events in order until the queue is exhausted or the next event
-    is strictly after the horizon; leaves the clock at the horizon. *)
+    is strictly after the horizon; leaves the clock at the horizon. The
+    loop itself allocates nothing: what a run allocates is what its
+    events do. *)
 
 val run : t -> unit
 (** Executes all events until the queue is empty. *)

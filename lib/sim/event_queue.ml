@@ -2,10 +2,10 @@ type 'a entry = {
   at : Simtime.t;
   seq : int;
   value : 'a;
-  mutable cancelled : bool;
+  mutable queued : bool;  (* false once popped or cancelled *)
 }
 
-type handle = H : 'a entry -> handle
+type 'a handle = 'a entry
 
 type 'a t = {
   mutable heap : 'a entry array;
@@ -16,7 +16,7 @@ type 'a t = {
 
 let create () = { heap = [||]; size = 0; next_seq = 0; live = 0 }
 let is_empty t = t.live = 0
-let length t = t.live
+let value e = e.value
 
 let entry_lt a b =
   match Simtime.compare a.at b.at with
@@ -57,14 +57,14 @@ let grow t e =
   end
 
 let push t at value =
-  let e = { at; seq = t.next_seq; value; cancelled = false } in
+  let e = { at; seq = t.next_seq; value; queued = true } in
   t.next_seq <- t.next_seq + 1;
   grow t e;
   t.heap.(t.size) <- e;
   t.size <- t.size + 1;
   t.live <- t.live + 1;
   sift_up t (t.size - 1);
-  H e
+  e
 
 (* Rebuilds the heap from the live entries only. [(at, seq)] is a
    total order, so the heap's internal shape never affects pop order —
@@ -73,7 +73,7 @@ let compact t =
   let n = ref 0 in
   for i = 0 to t.size - 1 do
     let e = t.heap.(i) in
-    if not e.cancelled then begin
+    if e.queued then begin
       t.heap.(!n) <- e;
       incr n
     end
@@ -83,10 +83,10 @@ let compact t =
     sift_down t i
   done
 
-let cancel t (H e) =
-  if e.cancelled then false
+let cancel t e =
+  if not e.queued then false
   else begin
-    e.cancelled <- true;
+    e.queued <- false;
     t.live <- t.live - 1;
     (* Long soaks with heavy timer churn (transport retries, scrub
        slices, outbox rechecks) otherwise sift over a majority of
@@ -95,38 +95,41 @@ let cancel t (H e) =
     true
   end
 
-let pop_min t =
-  if t.size = 0 then None
+(* Removes the heap's root, live or tombstone. *)
+let remove_min t =
+  let e = t.heap.(0) in
+  t.size <- t.size - 1;
+  if t.size > 0 then begin
+    t.heap.(0) <- t.heap.(t.size);
+    sift_down t 0
+  end;
+  e
+
+(* Brings the earliest live entry to the root; the queue must hold one. *)
+let rec live_root t =
+  let e = t.heap.(0) in
+  if e.queued then e
   else begin
-    let e = t.heap.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.heap.(0) <- t.heap.(t.size);
-      sift_down t 0
-    end;
-    Some e
+    ignore (remove_min t);
+    live_root t
   end
 
-let rec drop_cancelled t =
-  if t.size > 0 && t.heap.(0).cancelled then begin
-    ignore (pop_min t);
-    drop_cancelled t
-  end
+let check_live t fn = if t.live = 0 then invalid_arg ("Event_queue." ^ fn ^ ": empty")
 
-let peek_time t =
-  drop_cancelled t;
-  if t.size = 0 then None else Some t.heap.(0).at
+let next_time t =
+  check_live t "next_time";
+  (live_root t).at
 
-let peek t =
-  drop_cancelled t;
-  if t.size = 0 then None else Some (t.heap.(0).at, t.heap.(0).value)
+let next t =
+  check_live t "next";
+  (live_root t).value
+
+let take t =
+  check_live t "take";
+  ignore (live_root t);
+  let e = remove_min t in
+  e.queued <- false;
+  t.live <- t.live - 1;
+  e.value
 
 let physical_size t = t.size
-
-let rec pop t =
-  match pop_min t with
-  | None -> None
-  | Some e when e.cancelled -> pop t
-  | Some e ->
-    t.live <- t.live - 1;
-    Some (e.at, e.value)

@@ -2,37 +2,45 @@
 
     A binary min-heap keyed by [(time, sequence)]. The sequence number
     breaks ties so that events scheduled for the same instant fire in
-    insertion order, keeping the simulation deterministic. *)
+    insertion order, keeping the simulation deterministic.
+
+    Reading and removing the earliest event allocates nothing: the time
+    and the value come back bare, and a handle is the queue's own entry. *)
 
 type 'a t
 
-type handle
+type 'a handle
 (** Identifies a scheduled event so it can be cancelled. *)
 
 val create : unit -> 'a t
+
 val is_empty : 'a t -> bool
+(** No live (queued, non-cancelled) event is left. *)
 
-val length : 'a t -> int
-(** Number of live (non-cancelled) events. *)
-
-val push : 'a t -> Simtime.t -> 'a -> handle
+val push : 'a t -> Simtime.t -> 'a -> 'a handle
 (** [push q at x] schedules [x] at time [at]. *)
 
-val cancel : 'a t -> handle -> bool
+val value : 'a handle -> 'a
+(** The value the event was pushed with. *)
+
+val cancel : 'a t -> 'a handle -> bool
 (** [cancel q h] removes the event, returning [false] if it already fired
     or was already cancelled. Cancellation is lazy deletion, amortised
     O(1): when tombstones outnumber live entries the heap is compacted
     in place (pop order is unaffected — [(time, seq)] is total). *)
 
-val peek_time : 'a t -> Simtime.t option
-(** Time of the earliest live event, if any. *)
+val next_time : 'a t -> Simtime.t
+(** Time of the earliest live event. Raises [Invalid_argument] when
+    {!is_empty}. *)
 
-val peek : 'a t -> (Simtime.t * 'a) option
-(** Earliest live event without removing it. *)
+val next : 'a t -> 'a
+(** Value of the earliest live event, left in place. Raises
+    [Invalid_argument] when {!is_empty}. *)
+
+val take : 'a t -> 'a
+(** Removes the earliest live event and returns its value; its handle
+    then counts as fired. Raises [Invalid_argument] when {!is_empty}. *)
 
 val physical_size : 'a t -> int
 (** Heap slots in use, cancelled tombstones included — observability
-    for the compaction policy ([length] counts only live entries). *)
-
-val pop : 'a t -> (Simtime.t * 'a) option
-(** Removes and returns the earliest live event. *)
+    for the compaction policy. *)

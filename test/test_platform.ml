@@ -460,6 +460,47 @@ let test_counters_and_quiescence () =
   Alcotest.(check (float 0.)) "hive 0 row bytes" 208. (Traffic_matrix.row_bytes m 0);
   Alcotest.(check (float 0.)) "hive 0 column bytes" 208. (Traffic_matrix.col_bytes m 0)
 
+(* What the runtime allocates to carry a message through dispatch, the
+   handler's transaction and routing, counted exactly on a one-hive
+   two-app chain: an injected ping goes to app a, which emits a pong, and
+   app b sets one key. The bound is the measured cost (OCaml 5.1.1,
+   native code); raising it needs a reason. *)
+let runtime_words_per_message_bound = 160.5
+
+let test_runtime_words_per_message () =
+  let on kind ~key rcv =
+    App.handler ~kind ~map:(fun _ -> Mapping.with_key "d" key) rcv
+  in
+  let one = Value.V_int 1 in
+  let a =
+    App.create ~name:"a" ~dicts:[ "d" ]
+      [ on "test.ping" ~key:"a" (fun ctx _ -> Context.emit ctx ~kind:"test.pong" (Noop 0)) ]
+  in
+  let b =
+    App.create ~name:"b" ~dicts:[ "d" ]
+      [ on "test.pong" ~key:"b" (fun ctx _ -> Context.set ctx ~dict:"d" ~key:"b" one) ]
+  in
+  let engine, platform = make_platform ~n_hives:1 ~apps:[ a; b ] () in
+  let ping = Noop 0 and from = Channels.Hive 0 in
+  let step () =
+    Platform.inject platform ~from ~kind:"test.ping" ping;
+    Engine.run engine
+  in
+  (* The first ping creates both bees. *)
+  step ();
+  let handled_before = Platform.total_processed platform in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    step ()
+  done;
+  let words = Gc.minor_words () -. before in
+  let handled = Platform.total_processed platform - handled_before in
+  Alcotest.(check int) "messages handled" 2_000 handled;
+  let per_msg = words /. float_of_int handled in
+  if per_msg > runtime_words_per_message_bound then
+    Alcotest.failf "%.1f words per handled message, bound %.1f" per_msg
+      runtime_words_per_message_bound
+
 let suite =
   [
     ( "platform",
@@ -486,5 +527,6 @@ let suite =
         Alcotest.test_case "hive failure without replication" `Quick test_no_replication_loses_bee;
         QCheck_alcotest.to_alcotest prop_intersecting_messages_same_bee;
         Alcotest.test_case "counters and quiescence" `Quick test_counters_and_quiescence;
+        Alcotest.test_case "runtime words per message" `Quick test_runtime_words_per_message;
       ] );
   ]

@@ -41,23 +41,32 @@ let test_rng_bounds () =
     if f < 0.0 || f >= 2.5 then Alcotest.failf "float out of bounds: %f" f
   done
 
+(* Drains the queue, oldest first, as (time in us, value) pairs. *)
+let drain_queue q =
+  let rec go acc =
+    if Event_queue.is_empty q then List.rev acc
+    else begin
+      let at = Simtime.to_us (Event_queue.next_time q) in
+      let v = Event_queue.take q in
+      go ((at, v) :: acc)
+    end
+  in
+  go []
+
 let test_event_queue_order () =
   let q = Event_queue.create () in
   ignore (Event_queue.push q (Simtime.of_us 30) "c");
   ignore (Event_queue.push q (Simtime.of_us 10) "a");
   ignore (Event_queue.push q (Simtime.of_us 20) "b");
-  let pop () = match Event_queue.pop q with Some (_, v) -> v | None -> "!" in
-  let first = pop () in
-  let second = pop () in
-  let third = pop () in
-  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] [ first; second; third ]
+  Alcotest.(check (list (pair int string)))
+    "sorted" [ (10, "a"); (20, "b"); (30, "c") ] (drain_queue q)
 
 let test_event_queue_fifo_ties () =
   let q = Event_queue.create () in
   for i = 0 to 9 do
     ignore (Event_queue.push q (Simtime.of_us 5) i)
   done;
-  let order = List.init 10 (fun _ -> match Event_queue.pop q with Some (_, v) -> v | None -> -1) in
+  let order = List.map snd (drain_queue q) in
   Alcotest.(check (list int)) "insertion order at equal time" (List.init 10 Fun.id) order
 
 let test_event_queue_cancel () =
@@ -66,11 +75,36 @@ let test_event_queue_cancel () =
   let _h2 = Event_queue.push q (Simtime.of_us 2) "b" in
   Alcotest.(check bool) "cancel ok" true (Event_queue.cancel q h1);
   Alcotest.(check bool) "double cancel" false (Event_queue.cancel q h1);
-  Alcotest.(check int) "one live" 1 (Event_queue.length q);
-  (match Event_queue.pop q with
-  | Some (_, v) -> Alcotest.(check string) "skips cancelled" "b" v
-  | None -> Alcotest.fail "empty");
+  Alcotest.(check string) "next skips cancelled" "b" (Event_queue.next q);
+  Alcotest.(check string) "take skips cancelled" "b" (Event_queue.take q);
   Alcotest.(check bool) "empty" true (Event_queue.is_empty q)
+
+(* A handle whose event already fired must not cancel anything: the
+   queue's live count stays right, and so does the engine's answer. *)
+let test_cancel_after_fire () =
+  let q = Event_queue.create () in
+  let h1 = Event_queue.push q (Simtime.of_us 1) "a" in
+  ignore (Event_queue.push q (Simtime.of_us 2) "b");
+  Alcotest.(check string) "first fires" "a" (Event_queue.take q);
+  Alcotest.(check bool) "cancel of a fired event" false (Event_queue.cancel q h1);
+  Alcotest.(check bool) "second still queued" false (Event_queue.is_empty q);
+  Alcotest.(check (list (pair int string))) "second still fires" [ (2, "b") ] (drain_queue q);
+  let e = Engine.create () in
+  let fired = ref 0 in
+  let h = Engine.schedule_at e (Simtime.of_us 10) (fun () -> incr fired) in
+  Engine.run_until e (Simtime.of_us 20);
+  Alcotest.(check int) "engine event fired" 1 !fired;
+  Alcotest.(check bool) "engine cancel after fire" false (Engine.cancel e h);
+  (* A timer cancelled from inside its own callback, as Raft's election
+     timer is: the fired handle must not eat a live event's count. *)
+  let self = ref None and later = ref false in
+  self :=
+    Some
+      (Engine.schedule_at e (Simtime.of_us 30) (fun () ->
+           Alcotest.(check bool) "self-cancel" false (Engine.cancel e (Option.get !self))));
+  ignore (Engine.schedule_at e (Simtime.of_us 40) (fun () -> later := true));
+  Engine.run e;
+  Alcotest.(check bool) "event behind a self-cancel fires" true !later
 
 let prop_heap_sorted =
   QCheck.Test.make ~name:"event_queue pops in nondecreasing time order" ~count:200
@@ -78,14 +112,13 @@ let prop_heap_sorted =
     (fun times ->
       let q = Event_queue.create () in
       List.iter (fun t -> ignore (Event_queue.push q (Simtime.of_us t) t)) times;
-      let rec drain last =
-        match Event_queue.pop q with
-        | None -> true
-        | Some (at, _) ->
-          let t = Simtime.to_us at in
-          t >= last && drain t
-      in
-      drain 0)
+      let popped = drain_queue q in
+      List.length popped = List.length times
+      && List.for_all (fun (at, v) -> at = v) popped
+      && fst
+           (List.fold_left
+              (fun (ok, last) (at, _) -> (ok && at >= last, at))
+              (true, 0) popped))
 
 let test_engine_run_until () =
   let e = Engine.create () in
@@ -127,6 +160,21 @@ let test_engine_past_raises () =
   Alcotest.check_raises "past" (Invalid_argument "Engine.schedule_at: in the past")
     (fun () -> ignore (Engine.schedule_at e (Simtime.of_us 10) (fun () -> ())))
 
+(* The event loop reads the queue's head in place: running pre-scheduled
+   events allocates nothing beyond what the events themselves do. *)
+let test_engine_loop_allocates_nothing () =
+  let e = Engine.create () in
+  let noop () = () in
+  for i = 1 to 10_000 do
+    ignore (Engine.schedule_at e (Simtime.of_us i) noop)
+  done;
+  let horizon = Simtime.of_us 20_000 in
+  let before = Gc.minor_words () in
+  Engine.run_until e horizon;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "events run" 10_000 (Engine.events_executed e);
+  Alcotest.(check (float 0.)) "words allocated running 10,000 events" 0. words
+
 let suite =
   [
     ( "sim",
@@ -138,10 +186,13 @@ let suite =
         Alcotest.test_case "event queue order" `Quick test_event_queue_order;
         Alcotest.test_case "event queue FIFO ties" `Quick test_event_queue_fifo_ties;
         Alcotest.test_case "event queue cancel" `Quick test_event_queue_cancel;
+        Alcotest.test_case "cancel after fire" `Quick test_cancel_after_fire;
         QCheck_alcotest.to_alcotest prop_heap_sorted;
         Alcotest.test_case "engine run_until" `Quick test_engine_run_until;
         Alcotest.test_case "engine periodic timers" `Quick test_engine_periodic;
         Alcotest.test_case "engine cancel inside tick" `Quick test_engine_cancel_inside_tick;
         Alcotest.test_case "engine rejects past events" `Quick test_engine_past_raises;
+        Alcotest.test_case "engine loop allocates nothing" `Quick
+          test_engine_loop_allocates_nothing;
       ] );
   ]

@@ -4,6 +4,7 @@ module State = Beehive_core.State
 module Value = Beehive_core.Value
 module Cell = Beehive_core.Cell
 module Context = Beehive_core.Context
+module Message = Beehive_core.Message
 
 let vi n = Value.V_int n
 
@@ -244,8 +245,10 @@ let topology_context allowed =
   Context.make ~app:"te" ~bee:1 ~hive:0
     ~now:(fun () -> Beehive_sim.Simtime.zero)
     ~rng:(Beehive_sim.Rng.create 1) ~allowed ~tx:(State.begin_tx st)
-    ~emit:(fun ?size:_ ~kind:_ _ -> ())
-    ~to_endpoint:(fun _ ?size:_ ~kind:_ _ -> ())
+    ~message:
+      (Message.make ~kind:"test.noop" ~src:Message.From_system
+         ~sent_at:Beehive_sim.Simtime.zero (Helpers.Noop 0))
+    ~late:(fun _ _ ?size:_ ~kind:_ _ -> ())
     ()
 
 let test_iter_dict_held_whole_is_copy_free () =
