@@ -8,7 +8,9 @@
     [kandoo.root] maps its dictionary wholly (one centralized bee).
 
     The classic Kandoo workload is implemented: local elephant-flow
-    detection feeding a central re-router. *)
+    detection feeding a central re-router. The local app's only handler
+    is the shared TE [Collect] of {!Te_common}, whose reaction to a flow
+    above the threshold is an [Elephant] to the root. *)
 
 val local_app_name : string  (** ["kandoo.local"] *)
 

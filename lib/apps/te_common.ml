@@ -1,6 +1,11 @@
+module App = Beehive_core.App
+module Mapping = Beehive_core.Mapping
 module Value = Beehive_core.Value
 module Context = Beehive_core.Context
 module Message = Beehive_core.Message
+module Cell = Beehive_core.Cell
+module Platform = Beehive_core.Platform
+module Simtime = Beehive_sim.Simtime
 module Wire = Beehive_openflow.Wire
 module Flow_table = Beehive_openflow.Flow_table
 
@@ -161,13 +166,6 @@ let mark_handled obs = function
     List.iter (fun i -> handled.(i) <- true) positions;
     { obs with ob_handled = handled }
 
-let record_link ctx ~dict ~src ~dst =
-  let key = string_of_int src in
-  Context.update ctx ~dict ~key (fun prev ->
-      let links = match prev with Some (V_links l) -> l | Some _ | None -> [] in
-      if List.mem dst links then Some (V_links links)
-      else Some (V_links (List.sort Int.compare (dst :: links))))
-
 let remove_link ctx ~dict ~src ~dst =
   let key = string_of_int src in
   Context.update ctx ~dict ~key (function
@@ -229,11 +227,92 @@ let bfs_path adj ~src ~dst =
     end
   end
 
-let reroute_mod ~flow ~src ~path =
-  {
-    Flow_table.fm_switch = src;
-    fm_command = Flow_table.Add;
-    fm_priority = 10;
-    fm_match = Flow_table.match_flow flow;
-    fm_actions = [ Flow_table.Set_path path ];
-  }
+let reroute ctx adj ~flow ~src ~dst =
+  let found = bfs_path adj ~src ~dst in
+  (match found with
+  | Some path ->
+    Context.emit ctx ~size:Wire.size_flow_mod ~kind:Wire.k_app_flow_mod
+      (Wire.App_flow_mod
+         {
+           Flow_table.fm_switch = src;
+           fm_command = Flow_table.Add;
+           fm_priority = 10;
+           fm_match = Flow_table.match_flow flow;
+           fm_actions = [ Flow_table.Set_path path ];
+         })
+  | None -> ());
+  found
+
+(* The handlers every design shares. Each keys its dictionary by switch
+   id. *)
+
+let key_of_switch = string_of_int
+
+let on_switch_joined ~dict init =
+  App.handler ~kind:Wire.k_switch_joined
+    ~map:(fun msg ->
+      match msg.Message.payload with
+      | Wire.Switch_joined { sj_switch; _ } -> Mapping.with_key dict (key_of_switch sj_switch)
+      | _ -> Mapping.Drop)
+    (fun ctx msg ->
+      match msg.Message.payload with
+      | Wire.Switch_joined { sj_switch; _ } ->
+        let key = key_of_switch sj_switch in
+        if not (Context.mem ctx ~dict ~key) then Context.set ctx ~dict ~key init
+      | _ -> ())
+
+let on_link_discovered ~dict =
+  App.handler ~kind:Wire.k_link_discovered
+    ~map:(fun msg ->
+      match msg.Message.payload with
+      | Wire.Link_discovered { ld_src_switch; _ } ->
+        Mapping.with_key dict (key_of_switch ld_src_switch)
+      | _ -> Mapping.Drop)
+    (fun ctx msg ->
+      match msg.Message.payload with
+      | Wire.Link_discovered { ld_src_switch = src; ld_dst_switch = dst; _ } ->
+        Context.update ctx ~dict ~key:(key_of_switch src) (fun prev ->
+            let links = match prev with Some (V_links l) -> l | Some _ | None -> [] in
+            if List.mem dst links then Some (V_links links)
+            else Some (V_links (List.sort Int.compare (dst :: links))))
+      | _ -> ())
+
+let on_query_tick ~dict =
+  App.handler ~kind:k_query_tick
+    ~map:(fun _ -> Mapping.Foreach dict)
+    (fun ctx _msg ->
+      Context.iter_dict ctx ~dict (fun key _ ->
+          Context.emit ctx ~size:Wire.size_small ~kind:Wire.k_app_stat_query
+            (Wire.Stat_query { sq_switch = int_of_string key })))
+
+let on_stat_reply ~dict ~cost ~hot =
+  App.handler
+    ~cost:(fun _ -> cost)
+    ~kind:Wire.k_app_stat_reply
+    ~map:(fun msg ->
+      match msg.Message.payload with
+      | Wire.Stat_reply { sr_switch; _ } -> Mapping.with_key dict (key_of_switch sr_switch)
+      | _ -> Mapping.Drop)
+    (fun ctx msg ->
+      match msg.Message.payload with
+      | Wire.Stat_reply { sr_switch; sr_stats } ->
+        let key = key_of_switch sr_switch in
+        let prev =
+          match Context.get ctx ~dict ~key with
+          | Some (V_obs o) -> o
+          | Some _ | None -> no_obs
+        in
+        let now = Simtime.to_sec (Context.now ctx) in
+        Context.set ctx ~dict ~key (V_obs (hot ctx sr_switch (collect_stats ~now ~prev sr_stats)))
+      | _ -> ())
+
+let every_second ~kind payload =
+  App.timer ~kind ~period:(Simtime.of_sec 1.0) ~size:16 (fun ~now:_ -> payload)
+
+let whole_dict_entries platform ~app ~dict =
+  match Platform.find_owner platform ~app (Cell.whole dict) with
+  | None -> []
+  | Some bee ->
+    List.filter_map
+      (fun (d, key, v) -> if String.equal d dict then Some (key, v) else None)
+      (Platform.bee_state_entries platform bee)

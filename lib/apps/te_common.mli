@@ -1,9 +1,15 @@
-(** Shared vocabulary of the traffic-engineering applications.
+(** The traffic-engineering program of Figure 2, less what each design
+    changes.
 
-    Both TE designs (the naive one of Figure 2 and the decoupled redesign
-    of Section 5) observe per-switch flow statistics, detect flows whose
-    rate exceeds the user-defined threshold [delta], and re-steer them with
-    FlowMods; they differ only in where the re-routing state lives. *)
+    Figure 2's TE app is four functions: [Init] on a switch joining,
+    [Query] every second, [Collect] on each stat reply, and [Route]. The
+    naive design ({!Te_naive}), the Section 5 redesign ({!Te_decoupled})
+    and Kandoo's local app ({!Kandoo}) share [Init], [Query], the
+    topology view and [Collect] from here. They differ only where the
+    paper says they do: what [Collect] does with the flows above the
+    threshold [delta] (its [hot] argument below), and where [Route]
+    keeps its state. Every [Route], {!Te_external}'s too, installs its
+    FlowMods through {!reroute}. *)
 
 type obs = {
   ob_flows : int array;  (** flow ids, strictly ascending *)
@@ -65,9 +71,6 @@ val mark_handled : obs -> int list -> obs
 
 (** {2 Topology view and re-routing} *)
 
-val record_link : Beehive_core.Context.t -> dict:string -> src:int -> dst:int -> unit
-(** Appends [dst] to the neighbour list stored under key [src]. *)
-
 val remove_link : Beehive_core.Context.t -> dict:string -> src:int -> dst:int -> unit
 (** Drops [dst] from the neighbour list stored under key [src]. *)
 
@@ -89,6 +92,42 @@ val bfs_path : int list array -> src:int -> dst:int -> int list option
     [None] when there is no path, including for ids outside the array
     that no list mentions. *)
 
-val reroute_mod :
-  flow:int -> src:int -> path:int list -> Beehive_openflow.Flow_table.mod_msg
-(** FlowMod re-steering [flow] at its source switch. *)
+val reroute :
+  Beehive_core.Context.t -> int list array -> flow:int -> src:int -> dst:int -> int list option
+(** [Route]'s action: the {!bfs_path} from [src] to [dst] and, when there
+    is one, a FlowMod emitted to re-steer [flow] along it at [src]. *)
+
+(** {2 The shared handlers}
+
+    Each keys [dict] by switch id. *)
+
+val on_switch_joined : dict:string -> Beehive_core.Value.t -> Beehive_core.App.handler
+(** [Init] on [SwitchJoined]: sets the switch's key in [dict] to the
+    given value, unless it is already there. *)
+
+val on_link_discovered : dict:string -> Beehive_core.App.handler
+(** Adds a discovered link to the topology view kept in [dict], under
+    its source switch. *)
+
+val on_query_tick : dict:string -> Beehive_core.App.handler
+(** [Query] on [k_query_tick]: a stat query to every switch with a key
+    in [dict]. *)
+
+val on_stat_reply :
+  dict:string ->
+  cost:Beehive_sim.Simtime.t ->
+  hot:(Beehive_core.Context.t -> int -> obs -> obs) ->
+  Beehive_core.App.handler
+(** [Collect] on [StatReply], costing [cost]: folds the reply into the
+    switch's observations in [dict] ({!collect_stats}), then stores what
+    [hot ctx switch obs] returns. [hot] is the design's own reaction to
+    the new observations. *)
+
+val every_second :
+  kind:string -> Beehive_core.Message.payload -> Beehive_core.App.timer
+(** A timer sending the payload, 16 bytes, once a second. *)
+
+val whole_dict_entries :
+  Beehive_core.Platform.t -> app:string -> dict:string -> (string * Beehive_core.Value.t) list
+(** The keys and values of [dict] in the bee of [app] that owns it whole,
+    in key order; [[]] until one does. *)

@@ -3,10 +3,7 @@ module Mapping = Beehive_core.Mapping
 module Context = Beehive_core.Context
 module Message = Beehive_core.Message
 module Value = Beehive_core.Value
-module Cell = Beehive_core.Cell
-module Platform = Beehive_core.Platform
 module Simtime = Beehive_sim.Simtime
-module Wire = Beehive_openflow.Wire
 open Te_common
 
 let app_name = "te.decoupled"
@@ -22,86 +19,12 @@ let () =
     | V_rerouted { r_path; _ } -> Some (16 + (8 * List.length r_path))
     | _ -> None)
 
-let on_switch_joined_init =
-  App.handler ~kind:Wire.k_switch_joined
-    ~map:(fun msg ->
-      match msg.Message.payload with
-      | Wire.Switch_joined { sj_switch; _ } ->
-        Mapping.with_key dict_stats (key_of_switch sj_switch)
-      | _ -> Mapping.Drop)
-    (fun ctx msg ->
-      match msg.Message.payload with
-      | Wire.Switch_joined { sj_switch; _ } ->
-        let key = key_of_switch sj_switch in
-        if not (Context.mem ctx ~dict:dict_stats ~key) then
-          Context.set ctx ~dict:dict_stats ~key (V_obs no_obs)
-      | _ -> ())
-
-let on_switch_joined_topo =
-  App.handler ~kind:Wire.k_switch_joined
-    ~map:(fun msg ->
-      match msg.Message.payload with
-      | Wire.Switch_joined { sj_switch; _ } ->
-        Mapping.with_key dict_topo (key_of_switch sj_switch)
-      | _ -> Mapping.Drop)
-    (fun ctx msg ->
-      match msg.Message.payload with
-      | Wire.Switch_joined { sj_switch; _ } ->
-        let key = key_of_switch sj_switch in
-        if not (Context.mem ctx ~dict:dict_topo ~key) then
-          Context.set ctx ~dict:dict_topo ~key (V_links [])
-      | _ -> ())
-
-let on_link_discovered =
-  App.handler ~kind:Wire.k_link_discovered
-    ~map:(fun msg ->
-      match msg.Message.payload with
-      | Wire.Link_discovered { ld_src_switch; _ } ->
-        Mapping.with_key dict_topo (key_of_switch ld_src_switch)
-      | _ -> Mapping.Drop)
-    (fun ctx msg ->
-      match msg.Message.payload with
-      | Wire.Link_discovered { ld_src_switch; ld_dst_switch; _ } ->
-        record_link ctx ~dict:dict_topo ~src:ld_src_switch ~dst:ld_dst_switch
-      | _ -> ())
-
-let on_query_tick =
-  App.handler ~kind:k_query_tick
-    ~map:(fun _ -> Mapping.Foreach dict_stats)
-    (fun ctx _msg ->
-      Context.iter_dict ctx ~dict:dict_stats (fun key _ ->
-          Context.emit ctx ~size:Wire.size_small ~kind:Wire.k_app_stat_query
-            (Wire.Stat_query { sq_switch = int_of_string key })))
-
-(* Collect: fold stats in, and — the redesign — notify Route with a small
-   aggregated event when a flow crosses the threshold. *)
-let on_stat_reply ~delta =
-  App.handler
-    ~cost:(fun _ -> Simtime.of_us 20)
-    ~kind:Wire.k_app_stat_reply
-    ~map:(fun msg ->
-      match msg.Message.payload with
-      | Wire.Stat_reply { sr_switch; _ } ->
-        Mapping.with_key dict_stats (key_of_switch sr_switch)
-      | _ -> Mapping.Drop)
-    (fun ctx msg ->
-      match msg.Message.payload with
-      | Wire.Stat_reply { sr_switch; sr_stats } ->
-        let key = key_of_switch sr_switch in
-        let prev =
-          match Context.get ctx ~dict:dict_stats ~key with
-          | Some (V_obs o) -> o
-          | Some _ | None -> no_obs
-        in
-        let now = Simtime.to_sec (Context.now ctx) in
-        let obs = collect_stats ~now ~prev sr_stats in
-        let hot = hot_flows ~delta obs in
-        List.iter
-          (fun i -> Context.emit ctx ~size:32 ~kind:k_traffic_update (traffic_update obs i))
-          hot;
-        let obs = mark_handled obs hot in
-        Context.set ctx ~dict:dict_stats ~key (V_obs obs)
-      | _ -> ())
+(* Collect's redesign: notify Route with a small aggregated event when a
+   flow crosses the threshold. *)
+let report_hot ~delta ctx _switch obs =
+  let hot = hot_flows ~delta obs in
+  List.iter (fun i -> Context.emit ctx ~size:32 ~kind:k_traffic_update (traffic_update obs i)) hot;
+  mark_handled obs hot
 
 (* Route: reacts to aggregated updates only; owns its private dictionary
    plus the topology view, decoupled from the per-switch stats. *)
@@ -116,10 +39,8 @@ let on_traffic_update =
         let key = string_of_int tu_flow in
         if not (Context.mem ctx ~dict:dict_route ~key) then begin
           let adj = adjacency_of_dict ctx ~dict:dict_topo in
-          match bfs_path adj ~src:tu_src ~dst:tu_dst with
+          match reroute ctx adj ~flow:tu_flow ~src:tu_src ~dst:tu_dst with
           | Some path ->
-            Context.emit ctx ~size:Wire.size_flow_mod ~kind:Wire.k_app_flow_mod
-              (Wire.App_flow_mod (reroute_mod ~flow:tu_flow ~src:tu_src ~path));
             Context.set ctx ~dict:dict_route ~key (V_rerouted { r_path = path; r_rate = tu_rate })
           | None -> ()
         end
@@ -165,10 +86,8 @@ let on_link_down_repair =
             match old_path with
             | src :: _ -> (
               let dst = List.nth old_path (List.length old_path - 1) in
-              match bfs_path adj ~src ~dst with
+              match reroute ctx adj ~flow ~src ~dst with
               | Some path ->
-                Context.emit ctx ~size:Wire.size_flow_mod ~kind:Wire.k_app_flow_mod
-                  (Wire.App_flow_mod (reroute_mod ~flow ~src ~path));
                 Context.set ctx ~dict:dict_route ~key
                   (V_rerouted { r_path = path; r_rate = rate })
               | None ->
@@ -182,24 +101,17 @@ let on_link_down_repair =
 let app ?(delta = 100_000.0) () =
   App.create ~name:app_name
     ~dicts:[ dict_stats; dict_topo; dict_route ]
-    ~timers:
-      [ App.timer ~kind:k_query_tick ~period:(Simtime.of_sec 1.0) ~size:16 (fun ~now:_ -> Query_tick) ]
+    ~timers:[ every_second ~kind:k_query_tick Query_tick ]
     [
-      on_switch_joined_init;
-      on_switch_joined_topo;
-      on_link_discovered;
-      on_query_tick;
-      on_stat_reply ~delta;
+      on_switch_joined ~dict:dict_stats (V_obs no_obs);
+      on_switch_joined ~dict:dict_topo (V_links []);
+      on_link_discovered ~dict:dict_topo;
+      on_query_tick ~dict:dict_stats;
+      on_stat_reply ~dict:dict_stats ~cost:(Simtime.of_us 20) ~hot:(report_hot ~delta);
       on_traffic_update;
       on_link_down_topo;
       on_link_down_repair;
     ]
 
 let rerouted_count platform =
-  match Platform.find_owner platform ~app:app_name (Cell.whole dict_route) with
-  | None -> 0
-  | Some bee ->
-    List.length
-      (List.filter
-         (fun (dict, _, _) -> String.equal dict dict_route)
-         (Platform.bee_state_entries platform bee))
+  List.length (whole_dict_entries platform ~app:app_name ~dict:dict_route)

@@ -2,12 +2,16 @@
     redesign: "create a separate dictionary for Route, and send aggregated
     events from Collect to notify Route about flow stat updates".
 
-    [Init]/[Query]/[Collect] keep per-switch cells in [flow_stats], so
-    they shard across hives and process stat replies next to each
-    switch's master hive; only the rare above-threshold events travel to
-    the centralized [Route] bee (its own [routing] dictionary plus the
-    topology view). This is the design of Figure 4 (b, e): a diagonal
-    traffic matrix with one cross at Route's hive. *)
+    [Init], [Query], [Collect] and the topology view are the shared
+    handlers of {!Te_common}, as in {!Te_naive}; they keep per-switch
+    cells in [flow_stats], so they shard across hives and process stat
+    replies next to each switch's master hive. What differs is this
+    module: [Collect] reports each flow that crosses the threshold to
+    [Route] as a [Traffic_update], and [Route] reacts to those rare
+    events alone, in the centralized bee of its own [routing] dictionary
+    plus the topology view, where it also repairs routes over dead
+    links. This is the design of Figure 4 (b, e): a diagonal traffic
+    matrix with one cross at Route's hive. *)
 
 val app_name : string
 (** ["te.decoupled"] *)

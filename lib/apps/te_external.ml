@@ -116,10 +116,10 @@ let on_traffic_update ~store =
             if existing = None then
               Ext_store.get store ~from_hive:hive ~key:topo_key (fun topo ->
                   let edges = match topo with Some (V_edges e) -> e | _ -> [] in
-                  match bfs_path (adjacency_of_edges edges) ~src:tu_src ~dst:tu_dst with
+                  match
+                    reroute ctx (adjacency_of_edges edges) ~flow:tu_flow ~src:tu_src ~dst:tu_dst
+                  with
                   | Some path ->
-                    Context.emit ctx ~size:Wire.size_flow_mod ~kind:Wire.k_app_flow_mod
-                      (Wire.App_flow_mod (reroute_mod ~flow:tu_flow ~src:tu_src ~path));
                     Ext_store.put store ~from_hive:hive ~key:(route_key tu_flow)
                       (V_route_record path) (fun () -> ())
                   | None -> ()))
@@ -127,8 +127,7 @@ let on_traffic_update ~store =
 
 let app ~store ?(delta = 100_000.0) () =
   App.create ~name:app_name ~dicts:[ dict_cache ]
-    ~timers:
-      [ App.timer ~kind:k_query_tick ~period:(Simtime.of_sec 1.0) ~size:16 (fun ~now:_ -> Query_tick) ]
+    ~timers:[ every_second ~kind:k_query_tick Query_tick ]
     [
       on_switch_joined ~store;
       on_link_discovered ~store;

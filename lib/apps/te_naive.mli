@@ -6,10 +6,12 @@
     - [Collect] on [StatReply], with [S\[switch\]];
     - [Route] every second, with the whole [S] and [T].
 
-    Because [Route] maps whole dictionaries, the platform collocates every
-    cell of [S] and [T] on one bee: the application is effectively
-    centralized — exactly the design bottleneck Section 5 instruments
-    (Figure 4 a, d). *)
+    [Init], [Query], [Collect] and the topology view [T] are the shared
+    handlers of {!Te_common}; [Collect] only folds the observations in.
+    This module holds [Route]. Because [Route] maps whole dictionaries,
+    the platform collocates every cell of [S] and [T] on one bee: the
+    application is effectively centralized — exactly the design
+    bottleneck Section 5 instruments (Figure 4 a, d). *)
 
 val app_name : string
 (** ["te.naive"] *)
@@ -19,3 +21,8 @@ val dict_stats : string  (** ["flow_stats"] — the paper's S *)
 val app : ?delta:float -> unit -> Beehive_core.App.t
 (** [delta] is the re-routing rate threshold in bytes/s (default
     100_000). Stats are queried and routes recomputed once a second. *)
+
+val rerouted_count : Beehive_core.Platform.t -> int
+(** How many flows [Route] has re-steered: the handled marks in [S],
+    which [Route] sets exactly when it emits a flow's FlowMod (reads
+    Route's bee state; 0 if Route has not run yet). *)

@@ -2,7 +2,6 @@ type t = {
   mutable processed : int;
   mutable errors : int;
   mutable busy_us : int;
-  out_by_kind : (string, int) Hashtbl.t;
   provenance : (string * string, int) Hashtbl.t;
   (* current window *)
   mutable cur_processed : int;
@@ -23,7 +22,6 @@ let create () =
     processed = 0;
     errors = 0;
     busy_us = 0;
-    out_by_kind = Hashtbl.create 8;
     provenance = Hashtbl.create 8;
     cur_processed = 0;
     cur_in_by_hive = Hashtbl.create 8;
@@ -77,7 +75,6 @@ let merge_latency ~into src =
   into.latency_samples <- into.latency_samples + src.latency_samples
 
 let record_out t ~in_kind ~out_kind =
-  bump t.out_by_kind out_kind 1;
   bump t.provenance (in_kind, out_kind) 1
 
 let processed t = t.processed
@@ -87,8 +84,6 @@ let busy_us t = t.busy_us
 let sorted_assoc tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let out_by_kind t = sorted_assoc t.out_by_kind
 
 let provenance t =
   Hashtbl.fold (fun (i, o) n acc -> (i, o, n) :: acc) t.provenance []

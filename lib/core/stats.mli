@@ -40,7 +40,6 @@ val record_latency : t -> Beehive_sim.Simtime.t -> unit
 val processed : t -> int
 val errors : t -> int
 val busy_us : t -> int
-val out_by_kind : t -> (string * int) list
 
 val provenance : t -> (string * string * int) list
 (** [(in_kind, out_kind, count)]: how many [out_kind] messages were

@@ -4,7 +4,6 @@ module Simtime = Beehive_sim.Simtime
 module Engine = Beehive_sim.Engine
 module Channels = Beehive_net.Channels
 module Platform = Beehive_core.Platform
-module Stats = Beehive_core.Stats
 module Feedback = Beehive_core.Feedback
 
 type measurement = {
@@ -33,24 +32,11 @@ let measure_now sc =
   let bw = Scenario.bandwidth sc in
   { m_matrix = m; m_bandwidth = bw; m_summary = Summary.measure m bw (Scenario.platform sc) }
 
-let count_emitted platform ~app ~kind =
-  List.fold_left
-    (fun acc (v : Platform.bee_view) ->
-      if String.equal v.Platform.view_app app then
-        match Platform.bee_stats platform v.Platform.view_id with
-        | Some s -> acc + Option.value ~default:0 (List.assoc_opt kind (Stats.out_by_kind s))
-        | None -> acc
-      else acc)
-    0
-    (Platform.live_bees platform)
-
 let rerouted_of sc =
   let platform = Scenario.platform sc in
   match (Scenario.config sc).Scenario.te with
   | Scenario.Te_none -> 0
-  | Scenario.Te_naive ->
-    count_emitted platform ~app:Beehive_apps.Te_naive.app_name
-      ~kind:Beehive_openflow.Wire.k_app_flow_mod
+  | Scenario.Te_naive -> Beehive_apps.Te_naive.rerouted_count platform
   | Scenario.Te_decoupled -> Beehive_apps.Te_decoupled.rerouted_count platform
   | Scenario.Te_external -> (
     match Scenario.ext_store sc with

@@ -106,6 +106,15 @@ let store_value platform ~bee ~key =
       else None)
     (Platform.bee_state_entries platform bee)
 
+(* How many of a scenario's flows run above its TE threshold: the flows
+   every TE design must re-route. *)
+let hot_flow_count sc =
+  let module Scenario = Beehive_harness.Scenario in
+  let threshold = (Scenario.config sc).Scenario.delta in
+  Array.fold_left
+    (fun n f -> if Beehive_net.Flow.is_hot ~threshold f then n + 1 else n)
+    0 (Scenario.flows sc)
+
 (* Behaviour pins. [behaviour.digests] holds "<section> <key> <digest>"
    lines; [check_pinned ~section actual] compares the section's
    (key, digest) pairs with [actual]. On a mismatch it prints the file as
