@@ -50,23 +50,29 @@ let close t = t.closed <- true
 let emits t = List.rev t.emits
 let sends t = List.rev t.sends
 
+(* [Cell.intersects] with [Cell.cell dict key], without building it. *)
+let visible t ~dict key =
+  Cell.Set.exists
+    (fun (a : Cell.t) ->
+      String.equal a.Cell.dict dict
+      && match a.Cell.key with Cell.All -> true | Cell.Key k -> String.equal k key)
+    t.allowed
+
 let check t ~dict ~key =
-  let c = Cell.cell dict key in
-  if not (Cell.Set.exists (fun a -> Cell.intersects a c) t.allowed) then
-    raise (Access_violation { app = t.app; dict; key })
+  if not (visible t ~dict key) then raise (Access_violation { app = t.app; dict; key })
 
 let check_dict t ~dict =
   if not (Cell.Set.exists (fun a -> String.equal a.Cell.dict dict) t.allowed) then
     raise (Access_violation { app = t.app; dict; key = "*" })
 
 let shadow_get t ~dict ~key =
-  Option.map
-    (fun entries ->
-      List.find_map
-        (fun (d, k, v) ->
-          if String.equal d dict && String.equal k key then Some v else None)
-        entries)
-    t.read_shadow
+  match t.read_shadow with
+  | None -> None
+  | Some entries ->
+    Some
+      (List.find_map
+         (fun (d, k, v) -> if String.equal d dict && String.equal k key then Some v else None)
+         entries)
 
 let get t ~dict ~key =
   check t ~dict ~key;
@@ -93,10 +99,6 @@ let update t ~dict ~key f =
   match f (State.tx_get t.tx ~dict ~key) with
   | Some v -> State.tx_set t.tx ~dict ~key v
   | None -> State.tx_del t.tx ~dict ~key
-
-let visible t ~dict key =
-  let c = Cell.cell dict key in
-  Cell.Set.exists (fun a -> Cell.intersects a c) t.allowed
 
 (* Holding the wildcard of [dict] makes every key visible, so only bees
    that hold some keys of [dict] pay the per-key check. *)

@@ -221,33 +221,44 @@ let[@tail_mod_cons] rec merge_counts history window =
     else if hh = h then (h, hc +. float_of_int c) :: merge_counts history' rest
     else (h, float_of_int c) :: merge_counts history rest
 
+(* Entries name distinct bees, so their order in a report does not
+   matter: the collector conses them as it walks. *)
 let collector_handler platform =
   App.handler ~kind:kind_collect
     ~map:(fun _ -> Mapping.Local)
     (fun ctx _msg ->
       let hive = Context.hive_id ctx in
-      let windows = Platform.local_windows platform ~hive in
-      let entries =
-        List.filter_map
-          (fun ((v : Platform.bee_view), (w : Stats.window)) ->
-            if String.equal v.Platform.view_app app_name then None
-            else if w.Stats.w_processed = 0 then None
-            else
-              Some
-                {
-                  e_bee = v.Platform.view_id;
-                  e_app = v.Platform.view_app;
-                  e_hive = v.Platform.view_hive;
-                  e_processed = w.Stats.w_processed;
-                  e_in_by_hive = w.Stats.w_in_by_hive;
-                })
-          windows
-      in
+      let entries = ref [] in
+      Platform.iter_windows platform ~hive (fun ~bee ~app (w : Stats.window) ->
+          if w.Stats.w_processed > 0 && not (String.equal app app_name) then
+            entries :=
+              {
+                e_bee = bee;
+                e_app = app;
+                e_hive = hive;
+                e_processed = w.Stats.w_processed;
+                e_in_by_hive = w.Stats.w_in_by_hive;
+              }
+              :: !entries);
+      let entries = !entries in
       if entries <> [] then
         Context.emit ctx
           ~size:(16 + (24 * List.length entries))
           ~kind:kind_report
           (Hive_report { rh_hive = hive; rh_entries = entries }))
+
+let no_load = { l_app = ""; l_hive = -1; l_processed = 0.0; l_in_by_hive = [] }
+
+let merge_entry e prev =
+  let prev = match prev with Some (V_load l) -> l | Some _ | None -> no_load in
+  Some
+    (V_load
+       {
+         l_app = e.e_app;
+         l_hive = e.e_hive;
+         l_processed = prev.l_processed +. float_of_int e.e_processed;
+         l_in_by_hive = merge_counts prev.l_in_by_hive e.e_in_by_hive;
+       })
 
 let aggregator_handler =
   App.handler ~kind:kind_report
@@ -257,30 +268,9 @@ let aggregator_handler =
       | Hive_report { rh_entries; _ } ->
         List.iter
           (fun e ->
-            let key = string_of_int e.e_bee in
-            let prev =
-              match Context.get ctx ~dict:dict_loads ~key with
-              | Some (V_load l) -> l
-              | Some _ | None ->
-                { l_app = e.e_app; l_hive = e.e_hive; l_processed = 0.0; l_in_by_hive = [] }
-            in
-            let merged =
-              {
-                l_app = e.e_app;
-                l_hive = e.e_hive;
-                l_processed = prev.l_processed +. float_of_int e.e_processed;
-                l_in_by_hive = merge_counts prev.l_in_by_hive e.e_in_by_hive;
-              }
-            in
-            Context.set ctx ~dict:dict_loads ~key (V_load merged))
+            Context.update ctx ~dict:dict_loads ~key:(string_of_int e.e_bee) (merge_entry e))
           rh_entries
       | _ -> ())
-
-(* The current placement of a bee; dead or unknown bees are skipped. *)
-let current_hive platform ~bee ~reported:_ =
-  match Platform.bee_view platform bee with
-  | Some view when view.Platform.view_alive -> Some view.Platform.view_hive
-  | Some _ | None -> None
 
 let optimizer_handler handle =
   let { platform; cfg; suggested; performed } = handle in
@@ -293,7 +283,7 @@ let optimizer_handler handle =
           match v with
           | V_load l -> (
             let bee = int_of_string key in
-            match current_hive platform ~bee ~reported:l.l_hive with
+            match Platform.live_bee_hive platform bee with
             | Some hive ->
               let total =
                 List.fold_left (fun a (_, c) -> a +. c) 0.0 l.l_in_by_hive
@@ -324,33 +314,23 @@ let optimizer_handler handle =
              end)
            (cfg.policy platform loads)
        end);
-      (* Decay history; forget entries that faded out. *)
-      let decisions = ref [] in
+      (* Decay history; forget entries that faded out. The iteration
+         does not see its own writes. *)
       Context.iter_dict ctx ~dict:dict_loads (fun key v ->
           match v with
-          | V_load l ->
-            let decayed =
-              {
-                l with
-                l_processed = l.l_processed *. decay;
-                l_in_by_hive =
-                  List.filter_map
-                    (fun (h, c) ->
-                      let c = c *. decay in
-                      if c < 0.25 then None else Some (h, c))
-                    l.l_in_by_hive;
-              }
-            in
-            decisions :=
-              (key, if decayed.l_in_by_hive = [] then None else Some (V_load decayed))
-              :: !decisions
-          | _ -> ());
-      List.iter
-        (fun (key, v) ->
-          match v with
-          | Some v -> Context.set ctx ~dict:dict_loads ~key v
-          | None -> Context.del ctx ~dict:dict_loads ~key)
-        !decisions)
+          | V_load l -> (
+            match
+              List.filter_map
+                (fun (h, c) ->
+                  let c = c *. decay in
+                  if c < 0.25 then None else Some (h, c))
+                l.l_in_by_hive
+            with
+            | [] -> Context.del ctx ~dict:dict_loads ~key
+            | in_by_hive ->
+              Context.set ctx ~dict:dict_loads ~key
+                (V_load { l with l_processed = l.l_processed *. decay; l_in_by_hive = in_by_hive }))
+          | _ -> ()))
 
 let install platform cfg =
   let handle = { platform; cfg; suggested = ref 0; performed = ref 0 } in

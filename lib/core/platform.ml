@@ -598,7 +598,15 @@ and complete t (b : bee) (d : Bee.delivery) cost ctx failure =
   t.n_processed <- t.n_processed + 1;
   (match failure with
   | None ->
-    let pending = State.tx_pending tx in
+    (* Only the store (for a non-local bee) and a replicator read the
+       write list. *)
+    let pending =
+      if
+        (not b.is_local)
+        && (Option.is_some t.store || (b.app.App.replicated && Option.is_some t.replicator))
+      then State.tx_pending tx
+      else []
+    in
     State.commit tx;
     let emits_l = Context.emits ctx in
     let eps_l = Context.sends ctx in
@@ -997,6 +1005,11 @@ let view_of t (b : bee) =
 
 let bee_view t id = Option.map (view_of t) (get_bee t id)
 
+let live_bee_hive t id =
+  match Hashtbl.find t.bees id with
+  | { status = `Active | `Paused; hive; _ } -> Some hive
+  | { status = `Crashed | `Dead; _ } | (exception Not_found) -> None
+
 let live_bees t = List.map (view_of t) (sorted_bees t (fun b -> b.status <> `Dead))
 
 let bee_stats t id = Option.map (fun b -> b.stats) (get_bee t id)
@@ -1025,10 +1038,14 @@ let find_owner t ~app cell =
   | [] -> None
   | b :: _ -> Some b
 
-let local_windows t ~hive =
-  List.map
-    (fun (b : bee) -> (view_of t b, Stats.take_window b.stats))
-    (sorted_bees t (fun b -> b.status <> `Dead && b.hive = hive))
+(* Bee ids are dense and [t.bees] never drops one, so walking the ids
+   visits every bee in ascending id order. *)
+let iter_windows t ~hive f =
+  for id = 0 to t.next_bee - 1 do
+    let b = Hashtbl.find t.bees id in
+    if b.hive = hive && b.status <> `Dead then
+      f ~bee:id ~app:b.app.App.name (Stats.take_window b.stats)
+  done
 
 let quiescent t =
   Hashtbl.fold

@@ -115,6 +115,11 @@ type bee_view = {
 }
 
 val bee_view : t -> int -> bee_view option
+
+val live_bee_hive : t -> int -> int option
+(** The hive of an active or paused bee; [None] for a crashed, dead or
+    unknown one. Unlike {!bee_view}, it reads nothing else. *)
+
 val live_bees : t -> bee_view list
 val bee_stats : t -> int -> Stats.t option
 
@@ -206,9 +211,10 @@ val on_hive_restart : t -> (int -> unit) -> unit
 val local_bee : t -> app:string -> hive:int -> int option
 val find_owner : t -> app:string -> Cell.t -> int option
 
-val local_windows : t -> hive:int -> (bee_view * Stats.window) list
-(** Snapshots and resets the stats window of every live bee on a hive —
-    what a per-hive instrumentation collector gathers. *)
+val iter_windows : t -> hive:int -> (bee:int -> app:string -> Stats.window -> unit) -> unit
+(** Takes ({!Stats.take_window}) the stats window of every live bee on a
+    hive, in ascending bee id order — what a per-hive instrumentation
+    collector gathers. An idle bee costs no allocation. *)
 
 val quiescent : t -> bool
 (** True when no bee is processing or has queued messages (in-flight

@@ -26,7 +26,7 @@ type tx = {
 let create () = { dicts = Hashtbl.create 8 }
 
 let dict_map t dict =
-  match Hashtbl.find_opt t.dicts dict with Some d -> d | None -> SMap.empty
+  match Hashtbl.find t.dicts dict with d -> d | exception Not_found -> SMap.empty
 
 let get t ~dict ~key = SMap.find_opt key (dict_map t dict)
 
@@ -94,10 +94,11 @@ let tx_pending tx =
 let commit tx =
   check_open tx;
   tx.finished <- true;
-  PMap.iter
-    (fun (dict, key) w ->
-      Hashtbl.replace tx.base.dicts dict (apply (dict_map tx.base dict) key w))
-    tx.pending
+  if not (PMap.is_empty tx.pending) then
+    PMap.iter
+      (fun (dict, key) w ->
+        Hashtbl.replace tx.base.dicts dict (apply (dict_map tx.base dict) key w))
+      tx.pending
 
 let abort tx =
   check_open tx;

@@ -5,7 +5,8 @@ type t = {
   provenance : (string * string, int) Hashtbl.t;
   (* current window *)
   mutable cur_processed : int;
-  cur_in_by_hive : (int, int) Hashtbl.t;
+  mutable cur_in_by_hive : int array;
+      (* indexed by source hive, grown on demand: elastic joins add hives *)
   (* log2 latency histogram: index i counts samples in [2^i, 2^(i+1)) us,
      index 0 also holding sub-microsecond samples *)
   latency_buckets : int array;
@@ -24,7 +25,7 @@ let create () =
     busy_us = 0;
     provenance = Hashtbl.create 8;
     cur_processed = 0;
-    cur_in_by_hive = Hashtbl.create 8;
+    cur_in_by_hive = [||];
     latency_buckets = Array.make 40 0;
     latency_samples = 0;
   }
@@ -32,10 +33,24 @@ let create () =
 let bump tbl k n =
   Hashtbl.replace tbl k (n + match Hashtbl.find tbl k with c -> c | exception Not_found -> 0)
 
+let count_in t h =
+  let counts = t.cur_in_by_hive in
+  let n = Array.length counts in
+  let counts =
+    if h < n then counts
+    else begin
+      let grown = Array.make (max (h + 1) (2 * n)) 0 in
+      Array.blit counts 0 grown 0 n;
+      t.cur_in_by_hive <- grown;
+      grown
+    end
+  in
+  counts.(h) <- counts.(h) + 1
+
 let record_in t ~src_hive =
   t.processed <- t.processed + 1;
   t.cur_processed <- t.cur_processed + 1;
-  match src_hive with Some h -> bump t.cur_in_by_hive h 1 | None -> ()
+  match src_hive with Some h -> count_in t h | None -> ()
 
 let record_done t ~busy = t.busy_us <- t.busy_us + Beehive_sim.Simtime.to_us busy
 let record_error t = t.errors <- t.errors + 1
@@ -81,30 +96,33 @@ let processed t = t.processed
 let errors t = t.errors
 let busy_us t = t.busy_us
 
-let sorted_assoc tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
 let provenance t =
   Hashtbl.fold (fun (i, o) n acc -> (i, o, n) :: acc) t.provenance []
   |> List.sort compare
 
-let take_window t =
-  let w = { w_processed = t.cur_processed; w_in_by_hive = sorted_assoc t.cur_in_by_hive } in
-  t.cur_processed <- 0;
-  Hashtbl.reset t.cur_in_by_hive;
-  w
-
-let window_total_in w = List.fold_left (fun acc (_, n) -> acc + n) 0 w.w_in_by_hive
-
-let window_majority_hive w =
-  let total = window_total_in w in
-  if total = 0 then None
+(* Zeroes [counts.(0..h)], returning its non-zero entries in hive order. *)
+let rec drain counts h acc =
+  if h < 0 then acc
   else begin
-    let best_hive, best_n =
-      List.fold_left
-        (fun (bh, bn) (h, n) -> if n > bn then (h, n) else (bh, bn))
-        (-1, -1) w.w_in_by_hive
+    let n = counts.(h) in
+    if n = 0 then drain counts (h - 1) acc
+    else begin
+      counts.(h) <- 0;
+      drain counts (h - 1) ((h, n) :: acc)
+    end
+  end
+
+let empty_window = { w_processed = 0; w_in_by_hive = [] }
+
+(* An idle bee's window is the shared empty one: every count is still
+   zero, since [record_in] bumps [cur_processed] with each of them. *)
+let take_window t =
+  if t.cur_processed = 0 then empty_window
+  else begin
+    let counts = t.cur_in_by_hive in
+    let w =
+      { w_processed = t.cur_processed; w_in_by_hive = drain counts (Array.length counts - 1) [] }
     in
-    Some (best_hive, float_of_int best_n /. float_of_int total)
+    t.cur_processed <- 0;
+    w
   end

@@ -59,8 +59,4 @@ val merge_latency : into:t -> t -> unit
 
 val take_window : t -> window
 (** Returns counters accumulated since the previous [take_window] and
-    starts a fresh window. *)
-
-val window_majority_hive : window -> (int * float) option
-(** The hive contributing the most inbound messages in the window and its
-    share of the total, if any messages arrived. *)
+    starts a fresh window. Allocates nothing when the window is empty. *)

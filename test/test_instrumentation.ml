@@ -117,6 +117,51 @@ let test_max_migrations_per_round () =
   Alcotest.(check bool) "per-round budget respected" true
     (Instrumentation.performed_migrations handle <= 64)
 
+type Message.payload += Idle of int
+
+(* An app whose bees each handle one message and then sit idle. *)
+let idle_app =
+  App.create ~name:"test.idle" ~dicts:[ "idle" ]
+    [
+      App.handler ~kind:"test.idle"
+        ~map:(fun msg ->
+          match msg.Message.payload with
+          | Idle i -> Mapping.with_key "idle" (string_of_int i)
+          | _ -> Mapping.Drop)
+        (fun _ _ -> ());
+    ]
+
+(* The words allocated across one collect round (the collect tick at
+   7 s, its report and the aggregator's merge) on a one-hive platform
+   with one busy kv bee and [idle] idle bees. The idle bees' only
+   messages come from the system, with no source hive, so the first
+   optimization round (5 s) forgets them: the measured round reports and
+   merges the busy bee alone, whatever [idle] is. *)
+let collect_round_words ~idle =
+  let engine = Engine.create () in
+  let platform = Platform.create engine (Platform.default_config ~n_hives:1) in
+  Platform.register_app platform (kv_app ());
+  Platform.register_app platform idle_app;
+  ignore
+    (Instrumentation.install platform { Instrumentation.default_config with optimize = false });
+  Platform.start platform;
+  for i = 1 to idle do
+    Platform.emit_system platform ~kind:"test.idle" (Idle i)
+  done;
+  ignore
+    (Engine.every engine (Simtime.of_ms 100) (fun () -> put platform ~from:0 ~key:"k" ~value:1));
+  Engine.run_until engine (Simtime.of_sec 6.5);
+  Alcotest.(check int) "live bees" (idle + 3) (List.length (Platform.live_bees platform));
+  let before = Gc.minor_words () in
+  Engine.run_until engine (Simtime.of_sec 7.5);
+  Gc.minor_words () -. before
+
+let test_collect_cost_ignores_idle_bees () =
+  let alone = collect_round_words ~idle:0 and crowded = collect_round_words ~idle:500 in
+  if Float.abs (crowded -. alone) > 64.0 then
+    Alcotest.failf "a collect round allocates %.0f words beside 500 idle bees, %.0f alone"
+      crowded alone
+
 let suite =
   [
     ( "instrumentation",
@@ -128,5 +173,7 @@ let suite =
         Alcotest.test_case "balanced traffic stays put" `Quick
           test_optimizer_ignores_balanced_traffic;
         Alcotest.test_case "max migrations per round" `Quick test_max_migrations_per_round;
+        Alcotest.test_case "collect cost ignores idle bees" `Quick
+          test_collect_cost_ignores_idle_bees;
       ] );
   ]

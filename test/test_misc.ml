@@ -85,17 +85,77 @@ let test_stats_windows () =
   let w = Stats.take_window s in
   Alcotest.(check int) "window processed" 3 w.Stats.w_processed;
   Alcotest.(check (list (pair int int))) "by hive" [ (1, 2); (2, 1) ] w.Stats.w_in_by_hive;
-  (match Stats.window_majority_hive w with
-  | Some (h, share) ->
-    Alcotest.(check int) "majority hive" 1 h;
-    Alcotest.(check (float 0.01)) "share" (2.0 /. 3.0) share
-  | None -> Alcotest.fail "majority expected");
+  Alcotest.(check int) "every message has a source hive" w.Stats.w_processed
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 w.Stats.w_in_by_hive);
   (* Window resets; cumulative survives. *)
   let w2 = Stats.take_window s in
   Alcotest.(check int) "fresh window empty" 0 w2.Stats.w_processed;
   Alcotest.(check int) "cumulative" 3 (Stats.processed s);
   Alcotest.(check (list (triple string string int))) "provenance" [ ("k", "o", 1) ]
     (Stats.provenance s)
+
+(* The window counts as [Stats] kept them before the dense array, a
+   Hashtbl sorted on every take: the oracle for [take_window]. *)
+module Table_window = struct
+  type t = {
+    mutable cur_processed : int;
+    cur_in_by_hive : (int, int) Hashtbl.t;
+  }
+
+  let create () = { cur_processed = 0; cur_in_by_hive = Hashtbl.create 8 }
+
+  let bump tbl k n =
+    Hashtbl.replace tbl k (n + match Hashtbl.find tbl k with c -> c | exception Not_found -> 0)
+
+  let record_in t ~src_hive =
+    t.cur_processed <- t.cur_processed + 1;
+    match src_hive with Some h -> bump t.cur_in_by_hive h 1 | None -> ()
+
+  let sorted_assoc tbl =
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+  let take_window t =
+    let w = (t.cur_processed, sorted_assoc t.cur_in_by_hive) in
+    t.cur_processed <- 0;
+    Hashtbl.reset t.cur_in_by_hive;
+    w
+end
+
+(* [Some (Some h)] records a message from hive [h], [Some None] one with
+   no source hive, [None] takes the window. *)
+let prop_take_window_matches_table =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (8, map (fun h -> Some (Some h)) (int_bound 63));
+          (1, return (Some None));
+          (1, return None);
+        ])
+  in
+  let print = function
+    | Some (Some h) -> string_of_int h
+    | Some None -> "-"
+    | None -> "take"
+  in
+  QCheck.Test.make ~name:"take_window matches the Hashtbl oracle" ~count:500
+    (QCheck.make ~print:QCheck.Print.(list print) QCheck.Gen.(list_size (0 -- 200) op))
+    (fun ops ->
+      let s = Stats.create () and oracle = Table_window.create () in
+      let same () =
+        let w = Stats.take_window s in
+        (w.Stats.w_processed, w.Stats.w_in_by_hive) = Table_window.take_window oracle
+      in
+      List.for_all
+        (function
+          | Some src_hive ->
+            Stats.record_in s ~src_hive;
+            Table_window.record_in oracle ~src_hive;
+            true
+          | None -> same ())
+        ops
+      && same ())
 
 let test_latency_percentiles () =
   let s = Stats.create () in
@@ -131,5 +191,6 @@ let suite =
         Alcotest.test_case "series sparkline" `Quick test_series_sparkline;
         Alcotest.test_case "stats windows" `Quick test_stats_windows;
         Alcotest.test_case "latency percentiles" `Quick test_latency_percentiles;
+        QCheck_alcotest.to_alcotest prop_take_window_matches_table;
       ] );
   ]

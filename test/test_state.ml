@@ -266,6 +266,18 @@ let test_iter_dict_keys_held () =
   Alcotest.(check (list string)) "only the held keys, in order" [ "007"; "042" ]
     (Context.dict_keys ctx ~dict:"topology")
 
+let test_empty_commit_allocates_nothing () =
+  let st = State.create () in
+  let tx0 = State.begin_tx st in
+  State.tx_set tx0 ~dict:"d" ~key:"a" (vi 1);
+  State.commit tx0;
+  let tx = State.begin_tx st in
+  let before = Gc.minor_words () in
+  State.commit tx;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "words allocated" 0.0 words;
+  Alcotest.(check (option int)) "state kept" (Some 1) (get_int st ~dict:"d" ~key:"a")
+
 let suite =
   [
     ( "state",
@@ -286,5 +298,7 @@ let suite =
         Alcotest.test_case "iter_dict held whole is copy-free" `Quick
           test_iter_dict_held_whole_is_copy_free;
         Alcotest.test_case "iter_dict of held keys" `Quick test_iter_dict_keys_held;
+        Alcotest.test_case "empty commit allocates nothing" `Quick
+          test_empty_commit_allocates_nothing;
       ] );
   ]
