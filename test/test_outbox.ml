@@ -18,6 +18,7 @@ module Message = Beehive_core.Message
 module Value = Beehive_core.Value
 module Cell = Beehive_core.Cell
 module Stats = Beehive_core.Stats
+module Outbox = Beehive_core.Outbox
 
 type Message.payload += Fwd of string | Apply of string | Bad_map of string
 
@@ -457,6 +458,36 @@ let test_replicated_sender_fails_over_with_unacked_entry () =
     (kv_count platform "a");
   Alcotest.(check int) "outbox drained" 0 (Platform.outbox_unacked_total platform)
 
+(* The ledger's ack rule on its own: an entry that must reach two
+   receivers retires only once two distinct receivers have acked it, a
+   repeated ack from one receiver counts once, and the rule holds
+   whether the acks arrive before or after the dispatch records its
+   legs. *)
+let test_entry_retires_on_distinct_acks () =
+  let entry seq =
+    let t = Outbox.create () in
+    Outbox.add t ~sender:1 ~seq ~durable:true
+      (Message.make ~kind:k_apply ~src:Message.From_system ~sent_at:Simtime.zero
+         (Apply "k"));
+    Option.get (Outbox.find t ~sender:1 ~seq)
+  in
+  let check = Alcotest.(check bool) in
+  let e = entry 1 in
+  check "legs recorded, no acks" false (Outbox.set_required e 2);
+  check "first receiver" false (Outbox.ack e ~receiver:7);
+  check "first receiver again" false (Outbox.ack e ~receiver:7);
+  check "second receiver" true (Outbox.ack e ~receiver:8);
+  let e = entry 2 in
+  check "ack before any dispatch" false (Outbox.ack e ~receiver:7);
+  check "duplicate before any dispatch" false (Outbox.ack e ~receiver:7);
+  check "legs recorded after one distinct ack" false (Outbox.set_required e 2);
+  check "second receiver after the legs" true (Outbox.ack e ~receiver:8);
+  let e = entry 3 in
+  check "early ack" false (Outbox.ack e ~receiver:7);
+  check "second early ack" false (Outbox.ack e ~receiver:8);
+  check "legs already covered" true (Outbox.set_required e 2);
+  check "zero legs" true (Outbox.set_required (entry 4) 0)
+
 let suite =
   [
     ( "outbox",
@@ -480,5 +511,7 @@ let suite =
           test_outbox_survives_sender_migration;
         Alcotest.test_case "replicated sender fails over with un-acked entry" `Quick
           test_replicated_sender_fails_over_with_unacked_entry;
+        Alcotest.test_case "an entry retires on acks from distinct receivers" `Quick
+          test_entry_retires_on_distinct_acks;
       ] );
   ]
