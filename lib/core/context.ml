@@ -38,17 +38,15 @@ let make ?read_shadow ~app ~bee ~hive ~now ~rng ~allowed ~tx ~message ~late () =
     late;
   }
 
-let app t = t.app
 let bee_id t = t.bee
 let hive_id t = t.hive
 let now t = t.now ()
 let rng t = t.rng
-let allowed t = t.allowed
 let message t = t.message
 let tx t = t.tx
 let close t = t.closed <- true
-let emits t = List.rev t.emits
-let sends t = List.rev t.sends
+let emitted t = t.emits
+let sent t = t.sends
 
 (* [Cell.intersects] with [Cell.cell dict key], without building it. *)
 let visible t ~dict key =
@@ -111,11 +109,6 @@ let iter_dict t ~dict f =
   match t.read_shadow with
   | Some entries -> List.iter (fun (d, k, v) -> if String.equal d dict then f k v) entries
   | None -> State.tx_iter t.tx ~dict f
-
-let dict_keys t ~dict =
-  let acc = ref [] in
-  iter_dict t ~dict (fun k _ -> acc := k :: !acc);
-  List.rev !acc
 
 let bee_message t ?size ~kind payload =
   let src = Message.From_bee { bee = t.bee; hive = t.hive; app = t.app } in

@@ -30,17 +30,19 @@ val make :
   t
 (** Used by the platform (and by tests that drive handlers directly).
     [message] is the message being handled. [read_shadow], when given,
-    serves all {e pure} reads ({!get}, {!mem}, {!iter_dict},
-    {!dict_keys}) from the snapshot instead of the transaction — the
+    serves all {e pure} reads ({!get}, {!mem}, {!iter_dict}) from the
+    snapshot instead of the transaction — the
     hook behind {!Platform.debug_stale_reads}. Writes and {!update}'s
     read-modify-write are never shadowed. *)
 
-val app : t -> string
 val bee_id : t -> int
 val hive_id : t -> int
 val now : t -> Beehive_sim.Simtime.t
+
 val rng : t -> Beehive_sim.Rng.t
-val allowed : t -> Cell.Set.t
+(** The bee's seeded random stream. Kept although no shipped handler draws
+    from it: it is the handler API's only source of reproducible
+    randomness. *)
 
 val message : t -> Message.t
 (** The message being handled. *)
@@ -57,11 +59,11 @@ val tx : t -> State.tx
 val close : t -> unit
 (** Marks the handler as returned: later emits and sends go to [late]. *)
 
-val emits : t -> Message.t list
-(** Messages emitted before {!close}, oldest first. *)
+val emitted : t -> Message.t list
+(** Messages emitted before {!close}, newest first. *)
 
-val sends : t -> (Beehive_net.Channels.endpoint * Message.t) list
-(** Endpoint sends made before {!close}, oldest first. *)
+val sent : t -> (Beehive_net.Channels.endpoint * Message.t) list
+(** Endpoint sends made before {!close}, newest first. *)
 
 (** {2 State access (within mapped cells)} *)
 
@@ -79,8 +81,6 @@ val iter_dict : t -> dict:string -> (string -> Value.t -> unit) -> unit
     bee's entries when the mapping includes the dictionary's wildcard or a
     [Foreach] on it). Raises {!Access_violation} if [dict] is not mapped
     at all. *)
-
-val dict_keys : t -> dict:string -> string list
 
 (** {2 Messaging} *)
 

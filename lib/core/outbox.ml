@@ -18,7 +18,8 @@ type entry = {
   msg : Message.t;
   mutable required : int;
       (* receiver legs counted at the latest dispatch; -1 before the first *)
-  ackers : (int, unit) Hashtbl.t;  (* receiver bees durably applied *)
+  mutable ackers : int list;  (* distinct receiver bees durably applied *)
+  mutable n_ackers : int;  (* length of [ackers] *)
   mutable attempts : int;
   mutable last_attempt : Simtime.t;
   mutable durable : bool;
@@ -60,7 +61,8 @@ let add t ~sender ~seq ~durable msg =
       seq;
       msg;
       required = -1;
-      ackers = Hashtbl.create 4;
+      ackers = [];
+      n_ackers = 0;
       attempts = 0;
       last_attempt = Simtime.zero;
       durable;
@@ -109,11 +111,14 @@ let last_attempt e = e.last_attempt
 
 let set_required e legs =
   e.required <- legs;
-  Hashtbl.length e.ackers >= legs
+  e.n_ackers >= legs
 
 let ack e ~receiver =
-  Hashtbl.replace e.ackers receiver ();
-  e.required >= 0 && Hashtbl.length e.ackers >= e.required
+  if not (List.mem receiver e.ackers) then begin
+    e.ackers <- receiver :: e.ackers;
+    e.n_ackers <- e.n_ackers + 1
+  end;
+  e.required >= 0 && e.n_ackers >= e.required
 
 let backoff e =
   let n = min 10 (max 0 (e.attempts - 1)) in

@@ -438,6 +438,29 @@ let report_emit t (b : bee) ~in_kind ~parent ~emitter (m : Message.t) =
   Stats.record_out b.stats ~in_kind ~out_kind:m.Message.kind;
   call_emit_hooks ~parent ~child:m ~emitter t.emit_hooks
 
+(* The walks below take a context's emits or sends newest first and act
+   on them oldest first, recursing before acting: no reversed copy, no
+   closure. *)
+let rec report_emits t b ~in_kind ~parent ~emitter = function
+  | [] -> ()
+  | m :: older ->
+    report_emits t b ~in_kind ~parent ~emitter older;
+    report_emit t b ~in_kind ~parent ~emitter m
+
+let rec report_sends t b ~in_kind ~parent ~emitter = function
+  | [] -> ()
+  | (_, m) :: older ->
+    report_sends t b ~in_kind ~parent ~emitter older;
+    report_emit t b ~in_kind ~parent ~emitter m
+
+(* Tracks emits, given newest first, under consecutive outbox seqs that
+   end at [seq], and returns the [(seq, message)] entries oldest first. *)
+let rec track_emits t (b : bee) ~seq acc = function
+  | [] -> acc
+  | m :: older ->
+    Outbox.add t.outbox ~sender:b.id ~seq ~durable:false m;
+    track_emits t b ~seq:(seq - 1) ((seq, m) :: acc) older
+
 (* A crash between dispatch and completion voids the handler: its
    effects died with the hive. Crashes are plain thunk events, so under
    sharded dispatch the answer is fixed before any batch containing the
@@ -460,6 +483,12 @@ let deliver_endpoint t (b : bee) ep (m : Message.t) =
              t.n_handler_faults <- t.n_handler_faults + 1;
              Log.warn (fun f ->
                  f "endpoint callback for %s raised %s" m.Message.kind (Printexc.to_string exn))))
+
+let rec deliver_sends t b = function
+  | [] -> ()
+  | (ep, m) :: older ->
+    deliver_sends t b older;
+    deliver_endpoint t b ep m
 
 (* Retry budget exhausted: park the message in the bee's quarantine so
    the engine keeps running, and consume it for good — its inbox mark is
@@ -608,12 +637,14 @@ and complete t (b : bee) (d : Bee.delivery) cost ctx failure =
       else []
     in
     State.commit tx;
-    let emits_l = Context.emits ctx in
-    let eps_l = Context.sends ctx in
-    if emits_l <> [] || eps_l <> [] then begin
-      let in_kind = msg.Message.kind and parent = Some msg and emitter = emitter_of b in
-      List.iter (fun m -> report_emit t b ~in_kind ~parent ~emitter m) emits_l;
-      List.iter (fun (_, m) -> report_emit t b ~in_kind ~parent ~emitter m) eps_l
+    let emits = Context.emitted ctx and sends = Context.sent ctx in
+    if emits <> [] || sends <> [] then begin
+      (* Only the emit hooks read the parent and the emitter. *)
+      let hooked = t.emit_hooks <> [] and in_kind = msg.Message.kind in
+      let parent = if hooked then Some msg else None
+      and emitter = if hooked then emitter_of b else None in
+      report_emits t b ~in_kind ~parent ~emitter emits;
+      report_sends t b ~in_kind ~parent ~emitter sends
     end;
     (* Tracked: the emits and this delivery's inbox mark are written to
        the WAL in the same group-commit record as the state delta; the
@@ -622,12 +653,9 @@ and complete t (b : bee) (d : Bee.delivery) cost ctx failure =
       match t.store with
       | Some s when not b.is_local ->
         let emits =
-          List.map
-            (fun (m : Message.t) ->
-              let seq = Store.alloc_out_seq s ~bee:b.id in
-              Outbox.add t.outbox ~sender:b.id ~seq ~durable:false m;
-              (seq, m))
-            emits_l
+          match List.length emits with
+          | 0 -> []
+          | n -> track_emits t b ~seq:(Store.alloc_out_seqs s ~bee:b.id n + n - 1) [] emits
         in
         let inbox = Option.to_list d.d_outbox in
         if pending <> [] || emits <> [] || inbox <> [] then
@@ -640,10 +668,10 @@ and complete t (b : bee) (d : Bee.delivery) cost ctx failure =
       | Some _ | None ->
         (* Untracked emits (no store, or a local bee) dispatch at commit
            time. *)
-        List.iter (fun m -> route t ~src_ep:(Channels.Hive b.hive) m) emits_l;
+        if emits <> [] then route_emits t ~src_ep:(Channels.Hive b.hive) emits;
         ([], [])
     in
-    List.iter (fun (ep, m) -> deliver_endpoint t b ep m) eps_l;
+    deliver_sends t b sends;
     (match t.replicator with
     | Some r
       when b.app.App.replicated && (not b.is_local)
@@ -694,6 +722,12 @@ and complete t (b : bee) (d : Bee.delivery) cost ctx failure =
   | Some (dst, reason), `Active -> start_transfer t b dst reason ~resume:(maybe_process t)
   | _ -> ());
   maybe_process t b
+
+and route_emits t ~src_ep = function
+  | [] -> ()
+  | m :: older ->
+    route_emits t ~src_ep older;
+    route t ~src_ep m
 
 and enqueue t (b : bee) d =
   (* Messages in flight to a bee that has since been merged away follow

@@ -1,114 +1,189 @@
 module SMap = Map.Make (String)
 
-(* Pending writes keyed by [(dict, key)], ordered by [String.compare] on
-   each part: the order the WAL record and replication ship them in. *)
-module PMap = Map.Make (struct
-  type t = string * string
+(* Each dictionary is a persistent map from key to a mutable cell: keys
+   stay in [String.compare] order and a view needs no copy, while a
+   commit that overwrites a key assigns its cell. [viewing] counts the
+   [tx_iter] calls running over this state, whose views read the cells
+   in place. *)
+type t = {
+  dicts : (string, Value.t ref SMap.t) Hashtbl.t;
+  mutable viewing : int;
+}
 
-  let compare (d1, k1) (d2, k2) =
-    match String.compare d1 d2 with 0 -> String.compare k1 k2 | c -> c
-end)
+(* One pending write; [write = None] deletes. *)
+type pending = {
+  dict : string;
+  key : string;
+  mutable write : Value.t option;
+}
 
-(* Each dictionary is a persistent map, so reading it in key order needs
-   no sort and a transactional view needs no copy. *)
-type t = { dicts : (string, Value.t SMap.t) Hashtbl.t }
-
-type write =
-  | Set of Value.t
-  | Del
-
+(* The pending writes sit in [writes.(0 .. n-1)], sorted by [(dict, key)]
+   under [String.compare]: the order the WAL record and replication ship
+   them in. *)
 type tx = {
   base : t;
-  mutable pending : write PMap.t;
+  mutable writes : pending array;
+  mutable n : int;
   mutable finished : bool;
 }
 
-let create () = { dicts = Hashtbl.create 8 }
+let create () = { dicts = Hashtbl.create 8; viewing = 0 }
 
 let dict_map t dict =
   match Hashtbl.find t.dicts dict with d -> d | exception Not_found -> SMap.empty
 
-let get t ~dict ~key = SMap.find_opt key (dict_map t dict)
-
-let keys t ~dict = List.map fst (SMap.bindings (dict_map t dict))
-
 let sorted_dicts t =
   List.sort String.compare (Hashtbl.fold (fun name _ acc -> name :: acc) t.dicts [])
-
-let entry_count t = Hashtbl.fold (fun _ d acc -> acc + SMap.cardinal d) t.dicts 0
 
 let size_bytes t =
   Hashtbl.fold
     (fun dname d acc ->
       SMap.fold
-        (fun k v acc -> acc + String.length dname + String.length k + Value.size v)
+        (fun k c acc -> acc + String.length dname + String.length k + Value.size !c)
         d acc)
     t.dicts 0
 
-let cells t =
-  Hashtbl.fold
-    (fun dname d acc -> SMap.fold (fun k _ acc -> Cell.Set.add (Cell.cell dname k) acc) d acc)
-    t.dicts Cell.Set.empty
+(* Fills the unused tail of the pending array. *)
+let no_write = { dict = ""; key = ""; write = None }
 
-let begin_tx base = { base; pending = PMap.empty; finished = false }
+let begin_tx base = { base; writes = [||]; n = 0; finished = false }
 
 let check_open tx = if tx.finished then invalid_arg "State: transaction already finished"
 
+(* The first index in [writes.(lo .. hi-1)] whose [(dict, key)] is not
+   below the given one. A top-level function, so a lookup builds no
+   closure. *)
+let rec lower_bound writes ~dict ~key lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    let p = writes.(mid) in
+    let c = match String.compare p.dict dict with 0 -> String.compare p.key key | c -> c in
+    if c < 0 then lower_bound writes ~dict ~key (mid + 1) hi
+    else lower_bound writes ~dict ~key lo mid
+
+let holds tx i ~dict ~key =
+  i < tx.n
+  &&
+  let p = tx.writes.(i) in
+  String.equal p.key key && String.equal p.dict dict
+
 let tx_get tx ~dict ~key =
   check_open tx;
-  match
-    if PMap.is_empty tx.pending then None else PMap.find_opt (dict, key) tx.pending
-  with
-  | Some (Set v) -> Some v
-  | Some Del -> None
-  | None -> get tx.base ~dict ~key
+  let i = lower_bound tx.writes ~dict ~key 0 tx.n in
+  if holds tx i ~dict ~key then tx.writes.(i).write
+  else
+    match SMap.find key (dict_map tx.base dict) with
+    | c -> Some !c
+    | exception Not_found -> None
 
 let tx_mem tx ~dict ~key = tx_get tx ~dict ~key <> None
 
-let tx_set tx ~dict ~key v =
+let put tx ~dict ~key write =
   check_open tx;
-  tx.pending <- PMap.add (dict, key) (Set v) tx.pending
+  let at = lower_bound tx.writes ~dict ~key 0 tx.n in
+  if holds tx at ~dict ~key then tx.writes.(at).write <- write
+  else begin
+    if tx.n = Array.length tx.writes then begin
+      let grown = Array.make (max 1 (2 * tx.n)) no_write in
+      Array.blit tx.writes 0 grown 0 tx.n;
+      tx.writes <- grown
+    end;
+    Array.blit tx.writes at tx.writes (at + 1) (tx.n - at);
+    tx.writes.(at) <- { dict; key; write };
+    tx.n <- tx.n + 1
+  end
 
-let tx_del tx ~dict ~key =
-  check_open tx;
-  tx.pending <- PMap.add (dict, key) Del tx.pending
+let tx_set tx ~dict ~key v = put tx ~dict ~key (Some v)
+let tx_del tx ~dict ~key = put tx ~dict ~key None
 
-let apply d key = function Set v -> SMap.add key v d | Del -> SMap.remove key d
+(* Calls [f] on [(key, value)] for the view's entries: the cells of [d]
+   overlaid with the pending [(keys.(i), writes.(i))], both in key
+   order. *)
+let iter_overlay d keys writes f =
+  let next = ref 0 in
+  let rec flush_before k =
+    let i = !next in
+    if i < Array.length keys && String.compare keys.(i) k < 0 then begin
+      next := i + 1;
+      (match writes.(i) with Some v -> f keys.(i) v | None -> ());
+      flush_before k
+    end
+  in
+  SMap.iter
+    (fun k c ->
+      flush_before k;
+      let i = !next in
+      if i < Array.length keys && String.equal keys.(i) k then begin
+        next := i + 1;
+        match writes.(i) with Some v -> f k v | None -> ()
+      end
+      else f k !c)
+    d;
+  for i = !next to Array.length keys - 1 do
+    match writes.(i) with Some v -> f keys.(i) v | None -> ()
+  done
 
 let tx_iter tx ~dict f =
   check_open tx;
-  (* The view is immutable: writes [f] makes stay invisible to it. *)
-  let view =
-    PMap.fold
-      (fun (dn, k) w d -> if String.equal dn dict then apply d k w else d)
-      tx.pending (dict_map tx.base dict)
-  in
-  SMap.iter f view
+  let d = dict_map tx.base dict in
+  (* The view is fixed here: writes [f] makes go to the pending array, so
+     the pending writes of [dict] are copied, and a commit of this state
+     raises while [viewing] is positive, so the cells hold still. *)
+  let lo = lower_bound tx.writes ~dict ~key:"" 0 tx.n in
+  let hi = ref lo in
+  while !hi < tx.n && String.equal tx.writes.(!hi).dict dict do
+    incr hi
+  done;
+  let base = tx.base in
+  base.viewing <- base.viewing + 1;
+  match
+    if !hi = lo then SMap.iter (fun k c -> f k !c) d
+    else
+      let m = !hi - lo in
+      iter_overlay d
+        (Array.init m (fun i -> tx.writes.(lo + i).key))
+        (Array.init m (fun i -> tx.writes.(lo + i).write))
+        f
+  with
+  | () -> base.viewing <- base.viewing - 1
+  | exception e ->
+    base.viewing <- base.viewing - 1;
+    raise e
 
-let tx_pending tx =
-  PMap.fold
-    (fun (dict, key) w acc -> (dict, key, match w with Set v -> Some v | Del -> None) :: acc)
-    tx.pending []
-  |> List.rev
+(* One pass from the last pending write back to the first, so the list
+   comes out in order with no reversal. *)
+let rec pending_down writes i acc =
+  if i < 0 then acc
+  else
+    let p = writes.(i) in
+    pending_down writes (i - 1) ((p.dict, p.key, p.write) :: acc)
+
+let tx_pending tx = pending_down tx.writes (tx.n - 1) []
+
+let apply t { dict; key; write } =
+  let d = dict_map t dict in
+  match write with
+  | Some v -> (
+    match SMap.find key d with
+    | c -> c := v
+    | exception Not_found -> Hashtbl.replace t.dicts dict (SMap.add key (ref v) d))
+  | None -> if SMap.mem key d then Hashtbl.replace t.dicts dict (SMap.remove key d)
 
 let commit tx =
   check_open tx;
+  if tx.n > 0 && tx.base.viewing > 0 then
+    invalid_arg "State: commit during a live view of the same state";
   tx.finished <- true;
-  if not (PMap.is_empty tx.pending) then
-    PMap.iter
-      (fun (dict, key) w ->
-        Hashtbl.replace tx.base.dicts dict (apply (dict_map tx.base dict) key w))
-      tx.pending
-
-let abort tx =
-  check_open tx;
-  tx.finished <- true;
-  tx.pending <- PMap.empty
+  for i = 0 to tx.n - 1 do
+    apply tx.base tx.writes.(i)
+  done
 
 let rollback tx =
   check_open tx;
-  let discarded = PMap.cardinal tx.pending in
-  abort tx;
+  tx.finished <- true;
+  let discarded = tx.n in
+  tx.n <- 0;
   discarded
 
 (* [Cell.Set] runs in dictionary order, a dictionary's wildcard before
@@ -124,26 +199,28 @@ let extract t cell_set =
         if SMap.is_empty d then acc
         else begin
           Hashtbl.replace t.dicts dname SMap.empty;
-          SMap.fold (fun k v acc -> (dname, k, v) :: acc) d acc
+          SMap.fold (fun k c acc -> (dname, k, !c) :: acc) d acc
         end
       | Cell.Key k -> (
         match SMap.find_opt k d with
         | None -> acc
-        | Some v ->
+        | Some c ->
           Hashtbl.replace t.dicts dname (SMap.remove k d);
-          (dname, k, v) :: acc))
+          (dname, k, !c) :: acc))
     cell_set []
   |> List.rev
 
+(* Fresh cells, always: no cell is ever shared between two states, so a
+   commit on one bee's state never writes a cell another bee reads. *)
 let insert t entries =
   List.iter
-    (fun (dname, k, v) -> Hashtbl.replace t.dicts dname (SMap.add k v (dict_map t dname)))
+    (fun (dname, k, v) -> Hashtbl.replace t.dicts dname (SMap.add k (ref v) (dict_map t dname)))
     entries
 
 let snapshot t =
   List.concat_map
     (fun dname ->
-      SMap.fold (fun k v acc -> (dname, k, v) :: acc) (Hashtbl.find t.dicts dname) []
+      SMap.fold (fun k c acc -> (dname, k, !c) :: acc) (Hashtbl.find t.dicts dname) []
       |> List.rev)
     (sorted_dicts t)
 

@@ -7,30 +7,34 @@
     transaction: writes are buffered and applied atomically on success,
     discarded if the handler raises.
 
-    Each dictionary is a persistent map ordered by [String.compare], and a
-    transaction's pending writes are a persistent map ordered by
-    [(dict, key)]: ordered reads cost no sort, and a transactional view
-    costs no copy unless the transaction wrote to that dictionary. *)
+    Each dictionary is a persistent map, ordered by [String.compare], from
+    key to a mutable cell. The bee is the single writer of its cells, so
+    a commit that overwrites a key assigns its cell in place and
+    allocates nothing; only adding or removing a key copies a path of the
+    map. {!insert} and {!restore} always make fresh cells, so no cell is
+    shared between two states: under sharded dispatch a pool domain may
+    read one bee's cells while the main domain commits another bee.
+
+    A transaction's pending writes sit in one array kept sorted by
+    [(dict, key)] under [String.compare] by binary search: a read looks
+    them up without allocating, and {!tx_pending} lists them in that
+    order without a sort.
+
+    A {!tx_iter} view reads the committed cells in place, overlaid with a
+    copy of the iterated dictionary's pending writes, so it costs in
+    proportion to those writes, never to the dictionary's size. The view
+    is fixed when the call starts. The single-writer rule keeps it fixed:
+    a {!commit} with writes, made while a view of the same state is being
+    iterated, raises [Invalid_argument]. *)
 
 type t
 type tx
 
 val create : unit -> t
 
-(** {2 Direct (committed) view} *)
-
-val get : t -> dict:string -> key:string -> Value.t option
-val keys : t -> dict:string -> string list
-(** In [String.compare] order. *)
-
-val entry_count : t -> int
-
 val size_bytes : t -> int
 (** Estimated serialized size of all entries; the byte cost of migrating
     or replicating this state. *)
-
-val cells : t -> Cell.Set.t
-(** Concrete [(dict, key)] cells currently materialized. *)
 
 (** {2 Transactions} *)
 
@@ -43,9 +47,9 @@ val tx_del : tx -> dict:string -> key:string -> unit
 val tx_iter : tx -> dict:string -> (string -> Value.t -> unit) -> unit
 (** Iterates the transactional view: base entries overlaid with the
     transaction's pending writes and deletions, in [String.compare] key
-    order — apps rely on this order. The view is immutable and taken
-    when the call starts, so writes the callback makes are not seen by
-    this iteration. *)
+    order — apps rely on this order. The view is taken when the call
+    starts, so writes the callback makes are not seen by this iteration,
+    and a commit of the same state made from the callback raises. *)
 
 val tx_pending : tx -> (string * string * Value.t option) list
 (** The pending writes ([None] means deletion), in [(dict, key)] order
@@ -54,13 +58,12 @@ val tx_pending : tx -> (string * string * Value.t option) list
     part of the durable byte image. *)
 
 val commit : tx -> unit
-(** Applies pending writes. A committed or aborted transaction cannot be
-    reused. *)
-
-val abort : tx -> unit
+(** Applies pending writes. A committed or rolled-back transaction cannot
+    be reused. Raises [Invalid_argument] if the transaction has writes
+    and a {!tx_iter} over the same state is running. *)
 
 val rollback : tx -> int
-(** {!abort} that reports how many pending writes were discarded — the
+(** Discards the pending writes and reports how many there were — the
     platform's handler-failure path, where an exception inside a handler
     atomically throws away the state delta (and, with the transactional
     outbox, the buffered emits that rode the same transaction). *)

@@ -317,11 +317,11 @@ let append t ~bee ~hive ?(outbox = []) ?(inbox = []) writes =
       outbox
   end
 
-let alloc_out_seq t ~bee =
+let alloc_out_seqs t ~bee n =
   let bl = log_of t bee in
-  let seq = bl.bl_next_out_seq in
-  bl.bl_next_out_seq <- seq + 1;
-  seq
+  let first = bl.bl_next_out_seq in
+  bl.bl_next_out_seq <- first + n;
+  first
 
 (* Durable view: snapshot overlaid with the WAL tail, pending excluded.
    Values read through a physically damaged frame come back garbled —

@@ -103,9 +103,10 @@ val append :
     back before they are durable. Explicit outbox sequence numbers advance
     the bee's allocator past them. *)
 
-val alloc_out_seq : 'v t -> bee:int -> int
-(** Allocates the bee's next outbox sequence number (monotonic, never
-    reused even after acks). *)
+val alloc_out_seqs : 'v t -> bee:int -> int -> int
+(** [alloc_out_seqs t ~bee n] allocates the bee's next [n] outbox
+    sequence numbers, consecutive, and returns the first (monotonic,
+    never reused even after acks). *)
 
 val flush : 'v t -> unit
 (** Forces a group commit of every pending batch now (the periodic timer

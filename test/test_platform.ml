@@ -465,7 +465,7 @@ let test_counters_and_quiescence () =
    two-app chain: an injected ping goes to app a, which emits a pong, and
    app b sets one key. The bound is the measured cost (OCaml 5.1.1,
    native code); raising it needs a reason. *)
-let runtime_words_per_message_bound = 149.0
+let runtime_words_per_message_bound = 120.0
 
 let test_runtime_words_per_message () =
   let on kind ~key rcv =
