@@ -192,39 +192,58 @@ let adjacency_of_edges edges =
   List.iter (fun (a, b) -> adj.(a) <- b :: adj.(a)) edges;
   adj
 
-(* Breadth-first, neighbours in list order. A neighbour outside the
-   array has no edges of its own: it can only end the search. *)
+(* [bfs_path]'s parent table and queue, one pair per domain, grown to
+   the largest graph searched so far. A search resets the parent entries
+   it may read before it starts, and reads the queue only where it wrote
+   it; neither array escapes a search. *)
+type bfs_scratch = { mutable parent : int array; mutable queue : int array }
+
+let bfs_scratch = Domain.DLS.new_key (fun () -> { parent = [||]; queue = [||] })
+
+(* Enqueues [u]'s neighbours not seen yet, in list order, from [tail] on.
+   Returns the new tail, or -1 as soon as a neighbour is [dst]. A
+   neighbour outside [0, n) has no edges of its own: it can only end the
+   search. *)
+let rec visit parent queue ~n ~dst u tail = function
+  | [] -> tail
+  | v :: rest ->
+    if v = dst then -1
+    else if v >= 0 && v < n && parent.(v) < 0 then begin
+      parent.(v) <- u;
+      queue.(tail) <- v;
+      visit parent queue ~n ~dst u (tail + 1) rest
+    end
+    else visit parent queue ~n ~dst u tail rest
+
+(* Breadth-first over the queue from [head]; the node whose list names
+   [dst], or -1 if none does. *)
+let rec search adj parent queue ~dst head tail =
+  if head >= tail then -1
+  else begin
+    let u = queue.(head) in
+    let tail = visit parent queue ~n:(Array.length adj) ~dst u tail adj.(u) in
+    if tail < 0 then u else search adj parent queue ~dst (head + 1) tail
+  end
+
+let rec walk parent ~src v acc =
+  if v = src then src :: acc else walk parent ~src parent.(v) (v :: acc)
+
 let bfs_path adj ~src ~dst =
   let n = Array.length adj in
   if src = dst then Some [ src ]
   else if src < 0 || src >= n then None
   else begin
-    let parent = Array.make n (-1) and queue = Array.make n src in
+    let s = Domain.DLS.get bfs_scratch in
+    if Array.length s.parent < n then begin
+      s.parent <- Array.make n 0;
+      s.queue <- Array.make n 0
+    end;
+    let { parent; queue } = s in
+    Array.fill parent 0 n (-1);
     parent.(src) <- src;
-    let head = ref 0 and tail = ref 1 and via = ref (-1) in
-    while !via < 0 && !head < !tail do
-      let u = queue.(!head) in
-      incr head;
-      let rec visit = function
-        | [] -> ()
-        | v :: rest ->
-          if v = dst then via := u
-          else begin
-            if v >= 0 && v < n && parent.(v) < 0 then begin
-              parent.(v) <- u;
-              queue.(!tail) <- v;
-              incr tail
-            end;
-            visit rest
-          end
-      in
-      visit adj.(u)
-    done;
-    if !via < 0 then None
-    else begin
-      let rec walk v acc = if v = src then src :: acc else walk parent.(v) (v :: acc) in
-      Some (walk !via [ dst ])
-    end
+    queue.(0) <- src;
+    let via = search adj parent queue ~dst 0 1 in
+    if via < 0 then None else Some (walk parent ~src via [ dst ])
   end
 
 let reroute ctx adj ~flow ~src ~dst =

@@ -90,7 +90,9 @@ val bfs_path : int list array -> src:int -> dst:int -> int list option
 (** Shortest path in the recorded adjacency, inclusive of endpoints,
     neighbours visited in list order. [Some [src]] when [src = dst];
     [None] when there is no path, including for ids outside the array
-    that no list mentions. *)
+    that no list mentions. It allocates only the path it returns: the
+    parent table and queue are scratch arrays local to the calling
+    domain, reused by its next search. *)
 
 val reroute :
   Beehive_core.Context.t -> int list array -> flow:int -> src:int -> dst:int -> int list option

@@ -43,6 +43,14 @@ let generate rng topo ~per_switch ~hot_fraction ~base_rate ~hot_rate
 
 let is_hot ~threshold f = f.rate_bps > threshold
 
-let stat_bytes f ~at =
-  let elapsed = Simtime.to_sec at -. f.starts_at in
-  if elapsed <= 0.0 then 0.0 else f.rate_bps *. elapsed
+(* One loop that reads the clock once: a per-flow call across modules
+   would box its float result and the clock's. *)
+let counters flows ~at =
+  let now = Simtime.to_sec at in
+  let bytes = Array.make (Array.length flows) 0.0 in
+  for i = 0 to Array.length flows - 1 do
+    let f = flows.(i) in
+    let elapsed = now -. f.starts_at in
+    if elapsed > 0.0 then bytes.(i) <- f.rate_bps *. elapsed
+  done;
+  bytes

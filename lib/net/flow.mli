@@ -36,7 +36,9 @@ val generate :
 
 val is_hot : threshold:float -> t -> bool
 
-val stat_bytes : t -> at:Beehive_sim.Simtime.t -> float
-(** Cumulative byte counter of the flow at simulated time [at], as a
-    switch's flow-stats table would report it (0 before the flow
-    starts). *)
+val counters : t array -> at:Beehive_sim.Simtime.t -> float array
+(** [counters flows ~at] is the cumulative byte counter of each of
+    [flows] at simulated time [at], in order, as a switch's flow-stats
+    table would report it: a flow's rate times the time since it
+    started, 0 before it starts. It allocates only the array it
+    returns and one boxed float. *)

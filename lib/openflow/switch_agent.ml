@@ -75,11 +75,7 @@ let inject t ?size ~kind payload =
 
 (* --- wire message handling (driver -> switch) ---------------------- *)
 
-let stat_snapshot t =
-  let at = now t in
-  let bytes = Array.make (Array.length t.flows) 0.0 in
-  Array.iteri (fun i f -> bytes.(i) <- Flow.stat_bytes f ~at) t.flows;
-  { t.stat_ids with Wire.fs_bytes = bytes }
+let stat_snapshot t = { t.stat_ids with Wire.fs_bytes = Flow.counters t.flows ~at:(now t) }
 
 let rec forward t ~ttl ~in_port ~src_mac ~dst_mac ~bytes =
   if ttl <= 0 then t.cluster.dropped <- t.cluster.dropped + 1

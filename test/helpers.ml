@@ -167,3 +167,12 @@ let check_pinned ~section actual =
     Alcotest.failf "%s digests differ from %s (its current contents printed above)" section
       behaviour_file
   end
+
+(* Words allocated by [f ()], net of the measurement's own overhead. *)
+let minor_words_of f =
+  let span f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  span f -. span ignore

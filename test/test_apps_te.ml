@@ -157,28 +157,84 @@ let reference_bfs_path adj ~src ~dst =
     end
   end
 
-(* Random graphs on [n] switches whose lists may repeat a neighbour,
+(* A random graph on [n] switches whose lists may repeat a neighbour,
    loop to the switch itself, name switch [n] (outside the array), or be
    empty; the endpoints range over [-2, n + 3], so negative ids, absent
    switches and [src = dst] all come up. *)
+let random_graph n =
+  QCheck.Gen.(
+    triple
+      (array_size (return n) (list_size (0 -- 4) (int_bound n)))
+      (int_range (-2) (n + 3))
+      (int_range (-2) (n + 3)))
+
+let bfs_path_matches (adj, src, dst) =
+  let n = Array.length adj in
+  let table = Hashtbl.create 16 in
+  Array.iteri (Hashtbl.replace table) adj;
+  let got = Beehive_apps.Te_common.bfs_path adj ~src ~dst in
+  got = reference_bfs_path table ~src ~dst
+  && (src = dst || (src >= 0 && src < n && dst >= 0 && dst <= n) || got = None)
+
+(* Each case searches a large graph, then a small one, then the large
+   one again: a search must not see what the one before it left in the
+   scratch, whichever of the two was larger. *)
 let prop_bfs_path_matches_reference =
   let gen =
     QCheck.Gen.(
-      int_bound 10 >>= fun n ->
-      triple
-        (array_size (return n) (list_size (0 -- 4) (int_bound n)))
-        (int_range (-2) (n + 3))
-        (int_range (-2) (n + 3)))
+      int_bound 10 >>= fun small ->
+      int_range (small + 1) 20 >>= fun large -> pair (random_graph small) (random_graph large))
   in
   QCheck.Test.make ~name:"bfs_path matches the Hashtbl reference" ~count:2000
     (QCheck.make gen)
-    (fun (adj, src, dst) ->
-      let n = Array.length adj in
-      let table = Hashtbl.create 16 in
-      Array.iteri (Hashtbl.replace table) adj;
-      let got = Beehive_apps.Te_common.bfs_path adj ~src ~dst in
-      got = reference_bfs_path table ~src ~dst
-      && (src = dst || (src >= 0 && src < n && dst >= 0 && dst <= n) || got = None))
+    (fun (small, large) ->
+      bfs_path_matches large && bfs_path_matches small && bfs_path_matches large)
+
+(* Every domain searches with its own scratch. Both domains start
+   searching together, so their searches overlap. *)
+let test_bfs_path_per_domain () =
+  let started = Atomic.make 0 in
+  let searches seed () =
+    let rand = Random.State.make [| seed |] in
+    let gen = QCheck.Gen.(int_bound 20 >>= random_graph) in
+    let wrong = ref 0 in
+    Atomic.incr started;
+    while Atomic.get started < 2 do
+      Domain.cpu_relax ()
+    done;
+    for _ = 1 to 1_000 do
+      if not (bfs_path_matches (QCheck.Gen.generate1 ~rand gen)) then incr wrong
+    done;
+    !wrong
+  in
+  let domains = List.map (fun seed -> Domain.spawn (searches seed)) [ 1; 2 ] in
+  List.iteri
+    (fun i d -> Alcotest.(check int) (Printf.sprintf "domain %d mismatches" i) 0 (Domain.join d))
+    domains
+
+(* Route's search on the paper's 160-switch tree, every ordered pair:
+   past the first search it allocates only the path it returns, three
+   words a node, plus the [Some] and a few words more. *)
+let test_bfs_path_allocation () =
+  let topo = Beehive_net.Topology.tree ~arity:4 ~n_switches:160 in
+  let adj = Array.init 160 (Beehive_net.Topology.neighbors topo) in
+  ignore (Beehive_apps.Te_common.bfs_path adj ~src:0 ~dst:159);
+  let found = ref None in
+  for src = 0 to 159 do
+    for dst = 0 to 159 do
+      if src <> dst then begin
+        let search () = found := Beehive_apps.Te_common.bfs_path adj ~src ~dst in
+        let words = Helpers.minor_words_of search in
+        match !found with
+        | None -> Alcotest.failf "no path %d -> %d" src dst
+        | Some path ->
+          let nodes = List.length path in
+          if words > float_of_int ((3 * nodes) + 8) then
+            Alcotest.failf "bfs_path %d -> %d (%d nodes) allocated %.0f words" src dst nodes
+              words
+      end
+    done
+  done
 
 let test_collect_stats_rates () =
   let open Beehive_apps.Te_common in
@@ -476,6 +532,8 @@ let suite =
           test_decoupled_locality_beats_naive;
         Alcotest.test_case "bfs path" `Quick test_bfs_path;
         QCheck_alcotest.to_alcotest prop_bfs_path_matches_reference;
+        Alcotest.test_case "bfs_path scratch is per domain" `Quick test_bfs_path_per_domain;
+        Alcotest.test_case "path search allocates only its path" `Quick test_bfs_path_allocation;
         Alcotest.test_case "collect_stats rates" `Quick test_collect_stats_rates;
         Alcotest.test_case "collect_stats merge cases" `Quick test_collect_stats_cases;
         QCheck_alcotest.to_alcotest prop_collect_stats_matches_oracle;

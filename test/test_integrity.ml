@@ -55,22 +55,13 @@ let prop_crc32_matches_bitwise =
       Crc32.string a = crc32_bitwise a
       && Crc32.update (Crc32.string a) b = Crc32.string (a ^ b))
 
-(* Words allocated by [f ()], net of the measurement's own overhead. *)
-let minor_words_of f =
-  let span f =
-    let before = Gc.minor_words () in
-    f ();
-    Gc.minor_words () -. before
-  in
-  span f -. span ignore
-
 (* Every frame written or scrubbed is checksummed: that must not
    allocate. *)
 let test_crc32_allocation_free () =
   let s = String.init 4096 (fun i -> Char.chr (i land 0xff)) in
   let sum = ref 0 in
   Alcotest.(check (float 0.)) "minor words for a 4 KB string" 0.
-    (minor_words_of (fun () -> sum := Crc32.string s));
+    (Helpers.minor_words_of (fun () -> sum := Crc32.string s));
   Alcotest.(check int) "and it is the right sum" (crc32_bitwise s) !sum
 
 (* A torn tail record is dropped at fsck, leaving exactly the state of
@@ -330,7 +321,7 @@ let test_scrub_slice_allocation_flat () =
     let budget_bytes = 400 in
     (* The first slice also builds the bee-order ring. *)
     ignore (Store.scrub store ~budget_bytes);
-    minor_words_of (fun () -> ignore (Store.scrub store ~budget_bytes))
+    Helpers.minor_words_of (fun () -> ignore (Store.scrub store ~budget_bytes))
   in
   Pool.set_global_domains 1;
   Fun.protect

@@ -85,11 +85,30 @@ let test_flow_stat_bytes () =
       ~start_spread:0.0 ()
   in
   let f = flows.(0) in
-  Alcotest.(check (float 0.01)) "bytes at 2s" 2000.0 (Flow.stat_bytes f ~at:(Simtime.of_sec 2.0));
   let late = { f with Flow.starts_at = 5.0 } in
-  Alcotest.(check (float 0.01)) "0 before start" 0.0 (Flow.stat_bytes late ~at:(Simtime.of_sec 2.0));
+  let at2 = Flow.counters [| f; late |] ~at:(Simtime.of_sec 2.0) in
+  Alcotest.(check (float 0.01)) "bytes at 2s" 2000.0 at2.(0);
+  Alcotest.(check (float 0.01)) "0 before start" 0.0 at2.(1);
   Alcotest.(check (float 0.01)) "counts from start" 3000.0
-    (Flow.stat_bytes late ~at:(Simtime.of_sec 8.0))
+    (Flow.counters [| late |] ~at:(Simtime.of_sec 8.0)).(0)
+
+(* A switch's stat reply reads every counter at once: the float array it
+   returns (n + 1 words) and the one boxed time in seconds, nothing per
+   flow. *)
+let test_counters_allocation () =
+  let rng = Rng.create 5 in
+  let t = Topology.tree ~arity:2 ~n_switches:4 in
+  let flows =
+    Flow.generate rng t ~per_switch:10 ~hot_fraction:0.1 ~base_rate:1000.0 ~hot_rate:1e6
+      ~start_spread:4.0 ()
+  in
+  let n = Array.length flows in
+  let at = Simtime.of_sec 2.0 in
+  let bytes = ref [||] in
+  let words = Helpers.minor_words_of (fun () -> bytes := Flow.counters flows ~at) in
+  Alcotest.(check int) "one counter a flow" n (Array.length !bytes);
+  if words > float_of_int (n + 3) then
+    Alcotest.failf "counters over %d flows allocated %.0f words" n words
 
 let test_matrix_accounting () =
   let m = Traffic_matrix.create 4 in
@@ -172,6 +191,7 @@ let suite =
         Alcotest.test_case "hosts" `Quick test_hosts;
         Alcotest.test_case "flow generation" `Quick test_flow_generation;
         Alcotest.test_case "flow stat bytes" `Quick test_flow_stat_bytes;
+        Alcotest.test_case "switch counters allocate one array" `Quick test_counters_allocation;
         Alcotest.test_case "matrix accounting" `Quick test_matrix_accounting;
         Alcotest.test_case "matrix merge/reset" `Quick test_matrix_merge_reset;
         QCheck_alcotest.to_alcotest prop_matrix_conservation;
