@@ -5,11 +5,10 @@
      a-f) and verifies the qualitative shape claims.
    - optimizer, external-store and cluster-size are scenario-level
      ablations of the same TE cluster.
-   - replication, durability, loss, outbox, integrity, elastic and
-     parallel measure the extensions: the cost of Raft replication,
-     snapshot recovery and crash/restart, link loss, the transactional
-     outbox, storage integrity, elastic scale-out/in and multicore
-     dispatch.
+   - replication, durability, loss, outbox, integrity and elastic
+     measure the extensions: the cost of Raft replication, snapshot
+     recovery and crash/restart, link loss, the transactional outbox,
+     storage integrity and elastic scale-out/in.
 
    Each section prints its table and returns whether its gated claims
    hold. The driver runs every section in table order, or only the one
@@ -79,10 +78,11 @@ let puts =
     horizon_s = 10.0;
   }
 
-(* Creates a platform on [engine] running [apps], applies [prepare] to it
-   before starting it, then drives [l] to its horizon. Returns the
+(* Creates a platform on a fresh engine running [apps], applies [prepare]
+   to it before starting it, then drives [l] to its horizon. Returns the
    platform and the number of puts offered. *)
-let run_load ?(engine = Engine.create ()) ?(prepare = ignore) l apps =
+let run_load ?(prepare = ignore) l apps =
+  let engine = Engine.create () in
   let durability = if l.durable then Some Store.default_config else None in
   let platform = P.create engine { (P.default_config ~n_hives:l.hives) with P.durability } in
   List.iter (P.register_app platform) apps;
@@ -108,7 +108,7 @@ let run_load ?(engine = Engine.create ()) ?(prepare = ignore) l apps =
 (* ------------------------------------------------------------------ *)
 
 (* [--json] makes the headline sections also write one BENCH_<name>.json
-   apiece — metric, value, unit, pool width and git revision — so CI can
+   apiece — metric, value, unit and git revision — so CI can
    archive baselines and diff runs without scraping the tables. *)
 let json_enabled = Array.exists (String.equal "--json") Sys.argv
 
@@ -133,14 +133,13 @@ let git_rev =
       with _ -> "unknown"))
 
 (* [fields] are extra key/value pairs, values already JSON-encoded. *)
-let write_bench_json ~name ~metric ~value ~unit_ ~domains fields =
+let write_bench_json ~name ~metric ~value ~unit_ fields =
   if json_enabled then begin
     let path = Printf.sprintf "BENCH_%s.json" name in
     let oc = open_out path in
     Printf.fprintf oc "{\n  \"bench\": %S,\n  \"metric\": %S,\n  \"value\": %s,\n"
       name metric value;
-    Printf.fprintf oc "  \"unit\": %S,\n  \"domains\": %d,\n  \"git_rev\": %S"
-      unit_ domains (Lazy.force git_rev);
+    Printf.fprintf oc "  \"unit\": %S,\n  \"git_rev\": %S" unit_ (Lazy.force git_rev);
     List.iter (fun (k, v) -> Printf.fprintf oc ",\n  %S: %s" k v) fields;
     output_string oc "\n}\n";
     close_out oc;
@@ -479,7 +478,6 @@ let ablation_outbox () =
   write_bench_json ~name:"outbox" ~metric:"wal_bytes_per_put"
     ~value:(Printf.sprintf "%.3f" (per_put (float_of_int wal)))
     ~unit_:"B"
-    ~domains:(Beehive_sim.Domain_pool.size (Beehive_sim.Domain_pool.global ()))
     [ ("unacked_at_quiesce", string_of_int unacked) ];
   ok
 
@@ -550,7 +548,7 @@ let ablation_integrity () =
     (if ok then "ok" else "FAIL");
   write_bench_json ~name:"integrity" ~metric:"framing_overhead_pct"
     ~value:(Printf.sprintf "%.3f" framing_pct)
-    ~unit_:"%" ~domains:(Beehive_sim.Domain_pool.size (Beehive_sim.Domain_pool.global ()))
+    ~unit_:"%"
     [ ("records_verified", string_of_int verified_on) ];
   ok
 
@@ -584,166 +582,6 @@ let ablation_elastic () =
   Format.printf "@.";
   !all_ok
 
-let ablation_parallel () =
-  (* Deterministic multicore tick execution, measured: the same CPU-heavy
-     key-sharded workload run to the same simulated horizon at widening
-     domain-pool widths. The gated claim is determinism — final bee
-     states, WAL image and processed count must hash identically at every
-     width. Speedup is reported two ways: host wall-clock, which is
-     bounded by the machine's core count, and the decomposition's
-     critical path (total sharded tasks over the busiest lane's share) —
-     what wall-clock converges to once the host has at least as many
-     cores as lanes. *)
-  Format.printf
-    "##### Ablation: deterministic multicore dispatch (domain-sharded ticks) #####@.";
-  let module A = Beehive_core.App in
-  let module Pool = Beehive_sim.Domain_pool in
-  let n_hives = 8 in
-  let spin = if full_scale then 50_000 else 20_000 in
-  (* Key k always enters from hive (k mod n_hives), so its bee lives
-     there and every tick's injections land as one same-timestamp batch
-     spanning all the hives — the shape the sharded dispatcher fans
-     out. *)
-  let load =
-    {
-      puts with
-      hives = n_hives;
-      durable = true;
-      keys = 32;
-      period_ms = 1;
-      size = Fun.id;
-      horizon_s = (if full_scale then 2.0 else 1.0);
-    }
-  in
-  let digest_of platform =
-    let buf = Buffer.create 4096 in
-    List.iter
-      (fun (v : P.bee_view) ->
-        Buffer.add_string buf
-          (Printf.sprintf "bee %d %s@%d" v.P.view_id v.P.view_app v.P.view_hive);
-        List.iter
-          (fun (d, k, value) ->
-            Buffer.add_string buf
-              (Format.asprintf " %s/%s=%a" d k Beehive_core.Value.pp value))
-          (P.bee_state_entries platform v.P.view_id);
-        Buffer.add_char buf '\n')
-      (P.live_bees platform);
-    (match P.store platform with
-    | Some s -> Buffer.add_string buf (Store.wal_image s)
-    | None -> ());
-    Buffer.add_string buf
-      (Printf.sprintf "processed=%d\n" (P.total_processed platform));
-    Digest.to_hex (Digest.string (Buffer.contents buf))
-  in
-  let cpu () =
-    A.create ~name:"bench.cpu" ~dicts:[ "acc" ] ~shardable:true
-      [
-        A.handler ~kind:"bench.put"
-          ~map:(fun msg ->
-            match msg.Beehive_core.Message.payload with
-            | Bench_put { bp_key; _ } ->
-              Beehive_core.Mapping.with_key "acc" bp_key
-            | _ -> Beehive_core.Mapping.Drop)
-          (fun ctx msg ->
-            match msg.Beehive_core.Message.payload with
-            | Bench_put { bp_key; bp_size } ->
-              (* Deterministic CPU burn touching only context state —
-                 the shardable contract. *)
-              let h = ref (bp_size + String.length bp_key) in
-              for _ = 1 to spin do
-                h := ((!h * 1103515245) + 12345) land 0x3FFFFFFF
-              done;
-              let acc = !h in
-              Beehive_core.Context.update ctx ~dict:"acc" ~key:bp_key
-                (function
-                  | Some (Beehive_core.Value.V_int n) ->
-                    Some (Beehive_core.Value.V_int ((n + acc) land 0x3FFFFFFF))
-                  | _ -> Some (Beehive_core.Value.V_int acc))
-            | _ -> ());
-      ]
-  in
-  let run domains =
-    Pool.set_global_domains domains;
-    let engine = Engine.create ~seed:7 () in
-    let t0 = Unix.gettimeofday () in
-    let platform, _ = run_load ~engine load [ cpu () ] in
-    let wall = Unix.gettimeofday () -. t0 in
-    P.flush_durability platform;
-    Engine.run_until engine (Simtime.add (Engine.now engine) (Simtime.of_ms 10));
-    let tasks = Pool.tasks_per_domain (Pool.global ()) in
-    let total_tasks = Array.fold_left ( + ) 0 tasks in
-    let busiest = Array.fold_left max 0 tasks in
-    let critical_path =
-      if busiest = 0 then 1.0
-      else float_of_int total_tasks /. float_of_int busiest
-    in
-    ( wall,
-      digest_of platform,
-      P.total_processed platform,
-      Engine.sharded_batches engine,
-      Engine.sharded_events engine,
-      critical_path )
-  in
-  let widths = [ 1; 2; 4; 8 ] in
-  let results = List.map (fun d -> (d, run d)) widths in
-  Pool.set_global_domains (Pool.env_domains ());
-  let w1, base_digest, _, batches, events, _ = List.assoc 1 results in
-  Format.printf "%-9s %-10s %-12s %-9s %-15s %-10s@." "domains" "wall s"
-    "msgs/s" "wall x" "critical-path x" "digest";
-  let identical = ref true in
-  List.iter
-    (fun (d, (w, dg, processed, _, _, cp)) ->
-      if not (String.equal dg base_digest) then identical := false;
-      Format.printf "%-9d %-10.3f %-12.0f %-9.2f %-15.2f %-10s@." d w
-        (float_of_int processed /. Float.max 1e-9 w)
-        (w1 /. Float.max 1e-9 w)
-        cp
-        (if String.equal dg base_digest then "identical" else "DIVERGED"))
-    results;
-  let cores = Domain.recommended_domain_count () in
-  let batched = batches > 0 && events > batches in
-  Format.printf
-    "sharded batches: %d (%.1f events/batch); host cores: %d; digests %s@.@."
-    batches
-    (float_of_int events /. Float.max 1.0 (float_of_int batches))
-    cores
-    (if !identical then "identical at every width — ok" else "DIVERGED — FAIL");
-  let w4, _, _, _, _, cp4 = List.assoc 4 results in
-  let wall_x4 = w1 /. Float.max 1e-9 w4 in
-  (* On a host with fewer than 4 cores wall-clock cannot show the
-     parallel win, so the recorded baseline falls back to the measured
-     critical-path speedup of the decomposition; the basis is recorded
-     alongside the value. *)
-  let basis, speedup4 =
-    if cores >= 4 then ("wall-clock", Float.max wall_x4 cp4)
-    else ("critical-path", cp4)
-  in
-  write_bench_json ~name:"parallel" ~metric:"speedup_4_domains"
-    ~value:(Printf.sprintf "%.2f" speedup4)
-    ~unit_:"x" ~domains:4
-    [
-      ("speedup_basis", Printf.sprintf "%S" basis);
-      ("host_cores", string_of_int cores);
-      ("digest_identical", string_of_bool !identical);
-      ("sharded_batches", string_of_int batches);
-      ("sharded_events", string_of_int events);
-      ( "rows",
-        "[\n    "
-        ^ String.concat ",\n    "
-            (List.map
-               (fun (d, (w, _, processed, _, _, cp)) ->
-                 Printf.sprintf
-                   "{\"domains\": %d, \"wall_s\": %.3f, \"msgs_per_s\": %.0f, \
-                    \"wall_x\": %.2f, \"critical_path_x\": %.2f}"
-                   d w
-                   (float_of_int processed /. Float.max 1e-9 w)
-                   (w1 /. Float.max 1e-9 w)
-                   cp)
-               results)
-        ^ "\n  ]" );
-    ];
-  !identical && batched
-
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -760,7 +598,6 @@ let sections =
     ("outbox", ablation_outbox);
     ("integrity", ablation_integrity);
     ("elastic", ablation_elastic);
-    ("parallel", ablation_parallel);
   ]
 
 let () =

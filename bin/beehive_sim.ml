@@ -90,8 +90,7 @@ let check_cmd =
   let doc =
     "Deterministic fault exploration: run the nemesis over a range of seeds, \
      checking invariants continuously; shrink and print any failing trace. \
-     Handler completions fan out over a pool of $(b,BEEHIVE_DOMAINS) domains \
-     (default 1); results are required to be identical at every width."
+     Every run is deterministic: a seed replays to the same verdict."
   in
   let docs = "CHECK PARAMETERS" in
   let seeds =

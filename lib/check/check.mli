@@ -49,9 +49,9 @@ val run :
     under each candidate script, so a minimized script is one that still
     produces a non-linearizable history). [~outbox:true] routes puts
     through the forwarding pipeline and arms the exactly-once and
-    quarantine-accounting monitors the same way. Results must be
-    identical at every [BEEHIVE_DOMAINS] pool width, so re-running a
-    sweep at another width doubles as an end-to-end determinism check. *)
+    quarantine-accounting monitors the same way. A sweep is a pure
+    function of its arguments, so re-running it reproduces every
+    verdict. *)
 
 val pp_report : Format.formatter -> report -> unit
 

@@ -58,10 +58,7 @@ let kv_app ~replicated =
         Context.iter_dict ctx ~dict (fun _ _ -> incr n);
         Context.set ctx ~dict ~key:"__total" (Value.V_int !n))
   in
-  (* Both handlers touch only context state, so the app opts into
-     sharded dispatch: hive-local execution across the domain pool. *)
-  App.create ~name:app_name ~dicts:[ dict ] ~replicated ~shardable:true
-    [ on_put; on_read_all ]
+  App.create ~name:app_name ~dicts:[ dict ] ~replicated [ on_put; on_read_all ]
 
 (* The outbox workload's first pipeline stage: journal the forward and
    emit the kv put inside the same transaction. End-to-end exactly-once
@@ -104,8 +101,7 @@ let fwd_app ~replicated =
           raise (Poisoned key)
         | _ -> ())
   in
-  App.create ~name:fwd_app_name ~dicts:[ fwd_dict ] ~replicated ~shardable:true
-    [ on_fwd; on_poison ]
+  App.create ~name:fwd_app_name ~dicts:[ fwd_dict ] ~replicated [ on_fwd; on_poison ]
 
 type cfg = {
   r_profile : Script.profile;
@@ -682,11 +678,8 @@ let run_seed cfg =
    recording the full emission trace (time, kind, size, parent kind,
    emitting bee), then folds in the store's canonical WAL image, every
    live bee's state entries, the platform gauges, the engine's event
-   counters and the verdict. Two runs of the same cfg at different
-   domain-pool widths must return the same hex digest — that equality
-   IS the tentpole's "bit-identical traces, WALs, and monitor
-   verdicts" acceptance bar, enforced on corpus seeds by
-   test/test_parallel.ml. *)
+   count and the verdict. The corpus pins of test/behaviour.digests hold
+   it fixed for every test/seeds.corpus line. *)
 let digest cfg =
   let trace = Buffer.create 8192 in
   let captured = ref None in
@@ -735,9 +728,5 @@ let digest cfg =
   List.iter
     (fun (k, v) -> Buffer.add_string trace (Printf.sprintf "g %s=%d\n" k v))
     (gauges ());
-  Buffer.add_string trace
-    (Printf.sprintf "events=%d batches=%d batched_events=%d\n"
-       (Engine.events_executed engine)
-       (Engine.sharded_batches engine)
-       (Engine.sharded_events engine));
+  Buffer.add_string trace (Printf.sprintf "events=%d\n" (Engine.events_executed engine));
   (outcome, Digest.to_hex (Digest.string (Buffer.contents trace)))

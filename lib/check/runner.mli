@@ -41,10 +41,7 @@ val make_cfg :
   seed:int ->
   Script.profile ->
   cfg
-(** Defaults: 4 hives, 30 ticks, [lin] and [outbox] off. The check apps
-    are shardable, so their handler completions batch per tick and fan
-    out over the global {!Beehive_sim.Domain_pool} keyed by owning hive,
-    at every pool width. *)
+(** Defaults: 4 hives, 30 ticks, [lin] and [outbox] off. *)
 
 type stats = {
   s_events : int;
@@ -85,7 +82,6 @@ val run_seed : cfg -> Script.op list * outcome
 val digest : cfg -> outcome * string
 (** Executes [cfg]'s generated seed while recording the full emission
     trace, then hashes trace + store WAL image + live bee states +
-    platform gauges + engine event counters + verdict into one hex
-    digest, returned with the run's verdict. A pure function of [cfg]
-    that is independent of the domain pool's width — the equality the
-    1-vs-N determinism tests assert. *)
+    platform gauges + engine event count + verdict into one hex digest,
+    returned with the run's verdict. A pure function of [cfg]: the
+    seed-corpus pins in [test/behaviour.digests] hold it fixed. *)

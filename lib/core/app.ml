@@ -21,7 +21,6 @@ type t = {
   timers : timer list;
   replicated : bool;
   pinned : bool;
-  shardable : bool;
 }
 
 let default_cost = Simtime.of_us 10
@@ -34,6 +33,6 @@ let timer ~kind ~period ?(size = Message.default_size) tick_payload =
   { timer_kind = kind; period; tick_payload; tick_size = size }
 
 let create ~name ?(dicts = []) ?(timers = []) ?(replicated = false) ?(pinned = false)
-    ?(shardable = false) handlers =
+    handlers =
   if name = "" then invalid_arg "App.create: empty name";
-  { name; dicts; handlers; timers; replicated; pinned; shardable }
+  { name; dicts; handlers; timers; replicated; pinned }

@@ -35,15 +35,6 @@ type t = {
   pinned : bool;
       (** when true, this app's bees never migrate (e.g. the OpenFlow
           driver must stay on its switches' master hive) *)
-  shardable : bool;
-      (** when true, the app promises its handler bodies only touch
-          state reachable through the {!Context} (cells, emits,
-          endpoint sends) — no shared mutable state on the side — so
-          {!Platform} runs them as sharded completions, concurrently
-          with handlers of bees on *other* hives. This flag alone
-          decides. Apps
-          that reach around the context (e.g. a recorder shared across
-          hives) must leave this false. *)
 }
 
 val handler :
@@ -69,8 +60,5 @@ val create :
   ?timers:timer list ->
   ?replicated:bool ->
   ?pinned:bool ->
-  ?shardable:bool ->
   handler list ->
   t
-(** [shardable] defaults to [false] — opting in is a per-app contract,
-    see {!t.shardable}. *)

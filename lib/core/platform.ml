@@ -462,9 +462,7 @@ let rec track_emits t (b : bee) ~seq acc = function
     track_emits t b ~seq:(seq - 1) ((seq, m) :: acc) older
 
 (* A crash between dispatch and completion voids the handler: its
-   effects died with the hive. Crashes are plain thunk events, so under
-   sharded dispatch the answer is fixed before any batch containing the
-   compute starts. *)
+   effects died with the hive. *)
 let still_current (b : bee) inc =
   b.incarnation = inc && (b.status = `Active || b.status = `Paused)
 
@@ -535,14 +533,10 @@ let start_transfer t (b : bee) dst reason ~resume =
 (* The life of a message: dispatch, handler completion, route, enqueue *)
 (* ------------------------------------------------------------------ *)
 
-(* One handler execution is split for sharded dispatch. Everything up to
-   and including the handler body ([open_context], [run_handler]) is the
-   compute half: under the {!App.t.shardable} contract it touches only
-   bee-local state (the bee's transaction, stats, rng, shadow) plus
-   read-only shared state (registry, clock), so it may run on any pool
-   domain. [complete] is the apply half — commit, routing, WAL append,
-   hooks, retry/quarantine, then freeing the bee for its next message —
-   and must run on the main domain. *)
+(* One handler execution: [open_context] and [run_handler] run the
+   handler body against the bee's transaction; [complete] then commits,
+   routes, appends to the WAL, runs hooks or retries and quarantines,
+   and frees the bee for its next message. *)
 let open_context t (b : bee) (d : Bee.delivery) =
   let msg = d.d_msg in
   if d.d_attempts = 0 then begin
@@ -596,28 +590,12 @@ let rec maybe_process t (b : bee) =
         App.default_cost
     in
     let inc = b.incarnation in
-    (* Sharded completion: the compute half (the handler body, all
-       bee-local under the [shardable] contract) may run on any pool
-       domain, concurrently with completions of bees on other hives due
-       at the same instant; the apply half runs on the main domain in
-       global scheduling order. Serial completion runs both back to
-       back. *)
-    if (not b.is_local) && b.app.App.shardable then
-      ignore
-        (Engine.schedule_sharded_after t.engine cost ~shard:b.hive (fun () ->
-             if still_current b inc then begin
-               let ctx = open_context t b d in
-               let failure = run_handler d ctx in
-               fun () -> complete t b d cost ctx failure
-             end
-             else ignore))
-    else
-      ignore
-        (Engine.schedule_after t.engine cost (fun () ->
-             if still_current b inc then begin
-               let ctx = open_context t b d in
-               complete t b d cost ctx (run_handler d ctx)
-             end))
+    ignore
+      (Engine.schedule_after t.engine cost (fun () ->
+           if still_current b inc then begin
+             let ctx = open_context t b d in
+             complete t b d cost ctx (run_handler d ctx)
+           end))
     end
   end
 
@@ -1482,11 +1460,6 @@ let gauges t =
     ("outbox.handler_faults", t.n_handler_faults);
     ("quarantine.total", Outbox.total_quarantined t.outbox);
     ("quarantine.bees", Outbox.quarantined_bees t.outbox);
-    (* Batch counters, not the pool width: both are identical at every
-       [BEEHIVE_DOMAINS] setting, so gauge digests stay comparable
-       across widths. *)
-    ("engine.sharded_batches", Engine.sharded_batches t.engine);
-    ("engine.sharded_events", Engine.sharded_events t.engine);
     ("membership.hives", member_count t);
   ]
   @ List.map (fun (k, v) -> ("integrity." ^ k, v)) integrity

@@ -48,15 +48,11 @@ type config = {
     discarded atomically) and the delivery is retried with backoff
     before the message is quarantined.
 
-    Handler completions of non-local bees of {!App.t.shardable} apps
-    always run as sharded engine events — [shardable] alone decides: completions due at the same instant are batched, their
-    handler bodies (bee-local by the shardable contract — bees are
-    exclusive to one hive) run concurrently across the
-    {!Beehive_sim.Domain_pool} keyed by owning hive, then their effects —
-    routed emits, WAL appends, stats, hooks — are applied serially in
-    global scheduling order. The merged schedule is a pure function of
-    (hive id, scheduling seq), so runs are bit-identical at every
-    [BEEHIVE_DOMAINS] width. Lock-service round trips go to hive 0. *)
+    Every handler completion is one engine event: it runs the handler
+    body and then applies its effects (commit, routed emits, WAL
+    appends, stats, hooks) in the same callback, so a run is one
+    serial, deterministic schedule. Lock-service round trips go to
+    hive 0. *)
 
 val default_config : n_hives:int -> config
 
@@ -475,8 +471,7 @@ val gauges : t -> (string * int) list
     breakdown (this module), the [transport.*] reliability counters
     ({!Beehive_net.Transport}), [outbox.*] and [quarantine.*]
     ({!Outbox}, plus this module's handler-fault count), [integrity.*]
-    ({!Beehive_store.Store.integrity_counters}), [engine.sharded_*]
-    ({!Beehive_sim.Engine}) and the [membership.*] hive count and
+    ({!Beehive_store.Store.integrity_counters}) and the [membership.*] hive count and
     per-state breakdown ({!Hives}). Other owners keep their own lists:
     [Membership.gauges] in the elastic library, and the checker's
     [lin.*] values in [Runner]. *)

@@ -12,8 +12,8 @@
     a commit that overwrites a key assigns its cell in place and
     allocates nothing; only adding or removing a key copies a path of the
     map. {!insert} and {!restore} always make fresh cells, so no cell is
-    shared between two states: under sharded dispatch a pool domain may
-    read one bee's cells while the main domain commits another bee.
+    shared between two states: a commit to one bee never shows through
+    another bee's state, such as the copy a migration or snapshot made.
 
     A transaction's pending writes sit in one array kept sorted by
     [(dict, key)] under [String.compare] by binary search: a read looks

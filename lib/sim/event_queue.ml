@@ -120,10 +120,6 @@ let next_time t =
   check_live t "next_time";
   (live_root t).at
 
-let next t =
-  check_live t "next";
-  (live_root t).value
-
 let take t =
   check_live t "take";
   ignore (live_root t);

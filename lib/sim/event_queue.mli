@@ -33,10 +33,6 @@ val next_time : 'a t -> Simtime.t
 (** Time of the earliest live event. Raises [Invalid_argument] when
     {!is_empty}. *)
 
-val next : 'a t -> 'a
-(** Value of the earliest live event, left in place. Raises
-    [Invalid_argument] when {!is_empty}. *)
-
 val take : 'a t -> 'a
 (** Removes the earliest live event and returns its value; its handle
     then counts as fired. Raises [Invalid_argument] when {!is_empty}. *)

@@ -159,8 +159,8 @@ type 'v t = {
 
 let config t = t.cfg
 
-(* Scratch buffer for record encoding, one per domain so the group
-   commit can encode frames in parallel. [Buffer.clear] keeps the
+(* Scratch buffer for record encoding, one per domain, so an encode is
+   safe on whichever domain runs it. [Buffer.clear] keeps the
    underlying bytes, so after the first record each encode reuses a
    buffer already sized for the largest record seen on that domain —
    no per-record allocation on the WAL hot path. [Buffer.contents]
@@ -380,16 +380,6 @@ let compact_log t bl =
   t.n_compactions <- t.n_compactions + 1
   end
 
-(* Frames for [bl]'s pending batches, oldest-first, carrying the lsns
-   [commit_pending] will assign. Encoding is a pure function of the
-   batch and the (immutable) size model, so it is safe to run off the
-   main domain; the frames are byte-identical to an inline encode. *)
-let encode_log_frames t bl =
-  let batches = Array.of_list (List.rev bl.bl_pending) in
-  Array.mapi
-    (fun i b -> frame_of (payload_of_batch t ~lsn:(bl.bl_next_lsn + i) b))
-    batches
-
 let hive_commit t hive =
   let n = Array.length t.commits in
   if hive >= n then
@@ -414,13 +404,9 @@ let rec mark_inbox bl = function
 
 (* Moves one pending batch into the durable WAL under the next lsn and
    charges it to its hive's share of the commit. *)
-let commit_batch t ?frames ~first_lsn bl b =
+let commit_batch t bl b =
   let lsn = bl.bl_next_lsn in
-  let fr =
-    match frames with
-    | Some fa -> fa.(lsn - first_lsn)
-    | None -> frame_of (payload_of_batch t ~lsn b)
-  in
+  let fr = frame_of (payload_of_batch t ~lsn b) in
   bl.bl_next_lsn <- lsn + 1;
   bl.bl_wal <-
     {
@@ -445,14 +431,12 @@ let commit_batch t ?frames ~first_lsn bl b =
 
 (* Moves a log's pending batches, oldest first, into its durable WAL,
    accumulating the per-hive fsync charges and newly durable outbox
-   entries into [t.commits]. True if anything moved. [frames], when
-   given, are the precomputed [encode_log_frames] of this log. *)
-let commit_pending t ?frames bl =
+   entries into [t.commits]. True if anything moved. *)
+let commit_pending t bl =
   match bl.bl_pending with
   | [] -> false
   | pending ->
-    let first_lsn = bl.bl_next_lsn in
-    List.iter (fun b -> commit_batch t ?frames ~first_lsn bl b) (List.rev pending);
+    List.iter (fun b -> commit_batch t bl b) (List.rev pending);
     bl.bl_pending <- [];
     true
 
@@ -481,22 +465,10 @@ let fire_fsyncs t =
 
 let flush t =
   let ds = take_dirty t in
-  let n = Array.length ds in
-  (* Per-bee WAL appends are independent, so the frame encode (the CPU
-     cost of a group commit: serialization + CRC32) fans out over the
-     domain pool. The loop below stays serial and in bee-id order —
-     lsns, WAL order, fsync charges and outbox publication are applied
-     exactly as a one-domain run would. *)
-  let encoded =
-    if n >= 4 && Engine.domains t.engine > 1 then
-      Some (Engine.parallel_map t.engine ~shards:n (fun i -> encode_log_frames t ds.(i)))
-    else None
-  in
+  (* In bee-id order: lsns, WAL order, fsync charges and outbox
+     publication follow it. *)
   let dirty = ref false in
-  for i = 0 to n - 1 do
-    let frames = match encoded with Some e -> Some e.(i) | None -> None in
-    if commit_pending t ?frames ds.(i) then dirty := true
-  done;
+  Array.iter (fun bl -> if commit_pending t bl then dirty := true) ds;
   if !dirty then begin
     fire_fsyncs t;
     (* Compact any bee whose durable log outgrew the threshold. *)
@@ -736,21 +708,6 @@ let scrub t ~budget_bytes =
       done;
       let start = if !lo = n then 0 else !lo in
       let at i = ring.((start + i) mod n) in
-      (* Serial walk: choose the logs this slice covers, charge the
-         byte budget and advance the cursor. *)
-      let scanned = ref 0 in
-      let visited = ref 0 in
-      while !visited < n && !scanned < budget_bytes do
-        let bl = at !visited in
-        t.scrub_cursor <- bl.bl_bee;
-        scanned := !scanned + bl.bl_snapshot_bytes + bl.bl_wal_bytes;
-        t.records_verified <- t.records_verified + bl.bl_wal_records + 1;
-        incr visited
-      done;
-      (* Frame verification is a pure read (CRC32 over each log's
-         bytes), so it fans out over the domain pool; the verdict fold
-         below runs serially in walk order, keeping suspect marking
-         and counters order-stable at any pool width. *)
       let rec first_bad = function
         | [] -> None
         | r :: rest ->
@@ -763,19 +720,24 @@ let scrub t ~budget_bytes =
           Some "snapshot failed checksum verification"
         else first_bad bl.bl_wal
       in
-      let verdicts =
-        Engine.parallel_map t.engine ~shards:!visited (fun i -> verify (at i))
-      in
+      (* Walk the ring from the cursor until the byte budget is spent:
+         charge each log, advance the cursor, and verify the log, so
+         suspects are marked and reported in walk order. *)
+      let scanned = ref 0 in
+      let visited = ref 0 in
       let found = ref [] in
-      Array.iteri
-        (fun i verdict ->
-          match verdict with
-          | Some detail ->
-            let bee = (at i).bl_bee in
-            mark_suspect t bee detail;
-            found := (bee, detail) :: !found
-          | None -> ())
-        verdicts;
+      while !visited < n && !scanned < budget_bytes do
+        let bl = at !visited in
+        t.scrub_cursor <- bl.bl_bee;
+        scanned := !scanned + bl.bl_snapshot_bytes + bl.bl_wal_bytes;
+        t.records_verified <- t.records_verified + bl.bl_wal_records + 1;
+        (match verify bl with
+        | Some detail ->
+          mark_suspect t bl.bl_bee detail;
+          found := (bl.bl_bee, detail) :: !found
+        | None -> ());
+        incr visited
+      done;
       (* A pass completes when one call covered every log, or when the
          round-robin cursor reaches the end of the ring across calls. *)
       if !visited >= n || t.scrub_cursor = ring.(n - 1).bl_bee then begin

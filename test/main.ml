@@ -9,4 +9,4 @@ let () =
    @ Test_raft_replication.suite @ Test_corybantic.suite @ Test_l2_fabrics.suite @ Test_chaos.suite @ Test_link_failure.suite @ Test_trace.suite @ Test_misc.suite @ Test_ensemble.suite
    @ Test_store.suite @ Test_harness.suite @ Test_check.suite @ Test_lin.suite
    @ Test_transport.suite @ Test_elastic.suite @ Test_outbox.suite
-   @ Test_integrity.suite @ Test_parallel.suite @ Test_examples.suite)
+   @ Test_integrity.suite @ Test_examples.suite)

@@ -8,7 +8,6 @@ module Store = Beehive_store.Store
 module Crc32 = Beehive_sim.Crc32
 module Raft_replication = Beehive_core.Raft_replication
 module Stats = Beehive_core.Stats
-module Pool = Beehive_sim.Domain_pool
 
 let size_of (d, k, w) =
   String.length d + String.length k + (match w with Some _ -> 8 | None -> 4)
@@ -323,14 +322,10 @@ let test_scrub_slice_allocation_flat () =
     ignore (Store.scrub store ~budget_bytes);
     Helpers.minor_words_of (fun () -> ignore (Store.scrub store ~budget_bytes))
   in
-  Pool.set_global_domains 1;
-  Fun.protect
-    ~finally:(fun () -> Pool.set_global_domains (Pool.env_domains ()))
-    (fun () ->
-      let small = slice_words 100 and large = slice_words 2_000 in
-      if large > small then
-        Alcotest.failf "a slice over 2000 logs allocated %.0f words, over 100 %.0f"
-          large small)
+  let small = slice_words 100 and large = slice_words 2_000 in
+  if large > small then
+    Alcotest.failf "a slice over 2000 logs allocated %.0f words, over 100 %.0f" large
+      small
 
 (* Platform: the background scrubber repairs a damaged live bee in place
    from its in-memory committed state — no restart, no peer, no state

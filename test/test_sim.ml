@@ -75,7 +75,8 @@ let test_event_queue_cancel () =
   let _h2 = Event_queue.push q (Simtime.of_us 2) "b" in
   Alcotest.(check bool) "cancel ok" true (Event_queue.cancel q h1);
   Alcotest.(check bool) "double cancel" false (Event_queue.cancel q h1);
-  Alcotest.(check string) "next skips cancelled" "b" (Event_queue.next q);
+  Alcotest.(check int) "next_time skips cancelled" 2
+    (Simtime.to_us (Event_queue.next_time q));
   Alcotest.(check string) "take skips cancelled" "b" (Event_queue.take q);
   Alcotest.(check bool) "empty" true (Event_queue.is_empty q)
 
@@ -175,6 +176,32 @@ let test_engine_loop_allocates_nothing () =
   Alcotest.(check int) "events run" 10_000 (Engine.events_executed e);
   Alcotest.(check (float 0.)) "words allocated running 10,000 events" 0. words
 
+let test_event_queue_compaction () =
+  let q = Event_queue.create () in
+  let handles =
+    Array.init 1024 (fun i -> Event_queue.push q (Simtime.of_us i) i)
+  in
+  (* Cancel two of every three events: once tombstones outnumber live
+     entries the heap must compact in place. *)
+  for i = 0 to 1023 do
+    if i mod 3 <> 0 then ignore (Event_queue.cancel q handles.(i))
+  done;
+  Alcotest.(check bool) "live events remain" false (Event_queue.is_empty q);
+  Alcotest.(check bool)
+    (Printf.sprintf "physical size %d shrank below 1024"
+       (Event_queue.physical_size q))
+    true
+    (Event_queue.physical_size q < 1024);
+  (* Pop order of the survivors is unaffected. *)
+  let popped = ref [] in
+  while not (Event_queue.is_empty q) do
+    popped := Event_queue.take q :: !popped
+  done;
+  Alcotest.(check (list int))
+    "survivors pop in time order"
+    (List.init 342 (fun i -> 3 * i))
+    (List.rev !popped)
+
 let suite =
   [
     ( "sim",
@@ -194,5 +221,7 @@ let suite =
         Alcotest.test_case "engine rejects past events" `Quick test_engine_past_raises;
         Alcotest.test_case "engine loop allocates nothing" `Quick
           test_engine_loop_allocates_nothing;
+        Alcotest.test_case "event queue: cancel-heavy heap compacts" `Quick
+          test_event_queue_compaction;
       ] );
   ]
