@@ -296,7 +296,7 @@ let ablation_durability () =
     in
     for round = 0 to rounds - 1 do
       for k = 0 to n_entries - 1 do
-        Store.append store ~bee:0 ~hive:0
+        Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[]
           [
             ( "store",
               Printf.sprintf "key-%05d" k,

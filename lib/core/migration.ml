@@ -138,7 +138,7 @@ let merge engine ~chans ~reg ~hives ~outbox ~store ~pinned ~resume
         end
         else []
       in
-      Store.append s ~bee:winner.id ~hive:winner.hive ~inbox:moved_inbox
+      Store.append s ~bee:winner.id ~hive:winner.hive ~outbox:[] ~inbox:moved_inbox
         (List.map (fun (d, k, v) -> (d, k, Some v)) all_entries);
       Store.flush_bee s ~bee:winner.id;
       (* The loser's durable un-acked outbox keeps its (sender, seq)

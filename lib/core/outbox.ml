@@ -26,7 +26,11 @@ type entry = {
 }
 
 type t = {
-  entries : (int * int, entry) Hashtbl.t;  (* keyed (sender, seq) *)
+  entries : (int, (int, entry) Hashtbl.t) Hashtbl.t;
+      (* by sender, then by seq: a lookup builds no key tuple. A sender's
+         table stays (empty) after its last entry retires, so the next
+         emit reuses it; only [drop_sender] removes it. *)
+  mutable n_entries : int;  (* live entries across every sender *)
   acks : (int, (int * int * int) list ref) Hashtbl.t;
       (* per receiver hive, newest first: (sender, seq, receiver bee) acks
          waiting for the receiver's inbox mark to be fsynced *)
@@ -41,6 +45,7 @@ type t = {
 let create () =
   {
     entries = Hashtbl.create 64;
+    n_entries = 0;
     acks = Hashtbl.create 8;
     quarantine = Hashtbl.create 8;
     n_quarantined = 0;
@@ -54,8 +59,18 @@ let sender e = e.sender
 let seq e = e.seq
 let msg e = e.msg
 
+let of_sender t sender =
+  match Hashtbl.find t.entries sender with
+  | by_seq -> by_seq
+  | exception Not_found ->
+    let by_seq = Hashtbl.create 8 in
+    Hashtbl.add t.entries sender by_seq;
+    by_seq
+
 let add t ~sender ~seq ~durable msg =
-  Hashtbl.replace t.entries (sender, seq)
+  let by_seq = of_sender t sender in
+  if not (Hashtbl.mem by_seq seq) then t.n_entries <- t.n_entries + 1;
+  Hashtbl.replace by_seq seq
     {
       sender;
       seq;
@@ -68,17 +83,27 @@ let add t ~sender ~seq ~durable msg =
       durable;
     }
 
-let find t ~sender ~seq = Hashtbl.find_opt t.entries (sender, seq)
-let remove t e = Hashtbl.remove t.entries (e.sender, e.seq)
-let unacked t = Hashtbl.length t.entries
+let find t ~sender ~seq = Hashtbl.find (Hashtbl.find t.entries sender) seq
+
+let remove_seq t by_seq seq =
+  if Hashtbl.mem by_seq seq then begin
+    Hashtbl.remove by_seq seq;
+    t.n_entries <- t.n_entries - 1
+  end
+
+let remove t e =
+  match Hashtbl.find t.entries e.sender with
+  | by_seq -> remove_seq t by_seq e.seq
+  | exception Not_found -> ()
+
+let unacked t = t.n_entries
 
 let drop_sender t sender =
-  let stale =
-    Hashtbl.fold
-      (fun ((s, _) as key) _ acc -> if s = sender then key :: acc else acc)
-      t.entries []
-  in
-  List.iter (Hashtbl.remove t.entries) (List.sort compare stale)
+  match Hashtbl.find t.entries sender with
+  | by_seq ->
+    t.n_entries <- t.n_entries - Hashtbl.length by_seq;
+    Hashtbl.remove t.entries sender
+  | exception Not_found -> ()
 
 let reseed t ~sender ~durable emits =
   drop_sender t sender;
@@ -87,17 +112,21 @@ let reseed t ~sender ~durable emits =
 let drop_undurable t ~sent_from =
   let doomed =
     Hashtbl.fold
-      (fun key e acc -> if (not e.durable) && sent_from e.sender then key :: acc else acc)
+      (fun sender by_seq acc ->
+        if sent_from sender then
+          Hashtbl.fold
+            (fun seq e acc -> if e.durable then acc else (sender, seq) :: acc)
+            by_seq acc
+        else acc)
       t.entries []
   in
-  List.iter (Hashtbl.remove t.entries) (List.sort compare doomed)
+  List.iter
+    (fun (sender, seq) -> remove_seq t (Hashtbl.find t.entries sender) seq)
+    (List.sort compare doomed)
 
-let mark_durable t ~sender ~seq =
-  match find t ~sender ~seq with
-  | None -> None
-  | Some e ->
-    e.durable <- true;
-    if e.attempts = 0 then Some e else None
+let mark_durable e =
+  e.durable <- true;
+  e.attempts = 0
 
 (* ---- dispatch, acks, replay ---- *)
 
@@ -126,24 +155,21 @@ let backoff e =
 
 let still_due t e ~since =
   match find t ~sender:e.sender ~seq:e.seq with
-  | Some e' -> e' == e && e.durable && Simtime.equal e.last_attempt since
-  | None -> false
+  | e' -> e' == e && e.durable && Simtime.equal e.last_attempt since
+  | exception Not_found -> false
 
-let queue_ack t ~hive ack =
-  match Hashtbl.find_opt t.acks hive with
-  | Some q -> q := ack :: !q
-  | None -> Hashtbl.add t.acks hive (ref [ ack ])
+let queue_ack t ~hive ~sender ~seq ~receiver =
+  match Hashtbl.find t.acks hive with
+  | q -> q := (sender, seq, receiver) :: !q
+  | exception Not_found -> Hashtbl.add t.acks hive (ref [ (sender, seq, receiver) ])
 
-let take_acks t ~hive ~ready =
-  match Hashtbl.find_opt t.acks hive with
-  | None -> []
-  | Some q ->
-    let ok, wait = List.partition ready (List.rev !q) in
-    q := List.rev wait;
-    ok
+let queued_acks t ~hive =
+  match Hashtbl.find t.acks hive with q -> !q | exception Not_found -> []
 
-let clear_acks t ~hive =
-  match Hashtbl.find_opt t.acks hive with Some q -> q := [] | None -> ()
+let keep_acks t ~hive acks =
+  match Hashtbl.find t.acks hive with q -> q := acks | exception Not_found -> ()
+
+let clear_acks t ~hive = keep_acks t ~hive []
 
 let next_virtual_seq t =
   t.virtual_seq <- t.virtual_seq + 1;

@@ -1,7 +1,7 @@
 (** The transactional outbox's ledger.
 
-    Every emit a durable bee commits is tracked here, keyed by
-    [(sender bee, outbox seq)], until each receiver leg counted at its
+    Every emit a durable bee commits is tracked here, by sender bee and
+    then by outbox seq, until each receiver leg counted at its
     latest dispatch has durably applied it. The ledger also holds the
     receiver-side acks waiting for a hive's next fsync, the replay
     backoff schedule, the virtual sequence numbers given to injected and
@@ -23,7 +23,9 @@ val msg : entry -> Message.t
 val add : t -> sender:int -> seq:int -> durable:bool -> Message.t -> unit
 (** Starts tracking an emit until every receiver has durably applied it. *)
 
-val find : t -> sender:int -> seq:int -> entry option
+val find : t -> sender:int -> seq:int -> entry
+(** @raise Not_found when the ledger holds no such entry. *)
+
 val remove : t -> entry -> unit
 
 val unacked : t -> int
@@ -40,10 +42,10 @@ val reseed : t -> sender:int -> durable:bool -> (int * Message.t) list -> unit
 val drop_undurable : t -> sent_from:(int -> bool) -> unit
 (** Crash-time scan: forgets every entry that is not yet durable and
     whose sender satisfies [sent_from] (the senders on the crashed hive) —
-    it died with its group-commit batch. *)
+    it died with its group-commit record. *)
 
-val mark_durable : t -> sender:int -> seq:int -> entry option
-(** The entry's batch was fsynced. Returns it when it has never been
+val mark_durable : entry -> bool
+(** The entry's WAL record was fsynced. True when it has never been
     dispatched, i.e. when the caller must hand it to routing now. *)
 
 (** {2 Dispatch and acknowledgement} *)
@@ -68,13 +70,16 @@ val still_due : t -> entry -> since:Beehive_sim.Simtime.t -> bool
 (** Whether a replay armed at attempt time [since] should still fire: the
     entry is live, durable, and no newer attempt superseded it. *)
 
-val queue_ack : t -> hive:int -> int * int * int -> unit
+val queue_ack : t -> hive:int -> sender:int -> seq:int -> receiver:int -> unit
 (** Queues a [(sender, seq, receiver bee)] ack behind the receiver hive's
     next fsync. *)
 
-val take_acks : t -> hive:int -> ready:(int * int * int -> bool) -> (int * int * int) list
-(** Removes and returns, oldest first, the hive's queued acks that
-    satisfy [ready]; the rest stay queued. *)
+val queued_acks : t -> hive:int -> (int * int * int) list
+(** The hive's queued acks, newest first. *)
+
+val keep_acks : t -> hive:int -> (int * int * int) list -> unit
+(** Replaces the hive's queue, newest first, with the part of
+    {!queued_acks} that must keep waiting. *)
 
 val clear_acks : t -> hive:int -> unit
 (** The hive crashed: its queued acks were in memory. *)

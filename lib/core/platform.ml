@@ -323,19 +323,19 @@ let retire_outbox_entry t e =
   let bee = Outbox.sender e and seq = Outbox.seq e in
   (match t.store with Some s -> Store.ack_outbox s ~bee ~seq | None -> ());
   Outbox.remove t.outbox e;
-  Option.iter (fun r -> r.acked ~bee ~seq) t.replicator
+  match t.replicator with Some r -> r.acked ~bee ~seq | None -> ()
 
 let handle_outbox_ack t ~sender ~seq ~receiver =
   match Outbox.find t.outbox ~sender ~seq with
-  | None -> ()  (* already retired; late duplicate ack *)
-  | Some e -> (
-    match get_bee t sender with
-    | Some sb when hive_crashed t sb.hive || sb.status = `Crashed ->
+  | exception Not_found -> ()  (* already retired; late duplicate ack *)
+  | e -> (
+    match Hashtbl.find t.bees sender with
+    | sb when hive_crashed t sb.hive || sb.status = `Crashed ->
       (* The sender's process is down: nothing can write its WAL, so the
          ack is dropped. Replay after restart re-delivers, the receiver
          dedups and re-acks. *)
       ()
-    | _ -> if Outbox.ack e ~receiver then retire_outbox_entry t e)
+    | _ | (exception Not_found) -> if Outbox.ack e ~receiver then retire_outbox_entry t e)
 
 let send_outbox_ack t ~from_hive ~sender ~seq ~receiver =
   match get_bee t sender with
@@ -353,39 +353,52 @@ let ack_duplicate t (b : bee) (d : Bee.delivery) =
       send_outbox_ack t ~from_hive:b.hive ~sender ~seq ~receiver:b.id
   | _ -> ()
 
+(* Handles one destination's acks, given newest first, oldest first. *)
+let rec handle_outbox_acks t = function
+  | [] -> ()
+  | (sender, seq, receiver) :: older ->
+    handle_outbox_acks t older;
+    handle_outbox_ack t ~sender ~seq ~receiver
+
+(* Walks a hive's queued acks, given newest first, oldest first: each
+   ack whose inbox mark is durable joins its sender's hive's batch in
+   [by_dst], newest first, and the acks still waiting come back newest
+   first — the queue's own cells when none older was ready. *)
+let rec sort_acks t s by_dst = function
+  | [] -> []
+  | ((sender, seq, receiver) as ack) :: older as queue ->
+    let waiting = sort_acks t s by_dst older in
+    if Store.inbox_durable s ~bee:receiver ~sender ~seq then begin
+      (match Hashtbl.find t.bees sender with
+      | sb -> (
+        match Hashtbl.find by_dst sb.hive with
+        | l -> Hashtbl.replace by_dst sb.hive (ack :: l)
+        | exception Not_found -> Hashtbl.replace by_dst sb.hive [ ack ])
+      | exception Not_found -> ());
+      waiting
+    end
+    else if waiting == older then queue
+    else ack :: waiting
+
 (* Receiver-side half of the ack path, run at each hive fsync: every ack
    whose inbox mark just became durable is sent to the sender's current
-   hive; marks still riding a pending batch go back in the queue. Acks
-   bound for the same hive ride one transport message — per-message acks
-   would double the fabric's message count on the healthy path. *)
+   hive; marks still riding a pending record stay queued. Acks bound for
+   the same hive ride one transport message — per-message acks would
+   double the fabric's message count on the healthy path. *)
 let drain_outbox_acks t hive =
   match t.store with
   | None -> ()
   | Some s -> (
-    match
-      Outbox.take_acks t.outbox ~hive ~ready:(fun (sender, seq, receiver) ->
-          Store.inbox_durable s ~bee:receiver ~sender ~seq)
-    with
+    match Outbox.queued_acks t.outbox ~hive with
     | [] -> ()
-    | ready ->
+    | queue ->
       let by_dst = Hashtbl.create 4 in
-      List.iter
-        (fun ((sender, _, _) as ack) ->
-          match get_bee t sender with
-          | None -> ()
-          | Some sb ->
-            let l = Option.value ~default:[] (Hashtbl.find_opt by_dst sb.hive) in
-            Hashtbl.replace by_dst sb.hive (ack :: l))
-        ready;
+      Outbox.keep_acks t.outbox ~hive (sort_acks t s by_dst queue);
       Hashtbl.iter
         (fun dst acks ->
           transmit t ~src_ep:(Channels.Hive hive) ~dst_hive:dst
             ~bytes:(16 * List.length acks) ~extra:Simtime.zero
-            (fun () ->
-              List.iter
-                (fun (sender, seq, receiver) ->
-                  handle_outbox_ack t ~sender ~seq ~receiver)
-                (List.rev acks)))
+            (fun () -> handle_outbox_acks t acks))
         by_dst)
 
 (* ------------------------------------------------------------------ *)
@@ -454,12 +467,43 @@ let rec report_sends t b ~in_kind ~parent ~emitter = function
     report_emit t b ~in_kind ~parent ~emitter m
 
 (* Tracks emits, given newest first, under consecutive outbox seqs that
-   end at [seq], and returns the [(seq, message)] entries oldest first. *)
+   end at [seq], and returns the [(seq, payload bytes)] rows the store
+   logs for them, oldest first. *)
 let rec track_emits t (b : bee) ~seq acc = function
   | [] -> acc
-  | m :: older ->
+  | (m : Message.t) :: older ->
     Outbox.add t.outbox ~sender:b.id ~seq ~durable:false m;
-    track_emits t b ~seq:(seq - 1) ((seq, m) :: acc) older
+    track_emits t b ~seq:(seq - 1) ((seq, m.Message.size) :: acc) older
+
+(* The same emits as [(seq, message)] entries, oldest first. *)
+let rec numbered ~seq acc = function
+  | [] -> acc
+  | m :: older -> numbered ~seq:(seq - 1) ((seq, m) :: acc) older
+
+(* Ships one committed transaction to the installed replicator, if the
+   bee's app is replicated: its write list, its tracked emits (newest
+   first, numbered up to [last]) and its inbox marks. *)
+let replicate t (b : bee) ~pending ~last emits ~inbox =
+  match t.replicator with
+  | Some r
+    when b.app.App.replicated && (not b.is_local)
+         && (pending <> [] || emits <> [] || inbox <> []) ->
+    let ci_emits = numbered ~seq:last [] emits in
+    let bytes =
+      List.fold_left
+        (fun acc (dict, key, w) ->
+          acc + String.length dict + String.length key
+          + match w with Some v -> Value.size v | None -> 0)
+        32 pending
+    in
+    let bytes =
+      List.fold_left (fun acc (_, (m : Message.t)) -> acc + 16 + m.Message.size) bytes ci_emits
+      + (16 * List.length inbox)
+    in
+    r.commit
+      { ci_bee = b.id; ci_app = b.app.App.name; ci_hive = b.hive; ci_writes = pending;
+        ci_bytes = bytes; ci_emits; ci_inbox = inbox }
+  | Some _ | None -> ()
 
 (* A crash between dispatch and completion voids the handler: its
    effects died with the hive. *)
@@ -499,8 +543,8 @@ let quarantine_delivery t (b : bee) (d : Bee.delivery) exn =
         b.app.App.name d.d_msg.Message.kind d.d_attempts);
   match (d.d_outbox, t.store) with
   | Some (sender, seq), Some s when not b.is_local ->
-    Store.append s ~bee:b.id ~hive:b.hive ~inbox:[ (sender, seq) ] [];
-    if sender >= 0 then Outbox.queue_ack t.outbox ~hive:b.hive (sender, seq, b.id)
+    Store.append s ~bee:b.id ~hive:b.hive ~outbox:[] ~inbox:[ (sender, seq) ] [];
+    if sender >= 0 then Outbox.queue_ack t.outbox ~hive:b.hive ~sender ~seq ~receiver:b.id
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -624,53 +668,29 @@ and complete t (b : bee) (d : Bee.delivery) cost ctx failure =
       report_emits t b ~in_kind ~parent ~emitter emits;
       report_sends t b ~in_kind ~parent ~emitter sends
     end;
-    (* Tracked: the emits and this delivery's inbox mark are written to
-       the WAL in the same group-commit record as the state delta; the
-       store's fsync callback hands the emits to transport once durable. *)
-    let committed_emits, committed_inbox =
-      match t.store with
-      | Some s when not b.is_local ->
-        let emits =
-          match List.length emits with
-          | 0 -> []
-          | n -> track_emits t b ~seq:(Store.alloc_out_seqs s ~bee:b.id n + n - 1) [] emits
-        in
-        let inbox = Option.to_list d.d_outbox in
-        if pending <> [] || emits <> [] || inbox <> [] then
-          Store.append s ~bee:b.id ~hive:b.hive ~inbox pending ~outbox:(Outbox.rows emits);
-        (match d.d_outbox with
-        | Some (sender, seq) when sender >= 0 ->
-          Outbox.queue_ack t.outbox ~hive:b.hive (sender, seq, b.id)
-        | _ -> ());
-        (emits, inbox)
-      | Some _ | None ->
-        (* Untracked emits (no store, or a local bee) dispatch at commit
-           time. *)
-        if emits <> [] then route_emits t ~src_ep:(Channels.Hive b.hive) emits;
-        ([], [])
-    in
-    deliver_sends t b sends;
-    (match t.replicator with
-    | Some r
-      when b.app.App.replicated && (not b.is_local)
-           && (pending <> [] || committed_emits <> [] || committed_inbox <> []) ->
-      let bytes =
-        List.fold_left
-          (fun acc (dict, key, w) ->
-            acc + String.length dict + String.length key
-            + match w with Some v -> Value.size v | None -> 0)
-          32 pending
-      in
-      let bytes =
-        List.fold_left
-          (fun acc (_, (m : Message.t)) -> acc + 16 + m.Message.size)
-          bytes committed_emits
-        + (16 * List.length committed_inbox)
-      in
-      r.commit
-        { ci_bee = b.id; ci_app = b.app.App.name; ci_hive = b.hive; ci_writes = pending;
-          ci_bytes = bytes; ci_emits = committed_emits; ci_inbox = committed_inbox }
-    | Some _ | None -> ())
+    (match t.store with
+    | Some s when not b.is_local ->
+      (* Tracked: the emits and this delivery's inbox mark are written to
+         the WAL in the same group-commit record as the state delta; the
+         store's fsync callback hands the emits to transport once
+         durable. *)
+      let n = List.length emits in
+      let last = if n = 0 then 0 else Store.alloc_out_seqs s ~bee:b.id n + n - 1 in
+      let rows = track_emits t b ~seq:last [] emits in
+      let inbox = Option.to_list d.d_outbox in
+      Store.append s ~bee:b.id ~hive:b.hive ~outbox:rows ~inbox pending;
+      (match d.d_outbox with
+      | Some (sender, seq) when sender >= 0 ->
+        Outbox.queue_ack t.outbox ~hive:b.hive ~sender ~seq ~receiver:b.id
+      | _ -> ());
+      deliver_sends t b sends;
+      replicate t b ~pending ~last emits ~inbox
+    | Some _ | None ->
+      (* Untracked emits (no store, or a local bee) dispatch at commit
+         time. *)
+      if emits <> [] then route_emits t ~src_ep:(Channels.Hive b.hive) emits;
+      deliver_sends t b sends;
+      replicate t b ~pending ~last:0 [] ~inbox:[])
   | Some exn ->
     (* Handler failure containment: the state delta and every buffered
        emit are discarded atomically, then the delivery is retried with
@@ -899,8 +919,8 @@ let late_emit t ctx ep ?size ~kind payload =
    dispatch only (replaying them would double-deliver, as they have no
    per-receiver durable dedup — a documented limitation). *)
 let rec dispatch_outbox_entry t e ~first =
-  match get_bee t (Outbox.sender e) with
-  | Some b
+  match Hashtbl.find t.bees (Outbox.sender e) with
+  | b
     when (not (hive_crashed t b.hive))
          && (match b.status with
             | `Active | `Paused -> true
@@ -914,7 +934,7 @@ let rec dispatch_outbox_entry t e ~first =
         ~outbox:(Some (Outbox.sender e, Outbox.seq e)) ~first (Outbox.msg e)
     in
     if Outbox.set_required e legs then retire_outbox_entry t e
-  | _ ->
+  | _ | (exception Not_found) ->
     (* Sender down. A crashed hive's entries are replayed by restart_hive;
        a merely-fenced sender needs the recheck chain kept alive so the
        replay resumes by itself once the fence lifts. *)
@@ -932,16 +952,17 @@ and arm_outbox_recheck t e =
          if Outbox.still_due t.outbox e ~since then
            dispatch_outbox_entry t e ~first:false))
 
-(* Store fsync callback: these (sender, seq) entries just became durable
-   together with their transaction's state delta — the earliest instant
-   the platform may hand them to transport. *)
-let outbox_now_durable t entries =
-  List.iter
-    (fun (sender, seq) ->
-      match Outbox.mark_durable t.outbox ~sender ~seq with
-      | Some e -> dispatch_outbox_entry t e ~first:true
-      | None -> ())
-    entries
+(* Store fsync callback: these (sender, seq) entries, given newest
+   first, just became durable together with their transaction's state
+   delta — the earliest instant the platform may hand them to transport.
+   They are dispatched oldest first. *)
+let rec outbox_now_durable t = function
+  | [] -> ()
+  | (sender, seq) :: older -> (
+    outbox_now_durable t older;
+    match Outbox.find t.outbox ~sender ~seq with
+    | e -> if Outbox.mark_durable e then dispatch_outbox_entry t e ~first:true
+    | exception Not_found -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
@@ -1167,7 +1188,7 @@ let crash_hive t h =
     (* Acks queued behind h's next fsync are in-memory; senders replay and
        the receiver re-acks from its durable inbox. *)
     Outbox.clear_acks t.outbox ~hive:h;
-    (* Outbox entries still riding a dropped batch never became durable:
+    (* Outbox entries still riding a dropped record never became durable:
        they are gone with the transaction, atomically. *)
     Outbox.drop_undurable t.outbox ~sent_from:(fun sender ->
         match get_bee t sender with Some sb -> sb.hive = h | None -> false);
@@ -1354,8 +1375,8 @@ let restart_hive t h =
               List.iter
                 (fun (seq, _) ->
                   match Outbox.find t.outbox ~sender:b.id ~seq with
-                  | Some e -> dispatch_outbox_entry t e ~first:false
-                  | None -> ())
+                  | e -> dispatch_outbox_entry t e ~first:false
+                  | exception Not_found -> ())
                 (Store.outbox_unacked s ~bee:b.id)
             end)
           revived

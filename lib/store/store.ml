@@ -47,17 +47,27 @@ let frame_state f =
     F_garbled
   else F_ok
 
+(* One transaction's worth of log: the state write-set plus the outbox
+   entries and inbox marks committed with it. [append] builds it pending,
+   with no lsn and no frame; everything in it becomes durable together
+   when the next group commit stamps those in place and moves it into the
+   WAL — or is lost together by [drop_pending]. *)
 type 'v record = {
-  r_lsn : int;
-  r_at : Simtime.t;
+  mutable r_lsn : int;  (* 0 while pending *)
+  mutable r_at : Simtime.t;  (* commit time *)
+  r_hive : int;  (* the appending hive, charged the fsync *)
   r_writes : 'v write list;
   r_bytes : int;
-  r_outbox : (int * int) list;
-      (* outbox entries committed with this record — truncating the record
-         must unwind them *)
-  r_inbox : (int * int) list;  (* dedup marks committed with this record *)
-  r_frame : frame;
+  mutable r_outbox : (int * int) list;
+      (* (seq, payload bytes) outbox entries committed with this record —
+         truncating the record must unwind them *)
+  mutable r_inbox : (int * int) list;
+      (* (sender bee, sender seq) dedup marks committed with this record *)
+  mutable r_frame : frame;
 }
+
+(* The frame of a record not yet committed; never read or mutated. *)
+let unframed = { f_payload = ""; f_crc = 0; f_len = 0 }
 
 (* Serialized framing overheads (bytes). *)
 let record_overhead = 24
@@ -70,24 +80,12 @@ let inbox_mark_overhead = 16
    snapshot — the modeled byte cost of end-to-end integrity. *)
 let frame_overhead = 8
 
-(* One transaction's worth of not-yet-durable log: the state write-set
-   plus the outbox entries and inbox marks committed with it. Everything
-   in one batch becomes durable together at the next group commit — or is
-   lost together by [drop_pending]. *)
-type 'v batch = {
-  b_hive : int;
-  b_writes : 'v write list;
-  b_bytes : int;
-  b_outbox : (int * int) list;  (* (seq, payload bytes) *)
-  b_inbox : (int * int) list;  (* (sender bee, sender seq) *)
-}
-
 type 'v bee_log = {
   bl_bee : int;
   mutable bl_dirty : bool;
-      (* queued on the store's dirty list: has (or had) pending batches *)
-  mutable bl_pending : 'v batch list;
-      (* batches awaiting group commit, newest first; lost on
+      (* queued on the store's dirty list: has (or had) pending records *)
+  mutable bl_pending : 'v record list;
+      (* records awaiting group commit, newest first; lost on
          [drop_pending] of their hive *)
   mutable bl_wal : 'v record list;  (* durable tail, newest first *)
   mutable bl_wal_bytes : int;
@@ -133,7 +131,7 @@ type 'v t = {
          [ring_stale], and the next reader rebuilds the array once. *)
   mutable ring_stale : bool;
   mutable dirty_logs : 'v bee_log list;
-      (* logs with batches awaiting group commit — the flush working set,
+      (* logs with records awaiting group commit — the flush working set,
          so a commit tick touches only writers, not every tracked bee *)
   mutable commits : hive_commit array;
       (* indexed by hive id; empty between commits *)
@@ -210,13 +208,13 @@ let rec add_pairs buf tag = function
    "bytes on disk" are modeled: a deterministic string derived from the
    artifact's identity and shape. Checksums are computed and verified over
    these images, and fault injection mutates them in place. *)
-let payload_of_batch t ~lsn b =
+let payload_of_record t r =
   let buf = scratch () in
   Buffer.add_char buf 'R';
-  add_int buf lsn;
-  add_writes t buf b.b_writes;
-  add_pairs buf 'o' b.b_outbox;
-  add_pairs buf 'i' b.b_inbox;
+  add_int buf r.r_lsn;
+  add_writes t buf r.r_writes;
+  add_pairs buf 'o' r.r_outbox;
+  add_pairs buf 'i' r.r_inbox;
   Buffer.contents buf
 
 let payload_of_snapshot t ~lsn entries =
@@ -231,9 +229,9 @@ let payload_of_snapshot t ~lsn entries =
   Buffer.contents buf
 
 let log_of t bee =
-  match Hashtbl.find_opt t.logs bee with
-  | Some bl -> bl
-  | None ->
+  match Hashtbl.find t.logs bee with
+  | bl -> bl
+  | exception Not_found ->
     let bl =
       {
         bl_bee = bee;
@@ -294,27 +292,44 @@ let take_dirty t =
 let entry_order (d1, k1, _) (d2, k2, _) =
   match String.compare d1 d2 with 0 -> String.compare k1 k2 | c -> c
 
-let batch_bytes t writes ~outbox ~inbox =
-  record_overhead + frame_overhead
-  + List.fold_left (fun acc w -> acc + t.size_of w) 0 writes
-  + List.fold_left (fun acc (_, bytes) -> acc + outbox_entry_overhead + bytes) 0 outbox
+(* The record's byte charge, summed by recursion: no closure per call. *)
+let rec writes_bytes t acc = function
+  | [] -> acc
+  | w :: rest -> writes_bytes t (acc + t.size_of w) rest
+
+let rec outbox_bytes acc = function
+  | [] -> acc
+  | (_, bytes) :: rest -> outbox_bytes (acc + outbox_entry_overhead + bytes) rest
+
+let record_bytes t writes ~outbox ~inbox =
+  record_overhead + frame_overhead + writes_bytes t 0 writes + outbox_bytes 0 outbox
   + (inbox_mark_overhead * List.length inbox)
 
-let append t ~bee ~hive ?(outbox = []) ?(inbox = []) writes =
+(* Explicit sequence numbers (failover re-seeding) must never collide
+   with future allocations. *)
+let rec bump_out_seq bl = function
+  | [] -> ()
+  | (seq, _) :: rest ->
+    if seq >= bl.bl_next_out_seq then bl.bl_next_out_seq <- seq + 1;
+    bump_out_seq bl rest
+
+let append t ~bee ~hive ~outbox ~inbox writes =
   if writes <> [] || outbox <> [] || inbox <> [] then begin
     let bl = log_of t bee in
-    let bytes = batch_bytes t writes ~outbox ~inbox in
     bl.bl_pending <-
-      { b_hive = hive; b_writes = writes; b_bytes = bytes; b_outbox = outbox;
-        b_inbox = inbox }
+      {
+        r_lsn = 0;
+        r_at = Simtime.zero;
+        r_hive = hive;
+        r_writes = writes;
+        r_bytes = record_bytes t writes ~outbox ~inbox;
+        r_outbox = outbox;
+        r_inbox = inbox;
+        r_frame = unframed;
+      }
       :: bl.bl_pending;
     mark_dirty t bl;
-    (* Explicit sequence numbers (failover re-seeding) must never collide
-       with future allocations. *)
-    List.iter
-      (fun (seq, _) ->
-        if seq >= bl.bl_next_out_seq then bl.bl_next_out_seq <- seq + 1)
-      outbox
+    bump_out_seq bl outbox
   end
 
 let alloc_out_seqs t ~bee n =
@@ -402,43 +417,53 @@ let rec mark_inbox bl = function
     Hashtbl.replace bl.bl_inbox mark ();
     mark_inbox bl rest
 
-(* Moves one pending batch into the durable WAL under the next lsn and
-   charges it to its hive's share of the commit. *)
-let commit_batch t bl b =
-  let lsn = bl.bl_next_lsn in
-  let fr = frame_of (payload_of_batch t ~lsn b) in
-  bl.bl_next_lsn <- lsn + 1;
-  bl.bl_wal <-
-    {
-      r_lsn = lsn;
-      r_at = Engine.now t.engine;
-      r_writes = b.b_writes;
-      r_bytes = b.b_bytes;
-      r_outbox = b.b_outbox;
-      r_inbox = b.b_inbox;
-      r_frame = fr;
-    }
-    :: bl.bl_wal;
-  bl.bl_wal_bytes <- bl.bl_wal_bytes + b.b_bytes;
+(* Stamps one pending record with the next lsn, the commit time and its
+   frame, moves it into the durable WAL and charges it to its hive's
+   share of the commit. *)
+let commit_record t bl r =
+  r.r_lsn <- bl.bl_next_lsn;
+  r.r_at <- Engine.now t.engine;
+  r.r_frame <- frame_of (payload_of_record t r);
+  bl.bl_next_lsn <- r.r_lsn + 1;
+  bl.bl_wal <- r :: bl.bl_wal;
+  bl.bl_wal_bytes <- bl.bl_wal_bytes + r.r_bytes;
   bl.bl_wal_records <- bl.bl_wal_records + 1;
-  t.wal_bytes_written <- t.wal_bytes_written + b.b_bytes;
+  t.wal_bytes_written <- t.wal_bytes_written + r.r_bytes;
   t.wal_records_written <- t.wal_records_written + 1;
-  let hc = hive_commit t b.b_hive in
-  hc.hc_bytes <- hc.hc_bytes + b.b_bytes;
+  let hc = hive_commit t r.r_hive in
+  hc.hc_bytes <- hc.hc_bytes + r.r_bytes;
   hc.hc_records <- hc.hc_records + 1;
-  publish_outbox bl hc b.b_outbox;
-  mark_inbox bl b.b_inbox
+  publish_outbox bl hc r.r_outbox;
+  mark_inbox bl r.r_inbox
 
-(* Moves a log's pending batches, oldest first, into its durable WAL,
+(* Commits pending records given newest first, oldest first: recursing
+   before committing needs no reversed copy. *)
+let rec commit_oldest_first t bl = function
+  | [] -> ()
+  | r :: older ->
+    commit_oldest_first t bl older;
+    commit_record t bl r
+
+(* Moves a log's pending records, oldest first, into its durable WAL,
    accumulating the per-hive fsync charges and newly durable outbox
    entries into [t.commits]. True if anything moved. *)
 let commit_pending t bl =
   match bl.bl_pending with
   | [] -> false
   | pending ->
-    List.iter (fun b -> commit_batch t bl b) (List.rev pending);
     bl.bl_pending <- [];
+    commit_oldest_first t bl pending;
     true
+
+let rec run_fsyncs t = function
+  | [] -> ()
+  | (hive, bytes, records, outbox) :: rest ->
+    t.n_fsyncs <- t.n_fsyncs + 1;
+    (match t.on_fsync with Some f -> f ~hive ~bytes ~records | None -> ());
+    (match (t.on_outbox_durable, outbox) with
+    | Some f, _ :: _ -> f ~hive outbox
+    | _ -> ());
+    run_fsyncs t rest
 
 (* One fsync per charged hive, in hive order. Every share is read out and
    reset before the first callback runs, so a callback that starts
@@ -454,28 +479,23 @@ let fire_fsyncs t =
       hc.hc_outbox <- []
     end
   done;
-  List.iter
-    (fun (hive, bytes, records, outbox) ->
-      t.n_fsyncs <- t.n_fsyncs + 1;
-      (match t.on_fsync with Some f -> f ~hive ~bytes ~records | None -> ());
-      match (t.on_outbox_durable, outbox) with
-      | Some f, _ :: _ -> f ~hive (List.rev outbox)
-      | _ -> ())
-    !fired
+  run_fsyncs t !fired
 
 let flush t =
   let ds = take_dirty t in
   (* In bee-id order: lsns, WAL order, fsync charges and outbox
      publication follow it. *)
   let dirty = ref false in
-  Array.iter (fun bl -> if commit_pending t bl then dirty := true) ds;
+  for i = 0 to Array.length ds - 1 do
+    if commit_pending t ds.(i) then dirty := true
+  done;
   if !dirty then begin
     fire_fsyncs t;
     (* Compact any bee whose durable log outgrew the threshold. *)
-    Array.iter
-      (fun bl ->
-        if bl.bl_wal_bytes > t.cfg.snapshot_threshold_bytes then compact_log t bl)
-      ds
+    for i = 0 to Array.length ds - 1 do
+      let bl = ds.(i) in
+      if bl.bl_wal_bytes > t.cfg.snapshot_threshold_bytes then compact_log t bl
+    done
   end
 
 let flush_bee t ~bee =
@@ -519,7 +539,7 @@ let create engine ?(config = default_config) ~size_of ?(garble = fun v -> v)
       dead_letters = [];
     }
   in
-  (* Group commit: batches accumulated during a tick become durable one
+  (* Group commit: records accumulated during a tick become durable one
      fsync latency after the tick boundary. A crash inside that window
      loses them, exactly like an un-fsynced log. *)
   ignore
@@ -530,7 +550,7 @@ let create engine ?(config = default_config) ~size_of ?(garble = fun v -> v)
 
 let drop_pending t ~hive =
   Array.iter
-    (fun bl -> bl.bl_pending <- List.filter (fun b -> b.b_hive <> hive) bl.bl_pending)
+    (fun bl -> bl.bl_pending <- List.filter (fun r -> r.r_hive <> hive) bl.bl_pending)
     (ring t)
 
 let forget t ~bee =
@@ -551,9 +571,9 @@ let recovery_cost t ~bee =
 (* ---- outbox / inbox ------------------------------------------------ *)
 
 let ack_outbox t ~bee ~seq =
-  match Hashtbl.find_opt t.logs bee with
-  | None -> ()
-  | Some bl -> Hashtbl.remove bl.bl_outbox seq
+  match Hashtbl.find t.logs bee with
+  | bl -> Hashtbl.remove bl.bl_outbox seq
+  | exception Not_found -> ()
 
 let outbox_unacked t ~bee =
   match Hashtbl.find_opt t.logs bee with
@@ -563,9 +583,9 @@ let outbox_unacked t ~bee =
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let inbox_durable t ~bee ~sender ~seq =
-  match Hashtbl.find_opt t.logs bee with
-  | None -> false
-  | Some bl -> Hashtbl.mem bl.bl_inbox (sender, seq)
+  match Hashtbl.find t.logs bee with
+  | bl -> Hashtbl.mem bl.bl_inbox (sender, seq)
+  | exception Not_found -> false
 
 (* Compares the ints in place: no [(sender, seq)] tuple per mark. *)
 let rec marked ~sender ~seq = function
@@ -574,13 +594,12 @@ let rec marked ~sender ~seq = function
 
 let rec pending_marked ~sender ~seq = function
   | [] -> false
-  | b :: rest -> marked ~sender ~seq b.b_inbox || pending_marked ~sender ~seq rest
+  | r :: rest -> marked ~sender ~seq r.r_inbox || pending_marked ~sender ~seq rest
 
 let inbox_seen t ~bee ~sender ~seq =
-  match Hashtbl.find_opt t.logs bee with
-  | None -> false
-  | Some bl ->
-    Hashtbl.mem bl.bl_inbox (sender, seq) || pending_marked ~sender ~seq bl.bl_pending
+  match Hashtbl.find t.logs bee with
+  | bl -> Hashtbl.mem bl.bl_inbox (sender, seq) || pending_marked ~sender ~seq bl.bl_pending
+  | exception Not_found -> false
 
 let inbox_marks t ~bee =
   match Hashtbl.find_opt t.logs bee with
@@ -588,7 +607,7 @@ let inbox_marks t ~bee =
   | Some bl ->
     let durable = Hashtbl.fold (fun m () acc -> m :: acc) bl.bl_inbox [] in
     let pending =
-      List.concat_map (fun b -> b.b_inbox) bl.bl_pending
+      List.concat_map (fun r -> r.r_inbox) bl.bl_pending
       |> List.filter (fun m -> not (Hashtbl.mem bl.bl_inbox m))
     in
     List.sort_uniq compare (durable @ pending)
@@ -598,16 +617,14 @@ let wipe_inbox t ~bee =
   | None -> ()
   | Some bl ->
     Hashtbl.reset bl.bl_inbox;
-    bl.bl_pending <-
-      List.map (fun b -> { b with b_inbox = [] }) bl.bl_pending
+    List.iter (fun r -> r.r_inbox <- []) bl.bl_pending
 
 let drop_outbox t ~bee =
   match Hashtbl.find_opt t.logs bee with
   | None -> ()
   | Some bl ->
     Hashtbl.reset bl.bl_outbox;
-    bl.bl_pending <-
-      List.map (fun b -> { b with b_outbox = [] }) bl.bl_pending
+    List.iter (fun r -> r.r_outbox <- []) bl.bl_pending
 
 (* ---- migration ----------------------------------------------------- *)
 
@@ -773,7 +790,7 @@ let suspects t =
 let suspect t ~bee = Hashtbl.find_opt t.suspects bee
 
 (* Replaces a bee's storage with known-good entries: fresh snapshot,
-   fresh frames, empty WAL. Pending batches are discarded. Outbox/inbox
+   fresh frames, empty WAL. Pending records are discarded. Outbox/inbox
    durable state is rewritten from the supplied lists; the lsn, the
    compaction count and the outbox seq allocator carry over. *)
 let reseed_log t ~bee ~entries:es ~outbox ~inbox =

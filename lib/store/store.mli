@@ -48,18 +48,6 @@ val debug_disable_checksums : bool ref
     time. *)
 type frame = { mutable f_payload : string; f_crc : int; f_len : int }
 
-type 'v record = {
-  r_lsn : int;  (** 1-based, per bee *)
-  r_at : Beehive_sim.Simtime.t;  (** flush time *)
-  r_writes : 'v write list;
-  r_bytes : int;
-  r_outbox : (int * int) list;
-      (** outbox entries committed with this record — truncating the
-          record unwinds them *)
-  r_inbox : (int * int) list;  (** dedup marks committed with this record *)
-  r_frame : frame;
-}
-
 type 'v t
 
 val create :
@@ -78,8 +66,8 @@ val create :
     identity, in which case damage is only visible to checksums.
     [on_fsync] fires once per hive per flush that made data durable;
     [on_outbox_durable] fires right after it with the [(bee, seq)] outbox
-    entries of that hive that just became durable — the platform's cue to
-    hand them to transport. *)
+    entries of that hive that just became durable, newest first — the
+    platform's cue to hand them to transport. *)
 
 val config : 'v t -> config
 
@@ -89,19 +77,21 @@ val append :
   'v t ->
   bee:int ->
   hive:int ->
-  ?outbox:(int * int) list ->
-  ?inbox:(int * int) list ->
+  outbox:(int * int) list ->
+  inbox:(int * int) list ->
   'v write list ->
   unit
-(** Appends one transaction write-set to the bee's log, together with the
-    [(seq, payload bytes)] outbox entries emitted by the transaction and
-    the [(sender, seq)] inbox dedup marks it consumed — all three become
-    durable together at the next group-commit flush (or are lost together
-    by {!drop_pending}: a crash can never keep a state delta without its
-    emits, or vice versa). The caller has already applied the writes to
-    the bee's state; the store only journals them, so nothing reads them
-    back before they are durable. Explicit outbox sequence numbers advance
-    the bee's allocator past them. *)
+(** Appends one transaction's record to the bee's log: its write-set,
+    the [(seq, payload bytes)] outbox entries it emitted and the
+    [(sender, seq)] inbox dedup marks it consumed (either list may be
+    empty). The record is the one the WAL keeps: all three become durable
+    together when the next group-commit flush stamps its lsn and frame
+    (or are lost together by {!drop_pending}: a crash can never keep a
+    state delta without its emits, or vice versa). Nothing is appended
+    when all three are empty. The caller has already applied the writes
+    to the bee's state; the store only journals them, so nothing reads
+    them back before they are durable. Explicit outbox sequence numbers
+    advance the bee's allocator past them. *)
 
 val alloc_out_seqs : 'v t -> bee:int -> int -> int
 (** [alloc_out_seqs t ~bee n] allocates the bee's next [n] outbox
@@ -109,19 +99,19 @@ val alloc_out_seqs : 'v t -> bee:int -> int -> int
     never reused even after acks). *)
 
 val flush : 'v t -> unit
-(** Forces a group commit of every pending batch now (the periodic timer
+(** Forces a group commit of every pending record now (the periodic timer
     does this every millisecond). Runs compaction on any
     bee whose durable WAL exceeds the snapshot threshold. *)
 
 val flush_bee : 'v t -> bee:int -> unit
-(** Group-commits just this bee's pending batches (other logs keep
+(** Group-commits just this bee's pending records (other logs keep
     theirs). Used when one bee's writes must be durable {e now} without
     forcing a cluster-wide flush — e.g. a merge making the absorbed
     loser entries durable under the winner before the loser's log is
     forgotten. *)
 
 val drop_pending : 'v t -> hive:int -> unit
-(** Crash semantics: discards every batch appended from [hive] that has
+(** Crash semantics: discards every record appended from [hive] that has
     not yet been group-committed. Durable records are unaffected. *)
 
 val forget : 'v t -> bee:int -> unit
@@ -131,7 +121,7 @@ val forget : 'v t -> bee:int -> unit
 
 val recover : 'v t -> bee:int -> (string * string * 'v) list
 (** The bee's durable cell set: snapshot overlaid with the WAL tail, in
-    deterministic (dict, key) order. Pending (un-fsynced) batches are not
+    deterministic (dict, key) order. Pending (un-fsynced) records are not
     part of recovery — exactly what a crash loses. Values read through a
     damaged frame come back garbled: with checksums on, run {!fsck} first
     (it truncates torn tails and fail-stops corrupt prefixes); with them
@@ -203,7 +193,7 @@ val reseed :
 (** Repairs a crashed bee from a replication peer: replaces its storage
     with a fresh, fully-checksummed snapshot of [entries] (the peer's
     state) and rewrites the durable outbox / inbox from the supplied
-    lists; the outbox seq allocator carries over. Pending batches are
+    lists; the outbox seq allocator carries over. Pending records are
     discarded. Clears any suspect verdict and counts one
     {!peer_repairs}. *)
 
@@ -264,7 +254,7 @@ val outbox_unacked : 'v t -> bee:int -> (int * int) list
 
 val inbox_seen : 'v t -> bee:int -> sender:int -> seq:int -> bool
 (** Whether the bee has already consumed [(sender, seq)] — durable marks
-    plus marks riding a not-yet-flushed batch (the receiver's committed
+    plus marks riding a not-yet-flushed record (the receiver's committed
     in-memory view, which is what dedup must check against). *)
 
 val inbox_durable : 'v t -> bee:int -> sender:int -> seq:int -> bool

@@ -270,7 +270,7 @@ let test_catches_stray_wal_write () =
            with
            | Some s, Some v ->
              Beehive_store.Store.append s ~bee:v.Platform.view_id
-               ~hive:v.Platform.view_hive
+               ~hive:v.Platform.view_hive ~outbox:[] ~inbox:[]
                [ ("stray", "k", Some (Value.V_int 1)) ];
              wrote := true
            | _ -> ()))

@@ -68,12 +68,12 @@ let test_crc32_allocation_free () =
    wrote the torn record at all. *)
 let test_torn_tail_truncates_to_prefix () =
   let store = int_store (Engine.create ()) in
-  Store.append store ~bee:0 ~hive:0 [ ("d", "a", Some 1) ];
+  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "a", Some 1) ];
   Store.flush store;
-  Store.append store ~bee:0 ~hive:0 [ ("d", "b", Some 2) ];
+  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "b", Some 2) ];
   Store.flush store;
   let prefix = sorted_entries store ~bee:0 in
-  Store.append store ~bee:0 ~hive:0 [ ("d", "c", Some 3) ];
+  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "c", Some 3) ];
   Store.flush store;
   Alcotest.(check bool) "tail torn" true (Store.tear_tail store ~bee:0);
   Alcotest.check verdict "one record truncated" (Store.Truncated 1)
@@ -90,8 +90,8 @@ let test_torn_tail_truncates_to_prefix () =
    truncation: fsck fail-stops the bee instead of serving the bytes. *)
 let test_bit_flip_fail_stops () =
   let store = int_store (Engine.create ()) in
-  Store.append store ~bee:7 ~hive:0 [ ("d", "a", Some 1) ];
-  Store.append store ~bee:7 ~hive:0 [ ("d", "b", Some 2) ];
+  Store.append store ~bee:7 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "a", Some 1) ];
+  Store.append store ~bee:7 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "b", Some 2) ];
   Store.flush store;
   Alcotest.(check bool) "record corrupted" true
     (Store.corrupt_record store ~bee:7 ~victim:0);
@@ -111,7 +111,7 @@ let test_snapshot_rot_fail_stops () =
       (Engine.create ())
   in
   for i = 0 to 19 do
-    Store.append store ~bee:0 ~hive:0 [ ("d", "k", Some i) ];
+    Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "k", Some i) ];
     Store.flush store
   done;
   Alcotest.(check bool) "log compacted" true (Store.snapshot_count store ~bee:0 > 0);
@@ -120,7 +120,7 @@ let test_snapshot_rot_fail_stops () =
   | Store.Corrupt _ -> ()
   | v -> Alcotest.failf "expected Corrupt, got %a" (Alcotest.pp verdict) v);
   (* A bee that never compacted has no snapshot bytes to rot. *)
-  Store.append store ~bee:1 ~hive:0 [ ("d", "x", Some 1) ];
+  Store.append store ~bee:1 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "x", Some 1) ];
   Store.flush store;
   Alcotest.(check bool) "nothing to rot without a snapshot" false
     (Store.rot_snapshot store ~bee:1)
@@ -130,7 +130,7 @@ let test_snapshot_rot_fail_stops () =
    [garble] so silent corruption has visible consequences downstream. *)
 let test_damaged_frames_reload_garbled () =
   let store = int_store ~garble:(fun v -> v lxor 0xFF) (Engine.create ()) in
-  Store.append store ~bee:0 ~hive:0 [ ("d", "a", Some 41) ];
+  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "a", Some 41) ];
   Store.flush store;
   ignore (Store.corrupt_record store ~bee:0 ~victim:0);
   Alcotest.(check (list (triple string string int)))
@@ -147,14 +147,14 @@ let test_checksums_off_still_catches_torn () =
     ~finally:(fun () -> Store.debug_disable_checksums := false)
     (fun () ->
       let store = int_store (Engine.create ()) in
-      Store.append store ~bee:0 ~hive:0 [ ("d", "a", Some 1) ];
+      Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "a", Some 1) ];
       Store.flush store;
-      Store.append store ~bee:0 ~hive:0 [ ("d", "b", Some 2) ];
+      Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "b", Some 2) ];
       Store.flush store;
       ignore (Store.tear_tail store ~bee:0);
       Alcotest.check verdict "torn still truncated" (Store.Truncated 1)
         (Store.fsck store ~bee:0);
-      Store.append store ~bee:1 ~hive:0 [ ("d", "c", Some 3) ];
+      Store.append store ~bee:1 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "c", Some 3) ];
       Store.flush store;
       ignore (Store.corrupt_record store ~bee:1 ~victim:0);
       Alcotest.check verdict "bit flip undetected" Store.Intact
@@ -168,7 +168,8 @@ let test_scrub_budget_and_detection () =
   let store = int_store (Engine.create ()) in
   for bee = 0 to 3 do
     for i = 0 to 9 do
-      Store.append store ~bee ~hive:0 [ ("d", Printf.sprintf "k%d" i, Some i) ]
+      Store.append store ~bee ~hive:0 ~outbox:[] ~inbox:[]
+        [ ("d", Printf.sprintf "k%d" i, Some i) ]
     done
   done;
   Store.flush store;
@@ -279,7 +280,7 @@ let prop_scrub_matches_list_walk =
           let slice_ok =
             match op with
             | Append (bee, v) ->
-              Store.append store ~bee ~hive:(bee mod 3)
+              Store.append store ~bee ~hive:(bee mod 3) ~outbox:[] ~inbox:[]
                 [ ("d", Printf.sprintf "k%d" (v mod 5), Some v) ];
               track bee;
               true
@@ -314,7 +315,7 @@ let test_scrub_slice_allocation_flat () =
   let slice_words n =
     let store = int_store (Engine.create ()) in
     for bee = 0 to n - 1 do
-      Store.append store ~bee ~hive:0 [ ("d", "k", Some bee) ]
+      Store.append store ~bee ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "k", Some bee) ]
     done;
     Store.flush store;
     let budget_bytes = 400 in

@@ -469,7 +469,7 @@ let test_entry_retires_on_distinct_acks () =
     Outbox.add t ~sender:1 ~seq ~durable:true
       (Message.make ~kind:k_apply ~src:Message.From_system ~sent_at:Simtime.zero
          (Apply "k"));
-    Option.get (Outbox.find t ~sender:1 ~seq)
+    Outbox.find t ~sender:1 ~seq
   in
   let check = Alcotest.(check bool) in
   let e = entry 1 in
@@ -487,6 +487,222 @@ let test_entry_retires_on_distinct_acks () =
   check "second early ack" false (Outbox.ack e ~receiver:8);
   check "legs already covered" true (Outbox.set_required e 2);
   check "zero legs" true (Outbox.set_required (entry 4) 0)
+
+(* The reference semantics: the ledger this module's entries table
+   replaced — one table keyed by the [(sender, seq)] pair — kept verbatim
+   as the oracle the property below compares against. *)
+module Oracle = struct
+  type entry = {
+    sender : int;
+    seq : int;
+    msg : Message.t;
+    mutable required : int;
+    mutable ackers : int list;
+    mutable n_ackers : int;
+    mutable attempts : int;
+    mutable last_attempt : Simtime.t;
+    mutable durable : bool;
+  }
+
+  type t = { entries : (int * int, entry) Hashtbl.t }
+
+  let create () = { entries = Hashtbl.create 64 }
+
+  let add t ~sender ~seq ~durable msg =
+    Hashtbl.replace t.entries (sender, seq)
+      {
+        sender;
+        seq;
+        msg;
+        required = -1;
+        ackers = [];
+        n_ackers = 0;
+        attempts = 0;
+        last_attempt = Simtime.zero;
+        durable;
+      }
+
+  let find t ~sender ~seq = Hashtbl.find_opt t.entries (sender, seq)
+  let remove t e = Hashtbl.remove t.entries (e.sender, e.seq)
+  let unacked t = Hashtbl.length t.entries
+
+  let drop_sender t sender =
+    let stale =
+      Hashtbl.fold
+        (fun ((s, _) as key) _ acc -> if s = sender then key :: acc else acc)
+        t.entries []
+    in
+    List.iter (Hashtbl.remove t.entries) (List.sort compare stale)
+
+  let drop_undurable t ~sent_from =
+    let doomed =
+      Hashtbl.fold
+        (fun key e acc -> if (not e.durable) && sent_from e.sender then key :: acc else acc)
+        t.entries []
+    in
+    List.iter (Hashtbl.remove t.entries) (List.sort compare doomed)
+
+  let mark_durable t ~sender ~seq =
+    match find t ~sender ~seq with
+    | None -> None
+    | Some e ->
+      e.durable <- true;
+      if e.attempts = 0 then Some e else None
+
+  let start_attempt e ~now =
+    e.attempts <- e.attempts + 1;
+    e.last_attempt <- now
+
+  let set_required e legs =
+    e.required <- legs;
+    e.n_ackers >= legs
+
+  let ack e ~receiver =
+    if not (List.mem receiver e.ackers) then begin
+      e.ackers <- receiver :: e.ackers;
+      e.n_ackers <- e.n_ackers + 1
+    end;
+    e.required >= 0 && e.n_ackers >= e.required
+
+  let still_due t e ~since =
+    match find t ~sender:e.sender ~seq:e.seq with
+    | Some e' -> e' == e && e.durable && Simtime.equal e.last_attempt since
+    | None -> false
+end
+
+(* One ledger operation over three senders and four seqs. [Keep] holds
+   on to an entry of each ledger so [Still_due] can ask about it after
+   later operations removed or replaced it. *)
+type ledger_op =
+  | Add of int * int * bool
+  | Mark of int * int
+  | Attempt of int * int * int
+  | Legs of int * int * int
+  | Ack of int * int * int
+  | Remove of int * int
+  | Drop_sender of int
+  | Drop_undurable of int
+  | Keep of int * int
+  | Still_due of bool
+
+let n_senders = 3
+let n_seqs = 4
+
+let print_ledger_op = function
+  | Add (s, q, d) -> Printf.sprintf "add %d/%d durable=%b" s q d
+  | Mark (s, q) -> Printf.sprintf "mark_durable %d/%d" s q
+  | Attempt (s, q, at) -> Printf.sprintf "attempt %d/%d at %d us" s q at
+  | Legs (s, q, n) -> Printf.sprintf "set_required %d/%d %d" s q n
+  | Ack (s, q, r) -> Printf.sprintf "ack %d/%d from %d" s q r
+  | Remove (s, q) -> Printf.sprintf "remove %d/%d" s q
+  | Drop_sender s -> Printf.sprintf "drop_sender %d" s
+  | Drop_undurable p -> Printf.sprintf "drop_undurable parity %d" p
+  | Keep (s, q) -> Printf.sprintf "keep %d/%d" s q
+  | Still_due same -> Printf.sprintf "still_due since=%s" (if same then "last" else "other")
+
+let ledger_op_gen =
+  let open QCheck.Gen in
+  let sender = int_bound (n_senders - 1) and seq = int_range 1 n_seqs in
+  frequency
+    [
+      (4, map3 (fun s q d -> Add (s, q, d)) sender seq bool);
+      (3, map2 (fun s q -> Mark (s, q)) sender seq);
+      (2, map3 (fun s q at -> Attempt (s, q, at)) sender seq (int_bound 3));
+      (2, map3 (fun s q n -> Legs (s, q, n)) sender seq (int_bound 2));
+      (3, map3 (fun s q r -> Ack (s, q, r)) sender seq (int_bound 2));
+      (2, map2 (fun s q -> Remove (s, q)) sender seq);
+      (1, map (fun s -> Drop_sender s) sender);
+      (1, map (fun p -> Drop_undurable p) (int_bound 1));
+      (1, map2 (fun s q -> Keep (s, q)) sender seq);
+      (2, map (fun same -> Still_due same) bool);
+    ]
+
+let find_opt t ~sender ~seq =
+  match Outbox.find t ~sender ~seq with e -> Some e | exception Not_found -> None
+
+let prop_ledger_matches_oracle =
+  QCheck.Test.make ~name:"outbox ledger agrees with the (sender, seq)-keyed oracle"
+    ~count:500
+    (QCheck.make ~print:QCheck.Print.(list print_ledger_op) QCheck.Gen.(list ledger_op_gen))
+    (fun ops ->
+      let real = Outbox.create () and model = Oracle.create () in
+      let kept = ref None in
+      let fail what op =
+        QCheck.Test.fail_reportf "%s differ after %s" what (print_ledger_op op)
+      in
+      let both s q f =
+        match (find_opt real ~sender:s ~seq:q, Oracle.find model ~sender:s ~seq:q) with
+        | Some e, Some e' -> f e e'
+        | None, None -> ()
+        | Some _, None | None, Some _ -> QCheck.Test.fail_reportf "find %d/%d differs" s q
+      in
+      let step op =
+        match op with
+        | Add (s, q, durable) ->
+          let m =
+            Message.make ~kind:k_apply ~src:Message.From_system ~sent_at:Simtime.zero
+              (Apply (Printf.sprintf "%d/%d" s q))
+          in
+          Outbox.add real ~sender:s ~seq:q ~durable m;
+          Oracle.add model ~sender:s ~seq:q ~durable m
+        | Mark (s, q) ->
+          let dispatch =
+            match find_opt real ~sender:s ~seq:q with
+            | Some e -> Outbox.mark_durable e
+            | None -> false
+          in
+          if dispatch <> Option.is_some (Oracle.mark_durable model ~sender:s ~seq:q) then
+            fail "mark_durable" op
+        | Attempt (s, q, at) ->
+          let now = Simtime.of_us at in
+          both s q (fun e e' ->
+              Outbox.start_attempt e ~now;
+              Oracle.start_attempt e' ~now)
+        | Legs (s, q, n) ->
+          both s q (fun e e' ->
+              if Outbox.set_required e n <> Oracle.set_required e' n then
+                fail "set_required" op)
+        | Ack (s, q, receiver) ->
+          both s q (fun e e' ->
+              if Outbox.ack e ~receiver <> Oracle.ack e' ~receiver then fail "ack" op)
+        | Remove (s, q) ->
+          both s q (fun e e' ->
+              Outbox.remove real e;
+              Oracle.remove model e')
+        | Drop_sender s ->
+          Outbox.drop_sender real s;
+          Oracle.drop_sender model s
+        | Drop_undurable p ->
+          let sent_from s = s mod 2 = p in
+          Outbox.drop_undurable real ~sent_from;
+          Oracle.drop_undurable model ~sent_from
+        | Keep (s, q) -> both s q (fun e e' -> kept := Some (e, e'))
+        | Still_due same -> (
+          match !kept with
+          | None -> ()
+          | Some (e, e') ->
+            let since = if same then Outbox.last_attempt e else Simtime.of_us 99 in
+            if Outbox.still_due real e ~since <> Oracle.still_due model e' ~since then
+              fail "still_due" op)
+      in
+      List.iter
+        (fun op ->
+          step op;
+          if Outbox.unacked real <> Oracle.unacked model then fail "unacked" op;
+          for s = 0 to n_senders - 1 do
+            for q = 1 to n_seqs do
+              both s q (fun e e' ->
+                  if
+                    Outbox.sender e <> e'.Oracle.sender
+                    || Outbox.seq e <> e'.Oracle.seq
+                    || Outbox.msg e != e'.Oracle.msg
+                    || Outbox.attempted e <> (e'.Oracle.attempts > 0)
+                    || not (Simtime.equal (Outbox.last_attempt e) e'.Oracle.last_attempt)
+                  then fail (Printf.sprintf "entry %d/%d" s q) op)
+            done
+          done)
+        ops;
+      true)
 
 let suite =
   [
@@ -513,5 +729,6 @@ let suite =
           test_replicated_sender_fails_over_with_unacked_entry;
         Alcotest.test_case "an entry retires on acks from distinct receivers" `Quick
           test_entry_retires_on_distinct_acks;
+        QCheck_alcotest.to_alcotest prop_ledger_matches_oracle;
       ] );
   ]

@@ -460,33 +460,23 @@ let test_counters_and_quiescence () =
   Alcotest.(check (float 0.)) "hive 0 row bytes" 208. (Traffic_matrix.row_bytes m 0);
   Alcotest.(check (float 0.)) "hive 0 column bytes" 208. (Traffic_matrix.col_bytes m 0)
 
-(* What the runtime allocates to carry a message through dispatch, the
-   handler's transaction and routing, counted exactly on a one-hive
-   two-app chain: an injected ping goes to app a, which emits a pong, and
-   app b sets one key. The bound is the measured cost (OCaml 5.1.1,
-   native code); raising it needs a reason. *)
-let runtime_words_per_message_bound = 120.0
-
-let test_runtime_words_per_message () =
+(* The one-hive two-app chain the allocation pins run: an injected ping
+   goes to app a, which emits a pong, and app b sets one key. *)
+let ping_pong_apps () =
   let on kind ~key rcv =
     App.handler ~kind ~map:(fun _ -> Mapping.with_key "d" key) rcv
   in
   let one = Value.V_int 1 in
-  let a =
+  [
     App.create ~name:"a" ~dicts:[ "d" ]
-      [ on "test.ping" ~key:"a" (fun ctx _ -> Context.emit ctx ~kind:"test.pong" (Noop 0)) ]
-  in
-  let b =
+      [ on "test.ping" ~key:"a" (fun ctx _ -> Context.emit ctx ~kind:"test.pong" (Noop 0)) ];
     App.create ~name:"b" ~dicts:[ "d" ]
-      [ on "test.pong" ~key:"b" (fun ctx _ -> Context.set ctx ~dict:"d" ~key:"b" one) ]
-  in
-  let engine, platform = make_platform ~n_hives:1 ~apps:[ a; b ] () in
-  let ping = Noop 0 and from = Channels.Hive 0 in
-  let step () =
-    Platform.inject platform ~from ~kind:"test.ping" ping;
-    Engine.run engine
-  in
-  (* The first ping creates both bees. *)
+      [ on "test.pong" ~key:"b" (fun ctx _ -> Context.set ctx ~dict:"d" ~key:"b" one) ];
+  ]
+
+(* Minor words per handled message over 1,000 pings after a first one
+   that creates both bees. *)
+let words_per_message platform step =
   step ();
   let handled_before = Platform.total_processed platform in
   let before = Gc.minor_words () in
@@ -496,10 +486,45 @@ let test_runtime_words_per_message () =
   let words = Gc.minor_words () -. before in
   let handled = Platform.total_processed platform - handled_before in
   Alcotest.(check int) "messages handled" 2_000 handled;
-  let per_msg = words /. float_of_int handled in
-  if per_msg > runtime_words_per_message_bound then
-    Alcotest.failf "%.1f words per handled message, bound %.1f" per_msg
-      runtime_words_per_message_bound
+  words /. float_of_int handled
+
+let check_words_bound per_msg bound =
+  if per_msg > bound then
+    Alcotest.failf "%.1f words per handled message, bound %.1f" per_msg bound
+
+(* What the runtime allocates to carry a message through dispatch, the
+   handler's transaction and routing, counted exactly on the ping-pong
+   chain. The bound is the measured cost (OCaml 5.1.1, native code);
+   raising it needs a reason. *)
+let runtime_words_per_message_bound = 120.0
+
+let test_runtime_words_per_message () =
+  let engine, platform = make_platform ~n_hives:1 ~apps:(ping_pong_apps ()) () in
+  let ping = Noop 0 and from = Channels.Hive 0 in
+  let step () =
+    Platform.inject platform ~from ~kind:"test.ping" ping;
+    Engine.run engine
+  in
+  check_words_bound (words_per_message platform step) runtime_words_per_message_bound
+
+(* The same chain on a durable platform, where every message also
+   crosses the WAL group commit, the transactional outbox and the acks.
+   [Engine.run] would never return (the group-commit timer keeps
+   firing), so each step runs 5 ms of simulated time: long enough for
+   the pong's commit, fsync, dispatch and ack. The bound is the measured
+   cost (OCaml 5.1.1, native code); raising it needs a reason. *)
+let durable_words_per_message_bound = 309.6235
+
+let test_durable_words_per_message () =
+  let engine, platform = durable_platform ~n_hives:1 ~apps:(ping_pong_apps ()) () in
+  let ping = Noop 0 and from = Channels.Hive 0 in
+  let step () =
+    Platform.inject platform ~from ~kind:"test.ping" ping;
+    Engine.run_until engine (Simtime.add (Engine.now engine) (Simtime.of_ms 5))
+  in
+  let per_msg = words_per_message platform step in
+  Alcotest.(check int) "outbox drained" 0 (Platform.outbox_unacked_total platform);
+  check_words_bound per_msg durable_words_per_message_bound
 
 let suite =
   [
@@ -528,5 +553,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_intersecting_messages_same_bee;
         Alcotest.test_case "counters and quiescence" `Quick test_counters_and_quiescence;
         Alcotest.test_case "runtime words per message" `Quick test_runtime_words_per_message;
+        Alcotest.test_case "durable runtime words per message" `Quick
+          test_durable_words_per_message;
       ] );
   ]

@@ -29,9 +29,9 @@ let test_group_commit_batches_per_tick () =
     Store.create engine ~size_of ~on_fsync:(fun ~hive:_ ~bytes:_ ~records:_ -> incr fsyncs) ()
   in
   (* Three write sets inside one tick... *)
-  Store.append store ~bee:0 ~hive:0 [ ("d", "a", Some 1) ];
-  Store.append store ~bee:0 ~hive:0 [ ("d", "b", Some 2) ];
-  Store.append store ~bee:1 ~hive:0 [ ("d", "c", Some 3) ];
+  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "a", Some 1) ];
+  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "b", Some 2) ];
+  Store.append store ~bee:1 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "c", Some 3) ];
   (* ...are not durable before the group-commit fsync lands... *)
   Alcotest.(check (list (triple string string int))) "nothing durable yet" []
     (Store.recover store ~bee:0);
@@ -68,13 +68,73 @@ let test_batch_payload_bytes () =
     ]
     wal_lines
 
+(* Pending records are the WAL's own records: the debug hooks clear
+   their outbox entries and inbox marks in place, a crash drops one
+   hive's, and the survivors commit oldest first under consecutive lsns,
+   byte for byte as pinned below. *)
+let test_pending_record_lifecycle () =
+  let engine = Engine.create () in
+  let store = int_store engine in
+  let append ~hive ~outbox ~inbox writes =
+    Store.append store ~bee:0 ~hive ~outbox ~inbox writes
+  in
+  append ~hive:0 ~outbox:[ (1, 10) ] ~inbox:[ (5, 1) ] [ ("d", "a", Some 1) ];
+  append ~hive:1 ~outbox:[ (2, 20) ] ~inbox:[ (6, 1) ] [ ("d", "b", Some 2) ];
+  Store.wipe_inbox store ~bee:0;
+  Store.drop_outbox store ~bee:0;
+  Alcotest.(check bool) "wiped mark forgotten" false
+    (Store.inbox_seen store ~bee:0 ~sender:5 ~seq:1);
+  append ~hive:0 ~outbox:[ (3, 30) ] ~inbox:[ (5, 2) ] [ ("d", "c", Some 3) ];
+  append ~hive:1 ~outbox:[ (4, 40) ] ~inbox:[ (6, 2) ] [ ("d", "e", Some 4) ];
+  append ~hive:0 ~outbox:[] ~inbox:[ (7, 1) ] [];
+  Alcotest.(check bool) "later mark pending" true
+    (Store.inbox_seen store ~bee:0 ~sender:6 ~seq:2);
+  Store.drop_pending store ~hive:1;
+  Alcotest.(check int) "hive 0's records pending" 3 (Store.pending_writes store ~bee:0);
+  Store.flush store;
+  let wal_lines =
+    String.split_on_char '\n' (Store.wal_image store)
+    |> List.filter (fun l -> String.length l > 2 && String.sub l 0 2 = "W ")
+  in
+  Alcotest.(check (list string))
+    "survivors commit oldest first from lsn 1"
+    [
+      "W lsn=1 at=0 len=9 crc=1197191360 R1|d/a=10";
+      "W lsn=2 at=0 len=20 crc=1662106638 R2|d/c=10|o3:30|i5:2";
+      "W lsn=3 at=0 len=7 crc=2224540402 R3|i7:1";
+    ]
+    wal_lines;
+  Alcotest.(check (list (pair int int))) "surviving inbox marks" [ (5, 2); (7, 1) ]
+    (Store.inbox_marks store ~bee:0);
+  Alcotest.(check (list (pair int int))) "surviving outbox entries" [ (3, 30) ]
+    (Store.outbox_unacked store ~bee:0);
+  Alcotest.(check (list (triple string string int)))
+    "surviving writes" [ ("d", "a", 1); ("d", "c", 3) ] (sorted_entries store ~bee:0);
+  (* The whole image: lsn bookkeeping, snapshot and WAL frames, and the
+     durable outbox and inbox. *)
+  Alcotest.(check string) "image unchanged"
+    (String.concat "\n"
+       [
+         "bee=0 next_lsn=4 snap_lsn=0 next_out_seq=5";
+         "S len=2 crc=4137036996 S0";
+         "W lsn=1 at=0 len=9 crc=1197191360 R1|d/a=10";
+         "W lsn=2 at=0 len=20 crc=1662106638 R2|d/c=10|o3:30|i5:2";
+         "W lsn=3 at=0 len=7 crc=2224540402 R3|i7:1";
+         "O 3:30";
+         "I 5:2";
+         "I 7:1";
+         "";
+       ])
+    (Store.wal_image store)
+
 let test_crash_loses_unsynced_tail () =
   let engine = Engine.create () in
   let store = int_store engine in
-  Store.append store ~bee:0 ~hive:2 [ ("d", "a", Some 1) ];
+  Store.append store ~bee:0 ~hive:2 ~outbox:[] ~inbox:[] [ ("d", "a", Some 1) ];
   Store.flush store;
   (* A later write set that never reaches its fsync dies with the hive. *)
-  Store.append store ~bee:0 ~hive:2 [ ("d", "a", Some 99); ("d", "b", Some 2) ];
+  Store.append store ~bee:0 ~hive:2 ~outbox:[] ~inbox:[]
+    [ ("d", "a", Some 99); ("d", "b", Some 2) ];
   Store.drop_pending store ~hive:2;
   Engine.run_until engine (Simtime.of_ms 5);
   Alcotest.(check (list (triple string string int)))
@@ -88,11 +148,12 @@ let test_crash_loses_unsynced_tail () =
 let workload store =
   for round = 0 to 4 do
     for k = 0 to 39 do
-      Store.append store ~bee:0 ~hive:0
+      Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[]
         [ ("d", Printf.sprintf "k%02d" k, Some ((round * 100) + k)) ]
     done;
     (* Sprinkle deletes so recovery must honour tombstones. *)
-    Store.append store ~bee:0 ~hive:0 [ ("d", Printf.sprintf "k%02d" round, None) ];
+    Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[]
+      [ ("d", Printf.sprintf "k%02d" round, None) ];
     Store.flush store
   done
 
@@ -144,7 +205,8 @@ let test_compaction_under_concurrent_commits () =
   for round = 0 to 19 do
     for bee = 0 to 2 do
       let key = Printf.sprintf "k%d" (round mod 4) in
-      Store.append store ~bee ~hive:bee [ ("d", key, Some ((bee * 1000) + round)) ];
+      Store.append store ~bee ~hive:bee ~outbox:[] ~inbox:[]
+        [ ("d", key, Some ((bee * 1000) + round)) ];
       Hashtbl.replace model (bee, key) ((bee * 1000) + round)
     done;
     Store.flush store
@@ -370,6 +432,8 @@ let suite =
           test_group_commit_batches_per_tick;
         Alcotest.test_case "batch payload bytes are pinned" `Quick test_batch_payload_bytes;
         Alcotest.test_case "crash loses unsynced tail" `Quick test_crash_loses_unsynced_tail;
+        Alcotest.test_case "pending records cleared, dropped, committed" `Quick
+          test_pending_record_lifecycle;
         Alcotest.test_case "replay is deterministic" `Quick test_replay_determinism;
         Alcotest.test_case "snapshot + tail == pure replay" `Quick
           test_snapshot_tail_equals_pure_replay;
