@@ -78,13 +78,16 @@ let puts =
     horizon_s = 10.0;
   }
 
-(* Creates a platform on a fresh engine running [apps], applies [prepare]
-   to it before starting it, then drives [l] to its horizon. Returns the
-   platform and the number of puts offered. *)
-let run_load ?(prepare = ignore) l apps =
+(* Creates a platform on a fresh engine running [apps], with the
+   [inject]ed bug if any, applies [prepare] to it before starting it, then
+   drives [l] to its horizon. Returns the platform and the number of puts
+   offered. *)
+let run_load ?(prepare = ignore) ?inject l apps =
   let engine = Engine.create () in
   let durability = if l.durable then Some Store.default_config else None in
-  let platform = P.create engine { (P.default_config ~n_hives:l.hives) with P.durability } in
+  let platform =
+    P.create engine { (P.default_config ~n_hives:l.hives) with P.durability; inject }
+  in
   List.iter (P.register_app platform) apps;
   prepare platform;
   P.start platform;
@@ -487,7 +490,7 @@ let ablation_integrity () =
      and keeps a background scrubber re-verifying cold bytes on a budget.
      Two gated claims, both deterministic in the simulation: the framing
      bytes stay within 5% of the durable log volume, and turning frame
-     *verification* off (the checksums-off bug switch) changes nothing
+     *verification* off (the injected checksums-off bug) changes nothing
      about the work done — same messages processed, same bytes logged —
      so verification is pure read-side CPU. Host wall-clock measures the
      simulator and is reported for context only; the scrub columns
@@ -495,23 +498,22 @@ let ablation_integrity () =
   Format.printf "##### Ablation: storage-integrity cost on the healthy path #####@.";
   let secs = durable_puts.horizon_s in
   let run verify =
-    Store.debug_disable_checksums := not verify;
-    Fun.protect
-      ~finally:(fun () -> Store.debug_disable_checksums := false)
-      (fun () ->
-        let t0 = Unix.gettimeofday () in
-        let platform, _ =
-          run_load durable_puts [ put_app ~name:"bench.kv" ~dict:"kv" ~kind:"bench.put" () ]
-        in
-        drain_durable platform;
-        let wall = Unix.gettimeofday () -. t0 in
-        let s = Option.get (P.store platform) in
-        ( wall,
-          P.total_processed platform,
-          Store.total_wal_bytes_written s,
-          Store.total_wal_records_written s,
-          Store.records_verified s,
-          Store.scrubs_completed s ))
+    let t0 = Unix.gettimeofday () in
+    let platform, _ =
+      run_load
+        ?inject:(if verify then None else Some P.Checksums_off)
+        durable_puts
+        [ put_app ~name:"bench.kv" ~dict:"kv" ~kind:"bench.put" () ]
+    in
+    drain_durable platform;
+    let wall = Unix.gettimeofday () -. t0 in
+    let s = Option.get (P.store platform) in
+    ( wall,
+      P.total_processed platform,
+      Store.total_wal_bytes_written s,
+      Store.total_wal_records_written s,
+      Store.records_verified s,
+      Store.scrubs_completed s )
   in
   let w_off, p_off, wal_off, rec_off, _, _ = run false in
   let w_on, p_on, wal_on, rec_on, verified_on, passes_on = run true in

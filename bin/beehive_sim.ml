@@ -149,8 +149,9 @@ let check_cmd =
   let inject_bug =
     Arg.(value & opt (some string) None
          & info [ "inject-bug" ] ~docs
-             ~doc:"Deliberately re-introduce a historical bug before checking \
-                   ($(b,forwarding) disables in-flight message forwarding after \
+             ~doc:"Build every checked platform with one historical bug \
+                   re-introduced (its $(b,Platform.config.inject) value: \
+                   $(b,forwarding) disables in-flight message forwarding after \
                    bee merges; $(b,dedup-off) disables receiver-side \
                    duplicate suppression in both the transport and the \
                    durable inbox; $(b,stale-read) makes \
@@ -164,27 +165,23 @@ let check_cmd =
                    fail — a self-test of the checker.")
   in
   let run seeds first_seed ticks hives profiles trace_dir lin outbox inject_bug =
-    (match inject_bug with
-    | None -> ()
-    | Some "forwarding" -> Beehive_core.Platform.debug_disable_forwarding := true
-    | Some "dedup-off" ->
-      Beehive_net.Transport.debug_disable_dedup := true;
-      Beehive_core.Platform.debug_disable_inbox_dedup := true
-    | Some "stale-read" -> Beehive_core.Platform.debug_stale_reads := true
-    | Some "lost-outbox" -> Beehive_core.Platform.debug_skip_outbox_replay := true
-    | Some "replay-dup" -> Beehive_core.Platform.debug_forget_inbox := true
-    | Some "checksums-off" -> Beehive_store.Store.debug_disable_checksums := true
-    | Some other ->
-      Format.eprintf
-        "unknown --inject-bug %S (known: forwarding, dedup-off, stale-read, \
-         lost-outbox, replay-dup, checksums-off)@."
-        other;
-      exit 2);
+    let bugs = Beehive_core.Platform.bugs in
+    let inject =
+      match inject_bug with
+      | None -> None
+      | Some name -> (
+        match List.assoc_opt name bugs with
+        | Some bug -> Some bug
+        | None ->
+          Format.eprintf "unknown --inject-bug %S (known: %s)@." name
+            (String.concat ", " (List.map fst bugs));
+          exit 2)
+    in
     let n_failures = ref 0 in
     List.iter
       (fun profile ->
         let report =
-          Check.run ~n_hives:hives ~ticks ~lin ~outbox ~first_seed
+          Check.run ~n_hives:hives ~ticks ~lin ~outbox ?inject ~first_seed
             ~seeds profile
         in
         Format.printf "%a" Check.pp_report report;
@@ -199,7 +196,7 @@ let check_cmd =
                 Filename.concat dir
                   (Printf.sprintf "trace-%s-seed%d.txt"
                      (Script.profile_to_string profile)
-                     f.Check.f_seed)
+                     f.Check.f_cfg.Beehive_check.Runner.r_seed)
               in
               let oc = open_out path in
               output_string oc (Check.failure_to_string f);

@@ -1,8 +1,5 @@
 type failure = {
-  f_profile : Script.profile;
-  f_seed : int;
-  f_ticks : int;
-  f_outbox : bool;
+  f_cfg : Runner.cfg;
   f_violation : Monitor.violation;
   f_script : Script.op list;
   f_shrunk : Script.op list;
@@ -30,14 +27,14 @@ let shrink_failure cfg script (v : Monitor.violation) =
   let replays = still_fails shrunk in
   (shrunk, replays)
 
-let run ?(n_hives = 4) ?(ticks = 30) ?(lin = false) ?(outbox = false) ?(first_seed = 0)
-    ~seeds profile =
+let run ?(n_hives = 4) ?(ticks = 30) ?(lin = false) ?(outbox = false) ?inject
+    ?(first_seed = 0) ~seeds profile =
   let passed = ref 0 in
   let failures = ref [] in
   let lin_ops = ref 0 in
   let lin_checked = ref 0 in
   for seed = first_seed to first_seed + seeds - 1 do
-    let cfg = Runner.make_cfg ~n_hives ~ticks ~lin ~outbox ~seed profile in
+    let cfg = Runner.make_cfg ~n_hives ~ticks ~lin ~outbox ?inject ~seed profile in
     match Runner.run_seed cfg with
     | _, Runner.Pass s ->
       incr passed;
@@ -47,10 +44,7 @@ let run ?(n_hives = 4) ?(ticks = 30) ?(lin = false) ?(outbox = false) ?(first_se
       let shrunk, replays = shrink_failure cfg script v in
       failures :=
         {
-          f_profile = profile;
-          f_seed = seed;
-          f_ticks = ticks;
-          f_outbox = outbox;
+          f_cfg = cfg;
           f_violation = v;
           f_script = script;
           f_shrunk = shrunk;
@@ -70,15 +64,25 @@ let run ?(n_hives = 4) ?(ticks = 30) ?(lin = false) ?(outbox = false) ?(first_se
   }
 
 let pp_failure ppf f =
-  Format.fprintf ppf "FAIL profile=%s seed=%d ticks=%d@."
-    (Script.profile_to_string f.f_profile)
-    f.f_seed f.f_ticks;
+  let c = f.f_cfg in
+  let profile = Script.profile_to_string c.Runner.r_profile in
+  Format.fprintf ppf "FAIL profile=%s seed=%d ticks=%d@." profile c.Runner.r_seed
+    c.Runner.r_ticks;
   Format.fprintf ppf "  %a@." Monitor.pp_violation f.f_violation;
+  let flag on name = if on then " --" ^ name else "" in
+  let bug =
+    match c.Runner.r_inject with
+    | None -> ""
+    | Some b -> (
+      match List.find_opt (fun (_, b') -> b' = b) Beehive_core.Platform.bugs with
+      | Some (name, _) -> " --inject-bug " ^ name
+      | None -> " (plus an injected bug with no --inject-bug name)")
+  in
   Format.fprintf ppf
-    "  replay: beehive_sim check --profile %s --first-seed %d --seeds 1 --ticks %d%s@."
-    (Script.profile_to_string f.f_profile)
-    f.f_seed f.f_ticks
-    (if f.f_outbox then " --outbox" else "");
+    "  replay: beehive_sim check --profile %s --first-seed %d --seeds 1 --ticks %d \
+     --hives %d%s%s%s@."
+    profile c.Runner.r_seed c.Runner.r_ticks c.Runner.r_n_hives (flag c.Runner.r_lin "lin")
+    (flag c.Runner.r_outbox "outbox") bug;
   Format.fprintf ppf "  script: %d events, shrunk to %d (%s)@."
     (List.length f.f_script) (List.length f.f_shrunk)
     (if f.f_replays then "replays deterministically" else "REPLAY DIVERGED");

@@ -9,10 +9,7 @@
     script, and the shrunk timeline. *)
 
 type failure = {
-  f_profile : Script.profile;
-  f_seed : int;
-  f_ticks : int;
-  f_outbox : bool;  (** the outbox workload was armed for this run *)
+  f_cfg : Runner.cfg;  (** replays the failing seed, bug included *)
   f_violation : Monitor.violation;
   f_script : Script.op list;  (** the full generated script *)
   f_shrunk : Script.op list;  (** 1-minimal failing subsequence *)
@@ -40,6 +37,7 @@ val run :
   ?ticks:int ->
   ?lin:bool ->
   ?outbox:bool ->
+  ?inject:Beehive_core.Platform.bug ->
   ?first_seed:int ->
   seeds:int ->
   Script.profile ->
@@ -49,7 +47,8 @@ val run :
     under each candidate script, so a minimized script is one that still
     produces a non-linearizable history). [~outbox:true] routes puts
     through the forwarding pipeline and arms the exactly-once and
-    quarantine-accounting monitors the same way. A sweep is a pure
+    quarantine-accounting monitors the same way. [inject] builds every
+    platform with that bug, shrinking included. A sweep is a pure
     function of its arguments, so re-running it reproduces every
     verdict. *)
 

@@ -328,7 +328,7 @@ let drain_completeness =
         | Some mem -> (
           let p = ctx.cx_platform in
           let reg = Platform.registry p in
-          match Membership.incomplete_drains mem with
+          match Membership.draining mem with
           | h :: _ ->
             Some
               (Printf.sprintf

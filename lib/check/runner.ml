@@ -110,9 +110,10 @@ type cfg = {
   r_seed : int;
   r_lin : bool;
   r_outbox : bool;
+  r_inject : Platform.bug option;
 }
 
-let make_cfg ?(n_hives = 4) ?(ticks = 30) ?(lin = false) ?(outbox = false) ~seed
+let make_cfg ?(n_hives = 4) ?(ticks = 30) ?(lin = false) ?(outbox = false) ?inject ~seed
     profile =
   if n_hives <= 0 then invalid_arg "Runner.make_cfg: need at least one hive";
   (* The lin and outbox workloads acknowledge at fsync, a promise disk
@@ -128,6 +129,7 @@ let make_cfg ?(n_hives = 4) ?(ticks = 30) ?(lin = false) ?(outbox = false) ~seed
     r_seed = seed;
     r_lin = lin && not disk;
     r_outbox = outbox && not disk;
+    r_inject = inject;
   }
 
 type stats = {
@@ -397,7 +399,10 @@ let execute_with_gauges ?observe cfg ops =
       Some { Store.snapshot_threshold_bytes = 2048 }
     else None
   in
-  let pcfg = { (Platform.default_config ~n_hives:cfg.r_n_hives) with Platform.durability } in
+  let pcfg =
+    { (Platform.default_config ~n_hives:cfg.r_n_hives) with
+      Platform.durability; inject = cfg.r_inject }
+  in
   let platform = Platform.create engine pcfg in
   (* Under Raft a failover legitimately recovers the quorum-committed
      prefix rather than the local WAL, which breaks the outbox workload's

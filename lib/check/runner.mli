@@ -31,6 +31,9 @@ type cfg = {
           always-raising messages that must end in quarantine. The kv and
           forwarding apps run unreplicated (a Raft failover legitimately
           recovers the quorum prefix, not the local journal). *)
+  r_inject : Beehive_core.Platform.bug option;
+      (** the bug the run's platform is built with, so a shrunk or
+          replayed script runs with it too *)
 }
 
 val make_cfg :
@@ -38,10 +41,11 @@ val make_cfg :
   ?ticks:int ->
   ?lin:bool ->
   ?outbox:bool ->
+  ?inject:Beehive_core.Platform.bug ->
   seed:int ->
   Script.profile ->
   cfg
-(** Defaults: 4 hives, 30 ticks, [lin] and [outbox] off. *)
+(** Defaults: 4 hives, 30 ticks, [lin] and [outbox] off, no bug. *)
 
 type stats = {
   s_events : int;

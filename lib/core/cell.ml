@@ -19,7 +19,6 @@ let compare a b =
   | 0 -> compare_key a.key b.key
   | c -> c
 
-let equal a b = compare a b = 0
 let is_wildcard c = c.key = All
 
 let intersects a b =
@@ -48,7 +47,6 @@ module Set = struct
     || exists (fun ca -> is_wildcard ca && exists (fun cb -> intersects ca cb) b) a
     || exists (fun cb -> is_wildcard cb && exists (fun ca -> intersects ca cb) a) b
 
-  let of_keys dict ks = of_list (List.map (cell dict) ks)
 
   let pp fmt s =
     Format.fprintf fmt "{%a}"

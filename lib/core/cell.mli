@@ -18,7 +18,6 @@ val whole : string -> t
 (** [whole dict] is the wildcard cell of [dict]. *)
 
 val compare : t -> t -> int
-val equal : t -> t -> bool
 val is_wildcard : t -> bool
 
 val intersects : t -> t -> bool
@@ -33,9 +32,6 @@ module Set : sig
   val intersects : t -> t -> bool
   (** Set-level intersection under {!intersects} semantics (quadratic in
       the number of wildcards, linear otherwise). *)
-
-  val of_keys : string -> string list -> t
-  (** [of_keys dict ks] is the set of cells [(dict, k)] for [ks]. *)
 
   val pp : Format.formatter -> t -> unit
 end

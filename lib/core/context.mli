@@ -32,7 +32,7 @@ val make :
     [message] is the message being handled. [read_shadow], when given,
     serves all {e pure} reads ({!get}, {!mem}, {!iter_dict}) from the
     snapshot instead of the transaction — the
-    hook behind {!Platform.debug_stale_reads}. Writes and {!update}'s
+    hook behind the injected [Platform.Stale_read] bug. Writes and {!update}'s
     read-modify-write are never shadowed. *)
 
 val bee_id : t -> int

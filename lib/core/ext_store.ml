@@ -6,7 +6,6 @@ type t = {
   platform : Platform.t;
   n_nodes : int;
   data : (string, Value.t) Hashtbl.t;
-  mutable rpcs : int;
   rpc_stats : Stats.t;  (* only its latency histogram is used *)
 }
 
@@ -17,13 +16,12 @@ let create platform ?(n_store_nodes = 3) () =
   let n = Platform.n_hives platform in
   if n_store_nodes <= 0 || n_store_nodes > n then
     invalid_arg "Ext_store.create: store node count out of range";
-  { platform; n_nodes = n_store_nodes; data = Hashtbl.create 256; rpcs = 0;
+  { platform; n_nodes = n_store_nodes; data = Hashtbl.create 256;
     rpc_stats = Stats.create () }
 
 let store_hive_of_key t key = Hashtbl.hash key mod t.n_nodes
 
 let round_trip t ~from_hive ~to_hive ~req_bytes ~resp_bytes k =
-  t.rpcs <- t.rpcs + 1;
   let chans = Platform.channels t.platform in
   let now = Engine.now (Platform.engine t.platform) in
   let l1 =
@@ -61,7 +59,5 @@ let update t ~from_hive ~key f k =
       let v = f prev in
       put t ~from_hive ~key v (fun () -> k v))
 
-let n_keys t = Hashtbl.length t.data
-let total_rpcs t = t.rpcs
 let fold_keys t f init = Hashtbl.fold f t.data init
 let rpc_latency_percentile t p = Stats.latency_percentile t.rpc_stats p

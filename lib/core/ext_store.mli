@@ -34,9 +34,6 @@ val update :
     PUT — exactly the traffic a remote-state application pays for every
     stat sample. The continuation receives the stored value. *)
 
-val n_keys : t -> int
-val total_rpcs : t -> int
-
 val fold_keys : t -> (string -> Value.t -> 'a -> 'a) -> 'a -> 'a
 (** Offline introspection of store contents (no traffic charged). *)
 

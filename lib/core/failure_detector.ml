@@ -218,4 +218,3 @@ let is_member t h = h >= 0 && h < t.n && t.member.(h)
 
 let evictions t = t.n_evictions
 let stale_claims t = t.n_stale_claims
-let converged t = suspected t = []

@@ -41,15 +41,15 @@ val quorum : t -> int
     membership. *)
 
 val member_count : t -> int
+(** Hives in current membership: the quorum denominator. *)
 
 val is_member : t -> int -> bool
+(** Whether a hive is in current membership (joins enter it,
+    decommissions leave it). *)
 
 val suspected : t -> int list
 (** Hives currently evicted (confirmed suspicions not yet healed),
     ascending. *)
-
-val converged : t -> bool
-(** No hive currently suspected. *)
 
 val evictions : t -> int
 (** Confirmed suspicions so far (including correct detections). *)

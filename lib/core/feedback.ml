@@ -189,25 +189,6 @@ let check_queues platform =
       else None)
     (Platform.live_bees platform)
 
-let provenance_summary platform =
-  List.concat_map
-    (fun (v : Platform.bee_view) ->
-      match Platform.bee_stats platform v.Platform.view_id with
-      | Some s ->
-        List.map
-          (fun (i, o, n) -> (v.Platform.view_app, i, o, n))
-          (Stats.provenance s)
-      | None -> [])
-    (Platform.live_bees platform)
-  |> List.fold_left
-       (fun acc ((app, i, o, n) as _e) ->
-         let key = (app, i, o) in
-         let prev = Option.value ~default:0 (List.assoc_opt key acc) in
-         (key, prev + n) :: List.remove_assoc key acc)
-       []
-  |> List.map (fun ((app, i, o), n) -> (app, i, o, n))
-  |> List.sort (fun (_, _, _, a) (_, _, _, b) -> Int.compare b a)
-
 let analyze platform =
   check_centralization platform @ check_locality platform
   @ check_hive_balance platform @ check_queues platform

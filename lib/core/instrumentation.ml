@@ -205,7 +205,6 @@ let () =
 type handle = {
   platform : Platform.t;
   cfg : config;
-  suggested : int ref;
   performed : int ref;
 }
 
@@ -273,7 +272,7 @@ let aggregator_handler =
       | _ -> ())
 
 let optimizer_handler handle =
-  let { platform; cfg; suggested; performed } = handle in
+  let { platform; cfg; performed } = handle in
   App.handler ~kind:kind_optimize
     ~map:(fun _ -> Mapping.whole_dict dict_loads)
     (fun ctx _msg ->
@@ -305,7 +304,6 @@ let optimizer_handler handle =
          List.iter
            (fun d ->
              if !budget > 0 then begin
-               incr suggested;
                decr budget;
                if
                  Platform.migrate_bee platform ~bee:d.d_bee ~to_hive:d.d_to_hive
@@ -333,7 +331,7 @@ let optimizer_handler handle =
           | _ -> ()))
 
 let install platform cfg =
-  let handle = { platform; cfg; suggested = ref 0; performed = ref 0 } in
+  let handle = { platform; cfg; performed = ref 0 } in
   let timers =
     [
       App.timer ~kind:kind_collect ~period:cfg.window ~size:16 (fun ~now:_ -> Collect_tick);
@@ -367,5 +365,4 @@ let loads handle =
            | _ -> None)
     |> List.sort (fun a b -> Int.compare a.bl_bee b.bl_bee)
 
-let suggested_migrations handle = !(handle.suggested)
 let performed_migrations handle = !(handle.performed)

@@ -83,8 +83,6 @@ val install : Platform.t -> config -> handle
 val loads : handle -> bee_load list
 (** The aggregator's current view (reads the aggregator bee's state). *)
 
-val suggested_migrations : handle -> int
-(** Number of migrations the optimizer decided on so far. *)
-
 val performed_migrations : handle -> int
-(** How many of those the platform accepted. *)
+(** Migrations the optimizer decided on (within each round's budget)
+    that the platform accepted. *)

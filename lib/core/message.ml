@@ -21,8 +21,3 @@ let make ?(size = default_size) ~kind ~src ~sent_at payload =
   incr counter;
   { msg_id = !counter; kind; payload; size; src; sent_at }
 
-let src_hive m =
-  match m.src with
-  | From_bee { hive; _ } -> Some hive
-  | From_endpoint (Beehive_net.Channels.Hive h) -> Some h
-  | From_endpoint (Beehive_net.Channels.Switch _) | From_system -> None

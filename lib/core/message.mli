@@ -32,8 +32,3 @@ val make :
     globally unique and increase in creation order. *)
 
 val default_size : int
-
-val src_hive : t -> int option
-(** The hive the message physically originates from, when known. For
-    [From_endpoint (Switch _)] sources this is resolved by the platform
-    (master hive), so it returns [None] here. *)

@@ -7,13 +7,12 @@ let src = Logs.Src.create "beehive.migration" ~doc:"Beehive bee migration and me
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-let debug_stale_reads = ref false
-
 (* How long a freshly-landed migration keeps serving reads from its
-   pre-transfer snapshot when [debug_stale_reads] is set. *)
+   pre-transfer snapshot when [stale_reads] is set. *)
 let stale_read_window = Simtime.of_ms 3
 
-let transfer engine ~reg ~locks ~hives ~store ~transmit ~resume ~landed (b : Bee.t) dst =
+let transfer engine ~reg ~locks ~hives ~store ~stale_reads ~transmit ~resume ~landed (b : Bee.t)
+    dst =
   b.pending_migration <- None;
   if b.status = `Active && Hives.alive hives dst && dst <> b.hive then begin
     b.status <- `Paused;
@@ -22,7 +21,7 @@ let transfer engine ~reg ~locks ~hives ~store ~transmit ~resume ~landed (b : Bee
        like when the transfer left the source, to (wrongly) serve reads
        from after landing. *)
     let stale_snapshot =
-      if !debug_stale_reads && not b.is_local then Some (State.snapshot b.state) else None
+      if stale_reads && not b.is_local then Some (State.snapshot b.state) else None
     in
     let bytes =
       (* With the storage engine, migration ships a compacted snapshot
@@ -61,10 +60,10 @@ let transfer engine ~reg ~locks ~hives ~store ~transmit ~resume ~landed (b : Bee
           b.hive <- dst;
           b.fenced <- false;
           (match stale_snapshot with
-          | Some snap when !debug_stale_reads ->
+          | Some snap ->
             b.stale_shadow <- Some snap;
             b.stale_until <- Simtime.add (Engine.now engine) stale_read_window
-          | Some _ | None -> ());
+          | None -> ());
           Registry.set_hive reg ~bee:b.id ~hive:dst;
           b.status <- `Active;
           landed ~src:src_hive ~bytes;

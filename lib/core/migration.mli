@@ -6,16 +6,13 @@
     a transfer goes through [transmit], and a bee whose mailbox may have
     work again is handed to [resume]. *)
 
-val debug_stale_reads : bool ref
-(** Injected bug [stale-read]: a migrated bee keeps serving reads from
-    its pre-transfer snapshot for a few milliseconds after landing. *)
-
 val transfer :
   Beehive_sim.Engine.t ->
   reg:Registry.t ->
   locks:Cell_locks.t ->
   hives:Hives.t ->
   store:Value.t Beehive_store.Store.t option ->
+  stale_reads:bool ->
   transmit:
     (src_ep:Beehive_net.Channels.endpoint ->
     dst_hive:int ->
@@ -33,7 +30,9 @@ val transfer :
     bee pauses, its state travels with one lock-service round trip, and
     on arrival the registry re-homes it and [landed] runs before the bee
     resumes on [dst]. If [dst] is not alive, is already home, or the
-    transfer is lost or lands on a dead hive, the bee resumes in place. *)
+    transfer is lost or lands on a dead hive, the bee resumes in place.
+    [stale_reads] injects the [stale-read] bug: the landed bee keeps
+    serving reads from its pre-transfer snapshot for a few milliseconds. *)
 
 val merge :
   Beehive_sim.Engine.t ->

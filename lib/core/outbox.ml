@@ -194,9 +194,6 @@ let quarantine t ~bee msg reason =
   | None -> Hashtbl.add t.quarantine bee (ref [ (msg, reason) ]));
   t.n_quarantined <- t.n_quarantined + 1
 
-let quarantined t ~bee =
-  match Hashtbl.find_opt t.quarantine bee with Some q -> List.length !q | None -> 0
-
 let quarantined_messages t ~bee =
   match Hashtbl.find_opt t.quarantine bee with Some q -> List.rev !q | None -> []
 

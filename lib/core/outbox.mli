@@ -103,7 +103,6 @@ val retry_delay : attempts:int -> Beehive_sim.Simtime.t option
     quarantine. *)
 
 val quarantine : t -> bee:int -> Message.t -> string -> unit
-val quarantined : t -> bee:int -> int
 val quarantined_messages : t -> bee:int -> (Message.t * string) list
 val total_quarantined : t -> int
 

@@ -9,27 +9,39 @@ let src = Logs.Src.create "beehive.platform" ~doc:"Beehive control platform"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-let debug_disable_forwarding = ref false
-let debug_stale_reads = Migration.debug_stale_reads
+type bug =
+  | Forwarding_off
+  | Dedup_off
+  | Transport_dedup_off
+  | Stale_read
+  | Lost_outbox
+  | Replay_dup
+  | Checksums_off
+
+let bugs =
+  [
+    ("forwarding", Forwarding_off);
+    ("dedup-off", Dedup_off);
+    ("stale-read", Stale_read);
+    ("lost-outbox", Lost_outbox);
+    ("replay-dup", Replay_dup);
+    ("checksums-off", Checksums_off);
+  ]
 
 type config = {
   n_hives : int;
   hive_capacity : int;
   durability : Store.config option;
+  inject : bug option;
 }
 
-let default_config ~n_hives = { n_hives; hive_capacity = max_int; durability = None }
+let default_config ~n_hives =
+  { n_hives; hive_capacity = max_int; durability = None; inject = None }
 
 (* Background integrity scrub: cold snapshot+WAL bytes verified per 5 ms
    slice; detected-corrupt live bees are repaired in place, crashed ones
    at restart. *)
 let scrub_budget_bytes = 64 * 1024
-
-let outbox_retry_budget = Outbox.retry_budget
-
-let debug_skip_outbox_replay = ref false
-let debug_forget_inbox = ref false
-let debug_disable_inbox_dedup = ref false
 
 type drop_reason =
   | Dead_target
@@ -314,8 +326,9 @@ let transmit t ~src_ep ~dst_hive ~bytes ~extra ?on_drop k =
   end
 
 let duplicate_delivery t (b : bee) (d : Bee.delivery) =
-  match (d.d_outbox, t.store) with
-  | Some (sender, seq), Some s when (not b.is_local) && not !debug_disable_inbox_dedup ->
+  match (d.d_outbox, t.store, t.cfg.inject) with
+  | _, _, Some Dedup_off -> false
+  | Some (sender, seq), Some s, _ when not b.is_local ->
     Store.inbox_seen s ~bee:b.id ~sender ~seq
   | _ -> false
 
@@ -445,26 +458,20 @@ let rec call_emit_hooks ~parent ~child ~emitter = function
     f ~parent ~child ~emitter;
     call_emit_hooks ~parent ~child ~emitter rest
 
-(* Counts an emitted message in the bee's stats and shows it to the emit
-   hooks. *)
-let report_emit t (b : bee) ~in_kind ~parent ~emitter (m : Message.t) =
-  Stats.record_out b.stats ~in_kind ~out_kind:m.Message.kind;
-  call_emit_hooks ~parent ~child:m ~emitter t.emit_hooks
-
-(* The walks below take a context's emits or sends newest first and act
-   on them oldest first, recursing before acting: no reversed copy, no
-   closure. *)
-let rec report_emits t b ~in_kind ~parent ~emitter = function
+(* The walks below take a context's emits or sends newest first and show
+   them to the emit hooks oldest first, recursing before acting: no
+   reversed copy, no closure. *)
+let rec report_emits hooks ~parent ~emitter = function
   | [] -> ()
   | m :: older ->
-    report_emits t b ~in_kind ~parent ~emitter older;
-    report_emit t b ~in_kind ~parent ~emitter m
+    report_emits hooks ~parent ~emitter older;
+    call_emit_hooks ~parent ~child:m ~emitter hooks
 
-let rec report_sends t b ~in_kind ~parent ~emitter = function
+let rec report_sends hooks ~parent ~emitter = function
   | [] -> ()
   | (_, m) :: older ->
-    report_sends t b ~in_kind ~parent ~emitter older;
-    report_emit t b ~in_kind ~parent ~emitter m
+    report_sends hooks ~parent ~emitter older;
+    call_emit_hooks ~parent ~child:m ~emitter hooks
 
 (* Tracks emits, given newest first, under consecutive outbox seqs that
    end at [seq], and returns the [(seq, payload bytes)] rows the store
@@ -553,6 +560,7 @@ let quarantine_delivery t (b : bee) (d : Bee.delivery) exn =
 
 let start_transfer t (b : bee) dst reason ~resume =
   Migration.transfer t.engine ~reg:t.reg ~locks:t.locks ~hives:t.hives ~store:t.store
+    ~stale_reads:(t.cfg.inject = Some Stale_read)
     ~transmit:(fun ~src_ep ~dst_hive ~bytes ~extra ~on_drop k ->
       transmit t ~src_ep ~dst_hive ~bytes ~extra ~on_drop k)
     ~resume b dst ~landed:(fun ~src ~bytes ->
@@ -589,7 +597,7 @@ let open_context t (b : bee) (d : Bee.delivery) =
   end;
   let read_shadow =
     match b.stale_shadow with
-    | Some _ when (not !debug_stale_reads) || Simtime.(now t >= b.stale_until) ->
+    | Some _ when Simtime.(now t >= b.stale_until) ->
       b.stale_shadow <- None;
       None
     | shadow -> shadow
@@ -612,6 +620,13 @@ let run_handler (d : Bee.delivery) ctx =
   in
   Context.close ctx;
   failure
+
+(* Messages in flight to a bee that has since been merged away follow
+   its forwarding pointer to the surviving bee. *)
+let rec forwarded t (b : bee) =
+  match (b.status, b.forwarded_to) with
+  | `Dead, Some w when t.cfg.inject <> Some Forwarding_off -> forwarded t w
+  | _ -> b
 
 let rec maybe_process t (b : bee) =
   if b.status = `Active && (not b.busy) && not (Queue.is_empty b.mailbox) then begin
@@ -660,13 +675,11 @@ and complete t (b : bee) (d : Bee.delivery) cost ctx failure =
     in
     State.commit tx;
     let emits = Context.emitted ctx and sends = Context.sent ctx in
-    if emits <> [] || sends <> [] then begin
-      (* Only the emit hooks read the parent and the emitter. *)
-      let hooked = t.emit_hooks <> [] and in_kind = msg.Message.kind in
-      let parent = if hooked then Some msg else None
-      and emitter = if hooked then emitter_of b else None in
-      report_emits t b ~in_kind ~parent ~emitter emits;
-      report_sends t b ~in_kind ~parent ~emitter sends
+    (* Only the emit hooks see what a handler emitted. *)
+    if t.emit_hooks <> [] && (emits <> [] || sends <> []) then begin
+      let parent = Some msg and emitter = emitter_of b in
+      report_emits t.emit_hooks ~parent ~emitter emits;
+      report_sends t.emit_hooks ~parent ~emitter sends
     end;
     (match t.store with
     | Some s when not b.is_local ->
@@ -696,7 +709,6 @@ and complete t (b : bee) (d : Bee.delivery) cost ctx failure =
        emit are discarded atomically, then the delivery is retried with
        backoff until the budget runs out and the message is quarantined. *)
     ignore (State.rollback tx);
-    Stats.record_error b.stats;
     t.n_handler_faults <- t.n_handler_faults + 1;
     Log.warn (fun m ->
         m "bee %d (%s) handler for %s raised %s (attempt %d)" b.id b.app.App.name
@@ -728,14 +740,7 @@ and route_emits t ~src_ep = function
     route t ~src_ep m
 
 and enqueue t (b : bee) d =
-  (* Messages in flight to a bee that has since been merged away follow
-     its forwarding pointer to the surviving bee. *)
-  let rec resolve (b : bee) =
-    match (b.status, b.forwarded_to) with
-    | `Dead, Some w when not !debug_disable_forwarding -> resolve w
-    | _ -> b
-  in
-  let b = resolve b in
+  let b = forwarded t b in
   match b.status with
   | `Dead | `Crashed -> drop t Dead_target
   | `Active | `Paused ->
@@ -904,8 +909,8 @@ and route t ~src_ep msg =
 let late_emit t ctx ep ?size ~kind payload =
   let b = Hashtbl.find t.bees (Context.bee_id ctx) in
   let m = bee_message t b ?size ~kind payload in
-  let parent = Context.message ctx in
-  report_emit t b ~in_kind:parent.Message.kind ~parent:(Some parent) ~emitter:(emitter_of b) m;
+  call_emit_hooks ~parent:(Some (Context.message ctx)) ~child:m ~emitter:(emitter_of b)
+    t.emit_hooks;
   match ep with
   | None -> route t ~src_ep:(Channels.Hive b.hive) m
   | Some ep -> deliver_endpoint t b ep m
@@ -1052,9 +1057,6 @@ let bee_state_entries t id =
 
 let store t = t.store
 
-let bee_snapshot_count t id =
-  match t.store with Some s -> Store.snapshot_count s ~bee:id | None -> 0
-
 let durable_bee_entries t id =
   match t.store with Some s -> Store.recover s ~bee:id | None -> []
 
@@ -1063,8 +1065,6 @@ let flush_durability t =
 
 let total_fsyncs t =
   match t.store with Some s -> Store.total_fsyncs s | None -> 0
-
-let local_bee t ~app ~hive = Hashtbl.find_opt t.local_bees (app, hive)
 
 let find_owner t ~app cell =
   match Registry.owners t.reg ~app (Cell.Set.singleton cell) with
@@ -1080,18 +1080,9 @@ let iter_windows t ~hive f =
       f ~bee:id ~app:b.app.App.name (Stats.take_window b.stats)
   done
 
-let quiescent t =
-  Hashtbl.fold
-    (fun _ (b : bee) acc ->
-      acc && (b.status = `Dead || ((not b.busy) && Queue.is_empty b.mailbox)))
-    t.bees true
-
 (* ------------------------------------------------------------------ *)
 (* Placement control                                                   *)
 (* ------------------------------------------------------------------ *)
-
-let pin_bee t ~bee = Hashtbl.replace t.pinned_bees bee ()
-let bee_pinned t ~bee = Hashtbl.mem t.pinned_bees bee
 
 let migrate_bee t ~bee ~to_hive ~reason =
   match get_bee t bee with
@@ -1130,10 +1121,8 @@ let set_replicator t r =
 (* ------------------------------------------------------------------ *)
 
 let outbox_unacked_total t = Outbox.unacked t.outbox
-let outbox_dups_suppressed t = Outbox.duplicates t.outbox
 let handler_faults t = t.n_handler_faults
 let total_quarantined t = Outbox.total_quarantined t.outbox
-let quarantined t ~bee = Outbox.quarantined t.outbox ~bee
 let quarantined_messages t ~bee = Outbox.quarantined_messages t.outbox ~bee
 
 (* ------------------------------------------------------------------ *)
@@ -1303,8 +1292,8 @@ let storage_suspects t =
   match t.store with None -> [] | Some s -> Store.suspects s
 
 (* Omniscient oracle (monitors only): re-derives every durable bee's
-   chain verdict from the actual frame bytes, ignoring the
-   [Store.debug_disable_checksums] switch — the ground truth a
+   chain verdict from the actual frame bytes, ignoring an injected
+   [Checksums_off] — the ground truth a
    no-silent-corruption monitor compares production behaviour against. *)
 let broken_chains t =
   match t.store with
@@ -1357,7 +1346,7 @@ let restart_hive t h =
         in
         List.iter
           (fun (b : bee) ->
-            if !debug_skip_outbox_replay then begin
+            if t.cfg.inject = Some Lost_outbox then begin
               (* Injected bug [lost-outbox]: recovery "loses" the
                  outbox file, so acked-durable emits are never
                  re-sent. The exactly-once monitor must catch this. *)
@@ -1365,7 +1354,7 @@ let restart_hive t h =
               Outbox.drop_sender t.outbox b.id
             end
             else begin
-              if !debug_forget_inbox then
+              if t.cfg.inject = Some Replay_dup then
                 (* Injected bug [replay-dup]: recovery "loses" the
                    durable dedup cutoff, so replayed entries (and
                    transport retransmissions) double-apply. *)
@@ -1509,6 +1498,7 @@ let create engine cfg =
     Transport.create ~engine
       ~rng:(Rng.split (Engine.rng engine))
       ~alive:(fun h -> not (Hives.crashed hives h))
+      ~dedup:(match cfg.inject with Some (Dedup_off | Transport_dedup_off) -> false | _ -> true)
       chans
   in
   let locks = Cell_locks.create engine chans in
@@ -1574,7 +1564,7 @@ let create engine cfg =
     t.store <-
       Some
         (Store.create engine ~config:store_cfg ~size_of ~garble:Value.garble
-           ~on_fsync ~on_outbox_durable ());
+           ~verify:(cfg.inject <> Some Checksums_off) ~on_fsync ~on_outbox_durable ());
     (* Background scrub: one budgeted verification slice every 5 ms.
        Detected-corrupt live bees are repaired in place; bees on crashed
        hives keep their suspect verdict for restart_hive to consult. *)

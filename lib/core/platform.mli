@@ -22,6 +22,43 @@
 
 type t
 
+(** A historical bug the check harness re-introduces to prove its
+    monitors would have caught it ([--inject-bug]). *)
+type bug =
+  | Forwarding_off
+      (** [forwarding]: messages in flight to a bee that was merged away
+          are dropped instead of following its forwarding pointer to the
+          surviving bee — the original in-flight-forwarding bug *)
+  | Dedup_off
+      (** [dedup-off]: receiver-side duplicate suppression off at both
+          layers — the transport delivers every copy and receivers never
+          consult their durable inbox marks, so a message delivered twice
+          applies twice *)
+  | Transport_dedup_off
+      (** the transport half of [Dedup_off] alone; with durability on, the
+          durable inbox must still mask every duplicate *)
+  | Stale_read
+      (** [stale-read]: a bee that completes a live migration keeps
+          serving {e pure reads} from its pre-transfer snapshot for a few
+          milliseconds after landing (writes and read-modify-write stay
+          correct, so only client-visible semantics break — structural
+          invariants cannot see it) *)
+  | Lost_outbox
+      (** [lost-outbox]: {!restart_hive} skips re-dispatching the un-acked
+          durable outbox entries of revived bees (and drops them from the
+          WAL), so a crash between fsync and transmission silently loses
+          committed emits *)
+  | Replay_dup
+      (** [replay-dup]: {!restart_hive} wipes revived bees' durable inbox
+          marks before replay, so replayed entries apply twice *)
+  | Checksums_off
+      (** [checksums-off]: the store skips WAL/snapshot frame verification
+          (torn-tail detection stays on), so damaged bytes are served as
+          truth *)
+
+val bugs : (string * bug) list
+(** The [--inject-bug] names, each with its bug. *)
+
 type config = {
   n_hives : int;
   hive_capacity : int;  (** max cells hosted per hive *)
@@ -42,6 +79,9 @@ type config = {
           durability, buffered emits are dispatched at commit and dedup is
           transport-level only. A background scrubber re-verifies
           {!scrub_budget_bytes} of cold WAL/snapshot bytes every 5 ms. *)
+  inject : bug option;
+      (** the bug this platform runs with, if any; it reaches only this
+          platform's own transport and store, never another instance *)
 }
 (** Handler-failure containment holds with or without durability: an
     exception aborts the transaction (state delta and buffered emits
@@ -133,9 +173,6 @@ val bee_state_entries : t -> int -> (string * string * Value.t) list
 val store : t -> Value.t Beehive_store.Store.t option
 (** The storage engine instance. *)
 
-val bee_snapshot_count : t -> int -> int
-(** Compactions taken for a bee's log. *)
-
 val durable_bee_entries : t -> int -> (string * string * Value.t) list
 (** What a crash right now would recover for this bee: snapshot plus WAL
     tail, excluding batches not yet group-committed. *)
@@ -185,8 +222,8 @@ val storage_suspects : t -> (int * string) list
 
 val broken_chains : t -> (int * string) list
 (** Omniscient oracle (monitors only): re-derives every live durable
-    bee's chain verdict from the actual frame bytes, {e ignoring}
-    {!Beehive_store.Store.debug_disable_checksums}. A bee listed here but
+    bee's chain verdict from the actual frame bytes, {e ignoring} an
+    injected [Checksums_off]. A bee listed here but
     absent from {!storage_suspects} is silent corruption — the
     no-silent-corruption monitor's definition of failure. *)
 
@@ -204,17 +241,12 @@ val on_hive_restart : t -> (int -> unit) -> unit
 (** Called at the start of {!restart_hive} (e.g. to restart co-located
     consensus nodes). *)
 
-val local_bee : t -> app:string -> hive:int -> int option
 val find_owner : t -> app:string -> Cell.t -> int option
 
 val iter_windows : t -> hive:int -> (bee:int -> app:string -> Stats.window -> unit) -> unit
 (** Takes ({!Stats.take_window}) the stats window of every live bee on a
     hive, in ascending bee id order — what a per-hive instrumentation
     collector gathers. An idle bee costs no allocation. *)
-
-val quiescent : t -> bool
-(** True when no bee is processing or has queued messages (in-flight
-    engine events may still exist). *)
 
 (** {2 Placement control} *)
 
@@ -223,9 +255,6 @@ val migrate_bee : t -> bee:int -> to_hive:int -> reason:string -> bool
     channel), recreate, drain (Section 3, "Migration of Bees"). Returns
     [false] if the bee is unknown/dead/local/pinned, already there, the
     destination is dead or over capacity, or a migration is in flight. *)
-
-val pin_bee : t -> bee:int -> unit
-val bee_pinned : t -> bee:int -> bool
 
 type migration = {
   mig_at : Beehive_sim.Simtime.t;
@@ -304,11 +333,6 @@ val on_emit :
 
 (** {2 Transactional outbox / quarantine introspection} *)
 
-val outbox_retry_budget : int
-(** Delivery attempts a failing handler gets (first try included) before
-    its message is quarantined; retries back off exponentially from
-    200 us of simulated time. *)
-
 val scrub_budget_bytes : int
 (** Byte budget of each background integrity-scrub slice (every 5 ms of
     simulated time the scrubber re-verifies up to this many cold
@@ -321,10 +345,6 @@ val outbox_unacked_total : t -> int
 (** Outbox entries awaiting full acknowledgement, cluster-wide (both
     durable-and-replaying and still riding an open group-commit batch). *)
 
-val outbox_dups_suppressed : t -> int
-(** Deliveries suppressed by receivers' durable inboxes — each one is a
-    double-delivery the exactly-once layer prevented. *)
-
 val handler_faults : t -> int
 (** Exceptions contained instead of unwinding the engine: aborted [rcv]
     attempts (one per retry) and faults at the dispatch boundaries (map
@@ -332,7 +352,6 @@ val handler_faults : t -> int
     callbacks). *)
 
 val total_quarantined : t -> int
-val quarantined : t -> bee:int -> int
 
 val quarantined_messages : t -> bee:int -> (Message.t * string) list
 (** A bee's quarantined messages, oldest first, each with the exception
@@ -382,10 +401,6 @@ val hive_alive : t -> int -> bool
 
 val hive_crashed : t -> int -> bool
 (** Process dead (via {!fail_hive}/{!crash_hive}), not yet restarted. *)
-
-val hive_fenced : t -> int -> bool
-(** Evicted by the failure detector but not crashed: still running,
-    outside membership. *)
 
 (** {2 Elastic membership}
 
@@ -475,44 +490,6 @@ val gauges : t -> (string * int) list
     per-state breakdown ({!Hives}). Other owners keep their own lists:
     [Membership.gauges] in the elastic library, and the checker's
     [lin.*] values in [Runner]. *)
-
-(** {2 Debug fault injection}
-
-    Knobs for {!Beehive_check}'s self-tests: each re-introduces a
-    historical bug so the checker can prove it would have caught it. *)
-
-val debug_disable_forwarding : bool ref
-(** When set, messages in flight to a bee that was merged away are
-    dropped instead of following its forwarding pointer to the surviving
-    bee — the original in-flight-forwarding bug. Default [false]. *)
-
-val debug_stale_reads : bool ref
-(** When set, a bee that completes a live migration keeps serving {e pure
-    reads} from its pre-transfer snapshot for a few milliseconds after
-    landing (writes and read-modify-write stay correct, so only
-    client-visible semantics break — structural invariants cannot see
-    it). The stale-read bug {!Beehive_check}'s linearizability checker
-    exists to catch. Default [false]. *)
-
-val debug_skip_outbox_replay : bool ref
-(** When set, {!restart_hive} skips re-dispatching the un-acked durable
-    outbox entries of revived bees (and drops them from the WAL) — the
-    lost-outbox bug: a crash between fsync and transmission silently
-    loses committed emits, breaking exactly-once on the loss side.
-    Default [false]. *)
-
-val debug_forget_inbox : bool ref
-(** When set, {!restart_hive} wipes revived bees' durable inbox marks
-    before replay — the replay-dup bug: senders replaying un-acked
-    entries find a receiver with amnesia and their messages apply twice,
-    breaking exactly-once on the duplication side. Default [false]. *)
-
-val debug_disable_inbox_dedup : bool ref
-(** When set, receivers never consult their durable inbox marks before
-    running a handler, so a message delivered twice applies twice. With
-    {!Beehive_net.Transport.debug_disable_dedup} this is the dedup-off
-    bug: receiver-side duplicate suppression off at both layers.
-    Default [false]. *)
 
 val message_latency_percentile : t -> float -> int option
 (** Cluster-wide percentile (in microseconds) of the emission-to-handler

@@ -419,7 +419,6 @@ let install platform ?(compact_every = 64) () =
          Array.iter (fun g -> if g.g_queue <> [] then flush_queue t g) t.groups));
   t
 
-let group_size t = t.size
 let group_members t ~hive = t.groups.(hive mod Array.length t.groups).g_members
 
 let group_leader t ~hive =
@@ -452,8 +451,6 @@ let member_commit_index t ~hive ~member =
   match member_node t ~hive ~member with
   | Some node -> Raft.commit_index node
   | None -> 0
-
-let pending_commands t = Array.fold_left (fun a g -> a + List.length g.g_queue) 0 t.groups
 
 let replica_entries t ~member ~bee =
   let found = ref None in

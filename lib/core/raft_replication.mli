@@ -34,9 +34,6 @@ val install : Platform.t -> ?compact_every:int -> unit -> t
     nodes. [compact_every] (default 64) is the applied-entry interval
     between log compactions. *)
 
-val group_size : t -> int
-(** Three, or the hive count on a smaller cluster. *)
-
 val group_members : t -> hive:int -> int list
 (** Member hives of the group anchored at [hive]. *)
 
@@ -54,11 +51,9 @@ val handoff_hive : t -> hive:int -> int
 val replicated_commands : t -> int
 (** Write sets committed through consensus so far. *)
 
-val pending_commands : t -> int
-(** Write sets waiting for a group leader. *)
-
 val replica_entries : t -> member:int -> bee:int -> (string * string * Value.t) list
-(** A member hive's replica of a bee's state (tests/inspection). *)
+(** A member hive's replica of a bee's state: what a failover onto that
+    member would restore. *)
 
 val snapshot_installs : t -> int
 (** Times any member reset its replicas from a snapshot image (leader

@@ -168,7 +168,6 @@ let bees t =
   Hashtbl.fold (fun _ b acc -> b :: acc) t.infos []
   |> List.sort (fun a b -> Int.compare a.bee_id b.bee_id)
 
-let n_bees t = Hashtbl.length t.infos
 
 let check_invariant t =
   let all = bees t in

@@ -52,7 +52,6 @@ val reassign_all : t -> from_bee:int -> to_bee:int -> unit
 
 val set_hive : t -> bee:int -> hive:int -> unit
 
-val n_bees : t -> int
 val cells_on_hive : t -> hive:int -> int
 (** Number of cells, wildcard cells included, owned by the bees on a hive
     (capacity accounting). The count is kept as bees gain, lose and move

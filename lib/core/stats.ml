@@ -1,8 +1,6 @@
 type t = {
   mutable processed : int;
-  mutable errors : int;
   mutable busy_us : int;
-  provenance : (string * string, int) Hashtbl.t;
   (* current window *)
   mutable cur_processed : int;
   mutable cur_in_by_hive : int array;
@@ -21,17 +19,12 @@ type window = {
 let create () =
   {
     processed = 0;
-    errors = 0;
     busy_us = 0;
-    provenance = Hashtbl.create 8;
     cur_processed = 0;
     cur_in_by_hive = [||];
     latency_buckets = Array.make 40 0;
     latency_samples = 0;
   }
-
-let bump tbl k n =
-  Hashtbl.replace tbl k (n + match Hashtbl.find tbl k with c -> c | exception Not_found -> 0)
 
 let count_in t h =
   let counts = t.cur_in_by_hive in
@@ -53,7 +46,6 @@ let record_in t ~src_hive =
   match src_hive with Some h -> count_in t h | None -> ()
 
 let record_done t ~busy = t.busy_us <- t.busy_us + Beehive_sim.Simtime.to_us busy
-let record_error t = t.errors <- t.errors + 1
 
 let bucket_of_us us =
   if us <= 1 then 0
@@ -89,16 +81,8 @@ let merge_latency ~into src =
   done;
   into.latency_samples <- into.latency_samples + src.latency_samples
 
-let record_out t ~in_kind ~out_kind =
-  bump t.provenance (in_kind, out_kind) 1
-
 let processed t = t.processed
-let errors t = t.errors
 let busy_us t = t.busy_us
-
-let provenance t =
-  Hashtbl.fold (fun (i, o) n acc -> (i, o, n) :: acc) t.provenance []
-  |> List.sort compare
 
 (* Zeroes [counts.(0..h)], returning its non-zero entries in hive order. *)
 let rec drain counts h acc =

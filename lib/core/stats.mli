@@ -2,11 +2,11 @@
 
     "Our runtime instrumentation system measures the resource consumption
     of each bee along with the number of messages it exchanges with other
-    bees ... We also store provenance and causation data for messages"
-    (Section 3). Each bee owns one [Stats.t]; collectors snapshot a window
-    periodically and aggregate on one hive. The message exchange is kept
-    as per-hive inbound counts (what placement acts on), not as a
-    bee-to-bee matrix. Platform-wide gauges are not here: see
+    bees" (Section 3). Each bee owns one [Stats.t]; collectors snapshot a
+    window periodically and aggregate on one hive. The message exchange
+    is kept as per-hive inbound counts (what placement acts on), not as a
+    bee-to-bee matrix. Message provenance is not here: it lives in
+    {!Trace} only. Platform-wide gauges are not here either: see
     {!Platform.gauges}. *)
 
 type t
@@ -27,8 +27,6 @@ val record_in : t -> src_hive:int option -> unit
     any, feeding the window's per-hive inbound counts. *)
 
 val record_done : t -> busy:Beehive_sim.Simtime.t -> unit
-val record_error : t -> unit
-val record_out : t -> in_kind:string -> out_kind:string -> unit
 
 val record_latency : t -> Beehive_sim.Simtime.t -> unit
 (** End-to-end delay between a message's emission and the start of its
@@ -38,13 +36,7 @@ val record_latency : t -> Beehive_sim.Simtime.t -> unit
 (** {2 Cumulative views} *)
 
 val processed : t -> int
-val errors : t -> int
 val busy_us : t -> int
-
-val provenance : t -> (string * string * int) list
-(** [(in_kind, out_kind, count)]: how many [out_kind] messages were
-    emitted while processing an [in_kind] message ("packet_out messages
-    are emitted by the learning switch upon receiving packet_in's"). *)
 
 val latency_percentile : t -> float -> int option
 (** [latency_percentile t 0.99] estimates the given percentile in

@@ -3,10 +3,13 @@
     Section 3: "We also store provenance and causation data for messages.
     For example, we store that packet out messages are emitted by the
     learning switch application upon receiving 80% of packet in's."
-    {!Stats} keeps the aggregate (in-kind, out-kind) counters; this module
-    records the actual causal links so individual control decisions can
-    be explained: which stat reply triggered which traffic update, which
-    update produced which FlowMod.
+    This module is the platform's only provenance record, and it is
+    opt-in: {!attach} registers a {!Platform.on_emit} hook, and a
+    platform without one keeps no provenance at all. It records the
+    actual causal links so individual control decisions can be
+    explained: which stat reply triggered which traffic update, which
+    update produced which FlowMod; {!causation_ratio} gives the
+    aggregate.
 
     Events live in a bounded ring buffer; tracing a busy platform evicts
     the oldest links first. *)

@@ -164,11 +164,7 @@ let draining t =
     t.drains []
   |> List.sort Int.compare
 
-let incomplete_drains t = draining t
-
 let joins t = t.n_joins
-let drains_started t = t.n_drains_started
-let drains_completed t = t.n_drains_completed
 let rebalance_migrations t = t.n_rebalance_migrations
 let last_drain_us t = t.last_drain_us
 

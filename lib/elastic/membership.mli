@@ -54,14 +54,9 @@ val drain_record : t -> int -> Drain.t option
 val draining : t -> int list
 (** Hives with an active (incomplete) drain, ascending. *)
 
-val incomplete_drains : t -> int list
-(** Alias of {!draining}, for monitor code that reads better with it. *)
-
 (** {1 Counters} (also read as [membership.*] gauges through {!gauges}) *)
 
 val joins : t -> int
-val drains_started : t -> int
-val drains_completed : t -> int
 
 val rebalance_migrations : t -> int
 (** Migrations attributed to elasticity: reasons prefixed ["drain:"] or
@@ -72,6 +67,7 @@ val last_drain_us : t -> int
     microseconds; [0] before any drain completes. *)
 
 val gauges : t -> (string * int) list
-(** The counters above as [membership.*] gauges, sorted by name. They sit
+(** The counters above as [membership.*] gauges, sorted by name, plus
+    [drains_started], [drains_completed] and [decommissions]. They sit
     next to the per-state hive breakdown of
     {!Beehive_core.Platform.gauges}; readers merge the two lists. *)

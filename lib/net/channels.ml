@@ -17,15 +17,12 @@ type t = {
   masters : (int, int) Hashtbl.t;
   matrix : Traffic_matrix.t;
   mutable series : Series.t;
-  mutable sw_bytes : float;
   mutable lat_factor : float array;  (* n*n, directed: src*n + dst *)
   mutable loss : float array;  (* n*n drop probability per directed link *)
   mutable parted : bool array;  (* n*n severed directed links *)
   mutable n_faults : int;
       (* lossy or severed directed links; 0 = the fabric is healthy and
          reliability machinery above can take its fast path *)
-  mutable n_lost : int;
-  mutable n_parted : int;
 }
 
 let create ?rng ~n_hives () =
@@ -36,13 +33,10 @@ let create ?rng ~n_hives () =
     masters = Hashtbl.create 64;
     matrix = Traffic_matrix.create n_hives;
     series = Series.create ~bucket;
-    sw_bytes = 0.0;
     lat_factor = Array.make (n_hives * n_hives) 1.0;
     loss = Array.make (n_hives * n_hives) 0.0;
     parted = Array.make (n_hives * n_hives) false;
     n_faults = 0;
-    n_lost = 0;
-    n_parted = 0;
   }
 
 let idx t ~src ~dst =
@@ -86,16 +80,10 @@ let set_latency_factor t f =
   if f < 1.0 then invalid_arg "Channels.set_latency_factor: factor < 1";
   Array.fill t.lat_factor 0 (Array.length t.lat_factor) f
 
-let link_latency_factor t ~src ~dst = t.lat_factor.(idx t ~src ~dst)
-
-let latency_factor t = Array.fold_left Float.max 1.0 t.lat_factor
-
 let set_loss t p =
   if p < 0.0 || p >= 1.0 then invalid_arg "Channels.set_loss: need 0 <= p < 1";
   Array.fill t.loss 0 (Array.length t.loss) p;
   recount_faults t
-
-let link_loss t ~src ~dst = t.loss.(idx t ~src ~dst)
 
 let partition t ~a ~b =
   if a = b then invalid_arg "Channels.partition: a hive cannot split from itself";
@@ -107,10 +95,7 @@ let heal_all t =
   Array.fill t.parted 0 (Array.length t.parted) false;
   recount_faults t
 
-let partitioned t ~src ~dst = t.parted.(idx t ~src ~dst)
-
 let faulty t = t.n_faults > 0
-let partition_drops t = t.n_parted
 
 let master_of t sw =
   match Hashtbl.find_opt t.masters sw with Some h -> h | None -> 0
@@ -139,7 +124,6 @@ let account t ~src ~dst ~bytes ~now =
   let crosses_switch_link =
     match (src, dst) with Switch _, _ | _, Switch _ -> true | Hive _, Hive _ -> false
   in
-  if crosses_switch_link then t.sw_bytes <- t.sw_bytes +. float_of_int bytes;
   if sh = dh then
     if crosses_switch_link then
       scale t ~src:sh ~dst:dh (Simtime.add switch_latency (ser_delay bytes))
@@ -166,7 +150,6 @@ let transfer_result t ~src ~dst ~bytes ~now =
   let sh = hive_of t src and dh = hive_of t dst in
   if sh <> dh && t.parted.(idx t ~src:sh ~dst:dh) then begin
     (* Severed link: nothing leaves the source, no bytes accounted. *)
-    t.n_parted <- t.n_parted + 1;
     `Lost
   end
   else begin
@@ -176,7 +159,6 @@ let transfer_result t ~src ~dst ~bytes ~now =
       (* Transmitted, then lost in flight: the source link carried the
          bytes (so retransmission overhead shows in the series), but the
          destination never sees them. *)
-      t.n_lost <- t.n_lost + 1;
       `Lost
     end
     else `Delivered lat
@@ -184,9 +166,7 @@ let transfer_result t ~src ~dst ~bytes ~now =
 
 let matrix t = t.matrix
 let bandwidth t = t.series
-let switch_bytes t = t.sw_bytes
 
 let reset_accounting t =
   Traffic_matrix.reset t.matrix;
-  t.series <- Series.create ~bucket;
-  t.sw_bytes <- 0.0
+  t.series <- Series.create ~bucket

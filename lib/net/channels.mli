@@ -17,13 +17,11 @@ type endpoint =
   | Hive of int
   | Switch of int
 
-val local_latency : Beehive_sim.Simtime.t
-(** Delivery latency between bees on the same hive: 5 us. A hive-to-hive
+type t
+(** Delivery between bees on the same hive takes 5 us. A hive-to-hive
     hop takes 200 us and a switch-to-master link 100 us, each plus a
     serialization delay of one us per 100 bytes; bandwidth is bucketed
     per second. *)
-
-type t
 
 val create : ?rng:Beehive_sim.Rng.t -> n_hives:int -> unit -> t
 (** [rng] drives the per-message loss draws of {!transfer_result}; pass a
@@ -67,10 +65,6 @@ val matrix : t -> Traffic_matrix.t
 val bandwidth : t -> Series.t
 (** Inter-hive bytes per bucket (plot as KB/s). *)
 
-val switch_bytes : t -> float
-(** Total bytes on switch-to-master links (not part of the inter-hive
-    matrix, reported separately). *)
-
 val reset_accounting : t -> unit
 (** Clears matrix and series (e.g. after a warm-up window). *)
 
@@ -84,17 +78,9 @@ val set_latency_factor : t -> float -> unit
 val set_link_latency_factor : t -> src:int -> dst:int -> float -> unit
 (** Degrades a single directed hive-to-hive link. *)
 
-val link_latency_factor : t -> src:int -> dst:int -> float
-
-val latency_factor : t -> float
-(** Worst factor over all links (1.0 = every link healthy). Kept for
-    monitors that only care whether the fabric is degraded at all. *)
-
 val set_loss : t -> float -> unit
 (** Broadcasts a drop probability [0 <= p < 1] to every directed
     hive-to-hive link. 0 heals them. *)
-
-val link_loss : t -> src:int -> dst:int -> float
 
 val partition : t -> a:int -> b:int -> unit
 (** Severs both directed links between hives [a] and [b]. *)
@@ -102,11 +88,6 @@ val partition : t -> a:int -> b:int -> unit
 val heal_all : t -> unit
 (** Clears every partition (loss probabilities are left alone). *)
 
-val partitioned : t -> src:int -> dst:int -> bool
-
 val faulty : t -> bool
 (** True iff any link is lossy or partitioned. Reliability layers use
     this to skip sequence/ack bookkeeping on a healthy fabric. *)
-
-val partition_drops : t -> int
-(** Messages refused at the source by a partition so far. *)

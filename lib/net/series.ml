@@ -31,9 +31,6 @@ let add t ~at v =
 
 let bucket_sec t = float_of_int t.bucket_us /. 1e6
 
-let buckets t =
-  Array.init (t.last + 1) (fun i -> (float_of_int i *. bucket_sec t, t.data.(i)))
-
 let rate_kbps t =
   let w = bucket_sec t in
   Array.init (t.last + 1) (fun i -> (float_of_int i *. w, t.data.(i) /. w /. 1024.0))

@@ -10,15 +10,11 @@ val create : bucket:Beehive_sim.Simtime.t -> t
 
 val add : t -> at:Beehive_sim.Simtime.t -> float -> unit
 
-val buckets : t -> (float * float) array
-(** [(bucket_start_seconds, sum)] for every bucket from 0 to the last
-    touched bucket, empty buckets included as 0. *)
-
 val rate_kbps : t -> (float * float) array
-(** Same buckets, value converted to kilobytes per second assuming the
-    accumulated values are bytes. *)
+(** [(bucket_start_seconds, kilobytes per second)] for every bucket from
+    0 to the last touched bucket, empty buckets included as 0, assuming
+    the accumulated values are bytes. *)
 
-val peak : t -> float
 val total : t -> float
 
 val render_sparkline : ?width:int -> Format.formatter -> t -> unit

@@ -36,13 +36,7 @@ let tree ~arity ~n_switches =
   done;
   build parents
 
-let linear ~n_switches =
-  if n_switches < 1 then invalid_arg "Topology.linear: need at least one switch";
-  let parents = Array.init n_switches (fun s -> s - 1) in
-  build parents
-
 let n_switches t = t.n
-let switches t = Array.init t.n (fun i -> i)
 
 let check t s =
   if s < 0 || s >= t.n then invalid_arg "Topology: switch id out of range"
@@ -50,14 +44,6 @@ let check t s =
 let parent t s =
   check t s;
   if t.parents.(s) < 0 then None else Some t.parents.(s)
-
-let children t s =
-  check t s;
-  t.kids.(s)
-
-let depth t s =
-  check t s;
-  t.depths.(s)
 
 let add_extra_link t a b =
   check t a;
@@ -70,7 +56,7 @@ let add_extra_link t a b =
   end
 
 let ring ~n_switches =
-  let t = linear ~n_switches in
+  let t = tree ~arity:1 ~n_switches in
   if n_switches > 2 then add_extra_link t 0 (n_switches - 1);
   t
 

@@ -19,25 +19,16 @@ val tree : arity:int -> n_switches:int -> t
     tree rooted at switch 0. Switch ids are [0 .. n_switches-1] in
     breadth-first order. *)
 
-val linear : n_switches:int -> t
-(** A chain topology, convenient for tests. *)
-
 val ring : n_switches:int -> t
-(** A cycle: a chain plus a closing extra link — the smallest topology
-    with two disjoint paths between any pair. *)
+(** A cycle: a chain ([tree ~arity:1]) plus a closing extra link — the
+    smallest topology with two disjoint paths between any pair. *)
 
 val n_switches : t -> int
-val switches : t -> int array
-
-val parent : t -> int -> int option
-(** [parent t s] is [None] for the root. *)
-
-val children : t -> int -> int list
-val depth : t -> int -> int
 val degree : t -> int -> int
 
 val neighbors : t -> int -> int list
-(** Adjacent switches (parent plus children in a tree). *)
+(** Adjacent switches: in a tree, the parent (absent at the root)
+    followed by the children in id order. *)
 
 val is_link : t -> int -> int -> bool
 

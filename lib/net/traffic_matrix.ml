@@ -1,26 +1,22 @@
 type t = {
   mutable n : int;
-  mutable msgs : int array array;
   mutable byts : float array array;
 }
 
 let create n =
   if n <= 0 then invalid_arg "Traffic_matrix.create: size must be positive";
-  { n; msgs = Array.make_matrix n n 0; byts = Array.make_matrix n n 0.0 }
+  { n; byts = Array.make_matrix n n 0.0 }
 
 let size t = t.n
 
 let grow t n' =
   if n' < t.n then invalid_arg "Traffic_matrix.grow: matrices never shrink";
   if n' > t.n then begin
-    let msgs = Array.make_matrix n' n' 0 in
     let byts = Array.make_matrix n' n' 0.0 in
     for i = 0 to t.n - 1 do
-      Array.blit t.msgs.(i) 0 msgs.(i) 0 t.n;
       Array.blit t.byts.(i) 0 byts.(i) 0 t.n
     done;
     t.n <- n';
-    t.msgs <- msgs;
     t.byts <- byts
   end
 
@@ -30,13 +26,7 @@ let check t i =
 let add t ~src ~dst ~bytes =
   check t src;
   check t dst;
-  t.msgs.(src).(dst) <- t.msgs.(src).(dst) + 1;
   t.byts.(src).(dst) <- t.byts.(src).(dst) +. float_of_int bytes
-
-let messages t ~src ~dst =
-  check t src;
-  check t dst;
-  t.msgs.(src).(dst)
 
 let bytes t ~src ~dst =
   check t src;
@@ -102,7 +92,6 @@ let merge_into ~dst src =
   if dst.n <> src.n then invalid_arg "Traffic_matrix.merge_into: size mismatch";
   for i = 0 to src.n - 1 do
     for j = 0 to src.n - 1 do
-      dst.msgs.(i).(j) <- dst.msgs.(i).(j) + src.msgs.(i).(j);
       dst.byts.(i).(j) <- dst.byts.(i).(j) +. src.byts.(i).(j)
     done
   done
@@ -110,7 +99,6 @@ let merge_into ~dst src =
 let reset t =
   for i = 0 to t.n - 1 do
     for j = 0 to t.n - 1 do
-      t.msgs.(i).(j) <- 0;
       t.byts.(i).(j) <- 0.0
     done
   done

@@ -1,4 +1,4 @@
-(** Square accumulation matrix of message counts and bytes.
+(** Square accumulation matrix of bytes.
 
     Used for the inter-hive traffic matrices of the paper's Figure 4(a-c).
     Row = source hive, column = destination hive. *)
@@ -10,12 +10,11 @@ val size : t -> int
 
 val grow : t -> int -> unit
 (** [grow t n] widens the matrix to [n] hives, preserving accumulated
-    counts. No-op if already that size; matrices never shrink. *)
+    bytes. No-op if already that size; matrices never shrink. *)
 
 val add : t -> src:int -> dst:int -> bytes:int -> unit
 (** Accounts one message of [bytes] bytes from [src] to [dst]. *)
 
-val messages : t -> src:int -> dst:int -> int
 val bytes : t -> src:int -> dst:int -> float
 
 val total_bytes : t -> float

@@ -2,8 +2,6 @@ module Engine = Beehive_sim.Engine
 module Simtime = Beehive_sim.Simtime
 module Rng = Beehive_sim.Rng
 
-let debug_disable_dedup = ref false
-
 let rto_initial = Simtime.of_us 600
 let rto_max = Simtime.of_us 12_000
 let jitter_frac = 0.25
@@ -39,6 +37,7 @@ type t = {
   channels : Channels.t;
   rng : Rng.t;
   alive : int -> bool;
+  dedup : bool;  (* false only under the injected dedup-off bug *)
   links : (int * int, link) Hashtbl.t;  (* keyed (sh, dh): stable across membership growth *)
   mutable sent : int;
   mutable retransmits : int;
@@ -48,12 +47,13 @@ type t = {
   mutable exhausted : int;
 }
 
-let create ~engine ~rng ~alive channels =
+let create ~engine ~rng ~alive ?(dedup = true) channels =
   {
     engine;
     channels;
     rng;
     alive;
+    dedup;
     links = Hashtbl.create 32;
     sent = 0;
     retransmits = 0;
@@ -133,9 +133,9 @@ let receive t l m ~dh =
   if t.alive dh then begin
     if seen l m.m_seq then begin
       t.duplicates <- t.duplicates + 1;
-      (* Historical-bug hook for the check harness: without dedup the
-         retransmitted copy is delivered a second time. *)
-      if !debug_disable_dedup then m.m_deliver ()
+      (* The injected dedup-off bug: the retransmitted copy is delivered
+         a second time. *)
+      if not t.dedup then m.m_deliver ()
     end
     else begin
       mark_seen l m.m_seq;
@@ -299,16 +299,12 @@ let crash_hive t h =
     touched
 
 let sent t = t.sent
+let delivered t = t.delivered
 let retransmits t = t.retransmits
 let retransmit_bytes t = t.retransmit_bytes
-let delivered t = t.delivered
-let duplicates t = t.duplicates
-let exhausted t = t.exhausted
-
-let pending t =
-  Hashtbl.fold (fun _ l acc -> acc + Hashtbl.length l.inflight) t.links 0
 
 let gauges t =
+  let pending = Hashtbl.fold (fun _ l acc -> acc + Hashtbl.length l.inflight) t.links 0 in
   [
     ("transport.sent", t.sent);
     ("transport.delivered", t.delivered);
@@ -316,5 +312,5 @@ let gauges t =
     ("transport.retransmit_bytes", t.retransmit_bytes);
     ("transport.duplicates", t.duplicates);
     ("transport.exhausted", t.exhausted);
-    ("transport.pending", pending t);
+    ("transport.pending", pending);
   ]

@@ -19,13 +19,16 @@ val create :
   engine:Beehive_sim.Engine.t ->
   rng:Beehive_sim.Rng.t ->
   alive:(int -> bool) ->
+  ?dedup:bool ->
   Channels.t ->
   t
 (** [alive h] tells the receiver side whether hive [h]'s process is up;
     copies arriving at a dead hive evaporate (the sender keeps retrying,
     so a message can outlive a crash-restart of its destination). Pass a
     stream split from the engine RNG as [rng] (it drives retransmission
-    jitter). *)
+    jitter). [~dedup:false] injects the dedup-off bug: receivers deliver
+    duplicate copies instead of suppressing them, which must trip the
+    check harness's no-duplication monitor. *)
 
 val send :
   t ->
@@ -70,16 +73,8 @@ val retransmits : t -> int  (** extra copies sent by timeout *)
 
 val retransmit_bytes : t -> int
 
-val duplicates : t -> int  (** copies suppressed by receiver dedup *)
-
-val exhausted : t -> int  (** messages dropped after [max_attempts] *)
-
-val pending : t -> int  (** unacked messages currently in flight *)
-
 val gauges : t -> (string * int) list
-(** Every counter above as a [transport.*] gauge. *)
-
-val debug_disable_dedup : bool ref
-(** Fault-injection hook for the check harness ([--inject-bug dedup-off]):
-    when set, receivers deliver duplicate copies instead of suppressing
-    them, which must trip the no-duplication monitor. *)
+(** Every counter above as a [transport.*] gauge, plus [duplicates]
+    (copies suppressed by receiver dedup), [exhausted] (messages dropped
+    after [max_attempts]) and [pending] (unacked messages currently in
+    flight). *)

@@ -136,7 +136,6 @@ let current_term t = t.term
 let commit_index t = t.commit
 let last_applied t = t.applied
 let last_log_index t = t.snap_index + t.log_len
-let leader_hint t = t.leader
 let is_up t = t.up
 let snapshot_index t = t.snap_index
 

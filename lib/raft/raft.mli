@@ -106,7 +106,6 @@ val role : t -> role
 val current_term : t -> int
 val commit_index : t -> int
 val last_applied : t -> int
-val leader_hint : t -> int option
 val is_up : t -> bool
 val log_entries : t -> entry list
 (** The un-compacted log tail (tests only). *)

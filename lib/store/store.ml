@@ -2,12 +2,6 @@ module Engine = Beehive_sim.Engine
 module Simtime = Beehive_sim.Simtime
 module Crc32 = Beehive_sim.Crc32
 
-(* Debug hook for [--inject-bug checksums-off]: frames are still written
-   (byte accounting and schedules are unchanged) but verification is
-   skipped, so garbled records read back as if they were sound. Length
-   framing still catches torn tails — that detection needs no checksum. *)
-let debug_disable_checksums = ref false
-
 let group_commit_period = Simtime.of_ms 1
 let fsync_latency = Simtime.of_us 100
 
@@ -39,13 +33,6 @@ let frame_state_oracle f =
 
 let frame_damaged_oracle f = frame_state_oracle f <> F_ok
 
-(* What the production read path can see: torn writes always (length
-   framing), garbled bytes only while checksum verification is enabled. *)
-let frame_state f =
-  if String.length f.f_payload <> f.f_len then F_torn
-  else if (not !debug_disable_checksums) && Crc32.string f.f_payload <> f.f_crc then
-    F_garbled
-  else F_ok
 
 (* One transaction's worth of log: the state write-set plus the outbox
    entries and inbox marks committed with it. [append] builds it pending,
@@ -124,6 +111,12 @@ type 'v t = {
          corruption so damage is semantically visible downstream *)
   on_fsync : (hive:int -> bytes:int -> records:int -> unit) option;
   on_outbox_durable : (hive:int -> (int * int) list -> unit) option;
+  verify : bool;
+      (* false only under the injected checksums-off bug: frames are still
+         written (byte accounting and schedules are unchanged) but
+         verification is skipped, so garbled records read back as if they
+         were sound. Length framing still catches torn tails — that
+         detection needs no checksum. *)
   logs : (int, 'v bee_log) Hashtbl.t;
   mutable ring : 'v bee_log array;
       (* every log in [logs], in bee-id order: the scrub's walk. Only
@@ -138,7 +131,6 @@ type 'v t = {
   mutable n_fsyncs : int;
   mutable wal_bytes_written : int;
   mutable wal_records_written : int;
-  mutable n_compactions : int;
   (* ---- integrity ---- *)
   suspects : (int, string) Hashtbl.t;
       (* bees whose committed prefix failed verification (scrub or fsck),
@@ -156,6 +148,13 @@ type 'v t = {
 }
 
 let config t = t.cfg
+
+(* What the production read path can see: torn writes always (length
+   framing), garbled bytes only while checksum verification is on. *)
+let frame_state t f =
+  if String.length f.f_payload <> f.f_len then F_torn
+  else if t.verify && Crc32.string f.f_payload <> f.f_crc then F_garbled
+  else F_ok
 
 (* Scratch buffer for record encoding, one per domain, so an encode is
    safe on whichever domain runs it. [Buffer.clear] keeps the
@@ -366,17 +365,28 @@ let durable_entries t bl =
   Hashtbl.fold (fun (d, k) v acc -> (d, k, v) :: acc) (durable_table t bl) []
   |> List.sort entry_order
 
+(* What one scrub visit reports about a log: the first frame that fails
+   verification, if any. *)
+let rec first_bad t = function
+  | [] -> None
+  | r :: rest ->
+    if frame_state t r.r_frame <> F_ok then
+      Some (Printf.sprintf "wal record lsn %d failed verification" r.r_lsn)
+    else first_bad t rest
+
+let verify_log t bl =
+  if frame_state t bl.bl_snapshot_frame <> F_ok then Some "snapshot failed checksum verification"
+  else first_bad t bl.bl_wal
+
 (* Any frame the production read path would reject right now. *)
-let log_suspect_now bl =
-  frame_state bl.bl_snapshot_frame <> F_ok
-  || List.exists (fun r -> frame_state r.r_frame <> F_ok) bl.bl_wal
+let log_suspect_now t bl = Option.is_some (verify_log t bl)
 
 let compact_log t bl =
   (* Compaction re-reads cold bytes: with verification on it refuses to
      fold a damaged log (scrub/fsck will repair it first), because doing
      so would launder garbage into a freshly-checksummed snapshot. With
      verification off that laundering is exactly what happens. *)
-  if (not !debug_disable_checksums) && log_suspect_now bl then ()
+  if t.verify && log_suspect_now t bl then ()
   else begin
   let snap = durable_entries t bl in
   let snap_bytes =
@@ -391,8 +401,7 @@ let compact_log t bl =
   bl.bl_wal <- [];
   bl.bl_wal_bytes <- 0;
   bl.bl_wal_records <- 0;
-  bl.bl_compactions <- bl.bl_compactions + 1;
-  t.n_compactions <- t.n_compactions + 1
+  bl.bl_compactions <- bl.bl_compactions + 1
   end
 
 let hive_commit t hive =
@@ -510,7 +519,7 @@ let flush_bee t ~bee =
     end
 
 let create engine ?(config = default_config) ~size_of ?(garble = fun v -> v)
-    ?on_fsync ?on_outbox_durable () =
+    ?(verify = true) ?on_fsync ?on_outbox_durable () =
   let t =
     {
       engine;
@@ -519,6 +528,7 @@ let create engine ?(config = default_config) ~size_of ?(garble = fun v -> v)
       garble;
       on_fsync;
       on_outbox_durable;
+      verify;
       logs = Hashtbl.create 64;
       ring = [||];
       ring_stale = false;
@@ -527,7 +537,6 @@ let create engine ?(config = default_config) ~size_of ?(garble = fun v -> v)
       n_fsyncs = 0;
       wal_bytes_written = 0;
       wal_records_written = 0;
-      n_compactions = 0;
       suspects = Hashtbl.create 8;
       scrub_cursor = -1;
       records_verified = 0;
@@ -649,7 +658,6 @@ let snapshot_count t ~bee =
 let total_fsyncs t = t.n_fsyncs
 let total_wal_bytes_written t = t.wal_bytes_written
 let total_wal_records_written t = t.wal_records_written
-let total_compactions t = t.n_compactions
 let frame_overhead_bytes = frame_overhead
 
 (* ---- integrity ------------------------------------------------------ *)
@@ -670,15 +678,13 @@ let fsck t ~bee =
        (the tail of the final in-flight write — expected after a crash)
        and the committed prefix, which must verify completely. *)
     let rec split_torn torn = function
-      | r :: rest when frame_state r.r_frame = F_torn -> split_torn (r :: torn) rest
+      | r :: rest when frame_state t r.r_frame = F_torn -> split_torn (r :: torn) rest
       | rest -> (torn, rest)
     in
     let torn_tail, prefix = split_torn [] bl.bl_wal in
     t.records_verified <- t.records_verified + bl.bl_wal_records + 1;
-    let snap_bad = frame_state bl.bl_snapshot_frame <> F_ok in
-    let prefix_bad =
-      List.exists (fun r -> frame_state r.r_frame <> F_ok) prefix
-    in
+    let snap_bad = frame_state t bl.bl_snapshot_frame <> F_ok in
+    let prefix_bad = Option.is_some (first_bad t prefix) in
     if snap_bad || prefix_bad then begin
       let detail =
         if snap_bad then "snapshot failed checksum verification"
@@ -725,18 +731,6 @@ let scrub t ~budget_bytes =
       done;
       let start = if !lo = n then 0 else !lo in
       let at i = ring.((start + i) mod n) in
-      let rec first_bad = function
-        | [] -> None
-        | r :: rest ->
-          if frame_state r.r_frame <> F_ok then
-            Some (Printf.sprintf "wal record lsn %d failed verification" r.r_lsn)
-          else first_bad rest
-      in
-      let verify bl =
-        if frame_state bl.bl_snapshot_frame <> F_ok then
-          Some "snapshot failed checksum verification"
-        else first_bad bl.bl_wal
-      in
       (* Walk the ring from the cursor until the byte budget is spent:
          charge each log, advance the cursor, and verify the log, so
          suspects are marked and reported in walk order. *)
@@ -748,7 +742,7 @@ let scrub t ~budget_bytes =
         t.scrub_cursor <- bl.bl_bee;
         scanned := !scanned + bl.bl_snapshot_bytes + bl.bl_wal_bytes;
         t.records_verified <- t.records_verified + bl.bl_wal_records + 1;
-        (match verify bl with
+        (match verify_log t bl with
         | Some detail ->
           mark_suspect t bl.bl_bee detail;
           found := (bl.bl_bee, detail) :: !found
@@ -765,8 +759,8 @@ let scrub t ~budget_bytes =
     end
   end
 
-(* Oracle used by monitors and tests: always verifies, regardless of the
-   [debug_disable_checksums] switch. *)
+(* Oracle used by monitors and tests: always verifies, even with
+   [verify] off. *)
 let verify_chain t ~bee =
   match Hashtbl.find_opt t.logs bee with
   | None -> None
@@ -787,7 +781,6 @@ let suspects t =
   Hashtbl.fold (fun bee detail acc -> (bee, detail) :: acc) t.suspects []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-let suspect t ~bee = Hashtbl.find_opt t.suspects bee
 
 (* Replaces a bee's storage with known-good entries: fresh snapshot,
    fresh frames, empty WAL. Pending records are discarded. Outbox/inbox
@@ -883,8 +876,6 @@ let rot_snapshot t ~bee =
     end
 
 let records_verified t = t.records_verified
-let crc_failures t = t.crc_failures
-let torn_truncations t = t.torn_truncations
 let scrubs_completed t = t.scrubs_completed
 let local_rewrites t = t.local_rewrites
 let peer_repairs t = t.peer_repairs

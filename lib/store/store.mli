@@ -35,13 +35,6 @@ val default_config : config
 type 'v write = string * string * 'v option
 (** [(dict, key, Some v)] sets, [(dict, key, None)] deletes. *)
 
-val debug_disable_checksums : bool ref
-(** Debug hook for [--inject-bug checksums-off]: frames are still written
-    (byte accounting and event schedules are unchanged) but checksum
-    verification is skipped everywhere, so garbled records read back as if
-    they were sound. Torn tails are still detected — length framing needs
-    no checksum. *)
-
 (** The length+CRC32 envelope around every WAL record and snapshot.
     [f_payload] models the bytes on disk (fault injection mutates it in
     place); [f_len] and [f_crc] are what the envelope recorded at write
@@ -55,6 +48,7 @@ val create :
   ?config:config ->
   size_of:('v write -> int) ->
   ?garble:('v -> 'v) ->
+  ?verify:bool ->
   ?on_fsync:(hive:int -> bytes:int -> records:int -> unit) ->
   ?on_outbox_durable:(hive:int -> (int * int) list -> unit) ->
   unit ->
@@ -64,6 +58,11 @@ val create :
     value). [garble] is what a reader gets back from physically damaged
     bytes it failed to (or chose not to) verify — defaults to the
     identity, in which case damage is only visible to checksums.
+    [~verify:false] injects the checksums-off bug: frames are still
+    written (byte accounting and event schedules are unchanged) but
+    checksum verification is skipped everywhere, so garbled records read
+    back as if they were sound. Torn tails are still detected — length
+    framing needs no checksum.
     [on_fsync] fires once per hive per flush that made data durable;
     [on_outbox_durable] fires right after it with the [(bee, seq)] outbox
     entries of that hive that just became durable, newest first — the
@@ -148,8 +147,8 @@ val fsck : 'v t -> bee:int -> verdict
     them. A trailing run of torn records is truncated in place, unwinding
     the outbox entries and inbox marks that committed with them. A torn
     or garbled frame in the committed prefix (or snapshot) is [Corrupt]:
-    the bee is marked suspect and nothing is mutated. Respects
-    {!debug_disable_checksums} (torn detection excepted). *)
+    the bee is marked suspect and nothing is mutated. With [~verify:false]
+    only torn frames are detected. *)
 
 val scrub : 'v t -> budget_bytes:int -> int * (int * string) list
 (** One background scrub slice: walks cold snapshot+WAL bytes in bee
@@ -161,14 +160,12 @@ val scrub : 'v t -> budget_bytes:int -> int * (int * string) list
 
 val verify_chain : 'v t -> bee:int -> string option
 (** Oracle for monitors and tests: verifies the bee's whole checksum
-    chain {e ignoring} [debug_disable_checksums]. [None] when sound,
+    chain, even with [~verify:false]. [None] when sound,
     [Some detail] naming the first damaged frame otherwise. *)
 
 val suspects : 'v t -> (int * string) list
 (** Bees whose committed prefix failed verification (by {!scrub} or
     {!fsck}) and have not yet been repaired, re-seeded or forgotten. *)
-
-val suspect : 'v t -> bee:int -> string option
 
 (** {3 Repair}
 
@@ -211,8 +208,10 @@ val dead_letters : 'v t -> (int * string) list
 
 val integrity_counters : 'v t -> (string * int) list
 (** Every detection and repair counter by name (the platform publishes
-    them as [integrity.*] gauges); [quarantined_bees] counts the dead
-    letters. *)
+    them as [integrity.*] gauges): the ones above, plus [crc_failures]
+    (distinct corrupt-bee detections, not re-checks of a known suspect)
+    and [torn_truncations] (torn tail records dropped by {!fsck} across
+    all bees); [quarantined_bees] counts the dead letters. *)
 
 (** {3 Fault injection (the lying disk)} *)
 
@@ -231,12 +230,6 @@ val rot_snapshot : 'v t -> bee:int -> bool
 (** {3 Integrity counters} *)
 
 val records_verified : 'v t -> int
-val crc_failures : 'v t -> int
-(** Distinct corrupt-bee detections (not re-checks of a known suspect). *)
-
-val torn_truncations : 'v t -> int
-(** Torn tail records dropped by {!fsck} across all bees. *)
-
 val scrubs_completed : 'v t -> int
 
 (** {2 Transactional outbox / inbox} *)
@@ -307,6 +300,5 @@ val wal_image : 'v t -> string
     bee-id order — snapshot frame, WAL frames (payload, length, CRC,
     lsn, commit time) oldest-first, durable outbox/inbox sorted, lsn
     bookkeeping. Two stores with an equal image hold bit-identical
-    durable state; the 1-vs-N-domain determinism tests hash this. *)
+    durable state; the determinism tests hash this. *)
 
-val total_compactions : 'v t -> int

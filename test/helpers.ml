@@ -51,9 +51,9 @@ let kv_app ?(name = "test.kv") ?(with_whole_dict_reader = false) () =
   App.create ~name ~dicts:[ "store" ]
     (if with_whole_dict_reader then [ on_put; on_get_all ] else [ on_put ])
 
-let make_platform ?(n_hives = 4) ?durability ?(apps = []) () =
+let make_platform ?(n_hives = 4) ?durability ?inject ?(apps = []) () =
   let engine = Engine.create () in
-  let cfg = { (Platform.default_config ~n_hives) with Platform.durability } in
+  let cfg = { (Platform.default_config ~n_hives) with Platform.durability; inject } in
   let platform = Platform.create engine cfg in
   List.iter (Platform.register_app platform) apps;
   Platform.start platform;
@@ -80,7 +80,7 @@ let durable_platform ?(n_hives = 4) ?(config = Beehive_store.Store.default_confi
 let await_leader engine cluster =
   let deadline = Simtime.add (Engine.now engine) (Simtime.of_sec 10.0) in
   let rec go () =
-    match Beehive_raft.Cluster.leader cluster with
+    match Cluster.leader cluster with
     | Some l -> l
     | None ->
       if Simtime.(Engine.now engine > deadline) then Alcotest.fail "no leader elected";

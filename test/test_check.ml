@@ -66,36 +66,59 @@ let test_corpus_replays_clean () =
   in
   check_pinned ~section:"corpus" digests
 
+(* An injected bug belongs to the platform built with it. Next to a
+   live platform running with forwarding off, migration seed 2 fails
+   under that bug and, built clean, still replays to its corpus pin. *)
+let test_injected_bug_stays_in_its_platform () =
+  let engine, bugged = make_platform ~inject:Platform.Forwarding_off ~apps:[ kv_app () ] () in
+  for i = 0 to 9 do
+    put bugged ~from:(i mod 4) ~key:(Printf.sprintf "k%d" i) ~value:1
+  done;
+  run_for engine 0.01;
+  let bugged_cfg = Runner.make_cfg ~inject:Platform.Forwarding_off ~seed:2 Script.Migration in
+  (match Runner.run_seed bugged_cfg with
+  | _, Runner.Fail _ -> ()
+  | _, Runner.Pass _ -> Alcotest.fail "migration seed 2 passed with forwarding off");
+  let key = "migration 2 30" in
+  (match Runner.digest (Runner.make_cfg ~seed:2 Script.Migration) with
+  | Runner.Pass _, digest ->
+    Alcotest.(check string) key (List.assoc key (pinned ~section:"corpus")) digest
+  | Runner.Fail v, _ -> Alcotest.failf "%s failed: %a" key Monitor.pp_violation v);
+  drain engine;
+  Alcotest.(check int) "the bugged platform handled its puts" 10
+    (Platform.total_processed bugged)
+
 (* --- Self-test: the harness catches a re-introduced historical bug --- *)
+
+(* The first failure of a sweep run with [inject], in batches of ten
+   seeds so a typical run stops after the first few; fails the test if
+   200 seeds pass. *)
+let first_failure ?(outbox = false) ~inject profile =
+  let rec sweep first_seed =
+    if first_seed >= 200 then Alcotest.fail "bug not caught within 200 seeds"
+    else
+      let report = Check.run ~outbox ~inject ~first_seed ~seeds:10 profile in
+      match report.Check.rp_failures with
+      | [] -> sweep (first_seed + 10)
+      | f :: _ -> f
+  in
+  sweep 0
 
 (* Disabling in-flight forwarding to merged-away bees (the historical
    bug) must be caught within 200 seeds, shrink to a handful of events,
    and replay deterministically from the printed seed. *)
 let test_catches_forwarding_bug () =
-  Beehive_core.Platform.debug_disable_forwarding := true;
-  Fun.protect
-    ~finally:(fun () -> Beehive_core.Platform.debug_disable_forwarding := false)
-    (fun () ->
-      (* Sweep in batches so a typical run stops after the first few seeds. *)
-      let rec sweep first_seed =
-        if first_seed >= 200 then Alcotest.fail "bug not caught within 200 seeds"
-        else
-          let report = Check.run ~first_seed ~seeds:10 Script.Migration in
-          match report.Check.rp_failures with
-          | [] -> sweep (first_seed + 10)
-          | f :: _ -> f
-      in
-      let f = sweep 0 in
-      Alcotest.(check bool)
-        "shrunk to at most 5 events" true
-        (List.length f.Check.f_shrunk <= 5);
-      Alcotest.(check bool)
-        "shrunk trace replays deterministically" true f.Check.f_replays;
-      (* The violation is a delivery one, not an unrelated crash. *)
-      Alcotest.(check bool)
-        "violated a delivery monitor" true
-        (List.mem f.Check.f_violation.Monitor.v_monitor
-           [ "no-loss"; "no-duplication"; "durable-ownership" ]))
+  let f = first_failure ~inject:Platform.Forwarding_off Script.Migration in
+  Alcotest.(check bool)
+    "shrunk to at most 5 events" true
+    (List.length f.Check.f_shrunk <= 5);
+  Alcotest.(check bool)
+    "shrunk trace replays deterministically" true f.Check.f_replays;
+  (* The violation is a delivery one, not an unrelated crash. *)
+  Alcotest.(check bool)
+    "violated a delivery monitor" true
+    (List.mem f.Check.f_violation.Monitor.v_monitor
+       [ "no-loss"; "no-duplication"; "durable-ownership" ])
 
 (* A disabled receiver dedup (the transport's other half) must equally be
    caught by the partition profile's lossy windows: a lost ack forces a
@@ -103,108 +126,64 @@ let test_catches_forwarding_bug () =
    no-duplication. Receiver dedup has two layers — the transport's cutoff
    and the durable inbox — so the bug switches off both (the inbox alone
    masks the transport's, see the next test). *)
-let with_dedup_off ~inbox f =
-  Transport.debug_disable_dedup := true;
-  Platform.debug_disable_inbox_dedup := inbox;
-  Fun.protect
-    ~finally:(fun () ->
-      Transport.debug_disable_dedup := false;
-      Platform.debug_disable_inbox_dedup := false)
-    f
-
 let test_catches_dedup_bug () =
-  with_dedup_off ~inbox:true (fun () ->
-      let rec sweep first_seed =
-        if first_seed >= 200 then Alcotest.fail "bug not caught within 200 seeds"
-        else
-          let report = Check.run ~first_seed ~seeds:10 Script.Partition in
-          match report.Check.rp_failures with
-          | [] -> sweep (first_seed + 10)
-          | f :: _ -> f
-      in
-      let f = sweep 0 in
-      Alcotest.(check bool)
-        "shrunk to at most 6 events" true
-        (List.length f.Check.f_shrunk <= 6);
-      Alcotest.(check bool)
-        "shrunk trace replays deterministically" true f.Check.f_replays;
-      Alcotest.(check bool)
-        "violated a delivery monitor" true
-        (List.mem f.Check.f_violation.Monitor.v_monitor
-           [ "no-duplication"; "no-loss" ]))
+  let f = first_failure ~inject:Platform.Dedup_off Script.Partition in
+  Alcotest.(check bool)
+    "shrunk to at most 6 events" true
+    (List.length f.Check.f_shrunk <= 6);
+  Alcotest.(check bool)
+    "shrunk trace replays deterministically" true f.Check.f_replays;
+  Alcotest.(check bool)
+    "violated a delivery monitor" true
+    (List.mem f.Check.f_violation.Monitor.v_monitor
+       [ "no-duplication"; "no-loss" ])
 
 (* With only the transport's dedup off, the durable inbox still
    suppresses the retransmitted copies: partition seed 0 passes, and the
-   suppressions are visible in the platform's counter. *)
+   suppressions are visible in the platform's [outbox.dups_suppressed]
+   gauge. *)
 let test_inbox_masks_transport_dedup_off () =
-  with_dedup_off ~inbox:false (fun () ->
-      let cfg = Runner.make_cfg ~seed:0 Script.Partition in
-      let script =
-        Nemesis.generate ~rng:(Beehive_sim.Rng.create 0) ~profile:Script.Partition
-          ~n_hives:cfg.Runner.r_n_hives ~ticks:cfg.Runner.r_ticks
-      in
-      let captured = ref None in
-      (match Runner.execute ~observe:(fun _ p -> captured := Some p) cfg script with
-      | Runner.Pass _ -> ()
-      | Runner.Fail v -> Alcotest.fail (Format.asprintf "%a" Monitor.pp_violation v));
-      let suppressed = Platform.outbox_dups_suppressed (Option.get !captured) in
-      Alcotest.(check bool)
-        (Printf.sprintf "inbox suppressed duplicates (%d)" suppressed)
-        true (suppressed > 0))
+  let cfg = Runner.make_cfg ~inject:Platform.Transport_dedup_off ~seed:0 Script.Partition in
+  let script =
+    Nemesis.generate ~rng:(Beehive_sim.Rng.create 0) ~profile:Script.Partition
+      ~n_hives:cfg.Runner.r_n_hives ~ticks:cfg.Runner.r_ticks
+  in
+  let captured = ref None in
+  (match Runner.execute ~observe:(fun _ p -> captured := Some p) cfg script with
+  | Runner.Pass _ -> ()
+  | Runner.Fail v -> Alcotest.fail (Format.asprintf "%a" Monitor.pp_violation v));
+  let suppressed =
+    List.assoc "outbox.dups_suppressed" (Platform.gauges (Option.get !captured))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "inbox suppressed duplicates (%d)" suppressed)
+    true (suppressed > 0)
 
 (* Skipping outbox replay on restart (recovery "loses" the outbox file)
    silently drops committed emits whose ack never arrived. The
    exactly-once monitor's journal-vs-applied comparison must catch it,
    and the failing schedule must shrink to a handful of events. *)
 let test_catches_lost_outbox_bug () =
-  Beehive_core.Platform.debug_skip_outbox_replay := true;
-  Fun.protect
-    ~finally:(fun () -> Beehive_core.Platform.debug_skip_outbox_replay := false)
-    (fun () ->
-      let rec sweep first_seed =
-        if first_seed >= 200 then Alcotest.fail "bug not caught within 200 seeds"
-        else
-          let report =
-            Check.run ~outbox:true ~first_seed ~seeds:10 Script.Durability
-          in
-          match report.Check.rp_failures with
-          | [] -> sweep (first_seed + 10)
-          | f :: _ -> f
-      in
-      let f = sweep 0 in
-      Alcotest.(check string) "caught by the exactly-once monitor" "exactly-once"
-        f.Check.f_violation.Monitor.v_monitor;
-      Alcotest.(check bool) "shrunk to at most 6 events" true
-        (List.length f.Check.f_shrunk <= 6);
-      Alcotest.(check bool) "shrunk trace replays deterministically" true
-        f.Check.f_replays)
+  let f = first_failure ~outbox:true ~inject:Platform.Lost_outbox Script.Durability in
+  Alcotest.(check string) "caught by the exactly-once monitor" "exactly-once"
+    f.Check.f_violation.Monitor.v_monitor;
+  Alcotest.(check bool) "shrunk to at most 6 events" true
+    (List.length f.Check.f_shrunk <= 6);
+  Alcotest.(check bool) "shrunk trace replays deterministically" true
+    f.Check.f_replays
 
 (* Wiping the durable inbox before replay (recovery "loses" the dedup
    cutoff) makes replayed entries and racing retransmissions apply twice.
    Caught by the same monitor from the other side: applied > journaled. *)
 let test_catches_replay_dup_bug () =
-  Beehive_core.Platform.debug_forget_inbox := true;
-  Fun.protect
-    ~finally:(fun () -> Beehive_core.Platform.debug_forget_inbox := false)
-    (fun () ->
-      let rec sweep first_seed =
-        if first_seed >= 200 then Alcotest.fail "bug not caught within 200 seeds"
-        else
-          let report =
-            Check.run ~outbox:true ~first_seed ~seeds:10 Script.Durability
-          in
-          match report.Check.rp_failures with
-          | [] -> sweep (first_seed + 10)
-          | f :: _ -> f
-      in
-      let f = sweep 0 in
-      Alcotest.(check bool) "caught by a duplication monitor" true
-        (List.mem f.Check.f_violation.Monitor.v_monitor
-           [ "exactly-once"; "no-duplication" ]);
-      Alcotest.(check bool) "shrunk to at most 6 events" true
-        (List.length f.Check.f_shrunk <= 6);
-      Alcotest.(check bool) "shrunk trace replays deterministically" true
-        f.Check.f_replays)
+  let f = first_failure ~outbox:true ~inject:Platform.Replay_dup Script.Durability in
+  Alcotest.(check bool) "caught by a duplication monitor" true
+    (List.mem f.Check.f_violation.Monitor.v_monitor
+       [ "exactly-once"; "no-duplication" ]);
+  Alcotest.(check bool) "shrunk to at most 6 events" true
+    (List.length f.Check.f_shrunk <= 6);
+  Alcotest.(check bool) "shrunk trace replays deterministically" true
+    f.Check.f_replays
 
 (* Disabling WAL/snapshot frame verification (checksums-off) makes the
    store serve injected disk damage as truth. The disk profile must
@@ -215,36 +194,33 @@ let test_catches_replay_dup_bug () =
    tails stay detected either way — length framing needs no checksum —
    so every catch here is specifically a garbled-record escape. *)
 let test_catches_checksums_off_bug () =
-  Beehive_store.Store.debug_disable_checksums := true;
-  Fun.protect
-    ~finally:(fun () -> Beehive_store.Store.debug_disable_checksums := false)
-    (fun () ->
-      let pinned = [ 8; 9; 10; 11; 13; 14 ] in
-      let failures =
-        List.concat_map
-          (fun seed ->
-            (Check.run ~first_seed:seed ~seeds:1 Script.Disk)
-              .Check.rp_failures)
-          pinned
-      in
+  let pinned = [ 8; 9; 10; 11; 13; 14 ] in
+  let failures =
+    List.concat_map
+      (fun seed ->
+        (Check.run ~inject:Platform.Checksums_off ~first_seed:seed ~seeds:1 Script.Disk)
+          .Check.rp_failures)
+      pinned
+  in
+  Alcotest.(check bool)
+    "caught on at least 5 pinned seeds" true
+    (List.length failures >= 5);
+  List.iter
+    (fun f ->
+      let seed = f.Check.f_cfg.Runner.r_seed in
       Alcotest.(check bool)
-        "caught on at least 5 pinned seeds" true
-        (List.length failures >= 5);
-      List.iter
-        (fun f ->
-          Alcotest.(check bool)
-            (Printf.sprintf "seed %d shrunk to at most 6 events" f.Check.f_seed)
-            true
-            (List.length f.Check.f_shrunk <= 6);
-          Alcotest.(check bool)
-            (Printf.sprintf "seed %d replays deterministically" f.Check.f_seed)
-            true f.Check.f_replays;
-          Alcotest.(check bool)
-            (Printf.sprintf "seed %d violated an integrity monitor" f.Check.f_seed)
-            true
-            (List.mem f.Check.f_violation.Monitor.v_monitor
-               [ "no-silent-corruption"; "no-duplication"; "repair-convergence" ]))
-        failures)
+        (Printf.sprintf "seed %d shrunk to at most 6 events" seed)
+        true
+        (List.length f.Check.f_shrunk <= 6);
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d replays deterministically" seed)
+        true f.Check.f_replays;
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d violated an integrity monitor" seed)
+        true
+        (List.mem f.Check.f_violation.Monitor.v_monitor
+           [ "no-silent-corruption"; "no-duplication"; "repair-convergence" ]))
+    failures
 
 (* The WAL must journal exactly what the bee committed. One stray append
    to a live durable bee's log, made behind the platform's back, leaves
@@ -361,13 +337,13 @@ let test_detector_evicts_and_rejoins_isolated_hive () =
     (fun p -> if p <> victim then Beehive_net.Channels.partition chans ~a:victim ~b:p)
     [ 0; 1; 2; 3 ];
   run_for engine 0.02;
-  Alcotest.(check bool) "victim evicted" true (Platform.hive_fenced platform victim);
+  Alcotest.(check bool) "victim evicted" true (Platform.hive_state platform victim = `Fenced);
   Alcotest.(check (list int)) "exactly the victim suspected" [ victim ]
     (Failure_detector.suspected det);
   Beehive_net.Channels.heal_all chans;
   run_for engine 0.02;
   Alcotest.(check bool) "victim rejoined" true (Platform.hive_alive platform victim);
-  Alcotest.(check bool) "detector converged" true (Failure_detector.converged det);
+  Alcotest.(check bool) "detector converged" true (Failure_detector.suspected det = []);
   Alcotest.(check bool) "stale incarnation claim rejected" true
     (Failure_detector.stale_claims det >= 1);
   Alcotest.(check int) "no bee left paused" 0 (Platform.paused_bees platform);
@@ -401,7 +377,7 @@ let test_quorum_blocks_minority_eviction () =
   done;
   Beehive_net.Channels.heal_all chans;
   run_for engine 0.01;
-  Alcotest.(check bool) "converged after heal" true (Failure_detector.converged det)
+  Alcotest.(check bool) "converged after heal" true (Failure_detector.suspected det = [])
 
 (* --- Partition-profile scripts --------------------------------------- *)
 
@@ -577,6 +553,8 @@ let suite =
     ( "check",
       [
         Alcotest.test_case "seed corpus replays clean" `Quick test_corpus_replays_clean;
+        Alcotest.test_case "injected bug stays in its platform" `Quick
+          test_injected_bug_stays_in_its_platform;
         Alcotest.test_case "catches re-introduced forwarding bug" `Quick
           test_catches_forwarding_bug;
         Alcotest.test_case "catches disabled transport dedup" `Quick

@@ -97,15 +97,7 @@ let test_ensemble_interplay () =
     (List.mem Beehive_apps.Te_decoupled.app_name observed_apps);
 
   (* 5. No handler anywhere raised (no access violations, no crashes). *)
-  List.iter
-    (fun (v : Platform.bee_view) ->
-      match Platform.bee_stats platform v.Platform.view_id with
-      | Some s ->
-        if Stats.errors s > 0 then
-          Alcotest.failf "bee %d (%s) had %d handler errors" v.Platform.view_id
-            v.Platform.view_app (Stats.errors s)
-      | None -> ())
-    (Platform.live_bees platform);
+  Alcotest.(check int) "no handler faults" 0 (Platform.handler_faults platform);
 
   (* 6. Apps never share bees: every bee belongs to exactly one app, and
      each app's cells are disjoint from other apps' by construction. *)

@@ -202,26 +202,25 @@ let test_budget_exhaustion_is_unknown () =
    seeds of the migration profile, shrink to a handful of script events,
    and replay deterministically. *)
 let test_catches_stale_read_bug () =
-  Beehive_core.Platform.debug_stale_reads := true;
-  Fun.protect
-    ~finally:(fun () -> Beehive_core.Platform.debug_stale_reads := false)
-    (fun () ->
-      let rec sweep first_seed =
-        if first_seed >= 200 then Alcotest.fail "bug not caught within 200 seeds"
-        else
-          let report = Check.run ~lin:true ~first_seed ~seeds:10 Script.Migration in
-          match report.Check.rp_failures with
-          | [] -> sweep (first_seed + 10)
-          | f :: _ -> f
+  let rec sweep first_seed =
+    if first_seed >= 200 then Alcotest.fail "bug not caught within 200 seeds"
+    else
+      let report =
+        Check.run ~lin:true ~inject:Beehive_core.Platform.Stale_read ~first_seed ~seeds:10
+          Script.Migration
       in
-      let f = sweep 0 in
-      Alcotest.(check string) "violated the linearizability monitor"
-        "linearizability" f.Check.f_violation.Monitor.v_monitor;
-      Alcotest.(check bool)
-        "shrunk to at most 6 events" true
-        (List.length f.Check.f_shrunk <= 6);
-      Alcotest.(check bool)
-        "shrunk trace replays deterministically" true f.Check.f_replays)
+      match report.Check.rp_failures with
+      | [] -> sweep (first_seed + 10)
+      | f :: _ -> f
+  in
+  let f = sweep 0 in
+  Alcotest.(check string) "violated the linearizability monitor"
+    "linearizability" f.Check.f_violation.Monitor.v_monitor;
+  Alcotest.(check bool)
+    "shrunk to at most 6 events" true
+    (List.length f.Check.f_shrunk <= 6);
+  Alcotest.(check bool)
+    "shrunk trace replays deterministically" true f.Check.f_replays
 
 (* --- Recording across a mid-flight migration --------------------------- *)
 

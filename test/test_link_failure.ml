@@ -109,7 +109,7 @@ let test_unrepairable_route_dropped () =
      record instead of installing a bogus path. *)
   let engine = Engine.create () in
   let platform = Platform.create engine (Platform.default_config ~n_hives:2) in
-  let topo = Topology.linear ~n_switches:3 in
+  let topo = Topology.tree ~arity:1 ~n_switches:3 in
   for sw = 0 to 2 do
     Channels.assign_switch (Platform.channels platform) ~switch:sw ~hive:(sw mod 2)
   done;

@@ -20,15 +20,36 @@ let test_message_ids_increase () =
   Alcotest.(check bool) "ids strictly increase" true (b.Message.msg_id > a.Message.msg_id);
   Alcotest.(check int) "default size" Message.default_size a.Message.size
 
+(* The platform counts each handled message against the hive it came
+   from: an emitting bee's hive, a hive endpoint's own hive, a switch's
+   master hive, and no hive for a system message. *)
 let test_message_src_hive () =
-  let mk src = Message.make ~kind:"k" ~src ~sent_at:Simtime.zero Misc_probe in
-  Alcotest.(check (option int)) "bee source" (Some 3)
-    (Message.src_hive (mk (Message.From_bee { bee = 1; hive = 3; app = "a" })));
-  Alcotest.(check (option int)) "hive endpoint" (Some 2)
-    (Message.src_hive (mk (Message.From_endpoint (Channels.Hive 2))));
-  Alcotest.(check (option int)) "switch endpoint unresolved here" None
-    (Message.src_hive (mk (Message.From_endpoint (Channels.Switch 9))));
-  Alcotest.(check (option int)) "system" None (Message.src_hive (mk Message.From_system))
+  let open Helpers in
+  let relay =
+    App.create ~name:"test.relay" ~dicts:[ "r" ]
+      [
+        App.handler ~kind:"test.relay"
+          ~map:(fun _ -> Mapping.with_key "r" "x")
+          (fun ctx _ -> Context.emit ctx ~kind:k_put (Put { p_key = "k"; p_value = 1 }));
+      ]
+  in
+  let engine, platform = make_platform ~apps:[ kv_app (); relay ] () in
+  Channels.assign_switch (Platform.channels platform) ~switch:9 ~hive:1;
+  let put from = Platform.inject platform ~from ~kind:k_put (Put { p_key = "k"; p_value = 1 }) in
+  put (Channels.Hive 2);
+  drain engine;
+  put (Channels.Switch 9);
+  Platform.inject platform ~from:(Channels.Hive 3) ~kind:"test.relay" Misc_probe;
+  Platform.emit_system platform ~kind:k_put (Put { p_key = "k"; p_value = 1 });
+  drain engine;
+  let kv = owner_exn platform ~app:"test.kv" "k" in
+  let window = ref None in
+  Platform.iter_windows platform ~hive:2 (fun ~bee ~app:_ w ->
+      if bee = kv then window := Some w);
+  let w = Option.get !window in
+  Alcotest.(check int) "four puts handled" 4 w.Stats.w_processed;
+  Alcotest.(check (list (pair int int))) "bee, endpoint and switch sources; system has none"
+    [ (1, 1); (2, 1); (3, 1) ] w.Stats.w_in_by_hive
 
 let test_value_sizes () =
   Alcotest.(check int) "int" 8 (Value.size (Value.V_int 1));
@@ -81,7 +102,6 @@ let test_stats_windows () =
   Stats.record_in s ~src_hive:(Some 1);
   Stats.record_in s ~src_hive:(Some 1);
   Stats.record_in s ~src_hive:(Some 2);
-  Stats.record_out s ~in_kind:"k" ~out_kind:"o";
   let w = Stats.take_window s in
   Alcotest.(check int) "window processed" 3 w.Stats.w_processed;
   Alcotest.(check (list (pair int int))) "by hive" [ (1, 2); (2, 1) ] w.Stats.w_in_by_hive;
@@ -90,9 +110,7 @@ let test_stats_windows () =
   (* Window resets; cumulative survives. *)
   let w2 = Stats.take_window s in
   Alcotest.(check int) "fresh window empty" 0 w2.Stats.w_processed;
-  Alcotest.(check int) "cumulative" 3 (Stats.processed s);
-  Alcotest.(check (list (triple string string int))) "provenance" [ ("k", "o", 1) ]
-    (Stats.provenance s)
+  Alcotest.(check int) "cumulative" 3 (Stats.processed s)
 
 (* The window counts as [Stats] kept them before the dense array, a
    Hashtbl sorted on every take: the oracle for [take_window]. *)

@@ -136,7 +136,10 @@ let test_hello_switch_joined () =
       | Some bee ->
         let v = Option.get (Platform.bee_view platform bee) in
         Alcotest.(check int) "driver bee on master" master v.Platform.view_hive;
-        Alcotest.(check bool) "pinned" true (Platform.bee_pinned platform ~bee)
+        Alcotest.(check bool) "pinned: refuses to migrate" false
+          (Platform.migrate_bee platform ~bee
+             ~to_hive:((master + 1) mod Platform.n_hives platform)
+             ~reason:"test")
       | None -> Alcotest.fail "no driver bee")
     !joined
 
@@ -212,7 +215,7 @@ let test_lldp_discovery () =
   let expected =
     List.concat_map
       (fun sw -> List.map (fun n -> (sw, n)) (Topology.neighbors topo sw))
-      (Array.to_list (Topology.switches topo))
+      (List.init (Topology.n_switches topo) Fun.id)
   in
   Alcotest.(check int) "directed link count" (List.length expected) (List.length !links);
   List.iter

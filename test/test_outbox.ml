@@ -213,7 +213,7 @@ let test_receiver_restart_dedups_replay () =
   (* Everything becomes durable and the ack starts its 16-byte trip; the
      synchronous crash catches it in flight, from a now-dead sender. *)
   Platform.flush_durability platform;
-  let before = Platform.outbox_dups_suppressed platform in
+  let before = List.assoc "outbox.dups_suppressed" (Platform.gauges platform) in
   Platform.crash_hive platform (bee_hive platform kv);
   drain engine;
   Channels.heal_all (Platform.channels platform);
@@ -224,7 +224,7 @@ let test_receiver_restart_dedups_replay () =
   Alcotest.(check (option int)) "kv applied exactly once" (Some 1)
     (kv_count platform "a");
   Alcotest.(check bool) "the durable inbox suppressed the replay" true
-    (Platform.outbox_dups_suppressed platform > before);
+    (List.assoc "outbox.dups_suppressed" (Platform.gauges platform) > before);
   Alcotest.(check int) "suppressed replay still re-acked" 0
     (Platform.outbox_unacked_total platform)
 
@@ -238,9 +238,9 @@ let test_poison_quarantined_after_budget () =
   let engine, platform, attempts = make ~poison:"bad" () in
   inject platform ~from:0 "bad";
   drain engine;
-  Alcotest.(check int) "every budgeted attempt ran" Platform.outbox_retry_budget
+  Alcotest.(check int) "every budgeted attempt ran" Beehive_core.Outbox.retry_budget
     !attempts;
-  Alcotest.(check int) "handler faults counted" Platform.outbox_retry_budget
+  Alcotest.(check int) "handler faults counted" Beehive_core.Outbox.retry_budget
     (Platform.handler_faults platform);
   Alcotest.(check (option int)) "no kv delta escaped the aborts" (Some 0)
     (kv_count platform "bad");

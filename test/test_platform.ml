@@ -139,13 +139,13 @@ let test_access_violation_aborts () =
   let bee = owner_exn platform ~app:"test.bad" "a" in
   Alcotest.(check (option int)) "first write rolled back too" None
     (store_value platform ~bee ~key:"a");
-  let stats = Option.get (Platform.bee_stats platform bee) in
   (* Containment: every attempt in the retry budget aborts (and is
      counted), then the message is quarantined instead of killing the
      engine. *)
-  Alcotest.(check int) "error recorded per attempt" Platform.outbox_retry_budget
-    (Stats.errors stats);
-  Alcotest.(check int) "message quarantined" 1 (Platform.quarantined platform ~bee);
+  Alcotest.(check int) "error recorded per attempt" Beehive_core.Outbox.retry_budget
+    (Platform.handler_faults platform);
+  Alcotest.(check int) "message quarantined" 1
+    (List.length (Platform.quarantined_messages platform ~bee));
   (* The bee stays live for well-formed traffic. *)
   Platform.inject platform ~from:(Channels.Hive 0) ~kind:k_put
     (Put { p_key = "other-key"; p_value = 9 });
@@ -207,11 +207,15 @@ let test_local_app_per_hive () =
   drain engine;
   Alcotest.(check (list int)) "all hives" [ 0; 1; 2 ] (List.sort Int.compare !seen);
   (* Local bees are per-hive and pinned. *)
-  let b0 = Option.get (Platform.local_bee platform ~app:"test.local" ~hive:0) in
-  let b1 = Option.get (Platform.local_bee platform ~app:"test.local" ~hive:1) in
+  let local_bee hive =
+    List.find
+      (fun v -> v.Platform.view_app = "test.local" && v.Platform.view_hive = hive)
+      (Platform.live_bees platform)
+  in
+  let b0 = (local_bee 0).Platform.view_id and b1 = (local_bee 1).Platform.view_id in
   Alcotest.(check bool) "distinct" true (b0 <> b1);
-  Alcotest.(check bool) "pinned" true (Platform.bee_pinned platform ~bee:b0);
-  Alcotest.(check bool) "not migratable" false
+  Alcotest.(check bool) "local" true (local_bee 0).Platform.view_is_local;
+  Alcotest.(check bool) "pinned: not migratable" false
     (Platform.migrate_bee platform ~bee:b0 ~to_hive:1 ~reason:"test")
 
 (* Timer ticks originate on the lowest-numbered member hive that has not
@@ -290,7 +294,8 @@ let test_migration_traffic_accounted () =
   Alcotest.(check bool) "state bytes crossed 1->2" true (after > before)
 
 let test_migration_rejections () =
-  let engine, platform = make_platform ~apps:[ kv_app () ] () in
+  let pinned_app = { (kv_app ~name:"test.pinned" ()) with App.pinned = true } in
+  let engine, platform = make_platform ~apps:[ kv_app (); pinned_app ] () in
   put platform ~from:1 ~key:"k" ~value:1;
   drain engine;
   let bee = owner_exn platform ~app:"test.kv" "k" in
@@ -300,8 +305,11 @@ let test_migration_rejections () =
     (Platform.migrate_bee platform ~bee ~to_hive:1 ~reason:"x");
   Alcotest.(check bool) "bad hive" false
     (Platform.migrate_bee platform ~bee ~to_hive:17 ~reason:"x");
-  Platform.pin_bee platform ~bee;
-  Alcotest.(check bool) "pinned" false (Platform.migrate_bee platform ~bee ~to_hive:2 ~reason:"x")
+  Alcotest.(check bool) "movable" true
+    (Platform.migrate_bee platform ~bee ~to_hive:2 ~reason:"x");
+  let pinned = owner_exn platform ~app:"test.pinned" "k" in
+  Alcotest.(check bool) "pinned" false
+    (Platform.migrate_bee platform ~bee:pinned ~to_hive:2 ~reason:"x")
 
 let test_capacity_limit () =
   let engine = Engine.create () in
@@ -401,7 +409,8 @@ let prop_intersecting_messages_same_bee =
               ~map:(fun msg ->
                 match msg.Message.payload with
                 | Put { p_key; _ } ->
-                  Mapping.Cells (Cell.Set.of_keys "store" (String.split_on_char ',' p_key))
+                  Mapping.Cells
+                    (Cell.Set.of_list (List.map (Cell.cell "store") (String.split_on_char ',' p_key)))
                 | _ -> Mapping.Drop)
               (fun ctx msg ->
                 match msg.Message.payload with
@@ -444,11 +453,14 @@ let prop_intersecting_messages_same_bee =
 
 let test_counters_and_quiescence () =
   let engine, platform = make_platform ~apps:[ kv_app () ] () in
-  Alcotest.(check bool) "quiescent at start" true (Platform.quiescent platform);
+  let quiescent () =
+    List.for_all (fun v -> v.Platform.view_queue = 0) (Platform.live_bees platform)
+  in
+  Alcotest.(check bool) "quiescent at start" true (quiescent ());
   put platform ~from:0 ~key:"a" ~value:1;
   put platform ~from:1 ~key:"b" ~value:1;
   drain engine;
-  Alcotest.(check bool) "quiescent after drain" true (Platform.quiescent platform);
+  Alcotest.(check bool) "quiescent after drain" true (quiescent ());
   Alcotest.(check int) "processed" 2 (Platform.total_processed platform);
   (* Each put creates its key's bee on its origin hive: one lock-service
      round trip, 48 B each way between that hive and the lock master on
@@ -496,7 +508,7 @@ let check_words_bound per_msg bound =
    handler's transaction and routing, counted exactly on the ping-pong
    chain. The bound is the measured cost (OCaml 5.1.1, native code);
    raising it needs a reason. *)
-let runtime_words_per_message_bound = 120.0
+let runtime_words_per_message_bound = 118.5
 
 let test_runtime_words_per_message () =
   let engine, platform = make_platform ~n_hives:1 ~apps:(ping_pong_apps ()) () in
@@ -513,7 +525,7 @@ let test_runtime_words_per_message () =
    firing), so each step runs 5 ms of simulated time: long enough for
    the pong's commit, fsync, dispatch and ack. The bound is the measured
    cost (OCaml 5.1.1, native code); raising it needs a reason. *)
-let durable_words_per_message_bound = 309.6235
+let durable_words_per_message_bound = 308.1235
 
 let test_durable_words_per_message () =
   let engine, platform = durable_platform ~n_hives:1 ~apps:(ping_pong_apps ()) () in

@@ -4,7 +4,6 @@
 module Engine = Beehive_sim.Engine
 module Simtime = Beehive_sim.Simtime
 module Raft = Beehive_raft.Raft
-module Cluster = Beehive_raft.Cluster
 
 let run_for = Helpers.run_for
 let await_leader = Helpers.await_leader
@@ -19,13 +18,15 @@ let test_elects_single_leader () =
   let _ = await_leader engine cluster in
   run_for engine 2.0;
   Alcotest.(check int) "exactly one leader" 1 (List.length (Cluster.leaders cluster));
-  (* Every node agrees on the term and knows the leader. *)
+  (* Every follower knows the leader: a proposal there is refused with
+     the leader's id as the hint. *)
   let l = Option.get (Cluster.leader cluster) in
   for i = 0 to Cluster.n cluster - 1 do
-    Alcotest.(check (option int))
-      (Printf.sprintf "node %d leader hint" i)
-      (Some l)
-      (Raft.leader_hint (Cluster.node cluster i))
+    if i <> l then
+      match Raft.propose (Cluster.node cluster i) "probe" with
+      | `Not_leader hint ->
+        Alcotest.(check (option int)) (Printf.sprintf "node %d leader hint" i) (Some l) hint
+      | `Proposed _ -> Alcotest.failf "follower %d accepted a proposal" i
   done
 
 let test_replicates_commands () =

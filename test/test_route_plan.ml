@@ -7,7 +7,7 @@ module Hives = Beehive_core.Hives
 module Route_plan = Beehive_core.Route_plan
 
 let c = Cell.cell
-let cells keys = Cell.Set.of_keys "d" keys
+let cells keys = Cell.Set.of_list (List.map (Cell.cell "d") keys)
 
 (* A registry of app "a" where bee [i] lives on [hive] and owns [keys]. *)
 let setup ?(n_hives = 3) bees =

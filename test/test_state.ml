@@ -259,7 +259,9 @@ let test_iter_dict_held_whole_is_copy_free () =
   if words >= 500. then Alcotest.failf "iter_dict allocated %.0f words" words
 
 let test_iter_dict_keys_held () =
-  let ctx = topology_context (Cell.Set.of_keys "topology" [ "007"; "042"; "nope" ]) in
+  let ctx =
+    topology_context (Cell.Set.of_list (List.map (Cell.cell "topology") [ "007"; "042"; "nope" ]))
+  in
   let keys = ref [] in
   Context.iter_dict ctx ~dict:"topology" (fun k _ -> keys := k :: !keys);
   Alcotest.(check (list string)) "only the held keys, in order" [ "007"; "042" ]

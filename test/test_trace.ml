@@ -81,6 +81,38 @@ let test_ring_eviction () =
   let pangs = find_by_kind trace "test.pang" in
   Alcotest.(check bool) "recent events survive" true (pangs <> [])
 
+(* The paper's Section 3 provenance statistic, read from the trace: ten
+   pings give the ping-pong app exactly ten ping -> pong edges. *)
+let test_provenance_edges () =
+  let app =
+    App.create ~name:"test.pingpong" ~dicts:[ "store" ]
+      [
+        App.handler ~kind:"test.ping"
+          ~map:(fun _ -> Mapping.with_key "store" "x")
+          (fun ctx _ -> Context.emit ctx ~kind:"test.pong" (Noop 0));
+      ]
+  in
+  let engine, platform = make_platform ~apps:[ app ] () in
+  let trace = Trace.attach platform () in
+  for _ = 1 to 10 do
+    Platform.inject platform ~from:(Channels.Hive 0) ~kind:"test.ping" (Noop 1)
+  done;
+  drain engine;
+  let events = Trace.events trace in
+  let kind_of id =
+    List.find_map (fun e -> if e.Trace.ev_msg = id then Some e.Trace.ev_kind else None) events
+  in
+  let edges =
+    List.filter
+      (fun e ->
+        match (e.Trace.ev_emitter, e.Trace.ev_parent) with
+        | Some (_, "test.pingpong", _), Some parent ->
+          e.Trace.ev_kind = "test.pong" && kind_of parent = Some "test.ping"
+        | _ -> false)
+      events
+  in
+  Alcotest.(check int) "test.ping -> test.pong edges of test.pingpong" 10 (List.length edges)
+
 let test_render_tree () =
   let engine, platform, trace = setup () in
   Platform.inject platform ~from:(Channels.Hive 0) ~kind:"test.ping" (Noop 0);
@@ -107,5 +139,6 @@ let suite =
         Alcotest.test_case "causation ratios" `Quick test_causation_ratio;
         Alcotest.test_case "ring eviction" `Quick test_ring_eviction;
         Alcotest.test_case "render tree" `Quick test_render_tree;
+        Alcotest.test_case "provenance edges by emitter app" `Quick test_provenance_edges;
       ] );
   ]
