@@ -135,9 +135,6 @@ let make_cfg ?(n_hives = 4) ?(ticks = 30) ?(lin = false) ?(outbox = false) ?inje
 type stats = {
   s_events : int;
   s_processed : int;
-  s_migrations : int;
-  s_merges : int;
-  s_dropped : int;
   s_retransmits : int;
   s_puts : int;
   s_lin_ops : int;
@@ -239,10 +236,11 @@ let install_lin cfg engine platform =
           (fun (id, outcome) ->
             History.complete_ok recorder ~id ~now:(Engine.now engine) outcome)
           ready);
-    Platform.on_hive_failure platform (fun hive ->
-        match Hashtbl.find_opt acks hive with
-        | Some q -> q := []
-        | None -> ())
+    Platform.on_hive platform (fun hive ev ->
+        if ev = Platform.Crashed then
+          match Hashtbl.find_opt acks hive with
+          | Some q -> q := []
+          | None -> ())
   end;
   let as_int = function Some (Value.V_int n) -> Some n | Some _ | None -> None in
   let handler =
@@ -424,7 +422,7 @@ let execute_with_gauges ?observe cfg ops =
     else None
   in
   let membership =
-    if with_elastic cfg.r_profile then Some (Membership.create ?raft platform)
+    if with_elastic cfg.r_profile then Some (Membership.create platform)
     else None
   in
   (match observe with Some f -> f engine platform | None -> ());
@@ -639,9 +637,6 @@ let execute_with_gauges ?observe cfg ops =
         {
           s_events = Engine.events_executed engine;
           s_processed = Platform.total_processed platform;
-          s_migrations = List.length (Platform.migrations platform);
-          s_merges = Platform.total_bee_merges platform;
-          s_dropped = Platform.total_dropped platform;
           s_retransmits = Transport.retransmits (Platform.transport platform);
           s_puts = !n_puts;
           s_lin_ops =

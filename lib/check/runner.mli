@@ -50,9 +50,6 @@ val make_cfg :
 type stats = {
   s_events : int;
   s_processed : int;
-  s_migrations : int;
-  s_merges : int;
-  s_dropped : int;
   s_retransmits : int;
       (** transport-level retransmissions — how hard the at-least-once
           layer had to work to mask the fabric faults *)

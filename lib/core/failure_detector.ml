@@ -16,10 +16,6 @@ type t = {
   platform : Platform.t;
   engine : Engine.t;
   mutable n : int;  (* hive id space; grows with the platform *)
-  mutable member : bool array;
-      (* current cluster membership: decommissioned hives leave the
-         quorum denominator for good (a crashed or fenced hive stays a
-         member — it still counts toward what a majority means) *)
   mutable last_heard : Simtime.t array array;  (* [observer].[subject] *)
   mutable incarnation : int array;
       (* the cluster's authoritative incarnation per hive; bumped on every
@@ -43,12 +39,11 @@ let reset_subject t s =
   t.evicted.(s) <- false;
   t.believed.(s) <- t.incarnation.(s)
 
-let member_count t =
-  let c = ref 0 in
-  for h = 0 to t.n - 1 do
-    if t.member.(h) then incr c
-  done;
-  !c
+(* Current cluster membership, read from the platform: decommissioned
+   hives leave the quorum denominator for good (a crashed or fenced hive
+   stays a member — it still counts toward what a majority means). *)
+let member t h = not (Platform.hive_decommissioned t.platform h)
+let member_count t = Platform.member_count t.platform
 
 let grow_array a n v =
   let b = Array.make n v in
@@ -70,31 +65,19 @@ let add_subject t h =
     t.believed <- grow_array t.believed n' 0;
     t.evicted <- grow_array t.evicted n' false;
     t.streak <- grow_array t.streak n' 0;
-    t.member <- grow_array t.member n' false;
     t.n <- n'
   end;
-  t.member.(h) <- true;
   reset_subject t h
-
-(* A hive left for good: it stops counting toward the quorum denominator
-   (the satellite bug fix — a stale full-cluster quorum would both let a
-   minority evict nobody it should and, worse, block the shrunken
-   majority from ever evicting a genuinely dead member). *)
-let remove_subject t h =
-  if h >= 0 && h < t.n then begin
-    t.member.(h) <- false;
-    t.evicted.(h) <- false;
-    t.streak.(h) <- 0
-  end
 
 (* An observer receives a heartbeat. If the sender was deposed but is
    demonstrably running, its stale claim is rejected (the heartbeat
    carries an old incarnation) and it is walked back into membership with
-   the bumped incarnation. *)
+   the bumped incarnation. A heartbeat still in flight when its sender
+   was decommissioned rejoins nothing. *)
 let receive t ~from:s ~at:d ~hb_inc =
   if not (Platform.hive_crashed t.platform d) then begin
     t.last_heard.(d).(s) <- Engine.now t.engine;
-    if t.evicted.(s) && not (Platform.hive_crashed t.platform s) then begin
+    if t.evicted.(s) && member t s && not (Platform.hive_crashed t.platform s) then begin
       if hb_inc < t.incarnation.(s) then t.n_stale_claims <- t.n_stale_claims + 1;
       reset_subject t s;
       Platform.rejoin_hive t.platform s;
@@ -110,10 +93,10 @@ let broadcast t =
     (* Crashed processes are silent; fenced (deposed-but-running) hives
        keep gossiping — that is how a false positive heals. Decommissioned
        hives are gone. *)
-    if t.member.(s) && not (Platform.hive_crashed t.platform s) then begin
+    if member t s && not (Platform.hive_crashed t.platform s) then begin
       let hb_inc = t.believed.(s) in
       for d = 0 to t.n - 1 do
-        if d <> s && t.member.(d) then
+        if d <> s && member t d then
           match
             Channels.transfer_result chans ~src:(Channels.Hive s)
               ~dst:(Channels.Hive d) ~bytes:hb_bytes ~now
@@ -153,8 +136,9 @@ let check t =
   let silent_on o s =
     Simtime.to_us now - Simtime.to_us t.last_heard.(o).(s) > timeout
   in
+  let quorum = quorum t in
   for s = 0 to t.n - 1 do
-    if t.member.(s) && not t.evicted.(s) then begin
+    if member t s && not t.evicted.(s) then begin
       let votes = ref 0 in
       for o = 0 to t.n - 1 do
         (* Only members in good standing vote: a minority partition (its
@@ -162,13 +146,13 @@ let check t =
            majority of the current membership. *)
         if
           o <> s
-          && t.member.(o)
+          && member t o
           && (not t.evicted.(o))
           && (not (Platform.hive_crashed t.platform o))
           && silent_on o s
         then incr votes
       done;
-      if !votes >= quorum t then begin
+      if !votes >= quorum then begin
         t.streak.(s) <- t.streak.(s) + 1;
         if t.streak.(s) >= confirm_ticks then confirm t s
       end
@@ -185,7 +169,6 @@ let install platform =
       platform;
       engine;
       n;
-      member = Array.make n true;
       last_heard = Array.init n (fun _ -> Array.make n now);
       incarnation = Array.make n 0;
       believed = Array.make n 0;
@@ -197,12 +180,11 @@ let install platform =
     }
   in
   (* A restarted hive re-enters membership with the bumped incarnation
-     and a fresh grace period. *)
-  Platform.on_hive_restart platform (fun h -> reset_subject t h);
-  (* Elastic membership: joined hives enter the quorum denominator,
-     decommissioned hives leave it. *)
-  Platform.on_hive_added platform (fun h -> add_subject t h);
-  Platform.on_hive_decommissioned platform (fun h -> remove_subject t h);
+     and a fresh grace period; a joined hive gets one too. *)
+  Platform.on_hive platform (fun h -> function
+    | Platform.Restarted -> reset_subject t h
+    | Platform.Added -> add_subject t h
+    | Platform.Crashed | Platform.Draining | Platform.Decommissioned -> ());
   ignore (Engine.every engine hb_period (fun () -> broadcast t));
   ignore (Engine.every engine check_period (fun () -> check t));
   t
@@ -210,11 +192,11 @@ let install platform =
 let suspected t =
   let acc = ref [] in
   for s = t.n - 1 downto 0 do
-    if t.member.(s) && t.evicted.(s) then acc := s :: !acc
+    if member t s && t.evicted.(s) then acc := s :: !acc
   done;
   !acc
 
-let is_member t h = h >= 0 && h < t.n && t.member.(h)
+let is_member t h = List.mem h (Platform.members t.platform)
 
 let evictions t = t.n_evictions
 let stale_claims t = t.n_stale_claims

@@ -3,8 +3,8 @@
     Every hive gossips a 16-byte heartbeat to every other hive each
     500 us over the raw failable wire (deliberately {e not} the reliable
     transport: silence must mean something). A check every 1 ms accrues
-    suspicion per subject hive: when a majority of the full cluster has
-    heard nothing from it for 3 ms, for 2 consecutive checks, the
+    suspicion per subject hive: when a majority of current membership
+    has heard nothing from it for 3 ms, for 2 consecutive checks, the
     suspicion is confirmed — detection in roughly 5 ms of simulated
     time — and the detector acts:
 
@@ -20,21 +20,19 @@
     {!stale_claims}), the hive adopts the bumped incarnation, and
     {!Platform.rejoin_hive} resumes its fenced bees — nothing is lost.
 
-    The majority quorum is computed over {e current} membership: hives
-    joined via {!Platform.add_hive} enter the denominator and
-    decommissioned hives leave it (via the platform's membership hooks),
-    so after a 5-to-3 shrink two observers are a majority again, while a
-    2-hive minority of a 5-hive cluster can never evict the other
-    three. *)
+    The majority quorum is computed over {e current} membership, read
+    from the platform ({!Platform.members}): hives joined via
+    {!Platform.add_hive} enter the denominator and decommissioned hives
+    leave it, so after a 5-to-3 shrink two observers are a majority
+    again, while a 2-hive minority of a 5-hive cluster can never evict
+    the other three. *)
 
 type t
 
 val install : Platform.t -> t
-(** Starts the gossip and check loops on the platform's engine and hooks
-    {!Platform.on_hive_restart} (restarted hives re-enter membership
-    cleanly), {!Platform.on_hive_added} and
-    {!Platform.on_hive_decommissioned} (elastic membership adjusts the
-    quorum denominator). Install once per platform. *)
+(** Starts the gossip and check loops on the platform's engine and
+    subscribes to {!Platform.on_hive}: restarted and joined hives enter
+    with a fresh grace period. Install once per platform. *)
 
 val quorum : t -> int
 (** Votes needed to confirm a suspicion: a majority of current
@@ -44,8 +42,8 @@ val member_count : t -> int
 (** Hives in current membership: the quorum denominator. *)
 
 val is_member : t -> int -> bool
-(** Whether a hive is in current membership (joins enter it,
-    decommissions leave it). *)
+(** Whether a hive is in current membership: a valid id not
+    decommissioned (joins enter it, decommissions leave it). *)
 
 val suspected : t -> int list
 (** Hives currently evicted (confirmed suspicions not yet healed),

@@ -75,7 +75,7 @@ let transfer engine ~reg ~locks ~hives ~store ~stale_reads ~transmit ~resume ~la
     resume b
   end
 
-let merge engine ~chans ~reg ~hives ~outbox ~store ~pinned ~resume
+let merge engine ~chans ~reg ~hives ~outbox ~store ~resume
     ~(winner : Bee.t) ~(losers : Bee.t list) ~k =
   winner.status <- `Paused;
   let remaining = ref (List.length losers) in
@@ -166,7 +166,6 @@ let merge engine ~chans ~reg ~hives ~outbox ~store ~pinned ~resume
     (* Re-home the merged-away bee so outbox replay of its surviving
        entries dispatches from (and fate-shares with) the winner's hive. *)
     l.hive <- winner.hive;
-    Hashtbl.remove pinned l.id;
     Log.debug (fun m ->
         m "merged bee %d into bee %d (%s)" l.id winner.id winner.app.App.name);
     finish_one ()

@@ -41,7 +41,6 @@ val merge :
   hives:Hives.t ->
   outbox:Outbox.t ->
   store:Value.t Beehive_store.Store.t option ->
-  pinned:(int, unit) Hashtbl.t ->
   resume:(Bee.t -> unit) ->
   winner:Bee.t ->
   losers:Bee.t list ->

@@ -89,6 +89,13 @@ type migration = {
   mig_reason : string;
 }
 
+type hive_event =
+  | Crashed
+  | Restarted
+  | Added
+  | Draining
+  | Decommissioned
+
 type commit_info = {
   ci_bee : int;
   ci_app : string;
@@ -132,19 +139,14 @@ type t = {
   mutable version : int;
   lookup_cache : Route_plan.cache;
   hives : Hives.t;
-  pinned_bees : (int, unit) Hashtbl.t;
   endpoints : (Channels.endpoint, Message.t -> unit) Hashtbl.t;
   mutable store : Value.t Store.t option;
       (* durability engine shadowing every non-local bee's dictionaries *)
   mutable migration_log : migration list;  (* newest first *)
-  mutable mig_hooks : (migration -> unit) list;
-  mutable restart_hooks : (int -> unit) list;
   mutable replicator : replicator option;
-  mutable failure_hooks : (int -> unit) list;
+  mutable hive_hooks : (int -> hive_event -> unit) list;  (* newest first *)
   mutable fsync_hooks : (int -> unit) list;
       (* run after each per-hive group commit becomes durable *)
-  mutable added_hooks : (int -> unit) list;
-  mutable decom_hooks : (int -> unit) list;
   mutable emit_hooks :
     (parent:Message.t option -> child:Message.t -> emitter:(int * string * int) option -> unit)
     list;
@@ -253,14 +255,12 @@ let new_bee t ~(app : App.t) ~hive ~is_local =
   in
   Hashtbl.add t.bees id b;
   ignore (Registry.register_bee t.reg ~bee_id:id ~app:app.App.name ~hive);
-  if is_local || app.App.pinned then Hashtbl.replace t.pinned_bees id ();
   b
 
 let kill_bee t b =
   b.status <- `Dead;
   Queue.clear b.mailbox;
   Registry.unassign_bee t.reg ~bee:b.id;
-  Hashtbl.remove t.pinned_bees b.id;
   (* The bee is gone for good: its un-acked emits die with it. *)
   Outbox.drop_sender t.outbox b.id;
   match t.store with Some s -> Store.forget s ~bee:b.id | None -> ()
@@ -577,7 +577,6 @@ let start_transfer t (b : bee) dst reason ~resume =
         }
       in
       t.migration_log <- mig :: t.migration_log;
-      List.iter (fun f -> f mig) t.mig_hooks;
       Log.debug (fun m ->
           m "migrated bee %d (%s) hive %d -> %d (%s)" b.id b.app.App.name src dst reason))
 
@@ -792,7 +791,7 @@ and route_cells t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin ~outbo
       t.n_merges <- t.n_merges + List.length losers;
       t.version <- t.version + 1;
       Migration.merge t.engine ~chans:t.chans ~reg:t.reg ~hives:t.hives
-        ~outbox:t.outbox ~store:t.store ~pinned:t.pinned_bees ~resume:(maybe_process t)
+        ~outbox:t.outbox ~store:t.store ~resume:(maybe_process t)
         ~winner ~losers:(List.map (Hashtbl.find t.bees) losers) ~k:(fun () ->
           Registry.assign t.reg ~bee:winner.id (Route_plan.unowned t.reg ~bee:winner.id cs));
       let extra = Cell_locks.charge_rpc t.locks ~hive:origin in
@@ -1089,8 +1088,7 @@ let migrate_bee t ~bee ~to_hive ~reason =
   | None -> false
   | Some b ->
     if
-      b.status <> `Active || b.is_local
-      || Hashtbl.mem t.pinned_bees bee
+      b.status <> `Active || b.is_local || b.app.App.pinned
       || b.pending_migration <> None
       || to_hive = b.hive
       || not (placeable t to_hive)
@@ -1106,9 +1104,8 @@ let migrate_bee t ~bee ~to_hive ~reason =
     end
 
 let migrations t = List.rev t.migration_log
-let on_migration t f = t.mig_hooks <- f :: t.mig_hooks
-let on_hive_restart t f = t.restart_hooks <- f :: t.restart_hooks
-let on_hive_failure t f = t.failure_hooks <- f :: t.failure_hooks
+let on_hive t f = t.hive_hooks <- f :: t.hive_hooks
+let fire t h ev = List.iter (fun f -> f h ev) t.hive_hooks
 let on_fsync t f = t.fsync_hooks <- f :: t.fsync_hooks
 let on_emit t f = t.emit_hooks <- f :: t.emit_hooks
 
@@ -1166,7 +1163,7 @@ let crash_hive t h =
   check_hive t h "crash_hive";
   if Hives.crash t.hives h then begin
     t.version <- t.version + 1;
-    List.iter (fun f -> f h) t.failure_hooks;
+    fire t h Crashed;
     (* Batches not yet group-committed die with the hive. *)
     (match t.store with Some s -> Store.drop_pending s ~hive:h | None -> ());
     (* The process's in-memory transport state dies with it: senders on h
@@ -1326,7 +1323,7 @@ let restart_hive t h =
   | None -> ()
   | Some was_crashed ->
     t.version <- t.version + 1;
-    List.iter (fun f -> f h) t.restart_hooks;
+    fire t h Restarted;
     (* Restarting a merely-fenced hive is just a rejoin. *)
     unfence_hive t h;
     if was_crashed then
@@ -1374,20 +1371,16 @@ let restart_hive t h =
 (* Elastic membership: join, drain, decommission                       *)
 (* ------------------------------------------------------------------ *)
 
-let on_hive_added t f = t.added_hooks <- f :: t.added_hooks
-let on_hive_decommissioned t f = t.decom_hooks <- f :: t.decom_hooks
-
 (* Joins a fresh hive at runtime: the fabric grows a row/column of
    healthy links, the hive id space extends by one, and subscribers
-   (failure detector, raft replication, rebalancer) hear about it via
-   {!on_hive_added}. The new hive starts alive and empty; placement and
-   rebalancing fill it. *)
+   (failure detector, raft replication) hear about it as [Added]. The
+   new hive starts alive and empty; placement and rebalancing fill it. *)
 let add_hive t =
   let id = Channels.add_hive t.chans in
   let id' = Hives.add t.hives in
   assert (id = id');
   t.version <- t.version + 1;
-  List.iter (fun f -> f id) t.added_hooks;
+  fire t id Added;
   Log.info (fun m -> m "hive %d joined (cluster size %d)" id (id + 1));
   id
 
@@ -1396,7 +1389,8 @@ let set_draining t h flag =
   if hive_decommissioned t h then invalid_arg "Platform.set_draining: hive decommissioned";
   if Hives.set_draining t.hives h flag then begin
     t.version <- t.version + 1;
-    Log.info (fun m -> m "hive %d %s" h (if flag then "draining" else "drain cancelled"))
+    Log.info (fun m -> m "hive %d %s" h (if flag then "draining" else "drain cancelled"));
+    if flag then fire t h Draining
   end
 
 let inbound_transfers t h = Hives.inbound t.hives h
@@ -1414,10 +1408,9 @@ let drain_complete t h =
      = []
 
 (* Removes a fully-drained hive from the cluster: local bees die, links
-   are torn down, endpoints freed, and the id is retired for good. The
-   failure detector drops it from the quorum denominator via the
-   {!on_hive_decommissioned} hook. Returns false (and does nothing) if
-   the hive still hosts cells or transfers. *)
+   are torn down, endpoints freed, and the id is retired for good; then
+   [Decommissioned] fires. Returns false (and does nothing) if the hive
+   still hosts cells or transfers. *)
 let decommission_hive t h =
   check_hive t h "decommission_hive";
   if hive_decommissioned t h then true
@@ -1429,7 +1422,7 @@ let decommission_hive t h =
     t.version <- t.version + 1;
     Transport.close_hive t.transport h;
     Hashtbl.remove t.endpoints (Channels.Hive h);
-    List.iter (fun f -> f h) t.decom_hooks;
+    fire t h Decommissioned;
     Log.info (fun m -> m "hive %d decommissioned (cluster size %d)" h (member_count t));
     true
   end
@@ -1519,17 +1512,12 @@ let create engine cfg =
     version = 0;
     lookup_cache = Hashtbl.create 1024;
     hives;
-    pinned_bees = Hashtbl.create 64;
     endpoints = Hashtbl.create 64;
     store = None;
     migration_log = [];
-    mig_hooks = [];
-    restart_hooks = [];
     replicator = None;
-    failure_hooks = [];
+    hive_hooks = [];
     fsync_hooks = [];
-    added_hooks = [];
-    decom_hooks = [];
     emit_hooks = [];
     started = false;
     n_processed = 0;

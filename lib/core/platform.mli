@@ -237,10 +237,6 @@ val restart_hive : t -> int -> unit
     otherwise.
     Without durability only new local bees can form there again. *)
 
-val on_hive_restart : t -> (int -> unit) -> unit
-(** Called at the start of {!restart_hive} (e.g. to restart co-located
-    consensus nodes). *)
-
 val find_owner : t -> app:string -> Cell.t -> int option
 
 val iter_windows : t -> hive:int -> (bee:int -> app:string -> Stats.window -> unit) -> unit
@@ -253,8 +249,9 @@ val iter_windows : t -> hive:int -> (bee:int -> app:string -> Stats.window -> un
 val migrate_bee : t -> bee:int -> to_hive:int -> reason:string -> bool
 (** Live-migrates a bee: stop, buffer, move cells (charged on the control
     channel), recreate, drain (Section 3, "Migration of Bees"). Returns
-    [false] if the bee is unknown/dead/local/pinned, already there, the
-    destination is dead or over capacity, or a migration is in flight. *)
+    [false] if the bee is unknown/dead/local, belongs to a [pinned] app
+    ({!App.create}), is already there, the destination is dead or over
+    capacity, or a migration is in flight. *)
 
 type migration = {
   mig_at : Beehive_sim.Simtime.t;
@@ -268,8 +265,6 @@ type migration = {
 
 val migrations : t -> migration list
 (** Completed migrations, oldest first. *)
-
-val on_migration : t -> (migration -> unit) -> unit
 
 (** {2 Replication}
 
@@ -313,10 +308,6 @@ type replicator = {
 val set_replicator : t -> replicator -> unit
 (** Installs the replication scheme. Without one, no bee fails over. One
     per platform: a second call raises [Invalid_argument]. *)
-
-val on_hive_failure : t -> (int -> unit) -> unit
-(** Called at the start of {!fail_hive} (e.g. to crash co-located
-    consensus nodes). *)
 
 val on_emit :
   t ->
@@ -411,14 +402,15 @@ val hive_crashed : t -> int -> bool
 
 val add_hive : t -> int
 (** Joins a fresh hive: grows the fabric with healthy links, extends
-    every per-hive table, fires {!on_hive_added}, and returns the new
+    every per-hive table, fires [Added] ({!on_hive}), and returns the new
     hive's id. The hive starts alive, empty, and placeable. *)
 
 val set_draining : t -> int -> bool -> unit
 (** Marks (or unmarks) a hive as draining: it accepts no new cells —
     placement redirects to the least-loaded placeable hive — no inbound
     migrations, and is skipped as a failover target. Existing bees keep
-    processing until evacuated. *)
+    processing until evacuated. Turning the flag on fires [Draining]
+    ({!on_hive}). *)
 
 val hive_draining : t -> int -> bool
 
@@ -433,10 +425,9 @@ val inbound_transfers : t -> int -> int
 
 val decommission_hive : t -> int -> bool
 (** Retires a fully-drained hive: kills its local bees, tears down its
-    transport links and endpoints, and removes it from membership (the
-    failure detector hears via {!on_hive_decommissioned} and shrinks its
-    quorum denominator). Returns [false] without side effects if the
-    drain is not complete; [true] if retired (idempotent). *)
+    transport links and endpoints, removes it from membership, and fires
+    [Decommissioned] ({!on_hive}). Returns [false] without side effects
+    if the drain is not complete; [true] if retired (idempotent). *)
 
 val hive_state :
   t -> int -> [ `Alive | `Draining | `Fenced | `Crashed | `Decommissioned ]
@@ -452,9 +443,20 @@ val member_count : t -> int
 val placeable : t -> int -> bool
 (** Alive and not draining: can host new cells and accept migrations. *)
 
-val on_hive_added : t -> (int -> unit) -> unit
+type hive_event =
+  | Crashed  (** {!crash_hive} (and so {!fail_hive}) killed the process *)
+  | Restarted  (** {!restart_hive} brought a crashed or fenced hive back *)
+  | Added  (** {!add_hive} joined the hive *)
+  | Draining  (** {!set_draining} turned the draining flag on *)
+  | Decommissioned  (** {!decommission_hive} retired the hive *)
 
-val on_hive_decommissioned : t -> (int -> unit) -> unit
+val on_hive : t -> (int -> hive_event -> unit) -> unit
+(** Subscribes to hive lifecycle events, e.g. to crash and restart
+    co-located consensus nodes or hand a draining hive's Raft groups off.
+    Each event fires once per transition, after the hive's state has
+    changed and before the function that fired it returns; [Crashed] and
+    [Restarted] fire before the hive's bees are crashed or revived.
+    Subscribers run newest first. *)
 
 (** {2 Counters} *)
 

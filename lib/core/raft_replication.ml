@@ -246,10 +246,9 @@ let make_group t ~anchor ~members =
    with a live placeable hive outside the group. The replacement node
    starts with an empty log and catches up from the leader through the
    usual backoff / Install_snapshot path; the departing member's node is
-   crashed and dropped. Returns the number of groups re-anchored. *)
+   crashed and dropped. *)
 let handoff_hive t ~hive =
   let n = Platform.n_hives t.platform in
-  let moved = ref 0 in
   Array.iter
     (fun g ->
       if List.mem hive g.g_members then begin
@@ -277,18 +276,16 @@ let handoff_hive t ~hive =
              cluster may be smaller than [replication_factor]). *)
           ());
         Hashtbl.iter (fun _ node -> Raft.set_peers node g.g_members) g.g_nodes;
-        (match candidate with
+        match candidate with
         | Some r -> spawn_member t g ~member:r
-        | None -> ());
-        incr moved
+        | None -> ()
       end)
-    t.groups;
-  !moved
+    t.groups
 
 (* A hive joined at runtime: it gets its own group (anchored at its id,
    so the [ci_hive mod groups] anchor assignment stays the identity) made
    of the hive plus its placeable successors. *)
-let on_hive_added t h =
+let add_group t h =
   let n = Platform.n_hives t.platform in
   let members =
     let rec collect k acc =
@@ -363,19 +360,13 @@ let acked t ~bee ~seq =
         | None -> ())
       t.groups.(anchor).g_replicas
 
-let on_hive_failure t h =
+(* Runs [f] on hive [h]'s node in every group it belongs to: the nodes
+   crash and restart with their hive's process. *)
+let iter_nodes t h f =
   Array.iter
     (fun g ->
       match Hashtbl.find_opt g.g_nodes h with
-      | Some node -> Raft.crash node
-      | None -> ())
-    t.groups
-
-let on_hive_restart t h =
-  Array.iter
-    (fun g ->
-      match Hashtbl.find_opt g.g_nodes h with
-      | Some node -> Raft.restart node
+      | Some node -> f node
       | None -> ())
     t.groups
 
@@ -406,13 +397,15 @@ let install platform ?(compact_every = 64) () =
         make_group t ~anchor ~members);
   Platform.set_replicator platform
     { Platform.commit = commit t; acked = acked t; recover = recover t };
-  Platform.on_hive_failure platform (fun h -> on_hive_failure t h);
-  Platform.on_hive_restart platform (fun h -> on_hive_restart t h);
-  Platform.on_hive_added platform (fun h -> on_hive_added t h);
-  (* Decommission safety net: a drain normally hands groups off first,
-     but a direct decommission must still leave no group referencing the
-     retired hive. *)
-  Platform.on_hive_decommissioned platform (fun h -> ignore (handoff_hive t ~hive:h));
+  Platform.on_hive platform (fun h -> function
+    | Platform.Crashed -> iter_nodes t h Raft.crash
+    | Platform.Restarted -> iter_nodes t h Raft.restart
+    | Platform.Added -> add_group t h
+    (* A draining hive's group memberships move at once: the replacements'
+       fresh nodes catch up (Install_snapshot) while the bees evacuate.
+       Decommission is the safety net for a hive retired without a drain:
+       no group may keep referencing it. *)
+    | Platform.Draining | Platform.Decommissioned -> handoff_hive t ~hive:h);
   (* Retry queued proposals until a leader exists. *)
   ignore
     (Engine.every engine (Simtime.of_ms 100) (fun () ->

@@ -30,23 +30,20 @@ type t
 val install : Platform.t -> ?compact_every:int -> unit -> t
 (** Creates the groups, installs them as the platform's one
     {!Platform.replicator} (commits in, acks trim, replicas out), subscribes
-    to its failure / restart / membership hooks, and starts all Raft
-    nodes. [compact_every] (default 64) is the applied-entry interval
-    between log compactions. *)
+    to its hive events ({!Platform.on_hive}), and starts all Raft nodes:
+    a crashed hive's nodes crash and restart with it, a joined hive
+    anchors a new group, and a draining or decommissioned hive is handed
+    off — replaced in every group it belongs to by a live placeable hive
+    outside the group, whose fresh node catches up from the leader
+    (AppendEntries backoff or Install_snapshot). [compact_every]
+    (default 64) is the applied-entry interval between log
+    compactions. *)
 
 val group_members : t -> hive:int -> int list
 (** Member hives of the group anchored at [hive]. *)
 
 val group_leader : t -> hive:int -> int option
 (** The group's current leader hive, if elected. *)
-
-val handoff_hive : t -> hive:int -> int
-(** Replaces [hive] in every group it belongs to with a live placeable
-    hive outside the group (the drain path of elastic membership). The
-    replacement node starts empty and catches up from the leader via
-    AppendEntries backoff or Install_snapshot; the departing node is
-    crashed and dropped. Returns the number of groups re-anchored.
-    Also run automatically on {!Platform.on_hive_decommissioned}. *)
 
 val replicated_commands : t -> int
 (** Write sets committed through consensus so far. *)

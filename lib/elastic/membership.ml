@@ -1,7 +1,6 @@
 module Engine = Beehive_sim.Engine
 module Simtime = Beehive_sim.Simtime
 module Platform = Beehive_core.Platform
-module Raft_replication = Beehive_core.Raft_replication
 
 let src = Logs.Src.create "beehive.elastic" ~doc:"Beehive elastic membership"
 
@@ -13,19 +12,13 @@ let min_placeable = 2
 type t = {
   platform : Platform.t;
   engine : Engine.t;
-  raft : Raft_replication.t option;
   drains : (int, Drain.t) Hashtbl.t;  (* hive -> newest drain record *)
   mutable n_joins : int;
   mutable n_drains_started : int;
   mutable n_drains_completed : int;
   mutable n_decommissions : int;
-  mutable n_rebalance_migrations : int;
   mutable last_drain_us : int;
 }
-
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.equal (String.sub s 0 (String.length prefix)) prefix
 
 let drain_reason hive = Printf.sprintf "drain: evacuating hive %d" hive
 
@@ -71,27 +64,20 @@ let pump t = Hashtbl.iter (fun _ d -> pump_drain t d) t.drains
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let create ?raft platform =
+let create platform =
   let engine = Platform.engine platform in
   let t =
     {
       platform;
       engine;
-      raft;
       drains = Hashtbl.create 8;
       n_joins = 0;
       n_drains_started = 0;
       n_drains_completed = 0;
       n_decommissions = 0;
-      n_rebalance_migrations = 0;
       last_drain_us = 0;
     }
   in
-  Platform.on_migration platform (fun (mig : Platform.migration) ->
-      if
-        has_prefix ~prefix:"drain:" mig.Platform.mig_reason
-        || has_prefix ~prefix:"scale-out:" mig.Platform.mig_reason
-      then t.n_rebalance_migrations <- t.n_rebalance_migrations + 1);
   ignore (Engine.every engine pump_period (fun () -> pump t));
   t
 
@@ -100,9 +86,9 @@ let create ?raft platform =
 (* ------------------------------------------------------------------ *)
 
 let add_hive t =
-  (* The platform hook fan-out does the real work: channels grow a
-     row/column, the failure detector widens its quorum denominator, and
-     raft replication anchors a group at the new hive. *)
+  (* The platform does the real work: channels grow a row/column, and
+     its [Added] event makes raft replication anchor a group at the new
+     hive. *)
   let id = Platform.add_hive t.platform in
   t.n_joins <- t.n_joins + 1;
   id
@@ -131,15 +117,6 @@ let drain t ?(auto_decommission = false) ?on_complete hive =
     in
     Hashtbl.replace t.drains hive d;
     t.n_drains_started <- t.n_drains_started + 1;
-    (* Hand this hive's Raft group memberships off right away: the
-       replacements' fresh nodes catch up (Install_snapshot) while the
-       bees evacuate. *)
-    (match t.raft with
-    | Some r ->
-      let moved = Raft_replication.handoff_hive r ~hive in
-      if moved > 0 then
-        Log.info (fun m -> m "hive %d: handed off %d raft group memberships" hive moved)
-    | None -> ());
     ignore (Rebalancer.evacuate_step t.platform ~hive ~reason:(drain_reason hive));
     true
   end
@@ -165,7 +142,15 @@ let draining t =
   |> List.sort Int.compare
 
 let joins t = t.n_joins
-let rebalance_migrations t = t.n_rebalance_migrations
+let rebalance_migrations t =
+  List.fold_left
+    (fun n (mig : Platform.migration) ->
+      if
+        String.starts_with ~prefix:"drain:" mig.Platform.mig_reason
+        || String.starts_with ~prefix:"scale-out:" mig.Platform.mig_reason
+      then n + 1
+      else n)
+    0 (Platform.migrations t.platform)
 let last_drain_us t = t.last_drain_us
 
 let gauges t =
@@ -175,5 +160,5 @@ let gauges t =
     ("membership.drains_started", t.n_drains_started);
     ("membership.joins", t.n_joins);
     ("membership.last_drain_us", t.last_drain_us);
-    ("membership.rebalance_migrations", t.n_rebalance_migrations);
+    ("membership.rebalance_migrations", rebalance_migrations t);
   ]

@@ -6,25 +6,26 @@
     {v alive -> draining -> decommissioned v}
 
     - {b join} ({!add_hive}) — the platform grows its channel matrix and
-      transport endpoints, the failure detector widens its quorum
-      denominator, and raft replication (when installed) anchors a fresh
-      group at the new hive. Pair with
+      transport endpoints, the failure detector's quorum denominator
+      (read from {!Beehive_core.Platform.members}) widens, and raft
+      replication (when installed) anchors a fresh group at the new
+      hive. Pair with
       {!Beehive_core.Instrumentation.scale_out_policy} to pull load onto
       the newcomer.
     - {b drain} ({!drain}) — the hive stops accepting new cells
-      (placement redirects elsewhere), its raft group memberships are
-      handed off, and an evacuation pump live-migrates its bees out until
+      (placement redirects elsewhere), raft replication (when installed)
+      hands its group memberships off on the platform's [Draining]
+      event, and an evacuation pump live-migrates its bees out until
       the hive owns zero cells with zero in-flight inbound transfers.
     - {b decommission} ({!decommission}) — only legal once the drain is
-      complete: the hive leaves the failure-detector membership, its
-      links close, and its id is retired (never reused). *)
+      complete: the hive leaves {!Beehive_core.Platform.members} (and so
+      the failure detector's quorum), its links close, and its id is
+      retired (never reused). *)
 
 type t
 
-val create : ?raft:Beehive_core.Raft_replication.t -> Beehive_core.Platform.t -> t
-(** Installs the evacuation pump on the platform's engine and a
-    migration hook that counts rebalance moves. Pass [raft] so drains
-    hand off group memberships before evacuating bees. *)
+val create : Beehive_core.Platform.t -> t
+(** Installs the evacuation pump on the platform's engine. *)
 
 val add_hive : t -> int
 (** Joins one new hive and returns its id (= previous hive count). *)
@@ -59,8 +60,9 @@ val draining : t -> int list
 val joins : t -> int
 
 val rebalance_migrations : t -> int
-(** Migrations attributed to elasticity: reasons prefixed ["drain:"] or
-    ["scale-out:"]. *)
+(** Migrations attributed to elasticity: the entries of
+    {!Beehive_core.Platform.migrations} whose reason starts with
+    ["drain:"] or ["scale-out:"]. *)
 
 val last_drain_us : t -> int
 (** Duration of the most recently completed drain, in simulated

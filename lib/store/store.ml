@@ -156,18 +156,17 @@ let frame_state t f =
   else if t.verify && Crc32.string f.f_payload <> f.f_crc then F_garbled
   else F_ok
 
-(* Scratch buffer for record encoding, one per domain, so an encode is
-   safe on whichever domain runs it. [Buffer.clear] keeps the
-   underlying bytes, so after the first record each encode reuses a
-   buffer already sized for the largest record seen on that domain —
-   no per-record allocation on the WAL hot path. [Buffer.contents]
-   copies, so the returned payloads never alias the scratch space. *)
-let scratch_key = Domain.DLS.new_key (fun () -> Buffer.create 64)
+(* Scratch buffer for record encoding. Encodes never nest and the
+   engine is serial, so one buffer serves every store. [Buffer.clear]
+   keeps the underlying bytes, so after the first record each encode
+   reuses a buffer already sized for the largest record seen — no
+   per-record allocation on the WAL hot path. [Buffer.contents] copies,
+   so the returned payloads never alias the scratch space. *)
+let scratch_buf = Buffer.create 64
 
 let scratch () =
-  let buf = Domain.DLS.get scratch_key in
-  Buffer.clear buf;
-  buf
+  Buffer.clear scratch_buf;
+  scratch_buf
 
 (* [Buffer.add_string buf (string_of_int n)] without the temporary. *)
 let rec add_digits buf n =
@@ -895,8 +894,8 @@ let integrity_counters t =
 (* Canonical byte-level image of the whole store: every tracked log in
    bee-id order — snapshot frame, WAL frames oldest-first with their
    commit times, durable outbox/inbox sorted, lsn bookkeeping. Two
-   stores with an equal image hold bit-identical durable state; the
-   1-vs-N-domain determinism tests hash this. *)
+   stores with an equal image hold bit-identical durable state;
+   [Runner.digest] hashes this. *)
 let wal_image t =
   let buf = Buffer.create 4096 in
   let add_frame tag f =

@@ -262,7 +262,7 @@ let test_drain_hands_off_raft_groups () =
     make_platform ~n_hives:5 ~apps:[ replicated_kv_app () ] ()
   in
   let rep = Raft_replication.install platform () in
-  let membership = Membership.create ~raft:rep platform in
+  let membership = Membership.create platform in
   List.iteri (fun i k -> put platform ~from:(i mod 5) ~key:k ~value:1) (keys 8);
   drain engine;
   let victim = hive_of platform (owner_exn platform ~app:"test.kv" "k0") in
@@ -343,6 +343,60 @@ let test_quorum_follows_membership_on_shrink () =
     (List.mem 2 (Failure_detector.suspected det));
   Beehive_core.Registry.check_invariant (Platform.registry platform)
 
+(* The detector reads membership from the platform: a hive decommissioned
+   before the detector starts is no member of its quorum. *)
+let test_detector_installed_after_decommission () =
+  let _engine, platform = make_platform ~n_hives:5 ~apps:[ kv_app () ] () in
+  Platform.set_draining platform 4 true;
+  Alcotest.(check bool) "empty hive decommissions" true
+    (Platform.decommission_hive platform 4);
+  let det = Failure_detector.install platform in
+  Alcotest.(check int) "four members" 4 (Failure_detector.member_count det);
+  Alcotest.(check bool) "hive 4 is no member" false (Failure_detector.is_member det 4);
+  Alcotest.(check int) "quorum of 4" 3 (Failure_detector.quorum det)
+
+(* --- pinning --------------------------------------------------------- *)
+
+(* Bees of a [pinned] app and local bees never migrate, so a drain of
+   the hive hosting a pinned bee cannot complete while the bee stays. *)
+let test_pinned_bees_stay () =
+  let local_app =
+    App.create ~name:"test.local"
+      [ App.handler ~kind:k_noop ~map:(fun _ -> Mapping.Local) (fun _ _ -> ()) ]
+  in
+  let engine, platform =
+    let pinned_app = { (kv_app ~name:"test.pinned" ()) with App.pinned = true } in
+    make_platform ~apps:[ kv_app (); pinned_app; local_app ] ()
+  in
+  let membership = Membership.create platform in
+  put platform ~from:0 ~key:"k0" ~value:1;
+  Platform.inject platform ~from:(Channels.Hive 0) ~kind:k_noop (Noop 0);
+  drain engine;
+  let pinned = owner_exn platform ~app:"test.pinned" "k0" in
+  let home = hive_of platform pinned in
+  let other = (home + 1) mod Platform.n_hives platform in
+  Alcotest.(check bool) "pinned bee refused" false
+    (Platform.migrate_bee platform ~bee:pinned ~to_hive:other ~reason:"test");
+  let local =
+    List.find (fun (v : Platform.bee_view) -> v.Platform.view_is_local)
+      (Platform.live_bees platform)
+  in
+  Alcotest.(check bool) "local bee refused" false
+    (Platform.migrate_bee platform ~bee:local.Platform.view_id
+       ~to_hive:((local.Platform.view_hive + 1) mod Platform.n_hives platform)
+       ~reason:"test");
+  let unpinned = owner_exn platform ~app:"test.kv" "k0" in
+  Alcotest.(check bool) "unpinned bee migrates" true
+    (Platform.migrate_bee platform ~bee:unpinned
+       ~to_hive:((hive_of platform unpinned + 1) mod Platform.n_hives platform)
+       ~reason:"test");
+  Alcotest.(check bool) "drain accepted" true (Membership.drain membership home);
+  run_for engine 0.5;
+  Alcotest.(check (list int)) "drain still open" [ home ] (Membership.draining membership);
+  Alcotest.(check bool) "drain incomplete" false (Platform.drain_complete platform home);
+  Alcotest.(check int) "pinned bee stayed" home (hive_of platform pinned);
+  Beehive_core.Registry.check_invariant (Platform.registry platform)
+
 let suite =
   [
     ( "elastic",
@@ -363,5 +417,9 @@ let suite =
           test_drain_hands_off_raft_groups;
         Alcotest.test_case "quorum follows membership across a 5->3 shrink"
           `Quick test_quorum_follows_membership_on_shrink;
+        Alcotest.test_case "detector installed after a decommission" `Quick
+          test_detector_installed_after_decommission;
+        Alcotest.test_case "pinned and local bees never migrate" `Quick
+          test_pinned_bees_stay;
       ] );
   ]
