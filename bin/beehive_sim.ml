@@ -11,29 +11,36 @@ open Cmdliner
 
 let cfg_term =
   let docs = "SCENARIO PARAMETERS" in
+  (* An absent flag keeps the chosen base's value, so the flags apply on
+     top of --quick too; [show] prints that value for the help text. *)
+  let param kind name show ~doc =
+    let d = show Scenario.default_config and q = show Scenario.quick_config in
+    let none = if String.equal d q then d else Printf.sprintf "%s; %s with --quick" d q in
+    Arg.(value & opt (some ~none kind) None & info [ name ] ~docs ~doc)
+  in
   let hives =
-    Arg.(value & opt int Scenario.default_config.Scenario.n_hives
-         & info [ "hives" ] ~docs ~doc:"Number of hives (controllers).")
+    param Arg.int "hives" (fun c -> string_of_int c.Scenario.n_hives)
+      ~doc:"Number of hives (controllers)."
   in
   let switches =
-    Arg.(value & opt int Scenario.default_config.Scenario.n_switches
-         & info [ "switches" ] ~docs ~doc:"Number of switches.")
+    param Arg.int "switches" (fun c -> string_of_int c.Scenario.n_switches)
+      ~doc:"Number of switches."
   in
   let arity =
-    Arg.(value & opt int Scenario.default_config.Scenario.tree_arity
-         & info [ "arity" ] ~docs ~doc:"Tree topology arity.")
+    param Arg.int "arity" (fun c -> string_of_int c.Scenario.tree_arity)
+      ~doc:"Tree topology arity."
   in
   let flows =
-    Arg.(value & opt int Scenario.default_config.Scenario.flows_per_switch
-         & info [ "flows" ] ~docs ~doc:"Fixed-rate flows per switch.")
+    param Arg.int "flows" (fun c -> string_of_int c.Scenario.flows_per_switch)
+      ~doc:"Fixed-rate flows per switch."
   in
   let hot =
-    Arg.(value & opt float Scenario.default_config.Scenario.hot_fraction
-         & info [ "hot-fraction" ] ~docs ~doc:"Fraction of above-threshold flows.")
+    param Arg.float "hot-fraction" (fun c -> Printf.sprintf "%g" c.Scenario.hot_fraction)
+      ~doc:"Fraction of above-threshold flows."
   in
   let duration =
-    Arg.(value & opt float 60.0
-         & info [ "duration" ] ~docs ~doc:"Measured window in simulated seconds.")
+    param Arg.float "duration" (fun c -> Printf.sprintf "%g" (Simtime.to_sec c.Scenario.duration))
+      ~doc:"Measured window in simulated seconds."
   in
   let seed =
     Arg.(value & opt int Scenario.default_config.Scenario.seed
@@ -42,24 +49,22 @@ let cfg_term =
   let quick =
     Arg.(value & flag
          & info [ "quick" ] ~docs
-             ~doc:"Use the laptop-fast configuration (8 hives, 48 switches, 10 s).")
+             ~doc:"Start from the laptop-fast configuration (8 hives, 48 switches, \
+                   10 s); the other scenario flags apply on top of it.")
   in
   let make quick hives switches arity flows hot duration seed =
     let base = if quick then Scenario.quick_config else Scenario.default_config in
-    let base =
-      if quick then base
-      else
-        {
-          base with
-          Scenario.n_hives = hives;
-          n_switches = switches;
-          tree_arity = arity;
-          flows_per_switch = flows;
-          hot_fraction = hot;
-          duration = Simtime.of_sec duration;
-        }
-    in
-    { base with Scenario.seed }
+    let ( |? ) flag v = Option.value flag ~default:v in
+    {
+      base with
+      Scenario.n_hives = hives |? base.Scenario.n_hives;
+      n_switches = switches |? base.Scenario.n_switches;
+      tree_arity = arity |? base.Scenario.tree_arity;
+      flows_per_switch = flows |? base.Scenario.flows_per_switch;
+      hot_fraction = hot |? base.Scenario.hot_fraction;
+      duration = Option.fold duration ~none:base.Scenario.duration ~some:Simtime.of_sec;
+      seed;
+    }
   in
   Term.(const make $ quick $ hives $ switches $ arity $ flows $ hot $ duration $ seed)
 
@@ -181,8 +186,9 @@ let check_cmd =
     List.iter
       (fun profile ->
         let report =
-          Check.run ~n_hives:hives ~ticks ~lin ~outbox ?inject ~first_seed
-            ~seeds profile
+          Check.run ~seeds
+            (Beehive_check.Runner.make_cfg ~n_hives:hives ~ticks ~lin ~outbox ?inject
+               ~seed:first_seed profile)
         in
         Format.printf "%a" Check.pp_report report;
         List.iter

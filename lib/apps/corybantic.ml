@@ -3,7 +3,6 @@ module Mapping = Beehive_core.Mapping
 module Context = Beehive_core.Context
 module Message = Beehive_core.Message
 module Value = Beehive_core.Value
-module Cell = Beehive_core.Cell
 module Platform = Beehive_core.Platform
 module Simtime = Beehive_sim.Simtime
 
@@ -175,27 +174,19 @@ let module_app ~name ~propose ~evaluate =
 
 (* --- inspection -------------------------------------------------------- *)
 
-let coordinator_entries platform =
-  match Platform.find_owner platform ~app:coordinator_name (Cell.whole dict_rounds) with
-  | None -> []
-  | Some bee -> Platform.bee_state_entries platform bee
-
 let adopted platform =
   List.filter_map
-    (fun (dict, key, v) ->
-      if dict = dict_rounds && String.length key > 8 && String.sub key 0 8 = "adopted:" then
+    (fun (key, v) ->
+      if String.length key > 8 && String.sub key 0 8 = "adopted:" then
         match v with
         | V_adopted { va_id; va_module; va_value } ->
           Some (int_of_string (String.sub key 8 (String.length key - 8)), va_id, va_module, va_value)
         | _ -> None
       else None)
-    (coordinator_entries platform)
+    (Platform.read_dict platform ~app:coordinator_name ~dict:dict_rounds)
   |> List.sort compare
 
 let current_round platform =
-  List.fold_left
-    (fun acc (dict, key, v) ->
-      if dict = dict_rounds && key = "current" then
-        match v with V_round r -> r | _ -> acc
-      else acc)
-    0 (coordinator_entries platform)
+  match Platform.read platform ~app:coordinator_name ~dict:dict_rounds ~key:"current" with
+  | Some (V_round r) -> r
+  | _ -> 0

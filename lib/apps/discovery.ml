@@ -3,7 +3,6 @@ module Mapping = Beehive_core.Mapping
 module Context = Beehive_core.Context
 module Message = Beehive_core.Message
 module Value = Beehive_core.Value
-module Cell = Beehive_core.Cell
 module Platform = Beehive_core.Platform
 module Wire = Beehive_openflow.Wire
 
@@ -95,16 +94,6 @@ let app () =
   App.create ~name:app_name ~dicts:[ dict_adjacency ] [ on_link_discovered; on_port_event ]
 
 let neighbors_of platform ~switch =
-  match
-    Platform.find_owner platform ~app:app_name
-      (Cell.cell dict_adjacency (key_of_switch switch))
-  with
-  | None -> []
-  | Some bee ->
-    List.concat_map
-      (fun (dict, key, v) ->
-        if String.equal dict dict_adjacency && String.equal key (key_of_switch switch)
-        then match v with V_adjacency l -> List.map (fun n -> n.nb_switch) l | _ -> []
-        else [])
-      (Platform.bee_state_entries platform bee)
-    |> List.sort_uniq Int.compare
+  match Platform.read platform ~app:app_name ~dict:dict_adjacency ~key:(key_of_switch switch) with
+  | Some (V_adjacency l) -> List.sort_uniq Int.compare (List.map (fun n -> n.nb_switch) l)
+  | _ -> []

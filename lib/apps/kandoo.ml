@@ -1,6 +1,7 @@
 module App = Beehive_core.App
 module Mapping = Beehive_core.Mapping
 module Context = Beehive_core.Context
+module Platform = Beehive_core.Platform
 module Message = Beehive_core.Message
 module Value = Beehive_core.Value
 module Simtime = Beehive_sim.Simtime
@@ -57,5 +58,5 @@ let elephants platform =
       match v with
       | V_elephant { ve_switch; ve_rate } -> Some (int_of_string key, ve_switch, ve_rate)
       | _ -> None)
-    (whole_dict_entries platform ~app:root_app_name ~dict:dict_elephants)
+    (Platform.read_dict platform ~app:root_app_name ~dict:dict_elephants)
   |> List.sort compare

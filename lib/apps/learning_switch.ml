@@ -3,7 +3,6 @@ module Mapping = Beehive_core.Mapping
 module Context = Beehive_core.Context
 module Message = Beehive_core.Message
 module Value = Beehive_core.Value
-module Cell = Beehive_core.Cell
 module Platform = Beehive_core.Platform
 module Simtime = Beehive_sim.Simtime
 module Wire = Beehive_openflow.Wire
@@ -82,15 +81,6 @@ let on_packet_in =
 let app () = App.create ~name:app_name ~dicts:[ dict_macs ] [ on_packet_in ]
 
 let learned_port platform ~switch ~mac =
-  match
-    Platform.find_owner platform ~app:app_name
-      (Cell.cell dict_macs (key_of_switch switch))
-  with
-  | None -> None
-  | Some bee ->
-    List.find_map
-      (fun (dict, key, v) ->
-        if String.equal dict dict_macs && String.equal key (key_of_switch switch) then
-          match v with V_mac_table t -> List.assoc_opt (mac_key mac) t | _ -> None
-        else None)
-      (Platform.bee_state_entries platform bee)
+  match Platform.read platform ~app:app_name ~dict:dict_macs ~key:(key_of_switch switch) with
+  | Some (V_mac_table t) -> List.assoc_opt (mac_key mac) t
+  | _ -> None

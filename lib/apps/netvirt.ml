@@ -3,7 +3,6 @@ module Mapping = Beehive_core.Mapping
 module Context = Beehive_core.Context
 module Message = Beehive_core.Message
 module Value = Beehive_core.Value
-module Cell = Beehive_core.Cell
 module Platform = Beehive_core.Platform
 module Wire = Beehive_openflow.Wire
 
@@ -108,15 +107,9 @@ let app () =
     [ on_create; on_attach; on_detach; on_packet ]
 
 let read_vnet platform vn =
-  match Platform.find_owner platform ~app:app_name (Cell.cell dict_vnets vn) with
-  | None -> None
-  | Some bee ->
-    List.find_map
-      (fun (dict, key, v) ->
-        if String.equal dict dict_vnets && String.equal key vn then
-          match v with V_vnet x -> Some x | _ -> None
-        else None)
-      (Platform.bee_state_entries platform bee)
+  match Platform.read platform ~app:app_name ~dict:dict_vnets ~key:vn with
+  | Some (V_vnet x) -> Some x
+  | _ -> None
 
 let vnet_ports platform ~vnet =
   match read_vnet platform vnet with Some v -> v.v_ports | None -> []

@@ -3,7 +3,6 @@ module Mapping = Beehive_core.Mapping
 module Context = Beehive_core.Context
 module Message = Beehive_core.Message
 module Value = Beehive_core.Value
-module Cell = Beehive_core.Cell
 module Platform = Beehive_core.Platform
 
 let app_name = "onix.nib"
@@ -153,15 +152,9 @@ let app () =
     [ on_add_node; on_del_node; on_set_attr; on_add_link; on_del_link; on_query ]
 
 let read_node platform id =
-  match Platform.find_owner platform ~app:app_name (Cell.cell dict_nodes id) with
-  | None -> None
-  | Some bee ->
-    List.find_map
-      (fun (dict, key, v) ->
-        if String.equal dict dict_nodes && String.equal key id then
-          match v with V_node n -> Some n | _ -> None
-        else None)
-      (Platform.bee_state_entries platform bee)
+  match Platform.read platform ~app:app_name ~dict:dict_nodes ~key:id with
+  | Some (V_node n) -> Some n
+  | _ -> None
 
 let node_exists platform id = read_node platform id <> None
 let node_links platform id =

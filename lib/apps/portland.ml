@@ -3,7 +3,6 @@ module Mapping = Beehive_core.Mapping
 module Context = Beehive_core.Context
 module Message = Beehive_core.Message
 module Value = Beehive_core.Value
-module Cell = Beehive_core.Cell
 module Platform = Beehive_core.Platform
 
 let fabric_app_name = "portland.fabric"
@@ -129,29 +128,12 @@ let arp_app () =
 (* --- inspection -------------------------------------------------------- *)
 
 let pmac_of platform ~amac =
-  match Platform.find_owner platform ~app:arp_app_name (Cell.cell dict_arp (mac_key amac)) with
-  | None -> None
-  | Some bee ->
-    List.find_map
-      (fun (dict, key, v) ->
-        if dict = dict_arp && key = mac_key amac then
-          match v with V_pmac p -> Some p | _ -> None
-        else None)
-      (Platform.bee_state_entries platform bee)
+  match Platform.read platform ~app:arp_app_name ~dict:dict_arp ~key:(mac_key amac) with
+  | Some (V_pmac p) -> Some p
+  | _ -> None
 
 let pod_assignments platform ~pod =
-  match
-    Platform.find_owner platform ~app:fabric_app_name
-      (Cell.cell dict_pods (string_of_int pod))
-  with
-  | None -> []
-  | Some bee ->
-    List.concat_map
-      (fun (dict, key, v) ->
-        if dict = dict_pods && key = string_of_int pod then
-          match v with
-          | V_pod { vp_assignments; _ } ->
-            List.map (fun (m, p) -> (Int64.of_string ("0x" ^ m), p)) vp_assignments
-          | _ -> []
-        else [])
-      (Platform.bee_state_entries platform bee)
+  match Platform.read platform ~app:fabric_app_name ~dict:dict_pods ~key:(string_of_int pod) with
+  | Some (V_pod { vp_assignments; _ }) ->
+    List.map (fun (m, p) -> (Int64.of_string ("0x" ^ m), p)) vp_assignments
+  | _ -> []

@@ -3,7 +3,6 @@ module Mapping = Beehive_core.Mapping
 module Context = Beehive_core.Context
 module Message = Beehive_core.Message
 module Value = Beehive_core.Value
-module Cell = Beehive_core.Cell
 module Platform = Beehive_core.Platform
 
 let app_name = "routing"
@@ -126,18 +125,9 @@ let app () =
   App.create ~name:app_name ~dicts:[ dict_rib ] [ on_announce; on_withdraw; on_lookup ]
 
 let shards platform =
-  (* Collect all (shard, trie) pairs across bees. *)
-  List.concat_map
-    (fun (v : Platform.bee_view) ->
-      if String.equal v.Platform.view_app app_name then
-        List.filter_map
-          (fun (dict, key, value) ->
-            if String.equal dict dict_rib then
-              match value with V_rib t -> Some (key, t) | _ -> None
-            else None)
-          (Platform.bee_state_entries platform v.Platform.view_id)
-      else [])
-    (Platform.live_bees platform)
+  List.filter_map
+    (function key, V_rib t -> Some (key, t) | _ -> None)
+    (Platform.read_dict platform ~app:app_name ~dict:dict_rib)
 
 let best_route platform ~addr =
   let a = Lpm_trie.addr_of_string addr in

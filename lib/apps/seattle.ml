@@ -3,7 +3,6 @@ module Mapping = Beehive_core.Mapping
 module Context = Beehive_core.Context
 module Message = Beehive_core.Message
 module Value = Beehive_core.Value
-module Cell = Beehive_core.Cell
 module Platform = Beehive_core.Platform
 
 let app_name = "seattle"
@@ -93,30 +92,11 @@ let app () =
   App.create ~name:app_name ~dicts:[ dict_directory ] [ on_publish; on_unpublish; on_resolve ]
 
 let lookup platform ~mac =
-  match
-    Platform.find_owner platform ~app:app_name (Cell.cell dict_directory (bucket_of_mac mac))
-  with
-  | None -> None
-  | Some bee ->
-    List.find_map
-      (fun (dict, key, v) ->
-        if dict = dict_directory && key = bucket_of_mac mac then
-          match v with V_bucket l -> List.assoc_opt (mac_key mac) l | _ -> None
-        else None)
-      (Platform.bee_state_entries platform bee)
+  match Platform.read platform ~app:app_name ~dict:dict_directory ~key:(bucket_of_mac mac) with
+  | Some (V_bucket l) -> List.assoc_opt (mac_key mac) l
+  | _ -> None
 
 let bucket_sizes platform =
-  List.concat_map
-    (fun (v : Platform.bee_view) ->
-      if String.equal v.Platform.view_app app_name then
-        List.filter_map
-          (fun (dict, key, value) ->
-            if dict = dict_directory then
-              match value with
-              | V_bucket l when l <> [] -> Some (key, List.length l)
-              | _ -> None
-            else None)
-          (Platform.bee_state_entries platform v.Platform.view_id)
-      else [])
-    (Platform.live_bees platform)
-  |> List.sort compare
+  List.filter_map
+    (function key, V_bucket (_ :: _ as l) -> Some (key, List.length l) | _ -> None)
+    (Platform.read_dict platform ~app:app_name ~dict:dict_directory)

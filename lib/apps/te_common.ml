@@ -3,8 +3,6 @@ module Mapping = Beehive_core.Mapping
 module Value = Beehive_core.Value
 module Context = Beehive_core.Context
 module Message = Beehive_core.Message
-module Cell = Beehive_core.Cell
-module Platform = Beehive_core.Platform
 module Simtime = Beehive_sim.Simtime
 module Wire = Beehive_openflow.Wire
 module Flow_table = Beehive_openflow.Flow_table
@@ -327,11 +325,3 @@ let on_stat_reply ~dict ~cost ~hot =
 
 let every_second ~kind payload =
   App.timer ~kind ~period:(Simtime.of_sec 1.0) ~size:16 (fun ~now:_ -> payload)
-
-let whole_dict_entries platform ~app ~dict =
-  match Platform.find_owner platform ~app (Cell.whole dict) with
-  | None -> []
-  | Some bee ->
-    List.filter_map
-      (fun (d, key, v) -> if String.equal d dict then Some (key, v) else None)
-      (Platform.bee_state_entries platform bee)

@@ -128,8 +128,3 @@ val on_stat_reply :
 val every_second :
   kind:string -> Beehive_core.Message.payload -> Beehive_core.App.timer
 (** A timer sending the payload, 16 bytes, once a second. *)
-
-val whole_dict_entries :
-  Beehive_core.Platform.t -> app:string -> dict:string -> (string * Beehive_core.Value.t) list
-(** The keys and values of [dict] in the bee of [app] that owns it whole,
-    in key order; [[]] until one does. *)

@@ -1,6 +1,7 @@
 module App = Beehive_core.App
 module Mapping = Beehive_core.Mapping
 module Context = Beehive_core.Context
+module Platform = Beehive_core.Platform
 module Message = Beehive_core.Message
 module Value = Beehive_core.Value
 module Simtime = Beehive_sim.Simtime
@@ -114,4 +115,4 @@ let app ?(delta = 100_000.0) () =
     ]
 
 let rerouted_count platform =
-  List.length (whole_dict_entries platform ~app:app_name ~dict:dict_route)
+  List.length (Platform.read_dict platform ~app:app_name ~dict:dict_route)

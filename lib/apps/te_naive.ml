@@ -1,6 +1,7 @@
 module App = Beehive_core.App
 module Mapping = Beehive_core.Mapping
 module Context = Beehive_core.Context
+module Platform = Beehive_core.Platform
 module Simtime = Beehive_sim.Simtime
 open Te_common
 
@@ -52,4 +53,4 @@ let rerouted_count platform =
       | V_obs obs -> Array.fold_left (fun n handled -> if handled then n + 1 else n) n obs.ob_handled
       | _ -> n)
     0
-    (whole_dict_entries platform ~app:app_name ~dict:dict_stats)
+    (Platform.read_dict platform ~app:app_name ~dict:dict_stats)

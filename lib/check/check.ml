@@ -27,14 +27,14 @@ let shrink_failure cfg script (v : Monitor.violation) =
   let replays = still_fails shrunk in
   (shrunk, replays)
 
-let run ?(n_hives = 4) ?(ticks = 30) ?(lin = false) ?(outbox = false) ?inject
-    ?(first_seed = 0) ~seeds profile =
+let run ~seeds (base : Runner.cfg) =
+  let first_seed = base.Runner.r_seed in
   let passed = ref 0 in
   let failures = ref [] in
   let lin_ops = ref 0 in
   let lin_checked = ref 0 in
   for seed = first_seed to first_seed + seeds - 1 do
-    let cfg = Runner.make_cfg ~n_hives ~ticks ~lin ~outbox ?inject ~seed profile in
+    let cfg = { base with Runner.r_seed = seed } in
     match Runner.run_seed cfg with
     | _, Runner.Pass s ->
       incr passed;
@@ -53,10 +53,10 @@ let run ?(n_hives = 4) ?(ticks = 30) ?(lin = false) ?(outbox = false) ?inject
         :: !failures
   done;
   {
-    rp_profile = profile;
+    rp_profile = base.Runner.r_profile;
     rp_first_seed = first_seed;
     rp_seeds = seeds;
-    rp_ticks = ticks;
+    rp_ticks = base.Runner.r_ticks;
     rp_passed = !passed;
     rp_failures = List.rev !failures;
     rp_lin_ops = !lin_ops;

@@ -32,25 +32,16 @@ type report = {
       (** per-key histories checked linearizable across passing seeds *)
 }
 
-val run :
-  ?n_hives:int ->
-  ?ticks:int ->
-  ?lin:bool ->
-  ?outbox:bool ->
-  ?inject:Beehive_core.Platform.bug ->
-  ?first_seed:int ->
-  seeds:int ->
-  Script.profile ->
-  report
-(** [~lin:true] arms {!Runner}'s linearizability workload and final
-    monitor on every seed (shrinking included: the lin workload re-runs
-    under each candidate script, so a minimized script is one that still
-    produces a non-linearizable history). [~outbox:true] routes puts
-    through the forwarding pipeline and arms the exactly-once and
-    quarantine-accounting monitors the same way. [inject] builds every
-    platform with that bug, shrinking included. A sweep is a pure
-    function of its arguments, so re-running it reproduces every
-    verdict. *)
+val run : seeds:int -> Runner.cfg -> report
+(** [run ~seeds cfg] runs [cfg] once per seed from [cfg.r_seed] to
+    [cfg.r_seed + seeds - 1], changing nothing but [r_seed]. Every
+    other field holds for every seed, shrinking included: with [r_lin]
+    the lin workload re-runs under each candidate script, so a minimized
+    script is one that still produces a non-linearizable history;
+    [r_outbox] arms the exactly-once and quarantine-accounting monitors
+    the same way; [r_inject] builds every platform with that bug. A
+    sweep is a pure function of its arguments, so re-running it
+    reproduces every verdict. *)
 
 val pp_report : Format.formatter -> report -> unit
 

@@ -63,16 +63,8 @@ let observed_in ctx ~app ~dict key =
   match Platform.find_owner ctx.cx_platform ~app (Cell.cell dict key) with
   | None -> None
   | Some bee ->
-    let n =
-      List.fold_left
-        (fun acc (d, k, v) ->
-          if String.equal d dict && String.equal k key then
-            match v with Value.V_int n -> n | _ -> acc
-          else acc)
-        0
-        (Platform.bee_state_entries ctx.cx_platform bee)
-    in
-    Some (bee, n)
+    let v = Platform.read ctx.cx_platform ~app ~dict ~key in
+    Some (bee, match v with Some (Value.V_int n) -> n | _ -> 0)
 
 let observed ctx key = observed_in ctx ~app:ctx.cx_app ~dict:ctx.cx_dict key
 

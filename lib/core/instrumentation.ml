@@ -347,22 +347,18 @@ let install platform cfg =
   handle
 
 let loads handle =
-  match Platform.find_owner handle.platform ~app:app_name (Cell.whole dict_loads) with
-  | None -> []
-  | Some bee ->
-    Platform.bee_state_entries handle.platform bee
-    |> List.filter_map (fun (dict, key, v) ->
-           match v with
-           | V_load l when String.equal dict dict_loads ->
-             Some
-               {
-                 bl_bee = int_of_string key;
-                 bl_app = l.l_app;
-                 bl_hive = l.l_hive;
-                 bl_processed = int_of_float l.l_processed;
-                 bl_in_by_hive = l.l_in_by_hive;
-               }
-           | _ -> None)
-    |> List.sort (fun a b -> Int.compare a.bl_bee b.bl_bee)
+  Platform.read_dict handle.platform ~app:app_name ~dict:dict_loads
+  |> List.filter_map (function
+       | key, V_load l ->
+         Some
+           {
+             bl_bee = int_of_string key;
+             bl_app = l.l_app;
+             bl_hive = l.l_hive;
+             bl_processed = int_of_float l.l_processed;
+             bl_in_by_hive = l.l_in_by_hive;
+           }
+       | _ -> None)
+  |> List.sort (fun a b -> Int.compare a.bl_bee b.bl_bee)
 
 let performed_migrations handle = !(handle.performed)

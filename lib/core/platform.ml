@@ -1070,6 +1070,23 @@ let find_owner t ~app cell =
   | [] -> None
   | b :: _ -> Some b
 
+let read t ~app ~dict ~key =
+  match find_owner t ~app (Cell.cell dict key) with
+  | None -> None
+  | Some id -> State.find (Hashtbl.find t.bees id).state ~dict ~key
+
+(* Owners hold disjoint keys, each list in key order, so merging keeps
+   key order. *)
+let read_dict t ~app ~dict =
+  List.fold_left
+    (fun acc id ->
+      List.merge
+        (fun (a, _) (b, _) -> String.compare a b)
+        acc
+        (State.entries (Hashtbl.find t.bees id).state ~dict))
+    []
+    (Registry.owners_of_dict t.reg ~app ~dict)
+
 (* Bee ids are dense and [t.bees] never drops one, so walking the ids
    visits every bee in ascending id order. *)
 let iter_windows t ~hive f =

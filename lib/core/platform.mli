@@ -160,11 +160,12 @@ val live_bees : t -> bee_view list
 val bee_stats : t -> int -> Stats.t option
 
 val bee_state_entries : t -> int -> (string * string * Value.t) list
-(** Read-only snapshot of the bee's committed state, in (dict, key) order:
-    the same [State] its handlers read, with or without durability. A
-    crashed bee shows its last in-memory state until {!restart_hive}
-    revives it from the WAL; compare {!durable_bee_entries}, which is what
-    that revival will read. *)
+(** A copy of the whole bee's committed state, in (dict, key) order: the
+    snapshot the state digests and the recovery-identity checks compare.
+    To read one cell or one dictionary, use {!read} or {!read_dict},
+    which copy nothing else. A crashed bee shows its last in-memory state
+    until {!restart_hive} revives it from the WAL; compare
+    {!durable_bee_entries}, which is what that revival will read. *)
 
 (** {2 Durability}
 
@@ -238,6 +239,17 @@ val restart_hive : t -> int -> unit
     Without durability only new local bees can form there again. *)
 
 val find_owner : t -> app:string -> Cell.t -> int option
+
+val read : t -> app:string -> dict:string -> key:string -> Value.t option
+(** The committed value of cell [(dict, key)] of [app]: what its one
+    owner ({!find_owner}) holds, read in place. [None] when no bee owns
+    the cell or the owner holds no value for it. Pending writes of a
+    running transaction are not seen. *)
+
+val read_dict : t -> app:string -> dict:string -> (string * Value.t) list
+(** The committed keys and values of [dict] across every bee of [app]
+    that owns a cell of it ({!Registry.owners_of_dict}), in key order:
+    the whole dictionary, wherever its keys are placed. *)
 
 val iter_windows : t -> hive:int -> (bee:int -> app:string -> Stats.window -> unit) -> unit
 (** Takes ({!Stats.take_window}) the stats window of every live bee on a

@@ -217,6 +217,11 @@ let insert t entries =
     (fun (dname, k, v) -> Hashtbl.replace t.dicts dname (SMap.add k (ref v) (dict_map t dname)))
     entries
 
+let find t ~dict ~key =
+  match SMap.find_opt key (dict_map t dict) with Some c -> Some !c | None -> None
+
+let entries t ~dict = SMap.fold (fun k c acc -> (k, !c) :: acc) (dict_map t dict) [] |> List.rev
+
 let snapshot t =
   List.concat_map
     (fun dname ->

@@ -36,6 +36,18 @@ val size_bytes : t -> int
 (** Estimated serialized size of all entries; the byte cost of migrating
     or replicating this state. *)
 
+(** {2 Committed reads}
+
+    Both read the committed cells in place, outside any transaction, and
+    copy nothing of the state: [find] allocates its option, [entries]
+    the list it returns. *)
+
+val find : t -> dict:string -> key:string -> Value.t option
+
+val entries : t -> dict:string -> (string * Value.t) list
+(** The keys and values of one dictionary, in [String.compare] key
+    order. *)
+
 (** {2 Transactions} *)
 
 val begin_tx : t -> tx

@@ -35,7 +35,6 @@ let measure_now sc =
 let rerouted_of sc =
   let platform = Scenario.platform sc in
   match (Scenario.config sc).Scenario.te with
-  | Scenario.Te_none -> 0
   | Scenario.Te_naive -> Beehive_apps.Te_naive.rerouted_count platform
   | Scenario.Te_decoupled -> Beehive_apps.Te_decoupled.rerouted_count platform
   | Scenario.Te_external -> (

@@ -10,7 +10,6 @@ module Switch_agent = Beehive_openflow.Switch_agent
 module Driver = Beehive_openflow.Driver
 
 type te_variant =
-  | Te_none
   | Te_naive
   | Te_decoupled
   | Te_external
@@ -31,7 +30,6 @@ type config = {
   te : te_variant;
   optimize : bool;
   adversarial_pin : bool;
-  durability : bool;
 }
 
 let default_config =
@@ -51,7 +49,6 @@ let default_config =
     te = Te_naive;
     optimize = false;
     adversarial_pin = false;
-    durability = false;
   }
 
 let quick_config =
@@ -78,21 +75,13 @@ type t = {
 
 let te_app_name cfg =
   match cfg.te with
-  | Te_none -> None
-  | Te_naive -> Some Beehive_apps.Te_naive.app_name
-  | Te_decoupled -> Some Beehive_apps.Te_decoupled.app_name
-  | Te_external -> Some Beehive_apps.Te_external.app_name
+  | Te_naive -> Beehive_apps.Te_naive.app_name
+  | Te_decoupled -> Beehive_apps.Te_decoupled.app_name
+  | Te_external -> Beehive_apps.Te_external.app_name
 
 let build cfg =
   let engine = Engine.create ~seed:cfg.seed () in
-  let pcfg =
-    {
-      (Platform.default_config ~n_hives:cfg.n_hives) with
-      Platform.durability =
-        (if cfg.durability then Some Beehive_store.Store.default_config else None);
-    }
-  in
-  let platform = Platform.create engine pcfg in
+  let platform = Platform.create engine (Platform.default_config ~n_hives:cfg.n_hives) in
   let topo = Topology.tree ~arity:cfg.tree_arity ~n_switches:cfg.n_switches in
   (* Contiguous blocks of switches per master hive. *)
   let per_hive = max 1 ((cfg.n_switches + cfg.n_hives - 1) / cfg.n_hives) in
@@ -109,7 +98,6 @@ let build cfg =
   Platform.register_app platform (Driver.app ());
   let store =
     match cfg.te with
-    | Te_none -> None
     | Te_naive ->
       Platform.register_app platform (Beehive_apps.Te_naive.app ~delta:cfg.delta ());
       None
@@ -147,20 +135,18 @@ let build cfg =
   { cfg; engine; platform; topo; flows; cluster; instr; store }
 
 let adversarial_placement t =
-  match te_app_name t.cfg with
-  | None -> ()
-  | Some app ->
-    List.iter
-      (fun (v : Platform.bee_view) ->
-        if
-          String.equal v.Platform.view_app app
-          && (not v.Platform.view_is_local)
-          && v.Platform.view_hive <> 0
-        then
-          ignore
-            (Platform.migrate_bee t.platform ~bee:v.Platform.view_id ~to_hive:0
-               ~reason:"adversarial initial placement"))
-      (Platform.live_bees t.platform)
+  let app = te_app_name t.cfg in
+  List.iter
+    (fun (v : Platform.bee_view) ->
+      if
+        String.equal v.Platform.view_app app
+        && (not v.Platform.view_is_local)
+        && v.Platform.view_hive <> 0
+      then
+        ignore
+          (Platform.migrate_bee t.platform ~bee:v.Platform.view_id ~to_hive:0
+             ~reason:"adversarial initial placement"))
+    (Platform.live_bees t.platform)
 
 let run t =
   Engine.run_until t.engine t.cfg.warmup;

@@ -9,7 +9,6 @@
     measured window. *)
 
 type te_variant =
-  | Te_none
   | Te_naive
   | Te_decoupled
   | Te_external
@@ -36,10 +35,6 @@ type config = {
   adversarial_pin : bool;
       (** after warm-up, migrate every TE bee to hive 0 — the Section 5
           "Optimization" experiment's initial condition *)
-  durability : bool;
-      (** shadow every bee dictionary with the {!Beehive_store.Store}
-          WAL/snapshot engine (default knobs); fsync traffic appears on
-          the traffic-matrix diagonal *)
 }
 
 val default_config : config

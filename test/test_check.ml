@@ -97,7 +97,9 @@ let first_failure ?(outbox = false) ~inject profile =
   let rec sweep first_seed =
     if first_seed >= 200 then Alcotest.fail "bug not caught within 200 seeds"
     else
-      let report = Check.run ~outbox ~inject ~first_seed ~seeds:10 profile in
+      let report =
+        Check.run ~seeds:10 (Runner.make_cfg ~outbox ~inject ~seed:first_seed profile)
+      in
       match report.Check.rp_failures with
       | [] -> sweep (first_seed + 10)
       | f :: _ -> f
@@ -198,7 +200,8 @@ let test_catches_checksums_off_bug () =
   let failures =
     List.concat_map
       (fun seed ->
-        (Check.run ~inject:Platform.Checksums_off ~first_seed:seed ~seeds:1 Script.Disk)
+        (Check.run ~seeds:1
+           (Runner.make_cfg ~inject:Platform.Checksums_off ~seed Script.Disk))
           .Check.rp_failures)
       pinned
   in

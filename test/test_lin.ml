@@ -206,8 +206,9 @@ let test_catches_stale_read_bug () =
     if first_seed >= 200 then Alcotest.fail "bug not caught within 200 seeds"
     else
       let report =
-        Check.run ~lin:true ~inject:Beehive_core.Platform.Stale_read ~first_seed ~seeds:10
-          Script.Migration
+        Check.run ~seeds:10
+          (Beehive_check.Runner.make_cfg ~lin:true ~inject:Beehive_core.Platform.Stale_read
+             ~seed:first_seed Script.Migration)
       in
       match report.Check.rp_failures with
       | [] -> sweep (first_seed + 10)

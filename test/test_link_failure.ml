@@ -58,19 +58,9 @@ let setup () =
   (engine, platform, topo, cluster)
 
 let route_paths platform =
-  match
-    Platform.find_owner platform ~app:Te.app_name (Beehive_core.Cell.whole Te.dict_route)
-  with
-  | None -> []
-  | Some bee ->
-    List.filter_map
-      (fun (dict, key, v) ->
-        if dict = Te.dict_route then
-          match v with
-          | Te.V_rerouted { r_path; _ } -> Some (int_of_string key, r_path)
-          | _ -> None
-        else None)
-      (Platform.bee_state_entries platform bee)
+  List.filter_map
+    (function key, Te.V_rerouted { r_path; _ } -> Some (int_of_string key, r_path) | _ -> None)
+    (Platform.read_dict platform ~app:Te.app_name ~dict:Te.dict_route)
 
 let test_reroute_repair_on_link_failure () =
   let engine, platform, _, cluster = setup () in

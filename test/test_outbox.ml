@@ -95,18 +95,13 @@ let drain engine =
 let inject platform ~from key =
   Platform.inject platform ~from:(Channels.Hive from) ~kind:k_fwd (Fwd key)
 
+(* The key's counter, 0 until its owner writes one; [None] while the
+   key has no owner. *)
 let counter platform ~app ~dict key =
-  match Platform.find_owner platform ~app (Cell.cell dict key) with
-  | None -> None
-  | Some bee ->
-    Some
-      (List.fold_left
-         (fun acc (d, k, v) ->
-           match v with
-           | Value.V_int n when String.equal d dict && String.equal k key -> n
-           | _ -> acc)
-         0
-         (Platform.bee_state_entries platform bee))
+  Option.map
+    (fun _ ->
+      match Platform.read platform ~app ~dict ~key with Some (Value.V_int n) -> n | _ -> 0)
+    (Platform.find_owner platform ~app (Cell.cell dict key))
 
 let kv_count platform key = counter platform ~app:"t.kv" ~dict:"store" key
 let journal_count platform key = counter platform ~app:"t.fwd" ~dict:"journal" key

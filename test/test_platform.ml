@@ -87,6 +87,83 @@ let test_whole_dict_merges_bees () =
   Alcotest.(check int) "late key joins mega bee" mega (owner_exn platform ~app:"test.kv" "k-late");
   Registry.check_invariant (Platform.registry platform)
 
+(* The read path [Platform.read] and [Platform.read_dict] replaced, kept
+   as their oracle: find an owner, copy its whole state, scan the copy. *)
+let scan_read platform ~app ~dict ~key =
+  match Platform.find_owner platform ~app (Cell.cell dict key) with
+  | None -> None
+  | Some bee ->
+    List.find_map
+      (fun (d, k, v) -> if String.equal d dict && String.equal k key then Some v else None)
+      (Platform.bee_state_entries platform bee)
+
+let dict_entries platform ~dict bee =
+  List.filter_map
+    (fun (d, k, v) -> if String.equal d dict then Some (k, v) else None)
+    (Platform.bee_state_entries platform bee)
+
+(* The union of every owner's entries of [dict], in key order. *)
+let scan_dict platform ~app ~dict =
+  List.concat_map
+    (fun v ->
+      if String.equal v.Platform.view_app app then dict_entries platform ~dict v.Platform.view_id
+      else [])
+    (Platform.live_bees platform)
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let value = Alcotest.testable Value.pp ( = )
+
+let test_reads_follow_ownership () =
+  let app = "test.kv" and dict = "store" in
+  let engine, platform =
+    make_platform ~apps:[ kv_app ~with_whole_dict_reader:true () ] ()
+  in
+  let keys = List.init 6 (Printf.sprintf "k%d") in
+  let check_reads step =
+    List.iter
+      (fun key ->
+        Alcotest.(check (option value))
+          (Printf.sprintf "%s: read %s" step key)
+          (scan_read platform ~app ~dict ~key)
+          (Platform.read platform ~app ~dict ~key))
+      ("absent" :: "__total" :: keys);
+    let union = scan_dict platform ~app ~dict in
+    Alcotest.(check (list (pair string value)))
+      (step ^ ": read_dict") union
+      (Platform.read_dict platform ~app ~dict);
+    union
+  in
+  List.iteri (fun i key -> put platform ~from:(i mod 4) ~key ~value:(i + 1)) keys;
+  drain engine;
+  let owners = Registry.owners_of_dict (Platform.registry platform) ~app ~dict in
+  Alcotest.(check int) "keys split over six bees" 6 (List.length owners);
+  let union = check_reads "split" in
+  Alcotest.(check int) "read_dict sees every owner's key" 6 (List.length union);
+  (* Reading only the lowest-id owner, as a whole-dict reader must not,
+     drops the other owners' keys. *)
+  let lowest = Option.get (Platform.find_owner platform ~app (Cell.whole dict)) in
+  Alcotest.(check int) "the lowest owner holds one key" 1
+    (List.length (dict_entries platform ~dict lowest));
+  Platform.inject platform ~from:(Channels.Hive 2) ~kind:k_get_all Get_all;
+  drain engine;
+  let winner =
+    match Registry.owners_of_dict (Platform.registry platform) ~app ~dict with
+    | [ b ] -> b
+    | l -> Alcotest.failf "merge left %d owners" (List.length l)
+  in
+  Alcotest.(check int) "merged: six keys and the total" 7 (List.length (check_reads "merged"));
+  let to_hive = ((Option.get (Platform.bee_view platform winner)).Platform.view_hive + 1) mod 4 in
+  Alcotest.(check bool) "winner migrates" true
+    (Platform.migrate_bee platform ~bee:winner ~to_hive ~reason:"test");
+  drain engine;
+  Alcotest.(check int) "migrated winner still owns the dict" to_hive
+    (Option.get (Platform.bee_view platform winner)).Platform.view_hive;
+  put platform ~from:1 ~key:"k0" ~value:10;
+  drain engine;
+  ignore (check_reads "migrated");
+  Alcotest.(check (option value)) "write after migration" (Some (Value.V_int 11))
+    (Platform.read platform ~app ~dict ~key:"k0")
+
 (* A merge leaves the losing bees dead, but the messages they handled
    still count towards the cluster-wide latency percentiles. *)
 let test_latency_percentile_counts_merged_bees () =
@@ -546,6 +623,7 @@ let suite =
         Alcotest.test_case "same key -> same bee" `Quick test_same_key_same_bee_any_origin;
         Alcotest.test_case "different keys shard" `Quick test_different_keys_shard;
         Alcotest.test_case "whole-dict access merges bees" `Quick test_whole_dict_merges_bees;
+        Alcotest.test_case "reads follow ownership changes" `Quick test_reads_follow_ownership;
         Alcotest.test_case "latency percentiles count merged bees" `Quick
           test_latency_percentile_counts_merged_bees;
         Alcotest.test_case "access violation aborts tx" `Quick test_access_violation_aborts;
