@@ -13,7 +13,7 @@ type delivery = {
   d_msg : Message.t;
   d_handler : App.handler;
   d_allowed : allowed;
-  d_src_hive : int option;
+  d_src_hive : int;  (** the hive the message came from; -1 for a system message *)
   d_outbox : (int * int) option;
       (** (sender bee, outbox seq) when the message rides the exactly-once
           path: the receiver dedups against its durable inbox and acks the
@@ -27,11 +27,29 @@ type t = {
   app : App.t;
   mutable hive : int;
   mutable state : State.t;
-  mailbox : delivery Queue.t;
+  mailbox : delivery Mailbox.t;
   stats : Stats.t;
   is_local : bool;
   rng : Beehive_sim.Rng.t;
   mutable busy : bool;
+  mutable handling : delivery;
+      (** from dispatch until its completion event runs, the delivery
+          whose handler that event runs; the platform's idle placeholder
+          otherwise *)
+  mutable handling_cost : Beehive_sim.Simtime.t;  (** [handling]'s handler cost *)
+  mutable handling_incarnation : int;  (** [incarnation] when [handling] was dispatched *)
+  mutable handling_event : Beehive_sim.Engine.handle;
+      (** the completion event scheduled for [handling] *)
+  mutable completion : unit -> unit;
+      (** set once, as the bee is created: its one completion callback,
+          scheduled once per
+          dispatched delivery. It runs the handler of [handling] only if
+          it is running as [handling_event] and [handling_incarnation]
+          is still the bee's, so a completion a crash left queued fires
+          as a no-op *)
+  mutable source : Message.source;
+      (** [From_bee] at the bee's hive, shared by every message it emits;
+          rebuilt when the bee has moved *)
   mutable status : [ `Active | `Paused | `Crashed | `Dead ];
       (** [`Paused] while migrating or while a merge it participates in is
           in flight: incoming messages buffer in the mailbox. [`Crashed]

@@ -1,7 +1,7 @@
 exception Access_violation of { app : string; dict : string; key : string }
 
 type t = {
-  app : string;
+  src : Message.source;  (* the bee's [From_bee], the source of every emit *)
   bee : int;
   hive : int;
   now : unit -> Beehive_sim.Simtime.t;
@@ -21,23 +21,27 @@ type t = {
 and late =
   t -> Beehive_net.Channels.endpoint option -> ?size:int -> kind:string -> Message.payload -> unit
 
-let make ?read_shadow ~app ~bee ~hive ~now ~rng ~allowed ~tx ~message ~late () =
-  {
-    app;
-    bee;
-    hive;
-    now;
-    rng;
-    allowed;
-    tx;
-    read_shadow;
-    message;
-    emits = [];
-    sends = [];
-    closed = false;
-    late;
-  }
+let make ?read_shadow ~src ~now ~rng ~allowed ~tx ~message ~late () =
+  match src with
+  | Message.From_bee { bee; hive; _ } ->
+    {
+      src;
+      bee;
+      hive;
+      now;
+      rng;
+      allowed;
+      tx;
+      read_shadow;
+      message;
+      emits = [];
+      sends = [];
+      closed = false;
+      late;
+    }
+  | Message.From_endpoint _ | Message.From_system -> invalid_arg "Context.make: not a bee source"
 
+let app t = match t.src with Message.From_bee { app; _ } -> app | _ -> ""
 let bee_id t = t.bee
 let hive_id t = t.hive
 let now t = t.now ()
@@ -57,11 +61,11 @@ let visible t ~dict key =
     t.allowed
 
 let check t ~dict ~key =
-  if not (visible t ~dict key) then raise (Access_violation { app = t.app; dict; key })
+  if not (visible t ~dict key) then raise (Access_violation { app = app t; dict; key })
 
 let check_dict t ~dict =
   if not (Cell.Set.exists (fun a -> String.equal a.Cell.dict dict) t.allowed) then
-    raise (Access_violation { app = t.app; dict; key = "*" })
+    raise (Access_violation { app = app t; dict; key = "*" })
 
 let shadow_get t ~dict ~key =
   match t.read_shadow with
@@ -111,8 +115,7 @@ let iter_dict t ~dict f =
   | None -> State.tx_iter t.tx ~dict f
 
 let bee_message t ?size ~kind payload =
-  let src = Message.From_bee { bee = t.bee; hive = t.hive; app = t.app } in
-  Message.make ?size ~kind ~src ~sent_at:(t.now ()) payload
+  Message.make ?size ~kind ~src:t.src ~sent_at:(t.now ()) payload
 
 let emit t ?size ~kind payload =
   if t.closed then t.late t None ?size ~kind payload

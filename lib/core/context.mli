@@ -17,9 +17,7 @@ type late =
 
 val make :
   ?read_shadow:(string * string * Value.t) list ->
-  app:string ->
-  bee:int ->
-  hive:int ->
+  src:Message.source ->
   now:(unit -> Beehive_sim.Simtime.t) ->
   rng:Beehive_sim.Rng.t ->
   allowed:Cell.Set.t ->
@@ -29,11 +27,13 @@ val make :
   unit ->
   t
 (** Used by the platform (and by tests that drive handlers directly).
-    [message] is the message being handled. [read_shadow], when given,
-    serves all {e pure} reads ({!get}, {!mem}, {!iter_dict}) from the
-    snapshot instead of the transaction — the
-    hook behind the injected [Platform.Stale_read] bug. Writes and {!update}'s
-    read-modify-write are never shadowed. *)
+    [src] is the handling bee's [Message.From_bee] (any other source
+    raises [Invalid_argument]); every message the handler emits carries
+    this very value. [message] is the message being handled.
+    [read_shadow], when given, serves all {e pure} reads ({!get},
+    {!mem}, {!iter_dict}) from the snapshot instead of the transaction —
+    the hook behind the injected [Platform.Stale_read] bug. Writes and
+    {!update}'s read-modify-write are never shadowed. *)
 
 val bee_id : t -> int
 val hive_id : t -> int

@@ -160,7 +160,7 @@ let merge engine ~chans ~reg ~hives ~outbox ~store ~resume
         (Channels.transfer chans ~src:(Channels.Hive l.hive)
            ~dst:(Channels.Hive winner.hive) ~bytes ~now:(Engine.now engine));
     Registry.reassign_all reg ~from_bee:l.id ~to_bee:winner.id;
-    Queue.transfer l.mailbox winner.mailbox;
+    Mailbox.transfer l.mailbox winner.mailbox;
     l.status <- `Dead;
     l.forwarded_to <- Some winner;
     (* Re-home the merged-away bee so outbox replay of its surviving

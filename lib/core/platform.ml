@@ -79,6 +79,17 @@ let delivery msg handler allowed src_hive outbox : Bee.delivery =
     d_attempts = 0;
   }
 
+type Message.payload += Idle
+
+(* What an idle bee's [handling] and its mailbox's empty slots hold. *)
+let idle : Bee.delivery =
+  let msg =
+    { Message.msg_id = 0; kind = ""; payload = Idle; size = 0; src = Message.From_system;
+      sent_at = Simtime.zero }
+  in
+  let handler = App.handler ~kind:"" ~map:(fun _ -> Mapping.Drop) (fun _ _ -> ()) in
+  delivery msg handler Bee.A_all (-1) None
+
 type migration = {
   mig_at : Simtime.t;
   mig_bee : int;
@@ -229,37 +240,9 @@ let register_endpoint t ep cb = Hashtbl.replace t.endpoints ep cb
 
 let get_bee t id = Hashtbl.find_opt t.bees id
 
-let new_bee t ~(app : App.t) ~hive ~is_local =
-  let id = t.next_bee in
-  t.next_bee <- t.next_bee + 1;
-  let b : bee =
-    {
-      id;
-      app;
-      hive;
-      state = State.create ();
-      mailbox = Queue.create ();
-      stats = Stats.create ();
-      is_local;
-      rng = Rng.split (Engine.rng t.engine);
-      busy = false;
-      status = `Active;
-      incarnation = 0;
-      fenced = false;
-      pending_migration = None;
-      on_idle = [];
-      forwarded_to = None;
-      stale_shadow = None;
-      stale_until = Simtime.zero;
-    }
-  in
-  Hashtbl.add t.bees id b;
-  ignore (Registry.register_bee t.reg ~bee_id:id ~app:app.App.name ~hive);
-  b
-
 let kill_bee t b =
   b.status <- `Dead;
-  Queue.clear b.mailbox;
+  Mailbox.clear b.mailbox;
   Registry.unassign_bee t.reg ~bee:b.id;
   (* The bee is gone for good: its un-acked emits die with it. *)
   Outbox.drop_sender t.outbox b.id;
@@ -272,30 +255,23 @@ let kill_local_bee t b =
   Hashtbl.remove t.local_bees (b.app.App.name, b.hive);
   Registry.unassign_bee t.reg ~bee:b.id
 
-let local_bee_of t ~(app : App.t) ~hive =
-  match Hashtbl.find_opt t.local_bees (app.App.name, hive) with
-  | Some id -> get_bee t id
-  | None ->
-    if not (hive_alive t hive) then None
-    else begin
-      let b = new_bee t ~app ~hive ~is_local:true in
-      Hashtbl.replace t.local_bees (app.App.name, hive) b.id;
-      Some b
-    end
-
 (* ------------------------------------------------------------------ *)
 (* Transmission and the outbox ack path                                *)
 (* ------------------------------------------------------------------ *)
+
+(* [Channels.Hive h], shared: naming a hive allocates nothing. *)
+let hive_ep t h = Channels.hive_endpoint t.chans h
 
 let origin_hive_of t = function
   | Channels.Hive h -> h
   | Channels.Switch s -> Channels.master_of t.chans s
 
+(* The hive a message came from; -1 for a system message. *)
 let resolve_src t (msg : Message.t) =
   match msg.Message.src with
-  | Message.From_bee { hive; _ } -> Some hive
-  | Message.From_endpoint ep -> Some (origin_hive_of t ep)
-  | Message.From_system -> None
+  | Message.From_bee { hive; _ } -> hive
+  | Message.From_endpoint ep -> origin_hive_of t ep
+  | Message.From_system -> -1
 
 (* Moves [bytes] from [src_ep] to hive [dst_hive] and runs [k] on arrival
    plus [extra] (e.g. lock-service latency already charged). Same-hive
@@ -304,7 +280,7 @@ let resolve_src t (msg : Message.t) =
    arrive. *)
 let transmit t ~src_ep ~dst_hive ~bytes ~extra ?on_drop k =
   let src_hive = origin_hive_of t src_ep in
-  let dst_ep = Channels.Hive dst_hive in
+  let dst_ep = hive_ep t dst_hive in
   if src_hive = dst_hive then begin
     let lat = Channels.transfer t.chans ~src:src_ep ~dst:dst_ep ~bytes ~now:(now t) in
     ignore (Engine.schedule_after t.engine (Simtime.add lat extra) k)
@@ -322,7 +298,7 @@ let transmit t ~src_ep ~dst_hive ~bytes ~extra ?on_drop k =
       if Simtime.to_us extra = 0 then k
       else fun () -> ignore (Engine.schedule_after t.engine extra k)
     in
-    Transport.send t.transport ~src:src_ep ~dst:dst_ep ~bytes ~on_drop ~deliver ()
+    Transport.send t.transport ~src:src_ep ~dst:dst_ep ~bytes ~on_drop ~deliver
   end
 
 let duplicate_delivery t (b : bee) (d : Bee.delivery) =
@@ -354,7 +330,7 @@ let send_outbox_ack t ~from_hive ~sender ~seq ~receiver =
   match get_bee t sender with
   | None -> ()
   | Some sb ->
-    transmit t ~src_ep:(Channels.Hive from_hive) ~dst_hive:sb.hive ~bytes:16
+    transmit t ~src_ep:(hive_ep t from_hive) ~dst_hive:sb.hive ~bytes:16
       ~extra:Simtime.zero (fun () -> handle_outbox_ack t ~sender ~seq ~receiver)
 
 let ack_duplicate t (b : bee) (d : Bee.delivery) =
@@ -409,7 +385,7 @@ let drain_outbox_acks t hive =
       Outbox.keep_acks t.outbox ~hive (sort_acks t s by_dst queue);
       Hashtbl.iter
         (fun dst acks ->
-          transmit t ~src_ep:(Channels.Hive hive) ~dst_hive:dst
+          transmit t ~src_ep:(hive_ep t hive) ~dst_hive:dst
             ~bytes:(16 * List.length acks) ~extra:Simtime.zero
             (fun () -> handle_outbox_acks t acks))
         by_dst)
@@ -446,9 +422,17 @@ let allowed_cells t (b : bee) = function
       Cell.Set.filter (fun c -> String.equal c.Cell.dict dict) info.Registry.bee_cells)
   | Bee.A_all -> Cell.Set.of_list (List.map Cell.whole b.app.App.dicts)
 
+(* The bee's [From_bee] source, rebuilt only once the bee has moved. *)
+let source_of (b : bee) =
+  match b.source with
+  | Message.From_bee { hive; _ } when hive = b.hive -> b.source
+  | Message.From_bee _ | Message.From_endpoint _ | Message.From_system ->
+    let src = Message.From_bee { bee = b.id; hive = b.hive; app = b.app.App.name } in
+    b.source <- src;
+    src
+
 let bee_message t (b : bee) ?size ~kind payload =
-  let src = Message.From_bee { bee = b.id; hive = b.hive; app = b.app.App.name } in
-  Message.make ?size ~kind ~src ~sent_at:(now t) payload
+  Message.make ?size ~kind ~src:(source_of b) ~sent_at:(now t) payload
 
 let emitter_of (b : bee) = Some (b.id, b.app.App.name, b.hive)
 
@@ -519,7 +503,7 @@ let still_current (b : bee) inc =
 
 let deliver_endpoint t (b : bee) ep (m : Message.t) =
   let lat =
-    Channels.transfer t.chans ~src:(Channels.Hive b.hive) ~dst:ep ~bytes:m.Message.size
+    Channels.transfer t.chans ~src:(hive_ep t b.hive) ~dst:ep ~bytes:m.Message.size
       ~now:(now t)
   in
   match Hashtbl.find_opt t.endpoints ep with
@@ -609,9 +593,9 @@ let open_context t (b : bee) (d : Bee.delivery) =
      cannot ride the commit, so [t.late] dispatches them immediately —
      and they get none of the exactly-once guarantees, which is
      precisely the external-store liability the paper argues against. *)
-  Context.make ?read_shadow ~app:b.app.App.name ~bee:b.id ~hive:b.hive ~now:t.clock
-    ~rng:b.rng ~allowed:(allowed_cells t b d.d_allowed) ~tx:(State.begin_tx b.state)
-    ~message:msg ~late:t.late ()
+  Context.make ?read_shadow ~src:(source_of b) ~now:t.clock ~rng:b.rng
+    ~allowed:(allowed_cells t b d.d_allowed) ~tx:(State.begin_tx b.state) ~message:msg
+    ~late:t.late ()
 
 let run_handler (d : Bee.delivery) ctx =
   let failure =
@@ -628,8 +612,8 @@ let rec forwarded t (b : bee) =
   | _ -> b
 
 let rec maybe_process t (b : bee) =
-  if b.status = `Active && (not b.busy) && not (Queue.is_empty b.mailbox) then begin
-    let d = Queue.pop b.mailbox in
+  if b.status = `Active && (not b.busy) && not (Mailbox.is_empty b.mailbox) then begin
+    let d = Mailbox.pop b.mailbox in
     if duplicate_delivery t b d then begin
       (* Already consumed (durable inbox): suppress the handler entirely
          and re-ack the sender, whose previous ack evidently got lost. *)
@@ -647,14 +631,24 @@ let rec maybe_process t (b : bee) =
         t.n_handler_faults <- t.n_handler_faults + 1;
         App.default_cost
     in
-    let inc = b.incarnation in
-    ignore
-      (Engine.schedule_after t.engine cost (fun () ->
-           if still_current b inc then begin
-             let ctx = open_context t b d in
-             complete t b d cost ctx (run_handler d ctx)
-           end))
+    b.handling <- d;
+    b.handling_cost <- cost;
+    b.handling_incarnation <- b.incarnation;
+    b.handling_event <- Engine.schedule_after t.engine cost b.completion
     end
+  end
+
+(* The bee's [completion] callback. Only the event scheduled for the
+   delivery in hand runs its handler: a completion left queued by a
+   crash finds another event in [handling_event] once the revived bee
+   dispatches again, or a bumped incarnation before that. *)
+and run_completion t (b : bee) =
+  if Engine.running t.engine == b.handling_event && still_current b b.handling_incarnation
+  then begin
+    let d = b.handling in
+    b.handling <- idle;
+    let ctx = open_context t b d in
+    complete t b d b.handling_cost ctx (run_handler d ctx)
   end
 
 and complete t (b : bee) (d : Bee.delivery) cost ctx failure =
@@ -700,7 +694,7 @@ and complete t (b : bee) (d : Bee.delivery) cost ctx failure =
     | Some _ | None ->
       (* Untracked emits (no store, or a local bee) dispatch at commit
          time. *)
-      if emits <> [] then route_emits t ~src_ep:(Channels.Hive b.hive) emits;
+      if emits <> [] then route_emits t ~src_ep:(hive_ep t b.hive) emits;
       deliver_sends t b sends;
       replicate t b ~pending ~last:0 [] ~inbox:[])
   | Some exn ->
@@ -720,7 +714,7 @@ and complete t (b : bee) (d : Bee.delivery) cost ctx failure =
         (Engine.schedule_after t.engine delay (fun () ->
              match b.status with
              | (`Active | `Paused) when b.incarnation = inc ->
-               Queue.push d b.mailbox;
+               Mailbox.push d b.mailbox;
                maybe_process t b
              | _ -> ()))
     | None -> quarantine_delivery t b d exn);
@@ -743,86 +737,87 @@ and enqueue t (b : bee) d =
   match b.status with
   | `Dead | `Crashed -> drop t Dead_target
   | `Active | `Paused ->
-    Queue.push d b.mailbox;
+    Mailbox.push d b.mailbox;
     maybe_process t b
 
 (* Applies the {!Route_plan} for one Cells leg, then sends the message to
    the bee it picked. *)
 and route_cells t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin ~outbox cs msg =
-  let src = resolve_src t msg in
   let name = app.App.name in
-  let target, extra =
-    match
-      Route_plan.decide t.reg t.hives t.lookup_cache ~version:t.version ~app:name ~origin cs
-    with
-    | Route_plan.Create home ->
-      let b = new_bee t ~app ~hive:home ~is_local:false in
-      if hive_fenced t home then begin
-        (* A fenced hive still serves its side of a partition, but its
-           new bees pause until the hive rejoins. *)
-        b.fenced <- true;
-        b.status <- `Paused
-      end;
-      Registry.assign t.reg ~bee:b.id cs;
-      t.version <- t.version + 1;
-      (Some b, Cell_locks.charge_rpc t.locks ~hive:origin)
-    | Route_plan.Use { bee; claim = cells; lookup } ->
-      let b = get_bee t bee in
+  match
+    Route_plan.decide t.reg t.hives t.lookup_cache ~version:t.version ~app:name ~origin cs
+  with
+  | Route_plan.Create home ->
+    let b = new_bee t ~app ~hive:home ~is_local:false in
+    if hive_fenced t home then begin
+      (* A fenced hive still serves its side of a partition, but its
+         new bees pause until the hive rejoins. *)
+      b.fenced <- true;
+      b.status <- `Paused
+    end;
+    Registry.assign t.reg ~bee:b.id cs;
+    t.version <- t.version + 1;
+    let extra = Cell_locks.charge_rpc t.locks ~hive:origin in
+    send_cells t b ~extra ~handler ~src_ep ~outbox cs msg
+  | Route_plan.Use { bee; claim = cells; lookup } ->
+    let b = Hashtbl.find t.bees bee in
+    let extra =
       if not (Cell.Set.is_empty cells) then begin
         Registry.assign t.reg ~bee cells;
         t.version <- t.version + 1;
-        (b, Cell_locks.charge_rpc t.locks ~hive:origin)
+        Cell_locks.charge_rpc t.locks ~hive:origin
       end
       else if lookup then begin
         (* Remote owner: consult the (cached) lock service. *)
         let extra = Cell_locks.charge_rpc t.locks ~hive:origin in
-        Hashtbl.replace t.lookup_cache (Route_plan.cache_key ~origin ~app:name cs)
-          (bee, t.version);
-        (b, extra)
+        Route_plan.remember t.lookup_cache ~origin ~app:name cs ~owner:bee ~version:t.version;
+        extra
       end
-      else (b, Simtime.zero)
-    | Route_plan.Merge { winner; losers } ->
-      (* Claiming the mapped cells must wait for every loser's deferred
-         fold-in: a busy loser still owns its cells until it goes idle,
-         and assigning a wildcard before then would break
-         single-ownership. The winner stays paused meanwhile, so the
-         message delivered below queues behind the completed merge. *)
-      let winner = Hashtbl.find t.bees winner in
-      t.n_merges <- t.n_merges + List.length losers;
-      t.version <- t.version + 1;
-      Migration.merge t.engine ~chans:t.chans ~reg:t.reg ~hives:t.hives
-        ~outbox:t.outbox ~store:t.store ~resume:(maybe_process t)
-        ~winner ~losers:(List.map (Hashtbl.find t.bees) losers) ~k:(fun () ->
-          Registry.assign t.reg ~bee:winner.id (Route_plan.unowned t.reg ~bee:winner.id cs));
-      let extra = Cell_locks.charge_rpc t.locks ~hive:origin in
-      t.version <- t.version + 1;
-      (Some winner, extra)
-    | Route_plan.Drop -> (None, Simtime.zero)
-  in
-  match target with
-  | None -> drop t Dead_target
-  | Some b ->
-    if hive_crashed t b.hive then drop t Dead_target
-    else begin
-      let d_outbox =
-        match outbox with
-        | Some _ -> outbox
-        | None ->
-          (* Injected, system and local-origin messages get a virtual
-             exactly-once id (sender -1): never replayed or acked, but
-             the receiver's durable inbox mark closes the double-delivery
-             window a transport-level dedup reset (receiver crash) opens. *)
-          if (not b.is_local) && t.store <> None then
-            Some (-1, Outbox.next_virtual_seq t.outbox)
-          else None
-      in
-      let d = delivery msg handler (Bee.A_cells cs) src d_outbox in
-      (* Fenced targets still receive: the transport buffers through the
-         partition and the bee's paused mailbox holds the message until
-         the hive rejoins, so nothing is lost to a false suspicion. *)
-      transmit t ~src_ep ~dst_hive:b.hive ~bytes:msg.Message.size ~extra
-        (fun () -> enqueue t b d)
-    end
+      else Simtime.zero
+    in
+    send_cells t b ~extra ~handler ~src_ep ~outbox cs msg
+  | Route_plan.Merge { winner; losers } ->
+    (* Claiming the mapped cells must wait for every loser's deferred
+       fold-in: a busy loser still owns its cells until it goes idle,
+       and assigning a wildcard before then would break
+       single-ownership. The winner stays paused meanwhile, so the
+       message delivered below queues behind the completed merge. *)
+    let winner = Hashtbl.find t.bees winner in
+    t.n_merges <- t.n_merges + List.length losers;
+    t.version <- t.version + 1;
+    Migration.merge t.engine ~chans:t.chans ~reg:t.reg ~hives:t.hives
+      ~outbox:t.outbox ~store:t.store ~resume:(maybe_process t)
+      ~winner ~losers:(List.map (Hashtbl.find t.bees) losers) ~k:(fun () ->
+        Registry.assign t.reg ~bee:winner.id (Route_plan.unowned t.reg ~bee:winner.id cs));
+    let extra = Cell_locks.charge_rpc t.locks ~hive:origin in
+    t.version <- t.version + 1;
+    send_cells t winner ~extra ~handler ~src_ep ~outbox cs msg
+  | Route_plan.Drop -> drop t Dead_target
+
+(* Sends a Cells leg to the bee routing picked, [extra] (lock-service
+   time) after its transfer. *)
+and send_cells t (b : bee) ~extra ~handler ~src_ep ~outbox cs msg =
+  if hive_crashed t b.hive then drop t Dead_target
+  else begin
+    let d_outbox =
+      match outbox with
+      | Some _ -> outbox
+      | None ->
+        (* Injected, system and local-origin messages get a virtual
+           exactly-once id (sender -1): never replayed or acked, but
+           the receiver's durable inbox mark closes the double-delivery
+           window a transport-level dedup reset (receiver crash) opens. *)
+        if (not b.is_local) && t.store <> None then
+          Some (-1, Outbox.next_virtual_seq t.outbox)
+        else None
+    in
+    let d = delivery msg handler (Bee.A_cells cs) (resolve_src t msg) d_outbox in
+    (* Fenced targets still receive: the transport buffers through the
+       partition and the bee's paused mailbox holds the message until
+       the hive rejoins, so nothing is lost to a false suspicion. *)
+    transmit t ~src_ep ~dst_hive:b.hive ~bytes:msg.Message.size ~extra
+      (fun () -> enqueue t b d)
+  end
 
 and route_foreach t ~(app : App.t) ~(handler : App.handler) ~src_ep dict msg =
   let src = resolve_src t msg in
@@ -866,6 +861,54 @@ and route_local t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin msg =
       deliver_on h
     done
   | Message.From_bee _ | Message.From_endpoint _ -> deliver_on origin
+
+(* A bee's [completion] is its one callback for every handler it runs,
+   so [new_bee] sits in the dispatch knot. *)
+and new_bee t ~(app : App.t) ~hive ~is_local =
+  let id = t.next_bee in
+  t.next_bee <- t.next_bee + 1;
+  let b : bee =
+    {
+      id;
+      app;
+      hive;
+      state = State.create ();
+      mailbox = Mailbox.create ~filler:idle;
+      stats = Stats.create ();
+      is_local;
+      rng = Rng.split (Engine.rng t.engine);
+      busy = false;
+      handling = idle;
+      handling_cost = Simtime.zero;
+      handling_incarnation = 0;
+      handling_event = Engine.none;
+      completion = ignore;
+      source = Message.From_system;
+      status = `Active;
+      incarnation = 0;
+      fenced = false;
+      pending_migration = None;
+      on_idle = [];
+      forwarded_to = None;
+      stale_shadow = None;
+      stale_until = Simtime.zero;
+    }
+  in
+  b.completion <- (fun () -> run_completion t b);
+  Hashtbl.add t.bees id b;
+  ignore (Registry.register_bee t.reg ~bee_id:id ~app:app.App.name ~hive);
+  b
+
+and local_bee_of t ~(app : App.t) ~hive =
+  match Hashtbl.find_opt t.local_bees (app.App.name, hive) with
+  | Some id -> get_bee t id
+  | None ->
+    if not (hive_alive t hive) then None
+    else begin
+      let b = new_bee t ~app ~hive ~is_local:true in
+      Hashtbl.replace t.local_bees (app.App.name, hive) b.id;
+      Some b
+    end
 
 (* Maps [msg] for every subscriber and routes each leg; returns the
    number of Cells legs. An outbox replay ([first = false]) re-sends only
@@ -911,7 +954,7 @@ let late_emit t ctx ep ?size ~kind payload =
   call_emit_hooks ~parent:(Some (Context.message ctx)) ~child:m ~emitter:(emitter_of b)
     t.emit_hooks;
   match ep with
-  | None -> route t ~src_ep:(Channels.Hive b.hive) m
+  | None -> route t ~src_ep:(hive_ep t b.hive) m
   | Some ep -> deliver_endpoint t b ep m
 
 (* ------------------------------------------------------------------ *)
@@ -934,7 +977,7 @@ let rec dispatch_outbox_entry t e ~first =
     Outbox.start_attempt e ~now:(now t);
     arm_outbox_recheck t e;
     let legs =
-      route_subscribers t ~src_ep:(Channels.Hive b.hive) ~origin:b.hive
+      route_subscribers t ~src_ep:(hive_ep t b.hive) ~origin:b.hive
         ~outbox:(Some (Outbox.sender e, Outbox.seq e)) ~first (Outbox.msg e)
     in
     if Outbox.set_required e legs then retire_outbox_entry t e
@@ -982,7 +1025,7 @@ let inject t ~from ?size ~kind payload =
 let emit_system t ?hive ?size ~kind payload =
   let h = Option.value ~default:0 hive in
   let msg = Message.make ?size ~kind ~src:Message.From_system ~sent_at:(now t) payload in
-  route t ~src_ep:(Channels.Hive h) msg
+  route t ~src_ep:(hive_ep t h) msg
 
 (* Ticks originate on the lowest-numbered member hive that has not
    crashed (a crashed origin would drop them); with every member crashed
@@ -1033,7 +1076,7 @@ let view_of t (b : bee) =
     view_app = b.app.App.name;
     view_hive = b.hive;
     view_cells = cells;
-    view_queue = Queue.length b.mailbox;
+    view_queue = Mailbox.length b.mailbox;
     view_is_local = b.is_local;
     view_alive = (match b.status with
       | `Active | `Paused -> true
@@ -1204,7 +1247,7 @@ let crash_hive t h =
           b.busy <- false;
           b.fenced <- false;
           b.pending_migration <- None;
-          Queue.clear b.mailbox
+          Mailbox.clear b.mailbox
         end)
       (bees_on t h ~pred:(fun b -> b.status <> `Dead))
   end
@@ -1527,7 +1570,7 @@ let create engine cfg =
     local_bees = Hashtbl.create 64;
     next_bee = 0;
     version = 0;
-    lookup_cache = Hashtbl.create 1024;
+    lookup_cache = Route_plan.create_cache ();
     hives;
     endpoints = Hashtbl.create 64;
     store = None;
@@ -1560,7 +1603,7 @@ let create engine cfg =
     in
     let on_fsync ~hive ~bytes ~records:_ =
       ignore
-        (Channels.transfer t.chans ~src:(Channels.Hive hive) ~dst:(Channels.Hive hive)
+        (Channels.transfer t.chans ~src:(hive_ep t hive) ~dst:(hive_ep t hive)
            ~bytes ~now:(Engine.now engine));
       drain_outbox_acks t hive;
       List.iter (fun f -> f hive) t.fsync_hooks

@@ -16,7 +16,7 @@ let failover ~reg ~store ~outbox (b : Bee.t) ~from_hive ~to_hive r =
      anything the old instance still claims is void. *)
   b.hive <- to_hive;
   b.state <- State.restore r.entries;
-  Queue.clear b.mailbox;
+  Mailbox.clear b.mailbox;
   b.busy <- false;
   b.fenced <- false;
   b.pending_migration <- None;
@@ -53,7 +53,7 @@ let quarantine s ~outbox (b : Bee.t) detail =
   Store.quarantine s ~bee:b.id ~detail;
   Outbox.drop_sender outbox b.id;
   b.state <- State.create ();
-  Queue.clear b.mailbox;
+  Mailbox.clear b.mailbox;
   b.busy <- false;
   b.status <- `Dead;
   Log.info (fun m -> m "bee %d: corrupt storage quarantined (%s)" b.id detail)

@@ -23,7 +23,8 @@ type t = {
 let create () =
   { infos = Hashtbl.create 64; apps = Hashtbl.create 8; hive_cells = Hashtbl.create 8 }
 
-let cells_on_hive t ~hive = Option.value ~default:0 (Hashtbl.find_opt t.hive_cells hive)
+let cells_on_hive t ~hive =
+  match Hashtbl.find t.hive_cells hive with n -> n | exception Not_found -> 0
 
 let add_cells t ~hive n =
   if n <> 0 then Hashtbl.replace t.hive_cells hive (cells_on_hive t ~hive + n)
@@ -34,10 +35,13 @@ let set_cells t info cells =
   add_cells t ~hive:info.bee_hive (Cell.Set.cardinal cells - Cell.Set.cardinal info.bee_cells);
   info.bee_cells <- cells
 
+(* Lookups below use [Hashtbl.find] and [Not_found], not [find_opt]:
+   every message's routing goes through them, and a [Some] returned
+   across modules is an allocation. *)
 let app_index t app =
-  match Hashtbl.find_opt t.apps app with
-  | Some idx -> idx
-  | None ->
+  match Hashtbl.find t.apps app with
+  | idx -> idx
+  | exception Not_found ->
     let idx = { by_key = Hashtbl.create 64; by_wildcard = Hashtbl.create 4 } in
     Hashtbl.add t.apps app idx;
     idx
@@ -49,52 +53,73 @@ let register_bee t ~bee_id ~app ~hive =
   info
 
 let find_bee t id = Hashtbl.find_opt t.infos id
-let bee t id = match find_bee t id with Some b -> b | None -> raise Not_found
+let bee t id = Hashtbl.find t.infos id
 
 let dict_keys idx dict =
-  match Hashtbl.find_opt idx.by_key dict with
-  | Some keys -> keys
-  | None ->
+  match Hashtbl.find idx.by_key dict with
+  | keys -> keys
+  | exception Not_found ->
     let keys = Hashtbl.create 16 in
     Hashtbl.add idx.by_key dict keys;
     keys
 
+let no_owner = -1
+let several = -2
+
+let wildcard_owner idx dict =
+  match Hashtbl.find idx.by_wildcard dict with b -> b | exception Not_found -> no_owner
+
 let key_owner idx dict k =
-  match Hashtbl.find_opt idx.by_key dict with
-  | Some keys -> Hashtbl.find_opt keys k
-  | None -> None
+  match Hashtbl.find (Hashtbl.find idx.by_key dict) k with
+  | b -> b
+  | exception Not_found -> no_owner
+
+(* The owner of two disjoint parts of a cell set, from each part's. *)
+let join a b = if a = no_owner || a = b then b else if b = no_owner then a else several
+
+(* A keyed cell's owners are at most its dict's wildcard owner and its
+   key's owner. A wildcard's owner, if any, is its dict's only owner:
+   single ownership keeps every key of the dict away from other bees.
+   Without one, every key owner of the dict intersects it. *)
+let cell_owner idx (c : Cell.t) =
+  let w = wildcard_owner idx c.Cell.dict in
+  match c.Cell.key with
+  | Cell.Key k -> join w (key_owner idx c.Cell.dict k)
+  | Cell.All ->
+    if w <> no_owner then w
+    else (
+      match Hashtbl.find idx.by_key c.Cell.dict with
+      | keys -> Hashtbl.fold (fun _ b acc -> join acc b) keys no_owner
+      | exception Not_found -> no_owner)
+
+let set_owner idx cells =
+  if Cell.Set.cardinal cells = 1 then cell_owner idx (Cell.Set.choose cells)
+  else Cell.Set.fold (fun c acc -> join acc (cell_owner idx c)) cells no_owner
+
+let owner t ~app cells = set_owner (app_index t app) cells
 
 let scan_owners idx cells =
   let found = Hashtbl.create 4 in
-  let add b = Hashtbl.replace found b () in
+  let add b = if b <> no_owner then Hashtbl.replace found b () in
   Cell.Set.iter
     (fun c ->
       let dict = c.Cell.dict in
       (* Any cell of [dict] intersects the wildcard owner of [dict]. *)
-      (match Hashtbl.find_opt idx.by_wildcard dict with Some b -> add b | None -> ());
+      add (wildcard_owner idx dict);
       match c.Cell.key with
-      | Cell.Key k -> ( match key_owner idx dict k with Some b -> add b | None -> ())
+      | Cell.Key k -> add (key_owner idx dict k)
       | Cell.All -> (
         (* A wildcard intersects every owned key of the dictionary. *)
-        match Hashtbl.find_opt idx.by_key dict with
-        | Some keys -> Hashtbl.iter (fun _ b -> add b) keys
-        | None -> ()))
+        match Hashtbl.find idx.by_key dict with
+        | keys -> Hashtbl.iter (fun _ b -> add b) keys
+        | exception Not_found -> ()))
     cells;
   List.sort Int.compare (Hashtbl.fold (fun b () acc -> b :: acc) found [])
 
 let owners t ~app cells =
   let idx = app_index t app in
-  if Cell.Set.cardinal cells <> 1 then scan_owners idx cells
-  else
-    match Cell.Set.choose cells with
-    | { Cell.dict; key = Cell.Key k } -> (
-      (* One keyed cell, the usual routed mapping: its owners are at most
-         the wildcard owner and the key owner, found without a table. *)
-      match (Hashtbl.find_opt idx.by_wildcard dict, key_owner idx dict k) with
-      | None, None -> []
-      | Some b, None | None, Some b -> [ b ]
-      | Some a, Some b -> if a = b then [ a ] else [ min a b; max a b ])
-    | { Cell.key = Cell.All; _ } -> scan_owners idx cells
+  let o = set_owner idx cells in
+  if o = several then scan_owners idx cells else if o = no_owner then [] else [ o ]
 
 let owners_of_dict t ~app ~dict =
   owners t ~app (Cell.Set.singleton (Cell.whole dict))
@@ -103,13 +128,11 @@ let assign t ~bee cells =
   let info = Hashtbl.find t.infos bee in
   let idx = app_index t info.bee_app in
   (* Refuse assignment that would break single-ownership. *)
-  let conflicting =
-    owners t ~app:info.bee_app cells |> List.filter (fun b -> b <> bee)
-  in
-  if conflicting <> [] then
+  let o = set_owner idx cells in
+  if o <> no_owner && o <> bee then
     invalid_arg
       (Printf.sprintf "Registry.assign: cells conflict with bee %d"
-         (List.hd conflicting));
+         (List.find (fun b -> b <> bee) (scan_owners idx cells)));
   Cell.Set.iter
     (fun c ->
       match c.Cell.key with
@@ -122,13 +145,11 @@ let release_cells idx bee cells =
   Cell.Set.iter
     (fun c ->
       match c.Cell.key with
-      | Cell.Key k -> (
-        match Hashtbl.find_opt idx.by_key c.Cell.dict with
-        | Some keys when Hashtbl.find_opt keys k = Some bee -> Hashtbl.remove keys k
-        | Some _ | None -> ())
+      | Cell.Key k ->
+        if key_owner idx c.Cell.dict k = bee then
+          Hashtbl.remove (Hashtbl.find idx.by_key c.Cell.dict) k
       | Cell.All ->
-        if Hashtbl.find_opt idx.by_wildcard c.Cell.dict = Some bee then
-          Hashtbl.remove idx.by_wildcard c.Cell.dict)
+        if wildcard_owner idx c.Cell.dict = bee then Hashtbl.remove idx.by_wildcard c.Cell.dict)
     cells
 
 let unassign_bee t ~bee =

@@ -28,6 +28,21 @@ val find_bee : t -> int -> bee_info option
 val bee : t -> int -> bee_info
 (** Raises [Not_found]. *)
 
+val owner : t -> app:string -> Cell.Set.t -> int
+(** The one bee of [app] owning a cell that intersects the given set:
+    its id, {!no_owner} when no bee does, or {!several} when more than
+    one does. The routing path's lookup: it allocates nothing for a
+    keyed cell or an owned wildcard. A set of wildcards whose dicts
+    share one wildcard owner resolves to that owner without visiting
+    the dicts' keys, since single ownership leaves every owned key of
+    those dicts to it. *)
+
+val no_owner : int
+(** -1 *)
+
+val several : int
+(** -2 *)
+
 val owners : t -> app:string -> Cell.Set.t -> int list
 (** All distinct bees of [app] owning a cell that intersects the given
     set, in ascending bee id order. The platform's consistency rule: if

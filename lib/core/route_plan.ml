@@ -1,4 +1,40 @@
-type cache = (int * string * Cell.t, int * int) Hashtbl.t
+(* The lookup cache is keyed by (origin hive, app, first mapped cell).
+   A lookup fills the cache's one probe key in place instead of building
+   a key per message; only [remember] allocates a key. *)
+type key = { mutable k_origin : int; mutable k_app : string; mutable k_cell : Cell.t }
+
+module Keys = Hashtbl.Make (struct
+  type t = key
+
+  let equal a b =
+    a.k_origin = b.k_origin && String.equal a.k_app b.k_app && Cell.compare a.k_cell b.k_cell = 0
+
+  let hash = Hashtbl.hash
+end)
+
+type found = { owner : int; at_version : int }
+type cache = { found : found Keys.t; probe : key }
+
+let create_cache () =
+  { found = Keys.create 1024; probe = { k_origin = 0; k_app = ""; k_cell = Cell.whole "" } }
+
+let probe cache ~origin ~app cs =
+  let k = cache.probe in
+  k.k_origin <- origin;
+  k.k_app <- app;
+  k.k_cell <- Cell.Set.min_elt cs;
+  k
+
+let remember cache ~origin ~app cs ~owner ~version =
+  Keys.replace cache.found
+    { k_origin = origin; k_app = app; k_cell = Cell.Set.min_elt cs }
+    { owner; at_version = version }
+
+(* Whether the cache lacks [bee] as the owner found at [version]. *)
+let stale cache ~origin ~app cs ~bee ~version =
+  match Keys.find cache.found (probe cache ~origin ~app cs) with
+  | f -> f.owner <> bee || f.at_version <> version
+  | exception Not_found -> true
 
 type t =
   | Create of int
@@ -33,37 +69,37 @@ let unowned reg ~bee cs =
   if Cell.Set.subset cs owned then Cell.Set.empty
   else Cell.Set.filter (fun c -> not (Cell.Set.mem c owned)) cs
 
-let cache_key ~origin ~app cs = (origin, app, Cell.Set.min_elt cs)
+(* The mapped cells bridge several owners. A bee on a crashed hive must
+   never win a merge: merging would flip it `Paused -> `Active, so the
+   restart-time revival (which only looks at `Crashed bees) would skip it
+   and its volatile state — including writes whose group-commit batch
+   died with the hive — would silently survive the crash. Crashed owners
+   may only be losers (folded from their durable cut); if every owner is
+   crashed, their cells are unavailable until restart revives them and
+   the message is dropped like any other send to a dead hive. *)
+let merge reg hives ~app cs =
+  let info b = Registry.bee reg b in
+  let up, crashed =
+    List.partition
+      (fun b -> not (Hives.crashed hives (info b).Registry.bee_hive))
+      (Registry.owners reg ~app cs)
+  in
+  let cells b = Cell.Set.cardinal (info b).Registry.bee_cells in
+  let by_size x y = match Int.compare (cells y) (cells x) with 0 -> Int.compare x y | c -> c in
+  match List.sort by_size up with
+  | [] -> Drop
+  | winner :: rest -> Merge { winner; losers = rest @ crashed }
 
-let decide reg hives (cache : cache) ~version ~app ~origin cs =
-  match Registry.owners reg ~app cs with
-  | [] -> Create (placement_hive reg hives ~origin)
-  | [ bee ] ->
+let decide reg hives cache ~version ~app ~origin cs =
+  let bee = Registry.owner reg ~app cs in
+  if bee = Registry.no_owner then Create (placement_hive reg hives ~origin)
+  else if bee = Registry.several then merge reg hives ~app cs
+  else begin
     let claim = unowned reg ~bee cs in
     let lookup =
       Cell.Set.is_empty claim
       && (Registry.bee reg bee).Registry.bee_hive <> origin
-      &&
-      match Hashtbl.find_opt cache (cache_key ~origin ~app cs) with
-      | Some (owner, v) -> owner <> bee || v <> version
-      | None -> true
+      && stale cache ~origin ~app cs ~bee ~version
     in
     Use { bee; claim; lookup }
-  | owners -> (
-    (* A bee on a crashed hive must never win a merge: merging would flip
-       it `Paused -> `Active, so the restart-time revival (which only
-       looks at `Crashed bees) would skip it and its volatile state —
-       including writes whose group-commit batch died with the hive —
-       would silently survive the crash. Crashed owners may only be
-       losers (folded from their durable cut); if every owner is crashed,
-       their cells are unavailable until restart revives them and the
-       message is dropped like any other send to a dead hive. *)
-    let info b = Registry.bee reg b in
-    let up, crashed =
-      List.partition (fun b -> not (Hives.crashed hives (info b).Registry.bee_hive)) owners
-    in
-    let cells b = Cell.Set.cardinal (info b).Registry.bee_cells in
-    let by_size x y = match Int.compare (cells y) (cells x) with 0 -> Int.compare x y | c -> c in
-    match List.sort by_size up with
-    | [] -> Drop
-    | winner :: rest -> Merge { winner; losers = rest @ crashed })
+  end

@@ -6,9 +6,16 @@
     lookup cache; it touches no bee, engine or transport. The platform
     applies the returned plan. *)
 
-type cache = (int * string * Cell.t, int * int) Hashtbl.t
-(** Per-hive cached lock-service lookups, keyed by {!cache_key}: the
-    owner found and the registry version it was found at. *)
+type cache
+(** Cached lock-service lookups, keyed by the origin hive, the app and
+    the first mapped cell: the owner found and the registry version it
+    was found at. Looking a key up allocates nothing. *)
+
+val create_cache : unit -> cache
+
+val remember : cache -> origin:int -> app:string -> Cell.Set.t -> owner:int -> version:int -> unit
+(** Records the owner a lookup for these mapped cells found at this
+    registry version. *)
 
 type t =
   | Create of int
@@ -31,5 +38,3 @@ val decide :
 
 val unowned : Registry.t -> bee:int -> Cell.Set.t -> Cell.Set.t
 (** The cells of the set the bee does not own itself. *)
-
-val cache_key : origin:int -> app:string -> Cell.Set.t -> int * string * Cell.t

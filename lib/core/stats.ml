@@ -43,7 +43,7 @@ let count_in t h =
 let record_in t ~src_hive =
   t.processed <- t.processed + 1;
   t.cur_processed <- t.cur_processed + 1;
-  match src_hive with Some h -> count_in t h | None -> ()
+  if src_hive >= 0 then count_in t src_hive
 
 let record_done t ~busy = t.busy_us <- t.busy_us + Beehive_sim.Simtime.to_us busy
 

@@ -22,9 +22,9 @@ val create : unit -> t
 
 (** {2 Recording (called by the platform)} *)
 
-val record_in : t -> src_hive:int option -> unit
-(** Counts one handled message; [src_hive] is the hive it came from, if
-    any, feeding the window's per-hive inbound counts. *)
+val record_in : t -> src_hive:int -> unit
+(** Counts one handled message; [src_hive] is the hive it came from, -1
+    for none, feeding the window's per-hive inbound counts. *)
 
 val record_done : t -> busy:Beehive_sim.Simtime.t -> unit
 

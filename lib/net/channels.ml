@@ -13,6 +13,7 @@ let bucket = Simtime.of_sec 1.0
 
 type t = {
   mutable n : int;
+  mutable hive_eps : endpoint array;  (* [Hive h] at index h, built once *)
   rng : Rng.t;
   masters : (int, int) Hashtbl.t;
   matrix : Traffic_matrix.t;
@@ -29,6 +30,7 @@ let create ?rng ~n_hives () =
   if n_hives <= 0 then invalid_arg "Channels.create: need at least one hive";
   {
     n = n_hives;
+    hive_eps = Array.init n_hives (fun h -> Hive h);
     rng = (match rng with Some r -> r | None -> Rng.create 0);
     masters = Hashtbl.create 64;
     matrix = Traffic_matrix.create n_hives;
@@ -62,6 +64,7 @@ let add_hive t =
   t.loss <- loss;
   t.parted <- parted;
   t.n <- n';
+  t.hive_eps <- Array.append t.hive_eps [| Hive n |];
   Traffic_matrix.grow t.matrix n';
   n
 
@@ -97,8 +100,11 @@ let heal_all t =
 
 let faulty t = t.n_faults > 0
 
-let master_of t sw =
-  match Hashtbl.find_opt t.masters sw with Some h -> h | None -> 0
+let hive_endpoint t h = if h >= 0 && h < t.n then t.hive_eps.(h) else Hive h
+
+(* On the per-message path (a switch's messages name their origin hive
+   through it): [find], not [find_opt], so nothing is allocated. *)
+let master_of t sw = match Hashtbl.find t.masters sw with h -> h | exception Not_found -> 0
 
 let assign_switch t ~switch ~hive =
   if hive < 0 || hive >= t.n then invalid_arg "Channels.assign_switch: bad hive";
@@ -136,7 +142,7 @@ let account t ~src ~dst ~bytes ~now =
   else begin
     (* Remote: the message traverses an inter-hive channel. *)
     Traffic_matrix.add t.matrix ~src:sh ~dst:dh ~bytes;
-    Series.add t.series ~at:now (float_of_int bytes);
+    Series.add t.series ~at:now bytes;
     let base =
       if crosses_switch_link then Simtime.add switch_latency hive_latency
       else hive_latency

@@ -33,6 +33,11 @@ val add_hive : t -> int
     call). Existing directed-link faults are preserved; every link touching
     the new hive starts healthy. *)
 
+val hive_endpoint : t -> int -> endpoint
+(** [hive_endpoint t h] is [Hive h], built once per hive of the fabric
+    and shared, so naming a hive on a per-message path allocates
+    nothing. *)
+
 val master_of : t -> int -> int
 (** [master_of t sw] is the hive that owns switch [sw]'s OpenFlow
     connection. Set by {!assign_switch}; defaults to hive 0. *)

@@ -26,7 +26,7 @@ let ensure t i =
 let add t ~at v =
   let i = Simtime.to_us at / t.bucket_us in
   ensure t i;
-  t.data.(i) <- t.data.(i) +. v;
+  t.data.(i) <- t.data.(i) +. float_of_int v;
   if i > t.last then t.last <- i
 
 let bucket_sec t = float_of_int t.bucket_us /. 1e6

@@ -8,7 +8,10 @@ type t
 val create : bucket:Beehive_sim.Simtime.t -> t
 (** [bucket] is the bucket width (the paper plots per-second KB/s). *)
 
-val add : t -> at:Beehive_sim.Simtime.t -> float -> unit
+val add : t -> at:Beehive_sim.Simtime.t -> int -> unit
+(** [add t ~at bytes] adds [bytes] to the bucket holding [at]. An int,
+    not a float: a float argument to another module's function is boxed,
+    and the fabric calls this once per inter-hive message. *)
 
 val rate_kbps : t -> (float * float) array
 (** [(bucket_start_seconds, kilobytes per second)] for every bucket from

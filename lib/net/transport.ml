@@ -17,7 +17,7 @@ type msg = {
   m_deliver : unit -> unit;
   m_on_drop : unit -> unit;
   mutable m_attempts : int;
-  mutable m_timer : Engine.handle option;
+  mutable m_timer : Engine.handle;  (* the retransmission timer; [Engine.none] once settled *)
   mutable m_done : bool;  (* acked or exhausted: timers become no-ops *)
   mutable m_delivered : bool;  (* m_deliver ran (even if the ack was lost) *)
 }
@@ -121,11 +121,8 @@ let send_ack t l m =
       (Engine.schedule_after t.engine lat (fun () ->
            if not m.m_done then begin
              m.m_done <- true;
-             (match m.m_timer with
-             | Some h ->
-               ignore (Engine.cancel t.engine h);
-               m.m_timer <- None
-             | None -> ());
+             ignore (Engine.cancel t.engine m.m_timer);
+             m.m_timer <- Engine.none;
              Hashtbl.remove l.inflight m.m_seq
            end))
 
@@ -163,36 +160,31 @@ let rec attempt t l m ~dh =
 and arm_timer t l m ~dh =
   let d = rto t m.m_attempts in
   m.m_timer <-
-    Some
-      (Engine.schedule_after t.engine d (fun () ->
-           if not m.m_done then
-             if m.m_attempts >= max_attempts then begin
-               m.m_done <- true;
-               m.m_timer <- None;
-               Hashtbl.remove l.inflight m.m_seq;
-               t.exhausted <- t.exhausted + 1;
-               m.m_on_drop ()
-             end
-             else begin
-               m.m_attempts <- m.m_attempts + 1;
-               t.retransmits <- t.retransmits + 1;
-               t.retransmit_bytes <- t.retransmit_bytes + m.m_bytes + header_bytes;
-               attempt t l m ~dh
-             end))
+    Engine.schedule_after t.engine d (fun () ->
+      if not m.m_done then
+        if m.m_attempts >= max_attempts then begin
+          m.m_done <- true;
+          m.m_timer <- Engine.none;
+          Hashtbl.remove l.inflight m.m_seq;
+          t.exhausted <- t.exhausted + 1;
+          m.m_on_drop ()
+        end
+        else begin
+          m.m_attempts <- m.m_attempts + 1;
+          t.retransmits <- t.retransmits + 1;
+          t.retransmit_bytes <- t.retransmit_bytes + m.m_bytes + header_bytes;
+          attempt t l m ~dh
+        end)
 
-let send t ~src ~dst ~bytes ?(on_drop = fun () -> ()) ~deliver () =
+let send t ~src ~dst ~bytes ~on_drop ~deliver =
   t.sent <- t.sent + 1;
   if not (Channels.faulty t.channels) then begin
-    (* Healthy fabric: degenerate to a plain scheduled delivery with no
-       sequencing, acks, or timers — byte accounting and latency are
-       identical to the pre-transport platform. *)
-    match
-      Channels.transfer_result t.channels ~src ~dst ~bytes ~now:(Engine.now t.engine)
-    with
-    | `Lost -> on_drop ()
-    | `Delivered lat ->
-      t.delivered <- t.delivered + 1;
-      ignore (Engine.schedule_after t.engine lat deliver)
+    (* Healthy fabric: no link is lossy or severed, so the wire always
+       delivers — a plain scheduled delivery with no sequencing, acks, or
+       timers, whose byte accounting and latency are the failable wire's. *)
+    let lat = Channels.transfer t.channels ~src ~dst ~bytes ~now:(Engine.now t.engine) in
+    t.delivered <- t.delivered + 1;
+    ignore (Engine.schedule_after t.engine lat deliver)
   end
   else begin
     let sh = hive_of t src and dh = hive_of t dst in
@@ -206,7 +198,7 @@ let send t ~src ~dst ~bytes ?(on_drop = fun () -> ()) ~deliver () =
         m_deliver = deliver;
         m_on_drop = on_drop;
         m_attempts = 1;
-        m_timer = None;
+        m_timer = Engine.none;
         m_done = false;
         m_delivered = false;
       }
@@ -240,11 +232,8 @@ let close_hive t h =
         (fun _ m ->
           (if (not m.m_done) && not m.m_delivered then dropped := m :: !dropped);
           m.m_done <- true;
-          match m.m_timer with
-          | Some hd ->
-            ignore (Engine.cancel t.engine hd);
-            m.m_timer <- None
-          | None -> ())
+          ignore (Engine.cancel t.engine m.m_timer);
+          m.m_timer <- Engine.none)
         l.inflight;
       Hashtbl.remove t.links key)
     doomed;
@@ -281,11 +270,8 @@ let crash_hive t h =
         Hashtbl.iter
           (fun _ m ->
             m.m_done <- true;
-            match m.m_timer with
-            | Some hd ->
-              ignore (Engine.cancel t.engine hd);
-              m.m_timer <- None
-            | None -> ())
+            ignore (Engine.cancel t.engine m.m_timer);
+            m.m_timer <- Engine.none)
           l.inflight;
         Hashtbl.reset l.inflight;
         l.next_seq <- 1;

@@ -35,9 +35,8 @@ val send :
   src:Channels.endpoint ->
   dst:Channels.endpoint ->
   bytes:int ->
-  ?on_drop:(unit -> unit) ->
+  on_drop:(unit -> unit) ->
   deliver:(unit -> unit) ->
-  unit ->
   unit
 (** Reliably delivers one message: [deliver] runs exactly once at the
     simulated arrival instant (duplicates are suppressed at the

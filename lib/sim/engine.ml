@@ -1,22 +1,25 @@
-(* Every occurrence of a periodic series is queued with the same [Tick]
-   value; the series' handle is its first occurrence. *)
+(* An event is its callback, stored bare in the queue entry. Every
+   occurrence of a periodic series is queued with the series' one [fire]
+   callback; the series is found from its head handle's push number. *)
+type handle = (unit -> unit) Event_queue.handle
+
 type periodic = {
   period : Simtime.t;
   tick : unit -> unit;
-  mutable current : ev Event_queue.handle option;
+  mutable current : handle;  (* the occurrence queued or running last *)
   mutable stopped : bool;
 }
 
-and ev = Thunk of (unit -> unit) | Tick of periodic
-
-type handle = ev Event_queue.handle
-
 type t = {
-  queue : ev Event_queue.t;
+  queue : (unit -> unit) Event_queue.t;
   mutable clock : Simtime.t;
   root_rng : Rng.t;
   mutable n_events : int;
+  mutable running : handle;
+  series : (int, periodic) Hashtbl.t;  (* live series, by their head's seq *)
 }
+
+let none : handle = Event_queue.detached ignore
 
 let create ?(seed = 42) () =
   {
@@ -24,46 +27,43 @@ let create ?(seed = 42) () =
     clock = Simtime.zero;
     root_rng = Rng.create seed;
     n_events = 0;
+    running = none;
+    series = Hashtbl.create 8;
   }
 
 let now t = t.clock
 let rng t = t.root_rng
+let running t = t.running
 
 let schedule_at t at f =
   if Simtime.(at < t.clock) then invalid_arg "Engine.schedule_at: in the past";
-  Event_queue.push t.queue at (Thunk f)
+  Event_queue.push t.queue at f
 
 let schedule_after t d f = schedule_at t (Simtime.add t.clock d) f
 
 let cancel t h =
-  match Event_queue.value h with
-  | Tick p ->
-    if p.stopped then false
-    else begin
-      p.stopped <- true;
-      (match p.current with
-       | Some h -> ignore (Event_queue.cancel t.queue h)
-       | None -> ());
-      true
-    end
-  | Thunk _ -> Event_queue.cancel t.queue h
-
-let every t period f =
-  if Simtime.(period <= Simtime.zero) then invalid_arg "Engine.every: period must be positive";
-  let p = { period; tick = f; current = None; stopped = false } in
-  let h = Event_queue.push t.queue (Simtime.add t.clock period) (Tick p) in
-  p.current <- Some h;
-  h
+  match Hashtbl.find t.series (Event_queue.seq h) with
+  | p ->
+    Hashtbl.remove t.series (Event_queue.seq h);
+    p.stopped <- true;
+    ignore (Event_queue.cancel t.queue p.current);
+    true
+  | exception Not_found -> Event_queue.cancel t.queue h
 
 (* One occurrence of a periodic series, fired at the current clock: the
    next one is queued only if the callback left the series running. *)
-let fire_tick t ev p =
-  p.current <- None;
-  if not p.stopped then begin
-    p.tick ();
-    if not p.stopped then
-      p.current <- Some (Event_queue.push t.queue (Simtime.add t.clock p.period) ev)
-  end
+let fire_tick t p fire =
+  p.tick ();
+  if not p.stopped then p.current <- Event_queue.push t.queue (Simtime.add t.clock p.period) fire
+
+let every t period f =
+  if Simtime.(period <= Simtime.zero) then invalid_arg "Engine.every: period must be positive";
+  let p = { period; tick = f; current = none; stopped = false } in
+  let rec fire () = fire_tick t p fire in
+  let h = Event_queue.push t.queue (Simtime.add t.clock period) fire in
+  p.current <- h;
+  Hashtbl.replace t.series (Event_queue.seq h) p;
+  h
 
 (* Runs every event due at or before [horizon], reading the queue's head
    in place: the loop itself allocates nothing. *)
@@ -72,13 +72,10 @@ let rec drain t horizon =
     let at = Event_queue.next_time t.queue in
     if Simtime.(at <= horizon) then begin
       t.clock <- at;
-      (match Event_queue.take t.queue with
-      | Thunk f ->
-        t.n_events <- t.n_events + 1;
-        f ()
-      | Tick p as ev ->
-        t.n_events <- t.n_events + 1;
-        fire_tick t ev p);
+      let h = Event_queue.take t.queue in
+      t.n_events <- t.n_events + 1;
+      t.running <- h;
+      Event_queue.value h ();
       drain t horizon
     end
   end

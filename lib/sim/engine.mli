@@ -1,14 +1,23 @@
 (** Discrete-event simulation engine.
 
-    The engine owns the virtual clock and an event queue of thunks. All
-    platform concurrency (bee mailbox processing, channel delivery, lock
-    RPCs, timers) is expressed as events scheduled here, so a run is a
-    single deterministic sequence of callbacks. *)
+    The engine owns the virtual clock and an event queue of callbacks.
+    All platform concurrency (bee mailbox processing, channel delivery,
+    lock RPCs, timers) is expressed as events scheduled here, so a run is
+    a single deterministic sequence of callbacks. An event is its
+    callback, stored bare in the queue's entry: scheduling one allocates
+    that entry (5 words) and nothing else. *)
 
 type t
 
 type handle
-(** A scheduled event, for cancellation. *)
+(** A scheduled event, for cancellation and for {!running}. Every
+    scheduling returns a distinct handle, so two handles are the same
+    event exactly when they are physically equal ([==]). *)
+
+val none : handle
+(** A handle that no scheduling ever returns: a placeholder for a
+    mutable handle field before its first event. Cancelling it returns
+    [false]. *)
 
 val create : ?seed:int -> unit -> t
 (** Fresh engine with clock at {!Simtime.zero}. [seed] (default 42) seeds
@@ -19,7 +28,8 @@ val rng : t -> Rng.t
 
 val schedule_at : t -> Simtime.t -> (unit -> unit) -> handle
 (** [schedule_at t at f] runs [f] when the clock reaches [at]. Scheduling
-    in the past raises [Invalid_argument]. *)
+    in the past raises [Invalid_argument]. Scheduling one callback value
+    many times is how a caller avoids allocating a closure per event. *)
 
 val schedule_after : t -> Simtime.t -> (unit -> unit) -> handle
 (** [schedule_after t d f] = [schedule_at t (now t + d)]. *)
@@ -32,7 +42,14 @@ val cancel : t -> handle -> bool
 
 val every : t -> Simtime.t -> (unit -> unit) -> handle
 (** [every t period f] runs [f] at [now t + period], [now t + 2 period],
-    ... until cancelled. The returned handle cancels the whole series. *)
+    ... until cancelled. The returned handle is the first occurrence's,
+    and cancels the whole series at any later occurrence too. *)
+
+val running : t -> handle
+(** The event whose callback is running now; between events, the last
+    one run ({!none} before the first). A callback scheduled many times
+    compares it with the handle it kept from its latest scheduling to
+    tell its current occurrence from a stale one. *)
 
 val run_until : t -> Simtime.t -> unit
 (** Executes events in order until the queue is exhausted or the next event

@@ -17,6 +17,8 @@ type 'a t = {
 let create () = { heap = [||]; size = 0; next_seq = 0; live = 0 }
 let is_empty t = t.live = 0
 let value e = e.value
+let seq e = e.seq
+let detached value = { at = Simtime.zero; seq = -1; value; queued = false }
 
 let entry_lt a b =
   match Simtime.compare a.at b.at with
@@ -126,6 +128,6 @@ let take t =
   let e = remove_min t in
   e.queued <- false;
   t.live <- t.live - 1;
-  e.value
+  e
 
 let physical_size t = t.size

@@ -4,8 +4,9 @@
     breaks ties so that events scheduled for the same instant fire in
     insertion order, keeping the simulation deterministic.
 
-    Reading and removing the earliest event allocates nothing: the time
-    and the value come back bare, and a handle is the queue's own entry. *)
+    Pushing allocates the queue's own entry and nothing else; reading and
+    removing the earliest event allocate nothing: the time comes back
+    bare, and a handle is that entry. *)
 
 type 'a t
 
@@ -23,6 +24,15 @@ val push : 'a t -> Simtime.t -> 'a -> 'a handle
 val value : 'a handle -> 'a
 (** The value the event was pushed with. *)
 
+val seq : 'a handle -> int
+(** The event's push number: distinct for every push into one queue, and
+    -1 for a {!detached} handle. *)
+
+val detached : 'a -> 'a handle
+(** A handle that was never queued: it is not the handle of any pushed
+    event, and cancelling it returns [false]. A placeholder for a
+    mutable handle field before its first push. *)
+
 val cancel : 'a t -> 'a handle -> bool
 (** [cancel q h] removes the event, returning [false] if it already fired
     or was already cancelled. Cancellation is lazy deletion, amortised
@@ -33,9 +43,9 @@ val next_time : 'a t -> Simtime.t
 (** Time of the earliest live event. Raises [Invalid_argument] when
     {!is_empty}. *)
 
-val take : 'a t -> 'a
-(** Removes the earliest live event and returns its value; its handle
-    then counts as fired. Raises [Invalid_argument] when {!is_empty}. *)
+val take : 'a t -> 'a handle
+(** Removes the earliest live event and returns its handle, which then
+    counts as fired. Raises [Invalid_argument] when {!is_empty}. *)
 
 val physical_size : 'a t -> int
 (** Heap slots in use, cancelled tombstones included — observability

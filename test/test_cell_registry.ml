@@ -201,6 +201,78 @@ let prop_hive_cell_count =
           List.for_all (fun h -> Registry.cells_on_hive r ~hive:h = recount h) [ 0; 1; 2; 3 ])
         ops)
 
+(* [owners] and the routing path's [owner] against a brute-force scan
+   of every registered bee (ids 0 to 5) with [Cell.Set.intersects], after each step of
+   a random workload of keyed and wildcard assigns (conflicting ones are
+   refused), unassigns and merges. Bees of apps "a" (even ids) and "b"
+   (odd ids) share the cell namespace but not ownership. The queries are
+   every single cell, both wildcards together (one owner of both takes
+   [owner]'s no-scan path) and the generated sets. *)
+let prop_owners_match_scan =
+  let universe =
+    List.init 8 (fun k -> c "d" (string_of_int k))
+    @ List.init 4 (fun k -> c "e" (string_of_int k))
+    @ [ w "d"; w "e" ]
+  in
+  let fixed =
+    Cell.Set.of_list [ w "d"; w "e" ] :: List.map Cell.Set.singleton universe
+  in
+  let gen_op =
+    QCheck.Gen.(
+      gen_reg_op >>= function
+      | Register _ | Set_hive _ ->
+        map2 (fun b l -> Assign (b, Cell.Set.of_list l)) (int_bound 5)
+          (list_size (1 -- 3) (oneofl universe))
+      | op -> return op)
+  in
+  let gen =
+    QCheck.Gen.(
+      pair (list_size (0 -- 40) gen_op)
+        (list_size (0 -- 6) (map Cell.Set.of_list (list_size (1 -- 4) (oneofl universe)))))
+  in
+  let print (ops, qs) =
+    QCheck.Print.(list show_reg_op) ops ^ " queries "
+    ^ String.concat "; " (List.map (Format.asprintf "%a" Cell.Set.pp) qs)
+  in
+  QCheck.Test.make ~name:"owners and owner match a scan of every bee" ~count:500
+    (QCheck.make ~print gen)
+    (fun (ops, queries) ->
+      let r = Registry.create () in
+      let app b = if b mod 2 = 0 then "a" else "b" in
+      for b = 0 to 5 do
+        ignore (Registry.register_bee r ~bee_id:b ~app:(app b) ~hive:(b mod 3))
+      done;
+      let exists b = Registry.find_bee r b <> None in
+      let queries = fixed @ queries in
+      let scan app cells =
+        List.filter
+          (fun b ->
+            match Registry.find_bee r b with
+            | Some i ->
+              String.equal i.Registry.bee_app app && Cell.Set.intersects i.Registry.bee_cells cells
+            | None -> false)
+          [ 0; 1; 2; 3; 4; 5 ]
+      in
+      let agrees app cells =
+        let want = scan app cells in
+        let sole =
+          match want with [] -> Registry.no_owner | [ b ] -> b | _ -> Registry.several
+        in
+        Registry.owners r ~app cells = want && Registry.owner r ~app cells = sole
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+           | Assign (b, cells) -> (
+             if exists b then try Registry.assign r ~bee:b cells with Invalid_argument _ -> ())
+           | Unassign b -> Registry.unassign_bee r ~bee:b
+           | Reassign (a, b) ->
+             if a <> b && exists a && exists b && String.equal (app a) (app b) then
+               Registry.reassign_all r ~from_bee:a ~to_bee:b
+           | Register _ | Set_hive _ -> ());
+          List.for_all (fun q -> agrees "a" q && agrees "b" q) queries)
+        ops)
+
 let suite =
   [
     ( "cell+registry",
@@ -216,5 +288,6 @@ let suite =
         Alcotest.test_case "hive accounting" `Quick test_hive_accounting;
         QCheck_alcotest.to_alcotest prop_single_ownership;
         QCheck_alcotest.to_alcotest prop_hive_cell_count;
+        QCheck_alcotest.to_alcotest prop_owners_match_scan;
       ] );
   ]

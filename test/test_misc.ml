@@ -1,11 +1,12 @@
 (* Small-module coverage: Message, Value, Mapping, Cell printing,
-   Series rendering, Stats windows and latency percentiles. *)
+   Series rendering, Stats windows and latency percentiles, Mailbox. *)
 
 module Message = Beehive_core.Message
 module Value = Beehive_core.Value
 module Mapping = Beehive_core.Mapping
 module Cell = Beehive_core.Cell
 module Stats = Beehive_core.Stats
+module Mailbox = Beehive_core.Mailbox
 module Series = Beehive_net.Series
 module Simtime = Beehive_sim.Simtime
 module Channels = Beehive_net.Channels
@@ -88,7 +89,7 @@ let test_cell_pp_and_order () =
 let test_series_sparkline () =
   let s = Series.create ~bucket:(Simtime.of_sec 1.0) in
   for i = 0 to 9 do
-    Series.add s ~at:(Simtime.of_sec (float_of_int i)) (float_of_int (i * 100))
+    Series.add s ~at:(Simtime.of_sec (float_of_int i)) (i * 100)
   done;
   let line = Format.asprintf "%a" (Series.render_sparkline ~width:10) s in
   Alcotest.(check int) "width respected" 10 (String.length line);
@@ -99,9 +100,9 @@ let test_series_sparkline () =
 
 let test_stats_windows () =
   let s = Stats.create () in
-  Stats.record_in s ~src_hive:(Some 1);
-  Stats.record_in s ~src_hive:(Some 1);
-  Stats.record_in s ~src_hive:(Some 2);
+  Stats.record_in s ~src_hive:1;
+  Stats.record_in s ~src_hive:1;
+  Stats.record_in s ~src_hive:2;
   let w = Stats.take_window s in
   Alcotest.(check int) "window processed" 3 w.Stats.w_processed;
   Alcotest.(check (list (pair int int))) "by hive" [ (1, 2); (2, 1) ] w.Stats.w_in_by_hive;
@@ -168,7 +169,7 @@ let prop_take_window_matches_table =
       List.for_all
         (function
           | Some src_hive ->
-            Stats.record_in s ~src_hive;
+            Stats.record_in s ~src_hive:(Option.value src_hive ~default:(-1));
             Table_window.record_in oracle ~src_hive;
             true
           | None -> same ())
@@ -196,6 +197,51 @@ let test_latency_percentiles () =
   Alcotest.(check (option int)) "merged p99 equal" (Stats.latency_percentile s 0.99)
     (Stats.latency_percentile m 0.99)
 
+(* A bee's ring-buffer mailbox against [Stdlib.Queue], the structure it
+   replaced: random pushes, pops, clears and transfers into a second
+   mailbox, wrapping and growing the ring, leave both in the same order.
+   [Some x] pushes, [None] pops, -1 clears and -2 transfers. *)
+let prop_mailbox_matches_queue =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map (fun x -> Some x) nat);
+          (4, return None);
+          (1, return (Some (-1)));
+          (1, return (Some (-2)));
+        ])
+  in
+  let print = function Some x -> string_of_int x | None -> "pop" in
+  QCheck.Test.make ~name:"mailbox matches Stdlib.Queue" ~count:500
+    (QCheck.make ~print:QCheck.Print.(list print) QCheck.Gen.(list_size (0 -- 100) op))
+    (fun ops ->
+      let m = Mailbox.create ~filler:0 and q = Queue.create () in
+      let m2 = Mailbox.create ~filler:0 and q2 = Queue.create () in
+      let drain_m m = List.init (Mailbox.length m) (fun _ -> Mailbox.pop m) in
+      let same () =
+        Mailbox.length m = Queue.length q && Mailbox.is_empty m = Queue.is_empty q
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+           | Some -1 ->
+             Mailbox.clear m;
+             Queue.clear q
+           | Some -2 ->
+             Mailbox.transfer m m2;
+             Queue.transfer q q2
+           | Some x ->
+             Mailbox.push x m;
+             Queue.push x q
+           | None ->
+             if not (Queue.is_empty q) then
+               if Mailbox.pop m <> Queue.pop q then failwith "popped a different value");
+          same ())
+        ops
+      && drain_m m = List.of_seq (Queue.to_seq q)
+      && drain_m m2 = List.of_seq (Queue.to_seq q2))
+
 let suite =
   [
     ( "misc",
@@ -210,5 +256,6 @@ let suite =
         Alcotest.test_case "stats windows" `Quick test_stats_windows;
         Alcotest.test_case "latency percentiles" `Quick test_latency_percentiles;
         QCheck_alcotest.to_alcotest prop_take_window_matches_table;
+        QCheck_alcotest.to_alcotest prop_mailbox_matches_queue;
       ] );
   ]

@@ -139,9 +139,9 @@ let prop_matrix_conservation =
 
 let test_series () =
   let s = Series.create ~bucket:(Simtime.of_sec 1.0) in
-  Series.add s ~at:(Simtime.of_sec 0.5) 1024.0;
-  Series.add s ~at:(Simtime.of_sec 0.7) 1024.0;
-  Series.add s ~at:(Simtime.of_sec 2.5) 512.0;
+  Series.add s ~at:(Simtime.of_sec 0.5) 1024;
+  Series.add s ~at:(Simtime.of_sec 0.7) 1024;
+  Series.add s ~at:(Simtime.of_sec 2.5) 512;
   let rates = Series.rate_kbps s in
   Alcotest.(check int) "3 buckets" 3 (Array.length rates);
   Alcotest.(check (list (float 0.01))) "bucket starts" [ 0.0; 1.0; 2.0 ]

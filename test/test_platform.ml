@@ -549,6 +549,44 @@ let test_counters_and_quiescence () =
   Alcotest.(check (float 0.)) "hive 0 row bytes" 208. (Traffic_matrix.row_bytes m 0);
   Alcotest.(check (float 0.)) "hive 0 column bytes" 208. (Traffic_matrix.col_bytes m 0)
 
+(* A bee's completion event outlives a crash: the hive crashes while
+   the slow handler of [Noop 1] is scheduled, restarts at once, and the
+   revived bee dispatches [Noop 2] well before the stale completion's
+   time. The stale event must still run, and as a no-op: the crash
+   voided [Noop 1] (an injected message is never replayed), and [Noop 2]
+   is handled exactly once, at its own completion. *)
+let test_stale_completion_is_a_noop () =
+  let handled = Array.make 3 0 in
+  let slow = Simtime.of_us 10_300 and long = Simtime.of_ms 20 in
+  let app =
+    App.create ~name:"slow" ~dicts:[ "d" ]
+      [
+        App.handler ~kind:k_noop
+          ~cost:(fun m -> match m.Message.payload with Noop 1 -> slow | _ -> long)
+          ~map:(fun _ -> Mapping.with_key "d" "k")
+          (fun _ m ->
+            match m.Message.payload with Noop n -> handled.(n) <- handled.(n) + 1 | _ -> ());
+      ]
+  in
+  let engine, platform = durable_platform ~n_hives:1 ~apps:[ app ] () in
+  let at_us us = Engine.run_until engine (Simtime.of_us us) in
+  let from = Channels.Hive 0 in
+  Platform.inject platform ~from ~kind:k_noop (Noop 1);
+  at_us 1_000;
+  Platform.crash_hive platform 0;
+  Platform.restart_hive platform 0;
+  Platform.inject platform ~from ~kind:k_noop (Noop 2);
+  at_us 10_200;
+  let events = Engine.events_executed engine in
+  (* No timer fires between whole milliseconds: the one event in this
+     window is the stale completion, due at 10.3 ms plus delivery. *)
+  at_us 10_400;
+  Alcotest.(check int) "the stale completion ran" (events + 1) (Engine.events_executed engine);
+  Alcotest.(check int) "and handled nothing" 0 (Platform.total_processed platform);
+  at_us 30_000;
+  Alcotest.(check (array int)) "handler runs per message" [| 0; 0; 1 |] handled;
+  Alcotest.(check int) "messages processed" 1 (Platform.total_processed platform)
+
 (* The one-hive two-app chain the allocation pins run: an injected ping
    goes to app a, which emits a pong, and app b sets one key. *)
 let ping_pong_apps () =
@@ -585,7 +623,7 @@ let check_words_bound per_msg bound =
    handler's transaction and routing, counted exactly on the ping-pong
    chain. The bound is the measured cost (OCaml 5.1.1, native code);
    raising it needs a reason. *)
-let runtime_words_per_message_bound = 118.5
+let runtime_words_per_message_bound = 80.5
 
 let test_runtime_words_per_message () =
   let engine, platform = make_platform ~n_hives:1 ~apps:(ping_pong_apps ()) () in
@@ -602,7 +640,7 @@ let test_runtime_words_per_message () =
    firing), so each step runs 5 ms of simulated time: long enough for
    the pong's commit, fsync, dispatch and ack. The bound is the measured
    cost (OCaml 5.1.1, native code); raising it needs a reason. *)
-let durable_words_per_message_bound = 308.1235
+let durable_words_per_message_bound = 254.1235
 
 let test_durable_words_per_message () =
   let engine, platform = durable_platform ~n_hives:1 ~apps:(ping_pong_apps ()) () in
@@ -645,5 +683,6 @@ let suite =
         Alcotest.test_case "runtime words per message" `Quick test_runtime_words_per_message;
         Alcotest.test_case "durable runtime words per message" `Quick
           test_durable_words_per_message;
+        Alcotest.test_case "stale completion is a no-op" `Quick test_stale_completion_is_a_noop;
       ] );
   ]

@@ -17,7 +17,7 @@ let setup ?(n_hives = 3) bees =
       ignore (Registry.register_bee reg ~bee_id:i ~app:"a" ~hive);
       Registry.assign reg ~bee:i (cells keys))
     bees;
-  (reg, Hives.create n_hives, Hashtbl.create 4)
+  (reg, Hives.create n_hives, Route_plan.create_cache ())
 
 let decide ?(version = 0) (reg, hives, cache) ~origin cs =
   Route_plan.decide reg hives cache ~version ~app:"a" ~origin cs
@@ -81,7 +81,7 @@ let test_remote_owner_lookup_per_version () =
   let use lookup = Route_plan.Use { bee = 0; claim = Cell.Set.empty; lookup } in
   Alcotest.check plan "local owner: no lookup" (use false) (decide env ~origin:1 cs);
   Alcotest.check plan "remote owner, cold cache" (use true) (decide env ~origin:0 cs);
-  Hashtbl.replace cache (Route_plan.cache_key ~origin:0 ~app:"a" cs) (0, 0);
+  Route_plan.remember cache ~origin:0 ~app:"a" cs ~owner:0 ~version:0;
   Alcotest.check plan "cache hit at the same version" (use false) (decide env ~origin:0 cs);
   Alcotest.check plan "stale after a registry change" (use true)
     (decide ~version:1 env ~origin:0 cs)

@@ -47,7 +47,7 @@ let drain_queue q =
     if Event_queue.is_empty q then List.rev acc
     else begin
       let at = Simtime.to_us (Event_queue.next_time q) in
-      let v = Event_queue.take q in
+      let v = Event_queue.value (Event_queue.take q) in
       go ((at, v) :: acc)
     end
   in
@@ -77,7 +77,7 @@ let test_event_queue_cancel () =
   Alcotest.(check bool) "double cancel" false (Event_queue.cancel q h1);
   Alcotest.(check int) "next_time skips cancelled" 2
     (Simtime.to_us (Event_queue.next_time q));
-  Alcotest.(check string) "take skips cancelled" "b" (Event_queue.take q);
+  Alcotest.(check string) "take skips cancelled" "b" (Event_queue.value (Event_queue.take q));
   Alcotest.(check bool) "empty" true (Event_queue.is_empty q)
 
 (* A handle whose event already fired must not cancel anything: the
@@ -86,7 +86,7 @@ let test_cancel_after_fire () =
   let q = Event_queue.create () in
   let h1 = Event_queue.push q (Simtime.of_us 1) "a" in
   ignore (Event_queue.push q (Simtime.of_us 2) "b");
-  Alcotest.(check string) "first fires" "a" (Event_queue.take q);
+  Alcotest.(check string) "first fires" "a" (Event_queue.value (Event_queue.take q));
   Alcotest.(check bool) "cancel of a fired event" false (Event_queue.cancel q h1);
   Alcotest.(check bool) "second still queued" false (Event_queue.is_empty q);
   Alcotest.(check (list (pair int string))) "second still fires" [ (2, "b") ] (drain_queue q);
@@ -176,6 +176,33 @@ let test_engine_loop_allocates_nothing () =
   Alcotest.(check int) "events run" 10_000 (Engine.events_executed e);
   Alcotest.(check (float 0.)) "words allocated running 10,000 events" 0. words
 
+(* An event is its callback in the queue's entry: with the heap array
+   already grown, scheduling a preallocated callback allocates the
+   5-word entry and nothing else. A series is still stopped from its
+   head handle after several occurrences, each a new entry. *)
+let test_engine_schedule_words () =
+  let e = Engine.create () in
+  let noop () = () in
+  for i = 1 to 10_000 do
+    ignore (Engine.schedule_at e (Simtime.of_us i) noop)
+  done;
+  Engine.run e;
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Engine.schedule_after e (Simtime.of_us 1) noop)
+  done;
+  let per_event = (Gc.minor_words () -. before) /. 10_000. in
+  if per_event > 5. then Alcotest.failf "%.2f words per scheduled event, bound 5" per_event;
+  Engine.run e;
+  let count = ref 0 in
+  let h = Engine.every e (Simtime.of_us 10) (fun () -> incr count) in
+  Engine.run_until e (Simtime.add (Engine.now e) (Simtime.of_us 45));
+  Alcotest.(check int) "occurrences before the cancel" 4 !count;
+  Alcotest.(check bool) "the head handle stops the series" true (Engine.cancel e h);
+  Alcotest.(check bool) "once" false (Engine.cancel e h);
+  Engine.run e;
+  Alcotest.(check int) "no occurrence after the cancel" 4 !count
+
 let test_event_queue_compaction () =
   let q = Event_queue.create () in
   let handles =
@@ -195,7 +222,7 @@ let test_event_queue_compaction () =
   (* Pop order of the survivors is unaffected. *)
   let popped = ref [] in
   while not (Event_queue.is_empty q) do
-    popped := Event_queue.take q :: !popped
+    popped := Event_queue.value (Event_queue.take q) :: !popped
   done;
   Alcotest.(check (list int))
     "survivors pop in time order"
@@ -223,5 +250,6 @@ let suite =
           test_engine_loop_allocates_nothing;
         Alcotest.test_case "event queue: cancel-heavy heap compacts" `Quick
           test_event_queue_compaction;
+        Alcotest.test_case "engine schedules in 5 words" `Quick test_engine_schedule_words;
       ] );
   ]

@@ -239,7 +239,7 @@ let topology_context allowed =
     State.tx_set tx0 ~dict:"topology" ~key:(Printf.sprintf "%03d" i) (vi i)
   done;
   State.commit tx0;
-  Context.make ~app:"te" ~bee:1 ~hive:0
+  Context.make ~src:(Message.From_bee { bee = 1; hive = 0; app = "te" })
     ~now:(fun () -> Beehive_sim.Simtime.zero)
     ~rng:(Beehive_sim.Rng.create 1) ~allowed ~tx:(State.begin_tx st)
     ~message:

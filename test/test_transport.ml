@@ -33,8 +33,8 @@ let send_burst tr ~n_hives n =
     let dst = (i + 1 + (i mod (n_hives - 1))) mod n_hives in
     let dst = if dst = src then (src + 1) mod n_hives else dst in
     Transport.send tr ~src:(Channels.Hive src) ~dst:(Channels.Hive dst) ~bytes:100
+      ~on_drop:ignore
       ~deliver:(fun () -> delivered.(i) <- delivered.(i) + 1)
-      ()
   done;
   delivered
 
@@ -82,8 +82,8 @@ let test_delivery_across_partition_window () =
   Channels.partition chans ~a:0 ~b:1;
   let hits = ref 0 in
   Transport.send tr ~src:(Channels.Hive 0) ~dst:(Channels.Hive 1) ~bytes:64
-    ~deliver:(fun () -> incr hits)
-    ();
+    ~on_drop:ignore
+    ~deliver:(fun () -> incr hits);
   Engine.run_until engine (Simtime.of_ms 50);
   Alcotest.(check int) "nothing delivered while partitioned" 0 !hits;
   Alcotest.(check int) "still pending" 1 (gauge tr "pending");
@@ -101,8 +101,7 @@ let test_exhaustion_reports_drop () =
   let dropped = ref 0 in
   Transport.send tr ~src:(Channels.Hive 2) ~dst:(Channels.Hive 3) ~bytes:64
     ~on_drop:(fun () -> incr dropped)
-    ~deliver:(fun () -> Alcotest.fail "delivered across a permanent partition")
-    ();
+    ~deliver:(fun () -> Alcotest.fail "delivered across a permanent partition");
   drain engine;
   Alcotest.(check int) "on_drop fired once" 1 !dropped;
   Alcotest.(check int) "counted as exhausted" 1 (gauge tr "exhausted");
@@ -210,7 +209,6 @@ let test_sender_crash_restarts_sequencing () =
     Transport.send tr ~src:(Channels.Hive 0) ~dst:(Channels.Hive 1) ~bytes:64
       ~on_drop:(fun () -> incr dropped)
       ~deliver:(fun () -> incr stale)
-      ()
   done;
   Engine.run_until engine (Simtime.of_ms 5);
   Transport.crash_hive tr 0;
@@ -223,8 +221,8 @@ let test_sender_crash_restarts_sequencing () =
   let fresh = ref 0 in
   for _ = 1 to 5 do
     Transport.send tr ~src:(Channels.Hive 0) ~dst:(Channels.Hive 1) ~bytes:64
+      ~on_drop:ignore
       ~deliver:(fun () -> incr fresh)
-      ()
   done;
   drain engine;
   Alcotest.(check int) "fresh epoch delivers exactly once" 5 !fresh
