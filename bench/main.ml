@@ -567,10 +567,7 @@ let ablation_elastic () =
   List.iter
     (fun (hives, joins) ->
       let report =
-        E.run
-          ~config:
-            { E.default_config with E.e_hives = hives; e_joins = joins; e_keys = 6 * hives }
-          ()
+        E.run { E.default_config with E.e_hives = hives; e_joins = joins; e_keys = 6 * hives }
       in
       let ok = List.for_all snd (E.checks report) in
       if not ok then all_ok := false;

@@ -79,7 +79,7 @@ let csv_flag =
 
 let run_one name runner =
   let doc = Printf.sprintf "Regenerate %s of the paper's evaluation." name in
-  let run cfg csv = render_panel ~csv (runner ~cfg ()) in
+  let run cfg csv = render_panel ~csv (runner cfg) in
   Cmd.v (Cmd.info name ~doc) Term.(const run $ cfg_term $ csv_flag)
 
 let fig4_all =
@@ -247,7 +247,6 @@ let scale_cmd =
   let run hives joins keys phase seed =
     let config =
       {
-        E.default_config with
         E.e_hives = hives;
         e_joins = joins;
         e_keys = keys;
@@ -255,7 +254,7 @@ let scale_cmd =
         e_seed = seed;
       }
     in
-    let report = E.run ~config () in
+    let report = E.run config in
     Format.printf "%a@." E.render report;
     let checks = E.checks report in
     List.iter
@@ -282,9 +281,9 @@ let main =
   let info = Cmd.info "beehive_sim" ~version:"1.0.0" ~doc in
   Cmd.group info
     [
-      run_one "fig4a" (fun ~cfg () -> Fig4.run_naive ~cfg ());
-      run_one "fig4b" (fun ~cfg () -> Fig4.run_decoupled ~cfg ());
-      run_one "fig4c" (fun ~cfg () -> Fig4.run_optimized ~cfg ());
+      run_one "fig4a" Fig4.run_naive;
+      run_one "fig4b" Fig4.run_decoupled;
+      run_one "fig4c" Fig4.run_optimized;
       fig4_all;
       feedback_cmd;
       check_cmd;

@@ -26,7 +26,7 @@ let () =
   hr ();
   Format.printf "Step 1: the naive TE design (Route maps the whole dictionaries)@.";
   hr ();
-  let naive = Fig4.run_naive ~cfg () in
+  let naive = Fig4.run_naive cfg in
   Format.printf "measured: %a@.@." Summary.pp naive.Fig4.p_window.Fig4.m_summary;
   Format.printf "platform feedback:@.%a@.@." Feedback.pp
     (List.filter
@@ -36,7 +36,7 @@ let () =
   hr ();
   Format.printf "Step 2: the redesign — Collect sends aggregated events to Route@.";
   hr ();
-  let decoupled = Fig4.run_decoupled ~cfg () in
+  let decoupled = Fig4.run_decoupled cfg in
   Format.printf "measured: %a@.@." Summary.pp decoupled.Fig4.p_window.Fig4.m_summary;
   let n = naive.Fig4.p_window.Fig4.m_summary and d = decoupled.Fig4.p_window.Fig4.m_summary in
   Format.printf "locality %.0f%% -> %.0f%%; control-channel mean %.1f -> %.1f KB/s@.@."
@@ -47,7 +47,7 @@ let () =
   hr ();
   Format.printf "Step 3: adversarial placement + runtime optimization@.";
   hr ();
-  let optimized = Fig4.run_optimized ~cfg () in
+  let optimized = Fig4.run_optimized cfg in
   let o = optimized.Fig4.p_window.Fig4.m_summary in
   Format.printf "during the window: %d migrations, peak %.1f KB/s (the migration spike)@."
     o.Summary.s_migrations o.Summary.s_peak_kbps;
@@ -60,13 +60,11 @@ let () =
       tail.Fig4.m_summary.Summary.s_mean_kbps
   | None -> ());
   Format.printf "@.matrices (naive | decoupled | optimized tail):@.";
-  Format.printf "%a@." (Beehive_net.Traffic_matrix.render ~cell_width:1)
+  Format.printf "%a@." Beehive_net.Traffic_matrix.render
     naive.Fig4.p_window.Fig4.m_matrix;
-  Format.printf "@.%a@." (Beehive_net.Traffic_matrix.render ~cell_width:1)
+  Format.printf "@.%a@." Beehive_net.Traffic_matrix.render
     decoupled.Fig4.p_window.Fig4.m_matrix;
   (match optimized.Fig4.p_tail with
   | Some tail ->
-    Format.printf "@.%a@."
-      (Beehive_net.Traffic_matrix.render ~cell_width:1)
-      tail.Fig4.m_matrix
+    Format.printf "@.%a@." Beehive_net.Traffic_matrix.render tail.Fig4.m_matrix
   | None -> ())

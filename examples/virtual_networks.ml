@@ -26,7 +26,7 @@ let () =
       {
         Instrumentation.default_config with
         optimize = true;
-        policy = Instrumentation.greedy_source_policy ~min_messages:3 ();
+        policy = Instrumentation.greedy_source_policy ~min_messages:3;
       }
   in
   Platform.start platform;

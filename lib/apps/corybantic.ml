@@ -131,10 +131,13 @@ let on_round_tick =
       Context.set ctx ~dict:dict_rounds ~key:"current" (V_round next);
       Context.emit ctx ~size:16 ~kind:k_round_start (Round_start { rs_round = next }))
 
-let coordinator_app ?(round_period = Simtime.of_sec 2.0) () =
+let coordinator_app () =
   App.create ~name:coordinator_name ~dicts:[ dict_rounds ]
     ~timers:
-      [ App.timer ~kind:k_round_tick ~period:round_period ~size:16 (fun ~now:_ -> Round_tick) ]
+      [
+        App.timer ~kind:k_round_tick ~period:(Simtime.of_sec 1.0) ~size:16 (fun ~now:_ ->
+            Round_tick);
+      ]
     [ on_proposal; on_evaluation; on_round_tick ]
 
 (* --- control modules -------------------------------------------------- *)

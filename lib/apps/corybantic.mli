@@ -29,8 +29,8 @@ type Beehive_core.Message.payload +=
 
 (** {2 Applications} *)
 
-val coordinator_app : ?round_period:Beehive_sim.Simtime.t -> unit -> Beehive_core.App.t
-(** Opens a round every [round_period] (default 2 s): collects proposals
+val coordinator_app : unit -> Beehive_core.App.t
+(** Opens a round every second: collects proposals
     and evaluations, adopts the proposal with the highest summed value
     (ties to the lowest proposal id), emits {!k_adopted}, and announces
     the next round. Rounds with no proposals adopt nothing. *)

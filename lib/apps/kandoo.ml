@@ -23,8 +23,8 @@ let () =
 (* Local function: frequent events, single-switch state — in Beehive just
    an app whose keys are switch ids. Its Collect reports each new
    elephant to the root. *)
-let report_elephants ~threshold ctx switch obs =
-  let hot = hot_flows ~delta:threshold obs in
+let report_elephants ctx switch obs =
+  let hot = hot_flows ~delta:Te_common.delta obs in
   List.iter
     (fun i ->
       Context.emit ctx ~size:24 ~kind:k_elephant
@@ -32,11 +32,11 @@ let report_elephants ~threshold ctx switch obs =
     hot;
   mark_handled obs hot
 
-let local_app ?(threshold = 100_000.0) () =
+let local_app () =
   App.create ~name:local_app_name ~dicts:[ dict_local ]
     [
       on_stat_reply ~dict:dict_local ~cost:(Simtime.of_us 15)
-        ~hot:(report_elephants ~threshold);
+        ~hot:report_elephants;
     ]
 
 (* Root function: rare events, centralized state. *)

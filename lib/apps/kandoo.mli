@@ -19,10 +19,9 @@ val dict_local : string  (** ["local_stats"] *)
 type Beehive_core.Message.payload +=
   | Elephant of { el_flow : int; el_switch : int; el_rate : float }
 
-val local_app : ?threshold:float -> unit -> Beehive_core.App.t
+val local_app : unit -> Beehive_core.App.t
 (** Watches [Stat_reply] messages per switch; when a flow's observed rate
-    first exceeds [threshold] (bytes/s, default 100_000), emits
-    an elephant message. *)
+    first exceeds {!Te_common.delta}, emits an elephant message. *)
 
 val root_app : unit -> Beehive_core.App.t
 (** Records every reported elephant in its centralized dictionary. *)

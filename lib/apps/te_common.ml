@@ -141,6 +141,8 @@ let collect_stats ~now ~prev (stats : Wire.flow_stats) =
     observe_all ~now prev stats
   else merge_obs ~now prev stats
 
+let delta = 100_000.0
+
 let hot_flows ~delta obs =
   let hot = ref [] in
   for i = n_obs obs - 1 downto 0 do
@@ -190,13 +192,13 @@ let adjacency_of_edges edges =
   List.iter (fun (a, b) -> adj.(a) <- b :: adj.(a)) edges;
   adj
 
-(* [bfs_path]'s parent table and queue, one pair per domain, grown to
-   the largest graph searched so far. A search resets the parent entries
-   it may read before it starts, and reads the queue only where it wrote
-   it; neither array escapes a search. *)
+(* [bfs_path]'s parent table and queue, grown to the largest graph
+   searched so far. A search resets the parent entries it may read before
+   it starts, and reads the queue only where it wrote it; neither array
+   escapes a search. *)
 type bfs_scratch = { mutable parent : int array; mutable queue : int array }
 
-let bfs_scratch = Domain.DLS.new_key (fun () -> { parent = [||]; queue = [||] })
+let scratch = { parent = [||]; queue = [||] }
 
 (* Enqueues [u]'s neighbours not seen yet, in list order, from [tail] on.
    Returns the new tail, or -1 as soon as a neighbour is [dst]. A
@@ -231,12 +233,11 @@ let bfs_path adj ~src ~dst =
   if src = dst then Some [ src ]
   else if src < 0 || src >= n then None
   else begin
-    let s = Domain.DLS.get bfs_scratch in
-    if Array.length s.parent < n then begin
-      s.parent <- Array.make n 0;
-      s.queue <- Array.make n 0
+    if Array.length scratch.parent < n then begin
+      scratch.parent <- Array.make n 0;
+      scratch.queue <- Array.make n 0
     end;
-    let { parent; queue } = s in
+    let { parent; queue } = scratch in
     Array.fill parent 0 n (-1);
     parent.(src) <- src;
     queue.(0) <- src;

@@ -58,6 +58,9 @@ val collect_stats : now:float -> prev:obs -> Beehive_openflow.Wire.flow_stats ->
     id and handled arrays and the reply's byte array; otherwise it is one
     merge of the two in flow order. *)
 
+val delta : float
+(** Figure 2's re-routing threshold, 100_000 bytes/s: a flow above it is hot. *)
+
 val hot_flows : delta:float -> obs -> int list
 (** Positions of the unhandled flows whose observed rate exceeds
     [delta], ascending. *)
@@ -91,8 +94,7 @@ val bfs_path : int list array -> src:int -> dst:int -> int list option
     neighbours visited in list order. [Some [src]] when [src = dst];
     [None] when there is no path, including for ids outside the array
     that no list mentions. It allocates only the path it returns: the
-    parent table and queue are scratch arrays local to the calling
-    domain, reused by its next search. *)
+    parent table and queue are scratch arrays reused by the next search. *)
 
 val reroute :
   Beehive_core.Context.t -> int list array -> flow:int -> src:int -> dst:int -> int list option

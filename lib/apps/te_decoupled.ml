@@ -99,7 +99,7 @@ let on_link_down_repair =
           !repairs
       | _ -> ())
 
-let app ?(delta = 100_000.0) () =
+let app ?(delta = Te_common.delta) () =
   App.create ~name:app_name
     ~dicts:[ dict_stats; dict_topo; dict_route ]
     ~timers:[ every_second ~kind:k_query_tick Query_tick ]

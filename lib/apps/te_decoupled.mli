@@ -27,7 +27,7 @@ type Beehive_core.Value.t +=
 
 val app : ?delta:float -> unit -> Beehive_core.App.t
 (** [delta] is the re-routing rate threshold in bytes/s (default
-    100_000). Stats are queried once a second. *)
+    {!Te_common.delta}). Stats are queried once a second. *)
 
 val rerouted_count : Beehive_core.Platform.t -> int
 (** How many flows the Route function has re-steered (reads Route's

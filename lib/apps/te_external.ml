@@ -77,7 +77,7 @@ let on_query_tick =
       | _ -> ())
 
 (* Collect: stateless — the observation series round-trips the store. *)
-let on_stat_reply ~store ~delta =
+let on_stat_reply ~store =
   App.handler
     ~cost:(fun _ -> Simtime.of_us 20)
     ~kind:Wire.k_app_stat_reply
@@ -92,7 +92,7 @@ let on_stat_reply ~store ~delta =
           (fun prev ->
             let prev_obs = match prev with Some (V_obs o) -> o | _ -> no_obs in
             let obs = collect_stats ~now ~prev:prev_obs sr_stats in
-            let hot = hot_flows ~delta obs in
+            let hot = hot_flows ~delta:Te_common.delta obs in
             hot_found := (obs, hot);
             V_obs (mark_handled obs hot))
           (fun _ ->
@@ -125,14 +125,14 @@ let on_traffic_update ~store =
                   | None -> ()))
       | _ -> ())
 
-let app ~store ?(delta = 100_000.0) () =
+let app ~store =
   App.create ~name:app_name ~dicts:[ dict_cache ]
     ~timers:[ every_second ~kind:k_query_tick Query_tick ]
     [
       on_switch_joined ~store;
       on_link_discovered ~store;
       on_query_tick;
-      on_stat_reply ~store ~delta;
+      on_stat_reply ~store;
       on_traffic_update ~store;
     ]
 

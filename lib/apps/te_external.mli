@@ -13,7 +13,8 @@
 val app_name : string
 (** ["te.external"] *)
 
-val app : store:Beehive_core.Ext_store.t -> ?delta:float -> unit -> Beehive_core.App.t
+val app : store:Beehive_core.Ext_store.t -> Beehive_core.App.t
+(** Re-routes the flows above {!Te_common.delta}. *)
 
 val rerouted_count : Beehive_core.Ext_store.t -> int
 (** Re-route records currently in the store. *)

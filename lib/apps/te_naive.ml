@@ -11,7 +11,7 @@ let dict_topo = "topology"
 
 (* Route: needs the WHOLE S and T dictionaries — the design bottleneck.
    A flow is marked handled exactly when its FlowMod was emitted. *)
-let on_route_tick ~delta =
+let on_route_tick =
   App.handler
     ~cost:(fun _ -> Simtime.of_us 200)
     ~kind:k_route_tick
@@ -27,13 +27,13 @@ let on_route_tick ~delta =
                 (reroute ctx adj ~flow:obs.ob_flows.(i) ~src:obs.ob_srcs.(i)
                    ~dst:obs.ob_dsts.(i))
             in
-            match List.filter routed (hot_flows ~delta obs) with
+            match List.filter routed (hot_flows ~delta:Te_common.delta obs) with
             | [] -> ()
             | handled -> rerouted := (key, mark_handled obs handled) :: !rerouted)
           | _ -> ());
       List.iter (fun (key, obs) -> Context.set ctx ~dict:dict_stats ~key (V_obs obs)) !rerouted)
 
-let app ?(delta = 100_000.0) () =
+let app () =
   App.create ~name:app_name
     ~dicts:[ dict_stats; dict_topo ]
     ~timers:[ every_second ~kind:k_query_tick Query_tick; every_second ~kind:k_route_tick Route_tick ]
@@ -43,7 +43,7 @@ let app ?(delta = 100_000.0) () =
       on_link_discovered ~dict:dict_topo;
       on_query_tick ~dict:dict_stats;
       on_stat_reply ~dict:dict_stats ~cost:(Simtime.of_us 20) ~hot:(fun _ _ obs -> obs);
-      on_route_tick ~delta;
+      on_route_tick;
     ]
 
 let rerouted_count platform =

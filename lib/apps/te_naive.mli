@@ -18,9 +18,9 @@ val app_name : string
 
 val dict_stats : string  (** ["flow_stats"] — the paper's S *)
 
-val app : ?delta:float -> unit -> Beehive_core.App.t
-(** [delta] is the re-routing rate threshold in bytes/s (default
-    100_000). Stats are queried and routes recomputed once a second. *)
+val app : unit -> Beehive_core.App.t
+(** Re-routes the flows above {!Te_common.delta}. Stats are queried and
+    routes recomputed once a second. *)
 
 val rerouted_count : Beehive_core.Platform.t -> int
 (** How many flows [Route] has re-steered: the handled marks in [S],

@@ -91,7 +91,6 @@ let on_complete t ~id f =
   else f ()
 
 let n_invoked t = t.n_invoked
-let n_open t = Hashtbl.length t.opened
 
 let ops t =
   let pending =

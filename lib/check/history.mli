@@ -62,7 +62,5 @@ val ops : t -> op list
     plus an [Info] entry for each still-open one. *)
 
 val n_invoked : t -> int
-val n_open : t -> int
 
-val pp_op : Format.formatter -> op -> unit
 val pp_ops : Format.formatter -> op list -> unit

@@ -8,7 +8,6 @@ type verdict =
 type report = {
   r_verdict : verdict;
   r_components : int;
-  r_steps : int;
 }
 
 let default_max_steps = 2_000_000
@@ -213,7 +212,7 @@ let minimize_witness ~max_steps ops =
     Shrink.minimize ~still_fails ops
   else ops
 
-let check_report ?(max_steps = default_max_steps) history =
+let check ?(max_steps = default_max_steps) history =
   let ops = List.filter (fun o -> o.History.op_status <> History.Fail) history in
   let comps = components ops in
   let n_components = List.length comps in
@@ -231,13 +230,4 @@ let check_report ?(max_steps = default_max_steps) history =
              max_steps (List.length c)))
   in
   let verdict = go comps in
-  { r_verdict = verdict; r_components = n_components; r_steps = max_steps - !steps }
-
-let check ?max_steps history = (check_report ?max_steps history).r_verdict
-
-let pp_verdict ppf = function
-  | Linearizable -> Format.pp_print_string ppf "linearizable"
-  | Unknown why -> Format.fprintf ppf "unknown (%s)" why
-  | Non_linearizable ws ->
-    Format.fprintf ppf "NON-LINEARIZABLE, minimal sub-history (%d ops):@,%a"
-      (List.length ws) History.pp_ops ws
+  { r_verdict = verdict; r_components = n_components }

@@ -35,12 +35,9 @@ type verdict =
 type report = {
   r_verdict : verdict;
   r_components : int;  (** per-key components checked (histories) *)
-  r_steps : int;  (** search configurations consumed *)
 }
 
-val check : ?max_steps:int -> History.op list -> verdict
-
-val check_report : ?max_steps:int -> History.op list -> report
-(** Like {!check}, plus coverage counters for gauges/reporting. *)
-
-val pp_verdict : Format.formatter -> verdict -> unit
+val check : ?max_steps:int -> History.op list -> report
+(** The verdict, with coverage counters for gauges. [max_steps] (default
+    2,000,000) is the configuration budget; a small one is the cheap way
+    to reach {!Unknown}. *)

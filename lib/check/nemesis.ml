@@ -2,29 +2,15 @@ module Rng = Beehive_sim.Rng
 
 let n_keys = 6
 
-(* Per-profile fault mix, in cumulative percent. Order: put, read_all,
-   migrate, fail, drop_links, partition, elastic, spike (restarts are
-   paired with fails below, heals with partitions). Profiles without a
-   fault kind give its branch zero width. *)
-let weights = function
-  | Script.Migration -> (60, 72, 92, 92, 92, 92, 92, 100)
-  | Script.Durability -> (50, 58, 73, 88, 88, 88, 88, 100)
-  | Script.Raft -> (55, 55, 67, 85, 85, 85, 85, 100)
-  | Script.Partition -> (45, 55, 65, 65, 80, 92, 92, 100)
-  | Script.Elastic -> (40, 48, 58, 66, 70, 78, 96, 100)
-  (* Disk: no read_all (merges would strand damaged logs of merged-away
-     bees), no fabric/elastic noise; the final 40% is disk damage. *)
-  | Script.Disk -> (40, 40, 48, 60, 60, 60, 60, 100)
-  | Script.All -> (45, 55, 70, 85, 91, 96, 96, 100)
-
 let generate ~rng ~profile ~n_hives ~ticks =
   if ticks <= 0 then invalid_arg "Nemesis.generate: ticks must be positive";
   let horizon_us = ticks * 1000 in
   let n_ops = 20 + ticks in
-  let p_put, p_read, p_mig, p_fail, p_drop, p_part, p_elastic, _ = weights profile in
+  let spec = Script.spec profile in
+  let p_put, p_read, p_mig, p_fail, p_drop, p_part, p_elastic, _ = spec.Script.sp_mix in
   (* Elastic scripts may target hives that only exist once a mid-run join
      lands; the runner treats ops aimed at not-yet-joined ids as no-ops. *)
-  let id_space = if profile = Script.Elastic then n_hives + 2 else n_hives in
+  let id_space = if spec.Script.sp_elastic then n_hives + 2 else n_hives in
   let ops = ref [] in
   let push op = ops := op :: !ops in
   for _ = 1 to n_ops do
@@ -95,34 +81,36 @@ let generate ~rng ~profile ~n_hives ~ticks =
              { at_us; hive = Rng.int rng id_space; decom = Rng.int rng 2 = 0 })
       else push (Script.Decommission_hive { at_us; hive = Rng.int rng id_space })
     end
-    else if profile = Script.Disk then begin
-      (* Disk damage aims at a key's owner so shrinking keeps the target
-         stable as the script thins out. Bias toward record damage: flips
-         exercise detection + repair, tears exercise crash-consistent
-         truncation, rot exercises the cold-bytes path. *)
-      let key = Rng.int rng n_keys in
-      let sub = Rng.int rng 100 in
-      if sub < 40 then push (Script.Corrupt_record { at_us; key })
-      else if sub < 75 then push (Script.Torn_tail { at_us; key })
-      else push (Script.Snapshot_rot { at_us; key })
-    end
-    else if profile = Script.Partition then
-      push
-        (Script.Spike_link
-           {
-             at_us;
-             src = Rng.int rng n_hives;
-             dst = Rng.int rng n_hives;
-             factor = float_of_int (2 + Rng.int rng 14);
-             dur_us = 500 + Rng.int rng 4000;
-           })
     else
-      push
-        (Script.Spike
-           {
-             at_us;
-             factor = float_of_int (2 + Rng.int rng 14);
-             dur_us = 500 + Rng.int rng 4000;
-           })
+      match spec.Script.sp_last with
+      | Script.Disk_damage ->
+        (* Disk damage aims at a key's owner so shrinking keeps the target
+           stable as the script thins out. Bias toward record damage:
+           flips exercise detection + repair, tears exercise
+           crash-consistent truncation, rot exercises the cold-bytes
+           path. *)
+        let key = Rng.int rng n_keys in
+        let sub = Rng.int rng 100 in
+        if sub < 40 then push (Script.Corrupt_record { at_us; key })
+        else if sub < 75 then push (Script.Torn_tail { at_us; key })
+        else push (Script.Snapshot_rot { at_us; key })
+      | Script.Link_spike ->
+        push
+          (Script.Spike_link
+             {
+               at_us;
+               src = Rng.int rng n_hives;
+               dst = Rng.int rng n_hives;
+               factor = float_of_int (2 + Rng.int rng 14);
+               dur_us = 500 + Rng.int rng 4000;
+             })
+      | Script.Latency_spike ->
+        push
+          (Script.Spike
+             {
+               at_us;
+               factor = float_of_int (2 + Rng.int rng 14);
+               dur_us = 500 + Rng.int rng 4000;
+             })
   done;
   Script.sort_ops (List.rev !ops)

@@ -116,19 +116,16 @@ type cfg = {
 let make_cfg ?(n_hives = 4) ?(ticks = 30) ?(lin = false) ?(outbox = false) ?inject ~seed
     profile =
   if n_hives <= 0 then invalid_arg "Runner.make_cfg: need at least one hive";
-  (* The lin and outbox workloads acknowledge at fsync, a promise disk
-     damage deliberately breaks (a torn tail voids fsynced bytes). The
-     disk profile judges recovery against the post-fsck durable cut
-     instead, so those workloads stand down there even when the sweep
-     enables them globally. *)
-  let disk = profile = Script.Disk in
+  (* A profile that breaks the workloads' acknowledgement model stands
+     them down even when the sweep enables them globally. *)
+  let acked = (Script.spec profile).Script.sp_acked_workloads in
   {
     r_profile = profile;
     r_n_hives = n_hives;
     r_ticks = ticks;
     r_seed = seed;
-    r_lin = lin && not disk;
-    r_outbox = outbox && not disk;
+    r_lin = lin && acked;
+    r_outbox = outbox && acked;
     r_inject = inject;
   }
 
@@ -144,35 +141,6 @@ type stats = {
 type outcome =
   | Pass of stats
   | Fail of Monitor.violation
-
-let with_durability = function
-  | Script.Migration -> false
-  | Script.Durability | Script.Raft | Script.Partition | Script.Elastic
-  | Script.Disk | Script.All -> true
-
-(* Disk keeps raft off on purpose: consensus failover would recover a
-   corrupted bee from a healthy peer as a side effect of ordinary crash
-   handling, masking exactly the local detection/repair paths the profile
-   exists to exercise. *)
-let with_raft = function
-  | Script.Raft | Script.Elastic | Script.All -> true
-  | Script.Migration | Script.Durability | Script.Partition | Script.Disk -> false
-
-(* The failure detector owns membership only in the fabric-fault and
-   elastic profiles: there, eviction/rejoin of partitioned hives — and,
-   for elastic, the quorum denominator tracking joins and
-   decommissions — is the behavior under test. The crash profiles keep
-   driving fail_hive/restart_hive by hand so their scripts stay the sole
-   membership authority. *)
-let with_detector = function
-  | Script.Partition | Script.Elastic -> true
-  | Script.Migration | Script.Durability | Script.Raft | Script.Disk | Script.All
-    -> false
-
-let with_elastic = function
-  | Script.Elastic -> true
-  | Script.Migration | Script.Durability | Script.Raft | Script.Partition
-  | Script.Disk | Script.All -> false
 
 (* Joins are unbounded in scripts; cap actual growth so shrunk traces
    stay readable and the id space the nemesis draws from stays honest. *)
@@ -217,7 +185,7 @@ let lin_patience = 2500
    workload's fsync-based acknowledgements. *)
 let install_lin cfg engine platform =
   let recorder = History.create () in
-  let durable = with_durability cfg.r_profile in
+  let durable = (Script.spec cfg.r_profile).Script.sp_durability in
   let acks : (int, (int * History.outcome) list ref) Hashtbl.t = Hashtbl.create 8 in
   let ack_queue hive =
     match Hashtbl.find_opt acks hive with
@@ -360,7 +328,7 @@ let lin_monitor recorder last_report =
     m_check =
       (fun _ ->
         let ops = History.ops recorder in
-        let r = Lin.check_report ops in
+        let r = Lin.check ops in
         last_report := Some r;
         match r.Lin.r_verdict with
         | Lin.Linearizable -> None
@@ -390,9 +358,10 @@ let lin_gauges recorder = function
    the platform's, the membership manager's and the lin checker's,
    merged and sorted by name. *)
 let execute_with_gauges ?observe cfg ops =
+  let spec = Script.spec cfg.r_profile in
   let engine = Engine.create ~seed:cfg.r_seed () in
   let durability =
-    if with_durability cfg.r_profile then
+    if spec.Script.sp_durability then
       (* A small threshold so compaction actually runs inside short checks. *)
       Some { Store.snapshot_threshold_bytes = 2048 }
     else None
@@ -406,7 +375,7 @@ let execute_with_gauges ?observe cfg ops =
      prefix rather than the local WAL, which breaks the outbox workload's
      per-key journal = counter equality; raft-failover outbox recovery is
      covered by its own unit tests instead. *)
-  let replicated = with_raft cfg.r_profile && not cfg.r_outbox in
+  let replicated = spec.Script.sp_raft && not cfg.r_outbox in
   Platform.register_app platform (kv_app ~replicated);
   if cfg.r_outbox then Platform.register_app platform (fwd_app ~replicated);
   let lin_rec = if cfg.r_lin then Some (install_lin cfg engine platform) else None in
@@ -417,12 +386,12 @@ let execute_with_gauges ?observe cfg ops =
     else None
   in
   let detector =
-    if with_detector cfg.r_profile then
+    if spec.Script.sp_detector then
       Some (Failure_detector.install platform)
     else None
   in
   let membership =
-    if with_elastic cfg.r_profile then Some (Membership.create platform)
+    if spec.Script.sp_elastic then Some (Membership.create platform)
     else None
   in
   (match observe with Some f -> f engine platform | None -> ());

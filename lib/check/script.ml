@@ -7,30 +7,82 @@ type profile =
   | Disk
   | All
 
-let profile_of_string = function
-  | "migration" -> Ok Migration
-  | "durability" -> Ok Durability
-  | "raft" -> Ok Raft
-  | "partition" -> Ok Partition
-  | "elastic" -> Ok Elastic
-  | "disk" -> Ok Disk
-  | "all" -> Ok All
-  | s ->
+type last_fault =
+  | Latency_spike
+  | Link_spike
+  | Disk_damage
+
+type spec = {
+  sp_name : string;
+  sp_mix : int * int * int * int * int * int * int * int;
+  sp_last : last_fault;
+  sp_durability : bool;
+  sp_raft : bool;
+  sp_detector : bool;
+  sp_elastic : bool;
+  sp_acked_workloads : bool;
+}
+
+(* One row per profile, in [--profile] listing order.
+
+   Disk keeps raft off: consensus failover would recover a corrupted bee
+   from a healthy peer as a side effect of ordinary crash handling,
+   masking exactly the local detection/repair paths the profile exists to
+   exercise. It gives read_all no width either (merges would strand
+   damaged logs of merged-away bees), and turns the lin and outbox
+   workloads off: they acknowledge at fsync, a promise disk damage
+   deliberately breaks (a torn tail voids fsynced bytes), so the profile
+   judges recovery against the post-fsck durable cut instead.
+
+   The failure detector owns membership only in the fabric-fault and
+   elastic profiles: there, eviction/rejoin of partitioned hives — and,
+   for elastic, the quorum denominator tracking joins and decommissions —
+   is the behavior under test. The crash profiles keep driving
+   fail_hive/restart_hive by hand so their scripts stay the sole
+   membership authority. *)
+let table =
+  [
+    ( Migration,
+      { sp_name = "migration"; sp_mix = (60, 72, 92, 92, 92, 92, 92, 100); sp_last = Latency_spike;
+        sp_durability = false; sp_raft = false; sp_detector = false; sp_elastic = false;
+        sp_acked_workloads = true } );
+    ( Durability,
+      { sp_name = "durability"; sp_mix = (50, 58, 73, 88, 88, 88, 88, 100); sp_last = Latency_spike;
+        sp_durability = true; sp_raft = false; sp_detector = false; sp_elastic = false;
+        sp_acked_workloads = true } );
+    ( Raft,
+      { sp_name = "raft"; sp_mix = (55, 55, 67, 85, 85, 85, 85, 100); sp_last = Latency_spike;
+        sp_durability = true; sp_raft = true; sp_detector = false; sp_elastic = false;
+        sp_acked_workloads = true } );
+    ( Partition,
+      { sp_name = "partition"; sp_mix = (45, 55, 65, 65, 80, 92, 92, 100); sp_last = Link_spike;
+        sp_durability = true; sp_raft = false; sp_detector = true; sp_elastic = false;
+        sp_acked_workloads = true } );
+    ( Elastic,
+      { sp_name = "elastic"; sp_mix = (40, 48, 58, 66, 70, 78, 96, 100); sp_last = Latency_spike;
+        sp_durability = true; sp_raft = true; sp_detector = true; sp_elastic = true;
+        sp_acked_workloads = true } );
+    ( Disk,
+      { sp_name = "disk"; sp_mix = (40, 40, 48, 60, 60, 60, 60, 100); sp_last = Disk_damage;
+        sp_durability = true; sp_raft = false; sp_detector = false; sp_elastic = false;
+        sp_acked_workloads = false } );
+    ( All,
+      { sp_name = "all"; sp_mix = (45, 55, 70, 85, 91, 96, 96, 100); sp_last = Latency_spike;
+        sp_durability = true; sp_raft = true; sp_detector = false; sp_elastic = false;
+        sp_acked_workloads = true } );
+  ]
+
+let spec p = List.assq p table
+let all_profiles = List.map fst table
+let profile_to_string p = (spec p).sp_name
+
+let profile_of_string s =
+  match List.find_opt (fun (_, sp) -> String.equal sp.sp_name s) table with
+  | Some (p, _) -> Ok p
+  | None ->
     Error
-      (Printf.sprintf
-         "unknown profile %S (migration|durability|raft|partition|elastic|disk|all)"
-         s)
-
-let profile_to_string = function
-  | Migration -> "migration"
-  | Durability -> "durability"
-  | Raft -> "raft"
-  | Partition -> "partition"
-  | Elastic -> "elastic"
-  | Disk -> "disk"
-  | All -> "all"
-
-let all_profiles = [ Migration; Durability; Raft; Partition; Elastic; Disk; All ]
+      (Printf.sprintf "unknown profile %S (%s)" s
+         (String.concat "|" (List.map (fun (_, sp) -> sp.sp_name) table)))
 
 type op =
   | Put of { at_us : int; key : int; from_hive : int }

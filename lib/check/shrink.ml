@@ -1,10 +1,4 @@
-let n_trials = ref 0
-
 let minimize ~still_fails ops =
-  let still_fails ops =
-    incr n_trials;
-    still_fails ops
-  in
   (* Remove the i-th of [n] chunks. *)
   let without ops ~chunk ~i =
     let len = List.length ops in

@@ -21,7 +21,7 @@ type t = {
 and late =
   t -> Beehive_net.Channels.endpoint option -> ?size:int -> kind:string -> Message.payload -> unit
 
-let make ?read_shadow ~src ~now ~rng ~allowed ~tx ~message ~late () =
+let make ~read_shadow ~src ~now ~rng ~allowed ~tx ~message ~late =
   match src with
   | Message.From_bee { bee; hive; _ } ->
     {

@@ -16,7 +16,7 @@ type late =
     {!close} goes: it cannot ride the closed transaction. *)
 
 val make :
-  ?read_shadow:(string * string * Value.t) list ->
+  read_shadow:(string * string * Value.t) list option ->
   src:Message.source ->
   now:(unit -> Beehive_sim.Simtime.t) ->
   rng:Beehive_sim.Rng.t ->
@@ -24,13 +24,12 @@ val make :
   tx:State.tx ->
   message:Message.t ->
   late:late ->
-  unit ->
   t
 (** Used by the platform (and by tests that drive handlers directly).
     [src] is the handling bee's [Message.From_bee] (any other source
     raises [Invalid_argument]); every message the handler emits carries
     this very value. [message] is the message being handled.
-    [read_shadow], when given, serves all {e pure} reads ({!get},
+    [read_shadow], when [Some], serves all {e pure} reads ({!get},
     {!mem}, {!iter_dict}) from the snapshot instead of the transaction —
     the hook behind the injected [Platform.Stale_read] bug. Writes and
     {!update}'s read-modify-write are never shadowed. *)

@@ -4,22 +4,20 @@ module Channels = Beehive_net.Channels
 
 type t = {
   platform : Platform.t;
-  n_nodes : int;
   data : (string, Value.t) Hashtbl.t;
   rpc_stats : Stats.t;  (* only its latency histogram is used *)
 }
 
 let request_size = 32
 let ack_size = 16
+let n_nodes = 3
 
-let create platform ?(n_store_nodes = 3) () =
-  let n = Platform.n_hives platform in
-  if n_store_nodes <= 0 || n_store_nodes > n then
-    invalid_arg "Ext_store.create: store node count out of range";
-  { platform; n_nodes = n_store_nodes; data = Hashtbl.create 256;
-    rpc_stats = Stats.create () }
+let create platform =
+  if Platform.n_hives platform < n_nodes then
+    invalid_arg "Ext_store.create: fewer hives than store nodes";
+  { platform; data = Hashtbl.create 256; rpc_stats = Stats.create () }
 
-let store_hive_of_key t key = Hashtbl.hash key mod t.n_nodes
+let store_hive_of_key key = Hashtbl.hash key mod n_nodes
 
 let round_trip t ~from_hive ~to_hive ~req_bytes ~resp_bytes k =
   let chans = Platform.channels t.platform in
@@ -37,7 +35,7 @@ let round_trip t ~from_hive ~to_hive ~req_bytes ~resp_bytes k =
   ignore (Engine.schedule_after (Platform.engine t.platform) rt k)
 
 let get t ~from_hive ~key k =
-  let shard = store_hive_of_key t key in
+  let shard = store_hive_of_key key in
   let value = Hashtbl.find_opt t.data key in
   let resp_bytes =
     match value with Some v -> ack_size + Value.size v | None -> ack_size
@@ -46,7 +44,7 @@ let get t ~from_hive ~key k =
       k value)
 
 let put t ~from_hive ~key v k =
-  let shard = store_hive_of_key t key in
+  let shard = store_hive_of_key key in
   round_trip t ~from_hive ~to_hive:shard
     ~req_bytes:(request_size + Value.size v)
     ~resp_bytes:ack_size

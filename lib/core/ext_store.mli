@@ -13,9 +13,8 @@
 
 type t
 
-val create : Platform.t -> ?n_store_nodes:int -> unit -> t
-(** [n_store_nodes] (default 3) store nodes are placed on hives
-    [0 .. n-1]. *)
+val create : Platform.t -> t
+(** Places the store's three nodes on hives 0, 1 and 2. *)
 
 val get : t -> from_hive:int -> key:string -> (Value.t option -> unit) -> unit
 (** Asynchronous read: charges a request to the shard's hive and a

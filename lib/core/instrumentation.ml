@@ -26,7 +26,7 @@ type decision = {
 
 type policy = Platform.t -> bee_load list -> decision list
 
-let greedy_source_policy ?(majority = 0.5) ?(min_messages = 5) () : policy =
+let greedy_source_policy ~min_messages : policy =
  fun _platform loads ->
   List.filter_map
     (fun l ->
@@ -38,7 +38,7 @@ let greedy_source_policy ?(majority = 0.5) ?(min_messages = 5) () : policy =
             (fun (bh, bc) (h, c) -> if c > bc then (h, c) else (bh, bc))
             (-1, 0.0) l.bl_in_by_hive
         in
-        if best_hive >= 0 && best_hive <> l.bl_hive && best /. total > majority then
+        if best_hive >= 0 && best_hive <> l.bl_hive && best /. total > 0.5 then
           Some
             {
               d_bee = l.bl_bee;
@@ -51,7 +51,7 @@ let greedy_source_policy ?(majority = 0.5) ?(min_messages = 5) () : policy =
       end)
     loads
 
-let load_balance_policy ?(imbalance = 2.0) () : policy =
+let load_balance_policy : policy =
  fun platform loads ->
   let n = Platform.n_hives platform in
   if n < 2 || loads = [] then []
@@ -70,7 +70,7 @@ let load_balance_policy ?(imbalance = 2.0) () : policy =
       per_hive;
     let total = Array.fold_left ( + ) 0 per_hive in
     let avg = float_of_int total /. float_of_int n in
-    if avg <= 0.0 || float_of_int per_hive.(!busiest) <= imbalance *. avg then []
+    if avg <= 0.0 || float_of_int per_hive.(!busiest) <= 2.0 *. avg then []
     else begin
       (* Shed the least-loaded active bee of the hot hive. *)
       let candidates =
@@ -168,7 +168,7 @@ let default_config =
     window = Simtime.of_sec 1.0;
     optimize_every = Simtime.of_sec 5.0;
     optimize = true;
-    policy = greedy_source_policy ();
+    policy = greedy_source_policy ~min_messages:5;
   }
 
 (* ------------------------------------------------------------------ *)

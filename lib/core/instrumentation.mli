@@ -33,18 +33,16 @@ type policy = Platform.t -> bee_load list -> decision list
 val max_migrations_per_round : int
 (** 64: decisions past this many in one optimization round are dropped. *)
 
-val greedy_source_policy : ?majority:float -> ?min_messages:int -> unit -> policy
+val greedy_source_policy : min_messages:int -> policy
 (** The paper's heuristic ("On Optimal Placement"): move a bee to the
-    hive whose share of its inbound messages strictly exceeds [majority]
-    (default 0.5, a strict majority). Bees with fewer than
-    [min_messages] inbound messages in the history are left alone
-    (default 5 — about one collection window of steady traffic after
-    decay). *)
+    hive that sources a strict majority of its inbound messages. Bees
+    with fewer than [min_messages] inbound messages in the history are
+    left alone. *)
 
-val load_balance_policy : ?imbalance:float -> unit -> policy
-(** Alternative strategy: when the busiest hive processes more than
-    [imbalance] (default 2.0) times the average load, move its
-    least-loaded migratable bee to the least-busy hive. *)
+val load_balance_policy : policy
+(** Alternative strategy: when the busiest hive processes more than twice
+    the average load, move its least-loaded migratable bee to the
+    least-busy hive. *)
 
 val scale_out_policy : policy
 (** Seeds empty hives (the join half of elastic membership): when a
@@ -64,7 +62,9 @@ type config = {
           recent traffic *)
   optimize : bool;  (** when false, instrument but never migrate *)
   policy : policy;
-      (** placement strategy (default [greedy_source_policy ()]) *)
+      (** placement strategy (default [greedy_source_policy
+          ~min_messages:5]: about one collection window of steady
+          traffic after decay) *)
 }
 
 val default_config : config

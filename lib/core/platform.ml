@@ -593,9 +593,9 @@ let open_context t (b : bee) (d : Bee.delivery) =
      cannot ride the commit, so [t.late] dispatches them immediately —
      and they get none of the exactly-once guarantees, which is
      precisely the external-store liability the paper argues against. *)
-  Context.make ?read_shadow ~src:(source_of b) ~now:t.clock ~rng:b.rng
+  Context.make ~read_shadow ~src:(source_of b) ~now:t.clock ~rng:b.rng
     ~allowed:(allowed_cells t b d.d_allowed) ~tx:(State.begin_tx b.state) ~message:msg
-    ~late:t.late ()
+    ~late:t.late
 
 let run_handler (d : Bee.delivery) ctx =
   let failure =
@@ -1022,10 +1022,9 @@ let inject t ~from ?size ~kind payload =
   List.iter (fun f -> f ~parent:None ~child:msg ~emitter:None) t.emit_hooks;
   route t ~src_ep:from msg
 
-let emit_system t ?hive ?size ~kind payload =
-  let h = Option.value ~default:0 hive in
-  let msg = Message.make ?size ~kind ~src:Message.From_system ~sent_at:(now t) payload in
-  route t ~src_ep:(hive_ep t h) msg
+let emit_system t ~hive ~size ~kind payload =
+  let msg = Message.make ~size ~kind ~src:Message.From_system ~sent_at:(now t) payload in
+  route t ~src_ep:(hive_ep t hive) msg
 
 (* Ticks originate on the lowest-numbered member hive that has not
    crashed (a crashed origin would drop them); with every member crashed
@@ -1545,7 +1544,7 @@ let create engine cfg =
   if cfg.n_hives <= 0 then invalid_arg "Platform.create: need at least one hive";
   let hives = Hives.create cfg.n_hives in
   let chans =
-    Channels.create ~rng:(Rng.split (Engine.rng engine)) ~n_hives:cfg.n_hives ()
+    Channels.create ~rng:(Rng.split (Engine.rng engine)) ~n_hives:cfg.n_hives
   in
   let transport =
     Transport.create ~engine

@@ -133,10 +133,9 @@ val inject :
     It enters the platform at the endpoint's hive (a switch's master
     hive) and is dispatched to all subscribed applications. *)
 
-val emit_system :
-  t -> ?hive:int -> ?size:int -> kind:string -> Message.payload -> unit
-(** Emits a platform-internal message as if from a timer on [hive]
-    (default: hive 0). *)
+val emit_system : t -> hive:int -> size:int -> kind:string -> Message.payload -> unit
+(** Emits a platform-internal message of [size] bytes as if from a timer
+    on [hive]. *)
 
 (** {2 Introspection} *)
 

@@ -190,7 +190,7 @@ let spawn_member t g ~member =
             + (16 * List.length i.inbox))
           64 per_bee
       in
-      Raft.compact node ~upto:(Raft.last_applied node) ~data_size:size ~data ()
+      Raft.compact node ~upto:(Raft.last_applied node) ~data_size:size ~data
     | _ -> ()
   in
   let install ~last_index:_ ~last_term:_ ~data =
@@ -220,7 +220,7 @@ let spawn_member t g ~member =
       maybe_compact ()
     end
   in
-  let node = Raft.create engine ~id:member ~peers ~install ~send ~apply () in
+  let node = Raft.create engine ~id:member ~peers ~install ~send ~apply in
   node_ref := Some node;
   Hashtbl.add g.g_nodes member node;
   Raft.start node

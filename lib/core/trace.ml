@@ -48,7 +48,7 @@ let record t ~parent ~(child : Message.t) ~emitter =
   | None -> ());
   evict t
 
-let attach platform ?(capacity = 65_536) () =
+let attach platform ~capacity =
   if capacity <= 0 then invalid_arg "Trace.attach: capacity must be positive";
   let t =
     {

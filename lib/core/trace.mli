@@ -24,9 +24,9 @@ type event = {
 
 type t
 
-val attach : Platform.t -> ?capacity:int -> unit -> t
-(** Starts recording every message created on the platform (capacity
-    defaults to 65_536 events). *)
+val attach : Platform.t -> capacity:int -> t
+(** Starts recording every message created on the platform, keeping the
+    newest [capacity] events. *)
 
 val recorded : t -> int
 (** Events currently held (bounded by capacity). *)

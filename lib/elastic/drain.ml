@@ -10,17 +10,15 @@ type t = {
   d_auto_decommission : bool;
   mutable d_state : state;
   mutable d_finished : Simtime.t option;
-  mutable d_on_complete : (unit -> unit) list;
 }
 
-let start ~hive ~now ~auto_decommission ?on_complete () =
+let start ~hive ~now ~auto_decommission =
   {
     d_hive = hive;
     d_started = now;
     d_auto_decommission = auto_decommission;
     d_state = Draining;
     d_finished = None;
-    d_on_complete = (match on_complete with Some f -> [ f ] | None -> []);
   }
 
 let hive t = t.d_hive
@@ -30,10 +28,7 @@ let auto_decommission t = t.d_auto_decommission
 let complete t ~now =
   if t.d_state = Draining then begin
     t.d_state <- Completed;
-    t.d_finished <- Some now;
-    let callbacks = List.rev t.d_on_complete in
-    t.d_on_complete <- [];
-    List.iter (fun f -> f ()) callbacks
+    t.d_finished <- Some now
   end
 
 let duration_us t =

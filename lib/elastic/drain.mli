@@ -4,8 +4,7 @@
     A drain starts when {!Membership.drain} marks the hive, and completes
     (exactly once) when the hive owns zero cells, hosts no live non-local
     bee, and has no migration in flight toward it — the evacuation pump
-    in {!Membership} decides when, this module just records it and runs
-    the completion callbacks. *)
+    in {!Membership} decides when, this module just records it. *)
 
 type state =
   | Draining
@@ -17,8 +16,6 @@ val start :
   hive:int ->
   now:Beehive_sim.Simtime.t ->
   auto_decommission:bool ->
-  ?on_complete:(unit -> unit) ->
-  unit ->
   t
 
 val hive : t -> int
@@ -29,8 +26,7 @@ val auto_decommission : t -> bool
     drain completes. *)
 
 val complete : t -> now:Beehive_sim.Simtime.t -> unit
-(** Transitions to [Completed] and fires callbacks in registration
-    order. Idempotent. *)
+(** Transitions to [Completed]. Idempotent. *)
 
 val duration_us : t -> int option
 (** Simulated microseconds from drain start to completion; [None] while

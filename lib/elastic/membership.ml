@@ -103,7 +103,7 @@ let placeable_without t hive =
        (fun h -> h <> hive && Platform.placeable t.platform h)
        (Platform.members t.platform))
 
-let drain t ?(auto_decommission = false) ?on_complete hive =
+let drain t ?(auto_decommission = false) hive =
   if
     (not (Platform.hive_alive t.platform hive))
     || Platform.hive_draining t.platform hive
@@ -112,9 +112,7 @@ let drain t ?(auto_decommission = false) ?on_complete hive =
   then false
   else begin
     Platform.set_draining t.platform hive true;
-    let d =
-      Drain.start ~hive ~now:(Engine.now t.engine) ~auto_decommission ?on_complete ()
-    in
+    let d = Drain.start ~hive ~now:(Engine.now t.engine) ~auto_decommission in
     Hashtbl.replace t.drains hive d;
     t.n_drains_started <- t.n_drains_started + 1;
     ignore (Rebalancer.evacuate_step t.platform ~hive ~reason:(drain_reason hive));

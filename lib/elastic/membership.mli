@@ -30,8 +30,7 @@ val create : Beehive_core.Platform.t -> t
 val add_hive : t -> int
 (** Joins one new hive and returns its id (= previous hive count). *)
 
-val drain :
-  t -> ?auto_decommission:bool -> ?on_complete:(unit -> unit) -> int -> bool
+val drain : t -> ?auto_decommission:bool -> int -> bool
 (** [drain t h] begins draining hive [h]. Returns [false] (and does
     nothing) if [h] is not alive, is already draining or decommissioned,
     or fewer than 2 placeable hives would remain. With

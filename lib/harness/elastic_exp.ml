@@ -20,7 +20,6 @@ type config = {
   e_hives : int;
   e_joins : int;
   e_keys : int;
-  e_put_period : Simtime.t;
   e_phase : Simtime.t;
   e_seed : int;
 }
@@ -30,7 +29,6 @@ let default_config =
     e_hives = 4;
     e_joins = 2;
     e_keys = 24;
-    e_put_period = Simtime.of_ms 2;
     e_phase = Simtime.of_sec 5.0;
     e_seed = 11;
   }
@@ -125,7 +123,9 @@ let phase_stats ~label ~baseline platform =
       (if !total = 0 then 0.0 else float_of_int busiest /. float_of_int !total);
   }
 
-let run ?(config = default_config) () =
+let put_period = Simtime.of_ms 2
+
+let run config =
   let engine = Engine.create ~seed:config.e_seed () in
   let pcfg =
     {
@@ -148,17 +148,17 @@ let run ?(config = default_config) () =
           Instrumentation.combined_policy
             [
               Instrumentation.scale_out_policy;
-              Instrumentation.load_balance_policy ();
+              Instrumentation.load_balance_policy;
             ];
       }
   in
   let membership = Membership.create platform in
   Platform.start platform;
-  (* Steady load: one put per period, cycling keys, injected from a
+  (* Steady load: one put every 2 ms, cycling keys, injected from a
      rotating alive member so every hive sources traffic. *)
   let tick = ref 0 in
   ignore
-    (Engine.every engine config.e_put_period (fun () ->
+    (Engine.every engine put_period (fun () ->
          incr tick;
          let members =
            List.filter (Platform.placeable platform) (Platform.members platform)

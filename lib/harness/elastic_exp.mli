@@ -13,13 +13,12 @@ type config = {
   e_hives : int;  (** initial cluster size *)
   e_joins : int;  (** hives joined before the second phase *)
   e_keys : int;  (** counter keys (≈ workload bees) *)
-  e_put_period : Beehive_sim.Simtime.t;  (** one put per period *)
   e_phase : Beehive_sim.Simtime.t;  (** measured duration of each phase *)
   e_seed : int;
 }
 
 val default_config : config
-(** 4 hives + 2 joins, 24 keys, a put every 2 ms, 5 s phases. *)
+(** 4 hives + 2 joins, 24 keys, 5 s phases. *)
 
 type phase_stats = {
   p_label : string;
@@ -49,7 +48,8 @@ type report = {
   r_quarantined : int;  (** poison messages parked by delivery retry *)
 }
 
-val run : ?config:config -> unit -> report
+val run : config -> report
+(** Runs the three phases under a steady load of one put every 2 ms. *)
 
 val render : Format.formatter -> report -> unit
 

@@ -67,27 +67,24 @@ let run_panel ~name ~desc ~tail cfg =
     p_rerouted = rerouted_of sc;
   }
 
-let run_naive ?(cfg = Scenario.default_config) () =
+let run_naive cfg =
   run_panel ~name:"fig4-a/d"
     ~desc:"naive TE (Route maps whole dictionaries): effectively centralized" ~tail:false
     { cfg with Scenario.te = Scenario.Te_naive; optimize = false; adversarial_pin = false }
 
-let run_decoupled ?(cfg = Scenario.default_config) () =
+let run_decoupled cfg =
   run_panel ~name:"fig4-b/e"
     ~desc:"decoupled TE (aggregated events to Route): local processing + one cross"
     ~tail:false
     { cfg with Scenario.te = Scenario.Te_decoupled; optimize = false; adversarial_pin = false }
 
-let run_optimized ?(cfg = Scenario.default_config) () =
+let run_optimized cfg =
   run_panel ~name:"fig4-c/f"
     ~desc:
       "decoupled TE, adversarial placement on hive 0, runtime optimizer migrates bees \
        back to their masters"
     ~tail:true
     { cfg with Scenario.te = Scenario.Te_decoupled; optimize = true; adversarial_pin = true }
-
-let run_all ?(cfg = Scenario.default_config) () =
-  (run_naive ~cfg (), run_decoupled ~cfg (), run_optimized ~cfg ())
 
 type check = {
   c_name : string;
@@ -152,17 +149,17 @@ let render fmt p =
     cfg.Scenario.flows_per_switch
     (100.0 *. cfg.Scenario.hot_fraction);
   Format.fprintf fmt "inter-hive traffic matrix (rows = src hive, cols = dst hive):@,%a@,@,"
-    (Traffic_matrix.render ~cell_width:1)
+    Traffic_matrix.render
     p.p_window.m_matrix;
   Format.fprintf fmt "control-channel bandwidth over the window: [%a]@,"
-    (Series.render_sparkline ~width:60)
+    Series.render_sparkline
     p.p_window.m_bandwidth;
   Format.fprintf fmt "@,%a@,@," Summary.pp p.p_window.m_summary;
   (match p.p_tail with
   | Some t ->
     Format.fprintf fmt "post-convergence tail:@,%a@,matrix:@,%a@,@," Summary.pp
       t.m_summary
-      (Traffic_matrix.render ~cell_width:1)
+      Traffic_matrix.render
       t.m_matrix
   | None -> ());
   Format.fprintf fmt "flows re-routed by TE: %d@,@," p.p_rerouted;
@@ -191,7 +188,9 @@ let render_checks fmt checks =
   Format.fprintf fmt "@]"
 
 let report ~cfg fmt =
-  let naive, decoupled, optimized = run_all ~cfg () in
+  let naive = run_naive cfg in
+  let decoupled = run_decoupled cfg in
+  let optimized = run_optimized cfg in
   List.iter (Format.fprintf fmt "%a@." render) [ naive; decoupled; optimized ];
   let checks = shape_checks ~naive ~decoupled ~optimized in
   Format.fprintf fmt "=== shape checks (the paper's qualitative claims)@.%a@." render_checks

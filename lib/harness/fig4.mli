@@ -26,17 +26,15 @@ type panel = {
   p_rerouted : int;  (** flows the TE app re-steered *)
 }
 
-val run_naive : ?cfg:Scenario.config -> unit -> panel
+val run_naive : Scenario.config -> panel
 (** Figure 4 (a) and (d): naive TE, no optimizer. *)
 
-val run_decoupled : ?cfg:Scenario.config -> unit -> panel
+val run_decoupled : Scenario.config -> panel
 (** Figure 4 (b) and (e): decoupled TE, no optimizer. *)
 
-val run_optimized : ?cfg:Scenario.config -> unit -> panel
+val run_optimized : Scenario.config -> panel
 (** Figure 4 (c) and (f): decoupled TE, every TE bee adversarially placed
     on hive 0 after warm-up, optimizer enabled. *)
-
-val run_all : ?cfg:Scenario.config -> unit -> panel * panel * panel
 
 type check = {
   c_name : string;

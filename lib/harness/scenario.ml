@@ -20,9 +20,6 @@ type config = {
   tree_arity : int;
   flows_per_switch : int;
   hot_fraction : float;
-  base_rate : float;
-  hot_rate : float;
-  delta : float;
   flow_start_spread : float;
   seed : int;
   warmup : Simtime.t;
@@ -39,9 +36,6 @@ let default_config =
     tree_arity = 4;
     flows_per_switch = 100;
     hot_fraction = 0.1;
-    base_rate = 50_000.0;
-    hot_rate = 250_000.0;
-    delta = 100_000.0;
     flow_start_spread = 40.0;
     seed = 42;
     warmup = Simtime.of_sec 5.0;
@@ -79,6 +73,11 @@ let te_app_name cfg =
   | Te_decoupled -> Beehive_apps.Te_decoupled.app_name
   | Te_external -> Beehive_apps.Te_external.app_name
 
+(* Flow rates in bytes/s: an ordinary flow runs at half the TE threshold
+   ({!Te_common.delta}), a hot one at two and a half times it. *)
+let base_rate = 50_000.0
+let hot_rate = 250_000.0
+
 let build cfg =
   let engine = Engine.create ~seed:cfg.seed () in
   let platform = Platform.create engine (Platform.default_config ~n_hives:cfg.n_hives) in
@@ -92,21 +91,21 @@ let build cfg =
   let flow_rng = Rng.split (Engine.rng engine) in
   let flows =
     Flow.generate flow_rng topo ~per_switch:cfg.flows_per_switch
-      ~hot_fraction:cfg.hot_fraction ~base_rate:cfg.base_rate ~hot_rate:cfg.hot_rate
+      ~hot_fraction:cfg.hot_fraction ~base_rate ~hot_rate
       ~start_spread:cfg.flow_start_spread ()
   in
   Platform.register_app platform (Driver.app ());
   let store =
     match cfg.te with
     | Te_naive ->
-      Platform.register_app platform (Beehive_apps.Te_naive.app ~delta:cfg.delta ());
+      Platform.register_app platform (Beehive_apps.Te_naive.app ());
       None
     | Te_decoupled ->
-      Platform.register_app platform (Beehive_apps.Te_decoupled.app ~delta:cfg.delta ());
+      Platform.register_app platform (Beehive_apps.Te_decoupled.app ());
       None
     | Te_external ->
-      let store = Beehive_core.Ext_store.create platform () in
-      Platform.register_app platform (Beehive_apps.Te_external.app ~store ~delta:cfg.delta ());
+      let store = Beehive_core.Ext_store.create platform in
+      Platform.register_app platform (Beehive_apps.Te_external.app ~store);
       Some store
   in
   let instr =
@@ -165,6 +164,5 @@ let platform t = t.platform
 let flows t = t.flows
 let matrix t = Channels.matrix (Platform.channels t.platform)
 let bandwidth t = Channels.bandwidth (Platform.channels t.platform)
-let master_of_switch t sw = Channels.master_of (Platform.channels t.platform) sw
 let ext_store t = t.store
 let instrumentation t = t.instr

@@ -21,9 +21,8 @@ type config = {
   tree_arity : int;
   flows_per_switch : int;
   hot_fraction : float;
-  base_rate : float;  (** bytes/s of ordinary flows *)
-  hot_rate : float;  (** bytes/s of above-threshold flows *)
-  delta : float;  (** the TE re-routing threshold *)
+      (** share of each switch's flows at 250 KB/s, above the TE threshold
+          {!Beehive_apps.Te_common.delta}; the rest run at 50 KB/s *)
   flow_start_spread : float;
       (** seconds over which flow start times are staggered *)
   seed : int;
@@ -62,7 +61,6 @@ val platform : t -> Beehive_core.Platform.t
 val flows : t -> Beehive_net.Flow.t array
 val matrix : t -> Beehive_net.Traffic_matrix.t
 val bandwidth : t -> Beehive_net.Series.t
-val master_of_switch : t -> int -> int
 
 val ext_store : t -> Beehive_core.Ext_store.t option
 (** The external store, when the scenario runs [Te_external]. *)

@@ -26,12 +26,12 @@ type t = {
          reliability machinery above can take its fast path *)
 }
 
-let create ?rng ~n_hives () =
+let create ~rng ~n_hives =
   if n_hives <= 0 then invalid_arg "Channels.create: need at least one hive";
   {
     n = n_hives;
     hive_eps = Array.init n_hives (fun h -> Hive h);
-    rng = (match rng with Some r -> r | None -> Rng.create 0);
+    rng;
     masters = Hashtbl.create 64;
     matrix = Traffic_matrix.create n_hives;
     series = Series.create ~bucket;

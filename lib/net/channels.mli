@@ -23,10 +23,9 @@ type t
     serialization delay of one us per 100 bytes; bandwidth is bucketed
     per second. *)
 
-val create : ?rng:Beehive_sim.Rng.t -> n_hives:int -> unit -> t
+val create : rng:Beehive_sim.Rng.t -> n_hives:int -> t
 (** [rng] drives the per-message loss draws of {!transfer_result}; pass a
-    stream split from the engine RNG so runs stay deterministic. Defaults
-    to a fixed seed (fine for fault-free fabrics, which never draw). *)
+    stream split from the engine RNG so runs stay deterministic. *)
 
 val add_hive : t -> int
 (** Grows the fabric by one hive and returns its id ([n_hives] before the

@@ -51,11 +51,13 @@ let total t =
 
 let levels = " .:-=+*#%@"
 
-let render_sparkline ?(width = 72) fmt t =
+let sparkline_width = 60
+
+let render_sparkline fmt t =
   if t.last < 0 then Format.pp_print_string fmt "(empty)"
   else begin
     let n = t.last + 1 in
-    let w = Stdlib.min width n in
+    let w = Stdlib.min sparkline_width n in
     let group = (n + w - 1) / w in
     let mx = peak t in
     for g = 0 to w - 1 do

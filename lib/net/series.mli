@@ -20,5 +20,6 @@ val rate_kbps : t -> (float * float) array
 
 val total : t -> float
 
-val render_sparkline : ?width:int -> Format.formatter -> t -> unit
-(** One-line unicode-free sparkline using ASCII levels [ .:-=+*#%@]. *)
+val render_sparkline : Format.formatter -> t -> unit
+(** One-line ASCII sparkline (levels [ .:-=+*#%@]), one character per
+    bucket up to 60; past that each character is a group's peak. *)

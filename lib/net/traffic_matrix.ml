@@ -106,7 +106,7 @@ let reset t =
 (* A cell is rendered by the decade of its byte count relative to the
    matrix maximum: '.' for zero, '1'..'9' for increasing log-share, '#'
    for the hottest decade. *)
-let render ?(cell_width = 1) fmt t =
+let render fmt t =
   let mx = fold (fun a i j -> Stdlib.max a t.byts.(i).(j)) 0.0 t in
   let glyph v =
     if v <= 0.0 then '.'
@@ -125,10 +125,7 @@ let render ?(cell_width = 1) fmt t =
   Format.fprintf fmt "@[<v>";
   for i = 0 to t.n - 1 do
     for j = 0 to t.n - 1 do
-      let c = glyph t.byts.(i).(j) in
-      for _ = 1 to cell_width do
-        Format.pp_print_char fmt c
-      done
+      Format.pp_print_char fmt (glyph t.byts.(i).(j))
     done;
     Format.pp_print_cut fmt ()
   done;

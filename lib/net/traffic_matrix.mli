@@ -42,6 +42,6 @@ val merge_into : dst:t -> t -> unit
 
 val reset : t -> unit
 
-val render : ?cell_width:int -> Format.formatter -> t -> unit
-(** ASCII heat map ('.', digits and '#' by decade of bytes), mimicking the
-    figure panels. *)
+val render : Format.formatter -> t -> unit
+(** ASCII heat map ('.', digits and '#' by decade of bytes), one character
+    per cell, mimicking the figure panels. *)

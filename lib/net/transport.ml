@@ -47,7 +47,7 @@ type t = {
   mutable exhausted : int;
 }
 
-let create ~engine ~rng ~alive ?(dedup = true) channels =
+let create ~engine ~rng ~alive ~dedup channels =
   {
     engine;
     channels;

@@ -19,7 +19,7 @@ val create :
   engine:Beehive_sim.Engine.t ->
   rng:Beehive_sim.Rng.t ->
   alive:(int -> bool) ->
-  ?dedup:bool ->
+  dedup:bool ->
   Channels.t ->
   t
 (** [alive h] tells the receiver side whether hive [h]'s process is up;

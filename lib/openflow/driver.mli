@@ -19,5 +19,3 @@ type Beehive_core.Value.t +=
 val app : unit -> Beehive_core.App.t
 (** The driver application (pinned: its bees never migrate away from
     their switch's master hive). *)
-
-val switch_key : int -> string

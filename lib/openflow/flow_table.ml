@@ -9,13 +9,11 @@ let match_any = { m_flow_id = None; m_src_mac = None; m_dst_mac = None; m_in_por
 let match_flow id = { match_any with m_flow_id = Some id }
 let match_dst_mac mac = { match_any with m_dst_mac = Some mac }
 
-let field_ok pattern value =
-  match pattern with
-  | None -> true
-  | Some p -> ( match value with Some v -> v = p | None -> false)
+let field_ok pattern value = match pattern with None -> true | Some p -> p = value
 
-let matches m ~flow_id ~src_mac ~dst_mac ~in_port =
-  field_ok m.m_flow_id flow_id
+(* A packet carries no flow id, so an entry matching one never matches. *)
+let matches m ~src_mac ~dst_mac ~in_port =
+  Option.is_none m.m_flow_id
   && field_ok m.m_src_mac src_mac
   && field_ok m.m_dst_mac dst_mac
   && field_ok m.m_in_port in_port
@@ -84,10 +82,8 @@ let apply t (m : mod_msg) =
         t.table
   | Delete -> t.table <- List.filter (fun e -> e.e_match <> m.fm_match) t.table
 
-let lookup t ?flow_id ?src_mac ?dst_mac ?in_port () =
-  List.find_opt
-    (fun e -> matches e.e_match ~flow_id ~src_mac ~dst_mac ~in_port)
-    t.table
+let lookup t ~src_mac ~dst_mac ~in_port =
+  List.find_opt (fun e -> matches e.e_match ~src_mac ~dst_mac ~in_port) t.table
 
 let count e ~bytes =
   e.e_packets <- e.e_packets + 1;

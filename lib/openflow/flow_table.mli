@@ -8,7 +8,6 @@ type fmatch = {
   m_in_port : int option;
 }
 
-val match_any : fmatch
 val match_flow : int -> fmatch
 val match_dst_mac : int64 -> fmatch
 
@@ -49,10 +48,11 @@ val apply : t -> mod_msg -> unit
     [Modify] rewrites actions of matching entries (no-op when absent),
     [Delete] removes entries whose match equals the given match. *)
 
-val lookup :
-  t -> ?flow_id:int -> ?src_mac:int64 -> ?dst_mac:int64 -> ?in_port:int -> unit ->
-  entry option
-(** First (highest-priority) matching entry; bumps its counters must be
-    done by the caller via {!count}. *)
+val lookup : t -> src_mac:int64 -> dst_mac:int64 -> in_port:int -> entry option
+(** First (highest-priority) entry matching a packet; the caller bumps its
+    counters with {!count}. A field left [None] in a match is a wildcard.
+    An entry that matches a flow id (a TE re-route, which the switch keeps
+    as its path table) never matches a packet, since packets carry no
+    flow id. *)
 
 val count : entry -> bytes:float -> unit

@@ -17,8 +17,6 @@ type cluster = {
   dead_links : (int * int, unit) Hashtbl.t;
   mutable delivered : int;
   mutable dropped : int;
-  mutable packet_ins : int;
-  mutable delivery_hooks : (switch:int -> port:int -> dst_mac:int64 -> unit) list;
 }
 
 and t = {
@@ -41,8 +39,6 @@ let create_cluster platform topo =
     dead_links = Hashtbl.create 8;
     delivered = 0;
     dropped = 0;
-    packet_ins = 0;
-    delivery_hooks = [];
   }
 
 let add cluster ~sw ?(flows = [||]) () =
@@ -80,9 +76,7 @@ let stat_snapshot t = { t.stat_ids with Wire.fs_bytes = Flow.counters t.flows ~a
 let rec forward t ~ttl ~in_port ~src_mac ~dst_mac ~bytes =
   if ttl <= 0 then t.cluster.dropped <- t.cluster.dropped + 1
   else begin
-    match
-      Flow_table.lookup t.table ~src_mac ~dst_mac ~in_port ()
-    with
+    match Flow_table.lookup t.table ~src_mac ~dst_mac ~in_port with
     | Some entry -> (
       Flow_table.count entry ~bytes:(float_of_int bytes);
       match entry.Flow_table.e_actions with
@@ -94,19 +88,14 @@ let rec forward t ~ttl ~in_port ~src_mac ~dst_mac ~bytes =
   end
 
 and punt t ~in_port ~src_mac ~dst_mac =
-  t.cluster.packet_ins <- t.cluster.packet_ins + 1;
   inject t ~size:Wire.size_packet_in ~kind:Wire.k_packet_in
     (Wire.Packet_in
        { pi_switch = t.sw; pi_port = in_port; pi_src_mac = src_mac; pi_dst_mac = dst_mac; pi_lldp = None })
 
 and emit_on_port t ~ttl ~port ~src_mac ~dst_mac ~bytes =
-  if port >= 100 then begin
+  if port >= 100 then
     (* Host port: the packet leaves the fabric. *)
-    t.cluster.delivered <- t.cluster.delivered + 1;
-    List.iter
-      (fun f -> f ~switch:t.sw ~port ~dst_mac)
-      t.cluster.delivery_hooks
-  end
+    t.cluster.delivered <- t.cluster.delivered + 1
   else begin
     let neighbors = Topology.neighbors t.cluster.topo t.sw in
     match List.nth_opt neighbors (port - 1) with
@@ -205,7 +194,6 @@ let send_lldp t =
         let in_port = Topology.port_towards t.cluster.topo ~src:next_sw ~dst:t.sw in
         ignore
           (Engine.schedule_after (engine t) hop_latency (fun () ->
-               next.cluster.packet_ins <- next.cluster.packet_ins + 1;
                inject next ~size:Wire.size_packet_in ~kind:Wire.k_packet_in
                  (Wire.Packet_in
                     {
@@ -237,17 +225,8 @@ let fail_link cluster a b =
 let send_all_lldp cluster =
   Hashtbl.iter (fun _ t -> if t.connected then send_lldp t) cluster.agents
 
-let inject_host_packet t ~in_port ~src_mac ~dst_mac ?(bytes = 1000) () =
-  match Flow_table.lookup t.table ~src_mac ~dst_mac ~in_port () with
-  | Some entry -> (
-    Flow_table.count entry ~bytes:(float_of_int bytes);
-    match entry.Flow_table.e_actions with
-    | Flow_table.Output port :: _ -> emit_on_port t ~ttl:max_ttl ~port ~src_mac ~dst_mac ~bytes
-    | Flow_table.To_controller :: _ -> punt t ~in_port ~src_mac ~dst_mac
-    | _ -> t.cluster.dropped <- t.cluster.dropped + 1)
-  | None -> punt t ~in_port ~src_mac ~dst_mac
+let inject_host_packet t ~in_port ~src_mac ~dst_mac =
+  forward t ~ttl:max_ttl ~in_port ~src_mac ~dst_mac ~bytes:1000
 
 let packets_delivered cluster = cluster.delivered
 let packets_dropped cluster = cluster.dropped
-let packet_ins_sent cluster = cluster.packet_ins
-let on_host_delivery cluster f = cluster.delivery_hooks <- f :: cluster.delivery_hooks

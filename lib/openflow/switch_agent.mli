@@ -31,16 +31,12 @@ val send_all_lldp : cluster -> unit
 
 (** {2 Dataplane packets (learning-switch / virtualization scenarios)} *)
 
-val inject_host_packet :
-  t -> in_port:int -> src_mac:int64 -> dst_mac:int64 -> ?bytes:int -> unit -> unit
-(** A host attached to [in_port] sends a packet; the switch pipeline
-    looks up the flow table, forwards hop by hop, floods or punts to the
+val inject_host_packet : t -> in_port:int -> src_mac:int64 -> dst_mac:int64 -> unit
+(** A host attached to [in_port] sends a 1000-byte packet; the switch
+    pipeline looks up the flow table, forwards hop by hop, or punts to the
     controller per the installed entries. *)
 
 val packets_delivered : cluster -> int
 (** Packets that reached a host port. *)
 
 val packets_dropped : cluster -> int
-val packet_ins_sent : cluster -> int
-
-val on_host_delivery : cluster -> (switch:int -> port:int -> dst_mac:int64 -> unit) -> unit

@@ -71,7 +71,7 @@ type t = {
   send : dst:int -> rpc -> unit;
   apply_fn : entry -> unit;
   rng : Rng.t;
-  install_cb : (last_index:int -> last_term:int -> data:string -> unit) option;
+  install_cb : last_index:int -> last_term:int -> data:string -> unit;
   (* persistent state (survives crash/restart) *)
   mutable term : int;
   mutable voted_for : int option;
@@ -99,7 +99,7 @@ type t = {
   mutable heartbeat_timer : Engine.handle option;
 }
 
-let create engine ~id ~peers ?install ~send ~apply () =
+let create engine ~id ~peers ~install ~send ~apply =
   {
     engine;
     node_id = id;
@@ -170,7 +170,7 @@ let append_log t e =
 (* [len] is an absolute index: keep entries up to and including it. *)
 let truncate_log t len = t.log_len <- max 0 (len - t.snap_index)
 
-let compact t ~upto ?data_size ~data () =
+let compact t ~upto ~data_size ~data =
   let upto = min upto t.applied in
   if upto > t.snap_index then begin
     let term = term_at t upto in
@@ -181,7 +181,7 @@ let compact t ~upto ?data_size ~data () =
     t.snap_index <- upto;
     t.snap_term <- term;
     t.snap_data <- data;
-    t.snap_data_size <- (match data_size with Some s -> s | None -> String.length data)
+    t.snap_data_size <- data_size
   end
 
 let majority t = ((List.length t.peers + 1) / 2) + 1
@@ -449,9 +449,7 @@ let handle_install_snapshot t ~is_term ~is_leader ~is_last_index ~is_last_term ~
       (* Jump the state machine to the snapshot only when it is ahead of
          what we have already applied. *)
       if is_last_index > t.applied then begin
-        (match t.install_cb with
-        | Some f -> f ~last_index:is_last_index ~last_term:is_last_term ~data:is_data
-        | None -> ());
+        t.install_cb ~last_index:is_last_index ~last_term:is_last_term ~data:is_data;
         t.applied <- is_last_index
       end;
       t.commit <- max t.commit is_last_index
@@ -547,9 +545,7 @@ let restart t =
     (* Restore the state machine from the persistent snapshot; committed
        tail entries are re-applied as the leader re-advances our commit. *)
     if t.snap_index > 0 then begin
-      (match t.install_cb with
-      | Some f -> f ~last_index:t.snap_index ~last_term:t.snap_term ~data:t.snap_data
-      | None -> ());
+      t.install_cb ~last_index:t.snap_index ~last_term:t.snap_term ~data:t.snap_data;
       t.commit <- max t.commit t.snap_index;
       t.applied <- max t.applied t.snap_index
     end;

@@ -77,10 +77,9 @@ val create :
   Beehive_sim.Engine.t ->
   id:int ->
   peers:int list ->
-  ?install:(last_index:int -> last_term:int -> data:string -> unit) ->
+  install:(last_index:int -> last_term:int -> data:string -> unit) ->
   send:(dst:int -> rpc -> unit) ->
   apply:(entry -> unit) ->
-  unit ->
   t
 (** [peers] excludes [id]. [apply] is called exactly once per committed
     entry, in index order, while the node is up. [install] resets the
@@ -127,12 +126,11 @@ val set_peers : t -> int list -> unit
 
 (** {2 Log compaction} *)
 
-val compact : t -> upto:int -> ?data_size:int -> data:string -> unit -> unit
+val compact : t -> upto:int -> data_size:int -> data:string -> unit
 (** Discards log entries up to [min upto last_applied], recording [data]
-    as the snapshot image for that prefix. [data_size] (default
-    [String.length data]) is the wire size charged when the snapshot is
-    shipped to a lagging follower. No-op if [upto] is not past the
-    current snapshot. *)
+    as the snapshot image for that prefix. [data_size] is the wire size
+    charged when the snapshot is shipped to a lagging follower. No-op if
+    [upto] is not past the current snapshot. *)
 
 val snapshot_index : t -> int
 (** Last log index covered by the snapshot (0 = no snapshot). *)

@@ -43,7 +43,10 @@ let create engine ~n =
     let apply (e : Raft.entry) =
       applied.(i) := (e.Raft.e_index, e.Raft.e_command) :: !(applied.(i))
     in
-    Raft.create engine ~id:i ~peers ~send ~apply ()
+    (* The applied lists are the test's state machine; they ignore
+       snapshot installs. *)
+    let install ~last_index:_ ~last_term:_ ~data:_ = () in
+    Raft.create engine ~id:i ~peers ~install ~send ~apply
   in
   let nodes = Array.init n make in
   let t =

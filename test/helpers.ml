@@ -110,7 +110,7 @@ let store_value platform ~bee ~key =
    every TE design must re-route. *)
 let hot_flow_count sc =
   let module Scenario = Beehive_harness.Scenario in
-  let threshold = (Scenario.config sc).Scenario.delta in
+  let threshold = Beehive_apps.Te_common.delta in
   Array.fold_left
     (fun n f -> if Beehive_net.Flow.is_hot ~threshold f then n + 1 else n)
     0 (Scenario.flows sc)

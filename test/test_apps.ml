@@ -239,18 +239,18 @@ let stat_reply platform ~switch ~flow ~bytes =
 
 let test_kandoo_elephant_detection () =
   let engine, platform =
-    make_platform [ Kandoo.local_app ~threshold:500.0 (); Kandoo.root_app () ]
+    make_platform [ Kandoo.local_app (); Kandoo.root_app () ]
   in
   (* Two samples give a rate; flow 1 is an elephant, flow 2 is a mouse. *)
   stat_reply platform ~switch:3 ~flow:1 ~bytes:0.0;
   stat_reply platform ~switch:4 ~flow:2 ~bytes:0.0;
   drain engine;
   Engine.run_until engine (Simtime.add (Engine.now engine) (Simtime.of_sec 1.0));
-  stat_reply platform ~switch:3 ~flow:1 ~bytes:10_000.0;
+  stat_reply platform ~switch:3 ~flow:1 ~bytes:1_000_000.0;
   stat_reply platform ~switch:4 ~flow:2 ~bytes:100.0;
   drain engine;
   (match Kandoo.elephants platform with
-  | [ (1, 3, rate) ] -> Alcotest.(check bool) "rate above threshold" true (rate > 500.0)
+  | [ (1, 3, rate) ] -> Alcotest.(check bool) "rate above threshold" true (rate > Beehive_apps.Te_common.delta)
   | l -> Alcotest.failf "expected exactly flow 1, got %d entries" (List.length l));
   (* Local state is per switch; root is centralized. *)
   let l3 =

@@ -94,7 +94,7 @@ let test_decoupled_shards () =
       let v = Option.get (Platform.bee_view platform bee) in
       Alcotest.(check int)
         (Printf.sprintf "S[%d] local to master" sw)
-        (Scenario.master_of_switch sc sw)
+        (Beehive_net.Channels.master_of (Platform.channels platform) sw)
         v.Platform.view_hive)
     owners;
   (* Route is centralized: one bee owns the routing wildcard. *)
@@ -189,28 +189,6 @@ let prop_bfs_path_matches_reference =
     (QCheck.make gen)
     (fun (small, large) ->
       bfs_path_matches large && bfs_path_matches small && bfs_path_matches large)
-
-(* Every domain searches with its own scratch. Both domains start
-   searching together, so their searches overlap. *)
-let test_bfs_path_per_domain () =
-  let started = Atomic.make 0 in
-  let searches seed () =
-    let rand = Random.State.make [| seed |] in
-    let gen = QCheck.Gen.(int_bound 20 >>= random_graph) in
-    let wrong = ref 0 in
-    Atomic.incr started;
-    while Atomic.get started < 2 do
-      Domain.cpu_relax ()
-    done;
-    for _ = 1 to 1_000 do
-      if not (bfs_path_matches (QCheck.Gen.generate1 ~rand gen)) then incr wrong
-    done;
-    !wrong
-  in
-  let domains = List.map (fun seed -> Domain.spawn (searches seed)) [ 1; 2 ] in
-  List.iteri
-    (fun i d -> Alcotest.(check int) (Printf.sprintf "domain %d mismatches" i) 0 (Domain.join d))
-    domains
 
 (* Route's search on the paper's 160-switch tree, every ordered pair:
    past the first search it allocates only the path it returns, three
@@ -532,7 +510,6 @@ let suite =
           test_decoupled_locality_beats_naive;
         Alcotest.test_case "bfs path" `Quick test_bfs_path;
         QCheck_alcotest.to_alcotest prop_bfs_path_matches_reference;
-        Alcotest.test_case "bfs_path scratch is per domain" `Quick test_bfs_path_per_domain;
         Alcotest.test_case "path search allocates only its path" `Quick test_bfs_path_allocation;
         Alcotest.test_case "collect_stats rates" `Quick test_collect_stats_rates;
         Alcotest.test_case "collect_stats merge cases" `Quick test_collect_stats_cases;

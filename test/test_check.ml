@@ -66,6 +66,22 @@ let test_corpus_replays_clean () =
   in
   check_pinned ~section:"corpus" digests
 
+(* Every profile is one row of [Script.spec]: its name round-trips and
+   its fault mix is cumulative, ending at 100. *)
+let test_profile_rows () =
+  List.iter
+    (fun p ->
+      let name = Script.profile_to_string p in
+      Alcotest.(check bool) (name ^ " round-trips") true (Script.profile_of_string name = Ok p);
+      let a, b, c, d, e, f, g, last = (Script.spec p).Script.sp_mix in
+      let bounds = [ a; b; c; d; e; f; g; last ] in
+      Alcotest.(check (list int)) (name ^ " mix is cumulative") (List.sort Int.compare bounds)
+        bounds;
+      Alcotest.(check int) (name ^ " mix ends at 100") 100 last)
+    Script.all_profiles;
+  Alcotest.(check bool) "unknown name rejected" true
+    (Result.is_error (Script.profile_of_string "nope"))
+
 (* An injected bug belongs to the platform built with it. Next to a
    live platform running with forwarding off, migration seed 2 fails
    under that bug and, built clean, still replays to its corpus pin. *)
@@ -556,6 +572,7 @@ let suite =
     ( "check",
       [
         Alcotest.test_case "seed corpus replays clean" `Quick test_corpus_replays_clean;
+        Alcotest.test_case "every profile row round-trips" `Quick test_profile_rows;
         Alcotest.test_case "injected bug stays in its platform" `Quick
           test_injected_bug_stays_in_its_platform;
         Alcotest.test_case "catches re-introduced forwarding bug" `Quick

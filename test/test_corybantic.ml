@@ -25,7 +25,7 @@ let energy_module =
 let setup () =
   let engine = Engine.create () in
   let platform = Platform.create engine (Platform.default_config ~n_hives:4) in
-  Platform.register_app platform (Cory.coordinator_app ~round_period:(Simtime.of_sec 1.0) ());
+  Platform.register_app platform (Cory.coordinator_app ());
   Platform.register_app platform bandwidth_module;
   Platform.register_app platform energy_module;
   Platform.start platform;
@@ -90,7 +90,7 @@ let test_adopted_events_emitted () =
             | _ -> ());
       ]
   in
-  Platform.register_app platform (Cory.coordinator_app ~round_period:(Simtime.of_sec 1.0) ());
+  Platform.register_app platform (Cory.coordinator_app ());
   Platform.register_app platform energy_module;
   Platform.register_app platform listener;
   Platform.start platform;

@@ -10,6 +10,7 @@
 
 open Helpers
 module Membership = Beehive_elastic.Membership
+module Drain = Beehive_elastic.Drain
 module Failure_detector = Beehive_core.Failure_detector
 module Raft_replication = Beehive_core.Raft_replication
 module Channels = Beehive_net.Channels
@@ -146,7 +147,7 @@ let test_cancel_drain_restores_placeability () =
 
 (* Decommission is refused while the hive still owns cells; after the
    drain completes it retires the id for good (restart is a no-op on it),
-   and auto_decommission + on_complete fire from the pump. *)
+   and the pump completes the drain record and auto-decommissions. *)
 let test_decommission_requires_complete_drain () =
   let engine, platform = durable_platform ~apps:[ kv_app () ] () in
   let membership = Membership.create platform in
@@ -155,14 +156,14 @@ let test_decommission_requires_complete_drain () =
   let victim = hive_of platform (owner_exn platform ~app:"test.kv" "k0") in
   Alcotest.(check bool) "refused while it owns cells" false
     (Membership.decommission membership victim);
-  let completed = ref false in
   Alcotest.(check bool) "drain accepted" true
-    (Membership.drain membership ~auto_decommission:true
-       ~on_complete:(fun () -> completed := true)
-       victim);
+    (Membership.drain membership ~auto_decommission:true victim);
   await_drain engine membership victim;
   run_for engine 0.05;
-  Alcotest.(check bool) "on_complete fired" true !completed;
+  Alcotest.(check bool) "drain record completed" true
+    (match Membership.drain_record membership victim with
+    | Some d -> Drain.state d = Drain.Completed
+    | None -> false);
   Alcotest.(check bool) "auto-decommissioned" true
     (Platform.hive_decommissioned platform victim);
   Alcotest.(check bool) "decommission idempotent" true

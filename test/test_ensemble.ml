@@ -63,8 +63,8 @@ let test_ensemble_interplay () =
   ignore
     (Engine.schedule_at engine (Simtime.of_sec 3.0) (fun () ->
          let s5 = Option.get (Switch_agent.get cluster 5) in
-         Switch_agent.inject_host_packet s5 ~in_port:100 ~src_mac:0xAAL ~dst_mac:0xBBL ();
-         Switch_agent.inject_host_packet s5 ~in_port:101 ~src_mac:0xBBL ~dst_mac:0xAAL ()));
+         Switch_agent.inject_host_packet s5 ~in_port:100 ~src_mac:0xAAL ~dst_mac:0xBBL;
+         Switch_agent.inject_host_packet s5 ~in_port:101 ~src_mac:0xBBL ~dst_mac:0xAAL));
   Engine.run_until engine (Simtime.of_sec 8.0);
 
   (* 1. Discovery built the full adjacency. *)

@@ -54,7 +54,9 @@ let test_all_switches_join () =
   done
 
 let test_shape_checks_pass () =
-  let naive, decoupled, optimized = Fig4.run_all ~cfg () in
+  let naive = Fig4.run_naive cfg in
+  let decoupled = Fig4.run_decoupled cfg in
+  let optimized = Fig4.run_optimized cfg in
   let checks = Fig4.shape_checks ~naive ~decoupled ~optimized in
   List.iter
     (fun c ->
@@ -148,7 +150,7 @@ let test_fig4c_scenario_pinned () =
     [ ("migrations", md5 migrations); ("bee-state", md5 bee_state); ("loads", md5 loads) ]
 
 let test_panels_have_data () =
-  let p = Fig4.run_decoupled ~cfg () in
+  let p = Fig4.run_decoupled cfg in
   Alcotest.(check bool) "matrix non-empty" true
     (Beehive_net.Traffic_matrix.total_bytes p.Fig4.p_window.Fig4.m_matrix > 0.0);
   Alcotest.(check bool) "bandwidth series non-empty" true

@@ -14,7 +14,7 @@ let setup ~optimize () =
       {
         Instrumentation.default_config with
         optimize;
-        policy = Instrumentation.greedy_source_policy ~min_messages:3 ();
+        policy = Instrumentation.greedy_source_policy ~min_messages:3;
       }
   in
   Platform.start platform;
@@ -96,7 +96,7 @@ let test_max_migrations_per_round () =
       {
         Instrumentation.default_config with
         optimize = true;
-        policy = Instrumentation.greedy_source_policy ~min_messages:3 ();
+        policy = Instrumentation.greedy_source_policy ~min_messages:3;
       }
   in
   Platform.start platform;
@@ -147,7 +147,7 @@ let collect_round_words ~idle =
     (Instrumentation.install platform { Instrumentation.default_config with optimize = false });
   Platform.start platform;
   for i = 1 to idle do
-    Platform.emit_system platform ~kind:"test.idle" (Idle i)
+    Platform.emit_system platform ~hive:0 ~size:64 ~kind:"test.idle" (Idle i)
   done;
   ignore
     (Engine.every engine (Simtime.of_ms 100) (fun () -> put platform ~from:0 ~key:"k" ~value:1));

@@ -153,7 +153,7 @@ let test_dataplane_stops_on_dead_link () =
     };
   Switch_agent.fail_link cluster 2 3;
   let dropped = Switch_agent.packets_dropped cluster in
-  Switch_agent.inject_host_packet s2 ~in_port:100 ~src_mac:1L ~dst_mac:9L ();
+  Switch_agent.inject_host_packet s2 ~in_port:100 ~src_mac:1L ~dst_mac:9L;
   Engine.run_until engine (Simtime.add (Engine.now engine) (Simtime.of_sec 1.0));
   Alcotest.(check int) "packet dropped at dead link" (dropped + 1)
     (Switch_agent.packets_dropped cluster)

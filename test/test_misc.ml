@@ -41,7 +41,7 @@ let test_message_src_hive () =
   drain engine;
   put (Channels.Switch 9);
   Platform.inject platform ~from:(Channels.Hive 3) ~kind:"test.relay" Misc_probe;
-  Platform.emit_system platform ~kind:k_put (Put { p_key = "k"; p_value = 1 });
+  Platform.emit_system platform ~hive:0 ~size:64 ~kind:k_put (Put { p_key = "k"; p_value = 1 });
   drain engine;
   let kv = owner_exn platform ~app:"test.kv" "k" in
   let window = ref None in
@@ -91,12 +91,17 @@ let test_series_sparkline () =
   for i = 0 to 9 do
     Series.add s ~at:(Simtime.of_sec (float_of_int i)) (i * 100)
   done;
-  let line = Format.asprintf "%a" (Series.render_sparkline ~width:10) s in
-  Alcotest.(check int) "width respected" 10 (String.length line);
+  let line = Format.asprintf "%a" Series.render_sparkline s in
+  Alcotest.(check int) "one glyph per bucket" 10 (String.length line);
   Alcotest.(check bool) "peak is the densest glyph" true (String.get line 9 = '@');
+  for i = 10 to 119 do
+    Series.add s ~at:(Simtime.of_sec (float_of_int i)) 100
+  done;
+  Alcotest.(check int) "120 buckets fold into 60 glyphs" 60
+    (String.length (Format.asprintf "%a" Series.render_sparkline s));
   let empty = Series.create ~bucket:(Simtime.of_sec 1.0) in
   Alcotest.(check string) "empty" "(empty)"
-    (Format.asprintf "%a" (Series.render_sparkline ~width:10) empty)
+    (Format.asprintf "%a" Series.render_sparkline empty)
 
 let test_stats_windows () =
   let s = Stats.create () in

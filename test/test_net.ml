@@ -152,13 +152,13 @@ let test_series () =
   Alcotest.(check (float 0.01)) "total" 2560.0 (Series.total s)
 
 let test_channels_accounting () =
-  let c = Channels.create ~n_hives:3 () in
+  let c = Channels.create ~rng:(Rng.create 0) ~n_hives:3 in
   Channels.assign_switch c ~switch:7 ~hive:1;
   Alcotest.(check int) "master" 1 (Channels.master_of c 7);
   (* remote hive-to-hive: matrix + series *)
   let lat = Channels.transfer c ~src:(Channels.Hive 0) ~dst:(Channels.Hive 2) ~bytes:1000 ~now:Simtime.zero in
   let local =
-    Channels.transfer (Channels.create ~n_hives:1 ()) ~src:(Channels.Hive 0)
+    Channels.transfer (Channels.create ~rng:(Rng.create 0) ~n_hives:1) ~src:(Channels.Hive 0)
       ~dst:(Channels.Hive 0) ~bytes:1000 ~now:Simtime.zero
   in
   Alcotest.(check int) "local latency is 5 us" 5 (Simtime.to_us local);

@@ -22,48 +22,55 @@ let add_entry table ~priority ~fmatch ~actions =
   FT.apply table
     { FT.fm_switch = 0; fm_command = FT.Add; fm_priority = priority; fm_match = fmatch; fm_actions = actions }
 
+(* The match of every field wildcarded. *)
+let match_any = { FT.m_flow_id = None; m_src_mac = None; m_dst_mac = None; m_in_port = None }
+
+(* A packet from host 1 on port 1. *)
+let lookup t ~dst_mac = FT.lookup t ~src_mac:1L ~dst_mac ~in_port:1
+
 let test_table_priority () =
   let t = FT.create () in
-  add_entry t ~priority:1 ~fmatch:FT.match_any ~actions:[ FT.To_controller ];
+  add_entry t ~priority:1 ~fmatch:match_any ~actions:[ FT.To_controller ];
   add_entry t ~priority:100 ~fmatch:(FT.match_dst_mac 42L) ~actions:[ FT.Output 3 ];
-  (match FT.lookup t ~dst_mac:42L () with
+  (match lookup t ~dst_mac:42L with
   | Some e -> Alcotest.(check int) "high priority wins" 100 e.FT.e_priority
   | None -> Alcotest.fail "no match");
-  match FT.lookup t ~dst_mac:7L () with
+  match lookup t ~dst_mac:7L with
   | Some e -> Alcotest.(check int) "falls to wildcard" 1 e.FT.e_priority
   | None -> Alcotest.fail "wildcard should match"
 
 let test_table_wildcard_semantics () =
   let t = FT.create () in
   add_entry t ~priority:10 ~fmatch:(FT.match_flow 5) ~actions:[ FT.Output 1 ];
-  Alcotest.(check bool) "flow id matches" true (FT.lookup t ~flow_id:5 () <> None);
-  Alcotest.(check bool) "missing packet field fails Some-match" true
-    (FT.lookup t ~dst_mac:1L () = None);
-  Alcotest.(check bool) "wrong value fails" true (FT.lookup t ~flow_id:6 () = None)
+  Alcotest.(check bool) "a flow-id entry never matches a packet" true
+    (lookup t ~dst_mac:5L = None);
+  add_entry t ~priority:10 ~fmatch:(FT.match_dst_mac 5L) ~actions:[ FT.Output 1 ];
+  Alcotest.(check bool) "dst mac matches" true (lookup t ~dst_mac:5L <> None);
+  Alcotest.(check bool) "wrong value fails" true (lookup t ~dst_mac:6L = None)
 
 let test_table_add_replace_modify_delete () =
   let t = FT.create () in
-  add_entry t ~priority:5 ~fmatch:(FT.match_flow 1) ~actions:[ FT.Output 1 ];
-  add_entry t ~priority:5 ~fmatch:(FT.match_flow 1) ~actions:[ FT.Output 2 ];
+  add_entry t ~priority:5 ~fmatch:(FT.match_dst_mac 1L) ~actions:[ FT.Output 1 ];
+  add_entry t ~priority:5 ~fmatch:(FT.match_dst_mac 1L) ~actions:[ FT.Output 2 ];
   Alcotest.(check int) "replace not duplicate" 1 (FT.length t);
-  (match FT.lookup t ~flow_id:1 () with
+  (match lookup t ~dst_mac:1L with
   | Some { FT.e_actions = [ FT.Output 2 ]; _ } -> ()
   | _ -> Alcotest.fail "replaced actions");
   FT.apply t
-    { FT.fm_switch = 0; fm_command = FT.Modify; fm_priority = 5; fm_match = FT.match_flow 1;
+    { FT.fm_switch = 0; fm_command = FT.Modify; fm_priority = 5; fm_match = FT.match_dst_mac 1L;
       fm_actions = [ FT.Drop_packet ] };
-  (match FT.lookup t ~flow_id:1 () with
+  (match lookup t ~dst_mac:1L with
   | Some { FT.e_actions = [ FT.Drop_packet ]; _ } -> ()
   | _ -> Alcotest.fail "modify rewrote actions");
   FT.apply t
-    { FT.fm_switch = 0; fm_command = FT.Delete; fm_priority = 0; fm_match = FT.match_flow 1;
+    { FT.fm_switch = 0; fm_command = FT.Delete; fm_priority = 0; fm_match = FT.match_dst_mac 1L;
       fm_actions = [] };
   Alcotest.(check int) "deleted" 0 (FT.length t)
 
 let test_table_counters () =
   let t = FT.create () in
-  add_entry t ~priority:1 ~fmatch:FT.match_any ~actions:[ FT.Output 1 ];
-  (match FT.lookup t () with
+  add_entry t ~priority:1 ~fmatch:match_any ~actions:[ FT.Output 1 ];
+  (match lookup t ~dst_mac:1L with
   | Some e ->
     FT.count e ~bytes:100.0;
     FT.count e ~bytes:50.0;
@@ -131,7 +138,7 @@ let test_hello_switch_joined () =
     (fun (sw, master) ->
       match
         Platform.find_owner platform ~app:Driver.app_name
-          (Beehive_core.Cell.cell Driver.dict_switches (Driver.switch_key sw))
+          (Beehive_core.Cell.cell Driver.dict_switches (string_of_int sw))
       with
       | Some bee ->
         let v = Option.get (Platform.bee_view platform bee) in
@@ -224,21 +231,29 @@ let test_lldp_discovery () =
     expected
 
 let test_packet_forwarding_and_punt () =
-  let engine, _, _, cluster = setup_cluster ~n_switches:3 () in
+  let punts = ref 0 in
+  let listener =
+    App.create ~name:"test.punts" ~dicts:[ "p" ]
+      [
+        App.handler ~kind:Wire.k_app_packet_in
+          ~map:(fun _ -> Mapping.Local)
+          (fun _ _ -> incr punts);
+      ]
+  in
+  let engine, _, _, cluster = setup_cluster ~n_switches:3 ~extra_apps:[ listener ] () in
   Switch_agent.connect_all cluster ();
   drain engine;
   let s1 = Option.get (Switch_agent.get cluster 1) in
   (* No entries: the packet punts to the controller. *)
-  let before = Switch_agent.packet_ins_sent cluster in
-  Switch_agent.inject_host_packet s1 ~in_port:100 ~src_mac:5L ~dst_mac:6L ();
+  Switch_agent.inject_host_packet s1 ~in_port:100 ~src_mac:5L ~dst_mac:6L;
   drain engine;
-  Alcotest.(check int) "punted" (before + 1) (Switch_agent.packet_ins_sent cluster);
+  Alcotest.(check int) "punted" 1 !punts;
   (* Install a host-port route: delivery counted. *)
   FT.apply (Switch_agent.flow_table s1)
     { FT.fm_switch = 1; fm_command = FT.Add; fm_priority = 10; fm_match = FT.match_dst_mac 6L;
       fm_actions = [ FT.Output 101 ] };
   let delivered = Switch_agent.packets_delivered cluster in
-  Switch_agent.inject_host_packet s1 ~in_port:100 ~src_mac:5L ~dst_mac:6L ();
+  Switch_agent.inject_host_packet s1 ~in_port:100 ~src_mac:5L ~dst_mac:6L;
   drain engine;
   Alcotest.(check int) "delivered to host port" (delivered + 1)
     (Switch_agent.packets_delivered cluster);
@@ -255,14 +270,15 @@ let test_packet_forwarding_and_punt () =
     { FT.fm_switch = 2; fm_command = FT.Add; fm_priority = 10; fm_match = FT.match_dst_mac 9L;
       fm_actions = [ FT.Output 100 ] };
   let delivered = Switch_agent.packets_delivered cluster in
-  let hops = ref [] in
-  Switch_agent.on_host_delivery cluster (fun ~switch ~port:_ ~dst_mac:_ ->
-      hops := switch :: !hops);
-  Switch_agent.inject_host_packet s1 ~in_port:100 ~src_mac:5L ~dst_mac:9L ();
+  Switch_agent.inject_host_packet s1 ~in_port:100 ~src_mac:5L ~dst_mac:9L;
   drain engine;
   Alcotest.(check int) "multi-hop delivery" (delivered + 1)
     (Switch_agent.packets_delivered cluster);
-  Alcotest.(check (list int)) "egress switch" [ 2 ] !hops
+  (* Switch 2's host-port entry is the one that delivered it. *)
+  Alcotest.(check (option int)) "egress switch" (Some 1)
+    (Option.map
+       (fun e -> e.FT.e_packets)
+       (FT.lookup (Switch_agent.flow_table s2) ~src_mac:5L ~dst_mac:9L ~in_port:1))
 
 let suite =
   [

@@ -280,7 +280,7 @@ let test_local_app_per_hive () =
   Alcotest.(check (list int)) "origin hive only" [ 2 ] !seen;
   seen := [];
   (* A system (timer) message runs it on every hive. *)
-  Platform.emit_system platform ~kind:k_noop (Noop 1);
+  Platform.emit_system platform ~hive:0 ~size:64 ~kind:k_noop (Noop 1);
   drain engine;
   Alcotest.(check (list int)) "all hives" [ 0; 1; 2 ] (List.sort Int.compare !seen);
   (* Local bees are per-hive and pinned. *)

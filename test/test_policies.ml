@@ -20,7 +20,7 @@ let dummy_platform ?(n_hives = 4) () =
 
 let test_greedy_policy_decisions () =
   let platform = dummy_platform () in
-  let p = Instrumentation.greedy_source_policy ~majority:0.5 ~min_messages:5 () in
+  let p = Instrumentation.greedy_source_policy ~min_messages:5 in
   let decisions =
     p platform
       [
@@ -44,7 +44,7 @@ let test_greedy_policy_decisions () =
 
 let test_load_balance_policy () =
   let platform = dummy_platform () in
-  let p = Instrumentation.load_balance_policy ~imbalance:2.0 () in
+  let p = Instrumentation.load_balance_policy in
   (* Hive 0 does 300 of 330 total: imbalance, shed its lightest bee. *)
   let decisions =
     p platform
@@ -100,7 +100,7 @@ let test_load_balance_end_to_end () =
       {
         Instrumentation.default_config with
         optimize = true;
-        policy = Instrumentation.load_balance_policy ~imbalance:1.5 ();
+        policy = Instrumentation.load_balance_policy;
       }
   in
   Platform.start platform;
@@ -131,7 +131,7 @@ let test_load_balance_end_to_end () =
 
 let test_ext_store_roundtrip () =
   let engine, platform = make_platform ~n_hives:4 () in
-  let store = Ext_store.create platform () in
+  let store = Ext_store.create platform in
   let got = ref None in
   Ext_store.put store ~from_hive:3 ~key:"k" (Value.V_int 42) (fun () ->
       Ext_store.get store ~from_hive:3 ~key:"k" (fun v -> got := v));
@@ -149,20 +149,21 @@ let test_ext_store_roundtrip () =
 
 let test_ext_store_charges_channel () =
   let engine, platform = make_platform ~n_hives:4 () in
-  let store = Ext_store.create platform ~n_store_nodes:1 () in
-  (* Shard is hive 0; client on hive 3: bytes must cross 3 -> 0. *)
+  let store = Ext_store.create platform in
+  (* The shard is on hives 0-2; a client on hive 3 must cross the
+     control channel to reach it. *)
   let matrix = Channels.matrix (Platform.channels platform) in
-  let before = Beehive_net.Traffic_matrix.bytes matrix ~src:3 ~dst:0 in
+  let before = Beehive_net.Traffic_matrix.row_bytes matrix 3 in
   Ext_store.put store ~from_hive:3 ~key:"k" (Value.V_string (String.make 100 'x')) (fun () -> ());
   drain engine;
-  let after = Beehive_net.Traffic_matrix.bytes matrix ~src:3 ~dst:0 in
+  let after = Beehive_net.Traffic_matrix.row_bytes matrix 3 in
   Alcotest.(check bool) "payload crossed the control channel" true (after -. before > 100.0);
   Alcotest.(check bool) "latency recorded" true
     (Ext_store.rpc_latency_percentile store 0.5 <> None)
 
 let test_ext_store_update () =
   let engine, platform = make_platform ~n_hives:4 () in
-  let store = Ext_store.create platform () in
+  let store = Ext_store.create platform in
   let bump prev =
     match prev with Some (Value.V_int n) -> Value.V_int (n + 1) | _ -> Value.V_int 1
   in

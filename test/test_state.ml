@@ -239,14 +239,13 @@ let topology_context allowed =
     State.tx_set tx0 ~dict:"topology" ~key:(Printf.sprintf "%03d" i) (vi i)
   done;
   State.commit tx0;
-  Context.make ~src:(Message.From_bee { bee = 1; hive = 0; app = "te" })
+  Context.make ~read_shadow:None ~src:(Message.From_bee { bee = 1; hive = 0; app = "te" })
     ~now:(fun () -> Beehive_sim.Simtime.zero)
     ~rng:(Beehive_sim.Rng.create 1) ~allowed ~tx:(State.begin_tx st)
     ~message:
       (Message.make ~kind:"test.noop" ~src:Message.From_system
          ~sent_at:Beehive_sim.Simtime.zero (Helpers.Noop 0))
     ~late:(fun _ _ ?size:_ ~kind:_ _ -> ())
-    ()
 
 let test_iter_dict_held_whole_is_copy_free () =
   let ctx = topology_context (Cell.Set.singleton (Cell.whole "topology")) in

@@ -367,7 +367,7 @@ let test_raft_install_snapshot_catches_up_lagging_node () =
   Alcotest.(check int) "leader applied everything" 20 (Raft.last_applied leader_node);
   (* Compact the leader's whole log: the crashed follower's entries are
      now only reachable through the snapshot. *)
-  Raft.compact leader_node ~upto:(Raft.last_applied leader_node) ~data:"img" ();
+  Raft.compact leader_node ~upto:(Raft.last_applied leader_node) ~data_size:3 ~data:"img";
   Alcotest.(check int) "leader log compacted" 20 (Raft.snapshot_index leader_node);
   Cluster.restart cluster f;
   run_for engine 3.0;

@@ -24,7 +24,7 @@ let setup () =
   let engine = Engine.create () in
   let platform = Platform.create engine (Platform.default_config ~n_hives:2) in
   Platform.register_app platform chain_app;
-  let trace = Trace.attach platform () in
+  let trace = Trace.attach platform ~capacity:65_536 in
   Platform.start platform;
   (engine, platform, trace)
 
@@ -70,7 +70,7 @@ let test_ring_eviction () =
   let engine = Engine.create () in
   let platform = Platform.create engine (Platform.default_config ~n_hives:2) in
   Platform.register_app platform chain_app;
-  let trace = Trace.attach platform ~capacity:10 () in
+  let trace = Trace.attach platform ~capacity:10 in
   Platform.start platform;
   for _ = 1 to 20 do
     Platform.inject platform ~from:(Channels.Hive 0) ~kind:"test.ping" (Noop 0)
@@ -93,7 +93,7 @@ let test_provenance_edges () =
       ]
   in
   let engine, platform = make_platform ~apps:[ app ] () in
-  let trace = Trace.attach platform () in
+  let trace = Trace.attach platform ~capacity:65_536 in
   for _ = 1 to 10 do
     Platform.inject platform ~from:(Channels.Hive 0) ~kind:"test.ping" (Noop 1)
   done;

@@ -9,12 +9,12 @@ module Rng = Beehive_sim.Rng
 module Channels = Beehive_net.Channels
 module Transport = Beehive_net.Transport
 
-let make ?(seed = 42) ?(n_hives = 4) ?dedup () =
+let make ?(seed = 42) ?(n_hives = 4) ?(dedup = true) () =
   let engine = Engine.create ~seed () in
-  let chans = Channels.create ~rng:(Rng.split (Engine.rng engine)) ~n_hives () in
+  let chans = Channels.create ~rng:(Rng.split (Engine.rng engine)) ~n_hives in
   let tr =
     Transport.create ~engine ~rng:(Rng.split (Engine.rng engine))
-      ~alive:(fun _ -> true) ?dedup chans
+      ~alive:(fun _ -> true) ~dedup chans
   in
   (engine, chans, tr)
 
