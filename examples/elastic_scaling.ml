@@ -24,7 +24,6 @@ module Message = Beehive_core.Message
 module Value = Beehive_core.Value
 module Instrumentation = Beehive_core.Instrumentation
 module Membership = Beehive_elastic.Membership
-module Drain = Beehive_elastic.Drain
 
 type Message.payload += Hit of { url : string }
 
@@ -126,10 +125,7 @@ let () =
      when it owns nothing, it is decommissioned automatically. *)
   ignore (Membership.drain membership ~auto_decommission:true 0);
   Engine.run_until engine (Simtime.add (Engine.now engine) (Simtime.of_sec 2.0));
-  (match Membership.drain_record membership 0 with
-  | Some d when Drain.state d = Drain.Completed ->
-    Format.printf "drain of hive 0 complete@."
-  | _ -> ());
+  if Membership.drain_completed membership 0 then Format.printf "drain of hive 0 complete@.";
   (* Stop the traffic and let the last hits land before tallying. *)
   ignore (Engine.cancel engine traffic);
   Engine.run_until engine (Simtime.add (Engine.now engine) (Simtime.of_ms 100));

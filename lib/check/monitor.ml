@@ -11,7 +11,6 @@ module Raft_replication = Beehive_core.Raft_replication
 module Failure_detector = Beehive_core.Failure_detector
 module Raft = Beehive_raft.Raft
 module Membership = Beehive_elastic.Membership
-module Drain = Beehive_elastic.Drain
 
 type ctx = {
   cx_engine : Engine.t;
@@ -330,9 +329,8 @@ let drain_completeness =
                  (Platform.inbound_transfers p h))
           | [] ->
             let check_hive h =
-              match Membership.drain_record mem h with
-              | None -> None
-              | Some d ->
+              if not (Membership.drain_completed mem h) then None
+              else
                 let cells = Registry.cells_on_hive reg ~hive:h in
                 let inbound = Platform.inbound_transfers p h in
                 if cells > 0 && Platform.hive_decommissioned p h then
@@ -346,9 +344,7 @@ let drain_completeness =
                         flight"
                        h inbound)
                 else if
-                  Drain.auto_decommission d
-                  && Drain.state d = Drain.Completed
-                  && not (Platform.hive_decommissioned p h)
+                  Membership.auto_decommission mem h && not (Platform.hive_decommissioned p h)
                 then
                   Some
                     (Printf.sprintf

@@ -29,7 +29,8 @@ type ctx = {
           monitor read residual suspicion *)
   cx_membership : Membership.t option;
       (** installed for the elastic profile; lets the drain-completeness
-          monitor read drain records *)
+          monitor ask which drains are open or completed, and which asked
+          for auto-decommission *)
   cx_crashes : bool;  (** the script being executed contains [Fail] ops *)
   cx_fwd : (string * string) option;
       (** the outbox workload's forwarding app and its journal dict, when

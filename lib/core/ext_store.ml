@@ -5,7 +5,7 @@ module Channels = Beehive_net.Channels
 type t = {
   platform : Platform.t;
   data : (string, Value.t) Hashtbl.t;
-  rpc_stats : Stats.t;  (* only its latency histogram is used *)
+  rpc_latency : Stats.latency;
 }
 
 let request_size = 32
@@ -15,7 +15,7 @@ let n_nodes = 3
 let create platform =
   if Platform.n_hives platform < n_nodes then
     invalid_arg "Ext_store.create: fewer hives than store nodes";
-  { platform; data = Hashtbl.create 256; rpc_stats = Stats.create () }
+  { platform; data = Hashtbl.create 256; rpc_latency = Stats.latency () }
 
 let store_hive_of_key key = Hashtbl.hash key mod n_nodes
 
@@ -31,7 +31,7 @@ let round_trip t ~from_hive ~to_hive ~req_bytes ~resp_bytes k =
       ~bytes:resp_bytes ~now
   in
   let rt = Simtime.add l1 l2 in
-  Stats.record_latency t.rpc_stats rt;
+  Stats.record_latency t.rpc_latency rt;
   ignore (Engine.schedule_after (Platform.engine t.platform) rt k)
 
 let get t ~from_hive ~key k =
@@ -58,4 +58,4 @@ let update t ~from_hive ~key f k =
       put t ~from_hive ~key v (fun () -> k v))
 
 let fold_keys t f init = Hashtbl.fold f t.data init
-let rpc_latency_percentile t p = Stats.latency_percentile t.rpc_stats p
+let rpc_latency_percentile t p = Stats.latency_percentile t.rpc_latency p

@@ -166,6 +166,7 @@ type t = {
   mutable started : bool;
   mutable n_processed : int;
   mutable n_merges : int;
+  latency : Stats.latency;  (* every handled message's, merged-away bees' too *)
   drops : int array;  (* indexed by [drop_slot] *)
   outbox : Outbox.t;
   mutable n_handler_faults : int;
@@ -576,7 +577,7 @@ let open_context t (b : bee) (d : Bee.delivery) =
   let msg = d.d_msg in
   if d.d_attempts = 0 then begin
     Stats.record_in b.stats ~src_hive:d.d_src_hive;
-    Stats.record_latency b.stats (Simtime.diff (now t) msg.Message.sent_at)
+    Stats.record_latency t.latency (Simtime.diff (now t) msg.Message.sent_at)
   end;
   let read_shadow =
     match b.stale_shadow with
@@ -603,6 +604,20 @@ let run_handler (d : Bee.delivery) ctx =
   in
   Context.close ctx;
   failure
+
+(* The lowest hive above [above] that hosts one of [owners] (bee ids),
+   or [best] when none is lower. *)
+let rec next_owner_hive t ~above best = function
+  | [] -> best
+  | id :: rest ->
+    let h = (Hashtbl.find t.bees id).hive in
+    next_owner_hive t ~above (if h > above && h < best then h else best) rest
+
+(* The [owners] hosted on hive [h], in owner order. *)
+let[@tail_mod_cons] rec owners_on t h = function
+  | [] -> []
+  | id :: rest ->
+    if (Hashtbl.find t.bees id).hive = h then id :: owners_on t h rest else owners_on t h rest
 
 (* Messages in flight to a bee that has since been merged away follow
    its forwarding pointer to the surviving bee. *)
@@ -745,7 +760,8 @@ and enqueue t (b : bee) d =
 and route_cells t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin ~outbox cs msg =
   let name = app.App.name in
   match
-    Route_plan.decide t.reg t.hives t.lookup_cache ~version:t.version ~app:name ~origin cs
+    Route_plan.decide t.reg t.hives t.lookup_cache ~capacity:t.cfg.hive_capacity
+      ~version:t.version ~app:name ~origin cs
   with
   | Route_plan.Create home ->
     let b = new_bee t ~app ~hive:home ~is_local:false in
@@ -822,26 +838,23 @@ and send_cells t (b : bee) ~extra ~handler ~src_ep ~outbox cs msg =
 and route_foreach t ~(app : App.t) ~(handler : App.handler) ~src_ep dict msg =
   let src = resolve_src t msg in
   let owners = Registry.owners_of_dict t.reg ~app:app.App.name ~dict in
-  let bees = List.filter_map (get_bee t) owners in
-  (* Fan out: one control-channel copy per hive hosting owners, then local
-     delivery to each bee there. *)
-  let by_hive = Hashtbl.create 8 in
-  List.iter
-    (fun (b : bee) ->
-      let prev = Option.value ~default:[] (Hashtbl.find_opt by_hive b.hive) in
-      Hashtbl.replace by_hive b.hive (b :: prev))
-    bees;
-  let hives = List.sort Int.compare (Hashtbl.fold (fun h _ acc -> h :: acc) by_hive []) in
-  List.iter
-    (fun h ->
-      if not (hive_crashed t h) then
-        let targets = List.rev (Hashtbl.find by_hive h) in
-        transmit t ~src_ep ~dst_hive:h ~bytes:msg.Message.size ~extra:Simtime.zero
-          (fun () ->
-            List.iter
-              (fun (b : bee) -> enqueue t b (delivery msg handler (Bee.A_dict dict) src None))
-              targets))
-    hives
+  (* Fan out: one control-channel copy per hive hosting owners, hives in
+     ascending id, then local delivery to that hive's owners in owner
+     order. *)
+  let h = ref (next_owner_hive t ~above:(-1) max_int owners) in
+  while !h < max_int do
+    let hive = !h in
+    if not (hive_crashed t hive) then begin
+      let targets = owners_on t hive owners in
+      transmit t ~src_ep ~dst_hive:hive ~bytes:msg.Message.size ~extra:Simtime.zero
+        (fun () ->
+          List.iter
+            (fun id ->
+              enqueue t (Hashtbl.find t.bees id) (delivery msg handler (Bee.A_dict dict) src None))
+            targets)
+    end;
+    h := next_owner_hive t ~above:hive max_int owners
+  done
 
 and route_local t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin msg =
   let src = resolve_src t msg in
@@ -1142,6 +1155,12 @@ let iter_windows t ~hive f =
 (* Placement control                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* No module but this one reads [hive_capacity]: route planning,
+   migration admission and the drain evacuation all apply
+   {!Route_plan}'s one placement rule with it. *)
+let least_loaded_hive t ~exclude ~cells =
+  Route_plan.least_loaded t.reg t.hives ~capacity:t.cfg.hive_capacity ~exclude ~cells
+
 let migrate_bee t ~bee ~to_hive ~reason =
   match get_bee t bee with
   | None -> false
@@ -1150,16 +1169,14 @@ let migrate_bee t ~bee ~to_hive ~reason =
       b.status <> `Active || b.is_local || b.app.App.pinned
       || b.pending_migration <> None
       || to_hive = b.hive
-      || not (placeable t to_hive)
+      || not
+           (Route_plan.has_room t.reg t.hives ~capacity:t.cfg.hive_capacity to_hive
+              ~cells:(Cell.Set.cardinal (Registry.bee t.reg bee).Registry.bee_cells))
     then false
     else begin
-      let cells = Cell.Set.cardinal (Registry.bee t.reg bee).Registry.bee_cells in
-      if Registry.cells_on_hive t.reg ~hive:to_hive + cells > t.cfg.hive_capacity then false
-      else begin
-        if b.busy then b.pending_migration <- Some (to_hive, reason)
-        else start_transfer t b to_hive reason ~resume:(maybe_process t);
-        true
-      end
+      if b.busy then b.pending_migration <- Some (to_hive, reason)
+      else start_transfer t b to_hive reason ~resume:(maybe_process t);
+      true
     end
 
 let migrations t = List.rev t.migration_log
@@ -1529,12 +1546,7 @@ let gauges t =
   @ Array.to_list (Array.mapi (fun i g -> (g, t.drops.(i))) drop_gauges)
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-(* Over every bee ever created, merged-away ones included: [t.bees]
-   never drops a bee, so every handled message counts. *)
-let message_latency_percentile t p =
-  let merged = Stats.create () in
-  Hashtbl.iter (fun _ (b : bee) -> Stats.merge_latency ~into:merged b.stats) t.bees;
-  Stats.latency_percentile merged p
+let message_latency_percentile t p = Stats.latency_percentile t.latency p
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -1581,6 +1593,7 @@ let create engine cfg =
     started = false;
     n_processed = 0;
     n_merges = 0;
+    latency = Stats.latency ();
     drops;
     outbox = Outbox.create ();
     n_handler_faults = 0;

@@ -261,8 +261,13 @@ val migrate_bee : t -> bee:int -> to_hive:int -> reason:string -> bool
 (** Live-migrates a bee: stop, buffer, move cells (charged on the control
     channel), recreate, drain (Section 3, "Migration of Bees"). Returns
     [false] if the bee is unknown/dead/local, belongs to a [pinned] app
-    ({!App.create}), is already there, the destination is dead or over
-    capacity, or a migration is in flight. *)
+    ({!App.create}), is already there, a migration is in flight, or the
+    destination fails {!Route_plan.has_room}: it is not {!placeable}, or
+    the bee's cells would take it over [hive_capacity]. *)
+
+val least_loaded_hive : t -> exclude:int -> cells:int -> int option
+(** {!Route_plan.least_loaded} under this platform's [hive_capacity]: the
+    rule that also places a new bee whose origin is not placeable. *)
 
 type migration = {
   mig_at : Beehive_sim.Simtime.t;
@@ -418,7 +423,7 @@ val add_hive : t -> int
 
 val set_draining : t -> int -> bool -> unit
 (** Marks (or unmarks) a hive as draining: it accepts no new cells —
-    placement redirects to the least-loaded placeable hive — no inbound
+    placement redirects to {!least_loaded_hive} — no inbound
     migrations, and is skipped as a failover target. Existing bees keep
     processing until evacuated. Turning the flag on fires [Draining]
     ({!on_hive}). *)

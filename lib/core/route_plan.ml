@@ -42,24 +42,35 @@ type t =
   | Merge of { winner : int; losers : int list }
   | Drop
 
+(* Whether hive [h] may take [cells] more cells: also migration
+   admission. *)
+let has_room reg hives ~capacity h ~cells =
+  Hives.placeable hives h && Registry.cells_on_hive reg ~hive:h + cells <= capacity
+
+(* The one placement rule, shared by [decide] and the drain evacuation:
+   of the hives other than [exclude] with room for [cells], the one
+   owning the fewest cells, ties to the lowest id. *)
+let least_loaded reg hives ~capacity ~exclude ~cells =
+  let best = ref (-1) and best_cells = ref max_int in
+  for h = 0 to Hives.count hives - 1 do
+    if h <> exclude && has_room reg hives ~capacity h ~cells then begin
+      let c = Registry.cells_on_hive reg ~hive:h in
+      if c < !best_cells then begin
+        best := h;
+        best_cells := c
+      end
+    end
+  done;
+  if !best >= 0 then Some !best else None
+
 (* Normally the origin hive (the locality heuristic of the paper); a
    draining or decommissioned origin redirects to the least-loaded
    placeable hive so no new cells anchor on a hive that is leaving. *)
-let placement_hive reg hives ~origin =
+let placement_hive reg hives ~capacity ~origin cs =
   if Hives.placeable hives origin then origin
-  else begin
-    let best = ref (-1) and best_cells = ref max_int in
-    for h = 0 to Hives.count hives - 1 do
-      if Hives.placeable hives h then begin
-        let c = Registry.cells_on_hive reg ~hive:h in
-        if c < !best_cells then begin
-          best := h;
-          best_cells := c
-        end
-      end
-    done;
-    if !best >= 0 then !best else origin
-  end
+  else
+    Option.value ~default:origin
+      (least_loaded reg hives ~capacity ~exclude:origin ~cells:(Cell.Set.cardinal cs))
 
 (* Exact membership, not intersection: a wildcard that merely intersects
    owned keys must still be claimed so that future keys of the dictionary
@@ -90,9 +101,9 @@ let merge reg hives ~app cs =
   | [] -> Drop
   | winner :: rest -> Merge { winner; losers = rest @ crashed }
 
-let decide reg hives cache ~version ~app ~origin cs =
+let decide reg hives cache ~capacity ~version ~app ~origin cs =
   let bee = Registry.owner reg ~app cs in
-  if bee = Registry.no_owner then Create (placement_hive reg hives ~origin)
+  if bee = Registry.no_owner then Create (placement_hive reg hives ~capacity ~origin cs)
   else if bee = Registry.several then merge reg hives ~app cs
   else begin
     let claim = unowned reg ~bee cs in

@@ -4,7 +4,8 @@
 
     {!decide} is a pure function of the registry, the hive table and the
     lookup cache; it touches no bee, engine or transport. The platform
-    applies the returned plan. *)
+    applies the returned plan. {!least_loaded} is the one placement rule,
+    also used by the drain evacuation. *)
 
 type cache
 (** Cached lock-service lookups, keyed by the origin hive, the app and
@@ -19,7 +20,9 @@ val remember : cache -> origin:int -> app:string -> Cell.Set.t -> owner:int -> v
 
 type t =
   | Create of int
-      (** No owner: a new bee on this hive claims every mapped cell. *)
+      (** No owner: a new bee on this hive claims every mapped cell. The
+          hive is the origin when it is placeable, else
+          {!least_loaded}'s pick, else still the origin. *)
   | Use of { bee : int; claim : Cell.Set.t; lookup : bool }
       (** The single owner. It claims [claim], the mapped cells it does
           not own yet. With nothing to claim, [lookup] asks for one
@@ -32,9 +35,21 @@ type t =
   | Drop  (** Every owner is on a crashed hive. *)
 
 val decide :
-  Registry.t -> Hives.t -> cache -> version:int -> app:string -> origin:int -> Cell.Set.t -> t
-(** [decide reg hives cache ~version ~app ~origin cells] for a non-empty
-    [cells] mapped by [app] on a message that originated on [origin]. *)
+  Registry.t -> Hives.t -> cache -> capacity:int -> version:int -> app:string -> origin:int ->
+  Cell.Set.t -> t
+(** [decide reg hives cache ~capacity ~version ~app ~origin cells] for a
+    non-empty [cells] mapped by [app] on a message that originated on
+    [origin]; [capacity] is the most cells one hive may host. *)
+
+val has_room : Registry.t -> Hives.t -> capacity:int -> int -> cells:int -> bool
+(** Hive [h] is placeable and can take [cells] more cells within
+    [capacity]; also {!Platform.migrate_bee}'s admission test. *)
+
+val least_loaded :
+  Registry.t -> Hives.t -> capacity:int -> exclude:int -> cells:int -> int option
+(** The hive other than [exclude] that {!has_room} for [cells] and owns
+    the fewest cells, ties to the lowest id; [None] when no hive
+    qualifies. *)
 
 val unowned : Registry.t -> bee:int -> Cell.Set.t -> Cell.Set.t
 (** The cells of the set the bee does not own itself. *)

@@ -5,10 +5,6 @@ type t = {
   mutable cur_processed : int;
   mutable cur_in_by_hive : int array;
       (* indexed by source hive, grown on demand: elastic joins add hives *)
-  (* log2 latency histogram: index i counts samples in [2^i, 2^(i+1)) us,
-     index 0 also holding sub-microsecond samples *)
-  latency_buckets : int array;
-  mutable latency_samples : int;
 }
 
 type window = {
@@ -22,8 +18,6 @@ let create () =
     busy_us = 0;
     cur_processed = 0;
     cur_in_by_hive = [||];
-    latency_buckets = Array.make 40 0;
-    latency_samples = 0;
   }
 
 let count_in t h =
@@ -47,39 +41,39 @@ let record_in t ~src_hive =
 
 let record_done t ~busy = t.busy_us <- t.busy_us + Beehive_sim.Simtime.to_us busy
 
+(* log2 latency histogram: bucket i counts samples in [2^i, 2^(i+1)) us,
+   bucket 0 also holding sub-microsecond samples *)
+type latency = { buckets : int array; mutable samples : int }
+
+let n_buckets = 40
+let latency () = { buckets = Array.make n_buckets 0; samples = 0 }
+
 let bucket_of_us us =
   if us <= 1 then 0
   else begin
     let rec go i v = if v <= 1 then i else go (i + 1) (v lsr 1) in
-    min 39 (go 0 us)
+    min (n_buckets - 1) (go 0 us)
   end
 
-let record_latency t lat =
-  let us = Beehive_sim.Simtime.to_us lat in
-  let b = bucket_of_us us in
-  t.latency_buckets.(b) <- t.latency_buckets.(b) + 1;
-  t.latency_samples <- t.latency_samples + 1
+let record_latency h lat =
+  let b = bucket_of_us (Beehive_sim.Simtime.to_us lat) in
+  h.buckets.(b) <- h.buckets.(b) + 1;
+  h.samples <- h.samples + 1
 
-let latency_percentile t p =
-  if t.latency_samples = 0 then None
+let latency_percentile h p =
+  if h.samples = 0 then None
   else begin
-    let target = int_of_float (ceil (p *. float_of_int t.latency_samples)) in
-    let target = max 1 (min t.latency_samples target) in
+    let target = int_of_float (ceil (p *. float_of_int h.samples)) in
+    let target = max 1 (min h.samples target) in
     let rec go i seen =
-      if i >= 40 then None
+      if i >= n_buckets then None
       else begin
-        let seen = seen + t.latency_buckets.(i) in
+        let seen = seen + h.buckets.(i) in
         if seen >= target then Some (1 lsl (i + 1)) else go (i + 1) seen
       end
     in
     go 0 0
   end
-
-let merge_latency ~into src =
-  for i = 0 to 39 do
-    into.latency_buckets.(i) <- into.latency_buckets.(i) + src.latency_buckets.(i)
-  done;
-  into.latency_samples <- into.latency_samples + src.latency_samples
 
 let processed t = t.processed
 let busy_us t = t.busy_us

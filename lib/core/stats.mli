@@ -1,4 +1,4 @@
-(** Per-bee runtime metrics.
+(** Per-bee runtime metrics, and the latency histogram type.
 
     "Our runtime instrumentation system measures the resource consumption
     of each bee along with the number of messages it exchanges with other
@@ -28,27 +28,28 @@ val record_in : t -> src_hive:int -> unit
 
 val record_done : t -> busy:Beehive_sim.Simtime.t -> unit
 
-val record_latency : t -> Beehive_sim.Simtime.t -> unit
-(** End-to-end delay between a message's emission and the start of its
-    processing (queueing + channel + lock RPCs). Kept as a logarithmic
-    histogram. *)
-
 (** {2 Cumulative views} *)
 
 val processed : t -> int
 val busy_us : t -> int
-
-val latency_percentile : t -> float -> int option
-(** [latency_percentile t 0.99] estimates the given percentile in
-    microseconds (upper edge of the containing bucket); [None] with no
-    samples. *)
-
-val merge_latency : into:t -> t -> unit
-(** Adds the source's latency histogram into [into] (cluster-wide
-    percentile computation). *)
 
 (** {2 Windows} *)
 
 val take_window : t -> window
 (** Returns counters accumulated since the previous [take_window] and
     starts a fresh window. Allocates nothing when the window is empty. *)
+
+(** {2 Latency histograms} *)
+
+type latency
+(** A log2 histogram of delays: the platform's (emission to start of
+    processing, every message) and each external store's (RPC trips). *)
+
+val latency : unit -> latency
+
+val record_latency : latency -> Beehive_sim.Simtime.t -> unit
+
+val latency_percentile : latency -> float -> int option
+(** [latency_percentile h 0.99] estimates the given percentile in
+    microseconds (upper edge of the containing bucket); [None] with no
+    samples. *)

@@ -1,6 +1,7 @@
 module Engine = Beehive_sim.Engine
 module Simtime = Beehive_sim.Simtime
 module Platform = Beehive_core.Platform
+module Cell = Beehive_core.Cell
 
 let src = Logs.Src.create "beehive.elastic" ~doc:"Beehive elastic membership"
 
@@ -9,18 +10,25 @@ module Log = (val Logs.src_log src : Logs.LOG)
 let pump_period = Simtime.of_ms 5
 let min_placeable = 2
 
+(* The middle leg of [alive -> draining -> decommissioned]: a drain
+   starts when [drain] marks the hive and completes (once) when the pump
+   finds {!Platform.drain_complete}. *)
+type drain = {
+  d_started : Simtime.t;
+  d_auto_decommission : bool;
+  mutable d_completed : bool;
+}
+
 type t = {
   platform : Platform.t;
   engine : Engine.t;
-  drains : (int, Drain.t) Hashtbl.t;  (* hive -> newest drain record *)
+  drains : (int, drain) Hashtbl.t;  (* hive -> newest drain record *)
   mutable n_joins : int;
   mutable n_drains_started : int;
   mutable n_drains_completed : int;
   mutable n_decommissions : int;
   mutable last_drain_us : int;
 }
-
-let drain_reason hive = Printf.sprintf "drain: evacuating hive %d" hive
 
 (* ------------------------------------------------------------------ *)
 (* Decommission                                                        *)
@@ -38,27 +46,38 @@ let decommission t hive =
 (* The evacuation pump                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let pump_drain t (d : Drain.t) =
-  let hive = Drain.hive d in
-  if Drain.state d = Drain.Draining then begin
+(* One evacuation step: every movable non-local bee on [hive] starts a
+   live migration to the platform's least-loaded placeable hive with
+   room for its cells. Busy or mid-migration bees are skipped and
+   retried on the next step. *)
+let evacuate t hive =
+  let reason = Printf.sprintf "drain: evacuating hive %d" hive in
+  List.iter
+    (fun (v : Platform.bee_view) ->
+      if v.Platform.view_hive = hive && (not v.Platform.view_is_local) && v.Platform.view_alive
+      then
+        let cells = Cell.Set.cardinal v.Platform.view_cells in
+        match Platform.least_loaded_hive t.platform ~exclude:hive ~cells with
+        | None -> ()
+        | Some dst ->
+          ignore (Platform.migrate_bee t.platform ~bee:v.Platform.view_id ~to_hive:dst ~reason))
+    (Platform.live_bees t.platform)
+
+let pump_drain t hive d =
+  if not d.d_completed then begin
     (* A crashed draining hive stalls here: its crashed bees still own
        cells, so the drain resumes only after a restart revives them. *)
-    if Platform.hive_alive t.platform hive then
-      ignore (Rebalancer.evacuate_step t.platform ~hive ~reason:(drain_reason hive));
+    if Platform.hive_alive t.platform hive then evacuate t hive;
     if Platform.drain_complete t.platform hive then begin
-      Drain.complete d ~now:(Engine.now t.engine);
+      d.d_completed <- true;
       t.n_drains_completed <- t.n_drains_completed + 1;
-      (match Drain.duration_us d with
-      | Some us -> t.last_drain_us <- us
-      | None -> ());
-      Log.info (fun m ->
-          m "hive %d drained in %d us" hive
-            (Option.value ~default:0 (Drain.duration_us d)));
-      if Drain.auto_decommission d then ignore (decommission t hive)
+      t.last_drain_us <- Simtime.to_us (Engine.now t.engine) - Simtime.to_us d.d_started;
+      Log.info (fun m -> m "hive %d drained in %d us" hive t.last_drain_us);
+      if d.d_auto_decommission then ignore (decommission t hive)
     end
   end
 
-let pump t = Hashtbl.iter (fun _ d -> pump_drain t d) t.drains
+let pump t = Hashtbl.iter (pump_drain t) t.drains
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -112,16 +131,20 @@ let drain t ?(auto_decommission = false) hive =
   then false
   else begin
     Platform.set_draining t.platform hive true;
-    let d = Drain.start ~hive ~now:(Engine.now t.engine) ~auto_decommission in
-    Hashtbl.replace t.drains hive d;
+    Hashtbl.replace t.drains hive
+      {
+        d_started = Engine.now t.engine;
+        d_auto_decommission = auto_decommission;
+        d_completed = false;
+      };
     t.n_drains_started <- t.n_drains_started + 1;
-    ignore (Rebalancer.evacuate_step t.platform ~hive ~reason:(drain_reason hive));
+    evacuate t hive;
     true
   end
 
 let cancel_drain t hive =
   match Hashtbl.find_opt t.drains hive with
-  | Some d when Drain.state d = Drain.Draining ->
+  | Some d when not d.d_completed ->
     Hashtbl.remove t.drains hive;
     Platform.set_draining t.platform hive false;
     true
@@ -131,12 +154,16 @@ let cancel_drain t hive =
 (* Introspection                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let drain_record t hive = Hashtbl.find_opt t.drains hive
+let drain_completed t hive =
+  match Hashtbl.find_opt t.drains hive with Some d -> d.d_completed | None -> false
+
+let auto_decommission t hive =
+  match Hashtbl.find_opt t.drains hive with
+  | Some d -> d.d_auto_decommission
+  | None -> false
 
 let draining t =
-  Hashtbl.fold
-    (fun hive d acc -> if Drain.state d = Drain.Draining then hive :: acc else acc)
-    t.drains []
+  Hashtbl.fold (fun hive d acc -> if d.d_completed then acc else hive :: acc) t.drains []
   |> List.sort Int.compare
 
 let joins t = t.n_joins

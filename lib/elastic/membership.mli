@@ -17,6 +17,7 @@
       hands its group memberships off on the platform's [Draining]
       event, and an evacuation pump live-migrates its bees out until
       the hive owns zero cells with zero in-flight inbound transfers.
+      Evacuees go to {!Beehive_core.Platform.least_loaded_hive}.
     - {b decommission} ({!decommission}) — only legal once the drain is
       complete: the hive leaves {!Beehive_core.Platform.members} (and so
       the failure detector's quorum), its links close, and its id is
@@ -48,8 +49,14 @@ val decommission : t -> int -> bool
     now (or already was) decommissioned; [false] if its drain is
     incomplete. *)
 
-val drain_record : t -> int -> Drain.t option
-(** Newest drain record for [hive], if any. *)
+val drain_completed : t -> int -> bool
+(** Whether hive [h]'s newest drain completed
+    ({!Beehive_core.Platform.drain_complete} held at a pump step); there
+    are no completion callbacks. [false] while draining, once cancelled,
+    or without a drain. *)
+
+val auto_decommission : t -> int -> bool
+(** Whether hive [h]'s newest drain asked for auto-decommission. *)
 
 val draining : t -> int list
 (** Hives with an active (incomplete) drain, ascending. *)

@@ -12,7 +12,6 @@ module Stats = Beehive_core.Stats
 module Instrumentation = Beehive_core.Instrumentation
 module Store = Beehive_store.Store
 module Membership = Beehive_elastic.Membership
-module Drain = Beehive_elastic.Drain
 
 type Message.payload += E_put of string
 
@@ -186,11 +185,6 @@ let run config =
   in
   ignore (Membership.drain membership ~auto_decommission:true victim);
   let drained = run_phase "drained" in
-  let drain_completed =
-    match Membership.drain_record membership victim with
-    | Some d -> Drain.state d = Drain.Completed
-    | None -> false
-  in
   {
     r_before = before;
     r_scaled = scaled;
@@ -198,7 +192,7 @@ let run config =
     r_joined = joined;
     r_drain_hive = victim;
     r_drain_cells = Registry.cells_on_hive (Platform.registry platform) ~hive:victim;
-    r_drain_completed = drain_completed;
+    r_drain_completed = Membership.drain_completed membership victim;
     r_decommissioned = Platform.hive_decommissioned platform victim;
     r_rebalance_migrations = Membership.rebalance_migrations membership;
     r_last_drain_us = Membership.last_drain_us membership;

@@ -152,9 +152,7 @@ let config t = t.cfg
 (* What the production read path can see: torn writes always (length
    framing), garbled bytes only while checksum verification is on. *)
 let frame_state t f =
-  if String.length f.f_payload <> f.f_len then F_torn
-  else if t.verify && Crc32.string f.f_payload <> f.f_crc then F_garbled
-  else F_ok
+  match frame_state_oracle f with F_garbled when not t.verify -> F_ok | state -> state
 
 (* Scratch buffer for record encoding. Encodes never nest and the
    engine is serial, so one buffer serves every store. [Buffer.clear]
@@ -380,6 +378,17 @@ let verify_log t bl =
 (* Any frame the production read path would reject right now. *)
 let log_suspect_now t bl = Option.is_some (verify_log t bl)
 
+(* Installs [es] as the log's snapshot image, taken at its last lsn: the
+   entries, their lsn, a fresh frame and the image's byte size. *)
+let set_snapshot t bl es =
+  let lsn = bl.bl_next_lsn - 1 in
+  bl.bl_snapshot <- es;
+  bl.bl_snapshot_lsn <- lsn;
+  bl.bl_snapshot_frame <- frame_of (payload_of_snapshot t ~lsn es);
+  bl.bl_snapshot_bytes <-
+    snapshot_overhead + frame_overhead
+    + List.fold_left (fun acc (d, k, v) -> acc + t.size_of (d, k, Some v)) 0 es
+
 let compact_log t bl =
   (* Compaction re-reads cold bytes: with verification on it refuses to
      fold a damaged log (scrub/fsck will repair it first), because doing
@@ -387,16 +396,7 @@ let compact_log t bl =
      verification off that laundering is exactly what happens. *)
   if t.verify && log_suspect_now t bl then ()
   else begin
-  let snap = durable_entries t bl in
-  let snap_bytes =
-    snapshot_overhead + frame_overhead
-    + List.fold_left (fun acc (d, k, v) -> acc + t.size_of (d, k, Some v)) 0 snap
-  in
-  bl.bl_snapshot <- snap;
-  bl.bl_snapshot_lsn <- bl.bl_next_lsn - 1;
-  bl.bl_snapshot_frame <-
-    frame_of (payload_of_snapshot t ~lsn:(bl.bl_next_lsn - 1) snap);
-  bl.bl_snapshot_bytes <- snap_bytes;
+  set_snapshot t bl (durable_entries t bl);
   bl.bl_wal <- [];
   bl.bl_wal_bytes <- 0;
   bl.bl_wal_records <- 0;
@@ -798,13 +798,7 @@ let reseed_log t ~bee ~entries:es ~outbox ~inbox =
       o.bl_next_out_seq
     | None -> 1
   in
-  let es = List.sort entry_order es in
-  bl.bl_snapshot <- es;
-  bl.bl_snapshot_lsn <- bl.bl_next_lsn - 1;
-  bl.bl_snapshot_frame <- frame_of (payload_of_snapshot t ~lsn:bl.bl_snapshot_lsn es);
-  bl.bl_snapshot_bytes <-
-    snapshot_overhead + frame_overhead
-    + List.fold_left (fun acc (d, k, v) -> acc + t.size_of (d, k, Some v)) 0 es;
+  set_snapshot t bl (List.sort entry_order es);
   List.iter (fun (seq, bytes) -> Hashtbl.replace bl.bl_outbox seq bytes) outbox;
   List.iter (fun m -> Hashtbl.replace bl.bl_inbox m ()) inbox;
   List.iter

@@ -10,7 +10,6 @@
 
 open Helpers
 module Membership = Beehive_elastic.Membership
-module Drain = Beehive_elastic.Drain
 module Failure_detector = Beehive_core.Failure_detector
 module Raft_replication = Beehive_core.Raft_replication
 module Channels = Beehive_net.Channels
@@ -143,6 +142,87 @@ let test_cancel_drain_restores_placeability () =
     (keys 4);
   Beehive_core.Registry.check_invariant (Platform.registry platform)
 
+(* --- placement: one rule for new keys and evacuees --------------------- *)
+
+(* A kv app whose [Put { p_key; p_value = n }] claims [n] cells, so a
+   bee's size is chosen by its first put. *)
+let wide_app () =
+  let cells key n =
+    Cell.Set.of_list (List.init n (fun i -> Cell.cell "store" (Printf.sprintf "%s.%d" key i)))
+  in
+  App.create ~name:"test.wide" ~dicts:[ "store" ]
+    [
+      App.handler ~kind:k_put
+        ~map:(fun msg ->
+          match msg.Message.payload with
+          | Put { p_key; p_value } -> Mapping.Cells (cells p_key p_value)
+          | _ -> Mapping.Drop)
+        (fun _ _ -> ());
+    ]
+
+(* One registry state, two callers of the placement rule: the drain's
+   evacuee and a new key injected at the draining hive (both decided
+   before the evacuee lands) go to the same hive, the one owning the
+   fewest cells, the lower id of the tied hives 2 and 3. *)
+let test_evacuee_and_new_key_share_the_rule () =
+  let engine, platform = make_platform ~apps:[ kv_app () ] () in
+  let membership = Membership.create platform in
+  List.iter
+    (fun (from, key) -> put platform ~from ~key ~value:1)
+    [ (0, "evacuee"); (1, "p"); (1, "q"); (2, "r"); (3, "s") ];
+  drain engine;
+  let owner_hive key = hive_of platform (owner_exn platform ~app:"test.kv" key) in
+  Alcotest.(check (list int)) "cells per hive" [ 1; 2; 1; 1 ]
+    (List.map
+       (fun h -> Beehive_core.Registry.cells_on_hive (Platform.registry platform) ~hive:h)
+       [ 0; 1; 2; 3 ]);
+  Alcotest.(check (option int)) "the rule's pick" (Some 2)
+    (Platform.least_loaded_hive platform ~exclude:0 ~cells:1);
+  Alcotest.(check bool) "drain accepted" true (Membership.drain membership 0);
+  put platform ~from:0 ~key:"new" ~value:1;
+  await_drain engine membership 0;
+  Alcotest.(check int) "evacuee on the least-loaded hive" 2 (owner_hive "evacuee");
+  Alcotest.(check int) "new key on the same hive" 2 (owner_hive "new")
+
+(* With a finite [hive_capacity] the evacuation sends each bee to the
+   least-loaded hive with room for its cells. The rule is monotone (the
+   hive with the fewest cells has room whenever any hive does), so
+   capacity never redirects a bee to a busier hive: a bee too large for
+   every survivor stays, and the drain waits, until a hive with room
+   joins, while a smaller bee on the same hive moves at once. *)
+let test_evacuation_respects_capacity () =
+  let engine = Engine.create () in
+  let cfg = { (Platform.default_config ~n_hives:4) with Platform.hive_capacity = 3 } in
+  let platform = Platform.create engine cfg in
+  Platform.register_app platform (wide_app ());
+  Platform.start platform;
+  let membership = Membership.create platform in
+  List.iter
+    (fun (from, key, width) -> put platform ~from ~key ~value:width)
+    [ (0, "big", 2); (0, "small", 1); (1, "a", 2); (2, "b", 2); (3, "c", 2) ];
+  drain engine;
+  let owner_hive key =
+    hive_of platform (Option.get (Platform.find_owner platform ~app:"test.wide"
+                                    (Cell.cell "store" (key ^ ".0"))))
+  in
+  Alcotest.(check bool) "drain accepted" true (Membership.drain membership 0);
+  run_for engine 0.5;
+  Alcotest.(check int) "one-cell bee: least-loaded hive with room, lowest id" 1
+    (owner_hive "small");
+  Alcotest.(check int) "two-cell bee: no survivor has room" 0 (owner_hive "big");
+  Alcotest.(check (list int)) "drain waits" [ 0 ] (Membership.draining membership);
+  let joined = Membership.add_hive membership in
+  await_drain engine membership 0;
+  Alcotest.(check int) "two-cell bee moves to the hive with room" joined (owner_hive "big");
+  Alcotest.(check bool) "drain completed" true (Membership.drain_completed membership 0);
+  List.iter
+    (fun h ->
+      Alcotest.(check bool)
+        (Printf.sprintf "hive %d within capacity" h)
+        true
+        (Beehive_core.Registry.cells_on_hive (Platform.registry platform) ~hive:h <= 3))
+    (Platform.members platform)
+
 (* --- decommission ---------------------------------------------------- *)
 
 (* Decommission is refused while the hive still owns cells; after the
@@ -160,10 +240,9 @@ let test_decommission_requires_complete_drain () =
     (Membership.drain membership ~auto_decommission:true victim);
   await_drain engine membership victim;
   run_for engine 0.05;
-  Alcotest.(check bool) "drain record completed" true
-    (match Membership.drain_record membership victim with
-    | Some d -> Drain.state d = Drain.Completed
-    | None -> false);
+  Alcotest.(check bool) "drain completed" true (Membership.drain_completed membership victim);
+  Alcotest.(check bool) "auto-decommission asked for" true
+    (Membership.auto_decommission membership victim);
   Alcotest.(check bool) "auto-decommissioned" true
     (Platform.hive_decommissioned platform victim);
   Alcotest.(check bool) "decommission idempotent" true
@@ -410,6 +489,10 @@ let suite =
           test_drain_refused_below_min_placeable;
         Alcotest.test_case "cancel_drain restores placeability" `Quick
           test_cancel_drain_restores_placeability;
+        Alcotest.test_case "evacuee and new key share the placement rule" `Quick
+          test_evacuee_and_new_key_share_the_rule;
+        Alcotest.test_case "evacuation respects hive capacity" `Quick
+          test_evacuation_respects_capacity;
         Alcotest.test_case "decommission requires a complete drain" `Quick
           test_decommission_requires_complete_drain;
         Alcotest.test_case "hive lifecycle queries at every step" `Quick

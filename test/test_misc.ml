@@ -182,7 +182,7 @@ let prop_take_window_matches_table =
       && same ())
 
 let test_latency_percentiles () =
-  let s = Stats.create () in
+  let s = Stats.latency () in
   (* 9 samples at ~100us, one at ~10000us. *)
   for _ = 1 to 9 do
     Stats.record_latency s (Simtime.of_us 100)
@@ -195,12 +195,7 @@ let test_latency_percentiles () =
   | Some p99 -> Alcotest.(check bool) "p99 catches the outlier" true (p99 >= 8192)
   | None -> Alcotest.fail "p99");
   Alcotest.(check bool) "no samples -> None" true
-    (Stats.latency_percentile (Stats.create ()) 0.5 = None);
-  (* Merge combines histograms. *)
-  let m = Stats.create () in
-  Stats.merge_latency ~into:m s;
-  Alcotest.(check (option int)) "merged p99 equal" (Stats.latency_percentile s 0.99)
-    (Stats.latency_percentile m 0.99)
+    (Stats.latency_percentile (Stats.latency ()) 0.5 = None)
 
 (* A bee's ring-buffer mailbox against [Stdlib.Queue], the structure it
    replaced: random pushes, pops, clears and transfers into a second

@@ -19,8 +19,8 @@ let setup ?(n_hives = 3) bees =
     bees;
   (reg, Hives.create n_hives, Route_plan.create_cache ())
 
-let decide ?(version = 0) (reg, hives, cache) ~origin cs =
-  Route_plan.decide reg hives cache ~version ~app:"a" ~origin cs
+let decide ?(version = 0) ?(capacity = max_int) (reg, hives, cache) ~origin cs =
+  Route_plan.decide reg hives cache ~capacity ~version ~app:"a" ~origin cs
 
 let plan =
   Alcotest.testable
@@ -48,6 +48,27 @@ let test_draining_origin_places_least_loaded () =
   ignore (Hives.set_draining hives 0 true);
   Alcotest.check plan "fewest cells among placeable hives" (Route_plan.Create 2)
     (decide env ~origin:0 (cells [ "x" ]))
+
+(* The shared rule on its own: [exclude] and a full hive are skipped,
+   ties go to the lowest id, and no qualifying hive is [None]. *)
+let test_least_loaded_rule () =
+  let reg, hives, _ = setup ~n_hives:4 [ (0, [ "a"; "b" ]); (1, [ "c" ]); (3, [ "d" ]) ] in
+  let pick ?(capacity = max_int) ~exclude ~cells () =
+    Route_plan.least_loaded reg hives ~capacity ~exclude ~cells
+  in
+  Alcotest.(check (option int)) "empty hive first" (Some 2) (pick ~exclude:(-1) ~cells:1 ());
+  Alcotest.(check (option int)) "tie goes to the lowest id" (Some 1)
+    (pick ~exclude:2 ~cells:1 ());
+  Alcotest.(check (option int)) "no room on one-cell hives" (Some 2)
+    (pick ~capacity:2 ~exclude:0 ~cells:2 ());
+  ignore (Hives.set_draining hives 2 true);
+  Alcotest.(check (option int)) "no placeable hive has room" None
+    (pick ~capacity:2 ~exclude:0 ~cells:2 ());
+  let env = (reg, hives, Route_plan.create_cache ()) in
+  Alcotest.check plan "a redirected new bee takes the rule's pick" (Route_plan.Create 1)
+    (decide ~capacity:2 env ~origin:2 (cells [ "x" ]));
+  Alcotest.check plan "no hive has room: it stays on its origin" (Route_plan.Create 2)
+    (decide ~capacity:2 env ~origin:2 (cells [ "x"; "y" ]))
 
 let test_single_owner_claims_wildcard () =
   let env = setup [ (0, [ "x" ]) ] in
@@ -93,6 +114,8 @@ let suite =
         Alcotest.test_case "no owner: create on origin" `Quick test_no_owner_creates_on_origin;
         Alcotest.test_case "draining origin: least-loaded hive" `Quick
           test_draining_origin_places_least_loaded;
+        Alcotest.test_case "least-loaded rule: room, exclude, ties" `Quick
+          test_least_loaded_rule;
         Alcotest.test_case "single owner claims wildcard" `Quick
           test_single_owner_claims_wildcard;
         Alcotest.test_case "merge: most cells, lowest id" `Quick
