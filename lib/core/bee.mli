@@ -4,15 +4,15 @@
     handlers, {!Migration}, which moves and merges them, and {!Recovery},
     which brings crashed ones back. *)
 
-type allowed =
-  | A_cells of Cell.Set.t
-  | A_dict of string  (** Foreach: the bee's cells of this dict, at processing time *)
-  | A_all  (** Local bees: every dictionary of the app *)
-
 type delivery = {
   d_msg : Message.t;
   d_handler : App.handler;
-  d_allowed : allowed;
+  d_allowed : Cell.Set.t;
+      (** the cells the handler may touch, fixed when the leg is routed,
+          its linearization point: a leg forwarded to a merge winner
+          visits the cells its original target held then, which the
+          winner's state holds by the time it runs the leg; a cell the
+          bee gains later is not visited by that leg *)
   d_src_hive : int;  (** the hive the message came from; -1 for a system message *)
   d_outbox : (int * int) option;
       (** (sender bee, outbox seq) when the message rides the exactly-once

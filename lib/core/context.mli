@@ -76,10 +76,9 @@ val update :
 (** Read-modify-write of one entry; [None] result deletes. *)
 
 val iter_dict : t -> dict:string -> (string -> Value.t -> unit) -> unit
-(** Iterates the entries of [dict] visible to this invocation (all the
-    bee's entries when the mapping includes the dictionary's wildcard or a
-    [Foreach] on it). Raises {!Access_violation} if [dict] is not mapped
-    at all. *)
+(** Iterates the entries of [dict] within the cells the leg was routed
+    with (every entry when they include the dictionary's wildcard).
+    Raises {!Access_violation} if [dict] is not mapped at all. *)
 
 (** {2 Messaging} *)
 

@@ -17,11 +17,12 @@ type hive = {
   mutable inbound : int;
       (* in-flight migrations whose destination is this hive; drain
          completion requires zero *)
+  mutable inbound_cells : int;  (* their cells, as counted when each started *)
 }
 
 type t = { mutable hives : hive array }
 
-let fresh () = { life = Up; draining = false; inbound = 0 }
+let fresh () = { life = Up; draining = false; inbound = 0; inbound_cells = 0 }
 let create n = { hives = Array.init n (fun _ -> fresh ()) }
 let count t = Array.length t.hives
 let valid t h = h >= 0 && h < count t
@@ -116,5 +117,14 @@ let decommission t h =
   r.draining <- false
 
 let inbound t h = if valid t h then t.hives.(h).inbound else 0
-let inbound_started t h = t.hives.(h).inbound <- t.hives.(h).inbound + 1
-let inbound_settled t h = t.hives.(h).inbound <- max 0 (t.hives.(h).inbound - 1)
+let inbound_cells t h = t.hives.(h).inbound_cells
+
+let inbound_started t h ~cells =
+  let r = t.hives.(h) in
+  r.inbound <- r.inbound + 1;
+  r.inbound_cells <- r.inbound_cells + cells
+
+let inbound_settled t h ~cells =
+  let r = t.hives.(h) in
+  r.inbound <- max 0 (r.inbound - 1);
+  r.inbound_cells <- max 0 (r.inbound_cells - cells)

@@ -1,8 +1,8 @@
 (** The per-hive lifecycle table: which hives are up, fenced, crashed or
-    decommissioned, which are draining, and how many migrations are in
-    flight toward each. {!Platform} owns one and runs the side effects of
-    every transition; this module only decides which transitions are
-    legal. Hive ids are never reused. *)
+    decommissioned, which are draining, and how many migrations and cells
+    are in flight toward each. {!Platform} owns one and runs the side
+    effects of every transition; this module only decides which
+    transitions are legal. Hive ids are never reused. *)
 
 type t
 
@@ -64,5 +64,11 @@ val decommission : t -> int -> unit
 (** {2 In-flight migrations} *)
 
 val inbound : t -> int -> int
-val inbound_started : t -> int -> unit
-val inbound_settled : t -> int -> unit
+
+val inbound_cells : t -> int -> int
+(** The cells of the in-flight migrations toward the hive, each counted
+    as its transfer started. *)
+
+val inbound_started : t -> int -> cells:int -> unit
+val inbound_settled : t -> int -> cells:int -> unit
+(** [cells] must be the count the transfer started with. *)

@@ -13,7 +13,7 @@ type t =
   | Foreach of string
       (** [foreach k in D] — fan the message out to every bee owning at
           least one cell of dictionary [D]; each invocation sees only that
-          bee's entries. *)
+          bee's cells of [D] at routing. *)
   | Local
       (** hive-local processing (one bee per hive per app), used by
           drivers and instrumentation collectors. *)

@@ -36,8 +36,9 @@ let transfer engine ~reg ~locks ~hives ~store ~stale_reads ~transmit ~resume ~la
     let inc = b.incarnation in
     (* Count the in-flight transfer against the destination so a drain of
        either endpoint can wait for it to settle. *)
-    Hives.inbound_started hives dst;
-    let inbound_done () = Hives.inbound_settled hives dst in
+    let cells = Cell.Set.cardinal (Registry.bee reg b.id).Registry.bee_cells in
+    Hives.inbound_started hives dst ~cells;
+    let inbound_done () = Hives.inbound_settled hives dst ~cells in
     let resume_in_place () =
       (* The source still owns the bee; resume in place (the registry
          never changed, so there is exactly one owner throughout). A

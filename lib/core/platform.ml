@@ -88,7 +88,7 @@ let idle : Bee.delivery =
       sent_at = Simtime.zero }
   in
   let handler = App.handler ~kind:"" ~map:(fun _ -> Mapping.Drop) (fun _ _ -> ()) in
-  delivery msg handler Bee.A_all (-1) None
+  delivery msg handler Cell.Set.empty (-1) None
 
 type migration = {
   mig_at : Simtime.t;
@@ -146,6 +146,7 @@ type t = {
   subscribers : (string, (App.t * App.handler) list) Hashtbl.t;
   bees : (int, bee) Hashtbl.t;
   local_bees : (string * int, int) Hashtbl.t;
+  whole_dicts : (string, Cell.Set.t) Hashtbl.t;  (* app -> a local bee's cells *)
   mutable next_bee : int;
   mutable version : int;
   lookup_cache : Route_plan.cache;
@@ -219,6 +220,8 @@ let register_app t app =
   if List.exists (fun a -> String.equal a.App.name app.App.name) t.apps then
     invalid_arg "Platform.register_app: duplicate app name";
   t.apps <- List.sort (fun a b -> String.compare a.App.name b.App.name) (app :: t.apps);
+  Hashtbl.replace t.whole_dicts app.App.name
+    (Cell.Set.of_list (List.map Cell.whole app.App.dicts));
   List.iter
     (fun h ->
       let prev = Option.value ~default:[] (Hashtbl.find_opt t.subscribers h.App.on_kind) in
@@ -414,15 +417,6 @@ let run_idle_hooks (b : bee) =
     b.on_idle <- [];
     List.iter (fun f -> f ()) (List.rev hooks)
 
-let allowed_cells t (b : bee) = function
-  | Bee.A_cells cs -> cs
-  | Bee.A_dict dict -> (
-    match Registry.find_bee t.reg b.id with
-    | None -> Cell.Set.empty
-    | Some info ->
-      Cell.Set.filter (fun c -> String.equal c.Cell.dict dict) info.Registry.bee_cells)
-  | Bee.A_all -> Cell.Set.of_list (List.map Cell.whole b.app.App.dicts)
-
 (* The bee's [From_bee] source, rebuilt only once the bee has moved. *)
 let source_of (b : bee) =
   match b.source with
@@ -595,7 +589,7 @@ let open_context t (b : bee) (d : Bee.delivery) =
      and they get none of the exactly-once guarantees, which is
      precisely the external-store liability the paper argues against. *)
   Context.make ~read_shadow ~src:(source_of b) ~now:t.clock ~rng:b.rng
-    ~allowed:(allowed_cells t b d.d_allowed) ~tx:(State.begin_tx b.state) ~message:msg
+    ~allowed:d.d_allowed ~tx:(State.begin_tx b.state) ~message:msg
     ~late:t.late
 
 let run_handler (d : Bee.delivery) ctx =
@@ -613,11 +607,16 @@ let rec next_owner_hive t ~above best = function
     let h = (Hashtbl.find t.bees id).hive in
     next_owner_hive t ~above (if h > above && h < best then h else best) rest
 
-(* The [owners] hosted on hive [h], in owner order. *)
-let[@tail_mod_cons] rec owners_on t h = function
+(* The Foreach legs to the [owners] on hive [h], in owner order, each
+   with its owner's cells that pass [in_dict] now, at routing. *)
+let[@tail_mod_cons] rec legs_on t h ~in_dict leg = function
   | [] -> []
   | id :: rest ->
-    if (Hashtbl.find t.bees id).hive = h then id :: owners_on t h rest else owners_on t h rest
+    let b = Hashtbl.find t.bees id in
+    if b.hive = h then
+      (b, leg (Cell.Set.filter in_dict (Registry.bee t.reg id).Registry.bee_cells))
+      :: legs_on t h ~in_dict leg rest
+    else legs_on t h ~in_dict leg rest
 
 (* Messages in flight to a bee that has since been merged away follow
    its forwarding pointer to the surviving bee. *)
@@ -827,7 +826,7 @@ and send_cells t (b : bee) ~extra ~handler ~src_ep ~outbox cs msg =
           Some (-1, Outbox.next_virtual_seq t.outbox)
         else None
     in
-    let d = delivery msg handler (Bee.A_cells cs) (resolve_src t msg) d_outbox in
+    let d = delivery msg handler cs (resolve_src t msg) d_outbox in
     (* Fenced targets still receive: the transport buffers through the
        partition and the bee's paused mailbox holds the message until
        the hive rejoins, so nothing is lost to a false suspicion. *)
@@ -837,6 +836,8 @@ and send_cells t (b : bee) ~extra ~handler ~src_ep ~outbox cs msg =
 
 and route_foreach t ~(app : App.t) ~(handler : App.handler) ~src_ep dict msg =
   let src = resolve_src t msg in
+  let leg cells = delivery msg handler cells src None in
+  let in_dict (c : Cell.t) = String.equal c.Cell.dict dict in
   let owners = Registry.owners_of_dict t.reg ~app:app.App.name ~dict in
   (* Fan out: one control-channel copy per hive hosting owners, hives in
      ascending id, then local delivery to that hive's owners in owner
@@ -845,13 +846,9 @@ and route_foreach t ~(app : App.t) ~(handler : App.handler) ~src_ep dict msg =
   while !h < max_int do
     let hive = !h in
     if not (hive_crashed t hive) then begin
-      let targets = owners_on t hive owners in
+      let legs = legs_on t hive ~in_dict leg owners in
       transmit t ~src_ep ~dst_hive:hive ~bytes:msg.Message.size ~extra:Simtime.zero
-        (fun () ->
-          List.iter
-            (fun id ->
-              enqueue t (Hashtbl.find t.bees id) (delivery msg handler (Bee.A_dict dict) src None))
-            targets)
+        (fun () -> List.iter (fun (b, d) -> enqueue t b d) legs)
     end;
     h := next_owner_hive t ~above:hive max_int owners
   done
@@ -864,7 +861,8 @@ and route_local t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin msg =
       | None -> ()
       | Some b ->
         transmit t ~src_ep ~dst_hive:h ~bytes:msg.Message.size ~extra:Simtime.zero
-          (fun () -> enqueue t b (delivery msg handler Bee.A_all src None))
+          (fun () ->
+            enqueue t b (delivery msg handler (Hashtbl.find t.whole_dicts app.App.name) src None))
   in
   (* System messages (timer ticks) trigger local handlers on every hive;
      ordinary messages only on their origin hive. *)
@@ -1579,6 +1577,7 @@ let create engine cfg =
     subscribers = Hashtbl.create 32;
     bees = Hashtbl.create 256;
     local_bees = Hashtbl.create 64;
+    whole_dicts = Hashtbl.create 8;
     next_bee = 0;
     version = 0;
     lookup_cache = Route_plan.create_cache ();

@@ -263,7 +263,8 @@ val migrate_bee : t -> bee:int -> to_hive:int -> reason:string -> bool
     [false] if the bee is unknown/dead/local, belongs to a [pinned] app
     ({!App.create}), is already there, a migration is in flight, or the
     destination fails {!Route_plan.has_room}: it is not {!placeable}, or
-    the bee's cells would take it over [hive_capacity]. *)
+    the bee's cells, with those it owns and those already in flight
+    toward it, would take it over [hive_capacity]. *)
 
 val least_loaded_hive : t -> exclude:int -> cells:int -> int option
 (** {!Route_plan.least_loaded} under this platform's [hive_capacity]: the

@@ -43,9 +43,11 @@ type t =
   | Drop
 
 (* Whether hive [h] may take [cells] more cells: also migration
-   admission. *)
+   admission. Cells still in flight toward [h] count, so moves started
+   in one step cannot overfill it together. *)
 let has_room reg hives ~capacity h ~cells =
-  Hives.placeable hives h && Registry.cells_on_hive reg ~hive:h + cells <= capacity
+  Hives.placeable hives h
+  && Registry.cells_on_hive reg ~hive:h + Hives.inbound_cells hives h + cells <= capacity
 
 (* The one placement rule, shared by [decide] and the drain evacuation:
    of the hives other than [exclude] with room for [cells], the one

@@ -43,13 +43,15 @@ val decide :
 
 val has_room : Registry.t -> Hives.t -> capacity:int -> int -> cells:int -> bool
 (** Hive [h] is placeable and can take [cells] more cells within
-    [capacity]; also {!Platform.migrate_bee}'s admission test. *)
+    [capacity], counting the cells it owns and those of migrations in
+    flight toward it ({!Hives.inbound_cells}); also
+    {!Platform.migrate_bee}'s admission test. *)
 
 val least_loaded :
   Registry.t -> Hives.t -> capacity:int -> exclude:int -> cells:int -> int option
 (** The hive other than [exclude] that {!has_room} for [cells] and owns
-    the fewest cells, ties to the lowest id; [None] when no hive
-    qualifies. *)
+    the fewest cells (landed cells only), ties to the lowest id; [None]
+    when no hive qualifies. *)
 
 val unowned : Registry.t -> bee:int -> Cell.Set.t -> Cell.Set.t
 (** The cells of the set the bee does not own itself. *)

@@ -223,6 +223,38 @@ let test_evacuation_respects_capacity () =
         (Beehive_core.Registry.cells_on_hive (Platform.registry platform) ~hive:h <= 3))
     (Platform.members platform)
 
+(* Admission counts the cells already in flight toward a hive: two
+   one-cell evacuees that one pump step starts toward the same empty hive
+   of capacity 1 cannot both be admitted. One moves, the other waits on
+   the draining hive until a hive with room joins. *)
+let test_evacuees_share_inbound_room () =
+  let engine = Engine.create () in
+  let cfg = { (Platform.default_config ~n_hives:3) with Platform.hive_capacity = 1 } in
+  let platform = Platform.create engine cfg in
+  Platform.register_app platform (kv_app ());
+  Platform.start platform;
+  let membership = Membership.create platform in
+  List.iter (fun (from, key) -> put platform ~from ~key ~value:1) [ (0, "a"); (0, "b"); (2, "c") ];
+  drain engine;
+  let cells h = Beehive_core.Registry.cells_on_hive (Platform.registry platform) ~hive:h in
+  Alcotest.(check (list int)) "cells per hive" [ 2; 0; 1 ] (List.map cells [ 0; 1; 2 ]);
+  Alcotest.(check bool) "drain accepted" true (Membership.drain membership 0);
+  run_for engine 0.5;
+  let on h key = hive_of platform (owner_exn platform ~app:"test.kv" key) = h in
+  Alcotest.(check (list int)) "hive 1 filled to capacity, not over" [ 1; 1; 1 ]
+    (List.map cells [ 0; 1; 2 ]);
+  Alcotest.(check int) "one evacuee moved" 1
+    (List.length (List.filter (on 1) [ "a"; "b" ]));
+  Alcotest.(check (list int)) "drain waits" [ 0 ] (Membership.draining membership);
+  let joined = Membership.add_hive membership in
+  await_drain engine membership 0;
+  Alcotest.(check int) "the other evacuee takes the new hive" 1
+    (List.length (List.filter (on joined) [ "a"; "b" ]));
+  List.iter
+    (fun h ->
+      Alcotest.(check bool) (Printf.sprintf "hive %d within capacity" h) true (cells h <= 1))
+    (Platform.members platform)
+
 (* --- decommission ---------------------------------------------------- *)
 
 (* Decommission is refused while the hive still owns cells; after the
@@ -493,6 +525,8 @@ let suite =
           test_evacuee_and_new_key_share_the_rule;
         Alcotest.test_case "evacuation respects hive capacity" `Quick
           test_evacuation_respects_capacity;
+        Alcotest.test_case "evacuees share a hive's inbound room" `Quick
+          test_evacuees_share_inbound_room;
         Alcotest.test_case "decommission requires a complete drain" `Quick
           test_decommission_requires_complete_drain;
         Alcotest.test_case "hive lifecycle queries at every step" `Quick

@@ -270,6 +270,78 @@ let test_foreach_fanout () =
   let bees = List.map fst !hits |> List.sort_uniq Int.compare in
   Alcotest.(check int) "4 distinct bees" 4 (List.length bees)
 
+(* Routing is a Foreach leg's linearization point: the leg visits the
+   cells its target held when the tick was routed, whatever happens to
+   the target before the leg runs. The app keys [Put]s, ticks every
+   owner of "store" with a [Noop] Foreach that counts its visits per
+   key, and merges every owner with a whole-dictionary [Get_all]. *)
+let foreach_visits_app visits =
+  let count k =
+    Hashtbl.replace visits k (1 + Option.value ~default:0 (Hashtbl.find_opt visits k))
+  in
+  App.create ~name:"test.visits" ~dicts:[ "store" ]
+    [
+      App.handler ~kind:k_put
+        ~map:(fun msg ->
+          match msg.Message.payload with
+          | Put { p_key; _ } -> Mapping.with_key "store" p_key
+          | _ -> Mapping.Drop)
+        (fun ctx msg ->
+          match msg.Message.payload with
+          | Put { p_key; p_value } -> Context.set ctx ~dict:"store" ~key:p_key (Value.V_int p_value)
+          | _ -> ());
+      App.handler ~kind:k_noop
+        ~map:(fun _ -> Mapping.Foreach "store")
+        (fun ctx _ -> Context.iter_dict ctx ~dict:"store" (fun k _ -> count k));
+      App.handler ~kind:k_get_all ~map:(fun _ -> Mapping.whole_dict "store") (fun _ _ -> ());
+    ]
+
+let visit_keys = List.init 8 (Printf.sprintf "k%d")
+
+(* Eight one-key bees over four hives, then a Foreach tick injected at
+   hive 0 and [disturb] at the same instant, while the tick's legs are in
+   flight; every key must be visited exactly once. *)
+let check_foreach_visits_each_cell_once ~disturb =
+  let visits = Hashtbl.create 8 in
+  let engine, platform = make_platform ~apps:[ foreach_visits_app visits ] () in
+  List.iteri (fun i key -> put platform ~from:(i mod 4) ~key ~value:i) visit_keys;
+  drain engine;
+  Alcotest.(check int) "one bee per key" 8
+    (List.length
+       (Registry.owners_of_dict (Platform.registry platform) ~app:"test.visits" ~dict:"store"));
+  Platform.inject platform ~from:(Channels.Hive 0) ~kind:k_noop (Noop 0);
+  disturb platform;
+  drain engine;
+  Alcotest.(check (list (pair string int)))
+    "every key visited once"
+    (List.map (fun k -> (k, 1)) visit_keys)
+    (List.map (fun k -> (k, Option.value ~default:0 (Hashtbl.find_opt visits k))) visit_keys);
+  platform
+
+(* The merge forwards the losers' legs to the winner, whose state then
+   holds every key: each leg still visits only its own target's key. *)
+let test_foreach_survives_merge () =
+  let platform =
+    check_foreach_visits_each_cell_once ~disturb:(fun platform ->
+        Platform.inject platform ~from:(Channels.Hive 2) ~kind:k_get_all Get_all)
+  in
+  Alcotest.(check int) "merged into one bee" 1
+    (List.length
+       (Registry.owners_of_dict (Platform.registry platform) ~app:"test.visits" ~dict:"store"))
+
+let test_foreach_survives_migration () =
+  let platform =
+    check_foreach_visits_each_cell_once ~disturb:(fun platform ->
+        List.iter
+          (fun key ->
+            let bee = owner_exn platform ~app:"test.visits" key in
+            let hive = (Option.get (Platform.bee_view platform bee)).Platform.view_hive in
+            Alcotest.(check bool) ("migrate " ^ key) true
+              (Platform.migrate_bee platform ~bee ~to_hive:((hive + 1) mod 4) ~reason:"test"))
+          visit_keys)
+  in
+  Alcotest.(check int) "every bee moved" 8 (List.length (Platform.migrations platform))
+
 let test_local_app_per_hive () =
   let seen = ref [] in
   let app =
@@ -673,6 +745,10 @@ let suite =
           test_latency_percentile_counts_merged_bees;
         Alcotest.test_case "access violation aborts tx" `Quick test_access_violation_aborts;
         Alcotest.test_case "foreach fan-out" `Quick test_foreach_fanout;
+        Alcotest.test_case "foreach visits each cell once across a merge" `Quick
+          test_foreach_survives_merge;
+        Alcotest.test_case "foreach visits each cell once across a migration" `Quick
+          test_foreach_survives_migration;
         Alcotest.test_case "local apps per hive" `Quick test_local_app_per_hive;
         Alcotest.test_case "timers survive a crash of hive 0" `Quick
           test_timers_survive_hive_zero_crash;
