@@ -1,8 +1,45 @@
-(** A bee and the deliveries queued in its mailbox.
+(** A bee, the deliveries queued in its mailbox, and its life.
 
-    Types only, shared by the platform, which creates bees and runs their
-    handlers, {!Migration}, which moves and merges them, and {!Recovery},
-    which brings crashed ones back. *)
+    The platform creates bees and runs their handlers, {!Migration} moves
+    and merges them, and {!Recovery} brings crashed ones back. This
+    module owns every write to a bee's life: its status, its holds and
+    its incarnation change only through the transitions below.
+
+    {2 Life}
+
+    {v
+    status    enters by                       leaves by
+    --------  ------------------------------  ---------------------------
+    Active    create, revive, fail_over       crash, kill, fold
+    Crashed   crash (its hive's process died)  revive, fail_over, kill
+    Dead      kill, fold (merged away)         never
+    v}
+
+    {2 Holds}
+
+    A hold stops a live bee from running without touching its state or
+    mailbox; messages keep queueing. Each cause takes its own hold and
+    only that cause releases it, so a bee stopped for two reasons stays
+    stopped until both have ended. A bee runs a handler only when it is
+    [Active], idle and holds nothing.
+
+    {v
+    hold        taken by                          released by
+    ----------  --------------------------------  ---------------------------------
+    Migrating   Platform.migrate_bee, at          the transfer: it lands, is lost,
+                admission (reserves the           or its destination died
+                destination's inbound cells)
+    Merging     Migration.merge, on the winner    the merge, once its last loser
+                and on each loser                 folded in (winner); the fold-in
+                                                  (loser, which dies)
+    Fenced      Platform.evict_hive, and a bee    the hive's rejoin or restart,
+                created on a fenced hive          or the bee landing elsewhere
+    v}
+
+    Crash, kill, fold and fail over end the life the holds belong to, so
+    they drop every hold; a dropped [Migrating] settles its destination's
+    reservation there and then, since the transfer's own callbacks check
+    for their hold and do nothing once it is gone. *)
 
 type delivery = {
   d_msg : Message.t;
@@ -21,6 +58,13 @@ type delivery = {
           given to injected/system messages — deduped but never acked. *)
   mutable d_attempts : int;  (** handler attempts already failed *)
 }
+
+type hold =
+  | Migrating of { dst : int; cells : int }
+      (** a move to hive [dst] is admitted or in flight; [cells] are
+          counted in [dst]'s inbound reservation *)
+  | Merging  (** a merge this bee takes part in waits for a busy loser *)
+  | Fenced  (** the bee's hive is evicted; its process may still run *)
 
 type t = {
   id : int;
@@ -50,23 +94,19 @@ type t = {
   mutable source : Message.source;
       (** [From_bee] at the bee's hive, shared by every message it emits;
           rebuilt when the bee has moved *)
-  mutable status : [ `Active | `Paused | `Crashed | `Dead ];
-      (** [`Paused] while migrating or while a merge it participates in is
-          in flight: incoming messages buffer in the mailbox. [`Crashed]
-          when the bee's hive failed but its dictionaries are durable: the
-          registry keeps its cells and the hive's restart revives it from
-          the storage engine. *)
+  mutable status : [ `Active | `Crashed | `Dead ];
+      (** written only by this module. [`Crashed] when the bee's hive
+          failed but its dictionaries are durable: the registry keeps its
+          cells and the hive's restart revives it from the storage
+          engine. *)
+  mutable holds : hold list;  (** written only by this module *)
   mutable incarnation : int;
-      (** bumped on crash so events scheduled against a previous life
-          (handler completions, migration landings) are discarded *)
-  mutable fenced : bool;
-      (** the failure detector evicted this bee's hive while the process
-          was (possibly) still running: the bee pauses with its state and
-          mailbox intact, and resumes if the hive rejoins *)
-  mutable pending_migration : (int * string) option;
+      (** bumped when a life ends (crash, fail over) so events scheduled
+          against it (handler completions, retries) are discarded *)
   mutable on_idle : (unit -> unit) list;
-      (** continuations run when the current handler (if any) completes;
-          used by merge to wait for losers to quiesce *)
+      (** continuations run when the current handler (if any) completes,
+          newest first; a merge waits there for a busy loser, and a move
+          admitted while the bee was busy starts there *)
   mutable forwarded_to : t option;
       (** set when this bee was merged away: in-flight messages follow *)
   mutable stale_shadow : (string * string * Value.t) list option;
@@ -74,3 +114,56 @@ type t = {
           bee wrongly keeps serving reads from *)
   mutable stale_until : Beehive_sim.Simtime.t;
 }
+
+val create :
+  id:int -> app:App.t -> hive:int -> is_local:bool -> rng:Beehive_sim.Rng.t -> idle:delivery -> t
+(** An active bee holding nothing, with an empty mailbox whose free
+    slots hold [idle]. Its [completion] is [ignore] until the caller
+    sets it. *)
+
+(** {2 Holds} *)
+
+val take : Hives.t -> t -> hold -> unit
+(** Adds the hold. [Migrating] also reserves its cells as inbound to its
+    destination. *)
+
+val release : Hives.t -> t -> hold -> bool
+(** Removes this hold (compared physically, so a cause releases only the
+    value it took) and settles a [Migrating] reservation. Returns whether
+    the bee became runnable, that is active and holding nothing; the
+    caller then resumes it. False if the hold was not held. *)
+
+val holds : t -> hold -> bool
+(** Whether the bee holds this hold, compared physically. *)
+
+val held : t -> bool
+(** Whether the bee holds anything. *)
+
+val runnable : t -> bool
+(** Active and holding nothing: the bee runs its mailbox whenever idle. *)
+
+val arrive : Hives.t -> t -> hold -> bool
+(** The move of hold [Migrating { dst; _ }] arrived: the bee is homed on
+    [dst] and releases that hold and, having left its fenced hive, any
+    [Fenced]. Returns whether it became runnable. *)
+
+(** {2 Ends of a life} *)
+
+val crash : Hives.t -> t -> unit
+(** The bee's hive process died: [`Crashed], a new incarnation, idle,
+    an empty mailbox and no holds. *)
+
+val kill : Hives.t -> t -> unit
+(** The bee is gone for good: [`Dead], idle, an empty mailbox, no holds. *)
+
+val fold : Hives.t -> t -> into:t -> unit
+(** The bee was merged into [into]: killed, with a forwarding pointer to
+    [into] and homed on [into]'s hive. Move its mailbox first. *)
+
+val revive : t -> State.t -> unit
+(** A crashed bee's hive restarted: [`Active] with the recovered state. *)
+
+val fail_over : Hives.t -> t -> hive:int -> State.t -> unit
+(** The bee restarts on [hive] from a replica's state: a new
+    incarnation (unless its crash already began one), idle, an empty
+    mailbox, no holds, [`Active]. *)

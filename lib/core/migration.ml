@@ -12,10 +12,18 @@ module Log = (val Logs.src_log src : Logs.LOG)
 let stale_read_window = Simtime.of_ms 3
 
 let transfer engine ~reg ~locks ~hives ~store ~stale_reads ~transmit ~resume ~landed (b : Bee.t)
-    dst =
-  b.pending_migration <- None;
-  if b.status = `Active && Hives.alive hives dst && dst <> b.hive then begin
-    b.status <- `Paused;
+    hold =
+  let dst =
+    match hold with
+    | Bee.Migrating { dst; _ } -> dst
+    | Bee.Merging | Bee.Fenced -> invalid_arg "Migration.transfer: not a move"
+  in
+  (* The move ends without landing: the source still owns the bee (the
+     registry never changed, so there is exactly one owner throughout),
+     which resumes in place unless another hold keeps it stopped. *)
+  let stay () = if Bee.release hives b hold then resume b in
+  if not (Bee.holds b hold && Hives.alive hives dst) then stay ()
+  else begin
     let src_hive = b.hive in
     (* The stale-read bug: remember what the bee's dictionaries looked
        like when the transfer left the source, to (wrongly) serve reads
@@ -33,52 +41,32 @@ let transfer engine ~reg ~locks ~hives ~store ~stale_reads ~transmit ~resume ~la
     in
     (* Registry update: one lock-service round trip from each side. *)
     let l_rpc = Cell_locks.charge_rpc locks ~hive:src_hive in
-    let inc = b.incarnation in
-    (* Count the in-flight transfer against the destination so a drain of
-       either endpoint can wait for it to settle. *)
-    let cells = Cell.Set.cardinal (Registry.bee reg b.id).Registry.bee_cells in
-    Hives.inbound_started hives dst ~cells;
-    let inbound_done () = Hives.inbound_settled hives dst ~cells in
-    let resume_in_place () =
-      (* The source still owns the bee; resume in place (the registry
-         never changed, so there is exactly one owner throughout). A
-         fenced bee stays paused until its hive rejoins. *)
-      if b.status = `Paused && b.incarnation = inc && not b.fenced then begin
-        b.status <- `Active;
-        resume b
-      end
-    in
+    (* Once the hold is gone (a crash, failover, kill or fold ended the
+       bee's life and settled the reservation), a late callback, such as
+       a copy that was on the wire when the source crashed, does nothing. *)
     transmit ~src_ep:(Channels.Hive src_hive) ~dst_hive:dst ~bytes ~extra:l_rpc
-      ~on_drop:(fun () ->
-        inbound_done ();
-        resume_in_place ())
+      ~on_drop:stay
       (fun () ->
-        inbound_done ();
-        if b.status = `Paused && b.incarnation = inc && not (Hives.alive hives dst) then
-          (* Destination died mid-transfer. *)
-          resume_in_place ()
-        else if b.status = `Paused && b.incarnation = inc then begin
-          b.hive <- dst;
-          b.fenced <- false;
-          (match stale_snapshot with
-          | Some snap ->
-            b.stale_shadow <- Some snap;
-            b.stale_until <- Simtime.add (Engine.now engine) stale_read_window
-          | None -> ());
-          Registry.set_hive reg ~bee:b.id ~hive:dst;
-          b.status <- `Active;
-          landed ~src:src_hive ~bytes;
-          resume b
-        end)
-  end
-  else if b.status = `Paused then begin
-    b.status <- `Active;
-    resume b
+        if Bee.holds b hold then
+          if not (Hives.alive hives dst) then
+            (* Destination died mid-transfer. *)
+            stay ()
+          else begin
+            (match stale_snapshot with
+            | Some snap ->
+              b.stale_shadow <- Some snap;
+              b.stale_until <- Simtime.add (Engine.now engine) stale_read_window
+            | None -> ());
+            Registry.set_hive reg ~bee:b.id ~hive:dst;
+            let runnable = Bee.arrive hives b hold in
+            landed ~src:src_hive ~bytes;
+            if runnable then resume b
+          end)
   end
 
 let merge engine ~chans ~reg ~hives ~outbox ~store ~resume
     ~(winner : Bee.t) ~(losers : Bee.t list) ~k =
-  winner.status <- `Paused;
+  Bee.take hives winner Bee.Merging;
   let remaining = ref (List.length losers) in
   let finish_one () =
     decr remaining;
@@ -87,8 +75,7 @@ let merge engine ~chans ~reg ~hives ~outbox ~store ~resume
          caller may now claim additional cells for the winner without
          conflicting with a busy loser whose fold-in was deferred. *)
       k ();
-      winner.status <- `Active;
-      resume winner
+      if Bee.release hives winner Bee.Merging then resume winner
     end
   in
   let fold_in (l : Bee.t) () =
@@ -162,11 +149,9 @@ let merge engine ~chans ~reg ~hives ~outbox ~store ~resume
            ~dst:(Channels.Hive winner.hive) ~bytes ~now:(Engine.now engine));
     Registry.reassign_all reg ~from_bee:l.id ~to_bee:winner.id;
     Mailbox.transfer l.mailbox winner.mailbox;
-    l.status <- `Dead;
-    l.forwarded_to <- Some winner;
-    (* Re-home the merged-away bee so outbox replay of its surviving
-       entries dispatches from (and fate-shares with) the winner's hive. *)
-    l.hive <- winner.hive;
+    (* Re-homed on the winner's hive, so outbox replay of the merged-away
+       bee's surviving entries dispatches from (and fate-shares with) it. *)
+    Bee.fold hives l ~into:winner;
     Log.debug (fun m ->
         m "merged bee %d into bee %d (%s)" l.id winner.id winner.app.App.name);
     finish_one ()
@@ -174,6 +159,6 @@ let merge engine ~chans ~reg ~hives ~outbox ~store ~resume
   in
   List.iter
     (fun (l : Bee.t) ->
-      l.status <- `Paused;
+      Bee.take hives l Bee.Merging;
       if l.busy then l.on_idle <- fold_in l :: l.on_idle else fold_in l ())
     losers

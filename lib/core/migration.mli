@@ -24,15 +24,18 @@ val transfer :
   resume:(Bee.t -> unit) ->
   landed:(src:int -> bytes:int -> unit) ->
   Bee.t ->
-  int ->
+  Bee.hold ->
   unit
-(** [transfer engine ... b dst] ships the bee's state to hive [dst]: the
-    bee pauses, its state travels with one lock-service round trip, and
-    on arrival the registry re-homes it and [landed] runs before the bee
-    resumes on [dst]. If [dst] is not alive, is already home, or the
-    transfer is lost or lands on a dead hive, the bee resumes in place.
-    [stale_reads] injects the [stale-read] bug: the landed bee keeps
-    serving reads from its pre-transfer snapshot for a few milliseconds. *)
+(** [transfer engine ... b hold] ships the bee's state to the destination
+    of [hold], the [Migrating] hold the move took at admission: its state
+    travels with one lock-service round trip, and on arrival the registry
+    re-homes it, the hold is released and [landed] runs before the bee
+    resumes on the destination. If the bee no longer holds [hold], or the
+    destination is not alive, or the transfer is lost or lands on a dead
+    hive, the hold is released and the bee stays where it is. A bee
+    resumes only when no other hold keeps it stopped. [stale_reads]
+    injects the [stale-read] bug: the landed bee keeps serving reads from
+    its pre-transfer snapshot for a few milliseconds. *)
 
 val merge :
   Beehive_sim.Engine.t ->
@@ -50,5 +53,5 @@ val merge :
     cut), cells, inbox marks and queued messages move over, and
     the loser is left dead with a forwarding pointer to the winner. A
     busy loser folds in when its handler completes; meanwhile the winner
-    stays paused. Once the last loser is folded, [k] runs (the caller
+    and the losers hold [Merging]. Once the last loser is folded, [k] runs (the caller
     claims the message's remaining cells there) and the winner resumes. *)

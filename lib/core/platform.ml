@@ -244,20 +244,17 @@ let register_endpoint t ep cb = Hashtbl.replace t.endpoints ep cb
 
 let get_bee t id = Hashtbl.find_opt t.bees id
 
+(* The bee is gone for good. A local bee dies with its hive (crash or
+   decommission): it holds no durable state, and a new one forms when the
+   hive serves the app again. Any other bee's un-acked emits die with it. *)
 let kill_bee t b =
-  b.status <- `Dead;
-  Mailbox.clear b.mailbox;
+  Bee.kill t.hives b;
   Registry.unassign_bee t.reg ~bee:b.id;
-  (* The bee is gone for good: its un-acked emits die with it. *)
-  Outbox.drop_sender t.outbox b.id;
-  match t.store with Some s -> Store.forget s ~bee:b.id | None -> ()
-
-(* A local bee dies with its hive (crash or decommission): it holds no
-   durable state, and a new one forms when the hive serves the app again. *)
-let kill_local_bee t b =
-  b.status <- `Dead;
-  Hashtbl.remove t.local_bees (b.app.App.name, b.hive);
-  Registry.unassign_bee t.reg ~bee:b.id
+  if b.is_local then Hashtbl.remove t.local_bees (b.app.App.name, b.hive)
+  else begin
+    Outbox.drop_sender t.outbox b.id;
+    match t.store with Some s -> Store.forget s ~bee:b.id | None -> ()
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Transmission and the outbox ack path                                *)
@@ -494,7 +491,7 @@ let replicate t (b : bee) ~pending ~last emits ~inbox =
 (* A crash between dispatch and completion voids the handler: its
    effects died with the hive. *)
 let still_current (b : bee) inc =
-  b.incarnation = inc && (b.status = `Active || b.status = `Paused)
+  b.incarnation = inc && b.status = `Active
 
 let deliver_endpoint t (b : bee) ep (m : Message.t) =
   let lat =
@@ -537,12 +534,12 @@ let quarantine_delivery t (b : bee) (d : Bee.delivery) exn =
 (* Live migration, carried out by {!Migration}                        *)
 (* ------------------------------------------------------------------ *)
 
-let start_transfer t (b : bee) dst reason ~resume =
+let start_transfer t (b : bee) ~dst hold reason ~resume =
   Migration.transfer t.engine ~reg:t.reg ~locks:t.locks ~hives:t.hives ~store:t.store
     ~stale_reads:(t.cfg.inject = Some Stale_read)
     ~transmit:(fun ~src_ep ~dst_hive ~bytes ~extra ~on_drop k ->
       transmit t ~src_ep ~dst_hive ~bytes ~extra ~on_drop k)
-    ~resume b dst ~landed:(fun ~src ~bytes ->
+    ~resume b hold ~landed:(fun ~src ~bytes ->
       t.version <- t.version + 1;
       let mig =
         {
@@ -626,7 +623,7 @@ let rec forwarded t (b : bee) =
   | _ -> b
 
 let rec maybe_process t (b : bee) =
-  if b.status = `Active && (not b.busy) && not (Mailbox.is_empty b.mailbox) then begin
+  if Bee.runnable b && (not b.busy) && not (Mailbox.is_empty b.mailbox) then begin
     let d = Mailbox.pop b.mailbox in
     if duplicate_delivery t b d then begin
       (* Already consumed (durable inbox): suppress the handler entirely
@@ -726,18 +723,14 @@ and complete t (b : bee) (d : Bee.delivery) cost ctx failure =
       let inc = b.incarnation in
       ignore
         (Engine.schedule_after t.engine delay (fun () ->
-             match b.status with
-             | (`Active | `Paused) when b.incarnation = inc ->
+             if b.status = `Active && b.incarnation = inc then begin
                Mailbox.push d b.mailbox;
                maybe_process t b
-             | _ -> ()))
+             end))
     | None -> quarantine_delivery t b d exn);
   Stats.record_done b.stats ~busy:cost;
   b.busy <- false;
   run_idle_hooks b;
-  (match (b.pending_migration, b.status) with
-  | Some (dst, reason), `Active -> start_transfer t b dst reason ~resume:(maybe_process t)
-  | _ -> ());
   maybe_process t b
 
 and route_emits t ~src_ep = function
@@ -750,7 +743,7 @@ and enqueue t (b : bee) d =
   let b = forwarded t b in
   match b.status with
   | `Dead | `Crashed -> drop t Dead_target
-  | `Active | `Paused ->
+  | `Active ->
     Mailbox.push d b.mailbox;
     maybe_process t b
 
@@ -764,12 +757,10 @@ and route_cells t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin ~outbo
   with
   | Route_plan.Create home ->
     let b = new_bee t ~app ~hive:home ~is_local:false in
-    if hive_fenced t home then begin
+    if hive_fenced t home then
       (* A fenced hive still serves its side of a partition, but its
-         new bees pause until the hive rejoins. *)
-      b.fenced <- true;
-      b.status <- `Paused
-    end;
+         new bees hold until the hive rejoins. *)
+      Bee.take t.hives b Fenced;
     Registry.assign t.reg ~bee:b.id cs;
     t.version <- t.version + 1;
     let extra = Cell_locks.charge_rpc t.locks ~hive:origin in
@@ -878,33 +869,7 @@ and route_local t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin msg =
 and new_bee t ~(app : App.t) ~hive ~is_local =
   let id = t.next_bee in
   t.next_bee <- t.next_bee + 1;
-  let b : bee =
-    {
-      id;
-      app;
-      hive;
-      state = State.create ();
-      mailbox = Mailbox.create ~filler:idle;
-      stats = Stats.create ();
-      is_local;
-      rng = Rng.split (Engine.rng t.engine);
-      busy = false;
-      handling = idle;
-      handling_cost = Simtime.zero;
-      handling_incarnation = 0;
-      handling_event = Engine.none;
-      completion = ignore;
-      source = Message.From_system;
-      status = `Active;
-      incarnation = 0;
-      fenced = false;
-      pending_migration = None;
-      on_idle = [];
-      forwarded_to = None;
-      stale_shadow = None;
-      stale_until = Simtime.zero;
-    }
-  in
+  let b = Bee.create ~id ~app ~hive ~is_local ~rng:(Rng.split (Engine.rng t.engine)) ~idle in
   b.completion <- (fun () -> run_completion t b);
   Hashtbl.add t.bees id b;
   ignore (Registry.register_bee t.reg ~bee_id:id ~app:app.App.name ~hive);
@@ -981,7 +946,7 @@ let rec dispatch_outbox_entry t e ~first =
   | b
     when (not (hive_crashed t b.hive))
          && (match b.status with
-            | `Active | `Paused -> true
+            | `Active -> true
             | `Dead -> b.forwarded_to <> None  (* merged away, entries live on *)
             | `Crashed -> false)
     ->
@@ -1088,16 +1053,14 @@ let view_of t (b : bee) =
     view_cells = cells;
     view_queue = Mailbox.length b.mailbox;
     view_is_local = b.is_local;
-    view_alive = (match b.status with
-      | `Active | `Paused -> true
-      | `Crashed | `Dead -> false);
+    view_alive = b.status = `Active;
   }
 
 let bee_view t id = Option.map (view_of t) (get_bee t id)
 
 let live_bee_hive t id =
   match Hashtbl.find t.bees id with
-  | { status = `Active | `Paused; hive; _ } -> Some hive
+  | { status = `Active; hive; _ } -> Some hive
   | { status = `Crashed | `Dead; _ } | (exception Not_found) -> None
 
 let live_bees t = List.map (view_of t) (sorted_bees t (fun b -> b.status <> `Dead))
@@ -1163,17 +1126,20 @@ let migrate_bee t ~bee ~to_hive ~reason =
   match get_bee t bee with
   | None -> false
   | Some b ->
+    let cells = Cell.Set.cardinal (Registry.bee t.reg bee).Registry.bee_cells in
     if
-      b.status <> `Active || b.is_local || b.app.App.pinned
-      || b.pending_migration <> None
+      (not (Bee.runnable b)) || b.is_local || b.app.App.pinned
       || to_hive = b.hive
-      || not
-           (Route_plan.has_room t.reg t.hives ~capacity:t.cfg.hive_capacity to_hive
-              ~cells:(Cell.Set.cardinal (Registry.bee t.reg bee).Registry.bee_cells))
+      || not (Route_plan.has_room t.reg t.hives ~capacity:t.cfg.hive_capacity to_hive ~cells)
     then false
     else begin
-      if b.busy then b.pending_migration <- Some (to_hive, reason)
-      else start_transfer t b to_hive reason ~resume:(maybe_process t);
+      (* Admission reserves the destination's room; a busy bee's move
+         starts once its handler completes, after the idle hooks already
+         queued. *)
+      let hold = Bee.Migrating { dst = to_hive; cells } in
+      Bee.take t.hives b hold;
+      let start () = start_transfer t b ~dst:to_hive hold reason ~resume:(maybe_process t) in
+      if b.busy then b.on_idle <- start :: b.on_idle else start ();
       true
     end
 
@@ -1225,7 +1191,8 @@ let failover_target t (b : bee) ~from_hive =
   | Some r -> Option.map (fun bh -> (bh, r)) (pick 1)
 
 let failover_bee t (b : bee) ~from_hive ~to_hive r =
-  Recovery.failover ~reg:t.reg ~store:t.store ~outbox:t.outbox b ~from_hive ~to_hive r;
+  Recovery.failover ~reg:t.reg ~hives:t.hives ~store:t.store ~outbox:t.outbox b ~from_hive
+    ~to_hive r;
   maybe_process t b
 
 (* Process death: the hive stops cold. Local bees die; every other bee
@@ -1254,15 +1221,7 @@ let crash_hive t h =
         match get_bee t sender with Some sb -> sb.hive = h | None -> false);
     List.iter
       (fun (b : bee) ->
-        if b.is_local then kill_local_bee t b
-        else begin
-          b.status <- `Crashed;
-          b.incarnation <- b.incarnation + 1;
-          b.busy <- false;
-          b.fenced <- false;
-          b.pending_migration <- None;
-          Mailbox.clear b.mailbox
-        end)
+        if b.is_local then kill_bee t b else Bee.crash t.hives b)
       (bees_on t h ~pred:(fun b -> b.status <> `Dead))
   end
 
@@ -1302,23 +1261,15 @@ let evict_hive t h =
     List.iter
       (fun (b : bee) ->
         match if b.is_local then None else failover_target t b ~from_hive:h with
-        | Some (to_hive, r) ->
-          b.incarnation <- b.incarnation + 1;
-          failover_bee t b ~from_hive:h ~to_hive r
-        | None ->
-          b.fenced <- true;
-          if b.status = `Active then b.status <- `Paused)
-      (bees_on t h ~pred:(fun b ->
-           match b.status with `Active | `Paused -> true | `Crashed | `Dead -> false))
+        | Some (to_hive, r) -> failover_bee t b ~from_hive:h ~to_hive r
+        | None -> Bee.take t.hives b Fenced)
+      (bees_on t h ~pred:(fun b -> b.status = `Active))
   end
 
 let unfence_hive t h =
   List.iter
-    (fun (b : bee) ->
-      b.fenced <- false;
-      if b.status = `Paused then b.status <- `Active;
-      maybe_process t b)
-    (bees_on t h ~pred:(fun b -> b.fenced))
+    (fun (b : bee) -> if Bee.release t.hives b Fenced then maybe_process t b)
+    (bees_on t h ~pred:(fun b -> Bee.holds b Fenced))
 
 (* A fenced hive reappeared (the suspicion was false): bring it back into
    membership and resume its bees, which drain everything the transport
@@ -1348,9 +1299,9 @@ let scrub_slice t ~budget_bytes =
         match get_bee t bee with
         | Some b
           when (not b.is_local)
-               && (match b.status with `Active | `Paused -> true | _ -> false)
+               && b.status = `Active
                && hive_alive t b.hive
-               && not b.fenced ->
+               && not (Bee.holds b Fenced) ->
           Store.rewrite s ~bee ~entries:(State.snapshot b.state);
           Log.info (fun m ->
               m "bee %d: corrupt storage rewritten from live state (%s)" bee detail)
@@ -1409,7 +1360,7 @@ let restart_hive t h =
           List.filter
             (fun (b : bee) ->
               let up =
-                Recovery.revive s ~outbox:t.outbox ~hive:h b (replica t b)
+                Recovery.revive s ~hives:t.hives ~outbox:t.outbox ~hive:h b (replica t b)
               in
               if up then maybe_process t b;
               up)
@@ -1470,16 +1421,16 @@ let set_draining t h flag =
 let inbound_transfers t h = Hives.inbound t.hives h
 
 (* A drain is complete when the hive owns no cells, hosts no live
-   non-local bee, and no migration is still in flight toward it. Crashed
-   durable bees count as residents: their cells must be recovered (via
-   restart) before the hive can leave. *)
+   non-local bee, no migration is still in flight toward it, and no
+   transport message to or from it is still undelivered (decommission
+   would drop it). Crashed durable bees count as residents: their cells
+   must be recovered (via restart) before the hive can leave. *)
 let drain_complete t h =
   Hives.valid t.hives h
   && Registry.cells_on_hive t.reg ~hive:h = 0
   && Hives.inbound t.hives h = 0
-  && bees_on t h ~pred:(fun b ->
-         (not b.is_local) && (match b.status with `Dead -> false | _ -> true))
-     = []
+  && Transport.in_flight t.transport h = 0
+  && bees_on t h ~pred:(fun b -> (not b.is_local) && b.status <> `Dead) = []
 
 (* Removes a fully-drained hive from the cluster: local bees die, links
    are torn down, endpoints freed, and the id is retired for good; then
@@ -1490,7 +1441,7 @@ let decommission_hive t h =
   if hive_decommissioned t h then true
   else if not (drain_complete t h) then false
   else begin
-    List.iter (kill_local_bee t)
+    List.iter (kill_bee t)
       (bees_on t h ~pred:(fun b -> b.is_local && b.status <> `Dead));
     Hives.decommission t.hives h;
     t.version <- t.version + 1;
@@ -1511,7 +1462,9 @@ let total_bee_merges t = t.n_merges
 let total_dropped t = Array.fold_left ( + ) 0 t.drops
 
 let paused_bees t =
-  Hashtbl.fold (fun _ (b : bee) acc -> if b.status = `Paused then acc + 1 else acc) t.bees 0
+  Hashtbl.fold
+    (fun _ (b : bee) acc -> if b.status <> `Dead && Bee.held b then acc + 1 else acc)
+    t.bees 0
 
 (* Platform-wide gauges, read from the module that owns each counter. *)
 let gauges t =

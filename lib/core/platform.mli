@@ -261,10 +261,14 @@ val migrate_bee : t -> bee:int -> to_hive:int -> reason:string -> bool
 (** Live-migrates a bee: stop, buffer, move cells (charged on the control
     channel), recreate, drain (Section 3, "Migration of Bees"). Returns
     [false] if the bee is unknown/dead/local, belongs to a [pinned] app
-    ({!App.create}), is already there, a migration is in flight, or the
-    destination fails {!Route_plan.has_room}: it is not {!placeable}, or
-    the bee's cells, with those it owns and those already in flight
-    toward it, would take it over [hive_capacity]. *)
+    ({!App.create}), is already there, holds anything ({!Bee.hold}: a
+    move is admitted or in flight, a merge waits, or its hive is fenced),
+    or the destination fails {!Route_plan.has_room}: it is not
+    {!placeable}, or the bee's cells, with those it owns and those
+    already in flight toward it, would take it over [hive_capacity].
+    Admission takes the bee's [Migrating] hold and reserves its cells on
+    the destination; a busy bee's move starts when its handler
+    completes. *)
 
 val least_loaded_hive : t -> exclude:int -> cells:int -> int option
 (** {!Route_plan.least_loaded} under this platform's [hive_capacity]: the
@@ -434,8 +438,9 @@ val hive_draining : t -> int -> bool
 val hive_decommissioned : t -> int -> bool
 
 val drain_complete : t -> int -> bool
-(** True when the hive owns zero cells, hosts no live non-local bee, and
-    no migration is in flight toward it. *)
+(** True when the hive owns zero cells, hosts no live non-local bee, no
+    migration is in flight toward it, and no transport message to or from
+    it is undelivered ({!Beehive_net.Transport.in_flight}). *)
 
 val inbound_transfers : t -> int -> int
 (** Migrations currently in flight toward the hive. *)
@@ -496,8 +501,8 @@ val total_dropped : t -> int
     monitors read this. *)
 
 val paused_bees : t -> int
-(** Bees currently paused (migrating, merging, or fenced). A converged
-    healed cluster has none. *)
+(** Live bees that hold anything ({!Bee.hold}: migrating, merging or
+    fenced). A converged healed cluster has none. *)
 
 val gauges : t -> (string * int) list
 (** Platform-wide gauges, sorted by name and computed on each call from

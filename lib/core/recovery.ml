@@ -10,17 +10,10 @@ type replica = {
   inbox : (int * int) list;
 }
 
-let failover ~reg ~store ~outbox (b : Bee.t) ~from_hive ~to_hive r =
-  (* Fail over onto the target hive from the recovered state. The
-     incarnation was already bumped when the bee left its old life, so
-     anything the old instance still claims is void. *)
-  b.hive <- to_hive;
-  b.state <- State.restore r.entries;
-  Mailbox.clear b.mailbox;
-  b.busy <- false;
-  b.fenced <- false;
-  b.pending_migration <- None;
-  b.status <- `Active;
+let failover ~reg ~hives ~store ~outbox (b : Bee.t) ~from_hive ~to_hive r =
+  (* Fail over onto the target hive from the recovered state, in a new
+     incarnation, so anything the old instance still claims is void. *)
+  Bee.fail_over hives b ~hive:to_hive (State.restore r.entries);
   Registry.set_hive reg ~bee:b.id ~hive:to_hive;
   (match store with
   | Some s ->
@@ -41,7 +34,7 @@ let failover ~reg ~store ~outbox (b : Bee.t) ~from_hive ~to_hive r =
 let reseed_from_peer s ~outbox (b : Bee.t) r detail =
   Outbox.reseed outbox ~sender:b.id ~durable:true r.emits;
   Store.reseed s ~bee:b.id ~entries:r.entries ~outbox:(Outbox.rows r.emits) ~inbox:r.inbox;
-  b.state <- State.restore r.entries;
+  Bee.revive b (State.restore r.entries);
   Log.info (fun m -> m "bee %d: corrupt storage re-seeded from peer (%s)" b.id detail)
 
 (* A crashed bee whose committed prefix failed fsck and nobody holds a
@@ -49,32 +42,28 @@ let reseed_from_peer s ~outbox (b : Bee.t) r detail =
    the bee goes dead with a dead-letter record, and the registry keeps
    its cells so ownership stays unique (routing to it surfaces as
    dead-target drops, not silent wrong answers). *)
-let quarantine s ~outbox (b : Bee.t) detail =
+let quarantine s ~hives ~outbox (b : Bee.t) detail =
   Store.quarantine s ~bee:b.id ~detail;
   Outbox.drop_sender outbox b.id;
   b.state <- State.create ();
-  Mailbox.clear b.mailbox;
-  b.busy <- false;
-  b.status <- `Dead;
+  Bee.kill hives b;
   Log.info (fun m -> m "bee %d: corrupt storage quarantined (%s)" b.id detail)
 
-let revive s ~outbox ~hive (b : Bee.t) replica =
+let revive s ~hives ~outbox ~hive (b : Bee.t) replica =
   (* fsck before replay: truncate any torn tail, and refuse to serve a
      committed prefix that fails verification. *)
   match Store.fsck s ~bee:b.id with
   | Store.Intact | Store.Truncated _ ->
     (* Snapshot + WAL-tail replay, byte-identical to the last
        group-committed (and verified) state. *)
-    b.state <- State.restore (Store.recover s ~bee:b.id);
-    b.status <- `Active;
+    Bee.revive b (State.restore (Store.recover s ~bee:b.id));
     Log.info (fun m -> m "bee %d recovered on restarted hive %d" b.id hive);
     true
   | Store.Corrupt detail -> (
     match replica with
     | Some r ->
       reseed_from_peer s ~outbox b r detail;
-      b.status <- `Active;
       true
     | None ->
-      quarantine s ~outbox b detail;
+      quarantine s ~hives ~outbox b detail;
       false)

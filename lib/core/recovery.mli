@@ -16,6 +16,7 @@ type replica = {
 
 val failover :
   reg:Registry.t ->
+  hives:Hives.t ->
   store:Value.t Beehive_store.Store.t option ->
   outbox:Outbox.t ->
   Bee.t ->
@@ -23,12 +24,13 @@ val failover :
   to_hive:int ->
   replica ->
   unit
-(** Re-homes the bee on [to_hive] with the replica's state, active and
-    with an empty mailbox, and re-seeds its durable log and outbox there
+(** Re-homes the bee on [to_hive] with the replica's state
+    ({!Bee.fail_over}), and re-seeds its durable log and outbox there
     from the replica. *)
 
 val revive :
   Value.t Beehive_store.Store.t ->
+  hives:Hives.t ->
   outbox:Outbox.t ->
   hive:int ->
   Bee.t ->

@@ -83,10 +83,9 @@ let unowned reg ~bee cs =
   else Cell.Set.filter (fun c -> not (Cell.Set.mem c owned)) cs
 
 (* The mapped cells bridge several owners. A bee on a crashed hive must
-   never win a merge: merging would flip it `Paused -> `Active, so the
-   restart-time revival (which only looks at `Crashed bees) would skip it
-   and its volatile state — including writes whose group-commit batch
-   died with the hive — would silently survive the crash. Crashed owners
+   never win a merge: its process is gone, and the restart-time revival
+   replaces its state with its durable cut, so whatever the merge folded
+   into it in memory would silently vanish. Crashed owners
    may only be losers (folded from their durable cut); if every owner is
    crashed, their cells are unavailable until restart revives them and
    the message is dropped like any other send to a dead hive. *)

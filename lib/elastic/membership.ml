@@ -34,8 +34,17 @@ type t = {
 (* Decommission                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Members other than [hive] that are not draining: crashed and fenced
+   hives count, as they may come back. *)
+let staying t hive =
+  List.length
+    (List.filter
+       (fun h -> h <> hive && not (Platform.hive_draining t.platform h))
+       (Platform.members t.platform))
+
 let decommission t hive =
   if Platform.hive_decommissioned t.platform hive then true
+  else if staying t hive < min_placeable then false
   else if Platform.decommission_hive t.platform hive then begin
     t.n_decommissions <- t.n_decommissions + 1;
     true

@@ -16,10 +16,12 @@
       (placement redirects elsewhere), raft replication (when installed)
       hands its group memberships off on the platform's [Draining]
       event, and an evacuation pump live-migrates its bees out until
-      the hive owns zero cells with zero in-flight inbound transfers.
+      the hive owns zero cells with zero in-flight inbound transfers
+      and no undelivered transport message to or from it.
       Evacuees go to {!Beehive_core.Platform.least_loaded_hive}.
     - {b decommission} ({!decommission}) — only legal once the drain is
-      complete: the hive leaves {!Beehive_core.Platform.members} (and so
+      complete, and while at least 2 other members (crashed or fenced
+      ones included) are not draining: the hive leaves {!Beehive_core.Platform.members} (and so
       the failure detector's quorum), its links close, and its id is
       retired (never reused). *)
 
@@ -47,7 +49,8 @@ val decommission : t -> int -> bool
 (** Permanently removes a fully drained hive (see
     {!Beehive_core.Platform.decommission_hive}). [true] if the hive is
     now (or already was) decommissioned; [false] if its drain is
-    incomplete. *)
+    incomplete or fewer than 2 members other than the hive would remain
+    not draining. *)
 
 val drain_completed : t -> int -> bool
 (** Whether hive [h]'s newest drain completed

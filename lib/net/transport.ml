@@ -246,14 +246,16 @@ let close_hive t h =
 
 (* Crash semantics for hive [h]: a crashed process loses its in-memory
    transport state. Sender side (h -> peer links): the in-flight window
-   and its retransmission timers die with the process and sequencing
-   restarts from 1 — the peer's dedup state for those links is reset too,
-   the moral equivalent of the fresh connection epoch a restarted sender
-   negotiates. Receiver side (peer -> h links): the dedup cutoff and the
-   sparse out-of-order set are lost, while the remote senders' in-flight
-   copies and timers keep running — so a retransmission racing the
-   restart arrives at a receiver that no longer remembers having seen it.
-   That double-delivery window is inherent to in-memory dedup; closing it
+   and its retransmission timers die with the process, callbacks and all,
+   but the link keeps its sequence numbers, and so does the peer's dedup
+   state. A copy already on the wire still lands after the crash; the
+   restarted sender continues the link's numbering, so that copy can
+   never make the receiver take a later message for a duplicate of it.
+   Receiver side (peer -> h links): the dedup cutoff and the sparse
+   out-of-order set are lost, while the remote senders' in-flight copies
+   and timers keep running — so a retransmission racing the restart
+   arrives at a receiver that no longer remembers having seen it. That
+   double-delivery window is inherent to in-memory dedup; closing it
    takes a receiver-side cutoff that survives the crash (the platform's
    durable inbox). *)
 let crash_hive t h =
@@ -273,16 +275,23 @@ let crash_hive t h =
             ignore (Engine.cancel t.engine m.m_timer);
             m.m_timer <- Engine.none)
           l.inflight;
-        Hashtbl.reset l.inflight;
-        l.next_seq <- 1;
-        l.cutoff <- 0;
-        Hashtbl.reset l.above
+        Hashtbl.reset l.inflight
       end
       else begin
         l.cutoff <- 0;
         Hashtbl.reset l.above
       end)
     touched
+
+(* Messages on the links touching [h] whose payload has not reached its
+   receiver yet: a hive may leave only once none is left. *)
+let in_flight t h =
+  Hashtbl.fold
+    (fun (sh, dh) l acc ->
+      if sh = h || dh = h then
+        Hashtbl.fold (fun _ m acc -> if m.m_delivered then acc else acc + 1) l.inflight acc
+      else acc)
+    t.links 0
 
 let sent t = t.sent
 let delivered t = t.delivered

@@ -54,13 +54,19 @@ val close_hive : t -> int -> unit
 val crash_hive : t -> int -> unit
 (** Crash semantics: the hive's process died, taking its in-memory
     transport state with it. Links it was sending on lose their in-flight
-    window (timers cancelled, no [on_drop]) and restart sequencing — with
-    the peer's dedup state reset too, as a fresh connection epoch would.
-    Links it was receiving on lose the dedup cutoff and out-of-order set
-    while the remote senders keep retransmitting: a retransmission racing
-    the restart is then {e delivered again}. At-least-once survives a
+    window (timers cancelled, neither [deliver] nor [on_drop] runs) but
+    keep their sequence numbers: the restarted sender continues them, so
+    a copy already on the wire at the crash, which still lands, cannot
+    make the receiver treat a later message as its duplicate. Links it
+    was receiving on lose the dedup cutoff and out-of-order set while the
+    remote senders keep retransmitting: a retransmission racing the
+    restart is then {e delivered again}. At-least-once survives a
     receiver crash; exactly-once needs a cutoff that survives it (the
     platform's durable inbox). *)
+
+val in_flight : t -> int -> int
+(** Messages sent on the reliable path to or from the hive whose payload
+    has not reached the receiver yet. *)
 
 (** {2 Counters} *)
 

@@ -255,6 +255,56 @@ let test_evacuees_share_inbound_room () =
       Alcotest.(check bool) (Printf.sprintf "hive %d within capacity" h) true (cells h <= 1))
     (Platform.members platform)
 
+(* The same squeeze with the first evacuee busy: a 50 ms put is still
+   running on it when the drain starts. Its move is admitted at once and
+   starts only when the put completes, yet its cells are reserved on
+   hive 1 at admission, so the idle second evacuee finds no room there
+   and waits for a new hive. *)
+let test_busy_evacuee_reserves_room () =
+  let engine = Engine.create () in
+  let cfg = { (Platform.default_config ~n_hives:3) with Platform.hive_capacity = 1 } in
+  let platform = Platform.create engine cfg in
+  let slow = Simtime.of_ms 50 in
+  Platform.register_app platform
+    (App.create ~name:"test.kv" ~dicts:[ "store" ]
+       [
+         App.handler ~kind:k_put
+           ~cost:(fun msg ->
+             match msg.Message.payload with
+             | Put { p_value = 50; _ } -> slow
+             | _ -> App.default_cost)
+           ~map:(fun msg ->
+             match msg.Message.payload with
+             | Put { p_key; _ } -> Mapping.with_key "store" p_key
+             | _ -> Mapping.Drop)
+           (fun ctx msg ->
+             match msg.Message.payload with
+             | Put { p_key; p_value } ->
+               Context.set ctx ~dict:"store" ~key:p_key (Value.V_int p_value)
+             | _ -> ());
+       ]);
+  Platform.start platform;
+  let membership = Membership.create platform in
+  List.iter (fun (from, key) -> put platform ~from ~key ~value:1) [ (0, "a"); (0, "b"); (2, "c") ];
+  drain engine;
+  let cells h = Beehive_core.Registry.cells_on_hive (Platform.registry platform) ~hive:h in
+  Alcotest.(check (list int)) "cells per hive" [ 2; 0; 1 ] (List.map cells [ 0; 1; 2 ]);
+  put platform ~from:0 ~key:"a" ~value:50;
+  run_for engine 0.001;
+  Alcotest.(check bool) "drain accepted" true (Membership.drain membership 0);
+  for _ = 1 to 500 do
+    run_for engine 0.001;
+    if cells 1 > 1 then Alcotest.failf "hive 1 holds %d cells" (cells 1)
+  done;
+  let on h key = hive_of platform (owner_exn platform ~app:"test.kv" key) = h in
+  Alcotest.(check bool) "the busy evacuee moved to hive 1" true (on 1 "a");
+  Alcotest.(check (list int)) "drain waits" [ 0 ] (Membership.draining membership);
+  let joined = Membership.add_hive membership in
+  await_drain engine membership 0;
+  Alcotest.(check bool) "the idle evacuee takes the new hive" true (on joined "b");
+  Alcotest.(check (option int)) "the slow put landed" (Some 50)
+    (store_value platform ~bee:(owner_exn platform ~app:"test.kv" "a") ~key:"a")
+
 (* --- decommission ---------------------------------------------------- *)
 
 (* Decommission is refused while the hive still owns cells; after the
@@ -525,6 +575,8 @@ let suite =
           test_evacuee_and_new_key_share_the_rule;
         Alcotest.test_case "evacuation respects hive capacity" `Quick
           test_evacuation_respects_capacity;
+        Alcotest.test_case "a busy evacuee's room is reserved at admission" `Quick
+          test_busy_evacuee_reserves_room;
         Alcotest.test_case "evacuees share a hive's inbound room" `Quick
           test_evacuees_share_inbound_room;
         Alcotest.test_case "decommission requires a complete drain" `Quick

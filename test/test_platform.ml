@@ -342,6 +342,57 @@ let test_foreach_survives_migration () =
   in
   Alcotest.(check int) "every bee moved" 8 (List.length (Platform.migrations platform))
 
+(* A bee stopped for two reasons stays stopped until both end. Key "a"
+   lives on hive 0 and key "b" on hive 1, whose owner is busy in a 5 ms
+   increment. In one instant "a"'s owner starts moving to hive 1 and a
+   two-key increment arrives, merging the owners with "a"'s bee as the
+   winner. The winner's move lands first; it must still wait for its
+   busy loser to fold in, or it increments a "b" it does not hold yet and
+   the fold-in overwrites that write. *)
+let test_migrating_merge_winner_waits () =
+  let slow = Simtime.of_ms 5 in
+  let incr ctx key =
+    Context.update ctx ~dict:"store" ~key (function
+      | Some (Value.V_int n) -> Some (Value.V_int (n + 1))
+      | _ -> Some (Value.V_int 1))
+  in
+  let app =
+    App.create ~name:"test.pair" ~dicts:[ "store" ]
+      [
+        App.handler ~kind:k_put
+          ~map:(fun msg ->
+            match msg.Message.payload with
+            | Put { p_key; _ } -> Mapping.with_key "store" p_key
+            | _ -> Mapping.Drop)
+          (fun ctx msg ->
+            match msg.Message.payload with Put { p_key; _ } -> incr ctx p_key | _ -> ());
+        App.handler ~kind:k_noop ~cost:(fun _ -> slow)
+          ~map:(fun _ -> Mapping.with_key "store" "b")
+          (fun ctx _ -> incr ctx "b");
+        App.handler ~kind:k_get_all
+          ~map:(fun _ -> Mapping.with_keys [ ("store", "a"); ("store", "b") ])
+          (fun ctx _ ->
+            incr ctx "a";
+            incr ctx "b");
+      ]
+  in
+  let engine, platform = make_platform ~n_hives:2 ~apps:[ app ] () in
+  put platform ~from:0 ~key:"a" ~value:1;
+  put platform ~from:1 ~key:"b" ~value:1;
+  drain engine;
+  let a = owner_exn platform ~app:"test.pair" "a" in
+  Platform.inject platform ~from:(Channels.Hive 1) ~kind:k_noop (Noop 0);
+  run_for engine 0.001;
+  Alcotest.(check bool) "move admitted" true
+    (Platform.migrate_bee platform ~bee:a ~to_hive:1 ~reason:"test");
+  Platform.inject platform ~from:(Channels.Hive 0) ~kind:k_get_all Get_all;
+  drain engine;
+  Alcotest.(check int) "one merge" 1 (Platform.total_bee_merges platform);
+  let value key = store_value platform ~bee:(owner_exn platform ~app:"test.pair" key) ~key in
+  Alcotest.(check (option int)) "a" (Some 2) (value "a");
+  Alcotest.(check (option int)) "b: put, slow increment, pair increment" (Some 3) (value "b");
+  Alcotest.(check int) "nothing left holding" 0 (Platform.paused_bees platform)
+
 let test_local_app_per_hive () =
   let seen = ref [] in
   let app =
@@ -749,6 +800,8 @@ let suite =
           test_foreach_survives_merge;
         Alcotest.test_case "foreach visits each cell once across a migration" `Quick
           test_foreach_survives_migration;
+        Alcotest.test_case "a migrating merge winner waits for its busy loser" `Quick
+          test_migrating_merge_winner_waits;
         Alcotest.test_case "local apps per hive" `Quick test_local_app_per_hive;
         Alcotest.test_case "timers survive a crash of hive 0" `Quick
           test_timers_survive_hive_zero_crash;

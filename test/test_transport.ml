@@ -198,9 +198,8 @@ let test_receiver_crash_reopens_dedup_window () =
     true (total > 200)
 
 (* Crash semantics, sender side: in-flight windows die without firing
-   [on_drop], sequencing restarts in a fresh epoch, and the receiver
-   accepts the restarted sender's messages instead of eating them as
-   stale duplicates. *)
+   [on_drop], and the receiver accepts the restarted sender's messages
+   instead of eating them as stale duplicates. *)
 let test_sender_crash_restarts_sequencing () =
   let engine, chans, tr = make () in
   Channels.partition chans ~a:0 ~b:1;
@@ -216,8 +215,8 @@ let test_sender_crash_restarts_sequencing () =
   Channels.heal_all chans;
   drain engine;
   Alcotest.(check int) "pre-crash copies gone with the process" 0 !stale;
-  (* The restarted process talks again from sequence zero; the receiver
-     must treat it as a new epoch, not as stale duplicates. *)
+  (* The restarted process continues the link's sequence numbers, which
+     the receiver has never seen. *)
   let fresh = ref 0 in
   for _ = 1 to 5 do
     Transport.send tr ~src:(Channels.Hive 0) ~dst:(Channels.Hive 1) ~bytes:64
@@ -226,6 +225,29 @@ let test_sender_crash_restarts_sequencing () =
   done;
   drain engine;
   Alcotest.(check int) "fresh epoch delivers exactly once" 5 !fresh
+
+(* A copy already on the wire when its sender crashes still lands. The
+   restarted sender continues the link's sequence numbers, so that copy
+   cannot make the receiver take the sender's next message for a
+   duplicate of it. Hives 2 and 3 are partitioned, so the reliable path
+   runs while the link under test, 0 -> 1, delivers. *)
+let test_copy_on_the_wire_at_sender_crash () =
+  let engine, chans, tr = make () in
+  Channels.partition chans ~a:2 ~b:3;
+  let landed = ref 0 and next = ref 0 and dropped = ref 0 in
+  let send deliver =
+    Transport.send tr ~src:(Channels.Hive 0) ~dst:(Channels.Hive 1) ~bytes:64
+      ~on_drop:(fun () -> incr dropped)
+      ~deliver:(fun () -> incr deliver)
+  in
+  send landed;
+  Transport.crash_hive tr 0;
+  Engine.run_until engine (Simtime.of_ms 1);
+  Alcotest.(check int) "the copy on the wire landed" 1 !landed;
+  send next;
+  drain engine;
+  Alcotest.(check int) "the restarted sender's next send is delivered" 1 !next;
+  Alcotest.(check int) "nothing dropped" 0 !dropped
 
 (* Intra-hive messages never ride the failable path, whatever the fault
    configuration says. *)
@@ -263,6 +285,8 @@ let suite =
           test_receiver_crash_reopens_dedup_window;
         Alcotest.test_case "sender crash restarts sequencing" `Quick
           test_sender_crash_restarts_sequencing;
+        Alcotest.test_case "a copy on the wire at a sender crash swallows nothing" `Quick
+          test_copy_on_the_wire_at_sender_crash;
         Alcotest.test_case "intra-hive traffic never fails" `Quick
           test_intra_hive_never_fails;
       ] );
