@@ -28,6 +28,7 @@ type t = {
   mutable handling_event : Beehive_sim.Engine.handle;
   mutable completion : unit -> unit;
   mutable source : Message.source;
+  mutable emitter : (int * string * int) option;
   mutable status : [ `Active | `Crashed | `Dead ];
   mutable holds : hold list;
   mutable incarnation : int;
@@ -54,6 +55,7 @@ let create ~id ~app ~hive ~is_local ~rng ~idle =
     handling_event = Beehive_sim.Engine.none;
     completion = ignore;
     source = Message.From_system;
+    emitter = None;
     status = `Active;
     holds = [];
     incarnation = 0;

@@ -94,6 +94,10 @@ type t = {
   mutable source : Message.source;
       (** [From_bee] at the bee's hive, shared by every message it emits;
           rebuilt when the bee has moved *)
+  mutable emitter : (int * string * int) option;
+      (** [Some (id, app, hive)] at the bee's hive, shared by every emit
+          hook call for the bee's messages; rebuilt when the bee has
+          moved *)
   mutable status : [ `Active | `Crashed | `Dead ];
       (** written only by this module. [`Crashed] when the bee's hive
           failed but its dictionaries are durable: the registry keeps its

@@ -170,6 +170,9 @@ type t = {
   latency : Stats.latency;  (* every handled message's, merged-away bees' too *)
   drops : int array;  (* indexed by [drop_slot] *)
   outbox : Outbox.t;
+  mutable ack_batches : (int * int * int) list array;
+      (* indexed by hive id: the durable acks one [drain_outbox_acks]
+         sends to that hive, newest first; all empty between calls *)
   mutable n_handler_faults : int;
       (* exceptions contained at the dispatch boundary: map/cost/timer/
          endpoint callbacks that raised *)
@@ -350,20 +353,26 @@ let rec handle_outbox_acks t = function
     handle_outbox_acks t older;
     handle_outbox_ack t ~sender ~seq ~receiver
 
+let batch_ack t dst ack =
+  let n = Array.length t.ack_batches in
+  if dst >= n then begin
+    let grown = Array.make (max (dst + 1) (2 * n)) [] in
+    Array.blit t.ack_batches 0 grown 0 n;
+    t.ack_batches <- grown
+  end;
+  t.ack_batches.(dst) <- ack :: t.ack_batches.(dst)
+
 (* Walks a hive's queued acks, given newest first, oldest first: each
    ack whose inbox mark is durable joins its sender's hive's batch in
-   [by_dst], newest first, and the acks still waiting come back newest
-   first — the queue's own cells when none older was ready. *)
-let rec sort_acks t s by_dst = function
+   [t.ack_batches], newest first, and the acks still waiting come back
+   newest first — the queue's own cells when none older was ready. *)
+let rec sort_acks t s = function
   | [] -> []
   | ((sender, seq, receiver) as ack) :: older as queue ->
-    let waiting = sort_acks t s by_dst older in
+    let waiting = sort_acks t s older in
     if Store.inbox_durable s ~bee:receiver ~sender ~seq then begin
       (match Hashtbl.find t.bees sender with
-      | sb -> (
-        match Hashtbl.find by_dst sb.hive with
-        | l -> Hashtbl.replace by_dst sb.hive (ack :: l)
-        | exception Not_found -> Hashtbl.replace by_dst sb.hive [ ack ])
+      | sb -> batch_ack t sb.hive ack
       | exception Not_found -> ());
       waiting
     end
@@ -373,8 +382,9 @@ let rec sort_acks t s by_dst = function
 (* Receiver-side half of the ack path, run at each hive fsync: every ack
    whose inbox mark just became durable is sent to the sender's current
    hive; marks still riding a pending record stay queued. Acks bound for
-   the same hive ride one transport message — per-message acks would
-   double the fabric's message count on the healthy path. *)
+   the same hive ride one transport message, sent in hive order —
+   per-message acks would double the fabric's message count on the
+   healthy path. *)
 let drain_outbox_acks t hive =
   match t.store with
   | None -> ()
@@ -382,14 +392,16 @@ let drain_outbox_acks t hive =
     match Outbox.queued_acks t.outbox ~hive with
     | [] -> ()
     | queue ->
-      let by_dst = Hashtbl.create 4 in
-      Outbox.keep_acks t.outbox ~hive (sort_acks t s by_dst queue);
-      Hashtbl.iter
-        (fun dst acks ->
+      Outbox.keep_acks t.outbox ~hive (sort_acks t s queue);
+      for dst = 0 to Array.length t.ack_batches - 1 do
+        match t.ack_batches.(dst) with
+        | [] -> ()
+        | acks ->
+          t.ack_batches.(dst) <- [];
           transmit t ~src_ep:(hive_ep t hive) ~dst_hive:dst
             ~bytes:(16 * List.length acks) ~extra:Simtime.zero
-            (fun () -> handle_outbox_acks t acks))
-        by_dst)
+            (fun () -> handle_outbox_acks t acks)
+      done)
 
 (* ------------------------------------------------------------------ *)
 (* Handler execution helpers                                           *)
@@ -426,7 +438,15 @@ let source_of (b : bee) =
 let bee_message t (b : bee) ?size ~kind payload =
   Message.make ?size ~kind ~src:(source_of b) ~sent_at:(now t) payload
 
-let emitter_of (b : bee) = Some (b.id, b.app.App.name, b.hive)
+(* The bee's emitter for the emit hooks, rebuilt only once the bee has
+   moved. *)
+let emitter_of (b : bee) =
+  match b.emitter with
+  | Some (_, _, hive) as e when hive = b.hive -> e
+  | Some _ | None ->
+    let e = Some (b.id, b.app.App.name, b.hive) in
+    b.emitter <- e;
+    e
 
 let rec call_emit_hooks ~parent ~child ~emitter = function
   | [] -> ()
@@ -995,7 +1015,7 @@ let inject t ~from ?size ~kind payload =
   let msg =
     Message.make ?size ~kind ~src:(Message.From_endpoint from) ~sent_at:(now t) payload
   in
-  List.iter (fun f -> f ~parent:None ~child:msg ~emitter:None) t.emit_hooks;
+  call_emit_hooks ~parent:None ~child:msg ~emitter:None t.emit_hooks;
   route t ~src_ep:from msg
 
 let emit_system t ~hive ~size ~kind payload =
@@ -1548,6 +1568,7 @@ let create engine cfg =
     latency = Stats.latency ();
     drops;
     outbox = Outbox.create ();
+    ack_batches = [||];
     n_handler_faults = 0;
     clock = (fun () -> Engine.now engine);
     on_exhausted = (fun () -> count_drop drops Retransmit_exhausted);

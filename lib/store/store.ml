@@ -2,7 +2,6 @@ module Engine = Beehive_sim.Engine
 module Simtime = Beehive_sim.Simtime
 module Crc32 = Beehive_sim.Crc32
 
-let group_commit_period = Simtime.of_ms 1
 let fsync_latency = Simtime.of_us 100
 
 type config = { snapshot_threshold_bytes : int }
@@ -123,11 +122,18 @@ type 'v t = {
          [log_of], [forget] and [reseed_log] add or remove logs; they set
          [ring_stale], and the next reader rebuilds the array once. *)
   mutable ring_stale : bool;
-  mutable dirty_logs : 'v bee_log list;
-      (* logs with records awaiting group commit — the flush working set,
-         so a commit tick touches only writers, not every tracked bee *)
+  mutable dirty : 'v bee_log array;
+  mutable n_dirty : int;
+      (* the first [n_dirty] slots of [dirty]: logs queued with records
+         awaiting group commit — the flush working set, so a commit
+         touches only writers, not every tracked bee. The array is reused
+         from commit to commit. *)
   mutable commits : hive_commit array;
       (* indexed by hive id; empty between commits *)
+  mutable spare_commits : hive_commit array;
+      (* the shares [fire_fsyncs] last reported, all reset: the next
+         commit's [commits] ([||] while a report is running) *)
+  mutable armed : bool;  (* a group commit is scheduled and has not landed *)
   mutable n_fsyncs : int;
   mutable wal_bytes_written : int;
   mutable wal_records_written : int;
@@ -263,27 +269,63 @@ let ring t =
 let mark_dirty t bl =
   if not bl.bl_dirty then begin
     bl.bl_dirty <- true;
-    t.dirty_logs <- bl :: t.dirty_logs
+    let n = t.n_dirty in
+    if n = Array.length t.dirty then begin
+      let grown = Array.make (max 8 (2 * n)) bl in
+      Array.blit t.dirty 0 grown 0 n;
+      t.dirty <- grown
+    end;
+    t.dirty.(n) <- bl;
+    t.n_dirty <- n + 1
   end
 
-(* Drains the dirty list in deterministic (bee id) order, dropping logs
-   that were forgotten or replaced since they were queued. *)
-let take_dirty t =
-  let ds = Array.of_list t.dirty_logs in
-  t.dirty_logs <- [];
-  let n = ref 0 in
-  for i = 0 to Array.length ds - 1 do
-    let bl = ds.(i) in
-    bl.bl_dirty <- false;
-    match Hashtbl.find t.logs bl.bl_bee with
-    | cur when cur == bl ->
-      ds.(!n) <- bl;
-      incr n
-    | _ | (exception Not_found) -> ()
+(* Heap sort of [a.(0)] .. [a.(n - 1)] by bee id, in place: the working
+   set is a prefix of a reused array, which [Array.sort] cannot sort. *)
+let rec sift_down a n i =
+  let c = (2 * i) + 1 in
+  if c < n then begin
+    let c = if c + 1 < n && a.(c + 1).bl_bee > a.(c).bl_bee then c + 1 else c in
+    if a.(c).bl_bee > a.(i).bl_bee then begin
+      let x = a.(i) in
+      a.(i) <- a.(c);
+      a.(c) <- x;
+      sift_down a n c
+    end
+  end
+
+let sort_by_bee a n =
+  for i = (n / 2) - 1 downto 0 do
+    sift_down a n i
   done;
-  let ds = if !n = Array.length ds then ds else Array.sub ds 0 !n in
-  Array.sort (fun a b -> Int.compare a.bl_bee b.bl_bee) ds;
-  ds
+  for last = n - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- x;
+    sift_down a last 0
+  done
+
+(* Empties the dirty set into the first slots of [t.dirty], in
+   deterministic (bee id) order, and returns their number. Drops logs
+   that were forgotten or replaced since they were queued, and those a
+   [flush_bee] already took (no longer marked; a log marked again since
+   is queued twice, and taken once). *)
+let take_dirty t =
+  let ds = t.dirty in
+  let n = ref 0 in
+  for i = 0 to t.n_dirty - 1 do
+    let bl = ds.(i) in
+    if bl.bl_dirty then begin
+      bl.bl_dirty <- false;
+      match Hashtbl.find t.logs bl.bl_bee with
+      | cur when cur == bl ->
+        ds.(!n) <- bl;
+        incr n
+      | _ | (exception Not_found) -> ()
+    end
+  done;
+  t.n_dirty <- 0;
+  sort_by_bee ds !n;
+  !n
 
 let entry_order (d1, k1, _) (d2, k2, _) =
   match String.compare d1 d2 with 0 -> String.compare k1 k2 | c -> c
@@ -308,25 +350,6 @@ let rec bump_out_seq bl = function
   | (seq, _) :: rest ->
     if seq >= bl.bl_next_out_seq then bl.bl_next_out_seq <- seq + 1;
     bump_out_seq bl rest
-
-let append t ~bee ~hive ~outbox ~inbox writes =
-  if writes <> [] || outbox <> [] || inbox <> [] then begin
-    let bl = log_of t bee in
-    bl.bl_pending <-
-      {
-        r_lsn = 0;
-        r_at = Simtime.zero;
-        r_hive = hive;
-        r_writes = writes;
-        r_bytes = record_bytes t writes ~outbox ~inbox;
-        r_outbox = outbox;
-        r_inbox = inbox;
-        r_frame = unframed;
-      }
-      :: bl.bl_pending;
-    mark_dirty t bl;
-    bump_out_seq bl outbox
-  end
 
 let alloc_out_seqs t ~bee n =
   let bl = log_of t bee in
@@ -463,98 +486,121 @@ let commit_pending t bl =
     commit_oldest_first t bl pending;
     true
 
-let rec run_fsyncs t = function
-  | [] -> ()
-  | (hive, bytes, records, outbox) :: rest ->
-    t.n_fsyncs <- t.n_fsyncs + 1;
-    (match t.on_fsync with Some f -> f ~hive ~bytes ~records | None -> ());
-    (match (t.on_outbox_durable, outbox) with
-    | Some f, _ :: _ -> f ~hive outbox
-    | _ -> ());
-    run_fsyncs t rest
-
-(* One fsync per charged hive, in hive order. Every share is read out and
-   reset before the first callback runs, so a callback that starts
-   another commit finds [t.commits] empty. *)
+(* One fsync per charged hive, in hive order. The shares are swapped for
+   the spare, empty ones before the first callback runs, so a callback
+   that starts another commit finds [t.commits] empty; each share is
+   read out and reset as its hive's fsync fires. *)
 let fire_fsyncs t =
-  let fired = ref [] in
-  for hive = Array.length t.commits - 1 downto 0 do
-    let hc = t.commits.(hive) in
+  let fired = t.commits in
+  t.commits <- t.spare_commits;
+  t.spare_commits <- [||];
+  for hive = 0 to Array.length fired - 1 do
+    let hc = fired.(hive) in
     if hc.hc_records > 0 then begin
-      fired := (hive, hc.hc_bytes, hc.hc_records, hc.hc_outbox) :: !fired;
+      let bytes = hc.hc_bytes and records = hc.hc_records and outbox = hc.hc_outbox in
       hc.hc_bytes <- 0;
       hc.hc_records <- 0;
-      hc.hc_outbox <- []
+      hc.hc_outbox <- [];
+      t.n_fsyncs <- t.n_fsyncs + 1;
+      (match t.on_fsync with Some f -> f ~hive ~bytes ~records | None -> ());
+      match (t.on_outbox_durable, outbox) with
+      | Some f, _ :: _ -> f ~hive outbox
+      | _ -> ()
     end
   done;
-  run_fsyncs t !fired
+  t.spare_commits <- fired
+
+(* Commits one log's pending records and compacts it if its durable log
+   outgrew the threshold. True if anything moved. *)
+let commit_log t bl =
+  let moved = commit_pending t bl in
+  if moved && bl.bl_wal_bytes > t.cfg.snapshot_threshold_bytes then compact_log t bl;
+  moved
 
 let flush t =
-  let ds = take_dirty t in
+  let n = take_dirty t in
   (* In bee-id order: lsns, WAL order, fsync charges and outbox
-     publication follow it. *)
-  let dirty = ref false in
-  for i = 0 to Array.length ds - 1 do
-    if commit_pending t ds.(i) then dirty := true
+     publication follow it. The working set is read before the fsync
+     callbacks run, since an append they make reuses [t.dirty]. *)
+  let committed = ref false in
+  for i = 0 to n - 1 do
+    if commit_log t t.dirty.(i) then committed := true
   done;
-  if !dirty then begin
-    fire_fsyncs t;
-    (* Compact any bee whose durable log outgrew the threshold. *)
-    for i = 0 to Array.length ds - 1 do
-      let bl = ds.(i) in
-      if bl.bl_wal_bytes > t.cfg.snapshot_threshold_bytes then compact_log t bl
-    done
-  end
+  if !committed then fire_fsyncs t
 
 let flush_bee t ~bee =
   match Hashtbl.find_opt t.logs bee with
   | None -> ()
   | Some bl ->
-    if commit_pending t bl then begin
+    if commit_log t bl then begin
       bl.bl_dirty <- false;
-      t.dirty_logs <- List.filter (fun b -> b != bl) t.dirty_logs;
-      fire_fsyncs t;
-      if bl.bl_wal_bytes > t.cfg.snapshot_threshold_bytes then compact_log t bl
+      fire_fsyncs t
     end
+
+(* On-demand group commit: the first record that becomes pending while
+   no commit is armed arms one, which lands one fsync latency later and
+   commits everything pending then. Records appended meanwhile ride it,
+   and a crash inside that window loses them, exactly like an un-fsynced
+   log. One commit is armed at a time, so a hive never has two fsyncs in
+   flight, and a store with nothing pending schedules nothing. *)
+let commit_armed t () =
+  t.armed <- false;
+  flush t
+
+let append t ~bee ~hive ~outbox ~inbox writes =
+  if writes <> [] || outbox <> [] || inbox <> [] then begin
+    let bl = log_of t bee in
+    bl.bl_pending <-
+      {
+        r_lsn = 0;
+        r_at = Simtime.zero;
+        r_hive = hive;
+        r_writes = writes;
+        r_bytes = record_bytes t writes ~outbox ~inbox;
+        r_outbox = outbox;
+        r_inbox = inbox;
+        r_frame = unframed;
+      }
+      :: bl.bl_pending;
+    mark_dirty t bl;
+    bump_out_seq bl outbox;
+    if not t.armed then begin
+      t.armed <- true;
+      ignore (Engine.schedule_after t.engine fsync_latency (commit_armed t))
+    end
+  end
 
 let create engine ?(config = default_config) ~size_of ?(garble = fun v -> v)
     ?(verify = true) ?on_fsync ?on_outbox_durable () =
-  let t =
-    {
-      engine;
-      cfg = config;
-      size_of;
-      garble;
-      on_fsync;
-      on_outbox_durable;
-      verify;
-      logs = Hashtbl.create 64;
-      ring = [||];
-      ring_stale = false;
-      dirty_logs = [];
-      commits = [||];
-      n_fsyncs = 0;
-      wal_bytes_written = 0;
-      wal_records_written = 0;
-      suspects = Hashtbl.create 8;
-      scrub_cursor = -1;
-      records_verified = 0;
-      crc_failures = 0;
-      torn_truncations = 0;
-      scrubs_completed = 0;
-      local_rewrites = 0;
-      peer_repairs = 0;
-      dead_letters = [];
-    }
-  in
-  (* Group commit: records accumulated during a tick become durable one
-     fsync latency after the tick boundary. A crash inside that window
-     loses them, exactly like an un-fsynced log. *)
-  ignore
-    (Engine.every engine group_commit_period (fun () ->
-         if t.dirty_logs <> [] then
-           ignore (Engine.schedule_after engine fsync_latency (fun () -> flush t))));
-  t
+  {
+    engine;
+    cfg = config;
+    size_of;
+    garble;
+    on_fsync;
+    on_outbox_durable;
+    verify;
+    logs = Hashtbl.create 64;
+    ring = [||];
+    ring_stale = false;
+    dirty = [||];
+    n_dirty = 0;
+    commits = [||];
+    spare_commits = [||];
+    armed = false;
+    n_fsyncs = 0;
+    wal_bytes_written = 0;
+    wal_records_written = 0;
+    suspects = Hashtbl.create 8;
+    scrub_cursor = -1;
+    records_verified = 0;
+    crc_failures = 0;
+    torn_truncations = 0;
+    scrubs_completed = 0;
+    local_rewrites = 0;
+    peer_repairs = 0;
+    dead_letters = [];
+  }
 
 let drop_pending t ~hive =
   Array.iter

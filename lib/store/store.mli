@@ -1,10 +1,10 @@
 (** Durable dictionary storage engine.
 
     Every non-local bee's committed transactions are journaled in a
-    per-bee append-only write-ahead log with group commit: transaction
-    write-sets are batched per simulated-time tick and become durable
-    together at the next group-commit flush, paying one configurable
-    fsync latency per hive per flush. The store holds only that log, never
+    per-bee append-only write-ahead log with group commit on demand: the
+    first record appended while no commit is armed arms one, which lands
+    one fsync latency (100 µs) later and makes every record pending then
+    durable together, paying one fsync per hive per commit. The store holds only that log, never
     a second in-memory copy of the state: the bee's own [State] is what
     handlers read, and the store is read back only on recovery, repair
     and migration. When a bee's WAL grows past a threshold its live cell
@@ -53,7 +53,7 @@ val create :
   ?on_outbox_durable:(hive:int -> (int * int) list -> unit) ->
   unit ->
   'v t
-(** Creates the store and arms its group-commit timer on the engine.
+(** Creates the store. It schedules no event until the first append.
     [size_of] estimates the serialized size of one write (dict + key +
     value). [garble] is what a reader gets back from physically damaged
     bytes it failed to (or chose not to) verify — defaults to the
@@ -84,9 +84,10 @@ val append :
     the [(seq, payload bytes)] outbox entries it emitted and the
     [(sender, seq)] inbox dedup marks it consumed (either list may be
     empty). The record is the one the WAL keeps: all three become durable
-    together when the next group-commit flush stamps its lsn and frame
-    (or are lost together by {!drop_pending}: a crash can never keep a
-    state delta without its emits, or vice versa). Nothing is appended
+    together when the next group commit stamps its lsn and frame (the
+    one already armed, or one this append arms to land one fsync latency
+    later), or are lost together by {!drop_pending}: a crash can never
+    keep a state delta without its emits, or vice versa. Nothing is appended
     when all three are empty. The caller has already applied the writes
     to the bee's state; the store only journals them, so nothing reads
     them back before they are durable. Explicit outbox sequence numbers
@@ -98,9 +99,10 @@ val alloc_out_seqs : 'v t -> bee:int -> int -> int
     never reused even after acks). *)
 
 val flush : 'v t -> unit
-(** Forces a group commit of every pending record now (the periodic timer
-    does this every millisecond). Runs compaction on any
-    bee whose durable WAL exceeds the snapshot threshold. *)
+(** Forces a group commit of every pending record now (the armed commit
+    does this one fsync latency after the first pending append). Runs
+    compaction on any bee whose durable WAL exceeds the snapshot
+    threshold. *)
 
 val flush_bee : 'v t -> bee:int -> unit
 (** Group-commits just this bee's pending records (other logs keep

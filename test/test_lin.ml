@@ -231,8 +231,9 @@ let test_catches_stale_read_bug () =
 
 (* --- Recording across a mid-flight migration --------------------------- *)
 
-(* A minimal copy of the runner's lin workload wiring: ops ack at the
-   owning hive's next group commit, so an Ok entry is a durable write. *)
+(* A minimal copy of the runner's lin workload wiring: ops ack when the
+   owning hive's group commit lands, one fsync latency after the first
+   record it covers was appended, so an Ok entry is a durable write. *)
 type Message.payload += Lop of { l_id : int; l_call : H.call }
 
 let k_lop = "test.lin.op"

@@ -108,7 +108,8 @@ let journal_count platform key = counter platform ~app:"t.fwd" ~dict:"journal" k
 
 (* Steps the engine in [step_us] increments until [pred] holds (or fails
    after [limit_us]) — used to catch the platform between a handler's
-   commit and the next group-commit fsync tick. *)
+   commit and the fsync of the group commit it armed or rode, at most
+   one fsync latency (100 µs) later. *)
 let run_until_state engine ~step_us ~limit_us pred =
   let deadline = Simtime.add (Engine.now engine) (Simtime.of_us limit_us) in
   let rec go () =

@@ -753,7 +753,7 @@ let check_words_bound per_msg bound =
    handler's transaction and routing, counted exactly on the ping-pong
    chain. The bound is the measured cost (OCaml 5.1.1, native code);
    raising it needs a reason. *)
-let runtime_words_per_message_bound = 80.5
+let runtime_words_per_message_bound = 76.5
 
 let test_runtime_words_per_message () =
   let engine, platform = make_platform ~n_hives:1 ~apps:(ping_pong_apps ()) () in
@@ -764,13 +764,32 @@ let test_runtime_words_per_message () =
   in
   check_words_bound (words_per_message platform step) runtime_words_per_message_bound
 
+(* The same chain with an emit hook installed: each emitting completion
+   shows the hook the bee's cached emitter and allocates only the
+   parent's [Some]. The bound is the measured cost (OCaml 5.1.1, native
+   code); raising it needs a reason. *)
+let hooked_words_per_message_bound = 77.5
+
+let test_hooked_words_per_message () =
+  let engine, platform = make_platform ~n_hives:1 ~apps:(ping_pong_apps ()) () in
+  let emits = ref 0 in
+  Platform.on_emit platform (fun ~parent:_ ~child:_ ~emitter:_ -> incr emits);
+  let ping = Noop 0 and from = Channels.Hive 0 in
+  let step () =
+    Platform.inject platform ~from ~kind:"test.ping" ping;
+    Engine.run engine
+  in
+  let per_msg = words_per_message platform step in
+  Alcotest.(check int) "the hook saw every ping and pong" 2_002 !emits;
+  check_words_bound per_msg hooked_words_per_message_bound
+
 (* The same chain on a durable platform, where every message also
    crosses the WAL group commit, the transactional outbox and the acks.
-   [Engine.run] would never return (the group-commit timer keeps
+   [Engine.run] would never return (the platform's 5 ms scrub timer keeps
    firing), so each step runs 5 ms of simulated time: long enough for
    the pong's commit, fsync, dispatch and ack. The bound is the measured
    cost (OCaml 5.1.1, native code); raising it needs a reason. *)
-let durable_words_per_message_bound = 254.1235
+let durable_words_per_message_bound = 177.6235
 
 let test_durable_words_per_message () =
   let engine, platform = durable_platform ~n_hives:1 ~apps:(ping_pong_apps ()) () in
@@ -817,6 +836,8 @@ let suite =
         QCheck_alcotest.to_alcotest prop_intersecting_messages_same_bee;
         Alcotest.test_case "counters and quiescence" `Quick test_counters_and_quiescence;
         Alcotest.test_case "runtime words per message" `Quick test_runtime_words_per_message;
+        Alcotest.test_case "hooked runtime words per message" `Quick
+          test_hooked_words_per_message;
         Alcotest.test_case "durable runtime words per message" `Quick
           test_durable_words_per_message;
         Alcotest.test_case "stale completion is a no-op" `Quick test_stale_completion_is_a_noop;

@@ -21,29 +21,56 @@ let sorted_entries store ~bee =
 (* WAL group commit                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let test_group_commit_batches_per_tick () =
+(* [Store]'s modeled fsync latency. *)
+let fsync_latency = Simtime.of_us 100
+
+let test_group_commit_on_demand () =
   let engine = Engine.create () in
-  let fsyncs = ref 0 in
+  let fsyncs = ref [] in
   let store =
-    Store.create engine ~size_of ~on_fsync:(fun ~hive:_ ~bytes:_ ~records:_ -> incr fsyncs) ()
+    Store.create engine ~size_of
+      ~on_fsync:(fun ~hive:_ ~bytes:_ ~records ->
+        fsyncs := (Simtime.to_us (Engine.now engine), records) :: !fsyncs)
+      ()
   in
-  (* Three write sets inside one tick... *)
+  let at_us us = Engine.run_until engine (Simtime.of_us us) in
+  (* A lone append arms a commit that lands exactly one fsync latency
+     later... *)
+  at_us 1_000;
   Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "a", Some 1) ];
-  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "b", Some 2) ];
-  Store.append store ~bee:1 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "c", Some 3) ];
-  (* ...are not durable before the group-commit fsync lands... *)
-  Alcotest.(check (list (triple string string int))) "nothing durable yet" []
+  at_us 1_099;
+  Alcotest.(check (list (triple string string int))) "not durable before the fsync" []
     (Store.recover store ~bee:0);
-  Alcotest.(check int) "pending" 2 (Store.pending_writes store ~bee:0);
-  (* ...and all become durable together one fsync after the tick. *)
-  Engine.run_until engine (Simtime.of_ms 2);
+  at_us 1_100;
   Alcotest.(check (list (triple string string int)))
-    "bee 0 durable" [ ("d", "a", 1); ("d", "b", 2) ]
+    "durable one fsync latency after the append" [ ("d", "a", 1) ]
+    (sorted_entries store ~bee:0);
+  Alcotest.(check (list (pair int int))) "one fsync of one record" [ (1_100, 1) ] !fsyncs;
+  (* ...and appends made while a commit is armed ride it: one fsync. *)
+  fsyncs := [];
+  at_us 2_000;
+  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "b", Some 2) ];
+  at_us 2_040;
+  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "c", Some 3) ];
+  Store.append store ~bee:1 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "d", Some 4) ];
+  Alcotest.(check int) "pending" 2 (Store.pending_writes store ~bee:0);
+  at_us 2_100;
+  Alcotest.(check (list (triple string string int)))
+    "bee 0 durable" [ ("d", "a", 1); ("d", "b", 2); ("d", "c", 3) ]
     (sorted_entries store ~bee:0);
   Alcotest.(check (list (triple string string int)))
-    "bee 1 durable" [ ("d", "c", 3) ]
+    "bee 1 durable" [ ("d", "d", 4) ]
     (sorted_entries store ~bee:1);
-  Alcotest.(check int) "one fsync covered the whole tick" 1 !fsyncs
+  Alcotest.(check (list (pair int int))) "one fsync covered the three appends" [ (2_100, 3) ]
+    !fsyncs;
+  (* A store with nothing pending schedules nothing, so [Engine.run]
+     returns once the last commit has landed. *)
+  Store.append store ~bee:1 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "e", Some 5) ];
+  Engine.run engine;
+  Alcotest.(check int) "run returns at the last fsync" 2_200
+    (Simtime.to_us (Engine.now engine));
+  Alcotest.(check (pair int int)) "nothing pending" (0, 0)
+    (Store.pending_writes store ~bee:0, Store.pending_writes store ~bee:1)
 
 (* The WAL record's payload is what its CRC covers, so its bytes are
    pinned: sets and deletes, then outbox entries, then inbox marks. *)
@@ -281,9 +308,18 @@ let test_unsynced_commits_lost_on_crash () =
   Platform.flush_durability platform;
   let bee = owner_exn platform ~app:"test.kv" "a" in
   let hive = (Option.get (Platform.bee_view platform bee)).Platform.view_hive in
-  (* This commit is applied in memory but its fsync never happens. *)
+  (* This commit is applied in memory, and the hive crashes inside its
+     group-commit window: after the commit, before its fsync lands. *)
   put platform ~from:hive ~key:"a" ~value:100;
-  Engine.run_until engine (Simtime.add (Engine.now engine) (Simtime.of_us 400));
+  let store = Option.get (Platform.store platform) in
+  while Store.pending_writes store ~bee = 0 do
+    Engine.run_until engine (Simtime.add (Engine.now engine) (Simtime.of_us 1))
+  done;
+  let committed_at = Engine.now engine in
+  Alcotest.(check (option int)) "applied in memory" (Some 107) (store_value platform ~bee ~key:"a");
+  Engine.run_until engine
+    (Simtime.of_us (Simtime.to_us (Simtime.add committed_at fsync_latency) - 1));
+  Alcotest.(check int) "still pending" 1 (Store.pending_writes store ~bee);
   Platform.fail_hive platform hive;
   drain engine;
   Platform.restart_hive platform hive;
@@ -427,8 +463,7 @@ let suite =
   [
     ( "store",
       [
-        Alcotest.test_case "group commit batches one tick" `Quick
-          test_group_commit_batches_per_tick;
+        Alcotest.test_case "group commit on first append" `Quick test_group_commit_on_demand;
         Alcotest.test_case "batch payload bytes are pinned" `Quick test_batch_payload_bytes;
         Alcotest.test_case "crash loses unsynced tail" `Quick test_crash_loses_unsynced_tail;
         Alcotest.test_case "pending records cleared, dropped, committed" `Quick
