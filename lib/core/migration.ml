@@ -64,7 +64,7 @@ let transfer engine ~reg ~locks ~hives ~store ~stale_reads ~transmit ~resume ~la
           end)
   end
 
-let merge engine ~chans ~reg ~hives ~outbox ~store ~resume
+let merge engine ~chans ~reg ~hives ~store ~resume
     ~(winner : Bee.t) ~(losers : Bee.t list) ~k =
   Bee.take hives winner Bee.Merging;
   let remaining = ref (List.length losers) in
@@ -135,8 +135,7 @@ let merge engine ~chans ~reg ~hives ~outbox ~store ~resume
       (match !corrupt_loser with
       | Some detail ->
         (* Un-acked entries of a corrupt log are not replayable — their
-           bytes can't be trusted. Drop the rows and the log. *)
-        Outbox.drop_sender outbox l.id;
+           bytes can't be trusted. Drop the rows with the log. *)
         Store.quarantine s ~bee:l.id ~detail
       | None -> if Store.outbox_unacked s ~bee:l.id = [] then Store.forget s ~bee:l.id)
     | Some _ | None -> ());

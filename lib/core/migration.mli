@@ -11,7 +11,7 @@ val transfer :
   reg:Registry.t ->
   locks:Cell_locks.t ->
   hives:Hives.t ->
-  store:Value.t Beehive_store.Store.t option ->
+  store:(Value.t, Outbox.entry) Beehive_store.Store.t option ->
   stale_reads:bool ->
   transmit:
     (src_ep:Beehive_net.Channels.endpoint ->
@@ -42,8 +42,7 @@ val merge :
   chans:Beehive_net.Channels.t ->
   reg:Registry.t ->
   hives:Hives.t ->
-  outbox:Outbox.t ->
-  store:Value.t Beehive_store.Store.t option ->
+  store:(Value.t, Outbox.entry) Beehive_store.Store.t option ->
   resume:(Bee.t -> unit) ->
   winner:Bee.t ->
   losers:Bee.t list ->

@@ -1,13 +1,16 @@
 (** The transactional outbox's ledger.
 
-    Every emit a durable bee commits is tracked here, by sender bee and
-    then by outbox seq, until each receiver leg counted at its
-    latest dispatch has durably applied it. The ledger also holds the
-    receiver-side acks waiting for a hive's next fsync, the replay
-    backoff schedule, the virtual sequence numbers given to injected and
-    system messages, and the quarantine of messages whose handler
-    exhausted its retry budget. {!Platform} owns one and does the routing
-    and transmission; nothing here calls back into it. *)
+    An {!entry} is one emit's delivery bookkeeping: the receiver legs of
+    its latest dispatch, the receivers that acked, and its replay
+    attempts. Which entries are still un-acked is not kept here: each
+    entry rides its row in the sender's store outbox
+    ({!Beehive_store.Store.emit}), which is the one record of them — a
+    crash, a torn tail, a re-seed or an ack that removes the row removes
+    the entry with it. The ledger itself holds the receiver-side acks
+    waiting for a hive's next fsync, the virtual sequence numbers given
+    to injected and system messages, and the quarantine of messages whose
+    handler exhausted its retry budget. {!Platform} owns one and does the
+    routing and transmission; nothing here calls back into it. *)
 
 type t
 type entry
@@ -20,33 +23,10 @@ val sender : entry -> int
 val seq : entry -> int
 val msg : entry -> Message.t
 
-val add : t -> sender:int -> seq:int -> durable:bool -> Message.t -> unit
-(** Starts tracking an emit until every receiver has durably applied it. *)
-
-val find : t -> sender:int -> seq:int -> entry
-(** @raise Not_found when the ledger holds no such entry. *)
-
-val remove : t -> entry -> unit
-
-val unacked : t -> int
-(** Entries awaiting full acknowledgement. *)
-
-val drop_sender : t -> int -> unit
-(** Forgets every entry of one sender (dead, merged-corrupt or re-seeded). *)
-
-val reseed : t -> sender:int -> durable:bool -> (int * Message.t) list -> unit
-(** A failover or peer re-seed of [sender]: whatever the ledger holds for
-    it belonged to the old incarnation and is dropped; the replica's
-    un-acked [(seq, message)] entries are tracked in its place. *)
-
-val drop_undurable : t -> sent_from:(int -> bool) -> unit
-(** Crash-time scan: forgets every entry that is not yet durable and
-    whose sender satisfies [sent_from] (the senders on the crashed hive) —
-    it died with its group-commit record. *)
-
-val mark_durable : entry -> bool
-(** The entry's WAL record was fsynced. True when it has never been
-    dispatched, i.e. when the caller must hand it to routing now. *)
+val emit : sender:int -> seq:int -> Message.t -> entry Beehive_store.Store.emit
+(** A fresh, never-dispatched entry for [sender]'s emit under [seq], in
+    the outbox row the store logs for it (the message size is its
+    payload bytes). *)
 
 (** {2 Dispatch and acknowledgement} *)
 
@@ -66,9 +46,10 @@ val backoff : entry -> Beehive_sim.Simtime.t
 (** Delay before re-dispatching after the latest attempt: 2 ms doubling
     per attempt, capped at 16 ms. *)
 
-val still_due : t -> entry -> since:Beehive_sim.Simtime.t -> bool
-(** Whether a replay armed at attempt time [since] should still fire: the
-    entry is live, durable, and no newer attempt superseded it. *)
+val still_due : entry -> current:entry option -> since:Beehive_sim.Simtime.t -> bool
+(** Whether a replay armed at attempt time [since] should still fire:
+    [current], what the sender's store outbox holds under the entry's seq
+    now, is this very entry, and no newer attempt superseded it. *)
 
 val queue_ack : t -> hive:int -> sender:int -> seq:int -> receiver:int -> unit
 (** Queues a [(sender, seq, receiver bee)] ack behind the receiver hive's
@@ -109,5 +90,3 @@ val total_quarantined : t -> int
 val quarantined_bees : t -> int
 (** Bees holding at least one quarantined message. *)
 
-val rows : (int * Message.t) list -> (int * int) list
-(** The [(seq, bytes)] rows the store logs for these entries. *)

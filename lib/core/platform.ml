@@ -152,7 +152,7 @@ type t = {
   lookup_cache : Route_plan.cache;
   hives : Hives.t;
   endpoints : (Channels.endpoint, Message.t -> unit) Hashtbl.t;
-  mutable store : Value.t Store.t option;
+  mutable store : (Value.t, Outbox.entry) Store.t option;
       (* durability engine shadowing every non-local bee's dictionaries *)
   mutable migration_log : migration list;  (* newest first *)
   mutable replicator : replicator option;
@@ -254,10 +254,7 @@ let kill_bee t b =
   Bee.kill t.hives b;
   Registry.unassign_bee t.reg ~bee:b.id;
   if b.is_local then Hashtbl.remove t.local_bees (b.app.App.name, b.hive)
-  else begin
-    Outbox.drop_sender t.outbox b.id;
-    match t.store with Some s -> Store.forget s ~bee:b.id | None -> ()
-  end
+  else match t.store with Some s -> Store.forget s ~bee:b.id | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Transmission and the outbox ack path                                *)
@@ -312,23 +309,26 @@ let duplicate_delivery t (b : bee) (d : Bee.delivery) =
     Store.inbox_seen s ~bee:b.id ~sender ~seq
   | _ -> false
 
-let retire_outbox_entry t e =
+(* Entries exist only on a durable platform, in its store's outbox. *)
+let retire_outbox_entry t s e =
   let bee = Outbox.sender e and seq = Outbox.seq e in
-  (match t.store with Some s -> Store.ack_outbox s ~bee ~seq | None -> ());
-  Outbox.remove t.outbox e;
+  Store.ack_outbox s ~bee ~seq;
   match t.replicator with Some r -> r.acked ~bee ~seq | None -> ()
 
 let handle_outbox_ack t ~sender ~seq ~receiver =
-  match Outbox.find t.outbox ~sender ~seq with
-  | exception Not_found -> ()  (* already retired; late duplicate ack *)
-  | e -> (
-    match Hashtbl.find t.bees sender with
-    | sb when hive_crashed t sb.hive || sb.status = `Crashed ->
-      (* The sender's process is down: nothing can write its WAL, so the
-         ack is dropped. Replay after restart re-delivers, the receiver
-         dedups and re-acks. *)
-      ()
-    | _ | (exception Not_found) -> if Outbox.ack e ~receiver then retire_outbox_entry t e)
+  match t.store with
+  | None -> ()
+  | Some s -> (
+    match Store.outbox_entry s ~bee:sender ~seq with
+    | None -> ()  (* already retired; late duplicate ack *)
+    | Some e -> (
+      match Hashtbl.find t.bees sender with
+      | sb when hive_crashed t sb.hive || sb.status = `Crashed ->
+        (* The sender's process is down: nothing can write its WAL, so
+           the ack is dropped. Replay after restart re-delivers, the
+           receiver dedups and re-acks. *)
+        ()
+      | _ | (exception Not_found) -> if Outbox.ack e ~receiver then retire_outbox_entry t s e))
 
 let send_outbox_ack t ~from_hive ~sender ~seq ~receiver =
   match get_bee t sender with
@@ -469,14 +469,11 @@ let rec report_sends hooks ~parent ~emitter = function
     report_sends hooks ~parent ~emitter older;
     call_emit_hooks ~parent ~child:m ~emitter hooks
 
-(* Tracks emits, given newest first, under consecutive outbox seqs that
-   end at [seq], and returns the [(seq, payload bytes)] rows the store
-   logs for them, oldest first. *)
-let rec track_emits t (b : bee) ~seq acc = function
+(* The outbox rows of emits, given newest first, under consecutive
+   outbox seqs that end at [seq], oldest first. *)
+let rec track_emits (b : bee) ~seq acc = function
   | [] -> acc
-  | (m : Message.t) :: older ->
-    Outbox.add t.outbox ~sender:b.id ~seq ~durable:false m;
-    track_emits t b ~seq:(seq - 1) ((seq, m.Message.size) :: acc) older
+  | m :: older -> track_emits b ~seq:(seq - 1) (Outbox.emit ~sender:b.id ~seq m :: acc) older
 
 (* The same emits as [(seq, message)] entries, oldest first. *)
 let rec numbered ~seq acc = function
@@ -713,7 +710,7 @@ and complete t (b : bee) (d : Bee.delivery) cost ctx failure =
          durable. *)
       let n = List.length emits in
       let last = if n = 0 then 0 else Store.alloc_out_seqs s ~bee:b.id n + n - 1 in
-      let rows = track_emits t b ~seq:last [] emits in
+      let rows = track_emits b ~seq:last [] emits in
       let inbox = Option.to_list d.d_outbox in
       Store.append s ~bee:b.id ~hive:b.hive ~outbox:rows ~inbox pending;
       (match d.d_outbox with
@@ -803,22 +800,30 @@ and route_cells t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin ~outbo
     in
     send_cells t b ~extra ~handler ~src_ep ~outbox cs msg
   | Route_plan.Merge { winner; losers } ->
-    (* Claiming the mapped cells must wait for every loser's deferred
-       fold-in: a busy loser still owns its cells until it goes idle,
-       and assigning a wildcard before then would break
-       single-ownership. The winner stays paused meanwhile, so the
-       message delivered below queues behind the completed merge. *)
     let winner = Hashtbl.find t.bees winner in
-    t.n_merges <- t.n_merges + List.length losers;
-    t.version <- t.version + 1;
-    Migration.merge t.engine ~chans:t.chans ~reg:t.reg ~hives:t.hives
-      ~outbox:t.outbox ~store:t.store ~resume:(maybe_process t)
-      ~winner ~losers:(List.map (Hashtbl.find t.bees) losers) ~k:(fun () ->
-        Registry.assign t.reg ~bee:winner.id (Route_plan.unowned t.reg ~bee:winner.id cs));
+    merge_into t ~app:name winner (List.map (Hashtbl.find t.bees) losers) cs;
     let extra = Cell_locks.charge_rpc t.locks ~hive:origin in
     t.version <- t.version + 1;
     send_cells t winner ~extra ~handler ~src_ep ~outbox cs msg
   | Route_plan.Drop -> drop t Dead_target
+
+(* Folds [losers] into [winner], then claims the mapped cells [cs] it
+   does not own. The claim must wait for every loser's deferred fold-in:
+   a busy loser still owns its cells until it goes idle, and assigning a
+   wildcard before then would break single-ownership. Meanwhile a put
+   may create an owner of some of [cs]: the claim folds such a late
+   owner in first. (A dead owner, which keeps its cells, is never
+   folded.) The winner stays held throughout, so the message routed to
+   it queues behind the completed merge. *)
+and merge_into t ~app winner losers cs =
+  t.n_merges <- t.n_merges + List.length losers;
+  t.version <- t.version + 1;
+  Migration.merge t.engine ~chans:t.chans ~reg:t.reg ~hives:t.hives ~store:t.store
+    ~resume:(maybe_process t) ~winner ~losers ~k:(fun () ->
+      let late id = id <> winner.id && (Hashtbl.find t.bees id).status <> `Dead in
+      match List.filter late (Registry.owners t.reg ~app cs) with
+      | [] -> Registry.assign t.reg ~bee:winner.id (Route_plan.unowned t.reg ~bee:winner.id cs)
+      | late -> merge_into t ~app winner (List.map (Hashtbl.find t.bees) late) cs)
 
 (* Sends a Cells leg to the bee routing picked, [extra] (lock-service
    time) after its transfer. *)
@@ -961,7 +966,7 @@ let late_emit t ctx ep ?size ~kind payload =
    tracked end-to-end; Local and Foreach legs are fired on the first
    dispatch only (replaying them would double-deliver, as they have no
    per-receiver durable dedup — a documented limitation). *)
-let rec dispatch_outbox_entry t e ~first =
+let rec dispatch_outbox_entry t s e ~first =
   match Hashtbl.find t.bees (Outbox.sender e) with
   | b
     when (not (hive_crashed t b.hive))
@@ -971,41 +976,41 @@ let rec dispatch_outbox_entry t e ~first =
             | `Crashed -> false)
     ->
     Outbox.start_attempt e ~now:(now t);
-    arm_outbox_recheck t e;
+    arm_outbox_recheck t s e;
     let legs =
       route_subscribers t ~src_ep:(hive_ep t b.hive) ~origin:b.hive
         ~outbox:(Some (Outbox.sender e, Outbox.seq e)) ~first (Outbox.msg e)
     in
-    if Outbox.set_required e legs then retire_outbox_entry t e
+    if Outbox.set_required e legs then retire_outbox_entry t s e
   | _ | (exception Not_found) ->
     (* Sender down. A crashed hive's entries are replayed by restart_hive;
        a merely-fenced sender needs the recheck chain kept alive so the
        replay resumes by itself once the fence lifts. *)
-    if Outbox.attempted e then arm_outbox_recheck t e
+    if Outbox.attempted e then arm_outbox_recheck t s e
 
 (* One engine timer per dispatched entry, armed at that attempt's backoff
    horizon, instead of a per-tick scan of every un-acked entry (the scan
    made the healthy path pay for the fault path). The timer re-dispatches
-   only if the same entry is still live, durable, and no newer attempt
-   superseded the one that armed it. *)
-and arm_outbox_recheck t e =
+   only if the store's outbox still holds this very entry and no newer
+   attempt superseded the one that armed it. Only a durable entry is
+   ever dispatched, and no entry returns to a pending record, so one
+   that is still there is still durable. *)
+and arm_outbox_recheck t s e =
   let since = Outbox.last_attempt e in
   ignore
     (Engine.schedule_after t.engine (Outbox.backoff e) (fun () ->
-         if Outbox.still_due t.outbox e ~since then
-           dispatch_outbox_entry t e ~first:false))
+         let current = Store.outbox_entry s ~bee:(Outbox.sender e) ~seq:(Outbox.seq e) in
+         if Outbox.still_due e ~current ~since then dispatch_outbox_entry t s e ~first:false))
 
-(* Store fsync callback: these (sender, seq) entries, given newest
-   first, just became durable together with their transaction's state
-   delta — the earliest instant the platform may hand them to transport.
-   They are dispatched oldest first. *)
-let rec outbox_now_durable t = function
+(* Store fsync callback: these entries, given newest first, just became
+   durable together with their transaction's state delta — the earliest
+   instant the platform may hand them to transport. They are dispatched
+   oldest first. *)
+let rec outbox_now_durable t s = function
   | [] -> ()
-  | (sender, seq) :: older -> (
-    outbox_now_durable t older;
-    match Outbox.find t.outbox ~sender ~seq with
-    | e -> if Outbox.mark_durable e then dispatch_outbox_entry t e ~first:true
-    | exception Not_found -> ())
+  | e :: older ->
+    outbox_now_durable t s older;
+    dispatch_outbox_entry t s e ~first:true
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
@@ -1177,7 +1182,8 @@ let set_replicator t r =
 (* Outbox / quarantine introspection                                   *)
 (* ------------------------------------------------------------------ *)
 
-let outbox_unacked_total t = Outbox.unacked t.outbox
+let outbox_unacked_total t =
+  match t.store with Some s -> Store.outbox_total s | None -> 0
 let handler_faults t = t.n_handler_faults
 let total_quarantined t = Outbox.total_quarantined t.outbox
 let quarantined_messages t ~bee = Outbox.quarantined_messages t.outbox ~bee
@@ -1211,7 +1217,7 @@ let failover_target t (b : bee) ~from_hive =
   | Some r -> Option.map (fun bh -> (bh, r)) (pick 1)
 
 let failover_bee t (b : bee) ~from_hive ~to_hive r =
-  Recovery.failover ~reg:t.reg ~hives:t.hives ~store:t.store ~outbox:t.outbox b ~from_hive
+  Recovery.failover ~reg:t.reg ~hives:t.hives ~store:t.store b ~from_hive
     ~to_hive r;
   maybe_process t b
 
@@ -1235,10 +1241,6 @@ let crash_hive t h =
     (* Acks queued behind h's next fsync are in-memory; senders replay and
        the receiver re-acks from its durable inbox. *)
     Outbox.clear_acks t.outbox ~hive:h;
-    (* Outbox entries still riding a dropped record never became durable:
-       they are gone with the transaction, atomically. *)
-    Outbox.drop_undurable t.outbox ~sent_from:(fun sender ->
-        match get_bee t sender with Some sb -> sb.hive = h | None -> false);
     List.iter
       (fun (b : bee) ->
         if b.is_local then kill_bee t b else Bee.crash t.hives b)
@@ -1380,7 +1382,7 @@ let restart_hive t h =
           List.filter
             (fun (b : bee) ->
               let up =
-                Recovery.revive s ~hives:t.hives ~outbox:t.outbox ~hive:h b (replica t b)
+                Recovery.revive s ~hives:t.hives ~hive:h b (replica t b)
               in
               if up then maybe_process t b;
               up)
@@ -1392,8 +1394,7 @@ let restart_hive t h =
               (* Injected bug [lost-outbox]: recovery "loses" the
                  outbox file, so acked-durable emits are never
                  re-sent. The exactly-once monitor must catch this. *)
-              Store.drop_outbox s ~bee:b.id;
-              Outbox.drop_sender t.outbox b.id
+              Store.drop_outbox s ~bee:b.id
             end
             else begin
               if t.cfg.inject = Some Replay_dup then
@@ -1404,10 +1405,7 @@ let restart_hive t h =
               (* Replay: every durable un-acked outbox entry is re-sent;
                  receivers that already applied it dedup and re-ack. *)
               List.iter
-                (fun (seq, _) ->
-                  match Outbox.find t.outbox ~sender:b.id ~seq with
-                  | e -> dispatch_outbox_entry t e ~first:false
-                  | exception Not_found -> ())
+                (fun e -> dispatch_outbox_entry t s e ~first:false)
                 (Store.outbox_unacked s ~bee:b.id)
             end)
           revived
@@ -1505,7 +1503,7 @@ let gauges t =
   in
   Transport.gauges t.transport
   @ [
-    ("outbox.unacked", Outbox.unacked t.outbox);
+    ("outbox.unacked", outbox_unacked_total t);
     ("outbox.dups_suppressed", Outbox.duplicates t.outbox);
     ("outbox.handler_faults", t.n_handler_faults);
     ("quarantine.total", Outbox.total_quarantined t.outbox);
@@ -1593,7 +1591,7 @@ let create engine cfg =
       drain_outbox_acks t hive;
       List.iter (fun f -> f hive) t.fsync_hooks
     in
-    let on_outbox_durable ~hive:_ entries = outbox_now_durable t entries in
+    let on_outbox_durable ~hive:_ entries = outbox_now_durable t (Option.get t.store) entries in
     t.store <-
       Some
         (Store.create engine ~config:store_cfg ~size_of ~garble:Value.garble

@@ -11,9 +11,10 @@
 
     Three decisions live behind their own modules, which the platform
     drives and which never call back into it: the per-hive lifecycle
-    ({!Hives}), the exactly-once ledger of un-acked emits, pending acks,
-    replay backoff and quarantine ({!Outbox}), and storage repair with
-    its counters and dead letters ({!Beehive_store.Store}). The
+    ({!Hives}), the exactly-once ledger of each emit's delivery
+    bookkeeping, pending acks, replay backoff and quarantine ({!Outbox}),
+    and durable storage with the one record of un-acked emits, storage
+    repair, its counters and dead letters ({!Beehive_store.Store}). The
     registry is the only record of cell ownership; what each lookup or
     claim costs on the control channel is {!Cell_locks}.
 
@@ -170,7 +171,7 @@ val bee_state_entries : t -> int -> (string * string * Value.t) list
 
     Present only when {!config.durability} is set. *)
 
-val store : t -> Value.t Beehive_store.Store.t option
+val store : t -> (Value.t, Outbox.entry) Beehive_store.Store.t option
 (** The storage engine instance. *)
 
 val durable_bee_entries : t -> int -> (string * string * Value.t) list
@@ -355,7 +356,9 @@ val scrub_budget_bytes : int
 
 val outbox_unacked_total : t -> int
 (** Outbox entries awaiting full acknowledgement, cluster-wide (both
-    durable-and-replaying and still riding an open group-commit batch). *)
+    durable-and-replaying and still riding an open group-commit batch):
+    the store's outbox rows ({!Beehive_store.Store.outbox_total}); 0
+    without a store. *)
 
 val handler_faults : t -> int
 (** Exceptions contained instead of unwinding the engine: aborted [rcv]

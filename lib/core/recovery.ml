@@ -10,7 +10,10 @@ type replica = {
   inbox : (int * int) list;
 }
 
-let failover ~reg ~hives ~store ~outbox (b : Bee.t) ~from_hive ~to_hive r =
+(* The replica's un-acked emits as fresh outbox rows of [b]. *)
+let outbox_rows (b : Bee.t) r = List.map (fun (seq, m) -> Outbox.emit ~sender:b.id ~seq m) r.emits
+
+let failover ~reg ~hives ~store (b : Bee.t) ~from_hive ~to_hive r =
   (* Fail over onto the target hive from the recovered state, in a new
      incarnation, so anything the old instance still claims is void. *)
   Bee.fail_over hives b ~hive:to_hive (State.restore r.entries);
@@ -20,8 +23,7 @@ let failover ~reg ~hives ~store ~outbox (b : Bee.t) ~from_hive ~to_hive r =
     (* Re-seed the durable log under the new owner so a later crash of
        the target hive also recovers. *)
     Store.forget s ~bee:b.id;
-    Outbox.reseed outbox ~sender:b.id ~durable:false r.emits;
-    Store.append s ~bee:b.id ~hive:to_hive ~outbox:(Outbox.rows r.emits) ~inbox:r.inbox
+    Store.append s ~bee:b.id ~hive:to_hive ~outbox:(outbox_rows b r) ~inbox:r.inbox
       (List.map (fun (d, k, v) -> (d, k, Some v)) r.entries)
   | None -> ());
   Log.info (fun m -> m "bee %d failed over from hive %d to %d" b.id from_hive to_hive)
@@ -31,9 +33,8 @@ let failover ~reg ~hives ~store ~outbox (b : Bee.t) ~from_hive ~to_hive r =
    most-caught-up-member snapshot the Install_snapshot catch-up path
    ships. The replica's outbox entries and inbox marks re-seed the
    exactly-once state. *)
-let reseed_from_peer s ~outbox (b : Bee.t) r detail =
-  Outbox.reseed outbox ~sender:b.id ~durable:true r.emits;
-  Store.reseed s ~bee:b.id ~entries:r.entries ~outbox:(Outbox.rows r.emits) ~inbox:r.inbox;
+let reseed_from_peer s (b : Bee.t) r detail =
+  Store.reseed s ~bee:b.id ~entries:r.entries ~outbox:(outbox_rows b r) ~inbox:r.inbox;
   Bee.revive b (State.restore r.entries);
   Log.info (fun m -> m "bee %d: corrupt storage re-seeded from peer (%s)" b.id detail)
 
@@ -42,14 +43,13 @@ let reseed_from_peer s ~outbox (b : Bee.t) r detail =
    the bee goes dead with a dead-letter record, and the registry keeps
    its cells so ownership stays unique (routing to it surfaces as
    dead-target drops, not silent wrong answers). *)
-let quarantine s ~hives ~outbox (b : Bee.t) detail =
+let quarantine s ~hives (b : Bee.t) detail =
   Store.quarantine s ~bee:b.id ~detail;
-  Outbox.drop_sender outbox b.id;
   b.state <- State.create ();
   Bee.kill hives b;
   Log.info (fun m -> m "bee %d: corrupt storage quarantined (%s)" b.id detail)
 
-let revive s ~hives ~outbox ~hive (b : Bee.t) replica =
+let revive s ~hives ~hive (b : Bee.t) replica =
   (* fsck before replay: truncate any torn tail, and refuse to serve a
      committed prefix that fails verification. *)
   match Store.fsck s ~bee:b.id with
@@ -62,8 +62,8 @@ let revive s ~hives ~outbox ~hive (b : Bee.t) replica =
   | Store.Corrupt detail -> (
     match replica with
     | Some r ->
-      reseed_from_peer s ~outbox b r detail;
+      reseed_from_peer s b r detail;
       true
     | None ->
-      quarantine s ~hives ~outbox b detail;
+      quarantine s ~hives b detail;
       false)

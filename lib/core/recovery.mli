@@ -17,8 +17,7 @@ type replica = {
 val failover :
   reg:Registry.t ->
   hives:Hives.t ->
-  store:Value.t Beehive_store.Store.t option ->
-  outbox:Outbox.t ->
+  store:(Value.t, Outbox.entry) Beehive_store.Store.t option ->
   Bee.t ->
   from_hive:int ->
   to_hive:int ->
@@ -29,9 +28,8 @@ val failover :
     from the replica. *)
 
 val revive :
-  Value.t Beehive_store.Store.t ->
+  (Value.t, Outbox.entry) Beehive_store.Store.t ->
   hives:Hives.t ->
-  outbox:Outbox.t ->
   hive:int ->
   Bee.t ->
   replica option ->

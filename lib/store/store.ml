@@ -10,6 +10,8 @@ let default_config = { snapshot_threshold_bytes = 64 * 1024 }
 
 type 'v write = string * string * 'v option
 
+type 'e emit = { o_seq : int; o_bytes : int; o_entry : 'e }
+
 (* The length+CRC32 envelope around every durable artifact. [f_payload]
    models the bytes actually on disk: fault injection mutates it in place,
    while [f_len] and [f_crc] are what the envelope recorded at write time.
@@ -38,15 +40,15 @@ let frame_damaged_oracle f = frame_state_oracle f <> F_ok
    with no lsn and no frame; everything in it becomes durable together
    when the next group commit stamps those in place and moves it into the
    WAL — or is lost together by [drop_pending]. *)
-type 'v record = {
+type ('v, 'e) record = {
   mutable r_lsn : int;  (* 0 while pending *)
   mutable r_at : Simtime.t;  (* commit time *)
   r_hive : int;  (* the appending hive, charged the fsync *)
   r_writes : 'v write list;
   r_bytes : int;
-  mutable r_outbox : (int * int) list;
-      (* (seq, payload bytes) outbox entries committed with this record —
-         truncating the record must unwind them *)
+  mutable r_outbox : 'e emit list;
+      (* outbox entries committed with this record — truncating the
+         record must unwind them *)
   mutable r_inbox : (int * int) list;
       (* (sender bee, sender seq) dedup marks committed with this record *)
   mutable r_frame : frame;
@@ -66,14 +68,14 @@ let inbox_mark_overhead = 16
    snapshot — the modeled byte cost of end-to-end integrity. *)
 let frame_overhead = 8
 
-type 'v bee_log = {
+type ('v, 'e) bee_log = {
   bl_bee : int;
   mutable bl_dirty : bool;
       (* queued on the store's dirty list: has (or had) pending records *)
-  mutable bl_pending : 'v record list;
+  mutable bl_pending : ('v, 'e) record list;
       (* records awaiting group commit, newest first; lost on
          [drop_pending] of their hive *)
-  mutable bl_wal : 'v record list;  (* durable tail, newest first *)
+  mutable bl_wal : ('v, 'e) record list;  (* durable tail, newest first *)
   mutable bl_wal_bytes : int;
   mutable bl_wal_records : int;
   mutable bl_snapshot : (string * string * 'v) list;
@@ -85,22 +87,22 @@ type 'v bee_log = {
   mutable bl_next_out_seq : int;
       (* next outbox sequence number; monotonic, never reused even after
          acks, so a receiver's cutoff stays valid across sender restarts *)
-  bl_outbox : (int, int) Hashtbl.t;
-      (* durable un-acked outbox: seq -> payload bytes *)
+  bl_outbox : (int, 'e emit) Hashtbl.t;
+      (* durable un-acked outbox, by seq *)
   bl_inbox : (int * int, unit) Hashtbl.t;
       (* durable dedup marks: (sender bee, sender seq) already applied *)
 }
 
 (* One hive's share of the group commit in progress: the fsync it will
-   be charged and the outbox entries that fsync makes durable, as
-   (bee, seq), newest first. *)
-type hive_commit = {
+   be charged and the outbox entries that fsync makes durable, newest
+   first. *)
+type 'e hive_commit = {
   mutable hc_bytes : int;
   mutable hc_records : int;
-  mutable hc_outbox : (int * int) list;
+  mutable hc_outbox : 'e list;
 }
 
-type 'v t = {
+type ('v, 'e) t = {
   engine : Engine.t;
   cfg : config;
   size_of : 'v write -> int;
@@ -109,28 +111,28 @@ type 'v t = {
          (or chose not to) verify — the platform supplies a value-level
          corruption so damage is semantically visible downstream *)
   on_fsync : (hive:int -> bytes:int -> records:int -> unit) option;
-  on_outbox_durable : (hive:int -> (int * int) list -> unit) option;
+  on_outbox_durable : (hive:int -> 'e list -> unit) option;
   verify : bool;
       (* false only under the injected checksums-off bug: frames are still
          written (byte accounting and schedules are unchanged) but
          verification is skipped, so garbled records read back as if they
          were sound. Length framing still catches torn tails — that
          detection needs no checksum. *)
-  logs : (int, 'v bee_log) Hashtbl.t;
-  mutable ring : 'v bee_log array;
+  logs : (int, ('v, 'e) bee_log) Hashtbl.t;
+  mutable ring : ('v, 'e) bee_log array;
       (* every log in [logs], in bee-id order: the scrub's walk. Only
          [log_of], [forget] and [reseed_log] add or remove logs; they set
          [ring_stale], and the next reader rebuilds the array once. *)
   mutable ring_stale : bool;
-  mutable dirty : 'v bee_log array;
+  mutable dirty : ('v, 'e) bee_log array;
   mutable n_dirty : int;
       (* the first [n_dirty] slots of [dirty]: logs queued with records
          awaiting group commit — the flush working set, so a commit
          touches only writers, not every tracked bee. The array is reused
          from commit to commit. *)
-  mutable commits : hive_commit array;
+  mutable commits : 'e hive_commit array;
       (* indexed by hive id; empty between commits *)
-  mutable spare_commits : hive_commit array;
+  mutable spare_commits : 'e hive_commit array;
       (* the shares [fire_fsyncs] last reported, all reset: the next
          commit's [commits] ([||] while a report is running) *)
   mutable armed : bool;  (* a group commit is scheduled and has not landed *)
@@ -196,15 +198,24 @@ let rec add_writes t buf = function
     | None -> Buffer.add_char buf 'x');
     add_writes t buf rest
 
-let rec add_pairs buf tag = function
+let add_pair buf tag x y =
+  Buffer.add_char buf '|';
+  Buffer.add_char buf tag;
+  add_int buf x;
+  Buffer.add_char buf ':';
+  add_int buf y
+
+let rec add_emits buf = function
   | [] -> ()
-  | (x, y) :: rest ->
-    Buffer.add_char buf '|';
-    Buffer.add_char buf tag;
-    add_int buf x;
-    Buffer.add_char buf ':';
-    add_int buf y;
-    add_pairs buf tag rest
+  | o :: rest ->
+    add_pair buf 'o' o.o_seq o.o_bytes;
+    add_emits buf rest
+
+let rec add_marks buf = function
+  | [] -> ()
+  | (sender, seq) :: rest ->
+    add_pair buf 'i' sender seq;
+    add_marks buf rest
 
 (* Canonical serialized images. The store holds typed values, so the
    "bytes on disk" are modeled: a deterministic string derived from the
@@ -215,8 +226,8 @@ let payload_of_record t r =
   Buffer.add_char buf 'R';
   add_int buf r.r_lsn;
   add_writes t buf r.r_writes;
-  add_pairs buf 'o' r.r_outbox;
-  add_pairs buf 'i' r.r_inbox;
+  add_emits buf r.r_outbox;
+  add_marks buf r.r_inbox;
   Buffer.contents buf
 
 let payload_of_snapshot t ~lsn entries =
@@ -337,7 +348,7 @@ let rec writes_bytes t acc = function
 
 let rec outbox_bytes acc = function
   | [] -> acc
-  | (_, bytes) :: rest -> outbox_bytes (acc + outbox_entry_overhead + bytes) rest
+  | o :: rest -> outbox_bytes (acc + outbox_entry_overhead + o.o_bytes) rest
 
 let record_bytes t writes ~outbox ~inbox =
   record_overhead + frame_overhead + writes_bytes t 0 writes + outbox_bytes 0 outbox
@@ -347,8 +358,8 @@ let record_bytes t writes ~outbox ~inbox =
    with future allocations. *)
 let rec bump_out_seq bl = function
   | [] -> ()
-  | (seq, _) :: rest ->
-    if seq >= bl.bl_next_out_seq then bl.bl_next_out_seq <- seq + 1;
+  | o :: rest ->
+    if o.o_seq >= bl.bl_next_out_seq then bl.bl_next_out_seq <- o.o_seq + 1;
     bump_out_seq bl rest
 
 let alloc_out_seqs t ~bee n =
@@ -437,9 +448,9 @@ let hive_commit t hive =
 
 let rec publish_outbox bl hc = function
   | [] -> ()
-  | (seq, bytes) :: rest ->
-    Hashtbl.replace bl.bl_outbox seq bytes;
-    hc.hc_outbox <- (bl.bl_bee, seq) :: hc.hc_outbox;
+  | o :: rest ->
+    Hashtbl.replace bl.bl_outbox o.o_seq o;
+    hc.hc_outbox <- o.o_entry :: hc.hc_outbox;
     publish_outbox bl hc rest
 
 let rec mark_inbox bl = function
@@ -629,12 +640,39 @@ let ack_outbox t ~bee ~seq =
   | bl -> Hashtbl.remove bl.bl_outbox seq
   | exception Not_found -> ()
 
+(* The log's durable outbox rows, ascending by seq. *)
+let durable_rows bl =
+  Hashtbl.fold (fun _ o acc -> o :: acc) bl.bl_outbox []
+  |> List.sort (fun a b -> Int.compare a.o_seq b.o_seq)
+
 let outbox_unacked t ~bee =
   match Hashtbl.find_opt t.logs bee with
   | None -> []
-  | Some bl ->
-    Hashtbl.fold (fun seq bytes acc -> (seq, bytes) :: acc) bl.bl_outbox []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  | Some bl -> List.map (fun o -> o.o_entry) (durable_rows bl)
+
+let rec pending_emit ~seq = function
+  | [] -> None
+  | r :: older -> (
+    match List.find_opt (fun o -> o.o_seq = seq) r.r_outbox with
+    | Some o -> Some o.o_entry
+    | None -> pending_emit ~seq older)
+
+let outbox_entry t ~bee ~seq =
+  match Hashtbl.find t.logs bee with
+  | bl -> (
+    match Hashtbl.find bl.bl_outbox seq with
+    | o -> Some o.o_entry
+    | exception Not_found -> pending_emit ~seq bl.bl_pending)
+  | exception Not_found -> None
+
+let outbox_total t =
+  Hashtbl.fold
+    (fun _ bl acc ->
+      List.fold_left
+        (fun acc r -> acc + List.length r.r_outbox)
+        (acc + Hashtbl.length bl.bl_outbox)
+        bl.bl_pending)
+    t.logs 0
 
 let inbox_durable t ~bee ~sender ~seq =
   match Hashtbl.find t.logs bee with
@@ -687,7 +725,7 @@ let package_bytes t ~bee =
   let bl = log_of t bee in
   if bl.bl_wal_bytes > t.cfg.snapshot_threshold_bytes then compact_log t bl;
   let outbox_bytes =
-    Hashtbl.fold (fun _ bytes acc -> acc + outbox_entry_overhead + bytes) bl.bl_outbox 0
+    Hashtbl.fold (fun _ o acc -> acc + outbox_entry_overhead + o.o_bytes) bl.bl_outbox 0
   in
   package_overhead + bl.bl_snapshot_bytes + bl.bl_wal_bytes + outbox_bytes
   + (inbox_mark_overhead * Hashtbl.length bl.bl_inbox)
@@ -750,7 +788,7 @@ let fsck t ~bee =
           (fun r ->
             bl.bl_wal_bytes <- bl.bl_wal_bytes - r.r_bytes;
             bl.bl_wal_records <- bl.bl_wal_records - 1;
-            List.iter (fun (seq, _) -> Hashtbl.remove bl.bl_outbox seq) r.r_outbox;
+            List.iter (fun o -> Hashtbl.remove bl.bl_outbox o.o_seq) r.r_outbox;
             List.iter (fun m -> Hashtbl.remove bl.bl_inbox m) r.r_inbox)
           torn;
         bl.bl_wal <- prefix;
@@ -845,11 +883,9 @@ let reseed_log t ~bee ~entries:es ~outbox ~inbox =
     | None -> 1
   in
   set_snapshot t bl (List.sort entry_order es);
-  List.iter (fun (seq, bytes) -> Hashtbl.replace bl.bl_outbox seq bytes) outbox;
+  List.iter (fun o -> Hashtbl.replace bl.bl_outbox o.o_seq o) outbox;
   List.iter (fun m -> Hashtbl.replace bl.bl_inbox m ()) inbox;
-  List.iter
-    (fun (seq, _) -> if seq >= bl.bl_next_out_seq then bl.bl_next_out_seq <- seq + 1)
-    outbox;
+  bump_out_seq bl outbox;
   bl.bl_next_out_seq <- max bl.bl_next_out_seq (max nos 1);
   Hashtbl.remove t.suspects bee
 
@@ -863,7 +899,10 @@ let reseed t ~bee ~entries ~outbox ~inbox =
    own state), exactly-once bookkeeping carried over unchanged. *)
 let rewrite t ~bee ~entries =
   flush_bee t ~bee;
-  reseed_log t ~bee ~entries ~outbox:(outbox_unacked t ~bee) ~inbox:(inbox_marks t ~bee);
+  let outbox =
+    match Hashtbl.find_opt t.logs bee with Some bl -> durable_rows bl | None -> []
+  in
+  reseed_log t ~bee ~entries ~outbox ~inbox:(inbox_marks t ~bee);
   t.local_rewrites <- t.local_rewrites + 1
 
 let quarantine t ~bee ~detail =
@@ -956,10 +995,9 @@ let wal_image t =
             (Printf.sprintf "W lsn=%d at=%d" r.r_lsn (Simtime.to_us r.r_at))
             r.r_frame)
         (List.rev bl.bl_wal);
-      Hashtbl.fold (fun seq bytes acc -> (seq, bytes) :: acc) bl.bl_outbox []
-      |> List.sort compare
-      |> List.iter (fun (seq, bytes) ->
-             Buffer.add_string buf (Printf.sprintf "O %d:%d\n" seq bytes));
+      List.iter
+        (fun o -> Buffer.add_string buf (Printf.sprintf "O %d:%d\n" o.o_seq o.o_bytes))
+        (durable_rows bl);
       Hashtbl.fold (fun m () acc -> m :: acc) bl.bl_inbox []
       |> List.sort compare
       |> List.iter (fun (s, q) ->

@@ -14,7 +14,8 @@
     between hives.
 
     The engine is value-polymorphic so it can live below [beehive_core]
-    (the platform instantiates it at [Value.t]); byte accounting is
+    (the platform instantiates it at [Value.t], and its outbox entries at
+    [Outbox.entry]); byte accounting is
     delegated to a [size_of] estimator, and durability costs surface
     through the [on_fsync] callback so the owning hive can be charged in
     Figure-4-style series. The store also owns storage repair: the
@@ -35,13 +36,21 @@ val default_config : config
 type 'v write = string * string * 'v option
 (** [(dict, key, Some v)] sets, [(dict, key, None)] deletes. *)
 
+type 'e emit = { o_seq : int; o_bytes : int; o_entry : 'e }
+(** One transactional-outbox row: the emit's outbox seq and payload bytes,
+    which the log records, and the caller's ledger entry for it, which the
+    store holds but never reads. The store's outbox is the one record of
+    a bee's un-acked emits: a row lives from the {!append} that commits
+    it until {!ack_outbox}, or until its record or log goes (a crash
+    before the fsync, a torn tail, {!forget}, a re-seed). *)
+
 (** The length+CRC32 envelope around every WAL record and snapshot.
     [f_payload] models the bytes on disk (fault injection mutates it in
     place); [f_len] and [f_crc] are what the envelope recorded at write
     time. *)
 type frame = { mutable f_payload : string; f_crc : int; f_len : int }
 
-type 'v t
+type ('v, 'e) t
 
 val create :
   Beehive_sim.Engine.t ->
@@ -50,9 +59,9 @@ val create :
   ?garble:('v -> 'v) ->
   ?verify:bool ->
   ?on_fsync:(hive:int -> bytes:int -> records:int -> unit) ->
-  ?on_outbox_durable:(hive:int -> (int * int) list -> unit) ->
+  ?on_outbox_durable:(hive:int -> 'e list -> unit) ->
   unit ->
-  'v t
+  ('v, 'e) t
 (** Creates the store. It schedules no event until the first append.
     [size_of] estimates the serialized size of one write (dict + key +
     value). [garble] is what a reader gets back from physically damaged
@@ -64,24 +73,25 @@ val create :
     back as if they were sound. Torn tails are still detected — length
     framing needs no checksum.
     [on_fsync] fires once per hive per flush that made data durable;
-    [on_outbox_durable] fires right after it with the [(bee, seq)] outbox
-    entries of that hive that just became durable, newest first — the
-    platform's cue to hand them to transport. *)
+    [on_outbox_durable] fires right after it with the ledger entries of
+    that hive's outbox rows that just became durable, newest first (the
+    commit walks bees in id order, then records by lsn, then rows by seq)
+    — the platform's cue to hand them to transport. *)
 
-val config : 'v t -> config
+val config : ('v, 'e) t -> config
 
 (** {2 The write path} *)
 
 val append :
-  'v t ->
+  ('v, 'e) t ->
   bee:int ->
   hive:int ->
-  outbox:(int * int) list ->
+  outbox:'e emit list ->
   inbox:(int * int) list ->
   'v write list ->
   unit
 (** Appends one transaction's record to the bee's log: its write-set,
-    the [(seq, payload bytes)] outbox entries it emitted and the
+    the outbox rows of the emits it made and the
     [(sender, seq)] inbox dedup marks it consumed (either list may be
     empty). The record is the one the WAL keeps: all three become durable
     together when the next group commit stamps its lsn and frame (the
@@ -93,34 +103,34 @@ val append :
     them back before they are durable. Explicit outbox sequence numbers
     advance the bee's allocator past them. *)
 
-val alloc_out_seqs : 'v t -> bee:int -> int -> int
+val alloc_out_seqs : ('v, 'e) t -> bee:int -> int -> int
 (** [alloc_out_seqs t ~bee n] allocates the bee's next [n] outbox
     sequence numbers, consecutive, and returns the first (monotonic,
     never reused even after acks). *)
 
-val flush : 'v t -> unit
+val flush : ('v, 'e) t -> unit
 (** Forces a group commit of every pending record now (the armed commit
     does this one fsync latency after the first pending append). Runs
     compaction on any bee whose durable WAL exceeds the snapshot
     threshold. *)
 
-val flush_bee : 'v t -> bee:int -> unit
+val flush_bee : ('v, 'e) t -> bee:int -> unit
 (** Group-commits just this bee's pending records (other logs keep
     theirs). Used when one bee's writes must be durable {e now} without
     forcing a cluster-wide flush — e.g. a merge making the absorbed
     loser entries durable under the winner before the loser's log is
     forgotten. *)
 
-val drop_pending : 'v t -> hive:int -> unit
+val drop_pending : ('v, 'e) t -> hive:int -> unit
 (** Crash semantics: discards every record appended from [hive] that has
     not yet been group-committed. Durable records are unaffected. *)
 
-val forget : 'v t -> bee:int -> unit
+val forget : ('v, 'e) t -> bee:int -> unit
 (** Drops all storage for a bee (merged away or permanently dead). *)
 
 (** {2 Recovery} *)
 
-val recover : 'v t -> bee:int -> (string * string * 'v) list
+val recover : ('v, 'e) t -> bee:int -> (string * string * 'v) list
 (** The bee's durable cell set: snapshot overlaid with the WAL tail, in
     deterministic (dict, key) order. Pending (un-fsynced) records are not
     part of recovery — exactly what a crash loses. Values read through a
@@ -128,7 +138,7 @@ val recover : 'v t -> bee:int -> (string * string * 'v) list
     (it truncates torn tails and fail-stops corrupt prefixes); with them
     off, this is the silent corruption a lying disk serves. *)
 
-val recovery_cost : 'v t -> bee:int -> int * int
+val recovery_cost : ('v, 'e) t -> bee:int -> int * int
 (** [(records_replayed, bytes_read)] of a {!recover} call right now:
     snapshot bytes plus every tail record. The figure of merit that
     snapshot-based recovery improves over full log replay. *)
@@ -144,7 +154,7 @@ type verdict =
       (** the committed prefix itself fails verification — the bee must
           be re-seeded from a peer or quarantined, never replayed *)
 
-val fsck : 'v t -> bee:int -> verdict
+val fsck : ('v, 'e) t -> bee:int -> verdict
 (** Verifies the bee's snapshot and WAL frames the way recovery reads
     them. A trailing run of torn records is truncated in place, unwinding
     the outbox entries and inbox marks that committed with them. A torn
@@ -152,7 +162,7 @@ val fsck : 'v t -> bee:int -> verdict
     the bee is marked suspect and nothing is mutated. With [~verify:false]
     only torn frames are detected. *)
 
-val scrub : 'v t -> budget_bytes:int -> int * (int * string) list
+val scrub : ('v, 'e) t -> budget_bytes:int -> int * (int * string) list
 (** One background scrub slice: walks cold snapshot+WAL bytes in bee
     order from a persistent cursor until [budget_bytes] is exhausted,
     verifying every frame. Returns [(bytes_scanned, damaged)] where
@@ -160,12 +170,12 @@ val scrub : 'v t -> budget_bytes:int -> int * (int * string) list
     also recorded as a suspect. Completing a full pass over every log
     bumps {!scrubs_completed} and rewinds the cursor. *)
 
-val verify_chain : 'v t -> bee:int -> string option
+val verify_chain : ('v, 'e) t -> bee:int -> string option
 (** Oracle for monitors and tests: verifies the bee's whole checksum
     chain, even with [~verify:false]. [None] when sound,
     [Some detail] naming the first damaged frame otherwise. *)
 
-val suspects : 'v t -> (int * string) list
+val suspects : ('v, 'e) t -> (int * string) list
 (** Bees whose committed prefix failed verification (by {!scrub} or
     {!fsck}) and have not yet been repaired, re-seeded or forgotten. *)
 
@@ -175,7 +185,7 @@ val suspects : 'v t -> (int * string) list
     from its own in-memory state, a crashed one is re-seeded from a
     replication peer, and one with neither is quarantined. *)
 
-val rewrite : 'v t -> bee:int -> entries:(string * string * 'v) list -> unit
+val rewrite : ('v, 'e) t -> bee:int -> entries:(string * string * 'v) list -> unit
 (** Repairs a live bee in place: flushes it, then replaces snapshot+WAL
     with a freshly checksummed image of [entries] — the bee's committed
     in-memory state, which the caller reads from the bee itself — carrying
@@ -183,10 +193,10 @@ val rewrite : 'v t -> bee:int -> entries:(string * string * 'v) list -> unit
     verdict and counts one {!local_rewrites}. *)
 
 val reseed :
-  'v t ->
+  ('v, 'e) t ->
   bee:int ->
   entries:(string * string * 'v) list ->
-  outbox:(int * int) list ->
+  outbox:'e emit list ->
   inbox:(int * int) list ->
   unit
 (** Repairs a crashed bee from a replication peer: replaces its storage
@@ -196,19 +206,19 @@ val reseed :
     discarded. Clears any suspect verdict and counts one
     {!peer_repairs}. *)
 
-val quarantine : 'v t -> bee:int -> detail:string -> unit
+val quarantine : ('v, 'e) t -> bee:int -> detail:string -> unit
 (** Fail-stop for a bee whose committed prefix failed verification with
     no replica to re-seed from: drops its storage (as {!forget}) and
     records a dead letter. *)
 
-val local_rewrites : 'v t -> int
-val peer_repairs : 'v t -> int
+val local_rewrites : ('v, 'e) t -> int
+val peer_repairs : ('v, 'e) t -> int
 
-val dead_letters : 'v t -> (int * string) list
+val dead_letters : ('v, 'e) t -> (int * string) list
 (** One record per {!quarantine}, oldest first: the bee and the
     verification failure that retired it. *)
 
-val integrity_counters : 'v t -> (string * int) list
+val integrity_counters : ('v, 'e) t -> (string * int) list
 (** Every detection and repair counter by name (the platform publishes
     them as [integrity.*] gauges): the ones above, plus [crc_failures]
     (distinct corrupt-bee detections, not re-checks of a known suspect)
@@ -217,59 +227,65 @@ val integrity_counters : 'v t -> (string * int) list
 
 (** {3 Fault injection (the lying disk)} *)
 
-val corrupt_record : 'v t -> bee:int -> victim:int -> bool
+val corrupt_record : ('v, 'e) t -> bee:int -> victim:int -> bool
 (** Flips one bit in the [victim mod n]-th durable WAL record's payload.
     False if the bee has no durable records. *)
 
-val tear_tail : 'v t -> bee:int -> bool
+val tear_tail : ('v, 'e) t -> bee:int -> bool
 (** Truncates the newest durable WAL record's payload to half its length
     — a torn write. False if the bee has no durable records. *)
 
-val rot_snapshot : 'v t -> bee:int -> bool
+val rot_snapshot : ('v, 'e) t -> bee:int -> bool
 (** Flips one bit in the bee's snapshot payload. False if the bee has no
     (non-empty) snapshot. *)
 
 (** {3 Integrity counters} *)
 
-val records_verified : 'v t -> int
-val scrubs_completed : 'v t -> int
+val records_verified : ('v, 'e) t -> int
+val scrubs_completed : ('v, 'e) t -> int
 
 (** {2 Transactional outbox / inbox} *)
 
-val ack_outbox : 'v t -> bee:int -> seq:int -> unit
+val ack_outbox : ('v, 'e) t -> bee:int -> seq:int -> unit
 (** Retires one durable outbox entry: every addressed receiver has
     durably applied it, so it will never be replayed again. No-op if the
     seq is unknown (late duplicate acks are harmless). *)
 
-val outbox_unacked : 'v t -> bee:int -> (int * int) list
-(** The bee's durable, un-acked outbox entries as [(seq, payload bytes)],
-    ascending — exactly what replay after a restart must re-send. Pending
-    (un-fsynced) entries are excluded: they were never handed to
-    transport. *)
+val outbox_unacked : ('v, 'e) t -> bee:int -> 'e list
+(** The bee's durable, un-acked outbox entries, ascending by seq —
+    exactly what replay after a restart must re-send. Pending (un-fsynced)
+    entries are excluded: they were never handed to transport. *)
 
-val inbox_seen : 'v t -> bee:int -> sender:int -> seq:int -> bool
+val outbox_entry : ('v, 'e) t -> bee:int -> seq:int -> 'e option
+(** The entry the bee's outbox holds under [seq], durable or riding a
+    pending record; [None] once it is acked, dropped or never existed. *)
+
+val outbox_total : ('v, 'e) t -> int
+(** Un-acked outbox entries across every log, pending ones included. *)
+
+val inbox_seen : ('v, 'e) t -> bee:int -> sender:int -> seq:int -> bool
 (** Whether the bee has already consumed [(sender, seq)] — durable marks
     plus marks riding a not-yet-flushed record (the receiver's committed
     in-memory view, which is what dedup must check against). *)
 
-val inbox_durable : 'v t -> bee:int -> sender:int -> seq:int -> bool
+val inbox_durable : ('v, 'e) t -> bee:int -> sender:int -> seq:int -> bool
 (** Durable marks only: once true, the sender's entry can be acked. *)
 
-val inbox_marks : 'v t -> bee:int -> (int * int) list
+val inbox_marks : ('v, 'e) t -> bee:int -> (int * int) list
 (** All [(sender, seq)] marks, durable and pending, sorted — what a merge
     must carry over to the winning bee. *)
 
-val wipe_inbox : 'v t -> bee:int -> unit
+val wipe_inbox : ('v, 'e) t -> bee:int -> unit
 (** Debug hook for [--inject-bug replay-dup]: forgets every inbox dedup
     mark, durable and pending, so replayed entries double-apply. *)
 
-val drop_outbox : 'v t -> bee:int -> unit
+val drop_outbox : ('v, 'e) t -> bee:int -> unit
 (** Debug hook for [--inject-bug lost-outbox]: forgets every un-acked
     outbox entry, durable and pending, so nothing is ever replayed. *)
 
 (** {2 Migration} *)
 
-val package_bytes : 'v t -> bee:int -> int
+val package_bytes : ('v, 'e) t -> bee:int -> int
 (** Flushes and compacts the bee, then returns the size of the package a
     live migration ships (stop -> buffer -> transfer -> drain): snapshot,
     WAL tail, durable un-acked outbox and inbox marks, plus framing. The
@@ -278,17 +294,17 @@ val package_bytes : 'v t -> bee:int -> int
 
 (** {2 Introspection (per bee)} *)
 
-val pending_writes : 'v t -> bee:int -> int
-val snapshot_count : 'v t -> bee:int -> int
+val pending_writes : ('v, 'e) t -> bee:int -> int
+val snapshot_count : ('v, 'e) t -> bee:int -> int
 (** Compactions taken so far for this bee. *)
 
 (** {2 Totals} *)
 
-val total_fsyncs : 'v t -> int
-val total_wal_bytes_written : 'v t -> int
+val total_fsyncs : ('v, 'e) t -> int
+val total_wal_bytes_written : ('v, 'e) t -> int
 (** Cumulative bytes ever appended to WALs (not reduced by compaction). *)
 
-val total_wal_records_written : 'v t -> int
+val total_wal_records_written : ('v, 'e) t -> int
 (** Cumulative framed records ever committed to WALs; with
     [frame_overhead_bytes] this gives the deterministic byte share the
     integrity envelopes add to the log (the bench gates it at 5%). *)
@@ -297,7 +313,7 @@ val frame_overhead_bytes : int
 (** Bytes the length+CRC32 envelope adds to every WAL record and
     snapshot. *)
 
-val wal_image : 'v t -> string
+val wal_image : ('v, 'e) t -> string
 (** Canonical byte-level image of the whole store: every tracked log in
     bee-id order — snapshot frame, WAL frames (payload, length, CRC,
     lsn, commit time) oldest-first, durable outbox/inbox sorted, lsn

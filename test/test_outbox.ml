@@ -19,6 +19,7 @@ module Value = Beehive_core.Value
 module Cell = Beehive_core.Cell
 module Stats = Beehive_core.Stats
 module Outbox = Beehive_core.Outbox
+module Store = Beehive_store.Store
 
 type Message.payload += Fwd of string | Apply of string | Bad_map of string
 
@@ -195,6 +196,34 @@ let test_crash_after_fsync_replays_exactly_once () =
     (kv_count platform "a");
   Alcotest.(check int) "replayed entry re-acked" 0
     (Platform.outbox_unacked_total platform)
+
+(* The forwarder's record is durable and its emit applied, but the kv
+   delta still rides an un-fsynced record; a torn write then destroys the
+   forwarder's record. The hive's crash drops the kv delta, and restart's
+   fsck truncates the torn record and its emit with it. No other copy of
+   the entry may replay it: the transaction was rolled back, so its
+   onward put must not be applied. *)
+let test_torn_record_emit_not_replayed () =
+  let engine, platform, _ = make () in
+  inject platform ~from:0 "a";
+  run_until_state engine ~step_us:25 ~limit_us:10_000 (fun () ->
+      kv_count platform "a" = Some 1);
+  let store = Option.get (Platform.store platform) in
+  let fwd = Option.get (Platform.find_owner platform ~app:"t.fwd" (Cell.cell "journal" "a")) in
+  Alcotest.(check bool) "the forwarder's record torn" true
+    (Store.tear_tail store ~bee:fwd);
+  Platform.fail_hive platform (bee_hive platform fwd);
+  Platform.restart_hive platform (bee_hive platform fwd);
+  Alcotest.(check int) "the un-acked emits are the store's rows"
+    (List.length (Store.outbox_unacked store ~bee:fwd))
+    (Platform.outbox_unacked_total platform);
+  drain engine;
+  let count c = Option.value ~default:0 c in
+  Alcotest.(check int) "the journal write was rolled back" 0
+    (count (journal_count platform "a"));
+  Alcotest.(check int) "and its emit was not applied"
+    (count (journal_count platform "a"))
+    (count (kv_count platform "a"))
 
 (* Crash the receiver after its mark is durable but before the ack
    reaches the sender: the sender replays, and the receiver's durable
@@ -461,11 +490,10 @@ let test_replicated_sender_fails_over_with_unacked_entry () =
    legs. *)
 let test_entry_retires_on_distinct_acks () =
   let entry seq =
-    let t = Outbox.create () in
-    Outbox.add t ~sender:1 ~seq ~durable:true
-      (Message.make ~kind:k_apply ~src:Message.From_system ~sent_at:Simtime.zero
-         (Apply "k"));
-    Outbox.find t ~sender:1 ~seq
+    (Outbox.emit ~sender:1 ~seq
+       (Message.make ~kind:k_apply ~src:Message.From_system ~sent_at:Simtime.zero
+          (Apply "k")))
+      .Store.o_entry
   in
   let check = Alcotest.(check bool) in
   let e = entry 1 in
@@ -484,9 +512,9 @@ let test_entry_retires_on_distinct_acks () =
   check "legs already covered" true (Outbox.set_required e 2);
   check "zero legs" true (Outbox.set_required (entry 4) 0)
 
-(* The reference semantics: the ledger this module's entries table
-   replaced — one table keyed by the [(sender, seq)] pair — kept verbatim
-   as the oracle the property below compares against. *)
+(* The reference semantics: the ledger the store's outbox replaced —
+   one table keyed by the [(sender, seq)] pair, with a durable flag per
+   entry — kept as the oracle the property below compares against. *)
 module Oracle = struct
   type entry = {
     sender : int;
@@ -530,6 +558,10 @@ module Oracle = struct
     in
     List.iter (Hashtbl.remove t.entries) (List.sort compare stale)
 
+  let reseed t ~sender ~durable emits =
+    drop_sender t sender;
+    List.iter (fun (seq, m) -> add t ~sender ~seq ~durable m) emits
+
   let drop_undurable t ~sent_from =
     let doomed =
       Hashtbl.fold
@@ -538,12 +570,17 @@ module Oracle = struct
     in
     List.iter (Hashtbl.remove t.entries) (List.sort compare doomed)
 
-  let mark_durable t ~sender ~seq =
-    match find t ~sender ~seq with
-    | None -> None
-    | Some e ->
-      e.durable <- true;
-      if e.attempts = 0 then Some e else None
+  (* Marks every pending entry durable and returns their keys, sorted. *)
+  let commit t =
+    Hashtbl.fold
+      (fun key e acc ->
+        if e.durable then acc
+        else begin
+          e.durable <- true;
+          key :: acc
+        end)
+      t.entries []
+    |> List.sort compare
 
   let start_attempt e ~now =
     e.attempts <- e.attempts + 1;
@@ -566,33 +603,43 @@ module Oracle = struct
     | None -> false
 end
 
-(* One ledger operation over three senders and four seqs. [Keep] holds
-   on to an entry of each ledger so [Still_due] can ask about it after
-   later operations removed or replaced it. *)
+(* One outbox operation over three senders, each appending from a fixed
+   hive ([sender mod 2]). [Append] takes the sender's next seq, as a
+   commit does; [Keep] holds on to an entry of each side so [Still_due]
+   can ask about it after later operations removed or replaced it.
+   Dispatch-side operations follow the platform's rules: only a durable
+   entry is attempted or retired, and only an attempted one has a replay
+   timer to ask [still_due]. *)
 type ledger_op =
-  | Add of int * int * bool
-  | Mark of int * int
+  | Append of int
+  | Commit
+  | Crash of int
   | Attempt of int * int * int
   | Legs of int * int * int
   | Ack of int * int * int
-  | Remove of int * int
-  | Drop_sender of int
-  | Drop_undurable of int
+  | Retire of int * int
+  | Forget of int
+  | Reseed of int * int list * bool
   | Keep of int * int
   | Still_due of bool
 
 let n_senders = 3
-let n_seqs = 4
+let n_seqs = 6
+let hive_of sender = sender mod 2
 
 let print_ledger_op = function
-  | Add (s, q, d) -> Printf.sprintf "add %d/%d durable=%b" s q d
-  | Mark (s, q) -> Printf.sprintf "mark_durable %d/%d" s q
+  | Append s -> Printf.sprintf "append %d" s
+  | Commit -> "commit"
+  | Crash h -> Printf.sprintf "crash hive %d" h
   | Attempt (s, q, at) -> Printf.sprintf "attempt %d/%d at %d us" s q at
   | Legs (s, q, n) -> Printf.sprintf "set_required %d/%d %d" s q n
   | Ack (s, q, r) -> Printf.sprintf "ack %d/%d from %d" s q r
-  | Remove (s, q) -> Printf.sprintf "remove %d/%d" s q
-  | Drop_sender s -> Printf.sprintf "drop_sender %d" s
-  | Drop_undurable p -> Printf.sprintf "drop_undurable parity %d" p
+  | Retire (s, q) -> Printf.sprintf "retire %d/%d" s q
+  | Forget s -> Printf.sprintf "forget %d" s
+  | Reseed (s, qs, durable) ->
+    Printf.sprintf "reseed %d [%s] %s" s
+      (String.concat ";" (List.map string_of_int qs))
+      (if durable then "from a peer" else "by failover")
   | Keep (s, q) -> Printf.sprintf "keep %d/%d" s q
   | Still_due same -> Printf.sprintf "still_due since=%s" (if same then "last" else "other")
 
@@ -601,59 +648,78 @@ let ledger_op_gen =
   let sender = int_bound (n_senders - 1) and seq = int_range 1 n_seqs in
   frequency
     [
-      (4, map3 (fun s q d -> Add (s, q, d)) sender seq bool);
-      (3, map2 (fun s q -> Mark (s, q)) sender seq);
+      (4, map (fun s -> Append s) sender);
+      (3, return Commit);
+      (1, map (fun h -> Crash h) (int_bound 1));
       (2, map3 (fun s q at -> Attempt (s, q, at)) sender seq (int_bound 3));
       (2, map3 (fun s q n -> Legs (s, q, n)) sender seq (int_bound 2));
       (3, map3 (fun s q r -> Ack (s, q, r)) sender seq (int_bound 2));
-      (2, map2 (fun s q -> Remove (s, q)) sender seq);
-      (1, map (fun s -> Drop_sender s) sender);
-      (1, map (fun p -> Drop_undurable p) (int_bound 1));
+      (2, map2 (fun s q -> Retire (s, q)) sender seq);
+      (1, map (fun s -> Forget s) sender);
+      ( 1,
+        map3
+          (fun s qs durable -> Reseed (s, List.sort_uniq compare qs, durable))
+          sender (list_size (int_bound 2) seq) bool );
       (1, map2 (fun s q -> Keep (s, q)) sender seq);
       (2, map (fun same -> Still_due same) bool);
     ]
-
-let find_opt t ~sender ~seq =
-  match Outbox.find t ~sender ~seq with e -> Some e | exception Not_found -> None
 
 let prop_ledger_matches_oracle =
   QCheck.Test.make ~name:"outbox ledger agrees with the (sender, seq)-keyed oracle"
     ~count:500
     (QCheck.make ~print:QCheck.Print.(list print_ledger_op) QCheck.Gen.(list ledger_op_gen))
     (fun ops ->
-      let real = Outbox.create () and model = Oracle.create () in
+      let engine = Engine.create () in
+      let handed = ref [] in
+      let real =
+        Store.create engine
+          ~size_of:(fun (d, k, _) -> String.length d + String.length k)
+          ~on_outbox_durable:(fun ~hive:_ entries -> handed := !handed @ List.rev entries)
+          ()
+      in
+      let model = Oracle.create () in
       let kept = ref None in
       let fail what op =
         QCheck.Test.fail_reportf "%s differ after %s" what (print_ledger_op op)
       in
+      let message s q =
+        Message.make ~kind:k_apply ~src:Message.From_system ~sent_at:Simtime.zero
+          (Apply (Printf.sprintf "%d/%d" s q))
+      in
       let both s q f =
-        match (find_opt real ~sender:s ~seq:q, Oracle.find model ~sender:s ~seq:q) with
+        match
+          (Store.outbox_entry real ~bee:s ~seq:q, Oracle.find model ~sender:s ~seq:q)
+        with
         | Some e, Some e' -> f e e'
         | None, None -> ()
         | Some _, None | None, Some _ -> QCheck.Test.fail_reportf "find %d/%d differs" s q
       in
+      let durable f e e' = if e'.Oracle.durable then f e e' in
       let step op =
         match op with
-        | Add (s, q, durable) ->
-          let m =
-            Message.make ~kind:k_apply ~src:Message.From_system ~sent_at:Simtime.zero
-              (Apply (Printf.sprintf "%d/%d" s q))
-          in
-          Outbox.add real ~sender:s ~seq:q ~durable m;
-          Oracle.add model ~sender:s ~seq:q ~durable m
-        | Mark (s, q) ->
-          let dispatch =
-            match find_opt real ~sender:s ~seq:q with
-            | Some e -> Outbox.mark_durable e
-            | None -> false
-          in
-          if dispatch <> Option.is_some (Oracle.mark_durable model ~sender:s ~seq:q) then
-            fail "mark_durable" op
+        | Append s ->
+          let q = Store.alloc_out_seqs real ~bee:s 1 in
+          let m = message s q in
+          Store.append real ~bee:s ~hive:(hive_of s)
+            ~outbox:[ Outbox.emit ~sender:s ~seq:q m ] ~inbox:[] [];
+          Oracle.add model ~sender:s ~seq:q ~durable:false m
+        | Commit ->
+          handed := [];
+          Store.flush real;
+          let keys = List.map (fun e -> (Outbox.sender e, Outbox.seq e)) !handed in
+          (* Hive order, then sender, then seq: sorted, as each sender
+             appends from one hive. *)
+          let by_hive = List.stable_sort (fun (a, _) (b, _) -> compare (hive_of a) (hive_of b)) in
+          if keys <> by_hive (Oracle.commit model) then fail "newly durable entries" op
+        | Crash h ->
+          Store.drop_pending real ~hive:h;
+          Oracle.drop_undurable model ~sent_from:(fun s -> hive_of s = h)
         | Attempt (s, q, at) ->
           let now = Simtime.of_us at in
-          both s q (fun e e' ->
-              Outbox.start_attempt e ~now;
-              Oracle.start_attempt e' ~now)
+          both s q
+            (durable (fun e e' ->
+                 Outbox.start_attempt e ~now;
+                 Oracle.start_attempt e' ~now))
         | Legs (s, q, n) ->
           both s q (fun e e' ->
               if Outbox.set_required e n <> Oracle.set_required e' n then
@@ -661,30 +727,41 @@ let prop_ledger_matches_oracle =
         | Ack (s, q, receiver) ->
           both s q (fun e e' ->
               if Outbox.ack e ~receiver <> Oracle.ack e' ~receiver then fail "ack" op)
-        | Remove (s, q) ->
-          both s q (fun e e' ->
-              Outbox.remove real e;
-              Oracle.remove model e')
-        | Drop_sender s ->
-          Outbox.drop_sender real s;
+        | Retire (s, q) ->
+          both s q
+            (durable (fun _ e' ->
+                 Store.ack_outbox real ~bee:s ~seq:q;
+                 Oracle.remove model e'))
+        | Forget s ->
+          Store.forget real ~bee:s;
           Oracle.drop_sender model s
-        | Drop_undurable p ->
-          let sent_from s = s mod 2 = p in
-          Outbox.drop_undurable real ~sent_from;
-          Oracle.drop_undurable model ~sent_from
+        | Reseed (s, qs, from_peer) ->
+          let emits = List.map (fun q -> (q, message s q)) qs in
+          let rows = List.map (fun (q, m) -> Outbox.emit ~sender:s ~seq:q m) emits in
+          if from_peer then
+            Store.reseed real ~bee:s ~entries:[] ~outbox:rows ~inbox:[]
+          else begin
+            Store.forget real ~bee:s;
+            Store.append real ~bee:s ~hive:(hive_of s) ~outbox:rows ~inbox:[] []
+          end;
+          Oracle.reseed model ~sender:s ~durable:from_peer emits
         | Keep (s, q) -> both s q (fun e e' -> kept := Some (e, e'))
         | Still_due same -> (
           match !kept with
-          | None -> ()
-          | Some (e, e') ->
+          | Some (e, e') when Outbox.attempted e ->
             let since = if same then Outbox.last_attempt e else Simtime.of_us 99 in
-            if Outbox.still_due real e ~since <> Oracle.still_due model e' ~since then
-              fail "still_due" op)
+            let current =
+              Store.outbox_entry real ~bee:(Outbox.sender e) ~seq:(Outbox.seq e)
+            in
+            if Outbox.still_due e ~current ~since <> Oracle.still_due model e' ~since then
+              fail "still_due" op
+          | Some _ | None -> ())
       in
       List.iter
         (fun op ->
           step op;
-          if Outbox.unacked real <> Oracle.unacked model then fail "unacked" op;
+          if Store.outbox_total real <> Oracle.unacked model then
+            fail "unacked" op;
           for s = 0 to n_senders - 1 do
             for q = 1 to n_seqs do
               both s q (fun e e' ->
@@ -695,7 +772,17 @@ let prop_ledger_matches_oracle =
                     || Outbox.attempted e <> (e'.Oracle.attempts > 0)
                     || not (Simtime.equal (Outbox.last_attempt e) e'.Oracle.last_attempt)
                   then fail (Printf.sprintf "entry %d/%d" s q) op)
-            done
+            done;
+            let durable_keys =
+              List.map Outbox.seq (Store.outbox_unacked real ~bee:s)
+            in
+            let oracle_keys =
+              Hashtbl.fold
+                (fun (s', q) e' acc -> if s' = s && e'.Oracle.durable then q :: acc else acc)
+                model.Oracle.entries []
+              |> List.sort compare
+            in
+            if durable_keys <> oracle_keys then fail (Printf.sprintf "durable entries of %d" s) op
           done)
         ops;
       true)
@@ -712,6 +799,8 @@ let suite =
           test_crash_after_fsync_replays_exactly_once;
         Alcotest.test_case "receiver restart dedups the replay" `Quick
           test_receiver_restart_dedups_replay;
+        Alcotest.test_case "a torn record's emit is not replayed" `Quick
+          test_torn_record_emit_not_replayed;
         Alcotest.test_case "poison quarantined after retry budget" `Quick
           test_poison_quarantined_after_budget;
         Alcotest.test_case "transient failure retries then succeeds" `Quick
