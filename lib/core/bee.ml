@@ -24,7 +24,6 @@ type t = {
   mutable busy : bool;
   mutable handling : delivery;
   mutable handling_cost : Beehive_sim.Simtime.t;
-  mutable handling_incarnation : int;
   mutable handling_event : Beehive_sim.Engine.handle;
   mutable completion : unit -> unit;
   mutable source : Message.source;
@@ -51,7 +50,6 @@ let create ~id ~app ~hive ~is_local ~rng ~idle =
     busy = false;
     handling = idle;
     handling_cost = Beehive_sim.Simtime.zero;
-    handling_incarnation = 0;
     handling_event = Beehive_sim.Engine.none;
     completion = ignore;
     source = Message.From_system;
@@ -99,17 +97,17 @@ let arrive hives b h =
     release hives b h
   | Migrating _ | Merging | Fenced -> false
 
-(* Ending a life drops every hold, settling a move's reservation. *)
+(* Ending a life drops every hold, settling a move's reservation, and
+   the handler in hand: its queued completion no longer matches. *)
 let stop hives b status =
   b.status <- status;
   b.busy <- false;
+  b.handling_event <- Beehive_sim.Engine.none;
   Mailbox.clear b.mailbox;
   List.iter (settle hives) b.holds;
   b.holds <- []
 
-let crash hives b =
-  b.incarnation <- b.incarnation + 1;
-  stop hives b `Crashed
+let crash hives b = stop hives b `Crashed
 
 let kill hives b = stop hives b `Dead
 
@@ -123,7 +121,7 @@ let revive b state =
   b.status <- `Active
 
 let fail_over hives b ~hive state =
-  if b.status <> `Crashed then b.incarnation <- b.incarnation + 1;
+  b.incarnation <- b.incarnation + 1;
   stop hives b `Active;
   b.hive <- hive;
   b.state <- state

@@ -81,16 +81,16 @@ type t = {
           whose handler that event runs; the platform's idle placeholder
           otherwise *)
   mutable handling_cost : Beehive_sim.Simtime.t;  (** [handling]'s handler cost *)
-  mutable handling_incarnation : int;  (** [incarnation] when [handling] was dispatched *)
   mutable handling_event : Beehive_sim.Engine.handle;
-      (** the completion event scheduled for [handling] *)
+      (** the completion event scheduled for [handling];
+          {!Beehive_sim.Engine.none} once the life it was scheduled in
+          ended (crash, kill, fold, fail over) *)
   mutable completion : unit -> unit;
       (** set once, as the bee is created: its one completion callback,
-          scheduled once per
-          dispatched delivery. It runs the handler of [handling] only if
-          it is running as [handling_event] and [handling_incarnation]
-          is still the bee's, so a completion a crash left queued fires
-          as a no-op *)
+          scheduled once per dispatched delivery. It runs the handler of
+          [handling] only if it is running as [handling_event], so a
+          completion that an ended life or an earlier dispatch left
+          queued fires as a no-op *)
   mutable source : Message.source;
       (** [From_bee] at the bee's hive, shared by every message it emits;
           rebuilt when the bee has moved *)
@@ -105,8 +105,10 @@ type t = {
           engine. *)
   mutable holds : hold list;  (** written only by this module *)
   mutable incarnation : int;
-      (** bumped when a life ends (crash, fail over) so events scheduled
-          against it (handler completions, retries) are discarded *)
+      (** bumped when the bee fails over to another hive, so a handler
+          retry scheduled on the hive it left is discarded. A crash
+          leaves it alone: the hive's {!Hives.wipe_mark} voids what the
+          crash erased *)
   mutable on_idle : (unit -> unit) list;
       (** continuations run when the current handler (if any) completes,
           newest first; a merge waits there for a busy loser, and a move
@@ -154,8 +156,8 @@ val arrive : Hives.t -> t -> hold -> bool
 (** {2 Ends of a life} *)
 
 val crash : Hives.t -> t -> unit
-(** The bee's hive process died: [`Crashed], a new incarnation, idle,
-    an empty mailbox and no holds. *)
+(** The bee's hive process died: [`Crashed], idle, an empty mailbox
+    and no holds. *)
 
 val kill : Hives.t -> t -> unit
 (** The bee is gone for good: [`Dead], idle, an empty mailbox, no holds. *)
@@ -169,5 +171,4 @@ val revive : t -> State.t -> unit
 
 val fail_over : Hives.t -> t -> hive:int -> State.t -> unit
 (** The bee restarts on [hive] from a replica's state: a new
-    incarnation (unless its crash already began one), idle, an empty
-    mailbox, no holds, [`Active]. *)
+    incarnation, idle, an empty mailbox, no holds, [`Active]. *)

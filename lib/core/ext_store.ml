@@ -19,6 +19,9 @@ let create platform =
 
 let store_hive_of_key key = Hashtbl.hash key mod n_nodes
 
+(* Charges one request and its response, and runs [k] when the response
+   is back, unless [from_hive], whose memory held the call, crashed
+   meanwhile. *)
 let round_trip t ~from_hive ~to_hive ~req_bytes ~resp_bytes k =
   let chans = Platform.channels t.platform in
   let now = Engine.now (Platform.engine t.platform) in
@@ -32,7 +35,9 @@ let round_trip t ~from_hive ~to_hive ~req_bytes ~resp_bytes k =
   in
   let rt = Simtime.add l1 l2 in
   Stats.record_latency t.rpc_latency rt;
-  ignore (Engine.schedule_after (Platform.engine t.platform) rt k)
+  ignore
+    (Engine.schedule_after (Platform.engine t.platform) rt (fun () ->
+         if Platform.since_wipe t.platform from_hive then k ()))
 
 let get t ~from_hive ~key k =
   let shard = store_hive_of_key key in
@@ -43,19 +48,21 @@ let get t ~from_hive ~key k =
   round_trip t ~from_hive ~to_hive:shard ~req_bytes:request_size ~resp_bytes (fun () ->
       k value)
 
-let put t ~from_hive ~key v k =
-  let shard = store_hive_of_key key in
-  round_trip t ~from_hive ~to_hive:shard
-    ~req_bytes:(request_size + Value.size v)
-    ~resp_bytes:ack_size
-    (fun () ->
-      Hashtbl.replace t.data key v;
-      k ())
+(* The shard holds [v] once the request has left, whether or not the
+   client hears back. *)
+let write t ~from_hive ~key v ~resp_bytes k =
+  Hashtbl.replace t.data key v;
+  round_trip t ~from_hive ~to_hive:(store_hive_of_key key)
+    ~req_bytes:(request_size + Value.size v) ~resp_bytes k
 
+let put t ~from_hive ~key v k = write t ~from_hive ~key v ~resp_bytes:ack_size k
+
+(* The shard applies [f] itself, as a compare-and-set would, so two
+   updates of one key never overwrite each other; the response carries
+   the stored value. *)
 let update t ~from_hive ~key f k =
-  get t ~from_hive ~key (fun prev ->
-      let v = f prev in
-      put t ~from_hive ~key v (fun () -> k v))
+  let v = f (Hashtbl.find_opt t.data key) in
+  write t ~from_hive ~key v ~resp_bytes:(ack_size + Value.size v) (fun () -> k v)
 
 let fold_keys t f init = Hashtbl.fold f t.data init
 let rpc_latency_percentile t p = Stats.latency_percentile t.rpc_latency p

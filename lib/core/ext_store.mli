@@ -19,19 +19,23 @@ val create : Platform.t -> t
 val get : t -> from_hive:int -> key:string -> (Value.t option -> unit) -> unit
 (** Asynchronous read: charges a request to the shard's hive and a
     response carrying the value; the continuation fires after the round
-    trip. The continuation runs outside any bee transaction — callers are
+    trip, unless [from_hive] crashed meanwhile ({!Platform.since_wipe}).
+    The continuation runs outside any bee transaction — callers are
     stateless Beehive handlers that may only emit further messages. *)
 
 val put : t -> from_hive:int -> key:string -> Value.t -> (unit -> unit) -> unit
 (** Asynchronous write: charges the request carrying the value and an
-    acknowledgement. *)
+    acknowledgement. The shard holds the value from the call on. *)
 
 val update :
   t -> from_hive:int -> key:string -> (Value.t option -> Value.t) ->
   (Value.t -> unit) -> unit
-(** Read-modify-write: one GET followed (after the round trip) by one
-    PUT — exactly the traffic a remote-state application pays for every
-    stat sample. The continuation receives the stored value. *)
+(** Read-modify-write in one round trip: the shard applies [f] to the
+    value it holds, atomically, as a compare-and-set would, so
+    concurrent updates of a key never overwrite each other. Charges the
+    request carrying the new value and a response carrying it back —
+    the traffic a remote-state application pays for every stat sample.
+    The continuation receives the stored value. *)
 
 val fold_keys : t -> (string -> Value.t -> 'a -> 'a) -> 'a -> 'a
 (** Offline introspection of store contents (no traffic charged). *)

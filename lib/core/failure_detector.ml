@@ -103,6 +103,8 @@ let broadcast t =
           with
           | `Lost -> ()
           | `Delivered lat ->
+            (* Kept through a crash: a heartbeat on the wire still
+               lands, and [receive] weighs its stale incarnation. *)
             ignore
               (Engine.schedule_after t.engine lat (fun () ->
                    receive t ~from:s ~at:d ~hb_inc))

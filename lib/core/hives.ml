@@ -18,11 +18,14 @@ type hive = {
       (* in-flight migrations whose destination is this hive; drain
          completion requires zero *)
   mutable inbound_cells : int;  (* their cells, as counted when each started *)
+  mutable wipe_mark : int;
+      (* the engine's push count at the hive's last crash: every event
+         scheduled before it stood for memory the crash erased *)
 }
 
 type t = { mutable hives : hive array }
 
-let fresh () = { life = Up; draining = false; inbound = 0; inbound_cells = 0 }
+let fresh () = { life = Up; draining = false; inbound = 0; inbound_cells = 0; wipe_mark = 0 }
 let create n = { hives = Array.init n (fun _ -> fresh ()) }
 let count t = Array.length t.hives
 let valid t h = h >= 0 && h < count t
@@ -72,10 +75,11 @@ let add t =
   t.hives <- Array.append t.hives [| fresh () |];
   count t - 1
 
-let crash t h =
+let crash t h ~mark =
   match life t h with
   | Up | Fenced ->
     t.hives.(h).life <- Crashed;
+    t.hives.(h).wipe_mark <- mark;
     true
   | Crashed | Decommissioned _ -> false
 
@@ -115,6 +119,8 @@ let decommission t h =
   let r = t.hives.(h) in
   r.life <- Decommissioned { was_crashed = crashed t h };
   r.draining <- false
+
+let wipe_mark t h = t.hives.(h).wipe_mark
 
 let inbound t h = if valid t h then t.hives.(h).inbound else 0
 let inbound_cells t h = t.hives.(h).inbound_cells

@@ -32,6 +32,12 @@ val state : t -> int -> [ `Alive | `Draining | `Fenced | `Crashed | `Decommissio
 val label : [ `Alive | `Draining | `Fenced | `Crashed | `Decommissioned ] -> string
 val members : t -> int list
 
+val wipe_mark : t -> int -> int
+(** The engine's push count at the hive's last crash, 0 if it never
+    crashed. An event scheduled before it (its
+    {!Beehive_sim.Engine.seq} is lower) stood for the hive's memory,
+    which the crash erased. *)
+
 val lowest_running : t -> int option
 (** The lowest-numbered member hive whose process runs (up or fenced). *)
 
@@ -43,8 +49,10 @@ val add : t -> int
     Each returns whether the transition happened, so the caller runs its
     side effects exactly once. *)
 
-val crash : t -> int -> bool
-(** Up or fenced -> crashed. *)
+val crash : t -> int -> mark:int -> bool
+(** Up or fenced -> crashed. [mark], the engine's push count at the
+    crash ({!Beehive_sim.Engine.pushes}), becomes the hive's
+    {!wipe_mark}. *)
 
 val evict : t -> int -> bool
 (** Up -> fenced. *)

@@ -11,8 +11,8 @@ module Log = (val Logs.src_log src : Logs.LOG)
    pre-transfer snapshot when [stale_reads] is set. *)
 let stale_read_window = Simtime.of_ms 3
 
-let transfer engine ~reg ~locks ~hives ~store ~stale_reads ~transmit ~resume ~landed (b : Bee.t)
-    hold =
+let transfer engine ~reg ~locks ~hives ~store ~stale_reads ~transmit ~since_wipe ~resume ~landed
+    (b : Bee.t) hold =
   let dst =
     match hold with
     | Bee.Migrating { dst; _ } -> dst
@@ -48,8 +48,9 @@ let transfer engine ~reg ~locks ~hives ~store ~stale_reads ~transmit ~resume ~la
       ~on_drop:stay
       (fun () ->
         if Bee.holds b hold then
-          if not (Hives.alive hives dst) then
-            (* Destination died mid-transfer. *)
+          if not (Hives.alive hives dst && since_wipe dst) then
+            (* Destination died mid-transfer, or crashed since it
+               received the package, which was in its memory. *)
             stay ()
           else begin
             (match stale_snapshot with

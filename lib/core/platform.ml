@@ -191,6 +191,11 @@ let n_hives t = Hives.count t.hives
 let now t = Engine.now t.engine
 let hive_alive t h = Hives.alive t.hives h
 let hive_crashed t h = Hives.crashed t.hives h
+
+(* Whether the running event was scheduled after hive [h] last lost its
+   memory: the one test of what a crash erases (DESIGN.md §12.4). *)
+let since_wipe t h = Engine.seq (Engine.running t.engine) >= Hives.wipe_mark t.hives h
+
 let hive_draining t h = Hives.draining t.hives h
 let hive_decommissioned t h = Hives.decommissioned t.hives h
 
@@ -278,7 +283,9 @@ let resolve_src t (msg : Message.t) =
    plus [extra] (e.g. lock-service latency already charged). Same-hive
    traffic is a plain scheduled delivery; cross-hive traffic rides the
    at-least-once {!Transport}. [on_drop] runs if the message can never
-   arrive. *)
+   arrive. A same-hive delivery and the [extra] wait after receipt sit
+   in [dst_hive]'s memory: [k] asks {!since_wipe} of the hive it lands
+   on, so it captures nothing more. *)
 let transmit t ~src_ep ~dst_hive ~bytes ~extra ?on_drop k =
   let src_hive = origin_hive_of t src_ep in
   let dst_ep = hive_ep t dst_hive in
@@ -323,10 +330,11 @@ let handle_outbox_ack t ~sender ~seq ~receiver =
     | None -> ()  (* already retired; late duplicate ack *)
     | Some e -> (
       match Hashtbl.find t.bees sender with
-      | sb when hive_crashed t sb.hive || sb.status = `Crashed ->
-        (* The sender's process is down: nothing can write its WAL, so
-           the ack is dropped. Replay after restart re-delivers, the
-           receiver dedups and re-acks. *)
+      | sb when hive_crashed t sb.hive || sb.status = `Crashed || not (since_wipe t sb.hive) ->
+        (* The sender's process is down, or crashed since the ack was
+           queued toward it: nothing can write its WAL, so the ack is
+           dropped. Replay after restart re-delivers, the receiver dedups
+           and re-acks. *)
         ()
       | _ | (exception Not_found) -> if Outbox.ack e ~receiver then retire_outbox_entry t s e))
 
@@ -505,11 +513,6 @@ let replicate t (b : bee) ~pending ~last emits ~inbox =
         ci_bytes = bytes; ci_emits; ci_inbox = inbox }
   | Some _ | None -> ()
 
-(* A crash between dispatch and completion voids the handler: its
-   effects died with the hive. *)
-let still_current (b : bee) inc =
-  b.incarnation = inc && b.status = `Active
-
 let deliver_endpoint t (b : bee) ep (m : Message.t) =
   let lat =
     Channels.transfer t.chans ~src:(hive_ep t b.hive) ~dst:ep ~bytes:m.Message.size
@@ -518,6 +521,8 @@ let deliver_endpoint t (b : bee) ep (m : Message.t) =
   match Hashtbl.find_opt t.endpoints ep with
   | None -> drop t Missing_endpoint
   | Some cb ->
+    (* Kept through a crash of [b]'s hive: the send left at commit and
+       is on the wire to an endpoint outside the hive. *)
     ignore
       (Engine.schedule_after t.engine lat (fun () ->
            try cb m
@@ -556,7 +561,7 @@ let start_transfer t (b : bee) ~dst hold reason ~resume =
     ~stale_reads:(t.cfg.inject = Some Stale_read)
     ~transmit:(fun ~src_ep ~dst_hive ~bytes ~extra ~on_drop k ->
       transmit t ~src_ep ~dst_hive ~bytes ~extra ~on_drop k)
-    ~resume b hold ~landed:(fun ~src ~bytes ->
+    ~since_wipe:(since_wipe t) ~resume b hold ~landed:(fun ~src ~bytes ->
       t.version <- t.version + 1;
       let mig =
         {
@@ -661,18 +666,16 @@ let rec maybe_process t (b : bee) =
     in
     b.handling <- d;
     b.handling_cost <- cost;
-    b.handling_incarnation <- b.incarnation;
     b.handling_event <- Engine.schedule_after t.engine cost b.completion
     end
   end
 
 (* The bee's [completion] callback. Only the event scheduled for the
-   delivery in hand runs its handler: a completion left queued by a
-   crash finds another event in [handling_event] once the revived bee
-   dispatches again, or a bumped incarnation before that. *)
+   delivery in hand runs its handler: a completion left queued when the
+   bee's life ended finds [Engine.none] in [handling_event], or the event
+   of the next dispatch. *)
 and run_completion t (b : bee) =
-  if Engine.running t.engine == b.handling_event && still_current b b.handling_incarnation
-  then begin
+  if Engine.running t.engine == b.handling_event then begin
     let d = b.handling in
     b.handling <- idle;
     let ctx = open_context t b d in
@@ -737,10 +740,12 @@ and complete t (b : bee) (d : Bee.delivery) cost ctx failure =
     d.d_attempts <- d.d_attempts + 1;
     match Outbox.retry_delay ~attempts:d.d_attempts with
     | Some delay ->
+      (* The retry waits in the memory of the bee's hive: a crash there
+         erases it, and so does a fail over to another hive. *)
       let inc = b.incarnation in
       ignore
         (Engine.schedule_after t.engine delay (fun () ->
-             if b.status = `Active && b.incarnation = inc then begin
+             if b.status = `Active && since_wipe t b.hive && b.incarnation = inc then begin
                Mailbox.push d b.mailbox;
                maybe_process t b
              end))
@@ -756,13 +761,15 @@ and route_emits t ~src_ep = function
     route_emits t ~src_ep older;
     route t ~src_ep m
 
+(* A delivery lands in the memory of [b]'s hive, so one scheduled before
+   that hive last crashed was erased with it. *)
 and enqueue t (b : bee) d =
   let b = forwarded t b in
   match b.status with
-  | `Dead | `Crashed -> drop t Dead_target
-  | `Active ->
+  | `Active when since_wipe t b.hive ->
     Mailbox.push d b.mailbox;
     maybe_process t b
+  | `Active | `Dead | `Crashed -> drop t Dead_target
 
 (* Applies the {!Route_plan} for one Cells leg, then sends the message to
    the bee it picked. *)
@@ -997,6 +1004,8 @@ let rec dispatch_outbox_entry t s e ~first =
    that is still there is still durable. *)
 and arm_outbox_recheck t s e =
   let since = Outbox.last_attempt e in
+  (* Kept through the sender's crash: restart replays every entry, a new
+     attempt, so this timer is no longer [still_due]. *)
   ignore
     (Engine.schedule_after t.engine (Outbox.backoff e) (fun () ->
          let current = Store.outbox_entry s ~bee:(Outbox.sender e) ~seq:(Outbox.seq e) in
@@ -1222,13 +1231,13 @@ let failover_bee t (b : bee) ~from_hive ~to_hive r =
   maybe_process t b
 
 (* Process death: the hive stops cold. Local bees die; every other bee
-   crashes (incarnation bump voids in-flight work). No recovery happens
-   here — that is {!failover_hive}'s job, run either immediately (the
-   classic {!fail_hive}) or when the failure detector confirms the
-   death. *)
+   crashes, and the hive's wipe mark voids every event its memory held.
+   No recovery happens here — that is {!failover_hive}'s job, run either
+   immediately (the classic {!fail_hive}) or when the failure detector
+   confirms the death. *)
 let crash_hive t h =
   check_hive t h "crash_hive";
-  if Hives.crash t.hives h then begin
+  if Hives.crash t.hives h ~mark:(Engine.pushes t.engine) then begin
     t.version <- t.version + 1;
     fire t h Crashed;
     (* Batches not yet group-committed die with the hive. *)
@@ -1274,7 +1283,7 @@ let fail_hive t h =
 
 (* Membership eviction of a hive whose process may still be running (a
    confirmed suspicion that could be a false positive). Recoverable
-   replicated bees fail over — their incarnation bump is the stale-claim
+   replicated bees fail over, which ends their old life: the stale-claim
    fence against the possibly-alive old instance. Everything else is
    fenced in place, state and mailbox intact, and resumes on rejoin. *)
 let evict_hive t h =

@@ -417,6 +417,14 @@ val hive_alive : t -> int -> bool
 val hive_crashed : t -> int -> bool
 (** Process dead (via {!fail_hive}/{!crash_hive}), not yet restarted. *)
 
+val since_wipe : t -> int -> bool
+(** [since_wipe t h]: the running event was scheduled after hive [h]
+    last crashed ({!Hives.wipe_mark}). The one test of what a crash
+    erases: an event that stands for [h]'s memory (a delivery or ack
+    queued there, a reply to a request [h] made) does nothing when this
+    is false. A frame on the wire, a heartbeat or a Raft RPC keeps its
+    event (DESIGN.md §12.4). *)
+
 (** {2 Elastic membership}
 
     Runtime join / drain / decommission (the [Beehive_elastic] subsystem

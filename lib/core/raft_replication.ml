@@ -152,6 +152,8 @@ let spawn_member t g ~member =
       with
       | `Lost -> ()
       | `Delivered lat ->
+        (* Kept through a crash: an RPC on the wire still lands, and Raft
+           tolerates stale ones by term. *)
         ignore
           (Engine.schedule_after engine lat (fun () ->
                match Hashtbl.find_opt g.g_nodes dst with

@@ -154,6 +154,8 @@ let rec attempt t l m ~dh =
    with
   | `Lost -> ()
   | `Delivered lat ->
+    (* Kept through a crash: a copy on the wire still lands ([crash_hive]
+       below), and [receive] finds the receiver's process gone or back. *)
     ignore (Engine.schedule_after t.engine lat (fun () -> receive t l m ~dh)));
   arm_timer t l m ~dh
 
@@ -184,6 +186,8 @@ let send t ~src ~dst ~bytes ~on_drop ~deliver =
        timers, whose byte accounting and latency are the failable wire's. *)
     let lat = Channels.transfer t.channels ~src ~dst ~bytes ~now:(Engine.now t.engine) in
     t.delivered <- t.delivered + 1;
+    (* Kept through a crash of either end: the frame is on the wire, and
+       [deliver] decides what its landing means. *)
     ignore (Engine.schedule_after t.engine lat deliver)
   end
   else begin

@@ -34,6 +34,8 @@ let create ?(seed = 42) () =
 let now t = t.clock
 let rng t = t.root_rng
 let running t = t.running
+let seq = Event_queue.seq
+let pushes t = Event_queue.pushes t.queue
 
 let schedule_at t at f =
   if Simtime.(at < t.clock) then invalid_arg "Engine.schedule_at: in the past";

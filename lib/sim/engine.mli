@@ -51,6 +51,15 @@ val running : t -> handle
     compares it with the handle it kept from its latest scheduling to
     tell its current occurrence from a stale one. *)
 
+val seq : handle -> int
+(** The event's push number: events scheduled later have larger ones,
+    and {!none}'s is -1. *)
+
+val pushes : t -> int
+(** How many events were scheduled so far: every event scheduled from
+    now on has a {!seq} at least this. A caller that keeps it can later
+    tell whether the {!running} event was scheduled before or after. *)
+
 val run_until : t -> Simtime.t -> unit
 (** Executes events in order until the queue is exhausted or the next event
     is strictly after the horizon; leaves the clock at the horizon. The

@@ -18,6 +18,7 @@ let create () = { heap = [||]; size = 0; next_seq = 0; live = 0 }
 let is_empty t = t.live = 0
 let value e = e.value
 let seq e = e.seq
+let pushes t = t.next_seq
 let detached value = { at = Simtime.zero; seq = -1; value; queued = false }
 
 let entry_lt a b =

@@ -28,6 +28,10 @@ val seq : 'a handle -> int
 (** The event's push number: distinct for every push into one queue, and
     -1 for a {!detached} handle. *)
 
+val pushes : 'a t -> int
+(** How many events were pushed so far: every event pushed from now on
+    gets a push number at least this. *)
+
 val detached : 'a -> 'a handle
 (** A handle that was never queued: it is not the handle of any pushed
     event, and cancelling it returns [false]. A placeholder for a

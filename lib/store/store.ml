@@ -577,6 +577,8 @@ let append t ~bee ~hive ~outbox ~inbox writes =
     bump_out_seq bl outbox;
     if not t.armed then begin
       t.armed <- true;
+      (* Kept through a hive's crash: the group commit serves every hive,
+         and a crash takes its own records out with [drop_pending]. *)
       ignore (Engine.schedule_after t.engine fsync_latency (commit_armed t))
     end
   end

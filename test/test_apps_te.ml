@@ -418,9 +418,9 @@ let prop_collect_stats_matches_oracle =
 (* Every TE design installs the same routes: SNAP's promise (one program,
    any state placement, the same behaviour) as a differential test. Each
    design runs the quick scenario; the last FlowMod it sends for each
-   (switch, match) is its final route table. Te_external is left out: its
-   read-modify-write topology loses links, so it installs almost none of
-   these routes (arc 3(b) of the roadmap, still open). *)
+   (switch, match) is its final route table. Te_external takes part: its
+   store applies each topology update at the shard, so no link event
+   overwrites another. *)
 module Wire = Beehive_openflow.Wire
 module Flow_table = Beehive_openflow.Flow_table
 
@@ -431,6 +431,7 @@ let te_designs =
     ("decoupled", Scenario.Te_decoupled, false, false);
     ("optimized", Scenario.Te_decoupled, true, false);
     ("optimized, pinned to hive 0", Scenario.Te_decoupled, true, true);
+    ("external", Scenario.Te_external, false, false);
   ]
 
 (* The final FlowMods of one run, in (switch, match) order, and the

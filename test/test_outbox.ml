@@ -225,6 +225,24 @@ let test_torn_record_emit_not_replayed () =
     (count (journal_count platform "a"))
     (count (kv_count platform "a"))
 
+(* Both bees live on hive 0. At the first fsync (125 µs) the forwarder's
+   emit is handed to routing, and its delivery to the kv bee waits in
+   hive 0's memory. A crash erases it: the restarted kv bee must not
+   handle it. The forwarder's durable entry replays instead, and the
+   kv bee applies the put once, from the replay, with no duplicate to
+   suppress. *)
+let test_crash_erases_queued_delivery () =
+  let engine, platform, _ = make () in
+  inject platform ~from:0 "a";
+  Engine.run_until engine (Simtime.of_us 125);
+  Platform.fail_hive platform 0;
+  Platform.restart_hive platform 0;
+  drain engine;
+  let gauge name = List.assoc name (Platform.gauges platform) in
+  Alcotest.(check (option int)) "kv a" (Some 1) (kv_count platform "a");
+  Alcotest.(check int) "no duplicate suppressed" 0 (gauge "outbox.dups_suppressed");
+  Alcotest.(check int) "the erased delivery is a drop" 1 (gauge "dropped.dead_target")
+
 (* Crash the receiver after its mark is durable but before the ack
    reaches the sender: the sender replays, and the receiver's durable
    inbox — not the transport's in-memory dedup, which died with the
@@ -801,6 +819,8 @@ let suite =
           test_receiver_restart_dedups_replay;
         Alcotest.test_case "a torn record's emit is not replayed" `Quick
           test_torn_record_emit_not_replayed;
+        Alcotest.test_case "a crash erases the deliveries queued in memory" `Quick
+          test_crash_erases_queued_delivery;
         Alcotest.test_case "poison quarantined after retry budget" `Quick
           test_poison_quarantined_after_budget;
         Alcotest.test_case "transient failure retries then succeeds" `Quick

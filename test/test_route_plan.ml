@@ -88,11 +88,11 @@ let test_merge_winner_most_cells_lowest_id () =
 
 let test_crashed_owner_never_wins () =
   let ((_, hives, _) as env) = setup [ (0, [ "a" ]); (1, [ "b"; "c"; "d" ]) ] in
-  ignore (Hives.crash hives 1);
+  ignore (Hives.crash hives 1 ~mark:0);
   Alcotest.check plan "the larger bee is on a crashed hive"
     (Route_plan.Merge { winner = 0; losers = [ 1 ] })
     (decide env ~origin:0 (cells [ "a"; "b" ]));
-  ignore (Hives.crash hives 0);
+  ignore (Hives.crash hives 0 ~mark:0);
   Alcotest.check plan "every owner crashed" Route_plan.Drop
     (decide env ~origin:2 (cells [ "a"; "b" ]))
 
