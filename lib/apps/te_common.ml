@@ -7,13 +7,15 @@ module Simtime = Beehive_sim.Simtime
 module Wire = Beehive_openflow.Wire
 module Flow_table = Beehive_openflow.Flow_table
 
+type sample_times = All_at of float | Each of float array
+
 type obs = {
   ob_flows : int array;
   ob_srcs : int array;
   ob_dsts : int array;
   ob_rates : float array;
   ob_last_bytes : float array;
-  ob_last_t : float array;
+  ob_times : sample_times;
   ob_handled : bool array;
 }
 
@@ -22,6 +24,7 @@ type Value.t +=
   | V_links of int list
 
 let n_obs o = Array.length o.ob_flows
+let last_t o i = match o.ob_times with All_at t -> t | Each ts -> ts.(i)
 
 let () =
   Value.register_size (function
@@ -36,7 +39,7 @@ let no_obs =
     ob_dsts = [||];
     ob_rates = [||];
     ob_last_bytes = [||];
-    ob_last_t = [||];
+    ob_times = Each [||];
     ob_handled = [||];
   }
 
@@ -65,20 +68,20 @@ let order flows =
   p
 
 (* The common case: the reply samples exactly [prev]'s flows, once each
-   and in the same order. Only the rates and sample times are new; the
-   byte counters are the reply's own array. A flow's rate is its byte
-   delta over the time since its last sample, or the old rate when no
-   time has passed. *)
+   and in the same order. Only the rates are new, and one sample time
+   for all of them; the byte counters are the reply's own array. A
+   flow's rate is its byte delta over the time since its last sample, or
+   the old rate when no time has passed. *)
 let observe_all ~now prev (stats : Wire.flow_stats) =
   let n = n_obs prev in
-  let rates = Array.make n 0.0 and last_t = Array.make n now in
+  let rates = Array.make n 0.0 in
   for i = 0 to n - 1 do
-    let dt = now -. prev.ob_last_t.(i) in
+    let dt = now -. last_t prev i in
     rates.(i) <-
       (if dt > 0.0 then (stats.Wire.fs_bytes.(i) -. prev.ob_last_bytes.(i)) /. dt
        else prev.ob_rates.(i))
   done;
-  { prev with ob_rates = rates; ob_last_bytes = stats.Wire.fs_bytes; ob_last_t = last_t }
+  { prev with ob_rates = rates; ob_last_bytes = stats.Wire.fs_bytes; ob_times = All_at now }
 
 (* Any other reply: one merge of [prev] and the reply, each walked in
    flow order. A flow without a sample is copied; a new flow takes its
@@ -90,7 +93,7 @@ let merge_obs ~now prev (stats : Wire.flow_stats) =
   let cap = np + ns in
   let flows = Array.make cap 0 and srcs = Array.make cap 0 and dsts = Array.make cap 0 in
   let rates = Array.make cap 0.0 and last_bytes = Array.make cap 0.0 in
-  let last_t = Array.make cap 0.0 and handled = Array.make cap false in
+  let times = Array.make cap 0.0 and handled = Array.make cap false in
   let i = ref 0 and j = ref 0 and k = ref 0 in
   while !i < np || !j < ns do
     let o = !k in
@@ -101,7 +104,7 @@ let merge_obs ~now prev (stats : Wire.flow_stats) =
       srcs.(o) <- stats.Wire.fs_srcs.(s);
       dsts.(o) <- stats.Wire.fs_dsts.(s);
       last_bytes.(o) <- stats.Wire.fs_bytes.(s);
-      last_t.(o) <- now;
+      times.(o) <- now;
       incr j
     end
     else begin
@@ -111,16 +114,16 @@ let merge_obs ~now prev (stats : Wire.flow_stats) =
       dsts.(o) <- prev.ob_dsts.(p);
       rates.(o) <- prev.ob_rates.(p);
       last_bytes.(o) <- prev.ob_last_bytes.(p);
-      last_t.(o) <- prev.ob_last_t.(p);
+      times.(o) <- last_t prev p;
       handled.(o) <- prev.ob_handled.(p);
       incr i
     end;
     while !j < ns && stats.Wire.fs_flows.(sp.(!j)) = flows.(o) do
       let s = sp.(!j) in
-      let dt = now -. last_t.(o) in
+      let dt = now -. times.(o) in
       if dt > 0.0 then rates.(o) <- (stats.Wire.fs_bytes.(s) -. last_bytes.(o)) /. dt;
       last_bytes.(o) <- stats.Wire.fs_bytes.(s);
-      last_t.(o) <- now;
+      times.(o) <- now;
       incr j
     done;
     incr k
@@ -132,7 +135,7 @@ let merge_obs ~now prev (stats : Wire.flow_stats) =
     ob_dsts = fit dsts;
     ob_rates = fit rates;
     ob_last_bytes = fit last_bytes;
-    ob_last_t = fit last_t;
+    ob_times = Each (fit times);
     ob_handled = fit handled;
   }
 
@@ -179,10 +182,17 @@ let path_uses_link path ~a ~b =
   in
   go path
 
+(* [adjacency_of_dict]'s result, refilled in place by each call and made
+   anew only when the switch count changes. No handler keeps it past its
+   own run, and the engine runs one handler at a time. *)
+let adjacency = ref [||]
+
 let adjacency_of_dict ctx ~dict =
   let n = ref 0 in
   Context.iter_dict ctx ~dict (fun key _ -> n := Int.max !n (int_of_string key + 1));
-  let adj = Array.make !n [] in
+  if Array.length !adjacency = !n then Array.fill !adjacency 0 !n []
+  else adjacency := Array.make !n [];
+  let adj = !adjacency in
   Context.iter_dict ctx ~dict (fun key v ->
       match v with V_links links -> adj.(int_of_string key) <- links | _ -> ());
   adj

@@ -11,13 +11,18 @@
     keeps its state. Every [Route], {!Te_external}'s too, installs its
     FlowMods through {!reroute}. *)
 
+(** When each flow was last sampled. *)
+type sample_times =
+  | All_at of float  (** every flow, by one reply that sampled them all *)
+  | Each of float array  (** per flow, after a merge *)
+
 type obs = {
   ob_flows : int array;  (** flow ids, strictly ascending *)
   ob_srcs : int array;
   ob_dsts : int array;
   ob_rates : float array;  (** bytes/s estimated from the last two samples *)
   ob_last_bytes : float array;
-  ob_last_t : float array;
+  ob_times : sample_times;  (** read through {!last_t} *)
   ob_handled : bool array;
       (** already re-routed (naive) or already reported to Route
           (decoupled) *)
@@ -34,6 +39,10 @@ val no_obs : obs
 (** No flows observed yet. *)
 
 val n_obs : obs -> int
+
+val last_t : obs -> int -> float
+(** [last_t obs i]: when the flow at position [i] was last sampled, in
+    seconds. *)
 
 (** {2 Message kinds and payloads} *)
 
@@ -55,8 +64,9 @@ val collect_stats : now:float -> prev:obs -> Beehive_openflow.Wire.flow_stats ->
     in flow order; a flow sampled twice in one reply takes both samples
     in turn. When the reply samples exactly [prev]'s flows in flow order
     (a switch's every reply after its first), the result shares [prev]'s
-    id and handled arrays and the reply's byte array; otherwise it is one
-    merge of the two in flow order. *)
+    id and handled arrays and the reply's byte array, and keeps one
+    sample time ([All_at now]); otherwise it is one merge of the two in
+    flow order, with a sample time per flow. *)
 
 val delta : float
 (** Figure 2's re-routing threshold, 100_000 bytes/s: a flow above it is hot. *)
@@ -83,7 +93,9 @@ val path_uses_link : int list -> a:int -> b:int -> bool
 val adjacency_of_dict : Beehive_core.Context.t -> dict:string -> int list array
 (** The recorded topology, indexed by switch id: entry [sw] is the
     [V_links] list stored under key [sw] itself, [[]] for an id without
-    one. *)
+    one. The array is scratch: the next call refills it in place (and
+    makes a new one only when the switch count changes), so it must not
+    outlive the handler that asked for it. *)
 
 val adjacency_of_edges : (int * int) list -> int list array
 (** The same view built from directed edges [(a, b)]: entry [a] lists

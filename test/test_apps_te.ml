@@ -214,6 +214,120 @@ let test_bfs_path_allocation () =
     done
   done
 
+(* A handler's context holding each of [dicts], given as (name,
+   entries), whole. *)
+let context_over dicts =
+  let module State = Beehive_core.State in
+  let module Message = Beehive_core.Message in
+  let st = State.create () in
+  let tx = State.begin_tx st in
+  List.iter
+    (fun (dict, entries) -> List.iter (fun (key, v) -> State.tx_set tx ~dict ~key v) entries)
+    dicts;
+  State.commit tx;
+  Beehive_core.Context.make ~read_shadow:None
+    ~src:(Message.From_bee { bee = 1; hive = 0; app = Te_decoupled.app_name })
+    ~now:(fun () -> Simtime.zero)
+    ~rng:(Beehive_sim.Rng.create 1)
+    ~allowed:(Cell.Set.of_list (List.map (fun (dict, _) -> Cell.whole dict) dicts))
+    ~tx:(State.begin_tx st)
+    ~message:
+      (Message.make ~kind:"test.noop" ~src:Message.From_system ~sent_at:Simtime.zero
+         (Helpers.Noop 0))
+    ~late:(fun _ _ ?size:_ ~kind:_ _ -> ())
+
+(* The topology dictionary of a random graph on [n] switches: switch
+   [n - 1] always has a neighbour list, any other may have none or hold
+   a value that is not one. *)
+let random_topology n =
+  QCheck.Gen.(
+    array_size (return n) (pair (int_bound 3) (list_size (0 -- 4) (int_bound n)))
+    >|= fun a ->
+    List.concat
+      (List.mapi
+         (fun sw (shape, links) ->
+           let key = string_of_int sw in
+           if sw = n - 1 || shape >= 2 then [ (key, Beehive_apps.Te_common.V_links links) ]
+           else if shape = 1 then [ (key, Beehive_core.Value.V_int sw) ]
+           else [])
+         (Array.to_list a)))
+
+(* The adjacency [adjacency_of_dict] built before it reused its array:
+   a fresh one per call. *)
+let fresh_adjacency entries =
+  let n = List.fold_left (fun n (key, _) -> Int.max n (int_of_string key + 1)) 0 entries in
+  let adj = Array.make n [] in
+  List.iter
+    (fun (key, v) ->
+      match v with
+      | Beehive_apps.Te_common.V_links links -> adj.(int_of_string key) <- links
+      | _ -> ())
+    entries;
+  adj
+
+let adjacency_matches (entries, src, dst) =
+  let module Te = Beehive_apps.Te_common in
+  let adj = Te.adjacency_of_dict (context_over [ ("topology", entries) ]) ~dict:"topology" in
+  let fresh = fresh_adjacency entries in
+  adj = fresh && Te.bfs_path adj ~src ~dst = Te.bfs_path fresh ~src ~dst
+
+(* Each case reads a small topology, a large one, another small one of
+   the same size and the first again: the reused array must neither
+   keep a larger graph's length nor a same-sized graph's lists. *)
+let prop_adjacency_matches_fresh =
+  let topology n =
+    QCheck.Gen.(triple (random_topology n) (int_range (-2) (n + 3)) (int_range (-2) (n + 3)))
+  in
+  let gen =
+    QCheck.Gen.(
+      int_bound 10 >>= fun small ->
+      int_range (small + 1) 20 >>= fun large ->
+      triple (topology small) (topology large) (topology small))
+  in
+  QCheck.Test.make ~name:"adjacency_of_dict matches a fresh build" ~count:2000
+    (QCheck.make gen)
+    (fun (small, large, small') ->
+      adjacency_matches small && adjacency_matches large && adjacency_matches small'
+      && adjacency_matches small)
+
+(* Words one Route traffic update allocates on the 160-switch tree, for
+   a fresh flow from switch 0 to switch 159 (OCaml 5.1.1): the key, the
+   path, the FlowMod and its message, the route record and the closures
+   that walk the topology. A fresh adjacency array alone is 161 words. *)
+let route_update_words_bound = 110.0
+
+let test_route_update_allocation () =
+  let module Te = Beehive_apps.Te_common in
+  let module Message = Beehive_core.Message in
+  let topo = Beehive_net.Topology.tree ~arity:4 ~n_switches:160 in
+  let topology =
+    List.init 160 (fun sw -> (string_of_int sw, Te.V_links (Beehive_net.Topology.neighbors topo sw)))
+  in
+  let route =
+    List.find
+      (fun (h : Beehive_core.App.handler) -> String.equal h.on_kind Te.k_traffic_update)
+      (Te_decoupled.app ()).Beehive_core.App.handlers
+  in
+  let update flow =
+    let ctx = context_over [ ("topology", topology); (Te_decoupled.dict_route, []) ] in
+    let msg =
+      Message.make ~kind:Te.k_traffic_update ~src:Message.From_system ~sent_at:Simtime.zero
+        (Te.Traffic_update { tu_flow = flow; tu_src = 0; tu_dst = 159; tu_rate = 1e6 })
+    in
+    (ctx, msg)
+  in
+  (* The first update sizes the scratch arrays. *)
+  let ctx, msg = update 1000 in
+  route.rcv ctx msg;
+  let ctx, msg = update 1001 in
+  let words = Helpers.minor_words_of (fun () -> route.rcv ctx msg) in
+  Alcotest.(check int) "one FlowMod" 1 (List.length (Beehive_core.Context.emitted ctx));
+  Alcotest.(check bool) "route recorded" true
+    (Beehive_core.Context.mem ctx ~dict:Te_decoupled.dict_route ~key:"1001");
+  if words > route_update_words_bound then
+    Alcotest.failf "a Route update allocated %.0f words (bound %.0f)" words
+      route_update_words_bound
+
 let test_collect_stats_rates () =
   let open Beehive_apps.Te_common in
   let stat ~flow ~bytes =
@@ -234,6 +348,35 @@ let test_collect_stats_rates () =
   let marked = mark_handled obs2 hot in
   Alcotest.(check int) "handled flows not hot again" 0
     (List.length (hot_flows ~delta:1000.0 marked))
+
+(* A switch's steady-state reply over 40 flows, every flow sampled in
+   flow order: [collect_stats] allocates the new rates (41 words), the
+   record (8) and its one sample time (2), but no array of sample
+   times, which would be 41 words more. *)
+let collect_words_bound = 51.0
+
+let test_collect_stats_allocation () =
+  let open Beehive_apps.Te_common in
+  let n = 40 in
+  let flows = Array.init n Fun.id in
+  let reply k =
+    {
+      Beehive_openflow.Wire.fs_flows = flows;
+      fs_srcs = Array.make n 0;
+      fs_dsts = Array.make n 1;
+      fs_bytes = Array.init n (fun i -> float_of_int ((k * 100_000) + i));
+    }
+  in
+  let first = collect_stats ~now:1.0 ~prev:no_obs (reply 1) in
+  let prev = collect_stats ~now:2.0 ~prev:first (reply 2) in
+  let stats = reply 3 and now = 3.0 in
+  let next = ref prev in
+  let words = Helpers.minor_words_of (fun () -> next := collect_stats ~now ~prev stats) in
+  Alcotest.(check bool) "one sample time" true (!next.ob_times = All_at 3.0);
+  Alcotest.(check (float 0.0)) "rate" 100_000.0 !next.ob_rates.(n - 1);
+  if words > collect_words_bound then
+    Alcotest.failf "a steady-state reply allocated %.0f words (bound %.0f)" words
+      collect_words_bound
 
 (* The oracle's view of a reply and of the observations: one record per
    sample and per flow, as both were before they were packed. *)
@@ -258,6 +401,8 @@ let pack_reply stats =
     fs_bytes = field (fun s -> s.fs_bytes);
   }
 
+(* Observations whose flows were all sampled at one time keep that one
+   time, as a full reply leaves them; any others keep a time per flow. *)
 let pack_obs obs =
   let field f = Array.of_list (List.map f obs) in
   {
@@ -266,7 +411,10 @@ let pack_obs obs =
     ob_dsts = field (fun o -> o.fo_dst);
     ob_rates = field (fun o -> o.fo_rate);
     ob_last_bytes = field (fun o -> o.fo_last_bytes);
-    ob_last_t = field (fun o -> o.fo_last_t);
+    ob_times =
+      (match obs with
+      | o :: rest when List.for_all (fun r -> r.fo_last_t = o.fo_last_t) rest -> All_at o.fo_last_t
+      | _ -> Each (field (fun o -> o.fo_last_t)));
     ob_handled = field (fun o -> o.fo_handled);
   }
 
@@ -278,7 +426,7 @@ let unpack_obs (o : Beehive_apps.Te_common.obs) =
         fo_dst = o.ob_dsts.(i);
         fo_rate = o.ob_rates.(i);
         fo_last_bytes = o.ob_last_bytes.(i);
-        fo_last_t = o.ob_last_t.(i);
+        fo_last_t = Beehive_apps.Te_common.last_t o i;
         fo_handled = o.ob_handled.(i);
       })
 
@@ -512,8 +660,13 @@ let suite =
         Alcotest.test_case "bfs path" `Quick test_bfs_path;
         QCheck_alcotest.to_alcotest prop_bfs_path_matches_reference;
         Alcotest.test_case "path search allocates only its path" `Quick test_bfs_path_allocation;
+        QCheck_alcotest.to_alcotest prop_adjacency_matches_fresh;
+        Alcotest.test_case "Route update reuses the adjacency" `Quick
+          test_route_update_allocation;
         Alcotest.test_case "collect_stats rates" `Quick test_collect_stats_rates;
         Alcotest.test_case "collect_stats merge cases" `Quick test_collect_stats_cases;
+        Alcotest.test_case "steady-state collect_stats keeps one sample time" `Quick
+          test_collect_stats_allocation;
         QCheck_alcotest.to_alcotest prop_collect_stats_matches_oracle;
         Alcotest.test_case "TE designs install the same routes" `Slow
           test_designs_install_same_routes;

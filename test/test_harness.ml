@@ -103,7 +103,9 @@ let show_value = function
     String.concat ";"
       (List.init (Beehive_apps.Te_common.n_obs o) (fun i ->
            Printf.sprintf "%d:%d->%d %h %h %h %b" o.ob_flows.(i) o.ob_srcs.(i) o.ob_dsts.(i)
-             o.ob_rates.(i) o.ob_last_bytes.(i) o.ob_last_t.(i) o.ob_handled.(i)))
+             o.ob_rates.(i) o.ob_last_bytes.(i)
+             (Beehive_apps.Te_common.last_t o i)
+             o.ob_handled.(i)))
   | Beehive_apps.Te_common.V_links l -> String.concat " " (List.map string_of_int l)
   | v -> Format.asprintf "%a/%d" Beehive_core.Value.pp v (Beehive_core.Value.size v)
 
