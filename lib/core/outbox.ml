@@ -1,9 +1,8 @@
 (* The exactly-once ledger: each emit's delivery bookkeeping, when to
-   replay it, which acks wait on a receiver's fsync, and which messages
-   were quarantined. Which emits are still un-acked is the store's
-   outbox, where each row carries its entry; the entry keeps the message
-   itself, the sim's stand-in for deserializing the payload back out of
-   the log on replay. *)
+   replay it, and which messages were quarantined. Which emits are still
+   un-acked is the store's outbox, where each row carries its entry; the
+   entry keeps the message itself, the sim's stand-in for deserializing
+   the payload back out of the log on replay. *)
 
 module Simtime = Beehive_sim.Simtime
 module Store = Beehive_store.Store
@@ -26,9 +25,6 @@ type entry = {
 }
 
 type t = {
-  acks : (int, (int * int * int) list ref) Hashtbl.t;
-      (* per receiver hive, newest first: (sender, seq, receiver bee) acks
-         waiting for the receiver's inbox mark to be fsynced *)
   quarantine : (int, (Message.t * string) list ref) Hashtbl.t;
       (* per bee, newest first: messages whose retry budget is exhausted,
          with the exception that killed the last attempt *)
@@ -39,7 +35,6 @@ type t = {
 
 let create () =
   {
-    acks = Hashtbl.create 8;
     quarantine = Hashtbl.create 8;
     n_quarantined = 0;
     n_dups = 0;
@@ -98,19 +93,6 @@ let still_due e ~current ~since =
   match current with
   | Some e' -> e' == e && Simtime.equal e.last_attempt since
   | None -> false
-
-let queue_ack t ~hive ~sender ~seq ~receiver =
-  match Hashtbl.find t.acks hive with
-  | q -> q := (sender, seq, receiver) :: !q
-  | exception Not_found -> Hashtbl.add t.acks hive (ref [ (sender, seq, receiver) ])
-
-let queued_acks t ~hive =
-  match Hashtbl.find t.acks hive with q -> !q | exception Not_found -> []
-
-let keep_acks t ~hive acks =
-  match Hashtbl.find t.acks hive with q -> q := acks | exception Not_found -> ()
-
-let clear_acks t ~hive = keep_acks t ~hive []
 
 let next_virtual_seq t =
   t.virtual_seq <- t.virtual_seq + 1;

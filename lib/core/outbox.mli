@@ -6,11 +6,13 @@
     entry rides its row in the sender's store outbox
     ({!Beehive_store.Store.emit}), which is the one record of them — a
     crash, a torn tail, a re-seed or an ack that removes the row removes
-    the entry with it. The ledger itself holds the receiver-side acks
-    waiting for a hive's next fsync, the virtual sequence numbers given
-    to injected and system messages, and the quarantine of messages whose
-    handler exhausted its retry budget. {!Platform} owns one and does the
-    routing and transmission; nothing here calls back into it. *)
+    the entry with it. Nor are the acks a receiver owes: the store hands
+    each one over when the fsync makes its inbox mark durable
+    ({!Beehive_store.Store.append}). The ledger itself holds the virtual
+    sequence numbers given to injected and system messages, and the
+    quarantine of messages whose handler exhausted its retry budget.
+    {!Platform} owns one and does the routing and transmission; nothing
+    here calls back into it. *)
 
 type t
 type entry
@@ -51,20 +53,6 @@ val still_due : entry -> current:entry option -> since:Beehive_sim.Simtime.t -> 
     [current], what the sender's store outbox holds under the entry's seq
     now, is this very entry, and no newer attempt superseded it. *)
 
-val queue_ack : t -> hive:int -> sender:int -> seq:int -> receiver:int -> unit
-(** Queues a [(sender, seq, receiver bee)] ack behind the receiver hive's
-    next fsync. *)
-
-val queued_acks : t -> hive:int -> (int * int * int) list
-(** The hive's queued acks, newest first. *)
-
-val keep_acks : t -> hive:int -> (int * int * int) list -> unit
-(** Replaces the hive's queue, newest first, with the part of
-    {!queued_acks} that must keep waiting. *)
-
-val clear_acks : t -> hive:int -> unit
-(** The hive crashed: its queued acks were in memory. *)
-
 val next_virtual_seq : t -> int
 (** Sequence numbers for the virtual sender [-1]: deduped by receivers,
     never replayed or acked. *)
@@ -76,7 +64,9 @@ val duplicates : t -> int
 (** {2 Retry and quarantine} *)
 
 val retry_budget : int
-(** Handler attempts a delivery gets (first try included). *)
+(** Handler attempts a delivery gets (first try included). Only
+    {!retry_delay} reads it here; it is exported so the tests that count
+    a poisoned message's attempts follow it. *)
 
 val retry_delay : attempts:int -> Beehive_sim.Simtime.t option
 (** Backoff before the next attempt after [attempts] failed ones (200 us

@@ -109,7 +109,6 @@ type hive_event =
 
 type commit_info = {
   ci_bee : int;
-  ci_app : string;
   ci_hive : int;
   ci_writes : (string * string * Value.t option) list;
   ci_bytes : int;
@@ -171,8 +170,8 @@ type t = {
   drops : int array;  (* indexed by [drop_slot] *)
   outbox : Outbox.t;
   mutable ack_batches : (int * int * int) list array;
-      (* indexed by hive id: the durable acks one [drain_outbox_acks]
-         sends to that hive, newest first; all empty between calls *)
+      (* indexed by hive id: the handed-over acks one [send_acks] sends
+         to that hive, newest first; all empty between calls *)
   mutable n_handler_faults : int;
       (* exceptions contained at the dispatch boundary: map/cost/timer/
          endpoint callbacks that raised *)
@@ -309,12 +308,13 @@ let transmit t ~src_ep ~dst_hive ~bytes ~extra ?on_drop k =
     Transport.send t.transport ~src:src_ep ~dst:dst_ep ~bytes ~on_drop ~deliver
   end
 
-let duplicate_delivery t (b : bee) (d : Bee.delivery) =
+(* What the bee's durable inbox holds of the delivery's mark: one store
+   lookup decides both whether to suppress it and whether to re-ack. *)
+let inbox_mark t (b : bee) (d : Bee.delivery) =
   match (d.d_outbox, t.store, t.cfg.inject) with
-  | _, _, Some Dedup_off -> false
-  | Some (sender, seq), Some s, _ when not b.is_local ->
-    Store.inbox_seen s ~bee:b.id ~sender ~seq
-  | _ -> false
+  | _, _, Some Dedup_off -> Store.Unseen
+  | Some mark, Some s, _ when not b.is_local -> Store.inbox_mark s ~bee:b.id mark
+  | _ -> Store.Unseen
 
 (* Entries exist only on a durable platform, in its store's outbox. *)
 let retire_outbox_entry t s e =
@@ -345,19 +345,19 @@ let send_outbox_ack t ~from_hive ~sender ~seq ~receiver =
     transmit t ~src_ep:(hive_ep t from_hive) ~dst_hive:sb.hive ~bytes:16
       ~extra:Simtime.zero (fun () -> handle_outbox_ack t ~sender ~seq ~receiver)
 
+(* Re-acks a duplicate whose mark is durable: the sender evidently lost
+   the first ack. A pending mark is not re-acked; the store hands its
+   ack over when this hive's fsync commits it. *)
 let ack_duplicate t (b : bee) (d : Bee.delivery) =
-  match (d.d_outbox, t.store) with
-  | Some (sender, seq), Some s when sender >= 0 ->
-    (* Only once the mark is durable may we ack; a pending mark means the
-       original delivery's ack is still queued behind this hive's fsync. *)
-    if Store.inbox_durable s ~bee:b.id ~sender ~seq then
-      send_outbox_ack t ~from_hive:b.hive ~sender ~seq ~receiver:b.id
+  match d.d_outbox with
+  | Some (sender, seq) when sender >= 0 ->
+    send_outbox_ack t ~from_hive:b.hive ~sender ~seq ~receiver:b.id
   | _ -> ()
 
 (* Handles one destination's acks, given newest first, oldest first. *)
 let rec handle_outbox_acks t = function
   | [] -> ()
-  | (sender, seq, receiver) :: older ->
+  | (receiver, sender, seq) :: older ->
     handle_outbox_acks t older;
     handle_outbox_ack t ~sender ~seq ~receiver
 
@@ -370,46 +370,32 @@ let batch_ack t dst ack =
   end;
   t.ack_batches.(dst) <- ack :: t.ack_batches.(dst)
 
-(* Walks a hive's queued acks, given newest first, oldest first: each
-   ack whose inbox mark is durable joins its sender's hive's batch in
-   [t.ack_batches], newest first, and the acks still waiting come back
-   newest first — the queue's own cells when none older was ready. *)
-let rec sort_acks t s = function
-  | [] -> []
-  | ((sender, seq, receiver) as ack) :: older as queue ->
-    let waiting = sort_acks t s older in
-    if Store.inbox_durable s ~bee:receiver ~sender ~seq then begin
-      (match Hashtbl.find t.bees sender with
-      | sb -> batch_ack t sb.hive ack
-      | exception Not_found -> ());
-      waiting
-    end
-    else if waiting == older then queue
-    else ack :: waiting
+(* Sorts handed-over acks, given newest first, oldest first into their
+   sender's current hive's batch in [t.ack_batches], newest first. *)
+let rec batch_acks t = function
+  | [] -> ()
+  | ((_, sender, _) as ack) :: older -> (
+    batch_acks t older;
+    match Hashtbl.find t.bees sender with
+    | sb -> batch_ack t sb.hive ack
+    | exception Not_found -> ())
 
-(* Receiver-side half of the ack path, run at each hive fsync: every ack
-   whose inbox mark just became durable is sent to the sender's current
-   hive; marks still riding a pending record stay queued. Acks bound for
-   the same hive ride one transport message, sent in hive order —
-   per-message acks would double the fabric's message count on the
-   healthy path. *)
-let drain_outbox_acks t hive =
-  match t.store with
-  | None -> ()
-  | Some s -> (
-    match Outbox.queued_acks t.outbox ~hive with
+(* Receiver-side half of the ack path, run at each hive fsync with the
+   acks the store handed over: the marks that fsync made durable. Each
+   is sent to its sender's current hive. Acks bound for the same hive
+   ride one transport message, sent in hive order — per-message acks
+   would double the fabric's message count on the healthy path. *)
+let send_acks t hive acks =
+  batch_acks t acks;
+  for dst = 0 to Array.length t.ack_batches - 1 do
+    match t.ack_batches.(dst) with
     | [] -> ()
-    | queue ->
-      Outbox.keep_acks t.outbox ~hive (sort_acks t s queue);
-      for dst = 0 to Array.length t.ack_batches - 1 do
-        match t.ack_batches.(dst) with
-        | [] -> ()
-        | acks ->
-          t.ack_batches.(dst) <- [];
-          transmit t ~src_ep:(hive_ep t hive) ~dst_hive:dst
-            ~bytes:(16 * List.length acks) ~extra:Simtime.zero
-            (fun () -> handle_outbox_acks t acks)
-      done)
+    | acks ->
+      t.ack_batches.(dst) <- [];
+      transmit t ~src_ep:(hive_ep t hive) ~dst_hive:dst
+        ~bytes:(16 * List.length acks) ~extra:Simtime.zero
+        (fun () -> handle_outbox_acks t acks)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Handler execution helpers                                           *)
@@ -490,13 +476,14 @@ let rec numbered ~seq acc = function
 
 (* Ships one committed transaction to the installed replicator, if the
    bee's app is replicated: its write list, its tracked emits (newest
-   first, numbered up to [last]) and its inbox marks. *)
-let replicate t (b : bee) ~pending ~last emits ~inbox =
+   first, numbered up to [last]) and the inbox mark it consumed. *)
+let replicate t (b : bee) ~pending ~last emits ~consumed =
   match t.replicator with
   | Some r
     when b.app.App.replicated && (not b.is_local)
-         && (pending <> [] || emits <> [] || inbox <> []) ->
+         && (pending <> [] || emits <> [] || Option.is_some consumed) ->
     let ci_emits = numbered ~seq:last [] emits in
+    let inbox = Option.to_list consumed in
     let bytes =
       List.fold_left
         (fun acc (dict, key, w) ->
@@ -509,8 +496,8 @@ let replicate t (b : bee) ~pending ~last emits ~inbox =
       + (16 * List.length inbox)
     in
     r.commit
-      { ci_bee = b.id; ci_app = b.app.App.name; ci_hive = b.hive; ci_writes = pending;
-        ci_bytes = bytes; ci_emits; ci_inbox = inbox }
+      { ci_bee = b.id; ci_hive = b.hive; ci_writes = pending; ci_bytes = bytes; ci_emits;
+        ci_inbox = inbox }
   | Some _ | None -> ()
 
 let deliver_endpoint t (b : bee) ep (m : Message.t) =
@@ -539,18 +526,17 @@ let rec deliver_sends t b = function
 
 (* Retry budget exhausted: park the message in the bee's quarantine so
    the engine keeps running, and consume it for good — its inbox mark is
-   written (without any state delta) and acked so the sender stops
-   replaying a message that can never be applied. *)
+   written (without any state delta), and acked once durable, so the
+   sender stops replaying a message that can never be applied. *)
 let quarantine_delivery t (b : bee) (d : Bee.delivery) exn =
   Outbox.quarantine t.outbox ~bee:b.id d.d_msg (Printexc.to_string exn);
   Log.warn (fun m ->
       m "bee %d (%s) quarantined a %s message after %d failed attempts" b.id
         b.app.App.name d.d_msg.Message.kind d.d_attempts);
-  match (d.d_outbox, t.store) with
-  | Some (sender, seq), Some s when not b.is_local ->
-    Store.append s ~bee:b.id ~hive:b.hive ~outbox:[] ~inbox:[ (sender, seq) ] [];
-    if sender >= 0 then Outbox.queue_ack t.outbox ~hive:b.hive ~sender ~seq ~receiver:b.id
-  | _ -> ()
+  match t.store with
+  | Some s when not b.is_local ->
+    Store.append s ~bee:b.id ~hive:b.hive ~outbox:[] ~inbox:[] ?consumed:d.d_outbox []
+  | Some _ | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Live migration, carried out by {!Migration}                        *)
@@ -647,27 +633,26 @@ let rec forwarded t (b : bee) =
 let rec maybe_process t (b : bee) =
   if Bee.runnable b && (not b.busy) && not (Mailbox.is_empty b.mailbox) then begin
     let d = Mailbox.pop b.mailbox in
-    if duplicate_delivery t b d then begin
-      (* Already consumed (durable inbox): suppress the handler entirely
-         and re-ack the sender, whose previous ack evidently got lost. *)
+    match inbox_mark t b d with
+    | (Store.Pending | Store.Durable) as seen ->
+      (* Already consumed: suppress the handler entirely, and re-ack a
+         durable mark's sender, whose previous ack evidently got lost. *)
       Outbox.note_duplicate t.outbox;
-      ack_duplicate t b d;
+      if seen = Store.Durable then ack_duplicate t b d;
       maybe_process t b
-    end
-    else begin
-    b.busy <- true;
-    let cost =
-      (* A cost estimator that raises is contained at the dispatch
-         boundary, not allowed to escape into Engine.run. *)
-      try d.d_handler.App.cost d.d_msg
-      with _ ->
-        t.n_handler_faults <- t.n_handler_faults + 1;
-        App.default_cost
-    in
-    b.handling <- d;
-    b.handling_cost <- cost;
-    b.handling_event <- Engine.schedule_after t.engine cost b.completion
-    end
+    | Store.Unseen ->
+      b.busy <- true;
+      let cost =
+        (* A cost estimator that raises is contained at the dispatch
+           boundary, not allowed to escape into Engine.run. *)
+        try d.d_handler.App.cost d.d_msg
+        with _ ->
+          t.n_handler_faults <- t.n_handler_faults + 1;
+          App.default_cost
+      in
+      b.handling <- d;
+      b.handling_cost <- cost;
+      b.handling_event <- Engine.schedule_after t.engine cost b.completion
   end
 
 (* The bee's [completion] callback. Only the event scheduled for the
@@ -708,26 +693,22 @@ and complete t (b : bee) (d : Bee.delivery) cost ctx failure =
     (match t.store with
     | Some s when not b.is_local ->
       (* Tracked: the emits and this delivery's inbox mark are written to
-         the WAL in the same group-commit record as the state delta; the
-         store's fsync callback hands the emits to transport once
-         durable. *)
+         the WAL in the same group-commit record as the state delta; once
+         durable, the store's fsync report hands the emits to transport
+         and the mark back as the sender's ack. *)
       let n = List.length emits in
       let last = if n = 0 then 0 else Store.alloc_out_seqs s ~bee:b.id n + n - 1 in
       let rows = track_emits b ~seq:last [] emits in
-      let inbox = Option.to_list d.d_outbox in
-      Store.append s ~bee:b.id ~hive:b.hive ~outbox:rows ~inbox pending;
-      (match d.d_outbox with
-      | Some (sender, seq) when sender >= 0 ->
-        Outbox.queue_ack t.outbox ~hive:b.hive ~sender ~seq ~receiver:b.id
-      | _ -> ());
+      Store.append s ~bee:b.id ~hive:b.hive ~outbox:rows ~inbox:[] ?consumed:d.d_outbox
+        pending;
       deliver_sends t b sends;
-      replicate t b ~pending ~last emits ~inbox
+      replicate t b ~pending ~last emits ~consumed:d.d_outbox
     | Some _ | None ->
       (* Untracked emits (no store, or a local bee) dispatch at commit
          time. *)
       if emits <> [] then route_emits t ~src_ep:(hive_ep t b.hive) emits;
       deliver_sends t b sends;
-      replicate t b ~pending ~last:0 [] ~inbox:[])
+      replicate t b ~pending ~last:0 [] ~consumed:None)
   | Some exn ->
     (* Handler failure containment: the state delta and every buffered
        emit are discarded atomically, then the delivery is retried with
@@ -1247,9 +1228,6 @@ let crash_hive t h =
        reset — retransmissions racing the restart re-deliver, and only the
        durable inbox keeps them exactly-once. *)
     Transport.crash_hive t.transport h;
-    (* Acks queued behind h's next fsync are in-memory; senders replay and
-       the receiver re-acks from its durable inbox. *)
-    Outbox.clear_acks t.outbox ~hive:h;
     List.iter
       (fun (b : bee) ->
         if b.is_local then kill_bee t b else Bee.crash t.hives b)
@@ -1597,14 +1575,18 @@ let create engine cfg =
       ignore
         (Channels.transfer t.chans ~src:(hive_ep t hive) ~dst:(hive_ep t hive)
            ~bytes ~now:(Engine.now engine));
-      drain_outbox_acks t hive;
       List.iter (fun f -> f hive) t.fsync_hooks
     in
-    let on_outbox_durable ~hive:_ entries = outbox_now_durable t (Option.get t.store) entries in
+    (* What the hive's fsync made durable: first the acks its records'
+       marks owe, then the emits to dispatch. *)
+    let on_durable ~hive ~acks entries =
+      send_acks t hive acks;
+      outbox_now_durable t (Option.get t.store) entries
+    in
     t.store <-
       Some
         (Store.create engine ~config:store_cfg ~size_of ~garble:Value.garble
-           ~verify:(cfg.inject <> Some Checksums_off) ~on_fsync ~on_outbox_durable ());
+           ~verify:(cfg.inject <> Some Checksums_off) ~on_fsync ~on_durable ());
     (* Background scrub: one budgeted verification slice every 5 ms.
        Detected-corrupt live bees are repaired in place; bees on crashed
        hives keep their suspect verdict for restart_hive to consult. *)

@@ -297,7 +297,6 @@ val migrations : t -> migration list
 
 type commit_info = {
   ci_bee : int;
-  ci_app : string;
   ci_hive : int;
   ci_writes : (string * string * Value.t option) list;
   ci_bytes : int;  (** serialized size of the write set, emits included *)

@@ -50,7 +50,10 @@ type ('v, 'e) record = {
       (* outbox entries committed with this record — truncating the
          record must unwind them *)
   mutable r_inbox : (int * int) list;
-      (* (sender bee, sender seq) dedup marks committed with this record *)
+      (* (sender bee, sender seq) dedup marks carried into this record *)
+  mutable r_consumed : (int * int) option;
+      (* the mark of the delivery this record applied: journaled after the
+         carried ones, and handed over as an ack once durable *)
   mutable r_frame : frame;
 }
 
@@ -94,11 +97,12 @@ type ('v, 'e) bee_log = {
 }
 
 (* One hive's share of the group commit in progress: the fsync it will
-   be charged and the outbox entries that fsync makes durable, newest
-   first. *)
+   be charged, and the acks and outbox entries that fsync makes durable,
+   newest first. *)
 type 'e hive_commit = {
   mutable hc_bytes : int;
   mutable hc_records : int;
+  mutable hc_acks : (int * int * int) list;
   mutable hc_outbox : 'e list;
 }
 
@@ -111,7 +115,7 @@ type ('v, 'e) t = {
          (or chose not to) verify — the platform supplies a value-level
          corruption so damage is semantically visible downstream *)
   on_fsync : (hive:int -> bytes:int -> records:int -> unit) option;
-  on_outbox_durable : (hive:int -> 'e list -> unit) option;
+  on_durable : (hive:int -> acks:(int * int * int) list -> 'e list -> unit) option;
   verify : bool;
       (* false only under the injected checksums-off bug: frames are still
          written (byte accounting and schedules are unchanged) but
@@ -154,8 +158,6 @@ type ('v, 'e) t = {
       (* quarantined-corrupt bees, newest first: (bee, verdict detail) —
          the record left in place of state we refused to serve *)
 }
-
-let config t = t.cfg
 
 (* What the production read path can see: torn writes always (length
    framing), garbled bytes only while checksum verification is on. *)
@@ -217,6 +219,10 @@ let rec add_marks buf = function
     add_pair buf 'i' sender seq;
     add_marks buf rest
 
+let add_consumed buf = function
+  | Some (sender, seq) -> add_pair buf 'i' sender seq
+  | None -> ()
+
 (* Canonical serialized images. The store holds typed values, so the
    "bytes on disk" are modeled: a deterministic string derived from the
    artifact's identity and shape. Checksums are computed and verified over
@@ -228,6 +234,7 @@ let payload_of_record t r =
   add_writes t buf r.r_writes;
   add_emits buf r.r_outbox;
   add_marks buf r.r_inbox;
+  add_consumed buf r.r_consumed;
   Buffer.contents buf
 
 let payload_of_snapshot t ~lsn entries =
@@ -350,9 +357,9 @@ let rec outbox_bytes acc = function
   | [] -> acc
   | o :: rest -> outbox_bytes (acc + outbox_entry_overhead + o.o_bytes) rest
 
-let record_bytes t writes ~outbox ~inbox =
+let record_bytes t writes ~outbox ~inbox ~consumed =
   record_overhead + frame_overhead + writes_bytes t 0 writes + outbox_bytes 0 outbox
-  + (inbox_mark_overhead * List.length inbox)
+  + (inbox_mark_overhead * (List.length inbox + if Option.is_some consumed then 1 else 0))
 
 (* Explicit sequence numbers (failover re-seeding) must never collide
    with future allocations. *)
@@ -443,7 +450,7 @@ let hive_commit t hive =
     t.commits <-
       Array.init (max (hive + 1) (2 * n)) (fun i ->
           if i < n then t.commits.(i)
-          else { hc_bytes = 0; hc_records = 0; hc_outbox = [] });
+          else { hc_bytes = 0; hc_records = 0; hc_acks = []; hc_outbox = [] });
   t.commits.(hive)
 
 let rec publish_outbox bl hc = function
@@ -458,6 +465,15 @@ let rec mark_inbox bl = function
   | mark :: rest ->
     Hashtbl.replace bl.bl_inbox mark ();
     mark_inbox bl rest
+
+(* The delivery's own mark becomes durable and is handed over as the
+   ack its sender waits for; a negative sender names no bee and is
+   never acked. *)
+let consume bl hc = function
+  | None -> ()
+  | Some ((sender, seq) as mark) ->
+    Hashtbl.replace bl.bl_inbox mark ();
+    if sender >= 0 then hc.hc_acks <- (bl.bl_bee, sender, seq) :: hc.hc_acks
 
 (* Stamps one pending record with the next lsn, the commit time and its
    frame, moves it into the durable WAL and charges it to its hive's
@@ -476,7 +492,8 @@ let commit_record t bl r =
   hc.hc_bytes <- hc.hc_bytes + r.r_bytes;
   hc.hc_records <- hc.hc_records + 1;
   publish_outbox bl hc r.r_outbox;
-  mark_inbox bl r.r_inbox
+  mark_inbox bl r.r_inbox;
+  consume bl hc r.r_consumed
 
 (* Commits pending records given newest first, oldest first: recursing
    before committing needs no reversed copy. *)
@@ -487,8 +504,8 @@ let rec commit_oldest_first t bl = function
     commit_record t bl r
 
 (* Moves a log's pending records, oldest first, into its durable WAL,
-   accumulating the per-hive fsync charges and newly durable outbox
-   entries into [t.commits]. True if anything moved. *)
+   accumulating the per-hive fsync charges, acks and newly durable
+   outbox entries into [t.commits]. True if anything moved. *)
 let commit_pending t bl =
   match bl.bl_pending with
   | [] -> false
@@ -508,15 +525,17 @@ let fire_fsyncs t =
   for hive = 0 to Array.length fired - 1 do
     let hc = fired.(hive) in
     if hc.hc_records > 0 then begin
-      let bytes = hc.hc_bytes and records = hc.hc_records and outbox = hc.hc_outbox in
+      let bytes = hc.hc_bytes and records = hc.hc_records in
+      let acks = hc.hc_acks and outbox = hc.hc_outbox in
       hc.hc_bytes <- 0;
       hc.hc_records <- 0;
+      hc.hc_acks <- [];
       hc.hc_outbox <- [];
       t.n_fsyncs <- t.n_fsyncs + 1;
       (match t.on_fsync with Some f -> f ~hive ~bytes ~records | None -> ());
-      match (t.on_outbox_durable, outbox) with
-      | Some f, _ :: _ -> f ~hive outbox
-      | _ -> ()
+      match (t.on_durable, acks, outbox) with
+      | Some _, [], [] | None, _, _ -> ()
+      | Some f, _, _ -> f ~hive ~acks outbox
     end
   done;
   t.spare_commits <- fired
@@ -558,8 +577,8 @@ let commit_armed t () =
   t.armed <- false;
   flush t
 
-let append t ~bee ~hive ~outbox ~inbox writes =
-  if writes <> [] || outbox <> [] || inbox <> [] then begin
+let append t ~bee ~hive ~outbox ~inbox ?consumed writes =
+  if writes <> [] || outbox <> [] || inbox <> [] || Option.is_some consumed then begin
     let bl = log_of t bee in
     bl.bl_pending <-
       {
@@ -567,9 +586,10 @@ let append t ~bee ~hive ~outbox ~inbox writes =
         r_at = Simtime.zero;
         r_hive = hive;
         r_writes = writes;
-        r_bytes = record_bytes t writes ~outbox ~inbox;
+        r_bytes = record_bytes t writes ~outbox ~inbox ~consumed;
         r_outbox = outbox;
         r_inbox = inbox;
+        r_consumed = consumed;
         r_frame = unframed;
       }
       :: bl.bl_pending;
@@ -584,14 +604,14 @@ let append t ~bee ~hive ~outbox ~inbox writes =
   end
 
 let create engine ?(config = default_config) ~size_of ?(garble = fun v -> v)
-    ?(verify = true) ?on_fsync ?on_outbox_durable () =
+    ?(verify = true) ?on_fsync ?on_durable () =
   {
     engine;
     cfg = config;
     size_of;
     garble;
     on_fsync;
-    on_outbox_durable;
+    on_durable;
     verify;
     logs = Hashtbl.create 64;
     ring = [||];
@@ -676,10 +696,7 @@ let outbox_total t =
         bl.bl_pending)
     t.logs 0
 
-let inbox_durable t ~bee ~sender ~seq =
-  match Hashtbl.find t.logs bee with
-  | bl -> Hashtbl.mem bl.bl_inbox (sender, seq)
-  | exception Not_found -> false
+type mark_state = Unseen | Pending | Durable
 
 (* Compares the ints in place: no [(sender, seq)] tuple per mark. *)
 let rec marked ~sender ~seq = function
@@ -688,12 +705,22 @@ let rec marked ~sender ~seq = function
 
 let rec pending_marked ~sender ~seq = function
   | [] -> false
-  | r :: rest -> marked ~sender ~seq r.r_inbox || pending_marked ~sender ~seq rest
+  | r :: rest ->
+    (match r.r_consumed with Some (s, q) -> s = sender && q = seq | None -> false)
+    || marked ~sender ~seq r.r_inbox
+    || pending_marked ~sender ~seq rest
 
-let inbox_seen t ~bee ~sender ~seq =
+let inbox_mark t ~bee ((sender, seq) as mark) =
   match Hashtbl.find t.logs bee with
-  | bl -> Hashtbl.mem bl.bl_inbox (sender, seq) || pending_marked ~sender ~seq bl.bl_pending
-  | exception Not_found -> false
+  | bl ->
+    if Hashtbl.mem bl.bl_inbox mark then Durable
+    else if pending_marked ~sender ~seq bl.bl_pending then Pending
+    else Unseen
+  | exception Not_found -> Unseen
+
+(* Every mark a record journals, carried and consumed. *)
+let record_marks r =
+  match r.r_consumed with Some m -> m :: r.r_inbox | None -> r.r_inbox
 
 let inbox_marks t ~bee =
   match Hashtbl.find_opt t.logs bee with
@@ -701,7 +728,7 @@ let inbox_marks t ~bee =
   | Some bl ->
     let durable = Hashtbl.fold (fun m () acc -> m :: acc) bl.bl_inbox [] in
     let pending =
-      List.concat_map (fun r -> r.r_inbox) bl.bl_pending
+      List.concat_map record_marks bl.bl_pending
       |> List.filter (fun m -> not (Hashtbl.mem bl.bl_inbox m))
     in
     List.sort_uniq compare (durable @ pending)
@@ -711,7 +738,11 @@ let wipe_inbox t ~bee =
   | None -> ()
   | Some bl ->
     Hashtbl.reset bl.bl_inbox;
-    List.iter (fun r -> r.r_inbox <- []) bl.bl_pending
+    List.iter
+      (fun r ->
+        r.r_inbox <- [];
+        r.r_consumed <- None)
+      bl.bl_pending
 
 let drop_outbox t ~bee =
   match Hashtbl.find_opt t.logs bee with
@@ -791,7 +822,7 @@ let fsck t ~bee =
             bl.bl_wal_bytes <- bl.bl_wal_bytes - r.r_bytes;
             bl.bl_wal_records <- bl.bl_wal_records - 1;
             List.iter (fun o -> Hashtbl.remove bl.bl_outbox o.o_seq) r.r_outbox;
-            List.iter (fun m -> Hashtbl.remove bl.bl_inbox m) r.r_inbox)
+            List.iter (fun m -> Hashtbl.remove bl.bl_inbox m) (record_marks r))
           torn;
         bl.bl_wal <- prefix;
         let n = List.length torn in

@@ -18,9 +18,13 @@
     [Outbox.entry]); byte accounting is
     delegated to a [size_of] estimator, and durability costs surface
     through the [on_fsync] callback so the owning hive can be charged in
-    Figure-4-style series. The store also owns storage repair: the
-    integrity counters, the local rewrite and peer re-seed of damaged
-    logs, and the dead-letter record of quarantined ones. Everything is deterministic:
+    Figure-4-style series. It is the one record of both halves of
+    exactly-once delivery: the outbox rows of un-acked emits and the
+    inbox marks of consumed deliveries, each handed to the platform in
+    the [on_durable] report of the fsync that made it durable. The store
+    also owns storage repair: the integrity counters, the local rewrite
+    and peer re-seed of damaged logs, and the dead-letter record of
+    quarantined ones. Everything is deterministic:
     logs are iterated in ascending bee order and all latency flows through
     the discrete-event engine. *)
 
@@ -44,12 +48,6 @@ type 'e emit = { o_seq : int; o_bytes : int; o_entry : 'e }
     it until {!ack_outbox}, or until its record or log goes (a crash
     before the fsync, a torn tail, {!forget}, a re-seed). *)
 
-(** The length+CRC32 envelope around every WAL record and snapshot.
-    [f_payload] models the bytes on disk (fault injection mutates it in
-    place); [f_len] and [f_crc] are what the envelope recorded at write
-    time. *)
-type frame = { mutable f_payload : string; f_crc : int; f_len : int }
-
 type ('v, 'e) t
 
 val create :
@@ -59,7 +57,7 @@ val create :
   ?garble:('v -> 'v) ->
   ?verify:bool ->
   ?on_fsync:(hive:int -> bytes:int -> records:int -> unit) ->
-  ?on_outbox_durable:(hive:int -> 'e list -> unit) ->
+  ?on_durable:(hive:int -> acks:(int * int * int) list -> 'e list -> unit) ->
   unit ->
   ('v, 'e) t
 (** Creates the store. It schedules no event until the first append.
@@ -73,12 +71,12 @@ val create :
     back as if they were sound. Torn tails are still detected — length
     framing needs no checksum.
     [on_fsync] fires once per hive per flush that made data durable;
-    [on_outbox_durable] fires right after it with the ledger entries of
-    that hive's outbox rows that just became durable, newest first (the
-    commit walks bees in id order, then records by lsn, then rows by seq)
-    — the platform's cue to hand them to transport. *)
-
-val config : ('v, 'e) t -> config
+    [on_durable] fires right after it with what that fsync made durable,
+    when that is anything: the [(receiver bee, sender, seq)] acks of the
+    marks its records consumed (see {!append}), and the ledger entries
+    of its outbox rows, each newest first (the commit walks bees in id
+    order, then records by lsn, then rows by seq) — the platform's cue
+    to send the acks and hand the entries to transport. *)
 
 (** {2 The write path} *)
 
@@ -88,20 +86,31 @@ val append :
   hive:int ->
   outbox:'e emit list ->
   inbox:(int * int) list ->
+  ?consumed:int * int ->
   'v write list ->
   unit
 (** Appends one transaction's record to the bee's log: its write-set,
-    the outbox rows of the emits it made and the
-    [(sender, seq)] inbox dedup marks it consumed (either list may be
-    empty). The record is the one the WAL keeps: all three become durable
-    together when the next group commit stamps its lsn and frame (the
-    one already armed, or one this append arms to land one fsync latency
-    later), or are lost together by {!drop_pending}: a crash can never
-    keep a state delta without its emits, or vice versa. Nothing is appended
-    when all three are empty. The caller has already applied the writes
-    to the bee's state; the store only journals them, so nothing reads
-    them back before they are durable. Explicit outbox sequence numbers
-    advance the bee's allocator past them. *)
+    the outbox rows of the emits it made, the [(sender, seq)] inbox
+    dedup marks it carries over from another log ([inbox], a merge's or
+    a fail over's), and [consumed], the mark of the delivery it applied
+    (any of them may be empty). The record is the one the WAL keeps: all
+    of it becomes durable together when the next group commit stamps its
+    lsn and frame (the one already armed, or one this append arms to
+    land one fsync latency later), or is lost together by
+    {!drop_pending}: a crash can never keep a state delta without its
+    emits, or vice versa. Nothing is appended when all are empty. The
+    caller has already applied the writes to the bee's state; the store
+    only journals them, so nothing reads them back before they are
+    durable. Explicit outbox sequence numbers advance the bee's
+    allocator past them.
+
+    The store is the one record of the acks a receiver owes: when the
+    record is committed, [on_durable] hands [consumed] over as
+    [(bee, sender, seq)] to [hive]'s report. Carried marks are never
+    handed over (they were acked under their first owner, or are
+    re-acked from the durable inbox when the sender replays), and
+    neither is a mark whose sender is negative (it names no bee), one
+    {!drop_pending} dropped or one {!wipe_inbox} cleared. *)
 
 val alloc_out_seqs : ('v, 'e) t -> bee:int -> int -> int
 (** [alloc_out_seqs t ~bee n] allocates the bee's next [n] outbox
@@ -263,13 +272,17 @@ val outbox_entry : ('v, 'e) t -> bee:int -> seq:int -> 'e option
 val outbox_total : ('v, 'e) t -> int
 (** Un-acked outbox entries across every log, pending ones included. *)
 
-val inbox_seen : ('v, 'e) t -> bee:int -> sender:int -> seq:int -> bool
-(** Whether the bee has already consumed [(sender, seq)] — durable marks
-    plus marks riding a not-yet-flushed record (the receiver's committed
-    in-memory view, which is what dedup must check against). *)
+type mark_state =
+  | Unseen  (** the bee never consumed the message *)
+  | Pending  (** consumed by a record not yet group-committed *)
+  | Durable  (** consumed, and the mark is on disk *)
 
-val inbox_durable : ('v, 'e) t -> bee:int -> sender:int -> seq:int -> bool
-(** Durable marks only: once true, the sender's entry can be acked. *)
+val inbox_mark : ('v, 'e) t -> bee:int -> int * int -> mark_state
+(** What the bee's inbox holds of the [(sender, seq)] mark, consumed or
+    carried. Dedup suppresses any seen mark: a pending one is the
+    receiver's committed in-memory view. Only a durable one may be
+    re-acked, since an ack for a mark a crash can still drop would let
+    the sender retire an entry the receiver forgets. *)
 
 val inbox_marks : ('v, 'e) t -> bee:int -> (int * int) list
 (** All [(sender, seq)] marks, durable and pending, sorted — what a merge

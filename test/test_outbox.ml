@@ -411,6 +411,57 @@ let test_merge_with_crashed_owners_keeps_exactly_once () =
   Alcotest.(check int) "all entries re-acked" 0 (Platform.outbox_unacked_total platform);
   Beehive_core.Registry.check_invariant (Platform.registry platform)
 
+(* A merge carries the loser's inbox marks into the winner's log, but
+   those marks were acked under the loser: carrying them sends no ack. An
+   ack with the winner as receiver would charge the fabric 16 B per mark
+   and could retire a two-leg entry before its real receiver applied it.
+   The senders sit on hive 1 and the kv bees on hives 2 and 3, so any
+   ack the merge sent would show on the links into hive 1. *)
+let test_merge_carries_acked_marks_without_acks () =
+  let reader =
+    App.handler ~kind:"outbox.read" ~map:(fun _ -> Mapping.whole_dict "store")
+      (fun ctx _ -> Context.iter_dict ctx ~dict:"store" (fun _ _ -> ()))
+  in
+  let engine = Engine.create () in
+  let cfg =
+    {
+      (Platform.default_config ~n_hives:4) with
+      Platform.durability = Some Beehive_store.Store.default_config;
+    }
+  in
+  let platform = Platform.create engine cfg in
+  let _, kv = kv_app () in
+  Platform.register_app platform { kv with App.handlers = kv.App.handlers @ [ reader ] };
+  Platform.register_app platform (fwd_app ());
+  Platform.start platform;
+  List.iter (inject platform ~from:1) [ "a"; "b"; "a"; "b" ];
+  drain engine;
+  let owner k = Option.get (Platform.find_owner platform ~app:"t.kv" (Cell.cell "store" k)) in
+  Alcotest.(check bool) "kv bee a moved to hive 2" true
+    (Platform.migrate_bee platform ~bee:(owner "a") ~to_hive:2 ~reason:"test");
+  Alcotest.(check bool) "kv bee b moved to hive 3" true
+    (Platform.migrate_bee platform ~bee:(owner "b") ~to_hive:3 ~reason:"test");
+  drain engine;
+  Alcotest.(check int) "every entry acked before the merge" 0
+    (Platform.outbox_unacked_total platform);
+  let matrix = Channels.matrix (Platform.channels platform) in
+  let into_senders () =
+    Beehive_net.Traffic_matrix.bytes matrix ~src:2 ~dst:1
+    +. Beehive_net.Traffic_matrix.bytes matrix ~src:3 ~dst:1
+  in
+  let before = into_senders () in
+  Platform.inject platform ~from:(Channels.Hive 2) ~kind:"outbox.read" (Bad_map "read");
+  drain engine;
+  Alcotest.(check bool) "the kv bees merged" true (owner "a" = owner "b");
+  Alcotest.(check (float 0.)) "no ack charged for the carried marks" before (into_senders ());
+  (* The winner acks what it applies itself, and every entry retires. *)
+  List.iter (inject platform ~from:1) [ "a"; "b" ];
+  drain engine;
+  Alcotest.(check (option int)) "a applied exactly once per put" (Some 3) (kv_count platform "a");
+  Alcotest.(check (option int)) "b applied exactly once per put" (Some 3) (kv_count platform "b");
+  Alcotest.(check int) "entries retire on the winner's own acks" 0
+    (Platform.outbox_unacked_total platform)
+
 (* Un-acked outbox entries follow their sender through a migration: the
    replay dispatches from the bee's new hive and still lands exactly
    once. *)
@@ -692,7 +743,7 @@ let prop_ledger_matches_oracle =
       let real =
         Store.create engine
           ~size_of:(fun (d, k, _) -> String.length d + String.length k)
-          ~on_outbox_durable:(fun ~hive:_ entries -> handed := !handed @ List.rev entries)
+          ~on_durable:(fun ~hive:_ ~acks:_ entries -> handed := !handed @ List.rev entries)
           ()
       in
       let model = Oracle.create () in
@@ -828,6 +879,8 @@ let suite =
         Alcotest.test_case "map exception contained" `Quick test_map_exception_contained;
         Alcotest.test_case "merge with crashed owners stays exactly-once" `Quick
           test_merge_with_crashed_owners_keeps_exactly_once;
+        Alcotest.test_case "a merge sends no ack for the marks it carries" `Quick
+          test_merge_carries_acked_marks_without_acks;
         Alcotest.test_case "outbox survives sender migration" `Quick
           test_outbox_survives_sender_migration;
         Alcotest.test_case "replicated sender fails over with un-acked entry" `Quick

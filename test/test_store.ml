@@ -111,13 +111,13 @@ let test_pending_record_lifecycle () =
   append ~hive:1 ~outbox:[ row (2, 20) ] ~inbox:[ (6, 1) ] [ ("d", "b", Some 2) ];
   Store.wipe_inbox store ~bee:0;
   Store.drop_outbox store ~bee:0;
-  Alcotest.(check bool) "wiped mark forgotten" false
-    (Store.inbox_seen store ~bee:0 ~sender:5 ~seq:1);
+  Alcotest.(check bool) "wiped mark forgotten" true
+    (Store.inbox_mark store ~bee:0 (5, 1) = Store.Unseen);
   append ~hive:0 ~outbox:[ row (3, 30) ] ~inbox:[ (5, 2) ] [ ("d", "c", Some 3) ];
   append ~hive:1 ~outbox:[ row (4, 40) ] ~inbox:[ (6, 2) ] [ ("d", "e", Some 4) ];
   append ~hive:0 ~outbox:[] ~inbox:[ (7, 1) ] [];
   Alcotest.(check bool) "later mark pending" true
-    (Store.inbox_seen store ~bee:0 ~sender:6 ~seq:2);
+    (Store.inbox_mark store ~bee:0 (6, 2) = Store.Pending);
   Store.drop_pending store ~hive:1;
   Alcotest.(check int) "hive 0's records pending" 3 (Store.pending_writes store ~bee:0);
   Store.flush store;
@@ -155,6 +155,92 @@ let test_pending_record_lifecycle () =
          "";
        ])
     (Store.wal_image store)
+
+(* The store is the one record of the acks a receiver owes: each
+   committed record's consumed mark is handed over once, as
+   [(receiver bee, sender, seq)], in the report of the hive that
+   appended it. Carried marks (a merge's, a fail over's), a negative
+   sender's mark, a record [drop_pending] dropped and marks [wipe_inbox]
+   cleared are never handed over; [flush_bee] hands over only its own
+   bee's marks. A consumed mark is journaled exactly as a carried one. *)
+let test_consumed_marks_handed_over () =
+  let engine = Engine.create () in
+  let reports = ref [] in
+  let store =
+    Store.create engine ~size_of
+      ~on_durable:(fun ~hive ~acks _ -> reports := (hive, List.rev acks) :: !reports)
+      ()
+  in
+  let handed () =
+    let r = List.rev !reports in
+    reports := [];
+    r
+  in
+  let reports_are what expected =
+    Alcotest.(check (list (pair int (list (triple int int int))))) what expected (handed ())
+  in
+  let mark_is what expected ~bee mark =
+    Alcotest.(check bool) what true (Store.inbox_mark store ~bee mark = expected)
+  in
+  let append ~bee ~hive ?consumed inbox =
+    Store.append store ~bee ~hive ~outbox:[] ~inbox ?consumed [ ("d", "k", Some bee) ]
+  in
+  append ~bee:1 ~hive:0 ~consumed:(7, 1) [];
+  append ~bee:2 ~hive:1 ~consumed:(7, 2) [];
+  append ~bee:1 ~hive:2 ~consumed:(8, 1) [];
+  append ~bee:1 ~hive:0 ~consumed:(8, 2) [];
+  append ~bee:3 ~hive:1 [ (7, 3); (8, 3) ];
+  append ~bee:3 ~hive:1 ~consumed:(-1, 5) [];
+  mark_is "consumed, not yet durable" Store.Pending ~bee:1 (7, 1);
+  mark_is "carried, not yet durable" Store.Pending ~bee:3 (8, 3);
+  mark_is "another bee's mark" Store.Unseen ~bee:2 (7, 1);
+  reports_are "nothing before the commit" [];
+  Store.flush store;
+  reports_are "each consumed mark, in its append hive's report, oldest first"
+    [ (0, [ (1, 7, 1); (1, 8, 2) ]); (1, [ (2, 7, 2) ]); (2, [ (1, 8, 1) ]) ];
+  mark_is "consumed and durable" Store.Durable ~bee:1 (7, 1);
+  mark_is "carried and durable" Store.Durable ~bee:3 (7, 3);
+  mark_is "a virtual sender's mark is journaled" Store.Durable ~bee:3 (-1, 5);
+  append ~bee:1 ~hive:0 [];
+  Store.flush store;
+  reports_are "handed over once" [];
+  (* A fail over re-seeds the log under the new owner from the replica's
+     marks: carried too. *)
+  Store.forget store ~bee:2;
+  append ~bee:2 ~hive:0 [ (7, 2) ];
+  Store.flush store;
+  reports_are "a fail over's marks are not handed over" [];
+  mark_is "but journaled" Store.Durable ~bee:2 (7, 2);
+  (* A crash drops hive 0's pending record; the debug hook wipes bee 2's
+     pending mark. *)
+  append ~bee:1 ~hive:0 ~consumed:(9, 1) [];
+  append ~bee:2 ~hive:1 ~consumed:(9, 2) [];
+  Store.drop_pending store ~hive:0;
+  Store.wipe_inbox store ~bee:2;
+  Store.flush store;
+  reports_are "dropped and wiped marks are not handed over" [];
+  mark_is "dropped mark" Store.Unseen ~bee:1 (9, 1);
+  mark_is "wiped mark" Store.Unseen ~bee:2 (9, 2);
+  (* [flush_bee] commits one bee's records: only its marks are handed
+     over, the other bee's follow at the next commit. *)
+  append ~bee:1 ~hive:0 ~consumed:(10, 1) [];
+  append ~bee:4 ~hive:0 ~consumed:(10, 4) [];
+  Store.flush_bee store ~bee:4;
+  reports_are "flush_bee: its own bee's mark" [ (0, [ (4, 10, 4) ]) ];
+  mark_is "the other bee's mark still pending" Store.Pending ~bee:1 (10, 1);
+  Engine.run engine;
+  reports_are "the rest at the next commit" [ (0, [ (1, 10, 1) ]) ];
+  (* The same record with its mark consumed or carried: one image. *)
+  let image consumed =
+    let s = int_store (Engine.create ()) in
+    let inbox = if consumed then [] else [ (6, 9) ] in
+    let consumed = if consumed then Some (6, 9) else None in
+    Store.append s ~bee:0 ~hive:0 ~outbox:[ row (1, 10) ] ~inbox ?consumed
+      [ ("d", "a", Some 1) ];
+    Store.flush s;
+    (Store.wal_image s, Store.total_wal_bytes_written s)
+  in
+  Alcotest.(check (pair string int)) "journaled as a carried mark" (image false) (image true)
 
 let test_crash_loses_unsynced_tail () =
   let engine = Engine.create () in
@@ -468,6 +554,8 @@ let suite =
       [
         Alcotest.test_case "group commit on first append" `Quick test_group_commit_on_demand;
         Alcotest.test_case "batch payload bytes are pinned" `Quick test_batch_payload_bytes;
+        Alcotest.test_case "consumed marks are handed over at commit" `Quick
+          test_consumed_marks_handed_over;
         Alcotest.test_case "crash loses unsynced tail" `Quick test_crash_loses_unsynced_tail;
         Alcotest.test_case "pending records cleared, dropped, committed" `Quick
           test_pending_record_lifecycle;
