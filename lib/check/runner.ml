@@ -661,8 +661,8 @@ let digest cfg =
              child.Message.kind child.Message.size
              (match parent with Some p -> p.Message.kind | None -> "-")
              (match emitter with
-             | Some (bee, app, hive) -> Printf.sprintf "%d/%s/%d" bee app hive
-             | None -> "-")))
+             | Message.From_bee { bee; app; hive } -> Printf.sprintf "%d/%s/%d" bee app hive
+             | Message.From_endpoint _ | Message.From_system -> "-")))
   in
   let script =
     Nemesis.generate ~rng:(Rng.create cfg.r_seed) ~profile:cfg.r_profile

@@ -2,7 +2,6 @@ type delivery = {
   d_msg : Message.t;
   d_handler : App.handler;
   d_allowed : Cell.Set.t;
-  d_src_hive : int;
   d_outbox : (int * int) option;
   mutable d_attempts : int;
 }
@@ -27,7 +26,6 @@ type t = {
   mutable handling_event : Beehive_sim.Engine.handle;
   mutable completion : unit -> unit;
   mutable source : Message.source;
-  mutable emitter : (int * string * int) option;
   mutable status : [ `Active | `Crashed | `Dead ];
   mutable holds : hold list;
   mutable incarnation : int;
@@ -53,7 +51,6 @@ let create ~id ~app ~hive ~is_local ~rng ~idle =
     handling_event = Beehive_sim.Engine.none;
     completion = ignore;
     source = Message.From_system;
-    emitter = None;
     status = `Active;
     holds = [];
     incarnation = 0;

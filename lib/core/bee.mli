@@ -42,7 +42,7 @@
     for their hold and do nothing once it is gone. *)
 
 type delivery = {
-  d_msg : Message.t;
+  d_msg : Message.t;  (** its [src] says where it came from; the delivery keeps no copy *)
   d_handler : App.handler;
   d_allowed : Cell.Set.t;
       (** the cells the handler may touch, fixed when the leg is routed,
@@ -50,7 +50,6 @@ type delivery = {
           visits the cells its original target held then, which the
           winner's state holds by the time it runs the leg; a cell the
           bee gains later is not visited by that leg *)
-  d_src_hive : int;  (** the hive the message came from; -1 for a system message *)
   d_outbox : (int * int) option;
       (** (sender bee, outbox seq) when the message rides the exactly-once
           path: the receiver dedups against its durable inbox and acks the
@@ -92,12 +91,8 @@ type t = {
           completion that an ended life or an earlier dispatch left
           queued fires as a no-op *)
   mutable source : Message.source;
-      (** [From_bee] at the bee's hive, shared by every message it emits;
-          rebuilt when the bee has moved *)
-  mutable emitter : (int * string * int) option;
-      (** [Some (id, app, hive)] at the bee's hive, shared by every emit
-          hook call for the bee's messages; rebuilt when the bee has
-          moved *)
+      (** [From_bee] at the bee's hive, shared by every message it emits
+          as the one record of its origin; rebuilt when the bee has moved *)
   mutable status : [ `Active | `Crashed | `Dead ];
       (** written only by this module. [`Crashed] when the bee's hive
           failed but its dictionaries are durable: the registry keeps its

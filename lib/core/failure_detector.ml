@@ -17,17 +17,9 @@ type t = {
   engine : Engine.t;
   mutable n : int;  (* hive id space; grows with the platform *)
   mutable last_heard : Simtime.t array array;  (* [observer].[subject] *)
-  mutable incarnation : int array;
-      (* the cluster's authoritative incarnation per hive; bumped on every
-         eviction so claims from a previous life are detectably stale *)
-  mutable believed : int array;
-      (* what the hive itself believes its incarnation is — lags the
-         authoritative value while the hive is unknowingly deposed *)
   mutable evicted : bool array;
   mutable streak : int array;  (* consecutive confirming check ticks per subject *)
   mutable n_evictions : int;
-  mutable n_rejoins : int;
-  mutable n_stale_claims : int;
 }
 
 let reset_subject t s =
@@ -36,8 +28,7 @@ let reset_subject t s =
     t.last_heard.(o).(s) <- now
   done;
   t.streak.(s) <- 0;
-  t.evicted.(s) <- false;
-  t.believed.(s) <- t.incarnation.(s)
+  t.evicted.(s) <- false
 
 (* Current cluster membership, read from the platform: decommissioned
    hives leave the quorum denominator for good (a crashed or fenced hive
@@ -61,8 +52,6 @@ let add_subject t h =
       Array.blit t.last_heard.(o) 0 heard.(o) 0 t.n
     done;
     t.last_heard <- heard;
-    t.incarnation <- grow_array t.incarnation n' 0;
-    t.believed <- grow_array t.believed n' 0;
     t.evicted <- grow_array t.evicted n' false;
     t.streak <- grow_array t.streak n' 0;
     t.n <- n'
@@ -70,19 +59,17 @@ let add_subject t h =
   reset_subject t h
 
 (* An observer receives a heartbeat. If the sender was deposed but is
-   demonstrably running, its stale claim is rejected (the heartbeat
-   carries an old incarnation) and it is walked back into membership with
-   the bumped incarnation. A heartbeat still in flight when its sender
-   was decommissioned rejoins nothing. *)
-let receive t ~from:s ~at:d ~hb_inc =
+   demonstrably running, it is walked back into membership: a heartbeat
+   is proof of life, whatever the sender believes about its eviction. A
+   heartbeat still in flight when its sender was decommissioned rejoins
+   nothing. *)
+let receive t ~from:s ~at:d =
   if not (Platform.hive_crashed t.platform d) then begin
     t.last_heard.(d).(s) <- Engine.now t.engine;
     if t.evicted.(s) && member t s && not (Platform.hive_crashed t.platform s) then begin
-      if hb_inc < t.incarnation.(s) then t.n_stale_claims <- t.n_stale_claims + 1;
       reset_subject t s;
       Platform.rejoin_hive t.platform s;
-      t.n_rejoins <- t.n_rejoins + 1;
-      Log.info (fun m -> m "hive %d reappeared; rejoined at incarnation %d" s t.incarnation.(s))
+      Log.info (fun m -> m "hive %d reappeared; rejoined" s)
     end
   end
 
@@ -94,7 +81,6 @@ let broadcast t =
        keep gossiping — that is how a false positive heals. Decommissioned
        hives are gone. *)
     if member t s && not (Platform.hive_crashed t.platform s) then begin
-      let hb_inc = t.believed.(s) in
       for d = 0 to t.n - 1 do
         if d <> s && member t d then
           match
@@ -104,10 +90,9 @@ let broadcast t =
           | `Lost -> ()
           | `Delivered lat ->
             (* Kept through a crash: a heartbeat on the wire still
-               lands, and [receive] weighs its stale incarnation. *)
+               lands. *)
             ignore
-              (Engine.schedule_after t.engine lat (fun () ->
-                   receive t ~from:s ~at:d ~hb_inc))
+              (Engine.schedule_after t.engine lat (fun () -> receive t ~from:s ~at:d))
       done
     end
   done
@@ -119,7 +104,6 @@ let quorum t = (member_count t / 2) + 1
 
 let confirm t s =
   t.evicted.(s) <- true;
-  t.incarnation.(s) <- t.incarnation.(s) + 1;
   t.n_evictions <- t.n_evictions + 1;
   if Platform.hive_crashed t.platform s then begin
     (* The process really is dead: run the recovery path that fail_hive
@@ -128,7 +112,7 @@ let confirm t s =
     Platform.failover_hive t.platform s
   end
   else begin
-    Log.info (fun m -> m "hive %d suspected (incarnation %d); evicting" s t.incarnation.(s));
+    Log.info (fun m -> m "hive %d suspected; evicting" s);
     Platform.evict_hive t.platform s
   end
 
@@ -172,17 +156,13 @@ let install platform =
       engine;
       n;
       last_heard = Array.init n (fun _ -> Array.make n now);
-      incarnation = Array.make n 0;
-      believed = Array.make n 0;
       evicted = Array.make n false;
       streak = Array.make n 0;
       n_evictions = 0;
-      n_rejoins = 0;
-      n_stale_claims = 0;
     }
   in
-  (* A restarted hive re-enters membership with the bumped incarnation
-     and a fresh grace period; a joined hive gets one too. *)
+  (* A restarted hive re-enters membership with a fresh grace period; a
+     joined hive gets one too. *)
   Platform.on_hive platform (fun h -> function
     | Platform.Restarted -> reset_subject t h
     | Platform.Added -> add_subject t h
@@ -201,4 +181,3 @@ let suspected t =
 let is_member t h = List.mem h (Platform.members t.platform)
 
 let evictions t = t.n_evictions
-let stale_claims t = t.n_stale_claims

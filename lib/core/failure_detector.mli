@@ -11,14 +11,14 @@
     - if the hive's process is genuinely dead ({!Platform.hive_crashed}),
       it triggers {!Platform.failover_hive} — the recovery that tests
       previously had to invoke by hand;
-    - otherwise it {!Platform.evict_hive}s the hive, bumping its
-      incarnation so any claim from the deposed instance is detectably
-      stale.
+    - otherwise it {!Platform.evict_hive}s the hive: its bees are
+      fenced in place with their mailboxes and state, and a replicated
+      bee fails over instead, which ends its old life.
 
-    False positives heal: when a heartbeat from an evicted-but-running
-    hive reaches any member, its stale claim is rejected (counted in
-    {!stale_claims}), the hive adopts the bumped incarnation, and
-    {!Platform.rejoin_hive} resumes its fenced bees — nothing is lost.
+    False positives heal: any heartbeat from an evicted-but-running hive
+    that reaches a member rejoins it ({!Platform.rejoin_hive} resumes its
+    fenced bees — nothing is lost). Heartbeats carry no incarnation: a
+    fenced bee runs nothing, so a deposed hive has no stale work to reject.
 
     The majority quorum is computed over {e current} membership, read
     from the platform ({!Platform.members}): hives joined via
@@ -51,7 +51,3 @@ val suspected : t -> int list
 
 val evictions : t -> int
 (** Confirmed suspicions so far (including correct detections). *)
-
-val stale_claims : t -> int
-(** Heartbeats carrying a pre-eviction incarnation that were rejected —
-    each is a false positive caught and healed. *)

@@ -178,7 +178,6 @@ let default_config =
 type report_entry = {
   e_bee : int;
   e_app : string;
-  e_hive : int;
   e_processed : int;
   e_in_by_hive : (int * int) list;
 }
@@ -186,7 +185,9 @@ type report_entry = {
 type Message.payload +=
   | Collect_tick
   | Optimize_tick
-  | Hive_report of { rh_hive : int; rh_entries : report_entry list }
+  | Hive_report of report_entry list
+      (* one hive's windows: the hive is the report's [From_bee] source,
+         since the collector is a local bee on the hive it reports *)
 
 type load = {
   l_app : string;
@@ -234,7 +235,6 @@ let collector_handler platform =
               {
                 e_bee = bee;
                 e_app = app;
-                e_hive = hive;
                 e_processed = w.Stats.w_processed;
                 e_in_by_hive = w.Stats.w_in_by_hive;
               }
@@ -244,17 +244,17 @@ let collector_handler platform =
         Context.emit ctx
           ~size:(16 + (24 * List.length entries))
           ~kind:kind_report
-          (Hive_report { rh_hive = hive; rh_entries = entries }))
+          (Hive_report entries))
 
 let no_load = { l_app = ""; l_hive = -1; l_processed = 0.0; l_in_by_hive = [] }
 
-let merge_entry e prev =
+let merge_entry ~hive e prev =
   let prev = match prev with Some (V_load l) -> l | Some _ | None -> no_load in
   Some
     (V_load
        {
          l_app = e.e_app;
-         l_hive = e.e_hive;
+         l_hive = hive;
          l_processed = prev.l_processed +. float_of_int e.e_processed;
          l_in_by_hive = merge_counts prev.l_in_by_hive e.e_in_by_hive;
        })
@@ -263,12 +263,13 @@ let aggregator_handler =
   App.handler ~kind:kind_report
     ~map:(fun _ -> Mapping.whole_dict dict_loads)
     (fun ctx msg ->
-      match msg.Message.payload with
-      | Hive_report { rh_entries; _ } ->
+      match (msg.Message.payload, msg.Message.src) with
+      | Hive_report entries, Message.From_bee { hive; _ } ->
         List.iter
           (fun e ->
-            Context.update ctx ~dict:dict_loads ~key:(string_of_int e.e_bee) (merge_entry e))
-          rh_entries
+            Context.update ctx ~dict:dict_loads ~key:(string_of_int e.e_bee)
+              (merge_entry ~hive e))
+          entries
       | _ -> ())
 
 let optimizer_handler handle =

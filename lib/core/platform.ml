@@ -69,12 +69,11 @@ open Bee
 
 type bee = Bee.t
 
-let delivery msg handler allowed src_hive outbox : Bee.delivery =
+let delivery msg handler allowed outbox : Bee.delivery =
   {
     d_msg = msg;
     d_handler = handler;
     d_allowed = allowed;
-    d_src_hive = src_hive;
     d_outbox = outbox;
     d_attempts = 0;
   }
@@ -88,7 +87,7 @@ let idle : Bee.delivery =
       sent_at = Simtime.zero }
   in
   let handler = App.handler ~kind:"" ~map:(fun _ -> Mapping.Drop) (fun _ _ -> ()) in
-  delivery msg handler Cell.Set.empty (-1) None
+  delivery msg handler Cell.Set.empty None
 
 type migration = {
   mig_at : Simtime.t;
@@ -159,10 +158,8 @@ type t = {
   mutable fsync_hooks : (int -> unit) list;
       (* run after each per-hive group commit becomes durable *)
   mutable emit_hooks :
-    (parent:Message.t option -> child:Message.t -> emitter:(int * string * int) option -> unit)
-    list;
-      (* emitter = (bee, app, hive) for bee emissions; None for injected
-         and system messages *)
+    (parent:Message.t option -> child:Message.t -> emitter:Message.source -> unit) list;
+      (* emitter = the child's own [src] *)
   mutable started : bool;
   mutable n_processed : int;
   mutable n_merges : int;
@@ -338,22 +335,6 @@ let handle_outbox_ack t ~sender ~seq ~receiver =
         ()
       | _ | (exception Not_found) -> if Outbox.ack e ~receiver then retire_outbox_entry t s e))
 
-let send_outbox_ack t ~from_hive ~sender ~seq ~receiver =
-  match get_bee t sender with
-  | None -> ()
-  | Some sb ->
-    transmit t ~src_ep:(hive_ep t from_hive) ~dst_hive:sb.hive ~bytes:16
-      ~extra:Simtime.zero (fun () -> handle_outbox_ack t ~sender ~seq ~receiver)
-
-(* Re-acks a duplicate whose mark is durable: the sender evidently lost
-   the first ack. A pending mark is not re-acked; the store hands its
-   ack over when this hive's fsync commits it. *)
-let ack_duplicate t (b : bee) (d : Bee.delivery) =
-  match d.d_outbox with
-  | Some (sender, seq) when sender >= 0 ->
-    send_outbox_ack t ~from_hive:b.hive ~sender ~seq ~receiver:b.id
-  | _ -> ()
-
 (* Handles one destination's acks, given newest first, oldest first. *)
 let rec handle_outbox_acks t = function
   | [] -> ()
@@ -397,6 +378,14 @@ let send_acks t hive acks =
         (fun () -> handle_outbox_acks t acks)
   done
 
+(* Re-acks a duplicate whose mark is durable: the sender evidently lost
+   the first ack. A pending mark is not re-acked; the store hands its
+   ack over when this hive's fsync commits it. *)
+let ack_duplicate t (b : bee) (d : Bee.delivery) =
+  match d.d_outbox with
+  | Some (sender, seq) when sender >= 0 -> send_acks t b.hive [ (b.id, sender, seq) ]
+  | _ -> ()
+
 (* ------------------------------------------------------------------ *)
 (* Handler execution helpers                                           *)
 (* ------------------------------------------------------------------ *)
@@ -432,36 +421,26 @@ let source_of (b : bee) =
 let bee_message t (b : bee) ?size ~kind payload =
   Message.make ?size ~kind ~src:(source_of b) ~sent_at:(now t) payload
 
-(* The bee's emitter for the emit hooks, rebuilt only once the bee has
-   moved. *)
-let emitter_of (b : bee) =
-  match b.emitter with
-  | Some (_, _, hive) as e when hive = b.hive -> e
-  | Some _ | None ->
-    let e = Some (b.id, b.app.App.name, b.hive) in
-    b.emitter <- e;
-    e
-
-let rec call_emit_hooks ~parent ~child ~emitter = function
+let rec call_emit_hooks ~parent ~(child : Message.t) = function
   | [] -> ()
   | f :: rest ->
-    f ~parent ~child ~emitter;
-    call_emit_hooks ~parent ~child ~emitter rest
+    f ~parent ~child ~emitter:child.Message.src;
+    call_emit_hooks ~parent ~child rest
 
 (* The walks below take a context's emits or sends newest first and show
    them to the emit hooks oldest first, recursing before acting: no
    reversed copy, no closure. *)
-let rec report_emits hooks ~parent ~emitter = function
+let rec report_emits hooks ~parent = function
   | [] -> ()
   | m :: older ->
-    report_emits hooks ~parent ~emitter older;
-    call_emit_hooks ~parent ~child:m ~emitter hooks
+    report_emits hooks ~parent older;
+    call_emit_hooks ~parent ~child:m hooks
 
-let rec report_sends hooks ~parent ~emitter = function
+let rec report_sends hooks ~parent = function
   | [] -> ()
   | (_, m) :: older ->
-    report_sends hooks ~parent ~emitter older;
-    call_emit_hooks ~parent ~child:m ~emitter hooks
+    report_sends hooks ~parent older;
+    call_emit_hooks ~parent ~child:m hooks
 
 (* The outbox rows of emits, given newest first, under consecutive
    outbox seqs that end at [seq], oldest first. *)
@@ -575,7 +554,7 @@ let start_transfer t (b : bee) ~dst hold reason ~resume =
 let open_context t (b : bee) (d : Bee.delivery) =
   let msg = d.d_msg in
   if d.d_attempts = 0 then begin
-    Stats.record_in b.stats ~src_hive:d.d_src_hive;
+    Stats.record_in b.stats ~src_hive:(resolve_src t msg);
     Stats.record_latency t.latency (Simtime.diff (now t) msg.Message.sent_at)
   end;
   let read_shadow =
@@ -686,9 +665,9 @@ and complete t (b : bee) (d : Bee.delivery) cost ctx failure =
     let emits = Context.emitted ctx and sends = Context.sent ctx in
     (* Only the emit hooks see what a handler emitted. *)
     if t.emit_hooks <> [] && (emits <> [] || sends <> []) then begin
-      let parent = Some msg and emitter = emitter_of b in
-      report_emits t.emit_hooks ~parent ~emitter emits;
-      report_sends t.emit_hooks ~parent ~emitter sends
+      let parent = Some msg in
+      report_emits t.emit_hooks ~parent emits;
+      report_sends t.emit_hooks ~parent sends
     end;
     (match t.store with
     | Some s when not b.is_local ->
@@ -830,7 +809,7 @@ and send_cells t (b : bee) ~extra ~handler ~src_ep ~outbox cs msg =
           Some (-1, Outbox.next_virtual_seq t.outbox)
         else None
     in
-    let d = delivery msg handler cs (resolve_src t msg) d_outbox in
+    let d = delivery msg handler cs d_outbox in
     (* Fenced targets still receive: the transport buffers through the
        partition and the bee's paused mailbox holds the message until
        the hive rejoins, so nothing is lost to a false suspicion. *)
@@ -839,8 +818,7 @@ and send_cells t (b : bee) ~extra ~handler ~src_ep ~outbox cs msg =
   end
 
 and route_foreach t ~(app : App.t) ~(handler : App.handler) ~src_ep dict msg =
-  let src = resolve_src t msg in
-  let leg cells = delivery msg handler cells src None in
+  let leg cells = delivery msg handler cells None in
   let in_dict (c : Cell.t) = String.equal c.Cell.dict dict in
   let owners = Registry.owners_of_dict t.reg ~app:app.App.name ~dict in
   (* Fan out: one control-channel copy per hive hosting owners, hives in
@@ -858,7 +836,6 @@ and route_foreach t ~(app : App.t) ~(handler : App.handler) ~src_ep dict msg =
   done
 
 and route_local t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin msg =
-  let src = resolve_src t msg in
   let deliver_on h =
     if hive_alive t h then
       match local_bee_of t ~app ~hive:h with
@@ -866,7 +843,7 @@ and route_local t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin msg =
       | Some b ->
         transmit t ~src_ep ~dst_hive:h ~bytes:msg.Message.size ~extra:Simtime.zero
           (fun () ->
-            enqueue t b (delivery msg handler (Hashtbl.find t.whole_dicts app.App.name) src None))
+            enqueue t b (delivery msg handler (Hashtbl.find t.whole_dicts app.App.name) None))
   in
   (* System messages (timer ticks) trigger local handlers on every hive;
      ordinary messages only on their origin hive. *)
@@ -940,8 +917,7 @@ and route t ~src_ep msg =
 let late_emit t ctx ep ?size ~kind payload =
   let b = Hashtbl.find t.bees (Context.bee_id ctx) in
   let m = bee_message t b ?size ~kind payload in
-  call_emit_hooks ~parent:(Some (Context.message ctx)) ~child:m ~emitter:(emitter_of b)
-    t.emit_hooks;
+  call_emit_hooks ~parent:(Some (Context.message ctx)) ~child:m t.emit_hooks;
   match ep with
   | None -> route t ~src_ep:(hive_ep t b.hive) m
   | Some ep -> deliver_endpoint t b ep m
@@ -1010,7 +986,7 @@ let inject t ~from ?size ~kind payload =
   let msg =
     Message.make ?size ~kind ~src:(Message.From_endpoint from) ~sent_at:(now t) payload
   in
-  call_emit_hooks ~parent:None ~child:msg ~emitter:None t.emit_hooks;
+  call_emit_hooks ~parent:None ~child:msg t.emit_hooks;
   route t ~src_ep:from msg
 
 let emit_system t ~hive ~size ~kind payload =

@@ -332,16 +332,15 @@ val set_replicator : t -> replicator -> unit
 
 val on_emit :
   t ->
-  (parent:Message.t option ->
-  child:Message.t ->
-  emitter:(int * string * int) option ->
-  unit) ->
+  (parent:Message.t option -> child:Message.t -> emitter:Message.source -> unit) ->
   unit
 (** Observes every message creation: bee emissions carry the message
-    being processed as [parent] and the emitting [(bee, app, hive)];
-    injected messages have neither. Drives {!Trace}. For emits made
-    inside a handler the hook fires at commit time — an aborted handler's buffered emits
-    are never observed, because they never happened. *)
+    being processed as [parent]; injected messages have none. [emitter]
+    is [child.src], the one record of the message's origin; the label
+    stays because existing hooks name it ([~emitter:_]). Drives {!Trace}.
+    For emits made inside a handler the hook fires at commit time — an
+    aborted handler's buffered emits are never observed, because they
+    never happened. *)
 
 (** {2 Transactional outbox / quarantine introspection} *)
 

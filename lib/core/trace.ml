@@ -2,7 +2,7 @@ type event = {
   ev_msg : int;
   ev_parent : int option;
   ev_kind : string;
-  ev_emitter : (int * string * int) option;
+  ev_emitter : Message.source;
   ev_at : Beehive_sim.Simtime.t;
 }
 
@@ -29,13 +29,13 @@ let evict t =
     Hashtbl.remove t.by_parent victim
   done
 
-let record t ~parent ~(child : Message.t) ~emitter =
+let record t ~parent ~(child : Message.t) =
   let ev =
     {
       ev_msg = child.Message.msg_id;
       ev_parent = Option.map (fun (m : Message.t) -> m.Message.msg_id) parent;
       ev_kind = child.Message.kind;
-      ev_emitter = emitter;
+      ev_emitter = child.Message.src;
       ev_at = child.Message.sent_at;
     }
   in
@@ -58,7 +58,7 @@ let attach platform ~capacity =
       order = Queue.create ();
     }
   in
-  Platform.on_emit platform (fun ~parent ~child ~emitter -> record t ~parent ~child ~emitter);
+  Platform.on_emit platform (fun ~parent ~child ~emitter:_ -> record t ~parent ~child);
   t
 
 let recorded t = Hashtbl.length t.by_id
@@ -91,8 +91,9 @@ let render_tree t fmt root =
     | Some ev ->
       let who =
         match ev.ev_emitter with
-        | Some (bee, app, hive) -> Printf.sprintf " by bee %d (%s) on hive %d" bee app hive
-        | None -> " (injected)"
+        | Message.From_bee { bee; app; hive } ->
+          Printf.sprintf " by bee %d (%s) on hive %d" bee app hive
+        | Message.From_endpoint _ | Message.From_system -> " (injected)"
       in
       Format.fprintf fmt "%s#%d %s at %a%s@." indent id ev.ev_kind Beehive_sim.Simtime.pp
         ev.ev_at who;

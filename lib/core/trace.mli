@@ -3,10 +3,10 @@
     Section 3: "We also store provenance and causation data for messages.
     For example, we store that packet out messages are emitted by the
     learning switch application upon receiving 80% of packet in's."
-    This module is the platform's only provenance record, and it is
-    opt-in: {!attach} registers a {!Platform.on_emit} hook, and a
-    platform without one keeps no provenance at all. It records the
-    actual causal links so individual control decisions can be
+    A message's origin is its own [src]; this module is the platform's
+    only record of causation, and it is opt-in: {!attach} registers a
+    {!Platform.on_emit} hook, and a platform without one keeps no parent
+    links. It records the actual causal links so control decisions can be
     explained: which stat reply triggered which traffic update, which
     update produced which FlowMod; {!causation_ratio} gives the
     aggregate.
@@ -18,7 +18,7 @@ type event = {
   ev_msg : int;  (** message id *)
   ev_parent : int option;  (** message being processed when this was emitted *)
   ev_kind : string;
-  ev_emitter : (int * string * int) option;  (** (bee, app, hive), if any *)
+  ev_emitter : Message.source;  (** the message's own [src] *)
   ev_at : Beehive_sim.Simtime.t;
 }
 

@@ -753,7 +753,7 @@ let check_words_bound per_msg bound =
    handler's transaction and routing, counted exactly on the ping-pong
    chain. The bound is the measured cost (OCaml 5.1.1, native code);
    raising it needs a reason. *)
-let runtime_words_per_message_bound = 76.5
+let runtime_words_per_message_bound = 75.5
 
 let test_runtime_words_per_message () =
   let engine, platform = make_platform ~n_hives:1 ~apps:(ping_pong_apps ()) () in
@@ -765,10 +765,10 @@ let test_runtime_words_per_message () =
   check_words_bound (words_per_message platform step) runtime_words_per_message_bound
 
 (* The same chain with an emit hook installed: each emitting completion
-   shows the hook the bee's cached emitter and allocates only the
+   shows the hook the child's own source and allocates only the
    parent's [Some]. The bound is the measured cost (OCaml 5.1.1, native
    code); raising it needs a reason. *)
-let hooked_words_per_message_bound = 77.5
+let hooked_words_per_message_bound = 76.5
 
 let test_hooked_words_per_message () =
   let engine, platform = make_platform ~n_hives:1 ~apps:(ping_pong_apps ()) () in
@@ -789,7 +789,7 @@ let test_hooked_words_per_message () =
    firing), so each step runs 5 ms of simulated time: long enough for
    the pong's commit, fsync, dispatch and ack. The bound is the measured
    cost (OCaml 5.1.1, native code); raising it needs a reason. *)
-let durable_words_per_message_bound = 169.1235
+let durable_words_per_message_bound = 168.1235
 
 let test_durable_words_per_message () =
   let engine, platform = durable_platform ~n_hives:1 ~apps:(ping_pong_apps ()) () in
@@ -801,6 +801,42 @@ let test_durable_words_per_message () =
   let per_msg = words_per_message platform step in
   Alcotest.(check int) "outbox drained" 0 (Platform.outbox_unacked_total platform);
   check_words_bound per_msg durable_words_per_message_bound
+
+(* The emit hooks' [emitter] is the child's own source, for every way a
+   message is made: a bee's emit and endpoint send at commit, an emit
+   made after the handler returned, and an injected message. *)
+let test_emitter_is_child_source () =
+  let switch = Channels.Switch 3 and kept = ref None in
+  let app =
+    App.create ~name:"test.emitter" ~dicts:[ "store" ]
+      [
+        App.handler ~kind:"test.go"
+          ~map:(fun _ -> Mapping.with_key "store" "k")
+          (fun ctx _ ->
+            Context.emit ctx ~kind:"test.emit" (Noop 0);
+            Context.send_to ctx switch ~kind:"test.send" (Noop 0);
+            kept := Some ctx);
+      ]
+  in
+  let engine, platform = make_platform ~apps:[ app ] () in
+  Platform.register_endpoint platform switch ignore;
+  let seen = ref [] in
+  Platform.on_emit platform (fun ~parent:_ ~child ~emitter ->
+      seen := (child.Message.kind, emitter = child.Message.src, child.Message.src) :: !seen);
+  Platform.inject platform ~from:(Channels.Hive 2) ~kind:"test.go" (Noop 0);
+  drain engine;
+  (match !kept with
+  | Some ctx -> Context.emit ctx ~kind:"test.late" (Noop 0)
+  | None -> Alcotest.fail "the handler never ran");
+  drain engine;
+  let bee = owner_exn platform ~app:"test.emitter" "k" in
+  let from_bee = Message.From_bee { bee; hive = 2; app = "test.emitter" } in
+  Alcotest.(check (list (pair string bool))) "every emitter is the child's source"
+    [ ("test.go", true); ("test.emit", true); ("test.send", true); ("test.late", true) ]
+    (List.rev_map (fun (kind, same, _) -> (kind, same)) !seen);
+  Alcotest.(check bool) "sources name the endpoint, then the bee" true
+    (List.rev_map (fun (_, _, src) -> src) !seen
+    = [ Message.From_endpoint (Channels.Hive 2); from_bee; from_bee; from_bee ])
 
 let suite =
   [
@@ -822,6 +858,8 @@ let suite =
         Alcotest.test_case "a migrating merge winner waits for its busy loser" `Quick
           test_migrating_merge_winner_waits;
         Alcotest.test_case "local apps per hive" `Quick test_local_app_per_hive;
+        Alcotest.test_case "emit hooks see the child's source as emitter" `Quick
+          test_emitter_is_child_source;
         Alcotest.test_case "timers survive a crash of hive 0" `Quick
           test_timers_survive_hive_zero_crash;
         Alcotest.test_case "migration preserves state+order" `Quick

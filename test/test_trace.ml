@@ -41,10 +41,11 @@ let test_chain_recorded () =
   Alcotest.(check (list string)) "root-first causal chain"
     [ "test.ping"; "test.pong"; "test.pang" ]
     (List.map (fun e -> e.Trace.ev_kind) chain);
-  (* The root is the injected message (no emitter). *)
+  (* The root is the injected message: its source is the endpoint. *)
   (match chain with
   | root :: _ ->
-    Alcotest.(check bool) "root injected" true (root.Trace.ev_emitter = None);
+    Alcotest.(check bool) "root injected" true
+      (root.Trace.ev_emitter = Message.From_endpoint (Channels.Hive 0));
     Alcotest.(check bool) "root has no parent" true (root.Trace.ev_parent = None)
   | [] -> Alcotest.fail "empty chain");
   (* children of the pong are the two pangs. *)
@@ -106,7 +107,7 @@ let test_provenance_edges () =
     List.filter
       (fun e ->
         match (e.Trace.ev_emitter, e.Trace.ev_parent) with
-        | Some (_, "test.pingpong", _), Some parent ->
+        | Message.From_bee { app = "test.pingpong"; _ }, Some parent ->
           e.Trace.ev_kind = "test.pong" && kind_of parent = Some "test.ping"
         | _ -> false)
       events
