@@ -12,7 +12,6 @@ let kind_report = "beehive.hive_report"
 
 type bee_load = {
   bl_bee : int;
-  bl_app : string;
   bl_hive : int;
   bl_processed : int;
   bl_in_by_hive : (int * float) list;
@@ -51,17 +50,23 @@ let greedy_source_policy ~min_messages : policy =
       end)
     loads
 
+(* Each hive's summed [bl_processed]; a load on a hive outside [0, n)
+   counts nowhere. *)
+let per_hive_processed n loads =
+  let per_hive = Array.make n 0 in
+  List.iter
+    (fun l ->
+      if l.bl_hive >= 0 && l.bl_hive < n then
+        per_hive.(l.bl_hive) <- per_hive.(l.bl_hive) + l.bl_processed)
+    loads;
+  per_hive
+
 let load_balance_policy : policy =
  fun platform loads ->
   let n = Platform.n_hives platform in
   if n < 2 || loads = [] then []
   else begin
-    let per_hive = Array.make n 0 in
-    List.iter
-      (fun l ->
-        if l.bl_hive >= 0 && l.bl_hive < n then
-          per_hive.(l.bl_hive) <- per_hive.(l.bl_hive) + l.bl_processed)
-      loads;
+    let per_hive = per_hive_processed n loads in
     let busiest = ref 0 and calmest = ref 0 in
     Array.iteri
       (fun h v ->
@@ -102,12 +107,7 @@ let scale_out_policy : policy =
   let n = Platform.n_hives platform in
   if n < 2 || loads = [] then []
   else begin
-    let per_hive = Array.make n 0 in
-    List.iter
-      (fun l ->
-        if l.bl_hive >= 0 && l.bl_hive < n then
-          per_hive.(l.bl_hive) <- per_hive.(l.bl_hive) + l.bl_processed)
-      loads;
+    let per_hive = per_hive_processed n loads in
     let empty =
       List.filter
         (fun h -> Platform.placeable platform h && per_hive.(h) = 0)
@@ -175,32 +175,19 @@ let default_config =
 (* The instrumentation application                                      *)
 (* ------------------------------------------------------------------ *)
 
-type report_entry = {
-  e_bee : int;
-  e_app : string;
-  e_processed : int;
-  e_in_by_hive : (int * int) list;
-}
-
 type Message.payload +=
   | Collect_tick
   | Optimize_tick
-  | Hive_report of report_entry list
-      (* one hive's windows: the hive is the report's [From_bee] source,
-         since the collector is a local bee on the hive it reports *)
+  | Hive_report of (int * (int * int) list) list
+      (* one hive's windows: each reported bee with its window's
+         per-source-hive counts *)
 
-type load = {
-  l_app : string;
-  l_hive : int;
-  l_processed : float;
-  l_in_by_hive : (int * float) list;
-}
-
-type Value.t += V_load of load
+(* A bee's stored load: its decayed per-source-hive counts, in hive order. *)
+type Value.t += V_load of (int * float) list
 
 let () =
   Value.register_size (function
-    | V_load l -> Some (32 + (12 * List.length l.l_in_by_hive))
+    | V_load in_by_hive -> Some (32 + (12 * List.length in_by_hive))
     | _ -> None)
 
 type handle = {
@@ -221,6 +208,23 @@ let[@tail_mod_cons] rec merge_counts history window =
     else if hh = h then (h, hc +. float_of_int c) :: merge_counts history' rest
     else (h, float_of_int c) :: merge_counts history rest
 
+(* The policy's view of one stored load: the bee's live hive and the
+   truncated sum of its decayed counts; [None] once the bee is no longer
+   live. *)
+let bee_load_of platform key in_by_hive =
+  let bee = int_of_string key in
+  match Platform.live_bee_hive platform bee with
+  | None -> None
+  | Some hive ->
+    let total = List.fold_left (fun a (_, c) -> a +. c) 0.0 in_by_hive in
+    Some
+      {
+        bl_bee = bee;
+        bl_hive = hive;
+        bl_processed = int_of_float total;
+        bl_in_by_hive = in_by_hive;
+      }
+
 (* Entries name distinct bees, so their order in a report does not
    matter: the collector conses them as it walks. *)
 let collector_handler platform =
@@ -231,14 +235,7 @@ let collector_handler platform =
       let entries = ref [] in
       Platform.iter_windows platform ~hive (fun ~bee ~app (w : Stats.window) ->
           if w.Stats.w_processed > 0 && not (String.equal app app_name) then
-            entries :=
-              {
-                e_bee = bee;
-                e_app = app;
-                e_processed = w.Stats.w_processed;
-                e_in_by_hive = w.Stats.w_in_by_hive;
-              }
-              :: !entries);
+            entries := (bee, w.Stats.w_in_by_hive) :: !entries);
       let entries = !entries in
       if entries <> [] then
         Context.emit ctx
@@ -246,29 +243,20 @@ let collector_handler platform =
           ~kind:kind_report
           (Hive_report entries))
 
-let no_load = { l_app = ""; l_hive = -1; l_processed = 0.0; l_in_by_hive = [] }
-
-let merge_entry ~hive e prev =
-  let prev = match prev with Some (V_load l) -> l | Some _ | None -> no_load in
-  Some
-    (V_load
-       {
-         l_app = e.e_app;
-         l_hive = hive;
-         l_processed = prev.l_processed +. float_of_int e.e_processed;
-         l_in_by_hive = merge_counts prev.l_in_by_hive e.e_in_by_hive;
-       })
+let merge_window window prev =
+  let history = match prev with Some (V_load l) -> l | Some _ | None -> [] in
+  Some (V_load (merge_counts history window))
 
 let aggregator_handler =
   App.handler ~kind:kind_report
     ~map:(fun _ -> Mapping.whole_dict dict_loads)
     (fun ctx msg ->
-      match (msg.Message.payload, msg.Message.src) with
-      | Hive_report entries, Message.From_bee { hive; _ } ->
+      match msg.Message.payload with
+      | Hive_report entries ->
         List.iter
-          (fun e ->
-            Context.update ctx ~dict:dict_loads ~key:(string_of_int e.e_bee)
-              (merge_entry ~hive e))
+          (fun (bee, window) ->
+            Context.update ctx ~dict:dict_loads ~key:(string_of_int bee)
+              (merge_window window))
           entries
       | _ -> ())
 
@@ -281,22 +269,9 @@ let optimizer_handler handle =
       let view = ref [] in
       Context.iter_dict ctx ~dict:dict_loads (fun key v ->
           match v with
-          | V_load l -> (
-            let bee = int_of_string key in
-            match Platform.live_bee_hive platform bee with
-            | Some hive ->
-              let total =
-                List.fold_left (fun a (_, c) -> a +. c) 0.0 l.l_in_by_hive
-              in
-              view :=
-                {
-                  bl_bee = bee;
-                  bl_app = l.l_app;
-                  bl_hive = hive;
-                  bl_processed = int_of_float total;
-                  bl_in_by_hive = l.l_in_by_hive;
-                }
-                :: !view
+          | V_load in_by_hive -> (
+            match bee_load_of platform key in_by_hive with
+            | Some l -> view := l :: !view
             | None -> ())
           | _ -> ());
       let loads = List.rev !view in
@@ -317,18 +292,16 @@ let optimizer_handler handle =
          does not see its own writes. *)
       Context.iter_dict ctx ~dict:dict_loads (fun key v ->
           match v with
-          | V_load l -> (
+          | V_load in_by_hive -> (
             match
               List.filter_map
                 (fun (h, c) ->
                   let c = c *. decay in
                   if c < 0.25 then None else Some (h, c))
-                l.l_in_by_hive
+                in_by_hive
             with
             | [] -> Context.del ctx ~dict:dict_loads ~key
-            | in_by_hive ->
-              Context.set ctx ~dict:dict_loads ~key
-                (V_load { l with l_processed = l.l_processed *. decay; l_in_by_hive = in_by_hive }))
+            | in_by_hive -> Context.set ctx ~dict:dict_loads ~key (V_load in_by_hive))
           | _ -> ()))
 
 let install platform cfg =
@@ -350,15 +323,7 @@ let install platform cfg =
 let loads handle =
   Platform.read_dict handle.platform ~app:app_name ~dict:dict_loads
   |> List.filter_map (function
-       | key, V_load l ->
-         Some
-           {
-             bl_bee = int_of_string key;
-             bl_app = l.l_app;
-             bl_hive = l.l_hive;
-             bl_processed = int_of_float l.l_processed;
-             bl_in_by_hive = l.l_in_by_hive;
-           }
+       | key, V_load in_by_hive -> bee_load_of handle.platform key in_by_hive
        | _ -> None)
   |> List.sort (fun a b -> Int.compare a.bl_bee b.bl_bee)
 

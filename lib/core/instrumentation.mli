@@ -13,10 +13,13 @@
 
 type bee_load = {
   bl_bee : int;
-  bl_app : string;
-  bl_hive : int;
-  bl_processed : int;  (** decayed inbound message count *)
-  bl_in_by_hive : (int * float) list;  (** decayed per-source-hive counts *)
+  bl_hive : int;  (** the bee's live hive ({!Platform.live_bee_hive}) *)
+  bl_processed : int;
+      (** the sum of [bl_in_by_hive], truncated: messages from a source
+          hive, so ticks and other system messages do not count *)
+  bl_in_by_hive : (int * float) list;
+      (** decayed per-source-hive counts, in hive order: the one record
+          of a bee's load, carried from its {!Stats} window to the policy *)
 }
 
 type decision = {
@@ -81,7 +84,9 @@ val install : Platform.t -> config -> handle
 (** {2 Aggregated analytics} *)
 
 val loads : handle -> bee_load list
-(** The aggregator's current view (reads the aggregator bee's state). *)
+(** The view the policy is handed, built from the aggregator bee's
+    current state: one entry per stored live bee, by bee id. A bee
+    moved since its last report already shows its new hive. *)
 
 val performed_migrations : handle -> int
 (** Migrations the optimizer decided on (within each round's budget)

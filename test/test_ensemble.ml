@@ -88,7 +88,12 @@ let test_ensemble_interplay () =
 
   (* 4. Instrumentation aggregated loads for several apps. *)
   let observed_apps =
-    List.map (fun l -> l.Instrumentation.bl_app) (Instrumentation.loads instr)
+    List.filter_map
+      (fun l ->
+        Option.map
+          (fun (v : Platform.bee_view) -> v.Platform.view_app)
+          (Platform.bee_view platform l.Instrumentation.bl_bee))
+      (Instrumentation.loads instr)
     |> List.sort_uniq String.compare
   in
   Alcotest.(check bool) "driver instrumented" true

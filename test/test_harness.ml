@@ -142,7 +142,9 @@ let test_fig4c_scenario_pinned () =
   let loads =
     List.map
       (fun (l : Beehive_core.Instrumentation.bee_load) ->
-        Printf.sprintf "%d %s %d %d [%s]" l.bl_bee l.bl_app l.bl_hive l.bl_processed
+        Printf.sprintf "%d %s %d %d [%s]" l.bl_bee
+          (Option.get (P.bee_view platform l.bl_bee)).P.view_app
+          l.bl_hive l.bl_processed
           (String.concat " " (List.map (fun (h, c) -> Printf.sprintf "%d:%h" h c) l.bl_in_by_hive)))
       (Beehive_core.Instrumentation.loads (Scenario.instrumentation sc))
   in

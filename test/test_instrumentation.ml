@@ -36,12 +36,49 @@ let test_loads_aggregated () =
   stream engine platform ~from:2 ~key:"k" ~seconds:3.0;
   let loads = Instrumentation.loads handle in
   let kv_loads =
-    List.filter (fun l -> l.Instrumentation.bl_app = "test.kv") loads
+    List.filter
+      (fun l ->
+        (Option.get (Platform.bee_view platform l.Instrumentation.bl_bee)).Platform.view_app
+        = "test.kv")
+      loads
   in
   Alcotest.(check bool) "kv bee observed" true (kv_loads <> []);
   let l = List.hd kv_loads in
   Alcotest.(check bool) "traffic from hive 2 recorded" true
     (List.mem_assoc 2 l.Instrumentation.bl_in_by_hive)
+
+(* [loads] is the view the optimizer is handed: a bee moved since its
+   last report shows its live hive, and each entry's processed count is
+   the truncated sum of its decayed per-hive counts. *)
+let test_loads_is_optimizer_view () =
+  let engine, platform, handle = setup ~optimize:false () in
+  put platform ~from:0 ~key:"k" ~value:1;
+  drain engine;
+  (* Reports at 2 s and 3 s name the bee on hive 0; read before 4 s. *)
+  stream engine platform ~from:2 ~key:"k" ~seconds:2.5;
+  let bee = owner_exn platform ~app:"test.kv" "k" in
+  let hive_in loads =
+    List.find_map
+      (fun (l : Instrumentation.bee_load) -> if l.bl_bee = bee then Some l.bl_hive else None)
+      loads
+  in
+  Alcotest.(check (option int)) "reported on hive 0" (Some 0)
+    (hive_in (Instrumentation.loads handle));
+  Alcotest.(check bool) "moved" true
+    (Platform.migrate_bee platform ~bee ~to_hive:1 ~reason:"test");
+  run_for engine 0.1;
+  let loads = Instrumentation.loads handle in
+  Alcotest.(check (option int)) "loads shows the live hive" (Some 1) (hive_in loads);
+  List.iter
+    (fun (l : Instrumentation.bee_load) ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "bee %d on its live hive" l.bl_bee)
+        (Platform.live_bee_hive platform l.bl_bee) (Some l.bl_hive);
+      Alcotest.(check int)
+        (Printf.sprintf "bee %d processed is its per-hive sum" l.bl_bee)
+        (int_of_float (List.fold_left (fun a (_, c) -> a +. c) 0.0 l.bl_in_by_hive))
+        l.bl_processed)
+    loads
 
 let test_optimizer_migrates_toward_majority () =
   let engine, platform, handle = setup ~optimize:true () in
@@ -161,13 +198,18 @@ let test_collect_cost_ignores_idle_bees () =
   let alone = collect_round_words ~idle:0 and crowded = collect_round_words ~idle:500 in
   if Float.abs (crowded -. alone) > 64.0 then
     Alcotest.failf "a collect round allocates %.0f words beside 500 idle bees, %.0f alone"
-      crowded alone
+      crowded alone;
+  (* 1,246 words: a report carries each bee's window counts and nothing
+     copied beside them. *)
+  if alone > 1246.0 then
+    Alcotest.failf "a collect round allocates %.0f words, more than 1246" alone
 
 let suite =
   [
     ( "instrumentation",
       [
         Alcotest.test_case "loads aggregated" `Quick test_loads_aggregated;
+        Alcotest.test_case "loads is the optimizer's view" `Quick test_loads_is_optimizer_view;
         Alcotest.test_case "optimizer migrates toward majority" `Quick
           test_optimizer_migrates_toward_majority;
         Alcotest.test_case "optimizer disabled" `Quick test_optimizer_disabled_never_migrates;

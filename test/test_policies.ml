@@ -7,7 +7,6 @@ module Ext_store = Beehive_core.Ext_store
 let load ~bee ~hive ~processed ~in_by_hive =
   {
     Instrumentation.bl_bee = bee;
-    bl_app = "test.kv";
     bl_hive = hive;
     bl_processed = processed;
     bl_in_by_hive = in_by_hive;
