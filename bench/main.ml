@@ -491,10 +491,13 @@ let ablation_integrity () =
      Two gated claims, both deterministic in the simulation: the framing
      bytes stay within 5% of the durable log volume, and turning frame
      *verification* off (the injected checksums-off bug) changes nothing
-     about the work done — same messages processed, same bytes logged —
-     so verification is pure read-side CPU. Host wall-clock measures the
-     simulator and is reported for context only; the scrub columns
-     quantify what the 5 ms tick budget actually buys. *)
+     about the work done — same messages processed, same bytes logged.
+     A sound frame holds no bytes: its image is built only when fault
+     injection damages it or [Store.wal_image] prints it, so verification
+     checksums damaged frames only, and on this healthy path it computes
+     no CRC at all. Host wall-clock measures the simulator and is
+     reported for context only; the scrub columns quantify what the 5 ms
+     tick budget actually buys. *)
   Format.printf "##### Ablation: storage-integrity cost on the healthy path #####@.";
   let secs = durable_puts.horizon_s in
   let run verify =

@@ -10,12 +10,11 @@ type t = {
   mutable viewing : int;
 }
 
-(* One pending write; [write = None] deletes. *)
-type pending = {
-  dict : string;
-  key : string;
-  mutable write : Value.t option;
-}
+(* One pending write, [(dict, key, write)]; [write = None] deletes. It
+   is the very tuple the WAL record and replication list, so an
+   overwrite in the same transaction replaces it rather than editing
+   it. *)
+type pending = string * string * Value.t option
 
 (* The pending writes sit in [writes.(0 .. n-1)], sorted by [(dict, key)]
    under [String.compare]: the order the WAL record and replication ship
@@ -44,7 +43,7 @@ let size_bytes t =
     t.dicts 0
 
 (* Fills the unused tail of the pending array. *)
-let no_write = { dict = ""; key = ""; write = None }
+let no_write = ("", "", None)
 
 let begin_tx base = { base; writes = [||]; n = 0; finished = false }
 
@@ -57,21 +56,23 @@ let rec lower_bound writes ~dict ~key lo hi =
   if lo >= hi then lo
   else
     let mid = (lo + hi) lsr 1 in
-    let p = writes.(mid) in
-    let c = match String.compare p.dict dict with 0 -> String.compare p.key key | c -> c in
+    let pd, pk, _ = writes.(mid) in
+    let c = match String.compare pd dict with 0 -> String.compare pk key | c -> c in
     if c < 0 then lower_bound writes ~dict ~key (mid + 1) hi
     else lower_bound writes ~dict ~key lo mid
 
 let holds tx i ~dict ~key =
   i < tx.n
   &&
-  let p = tx.writes.(i) in
-  String.equal p.key key && String.equal p.dict dict
+  let pd, pk, _ = tx.writes.(i) in
+  String.equal pk key && String.equal pd dict
 
 let tx_get tx ~dict ~key =
   check_open tx;
   let i = lower_bound tx.writes ~dict ~key 0 tx.n in
-  if holds tx i ~dict ~key then tx.writes.(i).write
+  if holds tx i ~dict ~key then
+    let _, _, write = tx.writes.(i) in
+    write
   else
     match SMap.find key (dict_map tx.base dict) with
     | c -> Some !c
@@ -82,7 +83,7 @@ let tx_mem tx ~dict ~key = tx_get tx ~dict ~key <> None
 let put tx ~dict ~key write =
   check_open tx;
   let at = lower_bound tx.writes ~dict ~key 0 tx.n in
-  if holds tx at ~dict ~key then tx.writes.(at).write <- write
+  if holds tx at ~dict ~key then tx.writes.(at) <- (dict, key, write)
   else begin
     if tx.n = Array.length tx.writes then begin
       let grown = Array.make (max 1 (2 * tx.n)) no_write in
@@ -90,23 +91,27 @@ let put tx ~dict ~key write =
       tx.writes <- grown
     end;
     Array.blit tx.writes at tx.writes (at + 1) (tx.n - at);
-    tx.writes.(at) <- { dict; key; write };
+    tx.writes.(at) <- (dict, key, write);
     tx.n <- tx.n + 1
   end
 
 let tx_set tx ~dict ~key v = put tx ~dict ~key (Some v)
 let tx_del tx ~dict ~key = put tx ~dict ~key None
 
+let pending_dict ((dict, _, _) : pending) = dict
+let pending_key ((_, key, _) : pending) = key
+
 (* Calls [f] on [(key, value)] for the view's entries: the cells of [d]
-   overlaid with the pending [(keys.(i), writes.(i))], both in key
-   order. *)
-let iter_overlay d keys writes f =
+   overlaid with the pending writes [ws] of the same dictionary, both in
+   key order. *)
+let iter_overlay d (ws : pending array) f =
   let next = ref 0 in
+  let emit (_, k, w) = match w with Some v -> f k v | None -> () in
   let rec flush_before k =
     let i = !next in
-    if i < Array.length keys && String.compare keys.(i) k < 0 then begin
+    if i < Array.length ws && String.compare (pending_key ws.(i)) k < 0 then begin
       next := i + 1;
-      (match writes.(i) with Some v -> f keys.(i) v | None -> ());
+      emit ws.(i);
       flush_before k
     end
   in
@@ -114,37 +119,33 @@ let iter_overlay d keys writes f =
     (fun k c ->
       flush_before k;
       let i = !next in
-      if i < Array.length keys && String.equal keys.(i) k then begin
+      if i < Array.length ws && String.equal (pending_key ws.(i)) k then begin
         next := i + 1;
-        match writes.(i) with Some v -> f k v | None -> ()
+        emit ws.(i)
       end
       else f k !c)
     d;
-  for i = !next to Array.length keys - 1 do
-    match writes.(i) with Some v -> f keys.(i) v | None -> ()
+  for i = !next to Array.length ws - 1 do
+    emit ws.(i)
   done
 
 let tx_iter tx ~dict f =
   check_open tx;
   let d = dict_map tx.base dict in
-  (* The view is fixed here: writes [f] makes go to the pending array, so
-     the pending writes of [dict] are copied, and a commit of this state
-     raises while [viewing] is positive, so the cells hold still. *)
+  (* The view is fixed here: writes [f] makes shift or replace slots of
+     the pending array, so [dict]'s slots are copied (the writes in them
+     are immutable), and a commit of this state raises while [viewing] is
+     positive, so the cells hold still. *)
   let lo = lower_bound tx.writes ~dict ~key:"" 0 tx.n in
   let hi = ref lo in
-  while !hi < tx.n && String.equal tx.writes.(!hi).dict dict do
+  while !hi < tx.n && String.equal (pending_dict tx.writes.(!hi)) dict do
     incr hi
   done;
   let base = tx.base in
   base.viewing <- base.viewing + 1;
   match
     if !hi = lo then SMap.iter (fun k c -> f k !c) d
-    else
-      let m = !hi - lo in
-      iter_overlay d
-        (Array.init m (fun i -> tx.writes.(lo + i).key))
-        (Array.init m (fun i -> tx.writes.(lo + i).write))
-        f
+    else iter_overlay d (Array.sub tx.writes lo (!hi - lo)) f
   with
   | () -> base.viewing <- base.viewing - 1
   | exception e ->
@@ -152,16 +153,14 @@ let tx_iter tx ~dict f =
     raise e
 
 (* One pass from the last pending write back to the first, so the list
-   comes out in order with no reversal. *)
+   comes out in order with no reversal; it conses the tuples
+   themselves. *)
 let rec pending_down writes i acc =
-  if i < 0 then acc
-  else
-    let p = writes.(i) in
-    pending_down writes (i - 1) ((p.dict, p.key, p.write) :: acc)
+  if i < 0 then acc else pending_down writes (i - 1) (writes.(i) :: acc)
 
 let tx_pending tx = pending_down tx.writes (tx.n - 1) []
 
-let apply t { dict; key; write } =
+let apply t (dict, key, write) =
   let d = dict_map t dict in
   match write with
   | Some v -> (

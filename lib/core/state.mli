@@ -15,10 +15,12 @@
     shared between two states: a commit to one bee never shows through
     another bee's state, such as the copy a migration or snapshot made.
 
-    A transaction's pending writes sit in one array kept sorted by
-    [(dict, key)] under [String.compare] by binary search: a read looks
-    them up without allocating, and {!tx_pending} lists them in that
-    order without a sort.
+    A transaction's pending writes are immutable [(dict, key, write)]
+    tuples in one array kept sorted by [(dict, key)] under
+    [String.compare] by binary search: a read looks them up without
+    allocating, an overwrite in the same transaction replaces the tuple,
+    and {!tx_pending} conses the tuples themselves into a list in that
+    order, with no sort and no copy. The WAL record keeps that list.
 
     A {!tx_iter} view reads the committed cells in place, overlaid with a
     copy of the iterated dictionary's pending writes, so it costs in

@@ -12,34 +12,46 @@ type 'v write = string * string * 'v option
 
 type 'e emit = { o_seq : int; o_bytes : int; o_entry : 'e }
 
-(* The length+CRC32 envelope around every durable artifact. [f_payload]
-   models the bytes actually on disk: fault injection mutates it in place,
-   while [f_len] and [f_crc] are what the envelope recorded at write time.
-   A short payload is a torn write (detected by length framing alone); an
-   equal-length payload with a mismatched CRC is silent corruption
-   (detected only when checksum verification is on). *)
-type frame = { mutable f_payload : string; f_crc : int; f_len : int }
+(* The length+CRC32 envelope around a durable artifact, as the disk
+   holds it. [f_payload] models the bytes on disk: fault injection
+   mutates it in place, while [f_len] and [f_crc] are what the envelope
+   recorded at write time. A short payload is a torn write (detected by
+   length framing alone); an equal-length payload with a mismatched CRC
+   is silent corruption (detected only when checksum verification is
+   on). *)
+type image = { mutable f_payload : string; f_crc : int; f_len : int }
 
-let frame_of payload =
+let image_of payload =
   { f_payload = payload; f_crc = Crc32.string payload; f_len = String.length payload }
+
+(* A committed record and a snapshot never change, so the image the
+   write put on disk is a pure function of the artifact: a [Sound] frame
+   keeps no bytes, and the image is built from the artifact only when
+   [wal_image] prints it or fault injection damages it. A [Damaged] frame
+   holds that write-time image with its bytes as the disk now has
+   them. *)
+type frame = Sound | Damaged of image
 
 type frame_state = F_ok | F_torn | F_garbled
 
 (* Physical truth, independent of the verification switch — what a reader
    that trusts the bytes would actually be handed. *)
-let frame_state_oracle f =
-  if String.length f.f_payload <> f.f_len then F_torn
-  else if Crc32.string f.f_payload <> f.f_crc then F_garbled
-  else F_ok
+let frame_state_oracle = function
+  | Sound -> F_ok
+  | Damaged f ->
+    if String.length f.f_payload <> f.f_len then F_torn
+    else if Crc32.string f.f_payload <> f.f_crc then F_garbled
+    else F_ok
 
 let frame_damaged_oracle f = frame_state_oracle f <> F_ok
 
-
 (* One transaction's worth of log: the state write-set plus the outbox
    entries and inbox marks committed with it. [append] builds it pending,
-   with no lsn and no frame; everything in it becomes durable together
-   when the next group commit stamps those in place and moves it into the
-   WAL — or is lost together by [drop_pending]. *)
+   with no lsn; everything in it becomes durable together when the next
+   group commit stamps its lsn and commit time in place and moves it
+   into the WAL — or is lost together by [drop_pending]. Only a pending
+   record is ever edited (by the debug hooks [wipe_inbox] and
+   [drop_outbox]), so a committed one is fixed. *)
 type ('v, 'e) record = {
   mutable r_lsn : int;  (* 0 while pending *)
   mutable r_at : Simtime.t;  (* commit time *)
@@ -54,11 +66,8 @@ type ('v, 'e) record = {
   mutable r_consumed : (int * int) option;
       (* the mark of the delivery this record applied: journaled after the
          carried ones, and handed over as an ack once durable *)
-  mutable r_frame : frame;
+  mutable r_frame : frame;  (* [Sound] until fault injection damages it *)
 }
-
-(* The frame of a record not yet committed; never read or mutated. *)
-let unframed = { f_payload = ""; f_crc = 0; f_len = 0 }
 
 (* Serialized framing overheads (bytes). *)
 let record_overhead = 24
@@ -118,7 +127,7 @@ type ('v, 'e) t = {
   on_durable : (hive:int -> acks:(int * int * int) list -> 'e list -> unit) option;
   verify : bool;
       (* false only under the injected checksums-off bug: frames are still
-         written (byte accounting and schedules are unchanged) but
+         charged (byte accounting and schedules are unchanged) but
          verification is skipped, so garbled records read back as if they
          were sound. Length framing still catches torn tails — that
          detection needs no checksum. *)
@@ -163,18 +172,6 @@ type ('v, 'e) t = {
    framing), garbled bytes only while checksum verification is on. *)
 let frame_state t f =
   match frame_state_oracle f with F_garbled when not t.verify -> F_ok | state -> state
-
-(* Scratch buffer for record encoding. Encodes never nest and the
-   engine is serial, so one buffer serves every store. [Buffer.clear]
-   keeps the underlying bytes, so after the first record each encode
-   reuses a buffer already sized for the largest record seen — no
-   per-record allocation on the WAL hot path. [Buffer.contents] copies,
-   so the returned payloads never alias the scratch space. *)
-let scratch_buf = Buffer.create 64
-
-let scratch () =
-  Buffer.clear scratch_buf;
-  scratch_buf
 
 (* [Buffer.add_string buf (string_of_int n)] without the temporary. *)
 let rec add_digits buf n =
@@ -223,12 +220,12 @@ let add_consumed buf = function
   | Some (sender, seq) -> add_pair buf 'i' sender seq
   | None -> ()
 
-(* Canonical serialized images. The store holds typed values, so the
+(* Canonical serialized payloads. The store holds typed values, so the
    "bytes on disk" are modeled: a deterministic string derived from the
-   artifact's identity and shape. Checksums are computed and verified over
-   these images, and fault injection mutates them in place. *)
+   artifact's identity and shape. Only the image helpers below call
+   these, so no commit path encodes. *)
 let payload_of_record t r =
-  let buf = scratch () in
+  let buf = Buffer.create 64 in
   Buffer.add_char buf 'R';
   add_int buf r.r_lsn;
   add_writes t buf r.r_writes;
@@ -238,7 +235,7 @@ let payload_of_record t r =
   Buffer.contents buf
 
 let payload_of_snapshot t ~lsn entries =
-  let buf = scratch () in
+  let buf = Buffer.create 64 in
   Buffer.add_char buf 'S';
   add_int buf lsn;
   List.iter
@@ -247,6 +244,18 @@ let payload_of_snapshot t ~lsn entries =
       add_int buf (t.size_of (d, k, Some v)))
     entries;
   Buffer.contents buf
+
+(* The image a frame stands for: the damaged bytes, or the ones the
+   write put on disk, rebuilt from the artifact. *)
+let record_image t r =
+  match r.r_frame with
+  | Damaged f -> f
+  | Sound -> image_of (payload_of_record t r)
+
+let snapshot_image t bl =
+  match bl.bl_snapshot_frame with
+  | Damaged f -> f
+  | Sound -> image_of (payload_of_snapshot t ~lsn:bl.bl_snapshot_lsn bl.bl_snapshot)
 
 let log_of t bee =
   match Hashtbl.find t.logs bee with
@@ -262,7 +271,7 @@ let log_of t bee =
         bl_wal_records = 0;
         bl_snapshot = [];
         bl_snapshot_lsn = 0;
-        bl_snapshot_frame = frame_of (payload_of_snapshot t ~lsn:0 []);
+        bl_snapshot_frame = Sound;
         bl_snapshot_bytes = 0;
         bl_compactions = 0;
         bl_next_lsn = 1;
@@ -419,13 +428,13 @@ let verify_log t bl =
 (* Any frame the production read path would reject right now. *)
 let log_suspect_now t bl = Option.is_some (verify_log t bl)
 
-(* Installs [es] as the log's snapshot image, taken at its last lsn: the
-   entries, their lsn, a fresh frame and the image's byte size. *)
+(* Installs [es] as the log's snapshot, taken at its last lsn: the
+   entries, their lsn, a sound frame and the image's byte size. *)
 let set_snapshot t bl es =
   let lsn = bl.bl_next_lsn - 1 in
   bl.bl_snapshot <- es;
   bl.bl_snapshot_lsn <- lsn;
-  bl.bl_snapshot_frame <- frame_of (payload_of_snapshot t ~lsn es);
+  bl.bl_snapshot_frame <- Sound;
   bl.bl_snapshot_bytes <-
     snapshot_overhead + frame_overhead
     + List.fold_left (fun acc (d, k, v) -> acc + t.size_of (d, k, Some v)) 0 es
@@ -475,13 +484,12 @@ let consume bl hc = function
     Hashtbl.replace bl.bl_inbox mark ();
     if sender >= 0 then hc.hc_acks <- (bl.bl_bee, sender, seq) :: hc.hc_acks
 
-(* Stamps one pending record with the next lsn, the commit time and its
-   frame, moves it into the durable WAL and charges it to its hive's
-   share of the commit. *)
+(* Stamps one pending record with the next lsn and the commit time,
+   moves it into the durable WAL and charges it to its hive's share of
+   the commit. Its frame stays [Sound]: no bytes are encoded. *)
 let commit_record t bl r =
   r.r_lsn <- bl.bl_next_lsn;
   r.r_at <- Engine.now t.engine;
-  r.r_frame <- frame_of (payload_of_record t r);
   bl.bl_next_lsn <- r.r_lsn + 1;
   bl.bl_wal <- r :: bl.bl_wal;
   bl.bl_wal_bytes <- bl.bl_wal_bytes + r.r_bytes;
@@ -590,7 +598,7 @@ let append t ~bee ~hive ~outbox ~inbox ?consumed writes =
         r_outbox = outbox;
         r_inbox = inbox;
         r_consumed = consumed;
-        r_frame = unframed;
+        r_frame = Sound;
       }
       :: bl.bl_pending;
     mark_dirty t bl;
@@ -953,6 +961,13 @@ let flip_byte s =
     Bytes.to_string b
   end
 
+(* Damage builds the write-time image first, so the envelope keeps the
+   length and CRC the write recorded. *)
+let damage_record t r =
+  let f = record_image t r in
+  r.r_frame <- Damaged f;
+  f
+
 let corrupt_record t ~bee ~victim =
   match Hashtbl.find_opt t.logs bee with
   | None -> false
@@ -961,8 +976,8 @@ let corrupt_record t ~bee ~victim =
     | [] -> false
     | wal ->
       let n = List.length wal in
-      let r = List.nth wal (((victim mod n) + n) mod n) in
-      r.r_frame.f_payload <- flip_byte r.r_frame.f_payload;
+      let f = damage_record t (List.nth wal (((victim mod n) + n) mod n)) in
+      f.f_payload <- flip_byte f.f_payload;
       true)
 
 let tear_tail t ~bee =
@@ -972,8 +987,8 @@ let tear_tail t ~bee =
     match bl.bl_wal with
     | [] -> false
     | r :: _ ->
-      let p = r.r_frame.f_payload in
-      r.r_frame.f_payload <- String.sub p 0 (String.length p / 2);
+      let f = damage_record t r in
+      f.f_payload <- String.sub f.f_payload 0 (String.length f.f_payload / 2);
       true)
 
 let rot_snapshot t ~bee =
@@ -982,7 +997,9 @@ let rot_snapshot t ~bee =
   | Some bl ->
     if bl.bl_snapshot = [] then false
     else begin
-      bl.bl_snapshot_frame.f_payload <- flip_byte bl.bl_snapshot_frame.f_payload;
+      let f = snapshot_image t bl in
+      bl.bl_snapshot_frame <- Damaged f;
+      f.f_payload <- flip_byte f.f_payload;
       true
     end
 
@@ -1021,12 +1038,12 @@ let wal_image t =
       Buffer.add_string buf
         (Printf.sprintf "bee=%d next_lsn=%d snap_lsn=%d next_out_seq=%d\n"
            bl.bl_bee bl.bl_next_lsn bl.bl_snapshot_lsn bl.bl_next_out_seq);
-      add_frame "S" bl.bl_snapshot_frame;
+      add_frame "S" (snapshot_image t bl);
       List.iter
         (fun r ->
           add_frame
             (Printf.sprintf "W lsn=%d at=%d" r.r_lsn (Simtime.to_us r.r_at))
-            r.r_frame)
+            (record_image t r))
         (List.rev bl.bl_wal);
       List.iter
         (fun o -> Buffer.add_string buf (Printf.sprintf "O %d:%d\n" o.o_seq o.o_bytes))

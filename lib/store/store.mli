@@ -66,7 +66,7 @@ val create :
     bytes it failed to (or chose not to) verify — defaults to the
     identity, in which case damage is only visible to checksums.
     [~verify:false] injects the checksums-off bug: frames are still
-    written (byte accounting and event schedules are unchanged) but
+    charged (byte accounting and event schedules are unchanged) but
     checksum verification is skipped everywhere, so garbled records read
     back as if they were sound. Torn tails are still detected — length
     framing needs no checksum.
@@ -95,7 +95,7 @@ val append :
     a fail over's), and [consumed], the mark of the delivery it applied
     (any of them may be empty). The record is the one the WAL keeps: all
     of it becomes durable together when the next group commit stamps its
-    lsn and frame (the one already armed, or one this append arms to
+    lsn and commit time (the one already armed, or one this append arms to
     land one fsync latency later), or is lost together by
     {!drop_pending}: a crash can never keep a state delta without its
     emits, or vice versa. Nothing is appended when all are empty. The
@@ -234,7 +234,12 @@ val integrity_counters : ('v, 'e) t -> (string * int) list
     and [torn_truncations] (torn tail records dropped by {!fsck} across
     all bees); [quarantined_bees] counts the dead letters. *)
 
-(** {3 Fault injection (the lying disk)} *)
+(** {3 Fault injection (the lying disk)}
+
+    The store keeps no bytes for a sound frame: damage first builds the
+    image the write would have put on disk, with its length and CRC,
+    then changes its bytes, so the envelope keeps its write-time length
+    and CRC. *)
 
 val corrupt_record : ('v, 'e) t -> bee:int -> victim:int -> bool
 (** Flips one bit in the [victim mod n]-th durable WAL record's payload.

@@ -57,8 +57,8 @@ let prop_crc32_matches_bitwise =
       Crc32.string a = crc32_bitwise a
       && Crc32.update (Crc32.string a) b = Crc32.string (a ^ b))
 
-(* Every frame written or scrubbed is checksummed: that must not
-   allocate. *)
+(* Every damaged frame a scrub or fsck verifies, and every frame
+   [Store.wal_image] prints, is checksummed: that must not allocate. *)
 let test_crc32_allocation_free () =
   let s = String.init 4096 (fun i -> Char.chr (i land 0xff)) in
   let sum = ref 0 in
@@ -118,15 +118,104 @@ let test_snapshot_rot_fail_stops () =
     Store.flush store
   done;
   Alcotest.(check bool) "log compacted" true (Store.snapshot_count store ~bee:0 > 0);
-  Alcotest.(check bool) "snapshot rotted" true (Store.rot_snapshot store ~bee:0);
-  (match Store.fsck store ~bee:0 with
-  | Store.Corrupt _ -> ()
-  | v -> Alcotest.failf "expected Corrupt, got %a" (Alcotest.pp verdict) v);
+  (* Rot is caught whichever path installed the snapshot: a compaction
+     or a re-seed. *)
+  let caught what =
+    Alcotest.(check bool) (what ^ ": snapshot rotted") true (Store.rot_snapshot store ~bee:0);
+    (match Store.fsck store ~bee:0 with
+    | Store.Corrupt _ -> ()
+    | v -> Alcotest.failf "%s: expected Corrupt, got %a" what (Alcotest.pp verdict) v);
+    Alcotest.(check bool) (what ^ ": the oracle agrees") true
+      (Store.verify_chain store ~bee:0 <> None)
+  in
+  caught "after a compaction";
+  Store.reseed store ~bee:0 ~entries:[ ("d", "k", 5); ("d", "j", 6) ] ~outbox:[] ~inbox:[];
+  Alcotest.check verdict "the re-seed is sound" Store.Intact (Store.fsck store ~bee:0);
+  caught "after a re-seed";
   (* A bee that never compacted has no snapshot bytes to rot. *)
   Store.append store ~bee:1 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "x", Some 1) ];
   Store.flush store;
   Alcotest.(check bool) "nothing to rot without a snapshot" false
     (Store.rot_snapshot store ~bee:1)
+
+(* The frames [Store.wal_image] prints, [(header, len, crc, payload)]:
+   the snapshot's ("S") and each WAL record's ("W lsn=.. at=.."). *)
+let image_frames store =
+  String.split_on_char '\n' (Store.wal_image store)
+  |> List.filter_map (fun line ->
+         if String.length line < 2 || not (List.mem (String.sub line 0 2) [ "S "; "W " ])
+         then None
+         else
+           let rec cut i = if String.sub line i 5 = " len=" then i else cut (i + 1) in
+           let cut = cut 0 in
+           Scanf.sscanf
+             (String.sub line (cut + 1) (String.length line - cut - 1))
+             "len=%d crc=%d %[^\n]"
+             (fun len crc payload -> Some (String.sub line 0 cut, len, crc, payload)))
+
+(* A damaged frame carries the CRC its write recorded, so flipping the
+   same byte back restores a frame that verifies: the image is the one
+   the commit would have written, byte for byte. *)
+let test_double_flip_restores () =
+  let store = int_store (Engine.create ()) in
+  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "a", Some 1) ];
+  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "b", Some 2) ];
+  Store.flush store;
+  let sound = image_frames store in
+  Alcotest.(check bool) "flipped" true (Store.corrupt_record store ~bee:0 ~victim:1);
+  let damaged = image_frames store in
+  Alcotest.(check (list (triple string int int)))
+    "the damaged frame keeps its write-time length and crc"
+    (List.map (fun (h, len, crc, _) -> (h, len, crc)) sound)
+    (List.map (fun (h, len, crc, _) -> (h, len, crc)) damaged);
+  Alcotest.(check bool) "its bytes changed" true (sound <> damaged);
+  Alcotest.(check bool) "flipped back" true (Store.corrupt_record store ~bee:0 ~victim:1);
+  Alcotest.check verdict "verifies again" Store.Intact (Store.fsck store ~bee:0);
+  Alcotest.(check (option string)) "the oracle agrees" None (Store.verify_chain store ~bee:0);
+  Alcotest.(check bool) "the image is the sound one" true (image_frames store = sound)
+
+(* A tear after a flip leaves a short frame: length framing reads it as
+   torn, so fsck truncates it rather than fail-stopping the bee. *)
+let test_flip_then_tear_reads_torn () =
+  let store = int_store (Engine.create ()) in
+  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "a", Some 1) ];
+  Store.flush store;
+  let prefix = sorted_entries store ~bee:0 in
+  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "b", Some 2) ];
+  Store.flush store;
+  Alcotest.(check bool) "newest record flipped" true
+    (Store.corrupt_record store ~bee:0 ~victim:0);
+  Alcotest.(check bool) "then torn" true (Store.tear_tail store ~bee:0);
+  Alcotest.check verdict "read as torn" (Store.Truncated 1) (Store.fsck store ~bee:0);
+  Alcotest.(check (list (triple string string int))) "the prefix survives" prefix
+    (sorted_entries store ~bee:0)
+
+(* Every frame of an undamaged store prints the length and CRC of the
+   payload it prints: the image rebuilt from a sound record is the one
+   its envelope describes. *)
+let test_sound_frames_match_their_payload () =
+  let store =
+    int_store ~config:{ Store.snapshot_threshold_bytes = 400 } (Engine.create ())
+  in
+  for i = 0 to 29 do
+    let bee = i mod 3 in
+    Store.append store ~bee ~hive:(i mod 2)
+      ~outbox:[ { Store.o_seq = i + 1; o_bytes = 10 + i; o_entry = () } ]
+      ~inbox:[ (9, i) ] ~consumed:(8, i)
+      [ ("d", Printf.sprintf "k%d" (i mod 4), Some i); ("e", "gone", None) ];
+    if i mod 4 = 3 then Store.flush store
+  done;
+  Store.flush store;
+  let frames = image_frames store in
+  Alcotest.(check (pair int int)) "non-empty snapshots and records printed" (3, 6)
+    ( List.length (List.filter (fun (h, _, _, p) -> h = "S" && String.contains p '|') frames),
+      List.length (List.filter (fun (h, _, _, _) -> h <> "S") frames) );
+  List.iter
+    (fun (header, len, crc, payload) ->
+      Alcotest.(check (pair int int)) header
+        (String.length payload, Crc32.string payload)
+        (len, crc))
+    frames
 
 (* What recovery reads from a damaged frame is garbage, not the original
    value — the store routes damaged-frame values through the caller's
@@ -471,6 +560,12 @@ let suite =
           test_bit_flip_fail_stops;
         Alcotest.test_case "snapshot rot fail-stops" `Quick
           test_snapshot_rot_fail_stops;
+        Alcotest.test_case "a double flip restores the frame" `Quick
+          test_double_flip_restores;
+        Alcotest.test_case "a flip then a tear reads as torn" `Quick
+          test_flip_then_tear_reads_torn;
+        Alcotest.test_case "sound frames print their payload's length and crc" `Quick
+          test_sound_frames_match_their_payload;
         Alcotest.test_case "damaged frames reload garbled" `Quick
           test_damaged_frames_reload_garbled;
         Alcotest.test_case "checksums-off still catches torn tails" `Quick

@@ -97,6 +97,26 @@ let test_batch_payload_bytes () =
     ]
     wal_lines
 
+(* A group commit stamps each record's lsn and commit time and moves it
+   into the WAL, encoding no disk image, so what it allocates does not
+   grow with the bytes the records list. *)
+let test_commit_words_flat_in_key_size () =
+  let flush_words key_len =
+    let store =
+      int_store ~config:{ Store.snapshot_threshold_bytes = max_int } (Engine.create ())
+    in
+    let key = String.make key_len 'k' in
+    (* The first commit sizes the per-hive commit shares. *)
+    Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", key, Some 0) ];
+    Store.flush store;
+    for i = 1 to 1_000 do
+      Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", key, Some i) ]
+    done;
+    minor_words_of (fun () -> Store.flush store)
+  in
+  Alcotest.(check (float 0.)) "flush words with 300-byte keys as with 3-byte keys"
+    (flush_words 3) (flush_words 300)
+
 (* Pending records are the WAL's own records: the debug hooks clear
    their outbox entries and inbox marks in place, a crash drops one
    hive's, and the survivors commit oldest first under consecutive lsns,
@@ -554,6 +574,8 @@ let suite =
       [
         Alcotest.test_case "group commit on first append" `Quick test_group_commit_on_demand;
         Alcotest.test_case "batch payload bytes are pinned" `Quick test_batch_payload_bytes;
+        Alcotest.test_case "commit words are flat in the key size" `Quick
+          test_commit_words_flat_in_key_size;
         Alcotest.test_case "consumed marks are handed over at commit" `Quick
           test_consumed_marks_handed_over;
         Alcotest.test_case "crash loses unsynced tail" `Quick test_crash_loses_unsynced_tail;
