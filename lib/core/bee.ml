@@ -19,13 +19,12 @@ type t = {
   mailbox : delivery Mailbox.t;
   stats : Stats.t;
   is_local : bool;
-  rng : Beehive_sim.Rng.t;
   mutable busy : bool;
   mutable handling : delivery;
   mutable handling_cost : Beehive_sim.Simtime.t;
   mutable handling_event : Beehive_sim.Engine.handle;
   mutable completion : unit -> unit;
-  mutable source : Message.source;
+  mutable env : Context.env;
   mutable status : [ `Active | `Crashed | `Dead ];
   mutable holds : hold list;
   mutable incarnation : int;
@@ -35,7 +34,7 @@ type t = {
   mutable stale_until : Beehive_sim.Simtime.t;
 }
 
-let create ~id ~app ~hive ~is_local ~rng ~idle =
+let create ~id ~app ~hive ~is_local ~env ~idle =
   {
     id;
     app;
@@ -44,13 +43,12 @@ let create ~id ~app ~hive ~is_local ~rng ~idle =
     mailbox = Mailbox.create ~filler:idle;
     stats = Stats.create ();
     is_local;
-    rng;
     busy = false;
     handling = idle;
     handling_cost = Beehive_sim.Simtime.zero;
     handling_event = Beehive_sim.Engine.none;
     completion = ignore;
-    source = Message.From_system;
+    env;
     status = `Active;
     holds = [];
     incarnation = 0;

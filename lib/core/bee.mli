@@ -73,7 +73,6 @@ type t = {
   mailbox : delivery Mailbox.t;
   stats : Stats.t;
   is_local : bool;
-  rng : Beehive_sim.Rng.t;
   mutable busy : bool;
   mutable handling : delivery;
       (** from dispatch until its completion event runs, the delivery
@@ -90,15 +89,19 @@ type t = {
           [handling] only if it is running as [handling_event], so a
           completion that an ended life or an earlier dispatch left
           queued fires as a no-op *)
-  mutable source : Message.source;
-      (** [From_bee] at the bee's hive, shared by every message it emits
-          as the one record of its origin; rebuilt when the bee has moved *)
+  mutable env : Context.env;
+      (** its handlers' constants: its [From_bee] source, shared by every
+          message it emits as the one record of its origin, its seeded
+          random stream, the platform's clock and late sink. The platform
+          rebuilds it, source and all, when the bee has moved *)
   mutable status : [ `Active | `Crashed | `Dead ];
       (** written only by this module. [`Crashed] when the bee's hive
           failed but its dictionaries are durable: the registry keeps its
           cells and the hive's restart revives it from the storage
           engine. *)
-  mutable holds : hold list;  (** written only by this module *)
+  mutable holds : hold list;
+      (** written only by this module and read elsewhere only through
+          {!holds}, {!held} and {!runnable} *)
   mutable incarnation : int;
       (** bumped when the bee fails over to another hive, so a handler
           retry scheduled on the hive it left is discarded. A crash
@@ -117,7 +120,7 @@ type t = {
 }
 
 val create :
-  id:int -> app:App.t -> hive:int -> is_local:bool -> rng:Beehive_sim.Rng.t -> idle:delivery -> t
+  id:int -> app:App.t -> hive:int -> is_local:bool -> env:Context.env -> idle:delivery -> t
 (** An active bee holding nothing, with an empty mailbox whose free
     slots hold [idle]. Its [completion] is [ignore] until the caller
     sets it. *)

@@ -7,35 +7,58 @@
     transaction, and lets the handler emit further messages. *)
 
 exception Access_violation of { app : string; dict : string; key : string }
+(** Kept although nothing matches it by name: the platform contains it
+    like any handler exception, and its fields name the access in the
+    failure log. *)
 
 type t
+
+type env
+(** A bee's handler constants: its source, random stream, clock and
+    late sink. The platform builds one per bee and a new one only when
+    the bee's source changes, so a context costs its delivery's fields
+    alone. *)
 
 type late =
   t -> Beehive_net.Channels.endpoint option -> ?size:int -> kind:string -> Message.payload -> unit
 (** Where an emit ([None]) or endpoint send ([Some ep]) made after
     {!close} goes: it cannot ride the closed transaction. *)
 
-val make :
-  read_shadow:(string * string * Value.t) list option ->
+val env :
   src:Message.source ->
   now:(unit -> Beehive_sim.Simtime.t) ->
   rng:Beehive_sim.Rng.t ->
+  late:late ->
+  env
+(** [src] is the bee's [Message.From_bee] (any other source raises
+    [Invalid_argument]); every message its handlers emit carries this
+    very value. *)
+
+val source : env -> Message.source
+
+val with_source : env -> src:Message.source -> env
+(** The same constants under a new source: the bee moved hives. *)
+
+val make :
+  env ->
+  read_shadow:(string * string * Value.t) list option ->
   allowed:Cell.Set.t ->
   tx:State.tx ->
   message:Message.t ->
-  late:late ->
   t
 (** Used by the platform (and by tests that drive handlers directly).
-    [src] is the handling bee's [Message.From_bee] (any other source
-    raises [Invalid_argument]); every message the handler emits carries
-    this very value. [message] is the message being handled.
-    [read_shadow], when [Some], serves all {e pure} reads ({!get},
-    {!mem}, {!iter_dict}) from the snapshot instead of the transaction —
-    the hook behind the injected [Platform.Stale_read] bug. Writes and
-    {!update}'s read-modify-write are never shadowed. *)
+    [message] is the message being handled. [read_shadow], when [Some],
+    serves all {e pure} reads ({!get}, {!mem}, {!iter_dict}) from the
+    snapshot instead of the transaction — the hook behind the injected
+    [Platform.Stale_read] bug. Writes and {!update}'s read-modify-write
+    are never shadowed. *)
 
 val bee_id : t -> int
+
 val hive_id : t -> int
+(** Read from the bee's source, like {!bee_id}: the hive the bee
+    handles on. *)
+
 val now : t -> Beehive_sim.Simtime.t
 
 val rng : t -> Beehive_sim.Rng.t
@@ -73,7 +96,9 @@ val del : t -> dict:string -> key:string -> unit
 
 val update :
   t -> dict:string -> key:string -> (Value.t option -> Value.t option) -> unit
-(** Read-modify-write of one entry; [None] result deletes. *)
+(** Read-modify-write of one entry; [None] result deletes. [f]'s
+    result becomes the pending write as it is, so [f] returning its
+    argument (a committed [Some]) allocates no option. *)
 
 val iter_dict : t -> dict:string -> (string -> Value.t -> unit) -> unit
 (** Iterates the entries of [dict] within the cells the leg was routed

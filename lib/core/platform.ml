@@ -409,17 +409,20 @@ let run_idle_hooks (b : bee) =
     b.on_idle <- [];
     List.iter (fun f -> f ()) (List.rev hooks)
 
-(* The bee's [From_bee] source, rebuilt only once the bee has moved. *)
-let source_of (b : bee) =
-  match b.source with
-  | Message.From_bee { hive; _ } when hive = b.hive -> b.source
+let bee_source ~id ~hive (app : App.t) = Message.From_bee { bee = id; hive; app = app.App.name }
+
+(* The bee's handler constants, their [From_bee] source rebuilt only once
+   the bee has moved. *)
+let env_of (b : bee) =
+  match Context.source b.env with
+  | Message.From_bee { hive; _ } when hive = b.hive -> b.env
   | Message.From_bee _ | Message.From_endpoint _ | Message.From_system ->
-    let src = Message.From_bee { bee = b.id; hive = b.hive; app = b.app.App.name } in
-    b.source <- src;
-    src
+    let env = Context.with_source b.env ~src:(bee_source ~id:b.id ~hive:b.hive b.app) in
+    b.env <- env;
+    env
 
 let bee_message t (b : bee) ?size ~kind payload =
-  Message.make ?size ~kind ~src:(source_of b) ~sent_at:(now t) payload
+  Message.make ?size ~kind ~src:(Context.source (env_of b)) ~sent_at:(now t) payload
 
 let rec call_emit_hooks ~parent ~(child : Message.t) = function
   | [] -> ()
@@ -572,9 +575,8 @@ let open_context t (b : bee) (d : Bee.delivery) =
      cannot ride the commit, so [t.late] dispatches them immediately —
      and they get none of the exactly-once guarantees, which is
      precisely the external-store liability the paper argues against. *)
-  Context.make ~read_shadow ~src:(source_of b) ~now:t.clock ~rng:b.rng
-    ~allowed:d.d_allowed ~tx:(State.begin_tx b.state) ~message:msg
-    ~late:t.late
+  Context.make (env_of b) ~read_shadow ~allowed:d.d_allowed ~tx:(State.begin_tx b.state)
+    ~message:msg
 
 let run_handler (d : Bee.delivery) ctx =
   let failure =
@@ -859,7 +861,11 @@ and route_local t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin msg =
 and new_bee t ~(app : App.t) ~hive ~is_local =
   let id = t.next_bee in
   t.next_bee <- t.next_bee + 1;
-  let b = Bee.create ~id ~app ~hive ~is_local ~rng:(Rng.split (Engine.rng t.engine)) ~idle in
+  let env =
+    Context.env ~src:(bee_source ~id ~hive app) ~now:t.clock
+      ~rng:(Rng.split (Engine.rng t.engine)) ~late:t.late
+  in
+  let b = Bee.create ~id ~app ~hive ~is_local ~env ~idle in
   b.completion <- (fun () -> run_completion t b);
   Hashtbl.add t.bees id b;
   ignore (Registry.register_bee t.reg ~bee_id:id ~app:app.App.name ~hive);

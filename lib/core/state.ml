@@ -2,11 +2,13 @@ module SMap = Map.Make (String)
 
 (* Each dictionary is a persistent map from key to a mutable cell: keys
    stay in [String.compare] order and a view needs no copy, while a
-   commit that overwrites a key assigns its cell. [viewing] counts the
-   [tx_iter] calls running over this state, whose views read the cells
-   in place. *)
+   commit that overwrites a key assigns its cell. A cell holds the
+   [Some v] its last committed write carried, so [tx_get] hands that
+   option out as it is; a delete removes the key, so no cell holds
+   [None]. [viewing] counts the [tx_iter] calls running over this state,
+   whose views read the cells in place. *)
 type t = {
-  dicts : (string, Value.t ref SMap.t) Hashtbl.t;
+  dicts : (string, Value.t option ref SMap.t) Hashtbl.t;
   mutable viewing : int;
 }
 
@@ -34,11 +36,18 @@ let dict_map t dict =
 let sorted_dicts t =
   List.sort String.compare (Hashtbl.fold (fun name _ acc -> name :: acc) t.dicts [])
 
+(* [f k v] on a committed cell of key [k]; [fold_cells] folds it over a
+   dictionary in key order. *)
+let visit f k c = match !c with Some v -> f k v | None -> ()
+
+let fold_cells f d acc =
+  SMap.fold (fun k c acc -> match !c with Some v -> f k v acc | None -> acc) d acc
+
 let size_bytes t =
   Hashtbl.fold
     (fun dname d acc ->
-      SMap.fold
-        (fun k c acc -> acc + String.length dname + String.length k + Value.size !c)
+      fold_cells
+        (fun k v acc -> acc + String.length dname + String.length k + Value.size v)
         d acc)
     t.dicts 0
 
@@ -75,12 +84,12 @@ let tx_get tx ~dict ~key =
     write
   else
     match SMap.find key (dict_map tx.base dict) with
-    | c -> Some !c
+    | c -> !c
     | exception Not_found -> None
 
 let tx_mem tx ~dict ~key = tx_get tx ~dict ~key <> None
 
-let put tx ~dict ~key write =
+let tx_write tx ~dict ~key write =
   check_open tx;
   let at = lower_bound tx.writes ~dict ~key 0 tx.n in
   if holds tx at ~dict ~key then tx.writes.(at) <- (dict, key, write)
@@ -95,8 +104,8 @@ let put tx ~dict ~key write =
     tx.n <- tx.n + 1
   end
 
-let tx_set tx ~dict ~key v = put tx ~dict ~key (Some v)
-let tx_del tx ~dict ~key = put tx ~dict ~key None
+let tx_set tx ~dict ~key v = tx_write tx ~dict ~key (Some v)
+let tx_del tx ~dict ~key = tx_write tx ~dict ~key None
 
 let pending_dict ((dict, _, _) : pending) = dict
 let pending_key ((_, key, _) : pending) = key
@@ -123,7 +132,7 @@ let iter_overlay d (ws : pending array) f =
         next := i + 1;
         emit ws.(i)
       end
-      else f k !c)
+      else visit f k c)
     d;
   for i = !next to Array.length ws - 1 do
     emit ws.(i)
@@ -144,7 +153,7 @@ let tx_iter tx ~dict f =
   let base = tx.base in
   base.viewing <- base.viewing + 1;
   match
-    if !hi = lo then SMap.iter (fun k c -> f k !c) d
+    if !hi = lo then SMap.iter (visit f) d
     else iter_overlay d (Array.sub tx.writes lo (!hi - lo)) f
   with
   | () -> base.viewing <- base.viewing - 1
@@ -163,10 +172,10 @@ let tx_pending tx = pending_down tx.writes (tx.n - 1) []
 let apply t (dict, key, write) =
   let d = dict_map t dict in
   match write with
-  | Some v -> (
+  | Some _ -> (
     match SMap.find key d with
-    | c -> c := v
-    | exception Not_found -> Hashtbl.replace t.dicts dict (SMap.add key (ref v) d))
+    | c -> c := write
+    | exception Not_found -> Hashtbl.replace t.dicts dict (SMap.add key (ref write) d))
   | None -> if SMap.mem key d then Hashtbl.replace t.dicts dict (SMap.remove key d)
 
 let commit tx =
@@ -198,14 +207,14 @@ let extract t cell_set =
         if SMap.is_empty d then acc
         else begin
           Hashtbl.replace t.dicts dname SMap.empty;
-          SMap.fold (fun k c acc -> (dname, k, !c) :: acc) d acc
+          fold_cells (fun k v acc -> (dname, k, v) :: acc) d acc
         end
       | Cell.Key k -> (
         match SMap.find_opt k d with
         | None -> acc
-        | Some c ->
+        | Some c -> (
           Hashtbl.replace t.dicts dname (SMap.remove k d);
-          (dname, k, !c) :: acc))
+          match !c with Some v -> (dname, k, v) :: acc | None -> acc)))
     cell_set []
   |> List.rev
 
@@ -213,18 +222,19 @@ let extract t cell_set =
    commit on one bee's state never writes a cell another bee reads. *)
 let insert t entries =
   List.iter
-    (fun (dname, k, v) -> Hashtbl.replace t.dicts dname (SMap.add k (ref v) (dict_map t dname)))
+    (fun (dname, k, v) ->
+      Hashtbl.replace t.dicts dname (SMap.add k (ref (Some v)) (dict_map t dname)))
     entries
 
 let find t ~dict ~key =
-  match SMap.find_opt key (dict_map t dict) with Some c -> Some !c | None -> None
+  match SMap.find key (dict_map t dict) with c -> !c | exception Not_found -> None
 
-let entries t ~dict = SMap.fold (fun k c acc -> (k, !c) :: acc) (dict_map t dict) [] |> List.rev
+let entries t ~dict = fold_cells (fun k v acc -> (k, v) :: acc) (dict_map t dict) [] |> List.rev
 
 let snapshot t =
   List.concat_map
     (fun dname ->
-      SMap.fold (fun k c acc -> (dname, k, !c) :: acc) (Hashtbl.find t.dicts dname) []
+      fold_cells (fun k v acc -> (dname, k, v) :: acc) (Hashtbl.find t.dicts dname) []
       |> List.rev)
     (sorted_dicts t)
 

@@ -8,7 +8,9 @@
     discarded if the handler raises.
 
     Each dictionary is a persistent map, ordered by [String.compare], from
-    key to a mutable cell. The bee is the single writer of its cells, so
+    key to a mutable cell. A cell holds the [Some v] its last committed
+    write carried, so a read of a committed key hands that option out
+    without allocating. The bee is the single writer of its cells, so
     a commit that overwrites a key assigns its cell in place and
     allocates nothing; only adding or removing a key copies a path of the
     map. {!insert} and {!restore} always make fresh cells, so no cell is
@@ -41,8 +43,8 @@ val size_bytes : t -> int
 (** {2 Committed reads}
 
     Both read the committed cells in place, outside any transaction, and
-    copy nothing of the state: [find] allocates its option, [entries]
-    the list it returns. *)
+    copy nothing of the state: [find] allocates nothing, [entries] the
+    list it returns. *)
 
 val find : t -> dict:string -> key:string -> Value.t option
 
@@ -57,6 +59,10 @@ val tx_get : tx -> dict:string -> key:string -> Value.t option
 val tx_mem : tx -> dict:string -> key:string -> bool
 val tx_set : tx -> dict:string -> key:string -> Value.t -> unit
 val tx_del : tx -> dict:string -> key:string -> unit
+
+val tx_write : tx -> dict:string -> key:string -> Value.t option -> unit
+(** [tx_set] for [Some v], [tx_del] for [None]; the option itself
+    becomes the pending write, and on commit the committed cell. *)
 
 val tx_iter : tx -> dict:string -> (string -> Value.t -> unit) -> unit
 (** Iterates the transactional view: base entries overlaid with the

@@ -225,16 +225,19 @@ let context_over dicts =
     (fun (dict, entries) -> List.iter (fun (key, v) -> State.tx_set tx ~dict ~key v) entries)
     dicts;
   State.commit tx;
-  Beehive_core.Context.make ~read_shadow:None
-    ~src:(Message.From_bee { bee = 1; hive = 0; app = Te_decoupled.app_name })
-    ~now:(fun () -> Simtime.zero)
-    ~rng:(Beehive_sim.Rng.create 1)
+  let env =
+    Beehive_core.Context.env
+      ~src:(Message.From_bee { bee = 1; hive = 0; app = Te_decoupled.app_name })
+      ~now:(fun () -> Simtime.zero)
+      ~rng:(Beehive_sim.Rng.create 1)
+      ~late:(fun _ _ ?size:_ ~kind:_ _ -> ())
+  in
+  Beehive_core.Context.make env ~read_shadow:None
     ~allowed:(Cell.Set.of_list (List.map (fun (dict, _) -> Cell.whole dict) dicts))
     ~tx:(State.begin_tx st)
     ~message:
       (Message.make ~kind:"test.noop" ~src:Message.From_system ~sent_at:Simtime.zero
          (Helpers.Noop 0))
-    ~late:(fun _ _ ?size:_ ~kind:_ _ -> ())
 
 (* The topology dictionary of a random graph on [n] switches: switch
    [n - 1] always has a neighbour list, any other may have none or hold

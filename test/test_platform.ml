@@ -753,7 +753,7 @@ let check_words_bound per_msg bound =
    handler's transaction and routing, counted exactly on the ping-pong
    chain. The bound is the measured cost (OCaml 5.1.1, native code);
    raising it needs a reason. *)
-let runtime_words_per_message_bound = 75.5
+let runtime_words_per_message_bound = 68.0
 
 let test_runtime_words_per_message () =
   let engine, platform = make_platform ~n_hives:1 ~apps:(ping_pong_apps ()) () in
@@ -768,7 +768,7 @@ let test_runtime_words_per_message () =
    shows the hook the child's own source and allocates only the
    parent's [Some]. The bound is the measured cost (OCaml 5.1.1, native
    code); raising it needs a reason. *)
-let hooked_words_per_message_bound = 76.5
+let hooked_words_per_message_bound = 69.0
 
 let test_hooked_words_per_message () =
   let engine, platform = make_platform ~n_hives:1 ~apps:(ping_pong_apps ()) () in
@@ -789,7 +789,7 @@ let test_hooked_words_per_message () =
    firing), so each step runs 5 ms of simulated time: long enough for
    the pong's commit, fsync, dispatch and ack. The bound is the measured
    cost (OCaml 5.1.1, native code); raising it needs a reason. *)
-let durable_words_per_message_bound = 157.1255
+let durable_words_per_message_bound = 149.6255
 
 let test_durable_words_per_message () =
   let engine, platform = durable_platform ~n_hives:1 ~apps:(ping_pong_apps ()) () in
@@ -838,6 +838,55 @@ let test_emitter_is_child_source () =
     (List.rev_map (fun (_, _, src) -> src) !seen
     = [ Message.From_endpoint (Channels.Hive 2); from_bee; from_bee; from_bee ])
 
+(* A bee's handler constants are rebuilt when it moves: after a
+   migration, and after its hive fails and restarts, its handler's
+   [bee_id] and [hive_id] and its emits' source name the hive it runs
+   on. *)
+let test_handler_names_current_hive () =
+  let app_name = "test.where" and seen = ref [] and srcs = ref [] in
+  let app =
+    App.create ~name:app_name ~dicts:[ "store" ]
+      [
+        App.handler ~kind:"test.go"
+          ~map:(fun _ -> Mapping.with_key "store" "k")
+          (fun ctx _ ->
+            seen := (Context.bee_id ctx, Context.hive_id ctx) :: !seen;
+            Context.emit ctx ~kind:"test.echo" (Noop 0));
+      ]
+  in
+  let engine, platform = durable_platform ~apps:[ app ] () in
+  Platform.on_emit platform (fun ~parent:_ ~child ~emitter:_ ->
+      if String.equal child.Message.kind "test.echo" then srcs := child.Message.src :: !srcs);
+  let settle () = run_for engine 0.05 in
+  let handled_on what hive =
+    seen := [];
+    srcs := [];
+    Platform.inject platform ~from:(Channels.Hive 1) ~kind:"test.go" (Noop 0);
+    settle ();
+    let bee = owner_exn platform ~app:app_name "k" in
+    Alcotest.(check (option int)) (what ^ ": the bee's hive") (Some hive)
+      (Platform.live_bee_hive platform bee);
+    Alcotest.(check (list (pair int int))) (what ^ ": the handler's bee and hive")
+      [ (bee, hive) ] !seen;
+    Alcotest.(check bool) (what ^ ": the emit's source") true
+      (!srcs = [ Message.From_bee { bee; hive; app = app_name } ]);
+    bee
+  in
+  let migrate bee to_hive =
+    Alcotest.(check bool) "migration admitted" true
+      (Platform.migrate_bee platform ~bee ~to_hive ~reason:"test");
+    settle ()
+  in
+  let bee = handled_on "created" 1 in
+  migrate bee 3;
+  ignore (handled_on "migrated" 3);
+  Platform.fail_hive platform 3;
+  Platform.restart_hive platform 3;
+  settle ();
+  ignore (handled_on "restarted" 3);
+  migrate bee 0;
+  ignore (handled_on "migrated after the restart" 0)
+
 let suite =
   [
     ( "platform",
@@ -879,5 +928,7 @@ let suite =
         Alcotest.test_case "durable runtime words per message" `Quick
           test_durable_words_per_message;
         Alcotest.test_case "stale completion is a no-op" `Quick test_stale_completion_is_a_noop;
+        Alcotest.test_case "handler names its bee's current hive" `Quick
+          test_handler_names_current_hive;
       ] );
   ]

@@ -239,13 +239,15 @@ let topology_context allowed =
     State.tx_set tx0 ~dict:"topology" ~key:(Printf.sprintf "%03d" i) (vi i)
   done;
   State.commit tx0;
-  Context.make ~read_shadow:None ~src:(Message.From_bee { bee = 1; hive = 0; app = "te" })
-    ~now:(fun () -> Beehive_sim.Simtime.zero)
-    ~rng:(Beehive_sim.Rng.create 1) ~allowed ~tx:(State.begin_tx st)
+  let env =
+    Context.env ~src:(Message.From_bee { bee = 1; hive = 0; app = "te" })
+      ~now:(fun () -> Beehive_sim.Simtime.zero)
+      ~rng:(Beehive_sim.Rng.create 1) ~late:(fun _ _ ?size:_ ~kind:_ _ -> ())
+  in
+  Context.make env ~read_shadow:None ~allowed ~tx:(State.begin_tx st)
     ~message:
       (Message.make ~kind:"test.noop" ~src:Message.From_system
          ~sent_at:Beehive_sim.Simtime.zero (Helpers.Noop 0))
-    ~late:(fun _ _ ?size:_ ~kind:_ _ -> ())
 
 let test_iter_dict_held_whole_is_copy_free () =
   let ctx = topology_context (Cell.Set.singleton (Cell.whole "topology")) in
@@ -265,6 +267,43 @@ let test_iter_dict_keys_held () =
   Context.iter_dict ctx ~dict:"topology" (fun k _ -> keys := k :: !keys);
   Alcotest.(check (list string)) "only the held keys, in order" [ "007"; "042" ]
     (List.rev !keys)
+
+(* A callback that reads another held key runs its own access check
+   inside the iteration's per-key check; each check asks afresh, so the
+   iteration still sees exactly the held keys. *)
+let test_iter_dict_nested_get () =
+  let held = [ "007"; "042"; "159" ] in
+  let ctx = topology_context (Cell.Set.of_list (List.map (Cell.cell "topology") held)) in
+  let int_of = function Value.V_int n -> n | _ -> -1 in
+  let visits = ref [] in
+  Context.iter_dict ctx ~dict:"topology" (fun k v ->
+      let other = if String.equal k "159" then "007" else "159" in
+      let read = Option.fold ~none:(-1) ~some:int_of (Context.get ctx ~dict:"topology" ~key:other) in
+      visits := (k, int_of v, read) :: !visits);
+  Alcotest.(check (list (triple string int int)))
+    "the held keys, in order, each with the other key's value"
+    [ ("007", 7, 159); ("042", 42, 159); ("159", 159, 7) ]
+    (List.rev !visits)
+
+(* With the key held and committed, a read hands out the cell's own
+   option and an update whose [f] returns it writes that very option:
+   the update allocates its pending [(dict, key, write)] tuple (4 words)
+   and the transaction's first write slot (2 words), nothing else. *)
+let test_context_access_allocations () =
+  let ctx = topology_context (Cell.Set.of_list [ Cell.cell "topology" "042" ]) in
+  let before = Gc.minor_words () in
+  let got = Context.get ctx ~dict:"topology" ~key:"042" in
+  let get_words = Gc.minor_words () -. before in
+  let keep v = v in
+  let before = Gc.minor_words () in
+  Context.update ctx ~dict:"topology" ~key:"042" keep;
+  let update_words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "get allocates nothing" 0.0 get_words;
+  Alcotest.(check (float 0.0)) "update allocates its tuple and first slot" 6.0 update_words;
+  match State.tx_pending (Context.tx ctx) with
+  | [ ("topology", "042", write) ] ->
+    Alcotest.(check bool) "the pending write is the committed option" true (write == got)
+  | _ -> Alcotest.fail "expected one pending write"
 
 let test_empty_commit_allocates_nothing () =
   let st = State.create () in
@@ -693,6 +732,9 @@ let suite =
         Alcotest.test_case "iter_dict held whole is copy-free" `Quick
           test_iter_dict_held_whole_is_copy_free;
         Alcotest.test_case "iter_dict of held keys" `Quick test_iter_dict_keys_held;
+        Alcotest.test_case "iter_dict with a nested get" `Quick test_iter_dict_nested_get;
+        Alcotest.test_case "context get and update allocations" `Quick
+          test_context_access_allocations;
         Alcotest.test_case "empty commit allocates nothing" `Quick
           test_empty_commit_allocates_nothing;
         QCheck_alcotest.to_alcotest prop_transactions_match_oracle;
