@@ -25,26 +25,50 @@ type decision = {
 
 type policy = Platform.t -> bee_load list -> decision list
 
+(* The sum of a load's counts, left to right. A loop over a float ref
+   keeps the running sum unboxed. *)
+let total_count in_by_hive =
+  let total = ref 0.0 and rest = ref in_by_hive and more = ref true in
+  while !more do
+    match !rest with
+    | [] -> more := false
+    | (_, c) :: tl ->
+      total := !total +. c;
+      rest := tl
+  done;
+  !total
+
+(* [busiest]'s start: no hive, no count. *)
+let no_hive = (-1, 0.0)
+
+(* The first entry with the largest count, if that count is above
+   [best]'s, else [best]. It hands back an entry of the list as it is,
+   so the walk allocates nothing. *)
+let rec busiest (best : int * float) = function
+  | [] -> best
+  | e :: rest -> busiest (if snd e > snd best then e else best) rest
+
+(* [Printf]'s own conversion for [%.0f], without the format interpreter
+   around it. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let greedy_source_policy ~min_messages : policy =
  fun _platform loads ->
   List.filter_map
     (fun l ->
-      let total = List.fold_left (fun a (_, c) -> a +. c) 0.0 l.bl_in_by_hive in
+      let total = total_count l.bl_in_by_hive in
       if total < float_of_int min_messages then None
       else begin
-        let best_hive, best =
-          List.fold_left
-            (fun (bh, bc) (h, c) -> if c > bc then (h, c) else (bh, bc))
-            (-1, 0.0) l.bl_in_by_hive
-        in
+        let best_hive, best = busiest no_hive l.bl_in_by_hive in
         if best_hive >= 0 && best_hive <> l.bl_hive && best /. total > 0.5 then
           Some
             {
               d_bee = l.bl_bee;
               d_to_hive = best_hive;
               d_reason =
-                Printf.sprintf "optimizer: %.0f%% of traffic from hive %d"
-                  (100.0 *. best /. total) best_hive;
+                "optimizer: "
+                ^ format_float "%.0f" (100.0 *. best /. total)
+                ^ "% of traffic from hive " ^ string_of_int best_hive;
             }
         else None
       end)
@@ -208,22 +232,29 @@ let[@tail_mod_cons] rec merge_counts history window =
     else if hh = h then (h, hc +. float_of_int c) :: merge_counts history' rest
     else (h, float_of_int c) :: merge_counts history rest
 
-(* The policy's view of one stored load: the bee's live hive and the
-   truncated sum of its decayed counts; [None] once the bee is no longer
-   live. *)
-let bee_load_of platform key in_by_hive =
+(* Conses the policy's view of one stored load onto [acc]: the bee's live
+   hive and the truncated sum of its decayed counts. A bee that is no
+   longer live adds nothing. *)
+let cons_load platform key in_by_hive acc =
   let bee = int_of_string key in
   match Platform.live_bee_hive platform bee with
-  | None -> None
+  | None -> acc
   | Some hive ->
-    let total = List.fold_left (fun a (_, c) -> a +. c) 0.0 in_by_hive in
-    Some
-      {
-        bl_bee = bee;
-        bl_hive = hive;
-        bl_processed = int_of_float total;
-        bl_in_by_hive = in_by_hive;
-      }
+    {
+      bl_bee = bee;
+      bl_hive = hive;
+      bl_processed = int_of_float (total_count in_by_hive);
+      bl_in_by_hive = in_by_hive;
+    }
+    :: acc
+
+(* A load's counts after one round of decay, the entries that faded out
+   dropped, in the same order. *)
+let[@tail_mod_cons] rec decayed = function
+  | [] -> []
+  | (h, c) :: rest ->
+    let c = c *. decay in
+    if c < 0.25 then decayed rest else (h, c) :: decayed rest
 
 (* Entries name distinct bees, so their order in a report does not
    matter: the collector conses them as it walks. *)
@@ -243,9 +274,15 @@ let collector_handler platform =
           ~kind:kind_report
           (Hive_report entries))
 
-let merge_window window prev =
+(* The window [merge_window] merges, set just before the
+   [Context.update] that calls it, so the updater is a top-level
+   function and an entry builds no closure. The update calls it at once,
+   and one domain runs one handler at a time. *)
+let merging = ref []
+
+let merge_window prev =
   let history = match prev with Some (V_load l) -> l | Some _ | None -> [] in
-  Some (V_load (merge_counts history window))
+  Some (V_load (merge_counts history !merging))
 
 let aggregator_handler =
   App.handler ~kind:kind_report
@@ -255,9 +292,10 @@ let aggregator_handler =
       | Hive_report entries ->
         List.iter
           (fun (bee, window) ->
-            Context.update ctx ~dict:dict_loads ~key:(string_of_int bee)
-              (merge_window window))
-          entries
+            merging := window;
+            Context.update ctx ~dict:dict_loads ~key:(string_of_int bee) merge_window)
+          entries;
+        merging := []
       | _ -> ())
 
 let optimizer_handler handle =
@@ -269,10 +307,7 @@ let optimizer_handler handle =
       let view = ref [] in
       Context.iter_dict ctx ~dict:dict_loads (fun key v ->
           match v with
-          | V_load in_by_hive -> (
-            match bee_load_of platform key in_by_hive with
-            | Some l -> view := l :: !view
-            | None -> ())
+          | V_load in_by_hive -> view := cons_load platform key in_by_hive !view
           | _ -> ());
       let loads = List.rev !view in
       (if cfg.optimize then begin
@@ -293,13 +328,7 @@ let optimizer_handler handle =
       Context.iter_dict ctx ~dict:dict_loads (fun key v ->
           match v with
           | V_load in_by_hive -> (
-            match
-              List.filter_map
-                (fun (h, c) ->
-                  let c = c *. decay in
-                  if c < 0.25 then None else Some (h, c))
-                in_by_hive
-            with
+            match decayed in_by_hive with
             | [] -> Context.del ctx ~dict:dict_loads ~key
             | in_by_hive -> Context.set ctx ~dict:dict_loads ~key (V_load in_by_hive))
           | _ -> ()))
@@ -322,9 +351,11 @@ let install platform cfg =
 
 let loads handle =
   Platform.read_dict handle.platform ~app:app_name ~dict:dict_loads
-  |> List.filter_map (function
-       | key, V_load in_by_hive -> bee_load_of handle.platform key in_by_hive
-       | _ -> None)
+  |> List.fold_left
+       (fun acc -> function
+         | key, V_load in_by_hive -> cons_load handle.platform key in_by_hive acc
+         | _ -> acc)
+       []
   |> List.sort (fun a b -> Int.compare a.bl_bee b.bl_bee)
 
 let performed_migrations handle = !(handle.performed)

@@ -15,25 +15,24 @@ type Value.t += V_switch of { v_master : int; v_n_ports : int; v_joined_at : flo
 let () =
   Value.register_size (function V_switch _ -> Some 24 | _ -> None)
 
-let switch_of_payload = function
-  | Wire.Hello { h_switch; _ } -> Some h_switch
-  | Wire.Echo_request { er_switch } -> Some er_switch
-  | Wire.Echo_reply { ep_switch } -> Some ep_switch
-  | Wire.Packet_in { pi_switch; _ } -> Some pi_switch
-  | Wire.Packet_out { po_switch; _ } -> Some po_switch
-  | Wire.Flow_mod m -> Some m.Flow_table.fm_switch
-  | Wire.Flow_stat_request { fsq_switch } -> Some fsq_switch
-  | Wire.Flow_stat_reply { fsr_switch; _ } -> Some fsr_switch
-  | Wire.Port_status { ps_switch; _ } -> Some ps_switch
-  | Wire.Stat_query { sq_switch } -> Some sq_switch
-  | Wire.App_flow_mod m -> Some m.Flow_table.fm_switch
-  | Wire.App_packet_out { apo_switch; _ } -> Some apo_switch
-  | _ -> None
-
+(* Each message maps to the cell of the switch it concerns. The
+   or-pattern binds the switch id with no option around it. *)
 let map_per_switch (msg : Message.t) =
-  match switch_of_payload msg.Message.payload with
-  | Some sw -> Mapping.with_key dict_switches (switch_key sw)
-  | None -> Mapping.Drop
+  match msg.Message.payload with
+  | Wire.Hello { h_switch = sw; _ }
+  | Wire.Echo_request { er_switch = sw }
+  | Wire.Echo_reply { ep_switch = sw }
+  | Wire.Packet_in { pi_switch = sw; _ }
+  | Wire.Packet_out { po_switch = sw; _ }
+  | Wire.Flow_mod { Flow_table.fm_switch = sw; _ }
+  | Wire.Flow_stat_request { fsq_switch = sw }
+  | Wire.Flow_stat_reply { fsr_switch = sw; _ }
+  | Wire.Port_status { ps_switch = sw; _ }
+  | Wire.Stat_query { sq_switch = sw }
+  | Wire.App_flow_mod { Flow_table.fm_switch = sw; _ }
+  | Wire.App_packet_out { apo_switch = sw; _ } ->
+    Mapping.with_key dict_switches (switch_key sw)
+  | _ -> Mapping.Drop
 
 let driver_cost _ = Simtime.of_us 5
 

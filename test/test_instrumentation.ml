@@ -169,6 +169,43 @@ let idle_app =
         (fun _ _ -> ());
     ]
 
+(* Each optimization round halves the stored counts in hive order,
+   drops a count that falls under 0.25, and deletes a bee's entry once
+   every count has faded. Traffic stops before the first round (5 s), so
+   each round from then on only decays. *)
+let test_rounds_decay_history () =
+  let engine, platform, handle = setup ~optimize:false () in
+  put platform ~from:0 ~key:"k" ~value:1;
+  drain engine;
+  stream engine platform ~from:2 ~key:"k" ~seconds:2.0;
+  let bee = owner_exn platform ~app:"test.kv" "k" in
+  let counts () =
+    List.find_map
+      (fun (l : Instrumentation.bee_load) ->
+        if l.bl_bee = bee then Some l.bl_in_by_hive else None)
+      (Instrumentation.loads handle)
+  in
+  let decayed l =
+    List.filter (fun (_, c) -> c >= 0.25) (List.map (fun (h, c) -> (h, c *. 0.5)) l)
+  in
+  let same = Alcotest.(option (list (pair int (float 0.0)))) in
+  Engine.run_until engine (Simtime.of_sec 4.5);
+  let before = Option.get (counts ()) in
+  Alcotest.(check (list int)) "counts from hives 0 and 2" [ 0; 2 ] (List.map fst before);
+  let rec rounds r expected ~dropped =
+    let expected = decayed expected in
+    Engine.run_until engine (Simtime.of_sec ((5.0 *. float_of_int r) +. 0.5));
+    let label = Printf.sprintf "after round %d" r in
+    match expected with
+    | [] ->
+      Alcotest.(check same) label None (counts ());
+      Alcotest.(check bool) "one count dropped before the rest" true dropped
+    | _ ->
+      Alcotest.(check same) label (Some expected) (counts ());
+      rounds (r + 1) expected ~dropped:(dropped || List.length expected = 1)
+  in
+  rounds 1 before ~dropped:false
+
 (* The words allocated across one collect round (the collect tick at
    7 s, its report and the aggregator's merge) on a one-hive platform
    with one busy kv bee and [idle] idle bees. The idle bees' only
@@ -199,10 +236,10 @@ let test_collect_cost_ignores_idle_bees () =
   if Float.abs (crowded -. alone) > 64.0 then
     Alcotest.failf "a collect round allocates %.0f words beside 500 idle bees, %.0f alone"
       crowded alone;
-  (* 1,246 words: a report carries each bee's window counts and nothing
-     copied beside them. *)
-  if alone > 1246.0 then
-    Alcotest.failf "a collect round allocates %.0f words, more than 1246" alone
+  (* 1,082 words: a report carries each bee's window counts and nothing
+     copied beside them, and the aggregator's merge builds no closure. *)
+  if alone > 1082.0 then
+    Alcotest.failf "a collect round allocates %.0f words, more than 1082" alone
 
 let suite =
   [
@@ -216,6 +253,7 @@ let suite =
         Alcotest.test_case "balanced traffic stays put" `Quick
           test_optimizer_ignores_balanced_traffic;
         Alcotest.test_case "max migrations per round" `Quick test_max_migrations_per_round;
+        Alcotest.test_case "rounds decay the history" `Quick test_rounds_decay_history;
         Alcotest.test_case "collect cost ignores idle bees" `Quick
           test_collect_cost_ignores_idle_bees;
       ] );

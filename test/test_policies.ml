@@ -41,6 +41,22 @@ let test_greedy_policy_decisions () =
     Alcotest.(check int) "target" 2 d.Instrumentation.d_to_hive
   | l -> Alcotest.failf "expected one decision, got %d" (List.length l)
 
+(* A decision's reason prints the share as [Printf]'s "%.0f%%" does,
+   a tie rounding as the C library rounds it. *)
+let test_greedy_reason_text () =
+  let platform = dummy_platform () in
+  let p = Instrumentation.greedy_source_policy ~min_messages:5 in
+  let reason in_by_hive =
+    match p platform [ load ~bee:1 ~hive:0 ~processed:10 ~in_by_hive ] with
+    | [ d ] -> d.Instrumentation.d_reason
+    | l -> Alcotest.failf "expected one decision, got %d" (List.length l)
+  in
+  Alcotest.(check string) "nine in ten" "optimizer: 90% of traffic from hive 3"
+    (reason [ (0, 1.0); (3, 9.0) ]);
+  Alcotest.(check string) "five in eight, a tie"
+    (Printf.sprintf "optimizer: %.0f%% of traffic from hive %d" 62.5 2)
+    (reason [ (0, 3.0); (2, 5.0) ])
+
 let test_load_balance_policy () =
   let platform = dummy_platform () in
   let p = Instrumentation.load_balance_policy in
@@ -214,6 +230,7 @@ let suite =
     ( "policies+ext_store",
       [
         Alcotest.test_case "greedy policy decisions" `Quick test_greedy_policy_decisions;
+        Alcotest.test_case "greedy reason text" `Quick test_greedy_reason_text;
         Alcotest.test_case "load-balance policy" `Quick test_load_balance_policy;
         Alcotest.test_case "combined policy first-wins" `Quick test_combined_policy_first_wins;
         Alcotest.test_case "load-balance end to end" `Quick test_load_balance_end_to_end;
