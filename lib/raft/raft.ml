@@ -95,8 +95,8 @@ type t = {
   next_index : (int, int) Hashtbl.t;
   match_index : (int, int) Hashtbl.t;
   (* timers *)
-  mutable election_timer : Engine.handle option;
-  mutable heartbeat_timer : Engine.handle option;
+  mutable election_timer : Engine.handle;  (* [Engine.none] when unset *)
+  mutable heartbeat_timer : Engine.handle;
 }
 
 let create engine ~id ~peers ~install ~send ~apply =
@@ -126,8 +126,8 @@ let create engine ~id ~peers ~install ~send ~apply =
     leader = None;
     next_index = Hashtbl.create 8;
     match_index = Hashtbl.create 8;
-    election_timer = None;
-    heartbeat_timer = None;
+    election_timer = Engine.none;
+    heartbeat_timer = Engine.none;
   }
 
 let id t = t.node_id
@@ -186,9 +186,7 @@ let compact t ~upto ~data_size ~data =
 
 let majority t = ((List.length t.peers + 1) / 2) + 1
 
-let cancel_timer t timer =
-  (match timer with Some h -> ignore (Engine.cancel t.engine h) | None -> ());
-  ()
+let cancel_timer t timer = ignore (Engine.cancel t.engine timer)
 
 let apply_up_to t target =
   while t.applied < target do
@@ -208,7 +206,7 @@ let rec reset_election_timer t =
   let hi = Simtime.to_us election_timeout_max in
   let timeout = Simtime.of_us (lo + Rng.int t.rng (max 1 (hi - lo))) in
   t.election_timer <-
-    Some (Engine.schedule_after t.engine timeout (fun () -> if t.up then start_election t))
+    Engine.schedule_after t.engine timeout (fun () -> if t.up then start_election t)
 
 and become_follower t ~term =
   if term > t.term then begin
@@ -217,7 +215,7 @@ and become_follower t ~term =
   end;
   if t.node_role = Leader then begin
     cancel_timer t t.heartbeat_timer;
-    t.heartbeat_timer <- None
+    t.heartbeat_timer <- Engine.none
   end;
   t.node_role <- Follower;
   t.votes <- [];
@@ -249,7 +247,7 @@ and become_leader t =
   t.node_role <- Leader;
   t.leader <- Some t.node_id;
   cancel_timer t t.election_timer;
-  t.election_timer <- None;
+  t.election_timer <- Engine.none;
   Hashtbl.reset t.next_index;
   Hashtbl.reset t.match_index;
   List.iter
@@ -260,9 +258,8 @@ and become_leader t =
   send_heartbeats t;
   cancel_timer t t.heartbeat_timer;
   t.heartbeat_timer <-
-    Some
-      (Engine.every t.engine heartbeat_every (fun () ->
-           if t.up && t.node_role = Leader then send_heartbeats t))
+    Engine.every t.engine heartbeat_every (fun () ->
+        if t.up && t.node_role = Leader then send_heartbeats t)
 
 and send_heartbeats t = List.iter (fun peer -> send_append t peer) t.peers
 
@@ -511,8 +508,8 @@ let crash t =
     t.up <- false;
     cancel_timer t t.election_timer;
     cancel_timer t t.heartbeat_timer;
-    t.election_timer <- None;
-    t.heartbeat_timer <- None;
+    t.election_timer <- Engine.none;
+    t.heartbeat_timer <- Engine.none;
     t.node_role <- Follower;
     t.votes <- [];
     t.leader <- None;

@@ -1,7 +1,8 @@
-(* An event is its callback, stored bare in the queue entry. Every
-   occurrence of a periodic series is queued with the series' one [fire]
-   callback; the series is found from its head handle's push number. *)
-type handle = (unit -> unit) Event_queue.handle
+(* An event is its callback, stored bare in the queue, and a handle is
+   its push number. Every occurrence of a periodic series is queued with
+   the series' one [fire] callback; the series is found from its head
+   handle. *)
+type handle = int
 
 type periodic = {
   period : Simtime.t;
@@ -15,11 +16,10 @@ type t = {
   mutable clock : Simtime.t;
   root_rng : Rng.t;
   mutable n_events : int;
-  mutable running : handle;
-  series : (int, periodic) Hashtbl.t;  (* live series, by their head's seq *)
+  series : (handle, periodic) Hashtbl.t;  (* live series, by their head *)
 }
 
-let none : handle = Event_queue.detached ignore
+let none : handle = -1
 
 let create ?(seed = 42) () =
   {
@@ -27,14 +27,13 @@ let create ?(seed = 42) () =
     clock = Simtime.zero;
     root_rng = Rng.create seed;
     n_events = 0;
-    running = none;
     series = Hashtbl.create 8;
   }
 
 let now t = t.clock
 let rng t = t.root_rng
-let running t = t.running
-let seq = Event_queue.seq
+let running t = Event_queue.taken t.queue
+let seq h = h
 let pushes t = Event_queue.pushes t.queue
 
 let schedule_at t at f =
@@ -44,9 +43,9 @@ let schedule_at t at f =
 let schedule_after t d f = schedule_at t (Simtime.add t.clock d) f
 
 let cancel t h =
-  match Hashtbl.find t.series (Event_queue.seq h) with
+  match Hashtbl.find t.series h with
   | p ->
-    Hashtbl.remove t.series (Event_queue.seq h);
+    Hashtbl.remove t.series h;
     p.stopped <- true;
     ignore (Event_queue.cancel t.queue p.current);
     true
@@ -64,7 +63,7 @@ let every t period f =
   let rec fire () = fire_tick t p fire in
   let h = Event_queue.push t.queue (Simtime.add t.clock period) fire in
   p.current <- h;
-  Hashtbl.replace t.series (Event_queue.seq h) p;
+  Hashtbl.replace t.series h p;
   h
 
 (* Runs every event due at or before [horizon], reading the queue's head
@@ -74,10 +73,9 @@ let rec drain t horizon =
     let at = Event_queue.next_time t.queue in
     if Simtime.(at <= horizon) then begin
       t.clock <- at;
-      let h = Event_queue.take t.queue in
+      let f = Event_queue.take t.queue in
       t.n_events <- t.n_events + 1;
-      t.running <- h;
-      Event_queue.value h ();
+      f ();
       drain t horizon
     end
   end

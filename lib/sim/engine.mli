@@ -4,15 +4,17 @@
     All platform concurrency (bee mailbox processing, channel delivery,
     lock RPCs, timers) is expressed as events scheduled here, so a run is
     a single deterministic sequence of callbacks. An event is its
-    callback, stored bare in the queue's entry: scheduling one allocates
-    that entry (5 words) and nothing else. *)
+    callback, stored bare in the queue's arrays, and its handle is its
+    push number: once the queue has grown, scheduling, cancelling and
+    running an event allocate nothing. *)
 
 type t
 
 type handle
-(** A scheduled event, for cancellation and for {!running}. Every
-    scheduling returns a distinct handle, so two handles are the same
-    event exactly when they are physically equal ([==]). *)
+(** A scheduled event, for cancellation and for {!running}: its push
+    number ({!seq}), an immediate value. Every scheduling returns a
+    distinct handle, so two handles are the same event exactly when they
+    are physically equal ([==]). *)
 
 val none : handle
 (** A handle that no scheduling ever returns: a placeholder for a

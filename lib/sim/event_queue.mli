@@ -1,55 +1,53 @@
 (** Priority queue of timed events.
 
-    A binary min-heap keyed by [(time, sequence)]. The sequence number
-    breaks ties so that events scheduled for the same instant fire in
-    insertion order, keeping the simulation deterministic.
+    A binary min-heap keyed by [(time, push number)]. The push number
+    breaks ties so that events pushed for the same instant come out in
+    push order, keeping the simulation deterministic.
 
-    Pushing allocates the queue's own entry and nothing else; reading and
-    removing the earliest event allocate nothing: the time comes back
-    bare, and a handle is that entry. *)
+    The heap is three parallel arrays (times, push numbers, values), and
+    an event's handle is its push number, an immediate int. Once the
+    arrays have grown, pushing, cancelling and taking allocate nothing:
+    {!take} returns the bare value and {!taken} its push number. What
+    the queue keeps besides the heap is the set of push numbers still
+    queued, sized by the events in flight, not by the events ever
+    pushed. *)
 
 type 'a t
-
-type 'a handle
-(** Identifies a scheduled event so it can be cancelled. *)
 
 val create : unit -> 'a t
 
 val is_empty : 'a t -> bool
 (** No live (queued, non-cancelled) event is left. *)
 
-val push : 'a t -> Simtime.t -> 'a -> 'a handle
-(** [push q at x] schedules [x] at time [at]. *)
-
-val value : 'a handle -> 'a
-(** The value the event was pushed with. *)
-
-val seq : 'a handle -> int
-(** The event's push number: distinct for every push into one queue, and
-    -1 for a {!detached} handle. *)
+val push : 'a t -> Simtime.t -> 'a -> int
+(** [push q at x] schedules [x] at time [at] and returns the event's
+    push number: [pushes q] before the push, so distinct for every push
+    into one queue and never negative. The push number is the event's
+    handle. *)
 
 val pushes : 'a t -> int
 (** How many events were pushed so far: every event pushed from now on
     gets a push number at least this. *)
 
-val detached : 'a -> 'a handle
-(** A handle that was never queued: it is not the handle of any pushed
-    event, and cancelling it returns [false]. A placeholder for a
-    mutable handle field before its first push. *)
-
-val cancel : 'a t -> 'a handle -> bool
-(** [cancel q h] removes the event, returning [false] if it already fired
-    or was already cancelled. Cancellation is lazy deletion, amortised
-    O(1): when tombstones outnumber live entries the heap is compacted
-    in place (pop order is unaffected — [(time, seq)] is total). *)
+val cancel : 'a t -> int -> bool
+(** [cancel q p] removes the event pushed as number [p], returning
+    [false] if it already fired, was already cancelled, or [p] is no
+    push number of [q] (negative, or not yet issued). Cancellation is
+    lazy deletion, amortised O(1): when tombstones outnumber live
+    events the heap is compacted in place (pop order is unaffected —
+    [(time, push number)] is total). *)
 
 val next_time : 'a t -> Simtime.t
 (** Time of the earliest live event. Raises [Invalid_argument] when
     {!is_empty}. *)
 
-val take : 'a t -> 'a handle
-(** Removes the earliest live event and returns its handle, which then
-    counts as fired. Raises [Invalid_argument] when {!is_empty}. *)
+val take : 'a t -> 'a
+(** Removes the earliest live event and returns its value; the event
+    then counts as fired. Raises [Invalid_argument] when {!is_empty}. *)
+
+val taken : 'a t -> int
+(** The push number of the event {!take} returned last, -1 before the
+    first. *)
 
 val physical_size : 'a t -> int
 (** Heap slots in use, cancelled tombstones included — observability

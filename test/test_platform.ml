@@ -753,7 +753,7 @@ let check_words_bound per_msg bound =
    handler's transaction and routing, counted exactly on the ping-pong
    chain. The bound is the measured cost (OCaml 5.1.1, native code);
    raising it needs a reason. *)
-let runtime_words_per_message_bound = 68.0
+let runtime_words_per_message_bound = 58.0
 
 let test_runtime_words_per_message () =
   let engine, platform = make_platform ~n_hives:1 ~apps:(ping_pong_apps ()) () in
@@ -768,7 +768,7 @@ let test_runtime_words_per_message () =
    shows the hook the child's own source and allocates only the
    parent's [Some]. The bound is the measured cost (OCaml 5.1.1, native
    code); raising it needs a reason. *)
-let hooked_words_per_message_bound = 69.0
+let hooked_words_per_message_bound = 59.0
 
 let test_hooked_words_per_message () =
   let engine, platform = make_platform ~n_hives:1 ~apps:(ping_pong_apps ()) () in
@@ -789,7 +789,7 @@ let test_hooked_words_per_message () =
    firing), so each step runs 5 ms of simulated time: long enough for
    the pong's commit, fsync, dispatch and ack. The bound is the measured
    cost (OCaml 5.1.1, native code); raising it needs a reason. *)
-let durable_words_per_message_bound = 149.6255
+let durable_words_per_message_bound = 127.1255
 
 let test_durable_words_per_message () =
   let engine, platform = durable_platform ~n_hives:1 ~apps:(ping_pong_apps ()) () in

@@ -47,7 +47,7 @@ let drain_queue q =
     if Event_queue.is_empty q then List.rev acc
     else begin
       let at = Simtime.to_us (Event_queue.next_time q) in
-      let v = Event_queue.value (Event_queue.take q) in
+      let v = Event_queue.take q in
       go ((at, v) :: acc)
     end
   in
@@ -77,7 +77,7 @@ let test_event_queue_cancel () =
   Alcotest.(check bool) "double cancel" false (Event_queue.cancel q h1);
   Alcotest.(check int) "next_time skips cancelled" 2
     (Simtime.to_us (Event_queue.next_time q));
-  Alcotest.(check string) "take skips cancelled" "b" (Event_queue.value (Event_queue.take q));
+  Alcotest.(check string) "take skips cancelled" "b" (Event_queue.take q);
   Alcotest.(check bool) "empty" true (Event_queue.is_empty q)
 
 (* A handle whose event already fired must not cancel anything: the
@@ -86,7 +86,7 @@ let test_cancel_after_fire () =
   let q = Event_queue.create () in
   let h1 = Event_queue.push q (Simtime.of_us 1) "a" in
   ignore (Event_queue.push q (Simtime.of_us 2) "b");
-  Alcotest.(check string) "first fires" "a" (Event_queue.value (Event_queue.take q));
+  Alcotest.(check string) "first fires" "a" (Event_queue.take q);
   Alcotest.(check bool) "cancel of a fired event" false (Event_queue.cancel q h1);
   Alcotest.(check bool) "second still queued" false (Event_queue.is_empty q);
   Alcotest.(check (list (pair int string))) "second still fires" [ (2, "b") ] (drain_queue q);
@@ -176,10 +176,10 @@ let test_engine_loop_allocates_nothing () =
   Alcotest.(check int) "events run" 10_000 (Engine.events_executed e);
   Alcotest.(check (float 0.)) "words allocated running 10,000 events" 0. words
 
-(* An event is its callback in the queue's entry: with the heap array
-   already grown, scheduling a preallocated callback allocates the
-   5-word entry and nothing else. A series is still stopped from its
-   head handle after several occurrences, each a new entry. *)
+(* An event is its callback in the queue's arrays and its handle its
+   push number: with the arrays already grown, scheduling a
+   preallocated callback allocates nothing. A series is still stopped
+   from its head handle after several occurrences, each a new push. *)
 let test_engine_schedule_words () =
   let e = Engine.create () in
   let noop () = () in
@@ -192,7 +192,7 @@ let test_engine_schedule_words () =
     ignore (Engine.schedule_after e (Simtime.of_us 1) noop)
   done;
   let per_event = (Gc.minor_words () -. before) /. 10_000. in
-  if per_event > 5. then Alcotest.failf "%.2f words per scheduled event, bound 5" per_event;
+  if per_event > 0. then Alcotest.failf "%.4f words per scheduled event, bound 0" per_event;
   Engine.run e;
   let count = ref 0 in
   let h = Engine.every e (Simtime.of_us 10) (fun () -> incr count) in
@@ -222,12 +222,118 @@ let test_event_queue_compaction () =
   (* Pop order of the survivors is unaffected. *)
   let popped = ref [] in
   while not (Event_queue.is_empty q) do
-    popped := Event_queue.value (Event_queue.take q) :: !popped
+    popped := Event_queue.take q :: !popped
   done;
   Alcotest.(check (list int))
     "survivors pop in time order"
     (List.init 342 (fun i -> 3 * i))
     (List.rev !popped)
+
+(* A model of the queue: the queued events as a list sorted by (time,
+   push number), and the push count. Each operation runs on both; the
+   queue must agree on every result. *)
+type op = Push of int | Cancel of int | Take
+
+let op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun at -> Push at) (int_bound 8));
+        (* -1 is [Engine.none]; numbers past the pushes were never issued. *)
+        (2, map (fun p -> Cancel p) (int_range (-1) 60));
+        (3, return Take);
+      ])
+
+let show_op = function
+  | Push at -> Printf.sprintf "Push %d" at
+  | Cancel p -> Printf.sprintf "Cancel %d" p
+  | Take -> "Take"
+
+let prop_queue_model =
+  QCheck.Test.make ~name:"event_queue agrees with a sorted-list model" ~count:500
+    QCheck.(make ~print:(Print.list show_op) Gen.(list_size (int_bound 120) op_gen))
+    (fun ops ->
+      let q = Event_queue.create () in
+      let model = ref [] and pushed = ref 0 in
+      let insert at p =
+        let rec go = function
+          | [] -> [ (at, p) ]
+          | ((at', p') :: _) as l when (at, p) < (at', p') -> (at, p) :: l
+          | x :: rest -> x :: go rest
+        in
+        model := go !model
+      in
+      let step op =
+        (match op with
+        | Push at ->
+          let p = Event_queue.push q (Simtime.of_us at) (1000 + !pushed) in
+          if p <> !pushed then QCheck.Test.fail_reportf "push returned %d, expected %d" p !pushed;
+          insert at p;
+          incr pushed
+        | Cancel p ->
+          let p = if p = -1 then Engine.seq Engine.none else p in
+          let expected = List.exists (fun (_, p') -> p' = p) !model in
+          let got = Event_queue.cancel q p in
+          if got <> expected then
+            QCheck.Test.fail_reportf "cancel %d returned %b, expected %b" p got expected;
+          model := List.filter (fun (_, p') -> p' <> p) !model
+        | Take -> (
+          match !model with
+          | [] -> ()
+          | (at, p) :: rest ->
+            let next = Simtime.to_us (Event_queue.next_time q) in
+            let v = Event_queue.take q in
+            if next <> at || v <> 1000 + p || Event_queue.taken q <> p then
+              QCheck.Test.fail_reportf "took (%d, %d) with value %d, expected (%d, %d)" next
+                (Event_queue.taken q) v at p;
+            model := rest));
+        if Event_queue.is_empty q <> (!model = []) then
+          QCheck.Test.fail_reportf "is_empty %b with %d queued" (Event_queue.is_empty q)
+            (List.length !model);
+        if Event_queue.pushes q <> !pushed then
+          QCheck.Test.fail_reportf "pushes %d, expected %d" (Event_queue.pushes q) !pushed
+      in
+      List.iter step ops;
+      true)
+
+(* What the queue keeps follows the events in flight, not the events
+   run: more than a million events pass one far-future timer, one event
+   per microsecond, each after a timer is armed and the previous one
+   cancelled. The queue's reachable words read the same after the first
+   thousand, just before the far timer fires and well after it. *)
+let queue_words_bound = 128
+
+let test_event_queue_bounded () =
+  let q = Event_queue.create () in
+  let far_at = 1_200_000 in
+  let far = Event_queue.push q (Simtime.of_us far_at) (-1) in
+  let timer = ref (-1) and far_fired = ref 0 and ran_to = ref 0 in
+  let words () = Obj.reachable_words (Obj.repr q) in
+  let run_to last =
+    for now = !ran_to + 1 to last do
+      ignore (Event_queue.cancel q !timer);
+      timer := Event_queue.push q (Simtime.of_us (now + 10)) now;
+      ignore (Event_queue.push q (Simtime.of_us now) now);
+      while Simtime.to_us (Event_queue.next_time q) <= now do
+        if Event_queue.take q = -1 then begin
+          Alcotest.(check int) "far timer's push number" far (Event_queue.taken q);
+          incr far_fired
+        end
+      done
+    done;
+    ran_to := last
+  in
+  run_to 1_000;
+  let warm = words () in
+  if warm > queue_words_bound then
+    Alcotest.failf "%d reachable words, bound %d" warm queue_words_bound;
+  run_to (far_at - 1);
+  Alcotest.(check int) "far timer still waits" 0 !far_fired;
+  Alcotest.(check int) "words while the far timer waits" warm (words ());
+  run_to (far_at + 300_000);
+  Alcotest.(check int) "far timer fired once" 1 !far_fired;
+  Alcotest.(check bool) "fired timer cancels nothing" false (Event_queue.cancel q far);
+  Alcotest.(check int) "words after it fired" warm (words ())
 
 let suite =
   [
@@ -250,6 +356,9 @@ let suite =
           test_engine_loop_allocates_nothing;
         Alcotest.test_case "event queue: cancel-heavy heap compacts" `Quick
           test_event_queue_compaction;
-        Alcotest.test_case "engine schedules in 5 words" `Quick test_engine_schedule_words;
+        Alcotest.test_case "engine schedules in 0 words" `Quick test_engine_schedule_words;
+        QCheck_alcotest.to_alcotest prop_queue_model;
+        Alcotest.test_case "event queue size follows events in flight" `Quick
+          test_event_queue_bounded;
       ] );
   ]
