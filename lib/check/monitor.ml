@@ -184,7 +184,12 @@ let durable_ownership =
 
 (* Committed prefixes of any two group members must agree entry-by-entry
    above both snapshot points — Raft's State Machine Safety, checked
-   structurally on the logs. *)
+   structurally on the logs. Two entries agree when their terms and their
+   commands' identities, (sequence number, bytes), are equal. *)
+let same_command c1 c2 =
+  Raft_replication.command_seq c1 = Raft_replication.command_seq c2
+  && Raft_replication.command_bytes c1 = Raft_replication.command_bytes c2
+
 let raft_prefix =
   {
     m_name = "raft-log-prefix";
@@ -222,7 +227,7 @@ let raft_prefix =
                       (match (entry log1 !i, entry log2 !i) with
                       | Some e1, Some e2
                         when e1.Raft.e_term <> e2.Raft.e_term
-                             || not (String.equal e1.Raft.e_command e2.Raft.e_command)
+                             || not (same_command e1.Raft.e_command e2.Raft.e_command)
                         ->
                         result :=
                           Some

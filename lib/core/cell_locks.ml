@@ -4,7 +4,6 @@
    lock master, charged on the control channel. *)
 
 module Engine = Beehive_sim.Engine
-module Simtime = Beehive_sim.Simtime
 module Channels = Beehive_net.Channels
 
 (* The lock-service master's hive, and the bytes of one lock-service
@@ -22,15 +21,7 @@ let create engine chans = { engine; chans; rpcs = 0 }
 
 let charge_rpc t ~hive =
   t.rpcs <- t.rpcs + 1;
-  let now = Engine.now t.engine in
-  let l1 =
-    Channels.transfer t.chans ~src:(Channels.Hive hive) ~dst:(Channels.Hive master)
-      ~bytes:rpc_size ~now
-  in
-  let l2 =
-    Channels.transfer t.chans ~src:(Channels.Hive master) ~dst:(Channels.Hive hive)
-      ~bytes:rpc_size ~now
-  in
-  Simtime.add l1 l2
+  Channels.round_trip t.chans ~src:hive ~dst:master ~req_bytes:rpc_size
+    ~resp_bytes:rpc_size ~now:(Engine.now t.engine)
 
 let rpcs t = t.rpcs

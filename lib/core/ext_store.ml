@@ -1,5 +1,4 @@
 module Engine = Beehive_sim.Engine
-module Simtime = Beehive_sim.Simtime
 module Channels = Beehive_net.Channels
 
 type t = {
@@ -23,17 +22,10 @@ let store_hive_of_key key = Hashtbl.hash key mod n_nodes
    is back, unless [from_hive], whose memory held the call, crashed
    meanwhile. *)
 let round_trip t ~from_hive ~to_hive ~req_bytes ~resp_bytes k =
-  let chans = Platform.channels t.platform in
-  let now = Engine.now (Platform.engine t.platform) in
-  let l1 =
-    Channels.transfer chans ~src:(Channels.Hive from_hive) ~dst:(Channels.Hive to_hive)
-      ~bytes:req_bytes ~now
+  let rt =
+    Channels.round_trip (Platform.channels t.platform) ~src:from_hive ~dst:to_hive ~req_bytes
+      ~resp_bytes ~now:(Engine.now (Platform.engine t.platform))
   in
-  let l2 =
-    Channels.transfer chans ~src:(Channels.Hive to_hive) ~dst:(Channels.Hive from_hive)
-      ~bytes:resp_bytes ~now
-  in
-  let rt = Simtime.add l1 l2 in
   Stats.record_latency t.rpc_latency rt;
   ignore
     (Engine.schedule_after (Platform.engine t.platform) rt (fun () ->

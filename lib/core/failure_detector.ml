@@ -1,6 +1,5 @@
 module Engine = Beehive_sim.Engine
 module Simtime = Beehive_sim.Simtime
-module Channels = Beehive_net.Channels
 
 let src = Logs.Src.create "beehive.detector" ~doc:"Beehive failure detector"
 
@@ -74,8 +73,6 @@ let receive t ~from:s ~at:d =
   end
 
 let broadcast t =
-  let chans = Platform.channels t.platform in
-  let now = Engine.now t.engine in
   for s = 0 to t.n - 1 do
     (* Crashed processes are silent; fenced (deposed-but-running) hives
        keep gossiping — that is how a false positive heals. Decommissioned
@@ -83,16 +80,9 @@ let broadcast t =
     if member t s && not (Platform.hive_crashed t.platform s) then begin
       for d = 0 to t.n - 1 do
         if d <> s && member t d then
-          match
-            Channels.transfer_result chans ~src:(Channels.Hive s)
-              ~dst:(Channels.Hive d) ~bytes:hb_bytes ~now
-          with
-          | `Lost -> ()
-          | `Delivered lat ->
-            (* Kept through a crash: a heartbeat on the wire still
-               lands. *)
-            ignore
-              (Engine.schedule_after t.engine lat (fun () -> receive t ~from:s ~at:d))
+          (* Kept through a crash: a heartbeat on the wire still lands. *)
+          Platform.datagram t.platform ~src:s ~dst:d ~bytes:hb_bytes (fun () ->
+              receive t ~from:s ~at:d)
       done
     end
   done

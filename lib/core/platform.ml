@@ -110,7 +110,6 @@ type commit_info = {
   ci_bee : int;
   ci_hive : int;
   ci_writes : (string * string * Value.t option) list;
-  ci_bytes : int;
   ci_emits : (int * Message.t) list;
       (* outbox entries committed by this transaction, (seq, message) —
          replicated so a failover can re-seed the new primary's outbox *)
@@ -264,16 +263,23 @@ let kill_bee t b =
 (* [Channels.Hive h], shared: naming a hive allocates nothing. *)
 let hive_ep t h = Channels.hive_endpoint t.chans h
 
-let origin_hive_of t = function
-  | Channels.Hive h -> h
-  | Channels.Switch s -> Channels.master_of t.chans s
-
 (* The hive a message came from; -1 for a system message. *)
 let resolve_src t (msg : Message.t) =
   match msg.Message.src with
   | Message.From_bee { hive; _ } -> hive
-  | Message.From_endpoint ep -> origin_hive_of t ep
+  | Message.From_endpoint ep -> Channels.hive_of t.chans ep
   | Message.From_system -> -1
+
+(* One lossy one-way send from hive [src] to hive [dst] on the failable
+   wire: [k] runs on arrival, unless the wire loses the bytes. Nothing
+   retries, acks or sequences it. *)
+let datagram t ~src ~dst ~bytes k =
+  match
+    Channels.transfer_result t.chans ~src:(hive_ep t src) ~dst:(hive_ep t dst) ~bytes
+      ~now:(now t)
+  with
+  | `Lost -> ()
+  | `Delivered lat -> ignore (Engine.schedule_after t.engine lat k)
 
 (* Moves [bytes] from [src_ep] to hive [dst_hive] and runs [k] on arrival
    plus [extra] (e.g. lock-service latency already charged). Same-hive
@@ -283,7 +289,7 @@ let resolve_src t (msg : Message.t) =
    in [dst_hive]'s memory: [k] asks {!since_wipe} of the hive it lands
    on, so it captures nothing more. *)
 let transmit t ~src_ep ~dst_hive ~bytes ~extra ?on_drop k =
-  let src_hive = origin_hive_of t src_ep in
+  let src_hive = Channels.hive_of t.chans src_ep in
   let dst_ep = hive_ep t dst_hive in
   if src_hive = dst_hive then begin
     let lat = Channels.transfer t.chans ~src:src_ep ~dst:dst_ep ~bytes ~now:(now t) in
@@ -464,22 +470,9 @@ let replicate t (b : bee) ~pending ~last emits ~consumed =
   | Some r
     when b.app.App.replicated && (not b.is_local)
          && (pending <> [] || emits <> [] || Option.is_some consumed) ->
-    let ci_emits = numbered ~seq:last [] emits in
-    let inbox = Option.to_list consumed in
-    let bytes =
-      List.fold_left
-        (fun acc (dict, key, w) ->
-          acc + String.length dict + String.length key
-          + match w with Some v -> Value.size v | None -> 0)
-        32 pending
-    in
-    let bytes =
-      List.fold_left (fun acc (_, (m : Message.t)) -> acc + 16 + m.Message.size) bytes ci_emits
-      + (16 * List.length inbox)
-    in
     r.commit
-      { ci_bee = b.id; ci_hive = b.hive; ci_writes = pending; ci_bytes = bytes; ci_emits;
-        ci_inbox = inbox }
+      { ci_bee = b.id; ci_hive = b.hive; ci_writes = pending;
+        ci_emits = numbered ~seq:last [] emits; ci_inbox = Option.to_list consumed }
   | Some _ | None -> ()
 
 let deliver_endpoint t (b : bee) ep (m : Message.t) =
@@ -910,7 +903,7 @@ and route_legs t ~src_ep ~origin ~outbox ~first msg legs = function
     route_legs t ~src_ep ~origin ~outbox ~first msg legs rest
 
 and route t ~src_ep msg =
-  let origin = origin_hive_of t src_ep in
+  let origin = Channels.hive_of t.chans src_ep in
   (* A fenced origin keeps routing (the process is still up and serves
      its partition side); only a genuinely crashed origin drops. *)
   if not (hive_crashed t origin) then

@@ -101,6 +101,11 @@ val create : Beehive_sim.Engine.t -> config -> t
 val engine : t -> Beehive_sim.Engine.t
 val channels : t -> Beehive_net.Channels.t
 
+val datagram : t -> src:int -> dst:int -> bytes:int -> (unit -> unit) -> unit
+(** Sends [bytes] once from hive [src] to hive [dst] on the failable
+    wire ({!Beehive_net.Channels.transfer_result}) and runs the callback
+    on arrival; a lost send runs nothing and is not retried. *)
+
 val transport : t -> Beehive_net.Transport.t
 (** The at-least-once delivery layer carrying cross-hive platform
     traffic (retransmit/duplicate counters live here). *)
@@ -299,7 +304,6 @@ type commit_info = {
   ci_bee : int;
   ci_hive : int;
   ci_writes : (string * string * Value.t option) list;
-  ci_bytes : int;  (** serialized size of the write set, emits included *)
   ci_emits : (int * Message.t) list;
       (** outbox entries committed by this transaction, [(seq, message)] —
           a consensus-replicated app ships these alongside the write set

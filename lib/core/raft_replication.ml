@@ -1,6 +1,5 @@
 module Engine = Beehive_sim.Engine
 module Simtime = Beehive_sim.Simtime
-module Channels = Beehive_net.Channels
 module Raft = Beehive_raft.Raft
 
 module Int_map = Map.Make (Int)
@@ -22,13 +21,27 @@ type replica = {
   mutable inbox : Marks.t;
 }
 
+(* One replicated commit: the transaction under its sequence number,
+   with its modelled wire size. The group's members share the command,
+   so [c_counted], set on its first apply anywhere, counts each write set
+   once. *)
+type command = {
+  c_seq : int;
+  c_info : Platform.commit_info;
+  c_bytes : int;
+  mutable c_counted : bool;
+}
+
+(* A compaction image: each bee's replica, in bee order. *)
+type snapshot = (int * Recovery.replica) list
+
 type group = {
   g_anchor : int;
   mutable g_members : int list;
-  g_nodes : (int, Raft.t) Hashtbl.t;  (* member hive -> node *)
+  g_nodes : (int, (command, snapshot) Raft.t) Hashtbl.t;  (* member hive -> node *)
   g_replicas : (int, (int, replica) Hashtbl.t) Hashtbl.t;
       (* member hive -> (bee -> replica) *)
-  mutable g_queue : string list;  (* commands awaiting a leader, oldest last *)
+  mutable g_queue : command list;  (* commands awaiting a leader, oldest last *)
 }
 
 (* Members per group: the anchor hive and its successors. *)
@@ -40,32 +53,28 @@ type t = {
   size : int;
   compact_every : int;
   mutable groups : group array;
-  pending : (string, Platform.commit_info) Hashtbl.t;  (* command id -> write set *)
   anchors : (int, int) Hashtbl.t;  (* bee -> anchor hive of its group *)
-  counted : (string, unit) Hashtbl.t;  (* command ids seen applied at least once *)
-  snapshots : (string, (int * Recovery.replica) list) Hashtbl.t;
-      (* snapshot handle -> per-bee replica image; Raft ships the handle,
-         the real size is charged via [is_data_size] *)
   mutable seq : int;
-  mutable snap_seq : int;
   mutable committed : int;
   mutable installs : int;
 }
 
-let command_id t =
-  t.seq <- t.seq + 1;
-  Printf.sprintf "c%d" t.seq
+(* The modelled wire bytes of replicated bee data: [base], plus dict, key
+   and value per write (a deletion carries no value), 16 + the message
+   size per outbox entry and 16 per inbox mark. A command sizes on a base
+   of 32; a snapshot on 64, summed over its bees. *)
+let wire_bytes value_size base writes emits inbox =
+  let a =
+    List.fold_left
+      (fun a (d, k, v) -> a + String.length d + String.length k + value_size v)
+      base writes
+  in
+  List.fold_left (fun a (_, (m : Message.t)) -> a + 16 + m.Message.size) a emits
+  + (16 * List.length inbox)
 
-(* Commands carry their realistic wire size as padding. *)
-let encode_command id ~bytes =
-  let header = id ^ "|" in
-  let pad = max 0 (bytes - String.length header) in
-  header ^ String.make pad '.'
-
-let decode_command cmd =
-  match String.index_opt cmd '|' with
-  | Some i -> String.sub cmd 0 i
-  | None -> cmd
+let command_seq c = c.c_seq
+let command_bytes c = c.c_bytes
+let command_crc c = Printf.sprintf "c%d|%d" c.c_seq c.c_bytes
 
 let replica_table g ~member =
   match Hashtbl.find_opt g.g_replicas member with
@@ -137,93 +146,66 @@ let flush_queue t g =
    can spawn a fresh replacement node at runtime (its empty log catches
    up through AppendEntries backoff or Install_snapshot). *)
 let spawn_member t g ~member =
-  let engine = t.engine in
   let peers = List.filter (fun m -> m <> member) g.g_members in
+  (* The node's callbacks reach it through [self], set once it exists. *)
+  let self = ref None in
+  let node () = Option.get !self in
   let send ~dst rpc =
     (* Raft RPCs ride the raw failable wire: the protocol already
        tolerates loss (retries, elections), so a lost AppendEntries
        just surfaces as Raft-level retransmission. *)
-    if Platform.hive_alive t.platform member && Platform.hive_alive t.platform dst
-    then begin
-      match
-        Channels.transfer_result (Platform.channels t.platform)
-          ~src:(Channels.Hive member) ~dst:(Channels.Hive dst)
-          ~bytes:(Raft.rpc_size rpc) ~now:(Engine.now engine)
-      with
-      | `Lost -> ()
-      | `Delivered lat ->
-        (* Kept through a crash: an RPC on the wire still lands, and Raft
-           tolerates stale ones by term. *)
-        ignore
-          (Engine.schedule_after engine lat (fun () ->
-               match Hashtbl.find_opt g.g_nodes dst with
-               | Some node when Raft.is_up node -> Raft.receive node rpc
-               | Some _ | None -> ()))
-    end
+    if Platform.hive_alive t.platform member && Platform.hive_alive t.platform dst then
+      Platform.datagram t.platform ~src:member ~dst ~bytes:(Raft.rpc_size (node ()) rpc)
+        (fun () ->
+          (* Kept through a crash: an RPC on the wire still lands, and
+             Raft tolerates stale ones by term. *)
+          match Hashtbl.find_opt g.g_nodes dst with
+          | Some node when Raft.is_up node -> Raft.receive node rpc
+          | Some _ | None -> ())
   in
-  let node_ref = ref None in
-  (* Snapshot the member's full replica table and compact its Raft
-     log once it has applied [compact_every] entries past the last
-     snapshot. Handles are never GC'd: an in-flight Install_snapshot
-     may still reference an old one, and simulation runs are finite. *)
-  let maybe_compact () =
-    match !node_ref with
-    | Some node
-      when Raft.last_applied node - Raft.snapshot_index node >= t.compact_every ->
+  (* Snapshot the member's full replica table and compact its Raft log
+     once it has applied [compact_every] entries past the last
+     snapshot. *)
+  let maybe_compact node =
+    if Raft.last_applied node - Raft.snapshot_index node >= t.compact_every then begin
       let per_bee =
         Hashtbl.fold (fun bee r acc -> (bee, image r) :: acc) (replica_table g ~member) []
         |> List.sort (fun (a, _) (b, _) -> compare a b)
       in
-      t.snap_seq <- t.snap_seq + 1;
-      let data = Printf.sprintf "s%d" t.snap_seq in
-      Hashtbl.replace t.snapshots data per_bee;
       let size =
         List.fold_left
           (fun a (_, (i : Recovery.replica)) ->
-            let a =
-              List.fold_left
-                (fun a (d, k, v) ->
-                  a + String.length d + String.length k + Value.size v)
-                a i.entries
-            in
-            List.fold_left
-              (fun a (_, (m : Message.t)) -> a + 16 + m.Message.size)
-              a i.emits
-            + (16 * List.length i.inbox))
+            wire_bytes Value.size a i.entries i.emits i.inbox)
           64 per_bee
       in
-      Raft.compact node ~upto:(Raft.last_applied node) ~data_size:size ~data
-    | _ -> ()
+      Raft.compact node ~upto:(Raft.last_applied node) ~data_size:size ~data:per_bee
+    end
   in
   let install ~last_index:_ ~last_term:_ ~data =
-    match Hashtbl.find_opt t.snapshots data with
-    | Some per_bee ->
-      t.installs <- t.installs + 1;
-      let tbl = replica_table g ~member in
-      Hashtbl.reset tbl;
-      List.iter (fun (bee, i) -> Hashtbl.replace tbl bee (of_image i)) per_bee
-    | None -> ()
+    t.installs <- t.installs + 1;
+    let tbl = replica_table g ~member in
+    Hashtbl.reset tbl;
+    List.iter (fun (bee, i) -> Hashtbl.replace tbl bee (of_image i)) data
   in
-  let apply (e : Raft.entry) =
+  let apply (e : command Raft.entry) =
     (* Verify the entry's propose-time CRC before letting it touch a
        replica: a corrupt replicated entry is fail-stopped, never
        applied. *)
-    if Raft.verify_entry e then begin
-      let id = decode_command e.Raft.e_command in
-      (match Hashtbl.find_opt t.pending id with
-      | Some ci ->
-        apply_write_set g ~member ci;
-        (* Count each write set once, on its first apply anywhere. *)
-        if not (Hashtbl.mem t.counted id) then begin
-          Hashtbl.add t.counted id ();
-          t.committed <- t.committed + 1
-        end
-      | None -> ());
-      maybe_compact ()
+    let node = node () in
+    if Raft.verify_entry node e then begin
+      let c = e.Raft.e_command in
+      apply_write_set g ~member c.c_info;
+      if not c.c_counted then begin
+        c.c_counted <- true;
+        t.committed <- t.committed + 1
+      end;
+      maybe_compact node
     end
   in
-  let node = Raft.create engine ~id:member ~peers ~install ~send ~apply in
-  node_ref := Some node;
+  let node =
+    Raft.create t.engine ~id:member ~peers ~command_bytes ~command_crc ~install ~send ~apply
+  in
+  self := Some node;
   Hashtbl.add g.g_nodes member node;
   Raft.start node
 
@@ -316,9 +298,13 @@ let commit t (ci : Platform.commit_info) =
       a
   in
   let g = t.groups.(anchor) in
-  let id = command_id t in
-  Hashtbl.replace t.pending id ci;
-  g.g_queue <- encode_command id ~bytes:ci.Platform.ci_bytes :: g.g_queue;
+  let bytes =
+    wire_bytes
+      (function Some v -> Value.size v | None -> 0)
+      32 ci.Platform.ci_writes ci.Platform.ci_emits ci.Platform.ci_inbox
+  in
+  t.seq <- t.seq + 1;
+  g.g_queue <- { c_seq = t.seq; c_info = ci; c_bytes = bytes; c_counted = false } :: g.g_queue;
   flush_queue t g
 
 let anchor_of t ~bee = Hashtbl.find_opt t.anchors bee
@@ -383,12 +369,8 @@ let install platform ?(compact_every = 64) () =
       size;
       compact_every = max 1 compact_every;
       groups = [||];
-      pending = Hashtbl.create 256;
       anchors = Hashtbl.create 64;
-      counted = Hashtbl.create 256;
-      snapshots = Hashtbl.create 64;
       seq = 0;
-      snap_seq = 0;
       committed = 0;
       installs = 0;
     }
@@ -448,15 +430,8 @@ let member_commit_index t ~hive ~member =
   | None -> 0
 
 let replica_entries t ~member ~bee =
-  let found = ref None in
-  Array.iter
+  Array.find_map
     (fun g ->
-      if !found = None then
-        match Hashtbl.find_opt g.g_replicas member with
-        | Some tbl -> (
-          match Hashtbl.find_opt tbl bee with
-          | Some r -> found := Some (State.snapshot r.state)
-          | None -> ())
-        | None -> ())
-    t.groups;
-  Option.value ~default:[] !found
+      Option.bind (Hashtbl.find_opt g.g_replicas member) (fun tbl -> Hashtbl.find_opt tbl bee))
+    t.groups
+  |> Option.fold ~none:[] ~some:(fun r -> State.snapshot r.state)

@@ -7,8 +7,8 @@
 
     One Raft group per hive, three members wide (the hive and its
     successors; fewer when the cluster is smaller). Every committed
-    transaction of a [replicated] app is proposed to the group anchored
-    at the bee's hive at first commit;
+    transaction of a [replicated] app is proposed, as a {!command} value,
+    to the group anchored at the bee's hive at first commit;
     each group member applies it to its own replica of the bee: one
     {!Recovery.replica} of state, un-acked outbox entries (trimmed when
     the platform reports full acknowledgement) and inbox marks, kept
@@ -23,9 +23,22 @@
     leader's compaction point — or rejoins after {!Platform.restart_hive}
     — catches up from the leader's snapshot (InstallSnapshot), paying the
     snapshot's serialized size on the control channel instead of
-    replaying the full log. *)
+    replaying the full log. Commands and snapshots are held by the logs
+    alone, and one byte model sizes both: dict, key and value per write,
+    16 + message size per outbox entry, 16 per inbox mark, over 32 bytes
+    per command and 64 per snapshot. *)
 
 type t
+
+type command
+(** One replicated commit: a transaction's {!Platform.commit_info} under a
+    sequence number, unique per {!t}, with its modelled wire size. *)
+
+val command_seq : command -> int
+val command_bytes : command -> int
+
+val command_crc : command -> string
+(** ["c<seq>|<bytes>"]: what its Raft entry's CRC envelope covers. *)
 
 val install : Platform.t -> ?compact_every:int -> unit -> t
 (** Creates the groups, installs them as the platform's one
@@ -69,7 +82,7 @@ val member_snapshot_index : t -> hive:int -> member:int -> int
     Read-only views of a member's Raft node, for external invariant
     monitors (e.g. {!Beehive_check}'s log-prefix compatibility check). *)
 
-val member_log_entries : t -> hive:int -> member:int -> Beehive_raft.Raft.entry list
+val member_log_entries : t -> hive:int -> member:int -> command Beehive_raft.Raft.entry list
 (** The member node's un-compacted log tail ([[]] if the member has no
     node in that group). *)
 

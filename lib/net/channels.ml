@@ -152,6 +152,11 @@ let account t ~src ~dst ~bytes ~now =
 
 let transfer t ~src ~dst ~bytes ~now = account t ~src ~dst ~bytes ~now
 
+let round_trip t ~src ~dst ~req_bytes ~resp_bytes ~now =
+  let a = hive_endpoint t src and b = hive_endpoint t dst in
+  let l1 = transfer t ~src:a ~dst:b ~bytes:req_bytes ~now in
+  Simtime.add l1 (transfer t ~src:b ~dst:a ~bytes:resp_bytes ~now)
+
 let transfer_result t ~src ~dst ~bytes ~now =
   let sh = hive_of t src and dh = hive_of t dst in
   if sh <> dh && t.parted.(idx t ~src:sh ~dst:dh) then begin

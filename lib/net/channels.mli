@@ -43,6 +43,10 @@ val master_of : t -> int -> int
 
 val assign_switch : t -> switch:int -> hive:int -> unit
 
+val hive_of : t -> endpoint -> int
+(** The hive an endpoint stands for: a hive itself, or a switch's
+    master ({!master_of}). *)
+
 val transfer :
   t -> src:endpoint -> dst:endpoint -> bytes:int -> now:Beehive_sim.Simtime.t ->
   Beehive_sim.Simtime.t
@@ -52,6 +56,12 @@ val transfer :
     cross-hive traffic consumes the control channel and enters the
     bandwidth series. A switch endpoint is attributed to its master
     hive. Always delivers, regardless of configured faults. *)
+
+val round_trip :
+  t -> src:int -> dst:int -> req_bytes:int -> resp_bytes:int ->
+  now:Beehive_sim.Simtime.t -> Beehive_sim.Simtime.t
+(** {!transfer}s a request from hive [src] to hive [dst] and its
+    response back, both at [now]; returns the two latencies' sum. *)
 
 val transfer_result :
   t -> src:endpoint -> dst:endpoint -> bytes:int -> now:Beehive_sim.Simtime.t ->

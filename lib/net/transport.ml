@@ -74,11 +74,6 @@ let link t ~sh ~dh =
     Hashtbl.replace t.links key l;
     l
 
-let hive_of t ep =
-  match ep with
-  | Channels.Hive h -> h
-  | Channels.Switch s -> Channels.master_of t.channels s
-
 (* Exponential backoff capped at rto_max, plus uniform jitter so
    synchronized retries de-correlate. [attempts] is the number already
    made (>= 1). *)
@@ -191,7 +186,7 @@ let send t ~src ~dst ~bytes ~on_drop ~deliver =
     ignore (Engine.schedule_after t.engine lat deliver)
   end
   else begin
-    let sh = hive_of t src and dh = hive_of t dst in
+    let sh = Channels.hive_of t.channels src and dh = Channels.hive_of t.channels dst in
     let l = link t ~sh ~dh in
     let m =
       {

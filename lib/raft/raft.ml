@@ -2,21 +2,14 @@ module Engine = Beehive_sim.Engine
 module Simtime = Beehive_sim.Simtime
 module Rng = Beehive_sim.Rng
 
-type command = string
-
-type entry = {
+type 'c entry = {
   e_term : int;
   e_index : int;
-  e_command : command;
+  e_command : 'c;
   e_crc : int;
 }
 
-let entry_crc ~term ~index command =
-  Beehive_sim.Crc32.string (Printf.sprintf "%d|%d|%s" term index command)
-
-let verify_entry e = e.e_crc = entry_crc ~term:e.e_term ~index:e.e_index e.e_command
-
-type rpc =
+type ('c, 's) rpc =
   | Request_vote of {
       rv_term : int;
       rv_candidate : int;
@@ -29,7 +22,7 @@ type rpc =
       ae_leader : int;
       ae_prev_index : int;
       ae_prev_term : int;
-      ae_entries : entry list;
+      ae_entries : 'c entry list;
       ae_commit : int;
     }
   | Append_reply of {
@@ -43,17 +36,9 @@ type rpc =
       is_leader : int;
       is_last_index : int;
       is_last_term : int;
-      is_data : string;
+      is_data : 's;
       is_data_size : int;
     }
-
-let rpc_size = function
-  | Request_vote _ -> 32
-  | Vote _ -> 24
-  | Append_entries { ae_entries; _ } ->
-    40 + List.fold_left (fun a e -> a + 16 + String.length e.e_command) 0 ae_entries
-  | Append_reply _ -> 28
-  | Install_snapshot { is_data_size; _ } -> 48 + is_data_size
 
 let election_timeout_min = Simtime.of_ms 150
 let election_timeout_max = Simtime.of_ms 300
@@ -64,26 +49,28 @@ type role =
   | Candidate
   | Leader
 
-type t = {
+type ('c, 's) t = {
   engine : Engine.t;
   node_id : int;
   mutable peers : int list;
-  send : dst:int -> rpc -> unit;
-  apply_fn : entry -> unit;
+  command_bytes : 'c -> int;
+  command_crc : 'c -> string;
+  send : dst:int -> ('c, 's) rpc -> unit;
+  apply_fn : 'c entry -> unit;
   rng : Rng.t;
-  install_cb : last_index:int -> last_term:int -> data:string -> unit;
+  install_cb : last_index:int -> last_term:int -> data:'s -> unit;
   (* persistent state (survives crash/restart) *)
   mutable term : int;
   mutable voted_for : int option;
-  mutable log : entry array;  (* log.(i) has e_index = snap_index + i + 1 *)
+  mutable log : 'c entry array;  (* log.(i) has e_index = snap_index + i + 1 *)
   mutable log_len : int;
   (* log-compaction state: entries up to snap_index live only in the
-     snapshot; snap_data is an opaque state-machine image owned by the
-     caller (persistent, like the log) *)
+     snapshot; snap_data is the caller's state-machine image and its
+     wire size, [None] until the first compaction or install (persistent,
+     like the log) *)
   mutable snap_index : int;
   mutable snap_term : int;
-  mutable snap_data : string;
-  mutable snap_data_size : int;
+  mutable snap_data : ('s * int) option;
   (* volatile *)
   mutable node_role : role;
   mutable commit : int;
@@ -99,25 +86,24 @@ type t = {
   mutable heartbeat_timer : Engine.handle;
 }
 
-let create engine ~id ~peers ~install ~send ~apply =
+let create engine ~id ~peers ~command_bytes ~command_crc ~install ~send ~apply =
   {
     engine;
     node_id = id;
     peers;
+    command_bytes;
+    command_crc;
     send;
     apply_fn = apply;
     rng = Rng.split (Engine.rng engine);
     install_cb = install;
     term = 0;
     voted_for = None;
-    log = Array.make 64
-        { e_term = 0; e_index = 0; e_command = "";
-          e_crc = entry_crc ~term:0 ~index:0 "" };
+    log = [||];
     log_len = 0;
     snap_index = 0;
     snap_term = 0;
-    snap_data = "";
-    snap_data_size = 0;
+    snap_data = None;
     node_role = Follower;
     commit = 0;
     applied = 0;
@@ -141,12 +127,20 @@ let snapshot_index t = t.snap_index
 
 let log_entries t = Array.to_list (Array.sub t.log 0 t.log_len)
 
-let verify_log t =
-  let ok = ref true in
-  for i = 0 to t.log_len - 1 do
-    if not (verify_entry t.log.(i)) then ok := false
-  done;
-  !ok
+let rpc_size t = function
+  | Request_vote _ -> 32
+  | Vote _ -> 24
+  | Append_entries { ae_entries; _ } ->
+    40 + List.fold_left (fun a e -> a + 16 + t.command_bytes e.e_command) 0 ae_entries
+  | Append_reply _ -> 28
+  | Install_snapshot { is_data_size; _ } -> 48 + is_data_size
+
+let entry_crc t ~term ~index command =
+  Beehive_sim.Crc32.string (Printf.sprintf "%d|%d|%s" term index (t.command_crc command))
+
+let verify_entry t e = e.e_crc = entry_crc t ~term:e.e_term ~index:e.e_index e.e_command
+
+let verify_log t = List.for_all (verify_entry t) (log_entries t)
 
 (* Log positions are absolute indices; the array only holds entries past
    the snapshot, so slot [i - snap_index - 1] is index [i]. *)
@@ -160,7 +154,7 @@ let term_at t i =
 
 let append_log t e =
   if t.log_len = Array.length t.log then begin
-    let bigger = Array.make (2 * t.log_len) t.log.(0) in
+    let bigger = Array.make (max 64 (2 * t.log_len)) e in
     Array.blit t.log 0 bigger 0 t.log_len;
     t.log <- bigger
   end;
@@ -180,8 +174,7 @@ let compact t ~upto ~data_size ~data =
     t.log_len <- keep;
     t.snap_index <- upto;
     t.snap_term <- term;
-    t.snap_data <- data;
-    t.snap_data_size <- data_size
+    t.snap_data <- Some (data, data_size)
   end
 
 let majority t = ((List.length t.peers + 1) / 2) + 1
@@ -267,7 +260,8 @@ and send_append t peer =
   let next =
     Option.value ~default:(last_log_index t + 1) (Hashtbl.find_opt t.next_index peer)
   in
-  if next <= t.snap_index then
+  match t.snap_data with
+  | Some (is_data, is_data_size) when next <= t.snap_index ->
     (* The follower needs entries we have compacted away: ship the
        snapshot instead (InstallSnapshot, Raft paper section 7). *)
     t.send ~dst:peer
@@ -277,10 +271,10 @@ and send_append t peer =
            is_leader = t.node_id;
            is_last_index = t.snap_index;
            is_last_term = t.snap_term;
-           is_data = t.snap_data;
-           is_data_size = t.snap_data_size;
+           is_data;
+           is_data_size;
          })
-  else begin
+  | Some _ | None ->
     let prev = next - 1 in
     let entries = ref [] in
     for i = last_log_index t downto next do
@@ -296,7 +290,6 @@ and send_append t peer =
            ae_entries = !entries;
            ae_commit = t.commit;
          })
-  end
 
 (* Leader: advance commit to the highest current-term index replicated on
    a majority (Raft's commit restriction, figure 8 of the Raft paper). *)
@@ -375,7 +368,7 @@ let handle_append_entries t ~ae_term ~ae_leader ~ae_prev_index ~ae_prev_term ~ae
       (* Append, truncating on conflict. Entries at or below the snapshot
          index are already covered by the snapshot and are skipped. *)
       List.iter
-        (fun (e : entry) ->
+        (fun (e : _ entry) ->
           if e.e_index > t.snap_index then
             match entry_at t e.e_index with
             | Some existing when existing.e_term = e.e_term -> ()
@@ -441,8 +434,7 @@ let handle_install_snapshot t ~is_term ~is_leader ~is_last_index ~is_last_term ~
       | _ -> t.log_len <- 0);
       t.snap_index <- is_last_index;
       t.snap_term <- is_last_term;
-      t.snap_data <- is_data;
-      t.snap_data_size <- is_data_size;
+      t.snap_data <- Some (is_data, is_data_size);
       (* Jump the state machine to the snapshot only when it is ahead of
          what we have already applied. *)
       if is_last_index > t.applied then begin
@@ -493,13 +485,12 @@ let propose t command =
     let index = last_log_index t + 1 in
     let e =
       { e_term = t.term; e_index = index; e_command = command;
-        e_crc = entry_crc ~term:t.term ~index command }
+        e_crc = entry_crc t ~term:t.term ~index command }
     in
     append_log t e;
     send_heartbeats t;
     (* A single-node cluster commits immediately. *)
     advance_commit t;
-    (match t.peers with [] -> () | _ -> ());
     `Proposed e.e_index
   end
 
@@ -541,10 +532,11 @@ let restart t =
     t.leader <- None;
     (* Restore the state machine from the persistent snapshot; committed
        tail entries are re-applied as the leader re-advances our commit. *)
-    if t.snap_index > 0 then begin
-      t.install_cb ~last_index:t.snap_index ~last_term:t.snap_term ~data:t.snap_data;
+    (match t.snap_data with
+    | Some (data, _) ->
+      t.install_cb ~last_index:t.snap_index ~last_term:t.snap_term ~data;
       t.commit <- max t.commit t.snap_index;
       t.applied <- max t.applied t.snap_index
-    end;
+    | None -> ());
     reset_election_timer t
   end

@@ -5,7 +5,7 @@ module Raft = Beehive_raft.Raft
 
 type t = {
   engine : Engine.t;
-  nodes : Raft.t array;
+  nodes : (string, string) Raft.t array;
   applied : (int * string) list ref array;  (* newest first; reset on restart *)
   mutable groups : int list list option;  (* None = fully connected *)
   mutable drop_rate : float;
@@ -40,13 +40,14 @@ let create engine ~n =
             (Engine.schedule_after engine latency (fun () ->
                  Raft.receive t.nodes.(dst) rpc))
     in
-    let apply (e : Raft.entry) =
+    let apply (e : string Raft.entry) =
       applied.(i) := (e.Raft.e_index, e.Raft.e_command) :: !(applied.(i))
     in
     (* The applied lists are the test's state machine; they ignore
        snapshot installs. *)
     let install ~last_index:_ ~last_term:_ ~data:_ = () in
-    Raft.create engine ~id:i ~peers ~install ~send ~apply
+    Raft.create engine ~id:i ~peers ~command_bytes:String.length ~command_crc:Fun.id ~install
+      ~send ~apply
   in
   let nodes = Array.init n make in
   let t =

@@ -11,7 +11,10 @@ type t
 val create : Beehive_sim.Engine.t -> n:int -> t
 (** Messages take 5 ms one way. All nodes are started. *)
 
-val node : t -> int -> Beehive_raft.Raft.t
+val node : t -> int -> (string, string) Beehive_raft.Raft.t
+(** Commands and snapshot images are strings: a command's wire size is
+    its length, and its CRC envelope covers the string itself. *)
+
 val n : t -> int
 
 val leaders : t -> int list

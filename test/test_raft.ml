@@ -227,6 +227,35 @@ let test_election_safety_over_time () =
   done;
   Alcotest.(check bool) "at most one leader per term, ever" true !ok
 
+(* The leader's log after proposing [cmds] and letting them replicate. *)
+let replicated_log cmds =
+  let engine, cluster = setup () in
+  let l = await_leader engine cluster in
+  List.iter (fun c -> ignore (Raft.propose (Cluster.node cluster l) c)) cmds;
+  run_for engine 1.0;
+  let node = Cluster.node cluster l in
+  (node, Raft.log_entries node)
+
+let test_crc_covers_the_command () =
+  let node, log = replicated_log [ "alpha"; "beta" ] in
+  match log with
+  | [ e1; e2 ] ->
+    Alcotest.(check bool) "a replicated entry verifies" true (Raft.verify_entry node e1);
+    (* Same term and index, another command, the old checksum. *)
+    let forged = { e1 with Raft.e_command = e2.Raft.e_command } in
+    Alcotest.(check bool) "a swapped command fails" false (Raft.verify_entry node forged)
+  | _ -> Alcotest.failf "expected 2 entries, got %d" (List.length log)
+
+let test_append_entries_size () =
+  let node, log = replicated_log [ "alpha"; "beta"; "" ] in
+  let rpc =
+    Raft.Append_entries
+      { ae_term = 1; ae_leader = 0; ae_prev_index = 0; ae_prev_term = 0; ae_entries = log;
+        ae_commit = 0 }
+  in
+  Alcotest.(check int) "40 + per entry 16 + its length" (40 + (16 + 5) + (16 + 4) + 16)
+    (Raft.rpc_size node rpc)
+
 let suite =
   [
     ( "raft",
@@ -240,5 +269,8 @@ let suite =
         Alcotest.test_case "survives 20% message loss" `Quick test_survives_message_loss;
         QCheck_alcotest.to_alcotest prop_state_machine_safety;
         Alcotest.test_case "election safety over time" `Quick test_election_safety_over_time;
+        Alcotest.test_case "an entry's CRC covers its command" `Quick
+          test_crc_covers_the_command;
+        Alcotest.test_case "append entries size each command" `Quick test_append_entries_size;
       ] );
   ]
