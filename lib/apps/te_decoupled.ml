@@ -27,13 +27,17 @@ let report_hot ~delta ctx _switch obs =
   List.iter (fun i -> Context.emit ctx ~size:32 ~kind:k_traffic_update (traffic_update obs i)) hot;
   mark_handled obs hot
 
+(* Route's one mapping, built once: Route owns its whole private
+   dictionary and the whole topology view. *)
+let route_and_topo = Mapping.whole_dicts [ dict_route; dict_topo ]
+
 (* Route: reacts to aggregated updates only; owns its private dictionary
    plus the topology view, decoupled from the per-switch stats. *)
 let on_traffic_update =
   App.handler
     ~cost:(fun _ -> Simtime.of_us 100)
     ~kind:k_traffic_update
-    ~map:(fun _ -> Mapping.whole_dicts [ dict_route; dict_topo ])
+    ~map:(fun _ -> route_and_topo)
     (fun ctx msg ->
       match msg.Message.payload with
       | Traffic_update { tu_flow; tu_src; tu_dst; tu_rate } ->
@@ -70,7 +74,7 @@ let on_link_down_repair =
   App.handler
     ~cost:(fun _ -> Simtime.of_us 200)
     ~kind:Discovery.k_link_down
-    ~map:(fun _ -> Mapping.whole_dicts [ dict_route; dict_topo ])
+    ~map:(fun _ -> route_and_topo)
     (fun ctx msg ->
       match msg.Message.payload with
       | Discovery.Link_down { ld_a; ld_b } ->

@@ -1,4 +1,5 @@
 type delivery = {
+  d_to : int;
   d_msg : Message.t;
   d_handler : App.handler;
   d_allowed : Cell.Set.t;

@@ -42,6 +42,9 @@
     for their hold and do nothing once it is gone. *)
 
 type delivery = {
+  d_to : int;
+      (** the id of the bee routing picked: its arrival looks the bee up,
+          then follows any merge's forwarding pointer *)
   d_msg : Message.t;  (** its [src] says where it came from; the delivery keeps no copy *)
   d_handler : App.handler;
   d_allowed : Cell.Set.t;

@@ -284,9 +284,12 @@ let merge_window prev =
   let history = match prev with Some (V_load l) -> l | Some _ | None -> [] in
   Some (V_load (merge_counts history !merging))
 
+(* The aggregator's and the optimizer's one mapping, built once. *)
+let all_loads = Mapping.whole_dict dict_loads
+
 let aggregator_handler =
   App.handler ~kind:kind_report
-    ~map:(fun _ -> Mapping.whole_dict dict_loads)
+    ~map:(fun _ -> all_loads)
     (fun ctx msg ->
       match msg.Message.payload with
       | Hive_report entries ->
@@ -301,7 +304,7 @@ let aggregator_handler =
 let optimizer_handler handle =
   let { platform; cfg; performed } = handle in
   App.handler ~kind:kind_optimize
-    ~map:(fun _ -> Mapping.whole_dict dict_loads)
+    ~map:(fun _ -> all_loads)
     (fun ctx _msg ->
       (* Materialize the aggregated view. *)
       let view = ref [] in

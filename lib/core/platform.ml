@@ -69,8 +69,9 @@ open Bee
 
 type bee = Bee.t
 
-let delivery msg handler allowed outbox : Bee.delivery =
+let delivery ~to_ msg handler allowed outbox : Bee.delivery =
   {
+    d_to = to_;
     d_msg = msg;
     d_handler = handler;
     d_allowed = allowed;
@@ -87,7 +88,7 @@ let idle : Bee.delivery =
       sent_at = Simtime.zero }
   in
   let handler = App.handler ~kind:"" ~map:(fun _ -> Mapping.Drop) (fun _ _ -> ()) in
-  delivery msg handler Cell.Set.empty None
+  delivery ~to_:(-1) msg handler Cell.Set.empty None
 
 type migration = {
   mig_at : Simtime.t;
@@ -173,6 +174,12 @@ type t = {
          endpoint callbacks that raised *)
   clock : unit -> Simtime.t;  (* every handler context's [now] *)
   on_exhausted : unit -> unit;  (* [transmit]'s [on_drop] when the caller gave none *)
+  thunks : (unit -> unit) Engine.lane;  (* runs each value: what lands as a closure *)
+  (* What lands on the three lanes below needs no closure; [create]
+     sets them, as their callbacks take the platform. *)
+  mutable arrivals : Bee.delivery Engine.lane;  (* a Cells or Local leg *)
+  mutable fanouts : Bee.delivery list Engine.lane;  (* a Foreach copy: its hive's legs *)
+  mutable endpoint_sends : (Channels.endpoint * Message.t) Engine.lane;  (* a bee's send *)
   mutable late : Context.late;
       (* emits and sends made after a handler returned; set by [create] *)
 }
@@ -281,19 +288,21 @@ let datagram t ~src ~dst ~bytes k =
   | `Lost -> ()
   | `Delivered lat -> ignore (Engine.schedule_after t.engine lat k)
 
-(* Moves [bytes] from [src_ep] to hive [dst_hive] and runs [k] on arrival
-   plus [extra] (e.g. lock-service latency already charged). Same-hive
-   traffic is a plain scheduled delivery; cross-hive traffic rides the
-   at-least-once {!Transport}. [on_drop] runs if the message can never
-   arrive. A same-hive delivery and the [extra] wait after receipt sit
-   in [dst_hive]'s memory: [k] asks {!since_wipe} of the hive it lands
-   on, so it captures nothing more. *)
-let transmit t ~src_ep ~dst_hive ~bytes ~extra ?on_drop k =
+(* Moves [bytes] from [src_ep] to hive [dst_hive] and runs [lane]'s
+   callback on [v] on arrival plus [extra] (e.g. lock-service latency
+   already charged). Same-hive traffic is a plain post; cross-hive
+   traffic rides the at-least-once {!Transport}. [on_drop] runs if the
+   message can never arrive. A same-hive delivery and the [extra] wait
+   after receipt sit in [dst_hive]'s memory: the callback asks
+   {!since_wipe} of the hive it lands on, so [v] carries nothing more.
+   Only the reliable path and a cross-hive [extra] wait allocate a
+   closure; a caller whose arrival is a closure posts it on [t.thunks]. *)
+let transmit t ~src_ep ~dst_hive ~bytes ~extra ?on_drop lane v =
   let src_hive = Channels.hive_of t.chans src_ep in
   let dst_ep = hive_ep t dst_hive in
   if src_hive = dst_hive then begin
     let lat = Channels.transfer t.chans ~src:src_ep ~dst:dst_ep ~bytes ~now:(now t) in
-    ignore (Engine.schedule_after t.engine (Simtime.add lat extra) k)
+    Engine.post lane (Simtime.add lat extra) v
   end
   else begin
     let on_drop =
@@ -304,11 +313,11 @@ let transmit t ~src_ep ~dst_hive ~bytes ~extra ?on_drop k =
           drop t Retransmit_exhausted;
           f ()
     in
-    let deliver =
-      if Simtime.to_us extra = 0 then k
-      else fun () -> ignore (Engine.schedule_after t.engine extra k)
-    in
-    Transport.send t.transport ~src:src_ep ~dst:dst_ep ~bytes ~on_drop ~deliver
+    if Simtime.to_us extra = 0 then
+      Transport.send t.transport ~src:src_ep ~dst:dst_ep ~bytes ~on_drop lane v
+    else
+      Transport.send t.transport ~src:src_ep ~dst:dst_ep ~bytes ~on_drop t.thunks (fun () ->
+          Engine.post lane extra v)
   end
 
 (* What the bee's durable inbox holds of the delivery's mark: one store
@@ -380,7 +389,7 @@ let send_acks t hive acks =
     | acks ->
       t.ack_batches.(dst) <- [];
       transmit t ~src_ep:(hive_ep t hive) ~dst_hive:dst
-        ~bytes:(16 * List.length acks) ~extra:Simtime.zero
+        ~bytes:(16 * List.length acks) ~extra:Simtime.zero t.thunks
         (fun () -> handle_outbox_acks t acks)
   done
 
@@ -475,29 +484,34 @@ let replicate t (b : bee) ~pending ~last emits ~consumed =
         ci_emits = numbered ~seq:last [] emits; ci_inbox = Option.to_list consumed }
   | Some _ | None -> ()
 
-let deliver_endpoint t (b : bee) ep (m : Message.t) =
+(* Posts a bee's send, the context's own [(endpoint, message)] pair, to
+   its endpoint. Kept through a crash of [b]'s hive: the send left at
+   commit and is on the wire to an endpoint outside the hive. *)
+let deliver_endpoint t (b : bee) ((ep, (m : Message.t)) as send) =
   let lat =
     Channels.transfer t.chans ~src:(hive_ep t b.hive) ~dst:ep ~bytes:m.Message.size
       ~now:(now t)
   in
-  match Hashtbl.find_opt t.endpoints ep with
-  | None -> drop t Missing_endpoint
-  | Some cb ->
-    (* Kept through a crash of [b]'s hive: the send left at commit and
-       is on the wire to an endpoint outside the hive. *)
-    ignore
-      (Engine.schedule_after t.engine lat (fun () ->
-           try cb m
-           with exn ->
-             t.n_handler_faults <- t.n_handler_faults + 1;
-             Log.warn (fun f ->
-                 f "endpoint callback for %s raised %s" m.Message.kind (Printexc.to_string exn))))
+  if Hashtbl.mem t.endpoints ep then Engine.post t.endpoint_sends lat send
+  else drop t Missing_endpoint
+
+(* [t.endpoint_sends]' callback. An endpoint removed while the send was
+   on the wire (a decommissioned hive's) counts the send as dropped. *)
+let land_send t (ep, (m : Message.t)) =
+  match Hashtbl.find t.endpoints ep with
+  | cb -> (
+    try cb m
+    with exn ->
+      t.n_handler_faults <- t.n_handler_faults + 1;
+      Log.warn (fun f ->
+          f "endpoint callback for %s raised %s" m.Message.kind (Printexc.to_string exn)))
+  | exception Not_found -> drop t Missing_endpoint
 
 let rec deliver_sends t b = function
   | [] -> ()
-  | (ep, m) :: older ->
+  | send :: older ->
     deliver_sends t b older;
-    deliver_endpoint t b ep m
+    deliver_endpoint t b send
 
 (* Retry budget exhausted: park the message in the bee's quarantine so
    the engine keeps running, and consume it for good — its inbox mark is
@@ -521,7 +535,7 @@ let start_transfer t (b : bee) ~dst hold reason ~resume =
   Migration.transfer t.engine ~reg:t.reg ~locks:t.locks ~hives:t.hives ~store:t.store
     ~stale_reads:(t.cfg.inject = Some Stale_read)
     ~transmit:(fun ~src_ep ~dst_hive ~bytes ~extra ~on_drop k ->
-      transmit t ~src_ep ~dst_hive ~bytes ~extra ~on_drop k)
+      transmit t ~src_ep ~dst_hive ~bytes ~extra ~on_drop t.thunks k)
     ~since_wipe:(since_wipe t) ~resume b hold ~landed:(fun ~src ~bytes ->
       t.version <- t.version + 1;
       let mig =
@@ -588,14 +602,15 @@ let rec next_owner_hive t ~above best = function
 
 (* The Foreach legs to the [owners] on hive [h], in owner order, each
    with its owner's cells that pass [in_dict] now, at routing. *)
-let[@tail_mod_cons] rec legs_on t h ~in_dict leg = function
+let[@tail_mod_cons] rec legs_on t h ~in_dict msg handler = function
   | [] -> []
   | id :: rest ->
-    let b = Hashtbl.find t.bees id in
-    if b.hive = h then
-      (b, leg (Cell.Set.filter in_dict (Registry.bee t.reg id).Registry.bee_cells))
-      :: legs_on t h ~in_dict leg rest
-    else legs_on t h ~in_dict leg rest
+    if (Hashtbl.find t.bees id).hive = h then
+      delivery ~to_:id msg handler
+        (Cell.Set.filter in_dict (Registry.bee t.reg id).Registry.bee_cells)
+        None
+      :: legs_on t h ~in_dict msg handler rest
+    else legs_on t h ~in_dict msg handler rest
 
 (* Messages in flight to a bee that has since been merged away follow
    its forwarding pointer to the surviving bee. *)
@@ -716,6 +731,16 @@ and route_emits t ~src_ep = function
     route_emits t ~src_ep older;
     route t ~src_ep m
 
+(* [t.arrivals]' callback: a leg lands at the bee routing picked. *)
+and arrive t (d : Bee.delivery) = enqueue t (Hashtbl.find t.bees d.d_to) d
+
+(* [t.fanouts]' callback: a Foreach copy lands with its hive's legs. *)
+and arrive_all t = function
+  | [] -> ()
+  | d :: rest ->
+    arrive t d;
+    arrive_all t rest
+
 (* A delivery lands in the memory of [b]'s hive, so one scheduled before
    that hive last crashed was erased with it. *)
 and enqueue t (b : bee) d =
@@ -730,9 +755,10 @@ and enqueue t (b : bee) d =
    the bee it picked. *)
 and route_cells t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin ~outbox cs msg =
   let name = app.App.name in
+  let owner = Registry.owner t.reg ~app:name cs in
   match
     Route_plan.decide t.reg t.hives t.lookup_cache ~capacity:t.cfg.hive_capacity
-      ~version:t.version ~app:name ~origin cs
+      ~version:t.version ~app:name ~origin ~owner cs
   with
   | Route_plan.Create home ->
     let b = new_bee t ~app ~hive:home ~is_local:false in
@@ -744,23 +770,18 @@ and route_cells t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin ~outbo
     t.version <- t.version + 1;
     let extra = Cell_locks.charge_rpc t.locks ~hive:origin in
     send_cells t b ~extra ~handler ~src_ep ~outbox cs msg
-  | Route_plan.Use { bee; claim = cells; lookup } ->
-    let b = Hashtbl.find t.bees bee in
-    let extra =
-      if not (Cell.Set.is_empty cells) then begin
-        Registry.assign t.reg ~bee cells;
-        t.version <- t.version + 1;
-        Cell_locks.charge_rpc t.locks ~hive:origin
-      end
-      else if lookup then begin
-        (* Remote owner: consult the (cached) lock service. *)
-        let extra = Cell_locks.charge_rpc t.locks ~hive:origin in
-        Route_plan.remember t.lookup_cache ~origin ~app:name cs ~owner:bee ~version:t.version;
-        extra
-      end
-      else Simtime.zero
-    in
-    send_cells t b ~extra ~handler ~src_ep ~outbox cs msg
+  | Route_plan.Use ->
+    send_cells t (Hashtbl.find t.bees owner) ~extra:Simtime.zero ~handler ~src_ep ~outbox cs msg
+  | Route_plan.Lookup ->
+    (* Remote owner: consult the (cached) lock service. *)
+    let extra = Cell_locks.charge_rpc t.locks ~hive:origin in
+    Route_plan.remember t.lookup_cache ~origin ~app:name cs ~owner ~version:t.version;
+    send_cells t (Hashtbl.find t.bees owner) ~extra ~handler ~src_ep ~outbox cs msg
+  | Route_plan.Claim cells ->
+    Registry.assign t.reg ~bee:owner cells;
+    t.version <- t.version + 1;
+    let extra = Cell_locks.charge_rpc t.locks ~hive:origin in
+    send_cells t (Hashtbl.find t.bees owner) ~extra ~handler ~src_ep ~outbox cs msg
   | Route_plan.Merge { winner; losers } ->
     let winner = Hashtbl.find t.bees winner in
     merge_into t ~app:name winner (List.map (Hashtbl.find t.bees) losers) cs;
@@ -804,16 +825,14 @@ and send_cells t (b : bee) ~extra ~handler ~src_ep ~outbox cs msg =
           Some (-1, Outbox.next_virtual_seq t.outbox)
         else None
     in
-    let d = delivery msg handler cs d_outbox in
     (* Fenced targets still receive: the transport buffers through the
        partition and the bee's paused mailbox holds the message until
        the hive rejoins, so nothing is lost to a false suspicion. *)
-    transmit t ~src_ep ~dst_hive:b.hive ~bytes:msg.Message.size ~extra
-      (fun () -> enqueue t b d)
+    transmit t ~src_ep ~dst_hive:b.hive ~bytes:msg.Message.size ~extra t.arrivals
+      (delivery ~to_:b.id msg handler cs d_outbox)
   end
 
 and route_foreach t ~(app : App.t) ~(handler : App.handler) ~src_ep dict msg =
-  let leg cells = delivery msg handler cells None in
   let in_dict (c : Cell.t) = String.equal c.Cell.dict dict in
   let owners = Registry.owners_of_dict t.reg ~app:app.App.name ~dict in
   (* Fan out: one control-channel copy per hive hosting owners, hives in
@@ -823,9 +842,8 @@ and route_foreach t ~(app : App.t) ~(handler : App.handler) ~src_ep dict msg =
   while !h < max_int do
     let hive = !h in
     if not (hive_crashed t hive) then begin
-      let legs = legs_on t hive ~in_dict leg owners in
-      transmit t ~src_ep ~dst_hive:hive ~bytes:msg.Message.size ~extra:Simtime.zero
-        (fun () -> List.iter (fun (b, d) -> enqueue t b d) legs)
+      transmit t ~src_ep ~dst_hive:hive ~bytes:msg.Message.size ~extra:Simtime.zero t.fanouts
+        (legs_on t hive ~in_dict msg handler owners)
     end;
     h := next_owner_hive t ~above:hive max_int owners
   done
@@ -836,9 +854,8 @@ and route_local t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin msg =
       match local_bee_of t ~app ~hive:h with
       | None -> ()
       | Some b ->
-        transmit t ~src_ep ~dst_hive:h ~bytes:msg.Message.size ~extra:Simtime.zero
-          (fun () ->
-            enqueue t b (delivery msg handler (Hashtbl.find t.whole_dicts app.App.name) None))
+        transmit t ~src_ep ~dst_hive:h ~bytes:msg.Message.size ~extra:Simtime.zero t.arrivals
+          (delivery ~to_:b.id msg handler (Hashtbl.find t.whole_dicts app.App.name) None)
   in
   (* System messages (timer ticks) trigger local handlers on every hive;
      ordinary messages only on their origin hive. *)
@@ -919,7 +936,7 @@ let late_emit t ctx ep ?size ~kind payload =
   call_emit_hooks ~parent:(Some (Context.message ctx)) ~child:m t.emit_hooks;
   match ep with
   | None -> route t ~src_ep:(hive_ep t b.hive) m
-  | Some ep -> deliver_endpoint t b ep m
+  | Some ep -> deliver_endpoint t b (ep, m)
 
 (* ------------------------------------------------------------------ *)
 (* Outbox dispatch and replay                                          *)
@@ -1532,10 +1549,17 @@ let create engine cfg =
     n_handler_faults = 0;
     clock = (fun () -> Engine.now engine);
     on_exhausted = (fun () -> count_drop drops Retransmit_exhausted);
+    thunks = Engine.lane engine (fun k -> k ());
+    arrivals = Engine.lane engine ignore;
+    fanouts = Engine.lane engine ignore;
+    endpoint_sends = Engine.lane engine ignore;
     late = (fun _ _ ?size:_ ~kind:_ _ -> ());
   }
   in
   t.late <- late_emit t;
+  t.arrivals <- Engine.lane engine (arrive t);
+  t.fanouts <- Engine.lane engine (arrive_all t);
+  t.endpoint_sends <- Engine.lane engine (land_send t);
   (match cfg.durability with
   | None -> ()
   | Some store_cfg ->

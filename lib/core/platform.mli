@@ -127,8 +127,8 @@ val start : t -> unit
 val register_endpoint :
   t -> Beehive_net.Channels.endpoint -> (Message.t -> unit) -> unit
 (** Connects an IO channel (e.g. a simulated switch): messages sent by
-    handlers via {!Context.send_to} are delivered to the callback after
-    channel latency. *)
+    handlers via {!Context.send_to} are delivered to the callback
+    registered when they land, after channel latency. *)
 
 (** {2 Message entry points} *)
 
@@ -503,7 +503,9 @@ val total_bee_merges : t -> int
 type drop_reason =
   | Dead_target  (** addressed to a dead or crashed bee/hive *)
   | Dead_origin  (** emitted from a crashed hive *)
-  | Missing_endpoint  (** sent to an unregistered IO endpoint *)
+  | Missing_endpoint
+      (** sent to an unregistered IO endpoint, or landing at one
+          unregistered while it was on the wire *)
   | Retransmit_exhausted
       (** the transport gave up after
           80 copies *)

@@ -18,10 +18,23 @@ type t = {
   (* hive -> cells owned by the bees on it, kept as bee_hive and
      bee_cells change *)
   hive_cells : (int, int) Hashtbl.t;
+  (* [owners_of_dict]'s scratch, all clear between calls: byte [b] is
+     set while bee [b] is found to own a key, and [lo] and [hi] bound
+     the ids set. *)
+  mutable marks : Bytes.t;
+  mutable lo : int;
+  mutable hi : int;
 }
 
 let create () =
-  { infos = Hashtbl.create 64; apps = Hashtbl.create 8; hive_cells = Hashtbl.create 8 }
+  {
+    infos = Hashtbl.create 64;
+    apps = Hashtbl.create 8;
+    hive_cells = Hashtbl.create 8;
+    marks = Bytes.make 64 '\000';
+    lo = max_int;
+    hi = -1;
+  }
 
 let cells_on_hive t ~hive =
   match Hashtbl.find t.hive_cells hive with n -> n | exception Not_found -> 0
@@ -121,8 +134,44 @@ let owners t ~app cells =
   let o = set_owner idx cells in
   if o = several then scan_owners idx cells else if o = no_owner then [] else [ o ]
 
+(* Marks bee [b], the owner of a key, growing the map to hold its id. *)
+let mark t _key b =
+  let n = Bytes.length t.marks in
+  if b >= n then begin
+    let grown = Bytes.make (max (b + 1) (2 * n)) '\000' in
+    Bytes.blit t.marks 0 grown 0 n;
+    t.marks <- grown
+  end;
+  Bytes.unsafe_set t.marks b '\001';
+  if b < t.lo then t.lo <- b;
+  if b > t.hi then t.hi <- b
+
+(* The ids marked from [lo] up to [b], ascending, consed onto [acc];
+   clears the marks it reads. *)
+let rec marked t b acc =
+  if b < t.lo then acc
+  else if Bytes.unsafe_get t.marks b = '\000' then marked t (b - 1) acc
+  else begin
+    Bytes.unsafe_set t.marks b '\000';
+    marked t (b - 1) (b :: acc)
+  end
+
+(* A wildcard owner is its dict's only owner (single ownership); without
+   one, the key owners are marked by id and read back in id order, with
+   no table and no sort. *)
 let owners_of_dict t ~app ~dict =
-  owners t ~app (Cell.Set.singleton (Cell.whole dict))
+  let idx = app_index t app in
+  let w = wildcard_owner idx dict in
+  if w <> no_owner then [ w ]
+  else
+    match Hashtbl.find idx.by_key dict with
+    | exception Not_found -> []
+    | keys ->
+      Hashtbl.iter (mark t) keys;
+      let owners = marked t t.hi [] in
+      t.lo <- max_int;
+      t.hi <- -1;
+      owners
 
 let assign t ~bee cells =
   let info = Hashtbl.find t.infos bee in

@@ -51,7 +51,8 @@ val owners : t -> app:string -> Cell.Set.t -> int list
 
 val owners_of_dict : t -> app:string -> dict:string -> int list
 (** Bees owning at least one cell (or the wildcard) of [dict] — the
-    [foreach] fan-out set. *)
+    [foreach] fan-out set — in ascending bee id order, as {!owners} of
+    the dict's wildcard returns them. It allocates only the list. *)
 
 val assign : t -> bee:int -> Cell.Set.t -> unit
 (** Grants ownership of the cells to the bee. Raises [Invalid_argument]

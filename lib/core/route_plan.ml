@@ -1,6 +1,7 @@
 (* The lookup cache is keyed by (origin hive, app, first mapped cell).
    A lookup fills the cache's one probe key in place instead of building
-   a key per message; only [remember] allocates a key. *)
+   a key per message; only [remember] of a new key allocates one, and
+   remembering a known key refreshes its entry in place. *)
 type key = { mutable k_origin : int; mutable k_app : string; mutable k_cell : Cell.t }
 
 module Keys = Hashtbl.Make (struct
@@ -12,7 +13,7 @@ module Keys = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
-type found = { owner : int; at_version : int }
+type found = { mutable owner : int; mutable at_version : int }
 type cache = { found : found Keys.t; probe : key }
 
 let create_cache () =
@@ -26,9 +27,14 @@ let probe cache ~origin ~app cs =
   k
 
 let remember cache ~origin ~app cs ~owner ~version =
-  Keys.replace cache.found
-    { k_origin = origin; k_app = app; k_cell = Cell.Set.min_elt cs }
-    { owner; at_version = version }
+  match Keys.find cache.found (probe cache ~origin ~app cs) with
+  | f ->
+    f.owner <- owner;
+    f.at_version <- version
+  | exception Not_found ->
+    Keys.add cache.found
+      { k_origin = origin; k_app = app; k_cell = Cell.Set.min_elt cs }
+      { owner; at_version = version }
 
 (* Whether the cache lacks [bee] as the owner found at [version]. *)
 let stale cache ~origin ~app cs ~bee ~version =
@@ -37,8 +43,10 @@ let stale cache ~origin ~app cs ~bee ~version =
   | exception Not_found -> true
 
 type t =
+  | Use
+  | Lookup
+  | Claim of Cell.Set.t
   | Create of int
-  | Use of { bee : int; claim : Cell.Set.t; lookup : bool }
   | Merge of { winner : int; losers : int list }
   | Drop
 
@@ -102,16 +110,15 @@ let merge reg hives ~app cs =
   | [] -> Drop
   | winner :: rest -> Merge { winner; losers = rest @ crashed }
 
-let decide reg hives cache ~capacity ~version ~app ~origin cs =
-  let bee = Registry.owner reg ~app cs in
-  if bee = Registry.no_owner then Create (placement_hive reg hives ~capacity ~origin cs)
-  else if bee = Registry.several then merge reg hives ~app cs
+let decide reg hives cache ~capacity ~version ~app ~origin ~owner cs =
+  if owner = Registry.no_owner then Create (placement_hive reg hives ~capacity ~origin cs)
+  else if owner = Registry.several then merge reg hives ~app cs
   else begin
-    let claim = unowned reg ~bee cs in
-    let lookup =
-      Cell.Set.is_empty claim
-      && (Registry.bee reg bee).Registry.bee_hive <> origin
-      && stale cache ~origin ~app cs ~bee ~version
-    in
-    Use { bee; claim; lookup }
+    let claim = unowned reg ~bee:owner cs in
+    if not (Cell.Set.is_empty claim) then Claim claim
+    else if
+      (Registry.bee reg owner).Registry.bee_hive <> origin
+      && stale cache ~origin ~app cs ~bee:owner ~version
+    then Lookup
+    else Use
   end

@@ -2,9 +2,11 @@
     "Life of a Message"): which bee gets it, and what ownership change
     that takes.
 
-    {!decide} is a pure function of the registry, the hive table and the
-    lookup cache; it touches no bee, engine or transport. The platform
-    applies the returned plan. {!least_loaded} is the one placement rule,
+    {!decide} is a pure function of the registry, the hive table, the
+    lookup cache and the owner the platform looked up; it touches no
+    bee, engine or transport. The platform applies the returned plan,
+    which names no bee when the owner takes the leg: a plan for the
+    common case is a constant and allocates nothing. {!least_loaded} is the one placement rule,
     also used by the drain evacuation. *)
 
 type cache
@@ -16,18 +18,22 @@ val create_cache : unit -> cache
 
 val remember : cache -> origin:int -> app:string -> Cell.Set.t -> owner:int -> version:int -> unit
 (** Records the owner a lookup for these mapped cells found at this
-    registry version. *)
+    registry version. A key already cached is refreshed in place, with
+    no allocation. *)
 
 type t =
+  | Use  (** The single owner takes the leg: it owns every mapped cell. *)
+  | Lookup
+      (** The single owner owns every mapped cell but is remote, and the
+          cache has no entry for it at this registry version: one
+          lock-service lookup, then the owner takes the leg. *)
+  | Claim of Cell.Set.t
+      (** The single owner claims these mapped cells, the ones it does
+          not own yet, then takes the leg. *)
   | Create of int
       (** No owner: a new bee on this hive claims every mapped cell. The
           hive is the origin when it is placeable, else
           {!least_loaded}'s pick, else still the origin. *)
-  | Use of { bee : int; claim : Cell.Set.t; lookup : bool }
-      (** The single owner. It claims [claim], the mapped cells it does
-          not own yet. With nothing to claim, [lookup] asks for one
-          lock-service lookup: the owner is remote and the cache has no
-          entry for it at this registry version. *)
   | Merge of { winner : int; losers : int list }
       (** The mapped cells bridge several owners. The winner owns the
           most cells (ties to the lowest id) and is never on a crashed
@@ -35,11 +41,22 @@ type t =
   | Drop  (** Every owner is on a crashed hive. *)
 
 val decide :
-  Registry.t -> Hives.t -> cache -> capacity:int -> version:int -> app:string -> origin:int ->
-  Cell.Set.t -> t
-(** [decide reg hives cache ~capacity ~version ~app ~origin cells] for a
-    non-empty [cells] mapped by [app] on a message that originated on
-    [origin]; [capacity] is the most cells one hive may host. *)
+  Registry.t ->
+  Hives.t ->
+  cache ->
+  capacity:int ->
+  version:int ->
+  app:string ->
+  origin:int ->
+  owner:int ->
+  Cell.Set.t ->
+  t
+(** [decide reg hives cache ~capacity ~version ~app ~origin ~owner cells]
+    for a non-empty [cells] mapped by [app] on a message that originated
+    on [origin], where [owner] is [Registry.owner reg ~app cells]: one
+    bee's id, {!Registry.no_owner} or {!Registry.several}. [capacity] is
+    the most cells one hive may host. [Use], [Lookup] and [Claim] are
+    for [owner]. *)
 
 val has_room : Registry.t -> Hives.t -> capacity:int -> int -> cells:int -> bool
 (** Hive [h] is placeable and can take [cells] more cells within

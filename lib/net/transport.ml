@@ -173,19 +173,20 @@ and arm_timer t l m ~dh =
           attempt t l m ~dh
         end)
 
-let send t ~src ~dst ~bytes ~on_drop ~deliver =
+let send t ~src ~dst ~bytes ~on_drop lane v =
   t.sent <- t.sent + 1;
   if not (Channels.faulty t.channels) then begin
     (* Healthy fabric: no link is lossy or severed, so the wire always
-       delivers — a plain scheduled delivery with no sequencing, acks, or
+       delivers — a plain posted delivery with no sequencing, acks, or
        timers, whose byte accounting and latency are the failable wire's. *)
     let lat = Channels.transfer t.channels ~src ~dst ~bytes ~now:(Engine.now t.engine) in
     t.delivered <- t.delivered + 1;
     (* Kept through a crash of either end: the frame is on the wire, and
-       [deliver] decides what its landing means. *)
-    ignore (Engine.schedule_after t.engine lat deliver)
+       the lane's callback decides what its landing means. *)
+    Engine.post lane lat v
   end
   else begin
+    let deliver () = Engine.callback lane v in
     let sh = Channels.hive_of t.channels src and dh = Channels.hive_of t.channels dst in
     let l = link t ~sh ~dh in
     let m =

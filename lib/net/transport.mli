@@ -8,7 +8,7 @@
     [max_attempts] is exhausted.
 
     On a healthy fabric ({!Channels.faulty} = false) {!send} degenerates
-    to a single scheduled delivery with no sequencing, acks, or timers,
+    to a single posted delivery with no sequencing, acks, or timers,
     so byte accounting and delivery latency are exactly those of the
     underlying {!Channels} — fault-free experiments are unaffected by the
     reliability machinery. *)
@@ -36,11 +36,15 @@ val send :
   dst:Channels.endpoint ->
   bytes:int ->
   on_drop:(unit -> unit) ->
-  deliver:(unit -> unit) ->
+  'a Beehive_sim.Engine.lane ->
+  'a ->
   unit
-(** Reliably delivers one message: [deliver] runs exactly once at the
-    simulated arrival instant (duplicates are suppressed at the
-    receiver), or [on_drop] runs if every attempt is lost. *)
+(** [send t ~src ~dst ~bytes ~on_drop lane v] reliably delivers one
+    message: [lane]'s callback runs on [v] exactly once at the simulated
+    arrival instant (duplicates are suppressed at the receiver), or
+    [on_drop] runs if every attempt is lost. On a healthy fabric the
+    message is one {!Beehive_sim.Engine.post} and allocates nothing;
+    the reliable path keeps a record and a closure per message. *)
 
 val close_hive : t -> int -> unit
 (** Frees every directed link touching the hive: pending retransmission
@@ -54,7 +58,7 @@ val close_hive : t -> int -> unit
 val crash_hive : t -> int -> unit
 (** Crash semantics: the hive's process died, taking its in-memory
     transport state with it. Links it was sending on lose their in-flight
-    window (timers cancelled, neither [deliver] nor [on_drop] runs) but
+    window (timers cancelled, neither the lane's callback nor [on_drop] runs) but
     keep their sequence numbers: the restarted sender continues them, so
     a copy already on the wire at the crash, which still lands, cannot
     make the receiver treat a later message as its duplicate. Links it

@@ -66,6 +66,24 @@ let every t period f =
   Hashtbl.replace t.series h p;
   h
 
+(* A lane's values wait in their own queue, ordered like the main one by
+   (time, push order); every post pushes the lane's one [fire] onto the
+   main queue at the same time, so the [fire]s of a lane run in the
+   order of its values and each takes its own. *)
+type 'a lane = { engine : t; callback : 'a -> unit; values : 'a Event_queue.t; fire : unit -> unit }
+
+let lane t callback =
+  let values = Event_queue.create () in
+  { engine = t; callback; values; fire = (fun () -> callback (Event_queue.take values)) }
+
+let post l d v =
+  let t = l.engine in
+  let at = Simtime.add t.clock d in
+  ignore (Event_queue.push l.values at v);
+  ignore (Event_queue.push t.queue at l.fire)
+
+let callback l = l.callback
+
 (* Runs every event due at or before [horizon], reading the queue's head
    in place: the loop itself allocates nothing. *)
 let rec drain t horizon =

@@ -62,6 +62,41 @@ val pushes : t -> int
     now on has a {!seq} at least this. A caller that keeps it can later
     tell whether the {!running} event was scheduled before or after. *)
 
+(** {2 Lanes}
+
+    A lane carries values of one type to one callback, at scheduled
+    times, without a closure per event: the value waits in the lane's
+    own queue and the main queue holds the lane's one preallocated
+    [fire] callback, which takes the value due.
+
+    The contract:
+    - [post l d v] pushes [v] onto [l]'s queue and [fire] onto the main
+      queue at once, both at [now + d]. Both queues order by (time,
+      push order), so the [fire] that runs takes exactly the value
+      posted with it.
+    - A post is one main-queue event: it takes the push number, the
+      {!running} handle and the {!pushes} and {!events_executed} steps
+      that [schedule_after t d (fun () -> callback v)] would have
+      taken, so code that compares push numbers (a crash's wipe mark,
+      a stale completion) sees no difference.
+    - A posted event cannot be cancelled: [post] returns no handle.
+    - Once the lane's and the main queue's arrays have grown, a post
+      allocates nothing. *)
+
+type 'a lane
+
+val lane : t -> ('a -> unit) -> 'a lane
+(** [lane t f] is a lane of [t] that runs [f v] for each value [v]
+    posted on it. *)
+
+val post : 'a lane -> Simtime.t -> 'a -> unit
+(** [post l d v] runs [l]'s callback on [v] after [d]. *)
+
+val callback : 'a lane -> 'a -> unit
+(** The lane's callback, for a caller that delivers a value at once or
+    from an event of its own (for instance a retransmitting sender
+    whose copy landed). *)
+
 val run_until : t -> Simtime.t -> unit
 (** Executes events in order until the queue is exhausted or the next event
     is strictly after the horizon; leaves the clock at the horizon. The

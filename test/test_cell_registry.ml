@@ -273,6 +273,106 @@ let prop_owners_match_scan =
           List.for_all (fun q -> agrees "a" q && agrees "b" q) queries)
         ops)
 
+(* [owners_of_dict] against a reference: the distinct owners of any
+   cell of the dict, wildcard or keyed, from a scan of every bee, sorted
+   by id. Bee [i] has id [17 * i], so ids run past the marks' first 64
+   bytes and leave gaps; apps "a" (even i) and "b" (odd i) share the
+   cell namespace but not ownership. Each query is asked twice: the
+   first must leave no mark behind for the second. *)
+let prop_owners_of_dict =
+  let id i = 17 * i in
+  let cell =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun k -> c "d" (string_of_int k)) (int_bound 9);
+          map (fun k -> c "e" (string_of_int k)) (int_bound 3);
+          oneofl [ w "d"; w "e" ];
+        ])
+  in
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 6,
+            map2
+              (fun b l -> Assign (b, Cell.Set.of_list l))
+              (int_bound 7) (list_size (1 -- 3) cell) );
+          (1, map (fun b -> Unassign b) (int_bound 7));
+          (1, map2 (fun a b -> Reassign (a, b)) (int_bound 7) (int_bound 7));
+        ])
+  in
+  QCheck.Test.make ~name:"owners_of_dict equals the sorted distinct owners" ~count:500
+    QCheck.(make ~print:Print.(list show_reg_op) Gen.(list_size (0 -- 40) gen_op))
+    (fun ops ->
+      let r = Registry.create () in
+      let app i = if i mod 2 = 0 then "a" else "b" in
+      for i = 0 to 7 do
+        ignore (Registry.register_bee r ~bee_id:(id i) ~app:(app i) ~hive:(i mod 3))
+      done;
+      let exists i = Registry.find_bee r (id i) <> None in
+      let reference app dict =
+        List.filter_map
+          (fun i ->
+            match Registry.find_bee r (id i) with
+            | Some b
+              when String.equal b.Registry.bee_app app
+                   && Cell.Set.exists (fun (x : Cell.t) -> String.equal x.Cell.dict dict)
+                        b.Registry.bee_cells ->
+              Some (id i)
+            | Some _ | None -> None)
+          (List.init 8 Fun.id)
+      in
+      let agrees app dict =
+        let want = reference app dict in
+        let got = Registry.owners_of_dict r ~app ~dict in
+        let again = Registry.owners_of_dict r ~app ~dict in
+        if got <> want || again <> want then
+          QCheck.Test.fail_reportf "owners_of_dict %s %s: [%s] then [%s], expected [%s]" app dict
+            (String.concat ";" (List.map string_of_int got))
+            (String.concat ";" (List.map string_of_int again))
+            (String.concat ";" (List.map string_of_int want));
+        true
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+           | Assign (i, cells) -> (
+             if exists i then try Registry.assign r ~bee:(id i) cells with Invalid_argument _ -> ())
+           | Unassign i -> Registry.unassign_bee r ~bee:(id i)
+           | Reassign (a, b) ->
+             if a <> b && exists a && exists b && String.equal (app a) (app b) then
+               Registry.reassign_all r ~from_bee:(id a) ~to_bee:(id b)
+           | Register _ | Set_hive _ -> ());
+          List.for_all (fun (app, dict) -> agrees app dict)
+            [ ("a", "d"); ("a", "e"); ("b", "d"); ("b", "e"); ("a", "none") ])
+        ops)
+
+(* A Foreach fan-out over 160 owners, one key each, allocates its owner
+   list (three words an owner) and 10 words to walk the key table: no
+   table of owners and no sort (5,430 words with them). The bound is the
+   measured cost (OCaml 5.1.1, native code); raising it needs a reason. *)
+let fanout_words_bound = 490.
+
+let test_owners_of_dict_words () =
+  let r = Registry.create () in
+  for b = 0 to 159 do
+    ignore (Registry.register_bee r ~bee_id:b ~app:"a" ~hive:(b mod 16));
+    (* Keys in an order unlike the ids, so the table's order is not theirs. *)
+    Registry.assign r ~bee:b (Cell.Set.singleton (c "d" (string_of_int ((b * 37) mod 160))))
+  done;
+  let expected = List.init 160 Fun.id in
+  Alcotest.(check (list int))
+    "every owner, by id" expected
+    (Registry.owners_of_dict r ~app:"a" ~dict:"d");
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    ignore (Registry.owners_of_dict r ~app:"a" ~dict:"d")
+  done;
+  let per_call = (Gc.minor_words () -. before) /. 100. in
+  if per_call > fanout_words_bound then
+    Alcotest.failf "%.2f words per 160-owner fan-out, bound %.0f" per_call fanout_words_bound
+
 let suite =
   [
     ( "cell+registry",
@@ -280,6 +380,9 @@ let suite =
         Alcotest.test_case "cell intersects" `Quick test_cell_intersects;
         Alcotest.test_case "cell set intersects" `Quick test_cell_set_intersects;
         QCheck_alcotest.to_alcotest prop_wildcard_absorbs;
+        QCheck_alcotest.to_alcotest prop_owners_of_dict;
+        Alcotest.test_case "a 160-owner fan-out allocates its list" `Quick
+          test_owners_of_dict_words;
         Alcotest.test_case "register and owners" `Quick test_register_and_owners;
         Alcotest.test_case "wildcard catches new keys" `Quick test_wildcard_owner_catches_new_keys;
         Alcotest.test_case "conflicting assign rejected" `Quick test_assign_conflict_rejected;

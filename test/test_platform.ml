@@ -753,7 +753,7 @@ let check_words_bound per_msg bound =
    handler's transaction and routing, counted exactly on the ping-pong
    chain. The bound is the measured cost (OCaml 5.1.1, native code);
    raising it needs a reason. *)
-let runtime_words_per_message_bound = 58.0
+let runtime_words_per_message_bound = 48.0
 
 let test_runtime_words_per_message () =
   let engine, platform = make_platform ~n_hives:1 ~apps:(ping_pong_apps ()) () in
@@ -768,7 +768,7 @@ let test_runtime_words_per_message () =
    shows the hook the child's own source and allocates only the
    parent's [Some]. The bound is the measured cost (OCaml 5.1.1, native
    code); raising it needs a reason. *)
-let hooked_words_per_message_bound = 59.0
+let hooked_words_per_message_bound = 49.0
 
 let test_hooked_words_per_message () =
   let engine, platform = make_platform ~n_hives:1 ~apps:(ping_pong_apps ()) () in
@@ -789,7 +789,7 @@ let test_hooked_words_per_message () =
    firing), so each step runs 5 ms of simulated time: long enough for
    the pong's commit, fsync, dispatch and ack. The bound is the measured
    cost (OCaml 5.1.1, native code); raising it needs a reason. *)
-let durable_words_per_message_bound = 127.1255
+let durable_words_per_message_bound = 117.1255
 
 let test_durable_words_per_message () =
   let engine, platform = durable_platform ~n_hives:1 ~apps:(ping_pong_apps ()) () in
@@ -801,6 +801,53 @@ let test_durable_words_per_message () =
   let per_msg = words_per_message platform step in
   Alcotest.(check int) "outbox drained" 0 (Platform.outbox_unacked_total platform);
   check_words_bound per_msg durable_words_per_message_bound
+
+(* A Cells leg to an owner that takes it (nothing to claim, no lookup
+   due) allocates only its delivery: no arrival closure and no plan
+   record. Counted around [Platform.inject], which builds the message
+   and routes it, less what building the same message costs; the legs
+   wait on the engine's arrival lane until the run after the count. The
+   same-hive leg is a plain post, the cross-hive one rides the healthy
+   transport to the owner's hive after one cached lookup. *)
+let delivery_words = 7. (* [Bee.delivery]: six fields and a header *)
+
+let test_cells_leg_words () =
+  let k_leg = "test.leg" and cell = Mapping.with_key "d" "k" in
+  let app =
+    App.create ~name:"leg" ~dicts:[ "d" ]
+      [ App.handler ~kind:k_leg ~map:(fun _ -> cell) (fun _ _ -> ()) ]
+  in
+  let engine, platform = make_platform ~n_hives:2 ~apps:[ app ] () in
+  let payload = Noop 0 in
+  let per_call f =
+    for _ = 1 to 1_000 do
+      f ()
+    done;
+    Engine.run engine;
+    let before = Gc.minor_words () in
+    for _ = 1 to 1_000 do
+      f ()
+    done;
+    let words = (Gc.minor_words () -. before) /. 1_000. in
+    Engine.run engine;
+    words
+  in
+  let message from () =
+    ignore
+      (Message.make ~kind:k_leg ~src:(Message.From_endpoint from) ~sent_at:(Engine.now engine)
+         payload)
+  in
+  let leg from () = Platform.inject platform ~from ~kind:k_leg payload in
+  (* The first leg creates the owner on hive 0. *)
+  leg (Channels.Hive 0) ();
+  Engine.run engine;
+  List.iter
+    (fun (what, from) ->
+      let words = per_call (leg from) -. per_call (message from) in
+      Alcotest.(check (float 0.)) (what ^ ": words beyond the message") delivery_words words)
+    [ ("same hive", Channels.Hive 0); ("cross hive", Channels.Hive 1) ];
+  Alcotest.(check int) "every leg handled" 4_001 (Platform.total_processed platform);
+  Alcotest.(check int) "one owner" 1 (List.length (Platform.live_bees platform))
 
 (* The emit hooks' [emitter] is the child's own source, for every way a
    message is made: a bee's emit and endpoint send at commit, an emit
@@ -927,6 +974,7 @@ let suite =
           test_hooked_words_per_message;
         Alcotest.test_case "durable runtime words per message" `Quick
           test_durable_words_per_message;
+        Alcotest.test_case "a Cells leg allocates only its delivery" `Quick test_cells_leg_words;
         Alcotest.test_case "stale completion is a no-op" `Quick test_stale_completion_is_a_noop;
         Alcotest.test_case "handler names its bee's current hive" `Quick
           test_handler_names_current_hive;

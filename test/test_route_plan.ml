@@ -1,5 +1,5 @@
-(* The routing decision on its own: registry, hive table and lookup cache
-   in, plan out — no engine, no platform. *)
+(* The routing decision on its own: registry, hive table, lookup cache
+   and the registry's owner in, plan out — no engine, no platform. *)
 
 module Cell = Beehive_core.Cell
 module Registry = Beehive_core.Registry
@@ -19,23 +19,25 @@ let setup ?(n_hives = 3) bees =
     bees;
   (reg, Hives.create n_hives, Route_plan.create_cache ())
 
+(* The platform's call: the owner is looked up once, then decided on. *)
 let decide ?(version = 0) ?(capacity = max_int) (reg, hives, cache) ~origin cs =
-  Route_plan.decide reg hives cache ~capacity ~version ~app:"a" ~origin cs
+  Route_plan.decide reg hives cache ~capacity ~version ~app:"a" ~origin
+    ~owner:(Registry.owner reg ~app:"a" cs) cs
 
 let plan =
   Alcotest.testable
     (fun ppf -> function
+      | Route_plan.Use -> Format.fprintf ppf "Use"
+      | Route_plan.Lookup -> Format.fprintf ppf "Lookup"
+      | Route_plan.Claim cells -> Format.fprintf ppf "Claim %d" (Cell.Set.cardinal cells)
       | Route_plan.Create h -> Format.fprintf ppf "Create %d" h
-      | Route_plan.Use { bee; claim; lookup } ->
-        Format.fprintf ppf "Use %d claim=%d lookup=%b" bee (Cell.Set.cardinal claim) lookup
       | Route_plan.Merge { winner; losers } ->
         Format.fprintf ppf "Merge %d <- [%s]" winner
           (String.concat ";" (List.map string_of_int losers))
       | Route_plan.Drop -> Format.fprintf ppf "Drop")
     (fun a b ->
       match (a, b) with
-      | Route_plan.Use a, Route_plan.Use b ->
-        a.bee = b.bee && a.lookup = b.lookup && Cell.Set.equal a.claim b.claim
+      | Route_plan.Claim a, Route_plan.Claim b -> Cell.Set.equal a b
       | _ -> a = b)
 
 let test_no_owner_creates_on_origin () =
@@ -73,11 +75,9 @@ let test_least_loaded_rule () =
 let test_single_owner_claims_wildcard () =
   let env = setup [ (0, [ "x" ]) ] in
   let whole = Cell.Set.singleton (Cell.whole "d") in
-  Alcotest.check plan "owner claims the wildcard"
-    (Route_plan.Use { bee = 0; claim = whole; lookup = false })
+  Alcotest.check plan "owner claims the wildcard" (Route_plan.Claim whole)
     (decide env ~origin:0 whole);
-  Alcotest.check plan "owned cell: nothing to claim"
-    (Route_plan.Use { bee = 0; claim = Cell.Set.empty; lookup = false })
+  Alcotest.check plan "owned cell: nothing to claim" Route_plan.Use
     (decide env ~origin:0 (Cell.Set.singleton (c "d" "x")))
 
 let test_merge_winner_most_cells_lowest_id () =
@@ -99,13 +99,30 @@ let test_crashed_owner_never_wins () =
 let test_remote_owner_lookup_per_version () =
   let ((_, _, cache) as env) = setup [ (1, [ "x" ]) ] in
   let cs = cells [ "x" ] in
-  let use lookup = Route_plan.Use { bee = 0; claim = Cell.Set.empty; lookup } in
-  Alcotest.check plan "local owner: no lookup" (use false) (decide env ~origin:1 cs);
-  Alcotest.check plan "remote owner, cold cache" (use true) (decide env ~origin:0 cs);
+  Alcotest.check plan "local owner: no lookup" Route_plan.Use (decide env ~origin:1 cs);
+  Alcotest.check plan "remote owner, cold cache" Route_plan.Lookup (decide env ~origin:0 cs);
   Route_plan.remember cache ~origin:0 ~app:"a" cs ~owner:0 ~version:0;
-  Alcotest.check plan "cache hit at the same version" (use false) (decide env ~origin:0 cs);
-  Alcotest.check plan "stale after a registry change" (use true)
+  Alcotest.check plan "cache hit at the same version" Route_plan.Use (decide env ~origin:0 cs);
+  Alcotest.check plan "stale after a registry change" Route_plan.Lookup
     (decide ~version:1 env ~origin:0 cs)
+
+(* Remembering a cached key again refreshes its entry in place: the
+   decision follows the latest version remembered, and the refresh
+   allocates nothing. *)
+let test_remember_refreshes_in_place () =
+  let ((_, _, cache) as env) = setup [ (1, [ "x" ]) ] in
+  let cs = cells [ "x" ] in
+  Route_plan.remember cache ~origin:0 ~app:"a" cs ~owner:0 ~version:0;
+  let before = Gc.minor_words () in
+  for v = 1 to 1_000 do
+    Route_plan.remember cache ~origin:0 ~app:"a" cs ~owner:0 ~version:v
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 2. then Alcotest.failf "%.0f words for 1,000 refreshes, bound 2" words;
+  Alcotest.check plan "hit at the version remembered last" Route_plan.Use
+    (decide ~version:1_000 env ~origin:0 cs);
+  Alcotest.check plan "stale at the version remembered first" Route_plan.Lookup
+    (decide ~version:0 env ~origin:0 cs)
 
 let suite =
   [
@@ -123,5 +140,6 @@ let suite =
         Alcotest.test_case "crashed owner never wins" `Quick test_crashed_owner_never_wins;
         Alcotest.test_case "remote owner: one lookup per version" `Quick
           test_remote_owner_lookup_per_version;
+        Alcotest.test_case "remember refreshes in place" `Quick test_remember_refreshes_in_place;
       ] );
   ]

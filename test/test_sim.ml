@@ -335,6 +335,101 @@ let test_event_queue_bounded () =
   Alcotest.(check bool) "fired timer cancels nothing" false (Event_queue.cancel q far);
   Alcotest.(check int) "words after it fired" warm (words ())
 
+(* Lanes against closures: one random mix of [schedule_after], [post]
+   and [cancel] calls, with equal times among them, runs on two engines.
+   On the first every post goes to a lane; on the second, the model, it
+   is a [schedule_after] of a closure calling the lane's callback. A
+   fired value of [k mod 3 = 0] posts (or, in the model, schedules) a
+   follow-up from inside its callback. Both engines must fire the same
+   values at the same times with the same [running] push numbers, and
+   agree on every cancel and on the event counts. *)
+type lane_op = Sched of int | Post of int | Cancel of int | Run of int
+
+let show_lane_op = function
+  | Sched d -> Printf.sprintf "Sched %d" d
+  | Post d -> Printf.sprintf "Post %d" d
+  | Cancel i -> Printf.sprintf "Cancel %d" i
+  | Run d -> Printf.sprintf "Run %d" d
+
+let lane_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun d -> Sched d) (int_bound 3));
+        (4, map (fun d -> Post d) (int_bound 3));
+        (2, map (fun i -> Cancel i) (int_bound 20));
+        (1, map (fun d -> Run d) (int_bound 4));
+      ])
+
+let run_lane_ops ~lanes ops =
+  let e = Engine.create () in
+  let fired = ref [] and cancels = ref [] and scheduled = ref [||] in
+  let next = ref 0 in
+  let fresh () =
+    let v = !next in
+    incr next;
+    v
+  in
+  let rec record v =
+    fired := (v, Engine.seq (Engine.running e), Simtime.to_us (Engine.now e)) :: !fired;
+    if v mod 3 = 0 && v < 1_000 then send (Simtime.of_us (v mod 2)) (1_000 + v)
+  and lane = lazy (Engine.lane e record)
+  and send d v =
+    if lanes then Engine.post (Lazy.force lane) d v
+    else ignore (Engine.schedule_after e d (fun () -> record v))
+  in
+  List.iter
+    (function
+      | Sched d ->
+        let v = fresh () in
+        let h = Engine.schedule_after e (Simtime.of_us d) (fun () -> record v) in
+        scheduled := Array.append !scheduled [| h |]
+      | Post d -> send (Simtime.of_us d) (fresh ())
+      | Cancel i ->
+        (* Cancels a scheduled event, queued or already fired, or
+           [Engine.none] when nothing was scheduled yet. *)
+        let n = Array.length !scheduled in
+        let h = if n = 0 then Engine.none else !scheduled.(i mod n) in
+        cancels := Engine.cancel e h :: !cancels
+      | Run d -> Engine.run_until e (Simtime.add (Engine.now e) (Simtime.of_us d)))
+    ops;
+  Engine.run e;
+  (List.rev !fired, List.rev !cancels, Engine.pushes e, Engine.events_executed e)
+
+let prop_lane_model =
+  QCheck.Test.make ~name:"lane posts fire like scheduled closures" ~count:500
+    QCheck.(make ~print:(Print.list show_lane_op) Gen.(list_size (int_bound 80) lane_op_gen))
+    (fun ops ->
+      let fired, cancels, pushes, events = run_lane_ops ~lanes:true ops in
+      let fired', cancels', pushes', events' = run_lane_ops ~lanes:false ops in
+      let show l =
+        String.concat "; " (List.map (fun (v, p, at) -> Printf.sprintf "%d#%d@%d" v p at) l)
+      in
+      if fired <> fired' then
+        QCheck.Test.fail_reportf "fired %s\nmodel %s" (show fired) (show fired');
+      cancels = cancels' && pushes = pushes' && events = events')
+
+(* A value waits in the lane's own queue and the main queue holds the
+   lane's one [fire]: once both queues' arrays have grown, a post
+   allocates nothing. *)
+let test_lane_post_words () =
+  let e = Engine.create () in
+  let sum = ref 0 in
+  let lane = Engine.lane e (fun v -> sum := !sum + v) in
+  let posts () =
+    for i = 1 to 10_000 do
+      Engine.post lane (Simtime.of_us (i mod 7)) i
+    done
+  in
+  posts ();
+  Engine.run e;
+  let before = Gc.minor_words () in
+  posts ();
+  let per_post = (Gc.minor_words () -. before) /. 10_000. in
+  if per_post > 0. then Alcotest.failf "%.4f words per post, bound 0" per_post;
+  Engine.run e;
+  Alcotest.(check int) "every value arrived" (2 * 50_005_000) !sum
+
 let suite =
   [
     ( "sim",
@@ -360,5 +455,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_queue_model;
         Alcotest.test_case "event queue size follows events in flight" `Quick
           test_event_queue_bounded;
+        QCheck_alcotest.to_alcotest prop_lane_model;
+        Alcotest.test_case "a lane post allocates 0 words" `Quick test_lane_post_words;
       ] );
   ]

@@ -25,16 +25,17 @@ let drain engine =
   Engine.run_until engine (Simtime.add (Engine.now engine) (Simtime.of_sec 2.0))
 
 (* Fires [n] messages round-robin over all cross-hive pairs and returns
-   the per-message delivery counts. *)
-let send_burst tr ~n_hives n =
+   the per-message delivery counts. A message is its index, posted on
+   one lane that counts its arrivals. *)
+let send_burst engine tr ~n_hives n =
   let delivered = Array.make n 0 in
+  let lane = Engine.lane engine (fun i -> delivered.(i) <- delivered.(i) + 1) in
   for i = 0 to n - 1 do
     let src = i mod n_hives in
     let dst = (i + 1 + (i mod (n_hives - 1))) mod n_hives in
     let dst = if dst = src then (src + 1) mod n_hives else dst in
     Transport.send tr ~src:(Channels.Hive src) ~dst:(Channels.Hive dst) ~bytes:100
-      ~on_drop:ignore
-      ~deliver:(fun () -> delivered.(i) <- delivered.(i) + 1)
+      ~on_drop:ignore lane i
   done;
   delivered
 
@@ -49,7 +50,7 @@ let check_exactly_once delivered =
    once with no retransmission machinery engaged. *)
 let test_fast_path_healthy_fabric () =
   let engine, _, tr = make () in
-  let delivered = send_burst tr ~n_hives:4 50 in
+  let delivered = send_burst engine tr ~n_hives:4 50 in
   drain engine;
   check_exactly_once delivered;
   Alcotest.(check int) "sent" 50 (Transport.sent tr);
@@ -64,7 +65,7 @@ let test_fast_path_healthy_fabric () =
 let test_exactly_once_under_loss () =
   let engine, chans, tr = make () in
   Channels.set_loss chans 0.3;
-  let delivered = send_burst tr ~n_hives:4 200 in
+  let delivered = send_burst engine tr ~n_hives:4 200 in
   drain engine;
   check_exactly_once delivered;
   Alcotest.(check int) "all delivered" 200 (Transport.delivered tr);
@@ -83,7 +84,7 @@ let test_delivery_across_partition_window () =
   let hits = ref 0 in
   Transport.send tr ~src:(Channels.Hive 0) ~dst:(Channels.Hive 1) ~bytes:64
     ~on_drop:ignore
-    ~deliver:(fun () -> incr hits);
+    (Engine.lane engine incr) hits;
   Engine.run_until engine (Simtime.of_ms 50);
   Alcotest.(check int) "nothing delivered while partitioned" 0 !hits;
   Alcotest.(check int) "still pending" 1 (gauge tr "pending");
@@ -101,7 +102,8 @@ let test_exhaustion_reports_drop () =
   let dropped = ref 0 in
   Transport.send tr ~src:(Channels.Hive 2) ~dst:(Channels.Hive 3) ~bytes:64
     ~on_drop:(fun () -> incr dropped)
-    ~deliver:(fun () -> Alcotest.fail "delivered across a permanent partition");
+    (Engine.lane engine (fun () -> Alcotest.fail "delivered across a permanent partition"))
+    ();
   drain engine;
   Alcotest.(check int) "on_drop fired once" 1 !dropped;
   Alcotest.(check int) "counted as exhausted" 1 (gauge tr "exhausted");
@@ -115,7 +117,7 @@ let test_exhaustion_reports_drop () =
 let test_dedup_off_hook_delivers_duplicates () =
   let engine, chans, tr = make ~dedup:false () in
   Channels.set_loss chans 0.3;
-  let delivered = send_burst tr ~n_hives:4 200 in
+  let delivered = send_burst engine tr ~n_hives:4 200 in
   drain engine;
   let total = Array.fold_left ( + ) 0 delivered in
   Alcotest.(check bool)
@@ -183,7 +185,7 @@ let test_partition_bookkeeping () =
 let test_receiver_crash_reopens_dedup_window () =
   let engine, chans, tr = make () in
   Channels.set_loss chans 0.3;
-  let delivered = send_burst tr ~n_hives:4 200 in
+  let delivered = send_burst engine tr ~n_hives:4 200 in
   (* Mid-flight: some copies are delivered but their acks lost, so
      retransmissions are still coming when the receiver's dedup state
      dies. *)
@@ -207,7 +209,7 @@ let test_sender_crash_restarts_sequencing () =
   for _ = 1 to 5 do
     Transport.send tr ~src:(Channels.Hive 0) ~dst:(Channels.Hive 1) ~bytes:64
       ~on_drop:(fun () -> incr dropped)
-      ~deliver:(fun () -> incr stale)
+      (Engine.lane engine incr) stale
   done;
   Engine.run_until engine (Simtime.of_ms 5);
   Transport.crash_hive tr 0;
@@ -221,7 +223,7 @@ let test_sender_crash_restarts_sequencing () =
   for _ = 1 to 5 do
     Transport.send tr ~src:(Channels.Hive 0) ~dst:(Channels.Hive 1) ~bytes:64
       ~on_drop:ignore
-      ~deliver:(fun () -> incr fresh)
+      (Engine.lane engine incr) fresh
   done;
   drain engine;
   Alcotest.(check int) "fresh epoch delivers exactly once" 5 !fresh
@@ -238,7 +240,7 @@ let test_copy_on_the_wire_at_sender_crash () =
   let send deliver =
     Transport.send tr ~src:(Channels.Hive 0) ~dst:(Channels.Hive 1) ~bytes:64
       ~on_drop:(fun () -> incr dropped)
-      ~deliver:(fun () -> incr deliver)
+      (Engine.lane engine incr) deliver
   in
   send landed;
   Transport.crash_hive tr 0;
