@@ -62,7 +62,7 @@ let show_cluster platform =
           (Platform.live_bees platform)
       in
       Format.printf "  hive %d (%-8s): %d counter bees@." h
-        (Platform.hive_state_label (Platform.hive_state platform h))
+        (Beehive_core.Hives.label (Platform.hive_state platform h))
         (List.length bees))
     (Platform.members platform)
 
@@ -132,5 +132,5 @@ let () =
   Format.printf "=== hive 0 drained and decommissioned@.";
   show_cluster platform;
   Format.printf "hive 0 state: %s@."
-    (Platform.hive_state_label (Platform.hive_state platform 0));
+    (Beehive_core.Hives.label (Platform.hive_state platform 0));
   Format.printf "hits counted (none lost): %d of %d injected@." (total platform) !tick

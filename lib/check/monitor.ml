@@ -355,7 +355,7 @@ let drain_completeness =
                     (Printf.sprintf
                        "hive %d's drain completed with auto-decommission but the \
                         hive is still %s"
-                       h (Platform.hive_state_label (Platform.hive_state p h)))
+                       h (Beehive_core.Hives.label (Platform.hive_state p h)))
                 else None
             in
             let rec scan h =

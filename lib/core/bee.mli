@@ -108,8 +108,8 @@ type t = {
   mutable incarnation : int;
       (** bumped when the bee fails over to another hive, so a handler
           retry scheduled on the hive it left is discarded. A crash
-          leaves it alone: the hive's {!Hives.wipe_mark} voids what the
-          crash erased *)
+          leaves it alone: the hive's wipe mark ({!Hives.since_wipe})
+          voids what the crash erased *)
   mutable on_idle : (unit -> unit) list;
       (** continuations run when the current handler (if any) completes,
           newest first; a merge waits there for a busy loser, and a move

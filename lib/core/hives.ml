@@ -120,7 +120,10 @@ let decommission t h =
   r.life <- Decommissioned { was_crashed = crashed t h };
   r.draining <- false
 
-let wipe_mark t h = t.hives.(h).wipe_mark
+(* Whether the running event was scheduled after hive [h] last lost its
+   memory: the one test of what a crash erases (DESIGN.md §12.4). *)
+let since_wipe t engine h =
+  Beehive_sim.Engine.seq (Beehive_sim.Engine.running engine) >= t.hives.(h).wipe_mark
 
 let inbound t h = if valid t h then t.hives.(h).inbound else 0
 let inbound_cells t h = t.hives.(h).inbound_cells

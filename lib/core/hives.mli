@@ -32,11 +32,12 @@ val state : t -> int -> [ `Alive | `Draining | `Fenced | `Crashed | `Decommissio
 val label : [ `Alive | `Draining | `Fenced | `Crashed | `Decommissioned ] -> string
 val members : t -> int list
 
-val wipe_mark : t -> int -> int
-(** The engine's push count at the hive's last crash, 0 if it never
-    crashed. An event scheduled before it (its
+val since_wipe : t -> Beehive_sim.Engine.t -> int -> bool
+(** [since_wipe t engine h]: the running event of [engine] was scheduled
+    after [h]'s wipe mark, the engine's push count at its last crash (0
+    if it never crashed). An event scheduled before it (its
     {!Beehive_sim.Engine.seq} is lower) stood for the hive's memory,
-    which the crash erased. *)
+    which the crash erased, and does nothing. *)
 
 val lowest_running : t -> int option
 (** The lowest-numbered member hive whose process runs (up or fenced). *)
@@ -51,8 +52,8 @@ val add : t -> int
 
 val crash : t -> int -> mark:int -> bool
 (** Up or fenced -> crashed. [mark], the engine's push count at the
-    crash ({!Beehive_sim.Engine.pushes}), becomes the hive's
-    {!wipe_mark}. *)
+    crash ({!Beehive_sim.Engine.pushes}), becomes the hive's wipe mark
+    ({!since_wipe}). *)
 
 val evict : t -> int -> bool
 (** Up -> fenced. *)

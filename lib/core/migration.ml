@@ -11,7 +11,7 @@ module Log = (val Logs.src_log src : Logs.LOG)
    pre-transfer snapshot when [stale_reads] is set. *)
 let stale_read_window = Simtime.of_ms 3
 
-let transfer engine ~reg ~locks ~hives ~store ~stale_reads ~transmit ~since_wipe ~resume ~landed
+let transfer engine ~reg ~locks ~hives ~store ~stale_reads ~transmit ~resume ~landed
     (b : Bee.t) hold =
   let dst =
     match hold with
@@ -48,7 +48,7 @@ let transfer engine ~reg ~locks ~hives ~store ~stale_reads ~transmit ~since_wipe
       ~on_drop:stay
       (fun () ->
         if Bee.holds b hold then
-          if not (Hives.alive hives dst && since_wipe dst) then
+          if not (Hives.alive hives dst && Hives.since_wipe hives engine dst) then
             (* Destination died mid-transfer, or crashed since it
                received the package, which was in its memory. *)
             stay ()

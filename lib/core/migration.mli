@@ -21,7 +21,6 @@ val transfer :
     on_drop:(unit -> unit) ->
     (unit -> unit) ->
     unit) ->
-  since_wipe:(int -> bool) ->
   resume:(Bee.t -> unit) ->
   landed:(src:int -> bytes:int -> unit) ->
   Bee.t ->
@@ -33,12 +32,12 @@ val transfer :
     re-homes it, the hold is released and [landed] runs before the bee
     resumes on the destination. If the bee no longer holds [hold], or the
     destination is not alive, or the transfer is lost or lands on a dead
-    hive, or on one that crashed while it held the package ([since_wipe]
-    says so of the running event), the hold is released and the bee
-    stays where it is. A bee resumes only when no other hold keeps it
-    stopped. [stale_reads]
-    injects the [stale-read] bug: the landed bee keeps serving reads from
-    its pre-transfer snapshot for a few milliseconds. *)
+    hive, or on one that crashed while it held the package
+    ({!Hives.since_wipe} says so of the running event), the hold is
+    released and the bee stays where it is. A bee resumes only when no
+    other hold keeps it stopped. [stale_reads] injects the [stale-read]
+    bug: the landed bee keeps serving reads from its pre-transfer
+    snapshot for a few milliseconds. *)
 
 val merge :
   Beehive_sim.Engine.t ->

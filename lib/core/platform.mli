@@ -6,17 +6,25 @@
     lock-service round trips on the control channel), bee creation, bee
     merging when previously-disjoint cell groups are joined, live
     migration, hive-local applications, periodic timers, and hive
-    failover of replicated apps through an installed {!replicator} (e.g.
-    {!Raft_replication}).
+    failover of replicated apps through an installed
+    {!Dispatch.replicator} (e.g. {!Raft_replication}).
 
-    Three decisions live behind their own modules, which the platform
-    drives and which never call back into it: the per-hive lifecycle
-    ({!Hives}), the exactly-once ledger of each emit's delivery
-    bookkeeping, pending acks, replay backoff and quarantine ({!Outbox}),
-    and durable storage with the one record of un-acked emits, storage
-    repair, its counters and dead letters ({!Beehive_store.Store}). The
-    registry is the only record of cell ownership; what each lookup or
-    claim costs on the control channel is {!Cell_locks}.
+    The three stages of a message's life each have their module:
+    {!Router} maps a message and sends each leg to its owning bee,
+    {!Dispatch} runs the handler in its transaction and commits and emits
+    what it did, and {!Lifecycle} carries out the hive transitions around
+    them. This module creates the three and ties their one knot: routing
+    creates and resumes bees through dispatch, and dispatch routes what
+    handlers emit.
+
+    Three decisions live behind their own modules, which never call back
+    into the platform: the per-hive lifecycle table ({!Hives}), the
+    exactly-once ledger of each emit's delivery bookkeeping, pending
+    acks, replay backoff and quarantine ({!Outbox}), and durable storage
+    with the one record of un-acked emits, storage repair, its counters
+    and dead letters ({!Beehive_store.Store}). The registry is the only
+    record of cell ownership; what each lookup or claim costs on the
+    control channel is {!Cell_locks}.
 
     All activity runs on the discrete-event {!Beehive_sim.Engine}; nothing
     here touches wall-clock time. *)
@@ -111,7 +119,6 @@ val transport : t -> Beehive_net.Transport.t
     traffic (retransmit/duplicate counters live here). *)
 
 val registry : t -> Registry.t
-val config : t -> config
 val n_hives : t -> int
 
 (** {2 Setup} *)
@@ -141,7 +148,9 @@ val inject :
 
 val emit_system : t -> hive:int -> size:int -> kind:string -> Message.payload -> unit
 (** Emits a platform-internal message of [size] bytes as if from a timer
-    on [hive]. *)
+    on [hive]. Kept although only tests call it: it is how a caller
+    drives the system-message path (a Local handler on every hive)
+    without arming an app timer. *)
 
 (** {2 Introspection} *)
 
@@ -297,40 +306,11 @@ val migrations : t -> migration list
 
     The platform has no built-in replication: a replication scheme
     (e.g. the Raft-backed {!Raft_replication}) installs one
-    {!replicator}, which sees the commits of [replicated] apps and hands
-    back the replica a failover recovers. *)
+    {!Dispatch.replicator}, which sees the commits of [replicated] apps
+    and hands back the replica a failover recovers ({!fail_hive},
+    {!evict_hive} and {!restart_hive}'s corrupt-storage repair). *)
 
-type commit_info = {
-  ci_bee : int;
-  ci_hive : int;
-  ci_writes : (string * string * Value.t option) list;
-  ci_emits : (int * Message.t) list;
-      (** outbox entries committed by this transaction, [(seq, message)] —
-          a consensus-replicated app ships these alongside the write set
-          so a failover can re-seed the new primary's outbox *)
-  ci_inbox : (int * int) list;
-      (** inbox dedup marks the transaction consumed, [(sender, seq)] *)
-}
-
-type replicator = {
-  commit : commit_info -> unit;
-      (** called after every successful transaction commit of a non-local
-          bee of a [replicated] app that wrote state, emitted, or consumed
-          an inbox mark *)
-  acked : bee:int -> seq:int -> unit;
-      (** the bee's outbox entry [seq] was retired (every addressed
-          receiver durably applied it): its replicated copy can be
-          trimmed *)
-  recover : bee:int -> Recovery.replica option;
-      (** the replica a bee of a [replicated] app is restored from, by
-          {!fail_hive}, {!evict_hive} and {!restart_hive}'s
-          corrupt-storage repair: the bee fails over (or is re-seeded)
-          with its state, and its WAL is re-seeded with its un-acked
-          outbox entries and inbox marks (the entries are then replayed;
-          receivers that already applied them dedup and ack) *)
-}
-
-val set_replicator : t -> replicator -> unit
+val set_replicator : t -> Dispatch.replicator -> unit
 (** Installs the replication scheme. Without one, no bee fails over. One
     per platform: a second call raises [Invalid_argument]. *)
 
@@ -374,7 +354,9 @@ val quarantined_messages : t -> bee:int -> (Message.t * string) list
 (** A bee's quarantined messages, oldest first, each with the exception
     that killed its last attempt. Quarantined messages are consumed:
     their inbox mark is written and acked, so senders stop replaying
-    them, and the engine keeps running. *)
+    them, and the engine keeps running. Kept although only tests read
+    it: it is the one view of what a quarantine holds and why, which
+    {!total_quarantined} and {!gauges} only count. *)
 
 (** {2 Failures}
 
@@ -395,13 +377,15 @@ val quarantined_messages : t -> bee:int -> (Message.t * string) list
 val fail_hive : t -> int -> unit
 (** Kills a hive and immediately runs recovery ({!crash_hive} followed by
     {!failover_hive}). Bees of replicated apps fail over to the next
-    placeable hive with the replica the {!replicator} returns; durable bees stay crashed in
-    place awaiting {!restart_hive}; other bees (and their cells) are
-    lost. *)
+    placeable hive with the replica the {!Dispatch.replicator} returns;
+    durable bees stay crashed in place awaiting {!restart_hive}; other
+    bees (and their cells) are lost. *)
 
 val crash_hive : t -> int -> unit
 (** Process death only — no recovery. Pair with {!failover_hive} (what a
-    failure detector does once the death is confirmed). *)
+    failure detector does once the death is confirmed). Kept although
+    only tests call it: it is the half of {!fail_hive} that leaves the
+    detector's confirmation to come. *)
 
 val failover_hive : t -> int -> unit
 (** Recovers a dead hive's crashed bees (see {!fail_hive}). Idempotent. *)
@@ -421,7 +405,7 @@ val hive_crashed : t -> int -> bool
 
 val since_wipe : t -> int -> bool
 (** [since_wipe t h]: the running event was scheduled after hive [h]
-    last crashed ({!Hives.wipe_mark}). The one test of what a crash
+    last crashed ({!Hives.since_wipe}). The one test of what a crash
     erases: an event that stands for [h]'s memory (a delivery or ack
     queued there, a reply to a request [h] made) does nothing when this
     is false. A frame on the wire, a heartbeat or a Raft RPC keeps its
@@ -467,9 +451,6 @@ val decommission_hive : t -> int -> bool
 val hive_state :
   t -> int -> [ `Alive | `Draining | `Fenced | `Crashed | `Decommissioned ]
 
-val hive_state_label :
-  [ `Alive | `Draining | `Fenced | `Crashed | `Decommissioned ] -> string
-
 val members : t -> int list
 (** Hive ids still in the cluster (every state but decommissioned). *)
 
@@ -478,7 +459,7 @@ val member_count : t -> int
 val placeable : t -> int -> bool
 (** Alive and not draining: can host new cells and accept migrations. *)
 
-type hive_event =
+type hive_event = Lifecycle.hive_event =
   | Crashed  (** {!crash_hive} (and so {!fail_hive}) killed the process *)
   | Restarted  (** {!restart_hive} brought a crashed or fenced hive back *)
   | Added  (** {!add_hive} joined the hive *)
@@ -499,21 +480,10 @@ val total_processed : t -> int
 val total_lock_rpcs : t -> int
 val total_bee_merges : t -> int
 
-(** Why a message was discarded. *)
-type drop_reason =
-  | Dead_target  (** addressed to a dead or crashed bee/hive *)
-  | Dead_origin  (** emitted from a crashed hive *)
-  | Missing_endpoint
-      (** sent to an unregistered IO endpoint, or landing at one
-          unregistered while it was on the wire *)
-  | Retransmit_exhausted
-      (** the transport gave up after
-          80 copies *)
-
 val total_dropped : t -> int
-(** Messages discarded for any {!drop_reason} (the per-reason breakdown
-    is the [dropped.*] entries of {!gauges}) — delivery-conservation
-    monitors read this. *)
+(** Messages discarded for any {!Router.drop_reason} (the per-reason
+    breakdown is the [dropped.*] entries of {!gauges}) —
+    delivery-conservation monitors read this. *)
 
 val paused_bees : t -> int
 (** Live bees that hold anything ({!Bee.hold}: migrating, merging or
@@ -522,11 +492,11 @@ val paused_bees : t -> int
 val gauges : t -> (string * int) list
 (** Platform-wide gauges, sorted by name and computed on each call from
     the module that owns each counter: the per-reason [dropped.*]
-    breakdown (this module), the [transport.*] reliability counters
+    breakdown ({!Router}), the [transport.*] reliability counters
     ({!Beehive_net.Transport}), [outbox.*] and [quarantine.*]
-    ({!Outbox}, plus this module's handler-fault count), [integrity.*]
-    ({!Beehive_store.Store.integrity_counters}) and the [membership.*] hive count and
-    per-state breakdown ({!Hives}). Other owners keep their own lists:
+    ({!Outbox}, plus {!handler_faults}), [integrity.*]
+    ({!Beehive_store.Store.integrity_counters}) and the [membership.*]
+    hive count and per-state breakdown ({!Hives}). Other owners keep their own lists:
     [Membership.gauges] in the elastic library, and the checker's
     [lin.*] values in [Runner]. *)
 

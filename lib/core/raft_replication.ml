@@ -27,7 +27,7 @@ type replica = {
    once. *)
 type command = {
   c_seq : int;
-  c_info : Platform.commit_info;
+  c_info : Dispatch.commit_info;
   c_bytes : int;
   mutable c_counted : bool;
 }
@@ -98,14 +98,14 @@ let of_image (i : Recovery.replica) =
     inbox = Marks.of_list i.inbox;
   }
 
-let apply_write_set g ~member (ci : Platform.commit_info) =
+let apply_write_set g ~member (ci : Dispatch.commit_info) =
   let tbl = replica_table g ~member in
   let r =
-    match Hashtbl.find_opt tbl ci.Platform.ci_bee with
+    match Hashtbl.find_opt tbl ci.Dispatch.ci_bee with
     | Some r -> r
     | None ->
       let r = { state = State.create (); emits = Int_map.empty; inbox = Marks.empty } in
-      Hashtbl.add tbl ci.Platform.ci_bee r;
+      Hashtbl.add tbl ci.Dispatch.ci_bee r;
       r
   in
   List.iter
@@ -113,9 +113,9 @@ let apply_write_set g ~member (ci : Platform.commit_info) =
       match w with
       | Some v -> State.insert r.state [ (dict, key, v) ]
       | None -> ignore (State.extract r.state (Cell.Set.singleton (Cell.cell dict key))))
-    ci.Platform.ci_writes;
-  List.iter (fun (seq, m) -> r.emits <- Int_map.add seq m r.emits) ci.Platform.ci_emits;
-  List.iter (fun mark -> r.inbox <- Marks.add mark r.inbox) ci.Platform.ci_inbox
+    ci.Dispatch.ci_writes;
+  List.iter (fun (seq, m) -> r.emits <- Int_map.add seq m r.emits) ci.Dispatch.ci_emits;
+  List.iter (fun mark -> r.inbox <- Marks.add mark r.inbox) ci.Dispatch.ci_inbox
 
 let live_leader t g =
   List.find_opt
@@ -285,23 +285,23 @@ let add_group t h =
   let g = make_group t ~anchor:h ~members in
   t.groups <- Array.append t.groups [| g |]
 
-let commit t (ci : Platform.commit_info) =
+let commit t (ci : Dispatch.commit_info) =
   (* A bee's replication group is anchored at its first commit's hive;
      the group, not the bee's current placement, defines where replicas
      live. *)
   let anchor =
-    match Hashtbl.find_opt t.anchors ci.Platform.ci_bee with
+    match Hashtbl.find_opt t.anchors ci.Dispatch.ci_bee with
     | Some a -> a
     | None ->
-      let a = ci.Platform.ci_hive mod Array.length t.groups in
-      Hashtbl.add t.anchors ci.Platform.ci_bee a;
+      let a = ci.Dispatch.ci_hive mod Array.length t.groups in
+      Hashtbl.add t.anchors ci.Dispatch.ci_bee a;
       a
   in
   let g = t.groups.(anchor) in
   let bytes =
     wire_bytes
       (function Some v -> Value.size v | None -> 0)
-      32 ci.Platform.ci_writes ci.Platform.ci_emits ci.Platform.ci_inbox
+      32 ci.Dispatch.ci_writes ci.Dispatch.ci_emits ci.Dispatch.ci_inbox
   in
   t.seq <- t.seq + 1;
   g.g_queue <- { c_seq = t.seq; c_info = ci; c_bytes = bytes; c_counted = false } :: g.g_queue;
@@ -380,7 +380,7 @@ let install platform ?(compact_every = 64) () =
         let members = List.init size (fun k -> (anchor + k) mod n) in
         make_group t ~anchor ~members);
   Platform.set_replicator platform
-    { Platform.commit = commit t; acked = acked t; recover = recover t };
+    { Dispatch.commit = commit t; acked = acked t; recover = recover t };
   Platform.on_hive platform (fun h -> function
     | Platform.Crashed -> iter_nodes t h Raft.crash
     | Platform.Restarted -> iter_nodes t h Raft.restart

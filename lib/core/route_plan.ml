@@ -14,10 +14,19 @@ module Keys = Hashtbl.Make (struct
 end)
 
 type found = { mutable owner : int; mutable at_version : int }
-type cache = { found : found Keys.t; probe : key }
+
+(* [version] counts the registry and hive changes seen so far: an entry
+   found at an older version is stale. *)
+type cache = { found : found Keys.t; probe : key; mutable version : int }
 
 let create_cache () =
-  { found = Keys.create 1024; probe = { k_origin = 0; k_app = ""; k_cell = Cell.whole "" } }
+  {
+    found = Keys.create 1024;
+    probe = { k_origin = 0; k_app = ""; k_cell = Cell.whole "" };
+    version = 0;
+  }
+
+let invalidate cache = cache.version <- cache.version + 1
 
 let probe cache ~origin ~app cs =
   let k = cache.probe in
@@ -26,20 +35,20 @@ let probe cache ~origin ~app cs =
   k.k_cell <- Cell.Set.min_elt cs;
   k
 
-let remember cache ~origin ~app cs ~owner ~version =
+let remember cache ~origin ~app cs ~owner =
   match Keys.find cache.found (probe cache ~origin ~app cs) with
   | f ->
     f.owner <- owner;
-    f.at_version <- version
+    f.at_version <- cache.version
   | exception Not_found ->
     Keys.add cache.found
       { k_origin = origin; k_app = app; k_cell = Cell.Set.min_elt cs }
-      { owner; at_version = version }
+      { owner; at_version = cache.version }
 
-(* Whether the cache lacks [bee] as the owner found at [version]. *)
-let stale cache ~origin ~app cs ~bee ~version =
+(* Whether the cache lacks [bee] as the owner found at its version. *)
+let stale cache ~origin ~app cs ~bee =
   match Keys.find cache.found (probe cache ~origin ~app cs) with
-  | f -> f.owner <> bee || f.at_version <> version
+  | f -> f.owner <> bee || f.at_version <> cache.version
   | exception Not_found -> true
 
 type t =
@@ -110,7 +119,7 @@ let merge reg hives ~app cs =
   | [] -> Drop
   | winner :: rest -> Merge { winner; losers = rest @ crashed }
 
-let decide reg hives cache ~capacity ~version ~app ~origin ~owner cs =
+let decide reg hives cache ~capacity ~app ~origin ~owner cs =
   if owner = Registry.no_owner then Create (placement_hive reg hives ~capacity ~origin cs)
   else if owner = Registry.several then merge reg hives ~app cs
   else begin
@@ -118,7 +127,7 @@ let decide reg hives cache ~capacity ~version ~app ~origin ~owner cs =
     if not (Cell.Set.is_empty claim) then Claim claim
     else if
       (Registry.bee reg owner).Registry.bee_hive <> origin
-      && stale cache ~origin ~app cs ~bee:owner ~version
+      && stale cache ~origin ~app cs ~bee:owner
     then Lookup
     else Use
   end

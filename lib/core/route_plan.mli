@@ -11,21 +11,26 @@
 
 type cache
 (** Cached lock-service lookups, keyed by the origin hive, the app and
-    the first mapped cell: the owner found and the registry version it
-    was found at. Looking a key up allocates nothing. *)
+    the first mapped cell: the owner found and the cache's version when
+    it was found. Looking a key up allocates nothing. *)
 
 val create_cache : unit -> cache
 
-val remember : cache -> origin:int -> app:string -> Cell.Set.t -> owner:int -> version:int -> unit
-(** Records the owner a lookup for these mapped cells found at this
-    registry version. A key already cached is refreshed in place, with
-    no allocation. *)
+val invalidate : cache -> unit
+(** Starts a new version: every entry cached so far is stale. Called on
+    each ownership change (a bee created, cells claimed, a merge, a
+    migration landed) and each hive lifecycle transition. *)
+
+val remember : cache -> origin:int -> app:string -> Cell.Set.t -> owner:int -> unit
+(** Records the owner a lookup for these mapped cells found at the
+    cache's current version. A key already cached is refreshed in place,
+    with no allocation. *)
 
 type t =
   | Use  (** The single owner takes the leg: it owns every mapped cell. *)
   | Lookup
       (** The single owner owns every mapped cell but is remote, and the
-          cache has no entry for it at this registry version: one
+          cache has no entry for it at its current version: one
           lock-service lookup, then the owner takes the leg. *)
   | Claim of Cell.Set.t
       (** The single owner claims these mapped cells, the ones it does
@@ -45,13 +50,12 @@ val decide :
   Hives.t ->
   cache ->
   capacity:int ->
-  version:int ->
   app:string ->
   origin:int ->
   owner:int ->
   Cell.Set.t ->
   t
-(** [decide reg hives cache ~capacity ~version ~app ~origin ~owner cells]
+(** [decide reg hives cache ~capacity ~app ~origin ~owner cells]
     for a non-empty [cells] mapped by [app] on a message that originated
     on [origin], where [owner] is [Registry.owner reg ~app cells]: one
     bee's id, {!Registry.no_owner} or {!Registry.several}. [capacity] is

@@ -114,15 +114,16 @@ let build cfg =
   in
   Platform.start platform;
   let cluster = Switch_agent.create_cluster platform topo in
-  for sw = 0 to cfg.n_switches - 1 do
-    let sw_flows =
-      Array.of_list
-        (List.filter
-           (fun (f : Flow.t) -> f.Flow.src_switch = sw)
-           (Array.to_list flows))
-    in
-    ignore (Switch_agent.add cluster ~sw ~flows:sw_flows ())
+  (* One pass groups the flows by source switch, each group in flow
+     order. *)
+  let by_switch = Array.make cfg.n_switches [] in
+  for i = Array.length flows - 1 downto 0 do
+    let f = flows.(i) in
+    by_switch.(f.Flow.src_switch) <- f :: by_switch.(f.Flow.src_switch)
   done;
+  Array.iteri
+    (fun sw fs -> ignore (Switch_agent.add cluster ~sw ~flows:(Array.of_list fs) ()))
+    by_switch;
   Switch_agent.connect_all cluster ~stagger:(Simtime.of_ms 1) ();
   (* Two LLDP waves confirm every link bidirectionally. *)
   ignore

@@ -356,7 +356,7 @@ let test_hive_lifecycle_queries () =
   let row h =
     let flag b name = if b then [ name ] else [] in
     String.concat " "
-      ((Platform.hive_state_label (Platform.hive_state platform h)
+      ((Beehive_core.Hives.label (Platform.hive_state platform h)
        :: flag (Platform.hive_alive platform h) "up")
       @ flag (Platform.hive_crashed platform h) "crashed"
       @ flag (Platform.hive_state platform h = `Fenced) "fenced"

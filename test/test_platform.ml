@@ -560,7 +560,7 @@ let test_failover_needs_a_live_target () =
   let engine, platform = make_platform ~n_hives:1 ~apps:[ replicated_kv_app () ] () in
   let replicator =
     {
-      Platform.commit = ignore;
+      Beehive_core.Dispatch.commit = ignore;
       acked = (fun ~bee:_ ~seq:_ -> ());
       recover =
         (fun ~bee ->
@@ -934,6 +934,85 @@ let test_handler_names_current_hive () =
   migrate bee 0;
   ignore (handled_on "migrated after the restart" 0)
 
+(* A bee's send to an endpoint that was never registered is dropped at
+   commit: the [dropped.missing_endpoint] gauge counts it, and no
+   endpoint's callback runs. *)
+let test_send_to_unregistered_endpoint () =
+  let calls = ref 0 in
+  let app =
+    App.create ~name:"test.sender" ~dicts:[ "store" ]
+      [
+        App.handler ~kind:"test.go"
+          ~map:(fun _ -> Mapping.with_key "store" "k")
+          (fun ctx _ -> Context.send_to ctx (Channels.Switch 42) ~kind:"test.send" (Noop 0));
+      ]
+  in
+  let engine, platform = make_platform ~apps:[ app ] () in
+  Platform.register_endpoint platform (Channels.Switch 7) (fun _ -> incr calls);
+  Platform.inject platform ~from:(Channels.Hive 0) ~kind:"test.go" (Noop 0);
+  drain engine;
+  Alcotest.(check int) "the handler ran" 1 (Platform.total_processed platform);
+  Alcotest.(check int) "dropped.missing_endpoint" 1
+    (List.assoc "dropped.missing_endpoint" (Platform.gauges platform));
+  Alcotest.(check int) "no callback ran" 0 !calls;
+  Alcotest.(check int) "no handler fault" 0 (Platform.handler_faults platform)
+
+(* A send on the wire to [Channels.Hive 3] when [decommission_hive 3]
+   removes that endpoint counts as dropped where it lands: the callback
+   registered before the decommission does not run. *)
+let test_send_to_endpoint_removed_in_flight () =
+  let calls = ref 0 and retired = ref false in
+  let decommission = ref (fun () -> ()) in
+  let app =
+    App.create ~name:"test.sender" ~dicts:[ "store" ]
+      [
+        App.handler ~kind:"test.go"
+          ~map:(fun _ -> Mapping.with_key "store" "k")
+          (fun ctx _ ->
+            Context.send_to ctx (Channels.Hive 3) ~kind:"test.send" (Noop 0);
+            !decommission ());
+      ]
+  in
+  let engine, platform = make_platform ~apps:[ app ] () in
+  Platform.register_endpoint platform (Channels.Hive 3) (fun _ -> incr calls);
+  (* Right after the commit that put the send on the wire, at the same
+     instant. *)
+  (decommission :=
+     fun () ->
+       ignore
+         (Engine.schedule_after engine Simtime.zero (fun () ->
+              retired := Platform.decommission_hive platform 3)));
+  Platform.inject platform ~from:(Channels.Hive 0) ~kind:"test.go" (Noop 0);
+  drain engine;
+  Alcotest.(check bool) "hive 3 decommissioned while the send was on the wire" true !retired;
+  Alcotest.(check int) "dropped.missing_endpoint" 1
+    (List.assoc "dropped.missing_endpoint" (Platform.gauges platform));
+  Alcotest.(check int) "no callback ran" 0 !calls;
+  Alcotest.(check int) "no handler fault" 0 (Platform.handler_faults platform)
+
+(* The route plan's lookup cache is invalidated by every hive lifecycle
+   transition, even one on a hive the owner does not live on: the next
+   remote Cells leg pays its lock-service lookup again. *)
+let test_lifecycle_invalidates_lookups () =
+  let engine, platform = make_platform ~apps:[ kv_app () ] () in
+  (* The owner of "k" lives on hive 1; legs come from hive 0. *)
+  put platform ~from:1 ~key:"k" ~value:1;
+  drain engine;
+  let rpcs_of_leg () =
+    let before = Platform.total_lock_rpcs platform in
+    put platform ~from:0 ~key:"k" ~value:1;
+    drain engine;
+    Platform.total_lock_rpcs platform - before
+  in
+  Alcotest.(check int) "cold cache: one lookup" 1 (rpcs_of_leg ());
+  Alcotest.(check int) "cached: no lookup" 0 (rpcs_of_leg ());
+  Platform.set_draining platform 3 true;
+  Alcotest.(check int) "after set_draining on hive 3: one lookup" 1 (rpcs_of_leg ());
+  Alcotest.(check int) "cached again" 0 (rpcs_of_leg ());
+  ignore (Platform.add_hive platform);
+  Alcotest.(check int) "after add_hive: one lookup" 1 (rpcs_of_leg ());
+  Alcotest.(check int) "cached once more" 0 (rpcs_of_leg ())
+
 let suite =
   [
     ( "platform",
@@ -978,5 +1057,11 @@ let suite =
         Alcotest.test_case "stale completion is a no-op" `Quick test_stale_completion_is_a_noop;
         Alcotest.test_case "handler names its bee's current hive" `Quick
           test_handler_names_current_hive;
+        Alcotest.test_case "a send to an unregistered endpoint is dropped" `Quick
+          test_send_to_unregistered_endpoint;
+        Alcotest.test_case "a send to an endpoint removed in flight is dropped" `Quick
+          test_send_to_endpoint_removed_in_flight;
+        Alcotest.test_case "a lifecycle event invalidates cached lookups" `Quick
+          test_lifecycle_invalidates_lookups;
       ] );
   ]

@@ -20,8 +20,8 @@ let setup ?(n_hives = 3) bees =
   (reg, Hives.create n_hives, Route_plan.create_cache ())
 
 (* The platform's call: the owner is looked up once, then decided on. *)
-let decide ?(version = 0) ?(capacity = max_int) (reg, hives, cache) ~origin cs =
-  Route_plan.decide reg hives cache ~capacity ~version ~app:"a" ~origin
+let decide ?(capacity = max_int) (reg, hives, cache) ~origin cs =
+  Route_plan.decide reg hives cache ~capacity ~app:"a" ~origin
     ~owner:(Registry.owner reg ~app:"a" cs) cs
 
 let plan =
@@ -101,10 +101,11 @@ let test_remote_owner_lookup_per_version () =
   let cs = cells [ "x" ] in
   Alcotest.check plan "local owner: no lookup" Route_plan.Use (decide env ~origin:1 cs);
   Alcotest.check plan "remote owner, cold cache" Route_plan.Lookup (decide env ~origin:0 cs);
-  Route_plan.remember cache ~origin:0 ~app:"a" cs ~owner:0 ~version:0;
+  Route_plan.remember cache ~origin:0 ~app:"a" cs ~owner:0;
   Alcotest.check plan "cache hit at the same version" Route_plan.Use (decide env ~origin:0 cs);
+  Route_plan.invalidate cache;
   Alcotest.check plan "stale after a registry change" Route_plan.Lookup
-    (decide ~version:1 env ~origin:0 cs)
+    (decide env ~origin:0 cs)
 
 (* Remembering a cached key again refreshes its entry in place: the
    decision follows the latest version remembered, and the refresh
@@ -112,17 +113,19 @@ let test_remote_owner_lookup_per_version () =
 let test_remember_refreshes_in_place () =
   let ((_, _, cache) as env) = setup [ (1, [ "x" ]) ] in
   let cs = cells [ "x" ] in
-  Route_plan.remember cache ~origin:0 ~app:"a" cs ~owner:0 ~version:0;
+  Route_plan.remember cache ~origin:0 ~app:"a" cs ~owner:0;
   let before = Gc.minor_words () in
-  for v = 1 to 1_000 do
-    Route_plan.remember cache ~origin:0 ~app:"a" cs ~owner:0 ~version:v
+  for _ = 1 to 1_000 do
+    Route_plan.invalidate cache;
+    Route_plan.remember cache ~origin:0 ~app:"a" cs ~owner:0
   done;
   let words = Gc.minor_words () -. before in
   if words > 2. then Alcotest.failf "%.0f words for 1,000 refreshes, bound 2" words;
   Alcotest.check plan "hit at the version remembered last" Route_plan.Use
-    (decide ~version:1_000 env ~origin:0 cs);
-  Alcotest.check plan "stale at the version remembered first" Route_plan.Lookup
-    (decide ~version:0 env ~origin:0 cs)
+    (decide env ~origin:0 cs);
+  Route_plan.invalidate cache;
+  Alcotest.check plan "stale once the version moves on" Route_plan.Lookup
+    (decide env ~origin:0 cs)
 
 let suite =
   [
