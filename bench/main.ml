@@ -24,6 +24,7 @@ module Simtime = Beehive_sim.Simtime
 module Engine = Beehive_sim.Engine
 module P = Beehive_core.Platform
 module Store = Beehive_store.Store
+module Mark = Beehive_store.Mark
 
 type Beehive_core.Message.payload += Bench_put of { bp_key : string; bp_size : int }
 
@@ -299,7 +300,7 @@ let ablation_durability () =
     in
     for round = 0 to rounds - 1 do
       for k = 0 to n_entries - 1 do
-        Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[]
+        Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] ~consumed:Mark.none
           [
             ( "store",
               Printf.sprintf "key-%05d" k,

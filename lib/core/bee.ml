@@ -3,7 +3,7 @@ type delivery = {
   d_msg : Message.t;
   d_handler : App.handler;
   d_allowed : Cell.Set.t;
-  d_outbox : (int * int) option;
+  d_outbox : Beehive_store.Mark.t;
   mutable d_attempts : int;
 }
 

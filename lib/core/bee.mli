@@ -53,11 +53,13 @@ type delivery = {
           visits the cells its original target held then, which the
           winner's state holds by the time it runs the leg; a cell the
           bee gains later is not visited by that leg *)
-  d_outbox : (int * int) option;
-      (** (sender bee, outbox seq) when the message rides the exactly-once
-          path: the receiver dedups against its durable inbox and acks the
-          sender once its own mark is durable. Sender -1 marks a virtual id
-          given to injected/system messages — deduped but never acked. *)
+  d_outbox : Beehive_store.Mark.t;
+      (** the mark [(sender bee, outbox seq)] when the message rides the
+          exactly-once path, {!Beehive_store.Mark.none} otherwise: the
+          receiver dedups against its durable inbox and acks the sender
+          once its own mark is durable. Sender -1 marks a virtual id given
+          to injected/system messages — deduped but never acked. An
+          immediate int, so the delivery stays six fields. *)
   mutable d_attempts : int;  (** handler attempts already failed *)
 }
 

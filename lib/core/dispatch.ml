@@ -3,6 +3,7 @@ module Simtime = Beehive_sim.Simtime
 module Rng = Beehive_sim.Rng
 module Channels = Beehive_net.Channels
 module Store = Beehive_store.Store
+module Mark = Beehive_store.Mark
 
 let src = Logs.Src.create "beehive.dispatch" ~doc:"Beehive handler dispatch"
 
@@ -13,7 +14,7 @@ type commit_info = {
   ci_hive : int;
   ci_writes : (string * string * Value.t option) list;
   ci_emits : (int * Message.t) list;
-  ci_inbox : (int * int) list;
+  ci_inbox : Mark.t list;
 }
 
 type replicator = {
@@ -35,7 +36,7 @@ let idle : Bee.delivery =
     d_msg = msg;
     d_handler = App.handler ~kind:"" ~map:(fun _ -> Mapping.Drop) (fun _ _ -> ());
     d_allowed = Cell.Set.empty;
-    d_outbox = None;
+    d_outbox = Mark.none;
     d_attempts = 0;
   }
 
@@ -58,6 +59,10 @@ type t = {
   late : Context.late;  (* emits and sends made after a handler returned *)
   clock : unit -> Simtime.t;  (* every handler context's [now] *)
   endpoint_sends : (Channels.endpoint * Message.t) Engine.lane;  (* a bee's send *)
+  ack_batches : int array Engine.lane;
+      (* one hive's acks to another: [(receiver bee, mark)] pairs, oldest
+         first *)
+  rechecks : Outbox.entry Engine.lane;  (* an entry at its backoff horizon *)
   latency : Stats.latency;  (* every handled message's, merged-away bees' too *)
   mutable processed : int;
   mutable replicator : replicator option;
@@ -66,9 +71,13 @@ type t = {
       (* emitter = the child's own [src] *)
   mutable fsync_hooks : (int -> unit) list;
       (* run after each per-hive group commit becomes durable *)
-  mutable ack_batches : (int * int * int) list array;
-      (* indexed by hive id: the handed-over acks one [send_acks] sends
-         to that hive, newest first; all empty between calls *)
+  mutable ack_dsts : int array;
+      (* [send_acks]' scratch: its [i]th ack's destination hive, -1 when
+         the sender is unknown *)
+  mutable ack_counts : int array;
+      (* [send_acks]' scratch, by hive id: acks bound there; all 0
+         between calls *)
+  dup_ack : Mark.Acks.t;  (* the one ack a duplicate's re-ack sends *)
 }
 
 (* [t.endpoint_sends]' callback. An endpoint removed while the send was
@@ -84,7 +93,7 @@ let land_send router endpoints (ep, (m : Message.t)) =
   | exception Not_found -> Router.drop router Router.Missing_endpoint
 
 let create engine ~chans ~reg ~hives ~router ~store ~outbox ~bees ~endpoints ~forwarding ~dedup
-    ~late =
+    ~late ~ack_batches ~rechecks =
   {
     engine;
     chans;
@@ -100,12 +109,16 @@ let create engine ~chans ~reg ~hives ~router ~store ~outbox ~bees ~endpoints ~fo
     late;
     clock = (fun () -> Engine.now engine);
     endpoint_sends = Engine.lane engine (land_send router endpoints);
+    ack_batches;
+    rechecks;
     latency = Stats.latency ();
     processed = 0;
     replicator = None;
     emit_hooks = [];
     fsync_hooks = [];
-    ack_batches = [||];
+    ack_dsts = [||];
+    ack_counts = [||];
+    dup_ack = Mark.Acks.create ();
   }
 
 let now t = Engine.now t.engine
@@ -121,9 +134,9 @@ let hive_ep t h = Channels.hive_endpoint t.chans h
 (* What the bee's durable inbox holds of the delivery's mark: one store
    lookup decides both whether to suppress it and whether to re-ack. *)
 let inbox_mark t (b : bee) (d : Bee.delivery) =
-  match (d.d_outbox, t.store) with
-  | Some mark, Some s when t.dedup && not b.is_local -> Store.inbox_mark s ~bee:b.id mark
-  | _ -> Store.Unseen
+  match t.store with
+  | Some s when t.dedup && not b.is_local -> Store.inbox_mark s ~bee:b.id d.d_outbox
+  | Some _ | None -> Store.Unseen
 
 (* Entries exist only on a durable platform, in its store's outbox. *)
 let retire_outbox_entry t s e =
@@ -131,73 +144,90 @@ let retire_outbox_entry t s e =
   Store.ack_outbox s ~bee ~seq;
   match t.replicator with Some r -> r.acked ~bee ~seq | None -> ()
 
-let handle_outbox_ack t ~sender ~seq ~receiver =
-  match t.store with
-  | None -> ()
-  | Some s -> (
-    match Store.outbox_entry s ~bee:sender ~seq with
-    | None -> ()  (* already retired; late duplicate ack *)
-    | Some e -> (
-      match Hashtbl.find t.bees sender with
-      | sb when Hives.crashed t.hives sb.hive || sb.status = `Crashed || not (since_wipe t sb.hive)
-        ->
-        (* The sender's process is down, or crashed since the ack was
-           queued toward it: nothing can write its WAL, so the ack is
-           dropped. Replay after restart re-delivers, the receiver dedups
-           and re-acks. *)
-        ()
-      | _ | (exception Not_found) -> if Outbox.ack e ~receiver then retire_outbox_entry t s e))
-
-(* Handles one destination's acks, given newest first, oldest first. *)
-let rec handle_outbox_acks t = function
-  | [] -> ()
-  | (receiver, sender, seq) :: older ->
-    handle_outbox_acks t older;
-    handle_outbox_ack t ~sender ~seq ~receiver
-
-let batch_ack t dst ack =
-  let n = Array.length t.ack_batches in
-  if dst >= n then begin
-    let grown = Array.make (max (dst + 1) (2 * n)) [] in
-    Array.blit t.ack_batches 0 grown 0 n;
-    t.ack_batches <- grown
-  end;
-  t.ack_batches.(dst) <- ack :: t.ack_batches.(dst)
-
-(* Sorts handed-over acks, given newest first, oldest first into their
-   sender's current hive's batch in [t.ack_batches], newest first. *)
-let rec batch_acks t = function
-  | [] -> ()
-  | ((_, sender, _) as ack) :: older -> (
-    batch_acks t older;
+let handle_outbox_ack t s ~receiver mark =
+  let sender = Mark.sender mark in
+  match Store.outbox_entry s ~bee:sender ~seq:(Mark.seq mark) with
+  | exception Not_found -> ()  (* already retired; late duplicate ack *)
+  | e -> (
     match Hashtbl.find t.bees sender with
-    | sb -> batch_ack t sb.hive ack
-    | exception Not_found -> ())
+    | sb when Hives.crashed t.hives sb.hive || sb.status = `Crashed || not (since_wipe t sb.hive) ->
+      (* The sender's process is down, or crashed since the ack was
+         queued toward it: nothing can write its WAL, so the ack is
+         dropped. Replay after restart re-delivers, the receiver dedups
+         and re-acks. *)
+      ()
+    | _ | (exception Not_found) -> if Outbox.ack e ~receiver then retire_outbox_entry t s e)
+
+(* [t.ack_batches]' callback: one hive's batch of acks has landed, and
+   each is handled in the order the receivers' fsyncs handed it over.
+   Acks exist only on a durable platform. *)
+let acks_landed t batch =
+  let s = Option.get t.store in
+  for i = 0 to (Array.length batch / 2) - 1 do
+    handle_outbox_ack t s ~receiver:batch.(2 * i) (Mark.of_int batch.((2 * i) + 1))
+  done
+
+(* Counts one more ack bound for hive [dst]. *)
+let count_ack t dst =
+  let n = Array.length t.ack_counts in
+  if dst >= n then begin
+    let grown = Array.make (max (dst + 1) (2 * n)) 0 in
+    Array.blit t.ack_counts 0 grown 0 n;
+    t.ack_counts <- grown
+  end;
+  t.ack_counts.(dst) <- t.ack_counts.(dst) + 1
+
+(* The [count] acks bound for [dst], as one batch: the [(receiver,
+   mark)] pairs in their order in [acks]. *)
+let ack_batch t acks ~dst ~count =
+  let batch = Array.make (2 * count) 0 in
+  let k = ref 0 in
+  for i = 0 to Mark.Acks.length acks - 1 do
+    if t.ack_dsts.(i) = dst then begin
+      batch.(!k) <- Mark.Acks.receiver acks i;
+      batch.(!k + 1) <- (Mark.Acks.mark acks i :> int);
+      k := !k + 2
+    end
+  done;
+  batch
 
 (* Receiver-side half of the ack path, run at each hive fsync with the
    acks the store handed over: the marks that fsync made durable. Each
    is sent to its sender's current hive. Acks bound for the same hive
-   ride one transport message, sent in hive order — per-message acks
-   would double the fabric's message count on the healthy path. *)
+   ride one transport message, one int array of pairs, sent in hive
+   order — per-message acks would double the fabric's message count on
+   the healthy path. *)
 let send_acks t hive acks =
-  batch_acks t acks;
-  for dst = 0 to Array.length t.ack_batches - 1 do
-    match t.ack_batches.(dst) with
-    | [] -> ()
-    | acks ->
-      t.ack_batches.(dst) <- [];
-      Router.transmit t.router ~src_ep:(hive_ep t hive) ~dst_hive:dst
-        ~bytes:(16 * List.length acks) ~extra:Simtime.zero (Router.thunks t.router)
-        (fun () -> handle_outbox_acks t acks)
+  let n = Mark.Acks.length acks in
+  if Array.length t.ack_dsts < n then t.ack_dsts <- Array.make (max n (2 * Array.length t.ack_dsts)) 0;
+  let last = ref (-1) in
+  for i = 0 to n - 1 do
+    match Hashtbl.find t.bees (Mark.sender (Mark.Acks.mark acks i)) with
+    | sb ->
+      let dst = sb.hive in
+      t.ack_dsts.(i) <- dst;
+      count_ack t dst;
+      if dst > !last then last := dst
+    | exception Not_found -> t.ack_dsts.(i) <- -1
+  done;
+  for dst = 0 to !last do
+    let count = t.ack_counts.(dst) in
+    if count > 0 then begin
+      t.ack_counts.(dst) <- 0;
+      Router.transmit t.router ~src_ep:(hive_ep t hive) ~dst_hive:dst ~bytes:(16 * count)
+        ~extra:Simtime.zero t.ack_batches (ack_batch t acks ~dst ~count)
+    end
   done
 
 (* Re-acks a duplicate whose mark is durable: the sender evidently lost
    the first ack. A pending mark is not re-acked; the store hands its
    ack over when this hive's fsync commits it. *)
 let ack_duplicate t (b : bee) (d : Bee.delivery) =
-  match d.d_outbox with
-  | Some (sender, seq) when sender >= 0 -> send_acks t b.hive [ (b.id, sender, seq) ]
-  | _ -> ()
+  if Mark.acked d.d_outbox then begin
+    Mark.Acks.clear t.dup_ack;
+    Mark.Acks.push t.dup_ack ~receiver:b.id d.d_outbox;
+    send_acks t b.hive t.dup_ack
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Handler execution helpers                                           *)
@@ -263,10 +293,11 @@ let replicate t (b : bee) ~pending ~last emits ~consumed =
   match t.replicator with
   | Some r
     when b.app.App.replicated && (not b.is_local)
-         && (pending <> [] || emits <> [] || Option.is_some consumed) ->
+         && (pending <> [] || emits <> [] || not (Mark.is_none consumed)) ->
     r.commit
       { ci_bee = b.id; ci_hive = b.hive; ci_writes = pending;
-        ci_emits = numbered ~seq:last [] emits; ci_inbox = Option.to_list consumed }
+        ci_emits = numbered ~seq:last [] emits;
+        ci_inbox = (if Mark.is_none consumed then [] else [ consumed ]) }
   | Some _ | None -> ()
 
 (* Posts a bee's send, the context's own [(endpoint, message)] pair, to
@@ -303,7 +334,7 @@ let quarantine_delivery t (b : bee) (d : Bee.delivery) exn =
         b.app.App.name d.d_msg.Message.kind d.d_attempts);
   match t.store with
   | Some s when not b.is_local ->
-    Store.append s ~bee:b.id ~hive:b.hive ~outbox:[] ~inbox:[] ?consumed:d.d_outbox []
+    Store.append s ~bee:b.id ~hive:b.hive ~outbox:[] ~inbox:[] ~consumed:d.d_outbox []
   | Some _ | None -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -409,7 +440,7 @@ let complete t (b : bee) (d : Bee.delivery) cost ctx failure =
       let n = List.length emits in
       let last = if n = 0 then 0 else Store.alloc_out_seqs s ~bee:b.id n + n - 1 in
       let rows = track_emits b ~seq:last [] emits in
-      Store.append s ~bee:b.id ~hive:b.hive ~outbox:rows ~inbox:[] ?consumed:d.d_outbox
+      Store.append s ~bee:b.id ~hive:b.hive ~outbox:rows ~inbox:[] ~consumed:d.d_outbox
         pending;
       deliver_sends t b sends;
       replicate t b ~pending ~last emits ~consumed:d.d_outbox
@@ -418,7 +449,7 @@ let complete t (b : bee) (d : Bee.delivery) cost ctx failure =
          time. *)
       if emits <> [] then route_emits t ~src_ep:(hive_ep t b.hive) emits;
       deliver_sends t b sends;
-      replicate t b ~pending ~last:0 [] ~consumed:None)
+      replicate t b ~pending ~last:0 [] ~consumed:Mark.none)
   | Some exn ->
     (* Handler failure containment: the state delta and every buffered
        emit are discarded atomically, then the delivery is retried with
@@ -526,33 +557,37 @@ let rec dispatch_outbox_entry t s e ~first =
             | `Crashed -> false)
     ->
     Outbox.start_attempt e ~now:(now t);
-    arm_outbox_recheck t s e;
+    arm_outbox_recheck t e;
     let legs =
       Router.route_subscribers t.router ~src_ep:(hive_ep t b.hive) ~origin:b.hive
-        ~outbox:(Some (Outbox.sender e, Outbox.seq e)) ~first (Outbox.msg e)
+        ~outbox:(Outbox.mark e) ~first (Outbox.msg e)
     in
     if Outbox.set_required e legs then retire_outbox_entry t s e
   | _ | (exception Not_found) ->
     (* Sender down. A crashed hive's entries are replayed by restart_hive;
        a merely-fenced sender needs the recheck chain kept alive so the
        replay resumes by itself once the fence lifts. *)
-    if Outbox.attempted e then arm_outbox_recheck t s e
+    if Outbox.attempted e then arm_outbox_recheck t e
 
-(* One engine timer per dispatched entry, armed at that attempt's backoff
-   horizon, instead of a per-tick scan of every un-acked entry (the scan
-   made the healthy path pay for the fault path). The timer re-dispatches
-   only if the store's outbox still holds this very entry and no newer
-   attempt superseded the one that armed it. Only a durable entry is
-   ever dispatched, and no entry returns to a pending record, so one
-   that is still there is still durable. *)
-and arm_outbox_recheck t s e =
-  let since = Outbox.last_attempt e in
-  (* Kept through the sender's crash: restart replays every entry, a new
-     attempt, so this timer is no longer [still_due]. *)
-  ignore
-    (Engine.schedule_after t.engine (Outbox.backoff e) (fun () ->
-         let current = Store.outbox_entry s ~bee:(Outbox.sender e) ~seq:(Outbox.seq e) in
-         if Outbox.still_due e ~current ~since then dispatch_outbox_entry t s e ~first:false))
+(* One recheck per dispatched entry, posted on [t.rechecks] at that
+   attempt's backoff horizon, instead of a per-tick scan of every
+   un-acked entry (the scan made the healthy path pay for the fault
+   path). Kept through the sender's crash: restart replays every entry,
+   a new attempt, so the recheck is no longer fresh. *)
+and arm_outbox_recheck t e =
+  Outbox.arm_recheck e;
+  Engine.post t.rechecks (Outbox.backoff e) e
+
+(* [t.rechecks]' callback. The recheck re-dispatches only if no newer
+   attempt superseded the one that armed it and the store's outbox still
+   holds this very entry. Only a durable entry is ever dispatched, and
+   no entry returns to a pending record, so one that is still there is
+   still durable. *)
+let recheck t e =
+  let fresh = Outbox.take_recheck e and s = Option.get t.store in
+  match Store.outbox_entry s ~bee:(Outbox.sender e) ~seq:(Outbox.seq e) with
+  | current -> if Outbox.still_due e ~current ~fresh then dispatch_outbox_entry t s e ~first:false
+  | exception Not_found -> ()
 
 (* These entries, given newest first, just became durable together with
    their transaction's state delta — the earliest instant the platform

@@ -20,8 +20,7 @@ type commit_info = {
       (** outbox entries committed by this transaction, [(seq, message)] —
           a consensus-replicated app ships these alongside the write set
           so a failover can re-seed the new primary's outbox *)
-  ci_inbox : (int * int) list;
-      (** inbox dedup marks the transaction consumed, [(sender, seq)] *)
+  ci_inbox : Beehive_store.Mark.t list;  (** inbox dedup marks the transaction consumed *)
 }
 
 type replicator = {
@@ -54,9 +53,14 @@ val create :
   forwarding:bool ->
   dedup:bool ->
   late:Context.late ->
+  ack_batches:int array Beehive_sim.Engine.lane ->
+  rechecks:Outbox.entry Beehive_sim.Engine.lane ->
   t
 (** [bees] and [endpoints] are shared with the caller. [late] is where
-    every bee's late emits go: this dispatch's own {!late_emit}.
+    every bee's late emits go: this dispatch's own {!late_emit}. A batch
+    of acks lands on [ack_batches], whose callback is this dispatch's
+    {!acks_landed}, and an entry's recheck on [rechecks], whose callback
+    is its {!recheck}.
     [forwarding = false] injects the [forwarding] bug (a leg to a
     merged-away bee is dropped), [dedup = false] the inbox half of
     [dedup-off]. *)
@@ -90,16 +94,27 @@ val late_emit : t -> Context.late
 val dispatch_outbox_entry :
   t -> (Value.t, Outbox.entry) Beehive_store.Store.t -> Outbox.entry -> first:bool -> unit
 (** Hands a durable outbox entry to routing (its Cells legs only, unless
-    [first]) and arms its recheck timer; a down sender's entry waits. *)
+    [first]) and arms its recheck at the attempt's backoff horizon; a
+    down sender's entry waits. *)
+
+val recheck : t -> Outbox.entry -> unit
+(** An entry's recheck is due: it re-dispatches the entry unless a newer
+    attempt superseded the one that armed it, or the store's outbox no
+    longer holds this very entry. *)
+
+val acks_landed : t -> int array -> unit
+(** One hive's batch of acks landed at the senders' hive: the
+    [(receiver bee, mark)] pairs, flattened, oldest first. Each one the
+    sender's store still holds an entry for counts toward retiring it. *)
 
 val fsynced : t -> hive:int -> bytes:int -> unit
 (** The store's fsync report: charges the bytes to the hive's row of the
     traffic matrix and runs the fsync hooks. *)
 
-val durable : t -> hive:int -> acks:(int * int * int) list -> Outbox.entry list -> unit
+val durable : t -> hive:int -> acks:Beehive_store.Mark.Acks.t -> Outbox.entry list -> unit
 (** What a hive's fsync made durable: the acks its records' inbox marks
-    owe [(receiver, sender, seq)] and the outbox entries to dispatch,
-    each newest first. *)
+    owe, oldest first, and the outbox entries to dispatch, newest first.
+    The acks go out as one int array per sender hive. *)
 
 (** {2 Hooks and counters} *)
 

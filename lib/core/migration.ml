@@ -2,6 +2,7 @@ module Simtime = Beehive_sim.Simtime
 module Engine = Beehive_sim.Engine
 module Channels = Beehive_net.Channels
 module Store = Beehive_store.Store
+module Mark = Beehive_store.Mark
 
 let src = Logs.Src.create "beehive.migration" ~doc:"Beehive bee migration and merge"
 
@@ -127,6 +128,7 @@ let merge engine ~chans ~reg ~hives ~store ~resume
         else []
       in
       Store.append s ~bee:winner.id ~hive:winner.hive ~outbox:[] ~inbox:moved_inbox
+        ~consumed:Mark.none
         (List.map (fun (d, k, v) -> (d, k, Some v)) all_entries);
       Store.flush_bee s ~bee:winner.id;
       (* The loser's durable un-acked outbox keeps its (sender, seq)

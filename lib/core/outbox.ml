@@ -6,6 +6,7 @@
 
 module Simtime = Beehive_sim.Simtime
 module Store = Beehive_store.Store
+module Mark = Beehive_store.Mark
 
 (* Replay pacing for durable un-acked entries: 2 ms doubling to a 16 ms
    cap between re-dispatches of the same entry. *)
@@ -13,15 +14,17 @@ let replay_backoff_us = 2_000
 let replay_backoff_cap_us = 16_000
 
 type entry = {
-  sender : int;
-  seq : int;
+  mark : Mark.t;  (* (sender, seq): the receivers' dedup key *)
   msg : Message.t;
   mutable required : int;
       (* receiver legs counted at the latest dispatch; -1 before the first *)
   mutable ackers : int list;  (* distinct receiver bees durably applied *)
-  mutable n_ackers : int;  (* length of [ackers] *)
   mutable attempts : int;
   mutable last_attempt : Simtime.t;
+  mutable armed : int;  (* rechecks armed and not yet taken *)
+  mutable stale : int;
+      (* how many of the oldest armed rechecks an attempt at a later
+         instant superseded *)
 }
 
 type t = {
@@ -43,8 +46,9 @@ let create () =
 
 (* ---- entries ---- *)
 
-let sender e = e.sender
-let seq e = e.seq
+let mark e = e.mark
+let sender e = Mark.sender e.mark
+let seq e = Mark.seq e.mark
 let msg e = e.msg
 
 let emit ~sender ~seq (msg : Message.t) =
@@ -53,14 +57,14 @@ let emit ~sender ~seq (msg : Message.t) =
     o_bytes = msg.Message.size;
     o_entry =
       {
-        sender;
-        seq;
+        mark = Mark.make ~sender ~seq;
         msg;
         required = -1;
         ackers = [];
-        n_ackers = 0;
         attempts = 0;
         last_attempt = Simtime.zero;
+        armed = 0;
+        stale = 0;
       };
   }
 
@@ -68,7 +72,10 @@ let emit ~sender ~seq (msg : Message.t) =
 
 let attempted e = e.attempts > 0
 
+(* An attempt at a later instant than the last supersedes every armed
+   recheck; a second attempt at the same instant supersedes none. *)
 let start_attempt e ~now =
+  if not (Simtime.equal now e.last_attempt) then e.stale <- e.armed;
   e.attempts <- e.attempts + 1;
   e.last_attempt <- now
 
@@ -76,23 +83,30 @@ let last_attempt e = e.last_attempt
 
 let set_required e legs =
   e.required <- legs;
-  e.n_ackers >= legs
+  List.length e.ackers >= legs
 
 let ack e ~receiver =
-  if not (List.mem receiver e.ackers) then begin
-    e.ackers <- receiver :: e.ackers;
-    e.n_ackers <- e.n_ackers + 1
-  end;
-  e.required >= 0 && e.n_ackers >= e.required
+  if not (List.mem receiver e.ackers) then e.ackers <- receiver :: e.ackers;
+  e.required >= 0 && List.length e.ackers >= e.required
 
 let backoff e =
   let n = min 10 (max 0 (e.attempts - 1)) in
   Simtime.of_us (min replay_backoff_cap_us (replay_backoff_us * (1 lsl n)))
 
-let still_due e ~current ~since =
-  match current with
-  | Some e' -> e' == e && Simtime.equal e.last_attempt since
-  | None -> false
+let arm_recheck e = e.armed <- e.armed + 1
+
+(* Rechecks are taken in the order they were armed, so the oldest armed
+   one is taken now, and it is stale exactly when it is among the
+   [stale] oldest. *)
+let take_recheck e =
+  e.armed <- e.armed - 1;
+  if e.stale > 0 then begin
+    e.stale <- e.stale - 1;
+    false
+  end
+  else true
+
+let still_due e ~current ~fresh = fresh && current == e
 
 let next_virtual_seq t =
   t.virtual_seq <- t.virtual_seq + 1;

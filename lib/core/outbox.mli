@@ -21,6 +21,9 @@ val create : unit -> t
 
 (** {2 Entries} *)
 
+val mark : entry -> Beehive_store.Mark.t
+(** [(sender, seq)], the receivers' dedup key. *)
+
 val sender : entry -> int
 val seq : entry -> int
 val msg : entry -> Message.t
@@ -33,7 +36,12 @@ val emit : sender:int -> seq:int -> Message.t -> entry Beehive_store.Store.emit
 (** {2 Dispatch and acknowledgement} *)
 
 val attempted : entry -> bool
+
 val start_attempt : entry -> now:Beehive_sim.Simtime.t -> unit
+(** Counts an attempt at [now]. One at a later instant than the last
+    supersedes every recheck armed so far; one at the same instant
+    supersedes none. *)
+
 val last_attempt : entry -> Beehive_sim.Simtime.t
 
 val set_required : entry -> int -> bool
@@ -48,10 +56,26 @@ val backoff : entry -> Beehive_sim.Simtime.t
 (** Delay before re-dispatching after the latest attempt: 2 ms doubling
     per attempt, capped at 16 ms. *)
 
-val still_due : entry -> current:entry option -> since:Beehive_sim.Simtime.t -> bool
-(** Whether a replay armed at attempt time [since] should still fire:
-    [current], what the sender's store outbox holds under the entry's seq
-    now, is this very entry, and no newer attempt superseded it. *)
+(** {2 Rechecks}
+
+    A recheck is armed at an attempt's backoff horizon, and rechecks are
+    taken in the order they were armed: each is armed no earlier and
+    with no shorter backoff than the one before, and an engine lane
+    runs equal times in push order. So the entry needs no per-recheck
+    record of the attempt that armed it: two counts tell whether the
+    recheck taken now was superseded. *)
+
+val arm_recheck : entry -> unit
+(** Counts one recheck armed at the entry's latest attempt. *)
+
+val take_recheck : entry -> bool
+(** Takes the oldest armed recheck; true when it is fresh: no attempt
+    at a later instant than the one it was armed at came since. *)
+
+val still_due : entry -> current:entry -> fresh:bool -> bool
+(** Whether a recheck should replay the entry: it is [fresh] (see
+    {!take_recheck}), and [current], what the sender's store outbox
+    holds under the entry's seq now, is this very entry. *)
 
 val next_virtual_seq : t -> int
 (** Sequence numbers for the virtual sender [-1]: deduped by receivers,

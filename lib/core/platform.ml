@@ -445,7 +445,9 @@ let create engine cfg =
        Dispatch.create engine ~chans ~reg ~hives ~router ~store ~outbox ~bees ~endpoints
          ~forwarding:(cfg.inject <> Some Forwarding_off) ~dedup:(cfg.inject <> Some Dedup_off)
          ~late:(fun ctx ep ?size ~kind payload ->
-           Dispatch.late_emit (Lazy.force dispatch) ctx ep ?size ~kind payload))
+           Dispatch.late_emit (Lazy.force dispatch) ctx ep ?size ~kind payload)
+         ~ack_batches:(Engine.lane engine (fun a -> Dispatch.acks_landed (Lazy.force dispatch) a))
+         ~rechecks:(Engine.lane engine (fun e -> Dispatch.recheck (Lazy.force dispatch) e)))
   in
   let dispatch = Lazy.force dispatch in
   let router = Dispatch.router dispatch and store = Dispatch.store dispatch in

@@ -4,11 +4,7 @@ module Raft = Beehive_raft.Raft
 
 module Int_map = Map.Make (Int)
 
-module Marks = Set.Make (struct
-  type t = int * int
-
-  let compare = compare
-end)
+module Marks = Set.Make (Beehive_store.Mark)
 
 (* A member's replica of one bee: its state plus the exactly-once
    bookkeeping that rode the same replicated commits — the un-acked

@@ -1,4 +1,5 @@
 module Store = Beehive_store.Store
+module Mark = Beehive_store.Mark
 
 let src = Logs.Src.create "beehive.recovery" ~doc:"Beehive bee recovery"
 
@@ -7,7 +8,7 @@ module Log = (val Logs.src_log src : Logs.LOG)
 type replica = {
   entries : (string * string * Value.t) list;
   emits : (int * Message.t) list;
-  inbox : (int * int) list;
+  inbox : Mark.t list;
 }
 
 (* The replica's un-acked emits as fresh outbox rows of [b]. *)
@@ -24,6 +25,7 @@ let failover ~reg ~hives ~store (b : Bee.t) ~from_hive ~to_hive r =
        the target hive also recovers. *)
     Store.forget s ~bee:b.id;
     Store.append s ~bee:b.id ~hive:to_hive ~outbox:(outbox_rows b r) ~inbox:r.inbox
+      ~consumed:Mark.none
       (List.map (fun (d, k, v) -> (d, k, Some v)) r.entries)
   | None -> ());
   Log.info (fun m -> m "bee %d failed over from hive %d to %d" b.id from_hive to_hive)

@@ -9,7 +9,7 @@ type replica = {
   entries : (string * string * Value.t) list;  (** the bee's state image *)
   emits : (int * Message.t) list;
       (** un-acked outbox entries, [(seq, message)], in [seq] order *)
-  inbox : (int * int) list;  (** inbox dedup marks, [(sender, seq)], sorted *)
+  inbox : Beehive_store.Mark.t list;  (** inbox dedup marks, sorted *)
 }
 (** One bee's replica: its state plus the exactly-once bookkeeping that
     rode the same replicated commits. *)

@@ -3,6 +3,7 @@ module Simtime = Beehive_sim.Simtime
 module Channels = Beehive_net.Channels
 module Transport = Beehive_net.Transport
 module Store = Beehive_store.Store
+module Mark = Beehive_store.Mark
 
 let src = Logs.Src.create "beehive.router" ~doc:"Beehive message routing"
 
@@ -192,7 +193,7 @@ let[@tail_mod_cons] rec legs_on t h ~in_dict msg handler = function
     if (Hashtbl.find t.bees id).hive = h then
       delivery ~to_:id msg handler
         (Cell.Set.filter in_dict (Registry.bee t.reg id).Registry.bee_cells)
-        None
+        Mark.none
       :: legs_on t h ~in_dict msg handler rest
     else legs_on t h ~in_dict msg handler rest
 
@@ -202,16 +203,14 @@ let send_cells t (b : Bee.t) ~extra ~handler ~src_ep ~outbox cs msg =
   if Hives.crashed t.hives b.hive then drop t Dead_target
   else begin
     let d_outbox =
-      match outbox with
-      | Some _ -> outbox
-      | None ->
+      if not (Mark.is_none outbox) then outbox
+      else if (not b.is_local) && t.store <> None then
         (* Injected, system and local-origin messages get a virtual
            exactly-once id (sender -1): never replayed or acked, but
            the receiver's durable inbox mark closes the double-delivery
            window a transport-level dedup reset (receiver crash) opens. *)
-        if (not b.is_local) && t.store <> None then
-          Some (-1, Outbox.next_virtual_seq t.outbox)
-        else None
+        Mark.make ~sender:(-1) ~seq:(Outbox.next_virtual_seq t.outbox)
+      else Mark.none
     in
     (* Fenced targets still receive: the transport buffers through the
        partition and the bee's paused mailbox holds the message until
@@ -310,7 +309,7 @@ let route_local t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin msg =
       | None -> ()
       | Some b ->
         transmit t ~src_ep ~dst_hive:h ~bytes:msg.Message.size ~extra:Simtime.zero t.arrivals
-          (delivery ~to_:b.id msg handler (Hashtbl.find t.whole_dicts app.App.name) None)
+          (delivery ~to_:b.id msg handler (Hashtbl.find t.whole_dicts app.App.name) Mark.none)
   in
   (* System messages (timer ticks) trigger local handlers on every hive;
      ordinary messages only on their origin hive. *)
@@ -353,5 +352,5 @@ let route t ~src_ep msg =
   (* A fenced origin keeps routing (the process is still up and serves
      its partition side); only a genuinely crashed origin drops. *)
   if not (Hives.crashed t.hives origin) then
-    ignore (route_subscribers t ~src_ep ~origin ~outbox:None ~first:true msg)
+    ignore (route_subscribers t ~src_ep ~origin ~outbox:Mark.none ~first:true msg)
   else drop t Dead_origin

@@ -55,13 +55,15 @@ val route_subscribers :
   t ->
   src_ep:Beehive_net.Channels.endpoint ->
   origin:int ->
-  outbox:(int * int) option ->
+  outbox:Beehive_store.Mark.t ->
   first:bool ->
   Message.t ->
   int
 (** Maps the message for every subscriber and routes each leg, its Cells
-    legs tagged with [outbox]; returns the number of Cells legs. A replay
-    ([first = false]) re-sends only the Cells legs. *)
+    legs tagged with the [outbox] mark; returns the number of Cells legs.
+    A Cells leg without a mark ({!Beehive_store.Mark.none}) to a durable
+    bee gets the virtual sender's next mark. A replay ([first = false])
+    re-sends only the Cells legs. *)
 
 val transmit :
   t ->

@@ -61,11 +61,11 @@ type ('v, 'e) record = {
   mutable r_outbox : 'e emit list;
       (* outbox entries committed with this record — truncating the
          record must unwind them *)
-  mutable r_inbox : (int * int) list;
-      (* (sender bee, sender seq) dedup marks carried into this record *)
-  mutable r_consumed : (int * int) option;
-      (* the mark of the delivery this record applied: journaled after the
-         carried ones, and handed over as an ack once durable *)
+  mutable r_inbox : Mark.t list;  (* dedup marks carried into this record *)
+  mutable r_consumed : Mark.t;
+      (* the mark of the delivery this record applied, or [Mark.none]:
+         journaled after the carried ones, and handed over as an ack once
+         durable *)
   mutable r_frame : frame;  (* [Sound] until fault injection damages it *)
 }
 
@@ -101,17 +101,17 @@ type ('v, 'e) bee_log = {
          acks, so a receiver's cutoff stays valid across sender restarts *)
   bl_outbox : (int, 'e emit) Hashtbl.t;
       (* durable un-acked outbox, by seq *)
-  bl_inbox : (int * int, unit) Hashtbl.t;
-      (* durable dedup marks: (sender bee, sender seq) already applied *)
+  bl_inbox : Mark.Set.t;  (* durable dedup marks: deliveries already applied *)
 }
 
 (* One hive's share of the group commit in progress: the fsync it will
-   be charged, and the acks and outbox entries that fsync makes durable,
-   newest first. *)
+   be charged, the acks that fsync makes durable, oldest first, in a
+   buffer reused from commit to commit, and the outbox entries it makes
+   durable, newest first. *)
 type 'e hive_commit = {
   mutable hc_bytes : int;
   mutable hc_records : int;
-  mutable hc_acks : (int * int * int) list;
+  hc_acks : Mark.Acks.t;
   mutable hc_outbox : 'e list;
 }
 
@@ -124,7 +124,7 @@ type ('v, 'e) t = {
          (or chose not to) verify — the platform supplies a value-level
          corruption so damage is semantically visible downstream *)
   on_fsync : (hive:int -> bytes:int -> records:int -> unit) option;
-  on_durable : (hive:int -> acks:(int * int * int) list -> 'e list -> unit) option;
+  on_durable : (hive:int -> acks:Mark.Acks.t -> 'e list -> unit) option;
   verify : bool;
       (* false only under the injected checksums-off bug: frames are still
          charged (byte accounting and schedules are unchanged) but
@@ -210,15 +210,15 @@ let rec add_emits buf = function
     add_pair buf 'o' o.o_seq o.o_bytes;
     add_emits buf rest
 
+let add_mark buf m = add_pair buf 'i' (Mark.sender m) (Mark.seq m)
+
 let rec add_marks buf = function
   | [] -> ()
-  | (sender, seq) :: rest ->
-    add_pair buf 'i' sender seq;
+  | m :: rest ->
+    add_mark buf m;
     add_marks buf rest
 
-let add_consumed buf = function
-  | Some (sender, seq) -> add_pair buf 'i' sender seq
-  | None -> ()
+let add_consumed buf m = if not (Mark.is_none m) then add_mark buf m
 
 (* Canonical serialized payloads. The store holds typed values, so the
    "bytes on disk" are modeled: a deterministic string derived from the
@@ -277,7 +277,7 @@ let log_of t bee =
         bl_next_lsn = 1;
         bl_next_out_seq = 1;
         bl_outbox = Hashtbl.create 8;
-        bl_inbox = Hashtbl.create 16;
+        bl_inbox = Mark.Set.create ();
       }
     in
     Hashtbl.add t.logs bee bl;
@@ -368,7 +368,7 @@ let rec outbox_bytes acc = function
 
 let record_bytes t writes ~outbox ~inbox ~consumed =
   record_overhead + frame_overhead + writes_bytes t 0 writes + outbox_bytes 0 outbox
-  + (inbox_mark_overhead * (List.length inbox + if Option.is_some consumed then 1 else 0))
+  + (inbox_mark_overhead * (List.length inbox + if Mark.is_none consumed then 0 else 1))
 
 (* Explicit sequence numbers (failover re-seeding) must never collide
    with future allocations. *)
@@ -459,7 +459,7 @@ let hive_commit t hive =
     t.commits <-
       Array.init (max (hive + 1) (2 * n)) (fun i ->
           if i < n then t.commits.(i)
-          else { hc_bytes = 0; hc_records = 0; hc_acks = []; hc_outbox = [] });
+          else { hc_bytes = 0; hc_records = 0; hc_acks = Mark.Acks.create (); hc_outbox = [] });
   t.commits.(hive)
 
 let rec publish_outbox bl hc = function
@@ -472,17 +472,17 @@ let rec publish_outbox bl hc = function
 let rec mark_inbox bl = function
   | [] -> ()
   | mark :: rest ->
-    Hashtbl.replace bl.bl_inbox mark ();
+    Mark.Set.add bl.bl_inbox mark;
     mark_inbox bl rest
 
 (* The delivery's own mark becomes durable and is handed over as the
-   ack its sender waits for; a negative sender names no bee and is
+   ack its sender waits for; the virtual sender names no bee and is
    never acked. *)
-let consume bl hc = function
-  | None -> ()
-  | Some ((sender, seq) as mark) ->
-    Hashtbl.replace bl.bl_inbox mark ();
-    if sender >= 0 then hc.hc_acks <- (bl.bl_bee, sender, seq) :: hc.hc_acks
+let consume bl hc m =
+  if not (Mark.is_none m) then begin
+    Mark.Set.add bl.bl_inbox m;
+    if Mark.acked m then Mark.Acks.push hc.hc_acks ~receiver:bl.bl_bee m
+  end
 
 (* Stamps one pending record with the next lsn and the commit time,
    moves it into the durable WAL and charges it to its hive's share of
@@ -533,17 +533,17 @@ let fire_fsyncs t =
   for hive = 0 to Array.length fired - 1 do
     let hc = fired.(hive) in
     if hc.hc_records > 0 then begin
-      let bytes = hc.hc_bytes and records = hc.hc_records in
-      let acks = hc.hc_acks and outbox = hc.hc_outbox in
+      let bytes = hc.hc_bytes and records = hc.hc_records and outbox = hc.hc_outbox in
       hc.hc_bytes <- 0;
       hc.hc_records <- 0;
-      hc.hc_acks <- [];
       hc.hc_outbox <- [];
       t.n_fsyncs <- t.n_fsyncs + 1;
       (match t.on_fsync with Some f -> f ~hive ~bytes ~records | None -> ());
-      match (t.on_durable, acks, outbox) with
-      | Some _, [], [] | None, _, _ -> ()
-      | Some f, _, _ -> f ~hive ~acks outbox
+      (match t.on_durable with
+      | Some f when Mark.Acks.length hc.hc_acks > 0 || outbox <> [] ->
+        f ~hive ~acks:hc.hc_acks outbox
+      | Some _ | None -> ());
+      Mark.Acks.clear hc.hc_acks
     end
   done;
   t.spare_commits <- fired
@@ -585,8 +585,8 @@ let commit_armed t () =
   t.armed <- false;
   flush t
 
-let append t ~bee ~hive ~outbox ~inbox ?consumed writes =
-  if writes <> [] || outbox <> [] || inbox <> [] || Option.is_some consumed then begin
+let append t ~bee ~hive ~outbox ~inbox ~consumed writes =
+  if writes <> [] || outbox <> [] || inbox <> [] || not (Mark.is_none consumed) then begin
     let bl = log_of t bee in
     bl.bl_pending <-
       {
@@ -680,20 +680,21 @@ let outbox_unacked t ~bee =
   | None -> []
   | Some bl -> List.map (fun o -> o.o_entry) (durable_rows bl)
 
+(* The entry of row [seq] in the pending records, newest first. *)
 let rec pending_emit ~seq = function
-  | [] -> None
-  | r :: older -> (
-    match List.find_opt (fun o -> o.o_seq = seq) r.r_outbox with
-    | Some o -> Some o.o_entry
-    | None -> pending_emit ~seq older)
+  | [] -> raise Not_found
+  | r :: older -> pending_row ~seq r.r_outbox older
+
+and pending_row ~seq rows older =
+  match rows with
+  | [] -> pending_emit ~seq older
+  | o :: rest -> if o.o_seq = seq then o.o_entry else pending_row ~seq rest older
 
 let outbox_entry t ~bee ~seq =
-  match Hashtbl.find t.logs bee with
-  | bl -> (
-    match Hashtbl.find bl.bl_outbox seq with
-    | o -> Some o.o_entry
-    | exception Not_found -> pending_emit ~seq bl.bl_pending)
-  | exception Not_found -> None
+  let bl = Hashtbl.find t.logs bee in
+  match Hashtbl.find bl.bl_outbox seq with
+  | o -> o.o_entry
+  | exception Not_found -> pending_emit ~seq bl.bl_pending
 
 let outbox_total t =
   Hashtbl.fold
@@ -706,50 +707,40 @@ let outbox_total t =
 
 type mark_state = Unseen | Pending | Durable
 
-(* Compares the ints in place: no [(sender, seq)] tuple per mark. *)
-let rec marked ~sender ~seq = function
-  | [] -> false
-  | (s, q) :: rest -> (s = sender && q = seq) || marked ~sender ~seq rest
+(* Compares ints in place, with no polymorphic equality. *)
+let rec marked m = function [] -> false | m' :: rest -> m' = m || marked m rest
 
-let rec pending_marked ~sender ~seq = function
+let rec pending_marked m = function
   | [] -> false
-  | r :: rest ->
-    (match r.r_consumed with Some (s, q) -> s = sender && q = seq | None -> false)
-    || marked ~sender ~seq r.r_inbox
-    || pending_marked ~sender ~seq rest
+  | r :: rest -> r.r_consumed = m || marked m r.r_inbox || pending_marked m rest
 
-let inbox_mark t ~bee ((sender, seq) as mark) =
+let inbox_mark t ~bee mark =
   match Hashtbl.find t.logs bee with
   | bl ->
-    if Hashtbl.mem bl.bl_inbox mark then Durable
-    else if pending_marked ~sender ~seq bl.bl_pending then Pending
+    if Mark.Set.mem bl.bl_inbox mark then Durable
+    else if (not (Mark.is_none mark)) && pending_marked mark bl.bl_pending then Pending
     else Unseen
   | exception Not_found -> Unseen
 
 (* Every mark a record journals, carried and consumed. *)
-let record_marks r =
-  match r.r_consumed with Some m -> m :: r.r_inbox | None -> r.r_inbox
+let record_marks r = if Mark.is_none r.r_consumed then r.r_inbox else r.r_consumed :: r.r_inbox
 
 let inbox_marks t ~bee =
   match Hashtbl.find_opt t.logs bee with
   | None -> []
   | Some bl ->
-    let durable = Hashtbl.fold (fun m () acc -> m :: acc) bl.bl_inbox [] in
-    let pending =
-      List.concat_map record_marks bl.bl_pending
-      |> List.filter (fun m -> not (Hashtbl.mem bl.bl_inbox m))
-    in
-    List.sort_uniq compare (durable @ pending)
+    let pending = List.concat_map record_marks bl.bl_pending in
+    List.sort_uniq Mark.compare (Mark.Set.fold List.cons bl.bl_inbox pending)
 
 let wipe_inbox t ~bee =
   match Hashtbl.find_opt t.logs bee with
   | None -> ()
   | Some bl ->
-    Hashtbl.reset bl.bl_inbox;
+    Mark.Set.clear bl.bl_inbox;
     List.iter
       (fun r ->
         r.r_inbox <- [];
-        r.r_consumed <- None)
+        r.r_consumed <- Mark.none)
       bl.bl_pending
 
 let drop_outbox t ~bee =
@@ -769,7 +760,7 @@ let package_bytes t ~bee =
     Hashtbl.fold (fun _ o acc -> acc + outbox_entry_overhead + o.o_bytes) bl.bl_outbox 0
   in
   package_overhead + bl.bl_snapshot_bytes + bl.bl_wal_bytes + outbox_bytes
-  + (inbox_mark_overhead * Hashtbl.length bl.bl_inbox)
+  + (inbox_mark_overhead * Mark.Set.cardinal bl.bl_inbox)
 
 let pending_writes t ~bee =
   match Hashtbl.find_opt t.logs bee with
@@ -830,7 +821,7 @@ let fsck t ~bee =
             bl.bl_wal_bytes <- bl.bl_wal_bytes - r.r_bytes;
             bl.bl_wal_records <- bl.bl_wal_records - 1;
             List.iter (fun o -> Hashtbl.remove bl.bl_outbox o.o_seq) r.r_outbox;
-            List.iter (fun m -> Hashtbl.remove bl.bl_inbox m) (record_marks r))
+            List.iter (Mark.Set.remove bl.bl_inbox) (record_marks r))
           torn;
         bl.bl_wal <- prefix;
         let n = List.length torn in
@@ -925,7 +916,7 @@ let reseed_log t ~bee ~entries:es ~outbox ~inbox =
   in
   set_snapshot t bl (List.sort entry_order es);
   List.iter (fun o -> Hashtbl.replace bl.bl_outbox o.o_seq o) outbox;
-  List.iter (fun m -> Hashtbl.replace bl.bl_inbox m ()) inbox;
+  List.iter (Mark.Set.add bl.bl_inbox) inbox;
   bump_out_seq bl outbox;
   bl.bl_next_out_seq <- max bl.bl_next_out_seq (max nos 1);
   Hashtbl.remove t.suspects bee
@@ -1048,9 +1039,9 @@ let wal_image t =
       List.iter
         (fun o -> Buffer.add_string buf (Printf.sprintf "O %d:%d\n" o.o_seq o.o_bytes))
         (durable_rows bl);
-      Hashtbl.fold (fun m () acc -> m :: acc) bl.bl_inbox []
-      |> List.sort compare
-      |> List.iter (fun (s, q) ->
-             Buffer.add_string buf (Printf.sprintf "I %d:%d\n" s q)))
+      Mark.Set.fold List.cons bl.bl_inbox []
+      |> List.sort Mark.compare
+      |> List.iter (fun m ->
+             Buffer.add_string buf (Printf.sprintf "I %d:%d\n" (Mark.sender m) (Mark.seq m))))
     (ring t);
   Buffer.contents buf

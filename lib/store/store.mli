@@ -57,7 +57,7 @@ val create :
   ?garble:('v -> 'v) ->
   ?verify:bool ->
   ?on_fsync:(hive:int -> bytes:int -> records:int -> unit) ->
-  ?on_durable:(hive:int -> acks:(int * int * int) list -> 'e list -> unit) ->
+  ?on_durable:(hive:int -> acks:Mark.Acks.t -> 'e list -> unit) ->
   unit ->
   ('v, 'e) t
 (** Creates the store. It schedules no event until the first append.
@@ -72,11 +72,12 @@ val create :
     framing needs no checksum.
     [on_fsync] fires once per hive per flush that made data durable;
     [on_durable] fires right after it with what that fsync made durable,
-    when that is anything: the [(receiver bee, sender, seq)] acks of the
-    marks its records consumed (see {!append}), and the ledger entries
-    of its outbox rows, each newest first (the commit walks bees in id
-    order, then records by lsn, then rows by seq) — the platform's cue
-    to send the acks and hand the entries to transport. *)
+    when that is anything: the [(receiver bee, mark)] acks of the marks
+    its records consumed (see {!append}), oldest first, in a buffer the
+    store reuses once the callback returns, and the ledger entries of
+    its outbox rows, newest first (the commit walks bees in id order,
+    then records by lsn, then rows by seq) — the platform's cue to send
+    the acks and hand the entries to transport. *)
 
 (** {2 The write path} *)
 
@@ -85,15 +86,15 @@ val append :
   bee:int ->
   hive:int ->
   outbox:'e emit list ->
-  inbox:(int * int) list ->
-  ?consumed:int * int ->
+  inbox:Mark.t list ->
+  consumed:Mark.t ->
   'v write list ->
   unit
 (** Appends one transaction's record to the bee's log: its write-set,
-    the outbox rows of the emits it made, the [(sender, seq)] inbox
-    dedup marks it carries over from another log ([inbox], a merge's or
-    a fail over's), and [consumed], the mark of the delivery it applied
-    (any of them may be empty). The record is the one the WAL keeps: all
+    the outbox rows of the emits it made, the inbox dedup marks it
+    carries over from another log ([inbox], a merge's or a fail over's),
+    and [consumed], the mark of the delivery it applied (any of them may
+    be empty; [consumed] is empty as {!Mark.none}). The record is the one the WAL keeps: all
     of it becomes durable together when the next group commit stamps its
     lsn and commit time (the one already armed, or one this append arms to
     land one fsync latency later), or is lost together by
@@ -106,10 +107,10 @@ val append :
 
     The store is the one record of the acks a receiver owes: when the
     record is committed, [on_durable] hands [consumed] over as
-    [(bee, sender, seq)] to [hive]'s report. Carried marks are never
+    [(bee, consumed)] to [hive]'s report. Carried marks are never
     handed over (they were acked under their first owner, or are
     re-acked from the durable inbox when the sender replays), and
-    neither is a mark whose sender is negative (it names no bee), one
+    neither is the virtual sender's mark (it names no bee), one
     {!drop_pending} dropped or one {!wipe_inbox} cleared. *)
 
 val alloc_out_seqs : ('v, 'e) t -> bee:int -> int -> int
@@ -206,7 +207,7 @@ val reseed :
   bee:int ->
   entries:(string * string * 'v) list ->
   outbox:'e emit list ->
-  inbox:(int * int) list ->
+  inbox:Mark.t list ->
   unit
 (** Repairs a crashed bee from a replication peer: replaces its storage
     with a fresh, fully-checksummed snapshot of [entries] (the peer's
@@ -270,9 +271,10 @@ val outbox_unacked : ('v, 'e) t -> bee:int -> 'e list
     exactly what replay after a restart must re-send. Pending (un-fsynced)
     entries are excluded: they were never handed to transport. *)
 
-val outbox_entry : ('v, 'e) t -> bee:int -> seq:int -> 'e option
+val outbox_entry : ('v, 'e) t -> bee:int -> seq:int -> 'e
 (** The entry the bee's outbox holds under [seq], durable or riding a
-    pending record; [None] once it is acked, dropped or never existed. *)
+    pending record. Raises [Not_found] once it is acked, dropped or
+    never existed; a lookup allocates nothing. *)
 
 val outbox_total : ('v, 'e) t -> int
 (** Un-acked outbox entries across every log, pending ones included. *)
@@ -282,16 +284,17 @@ type mark_state =
   | Pending  (** consumed by a record not yet group-committed *)
   | Durable  (** consumed, and the mark is on disk *)
 
-val inbox_mark : ('v, 'e) t -> bee:int -> int * int -> mark_state
-(** What the bee's inbox holds of the [(sender, seq)] mark, consumed or
-    carried. Dedup suppresses any seen mark: a pending one is the
+val inbox_mark : ('v, 'e) t -> bee:int -> Mark.t -> mark_state
+(** What the bee's inbox holds of the mark, consumed or carried
+    ([Unseen] for {!Mark.none}). The durable marks are one
+    {!Mark.Set}, so the lookup hashes one int and allocates nothing. Dedup suppresses any seen mark: a pending one is the
     receiver's committed in-memory view. Only a durable one may be
     re-acked, since an ack for a mark a crash can still drop would let
     the sender retire an entry the receiver forgets. *)
 
-val inbox_marks : ('v, 'e) t -> bee:int -> (int * int) list
-(** All [(sender, seq)] marks, durable and pending, sorted — what a merge
-    must carry over to the winning bee. *)
+val inbox_marks : ('v, 'e) t -> bee:int -> Mark.t list
+(** All marks, durable and pending, sorted — what a merge must carry
+    over to the winning bee. *)
 
 val wipe_inbox : ('v, 'e) t -> bee:int -> unit
 (** Debug hook for [--inject-bug replay-dup]: forgets every inbox dedup

@@ -265,7 +265,7 @@ let test_catches_stray_wal_write () =
            with
            | Some s, Some v ->
              Beehive_store.Store.append s ~bee:v.Platform.view_id
-               ~hive:v.Platform.view_hive ~outbox:[] ~inbox:[]
+               ~hive:v.Platform.view_hive ~outbox:[] ~inbox:[] ~consumed:Beehive_store.Mark.none
                [ ("stray", "k", Some (Value.V_int 1)) ];
              wrote := true
            | _ -> ()))

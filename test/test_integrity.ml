@@ -5,6 +5,7 @@
 
 open Helpers
 module Store = Beehive_store.Store
+module Mark = Beehive_store.Mark
 module Crc32 = Beehive_sim.Crc32
 module Raft_replication = Beehive_core.Raft_replication
 module Stats = Beehive_core.Stats
@@ -71,12 +72,12 @@ let test_crc32_allocation_free () =
    wrote the torn record at all. *)
 let test_torn_tail_truncates_to_prefix () =
   let store = int_store (Engine.create ()) in
-  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "a", Some 1) ];
+  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] ~consumed:Mark.none [ ("d", "a", Some 1) ];
   Store.flush store;
-  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "b", Some 2) ];
+  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] ~consumed:Mark.none [ ("d", "b", Some 2) ];
   Store.flush store;
   let prefix = sorted_entries store ~bee:0 in
-  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "c", Some 3) ];
+  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] ~consumed:Mark.none [ ("d", "c", Some 3) ];
   Store.flush store;
   Alcotest.(check bool) "tail torn" true (Store.tear_tail store ~bee:0);
   Alcotest.check verdict "one record truncated" (Store.Truncated 1)
@@ -93,8 +94,8 @@ let test_torn_tail_truncates_to_prefix () =
    truncation: fsck fail-stops the bee instead of serving the bytes. *)
 let test_bit_flip_fail_stops () =
   let store = int_store (Engine.create ()) in
-  Store.append store ~bee:7 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "a", Some 1) ];
-  Store.append store ~bee:7 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "b", Some 2) ];
+  Store.append store ~bee:7 ~hive:0 ~outbox:[] ~inbox:[] ~consumed:Mark.none [ ("d", "a", Some 1) ];
+  Store.append store ~bee:7 ~hive:0 ~outbox:[] ~inbox:[] ~consumed:Mark.none [ ("d", "b", Some 2) ];
   Store.flush store;
   Alcotest.(check bool) "record corrupted" true
     (Store.corrupt_record store ~bee:7 ~victim:0);
@@ -114,7 +115,7 @@ let test_snapshot_rot_fail_stops () =
       (Engine.create ())
   in
   for i = 0 to 19 do
-    Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "k", Some i) ];
+    Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] ~consumed:Mark.none [ ("d", "k", Some i) ];
     Store.flush store
   done;
   Alcotest.(check bool) "log compacted" true (Store.snapshot_count store ~bee:0 > 0);
@@ -133,7 +134,7 @@ let test_snapshot_rot_fail_stops () =
   Alcotest.check verdict "the re-seed is sound" Store.Intact (Store.fsck store ~bee:0);
   caught "after a re-seed";
   (* A bee that never compacted has no snapshot bytes to rot. *)
-  Store.append store ~bee:1 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "x", Some 1) ];
+  Store.append store ~bee:1 ~hive:0 ~outbox:[] ~inbox:[] ~consumed:Mark.none [ ("d", "x", Some 1) ];
   Store.flush store;
   Alcotest.(check bool) "nothing to rot without a snapshot" false
     (Store.rot_snapshot store ~bee:1)
@@ -158,8 +159,8 @@ let image_frames store =
    the commit would have written, byte for byte. *)
 let test_double_flip_restores () =
   let store = int_store (Engine.create ()) in
-  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "a", Some 1) ];
-  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "b", Some 2) ];
+  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] ~consumed:Mark.none [ ("d", "a", Some 1) ];
+  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] ~consumed:Mark.none [ ("d", "b", Some 2) ];
   Store.flush store;
   let sound = image_frames store in
   Alcotest.(check bool) "flipped" true (Store.corrupt_record store ~bee:0 ~victim:1);
@@ -178,10 +179,10 @@ let test_double_flip_restores () =
    torn, so fsck truncates it rather than fail-stopping the bee. *)
 let test_flip_then_tear_reads_torn () =
   let store = int_store (Engine.create ()) in
-  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "a", Some 1) ];
+  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] ~consumed:Mark.none [ ("d", "a", Some 1) ];
   Store.flush store;
   let prefix = sorted_entries store ~bee:0 in
-  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "b", Some 2) ];
+  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] ~consumed:Mark.none [ ("d", "b", Some 2) ];
   Store.flush store;
   Alcotest.(check bool) "newest record flipped" true
     (Store.corrupt_record store ~bee:0 ~victim:0);
@@ -201,7 +202,7 @@ let test_sound_frames_match_their_payload () =
     let bee = i mod 3 in
     Store.append store ~bee ~hive:(i mod 2)
       ~outbox:[ { Store.o_seq = i + 1; o_bytes = 10 + i; o_entry = () } ]
-      ~inbox:[ (9, i) ] ~consumed:(8, i)
+      ~inbox:[ Mark.make ~sender:9 ~seq:i ] ~consumed:(Mark.make ~sender:8 ~seq:i)
       [ ("d", Printf.sprintf "k%d" (i mod 4), Some i); ("e", "gone", None) ];
     if i mod 4 = 3 then Store.flush store
   done;
@@ -222,7 +223,7 @@ let test_sound_frames_match_their_payload () =
    [garble] so silent corruption has visible consequences downstream. *)
 let test_damaged_frames_reload_garbled () =
   let store = int_store ~garble:(fun v -> v lxor 0xFF) (Engine.create ()) in
-  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "a", Some 41) ];
+  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] ~consumed:Mark.none [ ("d", "a", Some 41) ];
   Store.flush store;
   ignore (Store.corrupt_record store ~bee:0 ~victim:0);
   Alcotest.(check (list (triple string string int)))
@@ -235,14 +236,14 @@ let test_damaged_frames_reload_garbled () =
    flipped bytes sail through fsck as if intact. *)
 let test_checksums_off_still_catches_torn () =
   let store = int_store ~verify:false (Engine.create ()) in
-  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "a", Some 1) ];
+  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] ~consumed:Mark.none [ ("d", "a", Some 1) ];
   Store.flush store;
-  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "b", Some 2) ];
+  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] ~consumed:Mark.none [ ("d", "b", Some 2) ];
   Store.flush store;
   ignore (Store.tear_tail store ~bee:0);
   Alcotest.check verdict "torn still truncated" (Store.Truncated 1)
     (Store.fsck store ~bee:0);
-  Store.append store ~bee:1 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "c", Some 3) ];
+  Store.append store ~bee:1 ~hive:0 ~outbox:[] ~inbox:[] ~consumed:Mark.none [ ("d", "c", Some 3) ];
   Store.flush store;
   ignore (Store.corrupt_record store ~bee:1 ~victim:0);
   Alcotest.check verdict "bit flip undetected" Store.Intact
@@ -256,7 +257,7 @@ let test_scrub_budget_and_detection () =
   let store = int_store (Engine.create ()) in
   for bee = 0 to 3 do
     for i = 0 to 9 do
-      Store.append store ~bee ~hive:0 ~outbox:[] ~inbox:[]
+      Store.append store ~bee ~hive:0 ~outbox:[] ~inbox:[] ~consumed:Mark.none
         [ ("d", Printf.sprintf "k%d" i, Some i) ]
     done
   done;
@@ -368,7 +369,7 @@ let prop_scrub_matches_list_walk =
           let slice_ok =
             match op with
             | Append (bee, v) ->
-              Store.append store ~bee ~hive:(bee mod 3) ~outbox:[] ~inbox:[]
+              Store.append store ~bee ~hive:(bee mod 3) ~outbox:[] ~inbox:[] ~consumed:Mark.none
                 [ ("d", Printf.sprintf "k%d" (v mod 5), Some v) ];
               track bee;
               true
@@ -403,7 +404,7 @@ let test_scrub_slice_allocation_flat () =
   let slice_words n =
     let store = int_store (Engine.create ()) in
     for bee = 0 to n - 1 do
-      Store.append store ~bee ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "k", Some bee) ]
+      Store.append store ~bee ~hive:0 ~outbox:[] ~inbox:[] ~consumed:Mark.none [ ("d", "k", Some bee) ]
     done;
     Store.flush store;
     let budget_bytes = 400 in

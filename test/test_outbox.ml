@@ -20,6 +20,7 @@ module Cell = Beehive_core.Cell
 module Stats = Beehive_core.Stats
 module Outbox = Beehive_core.Outbox
 module Store = Beehive_store.Store
+module Mark = Beehive_store.Mark
 
 type Message.payload += Fwd of string | Apply of string | Bad_map of string
 
@@ -755,10 +756,13 @@ let prop_ledger_matches_oracle =
         Message.make ~kind:k_apply ~src:Message.From_system ~sent_at:Simtime.zero
           (Apply (Printf.sprintf "%d/%d" s q))
       in
+      let find s q =
+        match Store.outbox_entry real ~bee:s ~seq:q with
+        | e -> Some e
+        | exception Not_found -> None
+      in
       let both s q f =
-        match
-          (Store.outbox_entry real ~bee:s ~seq:q, Oracle.find model ~sender:s ~seq:q)
-        with
+        match (find s q, Oracle.find model ~sender:s ~seq:q) with
         | Some e, Some e' -> f e e'
         | None, None -> ()
         | Some _, None | None, Some _ -> QCheck.Test.fail_reportf "find %d/%d differs" s q
@@ -770,7 +774,7 @@ let prop_ledger_matches_oracle =
           let q = Store.alloc_out_seqs real ~bee:s 1 in
           let m = message s q in
           Store.append real ~bee:s ~hive:(hive_of s)
-            ~outbox:[ Outbox.emit ~sender:s ~seq:q m ] ~inbox:[] [];
+            ~outbox:[ Outbox.emit ~sender:s ~seq:q m ] ~inbox:[] ~consumed:Mark.none [];
           Oracle.add model ~sender:s ~seq:q ~durable:false m
         | Commit ->
           handed := [];
@@ -811,19 +815,22 @@ let prop_ledger_matches_oracle =
             Store.reseed real ~bee:s ~entries:[] ~outbox:rows ~inbox:[]
           else begin
             Store.forget real ~bee:s;
-            Store.append real ~bee:s ~hive:(hive_of s) ~outbox:rows ~inbox:[] []
+            Store.append real ~bee:s ~hive:(hive_of s) ~outbox:rows ~inbox:[] ~consumed:Mark.none []
           end;
           Oracle.reseed model ~sender:s ~durable:from_peer emits
         | Keep (s, q) -> both s q (fun e e' -> kept := Some (e, e'))
         | Still_due same -> (
           match !kept with
           | Some (e, e') when Outbox.attempted e ->
+            (* A recheck armed at the latest attempt is fresh; one armed
+               at another instant is not. *)
             let since = if same then Outbox.last_attempt e else Simtime.of_us 99 in
-            let current =
-              Store.outbox_entry real ~bee:(Outbox.sender e) ~seq:(Outbox.seq e)
+            let due =
+              match find (Outbox.sender e) (Outbox.seq e) with
+              | Some current -> Outbox.still_due e ~current ~fresh:same
+              | None -> false
             in
-            if Outbox.still_due e ~current ~since <> Oracle.still_due model e' ~since then
-              fail "still_due" op
+            if due <> Oracle.still_due model e' ~since then fail "still_due" op
           | Some _ | None -> ())
       in
       List.iter
@@ -854,6 +861,144 @@ let prop_ledger_matches_oracle =
             if durable_keys <> oracle_keys then fail (Printf.sprintf "durable entries of %d" s) op
           done)
         ops;
+      true)
+
+(* --- Rechecks ------------------------------------------------------- *)
+
+(* The fwd bee's one outbox entry for key [key], once it is durable and
+   dispatched: an entry is dispatched in the event that makes it
+   durable. Steps 1 us at a time. *)
+let await_dispatched engine platform key =
+  let store = Option.get (Platform.store platform) in
+  let entry () =
+    match Platform.find_owner platform ~app:"t.fwd" (Cell.cell "journal" key) with
+    | Some fwd -> (
+      match Store.outbox_unacked store ~bee:fwd with [ e ] -> Some e | _ -> None)
+    | None -> None
+  in
+  run_until_state engine ~step_us:1 ~limit_us:10_000 (fun () -> Option.is_some (entry ()));
+  Option.get (entry ())
+
+(* A lost ack: the kv owner applies the pong and acks it, but the
+   fabric between the two hives is cut before the ack can leave. The
+   entry is re-dispatched from its recheck at its backoff, 2 ms doubling
+   to a 16 ms cap after each attempt, and, once the link heals, the
+   receiver dedups the replays and its re-ack retires the entry. *)
+let test_lost_ack_redispatch_times () =
+  let engine, platform, _ = make () in
+  let chans = Platform.channels platform in
+  (* The kv owner lives on hive 1, the fwd owner on hive 0. *)
+  Platform.inject platform ~from:(Channels.Hive 1) ~kind:k_apply (Apply "a");
+  drain engine;
+  inject platform ~from:0 "a";
+  let e = await_dispatched engine platform "a" in
+  let kv = Option.get (Platform.find_owner platform ~app:"t.kv" (Cell.cell "store" "a")) in
+  let fwd = Option.get (Platform.find_owner platform ~app:"t.fwd" (Cell.cell "journal" "a")) in
+  Alcotest.(check (pair int int)) "owners' hives" (0, 1)
+    (bee_hive platform fwd, bee_hive platform kv);
+  run_until_state engine ~step_us:1 ~limit_us:10_000 (fun () -> kv_count platform "a" = Some 2);
+  Channels.partition chans ~a:0 ~b:1;
+  let first = Outbox.last_attempt e in
+  let attempts = ref [ first ] in
+  let horizon = Simtime.add first (Simtime.of_ms 50) in
+  while Simtime.(Engine.now engine < horizon) do
+    Engine.run_until engine (Simtime.add (Engine.now engine) (Simtime.of_us 10));
+    if not (Simtime.equal (Outbox.last_attempt e) (List.hd !attempts)) then
+      attempts := Outbox.last_attempt e :: !attempts
+  done;
+  let rec gaps = function
+    | later :: (earlier :: _ as rest) -> (Simtime.to_us later - Simtime.to_us earlier) :: gaps rest
+    | [ _ ] | [] -> []
+  in
+  Alcotest.(check (list int)) "re-dispatched 2, 4, 8, 16 and 16 ms apart"
+    [ 2_000; 4_000; 8_000; 16_000; 16_000 ] (List.rev (gaps !attempts));
+  Alcotest.(check int) "still un-acked" 1 (Platform.outbox_unacked_total platform);
+  Channels.heal_all chans;
+  drain engine;
+  Alcotest.(check int) "retired by a re-ack" 0 (Platform.outbox_unacked_total platform);
+  Alcotest.(check (option int)) "applied exactly once" (Some 2) (kv_count platform "a")
+
+(* The recheck an entry armed at its first dispatch still fires after
+   the ack retired the entry, 2 ms later, and dispatches nothing: it is
+   the one event at that instant, and the entry keeps its one attempt. *)
+let test_retired_entry_recheck_is_a_noop () =
+  let engine, platform, _ = make () in
+  inject platform ~from:0 "a";
+  let e = await_dispatched engine platform "a" in
+  let first = Outbox.last_attempt e in
+  run_until_state engine ~step_us:1 ~limit_us:2_000 (fun () ->
+      Platform.outbox_unacked_total platform = 0);
+  let due = Simtime.add first (Outbox.backoff e) in
+  Alcotest.(check int) "due 2 ms after the dispatch" 2_000
+    (Simtime.to_us due - Simtime.to_us first);
+  Engine.run_until engine (Simtime.of_us (Simtime.to_us due - 1));
+  let events = Engine.events_executed engine in
+  let sent = Beehive_net.Transport.sent (Platform.transport platform) in
+  let dups = List.assoc "outbox.dups_suppressed" (Platform.gauges platform) in
+  Engine.run_until engine due;
+  Alcotest.(check int) "the recheck ran" (events + 1) (Engine.events_executed engine);
+  drain engine;
+  Alcotest.(check bool) "no new attempt" true (Simtime.equal first (Outbox.last_attempt e));
+  Alcotest.(check int) "nothing sent" sent
+    (Beehive_net.Transport.sent (Platform.transport platform));
+  Alcotest.(check int) "no duplicate arrived" dups
+    (List.assoc "outbox.dups_suppressed" (Platform.gauges platform));
+  Alcotest.(check (option int)) "applied once" (Some 1) (kv_count platform "a")
+
+type recheck_op = Attempt | Arm | Advance of int
+
+let print_recheck_op = function
+  | Attempt -> "attempt"
+  | Arm -> "arm"
+  | Advance us -> Printf.sprintf "advance %d us" us
+
+(* Rechecks ride a lane and carry no attempt time: each is taken in the
+   order it was armed and judged by two counts on the entry. This runs
+   them beside the timers they replaced, each of which kept the time of
+   the attempt that armed it and fired only if the entry's latest
+   attempt was still at that time. Each pair is scheduled at the same
+   instant back to back, so the two run in turn and must agree, also
+   when attempts share an instant and when a recheck is armed with no
+   new attempt (a down sender's). *)
+let prop_rechecks_match_since_timers =
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, return Attempt);
+          (2, return Arm);
+          (2, return (Advance 0));
+          (4, map (fun us -> Advance us) (oneofl [ 1; 1_000; 2_000; 4_000; 8_000; 16_000 ]));
+          (2, map (fun us -> Advance us) (int_bound 40_000));
+        ])
+  in
+  QCheck.Test.make ~name:"lane rechecks agree with since-carrying timers" ~count:500
+    QCheck.(make ~print:Print.(list print_recheck_op) Gen.(list op_gen))
+    (fun ops ->
+      let engine = Engine.create () in
+      let msg = Message.make ~kind:k_apply ~src:Message.From_system ~sent_at:Simtime.zero (Apply "k") in
+      let e = (Outbox.emit ~sender:0 ~seq:1 msg).Store.o_entry in
+      let by_lane = ref [] and by_timer = ref [] in
+      let lane = Engine.lane engine (fun e -> by_lane := Outbox.take_recheck e :: !by_lane) in
+      let arm () =
+        let since = Outbox.last_attempt e and delay = Outbox.backoff e in
+        ignore
+          (Engine.schedule_after engine delay (fun () ->
+               by_timer := Simtime.equal (Outbox.last_attempt e) since :: !by_timer));
+        Outbox.arm_recheck e;
+        Engine.post lane delay e
+      in
+      List.iter
+        (function
+          | Attempt ->
+            Outbox.start_attempt e ~now:(Engine.now engine);
+            arm ()
+          | Arm -> if Outbox.attempted e then arm ()
+          | Advance us ->
+            Engine.run_until engine (Simtime.add (Engine.now engine) (Simtime.of_us us)))
+        ops;
+      Engine.run engine;
+      if !by_lane <> !by_timer then QCheck.Test.fail_report "verdicts differ";
       true)
 
 let suite =
@@ -888,5 +1033,10 @@ let suite =
         Alcotest.test_case "an entry retires on acks from distinct receivers" `Quick
           test_entry_retires_on_distinct_acks;
         QCheck_alcotest.to_alcotest prop_ledger_matches_oracle;
+        Alcotest.test_case "a lost ack re-dispatches at 2, 4, 8, 16, 16 ms" `Quick
+          test_lost_ack_redispatch_times;
+        Alcotest.test_case "a retired entry's recheck dispatches nothing" `Quick
+          test_retired_entry_recheck_is_a_noop;
+        QCheck_alcotest.to_alcotest prop_rechecks_match_since_timers;
       ] );
   ]

@@ -6,6 +6,9 @@ module Registry = Beehive_core.Registry
 module Traffic_matrix = Beehive_net.Traffic_matrix
 module Stats = Beehive_core.Stats
 module Raft_replication = Beehive_core.Raft_replication
+module Outbox = Beehive_core.Outbox
+module Store = Beehive_store.Store
+module Mark = Beehive_store.Mark
 
 let test_put_creates_bee_and_state () =
   let engine, platform = make_platform ~apps:[ kv_app () ] () in
@@ -789,7 +792,7 @@ let test_hooked_words_per_message () =
    firing), so each step runs 5 ms of simulated time: long enough for
    the pong's commit, fsync, dispatch and ack. The bound is the measured
    cost (OCaml 5.1.1, native code); raising it needs a reason. *)
-let durable_words_per_message_bound = 117.1255
+let durable_words_per_message_bound = 96.6165
 
 let test_durable_words_per_message () =
   let engine, platform = durable_platform ~n_hives:1 ~apps:(ping_pong_apps ()) () in
@@ -801,6 +804,91 @@ let test_durable_words_per_message () =
   let per_msg = words_per_message platform step in
   Alcotest.(check int) "outbox drained" 0 (Platform.outbox_unacked_total platform);
   check_words_bound per_msg durable_words_per_message_bound
+
+(* The receive half of exactly-once in the store allocates nothing per
+   delivery once its arrays have grown: a mark lookup, unseen, pending or
+   durable, and the commit of a consumed mark (into the bee's mark set
+   and its hive's ack buffer), counted as what a record with a consumed
+   mark costs beyond the same record without one (no compaction runs).
+   The first 1,100 marks grow the set past the 900 the count adds. *)
+let test_mark_bookkeeping_words () =
+  let acks = ref 0 in
+  let store =
+    Store.create (Engine.create ())
+      ~config:{ Store.snapshot_threshold_bytes = max_int }
+      ~size_of:(fun (d, k, _) -> String.length d + String.length k)
+      ~on_durable:(fun ~hive:_ ~acks:a _ -> acks := !acks + Mark.Acks.length a)
+      ()
+  in
+  let mark seq = Mark.make ~sender:1 ~seq in
+  let write = [ ("d", "k", Some 0) ] in
+  let commit ~consumed first last =
+    for seq = first to last do
+      Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[]
+        ~consumed:(if consumed then mark seq else Mark.none)
+        write
+    done;
+    Store.flush store
+  in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  commit ~consumed:true 1 1_100;
+  commit ~consumed:false 1 900;
+  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] ~consumed:(mark 1_101) [];
+  let lookups () =
+    for seq = 1 to 1_102 do
+      ignore (Store.inbox_mark store ~bee:0 (mark seq))
+    done
+  in
+  Alcotest.(check (float 0.)) "mark lookups" 0. (words lookups);
+  Store.flush store;
+  let plain = words (fun () -> commit ~consumed:false 1 900) in
+  let marked = words (fun () -> commit ~consumed:true 1_102 2_001) in
+  Alcotest.(check (float 0.)) "consumed marks at commit" 0. (marked -. plain);
+  Alcotest.(check int) "every consumed mark handed over" 2_001 !acks
+
+(* A recheck that finds its sender down re-arms itself, so a sender whose
+   hive crashed right after it dispatched a pong keeps one recheck
+   going, every 2 ms. Each one takes the recheck, looks the entry up in
+   the store and arms the next on the dispatch's lane: 0 words. *)
+let test_recheck_words () =
+  let engine, platform = durable_platform ~n_hives:1 ~apps:(ping_pong_apps ()) () in
+  let store = Option.get (Platform.store platform) in
+  Platform.inject platform ~from:(Channels.Hive 0) ~kind:"test.ping" (Noop 0);
+  let sender = ref (-1) in
+  while
+    !sender < 0 && Simtime.(Engine.now engine < of_ms 5)
+  do
+    Engine.run_until engine (Simtime.add (Engine.now engine) (Simtime.of_us 1));
+    List.iter
+      (fun (v : Platform.bee_view) ->
+        let b = v.Platform.view_id in
+        if Store.outbox_unacked store ~bee:b <> [] then sender := b)
+      (Platform.live_bees platform)
+  done;
+  let e =
+    match Store.outbox_unacked store ~bee:!sender with
+    | [ e ] -> e
+    | _ -> Alcotest.fail "one pong dispatched"
+  in
+  let first = Outbox.last_attempt e in
+  Platform.crash_hive platform 0;
+  let at k = Simtime.add first (Simtime.of_ms (2 * k)) in
+  let worst = ref 0. and events = ref 0 in
+  for k = 1 to 200 do
+    Engine.run_until engine (Simtime.of_us (Simtime.to_us (at k) - 1));
+    let executed = Engine.events_executed engine in
+    let before = Gc.minor_words () in
+    Engine.run_until engine (at k);
+    worst := Float.max !worst (Gc.minor_words () -. before);
+    events := !events + Engine.events_executed engine - executed
+  done;
+  Alcotest.(check int) "one recheck at each instant" 200 !events;
+  Alcotest.(check (float 0.)) "words per recheck" 0. !worst;
+  Alcotest.(check bool) "never re-dispatched" true (Simtime.equal first (Outbox.last_attempt e))
 
 (* A Cells leg to an owner that takes it (nothing to claim, no lookup
    due) allocates only its delivery: no arrival closure and no plan
@@ -1053,6 +1141,9 @@ let suite =
           test_hooked_words_per_message;
         Alcotest.test_case "durable runtime words per message" `Quick
           test_durable_words_per_message;
+        Alcotest.test_case "mark lookups and consumed marks allocate 0 words" `Quick
+          test_mark_bookkeeping_words;
+        Alcotest.test_case "a recheck allocates 0 words" `Quick test_recheck_words;
         Alcotest.test_case "a Cells leg allocates only its delivery" `Quick test_cells_leg_words;
         Alcotest.test_case "stale completion is a no-op" `Quick test_stale_completion_is_a_noop;
         Alcotest.test_case "handler names its bee's current hive" `Quick

@@ -4,6 +4,11 @@
 
 open Helpers
 module Store = Beehive_store.Store
+module Mark = Beehive_store.Mark
+
+(* The mark of [(sender, seq)], and back. *)
+let mark (sender, seq) = Mark.make ~sender ~seq
+let pair m = (Mark.sender m, Mark.seq m)
 module Stats = Beehive_core.Stats
 module Raft = Beehive_raft.Raft
 module Raft_replication = Beehive_core.Raft_replication
@@ -40,7 +45,7 @@ let test_group_commit_on_demand () =
   (* A lone append arms a commit that lands exactly one fsync latency
      later... *)
   at_us 1_000;
-  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "a", Some 1) ];
+  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] ~consumed:Mark.none [ ("d", "a", Some 1) ];
   at_us 1_099;
   Alcotest.(check (list (triple string string int))) "not durable before the fsync" []
     (Store.recover store ~bee:0);
@@ -52,10 +57,10 @@ let test_group_commit_on_demand () =
   (* ...and appends made while a commit is armed ride it: one fsync. *)
   fsyncs := [];
   at_us 2_000;
-  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "b", Some 2) ];
+  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] ~consumed:Mark.none [ ("d", "b", Some 2) ];
   at_us 2_040;
-  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "c", Some 3) ];
-  Store.append store ~bee:1 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "d", Some 4) ];
+  Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] ~consumed:Mark.none [ ("d", "c", Some 3) ];
+  Store.append store ~bee:1 ~hive:0 ~outbox:[] ~inbox:[] ~consumed:Mark.none [ ("d", "d", Some 4) ];
   Alcotest.(check int) "pending" 2 (Store.pending_writes store ~bee:0);
   at_us 2_100;
   Alcotest.(check (list (triple string string int)))
@@ -68,7 +73,7 @@ let test_group_commit_on_demand () =
     !fsyncs;
   (* A store with nothing pending schedules nothing, so [Engine.run]
      returns once the last commit has landed. *)
-  Store.append store ~bee:1 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", "e", Some 5) ];
+  Store.append store ~bee:1 ~hive:0 ~outbox:[] ~inbox:[] ~consumed:Mark.none [ ("d", "e", Some 5) ];
   Engine.run engine;
   Alcotest.(check int) "run returns at the last fsync" 2_200
     (Simtime.to_us (Engine.now engine));
@@ -82,7 +87,7 @@ let test_batch_payload_bytes () =
   let store = int_store engine in
   Store.append store ~bee:3 ~hive:1
     ~outbox:[ row (7, 120); row (8, 64) ]
-    ~inbox:[ (2, 41); (5, 9) ]
+    ~inbox:[ mark (2, 41); mark (5, 9) ] ~consumed:Mark.none
     [ ("d", "a", Some 1); ("d", "b", None); ("route", "10.0.0.1", Some 2) ];
   Store.flush store;
   let wal_lines =
@@ -107,10 +112,10 @@ let test_commit_words_flat_in_key_size () =
     in
     let key = String.make key_len 'k' in
     (* The first commit sizes the per-hive commit shares. *)
-    Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", key, Some 0) ];
+    Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] ~consumed:Mark.none [ ("d", key, Some 0) ];
     Store.flush store;
     for i = 1 to 1_000 do
-      Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] [ ("d", key, Some i) ]
+      Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] ~consumed:Mark.none [ ("d", key, Some i) ]
     done;
     minor_words_of (fun () -> Store.flush store)
   in
@@ -125,19 +130,19 @@ let test_pending_record_lifecycle () =
   let engine = Engine.create () in
   let store = int_store engine in
   let append ~hive ~outbox ~inbox writes =
-    Store.append store ~bee:0 ~hive ~outbox ~inbox writes
+    Store.append store ~bee:0 ~hive ~outbox ~inbox:(List.map mark inbox) ~consumed:Mark.none writes
   in
   append ~hive:0 ~outbox:[ row (1, 10) ] ~inbox:[ (5, 1) ] [ ("d", "a", Some 1) ];
   append ~hive:1 ~outbox:[ row (2, 20) ] ~inbox:[ (6, 1) ] [ ("d", "b", Some 2) ];
   Store.wipe_inbox store ~bee:0;
   Store.drop_outbox store ~bee:0;
   Alcotest.(check bool) "wiped mark forgotten" true
-    (Store.inbox_mark store ~bee:0 (5, 1) = Store.Unseen);
+    (Store.inbox_mark store ~bee:0 (mark (5, 1)) = Store.Unseen);
   append ~hive:0 ~outbox:[ row (3, 30) ] ~inbox:[ (5, 2) ] [ ("d", "c", Some 3) ];
   append ~hive:1 ~outbox:[ row (4, 40) ] ~inbox:[ (6, 2) ] [ ("d", "e", Some 4) ];
   append ~hive:0 ~outbox:[] ~inbox:[ (7, 1) ] [];
   Alcotest.(check bool) "later mark pending" true
-    (Store.inbox_mark store ~bee:0 (6, 2) = Store.Pending);
+    (Store.inbox_mark store ~bee:0 (mark (6, 2)) = Store.Pending);
   Store.drop_pending store ~hive:1;
   Alcotest.(check int) "hive 0's records pending" 3 (Store.pending_writes store ~bee:0);
   Store.flush store;
@@ -154,7 +159,7 @@ let test_pending_record_lifecycle () =
     ]
     wal_lines;
   Alcotest.(check (list (pair int int))) "surviving inbox marks" [ (5, 2); (7, 1) ]
-    (Store.inbox_marks store ~bee:0);
+    (List.map pair (Store.inbox_marks store ~bee:0));
   Alcotest.(check (list int)) "surviving outbox entries" [ 3 ]
     (Store.outbox_unacked store ~bee:0);
   Alcotest.(check (list (triple string string int)))
@@ -178,7 +183,7 @@ let test_pending_record_lifecycle () =
 
 (* The store is the one record of the acks a receiver owes: each
    committed record's consumed mark is handed over once, as
-   [(receiver bee, sender, seq)], in the report of the hive that
+   [(receiver bee, mark)], in the report of the hive that
    appended it. Carried marks (a merge's, a fail over's), a negative
    sender's mark, a record [drop_pending] dropped and marks [wipe_inbox]
    cleared are never handed over; [flush_bee] hands over only its own
@@ -188,7 +193,12 @@ let test_consumed_marks_handed_over () =
   let reports = ref [] in
   let store =
     Store.create engine ~size_of
-      ~on_durable:(fun ~hive ~acks _ -> reports := (hive, List.rev acks) :: !reports)
+      ~on_durable:(fun ~hive ~acks _ ->
+        let ack i =
+          let m = Mark.Acks.mark acks i in
+          (Mark.Acks.receiver acks i, Mark.sender m, Mark.seq m)
+        in
+        reports := (hive, List.init (Mark.Acks.length acks) ack) :: !reports)
       ()
   in
   let handed () =
@@ -199,11 +209,13 @@ let test_consumed_marks_handed_over () =
   let reports_are what expected =
     Alcotest.(check (list (pair int (list (triple int int int))))) what expected (handed ())
   in
-  let mark_is what expected ~bee mark =
-    Alcotest.(check bool) what true (Store.inbox_mark store ~bee mark = expected)
+  let mark_is what expected ~bee m =
+    Alcotest.(check bool) what true (Store.inbox_mark store ~bee (mark m) = expected)
   in
   let append ~bee ~hive ?consumed inbox =
-    Store.append store ~bee ~hive ~outbox:[] ~inbox ?consumed [ ("d", "k", Some bee) ]
+    let consumed = Option.fold ~none:Mark.none ~some:mark consumed in
+    Store.append store ~bee ~hive ~outbox:[] ~inbox:(List.map mark inbox) ~consumed
+      [ ("d", "k", Some bee) ]
   in
   append ~bee:1 ~hive:0 ~consumed:(7, 1) [];
   append ~bee:2 ~hive:1 ~consumed:(7, 2) [];
@@ -253,9 +265,9 @@ let test_consumed_marks_handed_over () =
   (* The same record with its mark consumed or carried: one image. *)
   let image consumed =
     let s = int_store (Engine.create ()) in
-    let inbox = if consumed then [] else [ (6, 9) ] in
-    let consumed = if consumed then Some (6, 9) else None in
-    Store.append s ~bee:0 ~hive:0 ~outbox:[ row (1, 10) ] ~inbox ?consumed
+    let inbox = if consumed then [] else [ mark (6, 9) ] in
+    let consumed = if consumed then mark (6, 9) else Mark.none in
+    Store.append s ~bee:0 ~hive:0 ~outbox:[ row (1, 10) ] ~inbox ~consumed
       [ ("d", "a", Some 1) ];
     Store.flush s;
     (Store.wal_image s, Store.total_wal_bytes_written s)
@@ -265,10 +277,10 @@ let test_consumed_marks_handed_over () =
 let test_crash_loses_unsynced_tail () =
   let engine = Engine.create () in
   let store = int_store engine in
-  Store.append store ~bee:0 ~hive:2 ~outbox:[] ~inbox:[] [ ("d", "a", Some 1) ];
+  Store.append store ~bee:0 ~hive:2 ~outbox:[] ~inbox:[] ~consumed:Mark.none [ ("d", "a", Some 1) ];
   Store.flush store;
   (* A later write set that never reaches its fsync dies with the hive. *)
-  Store.append store ~bee:0 ~hive:2 ~outbox:[] ~inbox:[]
+  Store.append store ~bee:0 ~hive:2 ~outbox:[] ~inbox:[] ~consumed:Mark.none
     [ ("d", "a", Some 99); ("d", "b", Some 2) ];
   Store.drop_pending store ~hive:2;
   Engine.run_until engine (Simtime.of_ms 5);
@@ -283,11 +295,11 @@ let test_crash_loses_unsynced_tail () =
 let workload store =
   for round = 0 to 4 do
     for k = 0 to 39 do
-      Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[]
+      Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] ~consumed:Mark.none
         [ ("d", Printf.sprintf "k%02d" k, Some ((round * 100) + k)) ]
     done;
     (* Sprinkle deletes so recovery must honour tombstones. *)
-    Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[]
+    Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] ~consumed:Mark.none
       [ ("d", Printf.sprintf "k%02d" round, None) ];
     Store.flush store
   done
@@ -340,7 +352,7 @@ let test_compaction_under_concurrent_commits () =
   for round = 0 to 19 do
     for bee = 0 to 2 do
       let key = Printf.sprintf "k%d" (round mod 4) in
-      Store.append store ~bee ~hive:bee ~outbox:[] ~inbox:[]
+      Store.append store ~bee ~hive:bee ~outbox:[] ~inbox:[] ~consumed:Mark.none
         [ ("d", key, Some ((bee * 1000) + round)) ];
       Hashtbl.replace model (bee, key) ((bee * 1000) + round)
     done;
@@ -568,6 +580,119 @@ let test_raft_replication_restart_recovers_via_snapshot () =
   | entries ->
     Alcotest.failf "victim replica wrong (%d entries)" (List.length entries))
 
+(* --- Packed marks and the mark set -------------------------------- *)
+
+(* Senders and seqs drawn near the ends of their ranges as often as from
+   a small middle, so packing meets both limits and the set meets many
+   marks that differ only in their sender. *)
+let sender_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, int_range (-1) 5);
+        (1, return Mark.max_sender);
+        (1, return (Mark.max_sender - 1));
+      ])
+
+let seq_gen =
+  QCheck.Gen.(
+    frequency [ (6, int_range 0 40); (1, return Mark.max_seq); (1, return (Mark.max_seq - 1)) ])
+
+let prop_marks_pack_pairs =
+  QCheck.Test.make ~name:"packed marks round-trip and sort as their pairs" ~count:2000
+    QCheck.(
+      make
+        ~print:Print.(pair (pair int int) (pair int int))
+        Gen.(pair (pair sender_gen seq_gen) (pair sender_gen seq_gen)))
+    (fun (a, b) ->
+      let ma = mark a and mb = mark b in
+      pair ma = a
+      && (ma :> int) >= 0
+      && (not (Mark.is_none ma))
+      && Mark.acked ma = (fst a >= 0)
+      && Int.compare (Mark.compare ma mb) 0 = Int.compare (compare a b) 0
+      && Mark.of_int (ma :> int) = ma)
+
+let test_mark_range () =
+  let rejects what f =
+    match f () with
+    | (_ : Mark.t) -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "sender -2" (fun () -> Mark.make ~sender:(-2) ~seq:0);
+  rejects "sender past the limit" (fun () -> Mark.make ~sender:(Mark.max_sender + 1) ~seq:0);
+  rejects "seq -1" (fun () -> Mark.make ~sender:0 ~seq:(-1));
+  rejects "seq past the limit" (fun () -> Mark.make ~sender:0 ~seq:(Mark.max_seq + 1));
+  rejects "a negative int" (fun () -> Mark.of_int (-2));
+  Alcotest.(check (pair int int)) "the largest mark" (Mark.max_sender, Mark.max_seq)
+    (pair (Mark.make ~sender:Mark.max_sender ~seq:Mark.max_seq));
+  Alcotest.(check int) "packs to max_int" max_int
+    (Mark.make ~sender:Mark.max_sender ~seq:Mark.max_seq :> int);
+  Alcotest.(check int) "the virtual sender's first mark packs to 0" 0
+    (Mark.make ~sender:(-1) ~seq:0 :> int);
+  Alcotest.(check bool) "none is none" true (Mark.is_none (Mark.of_int (Mark.none :> int)));
+  Alcotest.(check bool) "none is no member" false (Mark.Set.mem (Mark.Set.create ()) Mark.none);
+  match Mark.Set.add (Mark.Set.create ()) Mark.none with
+  | () -> Alcotest.fail "none added to a set"
+  | exception Invalid_argument _ -> ()
+
+type set_op = Add of (int * int) | Remove of (int * int) | Mem of (int * int) | Clear
+
+let print_set_op = function
+  | Add (s, q) -> Printf.sprintf "add %d/%d" s q
+  | Remove (s, q) -> Printf.sprintf "remove %d/%d" s q
+  | Mem (s, q) -> Printf.sprintf "mem %d/%d" s q
+  | Clear -> "clear"
+
+let set_op_gen =
+  let open QCheck.Gen in
+  let key = pair sender_gen seq_gen in
+  frequency
+    [
+      (40, map (fun k -> Add k) key);
+      (20, map (fun k -> Remove k) key);
+      (10, map (fun k -> Mem k) key);
+      (1, return Clear);
+    ]
+
+(* The mark set against the table it replaced: a [(sender, seq)]-keyed
+   [Hashtbl]. After every operation each modelled mark must be found
+   (a removal that failed to shift its probe run back strands the marks
+   after the hole) and a fold must give the model's marks. Up to 300
+   operations over about 400 keys grow the table to 512 slots. *)
+let prop_mark_set_matches_hashtbl =
+  QCheck.Test.make ~name:"mark set agrees with a Hashtbl model" ~count:500
+    QCheck.(
+      make ~print:Print.(list print_set_op) Gen.(list_size (int_range 0 300) set_op_gen))
+    (fun ops ->
+      let set = Mark.Set.create () and model : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
+      let agree op =
+        let fail what = QCheck.Test.fail_reportf "%s after %s" what (print_set_op op) in
+        if Mark.Set.cardinal set <> Hashtbl.length model then fail "cardinal";
+        Hashtbl.iter (fun k () -> if not (Mark.Set.mem set (mark k)) then fail "mem") model;
+        let members = List.sort compare (Mark.Set.fold (fun m acc -> pair m :: acc) set []) in
+        let modelled = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) model []) in
+        if members <> modelled then fail "fold"
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Add k ->
+            Mark.Set.add set (mark k);
+            Hashtbl.replace model k ()
+          | Remove k ->
+            Mark.Set.remove set (mark k);
+            Hashtbl.remove model k
+          | Mem k ->
+            if Mark.Set.mem set (mark k) <> Hashtbl.mem model k then
+              QCheck.Test.fail_reportf "mem %d/%d" (fst k) (snd k)
+          | Clear ->
+            Mark.Set.clear set;
+            Hashtbl.reset model);
+          agree op)
+        ops;
+      true)
+
 let suite =
   [
     ( "store",
@@ -598,5 +723,8 @@ let suite =
           test_raft_install_snapshot_catches_up_lagging_node;
         Alcotest.test_case "raft replication restart via snapshot" `Quick
           test_raft_replication_restart_recovers_via_snapshot;
+        QCheck_alcotest.to_alcotest prop_marks_pack_pairs;
+        Alcotest.test_case "marks reject what does not pack" `Quick test_mark_range;
+        QCheck_alcotest.to_alcotest prop_mark_set_matches_hashtbl;
       ] );
   ]
