@@ -296,7 +296,7 @@ let ablation_durability () =
     let store =
       Store.create engine
         ~config:{ Store.snapshot_threshold_bytes = threshold }
-        ~size_of ()
+        ~size_of ~seq:fst ~bytes:snd ()
     in
     for round = 0 to rounds - 1 do
       for k = 0 to n_entries - 1 do

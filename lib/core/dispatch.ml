@@ -589,14 +589,13 @@ let recheck t e =
   | current -> if Outbox.still_due e ~current ~fresh then dispatch_outbox_entry t s e ~first:false
   | exception Not_found -> ()
 
-(* These entries, given newest first, just became durable together with
+(* These entries, given oldest first, just became durable together with
    their transaction's state delta — the earliest instant the platform
-   may hand them to transport. They are dispatched oldest first. *)
-let rec outbox_now_durable t s = function
-  | [] -> ()
-  | e :: older ->
-    outbox_now_durable t s older;
-    dispatch_outbox_entry t s e ~first:true
+   may hand them to transport. They are dispatched in that order. *)
+let outbox_now_durable t s rows =
+  for i = 0 to Store.Rows.length rows - 1 do
+    dispatch_outbox_entry t s (Store.Rows.get rows i) ~first:true
+  done
 
 (* ------------------------------------------------------------------ *)
 (* The store's fsync report                                            *)

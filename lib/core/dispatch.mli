@@ -111,10 +111,16 @@ val fsynced : t -> hive:int -> bytes:int -> unit
 (** The store's fsync report: charges the bytes to the hive's row of the
     traffic matrix and runs the fsync hooks. *)
 
-val durable : t -> hive:int -> acks:Beehive_store.Mark.Acks.t -> Outbox.entry list -> unit
+val durable :
+  t ->
+  hive:int ->
+  acks:Beehive_store.Mark.Acks.t ->
+  Outbox.entry Beehive_store.Store.Rows.t ->
+  unit
 (** What a hive's fsync made durable: the acks its records' inbox marks
-    owe, oldest first, and the outbox entries to dispatch, newest first.
-    The acks go out as one int array per sender hive. *)
+    owe and the outbox entries to dispatch, each oldest first, in the
+    store's reused buffers. The acks go out as one int array per sender
+    hive. *)
 
 (** {2 Hooks and counters} *)
 

@@ -1,11 +1,10 @@
 (* The exactly-once ledger: each emit's delivery bookkeeping, when to
    replay it, and which messages were quarantined. Which emits are still
-   un-acked is the store's outbox, where each row carries its entry; the
+   un-acked is the store's outbox, whose rows are the entries; the
    entry keeps the message itself, the sim's stand-in for deserializing
    the payload back out of the log on replay. *)
 
 module Simtime = Beehive_sim.Simtime
-module Store = Beehive_store.Store
 module Mark = Beehive_store.Mark
 
 (* Replay pacing for durable un-acked entries: 2 ms doubling to a 16 ms
@@ -18,7 +17,8 @@ type entry = {
   msg : Message.t;
   mutable required : int;
       (* receiver legs counted at the latest dispatch; -1 before the first *)
-  mutable ackers : int list;  (* distinct receiver bees durably applied *)
+  mutable acker : int;  (* the first receiver bee that durably applied it; -1 before *)
+  mutable more_ackers : int list;  (* later distinct ones *)
   mutable attempts : int;
   mutable last_attempt : Simtime.t;
   mutable armed : int;  (* rechecks armed and not yet taken *)
@@ -51,21 +51,19 @@ let sender e = Mark.sender e.mark
 let seq e = Mark.seq e.mark
 let msg e = e.msg
 
-let emit ~sender ~seq (msg : Message.t) =
+let bytes e = e.msg.Message.size
+
+let emit ~sender ~seq msg =
   {
-    Store.o_seq = seq;
-    o_bytes = msg.Message.size;
-    o_entry =
-      {
-        mark = Mark.make ~sender ~seq;
-        msg;
-        required = -1;
-        ackers = [];
-        attempts = 0;
-        last_attempt = Simtime.zero;
-        armed = 0;
-        stale = 0;
-      };
+    mark = Mark.make ~sender ~seq;
+    msg;
+    required = -1;
+    acker = -1;
+    more_ackers = [];
+    attempts = 0;
+    last_attempt = Simtime.zero;
+    armed = 0;
+    stale = 0;
   }
 
 (* ---- dispatch, acks, replay ---- *)
@@ -81,13 +79,19 @@ let start_attempt e ~now =
 
 let last_attempt e = e.last_attempt
 
+let n_ackers e = if e.acker < 0 then 0 else 1 + List.length e.more_ackers
+
 let set_required e legs =
   e.required <- legs;
-  List.length e.ackers >= legs
+  n_ackers e >= legs
 
+(* One leg's ack, the common case, fills the int field and conses
+   nothing. *)
 let ack e ~receiver =
-  if not (List.mem receiver e.ackers) then e.ackers <- receiver :: e.ackers;
-  e.required >= 0 && List.length e.ackers >= e.required
+  if e.acker < 0 then e.acker <- receiver
+  else if receiver <> e.acker && not (List.mem receiver e.more_ackers) then
+    e.more_ackers <- receiver :: e.more_ackers;
+  e.required >= 0 && n_ackers e >= e.required
 
 let backoff e =
   let n = min 10 (max 0 (e.attempts - 1)) in

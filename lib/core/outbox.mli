@@ -3,8 +3,8 @@
     An {!entry} is one emit's delivery bookkeeping: the receiver legs of
     its latest dispatch, the receivers that acked, and its replay
     attempts. Which entries are still un-acked is not kept here: each
-    entry rides its row in the sender's store outbox
-    ({!Beehive_store.Store.emit}), which is the one record of them — a
+    entry is its own row in the sender's store outbox
+    ({!Beehive_store.Store.t}), which is the one record of them — a
     crash, a torn tail, a re-seed or an ack that removes the row removes
     the entry with it. Nor are the acks a receiver owes: the store hands
     each one over when the fsync makes its inbox mark durable
@@ -28,10 +28,12 @@ val sender : entry -> int
 val seq : entry -> int
 val msg : entry -> Message.t
 
-val emit : sender:int -> seq:int -> Message.t -> entry Beehive_store.Store.emit
-(** A fresh, never-dispatched entry for [sender]'s emit under [seq], in
-    the outbox row the store logs for it (the message size is its
-    payload bytes). *)
+val bytes : entry -> int
+(** The payload bytes the store logs for the entry: its message's size. *)
+
+val emit : sender:int -> seq:int -> Message.t -> entry
+(** A fresh, never-dispatched entry for [sender]'s emit under [seq]: the
+    outbox row the store logs for it. *)
 
 (** {2 Dispatch and acknowledgement} *)
 
@@ -50,7 +52,7 @@ val set_required : entry -> int -> bool
 
 val ack : entry -> receiver:int -> bool
 (** Records that [receiver] durably applied the entry; true once every
-    required leg has. *)
+    required leg has. The first receiver to ack allocates nothing. *)
 
 val backoff : entry -> Beehive_sim.Simtime.t
 (** Delay before re-dispatching after the latest attempt: 2 ms doubling

@@ -424,7 +424,8 @@ let create engine cfg =
       (let store =
          Option.map
            (fun config ->
-             Store.create engine ~config ~size_of ~garble:Value.garble
+             Store.create engine ~config ~size_of ~seq:Outbox.seq ~bytes:Outbox.bytes
+               ~garble:Value.garble
                ~verify:(cfg.inject <> Some Checksums_off)
                ~on_fsync:(fun ~hive ~bytes ~records:_ ->
                  Dispatch.fsynced (Lazy.force dispatch) ~hive ~bytes)

@@ -43,13 +43,54 @@ val acked : t -> bool
 val compare : t -> t -> int
 (** The [(sender, seq)] order. *)
 
+(** {2 Int-keyed tables}
+
+    A mutable map from non-negative ints to values in two parallel
+    arrays, open-addressed: linear probing from a multiplicative hash,
+    at most half full, and removal by backward shift, so no tombstone
+    stays behind. A fresh table holds no slots and takes 16 at its first
+    key. Finding, replacing and removing allocate nothing once the table
+    has grown, and no lookup hashes through [caml_hash]. A store keeps a
+    bee's durable outbox rows in one, by seq. A slot a removal empties
+    keeps its old value until a key reuses it or the table grows. *)
+module Table : sig
+  type 'a t
+
+  val create : unit -> 'a t
+
+  val find : 'a t -> int -> 'a
+  (** Raises [Not_found] if the key is absent. *)
+
+  val find_or : 'a t -> int -> 'a -> 'a
+  (** [find_or t k d] is [k]'s value, or [d] if [k] is absent. *)
+
+  val replace : 'a t -> int -> 'a -> unit
+  (** Binds the key to the value. Raises [Invalid_argument] on a
+      negative key. *)
+
+  val remove : 'a t -> int -> unit
+  (** Removes the key if present. *)
+
+  val length : 'a t -> int
+  val fold : (int -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
+
+  val clear : 'a t -> unit
+  (** Removes every key and gives the slots back. *)
+end
+
 (** {2 Sets of marks}
 
-    A mutable set of marks in one open-addressed table of ints: linear
-    probing from a multiplicative hash, at most half full, and removal
-    by backward shift, so no tombstone stays behind. Adding, finding and
-    removing a mark allocate nothing once the table has grown. A fresh
-    set holds 16 slots. *)
+    A mutable set of marks. Each sender has a floor, the highest seq [f]
+    such that its seqs [1 .. f] are all members, kept in a {!Table} by
+    sender; an open-addressed table of ints like {!Table}'s keys holds
+    only the marks above their sender's floor (and seq 0, which no floor
+    covers). Adding seq [f + 1] raises the floor over it and over every
+    seq contiguous above it, which leave the table; removing a seq at or
+    under the floor splits it, and the seqs above the removed one enter
+    the table. So a sender whose seqs arrive in order, or out of order
+    within a window, costs one floor and no more than a window of slots.
+    Adding, finding and removing a mark above its floor allocate nothing
+    once the tables have grown. A fresh set holds no slots. *)
 module Set : sig
   type mark := t
   type t
@@ -64,10 +105,12 @@ module Set : sig
   (** Removes the mark if present. *)
 
   val cardinal : t -> int
+
   val fold : (mark -> 'a -> 'a) -> t -> 'a -> 'a
+  (** Visits every member once, in no particular order. *)
 
   val clear : t -> unit
-  (** Removes every mark and shrinks the table back to 16 slots. *)
+  (** Removes every mark and gives the slots back. *)
 end
 
 (** {2 Ack buffers}

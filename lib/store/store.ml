@@ -10,8 +10,6 @@ let default_config = { snapshot_threshold_bytes = 64 * 1024 }
 
 type 'v write = string * string * 'v option
 
-type 'e emit = { o_seq : int; o_bytes : int; o_entry : 'e }
-
 (* The length+CRC32 envelope around a durable artifact, as the disk
    holds it. [f_payload] models the bytes on disk: fault injection
    mutates it in place, while [f_len] and [f_crc] are what the envelope
@@ -58,9 +56,9 @@ type ('v, 'e) record = {
   r_hive : int;  (* the appending hive, charged the fsync *)
   r_writes : 'v write list;
   r_bytes : int;
-  mutable r_outbox : 'e emit list;
-      (* outbox entries committed with this record — truncating the
-         record must unwind them *)
+  mutable r_outbox : 'e list;
+      (* outbox entries committed with this record, oldest first —
+         truncating the record must unwind them *)
   mutable r_inbox : Mark.t list;  (* dedup marks carried into this record *)
   mutable r_consumed : Mark.t;
       (* the mark of the delivery this record applied, or [Mark.none]:
@@ -99,44 +97,72 @@ type ('v, 'e) bee_log = {
   mutable bl_next_out_seq : int;
       (* next outbox sequence number; monotonic, never reused even after
          acks, so a receiver's cutoff stays valid across sender restarts *)
-  bl_outbox : (int, 'e emit) Hashtbl.t;
-      (* durable un-acked outbox, by seq *)
+  bl_outbox : 'e Mark.Table.t;  (* durable un-acked outbox entries, by seq *)
   bl_inbox : Mark.Set.t;  (* durable dedup marks: deliveries already applied *)
 }
 
+(* The outbox entries one fsync made durable, oldest first, in an array
+   reused from commit to commit. Slots past [n] keep the entries of an
+   earlier commit until a later one overwrites them: the buffer has no
+   placeholder entry to clear them with. *)
+module Rows = struct
+  type 'e t = { mutable items : 'e array; mutable n : int }
+
+  let create () = { items = [||]; n = 0 }
+
+  let push r e =
+    if r.n = Array.length r.items then begin
+      let grown = Array.make (max 16 (2 * r.n)) e in
+      Array.blit r.items 0 grown 0 r.n;
+      r.items <- grown
+    end;
+    Array.unsafe_set r.items r.n e;
+    r.n <- r.n + 1
+
+  let length r = r.n
+
+  let get r i =
+    if i < 0 || i >= r.n then invalid_arg "Store.Rows.get";
+    Array.unsafe_get r.items i
+
+  let clear r = r.n <- 0
+end
+
 (* One hive's share of the group commit in progress: the fsync it will
-   be charged, the acks that fsync makes durable, oldest first, in a
-   buffer reused from commit to commit, and the outbox entries it makes
-   durable, newest first. *)
+   be charged, and the acks and the outbox entries that fsync makes
+   durable, oldest first, in buffers reused from commit to commit. *)
 type 'e hive_commit = {
   mutable hc_bytes : int;
   mutable hc_records : int;
   hc_acks : Mark.Acks.t;
-  mutable hc_outbox : 'e list;
+  hc_outbox : 'e Rows.t;
 }
 
 type ('v, 'e) t = {
   engine : Engine.t;
   cfg : config;
   size_of : 'v write -> int;
+  seq : 'e -> int;  (* an outbox entry's seq *)
+  bytes : 'e -> int;  (* and its payload bytes, which the log records *)
   garble : 'v -> 'v;
       (* what a reader gets back from physically damaged bytes it failed to
          (or chose not to) verify — the platform supplies a value-level
          corruption so damage is semantically visible downstream *)
   on_fsync : (hive:int -> bytes:int -> records:int -> unit) option;
-  on_durable : (hive:int -> acks:Mark.Acks.t -> 'e list -> unit) option;
+  on_durable : (hive:int -> acks:Mark.Acks.t -> 'e Rows.t -> unit) option;
   verify : bool;
       (* false only under the injected checksums-off bug: frames are still
          charged (byte accounting and schedules are unchanged) but
          verification is skipped, so garbled records read back as if they
          were sound. Length framing still catches torn tails — that
          detection needs no checksum. *)
-  logs : (int, ('v, 'e) bee_log) Hashtbl.t;
-  mutable ring : ('v, 'e) bee_log array;
-      (* every log in [logs], in bee-id order: the scrub's walk. Only
-         [log_of], [forget] and [reseed_log] add or remove logs; they set
-         [ring_stale], and the next reader rebuilds the array once. *)
-  mutable ring_stale : bool;
+  mutable logs : ('v, 'e) bee_log array;
+      (* indexed by bee id, [absent] where a bee has no log; grown to the
+         largest id [log_of] was asked for. Walking it is walking the
+         logs in bee-id order. *)
+  absent : ('v, 'e) bee_log;
+      (* the placeholder of a missing log: empty, and never written *)
+  mutable n_logs : int;  (* slots of [logs] holding a log *)
   mutable dirty : ('v, 'e) bee_log array;
   mutable n_dirty : int;
       (* the first [n_dirty] slots of [dirty]: logs queued with records
@@ -204,11 +230,11 @@ let add_pair buf tag x y =
   Buffer.add_char buf ':';
   add_int buf y
 
-let rec add_emits buf = function
+let rec add_emits t buf = function
   | [] -> ()
-  | o :: rest ->
-    add_pair buf 'o' o.o_seq o.o_bytes;
-    add_emits buf rest
+  | e :: rest ->
+    add_pair buf 'o' (t.seq e) (t.bytes e);
+    add_emits t buf rest
 
 let add_mark buf m = add_pair buf 'i' (Mark.sender m) (Mark.seq m)
 
@@ -229,7 +255,7 @@ let payload_of_record t r =
   Buffer.add_char buf 'R';
   add_int buf r.r_lsn;
   add_writes t buf r.r_writes;
-  add_emits buf r.r_outbox;
+  add_emits t buf r.r_outbox;
   add_marks buf r.r_inbox;
   add_consumed buf r.r_consumed;
   Buffer.contents buf
@@ -257,41 +283,65 @@ let snapshot_image t bl =
   | Damaged f -> f
   | Sound -> image_of (payload_of_snapshot t ~lsn:bl.bl_snapshot_lsn bl.bl_snapshot)
 
-let log_of t bee =
-  match Hashtbl.find t.logs bee with
-  | bl -> bl
-  | exception Not_found ->
-    let bl =
-      {
-        bl_bee = bee;
-        bl_dirty = false;
-        bl_pending = [];
-        bl_wal = [];
-        bl_wal_bytes = 0;
-        bl_wal_records = 0;
-        bl_snapshot = [];
-        bl_snapshot_lsn = 0;
-        bl_snapshot_frame = Sound;
-        bl_snapshot_bytes = 0;
-        bl_compactions = 0;
-        bl_next_lsn = 1;
-        bl_next_out_seq = 1;
-        bl_outbox = Hashtbl.create 8;
-        bl_inbox = Mark.Set.create ();
-      }
-    in
-    Hashtbl.add t.logs bee bl;
-    t.ring_stale <- true;
-    bl
+(* A log with nothing in it; its tables hold no slots until used. *)
+let empty_log bee =
+  {
+    bl_bee = bee;
+    bl_dirty = false;
+    bl_pending = [];
+    bl_wal = [];
+    bl_wal_bytes = 0;
+    bl_wal_records = 0;
+    bl_snapshot = [];
+    bl_snapshot_lsn = 0;
+    bl_snapshot_frame = Sound;
+    bl_snapshot_bytes = 0;
+    bl_compactions = 0;
+    bl_next_lsn = 1;
+    bl_next_out_seq = 1;
+    bl_outbox = Mark.Table.create ();
+    bl_inbox = Mark.Set.create ();
+  }
 
-let ring t =
-  if t.ring_stale then begin
-    let a = Array.of_seq (Hashtbl.to_seq_values t.logs) in
-    Array.sort (fun a b -> Int.compare a.bl_bee b.bl_bee) a;
-    t.ring <- a;
-    t.ring_stale <- false
-  end;
-  t.ring
+(* The bee's log, or [t.absent]: an array read, no hashing. *)
+let find_log t bee =
+  if bee >= 0 && bee < Array.length t.logs then Array.unsafe_get t.logs bee else t.absent
+
+let find_log_opt t bee =
+  let bl = find_log t bee in
+  if bl == t.absent then None else Some bl
+
+let log_of t bee =
+  let bl = find_log t bee in
+  if bl != t.absent then bl
+  else begin
+    if bee < 0 then invalid_arg (Printf.sprintf "Store: bee %d has no log" bee);
+    let n = Array.length t.logs in
+    if bee >= n then begin
+      let grown = Array.make (max (bee + 1) (2 * n)) t.absent in
+      Array.blit t.logs 0 grown 0 n;
+      t.logs <- grown
+    end;
+    let bl = empty_log bee in
+    t.logs.(bee) <- bl;
+    t.n_logs <- t.n_logs + 1;
+    bl
+  end
+
+(* Drops the bee's log, if it has one. *)
+let remove_log t bee =
+  if find_log t bee != t.absent then begin
+    t.logs.(bee) <- t.absent;
+    t.n_logs <- t.n_logs - 1
+  end
+
+(* Applies [f] to every log, in bee-id order. *)
+let iter_logs t f =
+  let logs = t.logs in
+  for i = 0 to Array.length logs - 1 do
+    let bl = Array.unsafe_get logs i in
+    if bl != t.absent then f bl
+  done
 
 let mark_dirty t bl =
   if not bl.bl_dirty then begin
@@ -343,11 +393,10 @@ let take_dirty t =
     let bl = ds.(i) in
     if bl.bl_dirty then begin
       bl.bl_dirty <- false;
-      match Hashtbl.find t.logs bl.bl_bee with
-      | cur when cur == bl ->
+      if find_log t bl.bl_bee == bl then begin
         ds.(!n) <- bl;
         incr n
-      | _ | (exception Not_found) -> ()
+      end
     end
   done;
   t.n_dirty <- 0;
@@ -362,21 +411,22 @@ let rec writes_bytes t acc = function
   | [] -> acc
   | w :: rest -> writes_bytes t (acc + t.size_of w) rest
 
-let rec outbox_bytes acc = function
+let rec outbox_bytes t acc = function
   | [] -> acc
-  | o :: rest -> outbox_bytes (acc + outbox_entry_overhead + o.o_bytes) rest
+  | e :: rest -> outbox_bytes t (acc + outbox_entry_overhead + t.bytes e) rest
 
 let record_bytes t writes ~outbox ~inbox ~consumed =
-  record_overhead + frame_overhead + writes_bytes t 0 writes + outbox_bytes 0 outbox
+  record_overhead + frame_overhead + writes_bytes t 0 writes + outbox_bytes t 0 outbox
   + (inbox_mark_overhead * (List.length inbox + if Mark.is_none consumed then 0 else 1))
 
 (* Explicit sequence numbers (failover re-seeding) must never collide
    with future allocations. *)
-let rec bump_out_seq bl = function
+let rec bump_out_seq t bl = function
   | [] -> ()
-  | o :: rest ->
-    if o.o_seq >= bl.bl_next_out_seq then bl.bl_next_out_seq <- o.o_seq + 1;
-    bump_out_seq bl rest
+  | e :: rest ->
+    let seq = t.seq e in
+    if seq >= bl.bl_next_out_seq then bl.bl_next_out_seq <- seq + 1;
+    bump_out_seq t bl rest
 
 let alloc_out_seqs t ~bee n =
   let bl = log_of t bee in
@@ -459,15 +509,21 @@ let hive_commit t hive =
     t.commits <-
       Array.init (max (hive + 1) (2 * n)) (fun i ->
           if i < n then t.commits.(i)
-          else { hc_bytes = 0; hc_records = 0; hc_acks = Mark.Acks.create (); hc_outbox = [] });
+          else
+            {
+              hc_bytes = 0;
+              hc_records = 0;
+              hc_acks = Mark.Acks.create ();
+              hc_outbox = Rows.create ();
+            });
   t.commits.(hive)
 
-let rec publish_outbox bl hc = function
+let rec publish_outbox t bl hc = function
   | [] -> ()
-  | o :: rest ->
-    Hashtbl.replace bl.bl_outbox o.o_seq o;
-    hc.hc_outbox <- o.o_entry :: hc.hc_outbox;
-    publish_outbox bl hc rest
+  | e :: rest ->
+    Mark.Table.replace bl.bl_outbox (t.seq e) e;
+    Rows.push hc.hc_outbox e;
+    publish_outbox t bl hc rest
 
 let rec mark_inbox bl = function
   | [] -> ()
@@ -499,7 +555,7 @@ let commit_record t bl r =
   let hc = hive_commit t r.r_hive in
   hc.hc_bytes <- hc.hc_bytes + r.r_bytes;
   hc.hc_records <- hc.hc_records + 1;
-  publish_outbox bl hc r.r_outbox;
+  publish_outbox t bl hc r.r_outbox;
   mark_inbox bl r.r_inbox;
   consume bl hc r.r_consumed
 
@@ -533,17 +589,17 @@ let fire_fsyncs t =
   for hive = 0 to Array.length fired - 1 do
     let hc = fired.(hive) in
     if hc.hc_records > 0 then begin
-      let bytes = hc.hc_bytes and records = hc.hc_records and outbox = hc.hc_outbox in
+      let bytes = hc.hc_bytes and records = hc.hc_records in
       hc.hc_bytes <- 0;
       hc.hc_records <- 0;
-      hc.hc_outbox <- [];
       t.n_fsyncs <- t.n_fsyncs + 1;
       (match t.on_fsync with Some f -> f ~hive ~bytes ~records | None -> ());
       (match t.on_durable with
-      | Some f when Mark.Acks.length hc.hc_acks > 0 || outbox <> [] ->
-        f ~hive ~acks:hc.hc_acks outbox
+      | Some f when Mark.Acks.length hc.hc_acks > 0 || Rows.length hc.hc_outbox > 0 ->
+        f ~hive ~acks:hc.hc_acks hc.hc_outbox
       | Some _ | None -> ());
-      Mark.Acks.clear hc.hc_acks
+      Mark.Acks.clear hc.hc_acks;
+      Rows.clear hc.hc_outbox
     end
   done;
   t.spare_commits <- fired
@@ -567,7 +623,7 @@ let flush t =
   if !committed then fire_fsyncs t
 
 let flush_bee t ~bee =
-  match Hashtbl.find_opt t.logs bee with
+  match find_log_opt t bee with
   | None -> ()
   | Some bl ->
     if commit_log t bl then begin
@@ -602,7 +658,7 @@ let append t ~bee ~hive ~outbox ~inbox ~consumed writes =
       }
       :: bl.bl_pending;
     mark_dirty t bl;
-    bump_out_seq bl outbox;
+    bump_out_seq t bl outbox;
     if not t.armed then begin
       t.armed <- true;
       (* Kept through a hive's crash: the group commit serves every hive,
@@ -611,19 +667,21 @@ let append t ~bee ~hive ~outbox ~inbox ~consumed writes =
     end
   end
 
-let create engine ?(config = default_config) ~size_of ?(garble = fun v -> v)
+let create engine ?(config = default_config) ~size_of ~seq ~bytes ?(garble = fun v -> v)
     ?(verify = true) ?on_fsync ?on_durable () =
   {
     engine;
     cfg = config;
     size_of;
+    seq;
+    bytes;
     garble;
     on_fsync;
     on_durable;
     verify;
-    logs = Hashtbl.create 64;
-    ring = [||];
-    ring_stale = false;
+    logs = [||];
+    absent = empty_log (-1);
+    n_logs = 0;
     dirty = [||];
     n_dirty = 0;
     commits = [||];
@@ -644,66 +702,61 @@ let create engine ?(config = default_config) ~size_of ?(garble = fun v -> v)
   }
 
 let drop_pending t ~hive =
-  Array.iter
-    (fun bl -> bl.bl_pending <- List.filter (fun r -> r.r_hive <> hive) bl.bl_pending)
-    (ring t)
+  iter_logs t (fun bl -> bl.bl_pending <- List.filter (fun r -> r.r_hive <> hive) bl.bl_pending)
 
 let forget t ~bee =
-  Hashtbl.remove t.logs bee;
-  t.ring_stale <- true;
+  remove_log t bee;
   Hashtbl.remove t.suspects bee
 
 let recover t ~bee =
-  match Hashtbl.find_opt t.logs bee with
+  match find_log_opt t bee with
   | None -> []
   | Some bl -> durable_entries t bl
 
 let recovery_cost t ~bee =
-  match Hashtbl.find_opt t.logs bee with
+  match find_log_opt t bee with
   | None -> (0, 0)
   | Some bl -> (bl.bl_wal_records, bl.bl_snapshot_bytes + bl.bl_wal_bytes)
 
 (* ---- outbox / inbox ------------------------------------------------ *)
 
-let ack_outbox t ~bee ~seq =
-  match Hashtbl.find t.logs bee with
-  | bl -> Hashtbl.remove bl.bl_outbox seq
-  | exception Not_found -> ()
+let ack_outbox t ~bee ~seq = Mark.Table.remove (find_log t bee).bl_outbox seq
 
-(* The log's durable outbox rows, ascending by seq. *)
-let durable_rows bl =
-  Hashtbl.fold (fun _ o acc -> o :: acc) bl.bl_outbox []
-  |> List.sort (fun a b -> Int.compare a.o_seq b.o_seq)
+(* The log's durable outbox entries, ascending by seq. *)
+let durable_rows t bl =
+  Mark.Table.fold (fun _ e acc -> e :: acc) bl.bl_outbox []
+  |> List.sort (fun a b -> Int.compare (t.seq a) (t.seq b))
 
 let outbox_unacked t ~bee =
-  match Hashtbl.find_opt t.logs bee with
+  match find_log_opt t bee with
   | None -> []
-  | Some bl -> List.map (fun o -> o.o_entry) (durable_rows bl)
+  | Some bl -> durable_rows t bl
 
 (* The entry of row [seq] in the pending records, newest first. *)
-let rec pending_emit ~seq = function
+let rec pending_emit t ~seq = function
   | [] -> raise Not_found
-  | r :: older -> pending_row ~seq r.r_outbox older
+  | r :: older -> pending_row t ~seq r.r_outbox older
 
-and pending_row ~seq rows older =
+and pending_row t ~seq rows older =
   match rows with
-  | [] -> pending_emit ~seq older
-  | o :: rest -> if o.o_seq = seq then o.o_entry else pending_row ~seq rest older
+  | [] -> pending_emit t ~seq older
+  | e :: rest -> if t.seq e = seq then e else pending_row t ~seq rest older
 
 let outbox_entry t ~bee ~seq =
-  let bl = Hashtbl.find t.logs bee in
-  match Hashtbl.find bl.bl_outbox seq with
-  | o -> o.o_entry
-  | exception Not_found -> pending_emit ~seq bl.bl_pending
+  let bl = find_log t bee in
+  match Mark.Table.find bl.bl_outbox seq with
+  | e -> e
+  | exception Not_found -> pending_emit t ~seq bl.bl_pending
 
 let outbox_total t =
-  Hashtbl.fold
-    (fun _ bl acc ->
-      List.fold_left
-        (fun acc r -> acc + List.length r.r_outbox)
-        (acc + Hashtbl.length bl.bl_outbox)
-        bl.bl_pending)
-    t.logs 0
+  let n = ref 0 in
+  iter_logs t (fun bl ->
+      n :=
+        List.fold_left
+          (fun acc r -> acc + List.length r.r_outbox)
+          (!n + Mark.Table.length bl.bl_outbox)
+          bl.bl_pending);
+  !n
 
 type mark_state = Unseen | Pending | Durable
 
@@ -715,25 +768,23 @@ let rec pending_marked m = function
   | r :: rest -> r.r_consumed = m || marked m r.r_inbox || pending_marked m rest
 
 let inbox_mark t ~bee mark =
-  match Hashtbl.find t.logs bee with
-  | bl ->
-    if Mark.Set.mem bl.bl_inbox mark then Durable
-    else if (not (Mark.is_none mark)) && pending_marked mark bl.bl_pending then Pending
-    else Unseen
-  | exception Not_found -> Unseen
+  let bl = find_log t bee in
+  if Mark.Set.mem bl.bl_inbox mark then Durable
+  else if (not (Mark.is_none mark)) && pending_marked mark bl.bl_pending then Pending
+  else Unseen
 
 (* Every mark a record journals, carried and consumed. *)
 let record_marks r = if Mark.is_none r.r_consumed then r.r_inbox else r.r_consumed :: r.r_inbox
 
 let inbox_marks t ~bee =
-  match Hashtbl.find_opt t.logs bee with
+  match find_log_opt t bee with
   | None -> []
   | Some bl ->
     let pending = List.concat_map record_marks bl.bl_pending in
     List.sort_uniq Mark.compare (Mark.Set.fold List.cons bl.bl_inbox pending)
 
 let wipe_inbox t ~bee =
-  match Hashtbl.find_opt t.logs bee with
+  match find_log_opt t bee with
   | None -> ()
   | Some bl ->
     Mark.Set.clear bl.bl_inbox;
@@ -744,10 +795,10 @@ let wipe_inbox t ~bee =
       bl.bl_pending
 
 let drop_outbox t ~bee =
-  match Hashtbl.find_opt t.logs bee with
+  match find_log_opt t bee with
   | None -> ()
   | Some bl ->
-    Hashtbl.reset bl.bl_outbox;
+    Mark.Table.clear bl.bl_outbox;
     List.iter (fun r -> r.r_outbox <- []) bl.bl_pending
 
 (* ---- migration ----------------------------------------------------- *)
@@ -757,18 +808,18 @@ let package_bytes t ~bee =
   let bl = log_of t bee in
   if bl.bl_wal_bytes > t.cfg.snapshot_threshold_bytes then compact_log t bl;
   let outbox_bytes =
-    Hashtbl.fold (fun _ o acc -> acc + outbox_entry_overhead + o.o_bytes) bl.bl_outbox 0
+    Mark.Table.fold (fun _ e acc -> acc + outbox_entry_overhead + t.bytes e) bl.bl_outbox 0
   in
   package_overhead + bl.bl_snapshot_bytes + bl.bl_wal_bytes + outbox_bytes
   + (inbox_mark_overhead * Mark.Set.cardinal bl.bl_inbox)
 
 let pending_writes t ~bee =
-  match Hashtbl.find_opt t.logs bee with
+  match find_log_opt t bee with
   | None -> 0
   | Some bl -> List.length bl.bl_pending
 
 let snapshot_count t ~bee =
-  match Hashtbl.find_opt t.logs bee with None -> 0 | Some bl -> bl.bl_compactions
+  match find_log_opt t bee with None -> 0 | Some bl -> bl.bl_compactions
 
 let total_fsyncs t = t.n_fsyncs
 let total_wal_bytes_written t = t.wal_bytes_written
@@ -786,7 +837,7 @@ let mark_suspect t bee detail =
   end
 
 let fsck t ~bee =
-  match Hashtbl.find_opt t.logs bee with
+  match find_log_opt t bee with
   | None -> Intact
   | Some bl ->
     (* Split the newest-first WAL into the trailing run of torn records
@@ -820,7 +871,7 @@ let fsck t ~bee =
           (fun r ->
             bl.bl_wal_bytes <- bl.bl_wal_bytes - r.r_bytes;
             bl.bl_wal_records <- bl.bl_wal_records - 1;
-            List.iter (fun o -> Hashtbl.remove bl.bl_outbox o.o_seq) r.r_outbox;
+            List.iter (fun e -> Mark.Table.remove bl.bl_outbox (t.seq e)) r.r_outbox;
             List.iter (Mark.Set.remove bl.bl_inbox) (record_marks r))
           torn;
         bl.bl_wal <- prefix;
@@ -829,31 +880,31 @@ let fsck t ~bee =
         Truncated n
     end
 
+(* The largest bee id with a log; -1 if none has one. *)
+let last_log t =
+  let i = ref (Array.length t.logs - 1) in
+  while !i >= 0 && t.logs.(!i) == t.absent do
+    decr i
+  done;
+  !i
+
 let scrub t ~budget_bytes =
-  if budget_bytes <= 0 then (0, [])
+  if budget_bytes <= 0 || t.n_logs = 0 then (0, [])
   else begin
-    let ring = ring t in
-    let n = Array.length ring in
-    if n = 0 then (0, [])
-    else begin
-      (* The walk starts at the first log after the cursor and wraps
-         around the ring; binary search finds it without touching the
-         logs this slice will not visit. *)
-      let lo = ref 0 and hi = ref n in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if ring.(mid).bl_bee > t.scrub_cursor then hi := mid else lo := mid + 1
-      done;
-      let start = if !lo = n then 0 else !lo in
-      let at i = ring.((start + i) mod n) in
-      (* Walk the ring from the cursor until the byte budget is spent:
-         charge each log, advance the cursor, and verify the log, so
-         suspects are marked and reported in walk order. *)
-      let scanned = ref 0 in
-      let visited = ref 0 in
-      let found = ref [] in
-      while !visited < n && !scanned < budget_bytes do
-        let bl = at !visited in
+    let logs = t.logs in
+    let n = t.n_logs and len = Array.length logs in
+    (* Walk the logs in bee-id order from the first one after the cursor,
+       wrapping around, until the byte budget is spent: charge each log,
+       advance the cursor, and verify the log, so suspects are marked and
+       reported in walk order. *)
+    let scanned = ref 0 in
+    let visited = ref 0 in
+    let found = ref [] in
+    let i = ref (t.scrub_cursor + 1) in
+    while !visited < n && !scanned < budget_bytes do
+      if !i >= len then i := 0;
+      let bl = logs.(!i) in
+      if bl != t.absent then begin
         t.scrub_cursor <- bl.bl_bee;
         scanned := !scanned + bl.bl_snapshot_bytes + bl.bl_wal_bytes;
         t.records_verified <- t.records_verified + bl.bl_wal_records + 1;
@@ -863,21 +914,22 @@ let scrub t ~budget_bytes =
           found := (bl.bl_bee, detail) :: !found
         | None -> ());
         incr visited
-      done;
-      (* A pass completes when one call covered every log, or when the
-         round-robin cursor reaches the end of the ring across calls. *)
-      if !visited >= n || t.scrub_cursor = ring.(n - 1).bl_bee then begin
-        t.scrubs_completed <- t.scrubs_completed + 1;
-        t.scrub_cursor <- -1
       end;
-      (!scanned, List.rev !found)
-    end
+      incr i
+    done;
+    (* A pass completes when one call covered every log, or when the
+       round-robin cursor reaches the last log across calls. *)
+    if !visited >= n || t.scrub_cursor = last_log t then begin
+      t.scrubs_completed <- t.scrubs_completed + 1;
+      t.scrub_cursor <- -1
+    end;
+    (!scanned, List.rev !found)
   end
 
 (* Oracle used by monitors and tests: always verifies, even with
    [verify] off. *)
 let verify_chain t ~bee =
-  match Hashtbl.find_opt t.logs bee with
+  match find_log_opt t bee with
   | None -> None
   | Some bl ->
     if frame_damaged_oracle bl.bl_snapshot_frame then
@@ -902,9 +954,8 @@ let suspects t =
    durable state is rewritten from the supplied lists; the lsn, the
    compaction count and the outbox seq allocator carry over. *)
 let reseed_log t ~bee ~entries:es ~outbox ~inbox =
-  let old = Hashtbl.find_opt t.logs bee in
-  Hashtbl.remove t.logs bee;
-  t.ring_stale <- true;
+  let old = find_log_opt t bee in
+  remove_log t bee;
   let bl = log_of t bee in
   let nos =
     match old with
@@ -915,9 +966,9 @@ let reseed_log t ~bee ~entries:es ~outbox ~inbox =
     | None -> 1
   in
   set_snapshot t bl (List.sort entry_order es);
-  List.iter (fun o -> Hashtbl.replace bl.bl_outbox o.o_seq o) outbox;
+  List.iter (fun e -> Mark.Table.replace bl.bl_outbox (t.seq e) e) outbox;
   List.iter (Mark.Set.add bl.bl_inbox) inbox;
-  bump_out_seq bl outbox;
+  bump_out_seq t bl outbox;
   bl.bl_next_out_seq <- max bl.bl_next_out_seq (max nos 1);
   Hashtbl.remove t.suspects bee
 
@@ -932,7 +983,7 @@ let reseed t ~bee ~entries ~outbox ~inbox =
 let rewrite t ~bee ~entries =
   flush_bee t ~bee;
   let outbox =
-    match Hashtbl.find_opt t.logs bee with Some bl -> durable_rows bl | None -> []
+    match find_log_opt t bee with Some bl -> durable_rows t bl | None -> []
   in
   reseed_log t ~bee ~entries ~outbox ~inbox:(inbox_marks t ~bee);
   t.local_rewrites <- t.local_rewrites + 1
@@ -960,7 +1011,7 @@ let damage_record t r =
   f
 
 let corrupt_record t ~bee ~victim =
-  match Hashtbl.find_opt t.logs bee with
+  match find_log_opt t bee with
   | None -> false
   | Some bl -> (
     match bl.bl_wal with
@@ -972,7 +1023,7 @@ let corrupt_record t ~bee ~victim =
       true)
 
 let tear_tail t ~bee =
-  match Hashtbl.find_opt t.logs bee with
+  match find_log_opt t bee with
   | None -> false
   | Some bl -> (
     match bl.bl_wal with
@@ -983,7 +1034,7 @@ let tear_tail t ~bee =
       true)
 
 let rot_snapshot t ~bee =
-  match Hashtbl.find_opt t.logs bee with
+  match find_log_opt t bee with
   | None -> false
   | Some bl ->
     if bl.bl_snapshot = [] then false
@@ -1024,8 +1075,7 @@ let wal_image t =
     Buffer.add_string buf f.f_payload;
     Buffer.add_char buf '\n'
   in
-  Array.iter
-    (fun bl ->
+  iter_logs t (fun bl ->
       Buffer.add_string buf
         (Printf.sprintf "bee=%d next_lsn=%d snap_lsn=%d next_out_seq=%d\n"
            bl.bl_bee bl.bl_next_lsn bl.bl_snapshot_lsn bl.bl_next_out_seq);
@@ -1037,11 +1087,10 @@ let wal_image t =
             (record_image t r))
         (List.rev bl.bl_wal);
       List.iter
-        (fun o -> Buffer.add_string buf (Printf.sprintf "O %d:%d\n" o.o_seq o.o_bytes))
-        (durable_rows bl);
+        (fun e -> Buffer.add_string buf (Printf.sprintf "O %d:%d\n" (t.seq e) (t.bytes e)))
+        (durable_rows t bl);
       Mark.Set.fold List.cons bl.bl_inbox []
       |> List.sort Mark.compare
       |> List.iter (fun m ->
-             Buffer.add_string buf (Printf.sprintf "I %d:%d\n" (Mark.sender m) (Mark.seq m))))
-    (ring t);
+             Buffer.add_string buf (Printf.sprintf "I %d:%d\n" (Mark.sender m) (Mark.seq m))));
   Buffer.contents buf

@@ -16,7 +16,7 @@
     The engine is value-polymorphic so it can live below [beehive_core]
     (the platform instantiates it at [Value.t], and its outbox entries at
     [Outbox.entry]); byte accounting is
-    delegated to a [size_of] estimator, and durability costs surface
+    delegated to a [size_of] estimator and to an entry's [bytes], and durability costs surface
     through the [on_fsync] callback so the owning hive can be charged in
     Figure-4-style series. It is the one record of both halves of
     exactly-once delivery: the outbox rows of un-acked emits and the
@@ -40,29 +40,43 @@ val default_config : config
 type 'v write = string * string * 'v option
 (** [(dict, key, Some v)] sets, [(dict, key, None)] deletes. *)
 
-type 'e emit = { o_seq : int; o_bytes : int; o_entry : 'e }
-(** One transactional-outbox row: the emit's outbox seq and payload bytes,
-    which the log records, and the caller's ledger entry for it, which the
-    store holds but never reads. The store's outbox is the one record of
-    a bee's un-acked emits: a row lives from the {!append} that commits
-    it until {!ack_outbox}, or until its record or log goes (a crash
-    before the fsync, a torn tail, {!forget}, a re-seed). *)
-
 type ('v, 'e) t
+(** A store of ['v] values whose outbox rows are ['e] entries. An entry
+    is its own transactional-outbox row: the store reads its outbox seq
+    and payload bytes, which the log records, through the [seq] and
+    [bytes] given to {!create}, and nothing else of it. The store's
+    outbox is the one record of a bee's un-acked emits: a row lives from
+    the {!append} that commits it until {!ack_outbox}, or until its
+    record or log goes (a crash before the fsync, a torn tail,
+    {!forget}, a re-seed). *)
+
+(** The outbox entries one fsync made durable, oldest first, in a buffer
+    the store reuses once the [on_durable] report returns. *)
+module Rows : sig
+  type 'e t
+
+  val length : 'e t -> int
+
+  val get : 'e t -> int -> 'e
+  (** [get r i] is the [i]th entry, [0 <= i < length r]. *)
+end
 
 val create :
   Beehive_sim.Engine.t ->
   ?config:config ->
   size_of:('v write -> int) ->
+  seq:('e -> int) ->
+  bytes:('e -> int) ->
   ?garble:('v -> 'v) ->
   ?verify:bool ->
   ?on_fsync:(hive:int -> bytes:int -> records:int -> unit) ->
-  ?on_durable:(hive:int -> acks:Mark.Acks.t -> 'e list -> unit) ->
+  ?on_durable:(hive:int -> acks:Mark.Acks.t -> 'e Rows.t -> unit) ->
   unit ->
   ('v, 'e) t
 (** Creates the store. It schedules no event until the first append.
     [size_of] estimates the serialized size of one write (dict + key +
-    value). [garble] is what a reader gets back from physically damaged
+    value); [seq] and [bytes] read an outbox entry's seq and payload
+    bytes. [garble] is what a reader gets back from physically damaged
     bytes it failed to (or chose not to) verify — defaults to the
     identity, in which case damage is only visible to checksums.
     [~verify:false] injects the checksums-off bug: frames are still
@@ -73,11 +87,11 @@ val create :
     [on_fsync] fires once per hive per flush that made data durable;
     [on_durable] fires right after it with what that fsync made durable,
     when that is anything: the [(receiver bee, mark)] acks of the marks
-    its records consumed (see {!append}), oldest first, in a buffer the
-    store reuses once the callback returns, and the ledger entries of
-    its outbox rows, newest first (the commit walks bees in id order,
-    then records by lsn, then rows by seq) — the platform's cue to send
-    the acks and hand the entries to transport. *)
+    its records consumed (see {!append}), oldest first, and the outbox
+    entries its records carried, oldest first (the commit walks bees in
+    id order, then records by lsn, then rows by seq), each in a buffer
+    the store reuses once the callback returns — the platform's cue to
+    send the acks and hand the entries to transport. *)
 
 (** {2 The write path} *)
 
@@ -85,7 +99,7 @@ val append :
   ('v, 'e) t ->
   bee:int ->
   hive:int ->
-  outbox:'e emit list ->
+  outbox:'e list ->
   inbox:Mark.t list ->
   consumed:Mark.t ->
   'v write list ->
@@ -206,7 +220,7 @@ val reseed :
   ('v, 'e) t ->
   bee:int ->
   entries:(string * string * 'v) list ->
-  outbox:'e emit list ->
+  outbox:'e list ->
   inbox:Mark.t list ->
   unit
 (** Repairs a crashed bee from a replication peer: replaces its storage
@@ -264,7 +278,9 @@ val scrubs_completed : ('v, 'e) t -> int
 val ack_outbox : ('v, 'e) t -> bee:int -> seq:int -> unit
 (** Retires one durable outbox entry: every addressed receiver has
     durably applied it, so it will never be replayed again. No-op if the
-    seq is unknown (late duplicate acks are harmless). *)
+    seq is unknown (late duplicate acks are harmless). The durable rows
+    are a {!Mark.Table} by seq and the logs an array by bee id, so this
+    and {!outbox_entry} hash nothing and allocate nothing. *)
 
 val outbox_unacked : ('v, 'e) t -> bee:int -> 'e list
 (** The bee's durable, un-acked outbox entries, ascending by seq —
@@ -287,7 +303,9 @@ type mark_state =
 val inbox_mark : ('v, 'e) t -> bee:int -> Mark.t -> mark_state
 (** What the bee's inbox holds of the mark, consumed or carried
     ([Unseen] for {!Mark.none}). The durable marks are one
-    {!Mark.Set}, so the lookup hashes one int and allocates nothing. Dedup suppresses any seen mark: a pending one is the
+    {!Mark.Set} under per-sender floors, so the lookup reads the
+    sender's floor and probes at most one int table, and allocates
+    nothing. Dedup suppresses any seen mark: a pending one is the
     receiver's committed in-memory view. Only a durable one may be
     re-acked, since an ack for a mark a crash can still drop would let
     the sender retire an entry the receiver forgets. *)

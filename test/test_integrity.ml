@@ -14,7 +14,7 @@ let size_of (d, k, w) =
   String.length d + String.length k + (match w with Some _ -> 8 | None -> 4)
 
 let int_store ?config ?garble ?verify engine =
-  Store.create engine ?config ?garble ?verify ~size_of ()
+  Store.create engine ?config ?garble ?verify ~size_of ~seq:fst ~bytes:snd ()
 
 (* One of the store's integrity counters, by name. *)
 let counter store name = List.assoc name (Store.integrity_counters store)
@@ -201,7 +201,7 @@ let test_sound_frames_match_their_payload () =
   for i = 0 to 29 do
     let bee = i mod 3 in
     Store.append store ~bee ~hive:(i mod 2)
-      ~outbox:[ { Store.o_seq = i + 1; o_bytes = 10 + i; o_entry = () } ]
+      ~outbox:[ (i + 1, 10 + i) ]
       ~inbox:[ Mark.make ~sender:9 ~seq:i ] ~consumed:(Mark.make ~sender:8 ~seq:i)
       [ ("d", Printf.sprintf "k%d" (i mod 4), Some i); ("e", "gone", None) ];
     if i mod 4 = 3 then Store.flush store

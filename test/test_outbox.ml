@@ -560,10 +560,8 @@ let test_replicated_sender_fails_over_with_unacked_entry () =
    legs. *)
 let test_entry_retires_on_distinct_acks () =
   let entry seq =
-    (Outbox.emit ~sender:1 ~seq
-       (Message.make ~kind:k_apply ~src:Message.From_system ~sent_at:Simtime.zero
-          (Apply "k")))
-      .Store.o_entry
+    Outbox.emit ~sender:1 ~seq
+      (Message.make ~kind:k_apply ~src:Message.From_system ~sent_at:Simtime.zero (Apply "k"))
   in
   let check = Alcotest.(check bool) in
   let e = entry 1 in
@@ -580,7 +578,15 @@ let test_entry_retires_on_distinct_acks () =
   check "early ack" false (Outbox.ack e ~receiver:7);
   check "second early ack" false (Outbox.ack e ~receiver:8);
   check "legs already covered" true (Outbox.set_required e 2);
-  check "zero legs" true (Outbox.set_required (entry 4) 0)
+  check "zero legs" true (Outbox.set_required (entry 4) 0);
+  (* The first acker is kept in an int: one Cells leg's ack conses
+     nothing. *)
+  let e = entry 5 in
+  check "one leg" false (Outbox.set_required e 1);
+  let acked = ref false in
+  Alcotest.(check (float 0.)) "the first ack allocates nothing" 0.
+    (Helpers.minor_words_of (fun () -> acked := Outbox.ack e ~receiver:7));
+  check "and retires the one leg" true !acked
 
 (* The reference semantics: the ledger the store's outbox replaced —
    one table keyed by the [(sender, seq)] pair, with a durable flag per
@@ -744,7 +750,9 @@ let prop_ledger_matches_oracle =
       let real =
         Store.create engine
           ~size_of:(fun (d, k, _) -> String.length d + String.length k)
-          ~on_durable:(fun ~hive:_ ~acks:_ entries -> handed := !handed @ List.rev entries)
+          ~seq:Outbox.seq ~bytes:Outbox.bytes
+          ~on_durable:(fun ~hive:_ ~acks:_ rows ->
+            handed := !handed @ List.init (Store.Rows.length rows) (Store.Rows.get rows))
           ()
       in
       let model = Oracle.create () in
@@ -977,7 +985,7 @@ let prop_rechecks_match_since_timers =
     (fun ops ->
       let engine = Engine.create () in
       let msg = Message.make ~kind:k_apply ~src:Message.From_system ~sent_at:Simtime.zero (Apply "k") in
-      let e = (Outbox.emit ~sender:0 ~seq:1 msg).Store.o_entry in
+      let e = Outbox.emit ~sender:0 ~seq:1 msg in
       let by_lane = ref [] and by_timer = ref [] in
       let lane = Engine.lane engine (fun e -> by_lane := Outbox.take_recheck e :: !by_lane) in
       let arm () =
@@ -1000,6 +1008,82 @@ let prop_rechecks_match_since_timers =
       Engine.run engine;
       if !by_lane <> !by_timer then QCheck.Test.fail_report "verdicts differ";
       true)
+
+(* One sender alternating its emits between two receivers on other
+   hives, while both links drop in and out, so deliveries and acks are
+   lost and replayed. Each receiver sees every other seq of the sender,
+   so its durable marks have gaps under any floor. Every put is still
+   applied exactly once, every entry retires, and each receiver's inbox
+   holds exactly the sender's marks it was sent. *)
+type Message.payload += Alt
+
+let test_alternating_receivers_lost_acks () =
+  let engine = Engine.create () in
+  let platform =
+    Platform.create engine
+      {
+        (Platform.default_config ~n_hives:3) with
+        Platform.durability = Some Store.default_config;
+      }
+  in
+  let _, kv = kv_app () in
+  Platform.register_app platform kv;
+  Platform.register_app platform
+    (App.create ~name:"t.alt" ~dicts:[ "alt" ]
+       [
+         App.handler ~kind:"outbox.alt"
+           ~map:(fun _ -> Mapping.with_key "alt" "n")
+           (fun ctx _ ->
+             let n =
+               match Context.get ctx ~dict:"alt" ~key:"n" with Some (Value.V_int n) -> n | _ -> 0
+             in
+             Context.set ctx ~dict:"alt" ~key:"n" (Value.V_int (n + 1));
+             Context.emit ctx ~kind:k_apply (Apply (if n mod 2 = 0 then "r1" else "r2")));
+       ]);
+  Platform.start platform;
+  (* The receivers live on hives 1 and 2, the sender on hive 0. *)
+  Platform.inject platform ~from:(Channels.Hive 1) ~kind:k_apply (Apply "r1");
+  Platform.inject platform ~from:(Channels.Hive 2) ~kind:k_apply (Apply "r2");
+  drain engine;
+  let chans = Platform.channels platform in
+  let puts = 40 in
+  for i = 0 to puts - 1 do
+    Platform.inject platform ~from:(Channels.Hive 0) ~kind:"outbox.alt" Alt;
+    for step = 0 to 9 do
+      (* Each link is down for 300 us of every millisecond, at an
+         offset that moves from put to put. *)
+      let down = (step + i) mod 10 < 3 in
+      if down then begin
+        Channels.partition chans ~a:0 ~b:1;
+        Channels.partition chans ~a:0 ~b:2
+      end
+      else Channels.heal_all chans;
+      Engine.run_until engine (Simtime.add (Engine.now engine) (Simtime.of_us 100))
+    done
+  done;
+  Channels.heal_all chans;
+  drain engine;
+  let owner app dict key = Option.get (Platform.find_owner platform ~app (Cell.cell dict key)) in
+  let sender = owner "t.alt" "alt" "n" in
+  let r1 = owner "t.kv" "store" "r1" and r2 = owner "t.kv" "store" "r2" in
+  Alcotest.(check (list int)) "hives of sender and receivers" [ 0; 1; 2 ]
+    (List.map (bee_hive platform) [ sender; r1; r2 ]);
+  Alcotest.(check (pair (option int) (option int)))
+    "every put applied exactly once"
+    (Some (1 + (puts / 2)), Some (1 + (puts / 2)))
+    (kv_count platform "r1", kv_count platform "r2");
+  Alcotest.(check int) "every entry retired" 0 (Platform.outbox_unacked_total platform);
+  Alcotest.(check bool) "replays were suppressed" true
+    (List.assoc "outbox.dups_suppressed" (Platform.gauges platform) > 0);
+  let store = Option.get (Platform.store platform) in
+  let from_sender bee =
+    List.filter_map
+      (fun m -> if Mark.sender m = sender then Some (Mark.seq m) else None)
+      (Store.inbox_marks store ~bee)
+  in
+  let seqs parity = List.filter (fun q -> q mod 2 = parity) (List.init puts (fun i -> i + 1)) in
+  Alcotest.(check (list int)) "r1's marks: the odd seqs" (seqs 1) (from_sender r1);
+  Alcotest.(check (list int)) "r2's marks: the even seqs" (seqs 0) (from_sender r2)
 
 let suite =
   [
@@ -1038,5 +1122,7 @@ let suite =
         Alcotest.test_case "a retired entry's recheck dispatches nothing" `Quick
           test_retired_entry_recheck_is_a_noop;
         QCheck_alcotest.to_alcotest prop_rechecks_match_since_timers;
+        Alcotest.test_case "alternating receivers with lost acks stay exactly-once" `Quick
+          test_alternating_receivers_lost_acks;
       ] );
   ]

@@ -792,7 +792,7 @@ let test_hooked_words_per_message () =
    firing), so each step runs 5 ms of simulated time: long enough for
    the pong's commit, fsync, dispatch and ack. The bound is the measured
    cost (OCaml 5.1.1, native code); raising it needs a reason. *)
-let durable_words_per_message_bound = 96.6165
+let durable_words_per_message_bound = 89.5975
 
 let test_durable_words_per_message () =
   let engine, platform = durable_platform ~n_hives:1 ~apps:(ping_pong_apps ()) () in
@@ -817,6 +817,7 @@ let test_mark_bookkeeping_words () =
     Store.create (Engine.create ())
       ~config:{ Store.snapshot_threshold_bytes = max_int }
       ~size_of:(fun (d, k, _) -> String.length d + String.length k)
+      ~seq:Fun.id ~bytes:(fun _ -> 0)
       ~on_durable:(fun ~hive:_ ~acks:a _ -> acks := !acks + Mark.Acks.length a)
       ()
   in

@@ -17,10 +17,8 @@ module Raft_replication = Beehive_core.Raft_replication
 let size_of (d, k, w) =
   String.length d + String.length k + (match w with Some _ -> 8 | None -> 4)
 
-let int_store ?config engine = Store.create engine ?config ~size_of ()
-
-(* An outbox row whose ledger entry is its own seq. *)
-let row (seq, bytes) = { Store.o_seq = seq; o_bytes = bytes; o_entry = seq }
+(* Store-level outbox entries are [(seq, bytes)] pairs. *)
+let int_store ?config engine = Store.create engine ?config ~size_of ~seq:fst ~bytes:snd ()
 
 let sorted_entries store ~bee =
   List.sort compare (Store.recover store ~bee)
@@ -36,7 +34,7 @@ let test_group_commit_on_demand () =
   let engine = Engine.create () in
   let fsyncs = ref [] in
   let store =
-    Store.create engine ~size_of
+    Store.create engine ~size_of ~seq:fst ~bytes:snd
       ~on_fsync:(fun ~hive:_ ~bytes:_ ~records ->
         fsyncs := (Simtime.to_us (Engine.now engine), records) :: !fsyncs)
       ()
@@ -86,7 +84,7 @@ let test_batch_payload_bytes () =
   let engine = Engine.create () in
   let store = int_store engine in
   Store.append store ~bee:3 ~hive:1
-    ~outbox:[ row (7, 120); row (8, 64) ]
+    ~outbox:[ (7, 120); (8, 64) ]
     ~inbox:[ mark (2, 41); mark (5, 9) ] ~consumed:Mark.none
     [ ("d", "a", Some 1); ("d", "b", None); ("route", "10.0.0.1", Some 2) ];
   Store.flush store;
@@ -132,14 +130,14 @@ let test_pending_record_lifecycle () =
   let append ~hive ~outbox ~inbox writes =
     Store.append store ~bee:0 ~hive ~outbox ~inbox:(List.map mark inbox) ~consumed:Mark.none writes
   in
-  append ~hive:0 ~outbox:[ row (1, 10) ] ~inbox:[ (5, 1) ] [ ("d", "a", Some 1) ];
-  append ~hive:1 ~outbox:[ row (2, 20) ] ~inbox:[ (6, 1) ] [ ("d", "b", Some 2) ];
+  append ~hive:0 ~outbox:[ (1, 10) ] ~inbox:[ (5, 1) ] [ ("d", "a", Some 1) ];
+  append ~hive:1 ~outbox:[ (2, 20) ] ~inbox:[ (6, 1) ] [ ("d", "b", Some 2) ];
   Store.wipe_inbox store ~bee:0;
   Store.drop_outbox store ~bee:0;
   Alcotest.(check bool) "wiped mark forgotten" true
     (Store.inbox_mark store ~bee:0 (mark (5, 1)) = Store.Unseen);
-  append ~hive:0 ~outbox:[ row (3, 30) ] ~inbox:[ (5, 2) ] [ ("d", "c", Some 3) ];
-  append ~hive:1 ~outbox:[ row (4, 40) ] ~inbox:[ (6, 2) ] [ ("d", "e", Some 4) ];
+  append ~hive:0 ~outbox:[ (3, 30) ] ~inbox:[ (5, 2) ] [ ("d", "c", Some 3) ];
+  append ~hive:1 ~outbox:[ (4, 40) ] ~inbox:[ (6, 2) ] [ ("d", "e", Some 4) ];
   append ~hive:0 ~outbox:[] ~inbox:[ (7, 1) ] [];
   Alcotest.(check bool) "later mark pending" true
     (Store.inbox_mark store ~bee:0 (mark (6, 2)) = Store.Pending);
@@ -160,7 +158,7 @@ let test_pending_record_lifecycle () =
     wal_lines;
   Alcotest.(check (list (pair int int))) "surviving inbox marks" [ (5, 2); (7, 1) ]
     (List.map pair (Store.inbox_marks store ~bee:0));
-  Alcotest.(check (list int)) "surviving outbox entries" [ 3 ]
+  Alcotest.(check (list (pair int int))) "surviving outbox entries" [ (3, 30) ]
     (Store.outbox_unacked store ~bee:0);
   Alcotest.(check (list (triple string string int)))
     "surviving writes" [ ("d", "a", 1); ("d", "c", 3) ] (sorted_entries store ~bee:0);
@@ -192,7 +190,7 @@ let test_consumed_marks_handed_over () =
   let engine = Engine.create () in
   let reports = ref [] in
   let store =
-    Store.create engine ~size_of
+    Store.create engine ~size_of ~seq:fst ~bytes:snd
       ~on_durable:(fun ~hive ~acks _ ->
         let ack i =
           let m = Mark.Acks.mark acks i in
@@ -267,7 +265,7 @@ let test_consumed_marks_handed_over () =
     let s = int_store (Engine.create ()) in
     let inbox = if consumed then [] else [ mark (6, 9) ] in
     let consumed = if consumed then mark (6, 9) else Mark.none in
-    Store.append s ~bee:0 ~hive:0 ~outbox:[ row (1, 10) ] ~inbox ~consumed
+    Store.append s ~bee:0 ~hive:0 ~outbox:[ (1, 10) ] ~inbox ~consumed
       [ ("d", "a", Some 1) ];
     Store.flush s;
     (Store.wal_image s, Store.total_wal_bytes_written s)
@@ -693,6 +691,339 @@ let prop_mark_set_matches_hashtbl =
         ops;
       true)
 
+(* The floored mark set against a [(sender, seq)]-keyed [Hashtbl]:
+   three bee senders and the virtual one, seqs from a small range so
+   that floors form, runs added in order, windows added shuffled,
+   scattered adds that leave gaps, and removals that land under, on and
+   above a floor. *)
+type floor_op =
+  | F_add of (int * int)
+  | F_run of int * int * int  (* sender, first seq, length: in order *)
+  | F_window of int * int * int list  (* sender, first seq, offsets: shuffled *)
+  | F_remove of (int * int)
+  | F_mem of (int * int)
+  | F_clear
+
+let print_floor_op = function
+  | F_add (s, q) -> Printf.sprintf "add %d/%d" s q
+  | F_run (s, q, n) -> Printf.sprintf "run %d/%d+%d" s q n
+  | F_window (s, q, offs) ->
+    Printf.sprintf "window %d/%d [%s]" s q (String.concat ";" (List.map string_of_int offs))
+  | F_remove (s, q) -> Printf.sprintf "remove %d/%d" s q
+  | F_mem (s, q) -> Printf.sprintf "mem %d/%d" s q
+  | F_clear -> "clear"
+
+let floor_op_gen =
+  let open QCheck.Gen in
+  let sender = int_range (-1) 2 and seq = int_range 0 30 in
+  let key = pair sender seq in
+  frequency
+    [
+      (20, map (fun k -> F_add k) key);
+      (10, map3 (fun s q n -> F_run (s, q, n)) sender (int_range 1 12) (int_range 1 10));
+      ( 6,
+        map3
+          (fun s q offs -> F_window (s, q, offs))
+          sender (int_range 1 20)
+          (shuffle_l [ 0; 1; 2; 3; 4; 5; 6; 7 ]) );
+      (15, map (fun k -> F_remove k) key);
+      (10, map (fun k -> F_mem k) key);
+      (1, return F_clear);
+    ]
+
+let prop_floored_mark_set =
+  QCheck.Test.make ~name:"floored mark set agrees with a Hashtbl model" ~count:1000
+    QCheck.(
+      make ~print:Print.(list print_floor_op) Gen.(list_size (int_range 0 120) floor_op_gen))
+    (fun ops ->
+      let set = Mark.Set.create () and model : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
+      let add k =
+        Mark.Set.add set (mark k);
+        Hashtbl.replace model k ()
+      in
+      let agree op =
+        let fail what = QCheck.Test.fail_reportf "%s after %s" what (print_floor_op op) in
+        if Mark.Set.cardinal set <> Hashtbl.length model then fail "cardinal";
+        for s = -1 to 2 do
+          for q = 0 to 45 do
+            if Mark.Set.mem set (mark (s, q)) <> Hashtbl.mem model (s, q) then
+              fail (Printf.sprintf "mem %d/%d" s q)
+          done
+        done;
+        let members = List.sort compare (Mark.Set.fold (fun m acc -> pair m :: acc) set []) in
+        let modelled = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) model []) in
+        if members <> modelled then fail "fold"
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | F_add k -> add k
+          | F_run (s, q, n) ->
+            for i = 0 to n - 1 do
+              add (s, q + i)
+            done
+          | F_window (s, q, offs) -> List.iter (fun o -> add (s, q + o)) offs
+          | F_remove k ->
+            Mark.Set.remove set (mark k);
+            Hashtbl.remove model k
+          | F_mem k ->
+            if Mark.Set.mem set (mark k) <> Hashtbl.mem model k then
+              QCheck.Test.fail_reportf "mem %d/%d" (fst k) (snd k)
+          | F_clear ->
+            Mark.Set.clear set;
+            Hashtbl.reset model);
+          agree op)
+        ops;
+      true)
+
+(* A sender's seqs 1..10,000 arriving out of order within 64-wide
+   windows cost the set no growth: each window's seqs join the floor as
+   the window fills, so the probe table never holds more than one
+   window. The first window arrives in reverse, the worst order, and
+   grows the tables to what any window needs; the rest, shuffled,
+   allocate nothing. A set that kept every seq in its probe table would
+   grow to 32,768 slots. *)
+let test_floor_absorbs_shuffled_windows () =
+  let n = 10_000 and width = 64 in
+  let rng = Random.State.make [| 58 |] in
+  let order = Array.init n (fun i -> i + 1) in
+  for w = 1 to (n - 1) / width do
+    let lo = w * width and hi = min n ((w + 1) * width) - 1 in
+    for i = hi downto lo + 1 do
+      let j = lo + Random.State.int rng (i - lo + 1) in
+      let x = order.(i) in
+      order.(i) <- order.(j);
+      order.(j) <- x
+    done
+  done;
+  let marks = Array.map (fun seq -> Mark.make ~sender:3 ~seq) order in
+  let set = Mark.Set.create () in
+  for i = width - 1 downto 0 do
+    Mark.Set.add set marks.(i)
+  done;
+  let words =
+    minor_words_of (fun () ->
+        for i = width to n - 1 do
+          Mark.Set.add set marks.(i)
+        done)
+  in
+  Alcotest.(check (float 0.)) "words of growth after the first window" 0. words;
+  Alcotest.(check int) "every seq a member" n (Mark.Set.cardinal set);
+  Alcotest.(check bool) "members" true
+    (Array.for_all (Mark.Set.mem set) marks
+    && not (Mark.Set.mem set (Mark.make ~sender:3 ~seq:(n + 1))))
+
+type table_op = T_replace of int * int | T_remove of int | T_find of int | T_clear
+
+let print_table_op = function
+  | T_replace (k, v) -> Printf.sprintf "replace %d %d" k v
+  | T_remove k -> Printf.sprintf "remove %d" k
+  | T_find k -> Printf.sprintf "find %d" k
+  | T_clear -> "clear"
+
+let table_op_gen =
+  let open QCheck.Gen in
+  let key = frequency [ (8, int_range 0 80); (1, int_range 0 max_int) ] in
+  frequency
+    [
+      (40, map2 (fun k v -> T_replace (k, v)) key small_nat);
+      (20, map (fun k -> T_remove k) key);
+      (10, map (fun k -> T_find k) key);
+      (1, return T_clear);
+    ]
+
+(* The int-keyed table the outbox rows live in, against a [Hashtbl]:
+   after every operation each modelled key finds its value and a fold
+   gives the model's bindings. *)
+let prop_mark_table_matches_hashtbl =
+  QCheck.Test.make ~name:"int table agrees with a Hashtbl model" ~count:500
+    QCheck.(
+      make ~print:Print.(list print_table_op) Gen.(list_size (int_range 0 300) table_op_gen))
+    (fun ops ->
+      let table = Mark.Table.create () and model : (int, int) Hashtbl.t = Hashtbl.create 16 in
+      List.iter
+        (fun op ->
+          let fail what = QCheck.Test.fail_reportf "%s after %s" what (print_table_op op) in
+          (match op with
+          | T_replace (k, v) ->
+            Mark.Table.replace table k v;
+            Hashtbl.replace model k v
+          | T_remove k ->
+            Mark.Table.remove table k;
+            Hashtbl.remove model k
+          | T_find k ->
+            let modelled = Option.value ~default:(-1) (Hashtbl.find_opt model k) in
+            if Mark.Table.find_or table k (-1) <> modelled then fail "find_or";
+            let found = match Mark.Table.find table k with _ -> true | exception Not_found -> false in
+            if found <> Hashtbl.mem model k then fail "find"
+          | T_clear ->
+            Mark.Table.clear table;
+            Hashtbl.reset model);
+          if Mark.Table.length table <> Hashtbl.length model then fail "length";
+          Hashtbl.iter
+            (fun k v -> if Mark.Table.find table k <> v then fail (Printf.sprintf "find %d" k))
+            model;
+          let bindings t = List.sort compare (t (fun k v acc -> (k, v) :: acc)) in
+          if
+            bindings (fun f -> Mark.Table.fold f table [])
+            <> bindings (fun f -> Hashtbl.fold f model [])
+          then fail "fold")
+        ops;
+      true)
+
+(* The store's outbox rows against a model of [(bee, seq)]-keyed
+   [Hashtbl]s: pending rows ride their records, a commit makes them
+   durable, an ack retires one, a crash drops a hive's pending records,
+   and a torn newest record, which fsck truncates, takes its rows with
+   it. *)
+type row_op =
+  | R_append of int * int  (* bee, rows *)
+  | R_commit
+  | R_ack of int * int  (* bee, seq *)
+  | R_crash of int  (* hive *)
+  | R_tear of int  (* bee *)
+
+let print_row_op = function
+  | R_append (b, n) -> Printf.sprintf "append %d x%d" b n
+  | R_commit -> "commit"
+  | R_ack (b, q) -> Printf.sprintf "ack %d/%d" b q
+  | R_crash h -> Printf.sprintf "crash %d" h
+  | R_tear b -> Printf.sprintf "tear %d" b
+
+let row_op_gen =
+  let open QCheck.Gen in
+  let bee = int_range 0 3 in
+  frequency
+    [
+      (30, map2 (fun b n -> R_append (b, n)) bee (int_range 0 3));
+      (12, return R_commit);
+      (25, map2 (fun b q -> R_ack (b, q)) bee (int_range 1 30));
+      (4, map (fun h -> R_crash h) (int_range 0 1));
+      (6, map (fun b -> R_tear b) bee);
+    ]
+
+let prop_outbox_rows_match_model =
+  QCheck.Test.make ~name:"store outbox rows agree with a Hashtbl model" ~count:500
+    QCheck.(make ~print:Print.(list print_row_op) Gen.(list_size (int_range 0 150) row_op_gen))
+    (fun ops ->
+      let store = int_store (Engine.create ()) in
+      let hive_of bee = bee mod 2 in
+      (* Durable un-acked rows by (bee, seq); each bee's pending records
+         newest first, and the seqs of its durable records newest first. *)
+      let durable : (int * int, int) Hashtbl.t = Hashtbl.create 16 in
+      let pending = Array.make 4 [] and committed = Array.make 4 [] in
+      List.iter
+        (fun op ->
+          let fail what = QCheck.Test.fail_reportf "%s after %s" what (print_row_op op) in
+          (match op with
+          | R_append (bee, n) ->
+            let first = Store.alloc_out_seqs store ~bee n in
+            let rows = List.init n (fun i -> (first + i, 10 + first + i)) in
+            Store.append store ~bee ~hive:(hive_of bee) ~outbox:rows ~inbox:[] ~consumed:Mark.none
+              [ ("d", "k", Some first) ];
+            pending.(bee) <- rows :: pending.(bee)
+          | R_commit ->
+            Store.flush store;
+            Array.iteri
+              (fun bee recs ->
+                List.iter
+                  (fun rows ->
+                    List.iter (fun (q, b) -> Hashtbl.replace durable (bee, q) b) rows;
+                    committed.(bee) <- List.map fst rows :: committed.(bee))
+                  (List.rev recs);
+                pending.(bee) <- [])
+              pending
+          | R_ack (bee, seq) ->
+            Store.ack_outbox store ~bee ~seq;
+            Hashtbl.remove durable (bee, seq)
+          | R_crash h ->
+            Store.drop_pending store ~hive:h;
+            Array.iteri (fun bee _ -> if hive_of bee = h then pending.(bee) <- []) pending
+          | R_tear bee -> (
+            let torn = Store.tear_tail store ~bee in
+            let verdict = Store.fsck store ~bee in
+            match committed.(bee) with
+            | seqs :: older ->
+              if not torn then fail "nothing torn";
+              if verdict <> Store.Truncated 1 then fail "not truncated";
+              List.iter (fun q -> Hashtbl.remove durable (bee, q)) seqs;
+              committed.(bee) <- older
+            | [] -> if torn || verdict <> Store.Intact then fail "an empty log torn"));
+          let total = ref (Hashtbl.length durable) in
+          for bee = 0 to 3 do
+            let modelled =
+              Hashtbl.fold
+                (fun (b, q) bytes acc -> if b = bee then (q, bytes) :: acc else acc)
+                durable []
+              |> List.sort compare
+            in
+            if Store.outbox_unacked store ~bee <> modelled then
+              fail (Printf.sprintf "bee %d's rows" bee);
+            List.iter
+              (fun rows ->
+                total := !total + List.length rows;
+                List.iter
+                  (fun ((q, _) as row) ->
+                    if Store.outbox_entry store ~bee ~seq:q <> row then fail "pending entry")
+                  rows)
+              pending.(bee);
+            List.iter
+              (fun ((q, _) as row) ->
+                if Store.outbox_entry store ~bee ~seq:q <> row then fail "durable entry")
+              modelled
+          done;
+          if Store.outbox_total store <> !total then fail "total")
+        ops;
+      true)
+
+(* A durable emit costs nothing past its record once the bee's row table
+   and the hand-over buffers have grown: committing 900 records with one
+   outbox row each allocates what committing them with none does, and
+   looking the rows up and acking them allocate 0 words. A commit takes
+   the hive shares the one before the last reported, so two commits of
+   900 rows grow both sets. *)
+let test_outbox_row_words () =
+  let handed = ref 0 in
+  let store =
+    Store.create (Engine.create ())
+      ~config:{ Store.snapshot_threshold_bytes = max_int }
+      ~size_of ~seq:fst ~bytes:snd
+      ~on_durable:(fun ~hive:_ ~acks:_ rows -> handed := !handed + Store.Rows.length rows)
+      ()
+  in
+  let write = [ ("d", "k", Some 0) ] in
+  let rows first = Array.init 900 (fun i -> [ (first + i, 64) ]) in
+  let commit rows =
+    Array.iter
+      (fun outbox ->
+        Store.append store ~bee:0 ~hive:0 ~outbox ~inbox:[] ~consumed:Mark.none write)
+      rows;
+    Store.flush store
+  in
+  let ack first =
+    for seq = first to first + 899 do
+      Store.ack_outbox store ~bee:0 ~seq
+    done
+  in
+  List.iter
+    (fun first ->
+      commit (rows first);
+      ack first)
+    [ 1; 901 ];
+  let counted = rows 1_801 and none = Array.make 900 [] in
+  let plain = minor_words_of (fun () -> commit none) in
+  let emitting = minor_words_of (fun () -> commit counted) in
+  Alcotest.(check (float 0.)) "durable rows at commit" 0. (emitting -. plain);
+  Alcotest.(check int) "every row handed over" 2_700 !handed;
+  let lookups () =
+    for seq = 1_801 to 2_700 do
+      ignore (Store.outbox_entry store ~bee:0 ~seq)
+    done
+  in
+  Alcotest.(check (float 0.)) "outbox_entry" 0. (minor_words_of lookups);
+  Alcotest.(check (float 0.)) "ack_outbox" 0. (minor_words_of (fun () -> ack 1_801));
+  Alcotest.(check int) "all acked" 0 (Store.outbox_total store)
+
 let suite =
   [
     ( "store",
@@ -726,5 +1057,11 @@ let suite =
         QCheck_alcotest.to_alcotest prop_marks_pack_pairs;
         Alcotest.test_case "marks reject what does not pack" `Quick test_mark_range;
         QCheck_alcotest.to_alcotest prop_mark_set_matches_hashtbl;
+        QCheck_alcotest.to_alcotest prop_floored_mark_set;
+        Alcotest.test_case "a floor absorbs shuffled windows" `Quick
+          test_floor_absorbs_shuffled_windows;
+        QCheck_alcotest.to_alcotest prop_mark_table_matches_hashtbl;
+        QCheck_alcotest.to_alcotest prop_outbox_rows_match_model;
+        Alcotest.test_case "durable rows allocate nothing" `Quick test_outbox_row_words;
       ] );
   ]
