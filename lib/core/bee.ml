@@ -2,7 +2,7 @@ type delivery = {
   d_to : int;
   d_msg : Message.t;
   d_handler : App.handler;
-  d_allowed : Cell.Set.t;
+  d_allowed : Mapping.t;
   d_outbox : Beehive_store.Mark.t;
   mutable d_attempts : int;
 }

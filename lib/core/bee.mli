@@ -47,12 +47,16 @@ type delivery = {
           then follows any merge's forwarding pointer *)
   d_msg : Message.t;  (** its [src] says where it came from; the delivery keeps no copy *)
   d_handler : App.handler;
-  d_allowed : Cell.Set.t;
+  d_allowed : Mapping.t;
       (** the cells the handler may touch, fixed when the leg is routed,
           its linearization point: a leg forwarded to a merge winner
           visits the cells its original target held then, which the
           winner's state holds by the time it runs the leg; a cell the
-          bee gains later is not visited by that leg *)
+          bee gains later is not visited by that leg. A Cells leg holds
+          the mapping its map function returned, a [Key] or a [Cells],
+          unwrapped; a Local leg its app's [Cells] of every dictionary
+          wildcard, built once per app; a Foreach leg a [Cells] of the
+          owner's cells of the dictionary, filtered at routing *)
   d_outbox : Beehive_store.Mark.t;
       (** the mark [(sender bee, outbox seq)] when the message rides the
           exactly-once path, {!Beehive_store.Mark.none} otherwise: the

@@ -4,7 +4,7 @@ exception Access_violation of { app : string; dict : string; key : string }
    one delivery brings and buffers. *)
 type t = {
   env : env;
-  allowed : Cell.Set.t;
+  allowed : Mapping.t;
   tx : State.tx;
   read_shadow : (string * string * Value.t) list option;
       (* when set, pure reads are served from this snapshot instead of
@@ -48,10 +48,12 @@ let close t = t.closed <- true
 let emitted t = t.emits
 let sent t = t.sends
 
-(* The cell an access check asks about, held in module-level scratch so
-   that its predicates are top-level functions and a check builds no
-   closure. One domain runs one handler at a time, and a predicate runs
-   no handler code, so no check starts while another is asking. *)
+(* The cell an access check asks about a [Cells] mapping, held in
+   module-level scratch so that its predicates are top-level functions
+   and a check builds no closure. One domain runs one handler at a time,
+   and a predicate runs no handler code, so no check starts while
+   another is asking. A [Key] mapping is checked by comparing its two
+   strings. Any other mapping holds no cell. *)
 type probe = {
   mutable p_dict : string;
   mutable p_key : string;
@@ -73,17 +75,35 @@ let is_probe_wildcard (a : Cell.t) =
   match a.Cell.key with Cell.All -> in_probe_dict a | Cell.Key _ -> false
 
 let visible t ~dict key =
-  probe.p_dict <- dict;
-  probe.p_key <- key;
-  Cell.Set.exists covers_probe t.allowed
+  match t.allowed with
+  | Mapping.Key { dict = d; key = k } -> String.equal d dict && String.equal k key
+  | Mapping.Cells cs ->
+    probe.p_dict <- dict;
+    probe.p_key <- key;
+    Cell.Set.exists covers_probe cs
+  | Mapping.Foreach _ | Mapping.Local | Mapping.Drop -> false
+
+(* Whether the mapped cells reach into [dict] at all. *)
+let maps_dict t ~dict =
+  match t.allowed with
+  | Mapping.Key { dict = d; _ } -> String.equal d dict
+  | Mapping.Cells cs ->
+    probe.p_dict <- dict;
+    Cell.Set.exists in_probe_dict cs
+  | Mapping.Foreach _ | Mapping.Local | Mapping.Drop -> false
+
+let holds_wildcard t ~dict =
+  match t.allowed with
+  | Mapping.Cells cs ->
+    probe.p_dict <- dict;
+    Cell.Set.exists is_probe_wildcard cs
+  | Mapping.Key _ | Mapping.Foreach _ | Mapping.Local | Mapping.Drop -> false
 
 let check t ~dict ~key =
   if not (visible t ~dict key) then raise (Access_violation { app = app t; dict; key })
 
 let check_dict t ~dict =
-  probe.p_dict <- dict;
-  if not (Cell.Set.exists in_probe_dict t.allowed) then
-    raise (Access_violation { app = app t; dict; key = "*" })
+  if not (maps_dict t ~dict) then raise (Access_violation { app = app t; dict; key = "*" })
 
 let shadow_get t ~dict ~key =
   match t.read_shadow with
@@ -122,11 +142,7 @@ let update t ~dict ~key f =
    that hold some keys of [dict] pay the per-key check. *)
 let iter_dict t ~dict f =
   check_dict t ~dict;
-  (* [check_dict] left [dict] in the probe. *)
-  let f =
-    if Cell.Set.exists is_probe_wildcard t.allowed then f
-    else fun k v -> if visible t ~dict k then f k v
-  in
+  let f = if holds_wildcard t ~dict then f else fun k v -> if visible t ~dict k then f k v in
   match t.read_shadow with
   | Some entries -> List.iter (fun (d, k, v) -> if String.equal d dict then f k v) entries
   | None -> State.tx_iter t.tx ~dict f

@@ -42,11 +42,15 @@ val with_source : env -> src:Message.source -> env
 val make :
   env ->
   read_shadow:(string * string * Value.t) list option ->
-  allowed:Cell.Set.t ->
+  allowed:Mapping.t ->
   tx:State.tx ->
   message:Message.t ->
   t
 (** Used by the platform (and by tests that drive handlers directly).
+    [allowed] is the delivery's [d_allowed]: a [Key] admits its one cell,
+    checked by comparing two strings; a [Cells] admits every key its
+    cells intersect; any other mapping admits nothing. A [Key] and the
+    singleton [Cells] of its cell admit the same accesses.
     [message] is the message being handled. [read_shadow], when [Some],
     serves all {e pure} reads ({!get}, {!mem}, {!iter_dict}) from the
     snapshot instead of the transaction — the hook behind the injected

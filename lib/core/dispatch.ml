@@ -35,7 +35,7 @@ let idle : Bee.delivery =
     Bee.d_to = -1;
     d_msg = msg;
     d_handler = App.handler ~kind:"" ~map:(fun _ -> Mapping.Drop) (fun _ _ -> ());
-    d_allowed = Cell.Set.empty;
+    d_allowed = Mapping.Drop;
     d_outbox = Mark.none;
     d_attempts = 0;
   }

@@ -25,7 +25,6 @@ type t = {
   reg : Registry.t;
   hives : Hives.t;
   bees : (int, Bee.t) Hashtbl.t;
-  local_bees : (string * int, int) Hashtbl.t;
   endpoints : (Channels.endpoint, Message.t -> unit) Hashtbl.t;
   store : (Value.t, Outbox.entry) Store.t option;
   cache : Route_plan.cache;
@@ -35,7 +34,7 @@ type t = {
   mutable hooks : (int -> hive_event -> unit) list;  (* newest first *)
 }
 
-let create engine ~chans ~transport ~reg ~hives ~bees ~local_bees ~endpoints ~store ~cache
+let create engine ~chans ~transport ~reg ~hives ~bees ~endpoints ~store ~cache
     ~dispatch ~lost_outbox ~replay_dup =
   {
     engine;
@@ -44,7 +43,6 @@ let create engine ~chans ~transport ~reg ~hives ~bees ~local_bees ~endpoints ~st
     reg;
     hives;
     bees;
-    local_bees;
     endpoints;
     store;
     cache;
@@ -81,7 +79,8 @@ let bees_on t h ~pred = bees t (fun b -> b.hive = h && pred b)
 let kill_bee t b =
   Bee.kill t.hives b;
   Registry.unassign_bee t.reg ~bee:b.id;
-  if b.is_local then Hashtbl.remove t.local_bees (b.app.App.name, b.hive)
+  if b.is_local then
+    Router.forget_local (Dispatch.router t.dispatch) ~app:b.app.App.name ~hive:b.hive
   else match t.store with Some s -> Store.forget s ~bee:b.id | None -> ()
 
 (* ------------------------------------------------------------------ *)

@@ -22,7 +22,6 @@ val create :
   reg:Registry.t ->
   hives:Hives.t ->
   bees:(int, Bee.t) Hashtbl.t ->
-  local_bees:(string * int, int) Hashtbl.t ->
   endpoints:(Beehive_net.Channels.endpoint, Message.t -> unit) Hashtbl.t ->
   store:(Value.t, Outbox.entry) Beehive_store.Store.t option ->
   cache:Route_plan.cache ->

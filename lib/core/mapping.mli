@@ -6,6 +6,13 @@
     the handler author states it directly with the same vocabulary. *)
 
 type t =
+  | Key of { dict : string; key : string }
+      (** [with S[k]] — the one cell [(dict, key)], the form nearly every
+          handler maps to. It means exactly [Cells {(dict, key)}] and
+          routes the same way, but costs its 3 words alone: no cell, set
+          node or set box is built for it. Routing decides its owner from
+          the registry's per-key index, and a delivery carries this very
+          value as its allowed cells. *)
   | Cells of Cell.Set.t
       (** [with S[k] ...] — the concrete (and possibly wildcard) cells the
           handler needs. The platform routes the message to the unique bee
@@ -20,9 +27,13 @@ type t =
   | Drop  (** the application ignores this message *)
 
 val with_key : string -> string -> t
-(** [with_key dict k] = [Cells {(dict, k)}]. *)
+(** [with_key dict k] = [Key { dict; key = k }]. *)
 
 val with_keys : (string * string) list -> t
+(** One pair is a [Key], any other list the [Cells] of its pairs. *)
+
 val whole_dict : string -> t
 val whole_dicts : string list -> t
+
 val pp : Format.formatter -> t -> unit
+(** A [Key] prints as the [Cells] of its one cell. *)

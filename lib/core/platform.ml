@@ -94,6 +94,9 @@ type t = {
   transfer : Bee.t -> Bee.hold -> landed:(src:int -> bytes:int -> unit) -> unit;
       (* {!Migration.transfer} on this platform's subsystems *)
   mutable apps : App.t list;  (* sorted by name *)
+  mutable hive_sources : Message.source array;
+      (* [From_endpoint (Hive h)] by hive, the source of every message
+         injected from a hive; grown as hives join *)
   mutable started : bool;
   mutable migration_log : migration list;  (* newest first *)
 }
@@ -142,10 +145,21 @@ let datagram t ~src ~dst ~bytes k =
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* The shared source of a message injected from hive [h]. *)
+let hive_source t h =
+  if h >= Array.length t.hive_sources then
+    t.hive_sources <-
+      Array.init (Hives.count t.hives) (fun h ->
+          Message.From_endpoint (Channels.hive_endpoint t.chans h));
+  t.hive_sources.(h)
+
 let inject t ~from ?size ~kind payload =
-  let msg =
-    Message.make ?size ~kind ~src:(Message.From_endpoint from) ~sent_at:(now t) payload
+  let src =
+    match from with
+    | Channels.Hive h when h >= 0 && h < Hives.count t.hives -> hive_source t h
+    | _ -> Message.From_endpoint from
   in
+  let msg = Message.make ?size ~kind ~src ~sent_at:(now t) payload in
   Dispatch.observe t.dispatch ~parent:None msg;
   Router.route t.router ~src_ep:from msg
 
@@ -411,7 +425,7 @@ let create engine cfg =
       chans
   in
   let locks = Cell_locks.create engine chans and reg = Registry.create () in
-  let bees = Hashtbl.create 256 and local_bees = Hashtbl.create 64 in
+  let bees = Hashtbl.create 256 in
   let endpoints = Hashtbl.create 64 and outbox = Outbox.create () in
   let cache = Route_plan.create_cache () in
   (* The one knot. Routing creates bees, resumes the bees a merge
@@ -436,7 +450,7 @@ let create engine cfg =
        in
        let router =
          Router.create engine ~chans ~transport ~reg ~locks ~hives ~store ~outbox ~bees
-           ~local_bees ~cache ~capacity:cfg.hive_capacity
+           ~cache ~capacity:cfg.hive_capacity
            ~new_bee:(fun ~app ~hive ~is_local ->
              Dispatch.new_bee (Lazy.force dispatch) ~app ~hive ~is_local)
            ~resume:(fun b -> Dispatch.maybe_process (Lazy.force dispatch) b)
@@ -453,7 +467,7 @@ let create engine cfg =
   let dispatch = Lazy.force dispatch in
   let router = Dispatch.router dispatch and store = Dispatch.store dispatch in
   let life =
-    Lifecycle.create engine ~chans ~transport ~reg ~hives ~bees ~local_bees ~endpoints ~store
+    Lifecycle.create engine ~chans ~transport ~reg ~hives ~bees ~endpoints ~store
       ~cache ~dispatch ~lost_outbox:(cfg.inject = Some Lost_outbox)
       ~replay_dup:(cfg.inject = Some Replay_dup)
   in
@@ -490,6 +504,7 @@ let create engine cfg =
     life;
     transfer;
     apps = [];
+    hive_sources = [||];
     started = false;
     migration_log = [];
   }

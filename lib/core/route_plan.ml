@@ -1,14 +1,23 @@
-(* The lookup cache is keyed by (origin hive, app, first mapped cell).
-   A lookup fills the cache's one probe key in place instead of building
-   a key per message; only [remember] of a new key allocates one, and
-   remembering a known key refreshes its entry in place. *)
-type key = { mutable k_origin : int; mutable k_app : string; mutable k_cell : Cell.t }
+(* The lookup cache is keyed by (origin hive, app, first mapped cell),
+   the cell as its dict and key strings plus whether it is a wildcard,
+   so that a [Mapping.Key] and the singleton set of its cell share one
+   entry. A lookup fills the cache's one probe key in place instead of
+   building a key per message; only [remember] of a new key allocates
+   one, and remembering a known key refreshes its entry in place. *)
+type key = {
+  mutable k_origin : int;
+  mutable k_app : string;
+  mutable k_dict : string;
+  mutable k_key : string;  (* "" for a wildcard *)
+  mutable k_whole : bool;
+}
 
 module Keys = Hashtbl.Make (struct
   type t = key
 
   let equal a b =
-    a.k_origin = b.k_origin && String.equal a.k_app b.k_app && Cell.compare a.k_cell b.k_cell = 0
+    a.k_origin = b.k_origin && String.equal a.k_app b.k_app && String.equal a.k_dict b.k_dict
+    && String.equal a.k_key b.k_key && a.k_whole = b.k_whole
 
   let hash = Hashtbl.hash
 end)
@@ -22,34 +31,65 @@ type cache = { found : found Keys.t; probe : key; mutable version : int }
 let create_cache () =
   {
     found = Keys.create 1024;
-    probe = { k_origin = 0; k_app = ""; k_cell = Cell.whole "" };
+    probe = { k_origin = 0; k_app = ""; k_dict = ""; k_key = ""; k_whole = false };
     version = 0;
   }
 
 let invalidate cache = cache.version <- cache.version + 1
 
-let probe cache ~origin ~app cs =
+let not_a_leg () = invalid_arg "Route_plan: not a Key or Cells mapping"
+
+let probe cache ~origin ~app (m : Mapping.t) =
   let k = cache.probe in
   k.k_origin <- origin;
   k.k_app <- app;
-  k.k_cell <- Cell.Set.min_elt cs;
+  (match m with
+  | Mapping.Key { dict; key } ->
+    k.k_dict <- dict;
+    k.k_key <- key;
+    k.k_whole <- false
+  | Mapping.Cells cs -> (
+    let c = Cell.Set.min_elt cs in
+    k.k_dict <- c.Cell.dict;
+    match c.Cell.key with
+    | Cell.Key key ->
+      k.k_key <- key;
+      k.k_whole <- false
+    | Cell.All ->
+      k.k_key <- "";
+      k.k_whole <- true)
+  | Mapping.Foreach _ | Mapping.Local | Mapping.Drop -> not_a_leg ());
   k
 
-let remember cache ~origin ~app cs ~owner =
-  match Keys.find cache.found (probe cache ~origin ~app cs) with
+let remember cache ~origin ~app m ~owner =
+  let k = probe cache ~origin ~app m in
+  match Keys.find cache.found k with
   | f ->
     f.owner <- owner;
     f.at_version <- cache.version
   | exception Not_found ->
-    Keys.add cache.found
-      { k_origin = origin; k_app = app; k_cell = Cell.Set.min_elt cs }
-      { owner; at_version = cache.version }
+    Keys.add cache.found { k with k_origin = origin } { owner; at_version = cache.version }
 
 (* Whether the cache lacks [bee] as the owner found at its version. *)
-let stale cache ~origin ~app cs ~bee =
-  match Keys.find cache.found (probe cache ~origin ~app cs) with
+let stale cache ~origin ~app m ~bee =
+  match Keys.find cache.found (probe cache ~origin ~app m) with
   | f -> f.owner <> bee || f.at_version <> cache.version
   | exception Not_found -> true
+
+(* What a leg's mapping asks of the registry. A [Key] is answered from
+   the per-key index, with no set built; only [cells] builds its
+   singleton, for the rare plans that need a set. *)
+let owner reg ~app (m : Mapping.t) =
+  match m with
+  | Mapping.Key { dict; key } -> Registry.key_owner reg ~app ~dict ~key
+  | Mapping.Cells cs -> Registry.owner reg ~app cs
+  | Mapping.Foreach _ | Mapping.Local | Mapping.Drop -> not_a_leg ()
+
+let cells (m : Mapping.t) =
+  match m with
+  | Mapping.Key { dict; key } -> Cell.Set.singleton (Cell.cell dict key)
+  | Mapping.Cells cs -> cs
+  | Mapping.Foreach _ | Mapping.Local | Mapping.Drop -> not_a_leg ()
 
 type t =
   | Use
@@ -85,19 +125,21 @@ let least_loaded reg hives ~capacity ~exclude ~cells =
 (* Normally the origin hive (the locality heuristic of the paper); a
    draining or decommissioned origin redirects to the least-loaded
    placeable hive so no new cells anchor on a hive that is leaving. *)
-let placement_hive reg hives ~capacity ~origin cs =
+let placement_hive reg hives ~capacity ~origin (m : Mapping.t) =
   if Hives.placeable hives origin then origin
   else
-    Option.value ~default:origin
-      (least_loaded reg hives ~capacity ~exclude:origin ~cells:(Cell.Set.cardinal cs))
+    let cells = match m with Mapping.Key _ -> 1 | m -> Cell.Set.cardinal (cells m) in
+    Option.value ~default:origin (least_loaded reg hives ~capacity ~exclude:origin ~cells)
 
 (* Exact membership, not intersection: a wildcard that merely intersects
    owned keys must still be claimed so that future keys of the dictionary
-   keep collocating with the owner. *)
-let unowned reg ~bee cs =
-  let owned = (Registry.bee reg bee).Registry.bee_cells in
-  if Cell.Set.subset cs owned then Cell.Set.empty
-  else Cell.Set.filter (fun c -> not (Cell.Set.mem c owned)) cs
+   keep collocating with the owner. The registry's index decides it for
+   both forms, cell by cell. *)
+let holds reg ~app ~bee (m : Mapping.t) =
+  match m with
+  | Mapping.Key { dict; key } -> Registry.holds_key reg ~app ~bee ~dict ~key
+  | Mapping.Cells cs -> Registry.holds_all reg ~app ~bee cs
+  | Mapping.Foreach _ | Mapping.Local | Mapping.Drop -> not_a_leg ()
 
 (* The mapped cells bridge several owners. A bee on a crashed hive must
    never win a merge: its process is gone, and the restart-time revival
@@ -119,15 +161,13 @@ let merge reg hives ~app cs =
   | [] -> Drop
   | winner :: rest -> Merge { winner; losers = rest @ crashed }
 
-let decide reg hives cache ~capacity ~app ~origin ~owner cs =
-  if owner = Registry.no_owner then Create (placement_hive reg hives ~capacity ~origin cs)
-  else if owner = Registry.several then merge reg hives ~app cs
-  else begin
-    let claim = unowned reg ~bee:owner cs in
-    if not (Cell.Set.is_empty claim) then Claim claim
-    else if
-      (Registry.bee reg owner).Registry.bee_hive <> origin
-      && stale cache ~origin ~app cs ~bee:owner
-    then Lookup
-    else Use
-  end
+let decide reg hives cache ~capacity ~app ~origin ~owner m =
+  if owner = Registry.no_owner then Create (placement_hive reg hives ~capacity ~origin m)
+  else if owner = Registry.several then merge reg hives ~app (cells m)
+  else if not (holds reg ~app ~bee:owner m) then
+    Claim (Registry.unheld reg ~app ~bee:owner (cells m))
+  else if
+    (Registry.bee reg owner).Registry.bee_hive <> origin
+    && stale cache ~origin ~app m ~bee:owner
+  then Lookup
+  else Use

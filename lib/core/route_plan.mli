@@ -11,8 +11,10 @@
 
 type cache
 (** Cached lock-service lookups, keyed by the origin hive, the app and
-    the first mapped cell: the owner found and the cache's version when
-    it was found. Looking a key up allocates nothing. *)
+    the first mapped cell, held as its dict and key strings so that a
+    [Mapping.Key] and the singleton [Cells] of its cell share an entry:
+    the owner found and the cache's version when it was found. Looking a
+    key up allocates nothing. *)
 
 val create_cache : unit -> cache
 
@@ -21,10 +23,25 @@ val invalidate : cache -> unit
     each ownership change (a bee created, cells claimed, a merge, a
     migration landed) and each hive lifecycle transition. *)
 
-val remember : cache -> origin:int -> app:string -> Cell.Set.t -> owner:int -> unit
-(** Records the owner a lookup for these mapped cells found at the
-    cache's current version. A key already cached is refreshed in place,
-    with no allocation. *)
+(** {2 A leg's mapping}
+
+    A Cells leg is mapped to a [Mapping.Key] or a non-empty
+    [Mapping.Cells]; the functions below raise [Invalid_argument] for
+    any other mapping. *)
+
+val owner : Registry.t -> app:string -> Mapping.t -> int
+(** The leg's owner as {!Registry.owner} of its cells defines it: one
+    bee's id, {!Registry.no_owner} or {!Registry.several}. A [Key] is
+    answered by {!Registry.key_owner}, with no set built. *)
+
+val cells : Mapping.t -> Cell.Set.t
+(** The leg's cells as a set. A [Key] builds its singleton here: only
+    the rare plans (a new bee's cells, a claim, a merge) call this. *)
+
+val remember : cache -> origin:int -> app:string -> Mapping.t -> owner:int -> unit
+(** Records the owner a lookup for this mapped leg found at the cache's
+    current version. A key already cached is refreshed in place, with no
+    allocation. *)
 
 type t =
   | Use  (** The single owner takes the leg: it owns every mapped cell. *)
@@ -53,14 +70,17 @@ val decide :
   app:string ->
   origin:int ->
   owner:int ->
-  Cell.Set.t ->
+  Mapping.t ->
   t
-(** [decide reg hives cache ~capacity ~app ~origin ~owner cells]
-    for a non-empty [cells] mapped by [app] on a message that originated
-    on [origin], where [owner] is [Registry.owner reg ~app cells]: one
-    bee's id, {!Registry.no_owner} or {!Registry.several}. [capacity] is
-    the most cells one hive may host. [Use], [Lookup] and [Claim] are
-    for [owner]. *)
+(** [decide reg hives cache ~capacity ~app ~origin ~owner m] for a leg
+    mapped to [m] by [app] on a message that originated on [origin],
+    where [owner] is [owner reg ~app m]. [capacity] is the most cells
+    one hive may host. [Use], [Lookup] and [Claim] are for [owner];
+    ownership is exact membership ({!Registry.holds_key},
+    {!Registry.holds_all}), so an owner that only intersects a mapped
+    wildcard still claims it. A [Key] leg and the singleton [Cells] of
+    its cell get equal plans, and neither plan allocates for [Use] or
+    [Lookup]. *)
 
 val has_room : Registry.t -> Hives.t -> capacity:int -> int -> cells:int -> bool
 (** Hive [h] is placeable and can take [cells] more cells within
@@ -73,6 +93,3 @@ val least_loaded :
 (** The hive other than [exclude] that {!has_room} for [cells] and owns
     the fewest cells (landed cells only), ties to the lowest id; [None]
     when no hive qualifies. *)
-
-val unowned : Registry.t -> bee:int -> Cell.Set.t -> Cell.Set.t
-(** The cells of the set the bee does not own itself. *)

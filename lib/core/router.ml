@@ -36,6 +36,15 @@ let count_drop drops reason =
 
 open Bee
 
+(* What routing keeps per app: a Local leg's allowed cells, every
+   dictionary's wildcard, built once; and the id of the app's local bee
+   on each hive, -1 for none, grown as hives join. *)
+type app_route = {
+  app : App.t;
+  whole_dicts : Mapping.t;
+  mutable local_bees : int array;
+}
+
 (* A leg to bee [to_], with no attempt made yet. Defined here, not in
    {!Bee}, so that building each leg stays a call within this module. *)
 let delivery ~to_ msg handler allowed outbox =
@@ -58,9 +67,8 @@ type t = {
   store : (Value.t, Outbox.entry) Store.t option;
   outbox : Outbox.t;
   bees : (int, Bee.t) Hashtbl.t;
-  local_bees : (string * int, int) Hashtbl.t;
-  subscribers : (string, (App.t * App.handler) list) Hashtbl.t;
-  whole_dicts : (string, Cell.Set.t) Hashtbl.t;  (* app -> a local bee's cells *)
+  apps : (string, app_route) Hashtbl.t;  (* by app name *)
+  subscribers : (string, (app_route * App.handler) list) Hashtbl.t;
   cache : Route_plan.cache;
   capacity : int;
   drops : int array;  (* indexed by [drop_slot] *)
@@ -74,8 +82,8 @@ type t = {
   resume : Bee.t -> unit;
 }
 
-let create engine ~chans ~transport ~reg ~locks ~hives ~store ~outbox ~bees ~local_bees ~cache
-    ~capacity ~new_bee ~resume ~arrivals ~fanouts =
+let create engine ~chans ~transport ~reg ~locks ~hives ~store ~outbox ~bees ~cache ~capacity
+    ~new_bee ~resume ~arrivals ~fanouts =
   let drops = Array.make (Array.length drop_gauges) 0 in
   {
     engine;
@@ -87,9 +95,8 @@ let create engine ~chans ~transport ~reg ~locks ~hives ~store ~outbox ~bees ~loc
     store;
     outbox;
     bees;
-    local_bees;
+    apps = Hashtbl.create 8;
     subscribers = Hashtbl.create 32;
-    whole_dicts = Hashtbl.create 8;
     cache;
     capacity;
     drops;
@@ -104,19 +111,25 @@ let create engine ~chans ~transport ~reg ~locks ~hives ~store ~outbox ~bees ~loc
   }
 
 let add_app t (app : App.t) =
-  Hashtbl.replace t.whole_dicts app.App.name
-    (Cell.Set.of_list (List.map Cell.whole app.App.dicts));
+  let r =
+    {
+      app;
+      whole_dicts = Mapping.whole_dicts app.App.dicts;
+      local_bees = Array.make (Hives.count t.hives) (-1);
+    }
+  in
+  Hashtbl.replace t.apps app.App.name r;
   List.iter
     (fun h ->
       let prev = Option.value ~default:[] (Hashtbl.find_opt t.subscribers h.App.on_kind) in
-      Hashtbl.replace t.subscribers h.App.on_kind (prev @ [ (app, h) ]))
+      Hashtbl.replace t.subscribers h.App.on_kind (prev @ [ (r, h) ]))
     app.App.handlers;
   (* Keep subscriber lists in deterministic app-name order. *)
   Hashtbl.iter
     (fun kind subs ->
       Hashtbl.replace t.subscribers kind
         (List.stable_sort
-           (fun (a, _) (b, _) -> String.compare a.App.name b.App.name)
+           (fun (a, _) (b, _) -> String.compare a.app.App.name b.app.App.name)
            subs))
     t.subscribers
 
@@ -192,14 +205,14 @@ let[@tail_mod_cons] rec legs_on t h ~in_dict msg handler = function
   | id :: rest ->
     if (Hashtbl.find t.bees id).hive = h then
       delivery ~to_:id msg handler
-        (Cell.Set.filter in_dict (Registry.bee t.reg id).Registry.bee_cells)
+        (Mapping.Cells (Cell.Set.filter in_dict (Registry.bee t.reg id).Registry.bee_cells))
         Mark.none
       :: legs_on t h ~in_dict msg handler rest
     else legs_on t h ~in_dict msg handler rest
 
 (* Sends a Cells leg to the bee routing picked, [extra] (lock-service
    time) after its transfer. *)
-let send_cells t (b : Bee.t) ~extra ~handler ~src_ep ~outbox cs msg =
+let send_cells t (b : Bee.t) ~extra ~handler ~src_ep ~outbox m msg =
   if Hives.crashed t.hives b.hive then drop t Dead_target
   else begin
     let d_outbox =
@@ -216,7 +229,7 @@ let send_cells t (b : Bee.t) ~extra ~handler ~src_ep ~outbox cs msg =
        partition and the bee's paused mailbox holds the message until
        the hive rejoins, so nothing is lost to a false suspicion. *)
     transmit t ~src_ep ~dst_hive:b.hive ~bytes:msg.Message.size ~extra t.arrivals
-      (delivery ~to_:b.id msg handler cs d_outbox)
+      (delivery ~to_:b.id msg handler m d_outbox)
   end
 
 (* Folds [losers] into [winner], then claims the mapped cells [cs] it
@@ -234,16 +247,17 @@ let rec merge_into t ~app winner losers cs =
     ~resume:t.resume ~winner ~losers ~k:(fun () ->
       let late id = id <> winner.id && (Hashtbl.find t.bees id).status <> `Dead in
       match List.filter late (Registry.owners t.reg ~app cs) with
-      | [] -> Registry.assign t.reg ~bee:winner.id (Route_plan.unowned t.reg ~bee:winner.id cs)
+      | [] -> Registry.assign t.reg ~bee:winner.id (Registry.unheld t.reg ~app ~bee:winner.id cs)
       | late -> merge_into t ~app winner (List.map (Hashtbl.find t.bees) late) cs)
 
-(* Applies the {!Route_plan} for one Cells leg, then sends the message to
-   the bee it picked. *)
-let route_cells t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin ~outbox cs msg =
+(* Applies the {!Route_plan} for one Cells leg, mapped to [m] (a [Key]
+   or a non-empty [Cells]), then sends the message to the bee it picked
+   with [m] as the delivery's allowed cells. *)
+let route_cells t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin ~outbox m msg =
   let name = app.App.name in
-  let owner = Registry.owner t.reg ~app:name cs in
+  let owner = Route_plan.owner t.reg ~app:name m in
   match
-    Route_plan.decide t.reg t.hives t.cache ~capacity:t.capacity ~app:name ~origin ~owner cs
+    Route_plan.decide t.reg t.hives t.cache ~capacity:t.capacity ~app:name ~origin ~owner m
   with
   | Route_plan.Create home ->
     let b = t.new_bee ~app ~hive:home ~is_local:false in
@@ -251,28 +265,28 @@ let route_cells t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin ~outbo
       (* A fenced hive still serves its side of a partition, but its
          new bees hold until the hive rejoins. *)
       Bee.take t.hives b Fenced;
-    Registry.assign t.reg ~bee:b.id cs;
+    Registry.assign t.reg ~bee:b.id (Route_plan.cells m);
     Route_plan.invalidate t.cache;
     let extra = Cell_locks.charge_rpc t.locks ~hive:origin in
-    send_cells t b ~extra ~handler ~src_ep ~outbox cs msg
+    send_cells t b ~extra ~handler ~src_ep ~outbox m msg
   | Route_plan.Use ->
-    send_cells t (Hashtbl.find t.bees owner) ~extra:Simtime.zero ~handler ~src_ep ~outbox cs msg
+    send_cells t (Hashtbl.find t.bees owner) ~extra:Simtime.zero ~handler ~src_ep ~outbox m msg
   | Route_plan.Lookup ->
     (* Remote owner: consult the (cached) lock service. *)
     let extra = Cell_locks.charge_rpc t.locks ~hive:origin in
-    Route_plan.remember t.cache ~origin ~app:name cs ~owner;
-    send_cells t (Hashtbl.find t.bees owner) ~extra ~handler ~src_ep ~outbox cs msg
+    Route_plan.remember t.cache ~origin ~app:name m ~owner;
+    send_cells t (Hashtbl.find t.bees owner) ~extra ~handler ~src_ep ~outbox m msg
   | Route_plan.Claim cells ->
     Registry.assign t.reg ~bee:owner cells;
     Route_plan.invalidate t.cache;
     let extra = Cell_locks.charge_rpc t.locks ~hive:origin in
-    send_cells t (Hashtbl.find t.bees owner) ~extra ~handler ~src_ep ~outbox cs msg
+    send_cells t (Hashtbl.find t.bees owner) ~extra ~handler ~src_ep ~outbox m msg
   | Route_plan.Merge { winner; losers } ->
     let winner = Hashtbl.find t.bees winner in
-    merge_into t ~app:name winner (List.map (Hashtbl.find t.bees) losers) cs;
+    merge_into t ~app:name winner (List.map (Hashtbl.find t.bees) losers) (Route_plan.cells m);
     let extra = Cell_locks.charge_rpc t.locks ~hive:origin in
     Route_plan.invalidate t.cache;
-    send_cells t winner ~extra ~handler ~src_ep ~outbox cs msg
+    send_cells t winner ~extra ~handler ~src_ep ~outbox m msg
   | Route_plan.Drop -> drop t Dead_target
 
 let route_foreach t ~(app : App.t) ~(handler : App.handler) ~src_ep dict msg =
@@ -291,25 +305,30 @@ let route_foreach t ~(app : App.t) ~(handler : App.handler) ~src_ep dict msg =
     h := next_owner_hive t ~above:hive max_int owners
   done
 
-let local_bee_of t ~(app : App.t) ~hive =
-  match Hashtbl.find_opt t.local_bees (app.App.name, hive) with
-  | Some id -> Hashtbl.find_opt t.bees id
-  | None ->
-    if not (Hives.alive t.hives hive) then None
-    else begin
-      let b = t.new_bee ~app ~hive ~is_local:true in
-      Hashtbl.replace t.local_bees (app.App.name, hive) b.id;
-      Some b
-    end
+(* The app's local bee on hive [h], created on first use. *)
+let local_bee t r ~hive =
+  if hive >= Array.length r.local_bees then begin
+    let grown = Array.make (Hives.count t.hives) (-1) in
+    Array.blit r.local_bees 0 grown 0 (Array.length r.local_bees);
+    r.local_bees <- grown
+  end;
+  let id = r.local_bees.(hive) in
+  if id >= 0 then Hashtbl.find t.bees id
+  else begin
+    let b = t.new_bee ~app:r.app ~hive ~is_local:true in
+    r.local_bees.(hive) <- b.id;
+    b
+  end
 
-let route_local t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin msg =
+let forget_local t ~app ~hive =
+  let r = Hashtbl.find t.apps app in
+  if hive < Array.length r.local_bees then r.local_bees.(hive) <- -1
+
+let route_local t r ~(handler : App.handler) ~src_ep ~origin msg =
   let deliver_on h =
     if Hives.alive t.hives h then
-      match local_bee_of t ~app ~hive:h with
-      | None -> ()
-      | Some b ->
-        transmit t ~src_ep ~dst_hive:h ~bytes:msg.Message.size ~extra:Simtime.zero t.arrivals
-          (delivery ~to_:b.id msg handler (Hashtbl.find t.whole_dicts app.App.name) Mark.none)
+      transmit t ~src_ep ~dst_hive:h ~bytes:msg.Message.size ~extra:Simtime.zero t.arrivals
+        (delivery ~to_:(local_bee t r ~hive:h).id msg handler r.whole_dicts Mark.none)
   in
   (* System messages (timer ticks) trigger local handlers on every hive;
      ordinary messages only on their origin hive. *)
@@ -322,16 +341,17 @@ let route_local t ~(app : App.t) ~(handler : App.handler) ~src_ep ~origin msg =
 
 let rec route_legs t ~src_ep ~origin ~outbox ~first msg legs = function
   | [] -> legs
-  | ((app : App.t), handler) :: rest ->
+  | (r, handler) :: rest ->
+    let app = r.app in
     let legs =
       match safe_map t handler msg with
       | Mapping.Drop -> legs
       | Mapping.Cells cs when Cell.Set.is_empty cs -> legs
-      | Mapping.Cells cs ->
-        route_cells t ~app ~handler ~src_ep ~origin ~outbox cs msg;
+      | (Mapping.Key _ | Mapping.Cells _) as m ->
+        route_cells t ~app ~handler ~src_ep ~origin ~outbox m msg;
         legs + 1
       | Mapping.Local ->
-        if first then route_local t ~app ~handler ~src_ep ~origin msg;
+        if first then route_local t r ~handler ~src_ep ~origin msg;
         legs
       | Mapping.Foreach dict ->
         if first then route_foreach t ~app ~handler ~src_ep dict msg;

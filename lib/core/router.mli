@@ -30,7 +30,6 @@ val create :
   store:(Value.t, Outbox.entry) Beehive_store.Store.t option ->
   outbox:Outbox.t ->
   bees:(int, Bee.t) Hashtbl.t ->
-  local_bees:(string * int, int) Hashtbl.t ->
   cache:Route_plan.cache ->
   capacity:int ->
   new_bee:(app:App.t -> hive:int -> is_local:bool -> Bee.t) ->
@@ -38,14 +37,19 @@ val create :
   arrivals:Bee.delivery Beehive_sim.Engine.lane ->
   fanouts:Bee.delivery list Beehive_sim.Engine.lane ->
   t
-(** [bees] and [local_bees] (app name and hive to the hive's local bee)
-    are shared with the caller, which adds bees through [new_bee]. A
+(** [bees] is shared with the caller, which adds bees through
+    [new_bee]. Routing keeps each app's local bees itself, in an array
+    by hive ({!forget_local}). A
     Cells or Local leg lands on [arrivals], a Foreach copy with its
     hive's legs on [fanouts]. [resume] is handed every bee a merge
     releases. [capacity] is the most cells one hive may host. *)
 
 val add_app : t -> App.t -> unit
 (** Subscribes the app's handlers, in app-name order per kind. *)
+
+val forget_local : t -> app:string -> hive:int -> unit
+(** The app's local bee on [hive] is gone: its next Local leg there
+    creates a new one. *)
 
 val route : t -> src_ep:Beehive_net.Channels.endpoint -> Message.t -> unit
 (** Routes a new message from [src_ep] to every subscriber; a message

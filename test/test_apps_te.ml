@@ -233,7 +233,7 @@ let context_over dicts =
       ~late:(fun _ _ ?size:_ ~kind:_ _ -> ())
   in
   Beehive_core.Context.make env ~read_shadow:None
-    ~allowed:(Cell.Set.of_list (List.map (fun (dict, _) -> Cell.whole dict) dicts))
+    ~allowed:(Beehive_core.Mapping.whole_dicts (List.map fst dicts))
     ~tx:(State.begin_tx st)
     ~message:
       (Message.make ~kind:"test.noop" ~src:Message.From_system ~sent_at:Simtime.zero

@@ -273,6 +273,82 @@ let prop_owners_match_scan =
           List.for_all (fun q -> agrees "a" q && agrees "b" q) queries)
         ops)
 
+(* The one-key routing path against the set path it replaces, after
+   each step of a random history of registers, keyed and wildcard
+   assigns, unassigns, merges and moves: [key_owner] equals [owner] of
+   the cell's singleton, and the index's exact membership ([holds_key],
+   [holds_all], [unheld]) equals membership in the bee's own cell set,
+   for every keyed cell, every bee and the sets mixing keys and
+   wildcards. *)
+let prop_key_path_matches_sets =
+  let keyed =
+    List.init 8 (fun k -> ("d", string_of_int k)) @ List.init 4 (fun k -> ("e", string_of_int k))
+  in
+  let sets =
+    List.map Cell.Set.of_list
+      [ [ w "d" ]; [ w "d"; w "e" ]; [ c "d" "0"; w "e" ]; [ c "d" "1"; c "d" "2" ]; [ c "e" "3" ] ]
+  in
+  QCheck.Test.make ~name:"the key path's owner and membership match the set path" ~count:500
+    QCheck.(make ~print:Print.(list show_reg_op) Gen.(list_size (0 -- 40) gen_reg_op))
+    (fun ops ->
+      let r = Registry.create () in
+      let app b = if b mod 2 = 0 then "a" else "b" in
+      let register b h = ignore (Registry.register_bee r ~bee_id:b ~app:(app b) ~hive:h) in
+      for b = 0 to 5 do
+        register b (b mod 3)
+      done;
+      let exists b = Registry.find_bee r b <> None in
+      let agrees () =
+        List.iter
+          (fun (dict, key) ->
+            let cell = c dict key in
+            List.iter
+              (fun app ->
+                let by_set = Registry.owner r ~app (Cell.Set.singleton cell) in
+                let by_key = Registry.key_owner r ~app ~dict ~key in
+                if by_set <> by_key then
+                  QCheck.Test.fail_reportf "owner of %s/%s in %s: set %d, key %d" dict key app
+                    by_set by_key)
+              [ "a"; "b" ];
+            for b = 0 to 5 do
+              match Registry.find_bee r b with
+              | None -> ()
+              | Some i ->
+                let want = Cell.Set.mem cell i.Registry.bee_cells in
+                if Registry.holds_key r ~app:(app b) ~bee:b ~dict ~key <> want then
+                  QCheck.Test.fail_reportf "holds_key %d %s/%s, expected %b" b dict key want
+            done)
+          keyed;
+        for b = 0 to 5 do
+          match Registry.find_bee r b with
+          | None -> ()
+          | Some i ->
+            List.iter
+              (fun cs ->
+                let owned = i.Registry.bee_cells in
+                let want = Cell.Set.filter (fun x -> not (Cell.Set.mem x owned)) cs in
+                if
+                  Registry.holds_all r ~app:(app b) ~bee:b cs <> Cell.Set.subset cs owned
+                  || not (Cell.Set.equal (Registry.unheld r ~app:(app b) ~bee:b cs) want)
+                then QCheck.Test.fail_reportf "bee %d and %a" b Cell.Set.pp cs)
+              sets
+        done;
+        true
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+           | Register (b, h) -> if not (exists b) then register b h
+           | Assign (b, cells) -> (
+             if exists b then try Registry.assign r ~bee:b cells with Invalid_argument _ -> ())
+           | Unassign b -> Registry.unassign_bee r ~bee:b
+           | Reassign (a, b) ->
+             if a <> b && exists a && exists b && String.equal (app a) (app b) then
+               Registry.reassign_all r ~from_bee:a ~to_bee:b
+           | Set_hive (b, h) -> if exists b then Registry.set_hive r ~bee:b ~hive:h);
+          agrees ())
+        ops)
+
 (* [owners_of_dict] against a reference: the distinct owners of any
    cell of the dict, wildcard or keyed, from a scan of every bee, sorted
    by id. Bee [i] has id [17 * i], so ids run past the marks' first 64
@@ -392,5 +468,6 @@ let suite =
         QCheck_alcotest.to_alcotest prop_single_ownership;
         QCheck_alcotest.to_alcotest prop_hive_cell_count;
         QCheck_alcotest.to_alcotest prop_owners_match_scan;
+        QCheck_alcotest.to_alcotest prop_key_path_matches_sets;
       ] );
   ]

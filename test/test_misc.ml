@@ -67,10 +67,20 @@ let test_value_pp () =
 
 let test_mapping_builders () =
   (match Mapping.with_key "d" "k" with
-  | Mapping.Cells cs ->
-    Alcotest.(check int) "one cell" 1 (Cell.Set.cardinal cs);
-    Alcotest.(check bool) "the right one" true (Cell.Set.mem (Cell.cell "d" "k") cs)
+  | Mapping.Key { dict; key } ->
+    Alcotest.(check (pair string string)) "the one cell" ("d", "k") (dict, key)
   | _ -> Alcotest.fail "with_key");
+  (match Mapping.with_keys [ ("d", "k") ] with
+  | Mapping.Key { dict = "d"; key = "k" } -> ()
+  | _ -> Alcotest.fail "with_keys of one pair");
+  (match Mapping.with_keys [ ("d", "k"); ("e", "j") ] with
+  | Mapping.Cells cs ->
+    Alcotest.(check int) "two cells" 2 (Cell.Set.cardinal cs);
+    Alcotest.(check bool) "the right ones" true
+      (Cell.Set.mem (Cell.cell "d" "k") cs && Cell.Set.mem (Cell.cell "e" "j") cs)
+  | _ -> Alcotest.fail "with_keys");
+  Alcotest.(check string) "a key prints as its one cell" "cells {(d, k)}"
+    (Format.asprintf "%a" Mapping.pp (Mapping.with_key "d" "k"));
   (match Mapping.whole_dicts [ "a"; "b" ] with
   | Mapping.Cells cs ->
     Alcotest.(check bool) "wildcards" true
@@ -78,6 +88,16 @@ let test_mapping_builders () =
   | _ -> Alcotest.fail "whole_dicts");
   Alcotest.(check string) "pp foreach" "foreach S"
     (Format.asprintf "%a" Mapping.pp (Mapping.Foreach "S"))
+
+(* [with S[k]] is one 3-word [Key]: no cell, set node or set box (12
+   words as a singleton [Cells]). *)
+let test_single_key_map_words () =
+  let keys = Array.init 16 string_of_int in
+  let before = Gc.minor_words () in
+  for i = 1 to 1_000 do
+    ignore (Sys.opaque_identity (Mapping.with_key "d" keys.(i land 15)))
+  done;
+  Alcotest.(check (float 0.)) "words per map" 3. ((Gc.minor_words () -. before) /. 1_000.)
 
 let test_cell_pp_and_order () =
   Alcotest.(check string) "concrete" "(S, sw1)" (Format.asprintf "%a" Cell.pp (Cell.cell "S" "sw1"));
@@ -251,6 +271,7 @@ let suite =
         Alcotest.test_case "value sizes" `Quick test_value_sizes;
         Alcotest.test_case "value printing" `Quick test_value_pp;
         Alcotest.test_case "mapping builders" `Quick test_mapping_builders;
+        Alcotest.test_case "a single-key map allocates 3 words" `Quick test_single_key_map_words;
         Alcotest.test_case "cell printing and order" `Quick test_cell_pp_and_order;
         Alcotest.test_case "series sparkline" `Quick test_series_sparkline;
         Alcotest.test_case "stats windows" `Quick test_stats_windows;
