@@ -101,8 +101,9 @@ type t = {
   mutable env : Context.env;
       (** its handlers' constants: its [From_bee] source, shared by every
           message it emits as the one record of its origin, its seeded
-          random stream, the platform's clock and late sink. The platform
-          rebuilds it, source and all, when the bee has moved *)
+          random stream, the platform's clock and late sink, and its one
+          transaction, reopened for every delivery. The platform rebuilds
+          it, source and all, when the bee has moved *)
   mutable status : [ `Active | `Crashed | `Dead ];
       (** written only by this module. [`Crashed] when the bee's hive
           failed but its dictionaries are durable: the registry keeps its

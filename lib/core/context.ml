@@ -5,10 +5,6 @@ exception Access_violation of { app : string; dict : string; key : string }
 type t = {
   env : env;
   allowed : Mapping.t;
-  tx : State.tx;
-  read_shadow : (string * string * Value.t) list option;
-      (* when set, pure reads are served from this snapshot instead of
-         the transaction — the platform's stale-read fault injection *)
   message : Message.t;
   mutable emits : Message.t list;  (* newest first *)
   mutable sends : (Beehive_net.Channels.endpoint * Message.t) list;  (* newest first *)
@@ -20,21 +16,33 @@ and env = {
   now : unit -> Beehive_sim.Simtime.t;
   rng : Beehive_sim.Rng.t;
   late : late;
+  tx : State.tx;  (* the bee's one transaction, reopened by every [make] *)
+  mutable read_shadow : (string * string * Value.t) list option;
+      (* the delivery's: when set, pure reads are served from this
+         snapshot instead of the transaction — the platform's stale-read
+         fault injection *)
 }
 
 and late =
   t -> Beehive_net.Channels.endpoint option -> ?size:int -> kind:string -> Message.payload -> unit
 
-let env ~src ~now ~rng ~late =
+(* What a bee's transaction is open against until its first [make]
+   reopens it against the bee's state; no context reaches it. *)
+let no_state = State.create ()
+
+let with_tx ~src ~now ~rng ~late tx =
   match src with
-  | Message.From_bee _ -> { src; now; rng; late }
+  | Message.From_bee _ -> { src; now; rng; late; tx; read_shadow = None }
   | Message.From_endpoint _ | Message.From_system -> invalid_arg "Context.env: not a bee source"
 
+let env ~src ~now ~rng ~late = with_tx ~src ~now ~rng ~late (State.begin_tx no_state)
 let source env = env.src
-let with_source e ~src = env ~src ~now:e.now ~rng:e.rng ~late:e.late
+let with_source e ~src = with_tx ~src ~now:e.now ~rng:e.rng ~late:e.late e.tx
 
-let make env ~read_shadow ~allowed ~tx ~message =
-  { env; allowed; tx; read_shadow; message; emits = []; sends = []; closed = false }
+let make env ~state ~read_shadow ~allowed ~message =
+  State.reopen env.tx state;
+  env.read_shadow <- read_shadow;
+  { env; allowed; message; emits = []; sends = []; closed = false }
 
 (* [env] admits only a [From_bee] source, so the other arms never run. *)
 let app t = match t.env.src with Message.From_bee { app; _ } -> app | _ -> ""
@@ -43,7 +51,7 @@ let hive_id t = match t.env.src with Message.From_bee { hive; _ } -> hive | _ ->
 let now t = t.env.now ()
 let rng t = t.env.rng
 let message t = t.message
-let tx t = t.tx
+let tx t = t.env.tx
 let close t = t.closed <- true
 let emitted t = t.emits
 let sent t = t.sends
@@ -99,14 +107,21 @@ let holds_wildcard t ~dict =
     Cell.Set.exists is_probe_wildcard cs
   | Mapping.Key _ | Mapping.Foreach _ | Mapping.Local | Mapping.Drop -> false
 
+(* A closed context is a stale handle: the bee's transaction has moved
+   on to a later delivery, so a state access through it raises before it
+   reaches that transaction. *)
+let live t = if t.closed then invalid_arg "State: transaction already finished"
+
 let check t ~dict ~key =
+  live t;
   if not (visible t ~dict key) then raise (Access_violation { app = app t; dict; key })
 
 let check_dict t ~dict =
+  live t;
   if not (maps_dict t ~dict) then raise (Access_violation { app = app t; dict; key = "*" })
 
 let shadow_get t ~dict ~key =
-  match t.read_shadow with
+  match t.env.read_shadow with
   | None -> None
   | Some entries ->
     Some
@@ -118,34 +133,34 @@ let get t ~dict ~key =
   check t ~dict ~key;
   match shadow_get t ~dict ~key with
   | Some v -> v
-  | None -> State.tx_get t.tx ~dict ~key
+  | None -> State.tx_get t.env.tx ~dict ~key
 
 let mem t ~dict ~key =
   check t ~dict ~key;
   match shadow_get t ~dict ~key with
   | Some v -> Option.is_some v
-  | None -> State.tx_mem t.tx ~dict ~key
+  | None -> State.tx_mem t.env.tx ~dict ~key
 
 let set t ~dict ~key v =
   check t ~dict ~key;
-  State.tx_set t.tx ~dict ~key v
+  State.tx_set t.env.tx ~dict ~key v
 
 let del t ~dict ~key =
   check t ~dict ~key;
-  State.tx_del t.tx ~dict ~key
+  State.tx_del t.env.tx ~dict ~key
 
 let update t ~dict ~key f =
   check t ~dict ~key;
-  State.tx_write t.tx ~dict ~key (f (State.tx_get t.tx ~dict ~key))
+  State.tx_write t.env.tx ~dict ~key (f (State.tx_get t.env.tx ~dict ~key))
 
 (* Holding the wildcard of [dict] makes every key visible, so only bees
    that hold some keys of [dict] pay the per-key check. *)
 let iter_dict t ~dict f =
   check_dict t ~dict;
   let f = if holds_wildcard t ~dict then f else fun k v -> if visible t ~dict k then f k v in
-  match t.read_shadow with
+  match t.env.read_shadow with
   | Some entries -> List.iter (fun (d, k, v) -> if String.equal d dict then f k v) entries
-  | None -> State.tx_iter t.tx ~dict f
+  | None -> State.tx_iter t.env.tx ~dict f
 
 let bee_message t ?size ~kind payload =
   Message.make ?size ~kind ~src:t.env.src ~sent_at:(now t) payload

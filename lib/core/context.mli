@@ -14,10 +14,10 @@ exception Access_violation of { app : string; dict : string; key : string }
 type t
 
 type env
-(** A bee's handler constants: its source, random stream, clock and
-    late sink. The platform builds one per bee and a new one only when
-    the bee's source changes, so a context costs its delivery's fields
-    alone. *)
+(** A bee's handler constants: its source, random stream, clock, late
+    sink and its one transaction, which every {!make} reopens. The
+    platform builds one per bee and a new one only when the bee's source
+    changes, so a context costs its delivery's fields alone. *)
 
 type late =
   t -> Beehive_net.Channels.endpoint option -> ?size:int -> kind:string -> Message.payload -> unit
@@ -37,16 +37,19 @@ val env :
 val source : env -> Message.source
 
 val with_source : env -> src:Message.source -> env
-(** The same constants under a new source: the bee moved hives. *)
+(** The same constants and transaction under a new source: the bee
+    moved hives. *)
 
 val make :
   env ->
+  state:State.t ->
   read_shadow:(string * string * Value.t) list option ->
   allowed:Mapping.t ->
-  tx:State.tx ->
   message:Message.t ->
   t
 (** Used by the platform (and by tests that drive handlers directly).
+    Reopens the env's transaction against [state]: the env's previous
+    context must be closed and its transaction finished.
     [allowed] is the delivery's [d_allowed]: a [Key] admits its one cell,
     checked by comparing two strings; a [Cells] admits every key its
     cells intersect; any other mapping admits nothing. A [Key] and the
@@ -83,7 +86,8 @@ val tx : t -> State.tx
     back. *)
 
 val close : t -> unit
-(** Marks the handler as returned: later emits and sends go to [late]. *)
+(** Marks the handler as returned: later emits and sends go to [late],
+    and later state accesses raise. *)
 
 val emitted : t -> Message.t list
 (** Messages emitted before {!close}, newest first. *)
@@ -91,7 +95,10 @@ val emitted : t -> Message.t list
 val sent : t -> (Beehive_net.Channels.endpoint * Message.t) list
 (** Endpoint sends made before {!close}, newest first. *)
 
-(** {2 State access (within mapped cells)} *)
+(** {2 State access (within mapped cells)}
+
+    Once the context is closed, each raises [Invalid_argument] before it
+    reaches the transaction, which a later delivery may have reopened. *)
 
 val get : t -> dict:string -> key:string -> Value.t option
 val mem : t -> dict:string -> key:string -> bool

@@ -341,10 +341,10 @@ let quarantine_delivery t (b : bee) (d : Bee.delivery) exn =
 (* The life of a message past routing: mailbox, handler, commit, emits *)
 (* ------------------------------------------------------------------ *)
 
-(* One handler execution: [open_context] and [run_handler] run the
-   handler body against the bee's transaction; [complete] then commits,
-   routes, appends to the WAL, runs hooks or retries and quarantines,
-   and frees the bee for its next message. *)
+(* One handler execution: [open_context] reopens the bee's transaction
+   and [run_handler] runs the handler body against it; [complete] then
+   commits, routes, appends to the WAL, runs hooks or retries and
+   quarantines, and frees the bee for its next message. *)
 let open_context t (b : bee) (d : Bee.delivery) =
   let msg = d.d_msg in
   if d.d_attempts = 0 then begin
@@ -373,8 +373,7 @@ let open_context t (b : bee) (d : Bee.delivery) =
      cannot ride the commit, so [t.late] dispatches them immediately —
      and they get none of the exactly-once guarantees, which is
      precisely the external-store liability the paper argues against. *)
-  Context.make (env_of b) ~read_shadow ~allowed:d.d_allowed ~tx:(State.begin_tx b.state)
-    ~message:msg
+  Context.make (env_of b) ~state:b.state ~read_shadow ~allowed:d.d_allowed ~message:msg
 
 let run_handler (d : Bee.delivery) ctx =
   let failure =
@@ -603,9 +602,15 @@ let outbox_now_durable t s rows =
 
 (* Each group-commit fsync is charged to the owning hive's row of the
    traffic matrix. *)
+let rec run_fsync_hooks hive = function
+  | [] -> ()
+  | f :: rest ->
+    f hive;
+    run_fsync_hooks hive rest
+
 let fsynced t ~hive ~bytes =
   ignore (Channels.transfer t.chans ~src:(hive_ep t hive) ~dst:(hive_ep t hive) ~bytes ~now:(now t));
-  List.iter (fun f -> f hive) t.fsync_hooks
+  run_fsync_hooks hive t.fsync_hooks
 
 (* What the hive's fsync made durable: first the acks its records' marks
    owe, then the emits to dispatch. *)

@@ -97,6 +97,8 @@ type t = {
   mutable hive_sources : Message.source array;
       (* [From_endpoint (Hive h)] by hive, the source of every message
          injected from a hive; grown as hives join *)
+  switch_sources : (int, Message.source) Hashtbl.t;
+      (* [From_endpoint (Switch s)] by switch, built at its first inject *)
   mutable started : bool;
   mutable migration_log : migration list;  (* newest first *)
 }
@@ -157,7 +159,14 @@ let inject t ~from ?size ~kind payload =
   let src =
     match from with
     | Channels.Hive h when h >= 0 && h < Hives.count t.hives -> hive_source t h
-    | _ -> Message.From_endpoint from
+    | Channels.Switch s -> (
+      match Hashtbl.find t.switch_sources s with
+      | src -> src
+      | exception Not_found ->
+        let src = Message.From_endpoint from in
+        Hashtbl.add t.switch_sources s src;
+        src)
+    | Channels.Hive _ -> Message.From_endpoint from
   in
   let msg = Message.make ?size ~kind ~src ~sent_at:(now t) payload in
   Dispatch.observe t.dispatch ~parent:None msg;
@@ -505,6 +514,7 @@ let create engine cfg =
     transfer;
     apps = [];
     hive_sources = [||];
+    switch_sources = Hashtbl.create 16;
     started = false;
     migration_log = [];
   }

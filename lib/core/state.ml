@@ -22,7 +22,7 @@ type pending = string * string * Value.t option
    under [String.compare]: the order the WAL record and replication ship
    them in. *)
 type tx = {
-  base : t;
+  mutable base : t;
   mutable writes : pending array;
   mutable n : int;
   mutable finished : bool;
@@ -54,7 +54,21 @@ let size_bytes t =
 (* Fills the unused tail of the pending array. *)
 let no_write = ("", "", None)
 
-let begin_tx base = { base; writes = [||]; n = 0; finished = false }
+(* A finished transaction keeps no write alive. *)
+let finish tx =
+  tx.finished <- true;
+  Array.fill tx.writes 0 tx.n no_write;
+  tx.n <- 0
+
+let reopen tx base =
+  finish tx;
+  tx.base <- base;
+  tx.finished <- false
+
+let begin_tx base =
+  let tx = { base; writes = [||]; n = 0; finished = true } in
+  reopen tx base;
+  tx
 
 let check_open tx = if tx.finished then invalid_arg "State: transaction already finished"
 
@@ -182,16 +196,15 @@ let commit tx =
   check_open tx;
   if tx.n > 0 && tx.base.viewing > 0 then
     invalid_arg "State: commit during a live view of the same state";
-  tx.finished <- true;
   for i = 0 to tx.n - 1 do
     apply tx.base tx.writes.(i)
-  done
+  done;
+  finish tx
 
 let rollback tx =
   check_open tx;
-  tx.finished <- true;
   let discarded = tx.n in
-  tx.n <- 0;
+  finish tx;
   discarded
 
 (* [Cell.Set] runs in dictionary order, a dictionary's wildcard before

@@ -55,6 +55,13 @@ val entries : t -> dict:string -> (string * Value.t) list
 (** {2 Transactions} *)
 
 val begin_tx : t -> tx
+(** {!reopen} applied to a new record. *)
+
+val reopen : tx -> t -> unit
+(** Reuses a finished transaction and its pending array as a new one
+    against the given state: a bee reopens its one transaction for
+    every delivery, so a delivery allocates no transaction. *)
+
 val tx_get : tx -> dict:string -> key:string -> Value.t option
 val tx_mem : tx -> dict:string -> key:string -> bool
 val tx_set : tx -> dict:string -> key:string -> Value.t -> unit
@@ -78,8 +85,9 @@ val tx_pending : tx -> (string * string * Value.t option) list
     part of the durable byte image. *)
 
 val commit : tx -> unit
-(** Applies pending writes. A committed or rolled-back transaction cannot
-    be reused. Raises [Invalid_argument] if the transaction has writes
+(** Applies pending writes. A committed or rolled-back transaction holds
+    no write and raises [Invalid_argument] on every use until it is
+    reopened. Raises [Invalid_argument] if the transaction has writes
     and a {!tx_iter} over the same state is running. *)
 
 val rollback : tx -> int

@@ -49,7 +49,7 @@ let frame_damaged_oracle f = frame_state_oracle f <> F_ok
    group commit stamps its lsn and commit time in place and moves it
    into the WAL — or is lost together by [drop_pending]. Only a pending
    record is ever edited (by the debug hooks [wipe_inbox] and
-   [drop_outbox]), so a committed one is fixed. *)
+   [drop_outbox]), so a committed one is fixed but for its link. *)
 type ('v, 'e) record = {
   mutable r_lsn : int;  (* 0 while pending *)
   mutable r_at : Simtime.t;  (* commit time *)
@@ -65,7 +65,23 @@ type ('v, 'e) record = {
          journaled after the carried ones, and handed over as an ack once
          durable *)
   mutable r_frame : frame;  (* [Sound] until fault injection damages it *)
+  mutable r_older : ('v, 'e) record;  (* the next older record of its chain *)
 }
+
+(* A log's pending records and its durable WAL are two chains, newest
+   first, linked through [r_older]: a record is in one of them at a time.
+   Each ends at the store's placeholder record, which links to itself. *)
+let is_end r = r.r_older == r
+
+let rec fold_chain f r acc = if is_end r then acc else fold_chain f r.r_older (f r acc)
+
+let rec iter_oldest f r =
+  if not (is_end r) then begin
+    iter_oldest f r.r_older;
+    f r
+  end
+
+let chain_length r = fold_chain (fun _ n -> n + 1) r 0
 
 (* Serialized framing overheads (bytes). *)
 let record_overhead = 24
@@ -82,10 +98,10 @@ type ('v, 'e) bee_log = {
   bl_bee : int;
   mutable bl_dirty : bool;
       (* queued on the store's dirty list: has (or had) pending records *)
-  mutable bl_pending : ('v, 'e) record list;
+  mutable bl_pending : ('v, 'e) record;
       (* records awaiting group commit, newest first; lost on
          [drop_pending] of their hive *)
-  mutable bl_wal : ('v, 'e) record list;  (* durable tail, newest first *)
+  mutable bl_wal : ('v, 'e) record;  (* durable tail, newest first *)
   mutable bl_wal_bytes : int;
   mutable bl_wal_records : int;
   mutable bl_snapshot : (string * string * 'v) list;
@@ -162,6 +178,8 @@ type ('v, 'e) t = {
          logs in bee-id order. *)
   absent : ('v, 'e) bee_log;
       (* the placeholder of a missing log: empty, and never written *)
+  nil : ('v, 'e) record;  (* the placeholder that ends every chain *)
+  armed_commit : unit -> unit;  (* [commit_armed] of this store, built once *)
   mutable n_logs : int;  (* slots of [logs] holding a log *)
   mutable dirty : ('v, 'e) bee_log array;
   mutable n_dirty : int;
@@ -284,12 +302,12 @@ let snapshot_image t bl =
   | Sound -> image_of (payload_of_snapshot t ~lsn:bl.bl_snapshot_lsn bl.bl_snapshot)
 
 (* A log with nothing in it; its tables hold no slots until used. *)
-let empty_log bee =
+let empty_log nil bee =
   {
     bl_bee = bee;
     bl_dirty = false;
-    bl_pending = [];
-    bl_wal = [];
+    bl_pending = nil;
+    bl_wal = nil;
     bl_wal_bytes = 0;
     bl_wal_records = 0;
     bl_snapshot = [];
@@ -322,7 +340,7 @@ let log_of t bee =
       Array.blit t.logs 0 grown 0 n;
       t.logs <- grown
     end;
-    let bl = empty_log bee in
+    let bl = empty_log t.nil bee in
     t.logs.(bee) <- bl;
     t.n_logs <- t.n_logs + 1;
     bl
@@ -446,7 +464,7 @@ let durable_table t bl =
     (fun (d, k, v) ->
       Hashtbl.replace view (d, k) (if snap_bad then t.garble v else v))
     bl.bl_snapshot;
-  List.iter
+  iter_oldest
     (fun r ->
       let bad = frame_damaged_oracle r.r_frame in
       List.iter
@@ -455,21 +473,20 @@ let durable_table t bl =
           | Some v -> Hashtbl.replace view (d, k) (if bad then t.garble v else v)
           | None -> Hashtbl.remove view (d, k))
         r.r_writes)
-    (List.rev bl.bl_wal);
+    bl.bl_wal;
   view
 
 let durable_entries t bl =
   Hashtbl.fold (fun (d, k) v acc -> (d, k, v) :: acc) (durable_table t bl) []
   |> List.sort entry_order
 
-(* What one scrub visit reports about a log: the first frame that fails
-   verification, if any. *)
-let rec first_bad t = function
-  | [] -> None
-  | r :: rest ->
-    if frame_state t r.r_frame <> F_ok then
-      Some (Printf.sprintf "wal record lsn %d failed verification" r.r_lsn)
-    else first_bad t rest
+(* What one scrub visit reports about a log: the newest frame of the
+   chain from [r] that fails verification, if any. *)
+let rec first_bad t r =
+  if is_end r then None
+  else if frame_state t r.r_frame <> F_ok then
+    Some (Printf.sprintf "wal record lsn %d failed verification" r.r_lsn)
+  else first_bad t r.r_older
 
 let verify_log t bl =
   if frame_state t bl.bl_snapshot_frame <> F_ok then Some "snapshot failed checksum verification"
@@ -497,7 +514,7 @@ let compact_log t bl =
   if t.verify && log_suspect_now t bl then ()
   else begin
   set_snapshot t bl (durable_entries t bl);
-  bl.bl_wal <- [];
+  bl.bl_wal <- t.nil;
   bl.bl_wal_bytes <- 0;
   bl.bl_wal_records <- 0;
   bl.bl_compactions <- bl.bl_compactions + 1
@@ -547,7 +564,8 @@ let commit_record t bl r =
   r.r_lsn <- bl.bl_next_lsn;
   r.r_at <- Engine.now t.engine;
   bl.bl_next_lsn <- r.r_lsn + 1;
-  bl.bl_wal <- r :: bl.bl_wal;
+  r.r_older <- bl.bl_wal;
+  bl.bl_wal <- r;
   bl.bl_wal_bytes <- bl.bl_wal_bytes + r.r_bytes;
   bl.bl_wal_records <- bl.bl_wal_records + 1;
   t.wal_bytes_written <- t.wal_bytes_written + r.r_bytes;
@@ -559,24 +577,22 @@ let commit_record t bl r =
   mark_inbox bl r.r_inbox;
   consume bl hc r.r_consumed
 
-(* Commits pending records given newest first, oldest first: recursing
-   before committing needs no reversed copy. *)
-let rec commit_oldest_first t bl = function
-  | [] -> ()
-  | r :: older ->
-    commit_oldest_first t bl older;
+(* Commits the pending chain from [r], oldest first: recursing before
+   committing reads each link before [commit_record] relinks it. *)
+let rec commit_oldest_first t bl r =
+  if not (is_end r) then begin
+    commit_oldest_first t bl r.r_older;
     commit_record t bl r
+  end
 
 (* Moves a log's pending records, oldest first, into its durable WAL,
    accumulating the per-hive fsync charges, acks and newly durable
    outbox entries into [t.commits]. True if anything moved. *)
 let commit_pending t bl =
-  match bl.bl_pending with
-  | [] -> false
-  | pending ->
-    bl.bl_pending <- [];
-    commit_oldest_first t bl pending;
-    true
+  let pending = bl.bl_pending in
+  bl.bl_pending <- t.nil;
+  commit_oldest_first t bl pending;
+  not (is_end pending)
 
 (* One fsync per charged hive, in hive order. The shares are swapped for
    the spare, empty ones before the first callback runs, so a callback
@@ -637,7 +653,7 @@ let flush_bee t ~bee =
    and a crash inside that window loses them, exactly like an un-fsynced
    log. One commit is armed at a time, so a hive never has two fsyncs in
    flight, and a store with nothing pending schedules nothing. *)
-let commit_armed t () =
+let commit_armed t =
   t.armed <- false;
   flush t
 
@@ -646,6 +662,7 @@ let append t ~bee ~hive ~outbox ~inbox ~consumed writes =
     let bl = log_of t bee in
     bl.bl_pending <-
       {
+        r_older = bl.bl_pending;
         r_lsn = 0;
         r_at = Simtime.zero;
         r_hive = hive;
@@ -655,20 +672,24 @@ let append t ~bee ~hive ~outbox ~inbox ~consumed writes =
         r_inbox = inbox;
         r_consumed = consumed;
         r_frame = Sound;
-      }
-      :: bl.bl_pending;
+      };
     mark_dirty t bl;
     bump_out_seq t bl outbox;
     if not t.armed then begin
       t.armed <- true;
       (* Kept through a hive's crash: the group commit serves every hive,
          and a crash takes its own records out with [drop_pending]. *)
-      ignore (Engine.schedule_after t.engine fsync_latency (commit_armed t))
+      ignore (Engine.schedule_after t.engine fsync_latency t.armed_commit)
     end
   end
 
 let create engine ?(config = default_config) ~size_of ~seq ~bytes ?(garble = fun v -> v)
     ?(verify = true) ?on_fsync ?on_durable () =
+  let rec nil =
+    { r_lsn = 0; r_at = Simtime.zero; r_hive = -1; r_writes = []; r_bytes = 0; r_outbox = [];
+      r_inbox = []; r_consumed = Mark.none; r_frame = Sound; r_older = nil }
+  in
+  let rec t =
   {
     engine;
     cfg = config;
@@ -680,7 +701,9 @@ let create engine ?(config = default_config) ~size_of ~seq ~bytes ?(garble = fun
     on_durable;
     verify;
     logs = [||];
-    absent = empty_log (-1);
+    absent = empty_log nil (-1);
+    nil;
+    armed_commit = (fun () -> commit_armed t);
     n_logs = 0;
     dirty = [||];
     n_dirty = 0;
@@ -700,9 +723,16 @@ let create engine ?(config = default_config) ~size_of ~seq ~bytes ?(garble = fun
     peer_repairs = 0;
     dead_letters = [];
   }
+  in
+  t
 
-let drop_pending t ~hive =
-  iter_logs t (fun bl -> bl.bl_pending <- List.filter (fun r -> r.r_hive <> hive) bl.bl_pending)
+(* The chain from [r] without [hive]'s records, in the same order. *)
+let rec drop_hive hive r =
+  if is_end r then r
+  else if r.r_hive = hive then drop_hive hive r.r_older
+  else (r.r_older <- drop_hive hive r.r_older; r)
+
+let drop_pending t ~hive = iter_logs t (fun bl -> bl.bl_pending <- drop_hive hive bl.bl_pending)
 
 let forget t ~bee =
   remove_log t bee;
@@ -732,10 +762,9 @@ let outbox_unacked t ~bee =
   | None -> []
   | Some bl -> durable_rows t bl
 
-(* The entry of row [seq] in the pending records, newest first. *)
-let rec pending_emit t ~seq = function
-  | [] -> raise Not_found
-  | r :: older -> pending_row t ~seq r.r_outbox older
+(* The entry of row [seq] in the pending chain from [r], newest first. *)
+let rec pending_emit t ~seq r =
+  if is_end r then raise Not_found else pending_row t ~seq r.r_outbox r.r_older
 
 and pending_row t ~seq rows older =
   match rows with
@@ -752,10 +781,10 @@ let outbox_total t =
   let n = ref 0 in
   iter_logs t (fun bl ->
       n :=
-        List.fold_left
-          (fun acc r -> acc + List.length r.r_outbox)
-          (!n + Mark.Table.length bl.bl_outbox)
-          bl.bl_pending);
+        fold_chain
+          (fun r acc -> acc + List.length r.r_outbox)
+          bl.bl_pending
+          (!n + Mark.Table.length bl.bl_outbox));
   !n
 
 type mark_state = Unseen | Pending | Durable
@@ -763,9 +792,8 @@ type mark_state = Unseen | Pending | Durable
 (* Compares ints in place, with no polymorphic equality. *)
 let rec marked m = function [] -> false | m' :: rest -> m' = m || marked m rest
 
-let rec pending_marked m = function
-  | [] -> false
-  | r :: rest -> r.r_consumed = m || marked m r.r_inbox || pending_marked m rest
+let rec pending_marked m r =
+  (not (is_end r)) && (r.r_consumed = m || marked m r.r_inbox || pending_marked m r.r_older)
 
 let inbox_mark t ~bee mark =
   let bl = find_log t bee in
@@ -780,7 +808,7 @@ let inbox_marks t ~bee =
   match find_log_opt t bee with
   | None -> []
   | Some bl ->
-    let pending = List.concat_map record_marks bl.bl_pending in
+    let pending = fold_chain (fun r acc -> List.rev_append (record_marks r) acc) bl.bl_pending [] in
     List.sort_uniq Mark.compare (Mark.Set.fold List.cons bl.bl_inbox pending)
 
 let wipe_inbox t ~bee =
@@ -788,18 +816,18 @@ let wipe_inbox t ~bee =
   | None -> ()
   | Some bl ->
     Mark.Set.clear bl.bl_inbox;
-    List.iter
-      (fun r ->
+    fold_chain
+      (fun r () ->
         r.r_inbox <- [];
         r.r_consumed <- Mark.none)
-      bl.bl_pending
+      bl.bl_pending ()
 
 let drop_outbox t ~bee =
   match find_log_opt t bee with
   | None -> ()
   | Some bl ->
     Mark.Table.clear bl.bl_outbox;
-    List.iter (fun r -> r.r_outbox <- []) bl.bl_pending
+    fold_chain (fun r () -> r.r_outbox <- []) bl.bl_pending ()
 
 (* ---- migration ----------------------------------------------------- *)
 
@@ -816,7 +844,7 @@ let package_bytes t ~bee =
 let pending_writes t ~bee =
   match find_log_opt t bee with
   | None -> 0
-  | Some bl -> List.length bl.bl_pending
+  | Some bl -> chain_length bl.bl_pending
 
 let snapshot_count t ~bee =
   match find_log_opt t bee with None -> 0 | Some bl -> bl.bl_compactions
@@ -843,9 +871,9 @@ let fsck t ~bee =
     (* Split the newest-first WAL into the trailing run of torn records
        (the tail of the final in-flight write — expected after a crash)
        and the committed prefix, which must verify completely. *)
-    let rec split_torn torn = function
-      | r :: rest when frame_state t r.r_frame = F_torn -> split_torn (r :: torn) rest
-      | rest -> (torn, rest)
+    let rec split_torn torn r =
+      if (not (is_end r)) && frame_state t r.r_frame = F_torn then split_torn (r :: torn) r.r_older
+      else (torn, r)
     in
     let torn_tail, prefix = split_torn [] bl.bl_wal in
     t.records_verified <- t.records_verified + bl.bl_wal_records + 1;
@@ -935,9 +963,8 @@ let verify_chain t ~bee =
     if frame_damaged_oracle bl.bl_snapshot_frame then
       Some "snapshot bytes do not match their stored crc32"
     else (
-      match
-        List.find_opt (fun r -> frame_damaged_oracle r.r_frame) (List.rev bl.bl_wal)
-      with
+      let oldest_bad r bad = if frame_damaged_oracle r.r_frame then Some r else bad in
+      match fold_chain oldest_bad bl.bl_wal None with
       | Some r ->
         Some
           (Printf.sprintf "wal record lsn %d bytes do not match their stored crc32"
@@ -1014,24 +1041,25 @@ let corrupt_record t ~bee ~victim =
   match find_log_opt t bee with
   | None -> false
   | Some bl -> (
-    match bl.bl_wal with
-    | [] -> false
-    | wal ->
-      let n = List.length wal in
-      let f = damage_record t (List.nth wal (((victim mod n) + n) mod n)) in
-      f.f_payload <- flip_byte f.f_payload;
-      true)
+    let wal = bl.bl_wal in
+    (not (is_end wal))
+    &&
+    let n = chain_length wal in
+    let rec nth r i = if i = 0 then r else nth r.r_older (i - 1) in
+    let f = damage_record t (nth wal (((victim mod n) + n) mod n)) in
+    f.f_payload <- flip_byte f.f_payload;
+    true)
 
 let tear_tail t ~bee =
   match find_log_opt t bee with
   | None -> false
   | Some bl -> (
-    match bl.bl_wal with
-    | [] -> false
-    | r :: _ ->
-      let f = damage_record t r in
-      f.f_payload <- String.sub f.f_payload 0 (String.length f.f_payload / 2);
-      true)
+    let r = bl.bl_wal in
+    (not (is_end r))
+    &&
+    let f = damage_record t r in
+    f.f_payload <- String.sub f.f_payload 0 (String.length f.f_payload / 2);
+    true)
 
 let rot_snapshot t ~bee =
   match find_log_opt t bee with
@@ -1080,12 +1108,12 @@ let wal_image t =
         (Printf.sprintf "bee=%d next_lsn=%d snap_lsn=%d next_out_seq=%d\n"
            bl.bl_bee bl.bl_next_lsn bl.bl_snapshot_lsn bl.bl_next_out_seq);
       add_frame "S" (snapshot_image t bl);
-      List.iter
+      iter_oldest
         (fun r ->
           add_frame
             (Printf.sprintf "W lsn=%d at=%d" r.r_lsn (Simtime.to_us r.r_at))
             (record_image t r))
-        (List.rev bl.bl_wal);
+        bl.bl_wal;
       List.iter
         (fun e -> Buffer.add_string buf (Printf.sprintf "O %d:%d\n" (t.seq e) (t.bytes e)))
         (durable_rows t bl);

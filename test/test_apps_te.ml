@@ -232,9 +232,8 @@ let context_over dicts =
       ~rng:(Beehive_sim.Rng.create 1)
       ~late:(fun _ _ ?size:_ ~kind:_ _ -> ())
   in
-  Beehive_core.Context.make env ~read_shadow:None
+  Beehive_core.Context.make env ~state:st ~read_shadow:None
     ~allowed:(Beehive_core.Mapping.whole_dicts (List.map fst dicts))
-    ~tx:(State.begin_tx st)
     ~message:
       (Message.make ~kind:"test.noop" ~src:Message.From_system ~sent_at:Simtime.zero
          (Helpers.Noop 0))

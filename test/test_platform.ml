@@ -5,6 +5,7 @@ open Helpers
 module Registry = Beehive_core.Registry
 module Traffic_matrix = Beehive_net.Traffic_matrix
 module Stats = Beehive_core.Stats
+module State = Beehive_core.State
 module Raft_replication = Beehive_core.Raft_replication
 module Outbox = Beehive_core.Outbox
 module Store = Beehive_store.Store
@@ -756,7 +757,7 @@ let check_words_bound per_msg bound =
    handler's transaction and routing, counted exactly on the ping-pong
    chain. The bound is the measured cost (OCaml 5.1.1, native code);
    raising it needs a reason. *)
-let runtime_words_per_message_bound = 38.0
+let runtime_words_per_message_bound = 30.0
 
 let test_runtime_words_per_message () =
   let engine, platform = make_platform ~n_hives:1 ~apps:(ping_pong_apps ()) () in
@@ -771,7 +772,7 @@ let test_runtime_words_per_message () =
    shows the hook the child's own source and allocates only the
    parent's [Some]. The bound is the measured cost (OCaml 5.1.1, native
    code); raising it needs a reason. *)
-let hooked_words_per_message_bound = 39.0
+let hooked_words_per_message_bound = 31.0
 
 let test_hooked_words_per_message () =
   let engine, platform = make_platform ~n_hives:1 ~apps:(ping_pong_apps ()) () in
@@ -792,7 +793,7 @@ let test_hooked_words_per_message () =
    firing), so each step runs 5 ms of simulated time: long enough for
    the pong's commit, fsync, dispatch and ack. The bound is the measured
    cost (OCaml 5.1.1, native code); raising it needs a reason. *)
-let durable_words_per_message_bound = 79.5975
+let durable_words_per_message_bound = 56.828
 
 let test_durable_words_per_message () =
   let engine, platform = durable_platform ~n_hives:1 ~apps:(ping_pong_apps ()) () in
@@ -947,6 +948,95 @@ let test_cells_leg_words () =
   cells_leg_words "one-cell set" (Mapping.Cells (Cell.Set.singleton (Cell.cell "d" "k")));
   cells_leg_words "two-cell set"
     (Mapping.Cells (Cell.Set.of_list [ Cell.cell "d" "j"; Cell.cell "d" "k" ]))
+
+(* An inject from a switch allocates only its message: the switch's
+   source is built at its first inject and shared after, as an injecting
+   hive's is. Counted around [Platform.inject] of a kind no app handles,
+   so routing finds no subscriber and allocates nothing. *)
+let message_words = 7. (* [Message.t]: six fields and a header *)
+
+let test_switch_inject_words () =
+  let app =
+    App.create ~name:"test.sw" ~dicts:[ "d" ]
+      [ App.handler ~kind:"test.handled" ~map:(fun _ -> Mapping.with_key "d" "k") (fun _ _ -> ()) ]
+  in
+  let engine, platform = make_platform ~n_hives:2 ~apps:[ app ] () in
+  let from = Channels.Switch 5 and payload = Noop 0 in
+  let injects () =
+    for _ = 1 to 1_000 do
+      Platform.inject platform ~from ~kind:"test.unhandled" payload
+    done
+  in
+  injects ();
+  Engine.run engine;
+  Alcotest.(check (float 0.)) "words per inject" message_words (minor_words_of injects /. 1_000.);
+  let srcs = ref [] in
+  Platform.on_emit platform (fun ~parent:_ ~child ~emitter:_ -> srcs := child.Message.src :: !srcs);
+  Platform.inject platform ~from:(Channels.Switch 5) ~kind:"test.handled" payload;
+  Platform.inject platform ~from ~kind:"test.unhandled" payload;
+  Platform.inject platform ~from:(Channels.Switch 6) ~kind:"test.handled" payload;
+  Engine.run engine;
+  match !srcs with
+  | [ six; five'; five ] ->
+    Alcotest.(check bool) "one source per switch" true (five == five');
+    Alcotest.(check bool) "each names its switch" true
+      (five = Message.From_endpoint (Channels.Switch 5)
+      && six = Message.From_endpoint (Channels.Switch 6))
+  | _ -> Alcotest.fail "three injects seen"
+
+(* A context kept past its handler is a stale handle on the bee's one
+   transaction, which a later delivery has reopened: its state accesses
+   raise as on a finished transaction and never reach the later
+   delivery's writes, and its emit still takes the late path, as a child
+   of its own message. *)
+let test_stale_context () =
+  let kept = ref None and outcomes = ref [] and inside = ref [] in
+  let on kind rcv = App.handler ~kind ~map:(fun _ -> Mapping.with_key "store" "k") rcv in
+  let attempt what f =
+    let outcome = match f () with () -> "returned" | exception Invalid_argument m -> m in
+    outcomes := (what, outcome) :: !outcomes
+  in
+  let app =
+    App.create ~name:"test.stale" ~dicts:[ "store" ]
+      [
+        on "test.keep" (fun ctx _ ->
+            Context.set ctx ~dict:"store" ~key:"k" (Value.V_int 1);
+            kept := Some ctx);
+        on "test.reuse" (fun ctx _ ->
+            Context.set ctx ~dict:"store" ~key:"k" (Value.V_int 2);
+            let stale = Option.get !kept in
+            attempt "get" (fun () -> ignore (Context.get stale ~dict:"store" ~key:"k"));
+            attempt "update" (fun () ->
+                Context.update stale ~dict:"store" ~key:"k" (fun _ -> Some (Value.V_int 3)));
+            attempt "iter_dict" (fun () -> Context.iter_dict stale ~dict:"store" (fun _ _ -> ()));
+            Context.emit stale ~kind:"test.late" (Noop 0);
+            inside :=
+              [
+                ("one transaction per bee", Context.tx stale == Context.tx ctx);
+                ( "the later writes alone are pending",
+                  State.tx_pending (Context.tx ctx) = [ ("store", "k", Some (Value.V_int 2)) ] );
+                ("nothing emitted in the later context", Context.emitted ctx = []);
+              ]);
+      ]
+  in
+  let engine, platform = make_platform ~apps:[ app ] () in
+  let late = ref [] in
+  Platform.on_emit platform (fun ~parent ~child ~emitter:_ ->
+      if String.equal child.Message.kind "test.late" then
+        late := Option.map (fun (m : Message.t) -> m.Message.kind) parent :: !late);
+  Platform.inject platform ~from:(Channels.Hive 1) ~kind:"test.keep" (Noop 0);
+  drain engine;
+  Platform.inject platform ~from:(Channels.Hive 1) ~kind:"test.reuse" (Noop 0);
+  drain engine;
+  let finished = "State: transaction already finished" in
+  Alcotest.(check (list (pair string string))) "stale accesses raise"
+    [ ("get", finished); ("update", finished); ("iter_dict", finished) ]
+    (List.rev !outcomes);
+  List.iter (fun (what, ok) -> Alcotest.(check bool) what true ok) !inside;
+  Alcotest.(check (list (option string))) "the late emit's parent is the stale context's message"
+    [ Some "test.keep" ] !late;
+  Alcotest.(check (option int)) "the later delivery committed its own write" (Some 2)
+    (store_value platform ~bee:(owner_exn platform ~app:"test.stale" "k") ~key:"k")
 
 (* The emit hooks' [emitter] is the child's own source, for every way a
    message is made: a bee's emit and endpoint send at commit, an emit
@@ -1156,6 +1246,10 @@ let suite =
           test_mark_bookkeeping_words;
         Alcotest.test_case "a recheck allocates 0 words" `Quick test_recheck_words;
         Alcotest.test_case "a Cells leg allocates only its delivery" `Quick test_cells_leg_words;
+        Alcotest.test_case "an inject from a switch allocates only its message" `Quick
+          test_switch_inject_words;
+        Alcotest.test_case "a stale context never reaches a later transaction" `Quick
+          test_stale_context;
         Alcotest.test_case "stale completion is a no-op" `Quick test_stale_completion_is_a_noop;
         Alcotest.test_case "handler names its bee's current hive" `Quick
           test_handler_names_current_hive;

@@ -245,7 +245,7 @@ let topology_context allowed =
       ~now:(fun () -> Beehive_sim.Simtime.zero)
       ~rng:(Beehive_sim.Rng.create 1) ~late:(fun _ _ ?size:_ ~kind:_ _ -> ())
   in
-  Context.make env ~read_shadow:None ~allowed ~tx:(State.begin_tx st)
+  Context.make env ~state:st ~read_shadow:None ~allowed
     ~message:
       (Message.make ~kind:"test.noop" ~src:Message.From_system
          ~sent_at:Beehive_sim.Simtime.zero (Helpers.Noop 0))
@@ -561,6 +561,70 @@ let steps_arb =
     ~print:(fun steps -> String.concat "; " (List.map show_step steps))
     (list_size (1 -- 10) step)
 
+let agree what a b = if a <> b then QCheck.Test.fail_reportf "%s differ" what
+
+let write tx (d, k, v) =
+  let dict = dict_name d and key = string_of_int k in
+  match v with
+  | Some n -> State.tx_set tx ~dict ~key (vi n)
+  | None -> State.tx_del tx ~dict ~key
+
+let o_write o_tx (d, k, v) =
+  let dict = dict_name d and key = string_of_int k in
+  match v with
+  | Some n -> Oracle.tx_set o_tx ~dict ~key (vi n)
+  | None -> Oracle.tx_del o_tx ~dict ~key
+
+(* The entries an iteration visits, last visited first. *)
+let visited iter =
+  let seen = ref [] in
+  iter (fun k v -> seen := (k, v) :: !seen);
+  !seen
+
+(* One [Tx] step on an open transaction and on the oracle's, side by
+   side: every read, view, pending list and rollback count must
+   agree. *)
+let run_tx tx o_tx ~writes ~iter ~commit =
+  List.iter
+    (fun w ->
+      write tx w;
+      o_write o_tx w)
+    writes;
+  (match iter with
+  | None -> ()
+  | Some (d, ws) ->
+    let dict = dict_name d in
+    (* The same writes on both sides, each made inside its own
+       iteration, so each side's view is checked against writes
+       landing mid-walk. *)
+    let writing iter write f =
+      let pending = ref ws in
+      iter ~dict (fun k v ->
+          f k v;
+          match !pending with
+          | w :: rest ->
+            pending := rest;
+            write w
+          | [] -> ())
+    in
+    agree "views with writes inside"
+      (visited (writing (State.tx_iter tx) (write tx)))
+      (visited (writing (Oracle.tx_iter o_tx) (o_write o_tx))));
+  for d = 0 to 2 do
+    let dict = dict_name d in
+    agree "views" (visited (State.tx_iter tx ~dict)) (visited (Oracle.tx_iter o_tx ~dict));
+    for k = 0 to 11 do
+      let key = string_of_int k in
+      agree "reads" (State.tx_get tx ~dict ~key) (Oracle.tx_get o_tx ~dict ~key)
+    done
+  done;
+  agree "pending writes" (State.tx_pending tx) (Oracle.tx_pending o_tx);
+  if commit then begin
+    State.commit tx;
+    Oracle.commit o_tx
+  end
+  else agree "rollback counts" (State.rollback tx) (Oracle.rollback o_tx)
+
 let prop_transactions_match_oracle =
   (* Several transactions over three dictionaries, interleaved with
      migration-style extract/insert and snapshots, run on [State] and on
@@ -575,66 +639,9 @@ let prop_transactions_match_oracle =
       let st = State.create () and side = State.create () in
       let o_st = Oracle.create () and o_side = Oracle.create () in
       let kept = ref [] in
-      let agree what a b = if a <> b then QCheck.Test.fail_reportf "%s differ" what in
-      let write tx (d, k, v) =
-        let dict = dict_name d and key = string_of_int k in
-        match v with
-        | Some n -> State.tx_set tx ~dict ~key (vi n)
-        | None -> State.tx_del tx ~dict ~key
-      and o_write o_tx (d, k, v) =
-        let dict = dict_name d and key = string_of_int k in
-        match v with
-        | Some n -> Oracle.tx_set o_tx ~dict ~key (vi n)
-        | None -> Oracle.tx_del o_tx ~dict ~key
-      in
-      (* The entries an iteration visits, last visited first. *)
-      let visited iter =
-        let seen = ref [] in
-        iter (fun k v -> seen := (k, v) :: !seen);
-        !seen
-      in
       let run = function
         | Tx { writes; iter; commit } ->
-          let tx = State.begin_tx st and o_tx = Oracle.begin_tx o_st in
-          List.iter
-            (fun w ->
-              write tx w;
-              o_write o_tx w)
-            writes;
-          (match iter with
-          | None -> ()
-          | Some (d, ws) ->
-            let dict = dict_name d in
-            (* The same writes on both sides, each made inside its own
-               iteration, so each side's view is checked against writes
-               landing mid-walk. *)
-            let writing iter write f =
-              let pending = ref ws in
-              iter ~dict (fun k v ->
-                  f k v;
-                  match !pending with
-                  | w :: rest ->
-                    pending := rest;
-                    write w
-                  | [] -> ())
-            in
-            agree "views with writes inside"
-              (visited (writing (State.tx_iter tx) (write tx)))
-              (visited (writing (Oracle.tx_iter o_tx) (o_write o_tx))));
-          for d = 0 to 2 do
-            let dict = dict_name d in
-            agree "views" (visited (State.tx_iter tx ~dict)) (visited (Oracle.tx_iter o_tx ~dict));
-            for k = 0 to 11 do
-              let key = string_of_int k in
-              agree "reads" (State.tx_get tx ~dict ~key) (Oracle.tx_get o_tx ~dict ~key)
-            done
-          done;
-          agree "pending writes" (State.tx_pending tx) (Oracle.tx_pending o_tx);
-          if commit then begin
-            State.commit tx;
-            Oracle.commit o_tx
-          end
-          else agree "rollback counts" (State.rollback tx) (Oracle.rollback o_tx)
+          run_tx (State.begin_tx st) (Oracle.begin_tx o_st) ~writes ~iter ~commit
         | Move cs ->
           let cells =
             Cell.Set.of_list
@@ -665,6 +672,113 @@ let prop_transactions_match_oracle =
           List.iter (fun (real, oracle) -> agree "kept entries" real oracle) !kept)
         steps;
       true)
+
+(* A bee's deliveries: each runs a [Tx] step against one of two states
+   ([true]: the first), as a bee's state is replaced when it revives,
+   fails over or lands. *)
+let deliveries_arb =
+  let open QCheck.Gen in
+  let write = triple (int_bound 2) (int_bound 11) (opt (int_bound 100)) in
+  let delivery =
+    map2
+      (fun first (writes, iter, commit) -> (first, writes, iter, commit))
+      (frequencyl [ (3, true); (1, false) ])
+      (triple (list_size (0 -- 6) write)
+         (opt (pair (int_bound 2) (list_size (0 -- 4) write)))
+         (frequencyl [ (3, true); (1, false) ]))
+  in
+  QCheck.make
+    ~print:(fun ds ->
+      String.concat "; "
+        (List.map
+           (fun (first, writes, iter, commit) ->
+             (if first then "" else "other ") ^ show_step (Tx { writes; iter; commit }))
+           ds))
+    (list_size (1 -- 20) delivery)
+
+let prop_reopened_tx_matches_fresh =
+  (* One transaction, reopened for every delivery as a bee's is, against
+     a fresh [begin_tx] per delivery and the oracle: each side's reads,
+     views, pending lists and rollback counts agree with its oracle, the
+     three sides' states agree after every delivery, and the finished
+     transaction refuses a read until it is reopened. *)
+  QCheck.Test.make ~name:"a reopened transaction agrees with a fresh one per delivery" ~count:500
+    deliveries_arb
+    (fun deliveries ->
+      let pick first (a, b) = if first then a else b in
+      let reopened = (State.create (), State.create ())
+      and fresh = (State.create (), State.create ())
+      and o_reopened = (Oracle.create (), Oracle.create ())
+      and o_fresh = (Oracle.create (), Oracle.create ()) in
+      let tx = State.begin_tx (fst reopened) in
+      ignore (State.rollback tx);
+      List.iter
+        (fun (first, writes, iter, commit) ->
+          State.reopen tx (pick first reopened);
+          run_tx tx (Oracle.begin_tx (pick first o_reopened)) ~writes ~iter ~commit;
+          run_tx
+            (State.begin_tx (pick first fresh))
+            (Oracle.begin_tx (pick first o_fresh))
+            ~writes ~iter ~commit;
+          agree "finished pending" (State.tx_pending tx) [];
+          (match State.tx_get tx ~dict:"d" ~key:"0" with
+          | _ -> QCheck.Test.fail_report "a finished transaction served a read"
+          | exception Invalid_argument _ -> ());
+          List.iter
+            (fun first ->
+              let snap = State.snapshot (pick first reopened) in
+              agree "reopened and oracle" snap (Oracle.snapshot (pick first o_reopened));
+              agree "reopened and fresh" snap (State.snapshot (pick first fresh));
+              agree "fresh and oracle" (State.snapshot (pick first fresh))
+                (Oracle.snapshot (pick first o_fresh)))
+            [ true; false ])
+        deliveries;
+      true)
+
+(* A bee's transaction, reopened against its state for the next
+   delivery, allocates nothing: the record and its grown pending array
+   are reused, and the used slots were cleared when it finished. *)
+let test_reopen_allocates_nothing () =
+  let st = State.create () and other = State.create () in
+  let tx = State.begin_tx st in
+  State.tx_set tx ~dict:"d" ~key:"a" (vi 1);
+  State.tx_set tx ~dict:"d" ~key:"b" (vi 2);
+  State.commit tx;
+  let before = Gc.minor_words () in
+  for i = 1 to 1_000 do
+    State.reopen tx (if i land 1 = 0 then st else other);
+    ignore (State.rollback tx)
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "words per reopen" 0.0 words;
+  State.reopen tx st;
+  let three = Some (vi 3) in
+  let before = Gc.minor_words () in
+  State.tx_write tx ~dict:"d" ~key:"a" three;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "a write into the grown array allocates its tuple" 4.0 words;
+  State.commit tx;
+  Alcotest.(check (option int)) "committed through the reopened transaction" (Some 3)
+    (Option.map (function Value.V_int n -> n | _ -> -1) (State.find st ~dict:"d" ~key:"a"))
+
+(* A finished transaction keeps no write alive: a bee's transaction
+   lives as long as the bee, so a write it rolled back must not. *)
+let test_finished_tx_keeps_no_write () =
+  let st = State.create () in
+  let tx = State.begin_tx st in
+  let held = Weak.create 1 in
+  let write () =
+    let v = Value.V_string (String.make 64 'x') in
+    Weak.set held 0 (Some v);
+    State.tx_set tx ~dict:"d" ~key:"a" v
+  in
+  write ();
+  Alcotest.(check int) "one write discarded" 1 (State.rollback tx);
+  Gc.full_major ();
+  Alcotest.(check bool) "the discarded value is collected" false (Weak.check held 0);
+  (* The transaction is still the bee's: reopened for the next delivery. *)
+  State.reopen tx st;
+  Alcotest.(check int) "and the next delivery starts empty" 0 (State.rollback tx)
 
 let committed_state entries =
   let st = State.create () in
@@ -790,9 +904,8 @@ let prop_key_access_matches_singleton =
             ~now:(fun () -> Beehive_sim.Simtime.zero)
             ~rng:(Beehive_sim.Rng.create 1) ~late:(fun _ _ ?size:_ ~kind:_ _ -> ())
         in
-        let tx = State.begin_tx st in
         let ctx =
-          Context.make env ~read_shadow:None ~allowed ~tx
+          Context.make env ~state:st ~read_shadow:None ~allowed
             ~message:
               (Message.make ~kind:"test.noop" ~src:Message.From_system
                  ~sent_at:Beehive_sim.Simtime.zero (Helpers.Noop 0))
@@ -826,7 +939,7 @@ let prop_key_access_matches_singleton =
                 Printf.sprintf "violation %s %s %s" app dict key)
             accesses
         in
-        (outcomes, State.tx_pending tx)
+        (outcomes, State.tx_pending (Context.tx ctx))
       in
       let dict = dict_of (hd = 1) and key = string_of_int hk in
       let by_key = run (Mapping.with_key dict key)
@@ -862,6 +975,11 @@ let suite =
         Alcotest.test_case "empty commit allocates nothing" `Quick
           test_empty_commit_allocates_nothing;
         QCheck_alcotest.to_alcotest prop_transactions_match_oracle;
+        QCheck_alcotest.to_alcotest prop_reopened_tx_matches_fresh;
+        Alcotest.test_case "reopening a bee's transaction allocates 0 words" `Quick
+          test_reopen_allocates_nothing;
+        Alcotest.test_case "a finished transaction keeps no write alive" `Quick
+          test_finished_tx_keeps_no_write;
         QCheck_alcotest.to_alcotest prop_key_access_matches_singleton;
         Alcotest.test_case "overwrite commit allocates nothing" `Quick
           test_overwrite_commit_allocates_nothing;

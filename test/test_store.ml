@@ -5,6 +5,7 @@
 open Helpers
 module Store = Beehive_store.Store
 module Mark = Beehive_store.Mark
+module Crc32 = Beehive_sim.Crc32
 
 (* The mark of [(sender, seq)], and back. *)
 let mark (sender, seq) = Mark.make ~sender ~seq
@@ -1024,6 +1025,310 @@ let test_outbox_row_words () =
   Alcotest.(check (float 0.)) "ack_outbox" 0. (minor_words_of (fun () -> ack 1_801));
   Alcotest.(check int) "all acked" 0 (Store.outbox_total store)
 
+(* ------------------------------------------------------------------ *)
+(* The linked WAL against a list model                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A log's pending and durable records are chains linked through the
+   records themselves. The model below keeps them as plain lists, newest
+   first, and rebuilds from them every byte [Store.wal_image] prints: the
+   header line, the snapshot frame and each WAL frame, damaged ones
+   included. Outbox rows and marks are left to the property above. *)
+
+type wal_op =
+  | W_append of int * int * (int * int option) list  (* bee, hive, (key, write) *)
+  | W_commit
+  | W_drop of int  (* hive *)
+  | W_tear of int  (* bee *)
+  | W_corrupt of int * int  (* bee, victim *)
+  | W_fsck of int  (* bee *)
+  | W_scrub
+
+let print_wal_op = function
+  | W_append (b, h, ws) ->
+    Printf.sprintf "append %d@%d [%s]" b h
+      (String.concat " "
+         (List.map
+            (fun (k, w) ->
+              Printf.sprintf "k%d%s" k
+                (match w with Some v -> "=" ^ string_of_int v | None -> " del"))
+            ws))
+  | W_commit -> "commit"
+  | W_drop h -> Printf.sprintf "drop %d" h
+  | W_tear b -> Printf.sprintf "tear %d" b
+  | W_corrupt (b, v) -> Printf.sprintf "corrupt %d #%d" b v
+  | W_fsck b -> Printf.sprintf "fsck %d" b
+  | W_scrub -> "scrub"
+
+let wal_op_gen =
+  let open QCheck.Gen in
+  let bee = int_range 0 3 in
+  let writes = list_size (int_range 0 3) (pair (int_range 0 5) (opt (int_range 0 99))) in
+  frequency
+    [
+      (30, map3 (fun b h ws -> W_append (b, h, ws)) bee (int_range 0 1) writes);
+      (12, return W_commit);
+      (4, map (fun h -> W_drop h) (int_range 0 1));
+      (3, map (fun b -> W_tear b) bee);
+      (3, map2 (fun b v -> W_corrupt (b, v)) bee (int_range 0 7));
+      (5, map (fun b -> W_fsck b) bee);
+      (3, return W_scrub);
+    ]
+
+(* A modelled record, with its damage newest first: [true] a bit flip,
+   [false] a halving, replayed on the write-time payload. *)
+type m_record = {
+  m_hive : int;
+  m_writes : (string * string * int option) list;
+  mutable m_lsn : int;
+  mutable m_damage : bool list;
+}
+
+type m_log = {
+  mutable m_pending : m_record list;  (* newest first *)
+  mutable m_wal : m_record list;  (* newest first *)
+  mutable m_snapshot : (string * string * int) list;
+  mutable m_snapshot_lsn : int;
+  mutable m_next_lsn : int;
+}
+
+let wal_threshold = 150
+
+let m_payload r =
+  "R" ^ string_of_int r.m_lsn
+  ^ String.concat ""
+      (List.map
+         (fun ((d, k, w) as wr) ->
+           Printf.sprintf "|%s/%s=%s" d k
+             (match w with Some _ -> string_of_int (size_of wr) | None -> "x"))
+         r.m_writes)
+
+let m_flip s =
+  if s = "" then s
+  else begin
+    let b = Bytes.of_string s in
+    let i = Bytes.length b / 2 in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
+    Bytes.to_string b
+  end
+
+(* The record's bytes as the disk now holds them. *)
+let m_bytes r =
+  List.fold_left
+    (fun s flip -> if flip then m_flip s else String.sub s 0 (String.length s / 2))
+    (m_payload r) (List.rev r.m_damage)
+
+let m_state r =
+  let bytes = m_bytes r and payload = m_payload r in
+  if String.length bytes <> String.length payload then `Torn
+  else if Crc32.string bytes <> Crc32.string payload then `Garbled
+  else `Ok
+
+let m_bad r = m_state r <> `Ok
+let m_record_bytes r = 24 + 8 + List.fold_left (fun acc w -> acc + size_of w) 0 r.m_writes
+let m_wal_bytes l = List.fold_left (fun acc r -> acc + m_record_bytes r) 0 l.m_wal
+
+(* A log charges its snapshot from its first compaction on, which comes
+   after a commit and so is taken at an lsn of 1 or more. *)
+let m_snapshot_bytes l =
+  if l.m_snapshot_lsn = 0 then 0
+  else 32 + 8 + List.fold_left (fun acc (d, k, v) -> acc + size_of (d, k, Some v)) 0 l.m_snapshot
+
+(* The scrub's report: the newest frame that fails verification. *)
+let m_first_bad l =
+  List.find_opt m_bad l.m_wal
+  |> Option.map (fun r -> Printf.sprintf "wal record lsn %d failed verification" r.m_lsn)
+
+let m_durable l =
+  let view = Hashtbl.create 16 in
+  List.iter (fun (d, k, v) -> Hashtbl.replace view (d, k) v) l.m_snapshot;
+  List.iter
+    (List.iter (fun (d, k, w) ->
+         match w with Some v -> Hashtbl.replace view (d, k) v | None -> Hashtbl.remove view (d, k)))
+    (List.rev_map (fun r -> r.m_writes) l.m_wal);
+  Hashtbl.fold (fun (d, k) v acc -> (d, k, v) :: acc) view [] |> List.sort compare
+
+(* Every byte [Store.wal_image] prints of the modelled logs: no commit
+   moves the engine's clock, so every commit time is 0. *)
+let m_image logs =
+  let buf = Buffer.create 256 in
+  let frame tag payload bytes =
+    Buffer.add_string buf
+      (Printf.sprintf "%s len=%d crc=%d %s\n" tag (String.length payload) (Crc32.string payload)
+         bytes)
+  in
+  Array.iteri
+    (fun bee -> function
+      | None -> ()
+      | Some l ->
+        Buffer.add_string buf
+          (Printf.sprintf "bee=%d next_lsn=%d snap_lsn=%d next_out_seq=1\n" bee l.m_next_lsn
+             l.m_snapshot_lsn);
+        let snap =
+          "S" ^ string_of_int l.m_snapshot_lsn
+          ^ String.concat ""
+              (List.map
+                 (fun (d, k, v) -> Printf.sprintf "|%s/%s=%d" d k (size_of (d, k, Some v)))
+                 l.m_snapshot)
+        in
+        frame "S" snap snap;
+        List.iter
+          (fun r -> frame (Printf.sprintf "W lsn=%d at=0" r.m_lsn) (m_payload r) (m_bytes r))
+          (List.rev l.m_wal))
+    logs;
+  Buffer.contents buf
+
+(* The model's group commit of one log: lsns oldest first, then a
+   compaction once the WAL outgrew the threshold, unless a frame fails
+   verification. *)
+let m_commit l =
+  if l.m_pending <> [] then begin
+    List.iter
+      (fun r ->
+        r.m_lsn <- l.m_next_lsn;
+        l.m_next_lsn <- l.m_next_lsn + 1;
+        l.m_wal <- r :: l.m_wal)
+      (List.rev l.m_pending);
+    l.m_pending <- [];
+    if m_wal_bytes l > wal_threshold && not (List.exists m_bad l.m_wal) then begin
+      l.m_snapshot <- m_durable l;
+      l.m_snapshot_lsn <- l.m_next_lsn - 1;
+      l.m_wal <- []
+    end
+  end
+
+(* The expected [fsck] verdict, truncating the model's torn tail as the
+   store does. *)
+let m_fsck = function
+  | None -> Store.Intact
+  | Some l ->
+    let rec split torn = function
+      | r :: rest when m_state r = `Torn -> split (r :: torn) rest
+      | rest -> (torn, rest)
+    in
+    let torn, prefix = split [] l.m_wal in
+    if List.exists m_bad prefix then
+      Store.Corrupt "committed wal record failed checksum verification"
+    else if torn = [] then Store.Intact
+    else begin
+      l.m_wal <- prefix;
+      Store.Truncated (List.length torn)
+    end
+
+let prop_linked_wal_matches_list_model =
+  QCheck.Test.make ~name:"the linked WAL agrees with a list-model log" ~count:500
+    QCheck.(make ~print:Print.(list print_wal_op) Gen.(list_size (int_range 0 120) wal_op_gen))
+    (fun ops ->
+      let store =
+        int_store ~config:{ Store.snapshot_threshold_bytes = wal_threshold } (Engine.create ())
+      in
+      let logs : m_log option array = Array.make 4 None in
+      let log bee =
+        match logs.(bee) with
+        | Some l -> l
+        | None ->
+          let l =
+            { m_pending = []; m_wal = []; m_snapshot = []; m_snapshot_lsn = 0; m_next_lsn = 1 }
+          in
+          logs.(bee) <- Some l;
+          l
+      in
+      List.iter
+        (fun op ->
+          let fail what = QCheck.Test.fail_reportf "%s after %s" what (print_wal_op op) in
+          (match op with
+          | W_append (bee, hive, ws) ->
+            let writes = List.map (fun (k, w) -> ("d", "k" ^ string_of_int k, w)) ws in
+            Store.append store ~bee ~hive ~outbox:[] ~inbox:[] ~consumed:Mark.none writes;
+            if writes <> [] then begin
+              let l = log bee in
+              l.m_pending <- { m_hive = hive; m_writes = writes; m_lsn = 0; m_damage = [] } :: l.m_pending
+            end
+          | W_commit ->
+            Store.flush store;
+            Array.iter (Option.iter m_commit) logs
+          | W_drop hive ->
+            Store.drop_pending store ~hive;
+            Array.iter
+              (Option.iter (fun l ->
+                   l.m_pending <- List.filter (fun r -> r.m_hive <> hive) l.m_pending))
+              logs
+          | W_tear bee -> (
+            let torn = Store.tear_tail store ~bee in
+            match logs.(bee) with
+            | Some { m_wal = r :: _; _ } ->
+              if not torn then fail "nothing torn";
+              r.m_damage <- false :: r.m_damage
+            | Some _ | None -> if torn then fail "an empty WAL torn")
+          | W_corrupt (bee, victim) -> (
+            let flipped = Store.corrupt_record store ~bee ~victim in
+            match logs.(bee) with
+            | Some { m_wal = _ :: _ as wal; _ } ->
+              if not flipped then fail "nothing flipped";
+              let r = List.nth wal (victim mod List.length wal) in
+              r.m_damage <- true :: r.m_damage
+            | Some _ | None -> if flipped then fail "an empty WAL flipped")
+          | W_fsck bee -> if Store.fsck store ~bee <> m_fsck logs.(bee) then fail "fsck verdicts"
+          | W_scrub ->
+            let scanned, found = Store.scrub store ~budget_bytes:max_int in
+            let m_scanned = ref 0 and m_found = ref [] in
+            Array.iteri
+              (fun bee -> function
+                | None -> ()
+                | Some l ->
+                  m_scanned := !m_scanned + m_snapshot_bytes l + m_wal_bytes l;
+                  Option.iter (fun d -> m_found := (bee, d) :: !m_found) (m_first_bad l))
+              logs;
+            if scanned <> !m_scanned then fail "scrub bytes";
+            if found <> List.rev !m_found then fail "scrub findings");
+          if Store.wal_image store <> m_image logs then fail "wal images";
+          Array.iteri
+            (fun bee -> function
+              | None -> ()
+              | Some l ->
+                if Store.pending_writes store ~bee <> List.length l.m_pending then fail "pending";
+                if sorted_entries store ~bee <> m_durable l then fail "recovered entries";
+                let oldest_bad =
+                  List.find_opt m_bad (List.rev l.m_wal)
+                  |> Option.map (fun r ->
+                         Printf.sprintf "wal record lsn %d bytes do not match their stored crc32"
+                           r.m_lsn)
+                in
+                if Store.verify_chain store ~bee <> oldest_bad then fail "verify_chain";
+                if
+                  Store.recovery_cost store ~bee
+                  <> (List.length l.m_wal, m_snapshot_bytes l + m_wal_bytes l)
+                then fail "recovery cost")
+            logs)
+        ops;
+      true)
+
+(* A one-write durable append and the group commit that lands it
+   allocate only the record, once the engine's queue and the commit's
+   shares have grown: no list cell links it into the pending records or
+   the WAL, and arming the commit schedules the store's one callback. *)
+let record_words = 11. (* a WAL record: ten fields and a header *)
+
+let test_durable_append_words () =
+  let engine = Engine.create () in
+  let store =
+    int_store ~config:{ Store.snapshot_threshold_bytes = max_int } engine
+  in
+  let write = [ ("d", "k", Some 0) ] in
+  let step () =
+    Store.append store ~bee:0 ~hive:0 ~outbox:[] ~inbox:[] ~consumed:Mark.none write;
+    Engine.run engine
+  in
+  let steps () =
+    for _ = 1 to 1_000 do
+      step ()
+    done
+  in
+  steps ();
+  let words = minor_words_of steps /. 1_000. in
+  Alcotest.(check (float 0.)) "words per append and commit" record_words words;
+  Alcotest.(check int) "every record durable" 2_000 (fst (Store.recovery_cost store ~bee:0))
+
 let suite =
   [
     ( "store",
@@ -1063,5 +1368,8 @@ let suite =
         QCheck_alcotest.to_alcotest prop_mark_table_matches_hashtbl;
         QCheck_alcotest.to_alcotest prop_outbox_rows_match_model;
         Alcotest.test_case "durable rows allocate nothing" `Quick test_outbox_row_words;
+        QCheck_alcotest.to_alcotest prop_linked_wal_matches_list_model;
+        Alcotest.test_case "a one-write durable append and commit allocate only the record"
+          `Quick test_durable_append_words;
       ] );
   ]
