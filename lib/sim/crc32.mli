@@ -6,7 +6,3 @@
 
 val string : string -> int
 (** [string s] is the CRC-32 of [s]. [string "123456789" = 0xCBF43926]. *)
-
-val update : int -> string -> int
-(** [update crc s] extends a running checksum: [update (string a) b =
-    string (a ^ b)]. [string s = update 0 s]. *)

@@ -40,7 +40,8 @@ val cancel : t -> handle -> bool
 (** [cancel t h] drops the event, returning [false] if it already fired
     or was already cancelled. On an {!every} handle it stops the series
     (also from inside its own callback) and returns [true] the first
-    time. *)
+    time. It costs O(events in flight): the queue scans for the event
+    and deletes it ({!Event_queue.cancel}). *)
 
 val every : t -> Simtime.t -> (unit -> unit) -> handle
 (** [every t period f] runs [f] at [now t + period], [now t + 2 period],

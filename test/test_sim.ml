@@ -203,31 +203,66 @@ let test_engine_schedule_words () =
   Engine.run e;
   Alcotest.(check int) "no occurrence after the cancel" 4 !count
 
-let test_event_queue_compaction () =
+(* Two of every three events are cancelled: the queue then costs what a
+   queue of the same capacity holding only the 342 survivors costs, and
+   the survivors pop in time order. The survivors' queue grows to the
+   same capacity by pushing 682 fillers ahead of them and taking those. *)
+let test_cancel_heavy_heap () =
   let q = Event_queue.create () in
-  let handles =
-    Array.init 1024 (fun i -> Event_queue.push q (Simtime.of_us i) i)
-  in
-  (* Cancel two of every three events: once tombstones outnumber live
-     entries the heap must compact in place. *)
+  let handles = Array.init 1024 (fun i -> Event_queue.push q (Simtime.of_us i) i) in
   for i = 0 to 1023 do
     if i mod 3 <> 0 then ignore (Event_queue.cancel q handles.(i))
   done;
-  Alcotest.(check bool) "live events remain" false (Event_queue.is_empty q);
-  Alcotest.(check bool)
-    (Printf.sprintf "physical size %d shrank below 1024"
-       (Event_queue.physical_size q))
-    true
-    (Event_queue.physical_size q < 1024);
-  (* Pop order of the survivors is unaffected. *)
-  let popped = ref [] in
-  while not (Event_queue.is_empty q) do
-    popped := Event_queue.take q :: !popped
+  let survivors = Event_queue.create () in
+  for _ = 1 to 682 do
+    ignore (Event_queue.push survivors Simtime.zero (-1))
   done;
-  Alcotest.(check (list int))
-    "survivors pop in time order"
-    (List.init 342 (fun i -> 3 * i))
-    (List.rev !popped)
+  for i = 0 to 341 do
+    ignore (Event_queue.push survivors (Simtime.of_us (3 * i)) (3 * i))
+  done;
+  for _ = 1 to 682 do
+    Alcotest.(check int) "a filler" (-1) (Event_queue.take survivors)
+  done;
+  let words q = Obj.reachable_words (Obj.repr q) in
+  Alcotest.(check int) "words of a queue holding only the survivors" (words survivors) (words q);
+  let expected = List.init 342 (fun i -> (3 * i, 3 * i)) in
+  Alcotest.(check (list (pair int int))) "survivors pop in time order" expected (drain_queue q);
+  Alcotest.(check (list (pair int int))) "as in the survivors' queue" expected
+    (drain_queue survivors)
+
+(* Cancelling the last slot, an interior event and the root of a grown
+   heap writes in place: pushed at rising times, push number [i] sits in
+   slot [i]. *)
+let test_cancel_words () =
+  let q = Event_queue.create () in
+  for i = 0 to 9_999 do
+    ignore (Event_queue.push q (Simtime.of_us i) i)
+  done;
+  let cancelled = ref 0 in
+  let cancel p = if Event_queue.cancel q p then incr cancelled in
+  Alcotest.(check (float 0.)) "minor words for three cancels" 0.
+    (Helpers.minor_words_of (fun () ->
+         cancel 9_999;
+         cancel 5_000;
+         cancel 0));
+  Alcotest.(check int) "each cancel found its event" 3 !cancelled;
+  let popped = List.map snd (drain_queue q) in
+  Alcotest.(check (list int)) "the rest pop in order"
+    (List.filter (fun i -> i <> 0 && i <> 5_000) (List.init 9_999 Fun.id))
+    popped
+
+(* Pushes at these times (in us) leave the heap [1; 15; 2; 18; 20; 7; 5].
+   Cancelling the 18 in slot 3 refills it with the last event, 5, which
+   is earlier than its new parent, 15, and must move up past it: left
+   below it, 5 would pop after 7. *)
+let test_cancel_refill_moves_up () =
+  let q = Event_queue.create () in
+  let handles =
+    List.map (fun t -> Event_queue.push q (Simtime.of_us t) t) [ 5; 15; 2; 18; 20; 7; 1 ]
+  in
+  Alcotest.(check bool) "cancelled" true (Event_queue.cancel q (List.nth handles 3));
+  Alcotest.(check (list int)) "pop order is the sorted order" [ 1; 2; 5; 7; 15; 20 ]
+    (List.map snd (drain_queue q))
 
 (* A model of the queue: the queued events as a list sorted by (time,
    push number), and the push count. Each operation runs on both; the
@@ -449,13 +484,16 @@ let suite =
         Alcotest.test_case "engine rejects past events" `Quick test_engine_past_raises;
         Alcotest.test_case "engine loop allocates nothing" `Quick
           test_engine_loop_allocates_nothing;
-        Alcotest.test_case "event queue: cancel-heavy heap compacts" `Quick
-          test_event_queue_compaction;
+        Alcotest.test_case "a cancel-heavy heap holds only its queued events" `Quick
+          test_cancel_heavy_heap;
         Alcotest.test_case "engine schedules in 0 words" `Quick test_engine_schedule_words;
         QCheck_alcotest.to_alcotest prop_queue_model;
         Alcotest.test_case "event queue size follows events in flight" `Quick
           test_event_queue_bounded;
         QCheck_alcotest.to_alcotest prop_lane_model;
         Alcotest.test_case "a lane post allocates 0 words" `Quick test_lane_post_words;
+        Alcotest.test_case "a cancel allocates 0 words" `Quick test_cancel_words;
+        Alcotest.test_case "a cancelled slot's refill can move up" `Quick
+          test_cancel_refill_moves_up;
       ] );
   ]
